@@ -5,12 +5,10 @@ use aig_bench::{dataset, fig10_options, spec};
 use aig_core::compile_constraints;
 use aig_core::decompose_queries;
 use aig_datagen::DatasetSize;
-use aig_mediator::cost::response_time;
 use aig_mediator::cost::{measured_costs, CostGraph};
 use aig_mediator::exec::{execute_graph, ExecOptions};
 use aig_mediator::graph::build_graph;
-use aig_mediator::merge::{merge_pair, no_merge};
-use aig_mediator::schedule::schedule;
+use aig_mediator::merge::{merge, no_merge};
 use aig_mediator::unfold::unfold;
 use aig_relstore::Value;
 
@@ -48,49 +46,13 @@ fn main() {
         aig_mediator::render_plan(&cg, &base.plan, &options.network, &data.catalog)
     );
     eprintln!("unmerged response: {:.3}", base.response_secs);
-    // Greedy trace.
-    let mut current = cg.clone();
-    let mut cost = base.response_secs;
-    loop {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for u in 0..current.len() {
-            if !current.nodes[u].mergeable {
-                continue;
-            }
-            for v in (u + 1)..current.len() {
-                if !current.nodes[v].mergeable || current.nodes[u].source != current.nodes[v].source
-                {
-                    continue;
-                }
-                let cand = merge_pair(
-                    &current,
-                    u,
-                    v,
-                    options.graph.cost_model.per_query_overhead_secs,
-                );
-                if cand.topo().is_none() {
-                    continue;
-                }
-                let plan = schedule(&cand, &options.network);
-                let c = response_time(&cand, &plan, &options.network);
-                if c < cost && best.map(|(_, _, bc)| c < bc).unwrap_or(true) {
-                    best = Some((u, v, c));
-                }
-            }
-        }
-        match best {
-            Some((u, v, c)) => {
-                eprintln!("merge #{u}+#{v} -> {:.3}", c);
-                current = merge_pair(
-                    &current,
-                    u,
-                    v,
-                    options.graph.cost_model.per_query_overhead_secs,
-                );
-                cost = c;
-            }
-            None => break,
-        }
+    let overhead = options.graph.cost_model.per_query_overhead_secs;
+    let merged = merge(&cg, &options.network, overhead);
+    for d in &merged.decisions {
+        eprintln!(
+            "merge tasks {:?} + {:?} at {}: {:.3} -> {:.3}",
+            d.kept, d.absorbed, d.source, d.cost_before_secs, d.cost_after_secs
+        );
     }
-    eprintln!("final response: {cost:.3}");
+    eprintln!("final response: {:.3}", merged.response_secs);
 }

@@ -88,45 +88,28 @@ impl CostGraph {
     /// dependent same-source queries; our explicit one-input caching steps
     /// would otherwise put a mediator node on every such edge and make all
     /// merges cyclic. Only nodes *constructed* as pass-throughs are
-    /// contracted (one pass — contraction does not cascade).
+    /// contracted, but the scan repeats until none is left: a pass-through
+    /// whose producer was itself a contracted pass-through is contracted
+    /// too, so a chain of them collapses into the query at its head.
     pub fn contract_passthrough(&self) -> CostGraph {
-        let mut g = self.clone();
-        loop {
-            let candidate = (0..g.len()).find(|&id| {
-                g.nodes[id].passthrough && g.deps[id].len() == 1 && g.deps[id][0].0 != id
-            });
-            let Some(id) = candidate else { break };
-            let (producer, _) = g.deps[id][0];
-            g = crate::merge::merge_pair_into(&g, producer, id, 0.0);
+        let mut ws = Workspace::default();
+        ws.cur.load(self);
+        let mut nodes = self.nodes.clone();
+        while let Some((id, producer)) = (0..nodes.len()).find_map(|id| match ws.cur.deps(id) {
+            &[(producer, _)] if nodes[id].passthrough && producer != id => Some((id, producer)),
+            _ => None,
+        }) {
+            ws.contract(&mut nodes, producer, id, 0.0);
         }
-        g
+        ws.cur.to_graph(nodes)
     }
 
     /// A topological order; `None` when the graph is cyclic (merging two
     /// nodes may create a cycle, which `Merge` must reject).
     pub fn topo(&self) -> Option<Vec<usize>> {
-        let n = self.nodes.len();
-        let mut indegree = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, deps) in self.deps.iter().enumerate() {
-            for (d, _) in deps {
-                succ[*d].push(id);
-                indegree[id] += 1;
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        queue.reverse();
-        let mut order = Vec::with_capacity(n);
-        while let Some(t) = queue.pop() {
-            order.push(t);
-            for &s in &succ[t] {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
+        let mut ws = Workspace::default();
+        ws.cur.load(self);
+        ws.scratch.topo(&ws.cur).then_some(ws.scratch.topo)
     }
 
     /// Checks that every evaluation time and edge size is finite and
@@ -151,17 +134,6 @@ impl CostGraph {
             }
         }
         Ok(())
-    }
-
-    /// Successor lists.
-    pub fn successors(&self) -> Vec<Vec<(usize, f64)>> {
-        let mut out = vec![Vec::new(); self.nodes.len()];
-        for (id, deps) in self.deps.iter().enumerate() {
-            for (d, bytes) in deps {
-                out[*d].push((id, *bytes));
-            }
-        }
-        out
     }
 }
 
@@ -209,58 +181,429 @@ pub fn response_time(graph: &CostGraph, plan: &Plan, net: &NetworkModel) -> f64 
         .fold(0.0, f64::max)
 }
 
-/// The completion time of every node under `plan`.
+/// The completion time of every node under `plan` (which lists a node at
+/// most once).
 pub fn completion_times(graph: &CostGraph, plan: &Plan, net: &NetworkModel) -> Vec<f64> {
-    let n = graph.nodes.len();
-    let mut prev: Vec<Option<usize>> = vec![None; n];
+    let mut ws = Workspace::default();
+    ws.cur.load(graph);
+    ws.scratch.successors(&ws.cur);
+    ws.scratch.prev.resize(graph.len(), NONE);
     for seq in plan.per_source.values() {
         for pair in seq.windows(2) {
-            prev[pair[1]] = Some(pair[0]);
+            ws.scratch.prev[pair[1]] = pair[0];
         }
     }
-    let mut done = vec![f64::NAN; n];
-    let mut order: Vec<usize> = graph.topo().expect("cost graphs are acyclic");
-    let mut remaining = order.len();
-    let mut guard = 0;
-    while remaining > 0 {
-        guard += 1;
-        assert!(guard <= n + 1, "inconsistent plan: cyclic wait");
-        let mut still: Vec<usize> = Vec::new();
-        for &id in &order {
-            if !done[id].is_nan() {
+    let complete = ws.scratch.completion(&ws.cur, net);
+    assert!(complete, "inconsistent plan: cyclic wait");
+    ws.scratch.done
+}
+
+// ---------------------------------------------------------------------------
+// The one Schedule/cost evaluator
+// ---------------------------------------------------------------------------
+
+const NONE: usize = usize::MAX;
+
+/// What `Schedule`, `cost(P)` and `mergePair` read of a cost graph: sources,
+/// evaluation times and the dependency lists in CSR form — no `members`.
+#[derive(Debug, Default)]
+pub(crate) struct Flat {
+    source: Vec<SourceId>,
+    eval: Vec<f64>,
+    dep_start: Vec<usize>,
+    dep: Vec<(usize, f64)>,
+}
+
+impl Flat {
+    fn len(&self) -> usize {
+        self.source.len()
+    }
+
+    fn deps(&self, id: usize) -> &[(usize, f64)] {
+        &self.dep[self.dep_start[id]..self.dep_start[id + 1]]
+    }
+
+    fn clear(&mut self) {
+        self.source.clear();
+        self.eval.clear();
+        self.dep_start.clear();
+        self.dep.clear();
+    }
+
+    pub(crate) fn load(&mut self, graph: &CostGraph) {
+        self.clear();
+        for (node, deps) in graph.nodes.iter().zip(&graph.deps) {
+            self.source.push(node.source);
+            self.eval.push(node.eval_secs);
+            self.dep_start.push(self.dep.len());
+            self.dep.extend_from_slice(deps);
+        }
+        self.dep_start.push(self.dep.len());
+    }
+
+    /// Back to the public form, with `nodes` supplying what this view does
+    /// not carry (members and flags).
+    pub(crate) fn to_graph(&self, mut nodes: Vec<CostNode>) -> CostGraph {
+        for (node, &eval) in nodes.iter_mut().zip(&self.eval) {
+            node.eval_secs = eval;
+        }
+        let deps = (0..self.len()).map(|id| self.deps(id).to_vec()).collect();
+        CostGraph { nodes, deps }
+    }
+
+    /// `mergePair`: overwrites `self` with `cur` after contracting `gone`
+    /// into `keep`. Every edge to `gone` is re-pointed at `keep`; `keep`'s
+    /// in-edges are the union of both lists without the self-edges (a
+    /// dependent pair is inlined), parallel edges from one producer
+    /// collapsed to a single shipment of the larger size and sorted by
+    /// producer; out-edges keep their per-part sizes. The merged query costs
+    /// the sum of its parts minus `overhead`, never less than zero. The dead
+    /// slot is filled as `swap_remove` would: the last node takes index
+    /// `gone`.
+    fn contract_from(&mut self, cur: &Flat, keep: usize, gone: usize, overhead: f64) {
+        debug_assert_ne!(keep, gone);
+        let last = cur.len() - 1;
+        let rewire = |d: usize| if d == gone { keep } else { d };
+        let renumber = |d: usize| if d == last { gone } else { d };
+        self.clear();
+        // Sized for `cur` itself, so no candidate of this or a later round
+        // (none has more nodes or edges) makes these buffers grow.
+        self.source.reserve(cur.len());
+        self.eval.reserve(cur.len());
+        self.dep_start.reserve(cur.len() + 1);
+        self.dep.reserve(cur.dep.len());
+        for id in 0..last {
+            let from = if id == gone { last } else { id };
+            self.source.push(cur.source[from]);
+            self.dep_start.push(self.dep.len());
+            if from != keep {
+                self.eval.push(cur.eval[from]);
+                let deps = cur.deps(from).iter();
+                self.dep
+                    .extend(deps.map(|&(d, b)| (renumber(rewire(d)), b)));
                 continue;
             }
-            let mut ready = 0.0f64;
-            let mut ok = true;
-            if let Some(p) = prev[id] {
-                if done[p].is_nan() {
-                    ok = false;
+            self.eval
+                .push((cur.eval[keep] + cur.eval[gone] - overhead).max(0.0));
+            let start = self.dep.len();
+            let both = cur.deps(keep).iter().chain(cur.deps(gone));
+            self.dep.extend(
+                both.map(|&(d, b)| (rewire(d), b))
+                    .filter(|&(d, _)| d != keep),
+            );
+            self.dep[start..].sort_unstable_by_key(|&(d, _)| d);
+            let mut end = start;
+            for at in start..self.dep.len() {
+                let (d, bytes) = self.dep[at];
+                if end > start && self.dep[end - 1].0 == d {
+                    self.dep[end - 1].1 = self.dep[end - 1].1.max(bytes);
                 } else {
-                    ready = ready.max(done[p]);
+                    self.dep[end] = (d, 0.0f64.max(bytes));
+                    end += 1;
                 }
             }
-            if ok {
-                for (dep, bytes) in &graph.deps[id] {
-                    if done[*dep].is_nan() {
-                        ok = false;
-                        break;
-                    }
-                    let arrive = done[*dep]
-                        + net.trans_cost(graph.nodes[*dep].source, graph.nodes[id].source, *bytes)
-                        + net.temp_load_cost(graph.nodes[id].source, *bytes);
-                    ready = ready.max(arrive);
-                }
-            }
-            if ok {
-                done[id] = ready + graph.nodes[id].eval_secs;
-                remaining -= 1;
-            } else {
-                still.push(id);
+            self.dep.truncate(end);
+            for edge in &mut self.dep[start..] {
+                edge.0 = renumber(edge.0);
             }
         }
-        order = still;
+        self.dep_start.push(self.dep.len());
     }
-    done
+}
+
+/// The evaluator's scratch buffers, all sized by the graph last passed in.
+#[derive(Debug, Default)]
+struct Scratch {
+    succ_start: Vec<usize>,
+    succ: Vec<(usize, f64)>,
+    /// Unmet waits per node (Kahn), and the fill cursor of `successors`.
+    wait: Vec<usize>,
+    stack: Vec<usize>,
+    topo: Vec<usize>,
+    topo_pos: Vec<usize>,
+    level: Vec<f64>,
+    /// Nodes by `(source, level desc, topo_pos)`: the per-source sequences
+    /// of `Schedule`, back to back.
+    order: Vec<usize>,
+    /// Same-source predecessor resp. successor under the plan, or `NONE`.
+    prev: Vec<usize>,
+    next: Vec<usize>,
+    done: Vec<f64>,
+    /// Strict descendants of every node, one bitset row per node.
+    desc: Vec<u64>,
+}
+
+impl Scratch {
+    fn succ(&self, id: usize) -> &[(usize, f64)] {
+        &self.succ[self.succ_start[id]..self.succ_start[id + 1]]
+    }
+
+    /// Successor lists in CSR form, each in `(consumer, dep position)`
+    /// order — the order Kahn's stack, hence `topo_pos`, depends on.
+    fn successors(&mut self, g: &Flat) {
+        let n = g.len();
+        self.succ_start.clear();
+        self.succ_start.resize(n + 1, 0);
+        for &(d, _) in &g.dep {
+            self.succ_start[d + 1] += 1;
+        }
+        for id in 0..n {
+            self.succ_start[id + 1] += self.succ_start[id];
+        }
+        self.wait.clear();
+        self.wait.extend_from_slice(&self.succ_start[..n]);
+        self.succ.clear();
+        self.succ.resize(g.dep.len(), (0, 0.0));
+        for id in 0..n {
+            for &(d, bytes) in g.deps(id) {
+                self.succ[self.wait[d]] = (id, bytes);
+                self.wait[d] += 1;
+            }
+        }
+    }
+
+    /// Drains `stack` Kahn-style over `wait`: `visit` runs once per node
+    /// whose waits are all met, then its consumers (and its same-source
+    /// successor, when `chained`) are released. Returns the nodes visited.
+    fn drain(&mut self, chained: bool, mut visit: impl FnMut(&mut Scratch, usize)) -> usize {
+        let mut visited = 0;
+        while let Some(id) = self.stack.pop() {
+            visit(self, id);
+            visited += 1;
+            for at in self.succ_start[id]..self.succ_start[id + 1] {
+                let s = self.succ[at].0;
+                self.wait[s] -= 1;
+                if self.wait[s] == 0 {
+                    self.stack.push(s);
+                }
+            }
+            if chained && self.next[id] != NONE {
+                let s = self.next[id];
+                self.wait[s] -= 1;
+                if self.wait[s] == 0 {
+                    self.stack.push(s);
+                }
+            }
+        }
+        visited
+    }
+
+    /// Kahn's algorithm into `topo`/`topo_pos`, the lowest-numbered ready
+    /// node first and then stack order; false when `g` is cyclic.
+    fn topo(&mut self, g: &Flat) -> bool {
+        let n = g.len();
+        self.successors(g);
+        self.wait.clear();
+        self.wait.extend((0..n).map(|id| g.deps(id).len()));
+        self.stack.clear();
+        self.stack.reserve(n);
+        self.stack
+            .extend((0..n).rev().filter(|&id| g.deps(id).is_empty()));
+        self.topo.clear();
+        self.drain(false, |s, id| s.topo.push(id));
+        self.topo_pos.clear();
+        self.topo_pos.resize(n, 0);
+        for (pos, &id) in self.topo.iter().enumerate() {
+            self.topo_pos[id] = pos;
+        }
+        self.topo.len() == n
+    }
+
+    /// `ℓevel` of every node; needs `topo`.
+    fn levels(&mut self, g: &Flat, net: &NetworkModel) {
+        self.level.clear();
+        self.level.resize(g.len(), 0.0);
+        for &id in self.topo.iter().rev() {
+            let mut best = 0.0f64;
+            for &(s, bytes) in self.succ(id) {
+                let trans = net.trans_cost(g.source[id], g.source[s], bytes)
+                    + net.temp_load_cost(g.source[s], bytes);
+                best = best.max(self.level[s] + trans);
+            }
+            self.level[id] = best + g.eval[id];
+        }
+    }
+
+    /// `Schedule`: per source, decreasing level, ties on topological
+    /// position; needs `levels`. `total_cmp` keeps the order deterministic
+    /// even if a NaN cost slips past validation in release builds (a NaN
+    /// level gets a fixed place instead of poisoning the comparator).
+    fn schedule(&mut self, g: &Flat) {
+        let (level, topo_pos) = (&self.level, &self.topo_pos);
+        self.order.clear();
+        self.order.extend(0..g.len());
+        self.order.sort_unstable_by(|&a, &b| {
+            (g.source[a].cmp(&g.source[b]))
+                .then(level[b].total_cmp(&level[a]))
+                .then(topo_pos[a].cmp(&topo_pos[b]))
+        });
+    }
+
+    /// Completion times into `done` under the plan in `prev`; needs
+    /// `successors`. False when nodes wait on each other in a cycle.
+    fn completion(&mut self, g: &Flat, net: &NetworkModel) -> bool {
+        let n = g.len();
+        self.next.clear();
+        self.next.resize(n, NONE);
+        self.wait.clear();
+        for id in 0..n {
+            let chained = self.prev[id] != NONE;
+            if chained {
+                self.next[self.prev[id]] = id;
+            }
+            self.wait.push(g.deps(id).len() + usize::from(chained));
+        }
+        self.stack.clear();
+        self.stack.reserve(n);
+        self.stack.extend((0..n).filter(|&id| self.wait[id] == 0));
+        self.done.clear();
+        self.done.resize(n, f64::NAN);
+        let visited = self.drain(true, |s, id| {
+            let mut ready = 0.0f64;
+            if s.prev[id] != NONE {
+                ready = ready.max(s.done[s.prev[id]]);
+            }
+            for &(dep, bytes) in g.deps(id) {
+                let arrive = s.done[dep]
+                    + net.trans_cost(g.source[dep], g.source[id], bytes)
+                    + net.temp_load_cost(g.source[id], bytes);
+                ready = ready.max(arrive);
+            }
+            s.done[id] = ready + g.eval[id];
+        });
+        visited == n
+    }
+
+    /// `cost(Schedule(g))` in one pass; `None` when `g` is cyclic.
+    fn cost(&mut self, g: &Flat, net: &NetworkModel) -> Option<f64> {
+        if !self.topo(g) {
+            return None;
+        }
+        self.levels(g, net);
+        self.schedule(g);
+        self.prev.clear();
+        self.prev.resize(g.len(), NONE);
+        for pair in self.order.windows(2) {
+            if g.source[pair[0]] == g.source[pair[1]] {
+                self.prev[pair[1]] = pair[0];
+            }
+        }
+        (self.completion(g, net)).then(|| self.done.iter().copied().fold(0.0, f64::max))
+    }
+
+    /// Strict-descendant bitsets of every node; needs `topo`.
+    fn closure(&mut self, g: &Flat) {
+        let words = g.len().div_ceil(64);
+        self.desc.clear();
+        self.desc.resize(g.len() * words, 0);
+        for &id in self.topo.iter().rev() {
+            for at in self.succ_start[id]..self.succ_start[id + 1] {
+                let s = self.succ[at].0;
+                self.desc[id * words + s / 64] |= 1 << (s % 64);
+                for w in 0..words {
+                    self.desc[id * words + w] |= self.desc[s * words + w];
+                }
+            }
+        }
+    }
+
+    /// Whether a path of two or more edges leads from `u` to `v`; needs
+    /// `closure`. Contracting such a pair would close a cycle through the
+    /// path's inner nodes, while a direct edge alone is merely inlined.
+    fn detour(&self, g: &Flat, u: usize, v: usize) -> bool {
+        let words = g.len().div_ceil(64);
+        (self.succ(u).iter())
+            .any(|&(s, _)| s != v && self.desc[s * words + v / 64] >> (v % 64) & 1 == 1)
+    }
+}
+
+/// The one evaluator behind `Schedule`, `cost(P)` and `Merge`: a flat copy
+/// of the graph under consideration, a second one for the candidate being
+/// tried, and the scratch buffers both are evaluated in. Nothing is
+/// allocated once the buffers have grown to the first graph's size, which
+/// is what lets `Merge` try every pair of every round, and the dynamic
+/// scheduler refresh its priorities, without touching the allocator.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    pub(crate) cur: Flat,
+    cand: Flat,
+    scratch: Scratch,
+}
+
+impl Workspace {
+    /// `ℓevel` of every node of `graph`.
+    pub fn levels(&mut self, graph: &CostGraph, net: &NetworkModel) -> &[f64] {
+        self.cur.load(graph);
+        assert!(self.scratch.topo(&self.cur), "cost graphs are acyclic");
+        self.scratch.levels(&self.cur, net);
+        &self.scratch.level
+    }
+
+    /// `Schedule(graph)`.
+    pub fn schedule(&mut self, graph: &CostGraph, net: &NetworkModel) -> Plan {
+        self.levels(graph, net);
+        self.scratch.schedule(&self.cur);
+        let mut plan = Plan::default();
+        for &id in &self.scratch.order {
+            plan.per_source
+                .entry(self.cur.source[id])
+                .or_default()
+                .push(id);
+        }
+        plan
+    }
+
+    /// `cost(Schedule(G))` of the loaded graph.
+    pub(crate) fn cost(&mut self, net: &NetworkModel) -> Option<f64> {
+        self.scratch.cost(&self.cur, net)
+    }
+
+    /// One greedy round's candidates into `pairs`: the mergeable same-source
+    /// pairs `u < v` of the loaded graph whose contraction stays acyclic.
+    pub(crate) fn candidates(&mut self, nodes: &[CostNode], pairs: &mut Vec<(usize, usize)>) {
+        pairs.clear();
+        if !self.scratch.topo(&self.cur) {
+            return;
+        }
+        self.scratch.closure(&self.cur);
+        for u in (0..nodes.len()).filter(|&u| nodes[u].mergeable) {
+            for v in (u + 1..nodes.len()).filter(|&v| nodes[v].mergeable) {
+                if nodes[u].source == nodes[v].source
+                    && !self.scratch.detour(&self.cur, u, v)
+                    && !self.scratch.detour(&self.cur, v, u)
+                {
+                    pairs.push((u, v));
+                }
+            }
+        }
+    }
+
+    /// `cost(Schedule(mergePair(G, u, v)))` without touching the loaded `G`.
+    pub(crate) fn candidate_cost(
+        &mut self,
+        (u, v): (usize, usize),
+        overhead: f64,
+        net: &NetworkModel,
+    ) -> Option<f64> {
+        self.cand.contract_from(&self.cur, u, v, overhead);
+        self.scratch.cost(&self.cand, net)
+    }
+
+    /// Applies `mergePair(G, keep, gone)` to the loaded graph and to the
+    /// `nodes` that go with it.
+    pub(crate) fn contract(
+        &mut self,
+        nodes: &mut Vec<CostNode>,
+        keep: usize,
+        gone: usize,
+        overhead: f64,
+    ) {
+        self.cand.contract_from(&self.cur, keep, gone, overhead);
+        std::mem::swap(&mut self.cur, &mut self.cand);
+        let members = std::mem::take(&mut nodes[gone].members);
+        nodes[keep].members.extend(members);
+        nodes.swap_remove(gone);
+    }
 }
 
 /// Task costs from the graph's compile-time estimates.
@@ -405,6 +748,50 @@ mod tests {
         assert_eq!(contracted.nodes[producer].source, SourceId(1));
         assert_eq!(contracted.nodes[q1].source, SourceId(1));
         assert!(contracted.topo().is_some());
+    }
+
+    /// The evaluator's promise to `Merge`: once the first contraction has
+    /// sized both graph copies, trying candidates and applying merges, round
+    /// after round, makes no buffer grow — nothing is allocated per pair.
+    #[test]
+    fn evaluator_buffers_stop_growing_after_the_first_merge() {
+        // One S2 query feeds eleven S1 queries, which feed one mediator
+        // node: every S1 pair is a candidate in every round.
+        let mut g = CostGraph {
+            nodes: vec![node(2, 1.0)],
+            deps: vec![vec![]],
+        };
+        for q in 1..12 {
+            g.nodes.push(node(1, 0.1 * q as f64));
+            g.deps.push(vec![(0, 1_000.0 * q as f64)]);
+        }
+        g.nodes.push(node(0, 0.1));
+        g.deps.push((1..12).map(|q| (q, 500.0)).collect());
+        let capacity = |ws: &Workspace| {
+            let flat = |f: &Flat| {
+                f.source.capacity() + f.eval.capacity() + f.dep_start.capacity() + f.dep.capacity()
+            };
+            let s = &ws.scratch;
+            let kahn = s.succ_start.capacity() + s.succ.capacity() + s.wait.capacity();
+            let order = s.stack.capacity() + s.topo.capacity() + s.topo_pos.capacity();
+            let plan = s.level.capacity() + s.order.capacity() + s.prev.capacity();
+            let rest = s.next.capacity() + s.done.capacity() + s.desc.capacity();
+            flat(&ws.cur) + flat(&ws.cand) + kahn + order + plan + rest
+        };
+        let net = NetworkModel::mbps(1.0);
+        let (mut ws, mut nodes, mut pairs) = (Workspace::default(), g.nodes.clone(), Vec::new());
+        ws.cur.load(&g);
+        let mut sized = None;
+        for round in 0..10 {
+            ws.candidates(&nodes, &mut pairs);
+            assert_eq!(pairs.len(), (11 - round) * (10 - round) / 2);
+            for &pair in &pairs {
+                assert!(ws.candidate_cost(pair, 0.05, &net).is_some());
+                assert_eq!(capacity(&ws), *sized.get_or_insert(capacity(&ws)));
+            }
+            ws.contract(&mut nodes, pairs[0].0, pairs[0].1, 0.05);
+        }
+        assert_eq!(nodes.len(), 3);
     }
 
     #[test]

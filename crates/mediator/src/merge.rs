@@ -11,11 +11,10 @@
 //! stay acyclic. The loop greedily applies the best pair until no pair
 //! improves `cost(Schedule(G))`, exactly as in Fig. 9.
 
-use crate::cost::{response_time, CostGraph, Plan};
+use crate::cost::{response_time, CostGraph, Plan, Workspace};
 use crate::schedule::schedule;
 use crate::sim::NetworkModel;
 use aig_relstore::SourceId;
-use std::collections::HashMap;
 
 /// One accepted pair merge: which task groups were combined at which source,
 /// and the scheduled cost before and after (the decision log consumed by
@@ -60,122 +59,62 @@ pub fn merge_pair(graph: &CostGraph, u: usize, v: usize, overhead_saving_secs: f
 }
 
 /// Contracts `absorbed` into `keep`, keeping `keep`'s source and
-/// mergeability (used both by `Merge` and by mediator pass-through
-/// contraction). `keep < absorbed` is not required.
+/// mergeability. `keep < absorbed` is not required.
 pub fn merge_pair_into(
     graph: &CostGraph,
     keep: usize,
     absorbed: usize,
     overhead_saving_secs: f64,
 ) -> CostGraph {
-    debug_assert_ne!(keep, absorbed);
-    let gone = absorbed;
+    let mut ws = Workspace::default();
+    ws.cur.load(graph);
     let mut nodes = graph.nodes.clone();
-    let mut deps = graph.deps.clone();
-    // Fold v's cost and membership into u.
-    // The saved per-statement overhead cannot exceed the combined work:
-    // evaluation time stays non-negative.
-    nodes[keep].eval_secs =
-        (nodes[keep].eval_secs + nodes[gone].eval_secs - overhead_saving_secs).max(0.0);
-    let members = nodes[gone].members.clone();
-    nodes[keep].members.extend(members);
-    // Rewire edges: every reference to `gone` becomes `keep`.
-    for dep_list in deps.iter_mut() {
-        for (d, _) in dep_list.iter_mut() {
-            if *d == gone {
-                *d = keep;
-            }
-        }
-    }
-    let gone_deps = deps[gone].clone();
-    deps[keep].extend(gone_deps);
-    // Self-edges (the pair was dependent: inlining) disappear.
-    deps[keep].retain(|(d, _)| *d != keep);
-    // Collapse parallel in-edges from the same producer: shipped once.
-    let mut best: HashMap<usize, f64> = HashMap::new();
-    for (d, bytes) in &deps[keep] {
-        let e = best.entry(*d).or_insert(0.0);
-        *e = e.max(*bytes);
-    }
-    deps[keep] = best.into_iter().collect();
-    deps[keep].sort_by_key(|(d, _)| *d);
-    // Remove the dead node by swapping in the last one. `swap_remove`
-    // discards the absorbed node's dependency list (already folded into
-    // `keep`) and moves the last node's list into its slot; every edge
-    // referencing the moved node is then re-pointed at its new index.
-    let last = nodes.len() - 1;
-    nodes.swap_remove(gone);
-    deps.swap_remove(gone);
-    if gone != last {
-        for dep_list in deps.iter_mut() {
-            for (d, _) in dep_list.iter_mut() {
-                if *d == last {
-                    *d = gone;
-                }
-            }
-        }
-    }
-    CostGraph { nodes, deps }
+    ws.contract(&mut nodes, keep, absorbed, overhead_saving_secs);
+    ws.cur.to_graph(nodes)
 }
 
 /// Algorithm `Merge` (Fig. 9): greedy pairwise merging guided by the cost of
-/// the rescheduled plan.
+/// the rescheduled plan. Each round tries the mergeable same-source pairs in
+/// `(u, v)` index order — those a reachability check shows would close a
+/// cycle are never built — and applies the first of the cheapest, as long as
+/// it beats the current plan.
 pub fn merge(graph: &CostGraph, net: &NetworkModel, overhead_saving_secs: f64) -> MergeOutcome {
-    let mut current = graph.clone();
-    let mut plan = schedule(&current, net);
-    let mut cost = response_time(&current, &plan, net);
-    let mut merges = 0;
+    let mut ws = Workspace::default();
+    ws.cur.load(graph);
+    let mut nodes = graph.nodes.clone();
+    let mut cost = ws.cost(net).expect("cost graphs are acyclic");
     let mut decisions = Vec::new();
+    let mut pairs = Vec::new();
     loop {
-        let mut best: Option<(CostGraph, Plan, f64, usize, usize)> = None;
-        // Candidate pairs: mergeable nodes at the same (non-mediator) source.
-        for u in 0..current.len() {
-            if !current.nodes[u].mergeable {
+        ws.candidates(&nodes, &mut pairs);
+        let mut best: Option<(f64, usize, usize)> = None;
+        for &(u, v) in &pairs {
+            let Some(candidate_cost) = ws.candidate_cost((u, v), overhead_saving_secs, net) else {
                 continue;
-            }
-            for v in (u + 1)..current.len() {
-                if !current.nodes[v].mergeable || current.nodes[u].source != current.nodes[v].source
-                {
-                    continue;
-                }
-                let candidate = merge_pair(&current, u, v, overhead_saving_secs);
-                if candidate.topo().is_none() {
-                    continue; // the merge would create a cycle
-                }
-                let candidate_plan = schedule(&candidate, net);
-                let candidate_cost = response_time(&candidate, &candidate_plan, net);
-                if candidate_cost < cost
-                    && best
-                        .as_ref()
-                        .map(|(_, _, c, _, _)| candidate_cost < *c)
-                        .unwrap_or(true)
-                {
-                    best = Some((candidate, candidate_plan, candidate_cost, u, v));
-                }
+            };
+            if candidate_cost < cost && best.is_none_or(|(c, _, _)| candidate_cost < c) {
+                best = Some((candidate_cost, u, v));
             }
         }
-        match best {
-            Some((g, p, c, u, v)) => {
-                decisions.push(MergeDecision {
-                    source: current.nodes[u].source,
-                    kept: current.nodes[u].members.clone(),
-                    absorbed: current.nodes[v].members.clone(),
-                    cost_before_secs: cost,
-                    cost_after_secs: c,
-                });
-                current = g;
-                plan = p;
-                cost = c;
-                merges += 1;
-            }
-            None => break,
-        }
+        let Some((candidate_cost, u, v)) = best else {
+            break;
+        };
+        decisions.push(MergeDecision {
+            source: nodes[u].source,
+            kept: nodes[u].members.clone(),
+            absorbed: nodes[v].members.clone(),
+            cost_before_secs: cost,
+            cost_after_secs: candidate_cost,
+        });
+        ws.contract(&mut nodes, u, v, overhead_saving_secs);
+        cost = candidate_cost;
     }
+    let graph = ws.cur.to_graph(nodes);
     MergeOutcome {
-        graph: current,
-        plan,
+        plan: schedule(&graph, net),
+        graph,
         response_secs: cost,
-        merges,
+        merges: decisions.len(),
         decisions,
     }
 }

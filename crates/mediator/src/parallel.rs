@@ -17,7 +17,7 @@
 //! snapshot being spliced: the relations it splices into are the same
 //! either way.
 
-use crate::cost::{estimated_costs, CostGraph};
+use crate::cost::{estimated_costs, CostGraph, Workspace};
 use crate::error::MediatorError;
 use crate::exec::{
     input_rows, ExecOptions, ExecResult, Executor, Measured, RelSource, RelStore, SchedLog,
@@ -28,7 +28,7 @@ use crate::faults::{
 };
 use crate::graph::{RelKey, TaskGraph};
 use crate::integrity;
-use crate::schedule::{levels, replan_surviving};
+use crate::schedule::replan_surviving;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Relation, SourceId, Value};
 use std::collections::HashMap;
@@ -99,6 +99,8 @@ struct DynSched {
     /// next pick after a completion patched actuals in.
     priority: Vec<f64>,
     stale: bool,
+    /// The evaluator's buffers, so a refresh allocates nothing.
+    ws: Workspace,
     /// Calibration from measured wall-clock seconds to estimate units.
     eval_scale: f64,
 }
@@ -212,7 +214,8 @@ impl SharedStore<'_> {
             let queue_has_work = sched.ready.get(&source).is_some_and(|q| !q.is_empty());
             if queue_has_work {
                 if sched.stale {
-                    sched.priority = levels(&sched.hybrid, net);
+                    let fresh = sched.ws.levels(&sched.hybrid, net);
+                    sched.priority.copy_from_slice(fresh);
                     sched.stale = false;
                 }
                 let queue = sched.ready.get_mut(&source).expect("checked non-empty");
@@ -508,7 +511,8 @@ fn prime_dynamic(
         }
         *remaining.entry(effective[task]).or_insert(0) += 1;
     }
-    let priority = levels(&hybrid, opts.network());
+    let mut ws = Workspace::default();
+    let priority = ws.levels(&hybrid, opts.network()).to_vec();
     state.dyn_sched = Some(DynSched {
         hybrid,
         consumers,
@@ -519,6 +523,7 @@ fn prime_dynamic(
         planned_pos,
         priority,
         stale: false,
+        ws,
         eval_scale: opts.eval_scale,
     });
 }

@@ -7,7 +7,7 @@
 //! plus transfer — and each source executes its nodes in decreasing
 //! priority, optimizing the critical paths.
 
-use crate::cost::{CostGraph, Plan};
+use crate::cost::{CostGraph, Plan, Workspace};
 use crate::sim::NetworkModel;
 use aig_relstore::SourceId;
 use std::collections::HashMap;
@@ -15,19 +15,7 @@ use std::collections::HashMap;
 /// `ℓevel(Q) = eval_cost(Q) + max { ℓevel(Q') + trans_cost(S, S', size(Q)) }`
 /// over the consumers `Q'` of `Q` (steps 1–6 of Fig. 8).
 pub fn levels(graph: &CostGraph, net: &NetworkModel) -> Vec<f64> {
-    let succ = graph.successors();
-    let topo = graph.topo().expect("cost graphs are acyclic");
-    let mut level = vec![0.0f64; graph.len()];
-    for &id in topo.iter().rev() {
-        let mut best = 0.0f64;
-        for &(s, bytes) in &succ[id] {
-            let trans = net.trans_cost(graph.nodes[id].source, graph.nodes[s].source, bytes)
-                + net.temp_load_cost(graph.nodes[s].source, bytes);
-            best = best.max(level[s] + trans);
-        }
-        level[id] = best + graph.nodes[id].eval_secs;
-    }
-    level
+    Workspace::default().levels(graph, net).to_vec()
 }
 
 /// Algorithm `Schedule` (steps 7–10 of Fig. 8): per source, decreasing
@@ -39,27 +27,7 @@ pub fn schedule(graph: &CostGraph, net: &NetworkModel) -> Plan {
         "non-finite cost input: {:?}",
         graph.validate()
     );
-    let level = levels(graph, net);
-    let topo = graph.topo().expect("cost graphs are acyclic");
-    let mut topo_pos = vec![0usize; graph.len()];
-    for (pos, &id) in topo.iter().enumerate() {
-        topo_pos[id] = pos;
-    }
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for (id, node) in graph.nodes.iter().enumerate() {
-        per_source.entry(node.source).or_default().push(id);
-    }
-    for seq in per_source.values_mut() {
-        seq.sort_by(|&a, &b| {
-            // `total_cmp` keeps the order deterministic even if a NaN cost
-            // slips past validation in release builds (a NaN level gets a
-            // fixed place instead of poisoning the comparator).
-            level[b]
-                .total_cmp(&level[a])
-                .then(topo_pos[a].cmp(&topo_pos[b]))
-        });
-    }
-    Plan { per_source }
+    Workspace::default().schedule(graph, net)
 }
 
 /// Re-runs `Schedule` on the surviving subgraph after a source outage: the
@@ -402,8 +370,9 @@ pub fn dynamic_response_time(est: &CostGraph, actual: &CostGraph, net: &NetworkM
             consumers[dep].push((id, pos));
         }
     }
+    let mut ws = Workspace::default();
     while remaining > 0 {
-        let priority = levels(&hybrid, net);
+        let priority = ws.levels(&hybrid, net);
 
         // For each source, the best ready task and its earliest start.
         let mut best: Option<(usize, f64)> = None; // (task, start time)

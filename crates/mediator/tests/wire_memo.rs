@@ -2,9 +2,8 @@
 //! merge search and the scheduler consult relation sizes over and over
 //! (every candidate merge re-prices every edge), so `Relation::wire_bytes`
 //! / `byte_size` must scan a payload **once** and answer from the memo
-//! afterwards. This file holds a single `#[test]` on purpose — the scan
-//! counter is process-global, and a sibling test running concurrently in
-//! the same binary would pollute the deltas.
+//! afterwards. The scan counter is per thread and every run below uses the
+//! sequential executor, so the deltas are this test's own.
 
 use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::{compile_constraints, decompose_queries};

@@ -23,21 +23,24 @@ use crate::error::StoreError;
 use crate::intern::{self, Reader, Sym};
 use crate::table::Table;
 use crate::value::Value;
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Process-wide count of full payload scans performed by [`Relation::byte_size`]
-/// and [`Relation::wire_bytes`] cache misses. Diagnostics only: the
-/// memoization regression tests assert repeated size queries on an
-/// unchanged relation do not rescan its payload.
-static PAYLOAD_SCANS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Full payload scans this thread performed on [`Relation::byte_size`]
+    /// and [`Relation::wire_bytes`] cache misses. Diagnostics only: the
+    /// memoization regression tests assert repeated size queries on an
+    /// unchanged relation do not rescan its payload. Counted per thread so
+    /// that a test reading it sees its own scans and nobody else's.
+    static PAYLOAD_SCANS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total payload scans since process start (see [`Relation::byte_size`] /
-/// [`Relation::wire_bytes`] memoization).
+/// Payload scans performed by the calling thread so far (see
+/// [`Relation::byte_size`] / [`Relation::wire_bytes`] memoization).
 pub fn payload_scans() -> u64 {
-    PAYLOAD_SCANS.load(Ordering::Relaxed)
+    PAYLOAD_SCANS.get()
 }
 
 /// Memoized sizes of one `(columns, len)` generation of a relation. Clones
@@ -442,7 +445,7 @@ impl Relation {
     /// sharing its columns — are a load. See [`payload_scans`].
     pub fn byte_size(&self) -> usize {
         *self.sizes.byte_size.get_or_init(|| {
-            PAYLOAD_SCANS.fetch_add(1, Ordering::Relaxed);
+            PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
             let reader = Reader::snapshot();
             self.cols
                 .iter()
@@ -461,7 +464,7 @@ impl Relation {
     /// an unchanged relation do not rescan its payload.
     pub fn wire_bytes(&self) -> usize {
         *self.sizes.wire_bytes.get_or_init(|| {
-            PAYLOAD_SCANS.fetch_add(1, Ordering::Relaxed);
+            PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
             let reader = Reader::snapshot();
             self.cols
                 .iter()
@@ -772,16 +775,15 @@ mod tests {
         let wire = r.wire_bytes();
         let raw = r.byte_size();
         assert!(r.sizes_memoized());
-        // Repeated queries are loads, not rescans: a thousand calls add at
-        // most a handful of scans (other test threads share the global
-        // counter, so the bound is loose but the claim is not).
+        // Repeated queries are loads, not rescans.
         let before = payload_scans();
         for _ in 0..1000 {
             assert_eq!(r.wire_bytes(), wire);
             assert_eq!(r.byte_size(), raw);
         }
-        assert!(
-            payload_scans() - before < 100,
+        assert_eq!(
+            payload_scans(),
+            before,
             "repeated size queries rescanned the payload"
         );
         // Clones share the memoized generation.

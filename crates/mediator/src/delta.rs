@@ -19,11 +19,12 @@
 //!    task graph (every task that transitively consumes a seed's output)
 //!    is the subgraph that must re-run; everything else reuses its cached
 //!    output relation unchanged.
-//! 4. **Splice** ([`execute_incremental`]): the re-run subgraph executes
-//!    in topological order against the post-delta catalog — re-shipping
-//!    its outputs through the same batch/ship seam as a cold run — and the
-//!    resulting relations are spliced into the cached store next to the
-//!    reused ones.
+//! 4. **Splice**: the sequential walk runs *masked* by the closure
+//!    (`exec::execute_masked` — the same walk and the same task
+//!    body as a cold run, not a separate executor): masked-in tasks execute
+//!    against the post-delta catalog and re-ship through the same
+//!    batch/ship seam, masked-out tasks carry their cached relation and
+//!    measurements forward.
 //!
 //! The byte-identity invariant carries over from the executors: a spliced
 //! store is relation-for-relation equal to a cold run's store, so the
@@ -34,18 +35,10 @@
 //! (`dies_after`) depend on global per-source completion counts and take
 //! the full-run path instead (see [`crate::service::Mediator`]).
 
-use crate::error::MediatorError;
-use crate::exec::{
-    input_rows, resolve_outages, ExecOptions, ExecResult, Executor, Measured, RelStore,
-};
-use crate::faults::{FaultEnv, IntegrityLog, ResilienceLog, TaskFaultCtx};
 use crate::graph::{RelKey, TaskGraph, TaskKind, VectorQuery};
-use crate::integrity;
 use aig_core::spec::{Aig, ElemIdx, Prod};
-use aig_relstore::{Catalog, SourceId, Value};
 use aig_sql::{FromItem, Pred, Scalar};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::time::Instant;
 
 /// A `(source name, table name)` pair — the granularity deltas are tracked
 /// at.
@@ -231,165 +224,6 @@ pub(crate) fn scope_tags(aig: &Aig, tainted: &HashSet<ElemIdx>) -> HashSet<Strin
     seen.iter()
         .map(|&e| aig.elem_info(e).tag().to_string())
         .collect()
-}
-
-/// What [`execute_incremental`] produced: the spliced execution result
-/// plus the splice accounting for the report's `incremental` section.
-pub(crate) struct Spliced {
-    pub exec: ExecResult,
-    /// Rows of re-run task outputs spliced into the cached store.
-    pub rows_spliced: u64,
-}
-
-/// Re-runs only the masked subgraph against the post-delta catalog and
-/// splices its outputs into a copy of the cached store; unmasked tasks
-/// reuse their cached output relations and measurements unchanged.
-///
-/// The walk is sequential-topological — valid for every policy cell
-/// because stores and documents are byte-identical across the sequential
-/// and parallel executors (see `parallel_equiv`). Per-`(task, attempt)`
-/// fault injection (transient, latency, corruption) replays
-/// deterministically; the caller must route mid-run outage plans
-/// (`dies_after`, which depend on global completion counts) to the
-/// full-run path instead.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_incremental(
-    aig: &Aig,
-    catalog: &Catalog,
-    graph: &TaskGraph,
-    args: &[(&str, Value)],
-    opts: &ExecOptions,
-    prev_store: &RelStore,
-    prev_measured: &[Measured],
-    rerun: &[bool],
-) -> Result<Spliced, MediatorError> {
-    debug_assert!(
-        !opts
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.has_mid_run_outages()),
-        "mid-run outage plans must take the full-run path"
-    );
-    let mut store = RelStore::default();
-    let mut measured = vec![Measured::default(); graph.tasks.len()];
-    let mut resilience = ResilienceLog::default();
-    let mut integrity_log = IntegrityLog::default();
-    let mut rows_spliced: u64 = 0;
-    let profiling = opts.check_integrity()
-        || opts
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.has_wrong_answer_faults());
-    let ledger = crate::batch::ShipLedger::default();
-    let mut effective: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
-    let active = match &opts.faults {
-        Some(plan) => resolve_outages(catalog, graph, plan, &mut effective)?,
-        None => None,
-    };
-    let env = FaultEnv {
-        plan: opts.faults.as_ref(),
-        retry: opts.retry(),
-        deadline: opts.deadline.as_ref(),
-    };
-    let epoch = Instant::now();
-    for &id in &graph.topo {
-        let task = &graph.tasks[id];
-        if !rerun[id] {
-            // Reused task: its inputs are unchanged by construction, so
-            // its cached output relation and measurements carry over.
-            if let Some(key) = task.output.clone() {
-                store.insert(key.clone(), prev_store.get(&key)?.clone());
-            }
-            measured[id] = prev_measured[id];
-            continue;
-        }
-        let catalog = active.as_ref().unwrap_or(catalog);
-        let in_rows = input_rows(task, &store);
-        let start = Instant::now();
-        let start_secs = (start - epoch).as_secs_f64();
-        let failed_over_from =
-            (effective[id] != task.source).then(|| catalog.source(task.source).name());
-        let profile = if profiling {
-            integrity::profile_task(task, catalog)
-        } else {
-            None
-        };
-        let output = {
-            let exec = Executor {
-                aig,
-                catalog,
-                graph,
-                store: &store,
-                opts,
-            };
-            if let Some(secs) = opts.pace.as_ref().and_then(|p| p.get(id)) {
-                crate::faults::sleep_secs(*secs);
-            }
-            let ctx = TaskFaultCtx {
-                task_id: id,
-                label: &task.label,
-                source: effective[id],
-                source_name: catalog.source(effective[id]).name(),
-                table: integrity::task_table(task),
-                failed_over_from,
-                profile: profile.as_ref(),
-                check_integrity: opts.check_integrity(),
-            };
-            env.run_task(
-                &ctx,
-                &mut resilience.events,
-                &mut integrity_log.events,
-                || {
-                    let _slot = opts
-                        .gate
-                        .as_ref()
-                        .filter(|_| !effective[id].is_mediator())
-                        .map(|gate| gate.acquire(effective[id], opts.deadline.as_ref()));
-                    exec.run_task(task, args)
-                },
-            )?
-        };
-        let secs = start.elapsed().as_secs_f64();
-        let (rows, bytes, wire) = output
-            .as_ref()
-            .map(|r| (r.len() as f64, r.byte_size() as f64, r.wire_bytes() as f64))
-            .unwrap_or((0.0, 0.0, 0.0));
-        // Re-run outputs re-ship through the same chunked seam a cold run
-        // uses; reused outputs never touch the wire again, so the batch
-        // ledger reflects only the re-shipped sub-relations.
-        let shipped = output
-            .as_ref()
-            .map(|r| crate::batch::ship_output(opts, &ledger, id, r, |_, _| {}));
-        let (ship_bytes, batches) = shipped
-            .map(|s| (s.ship_bytes, s.batches))
-            .unwrap_or((0.0, 0));
-        if let (Some(key), Some(rel)) = (task.output.clone(), output) {
-            rows_spliced += rel.len() as u64;
-            store.insert(key, rel);
-        }
-        measured[id] = Measured {
-            secs,
-            out_rows: rows,
-            out_bytes: bytes,
-            wire_bytes: wire,
-            ship_bytes,
-            batches,
-            in_rows,
-            wait_secs: 0.0,
-            start_secs,
-        };
-    }
-    Ok(Spliced {
-        exec: ExecResult {
-            store,
-            measured,
-            resilience,
-            integrity: integrity_log,
-            sched: crate::exec::SchedLog::default(),
-            batch: crate::batch::BatchLog::from_ledger(opts, &ledger),
-        },
-        rows_spliced,
-    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,10 @@
 //! queries and simulating the transfers.
 
 use crate::error::MediatorError;
-use crate::faults::{FaultEnv, FaultPlan, IntegrityLog, ResilienceLog, RetryPolicy, TaskFaultCtx};
+use crate::faults::{
+    FaultEnv, FaultEvent, FaultPlan, IntegrityEvent, IntegrityLog, ResilienceLog, RetryPolicy,
+    TaskFaultCtx,
+};
 use crate::graph::{
     resolve_syn_key, Binding, Occ, ParamInput, RelKey, ScalarBind, Task, TaskGraph, TaskKind,
     VectorQuery,
@@ -27,6 +30,7 @@ use aig_sql::{
     IncrementalDistinct, ParamValue, Params,
 };
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -403,50 +407,94 @@ pub fn branch_tag(aig: &Aig, occ: &Occ, branch: usize) -> String {
     format!("{}#b{branch}", occ.key(aig))
 }
 
-/// Resolves hard outages against the catalog before tasks run: every dead
-/// source that owns tasks is either redirected to a live declared replica
-/// (yielding a failover catalog view and re-homed effective sources) or the
-/// run fails with a structured error naming the lost tasks. Sources are
-/// resolved in id order, so the outcome is deterministic.
-pub(crate) fn resolve_outages(
-    catalog: &Catalog,
-    graph: &TaskGraph,
-    plan: &FaultPlan,
-    effective: &mut [SourceId],
-) -> Result<Option<Catalog>, MediatorError> {
-    let mut active: Option<Catalog> = None;
-    let mut sources: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
-    sources.sort();
-    sources.dedup();
-    for sid in sources {
-        if !plan.source_down(sid) {
-            continue;
-        }
-        let cat = active.as_ref().unwrap_or(catalog);
-        match cat.replica_of(sid).filter(|r| !plan.source_down(*r)) {
-            Some(replica) => {
-                active = Some(cat.failover(sid).expect("replica is declared"));
-                for (id, task) in graph.tasks.iter().enumerate() {
-                    if task.source == sid {
-                        effective[id] = replica;
-                    }
-                }
-            }
-            None => {
-                let lost_tasks: Vec<String> = graph
-                    .topo
-                    .iter()
-                    .filter(|&&id| graph.tasks[id].source == sid)
-                    .map(|&id| graph.tasks[id].label.clone())
-                    .collect();
-                return Err(MediatorError::SourceUnavailable {
-                    source: catalog.source(sid).name().to_string(),
-                    lost_tasks,
-                });
-            }
+/// The only failover: where every task runs once sources die. Owns the
+/// effective source per task, the failover catalog view, the per-source
+/// completion counts behind the mid-run outage model ("source dies after k
+/// tasks"), and the count of failovers performed — reported as
+/// [`ResilienceLog::replans`] by every driver.
+pub(crate) struct Failover<'a> {
+    base: &'a Catalog,
+    graph: &'a TaskGraph,
+    plan: Option<&'a FaultPlan>,
+    /// Effective source per task: its own until a failover re-homes it.
+    pub(crate) effective: Vec<SourceId>,
+    /// The catalog view with every failed-over primary served by its
+    /// replica (None until the first failover).
+    active: Option<Catalog>,
+    /// Tasks completed per effective source, indexed by source id. Atomic
+    /// so the parallel driver's workers count through a shared reference.
+    completed_at: Vec<AtomicUsize>,
+    pub(crate) replans: usize,
+}
+
+impl<'a> Failover<'a> {
+    pub(crate) fn new(
+        catalog: &'a Catalog,
+        graph: &'a TaskGraph,
+        plan: Option<&'a FaultPlan>,
+    ) -> Failover<'a> {
+        Failover {
+            base: catalog,
+            graph,
+            plan,
+            effective: graph.tasks.iter().map(|t| t.source).collect(),
+            active: None,
+            completed_at: (0..catalog.len()).map(|_| AtomicUsize::new(0)).collect(),
+            replans: 0,
         }
     }
-    Ok(active)
+
+    /// The catalog tasks run against: the failover view once one exists.
+    pub(crate) fn catalog(&self) -> &Catalog {
+        self.active.as_ref().unwrap_or(self.base)
+    }
+
+    /// Records one completed task at `source`.
+    pub(crate) fn task_done(&self, source: SourceId) {
+        if !source.is_mediator() {
+            self.completed_at[source.index()].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Whether `source` is hard-down for the whole run or has completed
+    /// its allotted task count and died.
+    pub(crate) fn is_dead(&self, source: SourceId) -> bool {
+        let completed = || self.completed_at[source.index()].load(Ordering::SeqCst);
+        !source.is_mediator()
+            && self.plan.is_some_and(|plan| {
+                plan.source_down(source)
+                    || plan.outage_after(source).is_some_and(|k| completed() >= k)
+            })
+    }
+
+    /// Re-homes the `pending` (not-yet-done, topologically ordered) tasks of
+    /// the dead source to its declared replica — which must itself be
+    /// alive — or fails with a structured error naming the lost tasks.
+    pub(crate) fn fail_over(
+        &mut self,
+        dead: SourceId,
+        pending: &[usize],
+    ) -> Result<(), MediatorError> {
+        let cat = self.catalog();
+        let Some(replica) = cat.replica_of(dead).filter(|r| !self.is_dead(*r)) else {
+            return Err(MediatorError::SourceUnavailable {
+                source: self.base.source(dead).name().to_string(),
+                lost_tasks: pending
+                    .iter()
+                    .filter(|&&t| self.effective[t] == dead)
+                    .map(|&t| self.graph.tasks[t].label.clone())
+                    .collect(),
+            });
+        };
+        self.active = Some(cat.failover(dead).expect("replica is declared"));
+        for &t in pending {
+            if self.effective[t] == dead {
+                self.effective[t] = replica;
+            }
+        }
+        self.replans += 1;
+        Ok(())
+    }
 }
 
 /// Executes every task of `graph` in topological order.
@@ -457,163 +505,104 @@ pub fn execute_graph(
     args: &[(&str, Value)],
     opts: &ExecOptions,
 ) -> Result<ExecResult, MediatorError> {
+    execute_masked(aig, catalog, graph, args, opts, None)
+}
+
+/// The sequential topological walk, optionally masked — which is the
+/// incremental path ([`crate::delta`]): with `reuse = (store, measured,
+/// rerun)` only the tasks with `rerun[id]` run, against the post-delta
+/// catalog; every other task's inputs are unchanged by construction, so its
+/// cached relation and measurements carry forward, and the ship ledger sees
+/// only the re-shipped outputs. Valid for every policy cell because stores
+/// are byte-identical across the dispatchers (see `parallel_equiv`), and
+/// per-`(task, attempt)` fault injection replays deterministically; the
+/// caller must route mid-run outage plans (`dies_after`, which depend on
+/// global completion counts) to the unmasked walk.
+pub(crate) fn execute_masked(
+    aig: &Aig,
+    catalog: &Catalog,
+    graph: &TaskGraph,
+    args: &[(&str, Value)],
+    opts: &ExecOptions,
+    reuse: Option<(&RelStore, &[Measured], &[bool])>,
+) -> Result<ExecResult, MediatorError> {
+    debug_assert!(
+        reuse.is_none()
+            || !opts
+                .faults
+                .as_ref()
+                .is_some_and(|p| p.has_mid_run_outages()),
+        "mid-run outage plans must take the full-run path"
+    );
     let mut store = RelStore::default();
     let mut measured = vec![Measured::default(); graph.tasks.len()];
     let mut resilience = ResilienceLog::default();
     let mut integrity_log = IntegrityLog::default();
-    // Relation profiles only matter when corruptions can be injected or
-    // the guard checks are on; clean runs skip the catalog lookups.
-    let profiling = opts.check_integrity()
-        || opts
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.has_wrong_answer_faults());
-    let ledger = crate::batch::ShipLedger::default();
-    let mut effective: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
-    let mut active = match &opts.faults {
-        Some(plan) => resolve_outages(catalog, graph, plan, &mut effective)?,
-        None => None,
-    };
-    let base_catalog = catalog;
-    let env = FaultEnv {
-        plan: opts.faults.as_ref(),
-        retry: opts.retry(),
-        deadline: opts.deadline.as_ref(),
-    };
-    // Per-source completed-task counters, consulted only when the fault
-    // plan schedules a mid-run outage ("source dies after k tasks").
-    let mid_run = opts
-        .faults
-        .as_ref()
-        .is_some_and(|p| p.has_mid_run_outages());
-    let mut completed_at: HashMap<SourceId, usize> = HashMap::new();
-    let epoch = Instant::now();
-    for (pos, &id) in graph.topo.iter().enumerate() {
-        if mid_run {
-            let plan = opts.faults.as_ref().expect("mid_run implies a plan");
-            let sid = effective[id];
-            let dead = |s: SourceId| {
-                plan.outage_after(s)
-                    .is_some_and(|k| completed_at.get(&s).copied().unwrap_or(0) >= k)
-            };
-            if !sid.is_mediator() && dead(sid) {
-                // The source completed its allotted tasks and died: fail
-                // its remaining tasks over to a live declared replica, or
-                // abort with the lost tasks if none exists.
-                let cat = active.as_ref().unwrap_or(base_catalog);
-                let replica = cat
-                    .replica_of(sid)
-                    .filter(|r| !plan.source_down(*r) && !dead(*r));
-                match replica {
-                    Some(replica) => {
-                        active = Some(cat.failover(sid).expect("replica is declared"));
-                        for &later in &graph.topo[pos..] {
-                            if effective[later] == sid {
-                                effective[later] = replica;
-                            }
-                        }
-                        resilience.replans += 1;
-                    }
-                    None => {
-                        let lost_tasks: Vec<String> = graph.topo[pos..]
-                            .iter()
-                            .filter(|&&t| effective[t] == sid)
-                            .map(|&t| graph.tasks[t].label.clone())
-                            .collect();
-                        return Err(MediatorError::SourceUnavailable {
-                            source: base_catalog.source(sid).name().to_string(),
-                            lost_tasks,
-                        });
-                    }
-                }
+    let ship = crate::batch::ShipLedger::default();
+    let mut failover = Failover::new(catalog, graph, opts.faults.as_ref());
+    if opts.faults.is_some() {
+        // Hard outages are resolved before any task runs, in source-id
+        // order, so the outcome is deterministic.
+        let mut sources: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
+        sources.sort();
+        sources.dedup();
+        for sid in sources {
+            if failover.is_dead(sid) {
+                failover.fail_over(sid, &graph.topo)?;
             }
-        }
-        let catalog = active.as_ref().unwrap_or(base_catalog);
-        let task = &graph.tasks[id];
-        let in_rows = input_rows(task, &store);
-        let start = Instant::now();
-        let start_secs = (start - epoch).as_secs_f64();
-        let failed_over_from =
-            (effective[id] != task.source).then(|| catalog.source(task.source).name());
-        let profile = if profiling {
-            integrity::profile_task(task, catalog)
-        } else {
-            None
-        };
-        let output = {
-            let exec = Executor {
-                aig,
-                catalog,
-                graph,
-                store: &store,
-                opts,
-            };
-            if let Some(secs) = opts.pace.as_ref().and_then(|p| p.get(id)) {
-                crate::faults::sleep_secs(*secs);
-            }
-            let ctx = TaskFaultCtx {
-                task_id: id,
-                label: &task.label,
-                source: effective[id],
-                source_name: catalog.source(effective[id]).name(),
-                table: integrity::task_table(task),
-                failed_over_from,
-                profile: profile.as_ref(),
-                check_integrity: opts.check_integrity(),
-            };
-            env.run_task(
-                &ctx,
-                &mut resilience.events,
-                &mut integrity_log.events,
-                || {
-                    // Same-source execution across concurrent requests is
-                    // arbitrated EDF; acquired per attempt so the slot is
-                    // never held across a backoff sleep.
-                    let _slot = opts
-                        .gate
-                        .as_ref()
-                        .filter(|_| !effective[id].is_mediator())
-                        .map(|gate| gate.acquire(effective[id], opts.deadline.as_ref()));
-                    exec.run_task(task, args)
-                },
-            )?
-        };
-        let secs = start.elapsed().as_secs_f64();
-        let (rows, bytes, wire) = output
-            .as_ref()
-            .map(|r| (r.len() as f64, r.byte_size() as f64, r.wire_bytes() as f64))
-            .unwrap_or((0.0, 0.0, 0.0));
-        let shipped = output
-            .as_ref()
-            .map(|r| crate::batch::ship_output(opts, &ledger, id, r, |_, _| {}));
-        let (ship_bytes, batches) = shipped
-            .map(|s| (s.ship_bytes, s.batches))
-            .unwrap_or((0.0, 0));
-        if let (Some(key), Some(rel)) = (task.output.clone(), output) {
-            store.insert(key, rel);
-        }
-        measured[id] = Measured {
-            secs,
-            out_rows: rows,
-            out_bytes: bytes,
-            wire_bytes: wire,
-            ship_bytes,
-            batches,
-            in_rows,
-            wait_secs: 0.0,
-            start_secs,
-        };
-        if mid_run && !effective[id].is_mediator() {
-            *completed_at.entry(effective[id]).or_insert(0) += 1;
         }
     }
+    let epoch = Instant::now();
+    for (pos, &id) in graph.topo.iter().enumerate() {
+        let task = &graph.tasks[id];
+        match reuse {
+            Some((prev_store, prev_measured, rerun)) if !rerun[id] => {
+                if let Some(key) = task.output.clone() {
+                    store.insert(key.clone(), prev_store.get(&key)?.clone());
+                }
+                measured[id] = prev_measured[id];
+                continue;
+            }
+            _ => {}
+        }
+        if failover.is_dead(failover.effective[id]) {
+            // The source completed its allotted tasks and died: its
+            // remaining tasks fail over in place.
+            failover.fail_over(failover.effective[id], &graph.topo[pos..])?;
+        }
+        let source = failover.effective[id];
+        let exec = Executor {
+            aig,
+            catalog: failover.catalog(),
+            graph,
+            store: &store,
+            opts,
+            args,
+            epoch,
+            ship: &ship,
+        };
+        let (output, m) = exec.run_measured(
+            id,
+            source,
+            0.0,
+            &mut resilience.events,
+            &mut integrity_log.events,
+            |_, _| {},
+        );
+        if let (Some(key), Some(rel)) = (task.output.clone(), output?) {
+            store.insert(key, rel);
+        }
+        measured[id] = m;
+        failover.task_done(source);
+    }
+    resilience.replans = failover.replans;
     Ok(ExecResult {
         store,
         measured,
         resilience,
         integrity: integrity_log,
         sched: SchedLog::default(),
-        batch: crate::batch::BatchLog::from_ledger(opts, &ledger),
+        batch: crate::batch::BatchLog::from_ledger(opts, &ship),
     })
 }
 
@@ -630,7 +619,7 @@ pub(crate) fn ship_image_bytes(opts: &ExecOptions, task_id: usize, rel: &Relatio
 
 /// Total rows across the task's distinct input relations (observability
 /// accounting; reads that fail — e.g. a producer with no output — count 0).
-pub(crate) fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
+fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
     let mut seen = HashSet::new();
     let mut rows = 0.0;
     for (_, key) in &task.deps {
@@ -643,22 +632,104 @@ pub(crate) fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
     rows
 }
 
+/// The one task body every dispatcher runs tasks through: the sequential
+/// (optionally masked) walk of [`execute_masked`] and the per-source worker
+/// rounds of [`crate::parallel`] differ only in *which* task they hand it
+/// next and in the store they read through.
 pub(crate) struct Executor<'a, S: RelSource> {
     pub(crate) aig: &'a Aig,
+    /// The catalog tasks run against (the failover view once one exists).
     pub(crate) catalog: &'a Catalog,
     pub(crate) graph: &'a TaskGraph,
     pub(crate) store: &'a S,
     pub(crate) opts: &'a ExecOptions,
+    pub(crate) args: &'a [(&'a str, Value)],
+    /// Start of the run: task start offsets are stamped against it.
+    pub(crate) epoch: Instant,
+    /// The run's one shipment ledger.
+    pub(crate) ship: &'a crate::batch::ShipLedger,
 }
 
 impl<S: RelSource> Executor<'_, S> {
+    /// Runs task `id` at its effective `source` and measures it: input
+    /// rows, the integrity profile (only when corruptions can be injected
+    /// or the guard checks are on — clean runs skip the catalog lookups),
+    /// pacing inside the measured window, the fault layer's retry loop with
+    /// the cross-request EDF slot acquired per attempt (so it is never held
+    /// across a backoff sleep, and never for mediator tasks), and the ship
+    /// seam. Fault events and integrity-ledger entries are appended to the
+    /// given sinks; `on_batch` sees each batch land.
+    pub(crate) fn run_measured(
+        &self,
+        id: usize,
+        source: SourceId,
+        wait_secs: f64,
+        events: &mut Vec<FaultEvent>,
+        ledger: &mut Vec<IntegrityEvent>,
+        on_batch: impl FnMut(u64, f64),
+    ) -> (Result<Option<Relation>, MediatorError>, Measured) {
+        let (task, opts) = (&self.graph.tasks[id], self.opts);
+        let in_rows = input_rows(task, self.store);
+        let start = Instant::now();
+        let start_secs = (start - self.epoch).as_secs_f64();
+        let profiling = opts.check_integrity()
+            || opts
+                .faults
+                .as_ref()
+                .is_some_and(|p| p.has_wrong_answer_faults());
+        let profile = if profiling {
+            integrity::profile_task(task, self.catalog)
+        } else {
+            None
+        };
+        if let Some(secs) = opts.pace.as_ref().and_then(|p| p.get(id)) {
+            crate::faults::sleep_secs(*secs);
+        }
+        let ctx = TaskFaultCtx {
+            task_id: id,
+            label: &task.label,
+            source,
+            source_name: self.catalog.source(source).name(),
+            table: integrity::task_table(task),
+            failed_over_from: (source != task.source)
+                .then(|| self.catalog.source(task.source).name()),
+            profile: profile.as_ref(),
+            check_integrity: opts.check_integrity(),
+        };
+        let env = FaultEnv {
+            plan: opts.faults.as_ref(),
+            retry: opts.retry(),
+            deadline: opts.deadline.as_ref(),
+        };
+        let result = env.run_task(&ctx, events, ledger, || {
+            let _slot = opts
+                .gate
+                .as_ref()
+                .filter(|_| !source.is_mediator())
+                .map(|gate| gate.acquire(source, opts.deadline.as_ref()));
+            self.run_task(task)
+        });
+        let mut measured = Measured {
+            secs: start.elapsed().as_secs_f64(),
+            in_rows,
+            wait_secs,
+            start_secs,
+            ..Measured::default()
+        };
+        if let Ok(Some(rel)) = &result {
+            let shipped = crate::batch::ship_output(opts, self.ship, id, rel, on_batch);
+            measured.out_rows = rel.len() as f64;
+            measured.out_bytes = rel.byte_size() as f64;
+            measured.wire_bytes = rel.wire_bytes() as f64;
+            measured.ship_bytes = shipped.ship_bytes;
+            measured.batches = shipped.batches;
+        }
+        (result, measured)
+    }
+
     /// Runs one task against the relations visible through `store`,
     /// returning the relation it produces (None for guards).
-    pub(crate) fn run_task(
-        &self,
-        task: &Task,
-        args: &[(&str, Value)],
-    ) -> Result<Option<Relation>, MediatorError> {
+    fn run_task(&self, task: &Task) -> Result<Option<Relation>, MediatorError> {
         match &task.kind {
             TaskKind::Root => {
                 let root_info = self.aig.elem_info(self.aig.root);
@@ -670,7 +741,8 @@ impl<S: RelSource> Executor<'_, S> {
                     Value::str(Occ::mat(self.aig.root).key(self.aig)),
                 ];
                 for decl in root_info.inh.iter().filter(|d| d.ty.is_scalar()) {
-                    let v = args
+                    let v = self
+                        .args
                         .iter()
                         .find(|(n, _)| *n == decl.name)
                         .map(|(_, v)| v.clone())

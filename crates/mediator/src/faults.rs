@@ -282,11 +282,12 @@ pub struct FaultEvent {
 }
 
 /// Everything the fault layer did during one execution: the event log plus
-/// how often the scheduler re-planned the surviving subgraph.
+/// how many dead sources were failed over.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceLog {
     pub events: Vec<FaultEvent>,
-    /// `Schedule` re-runs on the surviving subgraph after an outage.
+    /// Failovers performed — the same count in every driver (the parallel
+    /// one also re-runs `Schedule` on the surviving subgraph after each).
     pub replans: usize,
 }
 
@@ -712,7 +713,8 @@ impl FaultPlan {
     }
 }
 
-/// The per-execution fault environment both executors run tasks through.
+/// The per-execution fault environment the one task body
+/// ([`crate::exec::Executor::run_measured`]) runs tasks through.
 #[derive(Clone, Copy)]
 pub(crate) struct FaultEnv<'a> {
     pub plan: Option<&'a FaultPlan>,
@@ -723,7 +725,7 @@ pub(crate) struct FaultEnv<'a> {
 }
 
 /// Everything the fault layer needs to know about the task it wraps —
-/// bundled so both executors call [`FaultEnv::run_task`] identically.
+/// bundled for the one call of [`FaultEnv::run_task`].
 pub(crate) struct TaskFaultCtx<'a> {
     pub task_id: usize,
     pub label: &'a str,

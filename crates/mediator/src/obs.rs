@@ -278,7 +278,8 @@ pub struct ResilienceObs {
     pub failed_over: usize,
     pub surfaced: usize,
     pub absorbed_spikes: usize,
-    /// `Schedule` re-runs on the surviving subgraph after outages.
+    /// Dead sources failed over (after each, the parallel driver re-runs
+    /// `Schedule` on the surviving subgraph).
     pub replans: usize,
     /// Total seconds slept in retry backoff.
     pub backoff_secs: f64,

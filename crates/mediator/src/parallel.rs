@@ -12,22 +12,23 @@
 //! one (see the equivalence tests); response-time *accounting* stays with
 //! the simulation in [`crate::cost`], which models the paper's network.
 //! That byte-identity is also what lets incremental re-evaluation
-//! ([`crate::delta`]) re-run delta-touched subgraphs with a single
-//! sequential topological walk regardless of which executor produced the
-//! snapshot being spliced: the relations it splices into are the same
-//! either way.
+//! ([`crate::delta`]) re-run delta-touched subgraphs with the *masked*
+//! sequential walk regardless of which dispatcher produced the snapshot
+//! being spliced: the relations it splices into are the same either way.
+//!
+//! This module owns only what is about threads — the write-once shared
+//! store, the ready-queue scheduler state, and the round loop. Running and
+//! measuring a task ([`Executor::run_measured`]) and failing a dead source
+//! over ([`Failover`]) are the sequential walk's code, in [`crate::exec`].
 
 use crate::cost::{estimated_costs, CostGraph, Workspace};
 use crate::error::MediatorError;
 use crate::exec::{
-    input_rows, ExecOptions, ExecResult, Executor, Measured, RelSource, RelStore, SchedLog,
+    ExecOptions, ExecResult, Executor, Failover, Measured, RelSource, RelStore, SchedLog,
     Scheduling, TaskPick,
 };
-use crate::faults::{
-    FaultEnv, FaultEvent, FaultPlan, IntegrityEvent, IntegrityLog, ResilienceLog, TaskFaultCtx,
-};
+use crate::faults::{FaultEvent, IntegrityEvent, IntegrityLog, ResilienceLog};
 use crate::graph::{RelKey, TaskGraph};
-use crate::integrity;
 use crate::schedule::replan_surviving;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Relation, SourceId, Value};
@@ -66,9 +67,8 @@ struct Progress {
     dyn_sched: Option<DynSched>,
     /// Dynamic pick log; persists across failover rounds.
     picks: Vec<TaskPick>,
-    /// Tasks completed per effective source (drives the mid-run outage
-    /// model: a source with `dies_after = k` halts once this reaches `k`).
-    completed_at: HashMap<SourceId, usize>,
+    /// Picks logged per source so far — the next pick's `actual_pos`.
+    picked_at: HashMap<SourceId, usize>,
 }
 
 /// Runtime state of the dynamic (ready-queue) scheduler: the live
@@ -156,18 +156,6 @@ impl SharedStore<'_> {
         self.wake.notify_all();
     }
 
-    /// Whether `source` has reached its mid-run outage threshold (completed
-    /// its allotted task count and died).
-    fn outage_reached(&self, plan: &FaultPlan, source: SourceId) -> bool {
-        match plan.outage_after(source) {
-            Some(k) => {
-                let state = self.state.lock().expect("store mutex");
-                state.completed_at.get(&source).copied().unwrap_or(0) >= k
-            }
-            None => false,
-        }
-    }
-
     /// Dynamic scheduling: blocks until a task at `source` is ready (picking
     /// the highest-priority one and logging the pick), the source has no
     /// tasks left (drained), the source hits its mid-run outage threshold
@@ -178,7 +166,7 @@ impl SharedStore<'_> {
         source: SourceId,
         net: &crate::sim::NetworkModel,
         topo_pos: &[usize],
-        fault_plan: Option<&FaultPlan>,
+        failover: &Failover<'_>,
     ) -> Option<usize> {
         let mut state = self.state.lock().expect("store mutex");
         loop {
@@ -199,16 +187,11 @@ impl SharedStore<'_> {
             }
             // The source still owns tasks: a hard-down or mid-run-dead
             // source halts the round so the coordinator can fail over.
-            if let Some(fp) = fault_plan {
-                let died = fp
-                    .outage_after(source)
-                    .is_some_and(|k| state.completed_at.get(&source).copied().unwrap_or(0) >= k);
-                if fp.source_down(source) || died {
-                    state.halted = Some(source);
-                    drop(state);
-                    self.wake.notify_all();
-                    return None;
-                }
+            if failover.is_dead(source) {
+                state.halted = Some(source);
+                drop(state);
+                self.wake.notify_all();
+                return None;
             }
             let sched = state.dyn_sched.as_mut().expect("dynamic round state");
             let queue_has_work = sched.ready.get(&source).is_some_and(|q| !q.is_empty());
@@ -229,7 +212,9 @@ impl SharedStore<'_> {
                     .expect("non-empty queue");
                 let task = queue.remove(best_at);
                 let (priority, planned_pos) = (sched.priority[task], sched.planned_pos[task]);
-                let actual_pos = state.picks.iter().filter(|p| p.source == source).count();
+                let picked = state.picked_at.entry(source).or_insert(0);
+                let actual_pos = *picked;
+                *picked += 1;
                 state.picks.push(TaskPick {
                     task,
                     source,
@@ -279,9 +264,6 @@ impl SharedStore<'_> {
                 }
                 state.done[task] = true;
                 state.measured[task] = measured;
-                if !source.is_mediator() {
-                    *state.completed_at.entry(source).or_insert(0) += 1;
-                }
                 if let Some(sched) = state.dyn_sched.as_mut() {
                     // Patch the task's measured actuals into the hybrid
                     // graph (evaluation time and consumer-side edge sizes)
@@ -339,21 +321,14 @@ pub fn execute_graph_parallel(
         slots: (0..graph.tasks.len()).map(|_| OnceLock::new()).collect(),
         state: Mutex::new(Progress {
             done: vec![false; graph.tasks.len()],
-            failed: None,
-            halted: None,
             measured: vec![Measured::default(); graph.tasks.len()],
-            events: Vec::new(),
-            integrity: Vec::new(),
-            dyn_sched: None,
-            picks: Vec::new(),
-            completed_at: HashMap::new(),
+            ..Progress::default()
         }),
         wake: Condvar::new(),
     };
     let epoch = Instant::now();
-    let ship_ledger = crate::batch::ShipLedger::default();
-    let mut effective: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
-    let mut active_catalog: Option<Catalog> = None;
+    let ship = crate::batch::ShipLedger::default();
+    let mut failover = Failover::new(catalog, graph, opts.faults.as_ref());
     let mut plan = per_source.clone();
     let mut topo_pos = vec![0usize; graph.tasks.len()];
     for (pos, &id) in graph.topo.iter().enumerate() {
@@ -362,26 +337,21 @@ pub fn execute_graph_parallel(
 
     // Each round redirects at least one dead source, and a redirected
     // source cannot halt again, so the loop is bounded by the source count.
-    // The round index doubles as the failover/replan count: every earlier
-    // round ended in exactly one failover.
-    for replans in 0..catalog.len() + 1 {
-        let cat: &Catalog = active_catalog.as_ref().unwrap_or(catalog);
+    for _ in 0..catalog.len() + 1 {
         if opts.scheduling() == Scheduling::Dynamic {
-            prime_dynamic(&shared, graph, &plan, &effective, opts);
+            prime_dynamic(&shared, graph, &plan, &failover.effective, opts);
         }
-        run_round(
+        let exec = Executor {
             aig,
-            cat,
+            catalog: failover.catalog(),
             graph,
-            args,
+            store: &shared,
             opts,
-            &shared,
-            &plan,
-            &effective,
-            &topo_pos,
-            &epoch,
-            &ship_ledger,
-        );
+            args,
+            epoch,
+            ship: &ship,
+        };
+        run_round(&exec, &failover, &plan, &topo_pos);
 
         let halted = {
             let mut state = shared.state.lock().expect("store mutex");
@@ -405,7 +375,7 @@ pub fn execute_graph_parallel(
                 measured: state.measured,
                 resilience: ResilienceLog {
                     events: state.events,
-                    replans,
+                    replans: failover.replans,
                 },
                 integrity: IntegrityLog {
                     events: state.integrity,
@@ -414,46 +384,15 @@ pub fn execute_graph_parallel(
                     dynamic: opts.scheduling() == Scheduling::Dynamic,
                     picks: state.picks,
                 },
-                batch: crate::batch::BatchLog::from_ledger(opts, &ship_ledger),
+                batch: crate::batch::BatchLog::from_ledger(opts, &ship),
             });
         };
 
         // Fail over the dead source and re-plan the surviving subgraph.
-        let fault_plan = opts
-            .faults
-            .as_ref()
-            .expect("halt only happens under fault injection");
-        let (done, completed_at) = {
-            let state = shared.state.lock().expect("store mutex");
-            (state.done.clone(), state.completed_at.clone())
-        };
-        // A usable replica must be up for the whole run *and* not itself
-        // already dead from a mid-run outage.
-        let replica = cat.replica_of(down).filter(|r| {
-            !fault_plan.source_down(*r)
-                && fault_plan
-                    .outage_after(*r)
-                    .is_none_or(|k| completed_at.get(r).copied().unwrap_or(0) < k)
-        });
-        let Some(replica) = replica else {
-            let lost_tasks: Vec<String> = graph
-                .topo
-                .iter()
-                .filter(|&&id| effective[id] == down && !done[id])
-                .map(|&id| graph.tasks[id].label.clone())
-                .collect();
-            return Err(MediatorError::SourceUnavailable {
-                source: catalog.source(down).name().to_string(),
-                lost_tasks,
-            });
-        };
-        active_catalog = Some(cat.failover(down).expect("replica is declared"));
-        for (id, eff) in effective.iter_mut().enumerate() {
-            if *eff == down && !done[id] {
-                *eff = replica;
-            }
-        }
-        plan = replan_surviving(graph, &done, &effective, opts.network());
+        let done = shared.state.lock().expect("store mutex").done.clone();
+        let pending: Vec<usize> = graph.topo.iter().copied().filter(|&t| !done[t]).collect();
+        failover.fail_over(down, &pending)?;
+        plan = replan_surviving(graph, &done, &failover.effective, opts.network());
     }
     Err(MediatorError::Internal(
         "failover rounds exceeded the source count".to_string(),
@@ -533,145 +472,53 @@ fn prime_dynamic(
 /// failed, or aborted on a halt). Under [`Scheduling::Dynamic`] the planned
 /// sequences only seed the deviation log's planned positions; each worker
 /// instead draws from its source's live ready queue.
-#[allow(clippy::too_many_arguments)]
 fn run_round(
-    aig: &Aig,
-    catalog: &Catalog,
-    graph: &TaskGraph,
-    args: &[(&str, Value)],
-    opts: &ExecOptions,
-    shared: &SharedStore<'_>,
+    exec: &Executor<'_, SharedStore<'_>>,
+    failover: &Failover<'_>,
     plan: &HashMap<SourceId, Vec<usize>>,
-    effective: &[SourceId],
     topo_pos: &[usize],
-    epoch: &Instant,
-    ship_ledger: &crate::batch::ShipLedger,
 ) {
-    let profiling = opts.check_integrity()
-        || opts
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.has_wrong_answer_faults());
+    let (shared, opts) = (exec.store, exec.opts);
     std::thread::scope(|scope| {
         for (source, sequence) in plan {
             let source = *source;
-            let sequence = sequence.clone();
             std::thread::Builder::new()
                 .name(format!("aig-source-{}", source.0))
                 .spawn_scoped(scope, move || {
-                    let exec = Executor {
-                        aig,
-                        catalog,
-                        graph,
-                        store: shared,
-                        opts,
-                    };
-                    let env = FaultEnv {
-                        plan: opts.faults.as_ref(),
-                        retry: opts.retry(),
-                        deadline: opts.deadline.as_ref(),
-                    };
-                    // Runs one task and records its measurements; returns
-                    // false when the worker must stop (the task failed).
+                    // Runs one task (its dependencies are complete, so the
+                    // EDF slot it takes per attempt can never deadlock) and
+                    // records its measurements; returns false when the
+                    // worker must stop (the task failed).
                     let run_one = |task_id: usize, wait_secs: f64| -> bool {
-                        let task = &graph.tasks[task_id];
-                        let in_rows = input_rows(task, shared);
-                        let started = Instant::now();
-                        let start_secs = (started - *epoch).as_secs_f64();
-                        let failed_over_from = (effective[task_id] != task.source)
-                            .then(|| catalog.source(task.source).name());
-                        let profile = if profiling {
-                            integrity::profile_task(task, catalog)
-                        } else {
-                            None
-                        };
-                        let mut events = Vec::new();
-                        let mut ledger = Vec::new();
-                        if let Some(secs) = opts.pace.as_ref().and_then(|p| p.get(task_id)) {
-                            crate::faults::sleep_secs(*secs);
-                        }
-                        let ctx = TaskFaultCtx {
+                        let at = failover.effective[task_id];
+                        let (mut events, mut ledger) = (Vec::new(), Vec::new());
+                        let (result, measured) = exec.run_measured(
                             task_id,
-                            label: &task.label,
-                            source: effective[task_id],
-                            source_name: catalog.source(effective[task_id]).name(),
-                            table: integrity::task_table(task),
-                            failed_over_from,
-                            profile: profile.as_ref(),
-                            check_integrity: opts.check_integrity(),
-                        };
-                        let result = env.run_task(&ctx, &mut events, &mut ledger, || {
-                            // Cross-request EDF arbitration per attempt
-                            // (dependencies are complete before run_one, so
-                            // holding the slot can never deadlock).
-                            let _slot = opts
-                                .gate
-                                .as_ref()
-                                .filter(|_| !effective[task_id].is_mediator())
-                                .map(|gate| {
-                                    gate.acquire(effective[task_id], opts.deadline.as_ref())
-                                });
-                            exec.run_task(task, args)
-                        });
-                        let secs = started.elapsed().as_secs_f64();
-                        let (out_rows, out_bytes, wire_bytes, ship_bytes, batches) = match &result {
-                            Ok(Some(rel)) => {
-                                let shipped = crate::batch::ship_output(
-                                    opts,
-                                    ship_ledger,
-                                    task_id,
-                                    rel,
-                                    |_, bytes| {
-                                        shared.note_batch(task_id, bytes);
-                                    },
-                                );
-                                (
-                                    rel.len() as f64,
-                                    rel.byte_size() as f64,
-                                    rel.wire_bytes() as f64,
-                                    shipped.ship_bytes,
-                                    shipped.batches,
-                                )
-                            }
-                            _ => (0.0, 0.0, 0.0, 0.0, 0),
-                        };
-                        let failed = result.is_err();
-                        shared.complete(
-                            task_id,
-                            effective[task_id],
-                            result,
-                            Measured {
-                                secs,
-                                out_rows,
-                                out_bytes,
-                                wire_bytes,
-                                ship_bytes,
-                                batches,
-                                in_rows,
-                                wait_secs,
-                                start_secs,
-                            },
-                            events,
-                            ledger,
+                            at,
+                            wait_secs,
+                            &mut events,
+                            &mut ledger,
+                            |_, bytes| shared.note_batch(task_id, bytes),
                         );
-                        !failed
+                        let ok = result.is_ok();
+                        if ok {
+                            failover.task_done(at);
+                        }
+                        shared.complete(task_id, at, result, measured, events, ledger);
+                        ok
                     };
                     match opts.scheduling() {
                         Scheduling::Static => {
-                            for task_id in sequence {
+                            for &task_id in sequence {
                                 if shared.is_done(task_id) {
                                     continue;
                                 }
                                 // A dead source aborts the round *before*
                                 // blocking on dependencies, so no worker
                                 // waits on output that will never come.
-                                if let Some(plan) = &env.plan {
-                                    if plan.source_down(effective[task_id])
-                                        || shared.outage_reached(plan, effective[task_id])
-                                    {
-                                        shared.halt(effective[task_id]);
-                                        return;
-                                    }
+                                if failover.is_dead(failover.effective[task_id]) {
+                                    shared.halt(failover.effective[task_id]);
+                                    return;
                                 }
                                 let queued = Instant::now();
                                 if !shared.wait_for_deps(task_id) {
@@ -685,7 +532,7 @@ fn run_round(
                         Scheduling::Dynamic => loop {
                             let queued = Instant::now();
                             let Some(task_id) =
-                                shared.pick_next(source, opts.network(), topo_pos, env.plan)
+                                shared.pick_next(source, opts.network(), topo_pos, failover)
                             else {
                                 return; // drained, halted, or failed
                             };

@@ -642,7 +642,6 @@ pub fn run_with_report(
             &plan,
             catalog,
             args,
-            &policy,
             &exec_opts,
             &mut phases,
             rounds,

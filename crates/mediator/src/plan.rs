@@ -133,6 +133,15 @@ impl PreparedPlan {
     pub fn predicted_merges(&self) -> usize {
         self.est_merged.merges
     }
+
+    /// `exec_opts` with the plan's liveness profiles bound, so every
+    /// dispatcher accounts ship images with them.
+    pub(crate) fn bind(&self, exec_opts: &ExecOptions) -> ExecOptions {
+        ExecOptions {
+            shipcut: self.shipcut.clone(),
+            ..exec_opts.clone()
+        }
+    }
 }
 
 /// Per-source sequences in topological order (dependency-safe input for the
@@ -309,87 +318,23 @@ pub(crate) enum FullOutcome {
 /// the document, validates it, and runs the measured-cost response-time
 /// simulation. `exec_opts` should be built once per run via
 /// [`ExecOptions::new`] (with the fault plan bound and `eval_scale`
-/// copied from the plan-side graph options). `rounds` counts the
-/// prepare/execute rounds of the enclosing request; `cache` is the plan
-/// cache's observability snapshot (default when no cache is involved).
-#[allow(clippy::too_many_arguments)]
+/// copied from the plan-side graph options); its [`ExecOptions::policy`] is
+/// the request's one policy. `rounds` counts the prepare/execute rounds of
+/// the enclosing request; `cache` is the plan cache's observability
+/// snapshot (default when no cache is involved).
 pub fn execute_prepared(
     plan: &PreparedPlan,
     catalog: &Catalog,
     args: &[(&str, Value)],
-    policy: &ExecPolicy,
     exec_opts: &ExecOptions,
     phases: &mut Phases,
     rounds: usize,
     cache: CacheObs,
 ) -> Result<ExecuteOutcome, MediatorError> {
-    match execute_prepared_full(
-        plan,
-        catalog,
-        args,
-        policy,
-        exec_opts,
-        phases,
-        rounds,
-        cache,
-        IncrementalObs::default(),
-    )? {
-        FullOutcome::Complete(done) => {
-            Ok(ExecuteOutcome::Complete(Box::new((done.run, done.report))))
-        }
-        FullOutcome::FrontierExtend => Ok(ExecuteOutcome::FrontierExtend),
-    }
-}
-
-/// [`execute_prepared`] with the relation store and per-task measurements
-/// retained in the outcome — the execution path the service's incremental
-/// snapshot cache runs, so a completed run can seed a snapshot. The
-/// `incremental` ledger is threaded into the report verbatim (default on
-/// non-incremental requests).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_prepared_full(
-    plan: &PreparedPlan,
-    catalog: &Catalog,
-    args: &[(&str, Value)],
-    policy: &ExecPolicy,
-    exec_opts: &ExecOptions,
-    phases: &mut Phases,
-    rounds: usize,
-    cache: CacheObs,
-    incremental: IncrementalObs,
-) -> Result<FullOutcome, MediatorError> {
-    // The liveness profiles are part of the prepared plan; bind them into
-    // this run's options so both executors account ship images with them.
-    let exec_opts = &ExecOptions {
-        shipcut: plan.shipcut.clone(),
-        ..exec_opts.clone()
-    };
-    let exec: ExecResult = phases.time("execute", || {
-        if policy.parallel_exec {
-            execute_graph_parallel(
-                &plan.aig,
-                catalog,
-                &plan.graph,
-                args,
-                exec_opts,
-                &plan.per_source,
-            )
-        } else {
-            execute_graph(&plan.aig, catalog, &plan.graph, args, exec_opts)
-        }
-    })?;
-    finish_run(FinishInputs {
-        plan,
-        catalog,
-        policy,
-        exec_opts,
-        phases,
-        rounds,
-        cache,
-        exec,
-        tree_override: None,
-        scope: None,
-        incremental,
+    let inputs = FinishInputs::cold(plan, catalog, args, exec_opts, phases, rounds, cache)?;
+    Ok(match finish_run(inputs)? {
+        FullOutcome::Complete(done) => ExecuteOutcome::Complete(Box::new((done.run, done.report))),
+        FullOutcome::FrontierExtend => ExecuteOutcome::FrontierExtend,
     })
 }
 
@@ -397,8 +342,9 @@ pub(crate) fn execute_prepared_full(
 pub(crate) struct FinishInputs<'a> {
     pub plan: &'a PreparedPlan,
     pub catalog: &'a Catalog,
-    pub policy: &'a ExecPolicy,
-    pub exec_opts: &'a ExecOptions,
+    /// The run's options with the plan's liveness profiles bound (see
+    /// [`PreparedPlan::bind`]); the finisher reads its policy from here.
+    pub exec_opts: ExecOptions,
     pub phases: &'a mut Phases,
     pub rounds: usize,
     pub cache: CacheObs,
@@ -410,21 +356,63 @@ pub(crate) struct FinishInputs<'a> {
     /// constraints whose element tags intersect this scope (the incremental
     /// path's changed-subtree tags); `None` checks the full set.
     pub scope: Option<std::collections::HashSet<String>>,
-    /// The delta re-evaluation ledger for the report.
+    /// The delta re-evaluation ledger for the report (default on
+    /// non-incremental requests).
     pub incremental: IncrementalObs,
+}
+
+impl<'a> FinishInputs<'a> {
+    /// A cold full run, ready to finish: the whole task graph through the
+    /// dispatcher the policy selects, under the `execute` phase.
+    pub(crate) fn cold(
+        plan: &'a PreparedPlan,
+        catalog: &'a Catalog,
+        args: &[(&str, Value)],
+        exec_opts: &ExecOptions,
+        phases: &'a mut Phases,
+        rounds: usize,
+        cache: CacheObs,
+    ) -> Result<FinishInputs<'a>, MediatorError> {
+        let exec_opts = plan.bind(exec_opts);
+        let exec = phases.time("execute", || {
+            if exec_opts.policy.parallel_exec {
+                execute_graph_parallel(
+                    &plan.aig,
+                    catalog,
+                    &plan.graph,
+                    args,
+                    &exec_opts,
+                    &plan.per_source,
+                )
+            } else {
+                execute_graph(&plan.aig, catalog, &plan.graph, args, &exec_opts)
+            }
+        })?;
+        Ok(FinishInputs {
+            plan,
+            catalog,
+            exec_opts,
+            phases,
+            rounds,
+            cache,
+            exec,
+            tree_override: None,
+            scope: None,
+            incremental: IncrementalObs::default(),
+        })
+    }
 }
 
 /// The shared tail of every execution path — frontier check, tagging (or
 /// the supplied retagged tree), validation, the document-level constraint
 /// check (full or scoped), the measured-cost response-time simulation, and
-/// report construction. Both the cold full run ([`execute_prepared_full`])
-/// and the incremental subgraph re-execution ([`crate::delta`]) end here,
+/// report construction. Both the cold full run ([`FinishInputs::cold`])
+/// and the incremental masked re-execution ([`crate::delta`]) end here,
 /// so the two paths cannot drift apart.
 pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, MediatorError> {
     let FinishInputs {
         plan,
         catalog,
-        policy,
         exec_opts,
         phases,
         rounds,
@@ -434,6 +422,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         scope,
         incremental,
     } = inputs;
+    let policy = &exec_opts.policy;
     let ExecResult {
         store,
         measured,

@@ -25,7 +25,7 @@ use crate::exec::{ExecOptions, Measured, RelStore};
 use crate::faults::{Deadline, FaultPlan};
 use crate::obs::{CacheObs, IncrementalObs, Phases, RunReport};
 use crate::pipeline::{MediatorOptions, MediatorRun};
-use crate::plan::{ExecPolicy, ExecutedRun, FullOutcome, PlanOptions, PreparedPlan};
+use crate::plan::{ExecPolicy, ExecutedRun, FinishInputs, FullOutcome, PlanOptions, PreparedPlan};
 use crate::schedule::EdfGate;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Database, DeltaApplied, SourceDelta, SourceId, Table, Value};
@@ -278,16 +278,17 @@ pub struct ServedRequest {
 pub struct Mediator {
     catalog: Catalog,
     plan_options: PlanOptions,
-    policy: ExecPolicy,
     /// Fingerprint of the plan-side options, part of every cache key.
     opts_fp: u64,
     /// Fingerprint of the catalog *schema* (tables, columns, types, keys,
     /// replicas — not data), part of every cache key. Recomputed by
     /// [`Mediator::with_catalog_mut`] so schema changes invalidate plans.
     cat_fp: u64,
-    /// Executor options derived once from the policy, with the fault plan
-    /// bound to the catalog at construction (every request replays the same
-    /// deterministic fault stream) and the eval-scale calibration applied.
+    /// Executor options derived once from the configured policy — which
+    /// lives here and nowhere else ([`Mediator::policy`]) — with the fault
+    /// plan bound to the catalog at construction (every request replays the
+    /// same deterministic fault stream) and the eval-scale calibration
+    /// applied.
     exec_opts: ExecOptions,
     cache: Mutex<PlanCache>,
     /// Retained run snapshots for incremental re-evaluation; only consulted
@@ -347,10 +348,9 @@ impl Mediator {
     ) -> Result<Mediator, MediatorError> {
         options.validate().map_err(MediatorError::from)?;
         let plan_options = options.plan_options();
-        let policy = options.exec_policy();
-        let mut exec_opts = ExecOptions::new(policy.clone());
+        let mut exec_opts = ExecOptions::new(options.exec_policy());
         exec_opts.eval_scale = plan_options.graph.eval_scale;
-        exec_opts.faults = match &policy.faults {
+        exec_opts.faults = match &exec_opts.policy.faults {
             Some(cfg) => Some(FaultPlan::new(cfg, &catalog)?),
             None => None,
         };
@@ -359,7 +359,6 @@ impl Mediator {
         Ok(Mediator {
             catalog,
             plan_options,
-            policy,
             opts_fp,
             cat_fp,
             exec_opts,
@@ -391,7 +390,7 @@ impl Mediator {
         let cat_fp = self.catalog.schema_fingerprint();
         if cat_fp != self.cat_fp {
             self.cat_fp = cat_fp;
-            self.exec_opts.faults = match &self.policy.faults {
+            self.exec_opts.faults = match &self.exec_opts.policy.faults {
                 Some(cfg) => Some(FaultPlan::new(cfg, &self.catalog)?),
                 None => None,
             };
@@ -436,7 +435,7 @@ impl Mediator {
     }
 
     pub fn policy(&self) -> &ExecPolicy {
-        &self.policy
+        &self.exec_opts.policy
     }
 
     /// Snapshot of the plan cache's counters.
@@ -492,12 +491,11 @@ impl Mediator {
     ) -> Result<ServedRequest, MediatorError> {
         let skipped_ids = self.resolve_sources(&ctx.skip_sources)?;
         let degraded = !skipped_ids.is_empty();
-        let budget = ctx.deadline_secs.or(self.policy.deadline_secs);
+        let budget = ctx.deadline_secs.or(self.policy().deadline_secs);
 
         // Build per-request overrides only when something actually differs
         // from the service configuration: the common clean path serves
         // straight from the shared state with zero clones.
-        let mut policy_owned: Option<ExecPolicy> = None;
         let mut opts_owned: Option<ExecOptions> = None;
         let mut catalog_owned: Option<Catalog> = None;
         if !ctx.is_default() || budget.is_some() {
@@ -508,7 +506,7 @@ impl Mediator {
                 // Re-bind the fault plan with the breaker-declared outages
                 // folded in; with no configured faults the default config's
                 // zero rates leave outage routing as the only live machinery.
-                let mut cfg = self.policy.faults.clone().unwrap_or_default();
+                let mut cfg = self.policy().faults.clone().unwrap_or_default();
                 cfg.outages.extend(ctx.extra_outages.iter().cloned());
                 opts.faults = Some(FaultPlan::new(&cfg, &self.catalog)?);
             }
@@ -516,22 +514,17 @@ impl Mediator {
                 if let Some(plan) = opts.faults.take() {
                     opts.faults = Some(plan.with_skipped(&skipped_ids));
                 }
-                opts.policy.check_integrity = false;
-                opts.policy.check_guards = false;
-                let mut policy = self.policy.clone();
                 // Output validation, the document constraint check, and the
                 // compiled-constraint guards are all specified against the
                 // *full* source data; a partial document legitimately
                 // violates them, so they are scoped out of degraded runs.
-                policy.check_guards = false;
-                policy.validate_output = false;
-                policy.check_integrity = false;
-                policy_owned = Some(policy);
+                opts.policy.check_guards = false;
+                opts.policy.validate_output = false;
+                opts.policy.check_integrity = false;
                 catalog_owned = Some(self.degraded_catalog(&skipped_ids));
             }
             opts_owned = Some(opts);
         }
-        let policy = policy_owned.as_ref().unwrap_or(&self.policy);
         let exec_opts = opts_owned.as_ref().unwrap_or(&self.exec_opts);
         let catalog = catalog_owned.as_ref().unwrap_or(&self.catalog);
 
@@ -540,7 +533,7 @@ impl Mediator {
         // fault plan has no mid-run outages (`dies_after` triggers on
         // *global* per-source completion counts, which a partial re-run
         // would shift; those plans must replay the full graph).
-        let incremental_mode = self.policy.incremental && ctx.is_default() && budget.is_none();
+        let incremental_mode = self.policy().incremental && ctx.is_default() && budget.is_none();
         let use_snapshots = incremental_mode
             && !self
                 .exec_opts
@@ -578,23 +571,24 @@ impl Mediator {
                 None
             };
             let outcome = match snapshot {
-                Some(snap) => self.run_incremental(
-                    &plan,
-                    catalog,
-                    args,
-                    policy,
-                    &snap,
-                    &mut phases,
-                    rounds,
-                    cache_obs,
-                )?,
+                Some(snap) => {
+                    self.run_incremental(&plan, args, &snap, &mut phases, rounds, cache_obs)?
+                }
                 None => {
-                    // Cold (or incremental-ineligible) full run. In
-                    // incremental mode the ledger still reports: every task
-                    // ran, no snapshot was available.
-                    let incremental = if incremental_mode {
+                    let mut inputs = FinishInputs::cold(
+                        &plan,
+                        catalog,
+                        args,
+                        exec_opts,
+                        &mut phases,
+                        rounds,
+                        cache_obs,
+                    )?;
+                    if incremental_mode {
+                        // In incremental mode the ledger still reports:
+                        // every task ran, no snapshot was available.
                         let total = plan.graph.tasks.len();
-                        IncrementalObs {
+                        inputs.incremental = IncrementalObs {
                             enabled: true,
                             snapshot_hit: false,
                             tasks_total: total,
@@ -603,21 +597,9 @@ impl Mediator {
                             constraints_scoped: plan.aig.constraints.len(),
                             constraints_total: plan.aig.constraints.len(),
                             ..IncrementalObs::default()
-                        }
-                    } else {
-                        IncrementalObs::default()
-                    };
-                    crate::plan::execute_prepared_full(
-                        &plan,
-                        catalog,
-                        args,
-                        policy,
-                        exec_opts,
-                        &mut phases,
-                        rounds,
-                        cache_obs,
-                        incremental,
-                    )?
+                        };
+                    }
+                    crate::plan::finish_run(inputs)?
                 }
             };
             match outcome {
@@ -667,20 +649,19 @@ impl Mediator {
         }
     }
 
-    /// The incremental execute path: seeds the re-run mask from the
-    /// snapshot's dirty tables and the plan's read-sets, re-runs only that
-    /// downstream task closure ([`crate::delta::execute_incremental`]),
-    /// retags only the document subtrees the re-run instances can reach
-    /// ([`crate::tagging::retag_document`]), and finishes through the same
-    /// [`crate::plan::finish_run`] tail as a cold run — with the
-    /// constraint check scoped to the retagged subtrees' tags.
-    #[allow(clippy::too_many_arguments)]
+    /// The incremental execute path (plain requests only, so the service's
+    /// own catalog and options apply): seeds the re-run mask from the
+    /// snapshot's dirty tables and the plan's read-sets, runs the sequential
+    /// walk masked to that downstream task closure
+    /// ([`crate::exec::execute_masked`]), retags only the document subtrees
+    /// the re-run instances can reach ([`crate::tagging::retag_document`]),
+    /// and finishes through the same [`crate::plan::finish_run`] tail as a
+    /// cold run — with the constraint check scoped to the retagged
+    /// subtrees' tags.
     fn run_incremental(
         &self,
         plan: &PreparedPlan,
-        catalog: &Catalog,
         args: &[(&str, Value)],
-        policy: &ExecPolicy,
         snap: &RunSnapshot,
         phases: &mut Phases,
         rounds: usize,
@@ -690,21 +671,15 @@ impl Mediator {
         let rerun = crate::delta::rerun_mask(&plan.graph, &seeds);
         let tasks_total = plan.graph.tasks.len();
         let tasks_rerun = rerun.iter().filter(|&&r| r).count();
-        // Bind the plan's liveness profiles exactly as the full path does.
-        let opts = ExecOptions {
-            shipcut: plan.shipcut.clone(),
-            ..self.exec_opts.clone()
-        };
-        let spliced = phases.time("execute", || {
-            crate::delta::execute_incremental(
+        let exec_opts = plan.bind(&self.exec_opts);
+        let exec = phases.time("execute", || {
+            crate::exec::execute_masked(
                 &plan.aig,
-                catalog,
+                &self.catalog,
                 &plan.graph,
                 args,
-                &opts,
-                &snap.store,
-                &snap.measured,
-                &rerun,
+                &exec_opts,
+                Some((&snap.store, &snap.measured, &rerun)),
             )
         })?;
         let tainted = crate::delta::tainted_elems(&plan.graph, &rerun);
@@ -713,7 +688,7 @@ impl Mediator {
             crate::tagging::retag_document(
                 &plan.aig,
                 &plan.graph,
-                &spliced.exec.store,
+                &exec.store,
                 &snap.run.tree,
                 &tainted,
             )
@@ -729,21 +704,24 @@ impl Mediator {
                 .iter()
                 .map(|(source, table)| format!("{source}.{table}"))
                 .collect(),
-            rows_spliced: spliced.rows_spliced,
+            // Rows of re-run task outputs spliced into the cached store.
+            rows_spliced: (exec.measured.iter().zip(&rerun))
+                .filter(|(_, &rerun)| rerun)
+                .map(|(m, _)| m.out_rows as u64)
+                .sum(),
             nodes_reused: retag.nodes_reused,
             nodes_rebuilt: retag.nodes_rebuilt,
             constraints_scoped: plan.aig.constraints.scoped(&tags).len(),
             constraints_total: plan.aig.constraints.len(),
         };
-        crate::plan::finish_run(crate::plan::FinishInputs {
+        crate::plan::finish_run(FinishInputs {
             plan,
-            catalog,
-            policy,
-            exec_opts: &opts,
+            catalog: &self.catalog,
+            exec_opts,
             phases,
             rounds,
             cache,
-            exec: spliced.exec,
+            exec,
             tree_override: Some(tree),
             scope: Some(tags),
             incremental,
@@ -798,24 +776,7 @@ impl Mediator {
         aig: &Aig,
         requests: &[Vec<(String, Value)>],
     ) -> Vec<Result<(MediatorRun, RunReport), MediatorError>> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = requests
-                .iter()
-                .map(|request| {
-                    scope.spawn(move || {
-                        let args: Vec<(&str, Value)> = request
-                            .iter()
-                            .map(|(name, value)| (name.as_str(), value.clone()))
-                            .collect();
-                        self.request(aig, &args)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("request worker panicked"))
-                .collect()
-        })
+        self.request_each(requests.iter().map(|request| (aig, request)))
     }
 
     /// Like [`Mediator::run_many`] for a heterogeneous stream: each request
@@ -825,9 +786,17 @@ impl Mediator {
         &self,
         requests: &[(&Aig, Vec<(String, Value)>)],
     ) -> Vec<Result<(MediatorRun, RunReport), MediatorError>> {
+        self.request_each(requests.iter().map(|(aig, request)| (*aig, request)))
+    }
+
+    /// One scoped thread per `(aig, bindings)` request; results in order.
+    #[allow(clippy::type_complexity)]
+    fn request_each<'a>(
+        &self,
+        requests: impl Iterator<Item = (&'a Aig, &'a Vec<(String, Value)>)>,
+    ) -> Vec<Result<(MediatorRun, RunReport), MediatorError>> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = requests
-                .iter()
                 .map(|(aig, request)| {
                     scope.spawn(move || {
                         let args: Vec<(&str, Value)> = request
@@ -906,7 +875,7 @@ impl Mediator {
                 &self.catalog,
                 depth,
                 &self.plan_options,
-                &self.policy.network,
+                &self.policy().network,
                 phases,
             )?,
         });

@@ -11,15 +11,18 @@
 //! Mid-run outage faults (`dies_after`) are deliberately absent from the
 //! fault cells: they trigger on global per-source completion counts, so
 //! the service routes them to the full path (covered by
-//! `mid_run_outage_plans_bypass_snapshots` below).
+//! `mid_run_outage_plans_bypass_snapshots` below). A *hard* outage is
+//! resolved before any task runs and does refresh incrementally
+//! (`hard_outage_cell_fails_over_only_the_rerun_tasks`).
 
 use aig_core::paper::sigma0;
 use aig_core::spec::Aig;
-use aig_datagen::{cover_delta, visit_delta, HospitalConfig};
+use aig_datagen::{cover_delta, price_delta, visit_delta, HospitalConfig};
+use aig_mediator::delta::rerun_mask;
 use aig_mediator::exec::Scheduling;
 use aig_mediator::faults::{FaultConfig, RetryPolicy};
 use aig_mediator::{Mediator, MediatorOptions};
-use aig_relstore::{Catalog, SourceDelta, Value};
+use aig_relstore::{Catalog, Database, SourceDelta, Value};
 
 struct Fixture {
     aig: Aig,
@@ -298,6 +301,84 @@ fn row_deltas_keep_plans_warm_while_schema_deltas_invalidate() {
     let (_, report) = mediator.request(&fx.aig, &args).unwrap();
     assert!(!report.cache.hit, "stale plan served across schema change");
     assert!(!report.incremental.snapshot_hit);
+}
+
+/// The hard-outage cell: DB3 is down for the whole run and served by its
+/// declared replica. A price delta (written to primary and replica alike)
+/// refreshes incrementally — byte-identical to a fresh cold mediator over
+/// the post-delta catalog — and only the re-run DB3 tasks fail over again;
+/// reused tasks never touch the replica.
+#[test]
+fn hard_outage_cell_fails_over_only_the_rerun_tasks() {
+    let fx = fixture(11);
+    let mut catalog = fx.catalog.clone();
+    let db3 = catalog.source_id("DB3").unwrap();
+    let mut replica_db = Database::new("DB3R");
+    for table in catalog.source(db3).tables() {
+        replica_db.add_table(table.clone()).unwrap();
+    }
+    let replica = catalog.add_source(replica_db).unwrap();
+    catalog.declare_replica(db3, replica).unwrap();
+    let opts = MediatorOptions::builder()
+        .unfold_depth(3)
+        .incremental(true)
+        .faults(Some(FaultConfig {
+            outages: vec!["DB3".to_string()],
+            ..FaultConfig::default()
+        }))
+        .build()
+        .unwrap();
+    let mut mediator = Mediator::new(catalog, &opts).unwrap();
+    let args = [("date", Value::str(&fx.date))];
+
+    let (_, cold) = mediator.request(&fx.aig, &args).unwrap();
+    let plan = mediator.prepare(&fx.aig).unwrap();
+    let at_db3 = |id: usize| plan.graph.tasks[id].source == db3;
+    let db3_tasks = (0..plan.graph.tasks.len()).filter(|&id| at_db3(id)).count();
+    assert!(db3_tasks > 0, "fixture has no DB3 tasks");
+    assert_eq!(cold.resilience.failed_over, db3_tasks);
+    assert_eq!(cold.resilience.replans, 1);
+
+    let (deletes, inserts) = price_delta(mediator.catalog(), 2, 5).unwrap();
+    let mut dirty = std::collections::BTreeSet::new();
+    for mut delta in [deletes, inserts] {
+        // A replicated write: the replica receives the same row batches.
+        for batches in [&mut delta.inserts, &mut delta.deletes] {
+            let mirrored: Vec<_> = batches.to_vec();
+            batches.extend(mirrored.into_iter().map(|mut batch| {
+                assert_eq!(batch.source, "DB3");
+                batch.source = "DB3R".to_string();
+                batch
+            }));
+        }
+        dirty.extend(mediator.apply_delta(&delta).unwrap().touched);
+    }
+
+    let (incr, report) = mediator.request(&fx.aig, &args).unwrap();
+    assert!(report.incremental.snapshot_hit);
+    let rerun = rerun_mask(&plan.graph, &plan.read_sets.seeds(&dirty));
+    let rerun_at_db3 = (0..rerun.len())
+        .filter(|&id| rerun[id] && at_db3(id))
+        .count();
+    assert!(rerun_at_db3 > 0, "the price delta re-ran no DB3 task");
+    assert!(report.incremental.tasks_rerun < report.incremental.tasks_total);
+    let failed_over: Vec<usize> = (report.resilience.events.iter())
+        .filter(|e| e.outcome == "failed_over")
+        .map(|e| e.task)
+        .collect();
+    assert_eq!(failed_over.len(), rerun_at_db3);
+    assert!(failed_over.iter().all(|&id| rerun[id] && at_db3(id)));
+    assert_eq!(report.resilience.replans, 1);
+
+    let oracle = Mediator::new(mediator.catalog().clone(), &opts).unwrap();
+    let (full, full_report) = oracle.request(&fx.aig, &args).unwrap();
+    assert!(!full_report.incremental.snapshot_hit);
+    assert_eq!(
+        aig_xml::serialize::to_string(&incr.tree),
+        aig_xml::serialize::to_string(&full.tree),
+        "incremental document drifted from the cold run under a hard outage"
+    );
+    assert!(fx.aig.constraints.check(&incr.tree).is_empty());
 }
 
 /// Fault plans with mid-run outages (`dies_after`) depend on global

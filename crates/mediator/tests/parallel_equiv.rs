@@ -14,9 +14,10 @@ use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::schedule::schedule;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
-use aig_mediator::{run, CostGraph, MediatorOptions, NetworkModel};
+use aig_mediator::{run, CostGraph, MediatorOptions, NetworkModel, ShipCut};
 use aig_relstore::{Catalog, SourceId, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 struct Fixture {
     aig: Aig,
@@ -53,15 +54,24 @@ fn topo_per_source(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
     per_source
 }
 
-fn run_sequential(fx: &Fixture) -> ExecResult {
+fn run_sequential(fx: &Fixture, opts: &ExecOptions) -> ExecResult {
     execute_graph(
         &fx.aig,
         &fx.catalog,
         &fx.graph,
         &[("date", Value::str(&fx.date))],
-        &ExecOptions::default(),
+        opts,
     )
     .unwrap()
+}
+
+/// The two arms of the shared task body's ship seam: materializing with no
+/// liveness profiles (the default), and 256-row chunked shipment of
+/// ship-cut images.
+fn ship_arms(fx: &Fixture) -> [ExecOptions; 2] {
+    let mut batched = ExecOptions::default().with_batching(true, 256);
+    batched.shipcut = Some(Arc::new(ShipCut::analyze(&fx.aig, &fx.graph)));
+    [ExecOptions::default(), batched]
 }
 
 fn assert_equivalent(fx: &Fixture, seq: &ExecResult, par: &ExecResult) {
@@ -75,6 +85,9 @@ fn assert_equivalent(fx: &Fixture, seq: &ExecResult, par: &ExecResult) {
         assert_eq!(s.out_rows, p.out_rows, "out_rows of task {id}");
         assert_eq!(s.out_bytes, p.out_bytes, "out_bytes of task {id}");
         assert_eq!(s.in_rows, p.in_rows, "in_rows of task {id}");
+        assert_eq!(s.wire_bytes, p.wire_bytes, "wire_bytes of task {id}");
+        assert_eq!(s.ship_bytes, p.ship_bytes, "ship_bytes of task {id}");
+        assert_eq!(s.batches, p.batches, "batches of task {id}");
         assert!(p.wait_secs >= 0.0 && p.secs >= 0.0);
     }
     let seq_tree = tag_document(&fx.aig, &fx.graph, &seq.store).unwrap();
@@ -86,20 +99,23 @@ fn assert_equivalent(fx: &Fixture, seq: &ExecResult, par: &ExecResult) {
 fn parallel_matches_sequential_across_seeds() {
     for seed in [1u64, 7, 42, 2003] {
         let fx = fixture(seed, 3);
-        let seq = run_sequential(&fx);
         let plan = topo_per_source(&fx.graph);
-        // Repeat: thread timing varies between runs, the relations must not.
-        for _ in 0..3 {
-            let par = execute_graph_parallel(
-                &fx.aig,
-                &fx.catalog,
-                &fx.graph,
-                &[("date", Value::str(&fx.date))],
-                &ExecOptions::default(),
-                &plan,
-            )
-            .unwrap();
-            assert_equivalent(&fx, &seq, &par);
+        for opts in ship_arms(&fx) {
+            let seq = run_sequential(&fx, &opts);
+            // Repeat: thread timing varies between runs, the relations
+            // must not.
+            for _ in 0..3 {
+                let par = execute_graph_parallel(
+                    &fx.aig,
+                    &fx.catalog,
+                    &fx.graph,
+                    &[("date", Value::str(&fx.date))],
+                    &opts,
+                    &plan,
+                )
+                .unwrap();
+                assert_equivalent(&fx, &seq, &par);
+            }
         }
     }
 }
@@ -111,7 +127,7 @@ fn parallel_matches_sequential_under_scheduled_interleaving() {
     // queue by criticality instead of topological position.
     for seed in [1u64, 42] {
         let fx = fixture(seed, 3);
-        let seq = run_sequential(&fx);
+        let seq = run_sequential(&fx, &ExecOptions::default());
         let cg = CostGraph::from_task_graph(&fx.graph, &estimated_costs(&fx.graph));
         let plan = schedule(&cg, &NetworkModel::mbps(1.0));
         assert!(plan.consistent_with(&cg));

@@ -69,7 +69,7 @@ fn main() {
     let mut masked_total = 0usize;
     let mut undetected_with_defense = 0usize;
     let mut docs_identical = true;
-    let mut per_kind: BTreeMap<String, usize> = BTreeMap::new();
+    let mut per_kind: BTreeMap<&str, usize> = BTreeMap::new();
     for rate in [0.0, 0.1, 0.2, 0.4] {
         let mut faulted = checked.clone();
         faulted.faults = Some(FaultConfig {
@@ -86,7 +86,7 @@ fn main() {
         undetected_with_defense += i.undetected;
         docs_identical &= identical;
         for event in &i.events {
-            *per_kind.entry(event.detail.clone()).or_default() += 1;
+            *per_kind.entry(event.kind.detail()).or_default() += 1;
         }
         rows.push(vec![
             format!("{rate}"),
@@ -161,7 +161,7 @@ fn main() {
                 Json::Obj(
                     per_kind
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::num(*v as f64)))
+                        .map(|(k, v)| (k.to_string(), Json::num(*v as f64)))
                         .collect(),
                 ),
             ),

@@ -208,7 +208,12 @@ pub fn render_report(report: &RunReport) -> String {
             let _ = writeln!(
                 out,
                 "  task {} ({}) @{} attempt {}: {} -> {}",
-                e.task, e.label, e.source, e.attempt, e.kind, e.outcome
+                e.task,
+                e.label,
+                e.source,
+                e.attempt,
+                e.kind.name(),
+                e.outcome.name()
             );
         }
     }
@@ -231,10 +236,10 @@ pub fn render_report(report: &RunReport) -> String {
             },
         );
         for e in &i.events {
-            let detail = if e.detail.is_empty() {
+            let detail = if e.kind.detail().is_empty() {
                 String::new()
             } else {
-                format!("/{}", e.detail)
+                format!("/{}", e.kind.detail())
             };
             let constraint = if e.constraint.is_empty() {
                 String::new()
@@ -249,9 +254,9 @@ pub fn render_report(report: &RunReport) -> String {
                 e.source,
                 e.table,
                 e.attempt,
-                e.kind,
+                e.kind.name(),
                 detail,
-                e.outcome,
+                e.outcome.name(),
                 constraint
             );
         }

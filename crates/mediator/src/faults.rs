@@ -267,18 +267,21 @@ impl FaultOutcome {
     }
 }
 
-/// One recorded injection: which task/attempt it hit, what was injected,
-/// how it resolved, and the real seconds slept for backoff and stall.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEvent {
-    pub task: usize,
-    pub label: String,
-    pub source: String,
-    pub attempt: usize,
-    pub kind: FaultKind,
-    pub outcome: FaultOutcome,
-    pub backoff_secs: f64,
-    pub stall_secs: f64,
+crate::obs::report_struct! {
+    /// One recorded injection: which task/attempt it hit, what was injected,
+    /// how it resolved, and the real seconds slept for backoff and stall.
+    /// The report's `resilience.events` carries these records as they are.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FaultEvent {
+        pub task: usize,
+        pub label: String,
+        pub source: String,
+        pub attempt: usize,
+        pub kind: FaultKind,
+        pub outcome: FaultOutcome,
+        pub backoff_secs: f64 = wall,
+        pub stall_secs: f64 = wall,
+    }
 }
 
 /// Everything the fault layer did during one execution: the event log plus

@@ -171,11 +171,17 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts (a run report nests 5
+/// deep); the parser recurses per level, so hostile input must not choose
+/// the stack depth.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Errors carry the byte offset of the problem.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -189,6 +195,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -230,11 +237,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -358,11 +378,17 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Advance one UTF-8 character.
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape. Both are
+                    // ASCII, so the run ends on a char boundary; that it
+                    // starts on one is the parser's invariant (the input
+                    // was a `&str`), re-checked on the run alone.
+                    let len = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| "invalid UTF-8")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -442,6 +468,32 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(1_000_000)).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        }
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        // The limit is on depth, not on how many containers a document has.
+        assert!(parse(&format!("[{}[]]", "[[]],".repeat(1_000))).is_ok());
+    }
+
+    /// Parsing is linear in document size: the string scanner used to
+    /// re-validate the whole remaining input per character, so a document
+    /// of this size (the shape of a report's `tasks`, > 1 MB) took minutes
+    /// in a debug build.
+    #[test]
+    fn megabyte_documents_parse_in_linear_time() {
+        let items = vec![Json::str("gen[patient.3#0->item] é😀"); 40_000];
+        let doc = Json::Arr(vec![Json::Arr(items), Json::str("x".repeat(400_000))]);
+        let text = doc.to_compact();
+        assert!(text.len() > 1_000_000);
+        assert_eq!(parse(&text).unwrap(), doc);
     }
 
     #[test]

@@ -1,4 +1,9 @@
-//! The AIG mediator middleware (paper §5) — placeholder while modules land.
+//! The AIG mediator middleware (paper §5): unfolds a compiled AIG into a
+//! task graph over the sources, plans it (Schedule/Merge), executes it
+//! (sequentially, on per-source workers, or incrementally after a delta),
+//! tags the XML document, and records the run in a [`RunReport`].
+//! [`Mediator`] is the long-lived service, [`run_with_report`] the one-shot
+//! pipeline.
 pub mod batch;
 pub mod cost;
 pub mod delta;
@@ -39,9 +44,9 @@ pub use integrity::{CorruptionKind, IntegrityFinding, RelProfile};
 pub use json::Json;
 pub use merge::{merge, merge_pair, no_merge, MergeDecision, MergeOutcome};
 pub use obs::{
-    BatchingObs, CacheObs, FaultEventObs, IncrementalObs, IntegrityEventObs, IntegrityObs,
-    PhaseSample, Phases, PlanDeviationObs, ResilienceObs, RunReport, SchedulerObs, ServerObs,
-    ShipcutObs, SourceObs, TaskObs, SCHEMA_VERSION,
+    BatchingObs, CacheObs, IncrementalObs, IntegrityObs, PhaseSample, Phases, PlanDeviationObs,
+    ResilienceObs, RunReport, SchedulerObs, ServerObs, ShipcutObs, SourceObs, TaskObs,
+    SCHEMA_VERSION,
 };
 pub use parallel::execute_graph_parallel;
 pub use pipeline::{

@@ -649,12 +649,7 @@ pub fn run_with_report(
         )? {
             ExecuteOutcome::Complete(done) => return Ok(*done),
             ExecuteOutcome::FrontierExtend => {
-                if depth >= plan_options.max_depth {
-                    return Err(MediatorError::RecursionBudget {
-                        max_depth: plan_options.max_depth,
-                    });
-                }
-                depth = (depth * 2).min(plan_options.max_depth);
+                depth = crate::plan::next_depth(depth, plan_options.max_depth)?;
                 current = Some(plan);
             }
         }

@@ -194,6 +194,16 @@ pub fn prepare(
     )
 }
 
+/// The depth to re-unfold to when a depth-`depth` plan's frontier still
+/// produced data (§5.5): double it, capped at `max_depth`; at the cap the
+/// recursion budget is spent.
+pub(crate) fn next_depth(depth: usize, max_depth: usize) -> Result<usize, MediatorError> {
+    if depth >= max_depth {
+        return Err(MediatorError::RecursionBudget { max_depth });
+    }
+    Ok((depth * 2).min(max_depth))
+}
+
 /// Re-unfolds an existing plan to a greater depth, reusing its compiled and
 /// decomposed AIG — the frontier-promotion path of the plan cache (§5.5):
 /// only `unfold`, `graph_build`, `shipcut`, and `plan` run again.

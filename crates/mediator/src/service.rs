@@ -47,20 +47,69 @@ struct PlanKey {
     cat: u64,
 }
 
+/// A bounded map evicting its least-recently-used entry: both the plan
+/// cache and the snapshot store are one.
 #[derive(Debug)]
-struct CacheEntry {
-    plan: Arc<PreparedPlan>,
-    /// Last-use stamp for LRU eviction.
-    stamp: u64,
-}
-
-/// Bounded LRU map of prepared plans plus the depth-hint table and the
-/// service-wide counters surfaced in reports and [`CacheStats`].
-#[derive(Debug)]
-struct PlanCache {
+struct Lru<K, V> {
     capacity: usize,
     tick: u64,
-    entries: HashMap<PlanKey, CacheEntry>,
+    /// Each value with its last-use stamp.
+    entries: HashMap<K, (u64, V)>,
+}
+
+impl<K: Copy + Eq + std::hash::Hash, V> Lru<K, V> {
+    fn new(capacity: usize) -> Lru<K, V> {
+        Lru {
+            capacity: capacity.max(1),
+            tick: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Looks `key` up, marking it most recently used.
+    fn get(&mut self, key: &K) -> Option<&V> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.entries.get_mut(key).map(|(stamp, value)| {
+            *stamp = tick;
+            &*value
+        })
+    }
+
+    /// Inserts `value` as most recently used; returns whether the
+    /// least-recently-used entry was evicted to make room.
+    fn insert(&mut self, key: K, value: V) -> bool {
+        // `capacity >= 1`, so a full map always has an entry to evict.
+        let full = !self.entries.contains_key(&key) && self.entries.len() >= self.capacity;
+        if full {
+            let lru = self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp);
+            if let Some(lru) = lru.map(|(k, _)| *k) {
+                self.entries.remove(&lru);
+            }
+        }
+        self.tick += 1;
+        self.entries.insert(key, (self.tick, value));
+        full
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries.values_mut().map(|(_, value)| value)
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// The LRU of prepared plans plus the depth-hint table and the service-wide
+/// counters surfaced in reports and [`CacheStats`].
+#[derive(Debug)]
+struct PlanCache {
+    plans: Lru<PlanKey, Arc<PreparedPlan>>,
     /// (aig fingerprint, opts fingerprint) → deepest promoted depth, so
     /// requests after a frontier promotion start deep enough immediately.
     hints: HashMap<(u64, u64), usize>,
@@ -76,9 +125,7 @@ struct PlanCache {
 impl PlanCache {
     fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            entries: HashMap::new(),
+            plans: Lru::new(capacity),
             hints: HashMap::new(),
             hits: 0,
             misses: 0,
@@ -86,38 +133,6 @@ impl PlanCache {
             evictions: 0,
             invalidations: 0,
         }
-    }
-
-    fn get(&mut self, key: &PlanKey) -> Option<Arc<PreparedPlan>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
-            e.stamp = tick;
-            e.plan.clone()
-        })
-    }
-
-    fn insert(&mut self, key: PlanKey, plan: Arc<PreparedPlan>) {
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            // Evict the least-recently-used entry.
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&lru);
-                self.evictions += 1;
-            }
-        }
-        self.tick += 1;
-        self.entries.insert(
-            key,
-            CacheEntry {
-                plan,
-                stamp: self.tick,
-            },
-        );
     }
 }
 
@@ -141,57 +156,6 @@ struct RunSnapshot {
     measured: Vec<Measured>,
     run: MediatorRun,
     dirty: BTreeSet<(String, String)>,
-    /// Last-use stamp for LRU eviction.
-    stamp: u64,
-}
-
-/// Bounded LRU map of run snapshots, keyed by (plan, arguments).
-#[derive(Debug)]
-struct SnapshotStore {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<SnapKey, RunSnapshot>,
-}
-
-impl SnapshotStore {
-    fn new(capacity: usize) -> SnapshotStore {
-        SnapshotStore {
-            capacity: capacity.max(1),
-            tick: 0,
-            entries: HashMap::new(),
-        }
-    }
-
-    fn get(&mut self, key: &SnapKey) -> Option<RunSnapshot> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|snap| {
-            snap.stamp = tick;
-            snap.clone()
-        })
-    }
-
-    fn insert(&mut self, key: SnapKey, mut snap: RunSnapshot) {
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&lru);
-            }
-        }
-        self.tick += 1;
-        snap.stamp = self.tick;
-        self.entries.insert(key, snap);
-    }
-
-    fn mark_dirty(&mut self, touched: &BTreeSet<(String, String)>) {
-        for snap in self.entries.values_mut() {
-            snap.dirty.extend(touched.iter().cloned());
-        }
-    }
 }
 
 /// Snapshot of the plan cache's counters.
@@ -294,7 +258,7 @@ pub struct Mediator {
     /// Retained run snapshots for incremental re-evaluation; only consulted
     /// when [`ExecPolicy::incremental`] is on, but always maintained so
     /// enabling the policy mid-stream needs no special casing.
-    snapshots: Mutex<SnapshotStore>,
+    snapshots: Mutex<Lru<SnapKey, RunSnapshot>>,
 }
 
 /// FNV-1a over the sorted argument bindings — the snapshot-key component
@@ -363,7 +327,7 @@ impl Mediator {
             cat_fp,
             exec_opts,
             cache: Mutex::new(PlanCache::new(capacity)),
-            snapshots: Mutex::new(SnapshotStore::new(capacity)),
+            snapshots: Mutex::new(Lru::new(capacity)),
         })
     }
 
@@ -386,7 +350,7 @@ impl Mediator {
         // Arbitrary mutation bypasses delta tracking, so every retained
         // snapshot may silently embed stale data: drop them all. Deltas
         // that want snapshots kept warm go through [`Mediator::apply_delta`].
-        self.lock_snapshots().entries.clear();
+        self.lock_snapshots().clear();
         let cat_fp = self.catalog.schema_fingerprint();
         if cat_fp != self.cat_fp {
             self.cat_fp = cat_fp;
@@ -395,7 +359,7 @@ impl Mediator {
                 None => None,
             };
             let mut cache = self.lock();
-            cache.entries.clear();
+            cache.plans.clear();
             cache.hints.clear();
             cache.invalidations += 1;
         }
@@ -420,14 +384,16 @@ impl Mediator {
             "row deltas must not move the schema fingerprint"
         );
         if !applied.touched.is_empty() {
-            self.lock_snapshots().mark_dirty(&applied.touched);
+            for snap in self.lock_snapshots().values_mut() {
+                snap.dirty.extend(applied.touched.iter().cloned());
+            }
         }
         Ok(applied)
     }
 
     /// Run snapshots currently retained for incremental re-evaluation.
     pub fn snapshot_count(&self) -> usize {
-        self.lock_snapshots().entries.len()
+        self.lock_snapshots().len()
     }
 
     pub fn plan_options(&self) -> &PlanOptions {
@@ -447,8 +413,8 @@ impl Mediator {
             promotions: cache.promotions,
             evictions: cache.evictions,
             invalidations: cache.invalidations,
-            entries: cache.entries.len(),
-            capacity: cache.capacity,
+            entries: cache.plans.len(),
+            capacity: cache.plans.capacity,
         }
     }
 
@@ -566,7 +532,7 @@ impl Mediator {
                 args: args_fp,
             };
             let snapshot = if use_snapshots {
-                self.lock_snapshots().get(&snap_key)
+                self.lock_snapshots().get(&snap_key).cloned()
             } else {
                 None
             };
@@ -618,7 +584,6 @@ impl Mediator {
                                 measured,
                                 run: run.clone(),
                                 dirty: BTreeSet::new(),
-                                stamp: 0,
                             },
                         );
                     }
@@ -636,12 +601,7 @@ impl Mediator {
                     });
                 }
                 FullOutcome::FrontierExtend => {
-                    if plan.depth >= self.plan_options.max_depth {
-                        return Err(MediatorError::RecursionBudget {
-                            max_depth: self.plan_options.max_depth,
-                        });
-                    }
-                    depth = (plan.depth * 2).min(self.plan_options.max_depth);
+                    depth = crate::plan::next_depth(plan.depth, self.plan_options.max_depth)?;
                     promoted = true;
                     prev = Some(plan);
                 }
@@ -818,7 +778,7 @@ impl Mediator {
         self.cache.lock().expect("plan cache lock poisoned")
     }
 
-    fn lock_snapshots(&self) -> std::sync::MutexGuard<'_, SnapshotStore> {
+    fn lock_snapshots(&self) -> std::sync::MutexGuard<'_, Lru<SnapKey, RunSnapshot>> {
         self.snapshots.lock().expect("snapshot store lock poisoned")
     }
 
@@ -863,7 +823,7 @@ impl Mediator {
             let hint = cache.hints.entry((fp, self.opts_fp)).or_insert(0);
             *hint = (*hint).max(depth);
         }
-        if let Some(plan) = cache.get(&key) {
+        if let Some(plan) = cache.plans.get(&key).cloned() {
             cache.hits += 1;
             return Ok((plan, true));
         }
@@ -879,7 +839,7 @@ impl Mediator {
                 phases,
             )?,
         });
-        cache.insert(key, plan.clone());
+        cache.evictions += u64::from(cache.plans.insert(key, plan.clone()));
         Ok((plan, false))
     }
 
@@ -893,8 +853,8 @@ impl Mediator {
             misses: cache.misses,
             promotions: cache.promotions,
             evictions: cache.evictions,
-            entries: cache.entries.len(),
-            capacity: cache.capacity,
+            entries: cache.plans.len(),
+            capacity: cache.plans.capacity,
         }
     }
 }

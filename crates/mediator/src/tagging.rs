@@ -128,13 +128,11 @@ impl Tagger<'_> {
                     if item.star {
                         let tag = occ_tag(self.aig, &binding.occ, pos);
                         let child_binding = self.binding(&Occ::mat(item.elem))?;
-                        let t_child = self.store.get(&RelKey::Instances(item.elem))?;
                         if let Some(rows) = self.children_index.get(&(item.elem, tag, rowid)) {
                             for &child_pos in rows {
                                 let child_node =
                                     tree.add_element(node, child_info.tag().to_string());
                                 self.tag_children(tree, child_node, child_binding, child_pos)?;
-                                let _ = t_child;
                             }
                         }
                     } else {

@@ -20,7 +20,7 @@ use aig_core::spec::Aig;
 use aig_datagen::{cover_delta, price_delta, visit_delta, HospitalConfig};
 use aig_mediator::delta::rerun_mask;
 use aig_mediator::exec::Scheduling;
-use aig_mediator::faults::{FaultConfig, RetryPolicy};
+use aig_mediator::faults::{FaultConfig, FaultOutcome, RetryPolicy};
 use aig_mediator::{Mediator, MediatorOptions};
 use aig_relstore::{Catalog, Database, SourceDelta, Value};
 
@@ -363,7 +363,7 @@ fn hard_outage_cell_fails_over_only_the_rerun_tasks() {
     assert!(rerun_at_db3 > 0, "the price delta re-ran no DB3 task");
     assert!(report.incremental.tasks_rerun < report.incremental.tasks_total);
     let failed_over: Vec<usize> = (report.resilience.events.iter())
-        .filter(|e| e.outcome == "failed_over")
+        .filter(|e| e.outcome == FaultOutcome::FailedOver)
         .map(|e| e.task)
         .collect();
     assert_eq!(failed_over.len(), rerun_at_db3);

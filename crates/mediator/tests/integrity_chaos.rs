@@ -484,9 +484,9 @@ fn pipeline_reports_the_integrity_ledger() {
         assert_eq!(i.undetected, 0);
         assert!(i.balanced);
         for event in &i.events {
-            assert_eq!(event.kind, "corrupt-row");
-            assert_eq!(event.outcome, "masked_by_retry");
-            assert!(!event.detail.is_empty());
+            assert!(matches!(event.kind, WrongAnswerKind::CorruptRow(_)));
+            assert_eq!(event.outcome, IntegrityOutcome::MaskedByRetry);
+            assert!(!event.kind.detail().is_empty());
             assert!(!event.constraint.is_empty());
         }
         let json = report.to_json().to_pretty();

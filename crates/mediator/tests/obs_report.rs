@@ -254,11 +254,11 @@ fn json_v6_reaches_a_fixpoint_with_integrity_ledger_and_big_seed() {
     for (json_event, event) in events.iter().zip(&report.integrity.events) {
         assert_eq!(
             json_event.get("kind").and_then(|v| v.as_str()),
-            Some(event.kind.as_str())
+            Some(event.kind.name())
         );
         assert_eq!(
             json_event.get("outcome").and_then(|v| v.as_str()),
-            Some(event.outcome.as_str())
+            Some(event.outcome.name())
         );
         assert_eq!(
             json_event.get("constraint").and_then(|v| v.as_str()),

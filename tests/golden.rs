@@ -5,11 +5,14 @@
 use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::{compile_constraints, decompose_queries};
 use aig_mediator::cost::{estimated_costs, CostGraph};
+use aig_mediator::faults::{FaultConfig, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions};
+use aig_mediator::obs::ReportValue;
 use aig_mediator::schedule::schedule;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{
-    render_graph, render_plan, render_report, run_with_report, MediatorOptions, NetworkModel,
+    render_graph, render_plan, render_report, run_with_report, CacheObs, Json, Mediator,
+    MediatorOptions, NetworkModel, PlanDeviationObs, RunReport, ServerObs,
 };
 use aig_relstore::Value;
 use std::fs;
@@ -78,4 +81,177 @@ fn run_report_rendering_and_json_are_stable() {
     let mut json = redacted.to_json().to_pretty();
     json.push('\n');
     check("report.json", &json);
+}
+
+/// A deterministic report with **every** section populated: a sequential
+/// incremental mediator over the tiny hospital with seeded transient faults
+/// and corruptions (all masked by retry), the integrity guard and 256-row
+/// batching on, refreshed after a billing price delta. What a deterministic
+/// run cannot produce — scheduler deviations, a promoted/evicting cache, a
+/// server ledger — is filled by assignment. Both seeds exceed 2^53.
+fn populated_report() -> RunReport {
+    let data = aig_datagen::HospitalConfig::tiny(11).generate().unwrap();
+    let aig = sigma0().unwrap();
+    let mut graph = GraphOptions {
+        eval_scale: 0.0,
+        ..GraphOptions::default()
+    };
+    graph.cost_model.per_query_overhead_secs = 1.0;
+    let options = MediatorOptions::builder()
+        .unfold_depth(3)
+        .network(NetworkModel::mbps(1.0))
+        .graph(graph)
+        .incremental(true)
+        .check_integrity(true)
+        .batching(true)
+        .batch_rows(256)
+        .faults(Some(FaultConfig {
+            seed: (1 << 60) + 12,
+            transient_rate: 0.4,
+            corrupt_rate: 0.5,
+            ..FaultConfig::default()
+        }))
+        .retry(RetryPolicy {
+            max_attempts: 12,
+            backoff_base_secs: 0.0001,
+            backoff_cap_secs: 0.001,
+            jitter: 0.5,
+            timeout_secs: f64::INFINITY,
+        })
+        .build()
+        .unwrap();
+    let mut mediator = Mediator::new(data.catalog, &options).unwrap();
+    let args = [("date", Value::str(&data.dates[0]))];
+    mediator.request(&aig, &args).unwrap();
+    let (deletes, inserts) = aig_datagen::price_delta(mediator.catalog(), 3, 5).unwrap();
+    mediator.apply_delta(&deletes).unwrap();
+    mediator.apply_delta(&inserts).unwrap();
+    let (_, mut report) = mediator.request(&aig, &args).unwrap();
+
+    assert!(report.incremental.snapshot_hit && !report.incremental.dirty_tables.is_empty());
+    assert!(report.resilience.retried > 0 && report.integrity.masked_by_retry > 0);
+    assert!(report.batching.enabled && !report.merge_decisions.is_empty());
+    report.scheduler.mode = "dynamic".to_string();
+    report.scheduler.picks = 2;
+    report.scheduler.deviations = vec![PlanDeviationObs {
+        task: 3,
+        label: report.tasks[3].label.clone(),
+        source: report.tasks[3].source.clone(),
+        planned_pos: 1,
+        actual_pos: 0,
+        priority: 2.5,
+    }];
+    report.cache = CacheObs {
+        enabled: true,
+        hit: true,
+        promoted: true,
+        hits: 5,
+        misses: 2,
+        promotions: 1,
+        evictions: 3,
+        entries: 4,
+        capacity: 8,
+    };
+    report.server = ServerObs {
+        enabled: true,
+        seed: u64::MAX - 1,
+        offered: 12,
+        admitted: 10,
+        rejected: 2,
+        rejected_queue: 1,
+        rejected_in_flight: 0,
+        rejected_tenant: 1,
+        completed: 7,
+        deadline_exceeded: 1,
+        degraded: 1,
+        failed: 1,
+        breaker_trips: 2,
+        breaker_probes: 3,
+        breaker_closes: 1,
+        max_queue_depth: 4,
+        max_in_flight: 2,
+        p50_secs: 0.125,
+        p95_secs: 0.5,
+        p99_secs: 1.75,
+        balanced: true,
+    };
+    report
+}
+
+/// The full-schema golden: `report.json` above only exercises default
+/// sections. `report_full.json` was generated by the hand-written encoder of
+/// commit dd74cf7 (PR 13), before the report format moved into the struct
+/// declarations of `obs.rs`, and must keep passing byte for byte.
+#[test]
+fn fully_populated_report_json_is_stable() {
+    let mut json = populated_report().redacted().to_json().to_pretty();
+    json.push('\n');
+    check("report_full.json", &json);
+}
+
+/// Calls `f(key, number)` for every number in `json`, `key` being the
+/// innermost object key above it, and checks no array is empty — an empty
+/// section would hide its struct from the tests over [`populated_report`].
+fn each_number<'a>(json: &'a Json, key: &'a str, f: &mut impl FnMut(&'a str, f64)) {
+    match json {
+        Json::Num(n) => f(key, *n),
+        Json::Arr(items) => {
+            assert!(
+                !items.is_empty(),
+                "`{key}` is empty in the populated report"
+            );
+            items.iter().for_each(|item| each_number(item, key, f));
+        }
+        Json::Obj(fields) => fields.iter().for_each(|(k, v)| each_number(v, k, f)),
+        _ => {}
+    }
+}
+
+/// Redaction zeroes exactly the `f64` fields their declarations mark
+/// `= wall`. The key lists come from the field tables (`each_f64` reports
+/// each field's key and marker), not from this test. First, with every `f64`
+/// of a fully populated report set to a sentinel, the sentinel survives
+/// redaction under the keys declared `= det` and nowhere else — an encoder
+/// that drops or renames an `f64` key fails here. Second, a real wall-clock
+/// reading is never a whole number, so in the redacted *measured* report a
+/// fraction may only sit under a `= det` key — a struct the walk does not
+/// reach fails here.
+#[test]
+fn redaction_zeroes_exactly_the_declared_wall_clock_fields() {
+    const SENTINEL: f64 = 1234.5678;
+    let measured = populated_report();
+    let mut report = measured.clone();
+    let (mut deterministic, mut wall) = (Vec::new(), Vec::new());
+    report.each_f64(&mut |key, wall_clock, value| {
+        *value = SENTINEL;
+        // A dotted key nests under an object; the leaf is the last segment.
+        let leaf = key.rsplit('.').next().unwrap();
+        if wall_clock {
+            &mut wall
+        } else {
+            &mut deterministic
+        }
+        .push(leaf);
+    });
+    assert!(wall.contains(&"total_secs") && wall.contains(&"stall_secs"));
+    assert!(deterministic.contains(&"response_merged_secs"));
+
+    let json = report.redacted().to_json();
+    let mut survivors = Vec::new();
+    each_number(&json, "", &mut |key, n| {
+        if n == SENTINEL {
+            survivors.push(key);
+        }
+    });
+    deterministic.sort_unstable();
+    survivors.sort_unstable();
+    assert_eq!(survivors, deterministic);
+
+    assert!(measured.total_secs.fract() != 0.0 && measured.tasks[6].secs.fract() != 0.0);
+    each_number(&measured.redacted().to_json(), "", &mut |key, n| {
+        assert!(
+            n.fract() == 0.0 || deterministic.contains(&key),
+            "`{key}` = {n} survived redaction without being declared `= det`"
+        );
+    });
 }

@@ -22,9 +22,9 @@ use aig_core::attrs::FieldType;
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, SetExpr, ValueExpr};
 use aig_core::AigError;
-use aig_relstore::intern;
-use aig_relstore::par::stable_sort_rows_with;
-use aig_relstore::{Catalog, Relation, SourceId, Value};
+use aig_relstore::intern::{self, Reader};
+use aig_relstore::par::{apply_perm, sort_perm};
+use aig_relstore::{Catalog, Relation, SourceId, StoreError, Sym, Value};
 use aig_sql::{
     execute_streamed as sql_execute_streamed, execute_tuned as sql_execute_tuned,
     IncrementalDistinct, ParamValue, Params,
@@ -33,6 +33,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+#[cfg(test)]
+mod columnar_tests;
 
 /// How the parallel executor orders tasks at each source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -620,10 +623,12 @@ pub(crate) fn ship_image_bytes(opts: &ExecOptions, task_id: usize, rel: &Relatio
 /// Total rows across the task's distinct input relations (observability
 /// accounting; reads that fail — e.g. a producer with no output — count 0).
 fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
-    let mut seen = HashSet::new();
+    // A task has a handful of dependencies: dedup by scanning, not hashing.
+    let mut seen: Vec<&RelKey> = Vec::with_capacity(task.deps.len());
     let mut rows = 0.0;
     for (_, key) in &task.deps {
-        if seen.insert(key) {
+        if !seen.contains(&key) {
+            seen.push(key);
             if let Ok(rel) = store.rel(key) {
                 rows += rel.len() as f64;
             }
@@ -781,66 +786,75 @@ impl<S: RelSource> Executor<'_, S> {
                     columns.extend(rel.columns().iter().skip(1).cloned());
                     rel.with_columns(columns)
                 };
-                // Build child rows: parent, ord, scalar fields in decl order.
+                // Child columns: parent, ord, scalar fields in decl order.
                 let base = self.store.rel(&RelKey::Instances(parent.base))?;
                 let base_rows = index_by_rowid(base)?;
-                let mut out_columns = vec!["__parent".to_string(), "__ord".to_string()];
-                let scalar_fields: Vec<&str> = child_info
-                    .inh
+                let out_columns = child_columns(&child_info.inh);
+                let parents = raw.col_syms(raw.col("__parent")?);
+                let parent_rows: Vec<u32> = parents
                     .iter()
-                    .filter(|f| f.ty.is_scalar())
-                    .map(|f| f.name.as_str())
-                    .collect();
-                out_columns.extend(scalar_fields.iter().map(|s| s.to_string()));
-                // Column positions in the raw output.
-                let parent_col = raw.col("__parent")?;
-                let mut rows: Vec<Vec<Value>> = Vec::with_capacity(raw.len());
-                for r in 0..raw.len() {
-                    let parent_id = raw.cell(r, parent_col).clone();
-                    let parent_idx = base_rows.get(&parent_id).copied().ok_or_else(|| {
+                    .map(|p| base_rows.get(p).copied())
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| {
                         MediatorError::Internal("generator row with unknown parent".into())
                     })?;
-                    let mut row = vec![parent_id, Value::int(0)];
-                    for field in &scalar_fields {
-                        if generated_fields.iter().any(|g| g == field) {
-                            let c = raw.col(field)?;
-                            row.push(raw.cell(r, c).clone());
-                        } else if let Some((_, bind)) = broadcast.iter().find(|(n, _)| n == field) {
-                            row.push(match bind {
-                                ScalarBind::Const(v) => v.clone(),
-                                ScalarBind::Col(c) => base.cell(parent_idx, base.col(c)?).clone(),
-                            });
-                        } else {
-                            return Err(MediatorError::Internal(format!(
-                                "field `{field}` neither generated nor broadcast"
-                            )));
+                if raw.is_empty() {
+                    return Ok(Some(Relation::empty(out_columns)));
+                }
+                // Where each field column reads from, resolved once: the
+                // query output at the row's own position (generated) or the
+                // parent's base row (broadcast).
+                let mut key_cols: Vec<&[Sym]> = vec![parents];
+                let mut fields: Vec<(bool, ScalarCol)> = Vec::new();
+                for field in &out_columns[2..] {
+                    if generated_fields.iter().any(|g| g == field) {
+                        let c = raw.col(field)?;
+                        key_cols.push(raw.col_syms(c));
+                        fields.push((true, ScalarCol::Col(c)));
+                    } else if let Some((_, bind)) = broadcast.iter().find(|(n, _)| n == field) {
+                        fields.push((false, ScalarCol::of_bind(bind, base)?));
+                    } else {
+                        return Err(MediatorError::Internal(format!(
+                            "field `{field}` neither generated nor broadcast"
+                        )));
+                    }
+                }
+                // Canonical per-parent order: (parent, fields), then ordinal —
+                // a stable argsort in value-domain order (never symbol
+                // order), partitioned over the configured threads for large
+                // outputs. Rows of one parent agree on every broadcast
+                // field, so the generated fields alone break ties.
+                let perm = {
+                    let reader = Reader::snapshot();
+                    let (threads, threshold) = (self.opts.threads(), self.opts.par_threshold());
+                    sort_perm(raw.len(), threads, threshold, |a, b| {
+                        key_cols
+                            .iter()
+                            .map(|k| reader.cmp(k[a as usize], k[b as usize]))
+                            .find(|o| o.is_ne())
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                };
+                let sorted_parents = apply_perm(parents, &perm);
+                // Ordinals restart per parent: each is interned once per task.
+                let (mut ord, mut ord_syms) = (0, Vec::new());
+                let ords: Vec<Sym> = (0..sorted_parents.len())
+                    .map(|i| {
+                        let same_parent = i > 0 && sorted_parents[i - 1] == sorted_parents[i];
+                        ord = if same_parent { ord + 1 } else { 0 };
+                        if ord == ord_syms.len() {
+                            ord_syms.push(intern::intern(&Value::int(ord as i64)));
                         }
-                    }
-                    rows.push(row);
-                }
-                // Canonical per-parent order: (parent, fields), then ordinal.
-                // Compared by reference — no per-comparison clones — and
-                // partitioned over the configured threads for large outputs.
-                stable_sort_rows_with(
-                    &mut rows,
-                    self.opts.threads(),
-                    self.opts.par_threshold(),
-                    |a, b| a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..])),
-                );
-                let mut last_parent: Option<Value> = None;
-                let mut ord = 0i64;
-                let mut finished: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-                for mut row in rows {
-                    if last_parent.as_ref() != Some(&row[0]) {
-                        ord = 0;
-                        last_parent = Some(row[0].clone());
-                    }
-                    row[1] = Value::int(ord);
-                    ord += 1;
-                    finished.push(row);
-                }
-                let rel = Relation::new(out_columns, finished).map_err(MediatorError::Store)?;
-                Ok(Some(rel))
+                        ord_syms[ord]
+                    })
+                    .collect();
+                let sorted_rows = apply_perm(&parent_rows, &perm);
+                let mut cols = vec![sorted_parents, ords];
+                cols.extend(fields.iter().map(|(generated, col)| match generated {
+                    true => col.gather(&raw, &perm),
+                    false => col.gather(base, &sorted_rows),
+                }));
+                Ok(Some(Relation::try_from_columns(out_columns, cols)?))
             }
             TaskKind::InhSetQuery {
                 target,
@@ -862,10 +876,8 @@ impl<S: RelSource> Executor<'_, S> {
                 Ok(Some(rel))
             }
             TaskKind::Assemble { elem, inputs } => {
-                let info = self.aig.elem_info(*elem);
-                let columns = instance_columns(&info.inh);
-                let mut rel = Relation::empty(columns);
-                let mut rowid = 0i64;
+                let columns = instance_columns(&self.aig.elem_info(*elem).inh);
+                let mut cols: Vec<Vec<Sym>> = vec![Vec::new(); columns.len()];
                 for input in inputs {
                     let occ_value = match input {
                         RelKey::GenOut(occ, item) => occ_tag(self.aig, occ, *item),
@@ -876,125 +888,126 @@ impl<S: RelSource> Executor<'_, S> {
                             )))
                         }
                     };
+                    // part: __parent, __ord, fields… — concatenated under
+                    // __rowid, __parent, __ord, __occ, fields…
                     let part = self.store.rel(input)?;
-                    for r in 0..part.len() {
-                        // part: __parent, __ord, fields…
-                        let mut out = Vec::with_capacity(part.arity() + 2);
-                        out.push(Value::int(rowid));
-                        rowid += 1;
-                        out.push(part.cell(r, 0).clone());
-                        out.push(part.cell(r, 1).clone());
-                        out.push(Value::str(occ_value.clone()));
-                        out.extend((2..part.arity()).map(|c| part.cell(r, c).clone()));
-                        rel.push(out);
+                    if part.arity() + 2 != columns.len() {
+                        return Err(MediatorError::Store(StoreError::SchemaMismatch {
+                            table: "<relation>".to_string(),
+                            msg: format!(
+                                "assemble input `{occ_value}` has {} columns, {} expected",
+                                part.arity(),
+                                columns.len() - 2
+                            ),
+                        }));
+                    }
+                    let occ = intern::intern_owned(Value::str(occ_value));
+                    cols[1].extend_from_slice(part.col_syms(0));
+                    cols[2].extend_from_slice(part.col_syms(1));
+                    cols[3].extend(std::iter::repeat_n(occ, part.len()));
+                    for c in 2..part.arity() {
+                        cols[c + 2].extend_from_slice(part.col_syms(c));
                     }
                 }
-                Ok(Some(rel))
+                cols[0] = (0..cols[1].len() as i64)
+                    .map(|rowid| intern::intern(&Value::int(rowid)))
+                    .collect();
+                Ok(Some(Relation::try_from_columns(columns, cols)?))
             }
             TaskKind::Cond { occ, query } => {
-                let elem_name = self.aig.elem_name(self.binding(occ)?.elem).to_string();
+                let elem_name = self.aig.elem_name(self.binding(occ)?.elem);
+                let bad = |detail: String| {
+                    MediatorError::Aig(AigError::BadConditionResult {
+                        elem: elem_name.to_string(),
+                        detail,
+                    })
+                };
                 let raw = self.run_vector_query(query)?;
                 let base = self.store.rel(&RelKey::Instances(occ.base))?;
-                // Exactly one row per owner; the pick is an integer.
-                let mut picks: HashMap<Value, i64> = HashMap::new();
                 let parent_col = raw.col("__parent")?;
                 if raw.arity() != 2 {
-                    return Err(MediatorError::Aig(AigError::BadConditionResult {
-                        elem: elem_name,
-                        detail: format!("condition query returns {} columns", raw.arity() - 1),
-                    }));
+                    return Err(bad(format!(
+                        "condition query returns {} columns",
+                        raw.arity() - 1
+                    )));
                 }
-                for r in 0..raw.len() {
-                    // `__parent` is always prepended first; the pick value
-                    // is the remaining column.
-                    let pick = match raw.cell(r, 1) {
-                        Value::Int(i) => *i,
-                        Value::Str(s) => s.parse::<i64>().map_err(|_| {
-                            MediatorError::Aig(AigError::BadConditionResult {
-                                elem: elem_name.clone(),
-                                detail: format!("value {s:?} is not an integer"),
-                            })
-                        })?,
-                        Value::Null => {
-                            return Err(MediatorError::Aig(AigError::BadConditionResult {
-                                elem: elem_name,
-                                detail: "condition query returned NULL".to_string(),
-                            }))
-                        }
+                // Exactly one row per owner; the pick is an integer.
+                // `__parent` is always prepended first; the pick value is
+                // the remaining column.
+                let reader = Reader::snapshot();
+                let mut picks: HashMap<Sym, Sym> = HashMap::with_capacity(raw.len());
+                for (&owner, &value) in raw.col_syms(parent_col).iter().zip(raw.col_syms(1)) {
+                    let pick = match reader.get(value) {
+                        Value::Int(_) => value,
+                        Value::Str(s) => match s.parse::<i64>() {
+                            Ok(i) => intern::intern(&Value::int(i)),
+                            Err(_) => return Err(bad(format!("value {s:?} is not an integer"))),
+                        },
+                        Value::Null => return Err(bad("condition query returned NULL".into())),
                     };
-                    if picks
-                        .insert(raw.cell(r, parent_col).clone(), pick)
-                        .is_some()
-                    {
-                        return Err(MediatorError::Aig(AigError::BadConditionResult {
-                            elem: elem_name,
-                            detail: "more than one row for an instance".to_string(),
-                        }));
+                    if picks.insert(owner, pick).is_some() {
+                        return Err(bad("more than one row for an instance".into()));
                     }
                 }
                 if picks.len() != base.len() {
-                    return Err(MediatorError::Aig(AigError::BadConditionResult {
-                        elem: elem_name,
-                        detail: format!(
-                            "condition produced {} picks for {} instances",
-                            picks.len(),
-                            base.len()
-                        ),
-                    }));
+                    return Err(bad(format!(
+                        "condition produced {} picks for {} instances",
+                        picks.len(),
+                        base.len()
+                    )));
                 }
-                let mut rel = Relation::empty(vec!["__owner".into(), "__pick".into()]);
-                let rowid_col = base.col("__rowid")?;
-                for r in 0..base.len() {
-                    let owner = base.cell(r, rowid_col).clone();
-                    let pick = picks[&owner];
-                    rel.push(vec![owner, Value::int(pick)]);
-                }
-                Ok(Some(rel))
+                // As many distinct owners as instances: an instance without
+                // a pick means some row answers for an instance that is not
+                // there (a corrupted `__parent`, say).
+                let owners = base.col_syms(base.col("__rowid")?);
+                let pick_col: Vec<Sym> = owners
+                    .iter()
+                    .map(|owner| picks.get(owner).copied())
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| bad("condition row for unknown instance".into()))?;
+                let columns = vec!["__owner".into(), "__pick".into()];
+                let cols = vec![owners.to_vec(), pick_col];
+                Ok(Some(Relation::try_from_columns(columns, cols)?))
             }
             TaskKind::BranchMat { occ, branch } => {
-                let binding = self.binding(occ)?.clone();
+                let binding = self.binding(occ)?;
                 let info = self.aig.elem_info(binding.elem);
                 let Prod::Choice { branches, .. } = &info.prod else {
                     return Err(MediatorError::Internal("branch of non-choice".into()));
                 };
                 let spec = &branches[*branch];
-                let child_info = self.aig.elem_info(spec.elem);
-                let picks = self.store.rel(&RelKey::Pick(occ.clone()))?.clone();
-                let base = self.store.rel(&RelKey::Instances(occ.base))?.clone();
-                let base_rows = index_by_rowid(&base)?;
-                let mut columns = vec!["__parent".to_string(), "__ord".to_string()];
-                let scalar_fields: Vec<&str> = child_info
-                    .inh
-                    .iter()
-                    .filter(|f| f.ty.is_scalar())
-                    .map(|f| f.name.as_str())
-                    .collect();
-                columns.extend(scalar_fields.iter().map(|s| s.to_string()));
-                let mut rel = Relation::empty(columns);
-                for r in 0..picks.len() {
-                    if picks.cell(r, 1) != &Value::int(*branch as i64 + 1) {
-                        continue;
+                let picks = self.store.rel(&RelKey::Pick(occ.clone()))?;
+                let base = self.store.rel(&RelKey::Instances(occ.base))?;
+                let base_rows = index_by_rowid(base)?;
+                let columns = child_columns(&self.aig.elem_info(spec.elem).inh);
+                // The owners that picked this branch, and their base rows; a
+                // never-interned pick value is one no owner can carry.
+                let wanted = intern::lookup(&Value::int(*branch as i64 + 1));
+                let (mut owners, mut rows) = (Vec::new(), Vec::new());
+                for (&owner, &pick) in picks.col_syms(0).iter().zip(picks.col_syms(1)) {
+                    if Some(pick) == wanted {
+                        rows.push(*base_rows.get(&owner).ok_or_else(|| {
+                            MediatorError::Internal("branch row with unknown owner".into())
+                        })?);
+                        owners.push(owner);
                     }
-                    let owner = picks.cell(r, 0).clone();
-                    let base_idx = base_rows[&owner];
-                    let mut out = vec![owner, Value::int(0)];
-                    for field in &scalar_fields {
-                        let rule = spec
-                            .assigns
-                            .iter()
-                            .find(|(f, _)| f == field)
-                            .map(|(_, r)| r);
-                        let value = match rule {
-                            Some(FieldRule::Scalar(expr)) => {
-                                self.scalar_at(&binding, expr, &base, base_idx)?
-                            }
-                            _ => Value::Null,
-                        };
-                        out.push(value);
-                    }
-                    rel.push(out);
                 }
-                Ok(Some(rel))
+                if owners.is_empty() {
+                    return Ok(Some(Relation::empty(columns)));
+                }
+                let ords = vec![intern::intern(&Value::int(0)); owners.len()];
+                let mut cols = vec![owners, ords];
+                for field in &columns[2..] {
+                    let rule = spec.assigns.iter().find(|(f, _)| f == field);
+                    cols.push(match rule {
+                        Some((_, FieldRule::Scalar(expr))) => {
+                            scalar_col(self.aig, binding, expr, base, "scalar expression at")?
+                                .gather(base, &rows)
+                        }
+                        _ => vec![Sym::NULL; rows.len()],
+                    });
+                }
+                Ok(Some(Relation::try_from_columns(columns, cols)?))
             }
             TaskKind::SynAgg { occ, field } => Ok(Some(self.compute_syn(occ, field)?)),
             TaskKind::Guard { occ, guard } => {
@@ -1080,33 +1093,9 @@ impl<S: RelSource> Executor<'_, S> {
         }
     }
 
-    /// Resolves a scalar rule expression for a specific base row.
-    fn scalar_at(
-        &self,
-        binding: &Binding,
-        expr: &ValueExpr,
-        base: &Relation,
-        base_idx: usize,
-    ) -> Result<Value, MediatorError> {
-        match resolve_scalar(self.aig, binding.elem, expr) {
-            Some(ResolvedScalar::Const(v)) => Ok(v),
-            Some(ResolvedScalar::InhField(f)) => match binding.scalars.get(&f) {
-                Some(ScalarBind::Const(v)) => Ok(v.clone()),
-                Some(ScalarBind::Col(c)) => Ok(base.cell(base_idx, base.col(c)?).clone()),
-                None => Err(MediatorError::Internal(format!(
-                    "missing scalar binding `{f}`"
-                ))),
-            },
-            None => Err(MediatorError::Unsupported(format!(
-                "scalar expression at `{}` does not resolve through copy chains",
-                self.aig.elem_name(binding.elem)
-            ))),
-        }
-    }
-
     /// Computes a synthesized set/bag table `(__owner, comps…)`.
     fn compute_syn(&self, occ: &Occ, field: &str) -> Result<Relation, MediatorError> {
-        let binding = self.binding(occ)?.clone();
+        let binding = self.binding(occ)?;
         let info = self.aig.elem_info(binding.elem);
         let decl = info
             .syn
@@ -1130,26 +1119,9 @@ impl<S: RelSource> Executor<'_, S> {
                     match rule.map(|r| &r.rule) {
                         None | Some(FieldRule::Set(SetExpr::Empty)) => {}
                         Some(FieldRule::Set(SetExpr::ChildSyn { item: 0, field: f })) => {
-                            // Child syn keyed by the branch child's rowids →
-                            // re-key to the owner through the branch table.
-                            let child_occ = Occ::mat(branch.elem);
-                            let key = resolve_syn_key(
-                                self.aig,
-                                &self.graph.bindings,
-                                &child_occ,
-                                branch.elem,
-                                f,
-                            )?;
-                            let child_syn = self.store.rel(&key)?;
-                            let t_child = self.store.rel(&RelKey::Instances(branch.elem))?;
                             let tag = branch_tag(self.aig, occ, bno);
-                            let (rc, pc, oc) = (
-                                t_child.col("__rowid")?,
-                                t_child.col("__parent")?,
-                                t_child.col("__occ")?,
-                            );
-                            let parent_of = parents_by_tag(t_child, &tag, rc, pc, oc);
-                            rekey_to_owners(child_syn, &parent_of, &mut out);
+                            let rel = self.child_syn_by_owner(branch.elem, f, &tag, &columns)?;
+                            out.extend(&rel)?;
                         }
                         _ => {
                             return Err(MediatorError::Unsupported(
@@ -1169,9 +1141,8 @@ impl<S: RelSource> Executor<'_, S> {
                 let FieldRule::Set(expr) = &rule.rule else {
                     return Err(MediatorError::Internal("non-set SynAgg rule".into()));
                 };
-                let rel = self.eval_set_table(&binding, expr, &comps)?;
-                out.extend(&rel.with_columns(columns.clone()))
-                    .map_err(MediatorError::Store)?;
+                let rel = self.eval_set_table(binding, expr, &comps)?;
+                out.extend(&rel.with_columns(columns.clone()))?;
             }
         }
         if is_set {
@@ -1213,98 +1184,89 @@ impl<S: RelSource> Executor<'_, S> {
             SetExpr::Collect { item, field } => {
                 let child_elem = self.child_of(&binding.occ, *item)?;
                 let child_info = self.aig.elem_info(child_elem);
-                let t_child = self.store.rel(&RelKey::Instances(child_elem))?;
                 let tag = occ_tag(self.aig, &binding.occ, *item);
-                let (rc, pc, oc) = (
-                    t_child.col("__rowid")?,
-                    t_child.col("__parent")?,
-                    t_child.col("__occ")?,
-                );
                 let field_decl = child_info
                     .syn
                     .iter()
                     .find(|f| f.name == *field)
                     .ok_or_else(|| MediatorError::Internal(format!("no child syn `{field}`")))?;
-                let mut out = Relation::empty(columns);
-                if field_decl.ty.is_scalar() {
-                    // The collected scalar resolves through copy chains to a
-                    // column of the child's instance table.
-                    let rule = child_info
-                        .syn_rules
-                        .iter()
-                        .find(|r| r.field == *field)
-                        .ok_or_else(|| {
-                            MediatorError::Internal(format!("no child syn rule `{field}`"))
-                        })?;
-                    let FieldRule::Scalar(child_expr) = &rule.rule else {
-                        return Err(MediatorError::Internal("scalar decl, set rule".into()));
-                    };
-                    let tag_sym = intern::lookup(&Value::str(tag.as_str()));
-                    match resolve_scalar(self.aig, child_elem, child_expr) {
-                        Some(ResolvedScalar::Const(v)) => {
-                            for r in 0..t_child.len() {
-                                if Some(t_child.sym(r, oc)) == tag_sym {
-                                    out.push(vec![t_child.cell(r, pc).clone(), v.clone()]);
-                                }
-                            }
-                        }
-                        Some(ResolvedScalar::InhField(f)) => {
-                            let c = t_child.col(&f)?;
-                            for r in 0..t_child.len() {
-                                if Some(t_child.sym(r, oc)) == tag_sym {
-                                    out.push(vec![
-                                        t_child.cell(r, pc).clone(),
-                                        t_child.cell(r, c).clone(),
-                                    ]);
-                                }
-                            }
-                        }
-                        None => {
-                            return Err(MediatorError::Unsupported(format!(
-                                "collected scalar `{field}` of `{}` does not resolve \
-                                 through copy chains",
-                                child_info.name
-                            )))
-                        }
-                    }
-                } else {
-                    let child_occ = Occ::mat(child_elem);
-                    let key = resolve_syn_key(
-                        self.aig,
-                        &self.graph.bindings,
-                        &child_occ,
-                        child_elem,
-                        field,
-                    )?;
-                    let child_syn = self.store.rel(&key)?;
-                    let parent_of = parents_by_tag(t_child, &tag, rc, pc, oc);
-                    rekey_to_owners(child_syn, &parent_of, &mut out);
+                if !field_decl.ty.is_scalar() {
+                    return self.child_syn_by_owner(child_elem, field, &tag, &columns);
                 }
-                Ok(out)
+                // The collected scalar resolves through copy chains to a
+                // column of the child's instance table.
+                let rule = child_info
+                    .syn_rules
+                    .iter()
+                    .find(|r| r.field == *field)
+                    .ok_or_else(|| {
+                        MediatorError::Internal(format!("no child syn rule `{field}`"))
+                    })?;
+                let FieldRule::Scalar(child_expr) = &rule.rule else {
+                    return Err(MediatorError::Internal("scalar decl, set rule".into()));
+                };
+                let t_child = self.store.rel(&RelKey::Instances(child_elem))?;
+                let (pc, oc) = (t_child.col("__parent")?, t_child.col("__occ")?);
+                let scalar = match resolve_scalar(self.aig, child_elem, child_expr) {
+                    Some(ResolvedScalar::Const(v)) => ScalarCol::Const(intern::intern_owned(v)),
+                    Some(ResolvedScalar::InhField(f)) => ScalarCol::Col(t_child.col(&f)?),
+                    None => {
+                        return Err(MediatorError::Unsupported(format!(
+                            "collected scalar `{field}` of `{}` does not resolve \
+                             through copy chains",
+                            child_info.name
+                        )))
+                    }
+                };
+                let tag_sym = intern::lookup(&Value::str(tag));
+                let rows: Vec<u32> = (0u32..)
+                    .zip(t_child.col_syms(oc))
+                    .filter(|(_, occ)| Some(**occ) == tag_sym)
+                    .map(|(r, _)| r)
+                    .collect();
+                let parents = apply_perm(t_child.col_syms(pc), &rows);
+                let cols = vec![parents, scalar.gather(t_child, &rows)];
+                Ok(Relation::try_from_columns(columns, cols)?)
             }
             SetExpr::Union(terms) => {
                 let mut out = Relation::empty(columns.clone());
                 for term in terms {
                     let rel = self.eval_set_table(binding, term, comps)?;
-                    out.extend(&rel.with_columns(columns.clone()))
-                        .map_err(MediatorError::Store)?;
+                    out.extend(&rel.with_columns(columns.clone()))?;
                 }
                 Ok(out)
             }
             SetExpr::Singleton(exprs) => {
                 let base = self.store.rel(&RelKey::Instances(binding.occ.base))?;
                 let rowid_col = base.col("__rowid")?;
-                let mut out = Relation::empty(columns);
-                for idx in 0..base.len() {
-                    let mut r = vec![base.cell(idx, rowid_col).clone()];
-                    for e in exprs {
-                        r.push(self.scalar_at(binding, e, base, idx)?);
-                    }
-                    out.push(r);
+                if base.is_empty() {
+                    return Ok(Relation::empty(columns));
                 }
-                Ok(out)
+                let rows: Vec<u32> = (0..base.len() as u32).collect();
+                let mut cols = vec![base.col_syms(rowid_col).to_vec()];
+                for e in exprs {
+                    let scalar = scalar_col(self.aig, binding, e, base, "scalar expression at")?;
+                    cols.push(scalar.gather(base, &rows));
+                }
+                Ok(Relation::try_from_columns(columns, cols)?)
             }
         }
+    }
+
+    /// The synthesized `field` table of the `child_elem` instances tagged
+    /// `tag` — keyed by the children's rowids — re-keyed to their parents.
+    fn child_syn_by_owner(
+        &self,
+        child_elem: ElemIdx,
+        field: &str,
+        tag: &str,
+        columns: &[String],
+    ) -> Result<Relation, MediatorError> {
+        let (aig, bindings) = (self.aig, &self.graph.bindings);
+        let key = resolve_syn_key(aig, bindings, &Occ::mat(child_elem), child_elem, field)?;
+        let child_syn = self.store.rel(&key)?;
+        let t_child = self.store.rel(&RelKey::Instances(child_elem))?;
+        rekey_to_owners(child_syn, &parents_by_tag(t_child, tag)?, columns)
     }
 
     fn check_guard(&self, occ: &Occ, guard: usize) -> Result<(), MediatorError> {
@@ -1368,12 +1330,16 @@ impl<S: RelSource> Executor<'_, S> {
 /// Instance-table column layout for an element with the given inherited
 /// declarations.
 pub fn instance_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
-    let mut columns = vec![
-        "__rowid".to_string(),
-        "__parent".to_string(),
-        "__ord".to_string(),
-        "__occ".to_string(),
-    ];
+    let mut columns = vec!["__rowid".to_string()];
+    columns.extend(child_columns(inh));
+    columns.insert(3, "__occ".to_string());
+    columns
+}
+
+/// Column layout of a generator or branch output — an instance-table part
+/// before assembly: `__parent`, `__ord`, then the child's scalar fields.
+fn child_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
+    let mut columns = vec!["__parent".to_string(), "__ord".to_string()];
     columns.extend(
         inh.iter()
             .filter(|f| f.ty.is_scalar())
@@ -1382,48 +1348,103 @@ pub fn instance_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
     columns
 }
 
-/// Maps `__rowid` values to row positions.
-pub fn index_by_rowid(rel: &Relation) -> Result<HashMap<Value, usize>, MediatorError> {
-    let c = rel.col("__rowid").map_err(MediatorError::Store)?;
-    Ok((0..rel.len())
-        .map(|i| (rel.cell(i, c).clone(), i))
-        .collect())
+/// How a scalar reads out of an instance table — a column of it or one
+/// constant symbol — resolved through the copy chain once per task (or per
+/// tagged occurrence), never per row.
+pub(crate) enum ScalarCol {
+    Const(Sym),
+    Col(usize),
+}
+
+impl ScalarCol {
+    pub(crate) fn of_bind(bind: &ScalarBind, base: &Relation) -> Result<ScalarCol, MediatorError> {
+        Ok(match bind {
+            ScalarBind::Const(v) => ScalarCol::Const(intern::intern(v)),
+            ScalarBind::Col(c) => ScalarCol::Col(base.col(c)?),
+        })
+    }
+
+    /// The scalar at row `row` of `base`.
+    pub(crate) fn at(&self, base: &Relation, row: usize) -> Sym {
+        match *self {
+            ScalarCol::Const(sym) => sym,
+            ScalarCol::Col(c) => base.sym(row, c),
+        }
+    }
+
+    /// The scalar's column over the rows of `base` at `rows`.
+    fn gather(&self, base: &Relation, rows: &[u32]) -> Vec<Sym> {
+        match *self {
+            ScalarCol::Const(sym) => vec![sym; rows.len()],
+            ScalarCol::Col(c) => apply_perm(base.col_syms(c), rows),
+        }
+    }
+}
+
+/// Resolves a scalar rule expression of `binding`'s element against its
+/// base instance table; `what` names the expression in the error (`PCDATA
+/// of`, `scalar expression at`).
+pub(crate) fn scalar_col(
+    aig: &Aig,
+    binding: &Binding,
+    expr: &ValueExpr,
+    base: &Relation,
+    what: &str,
+) -> Result<ScalarCol, MediatorError> {
+    match resolve_scalar(aig, binding.elem, expr) {
+        Some(ResolvedScalar::Const(v)) => Ok(ScalarCol::Const(intern::intern_owned(v))),
+        Some(ResolvedScalar::InhField(f)) => match binding.scalars.get(&f) {
+            Some(bind) => ScalarCol::of_bind(bind, base),
+            None => Err(MediatorError::Internal(format!(
+                "missing scalar binding `{f}`"
+            ))),
+        },
+        None => Err(MediatorError::Unsupported(format!(
+            "{what} `{}` does not resolve through copy chains",
+            aig.elem_name(binding.elem)
+        ))),
+    }
+}
+
+/// Maps `__rowid` symbols to row positions.
+pub fn index_by_rowid(rel: &Relation) -> Result<HashMap<Sym, u32>, MediatorError> {
+    let rowids = rel.col_syms(rel.col("__rowid")?);
+    Ok(rowids.iter().copied().zip(0u32..).collect())
 }
 
 /// Maps child `__rowid` symbols to parent symbols for rows carrying the
 /// given `__occ` tag. Tag matching is one interner lookup plus per-row
 /// symbol compares; a never-interned tag matches no rows.
-fn parents_by_tag(
-    t_child: &Relation,
-    tag: &str,
-    rc: usize,
-    pc: usize,
-    oc: usize,
-) -> HashMap<aig_relstore::Sym, aig_relstore::Sym> {
-    let tag_sym = intern::lookup(&Value::str(tag));
-    let mut parent_of = HashMap::new();
-    if let Some(tag_sym) = tag_sym {
-        for r in 0..t_child.len() {
-            if t_child.sym(r, oc) == tag_sym {
-                parent_of.insert(t_child.sym(r, rc), t_child.sym(r, pc));
-            }
-        }
-    }
-    parent_of
+fn parents_by_tag(t_child: &Relation, tag: &str) -> Result<HashMap<Sym, Sym>, MediatorError> {
+    let rowids = t_child.col_syms(t_child.col("__rowid")?);
+    let parents = t_child.col_syms(t_child.col("__parent")?);
+    let occs = t_child.col_syms(t_child.col("__occ")?);
+    let Some(tag_sym) = intern::lookup(&Value::str(tag)) else {
+        return Ok(HashMap::new());
+    };
+    Ok(occs
+        .iter()
+        .zip(rowids.iter().zip(parents))
+        .filter(|(occ, _)| **occ == tag_sym)
+        .map(|(_, (rowid, parent))| (*rowid, *parent))
+        .collect())
 }
 
-/// Appends `child_syn` rows re-keyed from child rowid to owner, dropping
-/// rows whose child is not in `parent_of`.
+/// The rows of `child_syn` re-keyed from child rowid to owner under
+/// `columns`, dropping rows whose child is not in `parent_of`.
 fn rekey_to_owners(
     child_syn: &Relation,
-    parent_of: &HashMap<aig_relstore::Sym, aig_relstore::Sym>,
-    out: &mut Relation,
-) {
-    for r in 0..child_syn.len() {
-        if let Some(&owner) = parent_of.get(&child_syn.sym(r, 0)) {
-            let mut row = vec![intern::resolve(owner).clone()];
-            row.extend((1..child_syn.arity()).map(|c| child_syn.cell(r, c).clone()));
-            out.push(row);
+    parent_of: &HashMap<Sym, Sym>,
+    columns: &[String],
+) -> Result<Relation, MediatorError> {
+    let (mut owners, mut keep) = (Vec::new(), Vec::new());
+    for (r, child) in (0u32..).zip(child_syn.col_syms(0)) {
+        if let Some(&owner) = parent_of.get(child) {
+            owners.push(owner);
+            keep.push(r);
         }
     }
+    let mut cols = vec![owners];
+    cols.extend((1..child_syn.arity()).map(|c| apply_perm(child_syn.col_syms(c), &keep)));
+    Ok(Relation::try_from_columns(columns.to_vec(), cols)?)
 }

@@ -10,11 +10,11 @@
 //! columns.
 
 use crate::error::MediatorError;
-use crate::exec::{branch_tag, occ_tag, RelStore};
-use crate::graph::{Binding, Occ, RelKey, ScalarBind, TaskGraph};
-use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
+use crate::exec::{branch_tag, occ_tag, scalar_col, RelStore, ScalarCol};
+use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
-use aig_relstore::{Relation, Value};
+use aig_relstore::intern::{self, Reader};
+use aig_relstore::{Relation, Sym, Value};
 use aig_xml::{NodeId, NodeKind, XmlTree};
 use std::collections::{HashMap, HashSet};
 
@@ -24,191 +24,270 @@ pub fn tag_document(
     graph: &TaskGraph,
     store: &RelStore,
 ) -> Result<XmlTree, MediatorError> {
-    let tagger = Tagger {
-        aig,
-        graph,
-        store,
-        children_index: build_children_index(aig, graph, store)?,
-    };
-    let root_info = aig.elem_info(aig.root);
-    let mut tree = XmlTree::new(root_info.tag().to_string());
+    let tagger = Tagger::new(aig, graph, store)?;
+    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag().to_string());
     let root_node = tree.root();
-    let root_binding = tagger.binding(&Occ::mat(aig.root))?;
-    let base = store.get(&RelKey::Instances(aig.root))?;
-    if base.len() != 1 {
-        return Err(MediatorError::Internal(format!(
-            "root instance table has {} rows",
-            base.len()
-        )));
-    }
-    tagger.tag_children(&mut tree, root_node, root_binding, 0)?;
+    tagger.tag_children(&mut tree, root_node, ROOT_PLAN, 0)?;
     Ok(tree)
 }
 
-/// Index: (element, `__occ` tag, parent rowid) → ordered child row
-/// positions.
-type ChildrenIndex = HashMap<(ElemIdx, String, i64), Vec<usize>>;
-
-fn build_children_index(
-    aig: &Aig,
-    graph: &TaskGraph,
-    store: &RelStore,
-) -> Result<ChildrenIndex, MediatorError> {
-    let mut index: ChildrenIndex = HashMap::new();
-    for &elem in &graph.materialized {
-        if elem == aig.root {
-            continue;
-        }
-        let rel = store.get(&RelKey::Instances(elem))?;
-        let (pc, oc, ordc) = (
-            rel.col("__parent").map_err(MediatorError::Store)?,
-            rel.col("__occ").map_err(MediatorError::Store)?,
-            rel.col("__ord").map_err(MediatorError::Store)?,
-        );
-        let mut buckets: HashMap<(String, i64), Vec<(i64, usize)>> = HashMap::new();
-        for pos in 0..rel.len() {
-            let occ = rel.cell(pos, oc).to_text();
-            let parent = rel.cell(pos, pc).as_int().unwrap_or(-1);
-            let ord = rel.cell(pos, ordc).as_int().unwrap_or(0);
-            buckets.entry((occ, parent)).or_default().push((ord, pos));
-        }
-        for ((occ, parent), mut entries) in buckets {
-            entries.sort();
-            index.insert(
-                (elem, occ, parent),
-                entries.into_iter().map(|(_, pos)| pos).collect(),
-            );
-        }
-    }
-    Ok(index)
+/// Index: (element, `__occ` symbol, parent `__rowid` symbol) → the child
+/// row positions in `__ord` order, as a span of one shared position vector.
+///
+/// Tags and ids are matched as interned symbols, i.e. by value equality:
+/// a `__rowid`/`__parent` that is not an integer is a key like any other
+/// (the `i64`-keyed index this replaces folded every non-integer id onto
+/// −1, and so onto each other).
+#[derive(Default)]
+struct ChildrenIndex {
+    spans: HashMap<(ElemIdx, Sym, Sym), (u32, u32)>,
+    rows: Vec<u32>,
 }
 
+impl ChildrenIndex {
+    fn build(aig: &Aig, graph: &TaskGraph, store: &RelStore) -> Result<Self, MediatorError> {
+        let reader = Reader::snapshot();
+        let mut index = ChildrenIndex::default();
+        for &elem in graph.materialized.iter().filter(|&&e| e != aig.root) {
+            let rel = store.get(&RelKey::Instances(elem))?;
+            let parents = rel.col_syms(rel.col("__parent")?);
+            let occs = rel.col_syms(rel.col("__occ")?);
+            let ords = rel.col_syms(rel.col("__ord")?);
+            let ords: Vec<i64> = ords
+                .iter()
+                .map(|&ord| reader.get(ord).as_int().unwrap_or(0))
+                .collect();
+            // Bucket per (occ, parent), numbered in first-seen order; rows
+            // of one bucket mostly sit together, so only a change of key
+            // costs a hash lookup.
+            let mut keys: Vec<(Sym, Sym)> = Vec::new();
+            let mut sizes: Vec<u32> = Vec::new();
+            let mut ids: HashMap<(Sym, Sym), u32> = HashMap::new();
+            let mut bucket_of: Vec<u32> = Vec::with_capacity(rel.len());
+            for key in occs.iter().copied().zip(parents.iter().copied()) {
+                let bucket = match bucket_of.last() {
+                    Some(&last) if keys[last as usize] == key => last,
+                    _ => *ids.entry(key).or_insert_with(|| {
+                        keys.push(key);
+                        sizes.push(0);
+                        sizes.len() as u32 - 1
+                    }),
+                };
+                sizes[bucket as usize] += 1;
+                bucket_of.push(bucket);
+            }
+            // Row positions by (bucket, `__ord`), position order on ties: a
+            // stable sort, linear on an assembled table (generator outputs
+            // arrive grouped by parent with ascending ordinals).
+            let mut order: Vec<u32> = (0..rel.len() as u32).collect();
+            order.sort_by_key(|&pos| (bucket_of[pos as usize], ords[pos as usize]));
+            let mut end = index.rows.len() as u32;
+            index.rows.extend(order);
+            for (&(occ, parent), &size) in keys.iter().zip(&sizes) {
+                end += size;
+                index.spans.insert((elem, occ, parent), (end - size, end));
+            }
+        }
+        Ok(index)
+    }
+
+    /// Child row positions of `elem` tagged `occ` under the parent row with
+    /// rowid `parent`; empty when there is no such bucket.
+    fn rows(&self, elem: ElemIdx, occ: Sym, parent: Sym) -> &[u32] {
+        match self.spans.get(&(elem, occ, parent)) {
+            Some(&(start, end)) => &self.rows[start as usize..end as usize],
+            None => &[],
+        }
+    }
+}
+
+/// How one occurrence is tagged: everything the walk needs per node,
+/// resolved once per occurrence — keyed by [`Occ`], never by the address of
+/// a binding — when the [`Tagger`] is built.
+struct OccPlan<'a> {
+    /// The occurrence's base instance table and its `__rowid` column.
+    base: &'a Relation,
+    rowids: &'a [Sym],
+    body: Body<'a>,
+}
+
+enum Body<'a> {
+    /// PCDATA, resolved through the copy chain into a column of `base` or a
+    /// constant; a text that does not resolve is an error only once a node
+    /// carrying it is emitted.
+    Text(Result<ScalarCol, MediatorError>),
+    /// The tagged children in production order (none for an empty
+    /// production). Computation states are not tagged and have no entry; the
+    /// branches of a choice are children keyed by their branch tag.
+    Children(Vec<ChildPlan<'a>>),
+}
+
+struct ChildPlan<'a> {
+    elem: ElemIdx,
+    tag: &'a str,
+    /// Index of the child occurrence's plan.
+    plan: usize,
+    rows: ChildRows,
+}
+
+/// Which rows of the child's base table one parent row has as children.
+enum ChildRows {
+    /// A plain item: the parent's own base row.
+    OfParent,
+    /// A starred item or choice branch: the rows of the child's instance
+    /// table that carry this `__occ` symbol under the parent's rowid. `None`
+    /// is a tag nothing ever interned, which therefore no row carries.
+    Tagged(Option<Sym>),
+}
+
+/// Plans are numbered depth-first from the root occurrence.
+const ROOT_PLAN: usize = 0;
+
+/// The tagging plan and index of one store. Every occurrence reachable from
+/// the root through the productions is planned, depth-first, before the
+/// first node is written — whether or not the store holds a row of it. So an
+/// occurrence without a binding, or one whose base instance table is
+/// missing, is an error up front even where a row-at-a-time walk would never
+/// have reached it (a choice branch no instance takes); only PCDATA
+/// resolution stays deferred to the first node carrying the text.
 struct Tagger<'a> {
     aig: &'a Aig,
     graph: &'a TaskGraph,
     store: &'a RelStore,
-    children_index: ChildrenIndex,
+    /// Plan index of every occurrence planned so far.
+    ids: HashMap<Occ, usize>,
+    plans: Vec<OccPlan<'a>>,
+    index: ChildrenIndex,
+    /// Snapshot taken once planning has interned its tags and constants.
+    reader: Reader,
 }
 
-impl Tagger<'_> {
-    fn binding(&self, occ: &Occ) -> Result<&Binding, MediatorError> {
-        self.graph.bindings.get(occ).ok_or_else(|| {
-            MediatorError::Internal(format!("unknown occurrence {}", occ.key(self.aig)))
-        })
+impl<'a> Tagger<'a> {
+    fn plan(&mut self, occ: Occ) -> Result<usize, MediatorError> {
+        if let Some(&id) = self.ids.get(&occ) {
+            return Ok(id);
+        }
+        let (aig, graph) = (self.aig, self.graph);
+        let binding = graph.bindings.get(&occ).ok_or_else(|| {
+            MediatorError::Internal(format!("unknown occurrence {}", occ.key(aig)))
+        })?;
+        let base = self.store.get(&RelKey::Instances(occ.base))?;
+        let rowids = base.col_syms(base.col("__rowid")?);
+        let id = self.plans.len();
+        self.ids.insert(occ.clone(), id);
+        let body = Body::Children(Vec::new());
+        self.plans.push(OccPlan { base, rowids, body });
+        let tagged = |tag: String| ChildRows::Tagged(intern::lookup(&Value::str(tag)));
+        // The tagged children in production order: element, occurrence, rows.
+        let children: Vec<(ElemIdx, Occ, ChildRows)> = match &aig.elem_info(binding.elem).prod {
+            Prod::Empty => Vec::new(),
+            Prod::Pcdata { text } => {
+                let text = scalar_col(aig, binding, text, base, "PCDATA of");
+                self.plans[id].body = Body::Text(text);
+                return Ok(id);
+            }
+            Prod::Items(items) => items
+                .iter()
+                .enumerate()
+                .filter(|(_, item)| !aig.elem_info(item.elem).internal)
+                .map(|(pos, item)| match item.star {
+                    true => (
+                        item.elem,
+                        Occ::mat(item.elem),
+                        tagged(occ_tag(aig, &occ, pos)),
+                    ),
+                    false => (item.elem, occ.child(pos), ChildRows::OfParent),
+                })
+                .collect(),
+            Prod::Choice { branches, .. } => branches
+                .iter()
+                .enumerate()
+                .map(|(bno, b)| (b.elem, Occ::mat(b.elem), tagged(branch_tag(aig, &occ, bno))))
+                .collect(),
+        };
+        let mut plans = Vec::with_capacity(children.len());
+        for (elem, occ, rows) in children {
+            let (tag, plan) = (aig.elem_info(elem).tag(), self.plan(occ)?);
+            plans.push(ChildPlan {
+                elem,
+                tag,
+                plan,
+                rows,
+            });
+        }
+        self.plans[id].body = Body::Children(plans);
+        Ok(id)
     }
 
-    /// Emits the children of the element at `binding` for the base instance
-    /// `base_idx` (a row position in `T_base`) under `node`.
+    fn new(aig: &'a Aig, graph: &'a TaskGraph, store: &'a RelStore) -> Result<Self, MediatorError> {
+        let mut tagger = Tagger {
+            aig,
+            graph,
+            store,
+            ids: HashMap::new(),
+            plans: Vec::new(),
+            index: ChildrenIndex::build(aig, graph, store)?,
+            reader: Reader::snapshot(),
+        };
+        tagger.plan(Occ::mat(aig.root))?;
+        tagger.reader = Reader::snapshot();
+        match tagger.plans[ROOT_PLAN].base.len() {
+            1 => Ok(tagger),
+            n => Err(MediatorError::Internal(format!(
+                "root instance table has {n} rows"
+            ))),
+        }
+    }
+
+    /// The base rows (of the child's own base table) that are `child`'s
+    /// instances under the parent row `*base_idx` of `plan`.
+    fn child_rows<'s>(&'s self, plan: &OccPlan, child: &ChildPlan, base_idx: &'s u32) -> &'s [u32] {
+        match child.rows {
+            ChildRows::OfParent => std::slice::from_ref(base_idx),
+            ChildRows::Tagged(None) => &[],
+            ChildRows::Tagged(Some(occ)) => {
+                let parent = plan.rowids[*base_idx as usize];
+                self.index.rows(child.elem, occ, parent)
+            }
+        }
+    }
+
+    /// The PCDATA of the base row `base_idx`.
+    fn text(
+        &self,
+        plan: &OccPlan,
+        text: &Result<ScalarCol, MediatorError>,
+        base_idx: u32,
+    ) -> Result<String, MediatorError> {
+        let scalar = text.as_ref().map_err(Clone::clone)?;
+        let sym = scalar.at(plan.base, base_idx as usize);
+        Ok(self.reader.get(sym).to_text())
+    }
+
+    /// Emits the children of the occurrence planned at `plan` for the base
+    /// instance `base_idx` (a row position in `T_base`) under `node`.
     fn tag_children(
         &self,
         tree: &mut XmlTree,
         node: NodeId,
-        binding: &Binding,
-        base_idx: usize,
+        plan: usize,
+        base_idx: u32,
     ) -> Result<(), MediatorError> {
-        let info = self.aig.elem_info(binding.elem);
-        match &info.prod {
-            Prod::Empty => Ok(()),
-            Prod::Pcdata { text } => {
-                let value = self.scalar_at(binding, text, base_idx)?;
-                tree.add_text(node, value.to_text());
-                Ok(())
+        let plan = &self.plans[plan];
+        match &plan.body {
+            Body::Text(text) => {
+                tree.add_text(node, self.text(plan, text, base_idx)?);
             }
-            Prod::Items(items) => {
-                let base = self.store.get(&RelKey::Instances(binding.occ.base))?;
-                let rowid = base
-                    .cell(base_idx, base.col("__rowid").map_err(MediatorError::Store)?)
-                    .as_int()
-                    .unwrap_or(-1);
-                for (pos, item) in items.iter().enumerate() {
-                    let child_info = self.aig.elem_info(item.elem);
-                    if child_info.internal {
-                        continue; // computation states are not tagged
-                    }
-                    if item.star {
-                        let tag = occ_tag(self.aig, &binding.occ, pos);
-                        let child_binding = self.binding(&Occ::mat(item.elem))?;
-                        if let Some(rows) = self.children_index.get(&(item.elem, tag, rowid)) {
-                            for &child_pos in rows {
-                                let child_node =
-                                    tree.add_element(node, child_info.tag().to_string());
-                                self.tag_children(tree, child_node, child_binding, child_pos)?;
-                            }
-                        }
-                    } else {
-                        let child_occ = binding.occ.child(pos);
-                        let child_binding = self.binding(&child_occ)?;
-                        let child_node = tree.add_element(node, child_info.tag().to_string());
-                        self.tag_children(tree, child_node, child_binding, base_idx)?;
+            Body::Children(children) => {
+                for child in children {
+                    for &child_idx in self.child_rows(plan, child, &base_idx) {
+                        let child_node = tree.add_element(node, child.tag.to_string());
+                        self.tag_children(tree, child_node, child.plan, child_idx)?;
                     }
                 }
-                Ok(())
-            }
-            Prod::Choice { branches, .. } => {
-                let base = self.store.get(&RelKey::Instances(binding.occ.base))?;
-                let rowid = base
-                    .cell(base_idx, base.col("__rowid").map_err(MediatorError::Store)?)
-                    .as_int()
-                    .unwrap_or(-1);
-                for (bno, branch) in branches.iter().enumerate() {
-                    let tag = branch_tag(self.aig, &binding.occ, bno);
-                    if let Some(rows) = self.children_index.get(&(branch.elem, tag, rowid)) {
-                        let child_info = self.aig.elem_info(branch.elem);
-                        let child_binding = self.binding(&Occ::mat(branch.elem))?;
-                        for &child_pos in rows {
-                            let child_node = tree.add_element(node, child_info.tag().to_string());
-                            self.tag_children(tree, child_node, child_binding, child_pos)?;
-                        }
-                    }
-                }
-                Ok(())
             }
         }
-    }
-
-    /// Star/choice child row positions for one parent row, or an empty
-    /// slice when the index has no bucket.
-    fn child_rows(&self, elem: ElemIdx, tag: String, rowid: i64) -> &[usize] {
-        self.children_index
-            .get(&(elem, tag, rowid))
-            .map(|rows| rows.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The `__rowid` of the base instance at `base_idx`.
-    fn rowid_at(&self, binding: &Binding, base_idx: usize) -> Result<i64, MediatorError> {
-        let base = self.store.get(&RelKey::Instances(binding.occ.base))?;
-        Ok(base
-            .cell(base_idx, base.col("__rowid").map_err(MediatorError::Store)?)
-            .as_int()
-            .unwrap_or(-1))
-    }
-
-    fn scalar_at(
-        &self,
-        binding: &Binding,
-        expr: &aig_core::spec::ValueExpr,
-        base_idx: usize,
-    ) -> Result<Value, MediatorError> {
-        match resolve_scalar(self.aig, binding.elem, expr) {
-            Some(ResolvedScalar::Const(v)) => Ok(v),
-            Some(ResolvedScalar::InhField(f)) => match binding.scalars.get(&f) {
-                Some(ScalarBind::Const(v)) => Ok(v.clone()),
-                Some(ScalarBind::Col(c)) => {
-                    let base: &Relation = self.store.get(&RelKey::Instances(binding.occ.base))?;
-                    Ok(base
-                        .cell(base_idx, base.col(c).map_err(MediatorError::Store)?)
-                        .clone())
-                }
-                None => Err(MediatorError::Internal(format!(
-                    "missing scalar binding `{f}`"
-                ))),
-            },
-            None => Err(MediatorError::Unsupported(format!(
-                "PCDATA of `{}` does not resolve through copy chains",
-                self.aig.elem_name(binding.elem)
-            ))),
-        }
+        Ok(())
     }
 }
 
@@ -255,31 +334,17 @@ pub(crate) fn retag_document(
         };
         return Ok((tree, stats));
     }
-    let tagger = Tagger {
-        aig,
-        graph,
-        store,
-        children_index: build_children_index(aig, graph, store)?,
-    };
-    let root_info = aig.elem_info(aig.root);
-    let mut tree = XmlTree::new(root_info.tag().to_string());
+    let tagger = Tagger::new(aig, graph, store)?;
+    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag().to_string());
     let root_node = tree.root();
-    let root_binding = tagger.binding(&Occ::mat(aig.root))?.clone();
-    let base = store.get(&RelKey::Instances(aig.root))?;
-    if base.len() != 1 {
-        return Err(MediatorError::Internal(format!(
-            "root instance table has {} rows",
-            base.len()
-        )));
-    }
     let mut retagger = Retagger {
         dirty_below: dirty_below(aig, tainted),
-        tagger,
+        tagger: &tagger,
         cached,
         tainted,
         nodes_reused: 0,
     };
-    retagger.retag_children(&mut tree, root_node, &root_binding, 0, cached.root())?;
+    retagger.retag_children(&mut tree, root_node, ROOT_PLAN, 0, cached.root())?;
     let stats = RetagStats {
         nodes_reused: retagger.nodes_reused,
         // Every node that is not a verbatim copy was (re)built: the spine
@@ -322,7 +387,7 @@ fn dirty_below(aig: &Aig, tainted: &HashSet<ElemIdx>) -> HashSet<ElemIdx> {
 }
 
 struct Retagger<'a> {
-    tagger: Tagger<'a>,
+    tagger: &'a Tagger<'a>,
     cached: &'a XmlTree,
     tainted: &'a HashSet<ElemIdx>,
     dirty_below: HashSet<ElemIdx>,
@@ -330,10 +395,11 @@ struct Retagger<'a> {
 }
 
 impl Retagger<'_> {
-    /// Emits the children of `binding` at `base_idx` under `node`, reusing
-    /// the cached node's subtrees wherever the delta cannot have reached.
+    /// Emits the children of the occurrence planned at `plan_id` at
+    /// `base_idx` under `node`, reusing the cached node's subtrees wherever
+    /// the delta cannot have reached.
     ///
-    /// Invariant: `binding`'s element and its base instance table are
+    /// Invariant: the occurrence's element and its base instance table are
     /// untainted, so this node's child counts per production item equal
     /// the cached node's — unless a tainted child element intervenes, in
     /// which case the whole child list rebuilds from the store.
@@ -341,119 +407,63 @@ impl Retagger<'_> {
         &mut self,
         tree: &mut XmlTree,
         node: NodeId,
-        binding: &Binding,
-        base_idx: usize,
+        plan_id: usize,
+        base_idx: u32,
         cached_node: NodeId,
     ) -> Result<(), MediatorError> {
-        let info = self.tagger.aig.elem_info(binding.elem);
-        match &info.prod {
-            Prod::Empty => Ok(()),
-            Prod::Pcdata { text } => {
+        let (tagger, cached) = (self.tagger, self.cached);
+        let plan = &tagger.plans[plan_id];
+        match &plan.body {
+            Body::Text(text) => {
                 // The base table is untainted, so the value is unchanged;
                 // recomputing it from the spliced store is equivalent and
                 // keeps a single source of truth.
-                let value = self.tagger.scalar_at(binding, text, base_idx)?;
-                tree.add_text(node, value.to_text());
-                Ok(())
+                tree.add_text(node, tagger.text(plan, text, base_idx)?);
             }
-            Prod::Items(items) => {
-                let star_tainted = items.iter().any(|i| {
-                    i.star
-                        && !self.tagger.aig.elem_info(i.elem).internal
-                        && self.tainted.contains(&i.elem)
+            Body::Children(children) => {
+                let rows_tainted = children.iter().any(|c| {
+                    matches!(c.rows, ChildRows::Tagged(_)) && self.tainted.contains(&c.elem)
                 });
-                if star_tainted {
-                    // A tainted star child: the child row set may have
-                    // changed, so positional correspondence with the
+                if rows_tainted {
+                    // A tainted star or branch child: the child row set may
+                    // have changed, so positional correspondence with the
                     // cached node ends here — rebuild from the store.
-                    return self.tagger.tag_children(tree, node, binding, base_idx);
+                    return tagger.tag_children(tree, node, plan_id, base_idx);
                 }
-                let rowid = self.tagger.rowid_at(binding, base_idx)?;
-                let cached_children: Vec<NodeId> =
-                    self.cached.element_children(cached_node).collect();
-                let mut cursor = 0usize;
-                for (pos, item) in items.iter().enumerate() {
-                    let child_info = self.tagger.aig.elem_info(item.elem);
-                    if child_info.internal {
-                        continue;
-                    }
-                    if item.star {
-                        let tag = occ_tag(self.tagger.aig, &binding.occ, pos);
-                        let child_binding = self.tagger.binding(&Occ::mat(item.elem))?.clone();
-                        let rows = self.tagger.child_rows(item.elem, tag, rowid).to_vec();
-                        for child_pos in rows {
-                            let cached_child = cached_children[cursor];
-                            cursor += 1;
-                            self.retag_child(tree, node, &child_binding, child_pos, cached_child)?;
+                let mut cached_children = cached.element_children(cached_node);
+                for child in children {
+                    for &child_idx in tagger.child_rows(plan, child, &base_idx) {
+                        let cached_child = cached_children.next().ok_or_else(|| {
+                            MediatorError::Internal("retag: the cached node lacks a child".into())
+                        })?;
+                        // Verbatim copy where nothing below is tainted —
+                        // the cached subtree is what a cold tag over the
+                        // spliced store would emit — else paired recursion.
+                        let child_node = tree.add_element(node, child.tag.to_string());
+                        if self.dirty_below.contains(&child.elem) {
+                            let (plan, idx) = (child.plan, child_idx);
+                            self.retag_children(tree, child_node, plan, idx, cached_child)?;
+                        } else {
+                            self.copy_into(tree, child_node, cached_child);
                         }
-                    } else {
-                        let child_occ = binding.occ.child(pos);
-                        let child_binding = self.tagger.binding(&child_occ)?.clone();
-                        let cached_child = cached_children[cursor];
-                        cursor += 1;
-                        self.retag_child(tree, node, &child_binding, base_idx, cached_child)?;
                     }
                 }
-                Ok(())
-            }
-            Prod::Choice { branches, .. } => {
-                if branches.iter().any(|b| self.tainted.contains(&b.elem)) {
-                    return self.tagger.tag_children(tree, node, binding, base_idx);
-                }
-                let rowid = self.tagger.rowid_at(binding, base_idx)?;
-                let cached_children: Vec<NodeId> =
-                    self.cached.element_children(cached_node).collect();
-                let mut cursor = 0usize;
-                for (bno, branch) in branches.iter().enumerate() {
-                    let tag = branch_tag(self.tagger.aig, &binding.occ, bno);
-                    let child_binding = self.tagger.binding(&Occ::mat(branch.elem))?.clone();
-                    let rows = self.tagger.child_rows(branch.elem, tag, rowid).to_vec();
-                    for child_pos in rows {
-                        let cached_child = cached_children[cursor];
-                        cursor += 1;
-                        self.retag_child(tree, node, &child_binding, child_pos, cached_child)?;
-                    }
-                }
-                Ok(())
             }
         }
-    }
-
-    /// Emits one child element, choosing between verbatim copy, paired
-    /// recursion, and store rebuild.
-    fn retag_child(
-        &mut self,
-        tree: &mut XmlTree,
-        parent: NodeId,
-        binding: &Binding,
-        base_idx: usize,
-        cached_child: NodeId,
-    ) -> Result<(), MediatorError> {
-        let child_info = self.tagger.aig.elem_info(binding.elem);
-        let child_node = tree.add_element(parent, child_info.tag().to_string());
-        if !self.dirty_below.contains(&binding.elem) {
-            // Nothing tainted anywhere below: the cached subtree is
-            // verbatim what a cold tag over the spliced store would emit.
-            self.copy_into(tree, child_node, cached_child);
-            Ok(())
-        } else {
-            self.retag_children(tree, child_node, binding, base_idx, cached_child)
-        }
+        Ok(())
     }
 
     /// Deep-copies the cached node's children under `dst`.
     fn copy_into(&mut self, tree: &mut XmlTree, dst: NodeId, src: NodeId) {
-        for i in 0..self.cached.children(src).len() {
-            let child = self.cached.children(src)[i];
+        for &child in self.cached.children(src) {
+            self.nodes_reused += 1;
             match self.cached.kind(child) {
                 NodeKind::Element(tag) => {
                     let copied = tree.add_element(dst, tag.clone());
-                    self.nodes_reused += 1;
                     self.copy_into(tree, copied, child);
                 }
                 NodeKind::Text(text) => {
                     tree.add_text(dst, text.clone());
-                    self.nodes_reused += 1;
                 }
             }
         }

@@ -16,7 +16,8 @@
 //!   global first occurrences. Byte-identical to the sequential
 //!   `HashSet`-retain dedup.
 //! * [`stable_sort_rows`] / [`dedup_rows`] — the row-moving wrappers kept
-//!   for row-major buffers (assembly staging, tests).
+//!   for row-major buffers (tests and the row-major reference operators;
+//!   the mediator's own operators sort permutations and gather columns).
 //!
 //! All kernels fall back to the sequential path below a caller-supplied
 //! threshold ([`PAR_THRESHOLD`] by default, tunable via the mediator's

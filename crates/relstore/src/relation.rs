@@ -44,9 +44,10 @@ pub fn payload_scans() -> u64 {
 }
 
 /// Memoized sizes of one `(columns, len)` generation of a relation. Clones
-/// share the cache (they observe the same bytes); every mutation *replaces*
-/// it — never clears in place — so outstanding clones keep the generation
-/// they were created from.
+/// share the cache (they observe the same bytes); a mutation starts a new
+/// generation — replacing the cache while a clone still shares it, so
+/// outstanding clones keep the generation they were created from, and
+/// clearing it in place only when nobody else can observe it.
 #[derive(Debug, Default)]
 struct SizeCache {
     byte_size: OnceLock<usize>,
@@ -85,12 +86,16 @@ impl Relation {
         }
     }
 
-    /// Starts a fresh size-cache generation; called by every mutator. The
-    /// old cache `Arc` is replaced, not cleared, so clones sharing it keep
-    /// their (still valid) memoized sizes.
+    /// Starts a fresh size-cache generation; called by every mutator. A
+    /// cache some clone still shares is replaced, not cleared, so the clone
+    /// keeps its (still valid) memoized sizes; a uniquely owned one is reset
+    /// in place, so a row-at-a-time builder does not allocate per push.
     #[inline]
     fn touch(&mut self) {
-        self.sizes = Arc::default();
+        match Arc::get_mut(&mut self.sizes) {
+            Some(sizes) => *sizes = SizeCache::default(),
+            None => self.sizes = Arc::default(),
+        }
     }
 
     /// Builds a relation, checking that every row has the right arity.
@@ -123,18 +128,44 @@ impl Relation {
     }
 
     /// Builds a relation directly from symbol columns (all the same length).
+    /// Panics on a column-count or length mismatch; operators whose inputs
+    /// are not their own use [`Relation::try_from_columns`].
     pub fn from_columns(columns: Vec<String>, cols: Vec<Vec<Sym>>) -> Relation {
-        assert_eq!(columns.len(), cols.len(), "one symbol vector per column");
-        let len = cols.first().map(|c| c.len()).unwrap_or(0);
-        for c in &cols {
-            assert_eq!(c.len(), len, "ragged symbol columns");
+        Relation::try_from_columns(columns, cols).expect("well-formed symbol columns")
+    }
+
+    /// Builds a relation directly from symbol columns, rejecting a column
+    /// count that does not match the names and columns of unequal length.
+    pub fn try_from_columns(
+        columns: Vec<String>,
+        cols: Vec<Vec<Sym>>,
+    ) -> Result<Relation, StoreError> {
+        let mismatch = |msg: String| StoreError::SchemaMismatch {
+            table: "<relation>".to_string(),
+            msg,
+        };
+        if columns.len() != cols.len() {
+            return Err(mismatch(format!(
+                "{} symbol columns for {} column names",
+                cols.len(),
+                columns.len()
+            )));
         }
-        Relation {
+        let len = cols.first().map_or(0, Vec::len);
+        if let Some(c) = cols.iter().position(|c| c.len() != len) {
+            return Err(mismatch(format!(
+                "ragged symbol columns: `{}` has {len} rows, `{}` has {}",
+                columns[0],
+                columns[c],
+                cols[c].len()
+            )));
+        }
+        Ok(Relation {
             columns,
             cols: cols.into_iter().map(Arc::new).collect(),
             len,
             sizes: Arc::default(),
-        }
+        })
     }
 
     /// A relation with the full contents of a stored table. The table's
@@ -469,7 +500,9 @@ impl Relation {
             self.cols
                 .iter()
                 .map(|col| {
-                    let distinct: HashSet<Sym> = col.iter().copied().collect();
+                    let mut distinct = col.to_vec();
+                    distinct.sort_unstable();
+                    distinct.dedup();
                     let dict: usize = distinct.iter().map(|&s| reader.width(s)).sum();
                     let code = match distinct.len() {
                         0..=256 => 1,
@@ -796,6 +829,38 @@ mod tests {
         assert!(r.wire_bytes() > wire);
         assert!(clone.sizes_memoized());
         assert_eq!(clone.wire_bytes(), wire);
+        // The other way round: clone first, mutate the original, then size
+        // the clone — the original must not see the clone's sizes.
+        let mut original = rel();
+        let clone = original.clone();
+        original.push(vec![Value::str("z"), Value::int(9)]);
+        assert_eq!(clone.wire_bytes(), wire);
+        assert!(clone.sizes_memoized() && !original.sizes_memoized());
+        assert!(original.wire_bytes() > wire);
+        // A uniquely owned cache is reset in place, not reallocated.
+        let cache = Arc::as_ptr(&original.sizes);
+        original.push(vec![Value::str("y"), Value::int(8)]);
+        assert_eq!(Arc::as_ptr(&original.sizes), cache);
+        assert!(!original.sizes_memoized());
+    }
+
+    #[test]
+    fn try_from_columns_rejects_ragged_and_miscounted_columns() {
+        let names = || vec!["a".to_string(), "b".to_string()];
+        let (x, y) = (intern::intern(&Value::str("x")), Sym::NULL);
+        let ok = Relation::try_from_columns(names(), vec![vec![x, y], vec![y, x]]).unwrap();
+        assert_eq!(ok.row(1), vec![Value::Null, Value::str("x")]);
+        assert_eq!(
+            ok,
+            Relation::from_columns(names(), vec![vec![x, y], vec![y, x]])
+        );
+        for cols in [vec![vec![x, y]], vec![vec![x, y], vec![y]], vec![]] {
+            let err = Relation::try_from_columns(names(), cols).unwrap_err();
+            assert!(matches!(err, StoreError::SchemaMismatch { .. }), "{err:?}");
+        }
+        assert!(Relation::try_from_columns(vec![], vec![])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

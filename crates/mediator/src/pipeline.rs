@@ -696,6 +696,23 @@ mod tests {
         }
     }
 
+    /// `canonical` walks the document iteratively: σ0's recursive
+    /// treatment/procedure pair nested 200,000 deep, on a 256 KiB stack.
+    #[test]
+    fn canonical_of_a_deep_document_does_not_recurse() {
+        let deep = || {
+            let aig = sigma0().unwrap();
+            let mut tree = XmlTree::new("report");
+            let mut node = tree.root();
+            for level in 0..200_000 {
+                node = tree.add_element(node, ["treatment", "procedure"][level % 2]);
+            }
+            assert!(canonical(&aig, &tree) == tree);
+        };
+        let thread = std::thread::Builder::new().stack_size(256 * 1024);
+        assert!(thread.spawn(deep).unwrap().join().is_ok());
+    }
+
     #[test]
     fn mediator_reports_plan_metrics() {
         let aig = sigma0().unwrap();

@@ -29,6 +29,7 @@ use crate::plan::{ExecPolicy, ExecutedRun, FinishInputs, FullOutcome, PlanOption
 use crate::schedule::EdfGate;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Database, DeltaApplied, SourceDelta, SourceId, Table, Value};
+use aig_xml::XmlTree;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -146,16 +147,23 @@ struct SnapKey {
 }
 
 /// The state a completed run leaves behind for incremental re-evaluation:
-/// the relation store (splice base), the per-task measurements (reused
-/// tasks keep their costs), the run itself (the retag walk copies
-/// unaffected document subtrees from its tree), and the set of
-/// `(source, table)` pairs dirtied by deltas since the run completed.
+/// what the run produced, shared — a request clones the handle, never the
+/// store or the document — and the set of `(source, table)` pairs dirtied
+/// by deltas since the run completed.
 #[derive(Debug, Clone)]
 struct RunSnapshot {
+    base: Arc<SnapshotBase>,
+    dirty: BTreeSet<(String, String)>,
+}
+
+/// The relation store (splice base), the per-task measurements (reused
+/// tasks keep their costs) and the document (the retag walk copies its
+/// unaffected subtrees) of a completed run.
+#[derive(Debug)]
+struct SnapshotBase {
     store: RelStore,
     measured: Vec<Measured>,
-    run: MediatorRun,
-    dirty: BTreeSet<(String, String)>,
+    tree: XmlTree,
 }
 
 /// Snapshot of the plan cache's counters.
@@ -580,9 +588,11 @@ impl Mediator {
                         self.lock_snapshots().insert(
                             snap_key,
                             RunSnapshot {
-                                store,
-                                measured,
-                                run: run.clone(),
+                                base: Arc::new(SnapshotBase {
+                                    store,
+                                    measured,
+                                    tree: run.tree.clone(),
+                                }),
                                 dirty: BTreeSet::new(),
                             },
                         );
@@ -639,7 +649,7 @@ impl Mediator {
                 &plan.graph,
                 args,
                 &exec_opts,
-                Some((&snap.store, &snap.measured, &rerun)),
+                Some((&snap.base.store, &snap.base.measured, &rerun)),
             )
         })?;
         let tainted = crate::delta::tainted_elems(&plan.graph, &rerun);
@@ -649,7 +659,7 @@ impl Mediator {
                 &plan.aig,
                 &plan.graph,
                 &exec.store,
-                &snap.run.tree,
+                &snap.base.tree,
                 &tainted,
             )
         })?;

@@ -15,7 +15,8 @@ use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader};
 use aig_relstore::{Relation, Sym, Value};
-use aig_xml::{NodeId, NodeKind, XmlTree};
+use aig_xml::tree::{CopyStep, SubtreeCopier, TagId};
+use aig_xml::{NodeId, XmlTree};
 use std::collections::{HashMap, HashSet};
 
 /// Builds the document from the executed relations.
@@ -24,8 +25,8 @@ pub fn tag_document(
     graph: &TaskGraph,
     store: &RelStore,
 ) -> Result<XmlTree, MediatorError> {
-    let tagger = Tagger::new(aig, graph, store)?;
-    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag().to_string());
+    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag());
+    let tagger = Tagger::new(aig, graph, store, &mut tree)?;
     let root_node = tree.root();
     tagger.tag_children(&mut tree, root_node, ROOT_PLAN, 0)?;
     Ok(tree)
@@ -108,10 +109,10 @@ struct OccPlan<'a> {
     /// The occurrence's base instance table and its `__rowid` column.
     base: &'a Relation,
     rowids: &'a [Sym],
-    body: Body<'a>,
+    body: Body,
 }
 
-enum Body<'a> {
+enum Body {
     /// PCDATA, resolved through the copy chain into a column of `base` or a
     /// constant; a text that does not resolve is an error only once a node
     /// carrying it is emitted.
@@ -119,12 +120,13 @@ enum Body<'a> {
     /// The tagged children in production order (none for an empty
     /// production). Computation states are not tagged and have no entry; the
     /// branches of a choice are children keyed by their branch tag.
-    Children(Vec<ChildPlan<'a>>),
+    Children(Vec<ChildPlan>),
 }
 
-struct ChildPlan<'a> {
+struct ChildPlan {
     elem: ElemIdx,
-    tag: &'a str,
+    /// The element's tag, registered in the tree being written.
+    tag: TagId,
     /// Index of the child occurrence's plan.
     plan: usize,
     rows: ChildRows,
@@ -163,7 +165,7 @@ struct Tagger<'a> {
 }
 
 impl<'a> Tagger<'a> {
-    fn plan(&mut self, occ: Occ) -> Result<usize, MediatorError> {
+    fn plan(&mut self, occ: Occ, tree: &mut XmlTree) -> Result<usize, MediatorError> {
         if let Some(&id) = self.ids.get(&occ) {
             return Ok(id);
         }
@@ -207,7 +209,8 @@ impl<'a> Tagger<'a> {
         };
         let mut plans = Vec::with_capacity(children.len());
         for (elem, occ, rows) in children {
-            let (tag, plan) = (aig.elem_info(elem).tag(), self.plan(occ)?);
+            let tag = tree.intern_tag(aig.elem_info(elem).tag());
+            let plan = self.plan(occ, tree)?;
             plans.push(ChildPlan {
                 elem,
                 tag,
@@ -219,7 +222,14 @@ impl<'a> Tagger<'a> {
         Ok(id)
     }
 
-    fn new(aig: &'a Aig, graph: &'a TaskGraph, store: &'a RelStore) -> Result<Self, MediatorError> {
+    /// Plans the tagging of `store` into `tree` (so far just its root),
+    /// registering every tag the walk will emit in `tree`'s tag table.
+    fn new(
+        aig: &'a Aig,
+        graph: &'a TaskGraph,
+        store: &'a RelStore,
+        tree: &mut XmlTree,
+    ) -> Result<Self, MediatorError> {
         let mut tagger = Tagger {
             aig,
             graph,
@@ -229,7 +239,7 @@ impl<'a> Tagger<'a> {
             index: ChildrenIndex::build(aig, graph, store)?,
             reader: Reader::snapshot(),
         };
-        tagger.plan(Occ::mat(aig.root))?;
+        tagger.plan(Occ::mat(aig.root), tree)?;
         tagger.reader = Reader::snapshot();
         match tagger.plans[ROOT_PLAN].base.len() {
             1 => Ok(tagger),
@@ -258,10 +268,9 @@ impl<'a> Tagger<'a> {
         plan: &OccPlan,
         text: &Result<ScalarCol, MediatorError>,
         base_idx: u32,
-    ) -> Result<String, MediatorError> {
+    ) -> Result<&Value, MediatorError> {
         let scalar = text.as_ref().map_err(Clone::clone)?;
-        let sym = scalar.at(plan.base, base_idx as usize);
-        Ok(self.reader.get(sym).to_text())
+        Ok(self.reader.get(scalar.at(plan.base, base_idx as usize)))
     }
 
     /// Emits the children of the occurrence planned at `plan` for the base
@@ -276,12 +285,14 @@ impl<'a> Tagger<'a> {
         let plan = &self.plans[plan];
         match &plan.body {
             Body::Text(text) => {
-                tree.add_text(node, self.text(plan, text, base_idx)?);
+                // Written straight into the document's text buffer.
+                let text = self.text(plan, text, base_idx)?;
+                tree.add_text_with(node, |buf| text.write_text(buf));
             }
             Body::Children(children) => {
                 for child in children {
                     for &child_idx in self.child_rows(plan, child, &base_idx) {
-                        let child_node = tree.add_element(node, child.tag.to_string());
+                        let child_node = tree.add_tagged(node, child.tag);
                         self.tag_children(tree, child_node, child.plan, child_idx)?;
                     }
                 }
@@ -317,7 +328,7 @@ pub struct RetagStats {
 /// Because untainted instance relations are byte-identical to the cached
 /// run's and the copy is verbatim, the result equals `tag_document` over
 /// the spliced store node-for-node.
-pub(crate) fn retag_document(
+pub fn retag_document(
     aig: &Aig,
     graph: &TaskGraph,
     store: &RelStore,
@@ -334,13 +345,14 @@ pub(crate) fn retag_document(
         };
         return Ok((tree, stats));
     }
-    let tagger = Tagger::new(aig, graph, store)?;
-    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag().to_string());
+    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag());
+    let tagger = Tagger::new(aig, graph, store, &mut tree)?;
     let root_node = tree.root();
     let mut retagger = Retagger {
         dirty_below: dirty_below(aig, tainted),
         tagger: &tagger,
         cached,
+        copier: cached.copier(),
         tainted,
         nodes_reused: 0,
     };
@@ -389,6 +401,8 @@ fn dirty_below(aig: &Aig, tainted: &HashSet<ElemIdx>) -> HashSet<ElemIdx> {
 struct Retagger<'a> {
     tagger: &'a Tagger<'a>,
     cached: &'a XmlTree,
+    /// Copies `cached`'s untainted subtrees into the tree being written.
+    copier: SubtreeCopier<'a>,
     tainted: &'a HashSet<ElemIdx>,
     dirty_below: HashSet<ElemIdx>,
     nodes_reused: usize,
@@ -418,7 +432,8 @@ impl Retagger<'_> {
                 // The base table is untainted, so the value is unchanged;
                 // recomputing it from the spliced store is equivalent and
                 // keeps a single source of truth.
-                tree.add_text(node, tagger.text(plan, text, base_idx)?);
+                let text = tagger.text(plan, text, base_idx)?;
+                tree.add_text_with(node, |buf| text.write_text(buf));
             }
             Body::Children(children) => {
                 let rows_tainted = children.iter().any(|c| {
@@ -439,7 +454,7 @@ impl Retagger<'_> {
                         // Verbatim copy where nothing below is tainted —
                         // the cached subtree is what a cold tag over the
                         // spliced store would emit — else paired recursion.
-                        let child_node = tree.add_element(node, child.tag.to_string());
+                        let child_node = tree.add_tagged(node, child.tag);
                         if self.dirty_below.contains(&child.elem) {
                             let (plan, idx) = (child.plan, child_idx);
                             self.retag_children(tree, child_node, plan, idx, cached_child)?;
@@ -455,17 +470,7 @@ impl Retagger<'_> {
 
     /// Deep-copies the cached node's children under `dst`.
     fn copy_into(&mut self, tree: &mut XmlTree, dst: NodeId, src: NodeId) {
-        for &child in self.cached.children(src) {
-            self.nodes_reused += 1;
-            match self.cached.kind(child) {
-                NodeKind::Element(tag) => {
-                    let copied = tree.add_element(dst, tag.clone());
-                    self.copy_into(tree, copied, child);
-                }
-                NodeKind::Text(text) => {
-                    tree.add_text(dst, text.clone());
-                }
-            }
-        }
+        let keep_all = |_| CopyStep::Keep;
+        self.nodes_reused += self.copier.copy_children(tree, dst, src, keep_all);
     }
 }

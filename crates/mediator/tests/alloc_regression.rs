@@ -1,11 +1,12 @@
-//! Allocation regression test of the columnar data plane.
+//! Allocation regression test of the columnar data and document planes.
 //!
-//! Task bodies and the tagger index build columns, not rows: a warm request
-//! allocates per *task* and per *document node*, never per relation row. A
-//! `Vec<Value>` per row (the pre-columnar loops: 0.93 allocations per row
-//! in `execute_graph`, 3.42 per node in `tag_document` on this very run,
-//! against 0.14 and 1.59 now) fails the bounds below; `HashMap` seeds and
-//! growth jitter do not come near them.
+//! Task bodies and the tagger index build columns, not rows, and the
+//! document is columns too: a warm request allocates per *task*, never per
+//! relation row or per document node. A `Vec<Value>` per row (the
+//! pre-columnar loops: 0.93 allocations per row in `execute_graph`, against
+//! 0.14 now) or a `String` per node (1.59 allocations per node in
+//! `tag_document` before the flat `XmlTree`, against under 0.01) fails the
+//! bounds below; `HashMap` seeds and growth jitter do not come near them.
 //!
 //! The data is Table 1's Small hospital — large enough (well over 20k
 //! document nodes for the chosen date) that per-task constants vanish in
@@ -13,9 +14,10 @@
 
 use aig_core::paper::sigma0;
 use aig_datagen::{DatasetSize, HospitalConfig};
-use aig_mediator::tagging::tag_document;
+use aig_mediator::tagging::{retag_document, tag_document};
 use aig_mediator::{execute_graph, ExecOptions, Mediator, MediatorOptions};
 use aig_relstore::Value;
+use aig_xml::{serialize, validate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -96,7 +98,57 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
          = {per_row:.2} per row"
     );
     assert!(
-        per_node < 3.0,
+        per_node <= 0.1,
         "tag_document: {tag_allocs} allocations for {nodes} nodes = {per_node:.2} per node"
+    );
+
+    // Retagging with nothing tainted copies the cached document: as few
+    // allocations per node as tagging it, and the same document.
+    let untainted = std::collections::HashSet::new();
+    let (retagged, retag_allocs) =
+        counted(|| retag_document(&plan.aig, &plan.graph, &exec.store, &tree, &untainted));
+    let (retagged, stats) = retagged.unwrap();
+    assert!(retagged == tree && stats.nodes_reused > tree.len() / 2);
+    println!("retag_document {:.4}/node", retag_allocs as f64 / nodes);
+    assert!(
+        retag_allocs as f64 <= 0.1 * nodes,
+        "retag_document: {retag_allocs} allocations for {nodes} nodes"
+    );
+
+    // Whole-document operations allocate a few buffers, whatever the size.
+    let (copy, clone_allocs) = counted(|| tree.clone());
+    let (valid, validate_allocs) = counted(|| validate(&tree, &aig.dtd));
+    let (xml, serialize_allocs) = counted(|| serialize::to_string(&tree));
+    assert!(copy == tree && valid.is_ok() && xml.len() > tree.len());
+    println!("clone {clone_allocs}, validate {validate_allocs}, to_string {serialize_allocs}");
+    for (what, allocs) in [
+        ("XmlTree::clone", clone_allocs),
+        ("validate", validate_allocs),
+        ("serialize::to_string", serialize_allocs),
+    ] {
+        assert!(
+            allocs <= 64,
+            "{what}: {allocs} allocations for {nodes} nodes"
+        );
+    }
+
+    // A refresh that re-runs nothing: its executor reuses every relation,
+    // so all it allocates is the finisher's per-*task* work (costs, merge,
+    // report rows: about 28 per task here) plus what it does per node.
+    let options = MediatorOptions::builder()
+        .incremental(true)
+        .build()
+        .unwrap();
+    let incremental = Mediator::new(mediator.catalog().clone(), &options).unwrap();
+    incremental.request(&aig, &args).unwrap();
+    incremental.request(&aig, &args).unwrap();
+    let (refreshed, refresh_allocs) = counted(|| incremental.request(&aig, &args));
+    let (refreshed, report) = refreshed.unwrap();
+    assert!(refreshed.tree == tree && report.incremental.tasks_rerun == 0);
+    let tasks = plan.graph.tasks.len() as f64;
+    println!("no-delta refresh {refresh_allocs} allocations, {tasks} tasks, {nodes} nodes");
+    assert!(
+        refresh_allocs as f64 <= 40.0 * tasks + 0.1 * nodes,
+        "no-delta refresh: {refresh_allocs} allocations for {tasks} tasks and {nodes} nodes"
     );
 }

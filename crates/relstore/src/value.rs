@@ -4,7 +4,7 @@
 //! support integers (for prices, counts) and SQL-style `NULL` (needed by the
 //! outer-union query merging of §5.4, which pads non-matching columns).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// The type of a [`Value`].
@@ -72,10 +72,19 @@ impl Value {
     /// Renders the value as a string — the coercion used when a relational
     /// value becomes XML PCDATA.
     pub fn to_text(&self) -> String {
+        let mut text = String::new();
+        self.write_text(&mut text);
+        text
+    }
+
+    /// Appends [`Value::to_text`] to `out`, without the intermediate string.
+    pub fn write_text(&self, out: &mut String) {
         match self {
-            Value::Null => String::new(),
-            Value::Int(i) => i.to_string(),
-            Value::Str(s) => s.to_string(),
+            Value::Null => {}
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Value::Str(s) => out.push_str(s),
         }
     }
 

@@ -14,8 +14,10 @@
 //! maintained, and each `A`/`B` occurrence is charged to every open context.
 
 use crate::error::XmlError;
-use crate::tree::{NodeId, XmlTree};
-use std::collections::HashSet;
+use crate::tree::{NodeId, TagId, XmlTree};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A key constraint `context(target.field → target)`.
@@ -157,12 +159,10 @@ impl ConstraintSet {
     /// Checks every constraint, returning all violations found.
     pub fn check(&self, tree: &XmlTree) -> Vec<Violation> {
         let mut violations = Vec::new();
-        for c in &self.constraints {
-            match c {
-                Constraint::Key(k) => check_key(tree, k, &mut violations),
-                Constraint::Inclusion(i) => check_inclusion(tree, i, &mut violations),
-            }
-        }
+        self.violations(tree, &mut |v| {
+            violations.push(v);
+            false
+        });
         violations
     }
 
@@ -174,16 +174,26 @@ impl ConstraintSet {
     /// since key violations can surface mid-walk while inclusion
     /// violations only surface at context exit).
     pub fn check_first(&self, tree: &XmlTree) -> Option<Violation> {
+        let mut first = None;
+        self.violations(tree, &mut |v| {
+            first = Some(v);
+            true
+        });
+        first
+    }
+
+    /// Feeds every violation to `report`, constraint by constraint, until it
+    /// returns `true`.
+    fn violations(&self, tree: &XmlTree, report: &mut impl FnMut(Violation) -> bool) {
         for c in &self.constraints {
-            let found = match c {
-                Constraint::Key(k) => first_key_violation(tree, k),
-                Constraint::Inclusion(i) => first_inclusion_violation(tree, i),
+            let stopped = match c {
+                Constraint::Key(k) => key_violations(tree, k, report),
+                Constraint::Inclusion(i) => inclusion_violations(tree, i, report),
             };
-            if found.is_some() {
-                return found;
+            if stopped {
+                return;
             }
         }
-        None
     }
 
     /// True if the document satisfies every constraint. Short-circuits on
@@ -251,221 +261,133 @@ impl fmt::Display for Violation {
 // --------------------------------------------------------------------------
 // Single-pass checkers
 // --------------------------------------------------------------------------
+//
+// One loop over [`XmlTree::walk`] per constraint, with a stack of open `C`
+// contexts. Tags are compared as the tree's tag ids, resolved once per
+// check, and a field's value is borrowed from the document's text buffer.
+// Each checker hands its violations to `report` in the order it finds them
+// and returns `true` as soon as `report` does.
 
 /// Checks a key constraint: within every `C`-rooted subtree, no two distinct
-/// `A` elements share an `l` value. `A` elements lacking an `l` subelement
-/// contribute nothing (the DTD guarantees presence in well-typed documents).
-fn check_key(tree: &XmlTree, key: &Key, out: &mut Vec<Violation>) {
-    // Stack of open contexts, each with the key values seen so far.
-    struct Ctx {
-        node: NodeId,
-        seen: HashSet<String>,
-        reported: HashSet<String>,
-    }
-    let mut contexts: Vec<Ctx> = Vec::new();
-    walk(tree, tree.root(), &mut |tree, node, enter| {
-        let Some(tag) = tree.tag(node) else { return };
-        if enter {
-            if tag == key.context {
-                contexts.push(Ctx {
-                    node,
-                    seen: HashSet::new(),
-                    reported: HashSet::new(),
-                });
+/// `A` elements share an `l` value (each duplicated value is reported once
+/// per context). `A` elements lacking an `l` subelement contribute nothing
+/// (the DTD guarantees presence in well-typed documents).
+fn key_violations(tree: &XmlTree, key: &Key, report: &mut impl FnMut(Violation) -> bool) -> bool {
+    let tags = [&key.context, &key.target, &key.field].map(|tag| tree.tag_id(tag));
+    let [Some(context), Some(target), Some(field)] = tags else {
+        return false;
+    };
+    // Open contexts, each with the key values seen so far and whether the
+    // value was already reported.
+    let mut contexts: Vec<(NodeId, HashMap<Cow<'_, str>, bool>)> = Vec::new();
+    for (node, enter) in tree.walk(tree.root()) {
+        let Some(tag) = tree.elem_tag(node) else {
+            continue;
+        };
+        if !enter {
+            if tag == context {
+                contexts.pop();
             }
-            if tag == key.target {
-                if let Some(value) = tree.subelement_value(node, &key.field) {
-                    for ctx in contexts.iter_mut() {
-                        if !ctx.seen.insert(value.clone()) && ctx.reported.insert(value.clone()) {
-                            out.push(Violation {
-                                constraint: key.to_string(),
-                                context_path: tree.path(ctx.node),
-                                value: value.clone(),
-                            });
-                        }
+            continue;
+        }
+        if tag == context {
+            contexts.push((node, HashMap::new()));
+        }
+        let value = (tag == target).then(|| tree.child_tagged(node, field));
+        let Some(value) = value.flatten().map(|l| tree.pcdata_value(l)) else {
+            continue;
+        };
+        for (ctx, seen) in contexts.iter_mut() {
+            match seen.entry(value.clone()) {
+                Entry::Vacant(first) => {
+                    first.insert(false);
+                }
+                Entry::Occupied(mut duplicate) => {
+                    if !duplicate.insert(true) && report(violation(tree, key, *ctx, &value)) {
+                        return true;
                     }
                 }
             }
-        } else if tag == key.context {
-            contexts.pop();
         }
-    });
+    }
+    false
 }
 
 /// Checks an inclusion constraint: within every `C`-rooted subtree, the set
-/// of `B.lB` values is contained in the set of `A.lA` values.
-fn check_inclusion(tree: &XmlTree, ic: &Inclusion, out: &mut Vec<Violation>) {
-    struct Ctx {
-        node: NodeId,
-        lhs: Vec<String>,
-        rhs: HashSet<String>,
-    }
-    let mut contexts: Vec<Ctx> = Vec::new();
-    walk(tree, tree.root(), &mut |tree, node, enter| {
-        let Some(tag) = tree.tag(node) else { return };
-        if enter {
-            if tag == ic.context {
-                contexts.push(Ctx {
-                    node,
-                    lhs: Vec::new(),
-                    rhs: HashSet::new(),
-                });
-            }
-            // Note: B and A may be the same element type with different fields.
-            if tag == ic.lhs_elem {
-                if let Some(value) = tree.subelement_value(node, &ic.lhs_field) {
-                    for ctx in contexts.iter_mut() {
-                        ctx.lhs.push(value.clone());
-                    }
-                }
-            }
-            if tag == ic.rhs_elem {
-                if let Some(value) = tree.subelement_value(node, &ic.rhs_field) {
-                    for ctx in contexts.iter_mut() {
-                        ctx.rhs.insert(value.clone());
-                    }
-                }
-            }
-        } else if tag == ic.context {
-            let ctx = contexts.pop().expect("balanced enter/exit");
-            let mut missing: Vec<&String> =
-                ctx.lhs.iter().filter(|v| !ctx.rhs.contains(*v)).collect();
-            missing.dedup();
-            let mut reported = HashSet::new();
-            for value in missing {
-                if reported.insert(value.clone()) {
-                    out.push(Violation {
-                        constraint: ic.to_string(),
-                        context_path: tree.path(ctx.node),
-                        value: value.clone(),
-                    });
-                }
-            }
-        }
-    });
-}
-
-/// Depth-first walk invoking `f(tree, node, enter)` on the way down
-/// (`enter = true`) and up (`enter = false`).
-fn walk(tree: &XmlTree, node: NodeId, f: &mut impl FnMut(&XmlTree, NodeId, bool)) {
-    f(tree, node, true);
-    for &c in tree.children(node) {
-        walk(tree, c, f);
-    }
-    f(tree, node, false);
-}
-
-/// Like [`walk`], but stops (returning `true`) as soon as `f` does.
-fn walk_until(
+/// of `B.lB` values is contained in the set of `A.lA` values. Violations only
+/// become decidable when a context closes; each missing value is reported
+/// once per context, in document order.
+fn inclusion_violations(
     tree: &XmlTree,
-    node: NodeId,
-    f: &mut impl FnMut(&XmlTree, NodeId, bool) -> bool,
+    ic: &Inclusion,
+    report: &mut impl FnMut(Violation) -> bool,
 ) -> bool {
-    if f(tree, node, true) {
-        return true;
-    }
-    for &c in tree.children(node) {
-        if walk_until(tree, c, f) {
-            return true;
-        }
-    }
-    f(tree, node, false)
-}
-
-/// The first key violation in document order, abandoning the walk as soon
-/// as a duplicate key value is seen in any open context.
-fn first_key_violation(tree: &XmlTree, key: &Key) -> Option<Violation> {
-    struct Ctx {
+    let tags = [&ic.context, &ic.lhs_elem, &ic.lhs_field].map(|tag| tree.tag_id(tag));
+    let [Some(context), Some(lhs_elem), Some(lhs_field)] = tags else {
+        return false;
+    };
+    let (rhs_elem, rhs_field) = (tree.tag_id(&ic.rhs_elem), tree.tag_id(&ic.rhs_field));
+    struct Ctx<'t> {
         node: NodeId,
-        seen: HashSet<String>,
+        lhs: Vec<Cow<'t, str>>,
+        rhs: HashSet<Cow<'t, str>>,
     }
     let mut contexts: Vec<Ctx> = Vec::new();
-    let mut found: Option<Violation> = None;
-    walk_until(tree, tree.root(), &mut |tree, node, enter| {
-        let Some(tag) = tree.tag(node) else {
-            return false;
+    // The `field` value of `node` if it is an `elem` (either may be a tag
+    // the tree does not have).
+    let value = |node, tag, elem: Option<TagId>, field: Option<TagId>| {
+        let field = tree.child_tagged(node, field.filter(|_| Some(tag) == elem)?)?;
+        Some(tree.pcdata_value(field))
+    };
+    for (node, enter) in tree.walk(tree.root()) {
+        let Some(tag) = tree.elem_tag(node) else {
+            continue;
         };
-        if enter {
-            if tag == key.context {
-                contexts.push(Ctx {
-                    node,
-                    seen: HashSet::new(),
-                });
-            }
-            if tag == key.target {
-                if let Some(value) = tree.subelement_value(node, &key.field) {
-                    for ctx in contexts.iter_mut() {
-                        if !ctx.seen.insert(value.clone()) {
-                            found = Some(Violation {
-                                constraint: key.to_string(),
-                                context_path: tree.path(ctx.node),
-                                value,
-                            });
-                            return true;
-                        }
+        if !enter {
+            if tag == context {
+                let ctx = contexts.pop().expect("balanced enter/exit");
+                let mut reported = HashSet::new();
+                for value in ctx.lhs.iter().filter(|v| !ctx.rhs.contains(*v)) {
+                    if reported.insert(value) && report(violation(tree, ic, ctx.node, value)) {
+                        return true;
                     }
                 }
             }
-        } else if tag == key.context {
-            contexts.pop();
+            continue;
         }
-        false
-    });
-    found
+        if tag == context {
+            contexts.push(Ctx {
+                node,
+                lhs: Vec::new(),
+                rhs: HashSet::new(),
+            });
+        }
+        // Note: B and A may be the same element type with different fields.
+        if let Some(value) = value(node, tag, Some(lhs_elem), Some(lhs_field)) {
+            for ctx in contexts.iter_mut() {
+                ctx.lhs.push(value.clone());
+            }
+        }
+        if let Some(value) = value(node, tag, rhs_elem, rhs_field) {
+            for ctx in contexts.iter_mut() {
+                ctx.rhs.insert(value.clone());
+            }
+        }
+    }
+    false
 }
 
-/// The first inclusion violation, stopping at the first context whose
-/// `B.lB` values are not covered by its `A.lA` values. Violations only
-/// become decidable when a context closes, so the walk still visits the
-/// whole violating subtree — but never continues past it.
-fn first_inclusion_violation(tree: &XmlTree, ic: &Inclusion) -> Option<Violation> {
-    struct Ctx {
-        node: NodeId,
-        lhs: Vec<String>,
-        rhs: HashSet<String>,
+fn violation(
+    tree: &XmlTree,
+    constraint: &impl fmt::Display,
+    ctx: NodeId,
+    value: &str,
+) -> Violation {
+    Violation {
+        constraint: constraint.to_string(),
+        context_path: tree.path(ctx),
+        value: value.to_string(),
     }
-    let mut contexts: Vec<Ctx> = Vec::new();
-    let mut found: Option<Violation> = None;
-    walk_until(tree, tree.root(), &mut |tree, node, enter| {
-        let Some(tag) = tree.tag(node) else {
-            return false;
-        };
-        if enter {
-            if tag == ic.context {
-                contexts.push(Ctx {
-                    node,
-                    lhs: Vec::new(),
-                    rhs: HashSet::new(),
-                });
-            }
-            if tag == ic.lhs_elem {
-                if let Some(value) = tree.subelement_value(node, &ic.lhs_field) {
-                    for ctx in contexts.iter_mut() {
-                        ctx.lhs.push(value.clone());
-                    }
-                }
-            }
-            if tag == ic.rhs_elem {
-                if let Some(value) = tree.subelement_value(node, &ic.rhs_field) {
-                    for ctx in contexts.iter_mut() {
-                        ctx.rhs.insert(value.clone());
-                    }
-                }
-            }
-        } else if tag == ic.context {
-            let ctx = contexts.pop().expect("balanced enter/exit");
-            if let Some(value) = ctx.lhs.iter().find(|v| !ctx.rhs.contains(*v)) {
-                found = Some(Violation {
-                    constraint: ic.to_string(),
-                    context_path: tree.path(ctx.node),
-                    value: value.clone(),
-                });
-                return true;
-            }
-        }
-        false
-    });
-    found
 }
 
 // --------------------------------------------------------------------------

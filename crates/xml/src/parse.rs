@@ -6,9 +6,11 @@
 use crate::error::XmlError;
 use crate::tree::{NodeId, XmlTree};
 
-/// Parses an XML document into a tree.
+/// Parses an XML document into a tree. Nesting is bounded by memory only:
+/// open elements are kept on an explicit stack, not the call stack.
 pub fn parse(src: &str) -> Result<XmlTree, XmlError> {
     Parser {
+        text: src,
         src: src.as_bytes(),
         pos: 0,
     }
@@ -16,6 +18,7 @@ pub fn parse(src: &str) -> Result<XmlTree, XmlError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
@@ -28,28 +31,37 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_misc(&mut self) {
-        loop {
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-                self.pos += 1;
-            }
-            if self.src[self.pos..].starts_with(b"<!--") {
-                match self.src[self.pos..].windows(3).position(|w| w == b"-->") {
-                    Some(off) => self.pos += off + 3,
-                    None => self.pos = self.src.len(),
-                }
-            } else if self.src[self.pos..].starts_with(b"<?") {
-                match self.src[self.pos..].windows(2).position(|w| w == b"?>") {
-                    Some(off) => self.pos += off + 2,
-                    None => self.pos = self.src.len(),
-                }
-            } else {
-                return;
-            }
+    fn skip_ws(&mut self) {
+        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
+            self.pos += 1;
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
+    /// Skips `lead`…`end` (a comment or processing instruction) if one
+    /// starts here, saying whether its `end` was found; an unterminated one
+    /// swallows the rest of the input.
+    fn skip_past(&mut self, lead: &[u8], end: &[u8]) -> Option<bool> {
+        let rest = &self.src[self.pos..];
+        if !rest.starts_with(lead) {
+            return None;
+        }
+        let found = rest.windows(end.len()).position(|w| w == end);
+        self.pos = found.map_or(self.src.len(), |off| self.pos + off + end.len());
+        Some(found.is_some())
+    }
+
+    fn skip_misc(&mut self) {
+        self.skip_ws();
+        while self
+            .skip_past(b"<!--", b"-->")
+            .or_else(|| self.skip_past(b"<?", b"?>"))
+            .is_some()
+        {
+            self.skip_ws();
+        }
+    }
+
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while self.pos < self.src.len() {
             let b = self.src[self.pos];
@@ -62,7 +74,8 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected an element name"));
         }
-        Ok(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+        // Name bytes are ASCII, so both ends are character boundaries.
+        Ok(&self.text[start..self.pos])
     }
 
     fn document(&mut self) -> Result<XmlTree, XmlError> {
@@ -72,9 +85,58 @@ impl<'a> Parser<'a> {
         }
         self.pos += 1;
         let tag = self.name()?;
-        let mut tree = XmlTree::new(tag.clone());
-        let root = tree.root();
-        self.finish_open_tag(&mut tree, root, &tag)?;
+        let mut tree = XmlTree::new(tag);
+        // The elements whose content is being read, innermost last.
+        let mut open: Vec<NodeId> = Vec::new();
+        if self.finish_start_tag(tag)? {
+            open.push(tree.root());
+        }
+        let mut text = String::new();
+        while let Some(&parent) = open.last() {
+            match self.src.get(self.pos) {
+                None => return Err(self.err("unexpected end of input inside element")),
+                Some(b'<') => {
+                    Self::flush_text(&mut tree, parent, &mut text);
+                    if let Some(terminated) = self.skip_past(b"<!--", b"-->") {
+                        if !terminated {
+                            return Err(self.err("unterminated comment"));
+                        }
+                    } else if self.src[self.pos..].starts_with(b"</") {
+                        self.pos += 2;
+                        let (close, tag) = (self.name()?, tree.tag(parent).unwrap_or_default());
+                        if close != tag {
+                            return Err(
+                                self.err(format!("mismatched close tag `{close}` for `{tag}`"))
+                            );
+                        }
+                        self.skip_ws();
+                        if !self.src[self.pos..].starts_with(b">") {
+                            return Err(self.err("expected `>`"));
+                        }
+                        self.pos += 1;
+                        open.pop();
+                    } else {
+                        self.pos += 1;
+                        let tag = self.name()?;
+                        let tag_id = tree.intern_tag(tag);
+                        let child = tree.add_tagged(parent, tag_id);
+                        if self.finish_start_tag(tag)? {
+                            open.push(child);
+                        }
+                    }
+                }
+                Some(b'&') => text.push(self.entity()?),
+                Some(_) => {
+                    // Accumulate raw text up to the next markup byte; both
+                    // ends are ASCII or the input's, so character boundaries.
+                    let start = self.pos;
+                    while !matches!(self.src.get(self.pos), None | Some(b'<' | b'&')) {
+                        self.pos += 1;
+                    }
+                    text.push_str(&self.text[start..self.pos]);
+                }
+            }
+        }
         self.skip_misc();
         if self.pos < self.src.len() {
             return Err(self.err("trailing content after root element"));
@@ -82,98 +144,29 @@ impl<'a> Parser<'a> {
         Ok(tree)
     }
 
-    /// Called just after `<name` has been consumed; parses `/>` or
-    /// `>...</name>` and fills in the children of `node`.
-    fn finish_open_tag(
-        &mut self,
-        tree: &mut XmlTree,
-        node: NodeId,
-        tag: &str,
-    ) -> Result<(), XmlError> {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-        if self.src[self.pos..].starts_with(b"/>") {
-            self.pos += 2;
-            return Ok(());
-        }
-        if !self.src[self.pos..].starts_with(b">") {
+    /// Called just after `<name` has been consumed; consumes `/>` (returning
+    /// false) or `>` (true: the element's content follows).
+    fn finish_start_tag(&mut self, tag: &str) -> Result<bool, XmlError> {
+        self.skip_ws();
+        let rest = &self.src[self.pos..];
+        let has_content = rest.starts_with(b">");
+        if !has_content && !rest.starts_with(b"/>") {
             return Err(self.err(format!(
                 "malformed start tag for `{tag}` (attributes are not supported)"
             )));
         }
-        self.pos += 1;
-        self.content(tree, node)?;
-        // Closing tag.
-        if !self.src[self.pos..].starts_with(b"</") {
-            return Err(self.err(format!("expected `</{tag}>`")));
-        }
-        self.pos += 2;
-        let close = self.name()?;
-        if close != tag {
-            return Err(self.err(format!("mismatched close tag `{close}` for `{tag}`")));
-        }
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-        if !self.src[self.pos..].starts_with(b">") {
-            return Err(self.err("expected `>`"));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn content(&mut self, tree: &mut XmlTree, parent: NodeId) -> Result<(), XmlError> {
-        let mut text = String::new();
-        loop {
-            if self.pos >= self.src.len() {
-                return Err(self.err("unexpected end of input inside element"));
-            }
-            let b = self.src[self.pos];
-            if b == b'<' {
-                if self.src[self.pos..].starts_with(b"<!--") {
-                    self.flush_text(tree, parent, &mut text);
-                    match self.src[self.pos..].windows(3).position(|w| w == b"-->") {
-                        Some(off) => self.pos += off + 3,
-                        None => return Err(self.err("unterminated comment")),
-                    }
-                } else if self.src[self.pos..].starts_with(b"</") {
-                    self.flush_text(tree, parent, &mut text);
-                    return Ok(());
-                } else {
-                    self.flush_text(tree, parent, &mut text);
-                    self.pos += 1;
-                    let tag = self.name()?;
-                    let child = tree.add_element(parent, tag.clone());
-                    self.finish_open_tag(tree, child, &tag)?;
-                }
-            } else if b == b'&' {
-                text.push(self.entity()?);
-            } else {
-                // Accumulate raw text bytes (UTF-8 passes through unchanged).
-                let start = self.pos;
-                while self.pos < self.src.len()
-                    && self.src[self.pos] != b'<'
-                    && self.src[self.pos] != b'&'
-                {
-                    self.pos += 1;
-                }
-                text.push_str(&String::from_utf8_lossy(&self.src[start..self.pos]));
-            }
-        }
+        self.pos += if has_content { 1 } else { 2 };
+        Ok(has_content)
     }
 
     /// Emits accumulated text as a text node if it contains any
     /// non-whitespace character; whitespace-only runs between elements are
     /// treated as formatting and dropped.
-    fn flush_text(&mut self, tree: &mut XmlTree, parent: NodeId, text: &mut String) {
-        if !text.is_empty() {
-            if text.chars().any(|c| !c.is_whitespace()) {
-                tree.add_text(parent, std::mem::take(text));
-            } else {
-                text.clear();
-            }
+    fn flush_text(tree: &mut XmlTree, parent: NodeId, text: &mut String) {
+        if text.chars().any(|c| !c.is_whitespace()) {
+            tree.add_text_with(parent, |buf| buf.push_str(text));
         }
+        text.clear();
     }
 
     fn entity(&mut self) -> Result<char, XmlError> {

@@ -18,7 +18,7 @@
 
 use crate::constraints::{Constraint, ConstraintSet};
 use crate::dtd::{ContentModel, Dtd};
-use crate::tree::{NodeId, XmlTree};
+use crate::tree::{CopyStep, NodeId, XmlTree};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -202,37 +202,10 @@ fn is_deletable(tree: &XmlTree, node: NodeId, dtd: &Dtd) -> bool {
 
 /// Rebuilds the tree without the given nodes (and their subtrees).
 fn delete_nodes(tree: &XmlTree, victims: &HashSet<NodeId>) -> XmlTree {
-    let root_tag = tree
-        .tag(tree.root())
-        .expect("root is an element")
-        .to_string();
-    let mut out = XmlTree::new(root_tag);
-    let out_root = out.root();
-    copy_children(tree, tree.root(), &mut out, out_root, victims);
-    out
-}
-
-fn copy_children(
-    src: &XmlTree,
-    from: NodeId,
-    dst: &mut XmlTree,
-    to: NodeId,
-    victims: &HashSet<NodeId>,
-) {
-    for &child in src.children(from) {
-        if victims.contains(&child) {
-            continue;
-        }
-        match src.kind(child) {
-            crate::tree::NodeKind::Text(text) => {
-                dst.add_text(to, text.clone());
-            }
-            crate::tree::NodeKind::Element(tag) => {
-                let new = dst.add_element(to, tag.clone());
-                copy_children(src, child, dst, new, victims);
-            }
-        }
-    }
+    tree.filtered(|node| match victims.contains(&node) {
+        true => CopyStep::Skip,
+        false => CopyStep::Keep,
+    })
 }
 
 #[cfg(test)]

@@ -1,81 +1,72 @@
 //! XML serialization with entity escaping.
 
-use crate::tree::{NodeId, NodeKind, XmlTree};
-use std::fmt::Write;
+use crate::tree::{NodeKind, XmlTree};
 
-/// Escapes text content (`&`, `<`, `>`).
+/// Escapes text content (`&`, `<`, `>`), copying the runs between them.
 pub fn escape_text(text: &str, out: &mut String) {
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
+    let mut run = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let entity = match byte {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            _ => continue,
+        };
+        out.push_str(&text[run..at]);
+        out.push_str(entity);
+        run = at + 1;
     }
+    out.push_str(&text[run..]);
 }
 
 /// Serializes the document compactly (no whitespace between elements), so
 /// that parsing it back yields a structurally equal tree.
 pub fn to_string(tree: &XmlTree) -> String {
-    let mut out = String::new();
-    write_node(tree, tree.root(), &mut out);
-    out
-}
-
-fn write_node(tree: &XmlTree, node: NodeId, out: &mut String) {
-    match tree.kind(node) {
-        NodeKind::Text(text) => escape_text(text, out),
-        NodeKind::Element(tag) => {
-            let children = tree.children(node);
-            if children.is_empty() {
-                let _ = write!(out, "<{tag}/>");
-            } else {
-                let _ = write!(out, "<{tag}>");
-                for &c in children {
-                    write_node(tree, c, out);
-                }
-                let _ = write!(out, "</{tag}>");
-            }
+    let mut out = String::with_capacity(tree.markup_len());
+    for (node, enter) in tree.walk(tree.root()) {
+        match (tree.kind(node), enter, tree.children(node).is_empty()) {
+            (NodeKind::Text(text), true, _) => escape_text(text, &mut out),
+            (NodeKind::Element(tag), true, true) => out.extend(["<", tag, "/>"]),
+            (NodeKind::Element(tag), true, false) => out.extend(["<", tag, ">"]),
+            (NodeKind::Element(tag), false, false) => out.extend(["</", tag, ">"]),
+            (_, false, _) => {}
         }
     }
+    out
 }
 
 /// Serializes the document with two-space indentation. Text content is kept
 /// inline with its parent element so PCDATA is not polluted with whitespace.
 pub fn to_pretty_string(tree: &XmlTree) -> String {
-    let mut out = String::new();
-    write_pretty(tree, tree.root(), 0, &mut out);
-    out.push('\n');
-    out
-}
-
-fn write_pretty(tree: &XmlTree, node: NodeId, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    match tree.kind(node) {
-        NodeKind::Text(text) => {
-            out.push_str(&pad);
-            escape_text(text, out);
+    // An element with a single text child stays on one line.
+    let inline = |node| matches!(tree.children(node), [only] if !tree.is_element(*only));
+    let (mut out, mut pad, mut depth) = (String::new(), String::new(), 0);
+    for (node, enter) in tree.walk(tree.root()) {
+        let joins_parent = tree.parent(node).is_some_and(inline);
+        let (empty, inline) = (tree.children(node).is_empty(), inline(node));
+        depth -= usize::from(!enter);
+        while pad.len() < 2 * depth {
+            pad.push_str("  ");
         }
-        NodeKind::Element(tag) => {
-            let children = tree.children(node);
-            if children.is_empty() {
-                let _ = write!(out, "{pad}<{tag}/>");
-            } else if children.len() == 1 && !tree.is_element(children[0]) {
-                // Single text child: keep on one line.
-                let _ = write!(out, "{pad}<{tag}>");
-                escape_text(tree.text(children[0]).unwrap(), out);
-                let _ = write!(out, "</{tag}>");
-            } else {
-                let _ = writeln!(out, "{pad}<{tag}>");
-                for &c in children {
-                    write_pretty(tree, c, indent + 1, out);
-                    out.push('\n');
-                }
-                let _ = write!(out, "{pad}</{tag}>");
-            }
+        // A node opens its own line unless it joins its parent's; only an
+        // element spread over several lines closes on a fresh one.
+        if !joins_parent && (enter || !(empty || inline)) {
+            out.push_str(&pad[..2 * depth]);
+        }
+        match (tree.kind(node), enter) {
+            (NodeKind::Text(text), true) => escape_text(text, &mut out),
+            (NodeKind::Element(tag), true) if empty => out.extend(["<", tag, "/>"]),
+            (NodeKind::Element(tag), true) if inline => out.extend(["<", tag, ">"]),
+            (NodeKind::Element(tag), true) => out.extend(["<", tag, ">\n"]),
+            (NodeKind::Element(tag), false) if !empty => out.extend(["</", tag, ">"]),
+            (_, false) => {}
+        }
+        depth += usize::from(enter);
+        if !enter && !joins_parent {
+            out.push('\n');
         }
     }
+    out
 }
 
 #[cfg(test)]

@@ -1,12 +1,19 @@
-//! Arena-based XML document trees.
+//! Columnar XML document trees.
 //!
 //! Documents are ordered trees whose internal nodes are *elements* (tagged
 //! with an element-type name) and whose leaves may be *text* nodes carrying
-//! PCDATA, exactly as in the paper's data model (§2). Nodes live in a flat
-//! arena owned by the tree; [`NodeId`] handles are plain indices, so trees are
-//! `Send`, cheap to build, and need no reference counting.
+//! PCDATA, exactly as in the paper's data model (§2). A tree is a handful of
+//! columns indexed by [`NodeId`]: a tag id into a per-tree tag table (text
+//! nodes carry a sentinel), the parent, and the end of the node's PCDATA in
+//! one document-wide text buffer. Child lists are an offsets + ids index
+//! derived from the parent column on the first read after a mutation —
+//! build, then read. Adding a node is three `push`es, `Clone` is a few
+//! `memcpy`s, and nothing is allocated per node.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a node inside an [`XmlTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -26,20 +33,30 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// The payload of a node: an element with a tag, or a text leaf.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeKind {
+/// The payload of a node, borrowed from its tree: an element with a tag, or
+/// a text leaf.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeKind<'a> {
     /// An element node labeled with an element-type name.
-    Element(String),
+    Element(&'a str),
     /// A text (PCDATA) node. Always a leaf.
-    Text(String),
+    Text(&'a str),
 }
 
+/// An element tag registered in one tree's tag table
+/// ([`XmlTree::intern_tag`]); meaningless in any other tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TagId(pub(crate) u32);
+
+/// The tag column's entry for text nodes, and the root's parent.
+const NONE: u32 = u32::MAX;
+
+/// Child lists in CSR form: node `n`'s children are
+/// `ids[start[n]..start[n + 1]]`.
 #[derive(Debug, Clone)]
-struct Node {
-    kind: NodeKind,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
+struct ChildIndex {
+    start: Vec<u32>,
+    ids: Vec<NodeId>,
 }
 
 /// An ordered XML document tree.
@@ -47,111 +64,222 @@ struct Node {
 /// The root is always an element node. Children are kept in document order.
 #[derive(Debug, Clone)]
 pub struct XmlTree {
-    nodes: Vec<Node>,
-    root: NodeId,
+    /// The tag table, and its inverse.
+    tags: Vec<Arc<str>>,
+    tag_ids: HashMap<Arc<str>, u32>,
+    /// Per node: tag id (`NONE` for text), parent (`NONE` for the root), and
+    /// the length of `text` once the node was added — a node's PCDATA is the
+    /// bytes between its predecessor's end and its own.
+    tag: Vec<u32>,
+    parent: Vec<u32>,
+    text_end: Vec<u32>,
+    text: String,
+    /// Child orders imposed by [`XmlTree::set_children`], replayed whenever
+    /// the index is rebuilt.
+    reorders: Vec<(NodeId, Vec<NodeId>)>,
+    index: OnceLock<ChildIndex>,
 }
 
 impl XmlTree {
     /// Creates a tree consisting of a single root element.
     pub fn new(root_tag: impl Into<String>) -> Self {
-        let root = Node {
-            kind: NodeKind::Element(root_tag.into()),
-            parent: None,
-            children: Vec::new(),
+        let mut tree = XmlTree {
+            tags: Vec::new(),
+            tag_ids: HashMap::new(),
+            tag: Vec::new(),
+            parent: vec![NONE],
+            text_end: vec![0],
+            text: String::new(),
+            reorders: Vec::new(),
+            index: OnceLock::new(),
         };
-        XmlTree {
-            nodes: vec![root],
-            root: NodeId(0),
-        }
+        let root = tree.intern_tag(&root_tag.into());
+        tree.tag.push(root.0);
+        tree
     }
 
     /// The root element of the document.
     #[inline]
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
-    /// Total number of nodes (elements and text) in the tree, including
-    /// detached nodes that are no longer reachable from the root.
+    /// Total number of nodes (elements and text) in the tree.
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.tag.len()
     }
 
     /// True if the tree contains only the root node.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.tag.len() <= 1
     }
 
-    fn push_node(&mut self, node: Node) -> NodeId {
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("tree exceeds u32 nodes"));
-        self.nodes.push(node);
-        id
+    /// Registers `tag` in this tree's tag table (once) and returns its id,
+    /// so a producer that emits the same few tags many times resolves each
+    /// string once ([`XmlTree::add_tagged`]).
+    pub fn intern_tag(&mut self, tag: &str) -> TagId {
+        if let Some(&id) = self.tag_ids.get(tag) {
+            return TagId(id);
+        }
+        let id = u32::try_from(self.tags.len())
+            .ok()
+            .filter(|&id| id != NONE)
+            .expect("tree exceeds u32 tags");
+        let tag: Arc<str> = Arc::from(tag);
+        self.tags.push(Arc::clone(&tag));
+        self.tag_ids.insert(tag, id);
+        TagId(id)
+    }
+
+    /// The id of `tag` if any element of this tree was ever given it.
+    pub(crate) fn tag_id(&self, tag: &str) -> Option<TagId> {
+        self.tag_ids.get(tag).map(|&id| TagId(id))
+    }
+
+    /// The tag table, indexed by [`TagId`].
+    pub(crate) fn tags(&self) -> &[Arc<str>] {
+        &self.tags
+    }
+
+    /// The bytes [`crate::serialize::to_string`] writes, escapes aside: all
+    /// the text plus two tags per element.
+    pub(crate) fn markup_len(&self) -> usize {
+        let tag_bytes = |&tag: &u32| self.tags.get(tag as usize).map_or(0, |t| 2 * t.len() + 5);
+        self.text.len() + self.tag.iter().map(tag_bytes).sum::<usize>()
+    }
+
+    /// The tag id of `node`, or `None` for a text node.
+    #[inline]
+    pub(crate) fn elem_tag(&self, node: NodeId) -> Option<TagId> {
+        Some(self.tag[node.index()])
+            .filter(|&id| id != NONE)
+            .map(TagId)
+    }
+
+    fn push_node(&mut self, parent: NodeId, tag: u32) -> NodeId {
+        assert!(self.tag[parent.index()] != NONE, "text nodes are leaves");
+        let id = u32::try_from(self.tag.len())
+            .ok()
+            .filter(|&id| id != NONE)
+            .expect("tree exceeds u32 nodes");
+        self.tag.push(tag);
+        self.parent.push(parent.0);
+        self.text_end
+            .push(u32::try_from(self.text.len()).expect("document text exceeds u32 bytes"));
+        self.index.take();
+        NodeId(id)
     }
 
     /// Appends a new element child with tag `tag` to `parent`.
     pub fn add_element(&mut self, parent: NodeId, tag: impl Into<String>) -> NodeId {
-        let id = self.push_node(Node {
-            kind: NodeKind::Element(tag.into()),
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        self.nodes[parent.index()].children.push(id);
-        id
+        let tag = self.intern_tag(&tag.into());
+        self.push_node(parent, tag.0)
+    }
+
+    /// Appends a new element child to `parent`, its tag given by id.
+    pub fn add_tagged(&mut self, parent: NodeId, tag: TagId) -> NodeId {
+        assert!((tag.0 as usize) < self.tags.len(), "tag id of another tree");
+        self.push_node(parent, tag.0)
     }
 
     /// Appends a new text child to `parent`.
     pub fn add_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
-        let id = self.push_node(Node {
-            kind: NodeKind::Text(text.into()),
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        self.nodes[parent.index()].children.push(id);
-        id
+        let text = text.into();
+        self.add_text_with(parent, |buf| buf.push_str(&text))
+    }
+
+    /// Appends a new text child to `parent` whose PCDATA is whatever `write`
+    /// appends to the document's text buffer.
+    pub fn add_text_with(&mut self, parent: NodeId, write: impl FnOnce(&mut String)) -> NodeId {
+        let start = self.text.len();
+        write(&mut self.text);
+        assert!(self.text.len() >= start, "the text buffer only grows");
+        self.push_node(parent, NONE)
     }
 
     /// The node's kind (element tag or text payload).
     #[inline]
-    pub fn kind(&self, node: NodeId) -> &NodeKind {
-        &self.nodes[node.index()].kind
+    pub fn kind(&self, node: NodeId) -> NodeKind<'_> {
+        match self.tag[node.index()] {
+            NONE => NodeKind::Text(self.pcdata(node)),
+            id => NodeKind::Element(&self.tags[id as usize]),
+        }
+    }
+
+    /// The bytes `node` added to the text buffer (none for an element).
+    #[inline]
+    fn pcdata(&self, node: NodeId) -> &str {
+        let start = match node.index() {
+            0 => 0,
+            i => self.text_end[i - 1],
+        };
+        &self.text[start as usize..self.text_end[node.index()] as usize]
     }
 
     /// The element tag of `node`, or `None` for a text node.
     #[inline]
     pub fn tag(&self, node: NodeId) -> Option<&str> {
-        match &self.nodes[node.index()].kind {
-            NodeKind::Element(tag) => Some(tag),
-            NodeKind::Text(_) => None,
-        }
+        self.elem_tag(node).map(|id| &*self.tags[id.0 as usize])
     }
 
     /// The text payload of `node`, or `None` for an element node.
     #[inline]
     pub fn text(&self, node: NodeId) -> Option<&str> {
-        match &self.nodes[node.index()].kind {
-            NodeKind::Element(_) => None,
-            NodeKind::Text(text) => Some(text),
-        }
+        (!self.is_element(node)).then(|| self.pcdata(node))
     }
 
     /// True if `node` is an element node.
     #[inline]
     pub fn is_element(&self, node: NodeId) -> bool {
-        matches!(self.nodes[node.index()].kind, NodeKind::Element(_))
+        self.tag[node.index()] != NONE
     }
 
     /// The parent of `node`, or `None` for the root.
     #[inline]
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.nodes[node.index()].parent
+        Some(self.parent[node.index()])
+            .filter(|&p| p != NONE)
+            .map(NodeId)
+    }
+
+    /// The child index: a counting sort of the nodes by parent — siblings
+    /// stay in insertion order — with every recorded reorder replayed over
+    /// the children its parent had at the time (always its first ones).
+    fn index(&self) -> &ChildIndex {
+        self.index.get_or_init(|| {
+            let n = self.len();
+            // `start[p + 1]` walks from the begin of `p`'s list to its end,
+            // which is the begin of `p + 1`'s.
+            let mut start = vec![0u32; n + 2];
+            for &p in &self.parent[1..] {
+                start[p as usize + 2] += 1;
+            }
+            for i in 2..n + 2 {
+                start[i] += start[i - 1];
+            }
+            let mut ids = vec![NodeId(0); n - 1];
+            for child in 1..n {
+                let slot = &mut start[self.parent[child] as usize + 1];
+                ids[*slot as usize] = NodeId(child as u32);
+                *slot += 1;
+            }
+            start.truncate(n + 1);
+            for (parent, order) in &self.reorders {
+                let at = start[parent.index()] as usize;
+                ids[at..at + order.len()].copy_from_slice(order);
+            }
+            ChildIndex { start, ids }
+        })
     }
 
     /// The ordered children of `node`.
     #[inline]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.nodes[node.index()].children
+        let index = self.index();
+        let (from, to) = (index.start[node.index()], index.start[node.index() + 1]);
+        &index.ids[from as usize..to as usize]
     }
 
     /// The ordered element children of `node` (text nodes skipped).
@@ -164,10 +292,12 @@ impl XmlTree {
 
     /// The first child of `node` with tag `tag`, if any.
     pub fn child_by_tag(&self, node: NodeId, tag: &str) -> Option<NodeId> {
-        self.children(node)
-            .iter()
-            .copied()
-            .find(|&c| self.tag(c) == Some(tag))
+        self.child_tagged(node, self.tag_id(tag)?)
+    }
+
+    pub(crate) fn child_tagged(&self, node: NodeId, tag: TagId) -> Option<NodeId> {
+        let mut children = self.children(node).iter().copied();
+        children.find(|&c| self.tag[c.index()] == tag.0)
     }
 
     /// The concatenated PCDATA of `node`'s *direct* text children.
@@ -175,13 +305,16 @@ impl XmlTree {
     /// For a string-typed element `l` with `P(l) = S` this is the value of
     /// the `l` subelement in the sense of the paper's constraints (§2).
     pub fn text_value(&self, node: NodeId) -> String {
-        let mut out = String::new();
-        for &c in self.children(node) {
-            if let Some(text) = self.text(c) {
-                out.push_str(text);
-            }
+        self.pcdata_value(node).into_owned()
+    }
+
+    /// [`XmlTree::text_value`], borrowed from the text buffer when `node`
+    /// has a single child.
+    pub(crate) fn pcdata_value(&self, node: NodeId) -> Cow<'_, str> {
+        match self.children(node) {
+            [only] => Cow::Borrowed(self.text(*only).unwrap_or_default()),
+            children => Cow::Owned(children.iter().filter_map(|&c| self.text(c)).collect()),
         }
-        out
     }
 
     /// The value of the `field` subelement of `node`: the PCDATA of the first
@@ -191,49 +324,55 @@ impl XmlTree {
     }
 
     /// Pre-order traversal of the subtree rooted at `node` (inclusive).
-    pub fn descendants(&self, node: NodeId) -> Descendants<'_> {
-        Descendants {
-            tree: self,
-            stack: vec![node],
-        }
+    pub fn descendants(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.walk(node).filter_map(|(n, enter)| enter.then_some(n))
     }
 
     /// Pre-order traversal of the whole document.
-    pub fn iter(&self) -> Descendants<'_> {
-        self.descendants(self.root)
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.descendants(self.root())
+    }
+
+    /// Depth-first traversal of the subtree rooted at `node` yielding every
+    /// node twice: `(n, true)` on the way down, `(n, false)` on the way up.
+    /// Every whole-tree walk of this crate is a loop over it, so document
+    /// depth never becomes call-stack depth.
+    pub fn walk(&self, node: NodeId) -> impl Iterator<Item = (NodeId, bool)> + '_ {
+        let mut stack = vec![(node, true)];
+        std::iter::from_fn(move || {
+            let (node, enter) = stack.pop()?;
+            if enter {
+                stack.push((node, false));
+                let children = self.children(node).iter().rev();
+                stack.extend(children.map(|&c| (c, true)));
+            }
+            Some((node, enter))
+        })
     }
 
     /// The depth of `node` (root has depth 0).
     pub fn depth(&self, node: NodeId) -> usize {
-        let mut depth = 0;
-        let mut cur = node;
-        while let Some(parent) = self.parent(cur) {
-            depth += 1;
-            cur = parent;
-        }
-        depth
+        std::iter::successors(self.parent(node), |&p| self.parent(p)).count()
     }
 
     /// The maximum depth of any node in the subtree rooted at `node`.
     pub fn height(&self, node: NodeId) -> usize {
-        self.children(node)
-            .iter()
-            .map(|&c| 1 + self.height(c))
-            .max()
-            .unwrap_or(0)
+        let (mut depth, mut height) = (0usize, 0);
+        for (_, enter) in self.walk(node) {
+            match enter {
+                true => depth += 1,
+                false => depth -= 1,
+            }
+            height = height.max(depth);
+        }
+        height - 1
     }
 
     /// A `/`-separated tag path from the root to `node` (for diagnostics).
     pub fn path(&self, node: NodeId) -> String {
-        let mut parts = Vec::new();
-        let mut cur = Some(node);
-        while let Some(id) = cur {
-            match &self.nodes[id.index()].kind {
-                NodeKind::Element(tag) => parts.push(tag.clone()),
-                NodeKind::Text(_) => parts.push("#text".to_string()),
-            }
-            cur = self.parent(id);
-        }
+        let mut parts: Vec<&str> = std::iter::successors(Some(node), |&n| self.parent(n))
+            .map(|n| self.tag(n).unwrap_or("#text"))
+            .collect();
         parts.reverse();
         format!("/{}", parts.join("/"))
     }
@@ -241,6 +380,24 @@ impl XmlTree {
     /// Counts reachable nodes (elements + text) in the subtree of `node`.
     pub fn subtree_size(&self, node: NodeId) -> usize {
         self.descendants(node).count()
+    }
+
+    /// A copier of this tree's subtrees into one other tree.
+    pub fn copier(&self) -> SubtreeCopier<'_> {
+        SubtreeCopier {
+            src: self,
+            tag_map: vec![NONE; self.tags.len()],
+            stack: Vec::new(),
+        }
+    }
+
+    /// A tree with this one's root tag and `keep`'s selection of the rest.
+    pub(crate) fn filtered(&self, keep: impl FnMut(NodeId) -> CopyStep) -> XmlTree {
+        let mut out = XmlTree::new(&*self.tags[self.tag[0] as usize]);
+        let root = out.root();
+        self.copier()
+            .copy_children(&mut out, root, self.root(), keep);
+        out
     }
 
     /// Rewrites the tree, removing every element whose tag satisfies
@@ -252,39 +409,11 @@ impl XmlTree {
     ///
     /// The root is never removed.
     pub fn strip_elements(&self, is_internal: impl Fn(&str) -> bool) -> XmlTree {
-        let mut out = XmlTree::new(match self.kind(self.root) {
-            NodeKind::Element(tag) => tag.clone(),
-            NodeKind::Text(_) => unreachable!("root is always an element"),
-        });
-        let out_root = out.root();
-        self.strip_into(&mut out, out_root, self.root, &is_internal);
-        out
-    }
-
-    fn strip_into(
-        &self,
-        out: &mut XmlTree,
-        out_parent: NodeId,
-        node: NodeId,
-        is_internal: &impl Fn(&str) -> bool,
-    ) {
-        for &child in self.children(node) {
-            match self.kind(child) {
-                NodeKind::Text(text) => {
-                    out.add_text(out_parent, text.clone());
-                }
-                NodeKind::Element(tag) => {
-                    if is_internal(tag) {
-                        // Splice: children of the internal node become
-                        // children of the current output parent.
-                        self.strip_into(out, out_parent, child, is_internal);
-                    } else {
-                        let new = out.add_element(out_parent, tag.clone());
-                        self.strip_into(out, new, child, is_internal);
-                    }
-                }
-            }
-        }
+        let internal: Vec<bool> = self.tags.iter().map(|tag| is_internal(tag)).collect();
+        self.filtered(|node| match self.elem_tag(node) {
+            Some(tag) if internal[tag.0 as usize] => CopyStep::Splice,
+            _ => CopyStep::Keep,
+        })
     }
 
     /// Replaces the child order of `parent`. The new order must be a
@@ -292,16 +421,19 @@ impl XmlTree {
     /// evaluates children in dependency order (§3.2) but must emit them in
     /// document order.
     pub fn set_children(&mut self, parent: NodeId, order: Vec<NodeId>) {
-        let current = &self.nodes[parent.index()].children;
-        debug_assert_eq!(current.len(), order.len());
         debug_assert!({
-            let mut a = current.clone();
+            let mut a = self.children(parent).to_vec();
             let mut b = order.clone();
             a.sort_unstable();
             b.sort_unstable();
             a == b
         });
-        self.nodes[parent.index()].children = order;
+        // Patch a built index in place: a reorder must not cost a rebuild.
+        if let Some(index) = self.index.get_mut() {
+            let at = index.start[parent.index()] as usize;
+            index.ids[at..at + order.len()].copy_from_slice(&order);
+        }
+        self.reorders.push((parent, order));
     }
 
     /// Returns a copy in which the children of every element whose tag
@@ -312,84 +444,117 @@ impl XmlTree {
     /// set-oriented evaluator are made on this canonical form.
     pub fn sort_star_children(&self, is_star_parent: impl Fn(&str) -> bool) -> XmlTree {
         let mut out = self.clone();
-        for node in 0..out.nodes.len() {
-            let id = NodeId(node as u32);
-            let sort = match &out.nodes[node].kind {
-                NodeKind::Element(tag) => is_star_parent(tag),
-                NodeKind::Text(_) => false,
-            };
-            if sort {
-                let mut children = out.nodes[node].children.clone();
-                children.sort_by_cached_key(|&c| {
-                    let mut s = String::new();
-                    serialize_subtree(&out, c, &mut s);
-                    s
-                });
-                out.nodes[node].children = children;
+        let star: Vec<bool> = self.tags.iter().map(|tag| is_star_parent(tag)).collect();
+        // Descendants first: a child's key is that of its canonical form.
+        for (node, enter) in self.walk(self.root()) {
+            let sort = !enter && self.elem_tag(node).is_some_and(|tag| star[tag.0 as usize]);
+            if sort && out.children(node).len() > 1 {
+                let mut children = out.children(node).to_vec();
+                children.sort_by_cached_key(|&c| out.content_key(c));
+                out.set_children(node, children);
             }
-            let _ = id;
         }
         out
     }
 
-    /// Structural equality of the subtrees rooted at `a` (in `self`) and `b`
-    /// (in `other`): same tags, same text, same child order.
-    pub fn subtree_eq(&self, a: NodeId, other: &XmlTree, b: NodeId) -> bool {
-        match (self.kind(a), other.kind(b)) {
-            (NodeKind::Text(x), NodeKind::Text(y)) => x == y,
-            (NodeKind::Element(x), NodeKind::Element(y)) => {
-                x == y
-                    && self.children(a).len() == other.children(b).len()
-                    && self
-                        .children(a)
-                        .iter()
-                        .zip(other.children(b))
-                        .all(|(&ca, &cb)| self.subtree_eq(ca, other, cb))
+    /// The walk of `node`'s subtree with each node's kind in place of its id.
+    fn events(&self, node: NodeId) -> impl Iterator<Item = (NodeKind<'_>, bool)> {
+        self.walk(node).map(|(n, enter)| (self.kind(n), enter))
+    }
+
+    /// The subtree of `node` spelled out unambiguously, as a sort key.
+    fn content_key(&self, node: NodeId) -> String {
+        let mut key = String::new();
+        for event in self.events(node) {
+            match event {
+                (NodeKind::Text(text), true) => key.push_str(text),
+                (NodeKind::Element(tag), true) => key.extend(["<", tag, ">"]),
+                (NodeKind::Element(_), false) => key.push_str("</>"),
+                (NodeKind::Text(_), false) => {}
             }
-            _ => false,
         }
+        key
+    }
+
+    /// Structural equality of the subtrees rooted at `a` (in `self`) and `b`
+    /// (in `other`): same tags, same text, same child order — i.e. the same
+    /// sequence of walk events.
+    pub fn subtree_eq(&self, a: NodeId, other: &XmlTree, b: NodeId) -> bool {
+        self.events(a).eq(other.events(b))
     }
 }
 
 impl PartialEq for XmlTree {
     fn eq(&self, other: &Self) -> bool {
-        self.subtree_eq(self.root, other, other.root)
+        self.len() == other.len() && self.subtree_eq(self.root(), other, other.root())
     }
 }
 
 impl Eq for XmlTree {}
 
-fn serialize_subtree(tree: &XmlTree, node: NodeId, out: &mut String) {
-    match tree.kind(node) {
-        NodeKind::Text(text) => out.push_str(text),
-        NodeKind::Element(tag) => {
-            out.push('<');
-            out.push_str(tag);
-            out.push('>');
-            for &c in tree.children(node) {
-                serialize_subtree(tree, c, out);
-            }
-            out.push_str("</>");
-        }
-    }
+/// What [`SubtreeCopier::copy_children`] does with one source node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CopyStep {
+    /// Copy the node and walk on into its children.
+    Keep,
+    /// Drop the node but copy its children in its place.
+    Splice,
+    /// Drop the node and its whole subtree.
+    Skip,
 }
 
-/// Pre-order iterator over a subtree. See [`XmlTree::descendants`].
-pub struct Descendants<'a> {
-    tree: &'a XmlTree,
-    stack: Vec<NodeId>,
+/// Copies subtrees of one tree into one other tree with no allocation per
+/// node or per call: the source → destination tag translation and the walk
+/// stack are kept between calls. See [`XmlTree::copier`].
+pub struct SubtreeCopier<'a> {
+    src: &'a XmlTree,
+    /// Destination tag id per source tag id, `NONE` until first needed. It
+    /// is what ties a copier to a single destination tree.
+    tag_map: Vec<u32>,
+    /// Source nodes still to visit, each with its destination parent.
+    stack: Vec<(NodeId, NodeId)>,
 }
 
-impl Iterator for Descendants<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let node = self.stack.pop()?;
-        // Push children in reverse so they pop in document order.
-        for &c in self.tree.children(node).iter().rev() {
-            self.stack.push(c);
+impl SubtreeCopier<'_> {
+    /// Appends copies of the children of `node` (a node of the source tree),
+    /// subtrees included and filtered through `step`, under `parent` in
+    /// `dst`. Returns the number of nodes copied.
+    pub fn copy_children(
+        &mut self,
+        dst: &mut XmlTree,
+        parent: NodeId,
+        node: NodeId,
+        mut step: impl FnMut(NodeId) -> CopyStep,
+    ) -> usize {
+        let SubtreeCopier {
+            src,
+            tag_map,
+            stack,
+        } = self;
+        let before = dst.len();
+        // Reversed, so that the stack pops them in document order.
+        let children_under =
+            |node, parent| src.children(node).iter().rev().map(move |&c| (c, parent));
+        stack.clear();
+        stack.extend(children_under(node, parent));
+        while let Some((node, parent)) = stack.pop() {
+            let copied = match step(node) {
+                CopyStep::Skip => continue,
+                CopyStep::Splice => parent,
+                CopyStep::Keep => match src.elem_tag(node) {
+                    None => dst.add_text_with(parent, |buf| buf.push_str(src.pcdata(node))),
+                    Some(TagId(tag)) => {
+                        let mapped = &mut tag_map[tag as usize];
+                        if *mapped == NONE {
+                            *mapped = dst.intern_tag(&src.tags[tag as usize]).0;
+                        }
+                        dst.add_tagged(parent, TagId(*mapped))
+                    }
+                },
+            };
+            stack.extend(children_under(node, copied));
         }
-        Some(node)
+        dst.len() - before
     }
 }
 
@@ -436,7 +601,7 @@ mod tests {
         let tags: Vec<String> = t
             .iter()
             .map(|n| match t.kind(n) {
-                NodeKind::Element(tag) => tag.clone(),
+                NodeKind::Element(tag) => tag.to_string(),
                 NodeKind::Text(_) => "#text".to_string(),
             })
             .collect();

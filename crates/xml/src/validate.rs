@@ -10,7 +10,7 @@
 //!
 //! Both report the first offending node with its path.
 
-use crate::dtd::{ContentModel, Dtd, GeneralDtd, Regex};
+use crate::dtd::{ContentModel, Dtd, ElemId, GeneralDtd, Regex};
 use crate::tree::{NodeId, NodeKind, XmlTree};
 use std::collections::HashMap;
 use std::fmt;
@@ -35,6 +35,10 @@ impl std::error::Error for ValidationError {}
 /// Validates `tree` against a restricted-form DTD (paper §2): the root must
 /// be labeled with the root type, every element's children must match its
 /// production, and text nodes may appear only under PCDATA-typed elements.
+///
+/// The tree's tags are resolved to element types once per call; the walk
+/// itself (pre-order, so the first offending node in document order is the
+/// one reported) compares integers.
 pub fn validate(tree: &XmlTree, dtd: &Dtd) -> Result<(), ValidationError> {
     let root = tree.root();
     let root_tag = tree.tag(root).expect("root is an element");
@@ -47,115 +51,97 @@ pub fn validate(tree: &XmlTree, dtd: &Dtd) -> Result<(), ValidationError> {
             ),
         });
     }
-    validate_node(tree, dtd, root)
-}
-
-fn validate_node(tree: &XmlTree, dtd: &Dtd, node: NodeId) -> Result<(), ValidationError> {
-    let tag = tree.tag(node).expect("validate_node called on element");
-    let Some(elem) = dtd.elem(tag) else {
-        return Err(ValidationError {
-            path: tree.path(node),
-            reason: format!("element type `{tag}` is not declared in the DTD"),
-        });
-    };
-    let children = tree.children(node);
-    let fail = |reason: String| {
-        Err(ValidationError {
-            path: tree.path(node),
-            reason,
-        })
-    };
-    match dtd.production(elem) {
-        ContentModel::Pcdata => {
-            // Exactly one text child carrying the PCDATA.
-            if children.len() != 1 || tree.is_element(children[0]) {
-                return fail(format!(
-                    "`{tag}` has type S and must contain exactly one text node, found {} children",
-                    children.len()
-                ));
+    let elems: Vec<Option<ElemId>> = tree.tags().iter().map(|tag| dtd.elem(tag)).collect();
+    // `None` for a text node, `Some(None)` for an undeclared element type.
+    let elem_of = |node: NodeId| tree.elem_tag(node).map(|tag| elems[tag.0 as usize]);
+    for node in tree.iter() {
+        let (Some(elem), Some(tag)) = (elem_of(node), tree.tag(node)) else {
+            continue;
+        };
+        let children = tree.children(node);
+        let fail = |reason: String| {
+            Err(ValidationError {
+                path: tree.path(node),
+                reason,
+            })
+        };
+        let Some(elem) = elem else {
+            return fail(format!("element type `{tag}` is not declared in the DTD"));
+        };
+        match dtd.production(elem) {
+            ContentModel::Pcdata => {
+                // Exactly one text child carrying the PCDATA.
+                if children.len() != 1 || tree.is_element(children[0]) {
+                    return fail(format!(
+                        "`{tag}` has type S and must contain exactly one text node, found {} children",
+                        children.len()
+                    ));
+                }
             }
-            return Ok(());
-        }
-        ContentModel::Empty => {
-            if !children.is_empty() {
-                return fail(format!(
-                    "`{tag}` is declared EMPTY but has {} children",
-                    children.len()
-                ));
+            ContentModel::Empty => {
+                if !children.is_empty() {
+                    return fail(format!(
+                        "`{tag}` is declared EMPTY but has {} children",
+                        children.len()
+                    ));
+                }
             }
-            return Ok(());
-        }
-        ContentModel::Seq(expected) => {
-            if children.len() != expected.len() {
-                return fail(format!(
-                    "`{tag}` must have exactly {} children, found {}",
-                    expected.len(),
-                    children.len()
-                ));
-            }
-            for (&child, &want) in children.iter().zip(expected) {
-                match tree.tag(child) {
-                    Some(child_tag) if child_tag == dtd.name(want) => {}
-                    Some(child_tag) => {
-                        return fail(format!(
-                            "expected child `{}`, found `{child_tag}`",
-                            dtd.name(want)
-                        ))
-                    }
-                    None => {
-                        return fail(format!(
-                            "expected child element `{}`, found a text node",
-                            dtd.name(want)
-                        ))
+            ContentModel::Seq(expected) => {
+                if children.len() != expected.len() {
+                    return fail(format!(
+                        "`{tag}` must have exactly {} children, found {}",
+                        expected.len(),
+                        children.len()
+                    ));
+                }
+                for (&child, &want) in children.iter().zip(expected) {
+                    if elem_of(child) != Some(Some(want)) {
+                        return fail(match tree.tag(child) {
+                            Some(child_tag) => {
+                                format!("expected child `{}`, found `{child_tag}`", dtd.name(want))
+                            }
+                            None => format!(
+                                "expected child element `{}`, found a text node",
+                                dtd.name(want)
+                            ),
+                        });
                     }
                 }
             }
-        }
-        ContentModel::Choice(branches) => {
-            if children.len() != 1 {
-                return fail(format!(
-                    "`{tag}` must have exactly one child (a choice), found {}",
-                    children.len()
-                ));
-            }
-            let child = children[0];
-            let Some(child_tag) = tree.tag(child) else {
-                return fail(format!("`{tag}` has a text child but is a choice type"));
-            };
-            if !branches.iter().any(|&b| dtd.name(b) == child_tag) {
-                return fail(format!(
-                    "child `{child_tag}` is not one of the allowed branches [{}]",
-                    branches
-                        .iter()
-                        .map(|&b| dtd.name(b))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
-        }
-        ContentModel::Star(want) => {
-            for &child in children {
-                match tree.tag(child) {
-                    Some(child_tag) if child_tag == dtd.name(*want) => {}
-                    Some(child_tag) => {
-                        return fail(format!(
-                            "all children of `{tag}` must be `{}`, found `{child_tag}`",
-                            dtd.name(*want)
-                        ))
-                    }
-                    None => {
-                        return fail(format!(
-                            "all children of `{tag}` must be `{}`, found a text node",
-                            dtd.name(*want)
-                        ))
-                    }
+            ContentModel::Choice(branches) => {
+                if children.len() != 1 {
+                    return fail(format!(
+                        "`{tag}` must have exactly one child (a choice), found {}",
+                        children.len()
+                    ));
+                }
+                let Some(child_tag) = tree.tag(children[0]) else {
+                    return fail(format!("`{tag}` has a text child but is a choice type"));
+                };
+                if !matches!(elem_of(children[0]), Some(Some(e)) if branches.contains(&e)) {
+                    return fail(format!(
+                        "child `{child_tag}` is not one of the allowed branches [{}]",
+                        branches
+                            .iter()
+                            .map(|&b| dtd.name(b))
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    ));
                 }
             }
-        }
-    }
-    for &child in children {
-        if tree.is_element(child) {
-            validate_node(tree, dtd, child)?;
+            ContentModel::Star(want) => {
+                let stray = children.iter().find(|&&c| elem_of(c) != Some(Some(*want)));
+                if let Some(&child) = stray {
+                    let found = match tree.tag(child) {
+                        Some(child_tag) => format!("`{child_tag}`"),
+                        None => "a text node".to_string(),
+                    };
+                    return fail(format!(
+                        "all children of `{tag}` must be `{}`, found {found}",
+                        dtd.name(*want)
+                    ));
+                }
+            }
         }
     }
     Ok(())
@@ -370,7 +356,7 @@ pub fn validate_general(tree: &XmlTree, dtd: &GeneralDtd) -> Result<(), Validati
             .children(node)
             .iter()
             .map(|&c| match tree.kind(c) {
-                NodeKind::Element(tag) => Sym::Elem(tag.clone()),
+                NodeKind::Element(tag) => Sym::Elem(tag.to_string()),
                 NodeKind::Text(_) => Sym::Text,
             })
             .collect();

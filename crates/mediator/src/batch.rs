@@ -1,72 +1,27 @@
-//! The chunked-shipment seam: bounded columnar batch streams.
+//! The ship seam: where a task's output crosses from its source to the
+//! mediator, and everything [`crate::plan::ExecPolicy::batching`] does.
 //!
-//! The materializing executors ship each task's whole output relation in
-//! one piece, so a shipment is resident in full while it crosses the wire.
-//! Under [`crate::plan::ExecPolicy::batching`] the ship seam instead yields
-//! fixed-size batches ([`BatchStream`]): the mediator puts batch `k` on the
-//! wire while the consumer digests batch `k − 1`, so at most two batches of
-//! a task are resident at once (the double-buffer window) and peak resident
-//! rows are bounded by `O(batch_rows × active tasks)` instead of the
-//! largest shipped relation. Stores and documents are byte-identical either
-//! way — batching changes *when rows cross the seam*, never what arrives.
+//! Materializing execution ships each task's whole ship image in one
+//! piece, so a shipment is resident in full while it crosses the wire. With
+//! `batching` on, [`ship_output`] slices the image into `batch_rows`-row
+//! batches (`Relation::batches`: zero-copy slices over the shared column
+//! buffers), prices each batch's wire bytes on its own (a batch ships the
+//! dictionary slice its rows touch), moves the [`ShipLedger`]'s
+//! double-buffer window — batch `k` is on the wire while the consumer
+//! digests batch `k − 1`, so at most two batches of a task are resident and
+//! peak resident rows are `O(batch_rows × active tasks)` instead of the
+//! largest shipped relation — and reports progress per batch so the
+//! parallel executor can patch the dynamic scheduler mid-task.
 //!
-//! [`ShipLedger`] does the accounting: resident rows under the window,
-//! their global peak, and the total batch count, shared by every task of an
-//! execution (including the parallel executor's per-source workers).
+//! That is all the flag does: it changes *when rows cross the seam*, never
+//! what arrives. The producer is a materialized relation, so nothing on the
+//! consumer side re-chunks it — the SQL executor and the set-semantics
+//! dedup run the same loops either way, and stores and documents are
+//! byte-identical.
 
 use crate::exec::ExecOptions;
 use aig_relstore::Relation;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// A bounded stream of fixed-size columnar batches — the source/executor
-/// shipment seam. Every batch shares the schema of the stream's relation;
-/// concatenating the batches in order reproduces it exactly (see the
-/// `batch_props` property suite in `aig-relstore`).
-pub trait BatchStream {
-    /// The next batch, `None` once the stream is drained. Batches are
-    /// non-empty and hold at most `batch_rows` rows.
-    fn next_batch(&mut self) -> Option<Relation>;
-    /// Batches left to yield (exact: relations know their length).
-    fn batches_left(&self) -> usize;
-}
-
-/// [`BatchStream`] over a materialized relation — the only producer today;
-/// the trait is the seam a cursor-backed source implementation would plug
-/// into. Slices share the relation's column buffers (`Arc` clones) when the
-/// whole relation fits one batch, so the materializing configuration pays
-/// nothing for going through the seam.
-#[derive(Debug)]
-pub struct RelationStream {
-    rel: Relation,
-    batch_rows: usize,
-    next: usize,
-}
-
-impl RelationStream {
-    pub fn new(rel: Relation, batch_rows: usize) -> RelationStream {
-        RelationStream {
-            rel,
-            batch_rows: batch_rows.max(1),
-            next: 0,
-        }
-    }
-}
-
-impl BatchStream for RelationStream {
-    fn next_batch(&mut self) -> Option<Relation> {
-        if self.next >= self.rel.len() {
-            return None;
-        }
-        let rows = self.batch_rows.min(self.rel.len() - self.next);
-        let batch = self.rel.slice(self.next, rows);
-        self.next += rows;
-        Some(batch)
-    }
-
-    fn batches_left(&self) -> usize {
-        (self.rel.len() - self.next).div_ceil(self.batch_rows)
-    }
-}
 
 /// Shared shipment accounting for one execution. Thread-safe so the
 /// parallel executor's workers update it lock-free; the double-buffer
@@ -165,11 +120,10 @@ pub(crate) fn ship_output(
         Some(cut) => cut.ship_image(task_id, rel),
         None => rel.clone(),
     };
-    let mut stream = RelationStream::new(image, opts.batch_rows());
     let mut shipped = 0.0;
     let mut batches = 0u64;
     let mut in_flight: Option<usize> = None;
-    while let Some(batch) = stream.next_batch() {
+    for batch in image.batches(opts.batch_rows()) {
         ledger.acquire(batch.len());
         shipped += batch.wire_bytes() as f64;
         batches += 1;
@@ -201,20 +155,6 @@ mod tests {
             r.push(vec![Value::int(i as i64 % 5)]);
         }
         r
-    }
-
-    #[test]
-    fn stream_partitions_and_counts() {
-        let r = rel(10);
-        let mut s = RelationStream::new(r.clone(), 4);
-        assert_eq!(s.batches_left(), 3);
-        let mut total = 0;
-        while let Some(b) = s.next_batch() {
-            assert!(b.len() <= 4 && !b.is_empty());
-            total += b.len();
-        }
-        assert_eq!(total, 10);
-        assert_eq!(s.batches_left(), 0);
     }
 
     #[test]

@@ -25,10 +25,7 @@ use aig_core::AigError;
 use aig_relstore::intern::{self, Reader};
 use aig_relstore::par::{apply_perm, sort_perm};
 use aig_relstore::{Catalog, Relation, SourceId, StoreError, Sym, Value};
-use aig_sql::{
-    execute_streamed as sql_execute_streamed, execute_tuned as sql_execute_tuned,
-    IncrementalDistinct, ParamValue, Params,
-};
+use aig_sql::{execute_tuned as sql_execute_tuned, ParamValue, Params};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -129,10 +126,10 @@ pub struct ExecPolicy {
     /// clock starts when a request enters execution; expiry surfaces as
     /// [`crate::MediatorError::DeadlineExceeded`] instead of hanging.
     pub deadline_secs: Option<f64>,
-    /// Chunked shipment (streaming batch execution, see [`crate::batch`]):
-    /// task outputs cross the ship seam in `batch_rows`-row batches and
-    /// source queries feed hash-join builds and dedup incrementally.
-    /// Stores and documents are byte-identical either way; off by default.
+    /// Chunked shipment (see [`crate::batch`], the only reader): task
+    /// outputs cross the ship seam in `batch_rows`-row batches, each priced
+    /// and windowed on its own; no operator runs differently. Stores and
+    /// documents are byte-identical either way; off by default.
     pub batching: bool,
     /// Batch size (rows) of the chunked shipment seam; only consulted when
     /// `batching` is on. `usize::MAX` degenerates to the materializing
@@ -1052,19 +1049,6 @@ impl<S: RelSource> Executor<'_, S> {
             };
             params.insert(name.clone(), ParamValue::Rel(rel));
         }
-        if self.opts.batching() {
-            // Streaming mode: hash-join builds and DISTINCT inside the
-            // query consume their inputs in `batch_rows` chunks
-            // (byte-identical results; see `aig_sql::execute_streamed`).
-            return Ok(sql_execute_streamed(
-                &vq.query,
-                self.catalog,
-                &params,
-                self.opts.threads(),
-                self.opts.par_threshold(),
-                self.opts.batch_rows(),
-            )?);
-        }
         Ok(sql_execute_tuned(
             &vq.query,
             self.catalog,
@@ -1074,23 +1058,10 @@ impl<S: RelSource> Executor<'_, S> {
         )?)
     }
 
-    /// Set-semantics coercion of a task output. Materializing mode uses
-    /// the (possibly partitioned) one-shot dedup kernel; under chunked
-    /// execution, inputs below the partitioning crossover feed an
-    /// incremental distinct in `batch_rows` chunks instead — same
-    /// first-occurrence order, byte-identical output.
+    /// Set-semantics coercion of a task output: first-occurrence dedup,
+    /// partitioned for large relations.
     fn dedup_output(&self, rel: &mut Relation) {
-        let threads = self.opts.threads();
-        let threshold = self.opts.par_threshold();
-        if self.opts.batching() && !(threads > 1 && rel.len() >= threshold) {
-            let mut distinct = IncrementalDistinct::new(rel.columns().to_vec());
-            for batch in rel.batches(self.opts.batch_rows()) {
-                distinct.feed(&batch);
-            }
-            *rel = distinct.finish();
-        } else {
-            rel.dedup_parallel_with(threads, threshold);
-        }
+        rel.dedup_parallel_with(self.opts.threads(), self.opts.par_threshold());
     }
 
     /// Computes a synthesized set/bag table `(__owner, comps…)`.

@@ -81,12 +81,12 @@ pub struct MediatorOptions {
     /// attempt starts past it and expiry surfaces as
     /// [`crate::MediatorError::DeadlineExceeded`].
     pub deadline_secs: Option<f64>,
-    /// Chunked shipment (streaming batch execution, see [`crate::batch`]):
-    /// task outputs cross the ship seam in `batch_rows`-row batches and
-    /// source queries feed hash-join builds and dedup incrementally, so
-    /// peak resident shipment rows are bounded by the batch size instead
-    /// of the largest relation. Stores and the final document are
-    /// byte-identical either way. Off by default.
+    /// Chunked shipment (see [`crate::batch`]): task outputs cross the
+    /// ship seam in `batch_rows`-row batches, each priced on its own and
+    /// held in a two-batch window, so peak resident shipment rows are
+    /// bounded by the batch size instead of the largest relation. Only
+    /// the seam reads the flag — no operator runs differently — so stores
+    /// and the final document are byte-identical either way. Off by default.
     pub batching: bool,
     /// Batch size (rows) of the chunked shipment seam; only consulted when
     /// `batching` is on. Must be nonzero (validated at build time).

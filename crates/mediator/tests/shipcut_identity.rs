@@ -198,7 +198,8 @@ fn large_relation_canonical_sort_is_identical_across_threads() {
 
     for threads in [1usize, 2, 4] {
         let mut sorted = rows.clone();
-        aig_relstore::par::stable_sort_rows(&mut sorted, threads, |a, b| {
+        use aig_relstore::par::{stable_sort_rows_with, PAR_THRESHOLD};
+        stable_sort_rows_with(&mut sorted, threads, PAR_THRESHOLD, |a, b| {
             a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..]))
         });
         assert_eq!(sorted, expected, "threads={threads}");

@@ -4,22 +4,26 @@
 //! module provides the data-parallel primitives the executors need, built on
 //! `std::thread::scope`:
 //!
-//! * [`sort_perm`] — a partitioned stable **argsort**: indices are split
-//!   into contiguous chunks, each chunk is stable-sorted on its own thread,
-//!   and the chunks are merged taking from the *earlier* chunk on ties, so
-//!   the permutation is byte-identical to a sequential stable sort. Column
-//!   stores apply the permutation per column with [`apply_perm`] instead of
-//!   moving rows.
+//! * [`map_chunks`] — the one fan-out: contiguous index ranges, one scoped
+//!   thread each, results returned in range order. Every kernel here and the
+//!   partitioned hash join of `aig-sql` go through it, and every "merged in
+//!   partition order" determinism argument rests on that order.
+//! * [`sort_perm`] — a partitioned stable **argsort**: contiguous index
+//!   chunks are stable-sorted on their own threads and merged taking from
+//!   the *earlier* chunk on ties, so the permutation is byte-identical to a
+//!   sequential stable sort. Column stores apply the permutation per column
+//!   with [`apply_perm`] instead of moving rows.
 //! * [`dedup_indices`] — a partitioned first-occurrence dedup over
 //!   precomputed keys: each thread finds its chunk-local first occurrences,
 //!   then one sequential pass over the (much smaller) survivor set keeps
 //!   global first occurrences. Byte-identical to the sequential
 //!   `HashSet`-retain dedup.
-//! * [`stable_sort_rows`] / [`dedup_rows`] — the row-moving wrappers kept
-//!   for row-major buffers (tests and the row-major reference operators;
-//!   the mediator's own operators sort permutations and gather columns).
+//! * [`stable_sort_rows_with`] — the row-moving wrapper around [`sort_perm`]
+//!   that the row-major reference operators of the mediator's differential
+//!   suite sort with (the mediator's own operators sort permutations and
+//!   gather columns).
 //!
-//! All kernels fall back to the sequential path below a caller-supplied
+//! The kernels fall back to the sequential path below a caller-supplied
 //! threshold ([`PAR_THRESHOLD`] by default, tunable via the mediator's
 //! `ExecPolicy::par_threshold`) or with `threads <= 1`, where partitioning
 //! overhead would dominate.
@@ -27,11 +31,34 @@
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::hash::Hash;
+use std::ops::Range;
 
 /// Default row count below which the sequential path is used regardless of
 /// `threads`. Callers that expose a tunable (the mediator's `ExecPolicy`)
-/// pass their own threshold to the `*_with` variants.
+/// pass their own threshold.
 pub const PAR_THRESHOLD: usize = 2048;
+
+/// Runs `work` over up to `threads` contiguous, equally sized index ranges
+/// covering `0..len`, one scoped thread per range, and returns the results
+/// **in range order**. Whether partitioning pays is the caller's decision.
+pub fn map_chunks<R, F>(len: usize, threads: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    let chunk_len = len.div_ceil(threads.max(1)).max(1);
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk_len)
+            .map(|start| scope.spawn(move || work(start..len.min(start + chunk_len))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("partition worker"))
+            .collect()
+    })
+}
 
 /// Stable argsort: returns the permutation `perm` such that visiting rows
 /// in `perm` order is byte-identical to a sequential stable sort by `cmp`.
@@ -41,45 +68,36 @@ where
     F: Fn(u32, u32) -> Ordering + Sync,
 {
     assert!(u32::try_from(len).is_ok(), "relation too large for argsort");
-    let mut perm: Vec<u32> = (0..len as u32).collect();
-    if threads <= 1 || len < threshold.max(2) {
-        // `sort_by` is stable and the initial order is index order, so ties
-        // keep ascending indices — the stable-argsort contract.
+    // `sort_by` is stable and a range starts in index order, so ties keep
+    // ascending indices — the stable-argsort contract.
+    let sorted = |range: Range<usize>| {
+        let mut perm: Vec<u32> = (range.start as u32..range.end as u32).collect();
         perm.sort_by(|&a, &b| cmp(a, b));
-        return perm;
+        perm
+    };
+    if threads <= 1 || len < threshold.max(2) {
+        return sorted(0..len);
     }
-    let chunk_len = len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for chunk in perm.chunks_mut(chunk_len) {
-            scope.spawn(|| chunk.sort_by(|&a, &b| cmp(a, b)));
-        }
-    });
+    let chunks = map_chunks(len, threads, sorted);
     // K-way merge; ties take from the earlier chunk, which (chunks being
     // contiguous index ranges) preserves ascending original indices for
     // equal rows — exactly the stability contract.
-    let mut cursors: Vec<(usize, usize)> = perm
-        .chunks(chunk_len)
-        .enumerate()
-        .map(|(i, c)| (i * chunk_len, i * chunk_len + c.len()))
-        .collect();
-    let merged_src = perm.clone();
+    let mut cursors = vec![0usize; chunks.len()];
     let mut out = Vec::with_capacity(len);
     loop {
-        let mut best: Option<usize> = None;
-        for (i, &(pos, end)) in cursors.iter().enumerate() {
-            if pos >= end {
+        let mut best: Option<(usize, u32)> = None;
+        for (i, chunk) in chunks.iter().enumerate() {
+            let Some(&head) = chunk.get(cursors[i]) else {
                 continue;
-            }
+            };
             best = match best {
-                Some(b) if cmp(merged_src[cursors[b].0], merged_src[pos]) != Ordering::Greater => {
-                    Some(b)
-                }
-                _ => Some(i),
+                Some((_, b)) if cmp(b, head) != Ordering::Greater => best,
+                _ => Some((i, head)),
             };
         }
-        let Some(b) = best else { break };
-        out.push(merged_src[cursors[b].0]);
-        cursors[b].0 += 1;
+        let Some((i, head)) = best else { break };
+        out.push(head);
+        cursors[i] += 1;
     }
     out
 }
@@ -99,60 +117,29 @@ where
     K: Hash + Eq + Sync,
 {
     if threads <= 1 || keys.len() < threshold {
-        let mut seen: HashSet<&K> = HashSet::with_capacity(keys.len());
-        return (0..keys.len() as u32)
-            .filter(|&i| seen.insert(&keys[i as usize]))
-            .collect();
+        return first_occurrences(keys, 0..keys.len() as u32);
     }
-    let chunk_len = keys.len().div_ceil(threads);
-    // Per-chunk local first occurrences (global row indices).
-    let local: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = keys
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(c, chunk)| {
-                scope.spawn(move || {
-                    let base = (c * chunk_len) as u32;
-                    let mut seen: HashSet<&K> = HashSet::with_capacity(chunk.len());
-                    (0..chunk.len())
-                        .filter(|&i| seen.insert(&chunk[i]))
-                        .map(|i| base + i as u32)
-                        .collect::<Vec<u32>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dedup worker"))
-            .collect()
+    // Per-chunk first occurrences, then one sequential pass over the
+    // survivors only: chunks cover the input in original order, so the
+    // first global occurrence wins, as in the sequential dedup.
+    let local = map_chunks(keys.len(), threads, |range| {
+        first_occurrences(keys, range.start as u32..range.end as u32)
     });
-    // Sequential pass over the survivors only: chunks cover the input in
-    // original order, so the first global occurrence wins, as in the
-    // sequential dedup.
-    let mut seen: HashSet<&K> = HashSet::new();
-    let mut out = Vec::new();
-    for chunk in local {
-        for i in chunk {
-            if seen.insert(&keys[i as usize]) {
-                out.push(i);
-            }
-        }
-    }
-    out
+    first_occurrences(keys, local.into_iter().flatten())
 }
 
-/// Stable sort of `rows` by `cmp`, partitioned over up to `threads` threads.
-/// Byte-identical to `rows.sort_by(cmp)` for any comparator. The row-moving
-/// wrapper around [`sort_perm`], kept for row-major buffers.
-pub fn stable_sort_rows<T, F>(rows: &mut Vec<T>, threads: usize, cmp: F)
-where
-    T: Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    stable_sort_rows_with(rows, threads, PAR_THRESHOLD, cmp);
+/// The `candidates` whose key no earlier candidate carries, in order.
+fn first_occurrences<K: Hash + Eq>(keys: &[K], candidates: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut seen: HashSet<&K> = HashSet::with_capacity(candidates.size_hint().0);
+    candidates
+        .filter(|&i| seen.insert(&keys[i as usize]))
+        .collect()
 }
 
-/// [`stable_sort_rows`] with an explicit sequential-fallback threshold.
+/// Stable sort of `rows` by `cmp`, partitioned over up to `threads` threads
+/// for `rows.len() >= threshold`. Byte-identical to `rows.sort_by(cmp)` for
+/// any comparator. The row-moving wrapper around [`sort_perm`], kept for
+/// row-major buffers.
 pub fn stable_sort_rows_with<T, F>(rows: &mut Vec<T>, threads: usize, threshold: usize, cmp: F)
 where
     T: Send + Sync,
@@ -173,31 +160,6 @@ where
                 .take()
                 .expect("permutation is a bijection")
         })
-        .collect();
-}
-
-/// First-occurrence dedup of `rows`, partitioned over up to `threads`
-/// threads. Byte-identical to the sequential `HashSet`-retain dedup.
-pub fn dedup_rows<T>(rows: &mut Vec<T>, threads: usize)
-where
-    T: Hash + Eq + Sync,
-{
-    dedup_rows_with(rows, threads, PAR_THRESHOLD);
-}
-
-/// [`dedup_rows`] with an explicit sequential-fallback threshold.
-pub fn dedup_rows_with<T>(rows: &mut Vec<T>, threads: usize, threshold: usize)
-where
-    T: Hash + Eq + Sync,
-{
-    let keep = dedup_indices(rows, threads, threshold);
-    if keep.len() == rows.len() {
-        return;
-    }
-    let mut taken: Vec<Option<T>> = std::mem::take(rows).into_iter().map(Some).collect();
-    *rows = keep
-        .into_iter()
-        .map(|i| taken[i as usize].take().expect("kept once"))
         .collect();
 }
 
@@ -226,7 +188,7 @@ mod tests {
             seq.sort();
             for threads in [2, 3, 4, 9] {
                 let mut par = rows.clone();
-                stable_sort_rows(&mut par, threads, |a, b| a.cmp(b));
+                stable_sort_rows_with(&mut par, threads, PAR_THRESHOLD, |a, b| a.cmp(b));
                 assert_eq!(seq, par, "n={n} threads={threads}");
             }
         }
@@ -241,21 +203,21 @@ mod tests {
         let mut seq = rows.clone();
         seq.sort_by(|a, b| a[0].cmp(&b[0]));
         let mut par = rows.clone();
-        stable_sort_rows(&mut par, 4, |a, b| a[0].cmp(&b[0]));
+        stable_sort_rows_with(&mut par, 4, PAR_THRESHOLD, |a, b| a[0].cmp(&b[0]));
         assert_eq!(seq, par);
     }
 
     #[test]
-    fn parallel_dedup_matches_sequential() {
-        for n in [0, 1, 100, PAR_THRESHOLD + 57] {
-            let rows = make_rows(n);
-            let mut seq = rows.clone();
-            let mut seen: std::collections::HashSet<Vec<Value>> = Default::default();
-            seq.retain(|row| seen.insert(row.clone()));
-            for threads in [2, 4, 7] {
-                let mut par = rows.clone();
-                dedup_rows(&mut par, threads);
-                assert_eq!(seq, par, "n={n} threads={threads}");
+    fn map_chunks_covers_the_range_in_order() {
+        for len in [0usize, 1, 7, 64] {
+            for threads in [0, 1, 3, 8, 100] {
+                let ranges = map_chunks(len, threads, |range| range);
+                assert!(
+                    ranges.len() <= threads.max(1),
+                    "len={len} threads={threads}"
+                );
+                let covered: Vec<usize> = ranges.into_iter().flatten().collect();
+                assert_eq!(covered, (0..len).collect::<Vec<_>>());
             }
         }
     }

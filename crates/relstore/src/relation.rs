@@ -375,14 +375,9 @@ impl Relation {
     }
 
     /// Removes duplicate rows like [`Relation::dedup`], partitioning the
-    /// scan over up to `threads` threads for large relations. The result is
-    /// byte-identical to the sequential dedup (see [`crate::par`]).
-    pub fn dedup_parallel(&mut self, threads: usize) {
-        self.dedup_parallel_with(threads, crate::par::PAR_THRESHOLD);
-    }
-
-    /// [`Relation::dedup_parallel`] with an explicit sequential-fallback
-    /// threshold (the mediator's `ExecPolicy::par_threshold`).
+    /// scan over up to `threads` threads for relations of at least
+    /// `threshold` rows (the mediator's `ExecPolicy::par_threshold`). The
+    /// result is byte-identical to the sequential dedup (see [`crate::par`]).
     pub fn dedup_parallel_with(&mut self, threads: usize, threshold: usize) {
         if self.len < 2 {
             return;

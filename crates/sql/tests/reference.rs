@@ -1,11 +1,14 @@
 //! Randomized property test: the greedy hash-join executor agrees with a
 //! naive cartesian-product reference evaluator on random conjunctive
-//! queries over random data. Seeds are fixed, so failures reproduce.
+//! queries over random data, and its partitioned form (`execute_tuned`,
+//! every kernel forced on or off) reproduces the sequential result row for
+//! row. Seeds are fixed, so failures reproduce.
 
 use aig_prng::{Rng, SeedableRng, StdRng};
 use aig_relstore::{Catalog, Database, Relation, Table, TableSchema, Value};
 use aig_sql::{
-    execute, CmpOp, FromItem, ParamValue, Params, Pred, QualCol, Query, Scalar, SelectItem, SetRef,
+    execute, execute_tuned, CmpOp, FromItem, ParamValue, Params, Pred, QualCol, Query, Scalar,
+    SelectItem, SetRef,
 };
 
 // ---------------------------------------------------------------------------
@@ -118,11 +121,17 @@ fn random_value(rng: &mut StdRng) -> Value {
     }
 }
 
+/// Extra equality columns of the wide-key cases.
+const KEYS: [&str; 4] = ["k1", "k2", "k3", "k4"];
+
 #[derive(Debug, Clone)]
 struct Setup {
-    /// Rows per table: t (a, b) at S1 and u (a, c) at S2.
-    t_rows: Vec<(Value, Value)>,
-    u_rows: Vec<(Value, Value)>,
+    /// Equality columns `k1..` appended to both tables (0 = the plain
+    /// two-column tables).
+    key_width: usize,
+    /// Rows per table: t (a, b, k…) at S1 and u (a, c, k…) at S2.
+    t_rows: Vec<Vec<Value>>,
+    u_rows: Vec<Vec<Value>>,
     preds: Vec<Pred>,
     distinct: bool,
 }
@@ -172,15 +181,68 @@ fn random_pred(rng: &mut StdRng) -> Pred {
 
 fn random_setup(rng: &mut StdRng) -> Setup {
     let t_rows = (0..rng.gen_range(0usize..6))
-        .map(|_| (random_value(rng), random_value(rng)))
+        .map(|_| vec![random_value(rng), random_value(rng)])
         .collect();
     let u_rows = (0..rng.gen_range(0usize..6))
-        .map(|_| (random_value(rng), random_value(rng)))
+        .map(|_| vec![random_value(rng), random_value(rng)])
         .collect();
     let preds = (0..rng.gen_range(0usize..4))
         .map(|_| random_pred(rng))
         .collect();
     Setup {
+        key_width: 0,
+        t_rows,
+        u_rows,
+        preds,
+        distinct: rng.gen_bool(0.5),
+    }
+}
+
+/// Three or four equality columns between the one pair of inputs — the
+/// executor's heap-allocated wide-key arm, which the hospital scenario
+/// never reaches — with NULLs in the key columns (a NULL in any of them
+/// joins nothing) and sometimes a residual comparison or an IN on top.
+fn wide_key_setup(rng: &mut StdRng) -> Setup {
+    let key_width = rng.gen_range(3usize..5);
+    // Two values per key column, so whole keys do collide.
+    let key_value = |rng: &mut StdRng| {
+        if rng.gen_bool(1.0 / 6.0) {
+            Value::Null
+        } else {
+            Value::str(format!("v{}", rng.gen_range(0u32..2)))
+        }
+    };
+    let rows = |rng: &mut StdRng| -> Vec<Vec<Value>> {
+        (0..rng.gen_range(0usize..20))
+            .map(|_| {
+                let mut row = vec![random_value(rng), random_value(rng)];
+                row.extend((0..key_width).map(|_| key_value(rng)));
+                row
+            })
+            .collect()
+    };
+    let (t_rows, u_rows) = (rows(rng), rows(rng));
+    let mut preds: Vec<Pred> = KEYS[..key_width]
+        .iter()
+        .map(|k| {
+            let (lhs, rhs) = if rng.gen_bool(0.5) {
+                (col("x", k), col("y", k))
+            } else {
+                (col("y", k), col("x", k))
+            };
+            Pred::Cmp {
+                op: CmpOp::Eq,
+                lhs,
+                rhs,
+            }
+        })
+        .collect();
+    if rng.gen_bool(0.5) {
+        let at = rng.gen_range(0usize..preds.len() + 1);
+        preds.insert(at, random_pred(rng));
+    }
+    Setup {
+        key_width,
         t_rows,
         u_rows,
         preds,
@@ -189,29 +251,35 @@ fn random_setup(rng: &mut StdRng) -> Setup {
 }
 
 fn build_catalog(setup: &Setup) -> Catalog {
+    let keys = &KEYS[..setup.key_width];
     let mut catalog = Catalog::new();
-    let mut s1 = Database::new("S1");
-    let mut t = Table::new(TableSchema::strings("t", &["a", "b"], &[]));
-    for (a, b) in &setup.t_rows {
-        t.insert(vec![a.clone(), b.clone()]).unwrap();
+    for (source, table, payload, rows) in [
+        ("S1", "t", "b", &setup.t_rows),
+        ("S2", "u", "c", &setup.u_rows),
+    ] {
+        let columns = [&["a", payload], keys].concat();
+        let mut t = Table::new(TableSchema::strings(table, &columns, &[]));
+        for row in rows {
+            t.insert(row.clone()).unwrap();
+        }
+        let mut db = Database::new(source);
+        db.add_table(t).unwrap();
+        catalog.add_source(db).unwrap();
     }
-    s1.add_table(t).unwrap();
-    catalog.add_source(s1).unwrap();
-    let mut s2 = Database::new("S2");
-    let mut u = Table::new(TableSchema::strings("u", &["a", "c"], &[]));
-    for (a, c) in &setup.u_rows {
-        u.insert(vec![a.clone(), c.clone()]).unwrap();
-    }
-    s2.add_table(u).unwrap();
-    catalog.add_source(s2).unwrap();
     catalog
 }
 
 #[test]
 fn executor_agrees_with_reference() {
     let mut rng = StdRng::seed_from_u64(0x5EED_5001);
-    for case in 0..256 {
-        let setup = random_setup(&mut rng);
+    let mut wide_rng = StdRng::seed_from_u64(0x5EED_5002);
+    let mut wide_key_rows = 0;
+    for case in 0..384 {
+        let setup = if case < 256 {
+            random_setup(&mut rng)
+        } else {
+            wide_key_setup(&mut wide_rng)
+        };
         let catalog = build_catalog(&setup);
         let query = Query {
             distinct: setup.distinct,
@@ -262,5 +330,25 @@ fn executor_agrees_with_reference() {
             slow,
             setup.preds
         );
+        // The partitioned kernels, forced on (threshold 1) and off, at one
+        // and several threads: same rows in the same order.
+        for threads in [1, 3] {
+            for par_threshold in [1, usize::MAX] {
+                let tuned = execute_tuned(&query, &catalog, &params, threads, par_threshold);
+                assert_eq!(
+                    tuned.unwrap(),
+                    fast,
+                    "case {case}: threads={threads} par_threshold={par_threshold} preds {:?}",
+                    setup.preds
+                );
+            }
+        }
+        if setup.key_width > 0 {
+            wide_key_rows += fast.len();
+        }
     }
+    assert!(
+        wide_key_rows > 100,
+        "wide-key cases joined only {wide_key_rows} rows; fixture too weak"
+    );
 }

@@ -3,9 +3,9 @@
 //!
 //! Materializing execution ships each task's whole ship image in one
 //! piece, so a shipment is resident in full while it crosses the wire. With
-//! `batching` on, [`ship_output`] slices the image into `batch_rows`-row
-//! batches (`Relation::batches`: zero-copy slices over the shared column
-//! buffers), prices each batch's wire bytes on its own (a batch ships the
+//! `batching` on, [`ship_output`] cuts the image into `batch_rows`-row
+//! batches, prices each batch's wire bytes on its own and in place
+//! (`Relation::wire_bytes_in` over the batch's row range: a batch ships the
 //! dictionary slice its rows touch), moves the [`ShipLedger`]'s
 //! double-buffer window — batch `k` is on the wire while the consumer
 //! digests batch `k − 1`, so at most two batches of a task are resident and
@@ -123,9 +123,11 @@ pub(crate) fn ship_output(
     let mut shipped = 0.0;
     let mut batches = 0u64;
     let mut in_flight: Option<usize> = None;
-    for batch in image.batches(opts.batch_rows()) {
+    let batch_rows = opts.batch_rows();
+    for start in (0..image.len()).step_by(batch_rows) {
+        let batch = start..image.len().min(start.saturating_add(batch_rows));
         ledger.acquire(batch.len());
-        shipped += batch.wire_bytes() as f64;
+        shipped += image.wire_bytes_in(batch.clone()) as f64;
         batches += 1;
         // Double-buffer window: the consumer finishes batch k−1 while
         // batch k is on the wire, so k−1's rows release now.

@@ -22,17 +22,20 @@ use aig_core::attrs::FieldType;
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, SetExpr, ValueExpr};
 use aig_core::AigError;
-use aig_relstore::intern::{self, Reader};
-use aig_relstore::par::{apply_perm, sort_perm};
+use aig_relstore::intern::{self, Reader, SymMap};
+use aig_relstore::par::{apply_perm, sort_perm, RowTable};
 use aig_relstore::{Catalog, Relation, SourceId, StoreError, Sym, Value};
 use aig_sql::{execute_tuned as sql_execute_tuned, ParamValue, Params};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 #[cfg(test)]
 mod columnar_tests;
+// `columnar_tests` names it through `super::*`.
+#[cfg(test)]
+use std::collections::HashSet;
 
 /// How the parallel executor orders tasks at each source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -833,15 +836,13 @@ impl<S: RelSource> Executor<'_, S> {
                     })
                 };
                 let sorted_parents = apply_perm(parents, &perm);
-                // Ordinals restart per parent: each is interned once per task.
-                let (mut ord, mut ord_syms) = (0, Vec::new());
+                // Ordinals restart per parent.
+                let ord_syms = intern::int_syms(raw.len());
+                let mut ord = 0;
                 let ords: Vec<Sym> = (0..sorted_parents.len())
                     .map(|i| {
                         let same_parent = i > 0 && sorted_parents[i - 1] == sorted_parents[i];
                         ord = if same_parent { ord + 1 } else { 0 };
-                        if ord == ord_syms.len() {
-                            ord_syms.push(intern::intern(&Value::int(ord as i64)));
-                        }
                         ord_syms[ord]
                     })
                     .collect();
@@ -906,9 +907,8 @@ impl<S: RelSource> Executor<'_, S> {
                         cols[c + 2].extend_from_slice(part.col_syms(c));
                     }
                 }
-                cols[0] = (0..cols[1].len() as i64)
-                    .map(|rowid| intern::intern(&Value::int(rowid)))
-                    .collect();
+                let rows = cols[1].len();
+                cols[0] = intern::int_syms(rows)[..rows].to_vec();
                 Ok(Some(Relation::try_from_columns(columns, cols)?))
             }
             TaskKind::Cond { occ, query } => {
@@ -932,7 +932,8 @@ impl<S: RelSource> Executor<'_, S> {
                 // `__parent` is always prepended first; the pick value is
                 // the remaining column.
                 let reader = Reader::snapshot();
-                let mut picks: HashMap<Sym, Sym> = HashMap::with_capacity(raw.len());
+                let mut picks: SymMap<Sym, Sym> = SymMap::default();
+                picks.reserve(raw.len());
                 for (&owner, &value) in raw.col_syms(parent_col).iter().zip(raw.col_syms(1)) {
                     let pick = match reader.get(value) {
                         Value::Int(_) => value,
@@ -992,7 +993,7 @@ impl<S: RelSource> Executor<'_, S> {
                 if owners.is_empty() {
                     return Ok(Some(Relation::empty(columns)));
                 }
-                let ords = vec![intern::intern(&Value::int(0)); owners.len()];
+                let ords = vec![intern::int_syms(1)[0]; owners.len()];
                 let mut cols = vec![owners, ords];
                 for field in &columns[2..] {
                     let rule = spec.assigns.iter().find(|(f, _)| f == field);
@@ -1244,58 +1245,48 @@ impl<S: RelSource> Executor<'_, S> {
         let binding = self.binding(occ)?;
         let info = self.aig.elem_info(binding.elem);
         let g = &info.guards[guard];
+        let field_rel = |field: &str| {
+            let key = resolve_syn_key(self.aig, &self.graph.bindings, occ, binding.elem, field)?;
+            self.store.rel(&key)
+        };
+        // The guard's verdict: row `r` of `rel`, if any, violates it.
+        let verdict = |rel: &Relation, offender: Option<usize>| match offender {
+            None => Ok(()),
+            Some(r) => Err(MediatorError::Aig(AigError::ConstraintViolation {
+                constraint: g.label.clone(),
+                context: format!("{} instance {}", info.tag(), rel.cell(r, 0).to_text()),
+                value: format!("{:?}", &rel.row(r)[1..]),
+            })),
+        };
         match &g.kind {
             GuardKind::Unique { field } => {
-                let key =
-                    resolve_syn_key(self.aig, &self.graph.bindings, occ, binding.elem, field)?;
-                let rel = self.store.rel(&key)?;
-                let mut seen: HashSet<Vec<aig_relstore::Sym>> = HashSet::with_capacity(rel.len());
-                for r in 0..rel.len() {
-                    let key: Vec<aig_relstore::Sym> =
-                        (0..rel.arity()).map(|c| rel.sym(r, c)).collect();
-                    if !seen.insert(key) {
-                        return Err(MediatorError::Aig(AigError::ConstraintViolation {
-                            constraint: g.label.clone(),
-                            context: format!(
-                                "{} instance {}",
-                                info.tag(),
-                                rel.cell(r, 0).to_text()
-                            ),
-                            value: format!("{:?}", &rel.row(r)[1..]),
-                        }));
-                    }
-                }
-                Ok(())
+                let rel = field_rel(field)?;
+                let mut seen = RowTable::new(all_cols(rel), rel.len());
+                verdict(
+                    rel,
+                    (0..rel.len()).find(|&r| seen.insert(r as u32).is_some()),
+                )
             }
             GuardKind::Subset { sub, sup } => {
-                let sub_key =
-                    resolve_syn_key(self.aig, &self.graph.bindings, occ, binding.elem, sub)?;
-                let sup_key =
-                    resolve_syn_key(self.aig, &self.graph.bindings, occ, binding.elem, sup)?;
-                let sub_rel = self.store.rel(&sub_key)?;
-                let sup_rel = self.store.rel(&sup_key)?;
-                let sup_set: HashSet<Vec<aig_relstore::Sym>> = (0..sup_rel.len())
-                    .map(|r| (0..sup_rel.arity()).map(|c| sup_rel.sym(r, c)).collect())
-                    .collect();
-                for r in 0..sub_rel.len() {
-                    let key: Vec<aig_relstore::Sym> =
-                        (0..sub_rel.arity()).map(|c| sub_rel.sym(r, c)).collect();
-                    if !sup_set.contains(&key) {
-                        return Err(MediatorError::Aig(AigError::ConstraintViolation {
-                            constraint: g.label.clone(),
-                            context: format!(
-                                "{} instance {}",
-                                info.tag(),
-                                sub_rel.cell(r, 0).to_text()
-                            ),
-                            value: format!("{:?}", &sub_rel.row(r)[1..]),
-                        }));
-                    }
+                let (sub_rel, sup_rel) = (field_rel(sub)?, field_rel(sup)?);
+                let mut sup_rows = RowTable::new(all_cols(sup_rel), sup_rel.len());
+                for r in 0..sup_rel.len() as u32 {
+                    sup_rows.insert(r);
                 }
-                Ok(())
+                // Rows of different widths are never equal.
+                let comparable = sub_rel.arity() == sup_rel.arity();
+                let sub_cols = all_cols(sub_rel);
+                let missing =
+                    |&r: &usize| !comparable || sup_rows.find(|c| sub_cols[c][r]).is_none();
+                verdict(sub_rel, (0..sub_rel.len()).find(missing))
             }
         }
     }
+}
+
+/// Every symbol column of `rel`: the key columns of a whole-row table.
+fn all_cols(rel: &Relation) -> Vec<&[Sym]> {
+    (0..rel.arity()).map(|c| rel.col_syms(c)).collect()
 }
 
 /// Instance-table column layout for an element with the given inherited
@@ -1378,7 +1369,7 @@ pub(crate) fn scalar_col(
 }
 
 /// Maps `__rowid` symbols to row positions.
-pub fn index_by_rowid(rel: &Relation) -> Result<HashMap<Sym, u32>, MediatorError> {
+pub fn index_by_rowid(rel: &Relation) -> Result<SymMap<Sym, u32>, MediatorError> {
     let rowids = rel.col_syms(rel.col("__rowid")?);
     Ok(rowids.iter().copied().zip(0u32..).collect())
 }
@@ -1386,29 +1377,30 @@ pub fn index_by_rowid(rel: &Relation) -> Result<HashMap<Sym, u32>, MediatorError
 /// Maps child `__rowid` symbols to parent symbols for rows carrying the
 /// given `__occ` tag. Tag matching is one interner lookup plus per-row
 /// symbol compares; a never-interned tag matches no rows.
-fn parents_by_tag(t_child: &Relation, tag: &str) -> Result<HashMap<Sym, Sym>, MediatorError> {
+fn parents_by_tag(t_child: &Relation, tag: &str) -> Result<SymMap<Sym, Sym>, MediatorError> {
     let rowids = t_child.col_syms(t_child.col("__rowid")?);
     let parents = t_child.col_syms(t_child.col("__parent")?);
     let occs = t_child.col_syms(t_child.col("__occ")?);
     let Some(tag_sym) = intern::lookup(&Value::str(tag)) else {
-        return Ok(HashMap::new());
+        return Ok(SymMap::default());
     };
-    Ok(occs
-        .iter()
-        .zip(rowids.iter().zip(parents))
-        .filter(|(occ, _)| **occ == tag_sym)
-        .map(|(_, (rowid, parent))| (*rowid, *parent))
-        .collect())
+    let mut parent_of = SymMap::default();
+    parent_of.reserve(occs.iter().filter(|occ| **occ == tag_sym).count());
+    let tagged = occs.iter().zip(rowids.iter().zip(parents));
+    let tagged = tagged.filter(|(occ, _)| **occ == tag_sym);
+    parent_of.extend(tagged.map(|(_, (rowid, parent))| (*rowid, *parent)));
+    Ok(parent_of)
 }
 
 /// The rows of `child_syn` re-keyed from child rowid to owner under
 /// `columns`, dropping rows whose child is not in `parent_of`.
 fn rekey_to_owners(
     child_syn: &Relation,
-    parent_of: &HashMap<Sym, Sym>,
+    parent_of: &SymMap<Sym, Sym>,
     columns: &[String],
 ) -> Result<Relation, MediatorError> {
-    let (mut owners, mut keep) = (Vec::new(), Vec::new());
+    let rows = child_syn.len();
+    let (mut owners, mut keep) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
     for (r, child) in (0u32..).zip(child_syn.col_syms(0)) {
         if let Some(&owner) = parent_of.get(child) {
             owners.push(owner);

@@ -20,9 +20,10 @@
 
 use crate::graph::{ScalarBind, Task, TaskKind, VectorQuery};
 use aig_prng::{Rng, StdRng};
-use aig_relstore::{Catalog, Relation, Sym, Value, ValueType};
+use aig_relstore::par::RowTable;
+use aig_relstore::{Catalog, Relation, Value, ValueType};
 use aig_sql::{FromItem, Scalar};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// The seeded wrong-answer mutations the fault plan can apply to a shipped
@@ -261,9 +262,9 @@ pub fn check_relation(rel: &Relation, profile: &RelProfile) -> Option<IntegrityF
     // Structural row identity: within a group, ordinals are unique — a
     // verbatim duplicate of a `(parent, ord, …)` row can never be genuine.
     if let (Some(g), Ok(o)) = (group, rel.col("__ord")) {
-        let mut seen: HashSet<(Sym, Sym)> = HashSet::new();
+        let mut seen = RowTable::new(vec![rel.col_syms(g), rel.col_syms(o)], rel.len());
         for r in 0..rel.len() {
-            if !seen.insert((rel.sym(r, g), rel.sym(r, o))) {
+            if seen.insert(r as u32).is_some() {
                 return Some(IntegrityFinding {
                     constraint: format!("row-identity({}: parent, ord)", profile.table),
                     value: format!("({}, {})", rel.cell(r, g), rel.cell(r, o)),
@@ -280,14 +281,10 @@ pub fn check_relation(rel: &Relation, profile: &RelProfile) -> Option<IntegrityF
         .filter_map(|c| rel.col(c).ok())
         .collect();
     if !key_pos.is_empty() {
-        let mut seen: HashSet<Vec<Sym>> = HashSet::new();
+        let image = group.iter().chain(&key_pos).map(|&p| rel.col_syms(p));
+        let mut seen = RowTable::new(image.collect(), rel.len());
         for r in 0..rel.len() {
-            let mut image: Vec<Sym> = Vec::with_capacity(key_pos.len() + 1);
-            if let Some(g) = group {
-                image.push(rel.sym(r, g));
-            }
-            image.extend(key_pos.iter().map(|&p| rel.sym(r, p)));
-            if !seen.insert(image) {
+            if seen.insert(r as u32).is_some() {
                 return Some(IntegrityFinding {
                     constraint: format!("key({}[{}])", profile.table, profile.key_cols.join(", ")),
                     value: key_pos

@@ -13,7 +13,7 @@ use crate::error::MediatorError;
 use crate::exec::{branch_tag, occ_tag, scalar_col, RelStore, ScalarCol};
 use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
-use aig_relstore::intern::{self, Reader};
+use aig_relstore::intern::{self, Reader, SymMap};
 use aig_relstore::{Relation, Sym, Value};
 use aig_xml::tree::{CopyStep, SubtreeCopier, TagId};
 use aig_xml::{NodeId, XmlTree};
@@ -36,12 +36,13 @@ pub fn tag_document(
 /// row positions in `__ord` order, as a span of one shared position vector.
 ///
 /// Tags and ids are matched as interned symbols, i.e. by value equality:
-/// a `__rowid`/`__parent` that is not an integer is a key like any other
-/// (the `i64`-keyed index this replaces folded every non-integer id onto
-/// −1, and so onto each other).
+/// a `__rowid`/`__parent` that is not an integer is a key like any other.
 #[derive(Default)]
 struct ChildrenIndex {
-    spans: HashMap<(ElemIdx, Sym, Sym), (u32, u32)>,
+    /// Bucket number per key, in first-seen order.
+    buckets: SymMap<(ElemIdx, Sym, Sym), u32>,
+    /// Bucket `b` is `rows[starts[b]..starts[b + 1]]`.
+    starts: Vec<u32>,
     rows: Vec<u32>,
 }
 
@@ -49,33 +50,31 @@ impl ChildrenIndex {
     fn build(aig: &Aig, graph: &TaskGraph, store: &RelStore) -> Result<Self, MediatorError> {
         let reader = Reader::snapshot();
         let mut index = ChildrenIndex::default();
+        index.starts.push(0);
         for &elem in graph.materialized.iter().filter(|&&e| e != aig.root) {
             let rel = store.get(&RelKey::Instances(elem))?;
             let parents = rel.col_syms(rel.col("__parent")?);
             let occs = rel.col_syms(rel.col("__occ")?);
-            let ords = rel.col_syms(rel.col("__ord")?);
-            let ords: Vec<i64> = ords
-                .iter()
-                .map(|&ord| reader.get(ord).as_int().unwrap_or(0))
-                .collect();
-            // Bucket per (occ, parent), numbered in first-seen order; rows
-            // of one bucket mostly sit together, so only a change of key
-            // costs a hash lookup.
-            let mut keys: Vec<(Sym, Sym)> = Vec::new();
+            let as_int = |&ord: &Sym| reader.get(ord).as_int().unwrap_or(0);
+            let ords: Vec<i64> = rel.col_syms(rel.col("__ord")?).iter().map(as_int).collect();
+            // Bucket per (occ, parent), numbered in first-seen order after
+            // the relations before; rows of one bucket mostly sit together,
+            // so only a change of key costs a hash lookup.
+            let (buckets, first) = (&mut index.buckets, index.starts.len() as u32 - 1);
             let mut sizes: Vec<u32> = Vec::new();
-            let mut ids: HashMap<(Sym, Sym), u32> = HashMap::new();
             let mut bucket_of: Vec<u32> = Vec::with_capacity(rel.len());
-            for key in occs.iter().copied().zip(parents.iter().copied()) {
-                let bucket = match bucket_of.last() {
-                    Some(&last) if keys[last as usize] == key => last,
-                    _ => *ids.entry(key).or_insert_with(|| {
-                        keys.push(key);
+            let mut last = None;
+            for (&occ, &parent) in occs.iter().zip(parents) {
+                let bucket = match last {
+                    Some((key, bucket)) if key == (occ, parent) => bucket,
+                    _ => *buckets.entry((elem, occ, parent)).or_insert_with(|| {
                         sizes.push(0);
-                        sizes.len() as u32 - 1
+                        first + sizes.len() as u32 - 1
                     }),
                 };
-                sizes[bucket as usize] += 1;
+                sizes[(bucket - first) as usize] += 1;
                 bucket_of.push(bucket);
+                last = Some(((occ, parent), bucket));
             }
             // Row positions by (bucket, `__ord`), position order on ties: a
             // stable sort, linear on an assembled table (generator outputs
@@ -84,9 +83,9 @@ impl ChildrenIndex {
             order.sort_by_key(|&pos| (bucket_of[pos as usize], ords[pos as usize]));
             let mut end = index.rows.len() as u32;
             index.rows.extend(order);
-            for (&(occ, parent), &size) in keys.iter().zip(&sizes) {
+            for size in sizes {
                 end += size;
-                index.spans.insert((elem, occ, parent), (end - size, end));
+                index.starts.push(end);
             }
         }
         Ok(index)
@@ -95,10 +94,10 @@ impl ChildrenIndex {
     /// Child row positions of `elem` tagged `occ` under the parent row with
     /// rowid `parent`; empty when there is no such bucket.
     fn rows(&self, elem: ElemIdx, occ: Sym, parent: Sym) -> &[u32] {
-        match self.spans.get(&(elem, occ, parent)) {
-            Some(&(start, end)) => &self.rows[start as usize..end as usize],
-            None => &[],
-        }
+        let Some(&b) = self.buckets.get(&(elem, occ, parent)) else {
+            return &[];
+        };
+        &self.rows[self.starts[b as usize] as usize..self.starts[b as usize + 1] as usize]
     }
 }
 

@@ -4,10 +4,15 @@
 //! document is columns too: a warm request allocates per *task*, never per
 //! relation row or per document node. A `Vec<Value>` per row (the
 //! pre-columnar loops: 0.93 allocations per row in `execute_graph`; a `Vec`
-//! per joined row in the SQL executor alone: 0.14, against 0.07 now) or a
-//! `String` per node (1.59 allocations per node in
+//! per joined row in the SQL executor alone: 0.14; a `Vec<u32>` per distinct
+//! join key, a size cache per relation and a copy per sized column: 0.07,
+//! against 0.03 now) or a `String` per node (1.59 allocations per node in
 //! `tag_document` before the flat `XmlTree`, against under 0.01) fails the
-//! bounds below; `HashMap` seeds and growth jitter do not come near them.
+//! bounds below; `HashMap` growth jitter does not come near them. Bytes are
+//! bounded beside calls: a row-major copy of every relation that is
+//! deduplicated and a sorted copy of every column that is sized cost no
+//! more calls than a `Vec` each, but 128 requested bytes per output row
+//! against 55 now.
 //!
 //! The data is Table 1's Small hospital — large enough (well over 20k
 //! document nodes for the chosen date) that per-task constants vanish in
@@ -22,8 +27,10 @@ use aig_xml::{serialize, validate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Allocations (and reallocations) made so far: a statistic, so `Relaxed`.
+/// Allocations (and reallocations) made so far, and the bytes they asked
+/// for: statistics, so `Relaxed`.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -32,11 +39,13 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Relaxed);
         System.alloc_zeroed(layout)
     }
 
@@ -46,6 +55,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(new_size as u64, Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -81,7 +91,9 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     // Warm twice; the second is the one measured.
     let warm = run().unwrap();
     tag_document(&plan.aig, &plan.graph, &warm.store).unwrap();
+    let bytes_before = BYTES.load(Relaxed);
     let (exec, exec_allocs) = counted(run);
+    let exec_bytes = BYTES.load(Relaxed) - bytes_before;
     let exec = exec.unwrap();
     let (tree, tag_allocs) = counted(|| tag_document(&plan.aig, &plan.graph, &exec.store));
     let tree = tree.unwrap();
@@ -94,21 +106,44 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     let per_node = tag_allocs as f64 / nodes;
     println!("execute_graph {per_row:.3} allocations/row, tag_document {per_node:.3}/node");
     assert!(
-        per_row < 0.15,
+        per_row < 0.06,
         "execute_graph: {exec_allocs} allocations for {rows} rows read or produced \
          = {per_row:.2} per row"
+    );
+    // Requested bytes per row *produced*: 128.2 at the parent — a row-major
+    // copy and a fat-pointer vector per deduplicated relation, a list per
+    // distinct join key, a sorted copy per sized column — against NEW_BYTES
+    // with rows hashed and columns counted where they lie.
+    const NEW_BYTES: f64 = 55.4;
+    let out_rows: f64 = exec.measured.iter().map(|m| m.out_rows).sum();
+    let bytes_per_row = exec_bytes as f64 / out_rows;
+    println!("execute_graph {bytes_per_row:.1} requested bytes/output row");
+    assert!(
+        bytes_per_row <= 1.25 * NEW_BYTES,
+        "execute_graph: {exec_bytes} bytes requested for {out_rows} rows produced \
+         = {bytes_per_row:.1} per row"
     );
     assert!(
         per_node <= 0.1,
         "tag_document: {tag_allocs} allocations for {nodes} nodes = {per_node:.2} per node"
     );
 
-    // Batching slices the ship image at the seam and does nothing else: no
+    // Sizing columns nobody has sized allocates nothing on a thread that has
+    // sized before: the counting scratch is the thread's, the memo sits in
+    // the column (the parent: a size cache per relation and a sorted copy
+    // per column).
+    for key in plan.graph.tasks.iter().filter_map(|t| t.output.as_ref()) {
+        let rel = exec.store.get(key).unwrap();
+        let unsized_copy = rel.slice(0, rel.len().saturating_sub(1));
+        let (_, allocs) = counted(|| (unsized_copy.wire_bytes(), unsized_copy.byte_size()));
+        assert!(allocs <= 2, "sizing {key:?}: {allocs} allocations");
+    }
+
+    // Batching cuts the ship image at the seam and does nothing else: no
     // operator re-chunks a materialized relation (that fork read 3.1x the
-    // materializing run). What it adds is the slices: a sub-range batch of
-    // an `a`-column image copies its columns and prices them, 3 + 4a
-    // allocations (12.4 per batch here), so 16 per batch bounds it. Same
-    // store, and the seam's ledger reads what it always read.
+    // materializing run), and a batch is priced where it lies, not sliced
+    // out first (3 + 4a allocations for an `a`-column image: 12.4 per batch
+    // here). Same store, and the seam's ledger reads what it always read.
     let batched_options = options.clone().with_batching(true, 256);
     let run_batched = || {
         let (aig, graph) = (&plan.aig, &plan.graph);
@@ -134,7 +169,7 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         (983, 512)
     );
     assert!(
-        batched_allocs as f64 <= 1.05 * exec_allocs as f64 + 16.0 * ledger.total_batches as f64,
+        batched_allocs as f64 <= 1.05 * exec_allocs as f64 + ledger.total_batches as f64,
         "batching(256): {batched_allocs} allocations against {exec_allocs} materializing \
          and {} batches",
         ledger.total_batches

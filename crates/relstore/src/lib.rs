@@ -27,7 +27,7 @@ pub mod value;
 pub use catalog::{Catalog, Database, SourceId};
 pub use delta::{DeltaApplied, RowBatch, SourceDelta};
 pub use error::StoreError;
-pub use intern::Sym;
+pub use intern::{Sym, SymMap, SymSet};
 pub use relation::{payload_scans, Batches, Relation};
 pub use schema::{Column, TableSchema};
 pub use stats::TableStats;

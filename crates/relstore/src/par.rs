@@ -13,11 +13,16 @@
 //!   the *earlier* chunk on ties, so the permutation is byte-identical to a
 //!   sequential stable sort. Column stores apply the permutation per column
 //!   with [`apply_perm`] instead of moving rows.
-//! * [`dedup_indices`] — a partitioned first-occurrence dedup over
-//!   precomputed keys: each thread finds its chunk-local first occurrences,
-//!   then one sequential pass over the (much smaller) survivor set keeps
-//!   global first occurrences. Byte-identical to the sequential
-//!   `HashSet`-retain dedup.
+//! * [`RowTable`] — the one hash table over rows: open addressing over `u32`
+//!   row indices that hashes and compares a row by reading its key columns
+//!   in place, so no row key is ever built. First-occurrence dedup, the
+//!   mediator's uniqueness / inclusion guards and the hash join's build side
+//!   ([`JoinTable`]: key → first row plus a `next` chain in scan order) all
+//!   sit on it.
+//! * [`dedup_indices`] — a partitioned first-occurrence dedup over symbol
+//!   columns: each thread finds its chunk-local first occurrences, then one
+//!   sequential pass over the (much smaller) survivor set keeps global first
+//!   occurrences. Byte-identical to the sequential dedup.
 //! * [`stable_sort_rows_with`] — the row-moving wrapper around [`sort_perm`]
 //!   that the row-major reference operators of the mediator's differential
 //!   suite sort with (the mediator's own operators sort permutations and
@@ -28,9 +33,9 @@
 //! `ExecPolicy::par_threshold`) or with `threads <= 1`, where partitioning
 //! overhead would dominate.
 
+use crate::intern::{Sym, SymHasher};
 use std::cmp::Ordering;
-use std::collections::HashSet;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// Default row count below which the sequential path is used regardless of
@@ -108,32 +113,179 @@ pub fn apply_perm<T: Copy>(data: &[T], perm: &[u32]) -> Vec<T> {
     perm.iter().map(|&i| data[i as usize]).collect()
 }
 
-/// First-occurrence dedup over precomputed row keys: returns the surviving
-/// row indices in first-occurrence order, byte-identical to the sequential
-/// `HashSet`-retain dedup. Partitioned over up to `threads` threads for
-/// `keys.len() >= threshold`.
-pub fn dedup_indices<K>(keys: &[K], threads: usize, threshold: usize) -> Vec<u32>
-where
-    K: Hash + Eq + Sync,
-{
-    if threads <= 1 || keys.len() < threshold {
-        return first_occurrences(keys, 0..keys.len() as u32);
+/// A free [`RowTable`] slot, and the end of a [`JoinTable`] chain.
+const NONE: u32 = u32::MAX;
+
+/// A hash table of row indices over symbol columns. A row's key is its
+/// symbols in `cols`; the table stores the row index alone and hashes and
+/// compares keys by reading the columns in place. Open addressing with
+/// linear probing, a power-of-two slot count, at most half full. Row indices
+/// are below `u32::MAX`.
+pub struct RowTable<'a> {
+    cols: Vec<&'a [Sym]>,
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl<'a> RowTable<'a> {
+    /// An empty table over the key columns `cols`, with room for `rows`
+    /// rows before it grows.
+    pub fn new(cols: Vec<&'a [Sym]>, rows: usize) -> RowTable<'a> {
+        let slots = vec![NONE; (rows * 2).next_power_of_two().max(8)];
+        RowTable {
+            cols,
+            slots,
+            len: 0,
+        }
+    }
+
+    /// The slot the key `key(0), key(1), …` hashes to.
+    #[inline]
+    fn home(&self, key: impl Fn(usize) -> Sym) -> usize {
+        let mut hasher = SymHasher::default();
+        (0..self.cols.len()).for_each(|c| key(c).hash(&mut hasher));
+        hasher.finish() as usize & (self.slots.len() - 1)
+    }
+
+    /// The slot holding a row whose key is `key(0), key(1), …`, or the free
+    /// slot such a row belongs in.
+    #[inline]
+    fn slot(&self, key: impl Fn(usize) -> Sym) -> usize {
+        let mut slot = self.home(&key);
+        loop {
+            let row = self.slots[slot] as usize;
+            let hit = |(c, col): (usize, &&[Sym])| col[row] == key(c);
+            if row == NONE as usize || self.cols.iter().enumerate().all(hit) {
+                return slot;
+            }
+            slot = (slot + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    /// The slot of `row`'s own key, after making room for one more row.
+    fn slot_for(&mut self, row: u32) -> usize {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let grown = vec![NONE; self.slots.len() * 2];
+            for old in std::mem::replace(&mut self.slots, grown) {
+                if old != NONE {
+                    let slot = self.slot(|c| self.cols[c][old as usize]);
+                    self.slots[slot] = old;
+                }
+            }
+        }
+        self.slot(|c| self.cols[c][row as usize])
+    }
+
+    /// Adds `row` unless a row with an equal key is in the table already,
+    /// which is then returned (and stays).
+    #[inline]
+    pub fn insert(&mut self, row: u32) -> Option<u32> {
+        let slot = self.slot_for(row);
+        let held = self.slots[slot];
+        if held == NONE {
+            self.slots[slot] = row;
+            self.len += 1;
+        }
+        (held != NONE).then_some(held)
+    }
+
+    /// Adds `row`, taking the place of a row with an equal key, which is
+    /// then returned.
+    #[inline]
+    pub fn replace(&mut self, row: u32) -> Option<u32> {
+        let slot = self.slot_for(row);
+        let held = std::mem::replace(&mut self.slots[slot], row);
+        self.len += usize::from(held == NONE);
+        (held != NONE).then_some(held)
+    }
+
+    /// The row in the table whose key is `key(0), key(1), …` — symbols of
+    /// any origin, e.g. a row of another relation.
+    #[inline]
+    pub fn find(&self, key: impl Fn(usize) -> Sym) -> Option<u32> {
+        let held = self.slots[self.slot(key)];
+        (held != NONE).then_some(held)
+    }
+
+    /// The farthest any row sits from the slot its key hashes to
+    /// (diagnostics: the distribution tests bound it).
+    pub fn longest_probe(&self) -> usize {
+        let displaced = |(slot, &row): (usize, &u32)| {
+            let home = self.home(|c| self.cols[c][row as usize]);
+            slot.wrapping_sub(home) & (self.slots.len() - 1)
+        };
+        let held = (self.slots.iter().enumerate()).filter(|(_, &row)| row != NONE);
+        held.map(displaced).max().unwrap_or(0)
+    }
+}
+
+/// The build side of a hash join: key → the first `live` row carrying it,
+/// and from each row a `next` link to the following one with the same key —
+/// a key's rows in scan order, with no list per distinct key. Rows with a
+/// NULL in a key column are left out, and a key with a NULL matches nothing:
+/// NULL joins nothing, found by integer compares.
+pub struct JoinTable<'a> {
+    heads: RowTable<'a>,
+    next: Vec<u32>,
+}
+
+impl<'a> JoinTable<'a> {
+    /// Indexes the rows `live` (each at most once) of the key columns
+    /// `cols`.
+    pub fn build(cols: Vec<&'a [Sym]>, live: &[u32]) -> JoinTable<'a> {
+        let mut next = vec![NONE; live.iter().max().map_or(0, |&row| row as usize + 1)];
+        let mut heads = RowTable::new(cols, live.len());
+        // Back to front, each row taking its key's slot from the one that
+        // follows it in scan order.
+        for &row in live.iter().rev() {
+            if heads.cols.iter().any(|col| col[row as usize].is_null()) {
+                continue;
+            }
+            if let Some(follower) = heads.replace(row) {
+                next[row as usize] = follower;
+            }
+        }
+        JoinTable { heads, next }
+    }
+
+    /// The indexed rows whose key is `key(0), key(1), …`, in scan order.
+    #[inline]
+    pub fn matches(&self, key: impl Fn(usize) -> Sym) -> impl Iterator<Item = u32> + '_ {
+        let head = match (0..self.heads.cols.len()).any(|c| key(c).is_null()) {
+            true => None,
+            false => self.heads.find(key),
+        };
+        std::iter::successors(head, |&row| {
+            let next = self.next[row as usize];
+            (next != NONE).then_some(next)
+        })
+    }
+}
+
+/// First-occurrence dedup of the rows of `cols` (symbol columns of one
+/// length): returns the surviving row indices in first-occurrence order.
+/// Partitioned over up to `threads` threads for at least `threshold` rows,
+/// with the same result.
+pub fn dedup_indices(cols: &[&[Sym]], threads: usize, threshold: usize) -> Vec<u32> {
+    let len = cols.first().map_or(0, |col| col.len());
+    if threads <= 1 || len < threshold {
+        return first_occurrences(cols, 0..len as u32);
     }
     // Per-chunk first occurrences, then one sequential pass over the
     // survivors only: chunks cover the input in original order, so the
     // first global occurrence wins, as in the sequential dedup.
-    let local = map_chunks(keys.len(), threads, |range| {
-        first_occurrences(keys, range.start as u32..range.end as u32)
+    let local = map_chunks(len, threads, |range| {
+        first_occurrences(cols, range.start as u32..range.end as u32)
     });
-    first_occurrences(keys, local.into_iter().flatten())
+    first_occurrences(cols, local.concat().into_iter())
 }
 
-/// The `candidates` whose key no earlier candidate carries, in order.
-fn first_occurrences<K: Hash + Eq>(keys: &[K], candidates: impl Iterator<Item = u32>) -> Vec<u32> {
-    let mut seen: HashSet<&K> = HashSet::with_capacity(candidates.size_hint().0);
-    candidates
-        .filter(|&i| seen.insert(&keys[i as usize]))
-        .collect()
+/// The `candidates` whose row no earlier candidate equals, in order.
+fn first_occurrences(cols: &[&[Sym]], candidates: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
+    let mut seen = RowTable::new(cols.to_vec(), candidates.len());
+    let mut kept = Vec::with_capacity(candidates.len());
+    kept.extend(candidates.filter(|&row| seen.insert(row).is_none()));
+    kept
 }
 
 /// Stable sort of `rows` by `cmp`, partitioned over up to `threads` threads
@@ -241,15 +393,17 @@ mod tests {
 
     #[test]
     fn dedup_indices_keeps_first_occurrences() {
-        let keys: Vec<u64> = (0..4096).map(|i| (i * 17) % 33).collect();
+        let sym = |i: usize| Sym::from_index(i as u32);
+        let a: Vec<Sym> = (0..4096).map(|i| sym((i * 17) % 33)).collect();
+        let b: Vec<Sym> = (0..4096).map(|i| sym(i % 3)).collect();
         let mut seen = std::collections::HashSet::new();
-        let expected: Vec<u32> = (0..keys.len() as u32)
-            .filter(|&i| seen.insert(keys[i as usize]))
+        let expected: Vec<u32> = (0..a.len() as u32)
+            .filter(|&i| seen.insert((a[i as usize], b[i as usize])))
             .collect();
         for threads in [1, 2, 4] {
             for threshold in [1, 2048, usize::MAX] {
                 assert_eq!(
-                    dedup_indices(&keys, threads, threshold),
+                    dedup_indices(&[&a, &b], threads, threshold),
                     expected,
                     "threads={threads} threshold={threshold}"
                 );

@@ -12,29 +12,40 @@
 //! * projection is pointer selection — live columns are picked by cloning
 //!   their `Arc`s, no row is rewritten (the ship-cut fast path);
 //! * equality, hashing, dedup and join probes are integer operations, since
-//!   interning is canonical (`Sym` equality ⇔ [`Value`] equality);
+//!   interning is canonical (`Sym` equality ⇔ [`Value`] equality); dedup
+//!   hashes rows where they lie ([`crate::par::RowTable`]), never a copy;
 //! * mutation (push, dedup, corruption injection) goes through
-//!   `Arc::make_mut`, so shared columns copy-on-write.
+//!   `Arc::make_mut`, so shared columns copy-on-write;
+//! * a column's size — distinct symbols, dictionary bytes, raw bytes — is
+//!   counted in one pass ([`SizeScratch::measure`]) and memoized beside its
+//!   symbols, so every relation sharing the column (a projection, a rename,
+//!   a clone) prices it without a scan.
 //!
 //! Row-major views ([`Relation::row`], [`Relation::rows_vec`]) materialize
 //! on demand for cold paths and tests.
 
 use crate::error::StoreError;
-use crate::intern::{self, Reader, Sym};
+use crate::intern::{self, Reader, Sym, SymSet};
 use crate::table::Table;
 use crate::value::Value;
-use std::cell::Cell;
-use std::collections::HashSet;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 thread_local! {
-    /// Full payload scans this thread performed on [`Relation::byte_size`]
-    /// and [`Relation::wire_bytes`] cache misses. Diagnostics only: the
-    /// memoization regression tests assert repeated size queries on an
-    /// unchanged relation do not rescan its payload. Counted per thread so
-    /// that a test reading it sees its own scans and nobody else's.
+    /// Relation sizings on this thread that had to scan payload: a
+    /// [`Relation::byte_size`] / [`Relation::wire_bytes`] that found a column
+    /// without a memoized size, or a [`Relation::wire_bytes_in`] over a proper
+    /// sub-range. Diagnostics only: the memoization regression tests assert
+    /// repeated size queries on an unchanged relation do not rescan its
+    /// payload. Counted per thread so that a test reading it sees its own
+    /// scans and nobody else's.
     static PAYLOAD_SCANS: Cell<u64> = const { Cell::new(0) };
+
+    /// This thread's sizing scratch: allocated on the thread's first sizing,
+    /// reused by every later one, freed with the thread.
+    static SIZE_SCRATCH: RefCell<SizeScratch> = const { RefCell::new(SizeScratch::at_epoch(0)) };
 }
 
 /// Payload scans performed by the calling thread so far (see
@@ -43,58 +54,139 @@ pub fn payload_scans() -> u64 {
     PAYLOAD_SCANS.get()
 }
 
-/// Memoized sizes of one `(columns, len)` generation of a relation. Clones
-/// share the cache (they observe the same bytes); a mutation starts a new
-/// generation — replacing the cache while a clone still shares it, so
-/// outstanding clones keep the generation they were created from, and
-/// clearing it in place only when nobody else can observe it.
-#[derive(Debug, Default)]
-struct SizeCache {
-    byte_size: OnceLock<usize>,
-    wire_bytes: OnceLock<usize>,
+/// What one pass over a symbol column counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColSize {
+    /// Distinct symbols in the column.
+    pub distinct: usize,
+    /// Summed payload width of the distinct symbols, each once.
+    pub dict_bytes: usize,
+    /// Summed payload width of every cell.
+    pub raw_bytes: usize,
 }
 
-/// A bag of rows with named columns, stored column-major over interned
-/// symbols.
-#[derive(Debug, Clone)]
-pub struct Relation {
-    columns: Vec<String>,
-    cols: Vec<Arc<Vec<Sym>>>,
-    len: usize,
-    /// Size memoization for the current copy-on-write generation; not part
-    /// of equality.
-    sizes: Arc<SizeCache>,
-}
-
-impl PartialEq for Relation {
-    fn eq(&self, other: &Relation) -> bool {
-        self.columns == other.columns && self.len == other.len && self.cols == other.cols
+impl ColSize {
+    /// Dictionary-encoded size of a column of `rows` cells: the dictionary
+    /// plus one minimal-width code per row (1 byte up to 256 distinct
+    /// values, 2 up to 65 536, else 4).
+    pub fn wire_bytes(&self, rows: usize) -> usize {
+        let code = match self.distinct {
+            0..=256 => 1,
+            257..=65_536 => 2,
+            _ => 4,
+        };
+        self.dict_bytes + rows * code
     }
 }
 
-impl Eq for Relation {}
+/// The scratch of the one column-sizing pass: a stamp per arena symbol,
+/// addressed directly by [`Sym::index`]. A symbol counts as seen in the
+/// current pass iff its stamp equals the pass's epoch, so nothing is cleared
+/// between passes — only when the `u32` epoch wraps. Grown to the arena
+/// length and never shrunk: 4 B per arena symbol.
+#[derive(Debug, Default)]
+pub struct SizeScratch {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl SizeScratch {
+    /// A scratch whose next pass is numbered `epoch + 1`: 0 for a new one
+    /// (as [`Default`] gives), just below the wrap in the lifecycle tests.
+    #[doc(hidden)]
+    pub const fn at_epoch(epoch: u32) -> SizeScratch {
+        SizeScratch {
+            stamps: Vec::new(),
+            epoch,
+        }
+    }
+
+    /// Counts `col` in one pass, without sorting or copying it. Every symbol
+    /// of `col` must have been interned before `reader` was taken.
+    pub fn measure(&mut self, col: &[Sym], reader: &Reader) -> ColSize {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps of 2³² passes ago would read as current.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        if self.stamps.len() < reader.symbols() {
+            self.stamps.resize(reader.symbols(), 0);
+        }
+        let mut size = ColSize::default();
+        for &sym in col {
+            let width = reader.width(sym);
+            size.raw_bytes += width;
+            let stamp = &mut self.stamps[sym.index()];
+            if *stamp != self.epoch {
+                *stamp = self.epoch;
+                size.distinct += 1;
+                size.dict_bytes += width;
+            }
+        }
+        size
+    }
+}
+
+/// One column: its symbols and, once asked for, their [`ColSize`]. Shared
+/// behind an `Arc` by every relation that holds the column, memo included.
+#[derive(Debug, Default)]
+struct Column {
+    syms: Vec<Sym>,
+    size: OnceLock<ColSize>,
+}
+
+impl Column {
+    fn new(syms: Vec<Sym>) -> Arc<Column> {
+        Arc::new(Column {
+            syms,
+            size: OnceLock::new(),
+        })
+    }
+
+    /// The symbols for mutation (copy-on-write), forgetting their size.
+    fn syms_mut(col: &mut Arc<Column>) -> &mut Vec<Sym> {
+        let col = Arc::make_mut(col);
+        col.size.take();
+        &mut col.syms
+    }
+}
+
+impl Clone for Column {
+    /// A copy is made to be mutated: it starts without a size.
+    fn clone(&self) -> Column {
+        Column {
+            syms: self.syms.clone(),
+            size: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for Column {
+    fn eq(&self, other: &Column) -> bool {
+        self.syms == other.syms
+    }
+}
+
+impl Eq for Column {}
+
+/// A bag of rows with named columns, stored column-major over interned
+/// symbols.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Relation {
+    columns: Vec<String>,
+    cols: Vec<Arc<Column>>,
+    len: usize,
+}
 
 impl Relation {
     /// An empty relation with the given column names.
     pub fn empty(columns: Vec<String>) -> Relation {
-        let cols = columns.iter().map(|_| Arc::new(Vec::new())).collect();
+        let cols = columns.iter().map(|_| Arc::default()).collect();
         Relation {
             columns,
             cols,
             len: 0,
-            sizes: Arc::default(),
-        }
-    }
-
-    /// Starts a fresh size-cache generation; called by every mutator. A
-    /// cache some clone still shares is replaced, not cleared, so the clone
-    /// keeps its (still valid) memoized sizes; a uniquely owned one is reset
-    /// in place, so a row-at-a-time builder does not allocate per push.
-    #[inline]
-    fn touch(&mut self) {
-        match Arc::get_mut(&mut self.sizes) {
-            Some(sizes) => *sizes = SizeCache::default(),
-            None => self.sizes = Arc::default(),
         }
     }
 
@@ -121,9 +213,8 @@ impl Relation {
         }
         Ok(Relation {
             columns,
-            cols: cols.into_iter().map(Arc::new).collect(),
+            cols: cols.into_iter().map(Column::new).collect(),
             len,
-            sizes: Arc::default(),
         })
     }
 
@@ -162,9 +253,8 @@ impl Relation {
         }
         Ok(Relation {
             columns,
-            cols: cols.into_iter().map(Arc::new).collect(),
+            cols: cols.into_iter().map(Column::new).collect(),
             len,
-            sizes: Arc::default(),
         })
     }
 
@@ -184,8 +274,7 @@ impl Relation {
         Relation {
             columns: vec![name.into()],
             len: col.len(),
-            cols: vec![Arc::new(col)],
-            sizes: Arc::default(),
+            cols: vec![Column::new(col)],
         }
     }
 
@@ -212,27 +301,27 @@ impl Relation {
     /// The symbol at row `r`, column `c`.
     #[inline]
     pub fn sym(&self, r: usize, c: usize) -> Sym {
-        self.cols[c][r]
+        self.cols[c].syms[r]
     }
 
     /// The value at row `r`, column `c` (resolved from the arena, so the
     /// reference is `'static`).
     #[inline]
     pub fn cell(&self, r: usize, c: usize) -> &'static Value {
-        intern::resolve(self.cols[c][r])
+        intern::resolve(self.cols[c].syms[r])
     }
 
     /// The symbol column at position `c`.
     #[inline]
     pub fn col_syms(&self, c: usize) -> &[Sym] {
-        &self.cols[c]
+        &self.cols[c].syms
     }
 
     /// Materializes row `r` as owned values.
     pub fn row(&self, r: usize) -> Vec<Value> {
         self.cols
             .iter()
-            .map(|c| intern::resolve(c[r]).clone())
+            .map(|c| intern::resolve(c.syms[r]).clone())
             .collect()
     }
 
@@ -245,8 +334,7 @@ impl Relation {
     /// seeded wrong-answer corruptions to shipped relations; regular
     /// operators never mutate cells in place.
     pub fn set_cell(&mut self, r: usize, c: usize, value: Value) {
-        Arc::make_mut(&mut self.cols[c])[r] = intern::intern_owned(value);
-        self.touch();
+        Column::syms_mut(&mut self.cols[c])[r] = intern::intern_owned(value);
     }
 
     /// Drops all rows past the first `n` (no-op when `n >= len`), keeping
@@ -257,10 +345,9 @@ impl Relation {
             return;
         }
         for col in &mut self.cols {
-            Arc::make_mut(col).truncate(n);
+            Column::syms_mut(col).truncate(n);
         }
         self.len = n;
-        self.touch();
     }
 
     /// Position of a column by name.
@@ -274,24 +361,25 @@ impl Relation {
             })
     }
 
-    /// Appends a row (arity-checked).
+    /// Appends a row. Panics, leaving the relation as it was, when the row
+    /// does not have one value per column — in release builds too: a short
+    /// row would otherwise grow only the first columns and `len`.
     pub fn push(&mut self, row: Vec<Value>) {
-        debug_assert_eq!(row.len(), self.columns.len());
+        assert_eq!(row.len(), self.columns.len(), "row arity");
         for (col, value) in self.cols.iter_mut().zip(row) {
-            Arc::make_mut(col).push(intern::intern_owned(value));
+            Column::syms_mut(col).push(intern::intern_owned(value));
         }
         self.len += 1;
-        self.touch();
     }
 
-    /// Appends a row of already-interned symbols (arity-checked).
+    /// Appends a row of already-interned symbols; arity-checked like
+    /// [`Relation::push`].
     pub fn push_syms(&mut self, row: &[Sym]) {
-        debug_assert_eq!(row.len(), self.columns.len());
+        assert_eq!(row.len(), self.columns.len(), "row arity");
         for (col, &sym) in self.cols.iter_mut().zip(row) {
-            Arc::make_mut(col).push(sym);
+            Column::syms_mut(col).push(sym);
         }
         self.len += 1;
-        self.touch();
     }
 
     /// Appends all rows of `other`; column names must match exactly.
@@ -306,18 +394,16 @@ impl Relation {
             });
         }
         if self.len == 0 {
-            // Pointer adoption: nothing of ours to keep — and the other
-            // relation's memoized sizes describe exactly these columns.
+            // Pointer adoption: nothing of ours to keep — and the columns
+            // bring their memoized sizes with them.
             self.cols = other.cols.clone();
             self.len = other.len;
-            self.sizes = other.sizes.clone();
             return Ok(());
         }
         for (col, theirs) in self.cols.iter_mut().zip(&other.cols) {
-            Arc::make_mut(col).extend_from_slice(theirs);
+            Column::syms_mut(col).extend_from_slice(&theirs.syms);
         }
         self.len += other.len;
-        self.touch();
         Ok(())
     }
 
@@ -331,17 +417,13 @@ impl Relation {
         Ok(self.project_positions(&positions))
     }
 
-    /// Projects to the columns at `positions` (pointer selection).
+    /// Projects to the columns at `positions` (pointer selection; each
+    /// column keeps its memoized size).
     pub fn project_positions(&self, positions: &[usize]) -> Relation {
-        if positions.len() == self.arity() && positions.iter().enumerate().all(|(i, &p)| i == p) {
-            // Identity projection: the memoized sizes still apply.
-            return self.clone();
-        }
         Relation {
             columns: positions.iter().map(|&i| self.columns[i].clone()).collect(),
             cols: positions.iter().map(|&i| self.cols[i].clone()).collect(),
             len: self.len,
-            sizes: Arc::default(),
         }
     }
 
@@ -349,20 +431,20 @@ impl Relation {
     /// column through the index vector.
     pub fn gather(&mut self, keep: &[u32]) {
         for col in &mut self.cols {
-            *col = Arc::new(crate::par::apply_perm(col, keep));
+            *col = Column::new(crate::par::apply_perm(&col.syms, keep));
         }
         self.len = keep.len();
-        self.touch();
     }
 
     /// The flattened row-major symbol image (arity-sized chunks are rows) —
-    /// the key buffer for hash-based row operations. One allocation total,
-    /// no per-row key vectors.
+    /// what the whole-relation comparisons [`Relation::set_eq`] and
+    /// [`Relation::bag_eq`] hash and sort. One allocation total, no per-row
+    /// key vectors.
     fn flat_syms(&self) -> Vec<Sym> {
         let mut flat = Vec::with_capacity(self.len * self.arity());
         for r in 0..self.len {
             for c in &self.cols {
-                flat.push(c[r]);
+                flat.push(c.syms[r]);
             }
         }
         flat
@@ -378,6 +460,7 @@ impl Relation {
     /// scan over up to `threads` threads for relations of at least
     /// `threshold` rows (the mediator's `ExecPolicy::par_threshold`). The
     /// result is byte-identical to the sequential dedup (see [`crate::par`]).
+    /// Rows are hashed and compared in the columns, where they lie.
     pub fn dedup_parallel_with(&mut self, threads: usize, threshold: usize) {
         if self.len < 2 {
             return;
@@ -387,9 +470,8 @@ impl Relation {
             self.len = 1;
             return;
         }
-        let flat = self.flat_syms();
-        let keys: Vec<&[Sym]> = flat.chunks(self.arity()).collect();
-        let keep = crate::par::dedup_indices(&keys, threads, threshold);
+        let cols: Vec<&[Sym]> = self.cols.iter().map(|c| c.syms.as_slice()).collect();
+        let keep = crate::par::dedup_indices(&cols, threads, threshold);
         if keep.len() != self.len {
             self.gather(&keep);
         }
@@ -411,7 +493,7 @@ impl Relation {
             // A never-interned value equals no stored cell.
             return false;
         };
-        (0..self.len).any(|r| self.cols.iter().zip(&syms).all(|(c, &s)| c[r] == s))
+        (0..self.len).any(|r| self.cols.iter().zip(&syms).all(|(c, &s)| c.syms[r] == s))
     }
 
     /// Sorts rows lexicographically by value order (canonical form for
@@ -424,7 +506,7 @@ impl Relation {
         let perm = crate::par::sort_perm(self.len, 1, usize::MAX, |a, b| {
             self.cols
                 .iter()
-                .map(|c| reader.cmp(c[a as usize], c[b as usize]))
+                .map(|c| reader.cmp(c.syms[a as usize], c.syms[b as usize]))
                 .find(|o| o.is_ne())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
@@ -440,8 +522,8 @@ impl Relation {
             return self.is_empty() == other.is_empty();
         }
         let (fa, fb) = (self.flat_syms(), other.flat_syms());
-        let a: HashSet<&[Sym]> = fa.chunks(self.arity()).collect();
-        let b: HashSet<&[Sym]> = fb.chunks(self.arity()).collect();
+        let a: SymSet<&[Sym]> = fa.chunks(self.arity()).collect();
+        let b: SymSet<&[Sym]> = fb.chunks(self.arity()).collect();
         a == b
     }
 
@@ -463,65 +545,75 @@ impl Relation {
         a == b
     }
 
+    /// Every column's [`ColSize`], from its memo or — for the columns
+    /// without one — one [`SizeScratch::measure`] pass each on this thread's
+    /// scratch, memoized in the column for every relation that shares it.
+    fn col_sizes(&self) -> impl Iterator<Item = ColSize> + '_ {
+        let mut reader = None;
+        self.cols.iter().map(move |col| {
+            *col.size.get_or_init(|| {
+                let reader = reader.get_or_insert_with(|| {
+                    PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
+                    Reader::snapshot()
+                });
+                SIZE_SCRATCH.with_borrow_mut(|scratch| scratch.measure(&col.syms, reader))
+            })
+        })
+    }
+
     /// Total payload size in bytes (for the transfer-cost model, §5.2):
     /// the sum of every cell's value width, as if rows were shipped raw.
     ///
-    /// Memoized per copy-on-write generation: the first call scans the
-    /// payload, later calls on the same (unmutated) relation — or on clones
-    /// sharing its columns — are a load. See [`payload_scans`].
+    /// Memoized per column: the first call counts each column that has no
+    /// size yet, later calls on the same (unmutated) relation — or on any
+    /// relation sharing its columns — are loads. See [`payload_scans`].
     pub fn byte_size(&self) -> usize {
-        *self.sizes.byte_size.get_or_init(|| {
-            PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
-            let reader = Reader::snapshot();
-            self.cols
-                .iter()
-                .map(|col| col.iter().map(|&s| reader.width(s)).sum::<usize>())
-                .sum()
-        })
+        self.col_sizes().map(|size| size.raw_bytes).sum()
     }
 
     /// Dictionary-encoded wire size in bytes: per column, the distinct
     /// values' payloads once (the dictionary) plus one minimal-width code
-    /// per row (1 byte up to 256 distinct values, 2 up to 65 536, else 4).
-    /// This is what actually crosses the wire for a column store and is the
-    /// quantity the ship-byte accounting reports.
+    /// per row ([`ColSize::wire_bytes`]). This is what actually crosses the
+    /// wire for a column store and is the quantity the ship-byte accounting
+    /// reports.
     ///
-    /// Memoized like [`Relation::byte_size`]: repeated ship decisions over
-    /// an unchanged relation do not rescan its payload.
+    /// Shares [`Relation::byte_size`]'s pass and memo: whichever is asked
+    /// first counts the columns, the other adds up what was kept, and
+    /// repeated ship decisions over unchanged columns do not rescan them.
     pub fn wire_bytes(&self) -> usize {
-        *self.sizes.wire_bytes.get_or_init(|| {
-            PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
-            let reader = Reader::snapshot();
-            self.cols
-                .iter()
-                .map(|col| {
-                    let mut distinct = col.to_vec();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    let dict: usize = distinct.iter().map(|&s| reader.width(s)).sum();
-                    let code = match distinct.len() {
-                        0..=256 => 1,
-                        257..=65_536 => 2,
-                        _ => 4,
-                    };
-                    dict + col.len() * code
-                })
-                .sum()
+        self.col_sizes().map(|size| size.wire_bytes(self.len)).sum()
+    }
+
+    /// [`Relation::wire_bytes`] of the rows `rows` (clamped to the relation)
+    /// alone, as if they were sliced out — what one batch of a chunked
+    /// shipment puts on the wire — counted in place. The whole relation
+    /// answers from the memo; a proper sub-range is counted afresh each time.
+    pub fn wire_bytes_in(&self, rows: Range<usize>) -> usize {
+        let rows = rows.start.min(self.len)..rows.end.min(self.len);
+        if rows.len() == self.len {
+            return self.wire_bytes();
+        }
+        PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
+        let reader = Reader::snapshot();
+        SIZE_SCRATCH.with_borrow_mut(|scratch| {
+            let batch = |col: &Arc<Column>| scratch.measure(&col.syms[rows.clone()], &reader);
+            let sizes = self.cols.iter().map(batch);
+            sizes.map(|size| size.wire_bytes(rows.len())).sum()
         })
     }
 
     /// True once [`Relation::byte_size`] and/or [`Relation::wire_bytes`]
-    /// have been computed for the current generation (diagnostics for the
+    /// have counted the relation's current columns (diagnostics for the
     /// memoization tests).
     pub fn sizes_memoized(&self) -> bool {
-        self.sizes.byte_size.get().is_some() || self.sizes.wire_bytes.get().is_some()
+        self.cols.iter().any(|col| col.size.get().is_some())
     }
 
     /// The rows `[start, start + rows)` as an independent relation — the
     /// batch unit of the mediator's chunked shipment. Slicing the whole
     /// relation (`start == 0`, `rows >= len`) is a pointer clone that keeps
-    /// the memoized sizes; a proper sub-range copies the column slices and
-    /// starts a fresh generation.
+    /// the memoized sizes; a proper sub-range copies the column slices, which
+    /// start without a size.
     pub fn slice(&self, start: usize, rows: usize) -> Relation {
         let end = start.saturating_add(rows).min(self.len);
         let start = start.min(self.len);
@@ -533,20 +625,19 @@ impl Relation {
             cols: self
                 .cols
                 .iter()
-                .map(|col| Arc::new(col[start..end].to_vec()))
+                .map(|col| Column::new(col.syms[start..end].to_vec()))
                 .collect(),
             len: end - start,
-            sizes: Arc::default(),
         }
     }
 
     /// Replaces the rows `[start, start + rows)` with the rows of
     /// `replacement` (column names must match) — the splice primitive the
     /// incremental mediator uses to patch a re-shipped sub-relation into a
-    /// cached store. The result is an independent relation on a fresh
-    /// size-cache generation: its `wire_bytes`/`byte_size` memos start
-    /// cold, so spliced contents can never report stale sizes, while the
-    /// source relation (and any clones) keep theirs.
+    /// cached store. The result is an independent relation of new columns:
+    /// its `wire_bytes`/`byte_size` memos start cold, so spliced contents can
+    /// never report stale sizes, while the source relation (and any clones)
+    /// keep theirs.
     pub fn splice(
         &self,
         start: usize,
@@ -570,17 +661,16 @@ impl Relation {
             .zip(&replacement.cols)
             .map(|(ours, theirs)| {
                 let mut col = Vec::with_capacity(self.len - (end - start) + replacement.len);
-                col.extend_from_slice(&ours[..start]);
-                col.extend_from_slice(theirs);
-                col.extend_from_slice(&ours[end..]);
-                Arc::new(col)
+                col.extend_from_slice(&ours.syms[..start]);
+                col.extend_from_slice(&theirs.syms);
+                col.extend_from_slice(&ours.syms[end..]);
+                Column::new(col)
             })
             .collect();
         Ok(Relation {
             columns: self.columns.clone(),
             cols,
             len: self.len - (end - start) + replacement.len,
-            sizes: Arc::default(),
         })
     }
 
@@ -832,11 +922,60 @@ mod tests {
         assert_eq!(clone.wire_bytes(), wire);
         assert!(clone.sizes_memoized() && !original.sizes_memoized());
         assert!(original.wire_bytes() > wire);
-        // A uniquely owned cache is reset in place, not reallocated.
-        let cache = Arc::as_ptr(&original.sizes);
+        // A uniquely owned column is mutated in place, not reallocated.
+        let column = Arc::as_ptr(&original.cols[0]);
         original.push(vec![Value::str("y"), Value::int(8)]);
-        assert_eq!(Arc::as_ptr(&original.sizes), cache);
+        assert_eq!(Arc::as_ptr(&original.cols[0]), column);
         assert!(!original.sizes_memoized());
+    }
+
+    #[test]
+    fn views_that_share_columns_share_their_sizes() {
+        let r = rel();
+        let (wire, raw) = (r.wire_bytes(), r.byte_size());
+        let before = payload_scans();
+        // A projection, a rename, an adopting `extend` and a whole-relation
+        // slice hold the same columns: all priced, none scanned.
+        let b_only = r.project(&["b"]).unwrap();
+        assert_eq!(b_only.wire_bytes(), 16 + 3);
+        let swapped = r.project_positions(&[1, 0]);
+        assert_eq!(swapped.wire_bytes(), wire);
+        let renamed = r.clone().with_columns(vec!["x".into(), "y".into()]);
+        assert_eq!(renamed.byte_size(), raw);
+        let mut adopted = Relation::empty(r.columns().to_vec());
+        adopted.extend(&r).unwrap();
+        assert_eq!(adopted.wire_bytes(), wire);
+        assert_eq!(r.wire_bytes_in(0..usize::MAX), wire);
+        assert_eq!(payload_scans(), before);
+        // A proper sub-range is counted in place, as its slice would be.
+        assert_eq!(r.wire_bytes_in(1..3), r.slice(1, 2).wire_bytes());
+        assert_eq!(r.wire_bytes_in(2..2), 0);
+        assert_eq!(payload_scans(), before + 3);
+        // Mutating one column forgets that column's size only.
+        let mut patched = r.clone();
+        patched.set_cell(0, 0, Value::str("w"));
+        assert!(patched.sizes_memoized());
+        assert_eq!(patched.wire_bytes(), wire + 1);
+        assert_eq!(payload_scans(), before + 4);
+    }
+
+    /// Release builds check row arity too: a short row used to grow only
+    /// the first columns and `len`, an index panic waiting in the others.
+    #[test]
+    fn push_rejects_short_and_long_rows_and_leaves_the_relation_unchanged() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut r = rel();
+        let x = r.sym(0, 0);
+        for bad in [1, 3] {
+            let row = vec![Value::str("x"); bad];
+            assert!(catch_unwind(AssertUnwindSafe(|| r.push(row))).is_err());
+            let syms = vec![x; bad];
+            assert!(catch_unwind(AssertUnwindSafe(|| r.push_syms(&syms))).is_err());
+        }
+        assert_eq!(r, rel());
+        assert!((0..r.arity()).all(|c| r.col_syms(c).len() == r.len()));
+        r.push_syms(&[x, x]);
+        assert_eq!(r.len(), 4);
     }
 
     #[test]

@@ -13,17 +13,18 @@
 //!
 //! All inputs are scanned **column-major over interned symbols** (see
 //! `aig_relstore::intern`): join keys, IN-sets and DISTINCT dedup compare
-//! `u32` symbols instead of cloning values, and equality keys of up to two
-//! columns never allocate. NULL join keys are rejected with one integer
-//! compare *before* any key is built. Values are resolved from the arena
-//! only for order comparisons (`<`, `<=`, …).
+//! `u32` symbols instead of cloning values, and no join key is ever built —
+//! the join table (`aig_relstore::par::JoinTable`) hashes and compares keys
+//! of any width in the columns, and rejects NULL keys with integer compares.
+//! Values are resolved from the arena only for order comparisons (`<`,
+//! `<=`, …).
 
 use crate::ast::{CmpOp, FromItem, Pred, QualCol, Query, Scalar, SetRef};
 use crate::error::SqlError;
-use aig_relstore::intern::{self, Sym};
-use aig_relstore::par::{map_chunks, PAR_THRESHOLD};
+use aig_relstore::intern::{self, Sym, SymSet};
+use aig_relstore::par::{map_chunks, JoinTable, PAR_THRESHOLD};
 use aig_relstore::{Catalog, Relation, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// A parameter binding: a scalar or a relation (temporary table).
@@ -106,7 +107,7 @@ enum Local {
     },
     In {
         col: ColRef,
-        set: HashSet<Sym>,
+        set: SymSet<Sym>,
     },
     /// Constant-only predicate: either always true (drop) or always
     /// false (empty result).
@@ -133,12 +134,13 @@ pub fn execute(query: &Query, catalog: &Catalog, params: &Params) -> Result<Rela
     execute_tuned(query, catalog, params, 1, PAR_THRESHOLD)
 }
 
-/// Like [`execute`], but with `threads > 1` the join build and probe loops
-/// and the DISTINCT dedup run partitioned over up to that many scoped
-/// threads once the side they scan has at least `par_threshold` rows (the
-/// mediator's `ExecPolicy::par_threshold`). Partitions are contiguous and
-/// merged in partition order, so the result is **byte-identical** to the
-/// sequential path.
+/// Like [`execute`], but with `threads > 1` the join probe loops and the
+/// DISTINCT dedup run partitioned over up to that many scoped threads once
+/// the side they scan has at least `par_threshold` rows (the mediator's
+/// `ExecPolicy::par_threshold`). Partitions are contiguous and merged in
+/// partition order, so the result is **byte-identical** to the sequential
+/// path. A join table is built in one pass (merging per-partition tables
+/// would insert every row again).
 pub fn execute_tuned(
     query: &Query,
     catalog: &Catalog,
@@ -275,7 +277,7 @@ fn classify(
                 let col = resolve(inputs, col)?;
                 // A constant that was never interned equals no stored cell,
                 // so it simply never enters the symbol set.
-                let mut set: HashSet<Sym> = match set {
+                let mut set: SymSet<Sym> = match set {
                     SetRef::Consts(vs) => vs.iter().filter_map(intern::lookup).collect(),
                     SetRef::Param(name) => {
                         let rel =
@@ -422,55 +424,6 @@ fn join_all(inputs: &[Input<'_>], joins: &[JoinPred], par: Par) -> Joined {
     joined
 }
 
-/// An equality-join key of interned symbols. Keys of up to two columns are
-/// inline — the common case (`__owner = __rowid`, single-column joins)
-/// never allocates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key {
-    One(Sym),
-    Two(Sym, Sym),
-    Big(Vec<Sym>),
-}
-
-/// The join key of one row — build and probe side alike — from its
-/// key-column symbols. `None` when any of them is NULL (NULL joins
-/// nothing), found by integer compares before anything is allocated.
-fn key_of(mut syms: impl ExactSizeIterator<Item = Sym> + Clone) -> Option<Key> {
-    if syms.clone().any(Sym::is_null) {
-        return None;
-    }
-    Some(match syms.len() {
-        1 => Key::One(syms.next()?),
-        2 => Key::Two(syms.next()?, syms.next()?),
-        _ => Key::Big(syms.collect()),
-    })
-}
-
-/// The build side of a hash join: key → `live` rows carrying it, in scan
-/// order. Partitions are scanned on their own threads and merged in
-/// partition order, which is scan order again.
-fn build_table(live: &[u32], key_cols: &[&[Sym]], par: Par) -> HashMap<Key, Vec<u32>> {
-    let scan = |rows: &[u32]| {
-        let mut table: HashMap<Key, Vec<u32>> = HashMap::with_capacity(rows.len());
-        for &r in rows {
-            if let Some(key) = key_of(key_cols.iter().map(|col| col[r as usize])) {
-                table.entry(key).or_default().push(r);
-            }
-        }
-        table
-    };
-    if !par.splits(live.len()) {
-        return scan(live);
-    }
-    let mut table: HashMap<Key, Vec<u32>> = HashMap::with_capacity(live.len());
-    for part in map_chunks(live.len(), par.threads, |range| scan(&live[range])) {
-        for (key, mut rows) in part {
-            table.entry(key).or_default().append(&mut rows);
-        }
-    }
-    table
-}
-
 /// A non-equality join predicate between the input being joined and an
 /// already joined one.
 struct Residual<'a> {
@@ -495,7 +448,7 @@ impl Residual<'_> {
 
 /// One left-deep step: the composites of `joined` extended by every live
 /// row of `next` that satisfies the join predicates between `next` and the
-/// joined inputs. Equalities key a hash table built on `next` and probed
+/// joined inputs. Equalities key a [`JoinTable`] built on `next` and probed
 /// per composite; without one every live row is a candidate (nested loop).
 /// Output order is composite order, then scan order of `next` — also when
 /// partitioned: contiguous composite ranges, concatenated in range order.
@@ -535,28 +488,27 @@ fn join_step(
             });
         }
     }
-    let table = (!build_cols.is_empty()).then(|| build_table(&next_input.live, &build_cols, par));
+    let table = (!build_cols.is_empty()).then(|| JoinTable::build(build_cols, &next_input.live));
 
     let stride = joined.order.len();
     let extend = |range: Range<usize>| {
         let mut out = Vec::new();
         for composite in joined.rows[range.start * stride..range.end * stride].chunks_exact(stride)
         {
-            let candidates: &[u32] = match &table {
-                None => &next_input.live,
-                Some(table) => {
-                    let key = probe_cols
-                        .iter()
-                        .map(|&(slot, col)| col[composite[slot] as usize]);
-                    key_of(key)
-                        .and_then(|key| table.get(&key))
-                        .map_or(&[], Vec::as_slice)
-                }
-            };
-            for &r in candidates {
+            let mut candidate = |r: u32| {
                 if residuals.iter().all(|p| p.holds(composite, r)) {
                     out.extend_from_slice(composite);
                     out.push(r);
+                }
+            };
+            match &table {
+                None => next_input.live.iter().copied().for_each(candidate),
+                Some(table) => {
+                    let key = |k: usize| {
+                        let (slot, col) = probe_cols[k];
+                        col[composite[slot] as usize]
+                    };
+                    table.matches(key).for_each(&mut candidate);
                 }
             }
         }

@@ -10,8 +10,7 @@
 //! double-buffer window — batch `k` is on the wire while the consumer
 //! digests batch `k − 1`, so at most two batches of a task are resident and
 //! peak resident rows are `O(batch_rows × active tasks)` instead of the
-//! largest shipped relation — and reports progress per batch so the
-//! parallel executor can patch the dynamic scheduler mid-task.
+//! largest shipped relation.
 //!
 //! That is all the flag does: it changes *when rows cross the seam*, never
 //! what arrives. The producer is a materialized relation, so nothing on the
@@ -94,25 +93,20 @@ pub(crate) struct ShipOutcome {
 }
 
 /// Ships one task's output through the seam, doing the resident-row
-/// accounting against `ledger`. `on_batch(batches_so_far, bytes_so_far)`
-/// fires after each batch lands — the parallel executor uses it to patch
-/// partial shipment progress into the dynamic scheduler.
+/// accounting against `ledger`.
 pub(crate) fn ship_output(
     opts: &ExecOptions,
     ledger: &ShipLedger,
     task_id: usize,
     rel: &Relation,
-    mut on_batch: impl FnMut(u64, f64),
 ) -> ShipOutcome {
     if !opts.batching() {
         // Materializing: the whole ship image crosses the wire as one
         // batch and is resident in full while it does.
         ledger.acquire(rel.len());
         ledger.release(rel.len());
-        let bytes = crate::exec::ship_image_bytes(opts, task_id, rel);
-        on_batch(1, bytes);
         return ShipOutcome {
-            ship_bytes: bytes,
+            ship_bytes: crate::exec::ship_image_bytes(opts, task_id, rel),
             batches: 1,
         };
     }
@@ -135,7 +129,6 @@ pub(crate) fn ship_output(
             ledger.release(rows);
         }
         in_flight = Some(batch.len());
-        on_batch(batches, shipped);
     }
     if let Some(rows) = in_flight {
         ledger.release(rows);
@@ -170,7 +163,7 @@ mod tests {
             ..ExecOptions::default()
         };
         let ledger = ShipLedger::default();
-        let out = ship_output(&opts, &ledger, 0, &rel(10), |_, _| {});
+        let out = ship_output(&opts, &ledger, 0, &rel(10));
         assert_eq!(out.batches, 3);
         // Two batches resident at once, never the whole relation.
         assert_eq!(ledger.peak_resident_rows(), 8);
@@ -181,7 +174,7 @@ mod tests {
     fn materializing_ledger_holds_the_whole_relation() {
         let opts = ExecOptions::default();
         let ledger = ShipLedger::default();
-        let out = ship_output(&opts, &ledger, 0, &rel(10), |_, _| {});
+        let out = ship_output(&opts, &ledger, 0, &rel(10));
         assert_eq!(out.batches, 1);
         assert_eq!(ledger.peak_resident_rows(), 10);
         assert_eq!(out.ship_bytes, rel(10).wire_bytes() as f64);

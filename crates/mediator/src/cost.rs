@@ -16,6 +16,7 @@ use crate::graph::TaskGraph;
 use crate::sim::NetworkModel;
 use aig_relstore::SourceId;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// One node of the cost graph.
 #[derive(Debug, Clone)]
@@ -92,11 +93,13 @@ impl CostGraph {
     /// whose producer was itself a contracted pass-through is contracted
     /// too, so a chain of them collapses into the query at its head.
     pub fn contract_passthrough(&self) -> CostGraph {
-        let mut ws = Workspace::default();
-        ws.cur.load(self);
+        let mut ws = Workspace::structural();
+        ws.load(self);
         let mut nodes = self.nodes.clone();
         while let Some((id, producer)) = (0..nodes.len()).find_map(|id| match ws.cur.deps(id) {
-            &[(producer, _)] if nodes[id].passthrough && producer != id => Some((id, producer)),
+            &[Edge { node, .. }] if nodes[id].passthrough && node as usize != id => {
+                Some((id, node as usize))
+            }
             _ => None,
         }) {
             ws.contract(&mut nodes, producer, id, 0.0);
@@ -107,8 +110,8 @@ impl CostGraph {
     /// A topological order; `None` when the graph is cyclic (merging two
     /// nodes may create a cycle, which `Merge` must reject).
     pub fn topo(&self) -> Option<Vec<usize>> {
-        let mut ws = Workspace::default();
-        ws.cur.load(self);
+        let mut ws = Workspace::structural();
+        ws.load(self);
         ws.scratch.topo(&ws.cur).then_some(ws.scratch.topo)
     }
 
@@ -184,8 +187,8 @@ pub fn response_time(graph: &CostGraph, plan: &Plan, net: &NetworkModel) -> f64 
 /// The completion time of every node under `plan` (which lists a node at
 /// most once).
 pub fn completion_times(graph: &CostGraph, plan: &Plan, net: &NetworkModel) -> Vec<f64> {
-    let mut ws = Workspace::default();
-    ws.cur.load(graph);
+    let mut ws = Workspace::new(net);
+    ws.load(graph);
     ws.scratch.successors(&ws.cur);
     ws.scratch.prev.resize(graph.len(), NONE);
     for seq in plan.per_source.values() {
@@ -193,7 +196,7 @@ pub fn completion_times(graph: &CostGraph, plan: &Plan, net: &NetworkModel) -> V
             ws.scratch.prev[pair[1]] = pair[0];
         }
     }
-    let complete = ws.scratch.completion(&ws.cur, net);
+    let complete = ws.scratch.completion(&ws.cur);
     assert!(complete, "inconsistent plan: cyclic wait");
     ws.scratch.done
 }
@@ -204,14 +207,64 @@ pub fn completion_times(graph: &CostGraph, plan: &Plan, net: &NetworkModel) -> V
 
 const NONE: usize = usize::MAX;
 
+/// How far beyond the bound a candidate's critical path must lie before
+/// [`Workspace::candidate_cost`] gives up on it without scheduling it.
+/// `cost(P) ≥ max ℓevel` holds exactly over the reals; in floating point the
+/// two sides add the same path's terms in opposite orders, so they can
+/// differ by a few ulps per term — a relative 1e-13 on the graphs planned
+/// here, four orders of magnitude inside this margin. Within the margin the
+/// candidate is evaluated in full, so the margin only costs time.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// See [`evaluations`]. Statistics that publish no other data: `Relaxed`.
+static LEVEL_PASSES: AtomicU64 = AtomicU64::new(0);
+static FULL_EVALUATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Evaluator passes performed by this process so far: `ℓevel` passes (one
+/// per graph scheduled, priced or tried as a merge candidate) and, of those,
+/// the *full* evaluations that went on to sort and simulate a plan.
+/// Diagnostics only: `tests/eval_regression.rs` asserts that a dynamic round
+/// evaluates levels once and that `Merge` abandons the candidates its bound
+/// rules out. Process-wide, not per thread, because the passes that test
+/// guards against would run on the executor's worker threads.
+pub fn evaluations() -> (u64, u64) {
+    (LEVEL_PASSES.load(Relaxed), FULL_EVALUATIONS.load(Relaxed))
+}
+
+/// A dependency edge as the evaluator reads it: the producer, the bytes
+/// shipped, and what shipping them costs — `trans_cost` and
+/// `temp_load_cost` between the two endpoints' sources, priced when the edge
+/// is loaded or rewired instead of (a division) at every read. The two
+/// stay apart because `ℓevel` adds their sum to a level while a completion
+/// time adds them one after the other, and the roundings differ.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edge {
+    node: u32,
+    bytes: f64,
+    trans_secs: f64,
+    load_secs: f64,
+}
+
+impl Edge {
+    fn priced(net: &NetworkModel, node: u32, from: SourceId, to: SourceId, bytes: f64) -> Edge {
+        Edge {
+            node,
+            bytes,
+            trans_secs: net.trans_cost(from, to, bytes),
+            load_secs: net.temp_load_cost(to, bytes),
+        }
+    }
+}
+
 /// What `Schedule`, `cost(P)` and `mergePair` read of a cost graph: sources,
-/// evaluation times and the dependency lists in CSR form — no `members`.
+/// evaluation times and the priced dependency lists in CSR form — no
+/// `members`.
 #[derive(Debug, Default)]
 pub(crate) struct Flat {
     source: Vec<SourceId>,
     eval: Vec<f64>,
     dep_start: Vec<usize>,
-    dep: Vec<(usize, f64)>,
+    dep: Vec<Edge>,
 }
 
 impl Flat {
@@ -219,7 +272,7 @@ impl Flat {
         self.source.len()
     }
 
-    fn deps(&self, id: usize) -> &[(usize, f64)] {
+    fn deps(&self, id: usize) -> &[Edge] {
         &self.dep[self.dep_start[id]..self.dep_start[id + 1]]
     }
 
@@ -230,13 +283,17 @@ impl Flat {
         self.dep.clear();
     }
 
-    pub(crate) fn load(&mut self, graph: &CostGraph) {
+    pub(crate) fn load(&mut self, graph: &CostGraph, net: &NetworkModel) {
+        assert!(u32::try_from(graph.len()).is_ok(), "cost graph too large");
         self.clear();
         for (node, deps) in graph.nodes.iter().zip(&graph.deps) {
             self.source.push(node.source);
             self.eval.push(node.eval_secs);
             self.dep_start.push(self.dep.len());
-            self.dep.extend_from_slice(deps);
+            let priced = |&(d, bytes): &(usize, f64)| {
+                Edge::priced(net, d as u32, graph.nodes[d].source, node.source, bytes)
+            };
+            self.dep.extend(deps.iter().map(priced));
         }
         self.dep_start.push(self.dep.len());
     }
@@ -247,8 +304,23 @@ impl Flat {
         for (node, &eval) in nodes.iter_mut().zip(&self.eval) {
             node.eval_secs = eval;
         }
-        let deps = (0..self.len()).map(|id| self.deps(id).to_vec()).collect();
+        let public = |e: &Edge| (e.node as usize, e.bytes);
+        let deps = (0..self.len())
+            .map(|id| self.deps(id).iter().map(public).collect())
+            .collect();
         CostGraph { nodes, deps }
+    }
+
+    /// Appends the nodes `ids` of `cur` with their dependency lists, as they
+    /// are.
+    fn copy_run(&mut self, cur: &Flat, ids: std::ops::Range<usize>) {
+        let edges = cur.dep_start[ids.start]..cur.dep_start[ids.end];
+        let at = self.dep.len();
+        self.source.extend_from_slice(&cur.source[ids.clone()]);
+        self.eval.extend_from_slice(&cur.eval[ids.clone()]);
+        let starts = cur.dep_start[ids].iter();
+        self.dep_start.extend(starts.map(|s| s - edges.start + at));
+        self.dep.extend_from_slice(&cur.dep[edges]);
     }
 
     /// `mergePair`: overwrites `self` with `cur` after contracting `gone`
@@ -259,12 +331,18 @@ impl Flat {
     /// producer; out-edges keep their per-part sizes. The merged query costs
     /// the sum of its parts minus `overhead`, never less than zero. The dead
     /// slot is filled as `swap_remove` would: the last node takes index
-    /// `gone`.
-    fn contract_from(&mut self, cur: &Flat, keep: usize, gone: usize, overhead: f64) {
+    /// `gone`. An edge whose endpoints' sources or whose size changed is
+    /// priced again; the rest is copied in runs.
+    fn contract_from(
+        &mut self,
+        cur: &Flat,
+        keep: usize,
+        gone: usize,
+        overhead: f64,
+        net: &NetworkModel,
+    ) {
         debug_assert_ne!(keep, gone);
         let last = cur.len() - 1;
-        let rewire = |d: usize| if d == gone { keep } else { d };
-        let renumber = |d: usize| if d == last { gone } else { d };
         self.clear();
         // Sized for `cur` itself, so no candidate of this or a later round
         // (none has more nodes or edges) makes these buffers grow.
@@ -272,49 +350,82 @@ impl Flat {
         self.eval.reserve(cur.len());
         self.dep_start.reserve(cur.len() + 1);
         self.dep.reserve(cur.dep.len());
-        for id in 0..last {
-            let from = if id == gone { last } else { id };
-            self.source.push(cur.source[from]);
-            self.dep_start.push(self.dep.len());
+        let mut copied = 0;
+        for slot in [keep.min(gone), keep.max(gone)] {
+            if slot == last {
+                break; // the slot `swap_remove` drops
+            }
+            self.copy_run(cur, copied..slot);
+            copied = slot + 1;
+            let from = if slot == gone { last } else { slot };
             if from != keep {
-                self.eval.push(cur.eval[from]);
-                let deps = cur.deps(from).iter();
-                self.dep
-                    .extend(deps.map(|&(d, b)| (renumber(rewire(d)), b)));
+                self.copy_run(cur, from..from + 1);
                 continue;
             }
+            self.source.push(cur.source[keep]);
             self.eval
                 .push((cur.eval[keep] + cur.eval[gone] - overhead).max(0.0));
+            self.dep_start.push(self.dep.len());
             let start = self.dep.len();
             let both = cur.deps(keep).iter().chain(cur.deps(gone));
-            self.dep.extend(
-                both.map(|&(d, b)| (rewire(d), b))
-                    .filter(|&(d, _)| d != keep),
-            );
-            self.dep[start..].sort_unstable_by_key(|&(d, _)| d);
+            let inlined = |e: &&Edge| e.node as usize != keep && e.node as usize != gone;
+            self.dep.extend(both.filter(inlined).copied());
+            self.dep[start..].sort_unstable_by_key(|e| e.node);
             let mut end = start;
             for at in start..self.dep.len() {
-                let (d, bytes) = self.dep[at];
-                if end > start && self.dep[end - 1].0 == d {
-                    self.dep[end - 1].1 = self.dep[end - 1].1.max(bytes);
+                let Edge { node, bytes, .. } = self.dep[at];
+                if end > start && self.dep[end - 1].node == node {
+                    self.dep[end - 1].bytes = self.dep[end - 1].bytes.max(bytes);
                 } else {
-                    self.dep[end] = (d, 0.0f64.max(bytes));
+                    self.dep[end].node = node;
+                    self.dep[end].bytes = 0.0f64.max(bytes);
                     end += 1;
                 }
             }
             self.dep.truncate(end);
             for edge in &mut self.dep[start..] {
-                edge.0 = renumber(edge.0);
+                let (from, to) = (cur.source[edge.node as usize], cur.source[keep]);
+                *edge = Edge::priced(net, edge.node, from, to, edge.bytes);
             }
         }
+        self.copy_run(cur, copied..last);
         self.dep_start.push(self.dep.len());
+        // The surviving consumers of `gone` now read `keep`: at another
+        // price only if the two sat at different sources (never in `Merge`).
+        if cur.source[keep] != cur.source[gone] {
+            for id in 0..self.len() {
+                let to = self.source[id];
+                for edge in &mut self.dep[self.dep_start[id]..self.dep_start[id + 1]] {
+                    if edge.node as usize == gone {
+                        *edge = Edge::priced(net, edge.node, cur.source[keep], to, edge.bytes);
+                    }
+                }
+            }
+        }
+        let renumber = |node: usize| (if node == last { gone } else { node }) as u32;
+        for edge in &mut self.dep {
+            let rewired = if edge.node as usize == gone {
+                keep
+            } else {
+                edge.node as usize
+            };
+            edge.node = renumber(rewired);
+        }
     }
+}
+
+/// `x`'s place in `f64::total_cmp` order as an unsigned integer: negative
+/// values have all bits flipped, the others the sign bit.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
 }
 
 /// The evaluator's scratch buffers, all sized by the graph last passed in.
 #[derive(Debug, Default)]
 struct Scratch {
     succ_start: Vec<usize>,
+    /// Per producer, its `(consumer, seconds to ship to it)` pairs.
     succ: Vec<(usize, f64)>,
     /// Unmet waits per node (Kahn), and the fill cursor of `successors`.
     wait: Vec<usize>,
@@ -322,9 +433,13 @@ struct Scratch {
     topo: Vec<usize>,
     topo_pos: Vec<usize>,
     level: Vec<f64>,
-    /// Nodes by `(source, level desc, topo_pos)`: the per-source sequences
-    /// of `Schedule`, back to back.
+    /// One sort key per node, see [`Scratch::schedule`].
+    keys: Vec<u128>,
+    /// Nodes by `(level desc, topo_pos)`: the per-source sequences of
+    /// `Schedule`, interleaved.
     order: Vec<usize>,
+    /// The last node `chain` saw per source index, or `NONE`.
+    last_at: Vec<usize>,
     /// Same-source predecessor resp. successor under the plan, or `NONE`.
     prev: Vec<usize>,
     next: Vec<usize>,
@@ -344,8 +459,8 @@ impl Scratch {
         let n = g.len();
         self.succ_start.clear();
         self.succ_start.resize(n + 1, 0);
-        for &(d, _) in &g.dep {
-            self.succ_start[d + 1] += 1;
+        for e in &g.dep {
+            self.succ_start[e.node as usize + 1] += 1;
         }
         for id in 0..n {
             self.succ_start[id + 1] += self.succ_start[id];
@@ -355,9 +470,10 @@ impl Scratch {
         self.succ.clear();
         self.succ.resize(g.dep.len(), (0, 0.0));
         for id in 0..n {
-            for &(d, bytes) in g.deps(id) {
-                self.succ[self.wait[d]] = (id, bytes);
-                self.wait[d] += 1;
+            for e in g.deps(id) {
+                let at = &mut self.wait[e.node as usize];
+                self.succ[*at] = (id, e.trans_secs + e.load_secs);
+                *at += 1;
             }
         }
     }
@@ -409,39 +525,102 @@ impl Scratch {
         self.topo.len() == n
     }
 
-    /// `ℓevel` of every node; needs `topo`.
-    fn levels(&mut self, g: &Flat, net: &NetworkModel) {
+    /// `ℓevel` of every node, and the largest — the critical path, which no
+    /// plan's cost can undercut; needs `topo`.
+    fn levels(&mut self, g: &Flat) -> f64 {
+        LEVEL_PASSES.fetch_add(1, Relaxed);
         self.level.clear();
         self.level.resize(g.len(), 0.0);
+        let mut critical = 0.0f64;
         for &id in self.topo.iter().rev() {
             let mut best = 0.0f64;
-            for &(s, bytes) in self.succ(id) {
-                let trans = net.trans_cost(g.source[id], g.source[s], bytes)
-                    + net.temp_load_cost(g.source[s], bytes);
-                best = best.max(self.level[s] + trans);
+            for &(s, secs) in self.succ(id) {
+                best = best.max(self.level[s] + secs);
             }
             self.level[id] = best + g.eval[id];
+            critical = critical.max(self.level[id]);
+        }
+        critical
+    }
+
+    /// `Schedule`: decreasing level, ties on topological position; needs
+    /// `levels`. Each source runs its own nodes in this order, and the order
+    /// as a whole visits every node after the producers it reads (a level is
+    /// its consumers' plus non-negative costs) and after its predecessor at
+    /// its source. One integer key per node — the level's place in
+    /// `total_cmp` order inverted, then the topological position, which also
+    /// names the node — so the sort compares integers and, positions being
+    /// distinct, has one possible outcome. The `total_cmp` order keeps it
+    /// deterministic even if a NaN cost slips past validation in release
+    /// builds (a NaN level gets a fixed place instead of poisoning the
+    /// comparator).
+    fn schedule(&mut self, g: &Flat) {
+        let key = |(pos, &id): (usize, &usize)| {
+            u128::from(!total_order_bits(self.level[id])) << 32 | pos as u128
+        };
+        self.keys.clear();
+        self.keys.extend(self.topo.iter().enumerate().map(key));
+        self.keys.sort_unstable();
+        self.order.clear();
+        let node = |key: &u128| self.topo[*key as u32 as usize];
+        self.order.extend(self.keys.iter().map(node));
+        debug_assert_eq!(self.order.len(), g.len());
+    }
+
+    /// The plan `schedule` stands for into `prev`: each node behind the one
+    /// before it in `order` at the same source.
+    fn chain(&mut self, g: &Flat) {
+        self.prev.clear();
+        self.prev.resize(g.len(), NONE);
+        self.last_at.clear();
+        for &id in &self.order {
+            let source = g.source[id].index();
+            if source >= self.last_at.len() {
+                self.last_at.resize(source + 1, NONE);
+            }
+            self.prev[id] = std::mem::replace(&mut self.last_at[source], id);
         }
     }
 
-    /// `Schedule`: per source, decreasing level, ties on topological
-    /// position; needs `levels`. `total_cmp` keeps the order deterministic
-    /// even if a NaN cost slips past validation in release builds (a NaN
-    /// level gets a fixed place instead of poisoning the comparator).
-    fn schedule(&mut self, g: &Flat) {
-        let (level, topo_pos) = (&self.level, &self.topo_pos);
-        self.order.clear();
-        self.order.extend(0..g.len());
-        self.order.sort_unstable_by(|&a, &b| {
-            (g.source[a].cmp(&g.source[b]))
-                .then(level[b].total_cmp(&level[a]))
-                .then(topo_pos[a].cmp(&topo_pos[b]))
-        });
+    /// When `id` can start under the plan in `prev` — its same-source
+    /// predecessor done and its inputs arrived — and whether one of the
+    /// times that takes is still NaN, which a maximum silently drops.
+    fn start(&self, g: &Flat, id: usize) -> (f64, bool) {
+        let (mut ready, mut unset) = (0.0f64, false);
+        if self.prev[id] != NONE {
+            unset = self.done[self.prev[id]].is_nan();
+            ready = ready.max(self.done[self.prev[id]]);
+        }
+        for e in g.deps(id) {
+            let arrive = self.done[e.node as usize] + e.trans_secs + e.load_secs;
+            unset |= arrive.is_nan();
+            ready = ready.max(arrive);
+        }
+        (ready, unset)
     }
 
-    /// Completion times into `done` under the plan in `prev`; needs
-    /// `successors`. False when nodes wait on each other in a cycle.
-    fn completion(&mut self, g: &Flat, net: &NetworkModel) -> bool {
+    /// Completion times into `done` under the plan in `prev`, visiting the
+    /// nodes in `order`. False — and `done` is then unfinished — when that
+    /// reaches a node before something it waits on (NaN stands for "not
+    /// visited"); `schedule`'s order never does on non-negative costs.
+    fn completion_in_order(&mut self, g: &Flat) -> bool {
+        self.done.clear();
+        self.done.resize(g.len(), f64::NAN);
+        for at in 0..self.order.len() {
+            let id = self.order[at];
+            let (ready, early) = self.start(g, id);
+            if early {
+                return false;
+            }
+            self.done[id] = ready + g.eval[id];
+        }
+        true
+    }
+
+    /// Completion times into `done` under the plan in `prev`, in whatever
+    /// order the waits allow; needs `successors`. False when nodes wait on
+    /// each other in a cycle.
+    fn completion(&mut self, g: &Flat) -> bool {
         let n = g.len();
         self.next.clear();
         self.next.resize(n, NONE);
@@ -458,37 +637,24 @@ impl Scratch {
         self.stack.extend((0..n).filter(|&id| self.wait[id] == 0));
         self.done.clear();
         self.done.resize(n, f64::NAN);
-        let visited = self.drain(true, |s, id| {
-            let mut ready = 0.0f64;
-            if s.prev[id] != NONE {
-                ready = ready.max(s.done[s.prev[id]]);
-            }
-            for &(dep, bytes) in g.deps(id) {
-                let arrive = s.done[dep]
-                    + net.trans_cost(g.source[dep], g.source[id], bytes)
-                    + net.temp_load_cost(g.source[id], bytes);
-                ready = ready.max(arrive);
-            }
-            s.done[id] = ready + g.eval[id];
-        });
+        let visited = self.drain(true, |s, id| s.done[id] = s.start(g, id).0 + g.eval[id]);
         visited == n
     }
 
-    /// `cost(Schedule(g))` in one pass; `None` when `g` is cyclic.
-    fn cost(&mut self, g: &Flat, net: &NetworkModel) -> Option<f64> {
-        if !self.topo(g) {
+    /// `cost(Schedule(g))` in one pass; `None` when `g` is cyclic, or when
+    /// its critical path alone puts it out of reach of `bound` (see
+    /// [`BOUND_MARGIN`]) — whatever it costs, it costs more than that.
+    fn cost(&mut self, g: &Flat, bound: f64) -> Option<f64> {
+        if !self.topo(g) || self.levels(g) > bound * (1.0 + BOUND_MARGIN) {
             return None;
         }
-        self.levels(g, net);
+        FULL_EVALUATIONS.fetch_add(1, Relaxed);
         self.schedule(g);
-        self.prev.clear();
-        self.prev.resize(g.len(), NONE);
-        for pair in self.order.windows(2) {
-            if g.source[pair[0]] == g.source[pair[1]] {
-                self.prev[pair[1]] = pair[0];
-            }
-        }
-        (self.completion(g, net)).then(|| self.done.iter().copied().fold(0.0, f64::max))
+        self.chain(g);
+        // Costs `validate` would reject can put the order at odds with the
+        // waits; the times are then whatever the waits themselves allow.
+        (self.completion_in_order(g) || self.completion(g))
+            .then(|| self.done.iter().copied().fold(0.0, f64::max))
     }
 
     /// Strict-descendant bitsets of every node; needs `topo`.
@@ -518,30 +684,52 @@ impl Scratch {
 }
 
 /// The one evaluator behind `Schedule`, `cost(P)` and `Merge`: a flat copy
-/// of the graph under consideration, a second one for the candidate being
-/// tried, and the scratch buffers both are evaluated in. Nothing is
-/// allocated once the buffers have grown to the first graph's size, which
-/// is what lets `Merge` try every pair of every round, and the dynamic
-/// scheduler refresh its priorities, without touching the allocator.
-#[derive(Debug, Default)]
+/// of the graph under consideration, priced over one network, a second one
+/// for the candidate being tried, and the scratch buffers both are evaluated
+/// in. Nothing is allocated once the buffers have grown to the first graph's
+/// size, which is what lets `Merge` try every pair of every round without
+/// touching the allocator.
+#[derive(Debug)]
 pub struct Workspace {
+    net: NetworkModel,
     pub(crate) cur: Flat,
     cand: Flat,
     scratch: Scratch,
 }
 
 impl Workspace {
+    /// An evaluator over `net`.
+    pub fn new(net: &NetworkModel) -> Workspace {
+        Workspace {
+            net: net.clone(),
+            cur: Flat::default(),
+            cand: Flat::default(),
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// An evaluator for callers that only reshape a graph (contract it,
+    /// order it) and never read a price.
+    pub(crate) fn structural() -> Workspace {
+        Workspace::new(&NetworkModel::infinite())
+    }
+
+    /// Loads `graph`, priced over this evaluator's network.
+    pub(crate) fn load(&mut self, graph: &CostGraph) {
+        self.cur.load(graph, &self.net);
+    }
+
     /// `ℓevel` of every node of `graph`.
-    pub fn levels(&mut self, graph: &CostGraph, net: &NetworkModel) -> &[f64] {
-        self.cur.load(graph);
+    pub fn levels(&mut self, graph: &CostGraph) -> &[f64] {
+        self.load(graph);
         assert!(self.scratch.topo(&self.cur), "cost graphs are acyclic");
-        self.scratch.levels(&self.cur, net);
+        self.scratch.levels(&self.cur);
         &self.scratch.level
     }
 
     /// `Schedule(graph)`.
-    pub fn schedule(&mut self, graph: &CostGraph, net: &NetworkModel) -> Plan {
-        self.levels(graph, net);
+    pub fn schedule(&mut self, graph: &CostGraph) -> Plan {
+        self.levels(graph);
         self.scratch.schedule(&self.cur);
         let mut plan = Plan::default();
         for &id in &self.scratch.order {
@@ -554,8 +742,8 @@ impl Workspace {
     }
 
     /// `cost(Schedule(G))` of the loaded graph.
-    pub(crate) fn cost(&mut self, net: &NetworkModel) -> Option<f64> {
-        self.scratch.cost(&self.cur, net)
+    pub(crate) fn cost(&mut self) -> Option<f64> {
+        self.scratch.cost(&self.cur, f64::INFINITY)
     }
 
     /// One greedy round's candidates into `pairs`: the mergeable same-source
@@ -578,15 +766,18 @@ impl Workspace {
         }
     }
 
-    /// `cost(Schedule(mergePair(G, u, v)))` without touching the loaded `G`.
+    /// `cost(Schedule(mergePair(G, u, v)))` without touching the loaded `G`,
+    /// if it can be below `bound`: `None` for a contraction that is cyclic
+    /// or whose critical path already rules that out.
     pub(crate) fn candidate_cost(
         &mut self,
         (u, v): (usize, usize),
         overhead: f64,
-        net: &NetworkModel,
+        bound: f64,
     ) -> Option<f64> {
-        self.cand.contract_from(&self.cur, u, v, overhead);
-        self.scratch.cost(&self.cand, net)
+        self.cand
+            .contract_from(&self.cur, u, v, overhead, &self.net);
+        self.scratch.cost(&self.cand, bound)
     }
 
     /// Applies `mergePair(G, keep, gone)` to the loaded graph and to the
@@ -598,7 +789,8 @@ impl Workspace {
         gone: usize,
         overhead: f64,
     ) {
-        self.cand.contract_from(&self.cur, keep, gone, overhead);
+        self.cand
+            .contract_from(&self.cur, keep, gone, overhead, &self.net);
         std::mem::swap(&mut self.cur, &mut self.cand);
         let members = std::mem::take(&mut nodes[gone].members);
         nodes[keep].members.extend(members);
@@ -750,6 +942,45 @@ mod tests {
         assert!(contracted.topo().is_some());
     }
 
+    /// Edge prices travel with a contraction: whichever two nodes are
+    /// contracted — same source or not, either one the last — the contracted
+    /// graph costs what the same graph costs loaded (and priced) afresh.
+    #[test]
+    fn a_contracted_graph_is_priced_like_a_freshly_loaded_one() {
+        // p (S2) -> a (S1) -> m (mediator) -> b (S1) -> c (S3), and p -> b.
+        let g = CostGraph {
+            nodes: vec![
+                node(2, 1.0),
+                node(1, 0.5),
+                node(0, 0.1),
+                node(1, 0.7),
+                node(3, 2.0),
+            ],
+            deps: vec![
+                vec![],
+                vec![(0, 40_000.0)],
+                vec![(1, 9_000.0)],
+                vec![(2, 70_000.0), (0, 20_000.0)],
+                vec![(3, 5_000.0)],
+            ],
+        };
+        let net = NetworkModel::mbps(1.0);
+        for (keep, gone) in [(1, 2), (2, 1), (3, 4), (4, 3), (0, 1), (2, 3)] {
+            let mut ws = Workspace::new(&net);
+            ws.load(&g);
+            let mut nodes = g.nodes.clone();
+            ws.contract(&mut nodes, keep, gone, 0.05);
+            let contracted = ws.cost().expect("contracting neighbours keeps it acyclic");
+            let mut fresh = Workspace::new(&net);
+            fresh.load(&ws.cur.to_graph(nodes));
+            assert_eq!(
+                contracted.to_bits(),
+                fresh.cost().unwrap().to_bits(),
+                "keep {keep}, gone {gone}"
+            );
+        }
+    }
+
     /// The evaluator's promise to `Merge`: once the first contraction has
     /// sized both graph copies, trying candidates and applying merges, round
     /// after round, makes no buffer grow — nothing is allocated per pair.
@@ -774,19 +1005,21 @@ mod tests {
             let s = &ws.scratch;
             let kahn = s.succ_start.capacity() + s.succ.capacity() + s.wait.capacity();
             let order = s.stack.capacity() + s.topo.capacity() + s.topo_pos.capacity();
-            let plan = s.level.capacity() + s.order.capacity() + s.prev.capacity();
-            let rest = s.next.capacity() + s.done.capacity() + s.desc.capacity();
+            let plan =
+                s.level.capacity() + s.keys.capacity() + s.order.capacity() + s.prev.capacity();
+            let rest =
+                s.next.capacity() + s.done.capacity() + s.desc.capacity() + s.last_at.capacity();
             flat(&ws.cur) + flat(&ws.cand) + kahn + order + plan + rest
         };
         let net = NetworkModel::mbps(1.0);
-        let (mut ws, mut nodes, mut pairs) = (Workspace::default(), g.nodes.clone(), Vec::new());
-        ws.cur.load(&g);
+        let (mut ws, mut nodes, mut pairs) = (Workspace::new(&net), g.nodes.clone(), Vec::new());
+        ws.load(&g);
         let mut sized = None;
         for round in 0..10 {
             ws.candidates(&nodes, &mut pairs);
             assert_eq!(pairs.len(), (11 - round) * (10 - round) / 2);
             for &pair in &pairs {
-                assert!(ws.candidate_cost(pair, 0.05, &net).is_some());
+                assert!(ws.candidate_cost(pair, 0.05, f64::INFINITY).is_some());
                 assert_eq!(capacity(&ws), *sized.get_or_insert(capacity(&ws)));
             }
             ws.contract(&mut nodes, pairs[0].0, pairs[0].1, 0.05);

@@ -45,9 +45,10 @@ pub enum Scheduling {
     #[default]
     Static,
     /// Per-source ready queues: an idle worker picks the highest-priority
-    /// *ready* task at its source, with priorities recomputed from a hybrid
-    /// cost graph — measured actuals for completed tasks, estimates for the
-    /// rest. The live counterpart of
+    /// *ready* task at its source instead of blocking on its next planned
+    /// one. Priorities are `ℓevel` over the compile-time estimates, fixed
+    /// per round (see [`crate::parallel`] for why measured actuals cannot
+    /// move them). The live counterpart of
     /// [`crate::schedule::dynamic_response_time`] (paper §5.5/§7).
     Dynamic,
 }
@@ -62,7 +63,7 @@ pub struct TaskPick {
     pub planned_pos: usize,
     /// Position the task actually ran at (per-source pick counter).
     pub actual_pos: usize,
-    /// The task's priority (hybrid `level`) at pick time.
+    /// The task's priority: its `ℓevel` over the estimate graph.
     pub priority: f64,
 }
 
@@ -183,10 +184,11 @@ pub struct ExecOptions {
     /// Deterministic fault injection bound to a catalog (None = no
     /// faults). Bound by the caller from [`ExecPolicy::faults`].
     pub faults: Option<FaultPlan>,
-    /// Calibration factor converting measured wall-clock seconds into the
-    /// task estimates' cost units when the dynamic scheduler patches
-    /// actuals into its hybrid graph (mirrors
-    /// [`crate::graph::GraphOptions::eval_scale`]).
+    /// Mirrors [`crate::graph::GraphOptions::eval_scale`]. No executor
+    /// reads it: it calibrated the measured actuals the dynamic scheduler
+    /// used to patch into its priorities, which could not move a pick (see
+    /// [`crate::parallel`]). The field stays because callers outside the
+    /// workspace still set it.
     pub eval_scale: f64,
     /// Optional per-task pacing: task `i` sleeps `pace[i]` seconds inside
     /// its measured execution window. Lets benches and tests emulate slow
@@ -590,7 +592,6 @@ pub(crate) fn execute_masked(
             0.0,
             &mut resilience.events,
             &mut integrity_log.events,
-            |_, _| {},
         );
         if let (Some(key), Some(rel)) = (task.output.clone(), output?) {
             store.insert(key, rel);
@@ -663,7 +664,7 @@ impl<S: RelSource> Executor<'_, S> {
     /// the cross-request EDF slot acquired per attempt (so it is never held
     /// across a backoff sleep, and never for mediator tasks), and the ship
     /// seam. Fault events and integrity-ledger entries are appended to the
-    /// given sinks; `on_batch` sees each batch land.
+    /// given sinks.
     pub(crate) fn run_measured(
         &self,
         id: usize,
@@ -671,7 +672,6 @@ impl<S: RelSource> Executor<'_, S> {
         wait_secs: f64,
         events: &mut Vec<FaultEvent>,
         ledger: &mut Vec<IntegrityEvent>,
-        on_batch: impl FnMut(u64, f64),
     ) -> (Result<Option<Relation>, MediatorError>, Measured) {
         let (task, opts) = (&self.graph.tasks[id], self.opts);
         let in_rows = input_rows(task, self.store);
@@ -722,7 +722,7 @@ impl<S: RelSource> Executor<'_, S> {
             ..Measured::default()
         };
         if let Ok(Some(rel)) = &result {
-            let shipped = crate::batch::ship_output(opts, self.ship, id, rel, on_batch);
+            let shipped = crate::batch::ship_output(opts, self.ship, id, rel);
             measured.out_rows = rel.len() as f64;
             measured.out_bytes = rel.byte_size() as f64;
             measured.wire_bytes = rel.wire_bytes() as f64;

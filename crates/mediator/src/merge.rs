@@ -66,8 +66,8 @@ pub fn merge_pair_into(
     absorbed: usize,
     overhead_saving_secs: f64,
 ) -> CostGraph {
-    let mut ws = Workspace::default();
-    ws.cur.load(graph);
+    let mut ws = Workspace::structural();
+    ws.load(graph);
     let mut nodes = graph.nodes.clone();
     ws.contract(&mut nodes, keep, absorbed, overhead_saving_secs);
     ws.cur.to_graph(nodes)
@@ -79,20 +79,21 @@ pub fn merge_pair_into(
 /// cycle are never built — and applies the first of the cheapest, as long as
 /// it beats the current plan.
 pub fn merge(graph: &CostGraph, net: &NetworkModel, overhead_saving_secs: f64) -> MergeOutcome {
-    let mut ws = Workspace::default();
-    ws.cur.load(graph);
+    let mut ws = Workspace::new(net);
+    ws.load(graph);
     let mut nodes = graph.nodes.clone();
-    let mut cost = ws.cost(net).expect("cost graphs are acyclic");
+    let mut cost = ws.cost().expect("cost graphs are acyclic");
     let mut decisions = Vec::new();
     let mut pairs = Vec::new();
     loop {
         ws.candidates(&nodes, &mut pairs);
         let mut best: Option<(f64, usize, usize)> = None;
         for &(u, v) in &pairs {
-            let Some(candidate_cost) = ws.candidate_cost((u, v), overhead_saving_secs, net) else {
-                continue;
-            };
-            if candidate_cost < cost && best.is_none_or(|(c, _, _)| candidate_cost < c) {
+            // Only a candidate below the best so far (else the current plan)
+            // matters, which lets the evaluator stop at the critical path.
+            let bound = best.map_or(cost, |(c, _, _)| c);
+            let candidate_cost = ws.candidate_cost((u, v), overhead_saving_secs, bound);
+            if let Some(candidate_cost) = candidate_cost.filter(|&c| c < bound) {
                 best = Some((candidate_cost, u, v));
             }
         }

@@ -21,7 +21,7 @@
 //! measuring a task ([`Executor::run_measured`]) and failing a dead source
 //! over ([`Failover`]) are the sequential walk's code, in [`crate::exec`].
 
-use crate::cost::{estimated_costs, CostGraph, Workspace};
+use crate::cost::{estimated_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{
     ExecOptions, ExecResult, Executor, Failover, Measured, RelSource, RelStore, SchedLog,
@@ -63,7 +63,7 @@ struct Progress {
     integrity: Vec<IntegrityEvent>,
     /// Live ready-queue state of the current round (None under Static);
     /// rebuilt — re-primed — at every failover round from the completed
-    /// tasks and their measured actuals.
+    /// tasks.
     dyn_sched: Option<DynSched>,
     /// Dynamic pick log; persists across failover rounds.
     picks: Vec<TaskPick>,
@@ -74,16 +74,25 @@ struct Progress {
 /// Runtime state of the dynamic (ready-queue) scheduler: the live
 /// counterpart of the event simulation in
 /// [`crate::schedule::dynamic_response_time`]. A worker going idle picks the
-/// highest-priority *ready* task at its source; priorities come from
-/// `levels` over a hybrid cost graph that starts as the compile-time
-/// estimates and absorbs measured actuals as tasks complete.
+/// highest-priority *ready* task at its source. What makes it dynamic is the
+/// work-conserving queue — a source never idles behind a planned task whose
+/// inputs are late — not the priorities: those are `ℓevel` over the
+/// compile-time estimates, computed **once per round**.
+///
+/// Patching the measured actuals of finished tasks into the graph (as this
+/// scheduler once did, re-running `levels` at every pick) cannot move a
+/// pick. `ℓevel(t) = eval(t) + max_s(ℓevel(s) + trans(t → s))` reads only
+/// `t`, its out-edges and its descendants; a completion changes the
+/// evaluation time and out-edge sizes of a *finished* task; and every task
+/// still in a ready queue has only unfinished descendants. Its level is
+/// therefore bit-identical to the round's first evaluation, whatever has
+/// finished since. Priorities that adapt would have to rescale the estimates
+/// of *unfinished* tasks from the errors observed so far, which is a
+/// different algorithm.
 struct DynSched {
-    /// Estimates, patched in place with actuals on completion.
-    hybrid: CostGraph,
-    /// `(consumer, dep position)` pairs per producer, for patching the
-    /// consumer-side edge sizes once the producer's output is measured.
-    consumers: Vec<Vec<(usize, usize)>>,
-    /// Open (distinct, not-done) producer counts; a task is ready at 0.
+    /// Consumer tasks per producer, one entry per dependency edge.
+    consumers: Vec<Vec<usize>>,
+    /// Open (not-done) dependency edges per task; a task is ready at 0.
     waiting: Vec<usize>,
     /// Ready, not-yet-picked tasks per effective source.
     ready: HashMap<SourceId, Vec<usize>>,
@@ -95,14 +104,8 @@ struct DynSched {
     /// Position each task holds in the baseline static plan at its source
     /// (the "planned position" of the deviation log).
     planned_pos: Vec<usize>,
-    /// Priorities from `levels` over `hybrid`; recomputed lazily at the
-    /// next pick after a completion patched actuals in.
+    /// `ℓevel` of every task over the estimate graph.
     priority: Vec<f64>,
-    stale: bool,
-    /// The evaluator's buffers, so a refresh allocates nothing.
-    ws: Workspace,
-    /// Calibration from measured wall-clock seconds to estimate units.
-    eval_scale: f64,
 }
 
 impl RelSource for SharedStore<'_> {
@@ -125,17 +128,13 @@ impl SharedStore<'_> {
     /// Blocks until every dependency of `task` has completed (or any worker
     /// failed or hit a dead source). Returns false on abort.
     fn wait_for_deps(&self, task: usize) -> bool {
-        let deps: Vec<usize> = self.graph.tasks[task]
-            .deps
-            .iter()
-            .map(|(d, _)| *d)
-            .collect();
+        let deps = &self.graph.tasks[task].deps;
         let mut state = self.state.lock().expect("store mutex");
         loop {
             if state.failed.is_some() || state.halted.is_some() {
                 return false;
             }
-            if deps.iter().all(|&d| state.done[d]) {
+            if deps.iter().all(|(d, _)| state.done[*d]) {
                 return true;
             }
             state = self.wake.wait(state).expect("store mutex");
@@ -164,7 +163,6 @@ impl SharedStore<'_> {
     fn pick_next(
         &self,
         source: SourceId,
-        net: &crate::sim::NetworkModel,
         topo_pos: &[usize],
         failover: &Failover<'_>,
     ) -> Option<usize> {
@@ -196,11 +194,6 @@ impl SharedStore<'_> {
             let sched = state.dyn_sched.as_mut().expect("dynamic round state");
             let queue_has_work = sched.ready.get(&source).is_some_and(|q| !q.is_empty());
             if queue_has_work {
-                if sched.stale {
-                    let fresh = sched.ws.levels(&sched.hybrid, net);
-                    sched.priority.copy_from_slice(fresh);
-                    sched.stale = false;
-                }
                 let queue = sched.ready.get_mut(&source).expect("checked non-empty");
                 let best_at = (0..queue.len())
                     .max_by(|&a, &b| {
@@ -228,23 +221,6 @@ impl SharedStore<'_> {
         }
     }
 
-    /// Chunked-shipment progress: patches a task's partial shipped bytes
-    /// into its consumers' edges of the dynamic scheduler's hybrid graph,
-    /// so the next pick re-prioritizes among partially complete tasks
-    /// (a consumer whose producer has most of its batches on the wire
-    /// outranks one whose producer barely started). No-op under static
-    /// scheduling; the final [`SharedStore::complete`] overwrites the
-    /// edges with the task's full measured shipment.
-    fn note_batch(&self, task: usize, shipped_so_far: f64) {
-        let mut state = self.state.lock().expect("store mutex");
-        if let Some(sched) = state.dyn_sched.as_mut() {
-            for &(consumer, pos) in &sched.consumers[task] {
-                sched.hybrid.deps[consumer][pos].1 = shipped_so_far;
-            }
-            sched.stale = true;
-        }
-    }
-
     fn complete(
         &self,
         task: usize,
@@ -265,19 +241,14 @@ impl SharedStore<'_> {
                 state.done[task] = true;
                 state.measured[task] = measured;
                 if let Some(sched) = state.dyn_sched.as_mut() {
-                    // Patch the task's measured actuals into the hybrid
-                    // graph (evaluation time and consumer-side edge sizes)
-                    // and release any consumers this completion unblocks.
-                    sched.hybrid.nodes[task].eval_secs = measured.secs * sched.eval_scale;
-                    for &(consumer, pos) in &sched.consumers[task] {
-                        sched.hybrid.deps[consumer][pos].1 = measured.ship_bytes;
+                    // Release the consumers this completion unblocks.
+                    for &consumer in &sched.consumers[task] {
                         sched.waiting[consumer] -= 1;
                         if sched.waiting[consumer] == 0 {
                             let home = sched.effective[consumer];
                             sched.ready.entry(home).or_default().push(consumer);
                         }
                     }
-                    sched.stale = true;
                     if let Some(left) = sched.remaining.get_mut(&source) {
                         *left = left.saturating_sub(1);
                     }
@@ -400,9 +371,8 @@ pub fn execute_graph_parallel(
 }
 
 /// Builds (or rebuilds, after a failover) the dynamic scheduler's round
-/// state: the hybrid cost graph with every completed task's measured actuals
-/// already patched in, dependency counts over the surviving tasks, and the
-/// initial ready queues per effective source.
+/// state: the round's priorities, dependency counts over the surviving
+/// tasks, and the initial ready queues per effective source.
 fn prime_dynamic(
     shared: &SharedStore<'_>,
     graph: &TaskGraph,
@@ -411,13 +381,8 @@ fn prime_dynamic(
     opts: &ExecOptions,
 ) {
     let n = graph.tasks.len();
-    let mut hybrid = CostGraph::from_task_graph(graph, &estimated_costs(graph));
-    let mut consumers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for (id, deps) in hybrid.deps.iter().enumerate() {
-        for (pos, &(dep, _)) in deps.iter().enumerate() {
-            consumers[dep].push((id, pos));
-        }
-    }
+    let estimates = CostGraph::from_task_graph(graph, &estimated_costs(graph));
+    let priority = crate::schedule::levels(&estimates, opts.network());
     let mut planned_pos = vec![0usize; n];
     for seq in plan.values() {
         for (pos, &id) in seq.iter().enumerate() {
@@ -425,15 +390,6 @@ fn prime_dynamic(
         }
     }
     let mut state = shared.state.lock().expect("store mutex");
-    for (task, task_consumers) in consumers.iter().enumerate() {
-        if !state.done[task] {
-            continue;
-        }
-        hybrid.nodes[task].eval_secs = state.measured[task].secs * opts.eval_scale;
-        for &(consumer, pos) in task_consumers {
-            hybrid.deps[consumer][pos].1 = state.measured[task].ship_bytes;
-        }
-    }
     let mut waiting = vec![0usize; n];
     let mut ready: HashMap<SourceId, Vec<usize>> = HashMap::new();
     let mut remaining: HashMap<SourceId, usize> = HashMap::new();
@@ -441,29 +397,21 @@ fn prime_dynamic(
         if state.done[task] {
             continue;
         }
-        waiting[task] = hybrid.deps[task]
-            .iter()
-            .filter(|(d, _)| !state.done[*d])
-            .count();
+        let open = |(d, _): &&(usize, RelKey)| !state.done[*d];
+        waiting[task] = graph.tasks[task].deps.iter().filter(open).count();
         if waiting[task] == 0 {
             ready.entry(effective[task]).or_default().push(task);
         }
         *remaining.entry(effective[task]).or_insert(0) += 1;
     }
-    let mut ws = Workspace::default();
-    let priority = ws.levels(&hybrid, opts.network()).to_vec();
     state.dyn_sched = Some(DynSched {
-        hybrid,
-        consumers,
+        consumers: graph.successors(),
         waiting,
         ready,
         remaining,
         effective: effective.to_vec(),
         planned_pos,
         priority,
-        stale: false,
-        ws,
-        eval_scale: opts.eval_scale,
     });
 }
 
@@ -492,14 +440,8 @@ fn run_round(
                     let run_one = |task_id: usize, wait_secs: f64| -> bool {
                         let at = failover.effective[task_id];
                         let (mut events, mut ledger) = (Vec::new(), Vec::new());
-                        let (result, measured) = exec.run_measured(
-                            task_id,
-                            at,
-                            wait_secs,
-                            &mut events,
-                            &mut ledger,
-                            |_, bytes| shared.note_batch(task_id, bytes),
-                        );
+                        let (result, measured) =
+                            exec.run_measured(task_id, at, wait_secs, &mut events, &mut ledger);
                         let ok = result.is_ok();
                         if ok {
                             failover.task_done(at);
@@ -531,9 +473,7 @@ fn run_round(
                         }
                         Scheduling::Dynamic => loop {
                             let queued = Instant::now();
-                            let Some(task_id) =
-                                shared.pick_next(source, opts.network(), topo_pos, failover)
-                            else {
+                            let Some(task_id) = shared.pick_next(source, topo_pos, failover) else {
                                 return; // drained, halted, or failed
                             };
                             if !run_one(task_id, queued.elapsed().as_secs_f64()) {

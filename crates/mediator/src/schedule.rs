@@ -15,7 +15,7 @@ use std::collections::HashMap;
 /// `ℓevel(Q) = eval_cost(Q) + max { ℓevel(Q') + trans_cost(S, S', size(Q)) }`
 /// over the consumers `Q'` of `Q` (steps 1–6 of Fig. 8).
 pub fn levels(graph: &CostGraph, net: &NetworkModel) -> Vec<f64> {
-    Workspace::default().levels(graph, net).to_vec()
+    Workspace::new(net).levels(graph).to_vec()
 }
 
 /// Algorithm `Schedule` (steps 7–10 of Fig. 8): per source, decreasing
@@ -27,7 +27,7 @@ pub fn schedule(graph: &CostGraph, net: &NetworkModel) -> Plan {
         "non-finite cost input: {:?}",
         graph.validate()
     );
-    Workspace::default().schedule(graph, net)
+    Workspace::new(net).schedule(graph)
 }
 
 /// Re-runs `Schedule` on the surviving subgraph after a source outage: the
@@ -347,9 +347,14 @@ mod tests {
 
 /// Event-driven simulation of a *dynamic* scheduler: whenever a source goes
 /// idle it picks, among its ready tasks, the one with the highest priority —
-/// recomputed from the costs *observed so far* (actual costs for completed
-/// tasks, estimates for the rest). Returns the simulated response time on
-/// the actual costs.
+/// `ℓevel` over the estimates — and pays the actual costs. Returns the
+/// simulated response time.
+///
+/// The priorities are computed once. Re-evaluating them over a graph with
+/// the actuals of finished tasks patched in (estimates for the rest) gives
+/// every unfinished task the same level to the bit: a level reads only the
+/// task itself, its out-edges and its descendants, and all of those are
+/// unfinished while the task is (see [`crate::parallel`]).
 ///
 /// `est` and `actual` must be structurally identical graphs (same nodes and
 /// edges) carrying estimated resp. actual evaluation times and edge sizes.
@@ -359,21 +364,8 @@ pub fn dynamic_response_time(est: &CostGraph, actual: &CostGraph, net: &NetworkM
     let mut finish: Vec<Option<f64>> = vec![None; n];
     let mut free: HashMap<SourceId, f64> = HashMap::new();
     let mut remaining = n;
-    // One hybrid graph, patched in place as tasks finish: actual costs for
-    // completed tasks, estimates for the rest. `consumers[p]` lists the
-    // `(consumer, dep position)` pairs whose edge size becomes actual once
-    // producer `p` has run.
-    let mut hybrid = est.clone();
-    let mut consumers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for (id, deps) in est.deps.iter().enumerate() {
-        for (pos, &(dep, _)) in deps.iter().enumerate() {
-            consumers[dep].push((id, pos));
-        }
-    }
-    let mut ws = Workspace::default();
+    let priority = levels(est, net);
     while remaining > 0 {
-        let priority = ws.levels(&hybrid, net);
-
         // For each source, the best ready task and its earliest start.
         let mut best: Option<(usize, f64)> = None; // (task, start time)
         for id in 0..n {
@@ -410,11 +402,6 @@ pub fn dynamic_response_time(est: &CostGraph, actual: &CostGraph, net: &NetworkM
         finish[task] = Some(end);
         free.insert(actual.nodes[task].source, end);
         remaining -= 1;
-        // Patch the finished task's actuals into the hybrid graph.
-        hybrid.nodes[task].eval_secs = actual.nodes[task].eval_secs;
-        for &(consumer, pos) in &consumers[task] {
-            hybrid.deps[consumer][pos].1 = actual.deps[consumer][pos].1;
-        }
     }
     finish.into_iter().map(|f| f.unwrap()).fold(0.0, f64::max)
 }
@@ -443,8 +430,8 @@ mod dynamic_tests {
 
     /// Two independent chains from S1: one feeds a heavy S2 task, the other
     /// a light one. Estimates are inverted, so the static plan runs the
-    /// wrong chain first; the dynamic scheduler corrects after observing
-    /// actuals.
+    /// wrong chain first; the dynamic scheduler's ready queue limits the
+    /// damage.
     fn graphs() -> (CostGraph, CostGraph) {
         let actual = CostGraph {
             nodes: vec![

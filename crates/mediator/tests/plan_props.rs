@@ -11,7 +11,7 @@ use aig_mediator::cost::{
 };
 use aig_mediator::graph::{build_graph, GraphOptions};
 use aig_mediator::merge::{merge, merge_pair, no_merge, MergeDecision, MergeOutcome};
-use aig_mediator::schedule::{naive_plan, schedule};
+use aig_mediator::schedule::{levels, naive_plan, schedule};
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::NetworkModel;
 use aig_prng::{Rng, SeedableRng, StdRng};
@@ -288,6 +288,108 @@ fn merge_matches_the_pairwise_reference_on_sigma0() {
         assert!(got.merges > 0, "depth {depth}: σ0 has mergeable queries");
         let want = reference_merge(&cg, &net, overhead);
         assert_same_outcome(&got, &want, &format!("σ0 at depth {depth}"));
+    }
+}
+
+/// Costs a hair apart, exactly equal, or all zero — where a packed sort key,
+/// a critical-path bound or a pre-added edge price would first disagree with
+/// the pair-by-pair reference if any of them rounded differently.
+#[test]
+fn merge_matches_the_pairwise_reference_on_near_ties() {
+    let ulps = |x: f64, n: u64| f64::from_bits(x.to_bits() + n);
+    let mut rng = StdRng::seed_from_u64(0x5EED_0005);
+    let nets = [NetworkModel::mbps(1.0), NetworkModel::infinite()];
+    let mut merges = 0;
+    for case in 0..240 {
+        let mut g = oracle_dag(&mut rng, true);
+        match case % 4 {
+            // Every node and every edge costs the same.
+            0 => {
+                let (eval, bytes) = [(0.0, 0.0), (0.5, 1_000.0)][case / 4 % 2];
+                g.nodes.iter_mut().for_each(|n| n.eval_secs = eval);
+                g.deps.iter_mut().flatten().for_each(|e| e.1 = bytes);
+            }
+            // The same, then each a few ulps off its neighbours.
+            1 => {
+                for (id, node) in g.nodes.iter_mut().enumerate() {
+                    node.eval_secs = ulps(0.5, id as u64 % 3);
+                }
+                for (at, edge) in g.deps.iter_mut().flatten().enumerate() {
+                    edge.1 = ulps(125_000.0, at as u64 % 3);
+                }
+            }
+            // The tie-heavy values as drawn, one node an ulp up.
+            2 => {
+                let id = rng.gen_range(0usize..g.len());
+                g.nodes[id].eval_secs = ulps(g.nodes[id].eval_secs, 1);
+            }
+            _ => {}
+        }
+        let net = &nets[case % 2];
+        let overhead = [0.0, f64::EPSILON, 0.25, 1.0][case / 8 % 4];
+        let got = merge(&g, net, overhead);
+        let want = reference_merge(&g, net, overhead);
+        assert_same_outcome(&got, &want, &format!("case {case}: {g:?}"));
+        merges += got.merges;
+    }
+    assert!(merges > 100, "the sweep must exercise accepted merges");
+}
+
+/// A candidate whose critical path *equals* the bound is not one the bound
+/// rules out: two independent queries at one source run back to back in
+/// `a + b`; merged at no saving they are one query of exactly `a + b`, which
+/// is not an improvement, and merged at the smallest saving they are.
+#[test]
+fn a_critical_path_equal_to_the_bound_is_evaluated() {
+    let net = NetworkModel::infinite();
+    for (a, b) in [(1.0, 2.0), (0.1, 0.2), (0.3, 0.6), (1e-3, 3e-3)] {
+        let g = CostGraph {
+            nodes: vec![query(1, a, 0), query(1, b, 1)],
+            deps: vec![vec![], vec![]],
+        };
+        assert_eq!(no_merge(&g, &net).response_secs, a + b);
+        for (overhead, merges) in [(0.0, 0), ((a + b) * f64::EPSILON, 1)] {
+            let got = merge(&g, &net, overhead);
+            assert_eq!(got.merges, merges, "a={a} b={b} overhead={overhead}");
+            let want = reference_merge(&g, &net, overhead);
+            assert_same_outcome(&got, &want, &format!("a={a} b={b} overhead={overhead}"));
+        }
+    }
+}
+
+// -- Why dynamic priorities are computed once -----------------------------------
+
+/// The dynamic scheduler's premise: patching measured actuals into the
+/// tasks that have *finished* — their evaluation times and the sizes on
+/// their out-edges — leaves the level of every unfinished task bit-equal,
+/// for any finished set a run can reach (closed under producers).
+#[test]
+fn actuals_of_finished_tasks_cannot_move_an_unfinished_level() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0006);
+    let nets = [NetworkModel::mbps(1.0), NetworkModel::infinite()];
+    for case in 0..360 {
+        let est = oracle_dag(&mut rng, case % 2 == 1);
+        let net = &nets[case % 2];
+        // A prefix of a topological order is closed under producers.
+        let topo = est.topo().unwrap();
+        let finished = &topo[..rng.gen_range(0usize..topo.len() + 1)];
+        let mut hybrid = est.clone();
+        for &id in finished {
+            hybrid.nodes[id].eval_secs = rng.gen_range(0.0f64..5.0);
+        }
+        for edge in hybrid.deps.iter_mut().flatten() {
+            if finished.contains(&edge.0) {
+                edge.1 = rng.gen_range(0.0f64..500_000.0);
+            }
+        }
+        let (before, after) = (levels(&est, net), levels(&hybrid, net));
+        for id in (0..est.len()).filter(|id| !finished.contains(id)) {
+            assert_eq!(
+                before[id].to_bits(),
+                after[id].to_bits(),
+                "case {case}: node {id} with {finished:?} finished: {est:?}"
+            );
+        }
     }
 }
 

@@ -4,8 +4,9 @@
 //! module provides the data-parallel primitives the executors need, built on
 //! `std::thread::scope`:
 //!
-//! * [`map_chunks`] — the one fan-out: contiguous index ranges, one scoped
-//!   thread each, results returned in range order. Every kernel here and the
+//! * [`map_chunks`] — the one fan-out: contiguous index ranges, the first
+//!   on the calling thread and one scoped thread for each other, results
+//!   returned in range order. Every kernel here and the
 //!   partitioned hash join of `aig-sql` go through it, and every "merged in
 //!   partition order" determinism argument rests on that order.
 //! * [`sort_perm`] — a partitioned stable **argsort**: contiguous index
@@ -41,27 +42,38 @@ use std::ops::Range;
 /// Default row count below which the sequential path is used regardless of
 /// `threads`. Callers that expose a tunable (the mediator's `ExecPolicy`)
 /// pass their own threshold.
-pub const PAR_THRESHOLD: usize = 2048;
+///
+/// Measured, not guessed (`cargo bench -p aig-bench --bench par_threshold`,
+/// table in DESIGN.md §4): a fan-out costs a thread spawn and join per extra
+/// range — tens of microseconds — while the kernels run at 7 to 70 ns a row,
+/// so on a 2-CPU host splitting in two loses at every size below 32 Ki rows
+/// for every kernel, and the three kernels together first come out ahead at
+/// 128 Ki.
+pub const PAR_THRESHOLD: usize = 1 << 17;
 
 /// Runs `work` over up to `threads` contiguous, equally sized index ranges
-/// covering `0..len`, one scoped thread per range, and returns the results
-/// **in range order**. Whether partitioning pays is the caller's decision.
+/// covering `0..len` and returns the results **in range order**. The first
+/// range runs on the calling thread, which would otherwise sit idle until
+/// the others are done, and each other range on a scoped thread of its own.
+/// Whether partitioning pays is the caller's decision.
 pub fn map_chunks<R, F>(len: usize, threads: usize, work: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
     let chunk_len = len.div_ceil(threads.max(1)).max(1);
+    let chunk = |start: usize| start..len.min(start + chunk_len);
     let work = &work;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
+        let spawned: Vec<_> = (chunk_len..len)
             .step_by(chunk_len)
-            .map(|start| scope.spawn(move || work(start..len.min(start + chunk_len))))
+            .map(|start| scope.spawn(move || work(chunk(start))))
             .collect();
-        handles
+        let first = (len > 0).then(|| work(chunk(0)));
+        let rest = spawned
             .into_iter()
-            .map(|h| h.join().expect("partition worker"))
-            .collect()
+            .map(|h| h.join().expect("partition worker"));
+        first.into_iter().chain(rest).collect()
     })
 }
 
@@ -320,6 +332,10 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
+    /// The crossover these tests pass explicitly: they hold both sides of a
+    /// threshold against each other, whatever the default is.
+    const THRESHOLD: usize = 2048;
+
     fn make_rows(n: usize) -> Vec<Vec<Value>> {
         // A deterministic, duplicate-heavy, unsorted row set.
         (0..n)
@@ -334,13 +350,13 @@ mod tests {
 
     #[test]
     fn parallel_sort_matches_sequential() {
-        for n in [0, 1, 100, PAR_THRESHOLD + 123] {
+        for n in [0, 1, 100, THRESHOLD + 123] {
             let rows = make_rows(n);
             let mut seq = rows.clone();
             seq.sort();
             for threads in [2, 3, 4, 9] {
                 let mut par = rows.clone();
-                stable_sort_rows_with(&mut par, threads, PAR_THRESHOLD, |a, b| a.cmp(b));
+                stable_sort_rows_with(&mut par, threads, THRESHOLD, |a, b| a.cmp(b));
                 assert_eq!(seq, par, "n={n} threads={threads}");
             }
         }
@@ -349,13 +365,13 @@ mod tests {
     #[test]
     fn parallel_sort_is_stable() {
         // Sort by the first column only; equal keys must keep input order.
-        let rows: Vec<Vec<Value>> = (0..(PAR_THRESHOLD * 2))
+        let rows: Vec<Vec<Value>> = (0..(THRESHOLD * 2))
             .map(|i| vec![Value::int((i % 5) as i64), Value::int(i as i64)])
             .collect();
         let mut seq = rows.clone();
         seq.sort_by(|a, b| a[0].cmp(&b[0]));
         let mut par = rows.clone();
-        stable_sort_rows_with(&mut par, 4, PAR_THRESHOLD, |a, b| a[0].cmp(&b[0]));
+        stable_sort_rows_with(&mut par, 4, THRESHOLD, |a, b| a[0].cmp(&b[0]));
         assert_eq!(seq, par);
     }
 
@@ -370,6 +386,27 @@ mod tests {
                 );
                 let covered: Vec<usize> = ranges.into_iter().flatten().collect();
                 assert_eq!(covered, (0..len).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// Around `len == threads`, where ranges are one index long or missing:
+    /// every index once and in order, the first range on the calling thread
+    /// and every other range on a thread of its own.
+    #[test]
+    fn map_chunks_runs_the_first_range_on_the_caller() {
+        let caller = std::thread::current().id();
+        for threads in [1usize, 2, 3, 5] {
+            for len in [0, 1, threads - 1, threads, threads + 1] {
+                let ran = map_chunks(len, threads, |range| (range, std::thread::current().id()));
+                let what = format!("len={len} threads={threads}");
+                assert!(ran.len() <= threads, "{what}");
+                let covered: Vec<usize> = ran.iter().flat_map(|(r, _)| r.clone()).collect();
+                assert_eq!(covered, (0..len).collect::<Vec<_>>(), "{what}");
+                assert!(ran.iter().all(|(range, _)| !range.is_empty()), "{what}");
+                let mut ids = ran.iter().map(|&(_, id)| id);
+                assert!(ids.next().is_none_or(|first| first == caller), "{what}");
+                assert!(ids.all(|other| other != caller), "{what}");
             }
         }
     }

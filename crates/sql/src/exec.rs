@@ -581,6 +581,10 @@ mod tests {
     use super::*;
     use aig_relstore::{Database, Table, TableSchema};
 
+    /// The crossover the partition tests pass to `execute_tuned`: they test
+    /// the boundary, wherever the default sits.
+    const THRESHOLD: usize = 2048;
+
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         let mut db1 = Database::new("DB1");
@@ -776,10 +780,10 @@ mod tests {
 
     #[test]
     fn parallel_execution_is_byte_identical() {
-        // Large enough to cross PAR_THRESHOLD in the build, the probe and
+        // Large enough to cross `THRESHOLD` in the build, the probe and
         // the DISTINCT dedup; the parallel plan must reproduce the
         // sequential output byte for byte (including duplicate order).
-        let n = PAR_THRESHOLD * 3;
+        let n = THRESHOLD * 3;
         let mut c = Catalog::new();
         let mut db = Database::new("D");
         let mut left = Table::new(TableSchema::strings("l", &["k", "payload"], &[]));
@@ -806,10 +810,10 @@ mod tests {
             "select distinct l.payload, r.tag from D:l l, D:r r where l.k = r.k",
         ] {
             let q = Query::parse(sql).unwrap();
-            let seq = execute_tuned(&q, &c, &Params::new(), 1, PAR_THRESHOLD).unwrap();
+            let seq = execute_tuned(&q, &c, &Params::new(), 1, THRESHOLD).unwrap();
             assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
             for threads in [2, 4] {
-                let par = execute_tuned(&q, &c, &Params::new(), threads, PAR_THRESHOLD).unwrap();
+                let par = execute_tuned(&q, &c, &Params::new(), threads, THRESHOLD).unwrap();
                 assert_eq!(seq, par, "threads={threads} sql={sql}");
             }
         }
@@ -821,7 +825,7 @@ mod tests {
     /// byte-identity at 1 and 4 threads for a join and a DISTINCT.
     #[test]
     fn par_threshold_boundary_is_byte_identical() {
-        for n in [PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 1] {
+        for n in [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1] {
             let mut c = Catalog::new();
             let mut db = Database::new("D");
             let mut left = Table::new(TableSchema::strings("l", &["k", "payload"], &[]));
@@ -848,11 +852,10 @@ mod tests {
                 "select distinct l.payload, r.tag from D:l l, D:r r where l.k = r.k",
             ] {
                 let q = Query::parse(sql).unwrap();
-                let seq = execute_tuned(&q, &c, &Params::new(), 1, PAR_THRESHOLD).unwrap();
+                let seq = execute_tuned(&q, &c, &Params::new(), 1, THRESHOLD).unwrap();
                 assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
                 for threads in [1, 4] {
-                    let tuned =
-                        execute_tuned(&q, &c, &Params::new(), threads, PAR_THRESHOLD).unwrap();
+                    let tuned = execute_tuned(&q, &c, &Params::new(), threads, THRESHOLD).unwrap();
                     assert_eq!(seq, tuned, "n={n} threads={threads} sql={sql}");
                 }
             }
@@ -883,7 +886,7 @@ mod tests {
         let mut db = Database::new("D");
         let mut left = Table::new(TableSchema::strings("l", &["k1", "k2", "payload"], &[]));
         let mut right = Table::new(TableSchema::strings("r", &["k1", "k2", "tag"], &[]));
-        let n = PAR_THRESHOLD * 2;
+        let n = THRESHOLD * 2;
         for i in 0..n {
             // ~2/3 of the rows carry a NULL in one of the key columns.
             let k1 = if i % 3 == 0 {
@@ -915,13 +918,13 @@ mod tests {
             "select l.payload, r.tag from D:l l, D:r r where l.k1 = r.k1 and l.k2 = r.k2",
         ] {
             let q = Query::parse(sql).unwrap();
-            let seq = execute_tuned(&q, &c, &Params::new(), 1, PAR_THRESHOLD).unwrap();
+            let seq = execute_tuned(&q, &c, &Params::new(), 1, THRESHOLD).unwrap();
             assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
             // No NULL key ever matched: every key cell of the output's
             // provenance is non-NULL by construction of the fixture — spot
             // check by running the join with an explicit NULL-free filter.
             for threads in [2, 4] {
-                let par = execute_tuned(&q, &c, &Params::new(), threads, PAR_THRESHOLD).unwrap();
+                let par = execute_tuned(&q, &c, &Params::new(), threads, THRESHOLD).unwrap();
                 assert_eq!(seq, par, "threads={threads} sql={sql}");
             }
         }

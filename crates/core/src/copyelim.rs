@@ -15,7 +15,7 @@
 //! singleton-set contributions directly out of cached instance tables
 //! instead of materializing the intermediate attributes.
 
-use crate::spec::{Aig, ElemIdx, FieldRule, Prod, SetExpr, SynRule, ValueExpr};
+use crate::spec::{Aig, ElemIdx, FieldRule, Prod, SeqItem, SetExpr, SynRule, ValueExpr};
 use aig_relstore::Value;
 
 /// The origin of a scalar copy chain at a given element.
@@ -52,35 +52,55 @@ fn resolve_scalar_depth(
         ValueExpr::ChildSyn { item, field } => {
             // Resolve inside the child: its syn rule for `field` must itself
             // be a scalar copy, ultimately from the child's inherited
-            // attribute; then map the child's inherited field back through
-            // the item's assignment.
-            let info = aig.elem_info(elem);
-            let Prod::Items(items) = &info.prod else {
-                return None;
-            };
-            let child_item = items.get(*item)?;
-            if child_item.star {
-                return None; // a starred child has many instances
-            }
-            let child = child_item.elem;
-            let child_info = aig.elem_info(child);
+            // attribute.
+            let child = copy_source(aig, elem, *item)?;
+            let child_info = aig.elem_info(child.elem);
             let rule = child_syn_rule(&child_info.syn_rules, &child_info.prod, field)?;
             let FieldRule::Scalar(child_expr) = rule else {
                 return None;
             };
-            match resolve_scalar_depth(aig, child, child_expr, depth + 1)? {
-                ResolvedScalar::Const(v) => Some(ResolvedScalar::Const(v)),
-                ResolvedScalar::InhField(child_field) => {
-                    // Find the assignment of the child's inherited field in
-                    // this production item.
-                    let (_, assign_rule) =
-                        child_item.assigns.iter().find(|(f, _)| f == &child_field)?;
-                    let FieldRule::Scalar(assign_expr) = assign_rule else {
-                        return None;
-                    };
-                    resolve_scalar_depth(aig, elem, assign_expr, depth + 1)
-                }
-            }
+            resolve_through(aig, elem, child, child_expr, depth)
+        }
+    }
+}
+
+/// Resolves, at `elem`, a synthesized copy of `child_expr` on the `item`-th
+/// child of `elem`'s production, as if the child declared it — what a
+/// field about to be added to the child would read.
+pub(crate) fn resolve_child_copy(
+    aig: &Aig,
+    elem: ElemIdx,
+    item: usize,
+    child_expr: &ValueExpr,
+) -> Option<ResolvedScalar> {
+    resolve_through(aig, elem, copy_source(aig, elem, item)?, child_expr, 0)
+}
+
+/// The `item`-th child of `elem`'s production, if it has one instance.
+fn copy_source(aig: &Aig, elem: ElemIdx, item: usize) -> Option<&SeqItem> {
+    let Prod::Items(items) = &aig.elem_info(elem).prod else {
+        return None;
+    };
+    items.get(item).filter(|child| !child.star) // a starred child has many instances
+}
+
+/// Resolves `child_expr` inside `child`, then maps the child's inherited
+/// field back to `elem` through the item's assignment.
+fn resolve_through(
+    aig: &Aig,
+    elem: ElemIdx,
+    child: &SeqItem,
+    child_expr: &ValueExpr,
+    depth: usize,
+) -> Option<ResolvedScalar> {
+    match resolve_scalar_depth(aig, child.elem, child_expr, depth + 1)? {
+        ResolvedScalar::Const(v) => Some(ResolvedScalar::Const(v)),
+        ResolvedScalar::InhField(child_field) => {
+            let (_, assign_rule) = child.assigns.iter().find(|(f, _)| f == &child_field)?;
+            let FieldRule::Scalar(assign_expr) = assign_rule else {
+                return None;
+            };
+            resolve_scalar_depth(aig, elem, assign_expr, depth + 1)
         }
     }
 }

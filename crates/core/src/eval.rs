@@ -80,6 +80,9 @@ pub fn evaluate_with(
     args: &[(&str, Value)],
     opts: &EvalOptions,
 ) -> Result<Evaluation, AigError> {
+    // `finalize` has checked Σ unless `constraints` was edited since; an
+    // unhostable constraint is rejected here as the mediator rejects it.
+    crate::compile::check_constraints(aig)?;
     // Bind the root parameters.
     let root_info = aig.elem_info(aig.root);
     let mut fields = Vec::with_capacity(root_info.inh.len());

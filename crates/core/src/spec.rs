@@ -358,7 +358,9 @@ impl Aig {
     // ---------------------------------------------------------------------
 
     /// Validates the specification and computes per-production topological
-    /// orders. Must be called (by the builder) before evaluation.
+    /// orders. Must be called (by the builder) before evaluation. Also
+    /// rejects a constraint the grammar cannot host
+    /// (`compile::check_constraints`).
     pub fn finalize(&mut self) -> Result<(), AigError> {
         // Root parameters must be scalars (they are the mapping's inputs).
         for field in self.root_params() {
@@ -375,7 +377,7 @@ impl Aig {
             self.elems[idx].topo = topo;
         }
         self.check_against_dtd()?;
-        Ok(())
+        crate::compile::check_constraints(self)
     }
 
     fn check_elem(&self, idx: ElemIdx) -> Result<(), AigError> {

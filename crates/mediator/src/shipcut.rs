@@ -538,25 +538,41 @@ mod tests {
 
     #[test]
     fn guard_inputs_stay_fully_live() {
-        // Key-constraint checks (guards) inspect whole relations: their
-        // dependency producers must never lose a column to the analysis.
+        // Key-constraint checks (guards) inspect whole relations: a guard
+        // reads every input in full and duplicate-sensitively, and an input
+        // never loses a column or a duplicate on its way to the guard. An
+        // input may be pruned for its *other* consumers only when the guard
+        // reads it over a free (mediator→mediator) edge, from the store,
+        // and those consumers are all `IN` membership reads — σ0's
+        // `__c1_sub` is `trIdS`, which bill's `IN $trIdS` also reads.
         let (aig, graph) = fixture();
         let cut = ShipCut::analyze(&aig, &graph);
-        let mut saw_guard = false;
-        for task in &graph.tasks {
+        let mut whole = 0;
+        for (g, task) in graph.tasks.iter().enumerate() {
             let TaskKind::Guard { .. } = &task.kind else {
                 continue;
             };
-            saw_guard = true;
-            for (dep, _) in &task.deps {
+            for read in task_reads(&aig, &graph, g, &LiveSet::everything()) {
                 assert!(
-                    cut.profile(*dep).live.all,
+                    read.live.all && read.dup_sensitive,
+                    "guard `{}` reads part of an input",
+                    task.label
+                );
+            }
+            for (dep, _) in &task.deps {
+                if cut.profile(*dep).live.all {
+                    whole += 1;
+                    continue;
+                }
+                let free = task.source.is_mediator() && graph.tasks[*dep].source.is_mediator();
+                assert!(
+                    free && cut.profile(*dep).dedup,
                     "guard input `{}` lost columns",
                     graph.tasks[*dep].label
                 );
             }
         }
-        assert!(saw_guard, "fixture has no guards");
+        assert!(whole > 0, "fixture has no guard input shipped whole");
     }
 
     #[test]

@@ -164,9 +164,12 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
          {} batches, peak {} resident rows",
         ledger.total_batches, ledger.peak_resident_rows
     );
+    // 983 batches before PR 25: constraint collectors on types no
+    // contributor reaches shipped empty batches, and `__c1_sub` re-shipped
+    // `trIdS`.
     assert_eq!(
         (ledger.total_batches, ledger.peak_resident_rows),
-        (983, 512)
+        (579, 512)
     );
     assert!(
         batched_allocs as f64 <= 1.05 * exec_allocs as f64 + ledger.total_batches as f64,

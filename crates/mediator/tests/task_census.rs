@@ -1,0 +1,172 @@
+//! Census of the prepared task graph: every task computes something a
+//! result can depend on, once.
+//!
+//! Constraint compilation used to give each collector to every element type
+//! below the context, so σ0's graph at depth 24 held 256 `SynAgg` tasks
+//! for `(type, field)` pairs no contributor can reach (∅ on every input)
+//! and 49 more recomputing `trIdS` under the name `__c1_sub` — 418 tasks in
+//! all. Same set-up as `alloc_regression`: Table 1's Small hospital, the
+//! plan the first request escalates to.
+
+use aig_core::paper::sigma0;
+use aig_core::spec::{Aig, ElemIdx, FieldRule, Prod, SetExpr, SynRule};
+use aig_core::{compile_constraints, decompose_queries};
+use aig_datagen::{DatasetSize, HospitalConfig};
+use aig_mediator::graph::TaskKind;
+use aig_mediator::{execute_graph, ExecOptions, Mediator, MediatorOptions};
+use aig_relstore::Value;
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// Whether a synthesized rule can produce a row: it injects values itself
+/// (singleton, inherited set, collected scalar) or copies a field of a
+/// child (`child(item)`) already in `live`.
+fn can_hold(
+    aig: &Aig,
+    rule: &FieldRule,
+    child: &dyn Fn(usize) -> ElemIdx,
+    live: &HashSet<(ElemIdx, String)>,
+) -> bool {
+    fn set(
+        aig: &Aig,
+        expr: &SetExpr,
+        child: &dyn Fn(usize) -> ElemIdx,
+        live: &HashSet<(ElemIdx, String)>,
+    ) -> bool {
+        match expr {
+            SetExpr::Empty => false,
+            SetExpr::Singleton(_) | SetExpr::InhField(_) => true,
+            SetExpr::ChildSyn { item, field } => live.contains(&(child(*item), field.clone())),
+            SetExpr::Collect { item, field } => {
+                let elem = child(*item);
+                let decl = aig.elem_info(elem).syn.iter().find(|f| &f.name == field);
+                decl.is_some_and(|f| f.ty.is_scalar()) || live.contains(&(elem, field.clone()))
+            }
+            SetExpr::Union(terms) => terms.iter().any(|t| set(aig, t, child, live)),
+        }
+    }
+    match rule {
+        FieldRule::Set(expr) => set(aig, expr, child, live),
+        _ => true,
+    }
+}
+
+/// The set-valued synthesized `(type, field)` pairs of `aig` that can hold
+/// a value on some input: the least fixpoint of [`can_hold`].
+fn live_fields(aig: &Aig) -> HashSet<(ElemIdx, String)> {
+    let mut live = HashSet::new();
+    loop {
+        let before = live.len();
+        for elem in aig.elements() {
+            let info = aig.elem_info(elem);
+            for decl in info.syn.iter().filter(|f| !f.ty.is_scalar()) {
+                let of = |rules: &[SynRule], child: &dyn Fn(usize) -> ElemIdx| {
+                    let mut mine = rules.iter().filter(|r| r.field == decl.name);
+                    mine.any(|r| can_hold(aig, &r.rule, child, &live))
+                };
+                let holds = match &info.prod {
+                    // A branch's rules read the branch child as item 0.
+                    Prod::Choice { branches, .. } => {
+                        branches.iter().any(|b| of(&b.syn, &|_| b.elem))
+                    }
+                    Prod::Items(items) => of(&info.syn_rules, &|item| items[item].elem),
+                    _ => of(&info.syn_rules, &|_| unreachable!("a leaf has no children")),
+                };
+                if holds {
+                    live.insert((elem, decl.name.clone()));
+                }
+            }
+        }
+        if live.len() == before {
+            return live;
+        }
+    }
+}
+
+#[test]
+fn every_syn_agg_task_computes_a_distinct_value_that_can_exist() {
+    let data = HospitalConfig::sized(DatasetSize::Small)
+        .generate()
+        .unwrap();
+    let aig = sigma0().unwrap();
+    let mediator = Mediator::new(data.catalog, &MediatorOptions::default()).unwrap();
+    let args = [("date", Value::str(&data.dates[0]))];
+    mediator.request(&aig, &args).unwrap();
+    let plan = mediator.prepare(&aig).unwrap();
+    assert_eq!(plan.depth, 24, "the census is pinned at σ0's depth-24 plan");
+    let graph = &plan.graph;
+    let options = ExecOptions {
+        shipcut: plan.shipcut.clone(),
+        ..ExecOptions::default()
+    };
+    let run = execute_graph(&plan.aig, mediator.catalog(), graph, &args, &options).unwrap();
+
+    // Liveness is read off the compiled grammar before unfolding: a type
+    // cut off at the unfolding depth is the frontier's business, not the
+    // compiler's.
+    let (specialized, _) = decompose_queries(&compile_constraints(&aig).unwrap()).unwrap();
+    let live = live_fields(&specialized);
+    let mut by_occ: HashMap<_, Vec<usize>> = HashMap::new();
+    let mut per_field: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut dead = Vec::new();
+    for (id, task) in graph.tasks.iter().enumerate() {
+        let TaskKind::SynAgg { occ, field } = &task.kind else {
+            continue;
+        };
+        by_occ.entry(occ.clone()).or_default().push(id);
+        *per_field.entry(field).or_default() += 1;
+        let tag = plan.aig.elem_info(graph.bindings[occ].elem).tag();
+        if !live.contains(&(specialized.elem(tag).unwrap(), field.clone())) {
+            dead.push(task.label.as_str());
+        }
+    }
+    println!("SynAgg tasks per field: {per_field:?}");
+    // (b) No task computes a field no contributor can reach (256 at PR 24).
+    assert!(
+        dead.is_empty(),
+        "{} tasks compute ∅ on every input: {dead:?}",
+        dead.len()
+    );
+
+    // (a) No two tasks at one occurrence compute the same non-empty set,
+    // or the same non-empty bag (27 pairs at PR 24: `__c1_sub` beside
+    // `trIdS` at every treatment level this date reaches). A bag and a set
+    // with equal rows are not one value: the bag's duplicates are what a
+    // key guard checks.
+    let kind = |t: usize| {
+        let TaskKind::SynAgg { occ, field } = &graph.tasks[t].kind else {
+            unreachable!()
+        };
+        let info = plan.aig.elem_info(graph.bindings[occ].elem);
+        let decl = info.syn.iter().find(|f| &f.name == field).unwrap();
+        std::mem::discriminant(&decl.ty)
+    };
+    let mut twins = Vec::new();
+    for ids in by_occ.values() {
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                let out = |t: usize| {
+                    run.store
+                        .get(graph.tasks[t].output.as_ref().unwrap())
+                        .unwrap()
+                };
+                let (ra, rb) = (out(a), out(b));
+                if ra.is_empty() || ra.arity() != rb.arity() || kind(a) != kind(b) {
+                    continue;
+                }
+                // Component names may differ; the rows may not.
+                if ra.bag_eq(&rb.clone().with_columns(ra.columns().to_vec())) {
+                    twins.push((graph.tasks[a].label.as_str(), graph.tasks[b].label.as_str()));
+                }
+            }
+        }
+    }
+    assert!(
+        twins.is_empty(),
+        "{} pairs compute one relation twice: {twins:?}",
+        twins.len()
+    );
+
+    // (c) The graph as a whole (418 tasks at PR 24).
+    println!("{} tasks", graph.tasks.len());
+    assert!(graph.tasks.len() <= 120, "{} tasks", graph.tasks.len());
+}

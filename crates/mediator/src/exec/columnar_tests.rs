@@ -12,9 +12,11 @@
 //! whose symbols were interned in the *opposite* order of their values (a
 //! sort by `Sym` instead of by value shows up immediately).
 //!
-//! Where the two intentionally differ — the reference panics — the new
-//! behaviour is pinned by its own test: a condition or branch row for an
-//! unknown instance, and an assemble input of the wrong arity.
+//! Where the two intentionally differ — the reference panics, or keys by
+//! value where the tagger requires a rowid permutation — the new behaviour
+//! is pinned by its own test: a condition or branch row for an unknown
+//! instance, an assemble input of the wrong arity, and a parent table whose
+//! `__rowid`s are not a permutation of `0..n`.
 
 use super::*;
 use crate::graph::{build_graph, GraphOptions};
@@ -1340,4 +1342,67 @@ fn a_branch_without_binding_is_an_error_before_any_row_of_it() {
     let err = tag_document(&fx.aig, &fx.graph, &store).unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("unknown occurrence"), "{msg}");
+}
+
+/// The tagger keys a child row by the parent row its `__parent` names,
+/// through the inverse of the parent table's `__rowid` permutation: a
+/// `__parent` that names no row — a string, a negative integer, one past
+/// the parent table — attaches nowhere, as in the row-major tagger, and a
+/// parent table whose `__rowid`s are not a permutation of `0..n` is a
+/// structured error (the reference keys by value and has no such case).
+#[test]
+fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_a_permutation() {
+    // An `orders` store with at least two `ref` rows, under `order` rows.
+    let (fx, store) = (0..32)
+        .map(|seed| {
+            let fx = orders(seed);
+            let store = walk(&fx, &options(1, false), None, &mut [0; 8]);
+            (fx, store)
+        })
+        .find(|(fx, store)| {
+            let refs = RelKey::Instances(fx.aig.elem("ref").unwrap());
+            store.get(&refs).unwrap().len() >= 2
+        })
+        .expect("a seed with refs");
+    let (refs, order) = (fx.aig.elem("ref").unwrap(), fx.aig.elem("order").unwrap());
+    let (refs, order) = (RelKey::Instances(refs), RelKey::Instances(order));
+    let tree = tag_document(&fx.aig, &fx.graph, &store).unwrap();
+    let orders_n = store.get(&order).unwrap().len() as i64;
+    let with = |key: &RelKey, column: &str, row: usize, value: Value| {
+        let mut store = store.clone();
+        let mut rel = store.get(key).unwrap().clone();
+        let col = rel.col(column).unwrap();
+        rel.set_cell(row, col, value);
+        store.insert(key.clone(), rel);
+        store
+    };
+
+    for parent in [Value::str("0"), Value::int(-1), Value::int(orders_n)] {
+        let store = with(&refs, "__parent", 0, parent.clone());
+        let tagged = tag_document(&fx.aig, &fx.graph, &store);
+        assert_eq!(tagged, row_tagger::tag_document(&fx.aig, &fx.graph, &store));
+        let lost = tree.len() - tagged.unwrap().len();
+        assert_eq!(lost, 2, "`__parent` {parent:?}: the ref and its text go");
+    }
+
+    let orders_rel = store.get(&order).unwrap();
+    let rowid = |row| {
+        orders_rel
+            .cell(row, orders_rel.col("__rowid").unwrap())
+            .clone()
+    };
+    for (row, value) in [
+        (1, rowid(0)),
+        (0, Value::int(orders_n)),
+        (0, Value::str("0")),
+    ] {
+        let store = with(&order, "__rowid", row, value.clone());
+        match tag_document(&fx.aig, &fx.graph, &store) {
+            Err(MediatorError::Internal(msg)) => assert!(
+                msg.contains("`__rowid`s of T[order] are not a permutation"),
+                "{msg}"
+            ),
+            other => panic!("`__rowid` {value:?} at row {row}: {other:?}"),
+        }
+    }
 }

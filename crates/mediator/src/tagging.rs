@@ -3,9 +3,10 @@
 //!
 //! "In the tagging phase, the tagging plan is applied to these relations to
 //! produce the final output document", entirely within the middleware. The
-//! instance tables are indexed by `(occurrence, parent rowid)` — the
-//! relational encoding of the root-to-node path — and the tree is written
-//! top-down; internal computation states never appear (they are simply not
+//! rows of every starred item and choice branch are sort-merged under the
+//! row positions of their parent's instance table — the relational encoding
+//! of the root-to-node path — and the tree is written top-down, in document
+//! order; internal computation states never appear (they are simply not
 //! descended into), and PCDATA resolves through copy chains into instance
 //! columns.
 
@@ -13,10 +14,11 @@ use crate::error::MediatorError;
 use crate::exec::{branch_tag, occ_tag, scalar_col, RelStore, ScalarCol};
 use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
-use aig_relstore::intern::{self, Reader, SymMap};
+use aig_relstore::intern::{self, Reader};
 use aig_relstore::{Relation, Sym, Value};
 use aig_xml::tree::{CopyStep, SubtreeCopier, TagId};
 use aig_xml::{NodeId, XmlTree};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Builds the document from the executed relations.
@@ -32,80 +34,16 @@ pub fn tag_document(
     Ok(tree)
 }
 
-/// Index: (element, `__occ` symbol, parent `__rowid` symbol) → the child
-/// row positions in `__ord` order, as a span of one shared position vector.
-///
-/// Tags and ids are matched as interned symbols, i.e. by value equality:
-/// a `__rowid`/`__parent` that is not an integer is a key like any other.
-#[derive(Default)]
-struct ChildrenIndex {
-    /// Bucket number per key, in first-seen order.
-    buckets: SymMap<(ElemIdx, Sym, Sym), u32>,
-    /// Bucket `b` is `rows[starts[b]..starts[b + 1]]`.
-    starts: Vec<u32>,
-    rows: Vec<u32>,
-}
-
-impl ChildrenIndex {
-    fn build(aig: &Aig, graph: &TaskGraph, store: &RelStore) -> Result<Self, MediatorError> {
-        let reader = Reader::snapshot();
-        let mut index = ChildrenIndex::default();
-        index.starts.push(0);
-        for &elem in graph.materialized.iter().filter(|&&e| e != aig.root) {
-            let rel = store.get(&RelKey::Instances(elem))?;
-            let parents = rel.col_syms(rel.col("__parent")?);
-            let occs = rel.col_syms(rel.col("__occ")?);
-            let as_int = |&ord: &Sym| reader.get(ord).as_int().unwrap_or(0);
-            let ords: Vec<i64> = rel.col_syms(rel.col("__ord")?).iter().map(as_int).collect();
-            // Bucket per (occ, parent), numbered in first-seen order after
-            // the relations before; rows of one bucket mostly sit together,
-            // so only a change of key costs a hash lookup.
-            let (buckets, first) = (&mut index.buckets, index.starts.len() as u32 - 1);
-            let mut sizes: Vec<u32> = Vec::new();
-            let mut bucket_of: Vec<u32> = Vec::with_capacity(rel.len());
-            let mut last = None;
-            for (&occ, &parent) in occs.iter().zip(parents) {
-                let bucket = match last {
-                    Some((key, bucket)) if key == (occ, parent) => bucket,
-                    _ => *buckets.entry((elem, occ, parent)).or_insert_with(|| {
-                        sizes.push(0);
-                        first + sizes.len() as u32 - 1
-                    }),
-                };
-                sizes[(bucket - first) as usize] += 1;
-                bucket_of.push(bucket);
-                last = Some(((occ, parent), bucket));
-            }
-            // Row positions by (bucket, `__ord`), position order on ties: a
-            // stable sort, linear on an assembled table (generator outputs
-            // arrive grouped by parent with ascending ordinals).
-            let mut order: Vec<u32> = (0..rel.len() as u32).collect();
-            order.sort_by_key(|&pos| (bucket_of[pos as usize], ords[pos as usize]));
-            let mut end = index.rows.len() as u32;
-            index.rows.extend(order);
-            for size in sizes {
-                end += size;
-                index.starts.push(end);
-            }
-        }
-        Ok(index)
-    }
-
-    /// Child row positions of `elem` tagged `occ` under the parent row with
-    /// rowid `parent`; empty when there is no such bucket.
-    fn rows(&self, elem: ElemIdx, occ: Sym, parent: Sym) -> &[u32] {
-        let Some(&b) = self.buckets.get(&(elem, occ, parent)) else {
-            return &[];
-        };
-        &self.rows[self.starts[b as usize] as usize..self.starts[b as usize + 1] as usize]
-    }
-}
+/// No row: a `__parent` naming no parent row, or a row of another `__occ`.
+const NO_ROW: u32 = u32::MAX;
 
 /// How one occurrence is tagged: everything the walk needs per node,
 /// resolved once per occurrence — keyed by [`Occ`], never by the address of
 /// a binding — when the [`Tagger`] is built.
 struct OccPlan<'a> {
-    /// The occurrence's base instance table and its `__rowid` column.
+    /// The occurrence's base element, its instance table and its `__rowid`
+    /// column.
+    elem: ElemIdx,
     base: &'a Relation,
     rowids: &'a [Sym],
     body: Body,
@@ -131,20 +69,151 @@ struct ChildPlan {
     rows: ChildRows,
 }
 
+impl ChildPlan {
+    /// The base rows (of the child's own base table) that are its instances
+    /// under the parent's base row `*base_idx`.
+    fn instances<'s>(&'s self, base_idx: &'s u32) -> &'s [u32] {
+        match &self.rows {
+            ChildRows::OfParent => std::slice::from_ref(base_idx),
+            ChildRows::Tagged(Tagged { start, rows, .. }) => {
+                let at = *base_idx as usize;
+                &rows[start[at] as usize..start[at + 1] as usize]
+            }
+        }
+    }
+}
+
 /// Which rows of the child's base table one parent row has as children.
 enum ChildRows {
     /// A plain item: the parent's own base row.
     OfParent,
     /// A starred item or choice branch: the rows of the child's instance
-    /// table that carry this `__occ` symbol under the parent's rowid. `None`
-    /// is a tag nothing ever interned, which therefore no row carries.
-    Tagged(Option<Sym>),
+    /// table that carry one `__occ` symbol under the parent's rowid.
+    Tagged(Tagged),
+}
+
+/// The rows of one starred item or choice branch, sort-merged under the
+/// parent's base table: the children of the parent row at position `p` are
+/// `rows[start[p]..start[p + 1]]`, in `__ord` order (row order on ties).
+struct Tagged {
+    /// The `__occ` symbol the rows carry. `None` is a tag nothing ever
+    /// interned, which therefore no row carries.
+    occ: Option<Sym>,
+    start: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Tagged {
+    fn new(occ: Option<Sym>) -> Self {
+        let (start, rows) = (Vec::new(), Vec::new());
+        Tagged { occ, start, rows }
+    }
+
+    /// Sorts `child`'s rows under the parent rows with one pass over
+    /// `child`: a row carrying `occ` is keyed by the position (`positions`,
+    /// the inverse of the parent's `__rowid` column) of the row its
+    /// `__parent` names — an integer in `0..n`, or the row attaches to no
+    /// parent. A counting sort by position follows, then `__ord` order
+    /// within each parent (linear on an assembled table: generator outputs
+    /// arrive grouped by parent with ascending ordinals). `keys` is scratch.
+    fn sort_merge(
+        &mut self,
+        reader: &Reader,
+        child: &Relation,
+        positions: &[u32],
+        keys: &mut Vec<u32>,
+    ) -> Result<(), MediatorError> {
+        let n = positions.len();
+        // `start[p + 2]` counts the rows of parent `p`; after the prefix
+        // sums, `start[p + 1]` walks from the begin of `p`'s rows to its end.
+        let mut start = vec![0u32; n + 2];
+        keys.clear();
+        if let Some(occ) = self.occ {
+            let occs = child.col_syms(child.col("__occ")?);
+            let parents = child.col_syms(child.col("__parent")?);
+            // Siblings sit together: only a change of parent resolves one.
+            let mut last = None;
+            for (&row_occ, &parent) in occs.iter().zip(parents) {
+                let key = match last {
+                    _ if row_occ != occ => NO_ROW,
+                    Some((sym, key)) if sym == parent => key,
+                    _ => {
+                        let id = reader.get(parent).as_int();
+                        let id = id.and_then(|id| usize::try_from(id).ok());
+                        let key = id.and_then(|id| positions.get(id).copied());
+                        last.insert((parent, key.unwrap_or(NO_ROW))).1
+                    }
+                };
+                if key != NO_ROW {
+                    start[key as usize + 2] += 1;
+                }
+                keys.push(key);
+            }
+        }
+        for p in 2..n + 2 {
+            start[p] += start[p - 1];
+        }
+        let mut rows = vec![0u32; start[n + 1] as usize];
+        for (row, &key) in keys.iter().enumerate().filter(|(_, &k)| k != NO_ROW) {
+            let slot = &mut start[key as usize + 1];
+            rows[*slot as usize] = row as u32;
+            *slot += 1;
+        }
+        start.truncate(n + 1);
+        // A parent's ordinals are almost always its rows' `0, 1, …`: compared
+        // as those integers' own symbols, they need no value looked up.
+        let widest = start.windows(2).map(|b| b[1] - b[0]).max().unwrap_or(0);
+        let counting = intern::int_syms(widest as usize);
+        let ords = child.col_syms(child.col("__ord")?);
+        let ord = |row: &u32| reader.get(ords[*row as usize]).as_int().unwrap_or(0);
+        for bounds in start.windows(2) {
+            let siblings = &mut rows[bounds[0] as usize..bounds[1] as usize];
+            let mut counted = siblings.iter().zip(counting.iter());
+            if !counted.all(|(&row, &i)| ords[row as usize] == i) && !siblings.is_sorted_by_key(ord)
+            {
+                siblings.sort_by_key(ord);
+            }
+        }
+        (self.start, self.rows) = (start, rows);
+        Ok(())
+    }
+}
+
+/// The row position of each `__rowid` of `elem`'s instance table, which must
+/// be a permutation of `0..n` (Root and Assemble number their rows so).
+fn rowid_positions(
+    aig: &Aig,
+    elem: ElemIdx,
+    reader: &Reader,
+    rowids: &[Sym],
+) -> Result<Vec<u32>, MediatorError> {
+    // As Assemble numbers them, the rowids are the symbols of `0..n`.
+    if intern::int_syms(rowids.len()).starts_with(rowids) {
+        return Ok((0..rowids.len() as u32).collect());
+    }
+    let mut positions = vec![NO_ROW; rowids.len()];
+    for (pos, &rowid) in rowids.iter().enumerate() {
+        let id = reader.get(rowid).as_int();
+        let id = id.and_then(|id| usize::try_from(id).ok());
+        match id.and_then(|id| positions.get_mut(id)) {
+            Some(slot) if *slot == NO_ROW => *slot = pos as u32,
+            _ => {
+                return Err(MediatorError::Internal(format!(
+                    "the `__rowid`s of T[{}] are not a permutation of 0..{}",
+                    aig.elem_name(elem),
+                    rowids.len()
+                )))
+            }
+        }
+    }
+    Ok(positions)
 }
 
 /// Plans are numbered depth-first from the root occurrence.
 const ROOT_PLAN: usize = 0;
 
-/// The tagging plan and index of one store. Every occurrence reachable from
+/// The tagging plan of one store, with every tagged child's rows sorted
+/// under its parent's (`Tagged`). Every occurrence reachable from
 /// the root through the productions is planned, depth-first, before the
 /// first node is written — whether or not the store holds a row of it. So an
 /// occurrence without a binding, or one whose base instance table is
@@ -158,7 +227,6 @@ struct Tagger<'a> {
     /// Plan index of every occurrence planned so far.
     ids: HashMap<Occ, usize>,
     plans: Vec<OccPlan<'a>>,
-    index: ChildrenIndex,
     /// Snapshot taken once planning has interned its tags and constants.
     reader: Reader,
 }
@@ -176,9 +244,14 @@ impl<'a> Tagger<'a> {
         let rowids = base.col_syms(base.col("__rowid")?);
         let id = self.plans.len();
         self.ids.insert(occ.clone(), id);
-        let body = Body::Children(Vec::new());
-        self.plans.push(OccPlan { base, rowids, body });
-        let tagged = |tag: String| ChildRows::Tagged(intern::lookup(&Value::str(tag)));
+        let (elem, body) = (occ.base, Body::Children(Vec::new()));
+        self.plans.push(OccPlan {
+            elem,
+            base,
+            rowids,
+            body,
+        });
+        let tagged = |tag: String| ChildRows::Tagged(Tagged::new(intern::lookup(&Value::str(tag))));
         // The tagged children in production order: element, occurrence, rows.
         let children: Vec<(ElemIdx, Occ, ChildRows)> = match &aig.elem_info(binding.elem).prod {
             Prod::Empty => Vec::new(),
@@ -229,36 +302,66 @@ impl<'a> Tagger<'a> {
         store: &'a RelStore,
         tree: &mut XmlTree,
     ) -> Result<Self, MediatorError> {
+        // Every instance table a child row can come from, with the columns
+        // that place a row, before anything else is read.
+        for &elem in graph.materialized.iter().filter(|&&e| e != aig.root) {
+            let rel = store.get(&RelKey::Instances(elem))?;
+            for column in ["__parent", "__occ", "__ord"] {
+                rel.col(column)?;
+            }
+        }
         let mut tagger = Tagger {
             aig,
             graph,
             store,
             ids: HashMap::new(),
             plans: Vec::new(),
-            index: ChildrenIndex::build(aig, graph, store)?,
             reader: Reader::snapshot(),
         };
         tagger.plan(Occ::mat(aig.root), tree)?;
         tagger.reader = Reader::snapshot();
-        match tagger.plans[ROOT_PLAN].base.len() {
-            1 => Ok(tagger),
-            n => Err(MediatorError::Internal(format!(
+        let n = tagger.plans[ROOT_PLAN].base.len();
+        if n != 1 {
+            return Err(MediatorError::Internal(format!(
                 "root instance table has {n} rows"
-            ))),
+            )));
         }
+        tagger.sort_merge()?;
+        Ok(tagger)
     }
 
-    /// The base rows (of the child's own base table) that are `child`'s
-    /// instances under the parent row `*base_idx` of `plan`.
-    fn child_rows<'s>(&'s self, plan: &OccPlan, child: &ChildPlan, base_idx: &'s u32) -> &'s [u32] {
-        match child.rows {
-            ChildRows::OfParent => std::slice::from_ref(base_idx),
-            ChildRows::Tagged(None) => &[],
-            ChildRows::Tagged(Some(occ)) => {
-                let parent = plan.rowids[*base_idx as usize];
-                self.index.rows(child.elem, occ, parent)
+    /// Sort-merges the rows of every starred item and choice branch under
+    /// its parent's base rows; a parent table's `__rowid` inverse is built
+    /// once, however many tagged children it has.
+    fn sort_merge(&mut self) -> Result<(), MediatorError> {
+        let Tagger {
+            aig,
+            store,
+            plans,
+            reader,
+            ..
+        } = self;
+        let mut positions: HashMap<ElemIdx, Vec<u32>> = HashMap::new();
+        let mut keys = Vec::new();
+        for plan in plans.iter_mut() {
+            let Body::Children(children) = &mut plan.body else {
+                continue;
+            };
+            for child in children {
+                let ChildRows::Tagged(tagged) = &mut child.rows else {
+                    continue;
+                };
+                let positions = match positions.entry(plan.elem) {
+                    Entry::Occupied(built) => built.into_mut(),
+                    Entry::Vacant(slot) => {
+                        slot.insert(rowid_positions(aig, plan.elem, reader, plan.rowids)?)
+                    }
+                };
+                let rel = store.get(&RelKey::Instances(child.elem))?;
+                tagged.sort_merge(reader, rel, positions, &mut keys)?;
             }
         }
+        Ok(())
     }
 
     /// The PCDATA of the base row `base_idx`.
@@ -290,7 +393,7 @@ impl<'a> Tagger<'a> {
             }
             Body::Children(children) => {
                 for child in children {
-                    for &child_idx in self.child_rows(plan, child, &base_idx) {
+                    for &child_idx in child.instances(&base_idx) {
                         let child_node = tree.add_tagged(node, child.tag);
                         self.tag_children(tree, child_node, child.plan, child_idx)?;
                     }
@@ -446,7 +549,7 @@ impl Retagger<'_> {
                 }
                 let mut cached_children = cached.element_children(cached_node);
                 for child in children {
-                    for &child_idx in tagger.child_rows(plan, child, &base_idx) {
+                    for &child_idx in child.instances(&base_idx) {
                         let cached_child = cached_children.next().ok_or_else(|| {
                             MediatorError::Internal("retag: the cached node lacks a child".into())
                         })?;

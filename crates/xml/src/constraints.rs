@@ -16,8 +16,9 @@
 use crate::error::XmlError;
 use crate::tree::{NodeId, TagId, XmlTree};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 /// A key constraint `context(target.field → target)`.
@@ -266,7 +267,131 @@ impl fmt::Display for Violation {
 // contexts. Tags are compared as the tree's tag ids, resolved once per
 // check, and a field's value is borrowed from the document's text buffer.
 // Each checker hands its violations to `report` in the order it finds them
-// and returns `true` as soon as `report` does.
+// and returns `true` as soon as `report` does. A closed context's sets are
+// emptied and reused by the next one, so sibling contexts share one.
+
+/// What a checker reacts to, in walk order.
+enum Step<'t> {
+    /// A context element opens (`true`) or closes.
+    Context(NodeId, bool),
+    /// An element of the `i`-th (element, field) pair opens, with the
+    /// PCDATA of its first field child (`None` if it has none).
+    Value(usize, Option<Cow<'t, str>>),
+}
+
+/// Feeds `visit` the [`Step`]s of `tree`'s walk for contexts tagged
+/// `context` and the (element, field) pairs `values` (a `None` pair has no
+/// element), until `visit` returns `true` — which this then returns.
+///
+/// An element's value is read when its field child is entered — at once if
+/// that is its first child, as in a document that follows its DTD. Until
+/// then the steps after it wait in a queue, so `visit` still sees each
+/// element entered with its value in hand, in walk order.
+fn walk_steps<'t, const N: usize>(
+    tree: &'t XmlTree,
+    context: TagId,
+    values: [Option<(TagId, TagId)>; N],
+    mut visit: impl FnMut(Step<'t>) -> bool,
+) -> bool {
+    // What each tag can take part in; other nodes pass by.
+    const STEP: u8 = 1;
+    const FIELD: u8 = 2;
+    let mut role = vec![0u8; tree.tags().len()];
+    role[context.0 as usize] = STEP;
+    for &(elem, field) in values.iter().flatten() {
+        role[elem.0 as usize] |= STEP;
+        role[field.0 as usize] |= FIELD;
+    }
+    // Elements still looking for their field child, innermost last: the
+    // element, its pair and the queue slot of its value.
+    let mut awaiting: Vec<(NodeId, usize, usize)> = Vec::new();
+    // Whether it is not empty, for the walk to pass field children by.
+    let awaits = Cell::new(false);
+    // Steps not yet visited, `None` for an awaited value; `queue[k]` is
+    // slot `taken + k`.
+    let mut queue: VecDeque<Option<Step<'t>>> = VecDeque::new();
+    let mut taken = 0;
+    macro_rules! emit {
+        ($step:expr) => {
+            match queue.is_empty() {
+                true if visit($step) => return true,
+                true => {}
+                false => queue.push_back(Some($step)),
+            }
+        };
+    }
+    // One walk event that plays a part (see below); `true` once `visit` has
+    // stopped the walk.
+    let event = &mut |node: NodeId, enter: bool, tag: TagId| {
+        if !enter {
+            // An element closing with no field child has no value.
+            while let Some(&(_, i, slot)) = awaiting.last().filter(|a| a.0 == node) {
+                queue[slot - taken] = Some(Step::Value(i, None));
+                awaiting.pop();
+            }
+            if tag == context {
+                emit!(Step::Context(node, false));
+            }
+        } else {
+            // The field child of an element awaiting one (of up to two
+            // pairs, both on top).
+            let parent = tree.parent(node);
+            let mut at = awaiting.len();
+            while at > 0 && Some(awaiting[at - 1].0) == parent {
+                at -= 1;
+                let (_, i, slot) = awaiting[at];
+                if values[i].is_some_and(|(_, field)| field == tag) {
+                    let value = Some(tree.pcdata_value(node));
+                    queue[slot - taken] = Some(Step::Value(i, value));
+                    awaiting.remove(at);
+                }
+            }
+            if tag == context {
+                emit!(Step::Context(node, true));
+            }
+            for (i, pair) in values.iter().enumerate() {
+                let Some((elem, field)) = *pair else {
+                    continue;
+                };
+                if elem != tag {
+                    continue;
+                }
+                let first = tree.first_child(node);
+                match first.filter(|&child| tree.elem_tag(child) == Some(field)) {
+                    Some(child) => emit!(Step::Value(i, Some(tree.pcdata_value(child)))),
+                    None => {
+                        awaiting.push((node, i, taken + queue.len()));
+                        queue.push_back(None);
+                    }
+                }
+            }
+        }
+        awaits.set(!awaiting.is_empty());
+        while let Some(Some(_)) = queue.front() {
+            let step = queue.pop_front().flatten().expect("just seen");
+            taken += 1;
+            if visit(step) {
+                return true;
+            }
+        }
+        false
+    };
+    // A fold, not a loop, and a lean one: every node costs a tag lookup, and
+    // only those with a part to play call `event` — an element on entry, a
+    // closing one as a context or while awaiting its value, a field child
+    // while a value is awaited.
+    let event: &mut dyn FnMut(NodeId, bool, TagId) -> bool = event;
+    let plays = |tag: TagId, enter: bool| match role[tag.0 as usize] {
+        0 => false,
+        FIELD => awaits.get(),
+        _ => enter || tag == context || awaits.get(),
+    };
+    tree.walk(tree.root())
+        .fold(false, |stopped, (node, enter)| {
+            let tag = tree.elem_tag(node).filter(|&tag| plays(tag, enter));
+            stopped || tag.is_some_and(|tag| event(node, enter, tag))
+        })
+}
 
 /// Checks a key constraint: within every `C`-rooted subtree, no two distinct
 /// `A` elements share an `l` value (each duplicated value is reported once
@@ -280,22 +405,21 @@ fn key_violations(tree: &XmlTree, key: &Key, report: &mut impl FnMut(Violation) 
     // Open contexts, each with the key values seen so far and whether the
     // value was already reported.
     let mut contexts: Vec<(NodeId, HashMap<Cow<'_, str>, bool>)> = Vec::new();
-    for (node, enter) in tree.walk(tree.root()) {
-        let Some(tag) = tree.elem_tag(node) else {
-            continue;
-        };
-        if !enter {
-            if tag == context {
-                contexts.pop();
+    let mut spare = Vec::new();
+    walk_steps(tree, context, [Some((target, field))], |step| {
+        let value = match step {
+            Step::Context(node, true) => {
+                contexts.push((node, spare.pop().unwrap_or_default()));
+                return false;
             }
-            continue;
-        }
-        if tag == context {
-            contexts.push((node, HashMap::new()));
-        }
-        let value = (tag == target).then(|| tree.child_tagged(node, field));
-        let Some(value) = value.flatten().map(|l| tree.pcdata_value(l)) else {
-            continue;
+            Step::Context(_, false) => {
+                let (_, mut seen) = contexts.pop().expect("balanced walk");
+                seen.clear();
+                spare.push(seen);
+                return false;
+            }
+            Step::Value(_, None) => return false,
+            Step::Value(_, Some(value)) => value,
         };
         for (ctx, seen) in contexts.iter_mut() {
             match seen.entry(value.clone()) {
@@ -309,8 +433,8 @@ fn key_violations(tree: &XmlTree, key: &Key, report: &mut impl FnMut(Violation) 
                 }
             }
         }
-    }
-    false
+        false
+    })
 }
 
 /// Checks an inclusion constraint: within every `C`-rooted subtree, the set
@@ -326,55 +450,51 @@ fn inclusion_violations(
     let [Some(context), Some(lhs_elem), Some(lhs_field)] = tags else {
         return false;
     };
-    let (rhs_elem, rhs_field) = (tree.tag_id(&ic.rhs_elem), tree.tag_id(&ic.rhs_field));
+    // Note: B and A may be the same element type with different fields.
+    let rhs = tree.tag_id(&ic.rhs_elem).zip(tree.tag_id(&ic.rhs_field));
+    /// An open context: each `B.lB` value with the order of its first
+    /// occurrence, and the `A.lA` values.
+    #[derive(Default)]
     struct Ctx<'t> {
-        node: NodeId,
-        lhs: Vec<Cow<'t, str>>,
+        lhs: HashMap<Cow<'t, str>, usize>,
         rhs: HashSet<Cow<'t, str>>,
     }
     let mut contexts: Vec<Ctx> = Vec::new();
-    // The `field` value of `node` if it is an `elem` (either may be a tag
-    // the tree does not have).
-    let value = |node, tag, elem: Option<TagId>, field: Option<TagId>| {
-        let field = tree.child_tagged(node, field.filter(|_| Some(tag) == elem)?)?;
-        Some(tree.pcdata_value(field))
-    };
-    for (node, enter) in tree.walk(tree.root()) {
-        let Some(tag) = tree.elem_tag(node) else {
-            continue;
-        };
-        if !enter {
-            if tag == context {
-                let ctx = contexts.pop().expect("balanced enter/exit");
-                let mut reported = HashSet::new();
-                for value in ctx.lhs.iter().filter(|v| !ctx.rhs.contains(*v)) {
-                    if reported.insert(value) && report(violation(tree, ic, ctx.node, value)) {
+    let mut spare = Vec::new();
+    walk_steps(tree, context, [Some((lhs_elem, lhs_field)), rhs], |step| {
+        match step {
+            Step::Context(_, true) => contexts.push(spare.pop().unwrap_or_default()),
+            Step::Context(node, false) => {
+                let mut ctx = contexts.pop().expect("balanced walk");
+                let mut missing: Vec<_> = (ctx.lhs.iter())
+                    .filter(|(value, _)| !ctx.rhs.contains(*value))
+                    .map(|(value, &first)| (first, value))
+                    .collect();
+                missing.sort_unstable();
+                for (_, value) in missing {
+                    if report(violation(tree, ic, node, value)) {
                         return true;
                     }
                 }
+                ctx.lhs.clear();
+                ctx.rhs.clear();
+                spare.push(ctx);
             }
-            continue;
-        }
-        if tag == context {
-            contexts.push(Ctx {
-                node,
-                lhs: Vec::new(),
-                rhs: HashSet::new(),
-            });
-        }
-        // Note: B and A may be the same element type with different fields.
-        if let Some(value) = value(node, tag, Some(lhs_elem), Some(lhs_field)) {
-            for ctx in contexts.iter_mut() {
-                ctx.lhs.push(value.clone());
+            Step::Value(_, None) => {}
+            Step::Value(0, Some(value)) => {
+                for ctx in contexts.iter_mut() {
+                    let first = ctx.lhs.len();
+                    ctx.lhs.entry(value.clone()).or_insert(first);
+                }
             }
-        }
-        if let Some(value) = value(node, tag, rhs_elem, rhs_field) {
-            for ctx in contexts.iter_mut() {
-                ctx.rhs.insert(value.clone());
+            Step::Value(_, Some(value)) => {
+                for ctx in contexts.iter_mut() {
+                    ctx.rhs.insert(value.clone());
+                }
             }
         }
-    }
-    false
+        false
+    })
 }
 
 fn violation(

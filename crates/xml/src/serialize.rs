@@ -19,19 +19,40 @@ pub fn escape_text(text: &str, out: &mut String) {
     out.push_str(&text[run..]);
 }
 
-/// Serializes the document compactly (no whitespace between elements), so
-/// that parsing it back yields a structurally equal tree.
+/// Serializes the document compactly (no whitespace between elements).
+/// Parsing the output back yields the same tree up to text nodes: adjacent
+/// ones merge, and empty or whitespace-only ones are dropped (an element
+/// holding one empty text node serializes to `<e></e>`, which parses back
+/// with no child).
+///
+/// One pass over the walk events: an element's start tag stays open until
+/// the next event says whether a child follows (`>`) or it closes (`/>`).
 pub fn to_string(tree: &XmlTree) -> String {
+    let names: Vec<&str> = tree.tags().iter().map(|tag| &**tag).collect();
     let mut out = String::with_capacity(tree.markup_len());
-    for (node, enter) in tree.walk(tree.root()) {
-        match (tree.kind(node), enter, tree.children(node).is_empty()) {
-            (NodeKind::Text(text), true, _) => escape_text(text, &mut out),
-            (NodeKind::Element(tag), true, true) => out.extend(["<", tag, "/>"]),
-            (NodeKind::Element(tag), true, false) => out.extend(["<", tag, ">"]),
-            (NodeKind::Element(tag), false, false) => out.extend(["</", tag, ">"]),
-            (_, false, _) => {}
+    let mut start_open = false;
+    tree.walk(tree.root()).for_each(|(node, enter)| {
+        if std::mem::take(&mut start_open) {
+            match enter {
+                true => out.push('>'),
+                false => return out.push_str("/>"),
+            }
         }
-    }
+        match (tree.elem_tag(node), enter) {
+            (Some(tag), true) => {
+                out.push('<');
+                out.push_str(names[tag.0 as usize]);
+                start_open = true;
+            }
+            (Some(tag), false) => {
+                out.push_str("</");
+                out.push_str(names[tag.0 as usize]);
+                out.push('>');
+            }
+            (None, true) => escape_text(tree.pcdata(node), &mut out),
+            (None, false) => {}
+        }
+    });
     out
 }
 
@@ -97,6 +118,16 @@ mod tests {
         assert!(s.contains("<SSN>12&lt;3&amp;4&gt;5</SSN>"));
         assert!(s.contains("    <bill/>"));
         assert!(s.ends_with("</report>\n"));
+    }
+
+    #[test]
+    fn an_empty_text_node_does_not_survive_a_round_trip() {
+        let mut t = XmlTree::new("r");
+        let e = t.add_element(t.root(), "e");
+        t.add_text(e, "");
+        assert_eq!(to_string(&t), "<r><e></e></r>");
+        let parsed = crate::parse::parse(&to_string(&t)).unwrap();
+        assert_eq!((t.len(), parsed.len()), (3, 2));
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! derived from the parent column on the first read after a mutation —
 //! build, then read. Adding a node is three `push`es, `Clone` is a few
 //! `memcpy`s, and nothing is allocated per node.
+//!
+//! A tree built in document order — every node added under the previous
+//! node or one of its open ancestors, as the tagger, the parser and the
+//! subtree copier do — has ids that *are* its pre-order. Its walks then scan
+//! ids with no index and no stack; only random access ([`XmlTree::children`])
+//! and trees built out of order pay for the child index.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -78,6 +84,10 @@ pub struct XmlTree {
     /// the index is rebuilt.
     reorders: Vec<(NodeId, Vec<NodeId>)>,
     index: OnceLock<ChildIndex>,
+    /// True while node ids are a pre-order of the document: every node was
+    /// added under the previous node or one of its ancestors, and no
+    /// reorder was recorded.
+    preorder: bool,
 }
 
 impl XmlTree {
@@ -92,6 +102,7 @@ impl XmlTree {
             text: String::new(),
             reorders: Vec::new(),
             index: OnceLock::new(),
+            preorder: true,
         };
         let root = tree.intern_tag(&root_tag.into());
         tree.tag.push(root.0);
@@ -114,6 +125,13 @@ impl XmlTree {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.tag.len() <= 1
+    }
+
+    /// True while node ids are the document's pre-order (see the module
+    /// docs): walks then scan ids instead of building the child index.
+    #[inline]
+    pub fn in_document_order(&self) -> bool {
+        self.preorder
     }
 
     /// Registers `tag` in this tree's tag table (once) and returns its id,
@@ -164,6 +182,16 @@ impl XmlTree {
             .ok()
             .filter(|&id| id != NONE)
             .expect("tree exceeds u32 nodes");
+        // Document order holds if `parent` is the previous node or one of
+        // its ancestors. Every node climbed past is closed for good, so the
+        // climbs of a whole build cost one step per node.
+        if self.preorder {
+            let mut open = id - 1;
+            while open != parent.0 && open != NONE {
+                open = self.parent[open as usize];
+            }
+            self.preorder = open == parent.0;
+        }
         self.tag.push(tag);
         self.parent.push(parent.0);
         self.text_end
@@ -210,7 +238,7 @@ impl XmlTree {
 
     /// The bytes `node` added to the text buffer (none for an element).
     #[inline]
-    fn pcdata(&self, node: NodeId) -> &str {
+    pub(crate) fn pcdata(&self, node: NodeId) -> &str {
         let start = match node.index() {
             0 => 0,
             i => self.text_end[i - 1],
@@ -282,6 +310,16 @@ impl XmlTree {
         &index.ids[from as usize..to as usize]
     }
 
+    /// The first child of `node`: on a tree in document order the next id,
+    /// if `node` is its parent.
+    pub(crate) fn first_child(&self, node: NodeId) -> Option<NodeId> {
+        if self.preorder {
+            let next = node.0 + 1;
+            return (self.parent.get(next as usize) == Some(&node.0)).then_some(NodeId(next));
+        }
+        self.children(node).first().copied()
+    }
+
     /// The ordered element children of `node` (text nodes skipped).
     pub fn element_children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.children(node)
@@ -292,10 +330,7 @@ impl XmlTree {
 
     /// The first child of `node` with tag `tag`, if any.
     pub fn child_by_tag(&self, node: NodeId, tag: &str) -> Option<NodeId> {
-        self.child_tagged(node, self.tag_id(tag)?)
-    }
-
-    pub(crate) fn child_tagged(&self, node: NodeId, tag: TagId) -> Option<NodeId> {
+        let tag = self.tag_id(tag)?;
         let mut children = self.children(node).iter().copied();
         children.find(|&c| self.tag[c.index()] == tag.0)
     }
@@ -309,8 +344,23 @@ impl XmlTree {
     }
 
     /// [`XmlTree::text_value`], borrowed from the text buffer when `node`
-    /// has a single child.
+    /// has a single child or, in document order, only text children.
     pub(crate) fn pcdata_value(&self, node: NodeId) -> Cow<'_, str> {
+        if self.preorder {
+            // The children follow `node`, and a text child is a leaf: if
+            // `node` closes after a run of text, that run is all of them, and
+            // their PCDATA is one slice of the buffer.
+            let is_child = |i: usize| self.parent.get(i) == Some(&node.0);
+            let run = node.index() + 1..;
+            let end = run
+                .take_while(|&i| is_child(i) && self.tag[i] == NONE)
+                .last();
+            let end = end.unwrap_or(node.index());
+            if !is_child(end + 1) {
+                let span = self.text_end[node.index()]..self.text_end[end];
+                return Cow::Borrowed(&self.text[span.start as usize..span.end as usize]);
+            }
+        }
         match self.children(node) {
             [only] => Cow::Borrowed(self.text(*only).unwrap_or_default()),
             children => Cow::Owned(children.iter().filter_map(|&c| self.text(c)).collect()),
@@ -337,17 +387,21 @@ impl XmlTree {
     /// node twice: `(n, true)` on the way down, `(n, false)` on the way up.
     /// Every whole-tree walk of this crate is a loop over it, so document
     /// depth never becomes call-stack depth.
-    pub fn walk(&self, node: NodeId) -> impl Iterator<Item = (NodeId, bool)> + '_ {
-        let mut stack = vec![(node, true)];
-        std::iter::from_fn(move || {
-            let (node, enter) = stack.pop()?;
-            if enter {
-                stack.push((node, false));
-                let children = self.children(node).iter().rev();
-                stack.extend(children.map(|&c| (c, true)));
-            }
-            Some((node, enter))
-        })
+    ///
+    /// On a tree [in document order](XmlTree::in_document_order) this is a
+    /// scan of ids: the subtree is the run of ids from `node` on that ends
+    /// where it closes, and the open path is the parent chain of the last
+    /// node entered — no index, no stack, no allocation. Any other tree is
+    /// walked through the child index, the only order that is right there.
+    pub fn walk(&self, node: NodeId) -> Walk<'_> {
+        Walk {
+            tree: self,
+            root: node.0,
+            next: node.0,
+            open: NONE,
+            depth: 0,
+            index: (!self.preorder).then(|| vec![(node, true)]),
+        }
     }
 
     /// The depth of `node` (root has depth 0).
@@ -428,6 +482,12 @@ impl XmlTree {
             b.sort_unstable();
             a == b
         });
+        // In document order, a node's children are in id order: ascending
+        // ids change nothing, anything else ends document order.
+        if self.preorder && order.is_sorted() {
+            return;
+        }
+        self.preorder = false;
         // Patch a built index in place: a reorder must not cost a rebuild.
         if let Some(index) = self.index.get_mut() {
             let at = index.start[parent.index()] as usize;
@@ -491,6 +551,91 @@ impl PartialEq for XmlTree {
 }
 
 impl Eq for XmlTree {}
+
+/// The events of [`XmlTree::walk`].
+pub struct Walk<'a> {
+    tree: &'a XmlTree,
+    root: u32,
+    /// In document order: the next id to enter, the innermost open node and
+    /// the number of open nodes — `0` before `root` is entered and after it
+    /// closes.
+    next: u32,
+    open: u32,
+    depth: u32,
+    /// Otherwise, the nodes still to enter or leave, through the child index.
+    index: Option<Vec<(NodeId, bool)>>,
+}
+
+impl Iterator for Walk<'_> {
+    type Item = (NodeId, bool);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, bool)> {
+        if let Some(stack) = &mut self.index {
+            let (node, enter) = stack.pop()?;
+            if enter {
+                stack.push((node, false));
+                let children = self.tree.children(node).iter().rev();
+                stack.extend(children.map(|&c| (c, true)));
+            }
+            return Some((node, enter));
+        }
+        let parents = &self.tree.parent;
+        let enters = match self.depth {
+            0 if self.next != self.root => return None,
+            0 => true,
+            _ => parents.get(self.next as usize) == Some(&self.open),
+        };
+        if enters {
+            (self.open, self.depth) = (self.next, self.depth + 1);
+            self.next += 1;
+            return Some((NodeId(self.open), true));
+        }
+        let closed = self.open;
+        (self.open, self.depth) = (parents[closed as usize], self.depth - 1);
+        Some((NodeId(closed), false))
+    }
+
+    /// The id scan as nested loops — enter a node, then close the open
+    /// nodes the next one is not a child of — so that a consumer's test of
+    /// `enter` folds away.
+    fn fold<B, F>(mut self, mut acc: B, mut f: F) -> B
+    where
+        F: FnMut(B, (NodeId, bool)) -> B,
+    {
+        if self.index.is_some() {
+            for event in self.by_ref() {
+                acc = f(acc, event);
+            }
+            return acc;
+        }
+        let Walk {
+            tree,
+            root,
+            mut next,
+            mut open,
+            mut depth,
+            ..
+        } = self;
+        let parents = &tree.parent;
+        if depth == 0 && next == root {
+            acc = f(acc, (NodeId(next), true));
+            (open, depth, next) = (next, 1, next + 1);
+        }
+        while depth > 0 {
+            let parent = parents.get(next as usize).copied().unwrap_or(NONE);
+            while depth > 0 && open != parent {
+                acc = f(acc, (NodeId(open), false));
+                (open, depth) = (parents[open as usize], depth - 1);
+            }
+            if depth > 0 {
+                acc = f(acc, (NodeId(next), true));
+                (open, depth, next) = (next, depth + 1, next + 1);
+            }
+        }
+        acc
+    }
+}
 
 /// What [`SubtreeCopier::copy_children`] does with one source node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

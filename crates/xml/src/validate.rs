@@ -3,7 +3,8 @@
 //! Two validators are provided:
 //!
 //! * [`validate()`] checks a document against a restricted-form [`Dtd`]
-//!   directly (the forms of paper §2 admit a trivial linear check), and
+//!   directly (the forms of paper §2 admit a one-pass check over the walk
+//!   events, with [`validate_by_node`] naming the error), and
 //! * [`validate_general`] checks a document against a [`GeneralDtd`] by
 //!   compiling each content model to a Glushkov NFA and running the child tag
 //!   sequence through it.
@@ -36,10 +37,132 @@ impl std::error::Error for ValidationError {}
 /// be labeled with the root type, every element's children must match its
 /// production, and text nodes may appear only under PCDATA-typed elements.
 ///
-/// The tree's tags are resolved to element types once per call; the walk
-/// itself (pre-order, so the first offending node in document order is the
-/// one reported) compares integers.
+/// One pass over the walk events, with one content-model state per open
+/// element: how many children it has had, which is the position in a
+/// `Seq`. A document that fails is handed to [`validate_by_node`] to name
+/// its first offending node in pre-order, so the verdict is this pass's and
+/// the message that checker's.
 pub fn validate(tree: &XmlTree, dtd: &Dtd) -> Result<(), ValidationError> {
+    if conforms(tree, dtd) {
+        return Ok(());
+    }
+    let named = validate_by_node(tree, dtd);
+    debug_assert!(named.is_err(), "the two validators disagree");
+    named
+}
+
+/// The productions of one tree's tags, over that tree's tag ids so the walk
+/// compares integers: tag `t`'s is `table[3t..3t + 3]` = `[kind, a, n]`, a
+/// [`STAR`] of tag `a`, or a [`SEQ`] / [`CHOICE`] of the `n` tags listed at
+/// `table[a..]` after the per-tag entries.
+struct Rules(Vec<u32>);
+
+const UNDECLARED: u32 = 0;
+const PCDATA: u32 = 1;
+const EMPTY: u32 = 2;
+const STAR: u32 = 3;
+const SEQ: u32 = 4;
+const CHOICE: u32 = 5;
+/// The tag of a text node.
+const TEXT: u32 = u32::MAX;
+/// The tag of an element type no element of the tree has.
+const ABSENT: u32 = u32::MAX - 1;
+
+impl Rules {
+    fn new(tree: &XmlTree, dtd: &Dtd) -> Rules {
+        let models = || (tree.tags().iter()).map(|tag| dtd.elem(tag).map(|e| dtd.production(e)));
+        let lists = models().map(|model| match model {
+            Some(ContentModel::Seq(list) | ContentModel::Choice(list)) => list.len(),
+            _ => 0,
+        });
+        let mut table = Vec::with_capacity(3 * tree.tags().len() + lists.sum::<usize>());
+        table.resize(3 * tree.tags().len(), 0);
+        let tag_of = |elem: ElemId| tree.tag_id(dtd.name(elem)).map_or(ABSENT, |tag| tag.0);
+        for (t, model) in models().enumerate() {
+            let at = table.len() as u32;
+            let rule = match model {
+                None => [UNDECLARED, 0, 0],
+                Some(ContentModel::Pcdata) => [PCDATA, 0, 0],
+                Some(ContentModel::Empty) => [EMPTY, 0, 0],
+                Some(ContentModel::Star(want)) => [STAR, tag_of(*want), 0],
+                Some(ContentModel::Seq(list)) => [SEQ, at, list.len() as u32],
+                Some(ContentModel::Choice(list)) => [CHOICE, at, list.len() as u32],
+            };
+            if let Some(ContentModel::Seq(list) | ContentModel::Choice(list)) = model {
+                table.extend(list.iter().map(|&elem| tag_of(elem)));
+            }
+            table[3 * t..3 * t + 3].copy_from_slice(&rule);
+        }
+        Rules(table)
+    }
+
+    #[inline]
+    fn of(&self, tag: u32) -> [u32; 3] {
+        let at = 3 * tag as usize;
+        let rule: &[u32; 3] = self.0[at..at + 3].try_into().expect("three entries");
+        *rule
+    }
+
+    #[inline]
+    fn list(&self, at: u32, n: u32) -> &[u32] {
+        &self.0[at as usize..(at + n) as usize]
+    }
+}
+
+/// The verdict of [`validate`].
+#[allow(clippy::unnecessary_fold)]
+fn conforms(tree: &XmlTree, dtd: &Dtd) -> bool {
+    if tree.tag(tree.root()) != Some(dtd.name(dtd.root())) {
+        return false;
+    }
+    let rules = Rules::new(tree, dtd);
+    // Per open element, innermost last: its rule `[kind, a, n]` and its
+    // children so far (the position in a `Seq`). Documents nest a few dozen
+    // deep.
+    let mut open: Vec<[u32; 4]> = Vec::with_capacity(64);
+    let mut event = |(node, enter): (NodeId, bool)| {
+        let tag = tree.elem_tag(node).map_or(TEXT, |tag| tag.0);
+        if !enter {
+            if tag == TEXT {
+                return true;
+            }
+            let [kind, _, n, seen] = open.pop().expect("balanced walk");
+            return match kind {
+                PCDATA | CHOICE => seen == 1,
+                SEQ => seen == n,
+                _ => true,
+            };
+        }
+        if let Some([kind, a, n, seen]) = open.last_mut() {
+            let fits = match *kind {
+                STAR => tag == *a,
+                SEQ => *seen < *n && rules.0[(*a + *seen) as usize] == tag,
+                PCDATA => *seen == 0 && tag == TEXT,
+                CHOICE => *seen == 0 && tag != TEXT && rules.list(*a, *n).contains(&tag),
+                _ => false,
+            };
+            *seen += 1;
+            if !fits {
+                return false;
+            }
+        }
+        if tag == TEXT {
+            return true;
+        }
+        let [kind, a, n] = rules.of(tag);
+        open.push([kind, a, n, 0]);
+        kind != UNDECLARED
+    };
+    // A fold, not `all`, which would step the walk through `next`: the
+    // fold runs the id scan's nested loops, enter and exit paths apart.
+    tree.walk(tree.root()).fold(true, |ok, e| ok && event(e))
+}
+
+/// The per-node checker: every element in pre-order, its child list against
+/// its production. [`validate`] runs it only to name the first offending
+/// node of a document it rejected; it stays as the reference its verdict and
+/// messages are tested against.
+pub fn validate_by_node(tree: &XmlTree, dtd: &Dtd) -> Result<(), ValidationError> {
     let root = tree.root();
     let root_tag = tree.tag(root).expect("root is an element");
     if root_tag != dtd.name(dtd.root()) {

@@ -135,7 +135,6 @@ fn main() {
         "delta scope",
         "tasks re-run",
         "rows spliced",
-        "nodes reused",
         "constraints checked",
         "incr wall (s)",
         "full wall (s)",
@@ -149,7 +148,6 @@ fn main() {
                 c.scope.name().to_string(),
                 format!("{}/{}", i.tasks_rerun, i.tasks_total),
                 format!("{}", i.rows_spliced),
-                format!("{}", i.nodes_reused),
                 format!("{}/{}", i.constraints_scoped, i.constraints_total),
                 format!("{:.4}", c.wall_incr_secs),
                 format!("{:.4}", c.wall_full_secs),
@@ -177,8 +175,6 @@ fn main() {
             ("tasks_rerun", Json::num(i.tasks_rerun as f64)),
             ("tasks_total", Json::num(i.tasks_total as f64)),
             ("rows_spliced", Json::num(i.rows_spliced as f64)),
-            ("nodes_reused", Json::num(i.nodes_reused as f64)),
-            ("nodes_rebuilt", Json::num(i.nodes_rebuilt as f64)),
             ("constraints_scoped", Json::num(i.constraints_scoped as f64)),
             ("wall_incr_secs", Json::num(c.wall_incr_secs)),
             ("wall_full_secs", Json::num(c.wall_full_secs)),

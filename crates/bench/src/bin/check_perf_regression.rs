@@ -548,13 +548,9 @@ fn check_deltas(gate: &Gate, baseline: &Json, current: &Json) {
             && gate.num(&price, "tasks_rerun") <= gate.num(&price_cover, "tasks_rerun")
             && gate.num(&price_cover, "tasks_rerun") <= gate.num(&all, "tasks_rerun"),
     );
-    gate.require(
-        "deltas: the price-delta retag no longer reuses most document nodes",
-        gate.num(&price, "nodes_reused") > gate.num(&price, "nodes_rebuilt"),
-    );
     // Re-run counts and splice sizes are pure functions of the seeded
     // dataset and the seeded deltas. Tight drift bands.
-    for key in ["tasks_rerun", "rows_spliced", "nodes_reused"] {
+    for key in ["tasks_rerun", "rows_spliced"] {
         gate.within(
             &format!("deltas price {key}"),
             gate.num(&cell(baseline, "price"), key),

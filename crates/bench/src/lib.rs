@@ -40,9 +40,7 @@ pub fn fig10_options(unfold: usize, mbps: f64) -> MediatorOptions {
         unfold_depth: unfold,
         max_depth: unfold,
         cutoff: CutOff::Truncate,
-        merging: true,
         check_guards: true,
-        validate_output: false, // verified by tests; not part of §6 timing
         network: NetworkModel::mbps(mbps),
         ..MediatorOptions::default()
     };

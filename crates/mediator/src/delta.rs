@@ -27,11 +27,13 @@
 //!    measurements forward.
 //!
 //! The byte-identity invariant carries over from the executors: a spliced
-//! store is relation-for-relation equal to a cold run's store, so the
-//! retagged document ([`crate::tagging::retag_document`]) and every
-//! downstream artifact are byte-identical to a cold full run. Fault
-//! injection replays deterministically per `(task, attempt)`, so transient
-//! and latency faults re-run identically; mid-run outage plans
+//! store is relation-for-relation equal to a cold run's store, and the
+//! refresh tags it exactly as a cold run does
+//! ([`crate::tagging::tag_document`], in [`crate::plan`]'s shared finisher),
+//! so the document and every downstream artifact are byte-identical to a
+//! cold full run. Fault injection replays deterministically per
+//! `(task, attempt)`, so transient and latency faults re-run identically;
+//! mid-run outage plans
 //! (`dies_after`) depend on global per-source completion counts and take
 //! the full-run path instead (see [`crate::service::Mediator`]).
 
@@ -176,9 +178,9 @@ pub fn rerun_mask(graph: &TaskGraph, seeds: &[usize]) -> Vec<bool> {
 }
 
 /// Materialized elements whose instance tables the re-run subgraph
-/// produces — the taint set of the document retag: everything below these
-/// elements rebuilds from the spliced store, everything else copies
-/// verbatim from the cached tree.
+/// produces — the taint set of a refresh: every other instance table is
+/// the snapshot's own, so only nodes at or below these elements can differ
+/// from the previous document.
 pub(crate) fn tainted_elems(graph: &TaskGraph, rerun: &[bool]) -> HashSet<ElemIdx> {
     graph
         .materialized
@@ -195,9 +197,12 @@ pub(crate) fn tainted_elems(graph: &TaskGraph, rerun: &[bool]) -> HashSet<ElemId
 
 /// Element tags reachable from the tainted elements through the unfolded
 /// productions (internal computation states are never tagged and are not
-/// descended into) — the scope of the incremental constraint re-check: a
-/// constraint none of whose tags appear here touches only verbatim-copied
-/// subtrees with unchanged values, so its previously-checked result holds.
+/// descended into) — the scope of the incremental constraint re-check.
+/// Tagging is a deterministic function of the store, and every relation
+/// outside the re-run mask is the snapshot's own, so the nodes outside the
+/// scope are the ones the previous, fully checked document had: a
+/// constraint none of whose tags appear here sees the same values, and its
+/// previous result holds.
 pub(crate) fn scope_tags(aig: &Aig, tainted: &HashSet<ElemIdx>) -> HashSet<String> {
     let mut seen: HashSet<ElemIdx> = HashSet::new();
     let mut stack: Vec<ElemIdx> = tainted.iter().copied().collect();

@@ -33,9 +33,6 @@ use std::time::Instant;
 
 #[cfg(test)]
 mod columnar_tests;
-// `columnar_tests` names it through `super::*`.
-#[cfg(test)]
-use std::collections::HashSet;
 
 /// How the parallel executor orders tasks at each source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,8 +95,6 @@ impl SchedLog {
 pub struct ExecPolicy {
     /// Whether compiled-constraint guards abort the run.
     pub check_guards: bool,
-    /// Whether the output is validated against the DTD (sanity check).
-    pub validate_output: bool,
     /// Whether the integrity defense runs: per-task guard checks on shipped
     /// relations plus the key/inclusion constraint check on the tagged
     /// document, with detections recorded in the report's integrity ledger.
@@ -141,11 +136,11 @@ pub struct ExecPolicy {
     pub batch_rows: usize,
     /// Incremental re-evaluation on source deltas (see [`crate::delta`]):
     /// when on, the [`crate::service::Mediator`] keeps a post-run snapshot
-    /// (store + document + per-task read-sets) per prepared plan and, after
-    /// a [`aig_relstore::SourceDelta`], re-runs only the task subgraph
-    /// whose read-sets intersect the delta's touched tables — splicing the
-    /// re-shipped sub-relations into the cached store and re-tagging only
-    /// the affected document subtrees. Documents are byte-identical to a
+    /// (store + per-task measurements) per prepared plan and, after a
+    /// [`aig_relstore::SourceDelta`], re-runs only the task subgraph whose
+    /// read-sets intersect the delta's touched tables — splicing the
+    /// re-shipped sub-relations into the cached store and tagging the
+    /// spliced store as a cold run does. Documents are byte-identical to a
     /// cold full run either way; off by default.
     pub incremental: bool,
 }
@@ -154,7 +149,6 @@ impl Default for ExecPolicy {
     fn default() -> Self {
         ExecPolicy {
             check_guards: true,
-            validate_output: true,
             check_integrity: false,
             parallel_exec: false,
             network: crate::sim::NetworkModel::default(),

@@ -558,12 +558,16 @@ report_struct! {
         pub dirty_tables: Vec<String>,
         /// Rows of re-run task outputs spliced into the cached store.
         pub rows_spliced: u64,
-        /// Document nodes copied verbatim from the cached tree during retag.
+        /// Document nodes copied from a cached document: always 0, since a
+        /// refresh tags the spliced store as a cold run does. Kept so the
+        /// report schema does not move; ROADMAP 1(a) can drop it.
         pub nodes_reused: usize,
-        /// Document nodes rebuilt from the spliced store during retag.
+        /// Document nodes built on a snapshot hit: the served document's
+        /// node count (0 otherwise). Kept with `nodes_reused`; ROADMAP 1(a)
+        /// can drop both.
         pub nodes_rebuilt: usize,
-        /// Constraints whose element tags intersected the retag scope (the
-        /// subset the scoped integrity check evaluated).
+        /// Constraints whose element tags intersected the refresh's scope
+        /// (the subset the scoped integrity check evaluated).
         pub constraints_scoped: usize,
         /// Constraints in the AIG's constraint set.
         pub constraints_total: usize,

@@ -41,12 +41,8 @@ pub struct MediatorOptions {
     pub max_depth: usize,
     /// Truncate at the depth (the paper's §6 setup) or detect and extend.
     pub cutoff: CutOff,
-    /// Whether query merging (§5.4) is applied when reporting response time.
-    pub merging: bool,
     /// Whether compiled-constraint guards abort the run.
     pub check_guards: bool,
-    /// Whether the output is validated against the DTD (sanity check).
-    pub validate_output: bool,
     /// Whether the integrity defense runs: per-task guard checks on shipped
     /// relations plus the key/inclusion constraint check on the tagged
     /// document (see [`crate::integrity`]).
@@ -105,9 +101,7 @@ impl Default for MediatorOptions {
             unfold_depth: 3,
             max_depth: 64,
             cutoff: CutOff::Frontier,
-            merging: true,
             check_guards: true,
-            validate_output: true,
             check_integrity: false,
             parallel_exec: false,
             network: NetworkModel::default(),
@@ -161,7 +155,6 @@ impl MediatorOptions {
             unfold_depth: self.unfold_depth,
             max_depth: self.max_depth,
             cutoff: self.cutoff,
-            merging: self.merging,
             graph: self.graph.clone(),
             shipcut: self.shipcut,
         }
@@ -171,7 +164,6 @@ impl MediatorOptions {
     pub fn exec_policy(&self) -> ExecPolicy {
         ExecPolicy {
             check_guards: self.check_guards,
-            validate_output: self.validate_output,
             check_integrity: self.check_integrity,
             parallel_exec: self.parallel_exec,
             network: self.network.clone(),
@@ -184,32 +176,6 @@ impl MediatorOptions {
             batching: self.batching,
             batch_rows: self.batch_rows,
             incremental: self.incremental,
-        }
-    }
-
-    /// Reassembles the facade from its two halves.
-    pub fn from_parts(plan: PlanOptions, policy: ExecPolicy) -> MediatorOptions {
-        MediatorOptions {
-            unfold_depth: plan.unfold_depth,
-            max_depth: plan.max_depth,
-            cutoff: plan.cutoff,
-            merging: plan.merging,
-            graph: plan.graph,
-            shipcut: plan.shipcut,
-            check_guards: policy.check_guards,
-            validate_output: policy.validate_output,
-            check_integrity: policy.check_integrity,
-            parallel_exec: policy.parallel_exec,
-            network: policy.network,
-            faults: policy.faults,
-            retry: policy.retry,
-            scheduling: policy.scheduling,
-            threads: policy.threads,
-            par_threshold: policy.par_threshold,
-            deadline_secs: policy.deadline_secs,
-            batching: policy.batching,
-            batch_rows: policy.batch_rows,
-            incremental: policy.incremental,
         }
     }
 }
@@ -290,18 +256,6 @@ impl MediatorOptionsBuilder {
         self
     }
 
-    /// Whether query merging (§5.4) is applied.
-    ///
-    /// ```
-    /// use aig_mediator::MediatorOptions;
-    /// let o = MediatorOptions::builder().merging(false).build().unwrap();
-    /// assert!(!o.merging);
-    /// ```
-    pub fn merging(mut self, merging: bool) -> Self {
-        self.options.merging = merging;
-        self
-    }
-
     /// Whether compiled-constraint guards abort the run.
     ///
     /// ```
@@ -311,18 +265,6 @@ impl MediatorOptionsBuilder {
     /// ```
     pub fn check_guards(mut self, check: bool) -> Self {
         self.options.check_guards = check;
-        self
-    }
-
-    /// Whether the output document is validated against the DTD.
-    ///
-    /// ```
-    /// use aig_mediator::MediatorOptions;
-    /// let o = MediatorOptions::builder().validate_output(false).build().unwrap();
-    /// assert!(!o.validate_output);
-    /// ```
-    pub fn validate_output(mut self, validate: bool) -> Self {
-        self.options.validate_output = validate;
         self
     }
 
@@ -530,9 +472,7 @@ impl MediatorOptionsBuilder {
     }
 }
 
-/// The result of a mediator run. `Clone` so the service's snapshot store
-/// can retain the last completed run per (plan, arguments) for delta
-/// re-evaluation.
+/// The result of a mediator run.
 #[derive(Debug, Clone)]
 pub struct MediatorRun {
     /// The final document.
@@ -544,8 +484,7 @@ pub struct MediatorRun {
     pub source_queries: usize,
     /// Simulated response time without merging (measured query costs).
     pub response_unmerged_secs: f64,
-    /// Simulated response time with merging (only meaningful when
-    /// `options.merging`; equals unmerged otherwise).
+    /// Simulated response time with merging (§5.4).
     pub response_merged_secs: f64,
     /// Number of pair merges the optimizer applied.
     pub merges: usize,
@@ -852,25 +791,20 @@ mod tests {
     }
 
     #[test]
-    fn options_split_round_trips_through_the_facade() {
+    fn options_split_carries_every_half() {
         let options = MediatorOptions::builder()
             .unfold_depth(2)
             .max_depth(16)
-            .merging(false)
-            .validate_output(false)
             .scheduling(Scheduling::Dynamic)
             .shipcut(false)
             .threads(4)
             .build()
             .unwrap();
-        let rebuilt = MediatorOptions::from_parts(options.plan_options(), options.exec_policy());
-        assert_eq!(rebuilt.unfold_depth, 2);
-        assert_eq!(rebuilt.max_depth, 16);
-        assert!(!rebuilt.merging);
-        assert!(!rebuilt.validate_output);
-        assert_eq!(rebuilt.scheduling, Scheduling::Dynamic);
-        assert_eq!(rebuilt.cutoff, options.cutoff);
-        assert!(!rebuilt.shipcut);
-        assert_eq!(rebuilt.threads, 4);
+        let (plan, policy) = (options.plan_options(), options.exec_policy());
+        assert_eq!((plan.unfold_depth, plan.max_depth), (2, 16));
+        assert_eq!(plan.cutoff, options.cutoff);
+        assert!(!plan.shipcut);
+        assert_eq!(policy.scheduling, Scheduling::Dynamic);
+        assert_eq!(policy.threads, 4);
     }
 }

@@ -41,8 +41,6 @@ pub struct PlanOptions {
     pub max_depth: usize,
     /// Truncate at the depth (the paper's §6 setup) or detect and extend.
     pub cutoff: CutOff,
-    /// Whether query merging (§5.4) is applied when reporting response time.
-    pub merging: bool,
     /// Whether ship-cut column-liveness profiles are computed for the task
     /// graph (see [`crate::shipcut`]) and applied to the transfer model.
     pub shipcut: bool,
@@ -55,7 +53,6 @@ impl Default for PlanOptions {
             unfold_depth: 3,
             max_depth: 64,
             cutoff: CutOff::Frontier,
-            merging: true,
             shipcut: true,
             graph: GraphOptions::default(),
         }
@@ -97,8 +94,7 @@ pub struct PreparedPlan {
     pub per_source: HashMap<SourceId, Vec<usize>>,
     /// Estimate-based response time without merging (§5.2–5.3).
     pub est_baseline: MergeOutcome,
-    /// Estimate-based response time of the final plan (merged when
-    /// `options.merging`; equals the baseline otherwise, §5.4).
+    /// Estimate-based response time of the final, merged plan (§5.4).
     pub est_merged: MergeOutcome,
     /// Ship-cut column-liveness profiles of the task graph (None when
     /// `options.shipcut` is off). Shared with every execution's options.
@@ -119,7 +115,7 @@ impl PreparedPlan {
         self.fingerprint
     }
 
-    /// Estimate-based response time of the final (possibly merged) plan.
+    /// Estimate-based response time of the final, merged plan.
     pub fn predicted_response_secs(&self) -> f64 {
         self.est_merged.response_secs
     }
@@ -263,11 +259,7 @@ fn prepare_unfolded(
         }
         let cg = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
         let baseline = no_merge(&cg, net);
-        let merged = if options.merging {
-            merge(&cg, net, options.graph.cost_model.per_query_overhead_secs)
-        } else {
-            baseline.clone()
-        };
+        let merged = merge(&cg, net, options.graph.cost_model.per_query_overhead_secs);
         (baseline, merged)
     });
     let per_source = topo_per_source(&graph);
@@ -359,12 +351,13 @@ pub(crate) struct FinishInputs<'a> {
     pub rounds: usize,
     pub cache: CacheObs,
     pub exec: ExecResult,
-    /// A pre-built document (the incremental retag path); `None` tags from
-    /// the store under the `tag` phase.
-    pub tree_override: Option<aig_xml::XmlTree>,
+    /// A degraded request (some sources served as empty views): its partial
+    /// document may legitimately break the DTD, so it is not validated.
+    pub(crate) degraded: bool,
     /// When `Some`, the document-level integrity check runs only the
-    /// constraints whose element tags intersect this scope (the incremental
-    /// path's changed-subtree tags); `None` checks the full set.
+    /// constraints whose element tags intersect this scope (the tags the
+    /// incremental path's re-run instances can reach); `None` checks the
+    /// full set.
     pub scope: Option<std::collections::HashSet<String>>,
     /// The delta re-evaluation ledger for the report (default on
     /// non-incremental requests).
@@ -406,19 +399,19 @@ impl<'a> FinishInputs<'a> {
             rounds,
             cache,
             exec,
-            tree_override: None,
+            degraded: false,
             scope: None,
             incremental: IncrementalObs::default(),
         })
     }
 }
 
-/// The shared tail of every execution path — frontier check, tagging (or
-/// the supplied retagged tree), validation, the document-level constraint
-/// check (full or scoped), the measured-cost response-time simulation, and
-/// report construction. Both the cold full run ([`FinishInputs::cold`])
-/// and the incremental masked re-execution ([`crate::delta`]) end here,
-/// so the two paths cannot drift apart.
+/// The shared tail of every execution path — frontier check, tagging from
+/// the store, validation, the document-level constraint check (full or
+/// scoped), the measured-cost response-time simulation, and report
+/// construction. Both the cold full run ([`FinishInputs::cold`]) and the
+/// incremental masked re-execution ([`crate::delta`]) end here, so the two
+/// paths build their documents one way and cannot drift apart.
 pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, MediatorError> {
     let FinishInputs {
         plan,
@@ -428,9 +421,9 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         rounds,
         cache,
         exec,
-        tree_override,
+        degraded,
         scope,
-        incremental,
+        mut incremental,
     } = inputs;
     let policy = &exec_opts.policy;
     let ExecResult {
@@ -473,13 +466,13 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     }
 
     // -- Tagging -------------------------------------------------------------
-    let tree = match tree_override {
-        Some(tree) => tree,
-        None => phases.time("tag", || {
-            crate::tagging::tag_document(&plan.aig, &plan.graph, &store)
-        })?,
-    };
-    if policy.validate_output {
+    let tree = phases.time("tag", || {
+        crate::tagging::tag_document(&plan.aig, &plan.graph, &store)
+    })?;
+    if incremental.snapshot_hit {
+        incremental.nodes_rebuilt = tree.len();
+    }
+    if !degraded {
         phases.time("validate", || {
             validate(&tree, &plan.dtd)
                 .map_err(|e| MediatorError::Internal(format!("output validation: {e}")))
@@ -494,9 +487,10 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     if policy.check_integrity {
         let violation = phases.time("constraint_check", || match &scope {
             // The incremental path narrows the check to the constraints
-            // whose element tags intersect the retagged subtrees; elements
-            // outside the scope are verbatim copies of an already-checked
-            // document.
+            // whose element tags intersect the scope. Tagging is a function
+            // of the store, and every relation outside the re-run mask is
+            // the snapshot's own, so every node outside the scope is one
+            // the previous, fully checked document had.
             Some(tags) => plan.aig.constraints.scoped(tags).check_first(&tree),
             None => plan.aig.constraints.check_first(&tree),
         });
@@ -533,15 +527,11 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     });
     let baseline = phases.time("schedule", || no_merge(&cg, &policy.network));
     let merged: MergeOutcome = phases.time("merge", || {
-        if plan.options.merging {
-            merge(
-                &cg,
-                &policy.network,
-                plan.options.graph.cost_model.per_query_overhead_secs,
-            )
-        } else {
-            baseline.clone()
-        }
+        merge(
+            &cg,
+            &policy.network,
+            plan.options.graph.cost_model.per_query_overhead_secs,
+        )
     });
     let exec_secs: f64 = measured.iter().map(|m| m.secs).sum();
     let per_source = source_histogram(&plan.graph, catalog);

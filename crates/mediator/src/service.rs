@@ -11,14 +11,14 @@
 //! later requests for the same AIG skip the shallow plan entirely.
 //!
 //! With [`ExecPolicy::incremental`] on, the service additionally retains a
-//! **run snapshot** per (plan, argument binding): the relation store, the
-//! per-task measurements, and the completed run. [`Mediator::apply_delta`]
-//! marks the delta's `(source, table)` pairs dirty on every snapshot; the
-//! next request for a dirtied snapshot re-runs only the task subgraph
+//! **run snapshot** per (plan, argument binding): the relation store and
+//! the per-task measurements. [`Mediator::apply_delta`] marks the delta's
+//! `(source, table)` pairs dirty on every snapshot; the next request for a
+//! dirtied snapshot is a masked cold run: it re-runs only the task subgraph
 //! downstream of the dirty tables ([`crate::delta`]), splices the re-run
-//! relations into the cached store, retags only the affected document
-//! subtrees, and scope-checks only the constraints those subtrees touch —
-//! producing a document byte-identical to a cold full run.
+//! relations into the cached store, tags the spliced store as a cold run
+//! does, and scope-checks only the constraints the re-run instances can
+//! reach — producing a document byte-identical to a cold full run.
 
 use crate::error::MediatorError;
 use crate::exec::{ExecOptions, Measured, RelStore};
@@ -29,7 +29,6 @@ use crate::plan::{ExecPolicy, ExecutedRun, FinishInputs, FullOutcome, PlanOption
 use crate::schedule::EdfGate;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Database, DeltaApplied, SourceDelta, SourceId, Table, Value};
-use aig_xml::XmlTree;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -148,22 +147,20 @@ struct SnapKey {
 
 /// The state a completed run leaves behind for incremental re-evaluation:
 /// what the run produced, shared — a request clones the handle, never the
-/// store or the document — and the set of `(source, table)` pairs dirtied
-/// by deltas since the run completed.
+/// store — and the set of `(source, table)` pairs dirtied by deltas since
+/// the run completed.
 #[derive(Debug, Clone)]
 struct RunSnapshot {
     base: Arc<SnapshotBase>,
     dirty: BTreeSet<(String, String)>,
 }
 
-/// The relation store (splice base), the per-task measurements (reused
-/// tasks keep their costs) and the document (the retag walk copies its
-/// unaffected subtrees) of a completed run.
+/// The relation store (splice base) and the per-task measurements (reused
+/// tasks keep their costs) of a completed run.
 #[derive(Debug)]
 struct SnapshotBase {
     store: RelStore,
     measured: Vec<Measured>,
-    tree: XmlTree,
 }
 
 /// Snapshot of the plan cache's counters.
@@ -294,8 +291,8 @@ fn args_fingerprint(args: &[(&str, Value)]) -> u64 {
 /// unfolding depth is part of the cache key itself, not of this hash.
 fn options_fingerprint(options: &PlanOptions) -> u64 {
     let rendered = format!(
-        "{:?}|{}|{}|{:?}",
-        options.cutoff, options.merging, options.shipcut, options.graph
+        "{:?}|{}|{:?}",
+        options.cutoff, options.shipcut, options.graph
     );
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in rendered.as_bytes() {
@@ -492,8 +489,8 @@ impl Mediator {
                 // compiled-constraint guards are all specified against the
                 // *full* source data; a partial document legitimately
                 // violates them, so they are scoped out of degraded runs.
+                // (Validation is skipped through `FinishInputs::degraded`.)
                 opts.policy.check_guards = false;
-                opts.policy.validate_output = false;
                 opts.policy.check_integrity = false;
                 catalog_owned = Some(self.degraded_catalog(&skipped_ids));
             }
@@ -558,6 +555,7 @@ impl Mediator {
                         rounds,
                         cache_obs,
                     )?;
+                    inputs.degraded = degraded;
                     if incremental_mode {
                         // In incremental mode the ledger still reports:
                         // every task ran, no snapshot was available.
@@ -588,11 +586,7 @@ impl Mediator {
                         self.lock_snapshots().insert(
                             snap_key,
                             RunSnapshot {
-                                base: Arc::new(SnapshotBase {
-                                    store,
-                                    measured,
-                                    tree: run.tree.clone(),
-                                }),
+                                base: Arc::new(SnapshotBase { store, measured }),
                                 dirty: BTreeSet::new(),
                             },
                         );
@@ -620,14 +614,13 @@ impl Mediator {
     }
 
     /// The incremental execute path (plain requests only, so the service's
-    /// own catalog and options apply): seeds the re-run mask from the
-    /// snapshot's dirty tables and the plan's read-sets, runs the sequential
-    /// walk masked to that downstream task closure
-    /// ([`crate::exec::execute_masked`]), retags only the document subtrees
-    /// the re-run instances can reach ([`crate::tagging::retag_document`]),
-    /// and finishes through the same [`crate::plan::finish_run`] tail as a
-    /// cold run — with the constraint check scoped to the retagged
-    /// subtrees' tags.
+    /// own catalog and options apply) — a masked cold run: seeds the re-run
+    /// mask from the snapshot's dirty tables and the plan's read-sets, runs
+    /// the sequential walk masked to that downstream task closure
+    /// ([`crate::exec::execute_masked`]), and finishes through the same
+    /// [`crate::plan::finish_run`] tail as a cold run, which tags the
+    /// spliced store — with the constraint check scoped to the tags the
+    /// re-run instances can reach.
     fn run_incremental(
         &self,
         plan: &PreparedPlan,
@@ -654,15 +647,6 @@ impl Mediator {
         })?;
         let tainted = crate::delta::tainted_elems(&plan.graph, &rerun);
         let tags = crate::delta::scope_tags(&plan.aig, &tainted);
-        let (tree, retag) = phases.time("tag", || {
-            crate::tagging::retag_document(
-                &plan.aig,
-                &plan.graph,
-                &exec.store,
-                &snap.base.tree,
-                &tainted,
-            )
-        })?;
         let incremental = IncrementalObs {
             enabled: true,
             snapshot_hit: true,
@@ -679,10 +663,9 @@ impl Mediator {
                 .filter(|(_, &rerun)| rerun)
                 .map(|(m, _)| m.out_rows as u64)
                 .sum(),
-            nodes_reused: retag.nodes_reused,
-            nodes_rebuilt: retag.nodes_rebuilt,
             constraints_scoped: plan.aig.constraints.scoped(&tags).len(),
             constraints_total: plan.aig.constraints.len(),
+            ..IncrementalObs::default()
         };
         crate::plan::finish_run(FinishInputs {
             plan,
@@ -692,7 +675,7 @@ impl Mediator {
             rounds,
             cache,
             exec,
-            tree_override: Some(tree),
+            degraded: false,
             scope: Some(tags),
             incremental,
         })

@@ -16,10 +16,10 @@ use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader};
 use aig_relstore::{Relation, Sym, Value};
-use aig_xml::tree::{CopyStep, SubtreeCopier, TagId};
+use aig_xml::tree::TagId;
 use aig_xml::{NodeId, XmlTree};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Builds the document from the executed relations.
 pub fn tag_document(
@@ -401,178 +401,5 @@ impl<'a> Tagger<'a> {
             }
         }
         Ok(())
-    }
-}
-
-/// Node accounting of one incremental retag.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetagStats {
-    /// Nodes copied verbatim from the cached document.
-    pub nodes_reused: usize,
-    /// Nodes rebuilt from the spliced store (everything that was not a
-    /// verbatim copy, including the correspondence spine).
-    pub nodes_rebuilt: usize,
-}
-
-/// Rebuilds the document after an incremental re-execution, copying
-/// subtrees untouched by the delta verbatim from the cached document.
-///
-/// `tainted` is the set of materialized elements whose instance tables the
-/// re-run subgraph produced (see [`crate::delta::tainted_elems`]). The
-/// walk mirrors [`tag_document`] with a positional correspondence cursor
-/// into `cached`: at any element whose star/choice child sets cannot have
-/// changed (no tainted child element), the child lists line up one-to-one
-/// with the cached tree, so a child subtree containing no tainted element
-/// anywhere below it is deep-copied wholesale without touching the store.
-/// Where a tainted child element *could* have changed the child set, the
-/// subtree rebuilds from the (spliced) store exactly as a cold tag would.
-///
-/// Because untainted instance relations are byte-identical to the cached
-/// run's and the copy is verbatim, the result equals `tag_document` over
-/// the spliced store node-for-node.
-pub fn retag_document(
-    aig: &Aig,
-    graph: &TaskGraph,
-    store: &RelStore,
-    cached: &XmlTree,
-    tainted: &HashSet<ElemIdx>,
-) -> Result<(XmlTree, RetagStats), MediatorError> {
-    if tainted.contains(&aig.root) {
-        // Defensive: the root's producer binds request arguments and never
-        // re-runs, but if it ever did there is nothing to reuse.
-        let tree = tag_document(aig, graph, store)?;
-        let stats = RetagStats {
-            nodes_reused: 0,
-            nodes_rebuilt: tree.len(),
-        };
-        return Ok((tree, stats));
-    }
-    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag());
-    let tagger = Tagger::new(aig, graph, store, &mut tree)?;
-    let root_node = tree.root();
-    let mut retagger = Retagger {
-        dirty_below: dirty_below(aig, tainted),
-        tagger: &tagger,
-        cached,
-        copier: cached.copier(),
-        tainted,
-        nodes_reused: 0,
-    };
-    retagger.retag_children(&mut tree, root_node, ROOT_PLAN, 0, cached.root())?;
-    let stats = RetagStats {
-        nodes_reused: retagger.nodes_reused,
-        // Every node that is not a verbatim copy was (re)built: the spine
-        // of the correspondence walk plus the taint-rebuilt regions.
-        nodes_rebuilt: tree.len() - retagger.nodes_reused,
-    };
-    Ok((tree, stats))
-}
-
-/// Elements from which a tainted element is reachable through the unfolded
-/// productions (including the tainted elements themselves). A subtree
-/// rooted outside this set contains no changed instance rows anywhere and
-/// can be copied verbatim.
-fn dirty_below(aig: &Aig, tainted: &HashSet<ElemIdx>) -> HashSet<ElemIdx> {
-    let mut dirty = tainted.clone();
-    // Fixpoint over the element productions; the unfolded AIG is shallow
-    // (depth-bounded), so this converges in a few sweeps.
-    loop {
-        let mut changed = false;
-        for elem in aig.elements() {
-            if dirty.contains(&elem) {
-                continue;
-            }
-            let hit = match &aig.elem_info(elem).prod {
-                Prod::Items(items) => items
-                    .iter()
-                    .any(|i| !aig.elem_info(i.elem).internal && dirty.contains(&i.elem)),
-                Prod::Choice { branches, .. } => branches.iter().any(|b| dirty.contains(&b.elem)),
-                _ => false,
-            };
-            if hit {
-                dirty.insert(elem);
-                changed = true;
-            }
-        }
-        if !changed {
-            return dirty;
-        }
-    }
-}
-
-struct Retagger<'a> {
-    tagger: &'a Tagger<'a>,
-    cached: &'a XmlTree,
-    /// Copies `cached`'s untainted subtrees into the tree being written.
-    copier: SubtreeCopier<'a>,
-    tainted: &'a HashSet<ElemIdx>,
-    dirty_below: HashSet<ElemIdx>,
-    nodes_reused: usize,
-}
-
-impl Retagger<'_> {
-    /// Emits the children of the occurrence planned at `plan_id` at
-    /// `base_idx` under `node`, reusing the cached node's subtrees wherever
-    /// the delta cannot have reached.
-    ///
-    /// Invariant: the occurrence's element and its base instance table are
-    /// untainted, so this node's child counts per production item equal
-    /// the cached node's — unless a tainted child element intervenes, in
-    /// which case the whole child list rebuilds from the store.
-    fn retag_children(
-        &mut self,
-        tree: &mut XmlTree,
-        node: NodeId,
-        plan_id: usize,
-        base_idx: u32,
-        cached_node: NodeId,
-    ) -> Result<(), MediatorError> {
-        let (tagger, cached) = (self.tagger, self.cached);
-        let plan = &tagger.plans[plan_id];
-        match &plan.body {
-            Body::Text(text) => {
-                // The base table is untainted, so the value is unchanged;
-                // recomputing it from the spliced store is equivalent and
-                // keeps a single source of truth.
-                let text = tagger.text(plan, text, base_idx)?;
-                tree.add_text_with(node, |buf| text.write_text(buf));
-            }
-            Body::Children(children) => {
-                let rows_tainted = children.iter().any(|c| {
-                    matches!(c.rows, ChildRows::Tagged(_)) && self.tainted.contains(&c.elem)
-                });
-                if rows_tainted {
-                    // A tainted star or branch child: the child row set may
-                    // have changed, so positional correspondence with the
-                    // cached node ends here — rebuild from the store.
-                    return tagger.tag_children(tree, node, plan_id, base_idx);
-                }
-                let mut cached_children = cached.element_children(cached_node);
-                for child in children {
-                    for &child_idx in child.instances(&base_idx) {
-                        let cached_child = cached_children.next().ok_or_else(|| {
-                            MediatorError::Internal("retag: the cached node lacks a child".into())
-                        })?;
-                        // Verbatim copy where nothing below is tainted —
-                        // the cached subtree is what a cold tag over the
-                        // spliced store would emit — else paired recursion.
-                        let child_node = tree.add_tagged(node, child.tag);
-                        if self.dirty_below.contains(&child.elem) {
-                            let (plan, idx) = (child.plan, child_idx);
-                            self.retag_children(tree, child_node, plan, idx, cached_child)?;
-                        } else {
-                            self.copy_into(tree, child_node, cached_child);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Deep-copies the cached node's children under `dst`.
-    fn copy_into(&mut self, tree: &mut XmlTree, dst: NodeId, src: NodeId) {
-        let keep_all = |_| CopyStep::Keep;
-        self.nodes_reused += self.copier.copy_children(tree, dst, src, keep_all);
     }
 }

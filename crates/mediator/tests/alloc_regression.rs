@@ -20,7 +20,7 @@
 
 use aig_core::paper::sigma0;
 use aig_datagen::{DatasetSize, HospitalConfig};
-use aig_mediator::tagging::{retag_document, tag_document};
+use aig_mediator::tagging::tag_document;
 use aig_mediator::{execute_graph, ExecOptions, Mediator, MediatorOptions};
 use aig_relstore::Value;
 use aig_xml::{serialize, validate};
@@ -95,7 +95,9 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     let (exec, exec_allocs) = counted(run);
     let exec_bytes = BYTES.load(Relaxed) - bytes_before;
     let exec = exec.unwrap();
+    let bytes_before = BYTES.load(Relaxed);
     let (tree, tag_allocs) = counted(|| tag_document(&plan.aig, &plan.graph, &exec.store));
+    let tag_bytes = BYTES.load(Relaxed) - bytes_before;
     let tree = tree.unwrap();
 
     let rows: f64 = exec.measured.iter().map(|m| m.in_rows + m.out_rows).sum();
@@ -201,21 +203,7 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         ledger.total_batches
     );
 
-    // Retagging with nothing tainted copies the cached document: as few
-    // allocations per node as tagging it, and the same document.
-    let untainted = std::collections::HashSet::new();
-    let (retagged, retag_allocs) =
-        counted(|| retag_document(&plan.aig, &plan.graph, &exec.store, &tree, &untainted));
-    let (retagged, stats) = retagged.unwrap();
-    assert!(retagged == tree && stats.nodes_reused > tree.len() / 2);
-    println!("retag_document {:.4}/node", retag_allocs as f64 / nodes);
-    assert!(
-        retag_allocs as f64 <= 0.1 * nodes,
-        "retag_document: {retag_allocs} allocations for {nodes} nodes"
-    );
-
-    // A copy is a few buffers, whatever the size (the child index retag
-    // built included).
+    // A copy is a few buffers, whatever the size.
     let (copy, clone_allocs) = counted(|| tree.clone());
     assert!(copy == tree && xml.len() > tree.len());
     println!("clone {clone_allocs}");
@@ -226,7 +214,10 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
 
     // A refresh that re-runs nothing: its executor reuses every relation,
     // so all it allocates is the finisher's per-*task* work (costs, merge,
-    // report rows: about 28 per task here) plus what it does per node.
+    // report rows: about 28 per task here) plus what it does per node. In
+    // bytes it is one tagging of the store and little else (1.09x the
+    // bytes of `tag_document` here): a snapshot holds no document to copy
+    // or index.
     let options = MediatorOptions::builder()
         .incremental(true)
         .build()
@@ -234,13 +225,23 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     let incremental = Mediator::new(mediator.catalog().clone(), &options).unwrap();
     incremental.request(&aig, &args).unwrap();
     incremental.request(&aig, &args).unwrap();
+    let bytes_before = BYTES.load(Relaxed);
     let (refreshed, refresh_allocs) = counted(|| incremental.request(&aig, &args));
+    let refresh_bytes = BYTES.load(Relaxed) - bytes_before;
     let (refreshed, report) = refreshed.unwrap();
     assert!(refreshed.tree == tree && report.incremental.tasks_rerun == 0);
     let tasks = plan.graph.tasks.len() as f64;
-    println!("no-delta refresh {refresh_allocs} allocations, {tasks} tasks, {nodes} nodes");
+    println!(
+        "no-delta refresh {refresh_allocs} allocations, {tasks} tasks, {nodes} nodes; \
+         {refresh_bytes} bytes against {tag_bytes} for tag_document"
+    );
     assert!(
         refresh_allocs as f64 <= 40.0 * tasks + 0.1 * nodes,
         "no-delta refresh: {refresh_allocs} allocations for {tasks} tasks and {nodes} nodes"
+    );
+    assert!(
+        refresh_bytes as f64 <= 1.25 * tag_bytes as f64,
+        "no-delta refresh: {refresh_bytes} bytes requested against {tag_bytes} for one \
+         tag_document of the same store"
     );
 }

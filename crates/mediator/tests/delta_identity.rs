@@ -3,8 +3,8 @@
 //! × {faults off / transient+latency}, a request served incrementally
 //! after a source delta must produce a document **byte-identical** to a
 //! cold full run of a fresh mediator over the post-delta catalog — the
-//! re-run subgraph, the splice, and the subtree retag change *how much
-//! work* a request does, never what it answers. The full
+//! re-run subgraph and the splice change *how much work* a request does,
+//! never what it answers. The full
 //! `ConstraintSet::check` over the incremental document is the
 //! independent oracle on top of the scoped check the path runs itself.
 //!
@@ -196,15 +196,12 @@ fn unchanged_catalog_reruns_nothing() {
     );
     assert_eq!(report.incremental.rows_spliced, 0);
     assert!(report.incremental.dirty_tables.is_empty());
-    // Nothing tainted: no constraint needs re-checking, and the document
-    // is overwhelmingly copied verbatim (only the correspondence spine —
-    // the root and its immediate children — is rebuilt).
+    // Nothing tainted: no constraint needs re-checking. The refresh tags
+    // the spliced store as a cold run does: it copies no node.
     assert_eq!(report.incremental.constraints_scoped, 0);
-    assert_eq!(
-        report.incremental.nodes_reused + report.incremental.nodes_rebuilt,
-        warm.tree.len()
+    assert!(
+        report.incremental.nodes_reused == 0 && report.incremental.nodes_rebuilt == warm.tree.len()
     );
-    assert!(report.incremental.nodes_reused > report.incremental.nodes_rebuilt);
     assert_eq!(
         aig_xml::serialize::to_string(&cold.tree),
         aig_xml::serialize::to_string(&warm.tree)
@@ -236,14 +233,15 @@ fn delta_report_names_the_dirty_tables() {
     mediator.request(&fx.aig, &args).unwrap();
 
     // A cover delta taints only the coverage choice deep in the tree —
-    // unlike visitInfo, which feeds the patient star at the root — so the
-    // retag must reuse subtrees and the constraint scope must narrow.
+    // unlike visitInfo, which feeds the patient star at the root.
     let delta = cover_delta(mediator.catalog(), 2, 1, 5).unwrap();
     mediator.apply_delta(&delta).unwrap();
-    let (_, report) = mediator.request(&fx.aig, &args).unwrap();
+    let (run, report) = mediator.request(&fx.aig, &args).unwrap();
     assert_eq!(report.incremental.dirty_tables, vec!["DB2.cover"]);
     assert!(report.incremental.rows_spliced > 0);
-    assert!(report.incremental.nodes_reused > 0);
+    assert!(
+        report.incremental.nodes_reused == 0 && report.incremental.nodes_rebuilt == run.tree.len()
+    );
     // Both of σ0's constraints mention tags inside the coverage subtree,
     // so the scope keeps them: the interesting narrowing case here is the
     // no-delta request (scoped = 0, see `unchanged_catalog_reruns_nothing`).

@@ -72,7 +72,7 @@ fn repeated_merge_and_schedule_queries_never_rescan_payloads() {
     // separately, but must stay linear in the number of relations — a
     // quadratic merge search that rescans per candidate would blow far
     // past this.
-    let options = MediatorOptions::builder().merging(true).build().unwrap();
+    let options = MediatorOptions::default();
     let before_run = payload_scans();
     let (_, report) = run_with_report(&aig, &catalog, &args, &options).unwrap();
     let first_run = payload_scans() - before_run;

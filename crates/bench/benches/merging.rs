@@ -3,43 +3,24 @@
 //! unfold 3) — the compile-time cost the paper bounds at O(n^5).
 
 use aig_bench::microbench::{black_box, run};
-use aig_bench::{dataset, fig10_options, spec};
-use aig_core::{compile_constraints, decompose_queries};
+use aig_bench::{dataset, measured_graph};
 use aig_datagen::DatasetSize;
-use aig_mediator::cost::{measured_costs, CostGraph};
-use aig_mediator::exec::{execute_graph, ExecOptions};
 use aig_mediator::graph::build_graph;
 use aig_mediator::merge::merge;
 use aig_mediator::schedule::schedule;
-use aig_mediator::unfold::unfold;
-use aig_relstore::Value;
 
 fn main() {
-    let aig = spec();
     let data = dataset(DatasetSize::Small);
-    let options = fig10_options(3, 1.0);
-    let compiled = compile_constraints(&aig).unwrap();
-    let (specialized, _) = decompose_queries(&compiled).unwrap();
-    let unfolded = unfold(&specialized, 3, options.cutoff).unwrap();
-    let graph = build_graph(&unfolded.aig, &data.catalog, &options.graph).unwrap();
-    let exec = execute_graph(
-        &unfolded.aig,
-        &data.catalog,
-        &graph,
-        &[("date", Value::str(&data.dates[0]))],
-        &ExecOptions::default(),
-    )
-    .unwrap();
-    let costs = measured_costs(&graph, &exec.measured, 1.0, 10.0);
-    let cg = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
+    let m = measured_graph(data, 3);
+    let network = &m.options.network;
 
     run("schedule_sigma0_small_u3", || {
-        black_box(schedule(black_box(&cg), &options.network))
+        black_box(schedule(black_box(&m.costs), network))
     });
     run("merge_sigma0_small_u3", || {
-        black_box(merge(black_box(&cg), &options.network, 1.0))
+        black_box(merge(black_box(&m.costs), network, 1.0))
     });
     run("graph_build_sigma0_small_u3", || {
-        black_box(build_graph(&unfolded.aig, &data.catalog, &options.graph).unwrap())
+        black_box(build_graph(&m.unfolded, &data.catalog, &m.options.graph).unwrap())
     });
 }

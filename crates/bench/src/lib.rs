@@ -1,31 +1,39 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the `bench` binary and the micro-benches.
 //!
-//! Every table and figure of the paper's evaluation (§6) has a binary here:
-//!
-//! * `table1` — regenerates Table 1 (dataset cardinalities),
-//! * `fig10` — regenerates Figure 10 (speedup due to query merging, for
-//!   three dataset sizes × unfolding levels 2–7 at 1 Mbps),
-//!
-//! plus ablations for the design choices: `ablation_schedule` (Algorithm
-//! Schedule vs naive ordering), `ablation_bandwidth` (merging gain vs
-//! network bandwidth), `ablation_constraints` (compiled guards vs oracle vs
-//! none), and `ablation_decompose` (query decomposition / copy statistics).
+//! Every table and figure of the paper's evaluation (§6) is a subcommand of
+//! `bench` (`src/main.rs`): `table1` regenerates Table 1 (dataset
+//! cardinalities), `fig10` Figure 10 (speedup due to query merging, three
+//! dataset sizes × unfolding levels 2–7 at 1 Mbps), and the ablations probe
+//! the design choices (`schedule`, `bandwidth`, `constraints`, `decompose`,
+//! `dynamic`, …; EXPERIMENTS.md lists them all). This library holds what
+//! they share: the memoized datasets, σ0, the Fig. 10 calibration, and the
+//! table and JSON helpers.
 
 use aig_core::paper::sigma0;
 use aig_core::spec::Aig;
+use aig_core::{compile_constraints, decompose_queries};
 use aig_datagen::{DatasetSize, HospitalConfig, HospitalData};
+use aig_mediator::cost::{measured_costs, CostGraph};
+use aig_mediator::exec::{execute_graph, ExecOptions};
+use aig_mediator::graph::{build_graph, TaskGraph};
 use aig_mediator::pipeline::{run_with_report, MediatorOptions, MediatorRun};
-use aig_mediator::unfold::CutOff;
-use aig_mediator::{NetworkModel, RunReport};
+use aig_mediator::unfold::{unfold, CutOff};
+use aig_mediator::{NetworkModel, RetryPolicy, RunReport};
 use aig_relstore::Value;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 pub use aig_mediator::Json;
 
-/// Generates a dataset of the given size (Table 1 cardinalities).
-pub fn dataset(size: DatasetSize) -> HospitalData {
-    HospitalConfig::sized(size)
-        .generate()
-        .expect("dataset generation")
+/// The dataset of the given size (Table 1 cardinalities), generated at most
+/// once per process.
+pub fn dataset(size: DatasetSize) -> &'static HospitalData {
+    static DATA: [OnceLock<HospitalData>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    DATA[size as usize].get_or_init(|| {
+        HospitalConfig::sized(size)
+            .generate()
+            .expect("dataset generation")
+    })
 }
 
 /// The σ0 specification.
@@ -55,78 +63,122 @@ pub fn fig10_options(unfold: usize, mbps: f64) -> MediatorOptions {
     options
 }
 
-/// One cell of Fig. 10: the ratio of evaluation time without merging to the
-/// time with merging, plus the full observability record of the run.
-pub struct Fig10Cell {
-    pub size: DatasetSize,
-    pub unfold: usize,
-    pub run: MediatorRun,
-    pub report: RunReport,
+/// Fig. 10 options for the fault sweeps: real executor wall time instead of
+/// the 2003 calibration of evaluation time, and a fast retry policy (eight
+/// attempts, sub-millisecond backoff) with the given per-attempt timeout.
+pub fn wall_clock_options(unfold: usize, timeout_secs: f64) -> MediatorOptions {
+    let mut options = fig10_options(unfold, 1.0);
+    options.graph.eval_scale = 0.0;
+    options.retry = RetryPolicy {
+        max_attempts: 8,
+        backoff_base_secs: 0.0002,
+        backoff_cap_secs: 0.002,
+        jitter: 0.5,
+        timeout_secs,
+    };
+    options
 }
 
-impl Fig10Cell {
-    pub fn ratio(&self) -> f64 {
-        self.run.merging_speedup()
-    }
-
-    /// Machine-readable summary of the cell (without the full run report).
-    pub fn summary_json(&self) -> Json {
-        Json::obj(vec![
-            ("dataset", Json::str(self.size.name())),
-            ("unfold", Json::num(self.unfold as f64)),
-            ("ratio", Json::num(self.ratio())),
-            ("tasks", Json::num(self.run.tasks as f64)),
-            ("source_queries", Json::num(self.run.source_queries as f64)),
-            ("merges", Json::num(self.run.merges as f64)),
-            (
-                "response_unmerged_secs",
-                Json::num(self.run.response_unmerged_secs),
-            ),
-            (
-                "response_merged_secs",
-                Json::num(self.run.response_merged_secs),
-            ),
-        ])
-    }
-}
-
-/// Evaluates one Fig. 10 cell on a pre-generated dataset.
-pub fn fig10_cell(
+/// One Fig. 10 cell: σ0 over `data` on its first date under
+/// [`fig10_options`].
+pub fn fig10_run(
     aig: &Aig,
     data: &HospitalData,
-    size: DatasetSize,
     unfold: usize,
     mbps: f64,
-) -> Fig10Cell {
-    let date = &data.dates[0];
-    let options = fig10_options(unfold, mbps);
-    let (run, report) =
-        run_with_report(aig, &data.catalog, &[("date", Value::str(date))], &options)
-            .expect("mediator run");
-    Fig10Cell {
-        size,
-        unfold,
-        run,
-        report,
+) -> (MediatorRun, RunReport) {
+    let args = [("date", Value::str(&data.dates[0]))];
+    run_with_report(aig, &data.catalog, &args, &fig10_options(unfold, mbps)).expect("mediator run")
+}
+
+/// The best of `repeats` cold one-shot runs (smallest simulated merged
+/// response: measured per-task eval times feed the simulation, so the
+/// minimum filters scheduler noise), with that run's wall clock.
+pub struct TimedRun {
+    pub run: MediatorRun,
+    pub report: RunReport,
+    pub wall_secs: f64,
+}
+
+/// Runs σ0 over `data` on its first date `repeats` times under `options`
+/// and keeps the [`TimedRun`] with the smallest merged response.
+pub fn best_cold_run(
+    aig: &Aig,
+    data: &HospitalData,
+    options: &MediatorOptions,
+    repeats: usize,
+) -> TimedRun {
+    let args = [("date", Value::str(&data.dates[0]))];
+    let mut best: Option<TimedRun> = None;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        let (run, report) =
+            run_with_report(aig, &data.catalog, &args, options).expect("mediator run");
+        let wall_secs = start.elapsed().as_secs_f64();
+        if best
+            .as_ref()
+            .is_none_or(|b| run.response_merged_secs < b.run.response_merged_secs)
+        {
+            best = Some(TimedRun {
+                run,
+                report,
+                wall_secs,
+            });
+        }
+    }
+    best.expect("ran repeats")
+}
+
+/// σ0 compiled, decomposed and unfolded to `depth` over `data`, its task
+/// graph executed once on the first date, and the contracted cost graph of
+/// the measured costs — what `Schedule` and `Merge` see for one Fig. 10
+/// cell.
+pub struct MeasuredGraph {
+    pub options: MediatorOptions,
+    pub unfolded: Aig,
+    pub graph: TaskGraph,
+    pub costs: CostGraph,
+}
+
+pub fn measured_graph(data: &HospitalData, depth: usize) -> MeasuredGraph {
+    let options = fig10_options(depth, 1.0);
+    let compiled = compile_constraints(&spec()).expect("constraints compile");
+    let (specialized, _) = decompose_queries(&compiled).expect("queries decompose");
+    let unfolded = unfold(&specialized, depth, options.cutoff)
+        .expect("unfold")
+        .aig;
+    let graph = build_graph(&unfolded, &data.catalog, &options.graph).expect("task graph");
+    let exec = execute_graph(
+        &unfolded,
+        &data.catalog,
+        &graph,
+        &[("date", Value::str(&data.dates[0]))],
+        &ExecOptions::default(),
+    )
+    .expect("execute");
+    let costs = measured_costs(
+        &graph,
+        &exec.measured,
+        options.graph.cost_model.per_query_overhead_secs,
+        options.graph.eval_scale,
+    );
+    let costs = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
+    MeasuredGraph {
+        options,
+        unfolded,
+        graph,
+        costs,
     }
 }
 
 /// Converts a rendered table into JSON: one object per row, keyed by the
 /// column headers (numeric-looking cells stay strings — consumers parse).
 pub fn table_json(header: &[&str], rows: &[Vec<String>]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|row| {
-                Json::Obj(
-                    header
-                        .iter()
-                        .zip(row)
-                        .map(|(k, v)| (k.to_string(), Json::str(v.clone())))
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
+    let row = |row: &Vec<String>| {
+        let cells = header.iter().zip(row);
+        Json::Obj(cells.map(|(k, v)| (k.to_string(), Json::str(v))).collect())
+    };
+    Json::Arr(rows.iter().map(row).collect())
 }
 
 /// Writes `json` (pretty-printed) to `BENCH_<name>.json` in the current
@@ -203,14 +255,10 @@ pub mod microbench {
 
 /// Renders a Markdown table.
 pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("| {} |\n", header.join(" | ")));
-    out.push_str(&format!(
-        "|{}|\n",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    ));
+    let rule = vec!["---"; header.len()].join("|");
+    let mut out = format!("| {} |\n|{rule}|\n", header.join(" | "));
     for row in rows {
-        out.push_str(&format!("| {} |\n", row.join(" | ")));
+        out += &format!("| {} |\n", row.join(" | "));
     }
     out
 }

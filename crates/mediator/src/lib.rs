@@ -52,9 +52,7 @@ pub use parallel::execute_graph_parallel;
 pub use pipeline::{
     canonical, run, run_with_report, MediatorOptions, MediatorOptionsBuilder, MediatorRun,
 };
-pub use plan::{
-    deepen, execute_prepared, prepare, ExecPolicy, ExecuteOutcome, PlanOptions, PreparedPlan,
-};
+pub use plan::{deepen, prepare, ExecPolicy, PlanOptions, PreparedPlan};
 pub use schedule::{
     dynamic_response_time, levels, naive_plan, replan_surviving, schedule,
     static_response_on_actuals, EdfGate, EdfSlot,

@@ -20,7 +20,9 @@ use crate::exec::{ExecOptions, Scheduling};
 use crate::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use crate::graph::GraphOptions;
 use crate::obs::{CacheObs, Phases, RunReport};
-use crate::plan::{deepen, execute_prepared, prepare, ExecPolicy, ExecuteOutcome, PlanOptions};
+use crate::plan::{
+    deepen, finish_run, prepare, ExecPolicy, FinishInputs, FullOutcome, PlanOptions,
+};
 use crate::sim::NetworkModel;
 use crate::unfold::CutOff;
 use aig_core::spec::Aig;
@@ -577,7 +579,7 @@ pub fn run_with_report(
             // Frontier rounds reuse the compiled/decomposed AIG.
             Some(prev) => deepen(&prev, catalog, depth, &mut phases)?,
         };
-        match execute_prepared(
+        let inputs = FinishInputs::cold(
             &plan,
             catalog,
             args,
@@ -585,9 +587,10 @@ pub fn run_with_report(
             &mut phases,
             rounds,
             CacheObs::default(),
-        )? {
-            ExecuteOutcome::Complete(done) => return Ok(*done),
-            ExecuteOutcome::FrontierExtend => {
+        )?;
+        match finish_run(inputs)? {
+            FullOutcome::Complete(done) => return Ok((done.run, done.report)),
+            FullOutcome::FrontierExtend => {
                 depth = crate::plan::next_depth(depth, plan_options.max_depth)?;
                 current = Some(plan);
             }

@@ -69,7 +69,8 @@ pub use crate::exec::ExecPolicy;
 /// its task graph, the per-source execution sequences, and the
 /// estimate-based schedule/merge outcome. Built once by [`prepare`], shared
 /// across requests behind an `Arc`, and executed any number of times with
-/// different argument bindings by [`execute_prepared`].
+/// different argument bindings by [`crate::service::Mediator`] (or once by
+/// [`crate::pipeline::run_with_report`]).
 #[derive(Debug)]
 pub struct PreparedPlan {
     fingerprint: u64,
@@ -287,16 +288,6 @@ fn prepare_unfolded(
     })
 }
 
-/// What one execution of a prepared plan produced.
-pub enum ExecuteOutcome {
-    /// The run finished; the document, metrics and report are final.
-    Complete(Box<(MediatorRun, RunReport)>),
-    /// The recursion frontier is still producing data: the plan's depth is
-    /// insufficient and the caller must re-prepare deeper (the paper's
-    /// runtime re-unrolling, §5.5 — the plan cache's promotion path).
-    FrontierExtend,
-}
-
 /// A completed execution with its relation store and per-task measurements
 /// still attached — what the incremental-snapshot path of
 /// [`crate::service::Mediator`] caches alongside the run.
@@ -308,36 +299,14 @@ pub(crate) struct ExecutedRun {
     pub measured: Vec<crate::exec::Measured>,
 }
 
-/// [`ExecuteOutcome`] with the store/measurements retained (crate-internal:
-/// the public API returns only the run and report).
+/// What one execution of a prepared plan produced.
 pub(crate) enum FullOutcome {
+    /// The run finished; the document, metrics and report are final.
     Complete(Box<ExecutedRun>),
+    /// The recursion frontier is still producing data: the plan's depth is
+    /// insufficient and the caller must re-prepare deeper (the paper's
+    /// runtime re-unrolling, §5.5 — the plan cache's promotion path).
     FrontierExtend,
-}
-
-/// The **Execute** stage: binds `args`, runs the plan's task graph through
-/// the sequential or parallel executor, checks the recursion frontier, tags
-/// the document, validates it, and runs the measured-cost response-time
-/// simulation. `exec_opts` should be built once per run via
-/// [`ExecOptions::new`] (with the fault plan bound and `eval_scale`
-/// copied from the plan-side graph options); its [`ExecOptions::policy`] is
-/// the request's one policy. `rounds` counts the prepare/execute rounds of
-/// the enclosing request; `cache` is the plan cache's observability
-/// snapshot (default when no cache is involved).
-pub fn execute_prepared(
-    plan: &PreparedPlan,
-    catalog: &Catalog,
-    args: &[(&str, Value)],
-    exec_opts: &ExecOptions,
-    phases: &mut Phases,
-    rounds: usize,
-    cache: CacheObs,
-) -> Result<ExecuteOutcome, MediatorError> {
-    let inputs = FinishInputs::cold(plan, catalog, args, exec_opts, phases, rounds, cache)?;
-    Ok(match finish_run(inputs)? {
-        FullOutcome::Complete(done) => ExecuteOutcome::Complete(Box::new((done.run, done.report))),
-        FullOutcome::FrontierExtend => ExecuteOutcome::FrontierExtend,
-    })
 }
 
 /// Everything the shared run finisher consumes (see [`finish_run`]).

@@ -4,9 +4,14 @@
 //! / `byte_size` must scan a payload **once** and answer from the memo
 //! afterwards. The scan counter is per thread and every run below uses the
 //! sequential executor, so the deltas are this test's own.
+//!
+//! Beside it, the claim the memo prices: on the Fig. 10 workload the
+//! dictionary-encoded wire form of the shipped outputs is smaller than
+//! their raw row-major bytes.
 
 use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::{compile_constraints, decompose_queries};
+use aig_datagen::{DatasetSize, HospitalConfig};
 use aig_mediator::cost::{measured_costs, response_time, CostGraph};
 use aig_mediator::exec::{execute_graph, ExecOptions};
 use aig_mediator::graph::{build_graph, GraphOptions};
@@ -86,5 +91,39 @@ fn repeated_merge_and_schedule_queries_never_rescan_payloads() {
         "mediator run scanned payloads {first_run} / {second_run} times for {} tasks \
          (ceiling {ceiling}); the merge/schedule path is rescanning",
         report.tasks.len()
+    );
+}
+
+/// Fig. 10's Small / unfold-4 cell: summed over every output that crosses
+/// a source boundary, the dictionary-encoded wire bytes stay below the raw
+/// row-major bytes of the same relations.
+#[test]
+fn dictionary_wire_form_is_smaller_than_row_major_on_the_fig10_workload() {
+    let aig = sigma0().unwrap();
+    let data = HospitalConfig::sized(DatasetSize::Small)
+        .generate()
+        .unwrap();
+    let options = MediatorOptions {
+        unfold_depth: 4,
+        max_depth: 4,
+        cutoff: CutOff::Truncate,
+        check_guards: true,
+        network: NetworkModel::mbps(1.0),
+        ..MediatorOptions::default()
+    };
+    let args = [("date", Value::str(&data.dates[0]))];
+    let (_, report) = run_with_report(&aig, &data.catalog, &args, &options).unwrap();
+    let shipped: Vec<_> = report
+        .tasks
+        .iter()
+        .filter(|t| t.shipped_bytes > 0.0)
+        .collect();
+    assert!(!shipped.is_empty(), "the workload ships nothing");
+    let wire: f64 = shipped.iter().map(|t| t.wire_bytes).sum();
+    let row_major: f64 = shipped.iter().map(|t| t.out_bytes).sum();
+    assert!(
+        wire < row_major,
+        "wire form {wire} B is not below the row-major {row_major} B over {} shipped outputs",
+        shipped.len()
     );
 }

@@ -115,7 +115,8 @@ pub fn run(_: &[String]) -> Json {
     // noise — pace sleeps put a hard floor under each run), and the plan
     // deviations of the last.
     let best_wall_secs = |scheduling| {
-        let mut opts = ExecOptions::default().with_scheduling(scheduling);
+        let mut opts = ExecOptions::default();
+        opts.policy.scheduling = scheduling;
         opts.pace = Some(pace.clone());
         opts.policy.network = net.clone();
         let mut best = f64::INFINITY;

@@ -102,7 +102,7 @@ pub const REQUIREMENTS: &[Requirement] = &[
     }),
     (
         "shipcut",
-        "documents are no longer byte-identical across pruning/threads",
+        "the pruned document no longer equals the conceptual evaluation",
         |j| is_true(j, "docs_identical"),
     ),
     (

@@ -74,8 +74,8 @@ pub struct BatchLog {
 impl BatchLog {
     pub(crate) fn from_ledger(opts: &ExecOptions, ledger: &ShipLedger) -> BatchLog {
         BatchLog {
-            enabled: opts.batching(),
-            batch_rows: opts.batch_rows(),
+            enabled: opts.policy.batching,
+            batch_rows: opts.policy.batch_rows,
             total_batches: ledger.total_batches(),
             peak_resident_rows: ledger.peak_resident_rows() as u64,
         }
@@ -100,7 +100,7 @@ pub(crate) fn ship_output(
     task_id: usize,
     rel: &Relation,
 ) -> ShipOutcome {
-    if !opts.batching() {
+    if !opts.policy.batching {
         // Materializing: the whole ship image crosses the wire as one
         // batch and is resident in full while it does.
         ledger.acquire(rel.len());
@@ -117,7 +117,9 @@ pub(crate) fn ship_output(
     let mut shipped = 0.0;
     let mut batches = 0u64;
     let mut in_flight: Option<usize> = None;
-    let batch_rows = opts.batch_rows();
+    // Floored at one: the options builder rejects zero, but hand-built
+    // options reach here unvalidated.
+    let batch_rows = opts.policy.batch_rows.max(1);
     for start in (0..image.len()).step_by(batch_rows) {
         let batch = start..image.len().min(start.saturating_add(batch_rows));
         ledger.acquire(batch.len());

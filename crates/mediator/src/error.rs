@@ -18,18 +18,10 @@ use std::fmt;
 pub enum ConfigError {
     /// `threads` was 0 — the executor needs at least one worker.
     ZeroThreads,
-    /// `par_threshold` was 0 — every relation (even empty ones) would be
-    /// split for parallel dedup, which degenerates into pure overhead.
-    ZeroParThreshold,
     /// `batch_rows` was 0 — batches could never make progress. Rejected
     /// even when batching is off, so flipping `batching` on later cannot
     /// surface a latent bad knob.
     ZeroBatchRows,
-    /// `batching` was requested with `shipcut` disabled. Chunked shipment
-    /// slices the *ship image* that the ship-cut computes; without it the
-    /// batching knobs are dead weight and the caller almost certainly
-    /// misconfigured one of the two.
-    BatchingWithoutShipcut,
 }
 
 impl fmt::Display for ConfigError {
@@ -38,17 +30,9 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroThreads => {
                 write!(f, "invalid config: threads must be at least 1, got 0")
             }
-            ConfigError::ZeroParThreshold => {
-                write!(f, "invalid config: par_threshold must be at least 1, got 0")
-            }
             ConfigError::ZeroBatchRows => {
                 write!(f, "invalid config: batch_rows must be at least 1, got 0")
             }
-            ConfigError::BatchingWithoutShipcut => write!(
-                f,
-                "invalid config: batching requires shipcut (chunked shipment \
-                 slices the ship image the ship-cut computes)"
-            ),
         }
     }
 }
@@ -247,8 +231,8 @@ mod tests {
                 &["invalid config", "batch_rows"],
             ),
             (
-                MediatorError::Config(ConfigError::BatchingWithoutShipcut),
-                &["invalid config", "batching requires shipcut"],
+                MediatorError::Config(ConfigError::ZeroThreads),
+                &["invalid config", "threads"],
             ),
             (
                 MediatorError::RecursionBudget { max_depth: 7 },

@@ -23,7 +23,7 @@ use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, SetExpr, ValueExpr};
 use aig_core::AigError;
 use aig_relstore::intern::{self, Reader, SymMap};
-use aig_relstore::par::{apply_perm, sort_perm, RowTable};
+use aig_relstore::par::{apply_perm, sort_perm, RowTable, PAR_THRESHOLD};
 use aig_relstore::{Catalog, Relation, SourceId, StoreError, Sym, Value};
 use aig_sql::{execute_tuned as sql_execute_tuned, ParamValue, Params};
 use std::collections::HashMap;
@@ -113,18 +113,10 @@ pub struct ExecPolicy {
     /// in the parallel executor; ignored by the sequential executor.
     pub scheduling: Scheduling,
     /// Worker-thread bound for the partitioned kernels (hash join,
-    /// canonical sort, dedup) inside each task. Results are byte-identical
-    /// for any value; `1` keeps every kernel sequential.
+    /// canonical sort, dedup) inside each task, on inputs of at least
+    /// [`aig_relstore::par::PAR_THRESHOLD`] rows. Results are
+    /// byte-identical for any value; `1` keeps every kernel sequential.
     pub threads: usize,
-    /// Minimum input size (rows) before a partitioned kernel engages;
-    /// smaller inputs take the sequential path outright. Results are
-    /// byte-identical for any value — this only moves the crossover point
-    /// (tests pin it to force either path on small fixtures).
-    pub par_threshold: usize,
-    /// Per-request deadline budget in seconds (None = unbounded). The
-    /// clock starts when a request enters execution; expiry surfaces as
-    /// [`crate::MediatorError::DeadlineExceeded`] instead of hanging.
-    pub deadline_secs: Option<f64>,
     /// Chunked shipment (see [`crate::batch`], the only reader): task
     /// outputs cross the ship seam in `batch_rows`-row batches, each priced
     /// and windowed on its own; no operator runs differently. Stores and
@@ -145,44 +137,29 @@ pub struct ExecPolicy {
     pub incremental: bool,
 }
 
+/// The defaults are [`crate::pipeline::MediatorOptions`]'s, declared there.
 impl Default for ExecPolicy {
     fn default() -> Self {
-        ExecPolicy {
-            check_guards: true,
-            check_integrity: false,
-            parallel_exec: false,
-            network: crate::sim::NetworkModel::default(),
-            faults: None,
-            retry: RetryPolicy::default(),
-            scheduling: Scheduling::default(),
-            threads: 1,
-            par_threshold: aig_relstore::par::PAR_THRESHOLD,
-            deadline_secs: None,
-            batching: false,
-            batch_rows: 2048,
-            incremental: false,
-        }
+        crate::pipeline::MediatorOptions::default().exec_policy()
     }
 }
 
-/// Execution options: a thin view of an [`ExecPolicy`] plus the per-run
-/// state the caller must bind (the catalog-bound fault plan, calibration,
-/// pacing, ship-cut profiles, the started deadline clock, and the
-/// cross-request gate). All policy switches are read through the accessor
-/// methods, so there is exactly one source of truth for them.
+/// Execution options: an [`ExecPolicy`] plus the per-run state the caller
+/// must bind (the catalog-bound fault plan, pacing, ship-cut profiles, the
+/// started deadline clock, and the cross-request gate). Policy switches are
+/// read from the `policy` field, the one source of truth for them.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// The shared policy (retry, scheduling, threads, par_threshold,
-    /// guard/integrity switches, network model, batching knobs).
+    /// The shared policy (retry, scheduling, threads, guard/integrity
+    /// switches, network model, batching knobs).
     pub policy: ExecPolicy,
     /// Deterministic fault injection bound to a catalog (None = no
     /// faults). Bound by the caller from [`ExecPolicy::faults`].
     pub faults: Option<FaultPlan>,
-    /// Mirrors [`crate::graph::GraphOptions::eval_scale`]. No executor
-    /// reads it: it calibrated the measured actuals the dynamic scheduler
-    /// used to patch into its priorities, which could not move a pick (see
-    /// [`crate::parallel`]). The field stays because callers outside the
-    /// workspace still set it.
+    /// Nothing in the library reads or writes it (the calibration the
+    /// response simulation uses is
+    /// [`crate::graph::GraphOptions::eval_scale`]). The field stays because
+    /// callers outside the workspace still set it.
     pub eval_scale: f64,
     /// Optional per-task pacing: task `i` sleeps `pace[i]` seconds inside
     /// its measured execution window. Lets benches and tests emulate slow
@@ -195,9 +172,9 @@ pub struct ExecOptions {
     pub shipcut: Option<Arc<ShipCut>>,
     /// Per-request deadline budget: no task attempt starts past it, sleeps
     /// are clamped to it, and expiry surfaces as
-    /// [`MediatorError::DeadlineExceeded`]. Bound per request
-    /// ([`ExecPolicy::deadline_secs`] only carries the budget; the clock
-    /// starts when the request does).
+    /// [`MediatorError::DeadlineExceeded`]. Bound per request from
+    /// [`crate::service::RequestCtx::deadline_secs`]; the clock starts when
+    /// the request does.
     pub deadline: Option<crate::faults::Deadline>,
     /// Cross-request source arbiter: concurrent requests sharing a gate
     /// serialize same-source task execution, earliest absolute deadline
@@ -224,73 +201,23 @@ impl ExecOptions {
             gate: None,
         }
     }
+}
 
-    pub fn check_guards(&self) -> bool {
-        self.policy.check_guards
-    }
-
-    pub fn check_integrity(&self) -> bool {
-        self.policy.check_integrity
-    }
-
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.policy.retry
-    }
-
-    pub fn network(&self) -> &crate::sim::NetworkModel {
-        &self.policy.network
-    }
-
-    pub fn scheduling(&self) -> Scheduling {
-        self.policy.scheduling
-    }
-
-    /// Kernel thread bound, floored at 1 as an executor safety net; the
-    /// options builder rejects zero outright (`ConfigError`).
-    pub fn threads(&self) -> usize {
-        self.policy.threads.max(1)
-    }
-
-    /// Partitioned-kernel crossover, floored at 1 as an executor safety
-    /// net; the options builder rejects zero outright (`ConfigError`).
-    pub fn par_threshold(&self) -> usize {
-        self.policy.par_threshold.max(1)
-    }
-
-    /// Whether chunked shipment (streaming batch execution) is on.
-    pub fn batching(&self) -> bool {
-        self.policy.batching
-    }
-
-    /// Batch size of the chunked shipment seam, floored at 1; the options
-    /// builder rejects zero outright (`ConfigError`).
-    pub fn batch_rows(&self) -> usize {
-        self.policy.batch_rows.max(1)
-    }
-
-    /// Whether incremental re-evaluation on source deltas is on.
-    pub fn incremental(&self) -> bool {
-        self.policy.incremental
-    }
-
-    /// Returns the options with the scheduling mode replaced.
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> ExecOptions {
-        self.policy.scheduling = scheduling;
-        self
-    }
-
-    /// Returns the options with the kernel thread bound replaced.
-    pub fn with_threads(mut self, threads: usize) -> ExecOptions {
-        self.policy.threads = threads;
-        self
-    }
-
-    /// Returns the options with the chunked-shipment knobs replaced.
-    pub fn with_batching(mut self, batching: bool, batch_rows: usize) -> ExecOptions {
-        self.policy.batching = batching;
-        self.policy.batch_rows = batch_rows;
-        self
-    }
+/// The one place a policy meets a catalog: executor options for `policy`
+/// with its fault configuration bound to `catalog`, so every run under them
+/// replays the same deterministic fault stream.
+pub(crate) fn bind_policy(
+    policy: ExecPolicy,
+    catalog: &Catalog,
+) -> Result<ExecOptions, MediatorError> {
+    let faults = match &policy.faults {
+        Some(cfg) => Some(FaultPlan::new(cfg, catalog)?),
+        None => None,
+    };
+    Ok(ExecOptions {
+        faults,
+        ..ExecOptions::new(policy)
+    })
 }
 
 /// Measured per-task execution: wall-clock seconds plus actual input and
@@ -671,7 +598,7 @@ impl<S: RelSource> Executor<'_, S> {
         let in_rows = input_rows(task, self.store);
         let start = Instant::now();
         let start_secs = (start - self.epoch).as_secs_f64();
-        let profiling = opts.check_integrity()
+        let profiling = opts.policy.check_integrity
             || opts
                 .faults
                 .as_ref()
@@ -693,11 +620,11 @@ impl<S: RelSource> Executor<'_, S> {
             failed_over_from: (source != task.source)
                 .then(|| self.catalog.source(task.source).name()),
             profile: profile.as_ref(),
-            check_integrity: opts.check_integrity(),
+            check_integrity: opts.policy.check_integrity,
         };
         let env = FaultEnv {
             plan: opts.faults.as_ref(),
-            retry: opts.retry(),
+            retry: &opts.policy.retry,
             deadline: opts.deadline.as_ref(),
         };
         let result = env.run_task(&ctx, events, ledger, || {
@@ -820,8 +747,7 @@ impl<S: RelSource> Executor<'_, S> {
                 // field, so the generated fields alone break ties.
                 let perm = {
                     let reader = Reader::snapshot();
-                    let (threads, threshold) = (self.opts.threads(), self.opts.par_threshold());
-                    sort_perm(raw.len(), threads, threshold, |a, b| {
+                    sort_perm(raw.len(), self.threads(), PAR_THRESHOLD, |a, b| {
                         key_cols
                             .iter()
                             .map(|k| reader.cmp(k[a as usize], k[b as usize]))
@@ -1003,7 +929,7 @@ impl<S: RelSource> Executor<'_, S> {
             }
             TaskKind::SynAgg { occ, field } => Ok(Some(self.compute_syn(occ, field)?)),
             TaskKind::Guard { occ, guard } => {
-                if self.opts.check_guards() {
+                if self.opts.policy.check_guards {
                     self.check_guard(occ, *guard)?;
                 }
                 Ok(None)
@@ -1048,15 +974,21 @@ impl<S: RelSource> Executor<'_, S> {
             &vq.query,
             self.catalog,
             &params,
-            self.opts.threads(),
-            self.opts.par_threshold(),
+            self.threads(),
+            PAR_THRESHOLD,
         )?)
+    }
+
+    /// The kernels' thread bound, floored at one: the options builder
+    /// rejects zero, but hand-built options reach here unvalidated.
+    fn threads(&self) -> usize {
+        self.opts.policy.threads.max(1)
     }
 
     /// Set-semantics coercion of a task output: first-occurrence dedup,
     /// partitioned for large relations.
     fn dedup_output(&self, rel: &mut Relation) {
-        rel.dedup_parallel_with(self.opts.threads(), self.opts.par_threshold());
+        rel.dedup_parallel_with(self.threads(), PAR_THRESHOLD);
     }
 
     /// Computes a synthesized set/bag table `(__owner, comps…)`.

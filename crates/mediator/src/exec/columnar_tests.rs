@@ -133,12 +133,9 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                 // Canonical per-parent order: (parent, fields), then ordinal.
                 // Compared by reference — no per-comparison clones — and
                 // partitioned over the configured threads for large outputs.
-                stable_sort_rows_with(
-                    &mut rows,
-                    self.0.opts.threads(),
-                    self.0.opts.par_threshold(),
-                    |a, b| a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..])),
-                );
+                stable_sort_rows_with(&mut rows, self.0.threads(), PAR_THRESHOLD, |a, b| {
+                    a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..]))
+                });
                 let mut last_parent: Option<Value> = None;
                 let mut ord = 0i64;
                 let mut finished: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
@@ -311,7 +308,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
             TaskKind::SynAgg { occ, field } => Ok(Some(self.compute_syn(occ, field)?)),
             TaskKind::Guard { occ, guard } => {
                 // Guards were not rewritten: they produce no relation.
-                if self.0.opts.check_guards() {
+                if self.0.opts.policy.check_guards {
                     self.0.check_guard(occ, *guard)?;
                 }
                 Ok(None)
@@ -993,7 +990,6 @@ fn flow(seed: u64) -> Fixture {
 fn options(threads: usize, batching: bool) -> ExecOptions {
     ExecOptions::new(ExecPolicy {
         threads,
-        par_threshold: 1,
         batching,
         batch_rows: 3,
         ..ExecPolicy::default()

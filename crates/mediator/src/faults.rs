@@ -83,7 +83,7 @@ impl Default for FaultConfig {
 
 /// A per-request deadline budget: a wall-clock start plus a budget in
 /// seconds. Bound once when a request enters execution
-/// ([`crate::plan::ExecPolicy::deadline_secs`] →
+/// ([`crate::service::RequestCtx::deadline_secs`] →
 /// [`crate::exec::ExecOptions::deadline`]) and consulted by both executors
 /// (no task starts past the deadline) and the retry loop (no attempt starts
 /// past it; backoff and stall sleeps are clamped to the remaining budget).

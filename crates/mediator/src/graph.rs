@@ -248,12 +248,14 @@ impl fmt::Display for TaskGraph {
     }
 }
 
+/// Estimated mediator-side processing cost per tuple (seconds): the
+/// compile-time price of a mediator task's rows.
+pub const MEDIATOR_PER_TUPLE_SECS: f64 = 2e-7;
+
 /// Options for graph construction.
 #[derive(Debug, Clone)]
 pub struct GraphOptions {
     pub cost_model: CostModel,
-    /// Mediator-side per-tuple processing cost (seconds).
-    pub mediator_per_tuple_secs: f64,
     /// Calibration factor applied to measured in-process execution times
     /// when simulating response times (our embedded engine vs the paper's
     /// 2003 testbed).
@@ -264,7 +266,6 @@ impl Default for GraphOptions {
     fn default() -> Self {
         GraphOptions {
             cost_model: CostModel::default(),
-            mediator_per_tuple_secs: 2e-7,
             eval_scale: 1.0,
         }
     }
@@ -1328,7 +1329,7 @@ pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOpti
                 .unwrap_or(CostEstimate::ZERO)
         };
         let med = |rows: f64, width: f64| CostEstimate {
-            eval_secs: rows * opts.mediator_per_tuple_secs,
+            eval_secs: rows * MEDIATOR_PER_TUPLE_SECS,
             out_rows: rows,
             out_bytes: rows * width,
         };
@@ -1361,7 +1362,7 @@ pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOpti
                 let rows: f64 = inputs.iter().map(|k| dep_est(k).out_rows).sum();
                 let bytes: f64 = inputs.iter().map(|k| dep_est(k).out_bytes).sum();
                 CostEstimate {
-                    eval_secs: rows * opts.mediator_per_tuple_secs,
+                    eval_secs: rows * MEDIATOR_PER_TUPLE_SECS,
                     out_rows: rows.max(if matches!(graph.tasks[id].kind, TaskKind::Root) {
                         1.0
                     } else {
@@ -1386,7 +1387,7 @@ pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOpti
             TaskKind::Guard { .. } => {
                 let rows: f64 = deps.iter().map(|(d, _)| graph.tasks[*d].est.out_rows).sum();
                 CostEstimate {
-                    eval_secs: rows * opts.mediator_per_tuple_secs,
+                    eval_secs: rows * MEDIATOR_PER_TUPLE_SECS,
                     out_rows: 0.0,
                     out_bytes: 0.0,
                 }

@@ -485,13 +485,13 @@ impl Default for SchedulerObs {
 
 report_struct! {
     /// The ship-cut section: what column-liveness pruning at ship boundaries
-    /// saved on the simulated wire. `Default` (disabled, all zero) describes a
-    /// run without ship-cut; when enabled, `shipped_cut_bytes` is what actually
+    /// saved on the simulated wire. `shipped_cut_bytes` is what actually
     /// entered the transfer model and `shipped_full_bytes` what the unpruned
     /// relations would have cost.
     #[derive(Debug, Clone, Default)]
     pub struct ShipcutObs {
-        /// Whether ship-cut liveness pruning was active for the run.
+        /// Whether ship-cut liveness pruning was active for the run: true on
+        /// every mediator run, false only in a `Default` section.
         pub enabled: bool,
         /// Total cross-source shipped bytes of the full (unpruned) outputs.
         pub shipped_full_bytes: f64 = det,
@@ -721,8 +721,6 @@ pub(crate) struct ReportInputs<'a> {
     pub sched: &'a crate::exec::SchedLog,
     /// Plan-cache observability for the request (default when no cache).
     pub cache: CacheObs,
-    /// Whether ship-cut liveness pruning was active during execution.
-    pub shipcut_enabled: bool,
     /// The chunked-shipment ledger of the final execution round.
     pub batch: crate::batch::BatchLog,
     /// The delta re-evaluation ledger (default on non-incremental runs).
@@ -801,7 +799,6 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         fault_seed,
         sched,
         cache,
-        shipcut_enabled,
         batch,
         incremental,
     } = inputs;
@@ -809,7 +806,8 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
     let shipped = shipped_bytes(graph, measured);
     let shipped_full = shipped_bytes_by(graph, measured, |m| m.wire_bytes);
     let shipcut = ShipcutObs {
-        enabled: shipcut_enabled,
+        // Every prepared plan carries ship-cut profiles.
+        enabled: true,
         shipped_full_bytes: shipped_full.iter().fold(0.0, |a, b| a + b),
         shipped_cut_bytes: shipped.iter().fold(0.0, |a, b| a + b),
         saved_bytes: shipped_full

@@ -309,7 +309,7 @@ pub fn execute_graph_parallel(
     // Each round redirects at least one dead source, and a redirected
     // source cannot halt again, so the loop is bounded by the source count.
     for _ in 0..catalog.len() + 1 {
-        if opts.scheduling() == Scheduling::Dynamic {
+        if opts.policy.scheduling == Scheduling::Dynamic {
             prime_dynamic(&shared, graph, &plan, &failover.effective, opts);
         }
         let exec = Executor {
@@ -352,7 +352,7 @@ pub fn execute_graph_parallel(
                     events: state.integrity,
                 },
                 sched: SchedLog {
-                    dynamic: opts.scheduling() == Scheduling::Dynamic,
+                    dynamic: opts.policy.scheduling == Scheduling::Dynamic,
                     picks: state.picks,
                 },
                 batch: crate::batch::BatchLog::from_ledger(opts, &ship),
@@ -363,7 +363,7 @@ pub fn execute_graph_parallel(
         let done = shared.state.lock().expect("store mutex").done.clone();
         let pending: Vec<usize> = graph.topo.iter().copied().filter(|&t| !done[t]).collect();
         failover.fail_over(down, &pending)?;
-        plan = replan_surviving(graph, &done, &failover.effective, opts.network());
+        plan = replan_surviving(graph, &done, &failover.effective, &opts.policy.network);
     }
     Err(MediatorError::Internal(
         "failover rounds exceeded the source count".to_string(),
@@ -382,7 +382,7 @@ fn prime_dynamic(
 ) {
     let n = graph.tasks.len();
     let estimates = CostGraph::from_task_graph(graph, &estimated_costs(graph));
-    let priority = crate::schedule::levels(&estimates, opts.network());
+    let priority = crate::schedule::levels(&estimates, &opts.policy.network);
     let mut planned_pos = vec![0usize; n];
     for seq in plan.values() {
         for (pos, &id) in seq.iter().enumerate() {
@@ -449,7 +449,7 @@ fn run_round(
                         shared.complete(task_id, at, result, measured, events, ledger);
                         ok
                     };
-                    match opts.scheduling() {
+                    match opts.policy.scheduling {
                         Scheduling::Static => {
                             for &task_id in sequence {
                                 if shared.is_done(task_id) {
@@ -556,7 +556,8 @@ mod tests {
         let args = [("date", Value::str("d1"))];
         let sequential =
             execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
-        let opts = ExecOptions::default().with_scheduling(Scheduling::Dynamic);
+        let mut opts = ExecOptions::default();
+        opts.policy.scheduling = Scheduling::Dynamic;
         let plan = topo_plan(&graph);
         let dynamic = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
         for task in &graph.tasks {
@@ -594,7 +595,8 @@ mod tests {
         for seq in plan.values_mut() {
             seq.reverse();
         }
-        let opts = ExecOptions::default().with_scheduling(Scheduling::Dynamic);
+        let mut opts = ExecOptions::default();
+        opts.policy.scheduling = Scheduling::Dynamic;
         let dynamic = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
         for task in &graph.tasks {
             if let Some(key) = &task.output {

@@ -16,8 +16,8 @@
 //! prepared plans across requests.
 
 use crate::error::{ConfigError, MediatorError};
-use crate::exec::{ExecOptions, Scheduling};
-use crate::faults::{FaultConfig, FaultPlan, RetryPolicy};
+use crate::exec::{bind_policy, Scheduling};
+use crate::faults::{FaultConfig, RetryPolicy};
 use crate::graph::GraphOptions;
 use crate::obs::{CacheObs, Phases, RunReport};
 use crate::plan::{
@@ -62,23 +62,11 @@ pub struct MediatorOptions {
     /// Static (planned sequences) or dynamic (live ready-queue) scheduling
     /// in the parallel executor; ignored by the sequential executor.
     pub scheduling: Scheduling,
-    /// Column-liveness pruning at ship boundaries: shipped relations are
-    /// projected to the columns downstream consumers actually read (and
-    /// deduplicated for set-semantics consumers) before byte accounting.
-    /// Stores and the final document are byte-identical either way.
-    pub shipcut: bool,
     /// Worker threads for the partitioned in-process kernels (hash join,
-    /// canonical sort, dedup). `1` = sequential; results are byte-identical
-    /// at any thread count.
+    /// canonical sort, dedup) on inputs of at least
+    /// [`aig_relstore::par::PAR_THRESHOLD`] rows. `1` = sequential; results
+    /// are byte-identical at any thread count.
     pub threads: usize,
-    /// Minimum input size (rows) before a partitioned kernel engages;
-    /// smaller inputs stay sequential. Byte-identical at any value — tests
-    /// pin it to force either kernel path on small fixtures.
-    pub par_threshold: usize,
-    /// Per-request deadline budget in seconds (None = unbounded): no task
-    /// attempt starts past it and expiry surfaces as
-    /// [`crate::MediatorError::DeadlineExceeded`].
-    pub deadline_secs: Option<f64>,
     /// Chunked shipment (see [`crate::batch`]): task outputs cross the
     /// ship seam in `batch_rows`-row batches, each priced on its own and
     /// held in a two-batch window, so peak resident shipment rows are
@@ -111,10 +99,7 @@ impl Default for MediatorOptions {
             faults: None,
             retry: RetryPolicy::default(),
             scheduling: Scheduling::default(),
-            shipcut: true,
             threads: 1,
-            par_threshold: aig_relstore::par::PAR_THRESHOLD,
-            deadline_secs: None,
             batching: false,
             batch_rows: 2048,
             incremental: false,
@@ -132,20 +117,14 @@ impl MediatorOptions {
 
     /// Structural validation, applied by [`MediatorOptionsBuilder::build`]
     /// and by the run entry points (so hand-assembled options are caught
-    /// too): zero knobs that would otherwise be silently clamped, and
-    /// contradictory switch combinations, surface as a [`ConfigError`].
+    /// too): zero knobs that would otherwise be silently clamped surface as
+    /// a [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
         }
-        if self.par_threshold == 0 {
-            return Err(ConfigError::ZeroParThreshold);
-        }
         if self.batch_rows == 0 {
             return Err(ConfigError::ZeroBatchRows);
-        }
-        if self.batching && !self.shipcut {
-            return Err(ConfigError::BatchingWithoutShipcut);
         }
         Ok(())
     }
@@ -158,7 +137,6 @@ impl MediatorOptions {
             max_depth: self.max_depth,
             cutoff: self.cutoff,
             graph: self.graph.clone(),
-            shipcut: self.shipcut,
         }
     }
 
@@ -173,8 +151,6 @@ impl MediatorOptions {
             retry: self.retry.clone(),
             scheduling: self.scheduling,
             threads: self.threads,
-            par_threshold: self.par_threshold,
-            deadline_secs: self.deadline_secs,
             batching: self.batching,
             batch_rows: self.batch_rows,
             incremental: self.incremental,
@@ -182,21 +158,9 @@ impl MediatorOptions {
     }
 }
 
-impl From<&MediatorOptions> for PlanOptions {
-    fn from(options: &MediatorOptions) -> PlanOptions {
-        options.plan_options()
-    }
-}
-
-impl From<&MediatorOptions> for ExecPolicy {
-    fn from(options: &MediatorOptions) -> ExecPolicy {
-        options.exec_policy()
-    }
-}
-
 /// Chainable construction of [`MediatorOptions`]. [`build`] validates the
-/// assembled options and returns [`ConfigError`] on degenerate knobs or
-/// contradictory switches — nothing is silently clamped:
+/// assembled options and returns [`ConfigError`] on degenerate knobs —
+/// nothing is silently clamped:
 ///
 /// ```
 /// use aig_mediator::{ConfigError, CutOff, MediatorOptions, Scheduling};
@@ -358,18 +322,6 @@ impl MediatorOptionsBuilder {
         self
     }
 
-    /// Column-liveness pruning at ship boundaries.
-    ///
-    /// ```
-    /// use aig_mediator::MediatorOptions;
-    /// let o = MediatorOptions::builder().shipcut(false).build().unwrap();
-    /// assert!(!o.shipcut);
-    /// ```
-    pub fn shipcut(mut self, shipcut: bool) -> Self {
-        self.options.shipcut = shipcut;
-        self
-    }
-
     /// Worker threads for the partitioned in-process kernels. Zero is
     /// rejected by [`build`](MediatorOptionsBuilder::build) — it is no
     /// longer silently clamped to 1.
@@ -386,46 +338,12 @@ impl MediatorOptionsBuilder {
         self
     }
 
-    /// Minimum input rows before a partitioned kernel engages. Zero is
-    /// rejected by [`build`](MediatorOptionsBuilder::build).
-    ///
-    /// ```
-    /// use aig_mediator::{ConfigError, MediatorOptions};
-    /// let o = MediatorOptions::builder().par_threshold(64).build().unwrap();
-    /// assert_eq!(o.par_threshold, 64);
-    /// let err = MediatorOptions::builder().par_threshold(0).build().unwrap_err();
-    /// assert_eq!(err, ConfigError::ZeroParThreshold);
-    /// ```
-    pub fn par_threshold(mut self, threshold: usize) -> Self {
-        self.options.par_threshold = threshold;
-        self
-    }
-
-    /// Per-request deadline budget in seconds (`None` = unbounded).
+    /// Chunked shipment (streaming batch execution, [`crate::batch`]).
     ///
     /// ```
     /// use aig_mediator::MediatorOptions;
-    /// let o = MediatorOptions::builder().deadline_secs(Some(0.5)).build().unwrap();
-    /// assert_eq!(o.deadline_secs, Some(0.5));
-    /// ```
-    pub fn deadline_secs(mut self, budget: Option<f64>) -> Self {
-        self.options.deadline_secs = budget;
-        self
-    }
-
-    /// Chunked shipment (streaming batch execution, [`crate::batch`]).
-    /// Requires `shipcut`; the contradiction is rejected at build time.
-    ///
-    /// ```
-    /// use aig_mediator::{ConfigError, MediatorOptions};
     /// let o = MediatorOptions::builder().batching(true).build().unwrap();
     /// assert!(o.batching);
-    /// let err = MediatorOptions::builder()
-    ///     .batching(true)
-    ///     .shipcut(false)
-    ///     .build()
-    ///     .unwrap_err();
-    /// assert_eq!(err, ConfigError::BatchingWithoutShipcut);
     /// ```
     pub fn batching(mut self, batching: bool) -> Self {
         self.options.batching = batching;
@@ -550,17 +468,9 @@ pub fn run_with_report(
     options.validate()?;
     let mut phases = Phases::new();
     let plan_options = options.plan_options();
-    let policy = options.exec_policy();
-
-    // Derive the executor options once (not per unfold round); bind the
-    // fault model once so every round replays the same fault stream, and
-    // carry the evaluation-scale calibration from the plan-side options.
-    let mut exec_opts = ExecOptions::new(policy.clone());
-    exec_opts.eval_scale = plan_options.graph.eval_scale;
-    exec_opts.faults = match &policy.faults {
-        Some(cfg) => Some(FaultPlan::new(cfg, catalog)?),
-        None => None,
-    };
+    // Bound once, not per unfold round, so every round replays the same
+    // fault stream.
+    let exec_opts = bind_policy(options.exec_policy(), catalog)?;
 
     let mut depth = plan_options.unfold_depth.max(1);
     let mut rounds = 0usize;
@@ -573,7 +483,7 @@ pub fn run_with_report(
                 catalog,
                 depth,
                 &plan_options,
-                &policy.network,
+                &exec_opts.policy.network,
                 &mut phases,
             )?,
             // Frontier rounds reuse the compiled/decomposed AIG.
@@ -799,14 +709,12 @@ mod tests {
             .unfold_depth(2)
             .max_depth(16)
             .scheduling(Scheduling::Dynamic)
-            .shipcut(false)
             .threads(4)
             .build()
             .unwrap();
         let (plan, policy) = (options.plan_options(), options.exec_policy());
         assert_eq!((plan.unfold_depth, plan.max_depth), (2, 16));
         assert_eq!(plan.cutoff, options.cutoff);
-        assert!(!plan.shipcut);
         assert_eq!(policy.scheduling, Scheduling::Dynamic);
         assert_eq!(policy.threads, 4);
     }

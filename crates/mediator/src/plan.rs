@@ -41,21 +41,13 @@ pub struct PlanOptions {
     pub max_depth: usize,
     /// Truncate at the depth (the paper's §6 setup) or detect and extend.
     pub cutoff: CutOff,
-    /// Whether ship-cut column-liveness profiles are computed for the task
-    /// graph (see [`crate::shipcut`]) and applied to the transfer model.
-    pub shipcut: bool,
     pub graph: GraphOptions,
 }
 
+/// The defaults are [`crate::pipeline::MediatorOptions`]'s, declared there.
 impl Default for PlanOptions {
     fn default() -> Self {
-        PlanOptions {
-            unfold_depth: 3,
-            max_depth: 64,
-            cutoff: CutOff::Frontier,
-            shipcut: true,
-            graph: GraphOptions::default(),
-        }
+        crate::pipeline::MediatorOptions::default().plan_options()
     }
 }
 
@@ -73,18 +65,15 @@ pub use crate::exec::ExecPolicy;
 /// [`crate::pipeline::run_with_report`]).
 #[derive(Debug)]
 pub struct PreparedPlan {
-    fingerprint: u64,
+    /// What the plan was unfolded from — kept so [`deepen`] can re-unfold
+    /// without repeating compilation.
+    front: FrontEnd,
     /// The unfolding depth the plan was prepared at.
     pub depth: usize,
     /// The plan-side options the plan was prepared under.
     pub options: PlanOptions,
     /// Network model the estimate-based schedule was computed under.
     pub network: NetworkModel,
-    /// The compiled, decomposed (but not yet unfolded) AIG — kept so
-    /// [`deepen`] can re-unfold without repeating compilation.
-    specialized: Arc<Aig>,
-    /// The DTD of the *source* AIG, used to validate execution output.
-    dtd: Dtd,
     /// The unfolded, specialized AIG the task graph was built from.
     pub aig: Aig,
     /// Cut-off sites of the unfolding (empty when nothing recursed deeper).
@@ -97,8 +86,10 @@ pub struct PreparedPlan {
     pub est_baseline: MergeOutcome,
     /// Estimate-based response time of the final, merged plan (§5.4).
     pub est_merged: MergeOutcome,
-    /// Ship-cut column-liveness profiles of the task graph (None when
-    /// `options.shipcut` is off). Shared with every execution's options.
+    /// Ship-cut column-liveness profiles of the task graph, shared with
+    /// every execution's options. Always `Some`: preparation always runs
+    /// the analysis, and the field keeps its `Option` type for callers that
+    /// already unwrap it.
     pub shipcut: Option<Arc<crate::shipcut::ShipCut>>,
     /// Per-task read-sets: which `(source, table)` pairs (and columns) each
     /// task's queries consume — the dependency index of incremental
@@ -113,7 +104,7 @@ impl PreparedPlan {
     /// [`Aig::fingerprint`]) — the cache-key component identifying *what*
     /// the plan evaluates.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.front.fingerprint
     }
 
     /// Estimate-based response time of the final, merged plan.
@@ -178,17 +169,12 @@ pub fn prepare(
         }
     })?;
     let (specialized, _report) = phases.time("decompose", || decompose_queries(&compiled))?;
-    prepare_unfolded(
-        aig.fingerprint(),
-        Arc::new(specialized),
-        aig.dtd.clone(),
-        catalog,
-        depth,
-        options,
-        net,
-        phases,
-        start,
-    )
+    let front = FrontEnd {
+        fingerprint: aig.fingerprint(),
+        specialized: Arc::new(specialized),
+        dtd: aig.dtd.clone(),
+    };
+    front.plan(catalog, depth, options, net, phases, start)
 }
 
 /// The depth to re-unfold to when a depth-`depth` plan's frontier still
@@ -210,10 +196,7 @@ pub fn deepen(
     depth: usize,
     phases: &mut Phases,
 ) -> Result<PreparedPlan, MediatorError> {
-    prepare_unfolded(
-        plan.fingerprint,
-        plan.specialized.clone(),
-        plan.dtd.clone(),
+    plan.front.clone().plan(
         catalog,
         depth,
         &plan.options,
@@ -223,69 +206,78 @@ pub fn deepen(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn prepare_unfolded(
+/// The depth-independent front half of a plan, shared by [`prepare`] and
+/// [`deepen`]: the source AIG's fingerprint, its compiled and decomposed
+/// form every unfolding starts from, and the DTD execution output is
+/// validated against.
+#[derive(Debug, Clone)]
+struct FrontEnd {
     fingerprint: u64,
     specialized: Arc<Aig>,
     dtd: Dtd,
-    catalog: &Catalog,
-    depth: usize,
-    options: &PlanOptions,
-    net: &NetworkModel,
-    phases: &mut Phases,
-    start: Instant,
-) -> Result<PreparedPlan, MediatorError> {
-    let depth = depth.max(1);
-    let unfolded = phases.time("unfold", || unfold(&specialized, depth, options.cutoff))?;
-    let graph = phases.time("graph_build", || {
-        build_graph(&unfolded.aig, catalog, &options.graph)
-    })?;
-    // Liveness analysis runs *before* estimate-based planning: the cost
-    // model must see the shipment sizes a pruning shipper will actually put
-    // on the wire, or Merge/Schedule optimize against full-width relations
-    // that never cross the network.
-    let shipcut = options.shipcut.then(|| {
-        phases.time("shipcut", || {
+}
+
+impl FrontEnd {
+    /// The back half: unfold to `depth`, build the task graph, analyze
+    /// ship-cut liveness, and plan on the estimates. `start` is when
+    /// preparation began, for [`PreparedPlan::prepare_secs`].
+    fn plan(
+        self,
+        catalog: &Catalog,
+        depth: usize,
+        options: &PlanOptions,
+        net: &NetworkModel,
+        phases: &mut Phases,
+        start: Instant,
+    ) -> Result<PreparedPlan, MediatorError> {
+        let depth = depth.max(1);
+        let unfolded = phases.time("unfold", || {
+            unfold(&self.specialized, depth, options.cutoff)
+        })?;
+        let graph = phases.time("graph_build", || {
+            build_graph(&unfolded.aig, catalog, &options.graph)
+        })?;
+        // Liveness analysis runs *before* estimate-based planning: the cost
+        // model must see the shipment sizes a pruning shipper will actually
+        // put on the wire, or Merge/Schedule optimize against full-width
+        // relations that never cross the network.
+        let cut = phases.time("shipcut", || {
             Arc::new(crate::shipcut::ShipCut::analyze(&unfolded.aig, &graph))
-        })
-    });
-    let (est_baseline, est_merged) = phases.time("plan", || {
-        let mut costs = estimated_costs(&graph);
-        if let Some(cut) = &shipcut {
+        });
+        let (est_baseline, est_merged) = phases.time("plan", || {
+            let mut costs = estimated_costs(&graph);
             for (id, cost) in costs.iter_mut().enumerate() {
                 if let Some(fraction) = cut.estimated_live_fraction(id, &unfolded.aig, &graph) {
                     cost.out_bytes *= fraction;
                 }
             }
-        }
-        let cg = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
-        let baseline = no_merge(&cg, net);
-        let merged = merge(&cg, net, options.graph.cost_model.per_query_overhead_secs);
-        (baseline, merged)
-    });
-    let per_source = topo_per_source(&graph);
-    // Read-set analysis is a linear scan of the task kinds' query ASTs —
-    // cheap enough to run untimed (the pinned prepare phase list stays
-    // exactly `compile_constraints, decompose, unfold, graph_build,
-    // shipcut, plan`).
-    let read_sets = crate::delta::ReadSets::analyze(&graph);
-    Ok(PreparedPlan {
-        fingerprint,
-        depth,
-        options: options.clone(),
-        network: net.clone(),
-        specialized,
-        dtd,
-        aig: unfolded.aig,
-        frontier: unfolded.frontier,
-        graph,
-        per_source,
-        est_baseline,
-        est_merged,
-        shipcut,
-        read_sets,
-        prepare_secs: start.elapsed().as_secs_f64(),
-    })
+            let cg = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
+            let baseline = no_merge(&cg, net);
+            let merged = merge(&cg, net, options.graph.cost_model.per_query_overhead_secs);
+            (baseline, merged)
+        });
+        let per_source = topo_per_source(&graph);
+        // Read-set analysis is a linear scan of the task kinds' query ASTs —
+        // cheap enough to run untimed (the pinned prepare phase list stays
+        // exactly `compile_constraints, decompose, unfold, graph_build,
+        // shipcut, plan`).
+        let read_sets = crate::delta::ReadSets::analyze(&graph);
+        Ok(PreparedPlan {
+            front: self,
+            depth,
+            options: options.clone(),
+            network: net.clone(),
+            aig: unfolded.aig,
+            frontier: unfolded.frontier,
+            graph,
+            per_source,
+            est_baseline,
+            est_merged,
+            shipcut: Some(cut),
+            read_sets,
+            prepare_secs: start.elapsed().as_secs_f64(),
+        })
+    }
 }
 
 /// A completed execution with its relation store and per-task measurements
@@ -443,7 +435,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     }
     if !degraded {
         phases.time("validate", || {
-            validate(&tree, &plan.dtd)
+            validate(&tree, &plan.front.dtd)
                 .map_err(|e| MediatorError::Internal(format!("output validation: {e}")))
         })?;
     }
@@ -523,7 +515,6 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             fault_seed: exec_opts.faults.as_ref().map(|p| p.seed()),
             sched: &sched,
             cache,
-            shipcut_enabled: plan.shipcut.is_some(),
             batch,
             incremental,
         },
@@ -608,39 +599,34 @@ mod tests {
         assert_eq!(names, ["unfold", "graph_build", "shipcut", "plan"]);
     }
 
-    /// With ship-cut on, the estimate-based cost graph prices pruned
-    /// shipments: at least one edge gets strictly cheaper than under the
-    /// full-width estimates, so Merge/Schedule optimize against what the
-    /// executors will actually account on the wire.
+    /// The estimate-based cost graph prices pruned shipments: at least one
+    /// edge is strictly cheaper than under the full-width estimates, so
+    /// Merge/Schedule optimize against what the executors will actually
+    /// account on the wire.
     #[test]
     fn estimates_price_pruned_shipments() {
         let aig = sigma0().unwrap();
         let catalog = mini_hospital_catalog().unwrap();
         let net = NetworkModel::default();
-        let on = PlanOptions::default();
-        let off = PlanOptions {
-            shipcut: false,
-            ..PlanOptions::default()
-        };
-        let plan_on = prepare(&aig, &catalog, 3, &on, &net, &mut Phases::new()).unwrap();
-        let plan_off = prepare(&aig, &catalog, 3, &off, &net, &mut Phases::new()).unwrap();
-        let edge_bytes = |p: &PreparedPlan| -> f64 {
-            p.est_baseline
-                .graph
-                .deps
-                .iter()
-                .flatten()
-                .map(|(_, b)| *b)
-                .sum()
-        };
+        let options = PlanOptions::default();
+        let plan = prepare(&aig, &catalog, 3, &options, &net, &mut Phases::new()).unwrap();
+        let full_width = CostGraph::from_task_graph(&plan.graph, &estimated_costs(&plan.graph))
+            .contract_passthrough();
+        let overhead = options.graph.cost_model.per_query_overhead_secs;
+        let (full_baseline, full_merged) = (
+            no_merge(&full_width, &net),
+            merge(&full_width, &net, overhead),
+        );
+        let edge_bytes =
+            |o: &MergeOutcome| -> f64 { o.graph.deps.iter().flatten().map(|(_, b)| *b).sum() };
         assert!(
-            edge_bytes(&plan_on) < edge_bytes(&plan_off),
+            edge_bytes(&plan.est_baseline) < edge_bytes(&full_baseline),
             "no estimate-phase edge shrank under pruning: {} >= {}",
-            edge_bytes(&plan_on),
-            edge_bytes(&plan_off)
+            edge_bytes(&plan.est_baseline),
+            edge_bytes(&full_baseline)
         );
         // Cheaper transfers can only help the estimate-based response time.
-        assert!(plan_on.predicted_response_secs() <= plan_off.predicted_response_secs() + 1e-12);
+        assert!(plan.predicted_response_secs() <= full_merged.response_secs + 1e-12);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! reach — producing a document byte-identical to a cold full run.
 
 use crate::error::MediatorError;
-use crate::exec::{ExecOptions, Measured, RelStore};
+use crate::exec::{bind_policy, ExecOptions, Measured, RelStore};
 use crate::faults::{Deadline, FaultPlan};
 use crate::obs::{CacheObs, IncrementalObs, Phases, RunReport};
 use crate::pipeline::{MediatorOptions, MediatorRun};
@@ -184,9 +184,8 @@ pub struct CacheStats {
 /// skipping a source entirely).
 #[derive(Debug, Clone, Default)]
 pub struct RequestCtx {
-    /// Deadline budget in seconds for this request; None falls back to the
-    /// policy's [`ExecPolicy::deadline_secs`]. The clock starts when
-    /// [`Mediator::request_with`] is called.
+    /// Deadline budget in seconds for this request (None = unbounded). The
+    /// clock starts when [`Mediator::request_with`] is called.
     pub deadline_secs: Option<f64>,
     /// Sources treated as hard-down for this request only (circuit-breaker
     /// fail-fast: execution reroutes their tasks to replicas before the
@@ -255,9 +254,8 @@ pub struct Mediator {
     cat_fp: u64,
     /// Executor options derived once from the configured policy — which
     /// lives here and nowhere else ([`Mediator::policy`]) — with the fault
-    /// plan bound to the catalog at construction (every request replays the
-    /// same deterministic fault stream) and the eval-scale calibration
-    /// applied.
+    /// plan bound to the catalog (every request replays the same
+    /// deterministic fault stream).
     exec_opts: ExecOptions,
     cache: Mutex<PlanCache>,
     /// Retained run snapshots for incremental re-evaluation; only consulted
@@ -290,10 +288,7 @@ fn args_fingerprint(args: &[(&str, Value)]) -> u64 {
 /// FNV-1a over the plan-side options that determine a plan's shape. The
 /// unfolding depth is part of the cache key itself, not of this hash.
 fn options_fingerprint(options: &PlanOptions) -> u64 {
-    let rendered = format!(
-        "{:?}|{}|{:?}",
-        options.cutoff, options.shipcut, options.graph
-    );
+    let rendered = format!("{:?}|{:?}", options.cutoff, options.graph);
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in rendered.as_bytes() {
         hash ^= *b as u64;
@@ -317,12 +312,7 @@ impl Mediator {
     ) -> Result<Mediator, MediatorError> {
         options.validate().map_err(MediatorError::from)?;
         let plan_options = options.plan_options();
-        let mut exec_opts = ExecOptions::new(options.exec_policy());
-        exec_opts.eval_scale = plan_options.graph.eval_scale;
-        exec_opts.faults = match &exec_opts.policy.faults {
-            Some(cfg) => Some(FaultPlan::new(cfg, &catalog)?),
-            None => None,
-        };
+        let exec_opts = bind_policy(options.exec_policy(), &catalog)?;
         let opts_fp = options_fingerprint(&plan_options);
         let cat_fp = catalog.schema_fingerprint();
         Ok(Mediator {
@@ -359,10 +349,7 @@ impl Mediator {
         let cat_fp = self.catalog.schema_fingerprint();
         if cat_fp != self.cat_fp {
             self.cat_fp = cat_fp;
-            self.exec_opts.faults = match &self.exec_opts.policy.faults {
-                Some(cfg) => Some(FaultPlan::new(cfg, &self.catalog)?),
-                None => None,
-            };
+            self.exec_opts = bind_policy(self.exec_opts.policy.clone(), &self.catalog)?;
             let mut cache = self.lock();
             cache.plans.clear();
             cache.hints.clear();
@@ -451,9 +438,9 @@ impl Mediator {
     /// clock starts here, extra outages re-bind the fault plan so breaker
     /// fail-fast reroutes before the first attempt, and skipped sources are
     /// served as empty views with all their faults suppressed (the mediator
-    /// never contacts them). With a default [`RequestCtx`] and no policy
-    /// deadline this is exactly [`Mediator::request`] — same plan cache,
-    /// same execution, byte-identical documents.
+    /// never contacts them). With a default [`RequestCtx`] this is exactly
+    /// [`Mediator::request`] — same plan cache, same execution,
+    /// byte-identical documents.
     pub fn request_with(
         &self,
         aig: &Aig,
@@ -462,17 +449,16 @@ impl Mediator {
     ) -> Result<ServedRequest, MediatorError> {
         let skipped_ids = self.resolve_sources(&ctx.skip_sources)?;
         let degraded = !skipped_ids.is_empty();
-        let budget = ctx.deadline_secs.or(self.policy().deadline_secs);
 
         // Build per-request overrides only when something actually differs
         // from the service configuration: the common clean path serves
         // straight from the shared state with zero clones.
         let mut opts_owned: Option<ExecOptions> = None;
         let mut catalog_owned: Option<Catalog> = None;
-        if !ctx.is_default() || budget.is_some() {
+        if !ctx.is_default() {
             let mut opts = self.exec_opts.clone();
             opts.gate = ctx.gate.clone();
-            opts.deadline = budget.map(Deadline::starting_now);
+            opts.deadline = ctx.deadline_secs.map(Deadline::starting_now);
             if !ctx.extra_outages.is_empty() {
                 // Re-bind the fault plan with the breaker-declared outages
                 // folded in; with no configured faults the default config's
@@ -504,7 +490,7 @@ impl Mediator {
         // fault plan has no mid-run outages (`dies_after` triggers on
         // *global* per-source completion counts, which a partial re-run
         // would shift; those plans must replay the full graph).
-        let incremental_mode = self.policy().incremental && ctx.is_default() && budget.is_none();
+        let incremental_mode = self.policy().incremental && ctx.is_default();
         let use_snapshots = incremental_mode
             && !self
                 .exec_opts

@@ -169,7 +169,9 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     // materializing run), and a batch is priced where it lies, not sliced
     // out first (3 + 4a allocations for an `a`-column image: 12.4 per batch
     // here). Same store, and the seam's ledger reads what it always read.
-    let batched_options = options.clone().with_batching(true, 256);
+    let mut batched_options = options.clone();
+    batched_options.policy.batching = true;
+    batched_options.policy.batch_rows = 256;
     let run_batched = || {
         let (aig, graph) = (&plan.aig, &plan.graph);
         execute_graph(aig, mediator.catalog(), graph, &args, &batched_options)

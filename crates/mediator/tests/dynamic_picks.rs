@@ -72,7 +72,8 @@ fn paced_dynamic_picks_are_pinned_to_the_bit() {
     };
     let net = NetworkModel::infinite();
     let est = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));
-    let mut opts = ExecOptions::default().with_scheduling(Scheduling::Dynamic);
+    let mut opts = ExecOptions::default();
+    opts.policy.scheduling = Scheduling::Dynamic;
     opts.pace = Some(pace);
     opts.policy.network = net.clone();
     let plan = schedule(&est, &net).per_source;

@@ -51,9 +51,9 @@ fn scheduling_evaluates_once_per_round_and_at_most_once_per_candidate() {
 
     // A dynamic σ0 request, shipped a row per batch so that every task
     // reports many: one round, one level pass, nothing scheduled or priced.
-    let opts = ExecOptions::default()
-        .with_scheduling(Scheduling::Dynamic)
-        .with_batching(true, 1);
+    let mut opts = ExecOptions::default();
+    opts.policy.scheduling = Scheduling::Dynamic;
+    (opts.policy.batching, opts.policy.batch_rows) = (true, 1);
     let run = || execute_graph_parallel(&unfolded.aig, &data.catalog, &graph, &args, &opts, &plan);
     let (result, passes) = counted(run);
     let result = result.unwrap();

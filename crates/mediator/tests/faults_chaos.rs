@@ -126,9 +126,8 @@ fn chaos_matrix_recovered_runs_are_byte_identical() {
     assert!(total_injected > 0, "the matrix never injected a fault");
 }
 
-/// The chaos matrix again, with the partitioned parallel kernels and
-/// ship-cut pruning switched on: recovered runs must still be byte-identical
-/// to the clean sequential run. (CI also runs this as the `--threads` smoke.)
+/// The chaos matrix again, at 4 kernel threads and with ship-cut pruning:
+/// recovered runs must still be byte-identical to the clean sequential run. (CI also runs this as the `--threads` smoke.)
 #[test]
 fn chaos_matrix_is_byte_identical_with_threads_and_shipcut() {
     let catalog = mini_hospital_catalog().unwrap();
@@ -146,7 +145,8 @@ fn chaos_matrix_is_byte_identical_with_threads_and_shipcut() {
             ..FaultConfig::default()
         };
         let plan = FaultPlan::new(&cfg, &catalog).unwrap();
-        let mut opts = faulted_opts(plan, fast_retry(6)).with_threads(4);
+        let mut opts = faulted_opts(plan, fast_retry(6));
+        opts.policy.threads = 4;
         opts.shipcut = Some(shipcut.clone());
 
         let seq = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
@@ -154,7 +154,8 @@ fn chaos_matrix_is_byte_identical_with_threads_and_shipcut() {
         assert_accounted(&seq);
 
         for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-            let opts = opts.clone().with_scheduling(scheduling);
+            let mut opts = opts.clone();
+            opts.policy.scheduling = scheduling;
             let par =
                 execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
                     .unwrap();
@@ -330,7 +331,8 @@ fn mid_run_outage_fails_over_in_every_executor() {
     assert_eq!(seq.resilience.replans, 1);
 
     for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-        let opts = faulted_opts(fault_plan.clone(), fast_retry(3)).with_scheduling(scheduling);
+        let mut opts = faulted_opts(fault_plan.clone(), fast_retry(3));
+        opts.policy.scheduling = scheduling;
         let par = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
             .unwrap();
         assert_stores_identical(&graph, &clean, &par);

@@ -66,6 +66,13 @@ fn defended_opts(plan: FaultPlan, retry: RetryPolicy) -> ExecOptions {
     opts
 }
 
+/// `opts` with `threads` kernel threads under `scheduling`.
+fn tuned(opts: &ExecOptions, threads: usize, scheduling: Scheduling) -> ExecOptions {
+    let mut opts = opts.clone();
+    (opts.policy.threads, opts.policy.scheduling) = (threads, scheduling);
+    opts
+}
+
 /// The mini hospital catalog with a byte-identical replica of `name` added
 /// and declared as its failover target.
 fn catalog_with_replica_of(name: &str) -> Catalog {
@@ -174,10 +181,7 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                         &catalog,
                         &graph,
                         &args,
-                        &opts
-                            .clone()
-                            .with_threads(4)
-                            .with_scheduling(Scheduling::Dynamic),
+                        &tuned(&opts, 4, Scheduling::Dynamic),
                         &topo_plan(&graph),
                     ),
                 ];
@@ -581,10 +585,7 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
         (4, Scheduling::Static),
         (4, Scheduling::Dynamic),
     ] {
-        let opts = opts
-            .clone()
-            .with_threads(threads)
-            .with_scheduling(scheduling);
+        let opts = tuned(&opts, threads, scheduling);
         let par = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
             .unwrap();
         ledgers.push(par.integrity.sorted_events());

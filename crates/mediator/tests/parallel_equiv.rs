@@ -69,7 +69,8 @@ fn run_sequential(fx: &Fixture, opts: &ExecOptions) -> ExecResult {
 /// liveness profiles (the default), and 256-row chunked shipment of
 /// ship-cut images.
 fn ship_arms(fx: &Fixture) -> [ExecOptions; 2] {
-    let mut batched = ExecOptions::default().with_batching(true, 256);
+    let mut batched = ExecOptions::default();
+    (batched.policy.batching, batched.policy.batch_rows) = (true, 256);
     batched.shipcut = Some(Arc::new(ShipCut::analyze(&fx.aig, &fx.graph)));
     [ExecOptions::default(), batched]
 }
@@ -176,32 +177,4 @@ fn pipeline_parallel_flag_matches_sequential() {
         sequential.response_merged_secs,
         parallel.response_merged_secs
     );
-}
-
-/// `ExecPolicy::par_threshold` only moves the sequential/partitioned
-/// crossover: pinning it to 1 forces every kernel (hash join build/probe,
-/// canonical sort, dedup) down the partitioned path even on a tiny fixture,
-/// and the document must stay byte-identical to the default policy.
-#[test]
-fn pinned_par_threshold_is_byte_identical() {
-    let data = HospitalConfig::tiny(5).generate().unwrap();
-    let aig = sigma0().unwrap();
-    let args = [("date", Value::str(&data.dates[0]))];
-    let options = MediatorOptions {
-        unfold_depth: 3,
-        max_depth: 3,
-        cutoff: CutOff::Truncate,
-        network: NetworkModel::mbps(1.0),
-        ..MediatorOptions::default()
-    };
-    let baseline = run(&aig, &data.catalog, &args, &options).unwrap();
-    for threads in [1, 4] {
-        let pinned = MediatorOptions {
-            threads,
-            par_threshold: 1,
-            ..options.clone()
-        };
-        let forced = run(&aig, &data.catalog, &args, &pinned).unwrap();
-        assert_eq!(baseline.tree, forced.tree, "threads={threads}");
-    }
 }

@@ -131,7 +131,8 @@ fn matrix_is_byte_identical_to_the_sequential_unpruned_baseline() {
         for prune in [false, true] {
             for threads in [1usize, 4] {
                 for faults in [false, true] {
-                    let mut opts = ExecOptions::default().with_threads(threads);
+                    let mut opts = ExecOptions::default();
+                    opts.policy.threads = threads;
                     opts.shipcut = prune.then(|| shipcut.clone());
                     if faults {
                         let cfg = FaultConfig {
@@ -155,7 +156,8 @@ fn matrix_is_byte_identical_to_the_sequential_unpruned_baseline() {
                     let seq = run_cell(&fx, &opts, false);
                     assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
                     for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-                        let opts = opts.clone().with_scheduling(scheduling);
+                        let mut opts = opts.clone();
+                        opts.policy.scheduling = scheduling;
                         let par = run_cell(&fx, &opts, true);
                         assert_identical(
                             &fx,

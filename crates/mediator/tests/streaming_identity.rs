@@ -11,7 +11,7 @@
 use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
-use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
+use aig_mediator::exec::{execute_graph, ExecOptions, ExecPolicy, ExecResult, Scheduling};
 use aig_mediator::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
@@ -114,6 +114,17 @@ fn fault_opts(opts: &mut ExecOptions, fx: &Fixture, seed: u64) {
 
 const BATCH_ROWS: usize = 2;
 
+/// Default options on `threads` kernel threads, shipping in
+/// `BATCH_ROWS`-row batches.
+fn batched(threads: usize) -> ExecOptions {
+    ExecOptions::new(ExecPolicy {
+        threads,
+        batching: true,
+        batch_rows: BATCH_ROWS,
+        ..ExecPolicy::default()
+    })
+}
+
 /// Sources that ship at least one task output — the ceiling on tasks
 /// shipping concurrently (the parallel executor runs one worker per
 /// source), hence on the double-buffer windows open at once.
@@ -138,9 +149,7 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
         for prune in [false, true] {
             for threads in [1usize, 4] {
                 for faults in [false, true] {
-                    let mut opts = ExecOptions::default()
-                        .with_threads(threads)
-                        .with_batching(true, BATCH_ROWS);
+                    let mut opts = batched(threads);
                     opts.shipcut = prune.then(|| shipcut.clone());
                     if faults {
                         fault_opts(&mut opts, &fx, seed ^ 0xA5);
@@ -168,7 +177,8 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
                     }
 
                     for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-                        let opts = opts.clone().with_scheduling(scheduling);
+                        let mut opts = opts.clone();
+                        opts.policy.scheduling = scheduling;
                         let par = run_cell(&fx, &opts, true);
                         assert_identical(
                             &fx,
@@ -214,11 +224,7 @@ fn batching_bounds_peak_residency_below_materializing() {
         materializing.0.batch.peak_resident_rows >= largest as u64,
         "materializing seam must hold the largest relation in full"
     );
-    let batched = run_cell(
-        &fx,
-        &ExecOptions::default().with_batching(true, BATCH_ROWS),
-        false,
-    );
+    let batched = run_cell(&fx, &batched(1), false);
     assert!(
         batched.0.batch.peak_resident_rows < materializing.0.batch.peak_resident_rows,
         "batched peak {} not below materializing peak {}",

@@ -30,18 +30,18 @@
 //!   gather columns).
 //!
 //! The kernels fall back to the sequential path below a caller-supplied
-//! threshold ([`PAR_THRESHOLD`] by default, tunable via the mediator's
-//! `ExecPolicy::par_threshold`) or with `threads <= 1`, where partitioning
-//! overhead would dominate.
+//! threshold or with `threads <= 1`, where partitioning overhead would
+//! dominate. The mediator always passes [`PAR_THRESHOLD`]; the kernels keep
+//! the parameter so their tests can force the partitioned path on small
+//! inputs (`par::tests`, `relation::tests`, `aig-sql`'s reference suite).
 
 use crate::intern::{Sym, SymHasher};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-/// Default row count below which the sequential path is used regardless of
-/// `threads`. Callers that expose a tunable (the mediator's `ExecPolicy`)
-/// pass their own threshold.
+/// Row count below which the mediator's kernels stay sequential regardless
+/// of `threads`: the one crossover of the pipeline, not a setting.
 ///
 /// Measured, not guessed (`cargo bench -p aig-bench --bench par_threshold`,
 /// table in DESIGN.md §4): a fan-out costs a thread spawn and join per extra

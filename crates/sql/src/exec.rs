@@ -136,8 +136,8 @@ pub fn execute(query: &Query, catalog: &Catalog, params: &Params) -> Result<Rela
 
 /// Like [`execute`], but with `threads > 1` the join probe loops and the
 /// DISTINCT dedup run partitioned over up to that many scoped threads once
-/// the side they scan has at least `par_threshold` rows (the mediator's
-/// `ExecPolicy::par_threshold`). Partitions are contiguous and merged in
+/// the side they scan has at least `par_threshold` rows (the mediator
+/// passes `PAR_THRESHOLD`). Partitions are contiguous and merged in
 /// partition order, so the result is **byte-identical** to the sequential
 /// path. A join table is built in one pass (merging per-partition tables
 /// would insert every row again).

@@ -15,7 +15,7 @@
 //! wrapper elements.
 
 use crate::error::XmlError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of an element type inside a [`Dtd`].
@@ -407,6 +407,13 @@ impl DtdBuilder {
 // Parsing of <!ELEMENT ...> declarations (general regex content models)
 // ---------------------------------------------------------------------------
 
+/// Deepest content-model nesting [`GeneralDtd::parse`] accepts, counting
+/// parentheses and postfix operators alike; a deeper model is an
+/// [`XmlError::DtdSyntax`]. Every pass over a parsed model
+/// ([`Regex::referenced`], normalization, drop) recurses once per level, so
+/// the cap bounds them all.
+pub const MAX_MODEL_DEPTH: usize = 1_000;
+
 /// A DTD with general regular-expression content models, as parsed from
 /// `<!ELEMENT ...>` text. Normalize with [`GeneralDtd::normalize`] to obtain
 /// the restricted form used everywhere else.
@@ -421,6 +428,18 @@ pub struct GeneralDtd {
 struct DtdParser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// The content-model groups open at `pos`, innermost last; the first is
+    /// the whole model. Kept across declarations so its buffer is reused.
+    open: Vec<Group>,
+}
+
+/// A content-model group being read: the terms before its last separator,
+/// the tallest of their heights, and the separator (`,` or `|`) itself.
+#[derive(Default)]
+struct Group {
+    terms: Vec<Regex>,
+    height: usize,
+    sep: Option<u8>,
 }
 
 impl<'a> DtdParser<'a> {
@@ -428,6 +447,7 @@ impl<'a> DtdParser<'a> {
         DtdParser {
             src: src.as_bytes(),
             pos: 0,
+            open: Vec::new(),
         }
     }
 
@@ -502,13 +522,10 @@ impl<'a> DtdParser<'a> {
             let model = if self.eat("EMPTY") {
                 Regex::Epsilon
             } else {
-                self.regex()?
+                self.model()?
             };
             self.skip_ws();
             self.expect(">")?;
-            if decls.iter().any(|(n, _)| n == &name) {
-                return Err(XmlError::DuplicateElement(name));
-            }
             decls.push((name, model));
         }
         if decls.is_empty() {
@@ -518,72 +535,100 @@ impl<'a> DtdParser<'a> {
         Ok(GeneralDtd { decls, root })
     }
 
-    /// regex := term (',' term)* | term ('|' term)*
-    fn regex(&mut self) -> Result<Regex, XmlError> {
-        let first = self.postfix_term()?;
-        self.skip_ws();
-        if self.src.get(self.pos) == Some(&b',') {
-            let mut items = vec![first];
-            while {
-                self.skip_ws();
-                self.eat(",")
-            } {
-                self.skip_ws();
-                items.push(self.postfix_term()?);
-                self.skip_ws();
-            }
-            Ok(Regex::Seq(items))
-        } else if self.src.get(self.pos) == Some(&b'|') {
-            let mut items = vec![first];
-            while {
-                self.skip_ws();
-                self.eat("|")
-            } {
-                self.skip_ws();
-                items.push(self.postfix_term()?);
-                self.skip_ws();
-            }
-            Ok(Regex::Choice(items))
-        } else {
-            Ok(first)
-        }
-    }
-
-    fn postfix_term(&mut self) -> Result<Regex, XmlError> {
-        let mut base = self.atom()?;
+    /// ```text
+    /// model := term (',' term)* | term ('|' term)*
+    /// term  := ('(' model ')' | '#PCDATA' | name) ('*' | '+' | '?')*
+    /// ```
+    ///
+    /// Read with a stack of open groups instead of recursion, so nesting
+    /// costs heap, not call stack; every term carries its height, so
+    /// [`MAX_MODEL_DEPTH`] bounds postfix chains as well as parentheses.
+    fn model(&mut self) -> Result<Regex, XmlError> {
+        self.open.clear();
+        self.open.push(Group::default());
         loop {
-            match self.src.get(self.pos) {
-                Some(&b'*') => {
-                    self.pos += 1;
-                    base = Regex::Star(Box::new(base));
+            self.skip_ws();
+            if self.eat("(") {
+                if self.open.len() > MAX_MODEL_DEPTH {
+                    return Err(self.too_deep());
                 }
-                Some(&b'+') => {
+                self.open.push(Group::default());
+                continue;
+            }
+            let mut term = if self.eat("#PCDATA") {
+                (Regex::Pcdata, 1)
+            } else {
+                (Regex::Elem(self.name()?), 1)
+            };
+            // Close every group the term ends, innermost first, until a
+            // separator continues one.
+            loop {
+                term = self.postfix(term)?;
+                self.skip_ws();
+                let inner = self.open.last_mut().expect("the outermost group is open");
+                let next = self.src.get(self.pos).copied();
+                let continues =
+                    |b: u8| (b == b',' || b == b'|') && inner.sep.is_none_or(|s| s == b);
+                if let Some(b) = next.filter(|&b| continues(b)) {
+                    let (regex, height) = term;
+                    inner.sep = Some(b);
+                    inner.height = inner.height.max(height);
+                    inner.terms.push(regex);
                     self.pos += 1;
-                    base = Regex::Plus(Box::new(base));
+                    break;
                 }
-                Some(&b'?') => {
-                    self.pos += 1;
-                    base = Regex::Opt(Box::new(base));
+                let inner = self.open.pop().expect("the outermost group is open");
+                term = self.close(inner, term)?;
+                if self.open.is_empty() {
+                    return Ok(term.0);
                 }
-                _ => break,
+                self.expect(")")?;
             }
         }
-        Ok(base)
     }
 
-    fn atom(&mut self) -> Result<Regex, XmlError> {
-        self.skip_ws();
-        if self.eat("(") {
-            self.skip_ws();
-            let inner = self.regex()?;
-            self.skip_ws();
-            self.expect(")")?;
-            Ok(inner)
-        } else if self.eat("#PCDATA") {
-            Ok(Regex::Pcdata)
-        } else {
-            Ok(Regex::Elem(self.name()?))
+    /// `term` under the postfix operators that follow it, each one level.
+    fn postfix(&mut self, term: (Regex, usize)) -> Result<(Regex, usize), XmlError> {
+        let (mut regex, mut height) = term;
+        loop {
+            let wrap: fn(Box<Regex>) -> Regex = match self.src.get(self.pos) {
+                Some(b'*') => Regex::Star,
+                Some(b'+') => Regex::Plus,
+                Some(b'?') => Regex::Opt,
+                _ => return Ok((regex, height)),
+            };
+            self.pos += 1;
+            height += 1;
+            if height > MAX_MODEL_DEPTH {
+                return Err(self.too_deep());
+            }
+            regex = wrap(Box::new(regex));
         }
+    }
+
+    /// A finished group, `last` its final term, as one term: its terms
+    /// joined by its separator, or `last` alone.
+    fn close(&self, group: Group, last: (Regex, usize)) -> Result<(Regex, usize), XmlError> {
+        let Some(sep) = group.sep else {
+            return Ok(last);
+        };
+        let height = 1 + group.height.max(last.1);
+        if height > MAX_MODEL_DEPTH {
+            return Err(self.too_deep());
+        }
+        let mut items = group.terms;
+        items.push(last.0);
+        let regex = match sep {
+            b',' => Regex::Seq(items),
+            _ => Regex::Choice(items),
+        };
+        Ok((regex, height))
+    }
+
+    fn too_deep(&self) -> XmlError {
+        self.err(format!(
+            "content model nested deeper than {MAX_MODEL_DEPTH} levels"
+        ))
     }
 }
 
@@ -592,13 +637,18 @@ impl GeneralDtd {
     /// declared element type becomes the root.
     pub fn parse(src: &str) -> Result<GeneralDtd, XmlError> {
         let dtd = DtdParser::new(src).parse()?;
-        // Check that every referenced name is declared.
-        let declared: HashMap<&str, ()> = dtd.decls.iter().map(|(n, _)| (n.as_str(), ())).collect();
+        // Each name is declared once, and every referenced name is declared.
+        let mut declared: HashSet<&str> = HashSet::with_capacity(dtd.decls.len());
+        for (name, _) in &dtd.decls {
+            if !declared.insert(name) {
+                return Err(XmlError::DuplicateElement(name.clone()));
+            }
+        }
         for (_, model) in &dtd.decls {
             let mut refs = Vec::new();
             model.referenced(&mut refs);
             for r in refs {
-                if !declared.contains_key(r.as_str()) {
+                if !declared.contains(r.as_str()) {
                     return Err(XmlError::UndeclaredElement(r));
                 }
             }

@@ -1,11 +1,12 @@
 //! Hostile depth: a document nested 200,000 deep must parse, serialize,
 //! validate, compare, copy and canonicalize without the call stack growing
-//! with it. Every case runs on a thread with a 256 KiB stack, which a
+//! with it, and a DTD content model nested 30,000 deep must be refused the
+//! same way. Every case runs on a thread with a 256 KiB stack, which a
 //! recursion over the document would exhaust within a few thousand levels.
 //! The document goes through both walks: parsed, its ids are its document
 //! order; built out of order, it is walked through the child index.
 
-use aig_xml::dtd::{DtdBuilder, GeneralDtd};
+use aig_xml::dtd::{DtdBuilder, GeneralDtd, MAX_MODEL_DEPTH};
 use aig_xml::parse::parse;
 use aig_xml::serialize::{to_pretty_string, to_string};
 use aig_xml::{repair, validate, validate_general, ConstraintSet, Violation, XmlError, XmlTree};
@@ -110,6 +111,29 @@ fn the_pretty_printer_does_not_recurse_either() {
         let pretty = to_pretty_string(&tree);
         assert_eq!(pretty.lines().count(), 2 * depth + 1);
         assert!(parse(&pretty).unwrap() == tree);
+    });
+}
+
+/// A content model nested past `MAX_MODEL_DEPTH` — by parentheses, by a
+/// postfix chain, or by both — is a syntax error, found without recursing
+/// on its depth; one at the cap parses.
+#[test]
+fn a_hostile_content_model_is_a_syntax_error_not_an_abort() {
+    on_a_small_stack(|| {
+        let deep = 30_000;
+        let nested = format!("<!ELEMENT a {}a{}>", "(".repeat(deep), ")".repeat(deep));
+        let starred = format!("<!ELEMENT a (a{})>", "*".repeat(deep));
+        let wrapped = format!("<!ELEMENT a {}a{}>", "(".repeat(600), ")*+".repeat(600));
+        for src in [nested, starred, wrapped] {
+            let err = GeneralDtd::parse(&src).unwrap_err();
+            assert!(matches!(err, XmlError::DtdSyntax { .. }), "{err}");
+        }
+        let at_cap = format!("<!ELEMENT a (a{})>", "?".repeat(MAX_MODEL_DEPTH - 1));
+        assert_eq!(GeneralDtd::parse(&at_cap).unwrap().decls.len(), 1);
+        // The set that replaced the pairwise duplicate scan still rejects one.
+        let duplicate = "<!ELEMENT a (b)> <!ELEMENT b EMPTY> <!ELEMENT a EMPTY>";
+        let err = GeneralDtd::parse(duplicate).unwrap_err();
+        assert!(matches!(err, XmlError::DuplicateElement(ref name) if name == "a"));
     });
 }
 

@@ -593,7 +593,7 @@ mod tests {
     fn rebilled(catalog: &Catalog, drop_trid: Option<&str>, dup_trid: Option<&str>) -> Catalog {
         let mut out = catalog.clone();
         let db3 = out.source_id("DB3").unwrap();
-        let rows = out.source(db3).table("billing").unwrap().rows().to_vec();
+        let rows = out.source(db3).table("billing").unwrap().rows();
         let mut billing = Table::new(TableSchema::strings("billing", &["trId", "price"], &[]));
         for row in rows {
             let trid = row[0].to_text();

@@ -351,9 +351,8 @@ mod tests {
                     .table(table_name)
                     .unwrap()
                     .rows()
-                    .iter()
+                    .into_iter()
                     .filter(|row| !(db == "DB3" && row[0] == Value::str("t5")))
-                    .cloned()
                     .collect();
                 let t = catalog.source_mut(dst).table_mut(table_name).unwrap();
                 for row in rows {

@@ -21,21 +21,12 @@ fn column(
     table: &str,
     col: usize,
 ) -> Result<Vec<Value>, StoreError> {
-    Ok(catalog
-        .table(source, table)?
-        .rows()
-        .iter()
-        .map(|r| r[col].clone())
-        .collect())
+    let rel = catalog.table(source, table)?.columnar();
+    Ok((0..rel.len()).map(|r| rel.cell(r, col).clone()).collect())
 }
 
 fn existing_rows(catalog: &Catalog, source: &str, table: &str) -> Result<HashSet<Row>, StoreError> {
-    Ok(catalog
-        .table(source, table)?
-        .rows()
-        .iter()
-        .cloned()
-        .collect())
+    Ok(catalog.table(source, table)?.rows().into_iter().collect())
 }
 
 /// A delta of `inserts` new and `deletes` existing `DB1.visitInfo` rows on
@@ -76,9 +67,8 @@ pub fn visit_delta(
     let on_date: Vec<Row> = catalog
         .table("DB1", "visitInfo")?
         .rows()
-        .iter()
+        .into_iter()
         .filter(|r| r[2] == Value::str(date))
-        .cloned()
         .collect();
     let del = sample_distinct(&mut rng, &on_date, deletes);
 
@@ -118,7 +108,7 @@ pub fn cover_delta(
         }
     }
 
-    let rows: Vec<Row> = catalog.table("DB2", "cover")?.rows().to_vec();
+    let rows: Vec<Row> = catalog.table("DB2", "cover")?.rows();
     let del = sample_distinct(&mut rng, &rows, deletes);
 
     Ok(SourceDelta::new()
@@ -139,7 +129,7 @@ pub fn price_delta(
     seed: u64,
 ) -> Result<(SourceDelta, SourceDelta), StoreError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let rows: Vec<Row> = catalog.table("DB3", "billing")?.rows().to_vec();
+    let rows: Vec<Row> = catalog.table("DB3", "billing")?.rows();
     let old = sample_distinct(&mut rng, &rows, updates);
     let new: Vec<Row> = old
         .iter()

@@ -621,7 +621,7 @@ mod tests {
             let src = full.source_id(db).unwrap();
             let dst = catalog.source_id(db).unwrap();
             for table in full.source(src).table_names() {
-                let rows = full.source(src).table(table).unwrap().rows().to_vec();
+                let rows = full.source(src).table(table).unwrap().rows();
                 let t = catalog.source_mut(dst).table_mut(table).unwrap();
                 for row in rows {
                     t.insert(row).unwrap();

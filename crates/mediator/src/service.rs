@@ -365,22 +365,23 @@ impl Mediator {
     /// request for a dirtied snapshot re-runs only the tasks whose
     /// read-sets intersect the dirty tables (plus their downstream
     /// closure) instead of the whole graph.
+    ///
+    /// A delta that fails part-way leaves the batches before the failing
+    /// row applied, so every table it names is marked dirty either way.
     pub fn apply_delta(&mut self, delta: &SourceDelta) -> Result<DeltaApplied, MediatorError> {
-        let applied = self
-            .catalog
-            .apply_delta(delta)
-            .map_err(MediatorError::Store)?;
+        let applied = self.catalog.apply_delta(delta);
         debug_assert_eq!(
             self.cat_fp,
             self.catalog.schema_fingerprint(),
             "row deltas must not move the schema fingerprint"
         );
-        if !applied.touched.is_empty() {
+        let touched = delta.touched();
+        if !touched.is_empty() {
             for snap in self.lock_snapshots().values_mut() {
-                snap.dirty.extend(applied.touched.iter().cloned());
+                snap.dirty.extend(touched.iter().cloned());
             }
         }
-        Ok(applied)
+        applied.map_err(MediatorError::Store)
     }
 
     /// Run snapshots currently retained for incremental re-evaluation.

@@ -19,10 +19,10 @@
 //! the ratios. One test only: this binary's allocator counts every thread.
 
 use aig_core::paper::sigma0;
-use aig_datagen::{DatasetSize, HospitalConfig};
+use aig_datagen::{visit_delta, DatasetSize, HospitalConfig};
 use aig_mediator::tagging::tag_document;
 use aig_mediator::{execute_graph, ExecOptions, Mediator, MediatorOptions};
-use aig_relstore::Value;
+use aig_relstore::{Catalog, Relation, SourceDelta, Value};
 use aig_xml::{serialize, validate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -68,6 +68,27 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.load(Relaxed);
     let out = f();
     (out, ALLOCS.load(Relaxed) - before)
+}
+
+/// Allocations of the benchmark's 6-row visit δ (4 inserts, 2 deletes) on
+/// `catalog` plus the next scan of `visitInfo`, measured on the second
+/// application: the first interns the δ's values and copies the columns the
+/// caller's catalog shares.
+fn visit_write_allocs(mut catalog: Catalog, date: &str) -> u64 {
+    let delta = visit_delta(&catalog, date, 4, 2, 7).unwrap();
+    let inverse = SourceDelta {
+        inserts: delta.deletes.clone(),
+        deletes: delta.inserts.clone(),
+    };
+    let mut write_and_scan = |delta: &SourceDelta| {
+        catalog.apply_delta(delta).unwrap();
+        let scan = Relation::from_table(catalog.table("DB1", "visitInfo").unwrap());
+        scan.byte_size()
+    };
+    write_and_scan(&delta);
+    write_and_scan(&inverse);
+    let (_, allocs) = counted(|| write_and_scan(&delta));
+    allocs
 }
 
 #[test]
@@ -212,6 +233,20 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     assert!(
         clone_allocs <= 64,
         "XmlTree::clone: {clone_allocs} allocations for {nodes} nodes"
+    );
+
+    // A source write costs its own rows: a table is its interned columns,
+    // so the δ appends and removes symbols and the next scan borrows them.
+    // A row store with a lazily interned image allocates per row here: the
+    // scan after a write re-interns the table, and a keyed delete that
+    // rebuilds a `Vec<Value>`-keyed index does so once per deleted row.
+    let small = visit_write_allocs(mediator.catalog().clone(), &data.dates[0]);
+    let tiny = HospitalConfig::tiny(7).generate().unwrap();
+    let tiny_allocs = visit_write_allocs(tiny.catalog, &tiny.dates[0]);
+    println!("visit δ + scan: {small} allocations on Small, {tiny_allocs} on Tiny");
+    assert!(
+        small == tiny_allocs && small <= 200,
+        "visit δ + scan: {small} allocations on Small, {tiny_allocs} on Tiny"
     );
 
     // A refresh that re-runs nothing: its executor reuses every relation,

@@ -15,7 +15,7 @@
 //! resolved before any task runs and does refresh incrementally
 //! (`hard_outage_cell_fails_over_only_the_rerun_tasks`).
 
-use aig_core::paper::sigma0;
+use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::spec::Aig;
 use aig_datagen::{cover_delta, price_delta, visit_delta, HospitalConfig};
 use aig_mediator::delta::rerun_mask;
@@ -206,6 +206,34 @@ fn unchanged_catalog_reruns_nothing() {
         aig_xml::serialize::to_string(&cold.tree),
         aig_xml::serialize::to_string(&warm.tree)
     );
+}
+
+/// A delta that fails part-way has already changed the tables before the
+/// failing row: the snapshot must not keep serving what they held. Here the
+/// first delete removes Alice's only d1 visit and the second names no row.
+#[test]
+fn a_failed_delta_still_dirties_the_tables_it_names() {
+    let aig = sigma0().unwrap();
+    let opts = options(false, Scheduling::Static, false, false);
+    let mut mediator = Mediator::new(mini_hospital_catalog().unwrap(), &opts).unwrap();
+    let args = [("date", Value::str("d1"))];
+    let xml = |run: &aig_mediator::MediatorRun| aig_xml::serialize::to_string(&run.tree);
+    let (before, _) = mediator.request(&aig, &args).unwrap();
+    assert!(xml(&before).contains("Alice"));
+
+    let row = |cells: [&str; 3]| cells.map(Value::str).to_vec();
+    let delta = SourceDelta::new().delete(
+        "DB1",
+        "visitInfo",
+        vec![row(["s1", "t1", "d1"]), row(["s9", "t9", "d9"])],
+    );
+    assert!(mediator.apply_delta(&delta).is_err());
+    let (after, report) = mediator.request(&aig, &args).unwrap();
+    assert_eq!(report.incremental.dirty_tables, vec!["DB1.visitInfo"]);
+    let cold = Mediator::new(mediator.catalog().clone(), &opts).unwrap();
+    let (cold, _) = cold.request(&aig, &args).unwrap();
+    assert_eq!(xml(&after), xml(&cold));
+    assert!(!xml(&after).contains("Alice"));
 }
 
 #[test]

@@ -10,6 +10,10 @@
 //! [`Catalog::apply_delta`] mutates the stored tables (inserts first, then
 //! deletes, so a delta that inserts and deletes the same rows is an
 //! identity) under the same arity/type/key enforcement as regular inserts.
+//! A table is its interned columns, so applying a delta costs its own rows:
+//! each insert interns its values and appends, each delete is a key lookup
+//! (or one reverse scan of a keyless table's symbols) and an in-place
+//! removal, and the next scan reads the written columns as they are.
 //! Row deltas never change a table's *schema*, so
 //! [`Catalog::schema_fingerprint`] is invariant under `apply_delta` —
 //! cached plans stay warm across data changes by construction.
@@ -149,7 +153,7 @@ impl Catalog {
             let id = self.source_id(&batch.source)?;
             let table = self.source_mut(id).table_mut(&batch.table)?;
             for row in &batch.rows {
-                table.insert(row.clone())?;
+                table.insert_values(row)?;
                 inserted += 1;
             }
         }

@@ -6,7 +6,9 @@
 //!
 //! * typed [`Value`]s and rows,
 //! * [`TableSchema`]s with optional primary keys,
-//! * [`Table`]s with key enforcement and hash [`Index`]es,
+//! * [`Table`]s with key enforcement, each stored as one [`Relation`] of
+//!   interned columns that scans borrow and writes append to or delete
+//!   from in place,
 //! * named [`Database`]s grouped into a [`Catalog`] of data sources, each
 //!   identified by a [`SourceId`] (the mediator itself is modeled as the
 //!   special source [`SourceId::MEDIATOR`]),
@@ -31,5 +33,5 @@ pub use intern::{Sym, SymMap, SymSet};
 pub use relation::{payload_scans, Batches, Relation};
 pub use schema::{Column, TableSchema};
 pub use stats::TableStats;
-pub use table::{Index, Row, Table};
+pub use table::{Row, Table};
 pub use value::{Value, ValueType};

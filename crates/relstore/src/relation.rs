@@ -258,9 +258,8 @@ impl Relation {
         })
     }
 
-    /// A relation with the full contents of a stored table. The table's
-    /// interned columnar image is cached, so repeated conversions are
-    /// pointer clones.
+    /// A relation with the full contents of a stored table: the table's own
+    /// columns, shared (a pointer clone per column).
     pub fn from_table(table: &Table) -> Relation {
         table.columnar().clone()
     }
@@ -380,6 +379,14 @@ impl Relation {
             Column::syms_mut(col).push(sym);
         }
         self.len += 1;
+    }
+
+    /// Removes row `r`, moving the later rows up one position.
+    pub(crate) fn remove_row(&mut self, r: usize) {
+        for col in &mut self.cols {
+            Column::syms_mut(col).remove(r);
+        }
+        self.len -= 1;
     }
 
     /// Appends all rows of `other`; column names must match exactly.
@@ -551,14 +558,26 @@ impl Relation {
     /// scratch, memoized in the column for every relation that shares it.
     fn col_sizes(&self) -> impl Iterator<Item = ColSize> + '_ {
         let mut reader = None;
-        self.cols.iter().map(move |col| {
-            *col.size.get_or_init(|| {
-                let reader = reader.get_or_insert_with(|| {
-                    PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
-                    Reader::snapshot()
-                });
-                SIZE_SCRATCH.with_borrow_mut(|scratch| scratch.measure(&col.syms, reader))
-            })
+        self.cols
+            .iter()
+            .map(move |col| Self::size_of(col, &mut reader))
+    }
+
+    /// [`ColSize`] of the column at position `c`, memoized like
+    /// [`Relation::byte_size`]'s.
+    pub fn col_size(&self, c: usize) -> ColSize {
+        Self::size_of(&self.cols[c], &mut None)
+    }
+
+    /// `col`'s memoized size, counted on first ask with `reader` (taken then
+    /// if the caller has none yet).
+    fn size_of(col: &Column, reader: &mut Option<Reader>) -> ColSize {
+        *col.size.get_or_init(|| {
+            let reader = reader.get_or_insert_with(|| {
+                PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
+                Reader::snapshot()
+            });
+            SIZE_SCRATCH.with_borrow_mut(|scratch| scratch.measure(&col.syms, reader))
         })
     }
 

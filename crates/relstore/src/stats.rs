@@ -7,7 +7,6 @@
 //! column widths.
 
 use crate::table::Table;
-use std::collections::HashSet;
 
 /// Statistics of one table.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,28 +20,23 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Computes statistics with a full scan.
+    /// Reads each column's size ([`crate::relation::Relation::col_size`]):
+    /// memoized in the column, so only a column written since it was last
+    /// counted costs a pass.
     pub fn compute(table: &Table) -> TableStats {
-        let arity = table.schema().arity();
-        let mut sets: Vec<HashSet<&crate::value::Value>> = vec![HashSet::new(); arity];
-        let mut widths = vec![0usize; arity];
-        for row in table.rows() {
-            for (i, v) in row.iter().enumerate() {
-                sets[i].insert(v);
-                widths[i] += v.width();
-            }
-        }
+        let rel = table.columnar();
         let rows = table.len();
+        let sizes: Vec<_> = (0..rel.arity()).map(|c| rel.col_size(c)).collect();
         TableStats {
             rows,
-            distinct: sets.iter().map(HashSet::len).collect(),
-            avg_width: widths
+            distinct: sizes.iter().map(|s| s.distinct).collect(),
+            avg_width: sizes
                 .iter()
-                .map(|&w| {
+                .map(|s| {
                     if rows == 0 {
                         0.0
                     } else {
-                        w as f64 / rows as f64
+                        s.raw_bytes as f64 / rows as f64
                     }
                 })
                 .collect(),
@@ -97,6 +91,45 @@ mod tests {
         let s = TableStats::compute(&table());
         assert!((s.eq_selectivity(0) - 0.5).abs() < 1e-9);
         assert!((s.eq_selectivity(1) - (1.0 / 3.0)).abs() < 1e-9);
+    }
+
+    /// The columns' sizes give what a scan of the rows with one set of
+    /// values per column gave, NULLs and ints included.
+    #[test]
+    fn column_sizes_match_a_scan_of_the_rows() {
+        use crate::schema::Column;
+        use std::collections::HashSet;
+        let schema = TableSchema::new("t", vec![Column::str("s"), Column::int("i")], &[]).unwrap();
+        let mut t = Table::new(schema);
+        for k in 0..40i64 {
+            let s = if k % 7 == 0 {
+                Value::Null
+            } else {
+                Value::str(format!("s{}", k % 5))
+            };
+            let i = if k % 3 == 0 {
+                Value::Null
+            } else {
+                Value::int(k % 4)
+            };
+            t.insert(vec![s, i]).unwrap();
+        }
+        t.delete(&[Value::str("s1"), Value::int(1)]).unwrap();
+        let rows = t.rows();
+        let mut sets: Vec<HashSet<&Value>> = vec![HashSet::new(); 2];
+        let mut widths = [0usize; 2];
+        for row in &rows {
+            for (c, v) in row.iter().enumerate() {
+                sets[c].insert(v);
+                widths[c] += v.width();
+            }
+        }
+        let s = TableStats::compute(&t);
+        assert_eq!(s.rows, rows.len());
+        assert_eq!(s.distinct, vec![sets[0].len(), sets[1].len()]);
+        assert_eq!(s.distinct, vec![6, 5]);
+        let avg = widths.map(|w| w as f64 / rows.len() as f64);
+        assert_eq!(s.avg_width, avg);
     }
 
     #[test]

@@ -1,54 +1,55 @@
-//! Tables, rows, and hash indexes.
+//! Stored tables: a schema over interned columns, with an optional
+//! primary-key map.
+//!
+//! A [`Table`] *is* its columnar image: one [`Relation`] of [`Sym`] columns,
+//! which the SQL executor scans by borrowing ([`Table::columnar`]) and the
+//! mediator ships by cloning the column `Arc`s. Writes work on those
+//! columns directly:
+//!
+//! * [`Table::insert`] checks the row, interns each value once and appends
+//!   the symbols;
+//! * [`Table::delete`] finds the row through the primary key (a [`SymMap`]
+//!   from key symbols to row position) or, on a keyless table, one reverse
+//!   scan of the symbols, then removes it in place and shifts the later
+//!   positions down with one integer pass over the key map.
+//!
+//! No write clones or re-interns a row of values, and no read rebuilds an
+//! image. Columns shared with a relation handed out earlier (a scan, a
+//! cloned catalog) are copied on their first write, so a reader keeps what
+//! it was given. Row-major views ([`Table::rows`], [`Table::get_by_key`])
+//! materialize owned rows for tests, fixtures and reports.
 
 use crate::error::StoreError;
+use crate::intern::{self, Sym, SymMap};
 use crate::relation::Relation;
 use crate::schema::TableSchema;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A row of values. Arity always matches its table's schema.
 pub type Row = Vec<Value>;
 
-/// An in-memory table: a schema plus rows in insertion order. Primary keys
-/// (when the schema declares one) are enforced on insert, mirroring the
-/// underlined keys of the paper's hospital schemas.
-#[derive(Debug)]
+/// An in-memory table: a schema plus its rows, in insertion order, as
+/// interned columns. Primary keys (when the schema declares one) are
+/// enforced on insert, mirroring the underlined keys of the paper's
+/// hospital schemas.
+#[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    rows: Vec<Row>,
-    /// Primary-key index (only when schema.key is non-empty).
-    pk: Option<HashMap<Vec<Value>, usize>>,
-    /// Lazily-built interned columnar image of the rows, shared with every
-    /// [`Relation::from_table`] conversion; invalidated on insert.
-    columnar: OnceLock<Relation>,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            pk: self.pk.clone(),
-            columnar: self.columnar.clone(),
-        }
-    }
+    rel: Relation,
+    /// Key symbols → row position (only when `schema.key` is non-empty).
+    pk: Option<SymMap<Box<[Sym]>, usize>>,
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Table {
-        let pk = if schema.key.is_empty() {
-            None
-        } else {
-            Some(HashMap::new())
-        };
+        let columns = schema.columns.iter().map(|c| c.name.clone()).collect();
+        let pk = (!schema.key.is_empty()).then(SymMap::default);
         Table {
             schema,
-            rows: Vec::new(),
+            rel: Relation::empty(columns),
             pk,
-            columnar: OnceLock::new(),
         }
     }
 
@@ -73,32 +74,36 @@ impl Table {
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rel.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rel.is_empty()
     }
 
+    /// Every row, materialized in insertion order. Off the request path:
+    /// scans read [`Table::columnar`].
+    pub fn rows(&self) -> Vec<Row> {
+        self.rel.rows_vec()
+    }
+
+    /// The table's interned columns, named after the schema. SQL executors
+    /// scan this; it is the table itself, not a copy.
     #[inline]
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
-    }
-
-    /// The interned columnar image of the table, built on first use and
-    /// cached until the next insert. SQL executors scan this instead of the
-    /// row store, so base-table cells are interned exactly once.
     pub fn columnar(&self) -> &Relation {
-        self.columnar.get_or_init(|| {
-            let columns = self.schema.columns.iter().map(|c| c.name.clone()).collect();
-            Relation::new(columns, self.rows.clone()).expect("rows match the schema arity")
-        })
+        &self.rel
     }
 
     /// Inserts a row, enforcing arity, column types (NULL always accepted)
     /// and the primary key.
     pub fn insert(&mut self, row: Row) -> Result<(), StoreError> {
+        self.insert_values(&row)
+    }
+
+    /// [`Table::insert`] of a borrowed row: each value is interned once and
+    /// its symbol appended; the row itself is not copied.
+    pub(crate) fn insert_values(&mut self, row: &[Value]) -> Result<(), StoreError> {
         if row.len() != self.schema.arity() {
             return Err(StoreError::SchemaMismatch {
                 table: self.schema.name.clone(),
@@ -122,134 +127,95 @@ impl Table {
                 }
             }
         }
+        let syms: Vec<Sym> = row.iter().map(intern::intern).collect();
         if let Some(pk) = &mut self.pk {
-            let key: Vec<Value> = self.schema.key.iter().map(|&i| row[i].clone()).collect();
+            let key: Box<[Sym]> = self.schema.key.iter().map(|&k| syms[k]).collect();
             if pk.contains_key(&key) {
+                let key: Vec<&Value> = self.schema.key.iter().map(|&k| &row[k]).collect();
                 return Err(StoreError::KeyViolation {
                     table: self.schema.name.clone(),
                     key: format!("{key:?}"),
                 });
             }
-            pk.insert(key, self.rows.len());
+            pk.insert(key, self.rel.len());
         }
-        self.rows.push(row);
-        self.columnar = OnceLock::new();
+        self.rel.push_syms(&syms);
         Ok(())
     }
 
     /// Deletes one row by exact match, removing the **last** occurrence so
     /// that inserting rows and then deleting the same rows restores the
     /// original table even in the presence of duplicates (the delta
-    /// identity the incremental mediator relies on). Rebuilds the
-    /// primary-key index (positions shift) and invalidates the columnar
-    /// image, exactly like [`Table::insert`].
+    /// identity the incremental mediator relies on). A keyed table finds
+    /// the row through its key, a keyless one by scanning back from the
+    /// end; later rows move up one position.
     pub fn delete(&mut self, row: &[Value]) -> Result<(), StoreError> {
-        let pos = self
-            .rows
-            .iter()
-            .rposition(|r| r.as_slice() == row)
-            .ok_or_else(|| StoreError::NoSuchRow {
-                table: self.schema.name.clone(),
-                row: format!("{row:?}"),
-            })?;
-        self.rows.remove(pos);
+        let pos = self.position(row).ok_or_else(|| StoreError::NoSuchRow {
+            table: self.schema.name.clone(),
+            row: format!("{row:?}"),
+        })?;
         if let Some(pk) = &mut self.pk {
-            pk.clear();
-            for (i, r) in self.rows.iter().enumerate() {
-                let key: Vec<Value> = self.schema.key.iter().map(|&k| r[k].clone()).collect();
-                pk.insert(key, i);
+            let key: Box<[Sym]> = self
+                .schema
+                .key
+                .iter()
+                .map(|&k| self.rel.sym(pos, k))
+                .collect();
+            pk.remove(&key);
+            for p in pk.values_mut() {
+                if *p > pos {
+                    *p -= 1;
+                }
             }
         }
-        self.columnar = OnceLock::new();
+        self.rel.remove_row(pos);
         Ok(())
     }
 
+    /// The position of the last row equal to `row`, if any.
+    fn position(&self, row: &[Value]) -> Option<usize> {
+        if row.len() != self.schema.arity() {
+            return None;
+        }
+        // A value never interned equals no stored cell.
+        let syms: Vec<Sym> = row.iter().map(intern::lookup).collect::<Option<_>>()?;
+        let matches = |r: usize| (0..syms.len()).all(|c| self.rel.sym(r, c) == syms[c]);
+        match &self.pk {
+            Some(pk) => {
+                let key: Box<[Sym]> = self.schema.key.iter().map(|&k| syms[k]).collect();
+                pk.get(&key).copied().filter(|&r| matches(r))
+            }
+            None => (0..self.rel.len()).rev().find(|&r| matches(r)),
+        }
+    }
+
     /// Looks up a row by primary key.
-    pub fn get_by_key(&self, key: &[Value]) -> Option<&Row> {
+    pub fn get_by_key(&self, key: &[Value]) -> Option<Row> {
         let pk = self.pk.as_ref()?;
-        pk.get(key).map(|&i| &self.rows[i])
+        let key: Box<[Sym]> = key.iter().map(intern::lookup).collect::<Option<_>>()?;
+        pk.get(&key).map(|&r| self.rel.row(r))
     }
 
-    /// Builds a hash index on the given columns (by name).
-    pub fn index(&self, cols: &[&str]) -> Result<Index, StoreError> {
-        let positions: Vec<usize> = cols
-            .iter()
-            .map(|&c| self.schema.col(c))
-            .collect::<Result<_, _>>()?;
-        Ok(Index::build(&self.rows, &positions))
-    }
-
-    /// Total payload size in bytes (used for transfer-cost estimation).
+    /// Total payload size in bytes (used for transfer-cost estimation),
+    /// from the columns' memoized sizes.
     pub fn byte_size(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| r.iter().map(Value::width).sum::<usize>())
-            .sum()
-    }
-
-    /// Projects the table to the named columns, in order.
-    pub fn project(&self, cols: &[&str]) -> Result<Vec<Vec<Value>>, StoreError> {
-        let positions: Vec<usize> = cols
-            .iter()
-            .map(|&c| self.schema.col(c))
-            .collect::<Result<_, _>>()?;
-        Ok(self
-            .rows
-            .iter()
-            .map(|r| positions.iter().map(|&i| r[i].clone()).collect())
-            .collect())
+        self.rel.byte_size()
     }
 }
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} [{} rows]", self.schema, self.rows.len())?;
-        for row in self.rows.iter().take(20) {
-            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+        writeln!(f, "{} [{} rows]", self.schema, self.len())?;
+        for r in 0..self.len().min(20) {
+            let cells: Vec<String> = (0..self.schema.arity())
+                .map(|c| self.rel.cell(r, c).to_string())
+                .collect();
             writeln!(f, "  ({})", cells.join(", "))?;
         }
-        if self.rows.len() > 20 {
-            writeln!(f, "  … {} more", self.rows.len() - 20)?;
+        if self.len() > 20 {
+            writeln!(f, "  … {} more", self.len() - 20)?;
         }
         Ok(())
-    }
-}
-
-/// A hash index over a set of columns: maps the column values to the
-/// positions of matching rows. NULL keys are excluded, matching SQL equality
-/// semantics where `NULL = NULL` is not true.
-#[derive(Debug, Clone)]
-pub struct Index {
-    map: HashMap<Vec<Value>, Vec<usize>>,
-}
-
-impl Index {
-    /// Builds an index over `rows` keyed by the values at `positions`.
-    pub fn build(rows: &[Row], positions: &[usize]) -> Index {
-        let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let key: Vec<Value> = positions.iter().map(|&p| row[p].clone()).collect();
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            map.entry(key).or_default().push(i);
-        }
-        Index { map }
-    }
-
-    /// Row positions matching `key` (empty when no match).
-    pub fn get(&self, key: &[Value]) -> &[usize] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the key is present.
-    pub fn contains(&self, key: &[Value]) -> bool {
-        self.map.contains_key(key)
     }
 }
 
@@ -276,6 +242,9 @@ mod tests {
         let got = t.get_by_key(&[Value::str("2")]).unwrap();
         assert_eq!(got[1], Value::str("bob"));
         assert!(t.get_by_key(&[Value::str("9")]).is_none());
+        assert!(t
+            .get_by_key(&[Value::str("never-interned-key-3a1f")])
+            .is_none());
     }
 
     #[test]
@@ -285,6 +254,7 @@ mod tests {
         let err = t.insert(row("1", "mallory", "p9")).unwrap_err();
         assert!(matches!(err, StoreError::KeyViolation { .. }));
         assert_eq!(t.len(), 1);
+        assert_eq!(t.rows(), vec![row("1", "alice", "p1")]);
     }
 
     #[test]
@@ -307,31 +277,59 @@ mod tests {
         // NULL satisfies any column type.
         billing.insert(vec![Value::str("t2"), Value::Null]).unwrap();
         assert_eq!(billing.schema().columns[1].ty, ValueType::Int);
+        assert_eq!(billing.len(), 2);
     }
 
     #[test]
-    fn index_and_project() {
-        let mut t = Table::new(TableSchema::strings("cover", &["policy", "trId"], &[]));
-        t.insert(vec![Value::str("p1"), Value::str("t1")]).unwrap();
-        t.insert(vec![Value::str("p1"), Value::str("t2")]).unwrap();
-        t.insert(vec![Value::str("p2"), Value::str("t1")]).unwrap();
-        let idx = t.index(&["policy"]).unwrap();
-        assert_eq!(idx.get(&[Value::str("p1")]).len(), 2);
-        assert_eq!(idx.get(&[Value::str("p2")]), &[2]);
-        assert_eq!(idx.distinct(), 2);
-        let projected = t.project(&["trId"]).unwrap();
-        assert_eq!(projected.len(), 3);
-        assert_eq!(projected[0], vec![Value::str("t1")]);
+    fn keyed_delete_shifts_later_positions() {
+        let mut t = Table::new(patient_schema());
+        for i in 0..5 {
+            t.insert(row(&i.to_string(), "n", "p")).unwrap();
+        }
+        t.delete(&row("1", "n", "p")).unwrap();
+        // Same key, other payload: not the stored row.
+        let err = t.delete(&row("3", "other", "p")).unwrap_err();
+        assert!(matches!(err, StoreError::NoSuchRow { .. }));
+        assert!(t.delete(&row("1", "n", "p")).is_err());
+        assert!(t.delete(&[Value::str("3")]).is_err());
+        for i in [0, 2, 3, 4] {
+            let key = [Value::str(i.to_string())];
+            assert_eq!(t.get_by_key(&key), Some(row(&i.to_string(), "n", "p")));
+        }
+        assert!(t.get_by_key(&[Value::str("1")]).is_none());
+        // The freed key can be inserted again, at the end.
+        t.insert(row("1", "m", "q")).unwrap();
+        assert_eq!(t.rows()[4], row("1", "m", "q"));
+        assert_eq!(t.get_by_key(&[Value::str("1")]), Some(row("1", "m", "q")));
     }
 
     #[test]
-    fn index_skips_null_keys() {
+    fn keyless_delete_takes_the_last_duplicate() {
+        let mut t = Table::new(TableSchema::strings("t", &["a", "b"], &[]));
+        let (x, y) = (Value::str("x"), Value::str("y"));
+        for r in [[&x, &y], [&y, &x], [&x, &y], [&y, &y]] {
+            t.insert(r.iter().map(|&v| v.clone()).collect()).unwrap();
+        }
+        t.delete(&[x.clone(), y.clone()]).unwrap();
+        assert_eq!(
+            t.rows(),
+            vec![
+                vec![x.clone(), y.clone()],
+                vec![y.clone(), x],
+                vec![y.clone(), y]
+            ]
+        );
+    }
+
+    #[test]
+    fn scans_keep_the_rows_they_were_given() {
         let mut t = Table::new(TableSchema::strings("t", &["a"], &[]));
-        t.insert(vec![Value::Null]).unwrap();
-        t.insert(vec![Value::str("x")]).unwrap();
-        let idx = t.index(&["a"]).unwrap();
-        assert_eq!(idx.distinct(), 1);
-        assert!(!idx.contains(&[Value::Null]));
+        t.insert(vec![Value::str("v")]).unwrap();
+        let scanned = t.columnar().clone();
+        t.insert(vec![Value::str("w")]).unwrap();
+        t.delete(&[Value::str("v")]).unwrap();
+        assert_eq!(scanned.rows_vec(), vec![vec![Value::str("v")]]);
+        assert_eq!(t.columnar().rows_vec(), vec![vec![Value::str("w")]]);
     }
 
     #[test]

@@ -99,8 +99,58 @@ fn delete_removes_last_duplicate_so_round_trips_compose() {
     }
     t.insert(vec![Value::str("a")]).unwrap();
     t.delete(&[Value::str("a")]).unwrap();
-    let got: Vec<&str> = t.rows().iter().map(|r| r[0].as_str().unwrap()).collect();
+    let rows = t.rows();
+    let got: Vec<&str> = rows.iter().map(|r| r[0].as_str().unwrap()).collect();
     assert_eq!(got, vec!["a", "b", "a"]);
+}
+
+/// Seeded random insert / delete sequences, failing ones included, against
+/// a `Vec<Row>` that does what the table promises: append unless the key is
+/// taken, remove the last equal row or fail. After every step the table's
+/// rows, length, key lookups and scanned columns equal the reference's.
+#[test]
+fn writes_match_a_row_vector_model() {
+    let mut rng = StdRng::seed_from_u64(0xde17_a003);
+    for case in 0..40 {
+        let keyed = case % 2 == 0;
+        let key: &[&str] = if keyed { &["id", "v"] } else { &[] };
+        let mut t = Table::new(TableSchema::strings("t", &["id", "v", "d"], key));
+        let mut model: Vec<Row> = Vec::new();
+        // A small domain, so that keys collide and keyless rows repeat.
+        let ids = rng.gen_range(2..12usize);
+        for step in 0..120 {
+            let id = rng.gen_range(0..ids);
+            let candidate = random_row(&mut rng, id);
+            let delete = !model.is_empty() && rng.gen_bool(0.4);
+            let row = if delete && rng.gen_bool(0.8) {
+                model[rng.gen_range(0..model.len())].clone()
+            } else {
+                candidate
+            };
+            let at = format!("case {case} step {step}");
+            if delete {
+                let expected = model.iter().rposition(|r| *r == row);
+                assert_eq!(t.delete(&row).is_ok(), expected.is_some(), "{at}: delete");
+                if let Some(pos) = expected {
+                    model.remove(pos);
+                }
+            } else {
+                let taken = keyed && model.iter().any(|r| r[..2] == row[..2]);
+                assert_eq!(t.insert(row.clone()).is_ok(), !taken, "{at}: insert");
+                if !taken {
+                    model.push(row);
+                }
+            }
+            assert_eq!(t.len(), model.len(), "{at}: len");
+            assert_eq!(t.rows(), model, "{at}: rows");
+            assert_eq!(t.columnar().rows_vec(), model, "{at}: columns");
+            assert_eq!(t.columnar().len(), model.len(), "{at}: column length");
+            for r in model.iter().take(4) {
+                let found = t.get_by_key(&r[..2]);
+                assert_eq!(found.as_ref(), keyed.then_some(r), "{at}: key lookup");
+            }
+        }
+    }
 }
 
 #[test]

@@ -34,7 +34,7 @@ fn reference_execute(query: &Query, catalog: &Catalog, params: &Params) -> Relat
                         .iter()
                         .map(|s| s.to_string())
                         .collect(),
-                    t.rows().to_vec(),
+                    t.rows(),
                 )
             }
             FromItem::Param { name, alias } => {

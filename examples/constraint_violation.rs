@@ -82,9 +82,8 @@ fn drop_billing_row(full: &Catalog, trid: &str) -> Result<Catalog, Box<dyn std::
                 .source(src)
                 .table(table_name)?
                 .rows()
-                .iter()
+                .into_iter()
                 .filter(|row| !(db == "DB3" && row[0] == Value::str(trid)))
-                .cloned()
                 .collect();
             let table = catalog.source_mut(dst).table_mut(table_name)?;
             for row in rows {

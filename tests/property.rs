@@ -269,13 +269,7 @@ fn corrupt_billing(seed: u64, drop: bool, duplicate: bool) -> Catalog {
         let src = data.catalog.source_id(db).unwrap();
         let dst = catalog.source_id(db).unwrap();
         for table in data.catalog.source(src).table_names() {
-            let rows = data
-                .catalog
-                .source(src)
-                .table(table)
-                .unwrap()
-                .rows()
-                .to_vec();
+            let rows = data.catalog.source(src).table(table).unwrap().rows();
             let t = catalog.source_mut(dst).table_mut(table).unwrap();
             for row in rows {
                 t.insert(row).unwrap();
@@ -286,13 +280,7 @@ fn corrupt_billing(seed: u64, drop: bool, duplicate: bool) -> Catalog {
     *catalog.source_mut(dst) = Database::new("DB3");
     let mut billing = Table::new(TableSchema::strings("billing", &["trId", "price"], &[]));
     let src = data.catalog.source_id("DB3").unwrap();
-    let rows = data
-        .catalog
-        .source(src)
-        .table("billing")
-        .unwrap()
-        .rows()
-        .to_vec();
+    let rows = data.catalog.source(src).table("billing").unwrap().rows();
     for (i, row) in rows.iter().enumerate() {
         if drop && i == 0 {
             continue; // unbilled treatment: inclusion constraint may break

@@ -1,14 +1,13 @@
 //! Where partitioning a kernel over two threads starts to pay: the
 //! measurement `aig_relstore::par::PAR_THRESHOLD` is derived from (the table
-//! is in DESIGN.md §4). Each partitioned kernel — first-occurrence dedup,
-//! the canonical-order argsort (over integer ranks, as `TaskKind::Gen` sorts)
-//! and the hash-join probe with its DISTINCT — runs sequentially and split in
+//! is in DESIGN.md §4). Each partitioned kernel — first-occurrence dedup and
+//! the hash-join probe with its DISTINCT — runs sequentially and split in
 //! two, forced either way through the threshold argument, over 2 k … 256 k
 //! rows. `speedup` below 1 means the split costs more than it saves at that
 //! size on this host.
 
 use aig_bench::microbench::{bench, black_box};
-use aig_relstore::par::{dedup_indices, sort_perm};
+use aig_relstore::par::dedup_indices;
 use aig_relstore::{Catalog, Database, Sym, Table, TableSchema, Value};
 use aig_sql::{execute_tuned, Params, Query};
 use std::time::Duration;
@@ -38,17 +37,6 @@ fn main() {
             .collect();
         pair("dedup", rows, |threads| {
             black_box(dedup_indices(&[&a, &b], threads, 1)).len()
-        });
-
-        // Two rank columns, as the generator's canonical order compares.
-        let parent: Vec<u32> = (0..rows).map(|i| ((i * 31) % (rows / 8)) as u32).collect();
-        let field: Vec<u32> = (0..rows).map(|i| ((i * 7919) % rows) as u32).collect();
-        pair("sort_perm", rows, |threads| {
-            let by_rank = |x: u32, y: u32| {
-                let (x, y) = (x as usize, y as usize);
-                (parent[x].cmp(&parent[y])).then(field[x].cmp(&field[y]))
-            };
-            black_box(sort_perm(rows, threads, 1, by_rank)).len()
         });
 
         // An equality join, two matches per probing row, then DISTINCT.

@@ -175,6 +175,11 @@ impl AigBuilder {
         self
     }
 
+    /// Whether the DTD declares the element type `elem`.
+    pub fn declares(&self, elem: &str) -> bool {
+        self.by_name.contains_key(elem)
+    }
+
     fn pending(&mut self, elem: &str) -> Result<&mut PendingElem, AigError> {
         let idx = *self
             .by_name

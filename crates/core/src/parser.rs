@@ -219,20 +219,26 @@ impl<'a> Parser<'a> {
 
     fn elem_block(&mut self, builder: &mut AigBuilder, apply_rules: bool) -> Result<(), AigError> {
         let elem = self.ident()?;
+        if !builder.declares(&elem) {
+            return Err(self.err(format!("elem `{elem}`: the DTD declares no such element")));
+        }
         self.expect("{")?;
         let mut items: Vec<RawItem> = Vec::new();
         let mut syn_rules: Vec<(String, Expr)> = Vec::new();
         let mut text_rule: Option<Expr> = None;
         let mut choice: Option<RawChoice> = None;
         let mut declared_empty = false;
+        let (mut inh_declared, mut syn_declared) = (false, false);
         loop {
             if self.eat_kw("inh") {
+                self.declare_once(&elem, &mut inh_declared, "inh")?;
                 let fields = self.field_decls()?;
                 builder.inh(&elem, fields)?;
                 self.expect(";")?;
             } else if self.eat_kw("syn") {
                 // Either a declaration `syn(...)` or a rule `syn f = e;`
                 if self.peek_char() == Some('(') {
+                    self.declare_once(&elem, &mut syn_declared, "syn")?;
                     let fields = self.field_decls()?;
                     builder.syn(&elem, fields)?;
                     self.expect(";")?;
@@ -275,6 +281,14 @@ impl<'a> Parser<'a> {
             choice,
             declared_empty,
         )
+    }
+
+    /// Marks `elem`'s `what(…)` declaration as made: an error if it was.
+    fn declare_once(&self, elem: &str, declared: &mut bool, what: &str) -> Result<(), AigError> {
+        if std::mem::replace(declared, true) {
+            return Err(self.err(format!("elem `{elem}`: a second `{what}(…)` declaration")));
+        }
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -431,6 +445,12 @@ impl<'a> Parser<'a> {
             assigns: Vec::new(),
         };
         if self.eat_kw("from") {
+            if !item.star {
+                return Err(self.err(format!(
+                    "child `{0}`: `from …` generates a starred child (`{0}*`)",
+                    item.child
+                )));
+            }
             if self.eat_kw("sql") {
                 item.generator = Some(RawGen::Sql(self.raw_block()?));
             } else {
@@ -991,5 +1011,41 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, AigError::Syntax { .. }), "{err:?}");
+    }
+
+    /// The line a malformed spec's error names.
+    fn error_line(src: &str) -> usize {
+        match parse_aig(src).unwrap_err() {
+            AigError::Syntax { line, .. } => line,
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+    }
+
+    const DTD: &str = "aig bad {\n  dtd { <!ELEMENT a (b)> <!ELEMENT b (#PCDATA)> }\n";
+
+    #[test]
+    fn an_elem_block_for_an_undeclared_element_is_rejected() {
+        let src =
+            format!("{DTD}  elem a {{ inh(v); child b {{ val = $v; }} }}\n  elem zz {{ }}\n}}");
+        assert_eq!(error_line(&src), 4);
+    }
+
+    #[test]
+    fn a_second_inh_or_syn_declaration_is_rejected() {
+        let src = format!(
+            "{DTD}  elem a {{\n    inh(v);\n    inh(v);\n    child b {{ val = $v; }}\n  }}\n}}"
+        );
+        assert_eq!(error_line(&src), 5);
+        let src =
+            format!("{DTD}  elem a {{ inh(v); syn(w);\n    syn(w); child b {{ val = $v; }} }}\n}}");
+        assert_eq!(error_line(&src), 4);
+    }
+
+    #[test]
+    fn a_generator_on_a_plain_child_is_rejected() {
+        let src = format!(
+            "{DTD}  elem a {{\n    inh(v);\n    child b from sql {{ this is not sql at all }} {{ val = $v; }}\n  }}\n}}"
+        );
+        assert_eq!(error_line(&src), 5);
     }
 }

@@ -23,7 +23,7 @@ use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, SetExpr, ValueExpr};
 use aig_core::AigError;
 use aig_relstore::intern::{self, Reader, SymMap};
-use aig_relstore::par::{apply_perm, sort_perm, RowTable, PAR_THRESHOLD};
+use aig_relstore::par::{apply_perm, RowTable, PAR_THRESHOLD};
 use aig_relstore::{Catalog, Relation, SourceId, StoreError, Sym, Value};
 use aig_sql::{execute_tuned as sql_execute_tuned, ParamValue, Params};
 use std::collections::HashMap;
@@ -113,7 +113,7 @@ pub struct ExecPolicy {
     /// in the parallel executor; ignored by the sequential executor.
     pub scheduling: Scheduling,
     /// Worker-thread bound for the partitioned kernels (hash join,
-    /// canonical sort, dedup) inside each task, on inputs of at least
+    /// dedup) inside each task, on inputs of at least
     /// [`aig_relstore::par::PAR_THRESHOLD`] rows. Results are
     /// byte-identical for any value; `1` keeps every kernel sequential.
     pub threads: usize,
@@ -709,23 +709,16 @@ impl<S: RelSource> Executor<'_, S> {
                 };
                 // Child columns: parent, ord, scalar fields in decl order.
                 let base = self.store.rel(&RelKey::Instances(parent.base))?;
-                let base_rows = index_by_rowid(base)?;
+                let rowids = base.col_syms(base.col("__rowid")?);
                 let out_columns = child_columns(&child_info.inh);
                 let parents = raw.col_syms(raw.col("__parent")?);
-                let parent_rows: Vec<u32> = parents
-                    .iter()
-                    .map(|p| base_rows.get(p).copied())
-                    .collect::<Option<_>>()
-                    .ok_or_else(|| {
-                        MediatorError::Internal("generator row with unknown parent".into())
-                    })?;
                 if raw.is_empty() {
                     return Ok(Some(Relation::empty(out_columns)));
                 }
                 // Where each field column reads from, resolved once: the
                 // query output at the row's own position (generated) or the
                 // parent's base row (broadcast).
-                let mut key_cols: Vec<&[Sym]> = vec![parents];
+                let mut key_cols: Vec<&[Sym]> = Vec::new();
                 let mut fields: Vec<(bool, ScalarCol)> = Vec::new();
                 for field in &out_columns[2..] {
                     if generated_fields.iter().any(|g| g == field) {
@@ -740,37 +733,41 @@ impl<S: RelSource> Executor<'_, S> {
                         )));
                     }
                 }
-                // Canonical per-parent order: (parent, fields), then ordinal —
-                // a stable argsort in value-domain order (never symbol
-                // order), partitioned over the configured threads for large
-                // outputs. Rows of one parent agree on every broadcast
-                // field, so the generated fields alone break ties.
-                let perm = {
-                    let reader = Reader::snapshot();
-                    sort_perm(raw.len(), self.threads(), PAR_THRESHOLD, |a, b| {
-                        key_cols
-                            .iter()
+                // Canonical per-parent order: (parent, fields), then ordinal,
+                // in value-domain order (never symbol order). Parents are the
+                // ids `0..n`, so a counting sort groups the rows by parent in
+                // that order; each parent's few rows are then stable-sorted
+                // by the generated fields (rows of one parent agree on every
+                // broadcast field).
+                let reader = Reader::snapshot();
+                let ids = InstanceIds::new(self.aig.elem_name(parent.base), rowids, &reader)?;
+                let parent_ids: Vec<u32> = (ids.ids_of(&reader, parents).zip(parents))
+                    .map(|(id, &p)| id.ok_or_else(|| ids.bad("`__parent`", reader.get(p))))
+                    .collect::<Result<_, _>>()?;
+                let (start, mut perm) = group_rows(&parent_ids, ids.len());
+                for bounds in start.windows(2).filter(|b| b[1] - b[0] > 1) {
+                    let siblings = &mut perm[bounds[0] as usize..bounds[1] as usize];
+                    siblings.sort_by(|&a, &b| {
+                        (key_cols.iter())
                             .map(|k| reader.cmp(k[a as usize], k[b as usize]))
                             .find(|o| o.is_ne())
                             .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                };
-                let sorted_parents = apply_perm(parents, &perm);
-                // Ordinals restart per parent.
+                    });
+                }
+                // Ordinals restart per parent; broadcast fields read the
+                // parent's row.
                 let ord_syms = intern::int_syms(raw.len());
-                let mut ord = 0;
-                let ords: Vec<Sym> = (0..sorted_parents.len())
-                    .map(|i| {
-                        let same_parent = i > 0 && sorted_parents[i - 1] == sorted_parents[i];
-                        ord = if same_parent { ord + 1 } else { 0 };
-                        ord_syms[ord]
-                    })
-                    .collect();
-                let sorted_rows = apply_perm(&parent_rows, &perm);
-                let mut cols = vec![sorted_parents, ords];
+                let mut ords = Vec::with_capacity(raw.len());
+                let mut parent_rows = Vec::with_capacity(raw.len());
+                for (id, bounds) in (0u32..).zip(start.windows(2)) {
+                    let siblings = (bounds[1] - bounds[0]) as usize;
+                    ords.extend_from_slice(&ord_syms[..siblings]);
+                    parent_rows.extend(std::iter::repeat_n(ids.position(id), siblings));
+                }
+                let mut cols = vec![apply_perm(parents, &perm), ords];
                 cols.extend(fields.iter().map(|(generated, col)| match generated {
                     true => col.gather(&raw, &perm),
-                    false => col.gather(base, &sorted_rows),
+                    false => col.gather(base, &parent_rows),
                 }));
                 Ok(Some(Relation::try_from_columns(out_columns, cols)?))
             }
@@ -896,17 +893,19 @@ impl<S: RelSource> Executor<'_, S> {
                 let spec = &branches[*branch];
                 let picks = self.store.rel(&RelKey::Pick(occ.clone()))?;
                 let base = self.store.rel(&RelKey::Instances(occ.base))?;
-                let base_rows = index_by_rowid(base)?;
+                let rowids = base.col_syms(base.col("__rowid")?);
                 let columns = child_columns(&self.aig.elem_info(spec.elem).inh);
                 // The owners that picked this branch, and their base rows; a
                 // never-interned pick value is one no owner can carry.
                 let wanted = intern::lookup(&Value::int(*branch as i64 + 1));
+                let reader = Reader::snapshot();
+                let ids = InstanceIds::new(self.aig.elem_name(occ.base), rowids, &reader)?;
                 let (mut owners, mut rows) = (Vec::new(), Vec::new());
                 for (&owner, &pick) in picks.col_syms(0).iter().zip(picks.col_syms(1)) {
                     if Some(pick) == wanted {
-                        rows.push(*base_rows.get(&owner).ok_or_else(|| {
-                            MediatorError::Internal("branch row with unknown owner".into())
-                        })?);
+                        let id = ids.id(&reader, owner);
+                        let id = id.ok_or_else(|| ids.bad("`__owner`", reader.get(owner)))?;
+                        rows.push(ids.position(id));
                         owners.push(owner);
                     }
                 }
@@ -1164,7 +1163,7 @@ impl<S: RelSource> Executor<'_, S> {
         let key = resolve_syn_key(aig, bindings, &Occ::mat(child_elem), child_elem, field)?;
         let child_syn = self.store.rel(&key)?;
         let t_child = self.store.rel(&RelKey::Instances(child_elem))?;
-        rekey_to_owners(child_syn, &parents_by_tag(t_child, tag)?, columns)
+        rekey_to_owners(aig.elem_name(child_elem), child_syn, t_child, tag, columns)
     }
 
     fn check_guard(&self, occ: &Occ, guard: usize) -> Result<(), MediatorError> {
@@ -1294,46 +1293,152 @@ pub(crate) fn scalar_col(
     }
 }
 
-/// Maps `__rowid` symbols to row positions.
-pub fn index_by_rowid(rel: &Relation) -> Result<SymMap<Sym, u32>, MediatorError> {
-    let rowids = rel.col_syms(rel.col("__rowid")?);
-    Ok(rowids.iter().copied().zip(0u32..).collect())
-}
-
-/// Maps child `__rowid` symbols to parent symbols for rows carrying the
-/// given `__occ` tag. Tag matching is one interner lookup plus per-row
-/// symbol compares; a never-interned tag matches no rows.
-fn parents_by_tag(t_child: &Relation, tag: &str) -> Result<SymMap<Sym, Sym>, MediatorError> {
+/// The rows of `child_syn` — keyed by the `__rowid`s of `t_child`, the
+/// instance table of `elem` — whose child carries the `__occ` tag `tag`,
+/// re-keyed from child to its `__parent` under `columns`. A key naming no
+/// child, or a tag never interned, matches no row.
+fn rekey_to_owners(
+    elem: &str,
+    child_syn: &Relation,
+    t_child: &Relation,
+    tag: &str,
+    columns: &[String],
+) -> Result<Relation, MediatorError> {
     let rowids = t_child.col_syms(t_child.col("__rowid")?);
     let parents = t_child.col_syms(t_child.col("__parent")?);
     let occs = t_child.col_syms(t_child.col("__occ")?);
-    let Some(tag_sym) = intern::lookup(&Value::str(tag)) else {
-        return Ok(SymMap::default());
-    };
-    let mut parent_of = SymMap::default();
-    parent_of.reserve(occs.iter().filter(|occ| **occ == tag_sym).count());
-    let tagged = occs.iter().zip(rowids.iter().zip(parents));
-    let tagged = tagged.filter(|(occ, _)| **occ == tag_sym);
-    parent_of.extend(tagged.map(|(_, (rowid, parent))| (*rowid, *parent)));
-    Ok(parent_of)
-}
-
-/// The rows of `child_syn` re-keyed from child rowid to owner under
-/// `columns`, dropping rows whose child is not in `parent_of`.
-fn rekey_to_owners(
-    child_syn: &Relation,
-    parent_of: &SymMap<Sym, Sym>,
-    columns: &[String],
-) -> Result<Relation, MediatorError> {
     let rows = child_syn.len();
     let (mut owners, mut keep) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-    for (r, child) in (0u32..).zip(child_syn.col_syms(0)) {
-        if let Some(&owner) = parent_of.get(child) {
-            owners.push(owner);
-            keep.push(r);
+    if let Some(tag) = intern::lookup(&Value::str(tag)) {
+        let reader = Reader::snapshot();
+        let ids = InstanceIds::new(elem, rowids, &reader)?;
+        for (r, id) in (0u32..).zip(ids.ids_of(&reader, child_syn.col_syms(0))) {
+            let Some(at) = id.map(|id| ids.position(id) as usize) else {
+                continue;
+            };
+            if occs[at] == tag {
+                owners.push(parents[at]);
+                keep.push(r);
+            }
         }
     }
     let mut cols = vec![owners];
     cols.extend((1..child_syn.arity()).map(|c| apply_perm(child_syn.col_syms(c), &keep)));
     Ok(Relation::try_from_columns(columns.to_vec(), cols)?)
+}
+
+/// No instance: a key naming no row, in [`group_rows`]'s input.
+pub(crate) const NO_ROW: u32 = u32::MAX;
+
+/// The instance ids of one instance table, in the one place that decides
+/// what an id is. Root and Assemble number a table's rows with `__rowid`s
+/// that are the integers `0..n`, each once, and every `__parent` /
+/// `__owner` names one of them. So an id is a dense integer: it indexes
+/// vectors ([`group_rows`] buckets, [`InstanceIds::position`]) and is never
+/// hashed, and ids in value order are buckets in index order.
+pub(crate) struct InstanceIds<'a> {
+    /// The element, for the error.
+    elem: &'a str,
+    len: usize,
+    /// The row position of each id; `None` when the two are equal, as
+    /// Assemble numbers its rows.
+    positions: Option<Vec<u32>>,
+}
+
+impl<'a> InstanceIds<'a> {
+    /// The ids of `elem`'s instance table with the `__rowid` column
+    /// `rowids`, which must be a permutation of `0..n`. Every symbol of
+    /// `rowids` must have been interned before `reader` was taken.
+    pub(crate) fn new(
+        elem: &'a str,
+        rowids: &[Sym],
+        reader: &Reader,
+    ) -> Result<InstanceIds<'a>, MediatorError> {
+        let mut ids = InstanceIds {
+            elem,
+            len: rowids.len(),
+            positions: None,
+        };
+        if intern::int_syms(rowids.len()).starts_with(rowids) {
+            return Ok(ids);
+        }
+        let mut positions = vec![NO_ROW; rowids.len()];
+        for (pos, &rowid) in (0u32..).zip(rowids) {
+            match ids.id(reader, rowid).map(|id| &mut positions[id as usize]) {
+                Some(slot) if *slot == NO_ROW => *slot = pos,
+                _ => return Err(ids.bad("`__rowid`", reader.get(rowid))),
+            }
+        }
+        ids.positions = Some(positions);
+        Ok(ids)
+    }
+
+    /// The number of instances.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The id `sym` denotes, if it names an instance: an integer in `0..n`.
+    #[inline]
+    pub(crate) fn id(&self, reader: &Reader, sym: Sym) -> Option<u32> {
+        let id = reader.get(sym).as_int()?;
+        (0..self.len as i64).contains(&id).then_some(id as u32)
+    }
+
+    /// [`InstanceIds::id`] of each of `syms`, resolving a run of one symbol
+    /// once (siblings arrive together).
+    pub(crate) fn ids_of<'s>(
+        &'s self,
+        reader: &'s Reader,
+        syms: &'s [Sym],
+    ) -> impl Iterator<Item = Option<u32>> + 's {
+        let mut last = None;
+        syms.iter().map(move |&sym| match last {
+            Some((held, id)) if held == sym => id,
+            _ => last.insert((sym, self.id(reader, sym))).1,
+        })
+    }
+
+    /// The row position of the instance `id` (below [`InstanceIds::len`]).
+    #[inline]
+    pub(crate) fn position(&self, id: u32) -> u32 {
+        self.positions
+            .as_ref()
+            .map_or(id, |positions| positions[id as usize])
+    }
+
+    /// The one error for a bad instance id: `value`, read from `column`, is
+    /// not one of this table's ids, or the table's `__rowid`s are not a
+    /// permutation of `0..n` (`value` repeats or lies outside).
+    pub(crate) fn bad(&self, column: &str, value: &Value) -> MediatorError {
+        MediatorError::Internal(format!(
+            "bad instance id in T[{}]: {column} {value:?}; its `__rowid`s must be \
+             0..{} in some order, each once",
+            self.elem, self.len
+        ))
+    }
+}
+
+/// A stable counting sort of row indices by key: the rows keyed `k < n` are
+/// `rows[start[k]..start[k + 1]]`, in row order. Rows keyed [`NO_ROW`] are
+/// left out.
+pub(crate) fn group_rows(keys: &[u32], n: usize) -> (Vec<u32>, Vec<u32>) {
+    // `start[k + 2]` counts the rows keyed `k`; after the prefix sums,
+    // `start[k + 1]` walks from the begin of `k`'s rows to its end.
+    let mut start = vec![0u32; n + 2];
+    let keyed = || (0u32..).zip(keys).filter(|(_, &key)| key != NO_ROW);
+    for (_, &key) in keyed() {
+        start[key as usize + 2] += 1;
+    }
+    for k in 2..n + 2 {
+        start[k] += start[k - 1];
+    }
+    let mut rows = vec![0u32; start[n + 1] as usize];
+    for (row, &key) in keyed() {
+        let slot = &mut start[key as usize + 1];
+        rows[*slot as usize] = row;
+        *slot += 1;
+    }
+    start.truncate(n + 1);
+    (start, rows)
 }

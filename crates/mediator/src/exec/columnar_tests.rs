@@ -26,7 +26,6 @@ use aig_core::paper::sigma0;
 use aig_core::{compile_constraints, decompose_queries, parse_aig};
 use aig_datagen::HospitalConfig;
 use aig_prng::{Rng, SeedableRng, StdRng};
-use aig_relstore::par::stable_sort_rows_with;
 use aig_relstore::{Database, Table, TableSchema};
 use std::cell::Cell;
 
@@ -131,11 +130,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                     rows.push(row);
                 }
                 // Canonical per-parent order: (parent, fields), then ordinal.
-                // Compared by reference — no per-comparison clones — and
-                // partitioned over the configured threads for large outputs.
-                stable_sort_rows_with(&mut rows, self.0.threads(), PAR_THRESHOLD, |a, b| {
-                    a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..]))
-                });
+                rows.sort_by(|a, b| a[0].cmp(&b[0]).then_with(|| a[2..].cmp(&b[2..])));
                 let mut last_parent: Option<Value> = None;
                 let mut ord = 0i64;
                 let mut finished: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
@@ -914,6 +909,13 @@ fn orders(seed: u64) -> Fixture {
 /// id and note, so every symbol order is the reverse of its value order,
 /// and notes repeat, so the generator's sort key has ties.
 fn flow(seed: u64) -> Fixture {
+    let n = StdRng::seed_from_u64(seed).gen_range(0..40usize);
+    flow_items(seed, n, 1)
+}
+
+/// [`flow`] over `n` items, each stored `copies` times: a copy ties with its
+/// original on every generated field.
+fn flow_items(seed: u64, n: usize, copies: usize) -> Fixture {
     let aig = parse_aig(
         r#"
         aig flow {
@@ -973,15 +975,14 @@ fn flow(seed: u64) -> Fixture {
         "#,
     )
     .unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(0..40usize);
-    let items = (0..n).rev().map(|i| {
+    let items = (0..n).rev().flat_map(|i| {
         let day = if i % 4 == 3 { "tue" } else { "mon" };
-        vec![
+        let item = vec![
             format!("flow{seed}-id-{i:03}"),
             format!("flow{seed}-note-{}", 9 - i % 3),
             day.to_string(),
-        ]
+        ];
+        std::iter::repeat_n(item, copies)
     });
     let catalog = string_catalog("DB1", &[("items", &["id", "note", "day"], items.collect())]);
     fixture(&aig, catalog, 2, vec![("day", Value::str("mon"))])
@@ -1234,12 +1235,13 @@ fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
         instead,
         reads: Cell::new(0),
     };
-    assert_eq!(
-        executor(&fx, &swapped, &opts, &ship).run_task(branch),
-        Err(MediatorError::Internal(
-            "branch row with unknown owner".into()
-        ))
-    );
+    match executor(&fx, &swapped, &opts, &ship).run_task(branch) {
+        Err(MediatorError::Internal(msg)) => assert!(
+            msg.starts_with("bad instance id in T[order]: `__owner` Str(\"foreign\")"),
+            "{msg}"
+        ),
+        other => panic!("expected a bad instance id, got {other:?}"),
+    }
 }
 
 /// The choice taken here: an assemble input whose arity does not fit the
@@ -1287,15 +1289,17 @@ fn a_never_interned_occ_tag_matches_no_rows() {
     let id = fx.aig.elem("id").unwrap();
     let t_child = store.get(&RelKey::Instances(id)).unwrap();
     assert!(!t_child.is_empty());
+    let children = t_child.project_positions(&[t_child.col("__rowid").unwrap()]);
+    let rekey = |tag| rekey_to_owners("id", &children, t_child, tag, &["__owner".into()]);
     let tag = "doc.9#9 — a tag no assemble ever wrote";
     assert_eq!(intern::lookup(&Value::str(tag)), None);
-    assert!(parents_by_tag(t_child, tag).unwrap().is_empty());
+    assert!(rekey(tag).unwrap().is_empty());
     assert_eq!(
         intern::lookup(&Value::str(tag)),
         None,
         "lookups never intern"
     );
-    let known = parents_by_tag(t_child, "doc.1#0").unwrap();
+    let known = rekey("doc.1#0").unwrap();
     assert_eq!(
         known.len() * 2,
         t_child.len(),
@@ -1378,10 +1382,190 @@ fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_a_permutation() {
         let store = with(&order, "__rowid", row, value.clone());
         match tag_document(&fx.aig, &fx.graph, &store) {
             Err(MediatorError::Internal(msg)) => assert!(
-                msg.contains("`__rowid`s of T[order] are not a permutation"),
+                msg.starts_with("bad instance id in T[order]: `__rowid`"),
                 "{msg}"
             ),
             other => panic!("`__rowid` {value:?} at row {row}: {other:?}"),
         }
+    }
+}
+
+// -- The generator's order by instance ids ------------------------------------------
+
+/// The options of the benchmark's `report_modes_on`: the parallel driver,
+/// dynamic scheduling, 2 kernel threads, 256-row batching, integrity on.
+fn modes_on() -> ExecOptions {
+    ExecOptions::new(ExecPolicy {
+        parallel_exec: true,
+        scheduling: Scheduling::Dynamic,
+        threads: 2,
+        batching: true,
+        batch_rows: 256,
+        check_integrity: true,
+        ..ExecPolicy::default()
+    })
+}
+
+/// `store` with every instance table of more than one row (the root has one)
+/// in reverse row order: its `__rowid`s are a permutation of `0..n` that is
+/// not the identity.
+fn reversed_instances(fx: &Fixture, store: &RelStore) -> RelStore {
+    let mut store = store.clone();
+    for &elem in &fx.graph.materialized {
+        let key = RelKey::Instances(elem);
+        let mut rel = store.get(&key).unwrap().clone();
+        rel.gather(&(0..rel.len() as u32).rev().collect::<Vec<_>>());
+        store.insert(key, rel);
+    }
+    store
+}
+
+/// Runs every `Gen` task of `fx` on `store` through the columnar body and the
+/// row-major reference, asserting they agree.
+fn gens_agree(fx: &Fixture, store: &RelStore, opts: &ExecOptions) {
+    let ship = crate::batch::ShipLedger::default();
+    let exec = executor(fx, store, opts, &ship);
+    for task in &fx.graph.tasks {
+        if let TaskKind::Gen { .. } = task.kind {
+            let reference = RowMajor(&exec).run_task(task);
+            assert_eq!(exec.run_task(task), reference, "{}", task.label);
+        }
+    }
+}
+
+/// The rows of `elem`'s instance table in `store`.
+fn instances<'s>(fx: &Fixture, store: &'s RelStore, elem: &str) -> &'s Relation {
+    store
+        .get(&RelKey::Instances(fx.aig.elem(elem).unwrap()))
+        .unwrap()
+}
+
+#[test]
+fn generator_order_matches_the_reference_under_permuted_rowids() {
+    for seed in 0..4u64 {
+        for fx in [hospital(seed, 3), orders(seed), flow(seed)] {
+            for opts in [options(1, false), modes_on()] {
+                let store = walk(&fx, &opts, None, &mut [0; 8]);
+                let permuted = reversed_instances(&fx, &store);
+                gens_agree(&fx, &permuted, &opts);
+                check_tagging(&fx, &permuted);
+            }
+        }
+    }
+}
+
+/// `walk` holds every task against the reference as it goes.
+#[test]
+fn generator_order_matches_the_reference_on_ties_and_empty_outputs() {
+    for opts in [options(1, false), options(2, true), modes_on()] {
+        // Every item three times: siblings tie on every generated field.
+        let fx = flow_items(11, 30, 3);
+        let store = walk(&fx, &opts, None, &mut [0; 8]);
+        check_tagging(&fx, &store);
+        assert_eq!(
+            instances(&fx, &store, "entry").len(),
+            3 * 23,
+            "the Monday items"
+        );
+        // No items: the entry generator's output is empty.
+        let fx = flow_items(12, 0, 1);
+        let store = walk(&fx, &opts, None, &mut [0; 8]);
+        check_tagging(&fx, &store);
+        assert!(instances(&fx, &store, "entry").is_empty());
+    }
+}
+
+/// One parent with more children than [`PAR_THRESHOLD`], the row count at
+/// which the kernels may partition.
+#[test]
+fn generator_order_matches_the_reference_under_one_large_parent() {
+    // Three items in four are Monday's.
+    let fx = flow_items(13, 4 * (PAR_THRESHOLD / 3 + 1), 1);
+    let opts = modes_on();
+    let store = walk(&fx, &opts, None, &mut [0; 8]);
+    let entries = instances(&fx, &store, "entry");
+    assert!(entries.len() > PAR_THRESHOLD);
+    let parents = entries.col_syms(entries.col("__parent").unwrap());
+    assert!(parents.iter().all(|&p| p == parents[0]), "one parent");
+    check_tagging(&fx, &store);
+}
+
+/// Every bad instance id is one `MediatorError::Internal` naming the table:
+/// a `__rowid` column that is not a permutation of `0..n` — a duplicate, a
+/// negative, an out-of-range or a string id — under a generator's parent
+/// table and under the tagger, and a generator row whose `__parent` names no
+/// instance.
+#[test]
+fn a_bad_instance_id_is_one_error_naming_the_table() {
+    let (fx, store) = (0..32)
+        .map(|seed| {
+            let fx = orders(seed);
+            let store = walk(&fx, &options(1, false), None, &mut [0; 8]);
+            (fx, store)
+        })
+        .find(|(fx, store)| {
+            let refs = RelKey::Instances(fx.aig.elem("ref").unwrap());
+            store.get(&refs).unwrap().len() >= 2
+        })
+        .expect("a seed with refs");
+    let opts = options(1, false);
+    let ship = crate::batch::ShipLedger::default();
+    let order = RelKey::Instances(fx.aig.elem("order").unwrap());
+    let gen = task_where(&fx, |k| {
+        matches!(k, TaskKind::Gen { set_input: Some(_), parent, .. }
+            if RelKey::Instances(parent.base) == order)
+    });
+    let expect_bad = |out: Result<_, MediatorError>, column: &str, value: &Value| match out {
+        Err(MediatorError::Internal(msg)) => {
+            let head = format!("bad instance id in T[order]: {column} {value:?};");
+            assert!(msg.starts_with(&head), "{msg}")
+        }
+        other => panic!("{column} {value:?}: expected a bad instance id, got {other:?}"),
+    };
+    let orders = store.get(&order).unwrap();
+    let n = orders.len() as i64;
+    let rowid = orders.col("__rowid").unwrap();
+    for bad in [
+        Value::int(1),
+        Value::int(-1),
+        Value::int(n),
+        Value::str("0"),
+    ] {
+        let mut store = store.clone();
+        let mut rel = orders.clone();
+        rel.set_cell(0, rowid, bad.clone());
+        store.insert(order.clone(), rel);
+        expect_bad(
+            executor(&fx, &store, &opts, &ship)
+                .run_task(gen)
+                .map(|_| ()),
+            "`__rowid`",
+            &bad,
+        );
+        expect_bad(
+            tag_document(&fx.aig, &fx.graph, &store).map(|_| ()),
+            "`__rowid`",
+            &bad,
+        );
+    }
+    let TaskKind::Gen {
+        set_input: Some(input),
+        ..
+    } = &gen.kind
+    else {
+        unreachable!()
+    };
+    for bad in [Value::int(-1), Value::int(n), Value::str("0")] {
+        let mut instead = store.get(input).unwrap().clone();
+        instead.set_cell(0, 0, bad.clone());
+        let swapped = SwapNth {
+            store: &store,
+            key: input.clone(),
+            nth: 0,
+            instead,
+            reads: Cell::new(0),
+        };
+        let out = executor(&fx, &swapped, &opts, &ship).run_task(gen);
+        expect_bad(out.map(|_| ()), "`__parent`", &bad);
     }
 }

@@ -63,7 +63,7 @@ pub struct MediatorOptions {
     /// in the parallel executor; ignored by the sequential executor.
     pub scheduling: Scheduling,
     /// Worker threads for the partitioned in-process kernels (hash join,
-    /// canonical sort, dedup) on inputs of at least
+    /// dedup) on inputs of at least
     /// [`aig_relstore::par::PAR_THRESHOLD`] rows. `1` = sequential; results
     /// are byte-identical at any thread count.
     pub threads: usize,

@@ -11,7 +11,9 @@
 //! columns.
 
 use crate::error::MediatorError;
-use crate::exec::{branch_tag, occ_tag, scalar_col, RelStore, ScalarCol};
+use crate::exec::{
+    branch_tag, group_rows, occ_tag, scalar_col, InstanceIds, RelStore, ScalarCol, NO_ROW,
+};
 use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader};
@@ -33,9 +35,6 @@ pub fn tag_document(
     tagger.tag_children(&mut tree, root_node, ROOT_PLAN, 0)?;
     Ok(tree)
 }
-
-/// No row: a `__parent` naming no parent row, or a row of another `__occ`.
-const NO_ROW: u32 = u32::MAX;
 
 /// How one occurrence is tagged: everything the walk needs per node,
 /// resolved once per occurrence — keyed by [`Occ`], never by the address of
@@ -110,56 +109,37 @@ impl Tagged {
     }
 
     /// Sorts `child`'s rows under the parent rows with one pass over
-    /// `child`: a row carrying `occ` is keyed by the position (`positions`,
-    /// the inverse of the parent's `__rowid` column) of the row its
-    /// `__parent` names — an integer in `0..n`, or the row attaches to no
-    /// parent. A counting sort by position follows, then `__ord` order
-    /// within each parent (linear on an assembled table: generator outputs
-    /// arrive grouped by parent with ascending ordinals). `keys` is scratch.
+    /// `child`: a row carrying `occ` is keyed by the position (through
+    /// `parent`, the parent table's instance ids) of the row its `__parent`
+    /// names, or attaches to no parent. A counting sort by position follows,
+    /// then `__ord` order within each parent (linear on an assembled table:
+    /// generator outputs arrive grouped by parent with ascending ordinals).
+    /// `keys` is scratch.
     fn sort_merge(
         &mut self,
         reader: &Reader,
         child: &Relation,
-        positions: &[u32],
+        parent: &InstanceIds,
         keys: &mut Vec<u32>,
     ) -> Result<(), MediatorError> {
-        let n = positions.len();
-        // `start[p + 2]` counts the rows of parent `p`; after the prefix
-        // sums, `start[p + 1]` walks from the begin of `p`'s rows to its end.
-        let mut start = vec![0u32; n + 2];
         keys.clear();
         if let Some(occ) = self.occ {
             let occs = child.col_syms(child.col("__occ")?);
             let parents = child.col_syms(child.col("__parent")?);
             // Siblings sit together: only a change of parent resolves one.
             let mut last = None;
-            for (&row_occ, &parent) in occs.iter().zip(parents) {
-                let key = match last {
-                    _ if row_occ != occ => NO_ROW,
-                    Some((sym, key)) if sym == parent => key,
-                    _ => {
-                        let id = reader.get(parent).as_int();
-                        let id = id.and_then(|id| usize::try_from(id).ok());
-                        let key = id.and_then(|id| positions.get(id).copied());
-                        last.insert((parent, key.unwrap_or(NO_ROW))).1
-                    }
-                };
-                if key != NO_ROW {
-                    start[key as usize + 2] += 1;
-                }
-                keys.push(key);
-            }
+            let position = |sym| {
+                parent
+                    .id(reader, sym)
+                    .map_or(NO_ROW, |id| parent.position(id))
+            };
+            keys.extend(occs.iter().zip(parents).map(|(&row_occ, &sym)| match last {
+                _ if row_occ != occ => NO_ROW,
+                Some((held, key)) if held == sym => key,
+                _ => last.insert((sym, position(sym))).1,
+            }));
         }
-        for p in 2..n + 2 {
-            start[p] += start[p - 1];
-        }
-        let mut rows = vec![0u32; start[n + 1] as usize];
-        for (row, &key) in keys.iter().enumerate().filter(|(_, &k)| k != NO_ROW) {
-            let slot = &mut start[key as usize + 1];
-            rows[*slot as usize] = row as u32;
-            *slot += 1;
-        }
-        start.truncate(n + 1);
+        let (start, mut rows) = group_rows(keys, parent.len());
         // A parent's ordinals are almost always its rows' `0, 1, …`: compared
         // as those integers' own symbols, they need no value looked up.
         let widest = start.windows(2).map(|b| b[1] - b[0]).max().unwrap_or(0);
@@ -177,36 +157,6 @@ impl Tagged {
         (self.start, self.rows) = (start, rows);
         Ok(())
     }
-}
-
-/// The row position of each `__rowid` of `elem`'s instance table, which must
-/// be a permutation of `0..n` (Root and Assemble number their rows so).
-fn rowid_positions(
-    aig: &Aig,
-    elem: ElemIdx,
-    reader: &Reader,
-    rowids: &[Sym],
-) -> Result<Vec<u32>, MediatorError> {
-    // As Assemble numbers them, the rowids are the symbols of `0..n`.
-    if intern::int_syms(rowids.len()).starts_with(rowids) {
-        return Ok((0..rowids.len() as u32).collect());
-    }
-    let mut positions = vec![NO_ROW; rowids.len()];
-    for (pos, &rowid) in rowids.iter().enumerate() {
-        let id = reader.get(rowid).as_int();
-        let id = id.and_then(|id| usize::try_from(id).ok());
-        match id.and_then(|id| positions.get_mut(id)) {
-            Some(slot) if *slot == NO_ROW => *slot = pos as u32,
-            _ => {
-                return Err(MediatorError::Internal(format!(
-                    "the `__rowid`s of T[{}] are not a permutation of 0..{}",
-                    aig.elem_name(elem),
-                    rowids.len()
-                )))
-            }
-        }
-    }
-    Ok(positions)
 }
 
 /// Plans are numbered depth-first from the root occurrence.
@@ -341,7 +291,7 @@ impl<'a> Tagger<'a> {
             reader,
             ..
         } = self;
-        let mut positions: HashMap<ElemIdx, Vec<u32>> = HashMap::new();
+        let mut ids: HashMap<ElemIdx, InstanceIds> = HashMap::new();
         let mut keys = Vec::new();
         for plan in plans.iter_mut() {
             let Body::Children(children) = &mut plan.body else {
@@ -351,14 +301,15 @@ impl<'a> Tagger<'a> {
                 let ChildRows::Tagged(tagged) = &mut child.rows else {
                     continue;
                 };
-                let positions = match positions.entry(plan.elem) {
+                let parent = match ids.entry(plan.elem) {
                     Entry::Occupied(built) => built.into_mut(),
                     Entry::Vacant(slot) => {
-                        slot.insert(rowid_positions(aig, plan.elem, reader, plan.rowids)?)
+                        let elem = aig.elem_name(plan.elem);
+                        slot.insert(InstanceIds::new(elem, plan.rowids, reader)?)
                     }
                 };
                 let rel = store.get(&RelKey::Instances(child.elem))?;
-                tagged.sort_merge(reader, rel, positions, &mut keys)?;
+                tagged.sort_merge(reader, rel, parent, &mut keys)?;
             }
         }
         Ok(())

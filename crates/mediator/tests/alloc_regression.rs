@@ -12,7 +12,7 @@
 //! bounded beside calls: a row-major copy of every relation that is
 //! deduplicated and a sorted copy of every column that is sized cost no
 //! more calls than a `Vec` each, but 128 requested bytes per output row
-//! against 55 now.
+//! against 45 now.
 //!
 //! The data is Table 1's Small hospital — large enough (well over 20k
 //! document nodes for the chosen date) that per-task constants vanish in
@@ -22,7 +22,8 @@ use aig_core::paper::sigma0;
 use aig_datagen::{visit_delta, DatasetSize, HospitalConfig};
 use aig_mediator::tagging::tag_document;
 use aig_mediator::{execute_graph, ExecOptions, Mediator, MediatorOptions};
-use aig_relstore::{Catalog, Relation, SourceDelta, Value};
+use aig_relstore::par::{dedup_indices, PAR_THRESHOLD};
+use aig_relstore::{Catalog, Relation, SourceDelta, Sym, Value};
 use aig_xml::{serialize, validate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -133,11 +134,13 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         "execute_graph: {exec_allocs} allocations for {rows} rows read or produced \
          = {per_row:.2} per row"
     );
-    // Requested bytes per row *produced*: 128.2 at the parent — a row-major
-    // copy and a fat-pointer vector per deduplicated relation, a list per
-    // distinct join key, a sorted copy per sized column — against NEW_BYTES
-    // with rows hashed and columns counted where they lie.
-    const NEW_BYTES: f64 = 55.4;
+    // Requested bytes per row *produced*: 128.2 before the columnar plane —
+    // a row-major copy and a fat-pointer vector per deduplicated relation, a
+    // list per distinct join key, a sorted copy per sized column — and 58.9
+    // with a fresh dedup table and a symbol-keyed rowid map per task, against
+    // NEW_BYTES with rows hashed and columns counted where they lie, dedup
+    // slots reused per thread and instance ids indexing vectors.
+    const NEW_BYTES: f64 = 45.4;
     let out_rows: f64 = exec.measured.iter().map(|m| m.out_rows).sum();
     let bytes_per_row = exec_bytes as f64 / out_rows;
     println!("execute_graph {bytes_per_row:.1} requested bytes/output row");
@@ -224,6 +227,19 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         "batching(256): {batched_allocs} allocations against {exec_allocs} materializing \
          and {} batches",
         ledger.total_batches
+    );
+
+    // A dedup of rows one or two symbols wide probes the thread's slot
+    // scratch, so a second one of the same size allocates its output alone
+    // (a table per call: two allocations).
+    let ints = aig_relstore::intern::int_syms(512);
+    let (a, b): (Vec<Sym>, Vec<Sym>) = (0..4096).map(|i| (ints[i % 512], ints[i % 3])).unzip();
+    dedup_indices(&[&a, &b], 1, PAR_THRESHOLD);
+    let (kept, dedup_allocs) = counted(|| dedup_indices(&[&a, &b], 1, PAR_THRESHOLD));
+    println!("second dedup of 4096 pairs: {dedup_allocs} allocations");
+    assert!(
+        kept.len() == 1536 && dedup_allocs == 1,
+        "second dedup of 4096 pairs: {dedup_allocs} allocations"
     );
 
     // A copy is a few buffers, whatever the size.

@@ -9,33 +9,30 @@
 //!   returned in range order. Every kernel here and the
 //!   partitioned hash join of `aig-sql` go through it, and every "merged in
 //!   partition order" determinism argument rests on that order.
-//! * [`sort_perm`] — a partitioned stable **argsort**: contiguous index
-//!   chunks are stable-sorted on their own threads and merged taking from
-//!   the *earlier* chunk on ties, so the permutation is byte-identical to a
-//!   sequential stable sort. Column stores apply the permutation per column
-//!   with [`apply_perm`] instead of moving rows.
+//! * [`sort_perm`] — a stable **argsort**. Column stores apply the
+//!   permutation per column with [`apply_perm`] instead of moving rows.
 //! * [`RowTable`] — the one hash table over rows: open addressing over `u32`
 //!   row indices that hashes and compares a row by reading its key columns
-//!   in place, so no row key is ever built. First-occurrence dedup, the
-//!   mediator's uniqueness / inclusion guards and the hash join's build side
-//!   ([`JoinTable`]: key → first row plus a `next` chain in scan order) all
-//!   sit on it.
+//!   in place, so no row key is ever built. The mediator's uniqueness /
+//!   inclusion guards, the dedup of rows wider than two symbols and the hash
+//!   join's build side ([`JoinTable`]: key → first row plus a `next` chain
+//!   in scan order) all sit on it.
 //! * [`dedup_indices`] — a partitioned first-occurrence dedup over symbol
 //!   columns: each thread finds its chunk-local first occurrences, then one
 //!   sequential pass over the (much smaller) survivor set keeps global first
-//!   occurrences. Byte-identical to the sequential dedup.
-//! * [`stable_sort_rows_with`] — the row-moving wrapper around [`sort_perm`]
-//!   that the row-major reference operators of the mediator's differential
-//!   suite sort with (the mediator's own operators sort permutations and
-//!   gather columns).
+//!   occurrences. Byte-identical to the sequential dedup. A row of one or two
+//!   symbols is packed into one `u64` held in the slot itself, so a probe
+//!   never reads a column; the slots are a per-thread scratch.
 //!
-//! The kernels fall back to the sequential path below a caller-supplied
-//! threshold or with `threads <= 1`, where partitioning overhead would
-//! dominate. The mediator always passes [`PAR_THRESHOLD`]; the kernels keep
-//! the parameter so their tests can force the partitioned path on small
-//! inputs (`par::tests`, `relation::tests`, `aig-sql`'s reference suite).
+//! The partitioned kernels fall back to the sequential path below a
+//! caller-supplied threshold or with `threads <= 1`, where partitioning
+//! overhead would dominate. The mediator always passes [`PAR_THRESHOLD`]; the
+//! kernels keep the parameter so their tests can force the partitioned path
+//! on small inputs (`par::tests`, `relation::tests`, `aig-sql`'s reference
+//! suite).
 
 use crate::intern::{Sym, SymHasher};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -77,46 +74,13 @@ where
     })
 }
 
-/// Stable argsort: returns the permutation `perm` such that visiting rows
-/// in `perm` order is byte-identical to a sequential stable sort by `cmp`.
-/// Partitioned over up to `threads` threads for `len >= threshold`.
-pub fn sort_perm<F>(len: usize, threads: usize, threshold: usize, cmp: F) -> Vec<u32>
-where
-    F: Fn(u32, u32) -> Ordering + Sync,
-{
-    assert!(u32::try_from(len).is_ok(), "relation too large for argsort");
-    // `sort_by` is stable and a range starts in index order, so ties keep
-    // ascending indices — the stable-argsort contract.
-    let sorted = |range: Range<usize>| {
-        let mut perm: Vec<u32> = (range.start as u32..range.end as u32).collect();
-        perm.sort_by(|&a, &b| cmp(a, b));
-        perm
-    };
-    if threads <= 1 || len < threshold.max(2) {
-        return sorted(0..len);
-    }
-    let chunks = map_chunks(len, threads, sorted);
-    // K-way merge; ties take from the earlier chunk, which (chunks being
-    // contiguous index ranges) preserves ascending original indices for
-    // equal rows — exactly the stability contract.
-    let mut cursors = vec![0usize; chunks.len()];
-    let mut out = Vec::with_capacity(len);
-    loop {
-        let mut best: Option<(usize, u32)> = None;
-        for (i, chunk) in chunks.iter().enumerate() {
-            let Some(&head) = chunk.get(cursors[i]) else {
-                continue;
-            };
-            best = match best {
-                Some((_, b)) if cmp(b, head) != Ordering::Greater => best,
-                _ => Some((i, head)),
-            };
-        }
-        let Some((i, head)) = best else { break };
-        out.push(head);
-        cursors[i] += 1;
-    }
-    out
+/// Stable argsort: the permutation `perm` such that visiting rows in `perm`
+/// order is a stable sort of `0..len` by `cmp`.
+pub fn sort_perm(len: usize, mut cmp: impl FnMut(u32, u32) -> Ordering) -> Vec<u32> {
+    let len = u32::try_from(len).expect("relation too large for argsort");
+    let mut perm: Vec<u32> = (0..len).collect();
+    perm.sort_by(|&a, &b| cmp(a, b));
+    perm
 }
 
 /// Gathers `data` through a permutation: `out[i] = data[perm[i]]`. The
@@ -294,86 +258,84 @@ pub fn dedup_indices(cols: &[&[Sym]], threads: usize, threshold: usize) -> Vec<u
 
 /// The `candidates` whose row no earlier candidate equals, in order.
 fn first_occurrences(cols: &[&[Sym]], candidates: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
-    let mut seen = RowTable::new(cols.to_vec(), candidates.len());
     let mut kept = Vec::with_capacity(candidates.len());
-    kept.extend(candidates.filter(|&row| seen.insert(row).is_none()));
+    match *cols {
+        [a] => packed_first_occurrences(candidates, &mut kept, false, |r| a[r].index() as u64),
+        [a, b] => packed_first_occurrences(candidates, &mut kept, true, |r| {
+            (a[r].index() as u64) << 32 | b[r].index() as u64
+        }),
+        _ => {
+            let mut seen = RowTable::new(cols.to_vec(), candidates.len());
+            kept.extend(candidates.filter(|&row| seen.insert(row).is_none()));
+        }
+    }
     kept
 }
 
-/// Stable sort of `rows` by `cmp`, partitioned over up to `threads` threads
-/// for `rows.len() >= threshold`. Byte-identical to `rows.sort_by(cmp)` for
-/// any comparator. The row-moving wrapper around [`sort_perm`], kept for
-/// row-major buffers.
-pub fn stable_sort_rows_with<T, F>(rows: &mut Vec<T>, threads: usize, threshold: usize, cmp: F)
-where
-    T: Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    if threads <= 1 || rows.len() < threshold.max(2) {
-        rows.sort_by(|a, b| cmp(a, b));
-        return;
-    }
-    let perm = sort_perm(rows.len(), threads, threshold, |a, b| {
-        cmp(&rows[a as usize], &rows[b as usize])
+thread_local! {
+    /// This thread's packed dedup slots: grown to 8 B ×
+    /// `next_power_of_two(2 × rows)` of the largest dedup of rows one or two
+    /// symbols wide on the thread, reused by every later one, freed with the
+    /// thread.
+    static DEDUP_SLOTS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A free packed slot. The one key equal to it, a row of two
+/// `u32::MAX`-indexed symbols, is never stored: a flag stands in for it.
+const FREE: u64 = u64::MAX;
+
+/// [`first_occurrences`] of rows of one (`wide` false) or two symbols, each
+/// packed by `key` into one `u64`: open addressing with linear probing over
+/// the thread's slot scratch, sized up front to at most half full, hashed as
+/// [`RowTable`] hashes the same symbols.
+fn packed_first_occurrences(
+    candidates: impl ExactSizeIterator<Item = u32>,
+    kept: &mut Vec<u32>,
+    wide: bool,
+    key: impl Fn(usize) -> u64,
+) {
+    DEDUP_SLOTS.with_borrow_mut(|slots| {
+        let size = (candidates.len() * 2).next_power_of_two().max(8);
+        slots.clear();
+        slots.resize(size, FREE);
+        let mask = size - 1;
+        let mut free_key_seen = false;
+        for row in candidates {
+            let key = key(row as usize);
+            if key == FREE {
+                if !std::mem::replace(&mut free_key_seen, true) {
+                    kept.push(row);
+                }
+                continue;
+            }
+            let mut hasher = SymHasher::default();
+            if wide {
+                hasher.write_u32((key >> 32) as u32);
+            }
+            hasher.write_u32(key as u32);
+            let mut slot = hasher.finish() as usize & mask;
+            loop {
+                match slots[slot] {
+                    FREE => {
+                        slots[slot] = key;
+                        kept.push(row);
+                        break;
+                    }
+                    held if held == key => break,
+                    _ => slot = (slot + 1) & mask,
+                }
+            }
+        }
     });
-    let mut taken: Vec<Option<T>> = std::mem::take(rows).into_iter().map(Some).collect();
-    *rows = perm
-        .into_iter()
-        .map(|i| {
-            taken[i as usize]
-                .take()
-                .expect("permutation is a bijection")
-        })
-        .collect();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     /// The crossover these tests pass explicitly: they hold both sides of a
     /// threshold against each other, whatever the default is.
     const THRESHOLD: usize = 2048;
-
-    fn make_rows(n: usize) -> Vec<Vec<Value>> {
-        // A deterministic, duplicate-heavy, unsorted row set.
-        (0..n)
-            .map(|i| {
-                vec![
-                    Value::int(((i * 7919) % 257) as i64),
-                    Value::str(format!("s{}", (i * 31) % 97)),
-                ]
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_sort_matches_sequential() {
-        for n in [0, 1, 100, THRESHOLD + 123] {
-            let rows = make_rows(n);
-            let mut seq = rows.clone();
-            seq.sort();
-            for threads in [2, 3, 4, 9] {
-                let mut par = rows.clone();
-                stable_sort_rows_with(&mut par, threads, THRESHOLD, |a, b| a.cmp(b));
-                assert_eq!(seq, par, "n={n} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_sort_is_stable() {
-        // Sort by the first column only; equal keys must keep input order.
-        let rows: Vec<Vec<Value>> = (0..(THRESHOLD * 2))
-            .map(|i| vec![Value::int((i % 5) as i64), Value::int(i as i64)])
-            .collect();
-        let mut seq = rows.clone();
-        seq.sort_by(|a, b| a[0].cmp(&b[0]));
-        let mut par = rows.clone();
-        stable_sort_rows_with(&mut par, 4, THRESHOLD, |a, b| a[0].cmp(&b[0]));
-        assert_eq!(seq, par);
-    }
 
     #[test]
     fn map_chunks_covers_the_range_in_order() {
@@ -416,14 +378,8 @@ mod tests {
         let keys: Vec<i64> = (0..5000).map(|i| ((i * 7919) % 101) as i64).collect();
         let mut expected: Vec<u32> = (0..keys.len() as u32).collect();
         expected.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-        for threads in [1, 2, 4, 5] {
-            for threshold in [1, 2048, usize::MAX] {
-                let perm = sort_perm(keys.len(), threads, threshold, |a, b| {
-                    keys[a as usize].cmp(&keys[b as usize])
-                });
-                assert_eq!(perm, expected, "threads={threads} threshold={threshold}");
-            }
-        }
+        let perm = sort_perm(keys.len(), |a, b| keys[a as usize].cmp(&keys[b as usize]));
+        assert_eq!(perm, expected);
         let gathered = apply_perm(&keys, &expected);
         assert!(gathered.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -438,7 +394,7 @@ mod tests {
             .filter(|&i| seen.insert((a[i as usize], b[i as usize])))
             .collect();
         for threads in [1, 2, 4] {
-            for threshold in [1, 2048, usize::MAX] {
+            for threshold in [1, THRESHOLD, usize::MAX] {
                 assert_eq!(
                     dedup_indices(&[&a, &b], threads, threshold),
                     expected,
@@ -446,5 +402,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The packed key of a row of two `u32::MAX`-indexed symbols is the free
+    /// slot's own bit pattern: it is kept once, like any other row.
+    #[test]
+    fn packed_dedup_keeps_the_row_that_packs_to_a_free_slot() {
+        let (max, zero) = (Sym::from_index(u32::MAX), Sym::from_index(0));
+        let a = [max, zero, max, max, zero];
+        let b = [max, max, max, zero, max];
+        assert_eq!(dedup_indices(&[&a, &b], 1, usize::MAX), [0, 1, 3]);
+        assert_eq!(dedup_indices(&[&a], 1, usize::MAX), [0, 1]);
     }
 }

@@ -511,7 +511,7 @@ impl Relation {
             return;
         }
         let reader = Reader::snapshot();
-        let perm = crate::par::sort_perm(self.len, 1, usize::MAX, |a, b| {
+        let perm = crate::par::sort_perm(self.len, |a, b| {
             self.cols
                 .iter()
                 .map(|c| reader.cmp(c.syms[a as usize], c.syms[b as usize]))

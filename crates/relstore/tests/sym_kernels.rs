@@ -5,8 +5,8 @@
 //! sizing scratch.
 //!
 //! * [`SymMap`] / [`SymSet`] against the default-hasher `HashMap`;
-//! * [`RowTable`] dedup against first occurrences in a default-hasher
-//!   `HashSet<Vec<Sym>>`;
+//! * [`RowTable`] dedup and the packed dedup of rows one or two symbols
+//!   wide against first occurrences in a default-hasher `HashSet<Vec<Sym>>`;
 //! * [`SizeScratch::measure`] against `sort_unstable` + `dedup`;
 //! * [`JoinTable`] against a `HashMap<Vec<Sym>, Vec<u32>>` filled in scan
 //!   order.
@@ -161,6 +161,36 @@ fn row_table_dedup_keeps_the_default_hasher_first_occurrences() {
         }
         for key in foreign_keys(&mut rng, cols.len()) {
             assert_eq!(table.find(|c| key[c]), first.get(&key).copied());
+        }
+    }
+}
+
+/// The packed dedup (rows of one or two symbols) and the row-table dedup
+/// (three) against the default-hasher oracle, sequential and partitioned,
+/// each right after a larger dedup of the same width on the calling thread:
+/// the slot scratch it left behind carries nothing into the next call.
+#[test]
+fn dedup_after_a_larger_one_keeps_the_default_hasher_first_occurrences() {
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(0xd5c2_0000 + seed);
+        let rows = rng.gen_range(0..400usize);
+        for width in 1..=3 {
+            let cols: Vec<Vec<Sym>> = (0..width).map(|_| column(&mut rng, rows)).collect();
+            let mut seen: HashSet<Vec<Sym>> = HashSet::new();
+            let expected: Vec<u32> = (0..rows as u32)
+                .filter(|&r| seen.insert(row(&cols, r as usize)))
+                .collect();
+            for threads in [1, 2] {
+                let larger: Vec<Vec<Sym>> = (0..width)
+                    .map(|_| column(&mut rng, 4 * rows + 64))
+                    .collect();
+                dedup_indices(&slices(&larger), 1, usize::MAX);
+                let kept = dedup_indices(&slices(&cols), threads, 1);
+                assert_eq!(
+                    kept, expected,
+                    "seed {seed} width {width} threads {threads}"
+                );
+            }
         }
     }
 }

@@ -8,9 +8,9 @@
 //! the delta's *reach* instead:
 //!
 //! 1. **Read-sets** ([`ReadSets::analyze`]): a static scan of the prepared
-//!    plan's query ASTs records, per task, which `(source, table)` pairs —
-//!    and which columns of each — the task's queries consume. Computed
-//!    once at prepare time and cached on the [`crate::plan::PreparedPlan`].
+//!    plan's query ASTs records, per task, which `(source, table)` pairs
+//!    the task's queries consume. Computed once at prepare time and cached
+//!    on the [`crate::plan::PreparedPlan`].
 //! 2. **Seeding** ([`ReadSets::seeds`]): after a
 //!    [`aig_relstore::SourceDelta`] is applied, the delta's touched tables
 //!    are intersected with the read-sets; tasks that read a dirty table
@@ -19,12 +19,12 @@
 //!    task graph (every task that transitively consumes a seed's output)
 //!    is the subgraph that must re-run; everything else reuses its cached
 //!    output relation unchanged.
-//! 4. **Splice**: the sequential walk runs *masked* by the closure
-//!    (`exec::execute_masked` — the same walk and the same task
-//!    body as a cold run, not a separate executor): masked-in tasks execute
-//!    against the post-delta catalog and re-ship through the same
-//!    batch/ship seam, masked-out tasks carry their cached relation and
-//!    measurements forward.
+//! 4. **Splice**: the one walk ([`crate::parallel`]) runs *masked*
+//!    by the closure, under whichever dispatcher the policy selects — the
+//!    same walk and the same task body as a cold run, not a separate
+//!    executor: masked-out tasks start complete with their cached relation
+//!    and measurements, masked-in tasks execute against the post-delta
+//!    catalog and re-ship through the same batch/ship seam.
 //!
 //! The byte-identity invariant carries over from the executors: a spliced
 //! store is relation-for-relation equal to a cold run's store, and the
@@ -39,32 +39,28 @@
 
 use crate::graph::{RelKey, TaskGraph, TaskKind, VectorQuery};
 use aig_core::spec::{Aig, ElemIdx, Prod};
-use aig_sql::{FromItem, Pred, Scalar};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use aig_sql::FromItem;
+use std::collections::{BTreeSet, HashSet};
 
 /// A `(source name, table name)` pair — the granularity deltas are tracked
 /// at.
 pub type TableRef = (String, String);
 
-/// Per-task read-sets of a prepared plan: which stored tables (and which
-/// columns of each) every task's queries consume. Tasks without source
-/// queries (assembles, guards, aggregations) have empty read-sets — they
-/// are reached through the downstream closure instead.
+/// Per-task read-sets of a prepared plan: which stored tables every task's
+/// queries consume. Matching is table-level because deltas carry whole
+/// rows. Tasks without source queries (assembles, guards, aggregations)
+/// have empty read-sets — they are reached through the downstream closure
+/// instead.
 #[derive(Debug, Clone, Default)]
 pub struct ReadSets {
     /// Per task: the `(source, table)` pairs read by its queries.
     tables: Vec<BTreeSet<TableRef>>,
-    /// Per task: the columns referenced per table (alias-resolved from the
-    /// query AST). Observability and ship-cut cross-checks; matching is
-    /// table-level because deltas carry whole rows.
-    columns: Vec<BTreeMap<TableRef, BTreeSet<String>>>,
 }
 
 impl ReadSets {
     /// Scans the task graph's query ASTs and records each task's reads.
     pub fn analyze(graph: &TaskGraph) -> ReadSets {
         let mut tables = vec![BTreeSet::new(); graph.tasks.len()];
-        let mut columns = vec![BTreeMap::new(); graph.tasks.len()];
         for (id, task) in graph.tasks.iter().enumerate() {
             let vq: Option<&VectorQuery> = match &task.kind {
                 TaskKind::Gen { query, .. } => query.as_ref(),
@@ -73,20 +69,19 @@ impl ReadSets {
                 _ => None,
             };
             if let Some(vq) = vq {
-                record_query(vq, &mut tables[id], &mut columns[id]);
+                for item in &vq.query.from {
+                    if let FromItem::Table { source, table, .. } = item {
+                        tables[id].insert((source.clone(), table.clone()));
+                    }
+                }
             }
         }
-        ReadSets { tables, columns }
+        ReadSets { tables }
     }
 
     /// The `(source, table)` pairs task `id` reads.
     pub fn tables(&self, id: usize) -> &BTreeSet<TableRef> {
         &self.tables[id]
-    }
-
-    /// The columns task `id` reads, per table.
-    pub fn columns(&self, id: usize) -> &BTreeMap<TableRef, BTreeSet<String>> {
-        &self.columns[id]
     }
 
     /// Union of all tasks' read tables (what the plan depends on at all).
@@ -103,56 +98,6 @@ impl ReadSets {
             .filter(|(_, reads)| reads.iter().any(|t| dirty.contains(t)))
             .map(|(id, _)| id)
             .collect()
-    }
-}
-
-/// Records one vectorized query's table and column reads. Columns resolve
-/// through the FROM aliases; references to relation-parameter aliases
-/// (shipped intermediates) are dependency-edge territory, not source
-/// reads, and are skipped.
-fn record_query(
-    vq: &VectorQuery,
-    tables: &mut BTreeSet<TableRef>,
-    columns: &mut BTreeMap<TableRef, BTreeSet<String>>,
-) {
-    let mut by_alias: HashMap<&str, TableRef> = HashMap::new();
-    for item in &vq.query.from {
-        if let FromItem::Table {
-            source,
-            table,
-            alias,
-        } = item
-        {
-            let key = (source.clone(), table.clone());
-            tables.insert(key.clone());
-            columns.entry(key.clone()).or_default();
-            by_alias.insert(alias.as_str(), key);
-        }
-    }
-    let mut record_col = |qualifier: &str, column: &str| {
-        if let Some(key) = by_alias.get(qualifier) {
-            columns
-                .entry(key.clone())
-                .or_default()
-                .insert(column.to_string());
-        }
-    };
-    for item in &vq.query.select {
-        if let Scalar::Col(c) = &item.expr {
-            record_col(&c.qualifier, &c.column);
-        }
-    }
-    for pred in &vq.query.preds {
-        match pred {
-            Pred::Cmp { lhs, rhs, .. } => {
-                for side in [lhs, rhs] {
-                    if let Scalar::Col(c) = side {
-                        record_col(&c.qualifier, &c.column);
-                    }
-                }
-            }
-            Pred::In { col, .. } => record_col(&col.qualifier, &col.column),
-        }
     }
 }
 
@@ -282,23 +227,6 @@ mod tests {
             .tracked()
             .iter()
             .any(|(_, table)| table == "visitInfo"));
-    }
-
-    #[test]
-    fn column_read_sets_resolve_aliases_to_tables() {
-        let (_aig, _catalog, graph) = unfolded_fixture();
-        let read_sets = ReadSets::analyze(&graph);
-        let mut saw_columns = false;
-        for id in 0..graph.tasks.len() {
-            for (table, cols) in read_sets.columns(id) {
-                assert!(
-                    read_sets.tables(id).contains(table),
-                    "column entry for untracked table {table:?}"
-                );
-                saw_columns |= !cols.is_empty();
-            }
-        }
-        assert!(saw_columns, "no column reads recorded at all");
     }
 
     #[test]

@@ -244,16 +244,16 @@ pub struct Measured {
     pub batches: u64,
     /// Rows read from dependency relations (distinct input relations).
     pub in_rows: f64,
-    /// Seconds the task spent waiting for its inputs before running
-    /// (always zero under the sequential executor).
+    /// Seconds the task was blocked waiting for its inputs (exactly zero on
+    /// the one-worker walk, which never blocks).
     pub wait_secs: f64,
     /// Offset of the task's start from the beginning of the execution.
     pub start_secs: f64,
 }
 
-/// Read access to the relations produced so far. The sequential executor
-/// reads its own [`RelStore`]; the parallel executor (one thread per data
-/// source, see [`crate::parallel`]) reads completed tasks' write-once slots.
+/// Read access to the relations produced so far: the walk
+/// ([`crate::parallel`]) reads completed tasks' write-once slots, a
+/// finished run's [`RelStore`] reads its map.
 pub trait RelSource {
     fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError>;
 }
@@ -423,7 +423,8 @@ impl<'a> Failover<'a> {
     }
 }
 
-/// Executes every task of `graph` in topological order.
+/// Executes every task of `graph` in topological order on the calling
+/// thread: the walk of [`crate::parallel`] with one worker.
 pub fn execute_graph(
     aig: &Aig,
     catalog: &Catalog,
@@ -431,104 +432,7 @@ pub fn execute_graph(
     args: &[(&str, Value)],
     opts: &ExecOptions,
 ) -> Result<ExecResult, MediatorError> {
-    execute_masked(aig, catalog, graph, args, opts, None)
-}
-
-/// The sequential topological walk, optionally masked — which is the
-/// incremental path ([`crate::delta`]): with `reuse = (store, measured,
-/// rerun)` only the tasks with `rerun[id]` run, against the post-delta
-/// catalog; every other task's inputs are unchanged by construction, so its
-/// cached relation and measurements carry forward, and the ship ledger sees
-/// only the re-shipped outputs. Valid for every policy cell because stores
-/// are byte-identical across the dispatchers (see `parallel_equiv`), and
-/// per-`(task, attempt)` fault injection replays deterministically; the
-/// caller must route mid-run outage plans (`dies_after`, which depend on
-/// global completion counts) to the unmasked walk.
-pub(crate) fn execute_masked(
-    aig: &Aig,
-    catalog: &Catalog,
-    graph: &TaskGraph,
-    args: &[(&str, Value)],
-    opts: &ExecOptions,
-    reuse: Option<(&RelStore, &[Measured], &[bool])>,
-) -> Result<ExecResult, MediatorError> {
-    debug_assert!(
-        reuse.is_none()
-            || !opts
-                .faults
-                .as_ref()
-                .is_some_and(|p| p.has_mid_run_outages()),
-        "mid-run outage plans must take the full-run path"
-    );
-    let mut store = RelStore::default();
-    let mut measured = vec![Measured::default(); graph.tasks.len()];
-    let mut resilience = ResilienceLog::default();
-    let mut integrity_log = IntegrityLog::default();
-    let ship = crate::batch::ShipLedger::default();
-    let mut failover = Failover::new(catalog, graph, opts.faults.as_ref());
-    if opts.faults.is_some() {
-        // Hard outages are resolved before any task runs, in source-id
-        // order, so the outcome is deterministic.
-        let mut sources: Vec<SourceId> = graph.tasks.iter().map(|t| t.source).collect();
-        sources.sort();
-        sources.dedup();
-        for sid in sources {
-            if failover.is_dead(sid) {
-                failover.fail_over(sid, &graph.topo)?;
-            }
-        }
-    }
-    let epoch = Instant::now();
-    for (pos, &id) in graph.topo.iter().enumerate() {
-        let task = &graph.tasks[id];
-        match reuse {
-            Some((prev_store, prev_measured, rerun)) if !rerun[id] => {
-                if let Some(key) = task.output.clone() {
-                    store.insert(key.clone(), prev_store.get(&key)?.clone());
-                }
-                measured[id] = prev_measured[id];
-                continue;
-            }
-            _ => {}
-        }
-        if failover.is_dead(failover.effective[id]) {
-            // The source completed its allotted tasks and died: its
-            // remaining tasks fail over in place.
-            failover.fail_over(failover.effective[id], &graph.topo[pos..])?;
-        }
-        let source = failover.effective[id];
-        let exec = Executor {
-            aig,
-            catalog: failover.catalog(),
-            graph,
-            store: &store,
-            opts,
-            args,
-            epoch,
-            ship: &ship,
-        };
-        let (output, m) = exec.run_measured(
-            id,
-            source,
-            0.0,
-            &mut resilience.events,
-            &mut integrity_log.events,
-        );
-        if let (Some(key), Some(rel)) = (task.output.clone(), output?) {
-            store.insert(key, rel);
-        }
-        measured[id] = m;
-        failover.task_done(source);
-    }
-    resilience.replans = failover.replans;
-    Ok(ExecResult {
-        store,
-        measured,
-        resilience,
-        integrity: integrity_log,
-        sched: SchedLog::default(),
-        batch: crate::batch::BatchLog::from_ledger(opts, &ship),
-    })
+    crate::parallel::walk(aig, catalog, graph, args, opts, None, None)
 }
 
 /// The ship-image size of a task's output under the active ship-cut
@@ -559,10 +463,9 @@ fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
     rows
 }
 
-/// The one task body every dispatcher runs tasks through: the sequential
-/// (optionally masked) walk of [`execute_masked`] and the per-source worker
-/// rounds of [`crate::parallel`] differ only in *which* task they hand it
-/// next and in the store they read through.
+/// The one task body: every worker of [`crate::parallel::walk`] — the one
+/// worker of a sequential run or a worker per source — runs its tasks
+/// through it.
 pub(crate) struct Executor<'a, S: RelSource> {
     pub(crate) aig: &'a Aig,
     /// The catalog tasks run against (the failover view once one exists).

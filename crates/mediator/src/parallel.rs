@@ -1,26 +1,28 @@
-//! Parallel execution of the task graph (paper §5.1, execution phase).
+//! The one walk of the task graph (paper §5.1, execution phase).
 //!
 //! "At each source, the unprocessed query that is lowest in the plan's
 //! ordering is selected for execution as soon as its inputs are available" —
-//! the sources run concurrently, coordinated by the mediator. Here each
-//! data source (and the mediator) gets a worker thread that walks its
-//! per-source sequence of the plan, blocking until the inputs of the next
-//! task are complete. Relations are written once into per-task slots and
-//! read lock-free afterwards.
+//! the sources run concurrently, coordinated by the mediator. Every
+//! execution is that rule: `walk` runs rounds of workers over write-once
+//! per-task slots, and a worker blocks until the inputs of its next task are
+//! complete. Given per-source sequences it starts one worker thread per
+//! source; without them one worker on the calling thread walks the
+//! topological order — the sequential executor — and no thread is spawned.
+//! A refresh ([`crate::delta`]) is the same walk with every task outside its
+//! re-run mask complete from the start, its cached relation in its slot, so
+//! it runs and reports under whichever dispatcher the policy selects.
 //!
-//! The parallel executor produces exactly the relations of the sequential
-//! one (see the equivalence tests); response-time *accounting* stays with
-//! the simulation in [`crate::cost`], which models the paper's network.
-//! That byte-identity is also what lets incremental re-evaluation
-//! ([`crate::delta`]) re-run delta-touched subgraphs with the *masked*
-//! sequential walk regardless of which dispatcher produced the snapshot
-//! being spliced: the relations it splices into are the same either way.
+//! The per-source run produces exactly the relations of the one-worker run
+//! (see the equivalence tests); response-time *accounting* stays with the
+//! simulation in [`crate::cost`], which models the paper's network.
 //!
-//! This module owns only what is about threads — the write-once shared
-//! store, the ready-queue scheduler state, and the round loop. Running and
-//! measuring a task ([`Executor::run_measured`]) and failing a dead source
-//! over ([`Failover`]) are the sequential walk's code, in [`crate::exec`].
+//! This module owns how a graph is walked — the write-once shared store,
+//! the ready-queue scheduler state, the round loop and the failover
+//! between rounds. Running and measuring a task
+//! ([`Executor::run_measured`]) and where a dead source's tasks go
+//! ([`Failover`]) live in [`crate::exec`].
 
+use crate::batch::{BatchLog, ShipLedger};
 use crate::cost::{estimated_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{
@@ -36,7 +38,7 @@ use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Write-once relation slots shared between the source workers.
+/// Write-once relation slots shared between the workers of a round.
 struct SharedStore<'g> {
     graph: &'g TaskGraph,
     slots: Vec<OnceLock<Relation>>,
@@ -44,14 +46,18 @@ struct SharedStore<'g> {
     /// the first error, guarded by one mutex + condvar.
     state: Mutex<Progress>,
     wake: Condvar,
+    /// Whether a worker can be blocked on `wake`. The one-worker round never
+    /// blocks — it walks a topological order — so it skips the wake-up, a
+    /// futex call per completed task.
+    threaded: bool,
 }
 
 #[derive(Default)]
 struct Progress {
     done: Vec<bool>,
     failed: Option<MediatorError>,
-    /// A worker reached a task whose source is hard-down: the round aborts
-    /// so the coordinator can fail over and re-plan the surviving subgraph.
+    /// A worker reached a task whose source is dead: the round aborts so
+    /// the coordinator can fail over and re-plan the surviving subgraph.
     halted: Option<SourceId>,
     /// Per-task timing/size accounting, filled on completion.
     measured: Vec<Measured>,
@@ -61,9 +67,9 @@ struct Progress {
     /// Wrong-answer ledger entries appended as tasks complete (any order;
     /// the report canonicalizes).
     integrity: Vec<IntegrityEvent>,
-    /// Live ready-queue state of the current round (None under Static);
-    /// rebuilt — re-primed — at every failover round from the completed
-    /// tasks.
+    /// Live ready-queue state of the current round (None unless the round
+    /// is per-source and dynamic); rebuilt — re-primed — at every failover
+    /// round from the completed tasks.
     dyn_sched: Option<DynSched>,
     /// Dynamic pick log; persists across failover rounds.
     picks: Vec<TaskPick>,
@@ -104,6 +110,8 @@ struct DynSched {
     /// Position each task holds in the baseline static plan at its source
     /// (the "planned position" of the deviation log).
     planned_pos: Vec<usize>,
+    /// Position of each task in `graph.topo`: breaks priority ties.
+    topo_pos: Vec<usize>,
     /// `ℓevel` of every task over the estimate graph.
     priority: Vec<f64>,
 }
@@ -125,18 +133,21 @@ impl RelSource for SharedStore<'_> {
 }
 
 impl SharedStore<'_> {
-    /// Blocks until every dependency of `task` has completed (or any worker
-    /// failed or hit a dead source). Returns false on abort.
-    fn wait_for_deps(&self, task: usize) -> bool {
+    /// Blocks until every dependency of `task` has completed, returning the
+    /// seconds spent blocked (exactly 0.0 when the inputs were already
+    /// there), or None when a worker failed or hit a dead source.
+    fn wait_for_deps(&self, task: usize) -> Option<f64> {
         let deps = &self.graph.tasks[task].deps;
         let mut state = self.state.lock().expect("store mutex");
+        let mut blocked: Option<Instant> = None;
         loop {
             if state.failed.is_some() || state.halted.is_some() {
-                return false;
+                return None;
             }
             if deps.iter().all(|(d, _)| state.done[*d]) {
-                return true;
+                return Some(blocked.map_or(0.0, |t| t.elapsed().as_secs_f64()));
             }
+            blocked.get_or_insert_with(Instant::now);
             state = self.wake.wait(state).expect("store mutex");
         }
     }
@@ -145,28 +156,30 @@ impl SharedStore<'_> {
         self.state.lock().expect("store mutex").done[task]
     }
 
-    /// Marks the round aborted because `source` is hard-down.
+    fn wake_all(&self) {
+        if self.threaded {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Marks the round aborted because `source` is dead.
     fn halt(&self, source: SourceId) {
         let mut state = self.state.lock().expect("store mutex");
         if state.halted.is_none() {
             state.halted = Some(source);
         }
         drop(state);
-        self.wake.notify_all();
+        self.wake_all();
     }
 
     /// Dynamic scheduling: blocks until a task at `source` is ready (picking
-    /// the highest-priority one and logging the pick), the source has no
-    /// tasks left (drained), the source hits its mid-run outage threshold
-    /// (halts the round), or the round aborts. Returns None in all but the
-    /// first case.
-    fn pick_next(
-        &self,
-        source: SourceId,
-        topo_pos: &[usize],
-        failover: &Failover<'_>,
-    ) -> Option<usize> {
+    /// the highest-priority one, logging the pick, and returning it with
+    /// the seconds spent blocked), the source has no tasks left (drained),
+    /// the source is dead (halts the round), or the round aborts. Returns
+    /// None in all but the first case.
+    fn pick_next(&self, source: SourceId, failover: &Failover<'_>) -> Option<(usize, f64)> {
         let mut state = self.state.lock().expect("store mutex");
+        let mut blocked: Option<Instant> = None;
         loop {
             if state.failed.is_some() || state.halted.is_some() {
                 return None;
@@ -188,7 +201,7 @@ impl SharedStore<'_> {
             if failover.is_dead(source) {
                 state.halted = Some(source);
                 drop(state);
-                self.wake.notify_all();
+                self.wake_all();
                 return None;
             }
             let sched = state.dyn_sched.as_mut().expect("dynamic round state");
@@ -200,7 +213,7 @@ impl SharedStore<'_> {
                         let (ta, tb) = (queue[a], queue[b]);
                         sched.priority[ta]
                             .total_cmp(&sched.priority[tb])
-                            .then(topo_pos[tb].cmp(&topo_pos[ta]))
+                            .then(sched.topo_pos[tb].cmp(&sched.topo_pos[ta]))
                     })
                     .expect("non-empty queue");
                 let task = queue.remove(best_at);
@@ -215,8 +228,9 @@ impl SharedStore<'_> {
                     actual_pos,
                     priority,
                 });
-                return Some(task);
+                return Some((task, blocked.map_or(0.0, |t| t.elapsed().as_secs_f64())));
             }
+            blocked.get_or_insert_with(Instant::now);
             state = self.wake.wait(state).expect("store mutex");
         }
     }
@@ -261,24 +275,15 @@ impl SharedStore<'_> {
             }
         }
         drop(state);
-        self.wake.notify_all();
+        self.wake_all();
     }
 }
 
 /// Executes the task graph with one worker per source, following the given
 /// per-source orders (see [`crate::schedule::schedule`]; pass a plan over
-/// the *uncontracted* graph so node ids are task ids). The returned
-/// [`ExecResult`] carries the same relations as the sequential executor
-/// plus per-task measurements including queue/wait time.
-///
-/// Under fault injection, source tasks retry with backoff through the same
-/// [`FaultEnv`] as the sequential executor. A hard outage aborts the
-/// current round: every worker drains, the dead source's remaining tasks
-/// are re-homed to its declared replica (via a failover catalog view), the
-/// scheduler re-runs on the surviving subgraph
-/// ([`crate::schedule::replan_surviving`]), and a new round of workers
-/// continues from the completed tasks' write-once slots. With no usable
-/// replica the run fails with [`MediatorError::SourceUnavailable`].
+/// the *uncontracted* graph so node ids are task ids). The relations are
+/// the sequential executor's; the measurements add the time each task was
+/// blocked on its inputs. Dead sources fail over as in a sequential run.
 pub fn execute_graph_parallel(
     aig: &Aig,
     catalog: &Catalog,
@@ -287,30 +292,78 @@ pub fn execute_graph_parallel(
     opts: &ExecOptions,
     per_source: &HashMap<SourceId, Vec<usize>>,
 ) -> Result<ExecResult, MediatorError> {
+    walk(aig, catalog, graph, args, opts, Some(per_source), None)
+}
+
+/// The one walk every execution takes. With `per_source: None` one worker
+/// on the calling thread walks `graph.topo` — the sequential run; with
+/// `Some` one worker per source follows its sequence, or draws from its
+/// source's ready queue under [`Scheduling::Dynamic`].
+///
+/// With `reuse = Some((store, measured, rerun))` only the tasks with
+/// `rerun[id]` run — the incremental path ([`crate::delta`]); every other
+/// task starts complete with its cached relation and measurements, and the
+/// ship ledger sees only the re-shipped outputs. Mid-run outage plans
+/// (`dies_after`, which count completions over the whole graph) must take
+/// the unmasked walk.
+///
+/// A worker that reaches a task at a dead source halts the round: the
+/// workers drain, the source's pending tasks are re-homed to its declared
+/// replica ([`Failover`]), per-source sequences are re-planned over the
+/// surviving subgraph ([`replan_surviving`]), and the next round continues
+/// from the completed slots. With no usable replica the run fails with
+/// [`MediatorError::SourceUnavailable`].
+pub(crate) fn walk(
+    aig: &Aig,
+    catalog: &Catalog,
+    graph: &TaskGraph,
+    args: &[(&str, Value)],
+    opts: &ExecOptions,
+    per_source: Option<&HashMap<SourceId, Vec<usize>>>,
+    reuse: Option<(&RelStore, &[Measured], &[bool])>,
+) -> Result<ExecResult, MediatorError> {
+    debug_assert!(
+        reuse.is_none()
+            || !opts
+                .faults
+                .as_ref()
+                .is_some_and(|p| p.has_mid_run_outages()),
+        "mid-run outage plans must take the full-run path"
+    );
+    let n = graph.tasks.len();
+    let slots: Vec<OnceLock<Relation>> = (0..n).map(|_| OnceLock::new()).collect();
+    let mut progress = Progress {
+        done: vec![false; n],
+        measured: vec![Measured::default(); n],
+        ..Progress::default()
+    };
+    if let Some((store, measured, rerun)) = reuse {
+        for id in (0..n).filter(|&id| !rerun[id]) {
+            if let Some(key) = &graph.tasks[id].output {
+                let _ = slots[id].set(store.get(key)?.clone());
+            }
+            progress.done[id] = true;
+            progress.measured[id] = measured[id];
+        }
+    }
     let shared = SharedStore {
         graph,
-        slots: (0..graph.tasks.len()).map(|_| OnceLock::new()).collect(),
-        state: Mutex::new(Progress {
-            done: vec![false; graph.tasks.len()],
-            measured: vec![Measured::default(); graph.tasks.len()],
-            ..Progress::default()
-        }),
+        slots,
+        state: Mutex::new(progress),
         wake: Condvar::new(),
+        threaded: per_source.is_some(),
     };
+    let dynamic = per_source.is_some() && opts.policy.scheduling == Scheduling::Dynamic;
     let epoch = Instant::now();
-    let ship = crate::batch::ShipLedger::default();
+    let ship = ShipLedger::default();
     let mut failover = Failover::new(catalog, graph, opts.faults.as_ref());
-    let mut plan = per_source.clone();
-    let mut topo_pos = vec![0usize; graph.tasks.len()];
-    for (pos, &id) in graph.topo.iter().enumerate() {
-        topo_pos[id] = pos;
-    }
+    let mut plan = per_source.cloned();
 
     // Each round redirects at least one dead source, and a redirected
     // source cannot halt again, so the loop is bounded by the source count.
     for _ in 0..catalog.len() + 1 {
-        if opts.policy.scheduling == Scheduling::Dynamic {
-            prime_dynamic(&shared, graph, &plan, &failover.effective, opts);
+        if let Some(plan) = plan.as_ref().filter(|_| dynamic) {
+            prime_dynamic(&shared, plan, &failover.effective, opts);
         }
         let exec = Executor {
             aig,
@@ -322,7 +375,7 @@ pub fn execute_graph_parallel(
             epoch,
             ship: &ship,
         };
-        run_round(&exec, &failover, &plan, &topo_pos);
+        run_round(&exec, &failover, plan.as_ref(), dynamic);
 
         let halted = {
             let mut state = shared.state.lock().expect("store mutex");
@@ -352,18 +405,21 @@ pub fn execute_graph_parallel(
                     events: state.integrity,
                 },
                 sched: SchedLog {
-                    dynamic: opts.policy.scheduling == Scheduling::Dynamic,
+                    dynamic,
                     picks: state.picks,
                 },
-                batch: crate::batch::BatchLog::from_ledger(opts, &ship),
+                batch: BatchLog::from_ledger(opts, &ship),
             });
         };
 
-        // Fail over the dead source and re-plan the surviving subgraph.
+        // Fail over the dead source; per-source rounds also re-plan the
+        // surviving subgraph (the one worker keeps the topological order).
         let done = shared.state.lock().expect("store mutex").done.clone();
         let pending: Vec<usize> = graph.topo.iter().copied().filter(|&t| !done[t]).collect();
         failover.fail_over(down, &pending)?;
-        plan = replan_surviving(graph, &done, &failover.effective, &opts.policy.network);
+        if let Some(plan) = plan.as_mut() {
+            *plan = replan_surviving(graph, &done, &failover.effective, &opts.policy.network);
+        }
     }
     Err(MediatorError::Internal(
         "failover rounds exceeded the source count".to_string(),
@@ -375,11 +431,11 @@ pub fn execute_graph_parallel(
 /// tasks, and the initial ready queues per effective source.
 fn prime_dynamic(
     shared: &SharedStore<'_>,
-    graph: &TaskGraph,
     plan: &HashMap<SourceId, Vec<usize>>,
     effective: &[SourceId],
     opts: &ExecOptions,
 ) {
+    let graph = shared.graph;
     let n = graph.tasks.len();
     let estimates = CostGraph::from_task_graph(graph, &estimated_costs(graph));
     let priority = crate::schedule::levels(&estimates, &opts.policy.network);
@@ -388,6 +444,10 @@ fn prime_dynamic(
         for (pos, &id) in seq.iter().enumerate() {
             planned_pos[id] = pos;
         }
+    }
+    let mut topo_pos = vec![0usize; n];
+    for (pos, &id) in graph.topo.iter().enumerate() {
+        topo_pos[id] = pos;
     }
     let mut state = shared.state.lock().expect("store mutex");
     let mut waiting = vec![0usize; n];
@@ -411,80 +471,85 @@ fn prime_dynamic(
         remaining,
         effective: effective.to_vec(),
         planned_pos,
+        topo_pos,
         priority,
     });
 }
 
-/// One round of per-source workers over `plan`, skipping already-completed
-/// tasks. Returns when every worker has drained (finished its sequence,
-/// failed, or aborted on a halt). Under [`Scheduling::Dynamic`] the planned
-/// sequences only seed the deviation log's planned positions; each worker
-/// instead draws from its source's live ready queue.
+/// One round of workers, skipping already-completed tasks. Returns when
+/// every worker has drained (finished its work, or stopped on a failure or
+/// a halt). Without a plan the one worker walks `graph.topo` on the calling
+/// thread; with one, each source gets a worker thread. In a `dynamic` round
+/// the planned sequences only seed the deviation log's planned positions.
 fn run_round(
     exec: &Executor<'_, SharedStore<'_>>,
     failover: &Failover<'_>,
-    plan: &HashMap<SourceId, Vec<usize>>,
-    topo_pos: &[usize],
+    plan: Option<&HashMap<SourceId, Vec<usize>>>,
+    dynamic: bool,
 ) {
-    let (shared, opts) = (exec.store, exec.opts);
+    let Some(plan) = plan else {
+        return work(exec, failover, &exec.graph.topo, None);
+    };
     std::thread::scope(|scope| {
-        for (source, sequence) in plan {
-            let source = *source;
+        for (&source, sequence) in plan {
             std::thread::Builder::new()
                 .name(format!("aig-source-{}", source.0))
                 .spawn_scoped(scope, move || {
-                    // Runs one task (its dependencies are complete, so the
-                    // EDF slot it takes per attempt can never deadlock) and
-                    // records its measurements; returns false when the
-                    // worker must stop (the task failed).
-                    let run_one = |task_id: usize, wait_secs: f64| -> bool {
-                        let at = failover.effective[task_id];
-                        let (mut events, mut ledger) = (Vec::new(), Vec::new());
-                        let (result, measured) =
-                            exec.run_measured(task_id, at, wait_secs, &mut events, &mut ledger);
-                        let ok = result.is_ok();
-                        if ok {
-                            failover.task_done(at);
-                        }
-                        shared.complete(task_id, at, result, measured, events, ledger);
-                        ok
-                    };
-                    match opts.policy.scheduling {
-                        Scheduling::Static => {
-                            for &task_id in sequence {
-                                if shared.is_done(task_id) {
-                                    continue;
-                                }
-                                // A dead source aborts the round *before*
-                                // blocking on dependencies, so no worker
-                                // waits on output that will never come.
-                                if failover.is_dead(failover.effective[task_id]) {
-                                    shared.halt(failover.effective[task_id]);
-                                    return;
-                                }
-                                let queued = Instant::now();
-                                if !shared.wait_for_deps(task_id) {
-                                    return; // another worker failed or halted
-                                }
-                                if !run_one(task_id, queued.elapsed().as_secs_f64()) {
-                                    return;
-                                }
-                            }
-                        }
-                        Scheduling::Dynamic => loop {
-                            let queued = Instant::now();
-                            let Some(task_id) = shared.pick_next(source, topo_pos, failover) else {
-                                return; // drained, halted, or failed
-                            };
-                            if !run_one(task_id, queued.elapsed().as_secs_f64()) {
-                                return;
-                            }
-                        },
-                    }
+                    work(exec, failover, sequence, dynamic.then_some(source))
                 })
                 .expect("spawn source worker");
         }
     });
+}
+
+/// One worker: walks `sequence`, or — given the source it serves in a
+/// dynamic round — draws from that source's ready queue, running each task
+/// once its inputs are complete. A failed task ends the round: the next
+/// wait sees it and returns.
+fn work(
+    exec: &Executor<'_, SharedStore<'_>>,
+    failover: &Failover<'_>,
+    sequence: &[usize],
+    dynamic: Option<SourceId>,
+) {
+    let shared = exec.store;
+    // Runs one task (its dependencies are complete, so the EDF slot it
+    // takes per attempt can never deadlock) and records its measurements.
+    let run_one = |task_id: usize, wait_secs: f64| {
+        let at = failover.effective[task_id];
+        let (mut events, mut ledger) = (Vec::new(), Vec::new());
+        let (result, measured) =
+            exec.run_measured(task_id, at, wait_secs, &mut events, &mut ledger);
+        if result.is_ok() {
+            failover.task_done(at);
+        }
+        shared.complete(task_id, at, result, measured, events, ledger);
+    };
+    match dynamic {
+        Some(source) => {
+            while let Some((task_id, wait_secs)) = shared.pick_next(source, failover) {
+                run_one(task_id, wait_secs);
+            }
+        }
+        None => {
+            for &task_id in sequence {
+                if shared.is_done(task_id) {
+                    continue;
+                }
+                // A dead source aborts the round *before* blocking on
+                // dependencies, so no worker waits on output that will
+                // never come.
+                let at = failover.effective[task_id];
+                if failover.is_dead(at) {
+                    return shared.halt(at);
+                }
+                let Some(wait_secs) = shared.wait_for_deps(task_id) else {
+                    return; // a worker failed or halted
+                };
+                run_one(task_id, wait_secs);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -492,6 +557,7 @@ mod tests {
     use super::*;
     use crate::exec::execute_graph;
     use crate::graph::{build_graph, GraphOptions};
+    use crate::plan::topo_per_source;
     use crate::unfold::{unfold, CutOff};
     use aig_core::paper::{mini_hospital_catalog, sigma0};
     use aig_core::{compile_constraints, decompose_queries, AigError};
@@ -506,25 +572,13 @@ mod tests {
         (unfolded.aig, catalog, graph)
     }
 
-    /// Per-source sequences in topological order (always dependency-safe).
-    fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-        let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-        for &id in &graph.topo {
-            per_source
-                .entry(graph.tasks[id].source)
-                .or_default()
-                .push(id);
-        }
-        per_source
-    }
-
     #[test]
     fn parallel_execution_matches_sequential() {
         let (aig, catalog, graph) = setup();
         let args = [("date", Value::str("d1"))];
         let opts = ExecOptions::default();
         let sequential = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
-        let plan = topo_plan(&graph);
+        let plan = topo_per_source(&graph);
         let parallel = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
         for task in &graph.tasks {
             if let Some(key) = &task.output {
@@ -558,7 +612,7 @@ mod tests {
             execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
         let mut opts = ExecOptions::default();
         opts.policy.scheduling = Scheduling::Dynamic;
-        let plan = topo_plan(&graph);
+        let plan = topo_per_source(&graph);
         let dynamic = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
         for task in &graph.tasks {
             if let Some(key) = &task.output {
@@ -591,7 +645,7 @@ mod tests {
         let args = [("date", Value::str("d1"))];
         let sequential =
             execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
-        let mut plan = topo_plan(&graph);
+        let mut plan = topo_per_source(&graph);
         for seq in plan.values_mut() {
             seq.reverse();
         }
@@ -638,7 +692,7 @@ mod tests {
         }
         catalog.source_mut(dst).add_table(billing).unwrap();
         let graph = build_graph(&aig, &catalog, &GraphOptions::default()).unwrap();
-        let plan = topo_plan(&graph);
+        let plan = topo_per_source(&graph);
         let err = execute_graph_parallel(
             &aig,
             &catalog,

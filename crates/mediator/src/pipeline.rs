@@ -19,7 +19,7 @@ use crate::error::{ConfigError, MediatorError};
 use crate::exec::{bind_policy, Scheduling};
 use crate::faults::{FaultConfig, RetryPolicy};
 use crate::graph::GraphOptions;
-use crate::obs::{CacheObs, Phases, RunReport};
+use crate::obs::{Phases, RunReport};
 use crate::plan::{
     deepen, finish_run, prepare, ExecPolicy, FinishInputs, FullOutcome, PlanOptions,
 };
@@ -489,15 +489,10 @@ pub fn run_with_report(
             // Frontier rounds reuse the compiled/decomposed AIG.
             Some(prev) => deepen(&prev, catalog, depth, &mut phases)?,
         };
-        let inputs = FinishInputs::cold(
-            &plan,
-            catalog,
-            args,
-            &exec_opts,
-            &mut phases,
+        let inputs = FinishInputs {
             rounds,
-            CacheObs::default(),
-        )?;
+            ..FinishInputs::execute(&plan, catalog, args, &exec_opts, None, &mut phases)?
+        };
         match finish_run(inputs)? {
             FullOutcome::Complete(done) => return Ok((done.run, done.report)),
             FullOutcome::FrontierExtend => {

@@ -12,12 +12,12 @@
 
 use crate::cost::{estimated_costs, measured_costs, CostGraph};
 use crate::error::MediatorError;
-use crate::exec::{execute_graph, ExecOptions, ExecResult};
+use crate::exec::{ExecOptions, ExecResult, Measured, RelStore};
 use crate::faults::IntegrityOutcome;
 use crate::graph::{build_graph, source_histogram, GraphOptions, Occ, RelKey, TaskGraph};
 use crate::merge::{merge, no_merge, MergeOutcome};
 use crate::obs::{build_report, CacheObs, IncrementalObs, Phases, ReportInputs, RunReport};
-use crate::parallel::execute_graph_parallel;
+use crate::parallel::walk;
 use crate::pipeline::MediatorRun;
 use crate::sim::NetworkModel;
 use crate::unfold::{unfold, CutOff, FrontierSite};
@@ -80,7 +80,7 @@ pub struct PreparedPlan {
     pub frontier: Vec<FrontierSite>,
     pub graph: TaskGraph,
     /// Per-source task sequences in topological order — the static input of
-    /// the parallel executor.
+    /// a per-source walk.
     pub per_source: HashMap<SourceId, Vec<usize>>,
     /// Estimate-based response time without merging (§5.2–5.3).
     pub est_baseline: MergeOutcome,
@@ -132,8 +132,8 @@ impl PreparedPlan {
     }
 }
 
-/// Per-source sequences in topological order (dependency-safe input for the
-/// parallel executor when no schedule over raw task ids is available).
+/// Per-source sequences in topological order (dependency-safe input for a
+/// per-source walk when no schedule over raw task ids is available).
 pub fn topo_per_source(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
     let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
     for &id in &graph.topo {
@@ -287,8 +287,8 @@ impl FrontEnd {
 pub(crate) struct ExecutedRun {
     pub run: MediatorRun,
     pub report: RunReport,
-    pub store: crate::exec::RelStore,
-    pub measured: Vec<crate::exec::Measured>,
+    pub store: RelStore,
+    pub measured: Vec<Measured>,
 }
 
 /// What one execution of a prepared plan produced.
@@ -326,39 +326,38 @@ pub(crate) struct FinishInputs<'a> {
 }
 
 impl<'a> FinishInputs<'a> {
-    /// A cold full run, ready to finish: the whole task graph through the
-    /// dispatcher the policy selects, under the `execute` phase.
-    pub(crate) fn cold(
+    /// A run ready to finish: the task graph walked under the `execute`
+    /// phase — per-source workers with `parallel_exec`, one worker
+    /// otherwise — masked to a refresh's re-run tasks given `reuse`. Callers
+    /// set the report context (`rounds`, `cache`, …) by struct update.
+    pub(crate) fn execute(
         plan: &'a PreparedPlan,
         catalog: &'a Catalog,
         args: &[(&str, Value)],
         exec_opts: &ExecOptions,
+        reuse: Option<(&RelStore, &[Measured], &[bool])>,
         phases: &'a mut Phases,
-        rounds: usize,
-        cache: CacheObs,
     ) -> Result<FinishInputs<'a>, MediatorError> {
         let exec_opts = plan.bind(exec_opts);
+        let per_source = exec_opts.policy.parallel_exec.then_some(&plan.per_source);
         let exec = phases.time("execute", || {
-            if exec_opts.policy.parallel_exec {
-                execute_graph_parallel(
-                    &plan.aig,
-                    catalog,
-                    &plan.graph,
-                    args,
-                    &exec_opts,
-                    &plan.per_source,
-                )
-            } else {
-                execute_graph(&plan.aig, catalog, &plan.graph, args, &exec_opts)
-            }
+            walk(
+                &plan.aig,
+                catalog,
+                &plan.graph,
+                args,
+                &exec_opts,
+                per_source,
+                reuse,
+            )
         })?;
         Ok(FinishInputs {
             plan,
             catalog,
             exec_opts,
             phases,
-            rounds,
-            cache,
+            rounds: 1,
+            cache: CacheObs::default(),
             exec,
             degraded: false,
             scope: None,
@@ -370,9 +369,9 @@ impl<'a> FinishInputs<'a> {
 /// The shared tail of every execution path — frontier check, tagging from
 /// the store, validation, the document-level constraint check (full or
 /// scoped), the measured-cost response-time simulation, and report
-/// construction. Both the cold full run ([`FinishInputs::cold`]) and the
-/// incremental masked re-execution ([`crate::delta`]) end here, so the two
-/// paths build their documents one way and cannot drift apart.
+/// construction. Every run started by [`FinishInputs::execute`] — cold or
+/// a masked refresh ([`crate::delta`]) — ends here, so the two build their
+/// documents one way and cannot drift apart.
 pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, MediatorError> {
     let FinishInputs {
         plan,

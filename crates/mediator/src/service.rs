@@ -14,11 +14,12 @@
 //! **run snapshot** per (plan, argument binding): the relation store and
 //! the per-task measurements. [`Mediator::apply_delta`] marks the delta's
 //! `(source, table)` pairs dirty on every snapshot; the next request for a
-//! dirtied snapshot is a masked cold run: it re-runs only the task subgraph
-//! downstream of the dirty tables ([`crate::delta`]), splices the re-run
-//! relations into the cached store, tags the spliced store as a cold run
-//! does, and scope-checks only the constraints the re-run instances can
-//! reach — producing a document byte-identical to a cold full run.
+//! dirtied snapshot is a masked run of the same walk, under the same
+//! dispatcher, as a cold run: it re-runs only the task subgraph downstream
+//! of the dirty tables ([`crate::delta`]) with every other task's cached
+//! relation in place, tags the spliced store as a cold run does, and
+//! scope-checks only the constraints the re-run instances can reach —
+//! producing a document byte-identical to a cold full run.
 
 use crate::error::MediatorError;
 use crate::exec::{bind_policy, ExecOptions, Measured, RelStore};
@@ -29,7 +30,7 @@ use crate::plan::{ExecPolicy, ExecutedRun, FinishInputs, FullOutcome, PlanOption
 use crate::schedule::EdfGate;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Database, DeltaApplied, SourceDelta, SourceId, Table, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Default number of prepared plans the cache retains.
@@ -57,7 +58,7 @@ struct Lru<K, V> {
     entries: HashMap<K, (u64, V)>,
 }
 
-impl<K: Copy + Eq + std::hash::Hash, V> Lru<K, V> {
+impl<K: Clone + Eq + std::hash::Hash, V> Lru<K, V> {
     fn new(capacity: usize) -> Lru<K, V> {
         Lru {
             capacity: capacity.max(1),
@@ -87,7 +88,7 @@ impl<K: Copy + Eq + std::hash::Hash, V> Lru<K, V> {
         let full = !self.entries.contains_key(&key) && self.entries.len() >= self.capacity;
         if full {
             let lru = self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp);
-            if let Some(lru) = lru.map(|(k, _)| *k) {
+            if let Some(lru) = lru.map(|(k, _)| k.clone()) {
                 self.entries.remove(&lru);
             }
         }
@@ -136,13 +137,13 @@ impl PlanCache {
     }
 }
 
-/// Key of one retained run snapshot: the plan identity plus a fingerprint
-/// of the bound arguments — a delta can only be spliced into a run of the
-/// *same* plan evaluated with the *same* arguments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Key of one retained run snapshot: the plan identity plus the bound
+/// arguments, sorted by name — a delta can only be spliced into a run of
+/// the *same* plan evaluated with the *same* arguments.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SnapKey {
     plan: PlanKey,
-    args: u64,
+    args: Vec<(String, Value)>,
 }
 
 /// The state a completed run leaves behind for incremental re-evaluation:
@@ -258,31 +259,9 @@ pub struct Mediator {
     /// deterministic fault stream).
     exec_opts: ExecOptions,
     cache: Mutex<PlanCache>,
-    /// Retained run snapshots for incremental re-evaluation; only consulted
-    /// when [`ExecPolicy::incremental`] is on, but always maintained so
-    /// enabling the policy mid-stream needs no special casing.
+    /// Retained run snapshots for incremental re-evaluation: only requests
+    /// served with [`ExecPolicy::incremental`] on insert or consult them.
     snapshots: Mutex<Lru<SnapKey, RunSnapshot>>,
-}
-
-/// FNV-1a over the sorted argument bindings — the snapshot-key component
-/// that ties a retained run to the request parameters it was evaluated
-/// with. Order-insensitive: `[("a",1),("b",2)]` and the reverse hash alike.
-fn args_fingerprint(args: &[(&str, Value)]) -> u64 {
-    let mut rendered: Vec<String> = args
-        .iter()
-        .map(|(name, value)| format!("{name}\u{1}{}", value.to_text()))
-        .collect();
-    rendered.sort();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for item in &rendered {
-        for b in item.as_bytes() {
-            hash ^= *b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash ^= 0x1e;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// FNV-1a over the plan-side options that determine a plan's shape. The
@@ -295,6 +274,44 @@ fn options_fingerprint(options: &PlanOptions) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The report's incremental ledger and the document check's scope. A cold
+/// run re-runs every task and checks every constraint; a refresh re-runs
+/// its `rerun` mask and checks only the constraints whose tags the re-run
+/// instances can reach.
+fn incremental_obs(
+    plan: &PreparedPlan,
+    refresh: Option<&(RunSnapshot, Vec<bool>)>,
+    measured: &[Measured],
+) -> (IncrementalObs, Option<HashSet<String>>) {
+    let (tasks_total, constraints) = (plan.graph.tasks.len(), &plan.aig.constraints);
+    let mut obs = IncrementalObs {
+        enabled: true,
+        tasks_total,
+        tasks_rerun: tasks_total,
+        constraints_scoped: constraints.len(),
+        constraints_total: constraints.len(),
+        ..IncrementalObs::default()
+    };
+    let Some((snap, rerun)) = refresh else {
+        return (obs, None);
+    };
+    let tainted = crate::delta::tainted_elems(&plan.graph, rerun);
+    let tags = crate::delta::scope_tags(&plan.aig, &tainted);
+    obs.snapshot_hit = true;
+    obs.tasks_rerun = rerun.iter().filter(|&&r| r).count();
+    obs.tasks_reused = tasks_total - obs.tasks_rerun;
+    obs.dirty_tables = (snap.dirty.iter())
+        .map(|(source, table)| format!("{source}.{table}"))
+        .collect();
+    // Rows of re-run task outputs spliced into the cached store.
+    obs.rows_spliced = (measured.iter().zip(rerun))
+        .filter(|(_, &rerun)| rerun)
+        .map(|(m, _)| m.out_rows as u64)
+        .sum();
+    obs.constraints_scoped = constraints.scoped(&tags).len();
+    (obs, Some(tags))
 }
 
 impl Mediator {
@@ -498,7 +515,6 @@ impl Mediator {
                 .faults
                 .as_ref()
                 .is_some_and(|p| p.has_mid_run_outages());
-        let args_fp = args_fingerprint(args);
 
         let mut phases = Phases::new();
         let fp = phases.time("plan_cache", || aig.fingerprint());
@@ -514,53 +530,48 @@ impl Mediator {
                 first_lookup_hit = Some(hit);
             }
             let cache_obs = self.cache_obs(first_lookup_hit == Some(true), promoted);
-            let snap_key = SnapKey {
-                plan: PlanKey {
-                    aig: fp,
-                    depth: plan.depth,
-                    opts: self.opts_fp,
-                    cat: self.cat_fp,
-                },
-                args: args_fp,
-            };
-            let snapshot = if use_snapshots {
-                self.lock_snapshots().get(&snap_key).cloned()
+            let snap_key = use_snapshots.then(|| {
+                let mut args: Vec<(String, Value)> = args
+                    .iter()
+                    .map(|(name, value)| (name.to_string(), value.clone()))
+                    .collect();
+                args.sort();
+                SnapKey {
+                    plan: PlanKey {
+                        aig: fp,
+                        depth: plan.depth,
+                        opts: self.opts_fp,
+                        cat: self.cat_fp,
+                    },
+                    args,
+                }
+            });
+            // A refresh re-runs the downstream closure of the tables dirtied
+            // since its snapshot (see [`crate::delta`]).
+            let refresh = (snap_key.as_ref())
+                .and_then(|key| self.lock_snapshots().get(key).cloned())
+                .map(|snap| {
+                    let seeds = plan.read_sets.seeds(&snap.dirty);
+                    let rerun = crate::delta::rerun_mask(&plan.graph, &seeds);
+                    (snap, rerun)
+                });
+            let reuse = (refresh.as_ref())
+                .map(|(snap, rerun)| (&snap.base.store, &snap.base.measured[..], &rerun[..]));
+            let inputs =
+                FinishInputs::execute(&plan, catalog, args, exec_opts, reuse, &mut phases)?;
+            let (incremental, scope) = if incremental_mode {
+                incremental_obs(&plan, refresh.as_ref(), &inputs.exec.measured)
             } else {
-                None
+                (IncrementalObs::default(), None)
             };
-            let outcome = match snapshot {
-                Some(snap) => {
-                    self.run_incremental(&plan, args, &snap, &mut phases, rounds, cache_obs)?
-                }
-                None => {
-                    let mut inputs = FinishInputs::cold(
-                        &plan,
-                        catalog,
-                        args,
-                        exec_opts,
-                        &mut phases,
-                        rounds,
-                        cache_obs,
-                    )?;
-                    inputs.degraded = degraded;
-                    if incremental_mode {
-                        // In incremental mode the ledger still reports:
-                        // every task ran, no snapshot was available.
-                        let total = plan.graph.tasks.len();
-                        inputs.incremental = IncrementalObs {
-                            enabled: true,
-                            snapshot_hit: false,
-                            tasks_total: total,
-                            tasks_rerun: total,
-                            tasks_reused: 0,
-                            constraints_scoped: plan.aig.constraints.len(),
-                            constraints_total: plan.aig.constraints.len(),
-                            ..IncrementalObs::default()
-                        };
-                    }
-                    crate::plan::finish_run(inputs)?
-                }
-            };
+            let outcome = crate::plan::finish_run(FinishInputs {
+                rounds,
+                cache: cache_obs,
+                degraded,
+                scope,
+                incremental,
+                ..inputs
+            })?;
             match outcome {
                 FullOutcome::Complete(done) => {
                     let ExecutedRun {
@@ -569,7 +580,7 @@ impl Mediator {
                         store,
                         measured,
                     } = *done;
-                    if use_snapshots {
+                    if let Some(snap_key) = snap_key {
                         self.lock_snapshots().insert(
                             snap_key,
                             RunSnapshot {
@@ -598,74 +609,6 @@ impl Mediator {
                 }
             }
         }
-    }
-
-    /// The incremental execute path (plain requests only, so the service's
-    /// own catalog and options apply) — a masked cold run: seeds the re-run
-    /// mask from the snapshot's dirty tables and the plan's read-sets, runs
-    /// the sequential walk masked to that downstream task closure
-    /// ([`crate::exec::execute_masked`]), and finishes through the same
-    /// [`crate::plan::finish_run`] tail as a cold run, which tags the
-    /// spliced store — with the constraint check scoped to the tags the
-    /// re-run instances can reach.
-    fn run_incremental(
-        &self,
-        plan: &PreparedPlan,
-        args: &[(&str, Value)],
-        snap: &RunSnapshot,
-        phases: &mut Phases,
-        rounds: usize,
-        cache: CacheObs,
-    ) -> Result<FullOutcome, MediatorError> {
-        let seeds = plan.read_sets.seeds(&snap.dirty);
-        let rerun = crate::delta::rerun_mask(&plan.graph, &seeds);
-        let tasks_total = plan.graph.tasks.len();
-        let tasks_rerun = rerun.iter().filter(|&&r| r).count();
-        let exec_opts = plan.bind(&self.exec_opts);
-        let exec = phases.time("execute", || {
-            crate::exec::execute_masked(
-                &plan.aig,
-                &self.catalog,
-                &plan.graph,
-                args,
-                &exec_opts,
-                Some((&snap.base.store, &snap.base.measured, &rerun)),
-            )
-        })?;
-        let tainted = crate::delta::tainted_elems(&plan.graph, &rerun);
-        let tags = crate::delta::scope_tags(&plan.aig, &tainted);
-        let incremental = IncrementalObs {
-            enabled: true,
-            snapshot_hit: true,
-            tasks_total,
-            tasks_rerun,
-            tasks_reused: tasks_total - tasks_rerun,
-            dirty_tables: snap
-                .dirty
-                .iter()
-                .map(|(source, table)| format!("{source}.{table}"))
-                .collect(),
-            // Rows of re-run task outputs spliced into the cached store.
-            rows_spliced: (exec.measured.iter().zip(&rerun))
-                .filter(|(_, &rerun)| rerun)
-                .map(|(m, _)| m.out_rows as u64)
-                .sum(),
-            constraints_scoped: plan.aig.constraints.scoped(&tags).len(),
-            constraints_total: plan.aig.constraints.len(),
-            ..IncrementalObs::default()
-        };
-        crate::plan::finish_run(FinishInputs {
-            plan,
-            catalog: &self.catalog,
-            exec_opts,
-            phases,
-            rounds,
-            cache,
-            exec,
-            degraded: false,
-            scope: Some(tags),
-            incremental,
-        })
     }
 
     /// Resolves source names to ids, rejecting the mediator pseudo-source

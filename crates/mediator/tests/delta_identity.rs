@@ -12,7 +12,7 @@
 //! fault cells: they trigger on global per-source completion counts, so
 //! the service routes them to the full path (covered by
 //! `mid_run_outage_plans_bypass_snapshots` below). A *hard* outage is
-//! resolved before any task runs and does refresh incrementally
+//! failed over when the walk first meets it and does refresh incrementally
 //! (`hard_outage_cell_fails_over_only_the_rerun_tasks`).
 
 use aig_core::paper::{mini_hospital_catalog, sigma0};
@@ -177,6 +177,74 @@ fn parallel_dynamic_cells_are_byte_identical() {
             assert_cell(true, Scheduling::Dynamic, batching, faults);
         }
     }
+}
+
+/// A refresh runs under the dispatcher the policy selects, and its report
+/// says so: per-source workers under `parallel_exec`, and under `Dynamic`
+/// one ready-queue pick per re-run task.
+#[test]
+fn a_parallel_refresh_runs_and_reports_under_its_dispatcher() {
+    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
+        let fx = fixture(11);
+        let opts = options(true, scheduling, false, false);
+        let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
+        let args = [("date", Value::str(&fx.date))];
+        mediator.request(&fx.aig, &args).unwrap();
+        let (deletes, inserts) = price_delta(mediator.catalog(), 1, 3).unwrap();
+        mediator.apply_delta(&deletes).unwrap();
+        mediator.apply_delta(&inserts).unwrap();
+
+        let (refresh, report) = mediator.request(&fx.aig, &args).unwrap();
+        assert!(report.incremental.snapshot_hit, "{scheduling:?}");
+        assert!(report.incremental.tasks_rerun > 0, "{scheduling:?}");
+        assert!(report.parallel_exec, "{scheduling:?}");
+        let dynamic = scheduling == Scheduling::Dynamic;
+        let mode = if dynamic { "dynamic" } else { "static" };
+        assert_eq!(report.scheduler.mode, mode);
+        let picks = if dynamic {
+            report.incremental.tasks_rerun
+        } else {
+            0
+        };
+        assert_eq!(report.scheduler.picks, picks, "{scheduling:?}");
+
+        let oracle = Mediator::new(mediator.catalog().clone(), &opts).unwrap();
+        let (cold, _) = oracle.request(&fx.aig, &args).unwrap();
+        assert_eq!(
+            aig_xml::serialize::to_string(&refresh.tree),
+            aig_xml::serialize::to_string(&cold.tree),
+            "{scheduling:?}: refresh drifted from the cold run"
+        );
+    }
+}
+
+/// Snapshots are keyed by the typed argument values: a request for
+/// `Int(7)` must not be served the run of `Str("7")`, whose text it shares.
+#[test]
+fn snapshots_are_keyed_by_typed_arguments() {
+    let aig = sigma0().unwrap();
+    let opts = options(false, Scheduling::Static, false, false);
+    let mut mediator = Mediator::new(mini_hospital_catalog().unwrap(), &opts).unwrap();
+    mediator
+        .with_catalog_mut(|catalog| {
+            let db1 = catalog.source_id("DB1").unwrap();
+            let visits = catalog.source_mut(db1).table_mut("visitInfo").unwrap();
+            visits.insert(["s1", "t1", "7"].map(Value::str).to_vec())
+        })
+        .unwrap()
+        .unwrap();
+    let xml = |run: &aig_mediator::MediatorRun| aig_xml::serialize::to_string(&run.tree);
+    let (text, _) = mediator
+        .request(&aig, &[("date", Value::str("7"))])
+        .unwrap();
+    assert!(xml(&text).contains("Alice"));
+
+    let int = [("date", Value::int(7))];
+    let (served, _) = mediator.request(&aig, &int).unwrap();
+    let oracle = Mediator::new(mediator.catalog().clone(), &opts).unwrap();
+    let (cold, _) = oracle.request(&aig, &int).unwrap();
+    assert_eq!(xml(&served), xml(&cold));
+    assert!(!xml(&served).contains("Alice"));
 }
 
 #[test]

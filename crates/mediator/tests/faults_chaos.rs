@@ -14,10 +14,10 @@ use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
 use aig_mediator::faults::{FaultConfig, FaultOutcome, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
+use aig_mediator::plan::topo_per_source;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{run_with_report, MediatorError, MediatorOptions, NetworkModel};
-use aig_relstore::{Catalog, Database, SourceId, Value};
-use std::collections::HashMap;
+use aig_relstore::{Catalog, Database, Value};
 use std::time::Instant;
 
 fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
@@ -27,17 +27,6 @@ fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
     let unfolded = unfold(&specialized, 3, CutOff::Truncate).unwrap();
     let graph = build_graph(&unfolded.aig, catalog, &GraphOptions::default()).unwrap();
     (unfolded.aig, graph)
-}
-
-fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
 }
 
 /// A retry policy with sleeps short enough for tests but real backoff.
@@ -112,9 +101,15 @@ fn chaos_matrix_recovered_runs_are_byte_identical() {
             assert_stores_identical(&graph, &clean, &seq);
             total_injected += assert_accounted(&seq);
 
-            let par =
-                execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-                    .unwrap();
+            let par = execute_graph_parallel(
+                &aig,
+                &catalog,
+                &graph,
+                &args,
+                &opts,
+                &topo_per_source(&graph),
+            )
+            .unwrap();
             assert_stores_identical(&graph, &clean, &par);
             let par_injected = assert_accounted(&par);
             // The decision function is pure, so both executors see the very
@@ -156,9 +151,15 @@ fn chaos_matrix_is_byte_identical_with_threads_and_shipcut() {
         for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
             let mut opts = opts.clone();
             opts.policy.scheduling = scheduling;
-            let par =
-                execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-                    .unwrap();
+            let par = execute_graph_parallel(
+                &aig,
+                &catalog,
+                &graph,
+                &args,
+                &opts,
+                &topo_per_source(&graph),
+            )
+            .unwrap();
             assert_stores_identical(&graph, &clean, &par);
             assert_accounted(&par);
         }
@@ -221,8 +222,15 @@ fn zero_retry_policy_surfaces_structured_error() {
         matches!(&err, MediatorError::SourceFault { attempts: 1, .. }),
         "{err}"
     );
-    let err = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-        .unwrap_err();
+    let err = execute_graph_parallel(
+        &aig,
+        &catalog,
+        &graph,
+        &args,
+        &opts,
+        &topo_per_source(&graph),
+    )
+    .unwrap_err();
     assert!(
         matches!(&err, MediatorError::SourceFault { attempts: 1, .. }),
         "{err}"
@@ -279,8 +287,15 @@ fn outage_with_replica_fails_over_and_replans() {
         "every DB3 task re-ran at the replica"
     );
 
-    let par =
-        execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph)).unwrap();
+    let par = execute_graph_parallel(
+        &aig,
+        &catalog,
+        &graph,
+        &args,
+        &opts,
+        &topo_per_source(&graph),
+    )
+    .unwrap();
     assert_stores_identical(&graph, &clean, &par);
     assert_accounted(&par);
     assert!(
@@ -288,8 +303,8 @@ fn outage_with_replica_fails_over_and_replans() {
         "no task failed over"
     );
     // One dead source, one failover — counted by the same `Failover` in
-    // every driver (the parallel one re-runs Schedule on the surviving
-    // subgraph after it; the sequential walk fails over in place).
+    // every walk (a per-source walk re-runs Schedule on the surviving
+    // subgraph after it; the one-worker walk keeps the topological order).
     assert_eq!(seq.resilience.replans, 1);
     assert_eq!(par.resilience.replans, 1);
 }
@@ -333,8 +348,15 @@ fn mid_run_outage_fails_over_in_every_executor() {
     for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
         let mut opts = faulted_opts(fault_plan.clone(), fast_retry(3));
         opts.policy.scheduling = scheduling;
-        let par = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-            .unwrap();
+        let par = execute_graph_parallel(
+            &aig,
+            &catalog,
+            &graph,
+            &args,
+            &opts,
+            &topo_per_source(&graph),
+        )
+        .unwrap();
         assert_stores_identical(&graph, &clean, &par);
         assert_accounted(&par);
         assert!(
@@ -368,8 +390,15 @@ fn outage_without_replica_names_the_lost_tasks() {
 
     for err in [
         execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap_err(),
-        execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-            .unwrap_err(),
+        execute_graph_parallel(
+            &aig,
+            &catalog,
+            &graph,
+            &args,
+            &opts,
+            &topo_per_source(&graph),
+        )
+        .unwrap_err(),
     ] {
         let MediatorError::SourceUnavailable { source, lost_tasks } = &err else {
             panic!("expected SourceUnavailable, got {err}");

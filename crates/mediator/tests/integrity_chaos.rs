@@ -21,10 +21,10 @@ use aig_mediator::faults::{
 };
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
+use aig_mediator::plan::topo_per_source;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{run_with_report, MediatorError, MediatorOptions, NetworkModel};
 use aig_relstore::{Catalog, Database, SourceId, Value};
-use std::collections::HashMap;
 
 fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
     let aig = sigma0().unwrap();
@@ -33,17 +33,6 @@ fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
     let unfolded = unfold(&specialized, 3, CutOff::Truncate).unwrap();
     let graph = build_graph(&unfolded.aig, catalog, &GraphOptions::default()).unwrap();
     (unfolded.aig, graph)
-}
-
-fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
 }
 
 /// A retry policy with sleeps short enough for tests but real backoff.
@@ -174,7 +163,7 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                         &graph,
                         &args,
                         &opts,
-                        &topo_plan(&graph),
+                        &topo_per_source(&graph),
                     ),
                     execute_graph_parallel(
                         &aig,
@@ -182,7 +171,7 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                         &graph,
                         &args,
                         &tuned(&opts, 4, Scheduling::Dynamic),
-                        &topo_plan(&graph),
+                        &topo_per_source(&graph),
                     ),
                 ];
                 let mut ok_ledgers = Vec::new();
@@ -242,8 +231,15 @@ fn zero_retry_detection_surfaces_structured_violation() {
 
     for err in [
         execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap_err(),
-        execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-            .unwrap_err(),
+        execute_graph_parallel(
+            &aig,
+            &catalog,
+            &graph,
+            &args,
+            &opts,
+            &topo_per_source(&graph),
+        )
+        .unwrap_err(),
     ] {
         assert_violation_is_structured(&graph, &catalog, &err);
     }
@@ -321,8 +317,15 @@ fn table_outage_is_masked_by_retry_or_surfaces_naming_the_table() {
         .count();
     assert_eq!(retried_outages, log.injected());
 
-    let par =
-        execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph)).unwrap();
+    let par = execute_graph_parallel(
+        &aig,
+        &catalog,
+        &graph,
+        &args,
+        &opts,
+        &topo_per_source(&graph),
+    )
+    .unwrap();
     assert_stores_identical(&graph, &clean, &par);
     assert_eq!(par.integrity.sorted_events(), log.sorted_events());
 
@@ -586,8 +589,15 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
         (4, Scheduling::Dynamic),
     ] {
         let opts = tuned(&opts, threads, scheduling);
-        let par = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &topo_plan(&graph))
-            .unwrap();
+        let par = execute_graph_parallel(
+            &aig,
+            &catalog,
+            &graph,
+            &args,
+            &opts,
+            &topo_per_source(&graph),
+        )
+        .unwrap();
         ledgers.push(par.integrity.sorted_events());
     }
     assert!(!ledgers[0].is_empty(), "seed 42 injected nothing");

@@ -11,12 +11,12 @@ use aig_mediator::cost::estimated_costs;
 use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
+use aig_mediator::plan::topo_per_source;
 use aig_mediator::schedule::schedule;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{run, CostGraph, MediatorOptions, NetworkModel, ShipCut};
-use aig_relstore::{Catalog, SourceId, Value};
-use std::collections::HashMap;
+use aig_relstore::{Catalog, Value};
 use std::sync::Arc;
 
 struct Fixture {
@@ -39,19 +39,6 @@ fn fixture(seed: u64, depth: usize) -> Fixture {
         catalog: data.catalog,
         date: data.dates[0].clone(),
     }
-}
-
-/// The pipeline's default interleaving: each source runs its tasks in global
-/// topological order.
-fn topo_per_source(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
 }
 
 fn run_sequential(fx: &Fixture, opts: &ExecOptions) -> ExecResult {

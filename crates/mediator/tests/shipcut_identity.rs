@@ -17,13 +17,13 @@ use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
 use aig_mediator::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
+use aig_mediator::plan::topo_per_source;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::ShipCut;
 use aig_prng::{Rng, SeedableRng, StdRng};
-use aig_relstore::{Catalog, SourceId, Value};
+use aig_relstore::{Catalog, Value};
 use aig_xml::XmlTree;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 struct Fixture {
@@ -52,17 +52,6 @@ fn tiny_fixture(seed: u64) -> Fixture {
     fixture(data.catalog, data.dates[0].clone())
 }
 
-fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
-}
-
 /// One cell of the matrix: executor × options, returning (store, document).
 fn run_cell(fx: &Fixture, opts: &ExecOptions, parallel: bool) -> (ExecResult, XmlTree) {
     let args = [("date", Value::str(&fx.date))];
@@ -73,7 +62,7 @@ fn run_cell(fx: &Fixture, opts: &ExecOptions, parallel: bool) -> (ExecResult, Xm
             &fx.graph,
             &args,
             opts,
-            &topo_plan(&fx.graph),
+            &topo_per_source(&fx.graph),
         )
         .unwrap()
     } else {

@@ -15,12 +15,13 @@ use aig_mediator::exec::{execute_graph, ExecOptions, ExecPolicy, ExecResult, Sch
 use aig_mediator::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
+use aig_mediator::plan::topo_per_source;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{canonical, run_with_report, MediatorOptions, ShipCut};
 use aig_relstore::{Catalog, SourceId, Value};
 use aig_xml::XmlTree;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 struct Fixture {
@@ -45,17 +46,6 @@ fn fixture(seed: u64) -> Fixture {
     }
 }
 
-fn topo_plan(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
-    let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    for &id in &graph.topo {
-        per_source
-            .entry(graph.tasks[id].source)
-            .or_default()
-            .push(id);
-    }
-    per_source
-}
-
 fn run_cell(fx: &Fixture, opts: &ExecOptions, parallel: bool) -> (ExecResult, XmlTree) {
     let args = [("date", Value::str(&fx.date))];
     let result = if parallel {
@@ -65,7 +55,7 @@ fn run_cell(fx: &Fixture, opts: &ExecOptions, parallel: bool) -> (ExecResult, Xm
             &fx.graph,
             &args,
             opts,
-            &topo_plan(&fx.graph),
+            &topo_per_source(&fx.graph),
         )
         .unwrap()
     } else {

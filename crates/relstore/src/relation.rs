@@ -25,7 +25,7 @@
 //! on demand for cold paths and tests.
 
 use crate::error::StoreError;
-use crate::intern::{self, Reader, Sym, SymSet};
+use crate::intern::{self, Reader, Sym};
 use crate::table::Table;
 use crate::value::Value;
 use std::cell::{Cell, RefCell};
@@ -444,9 +444,8 @@ impl Relation {
     }
 
     /// The flattened row-major symbol image (arity-sized chunks are rows) —
-    /// what the whole-relation comparisons [`Relation::set_eq`] and
-    /// [`Relation::bag_eq`] hash and sort. One allocation total, no per-row
-    /// key vectors.
+    /// what the whole-relation comparison [`Relation::bag_eq`] sorts. One
+    /// allocation total, no per-row key vectors.
     fn flat_syms(&self) -> Vec<Sym> {
         let mut flat = Vec::with_capacity(self.len * self.arity());
         for r in 0..self.len {
@@ -519,20 +518,6 @@ impl Relation {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         self.gather(&perm);
-    }
-
-    /// Set equality: same columns, same row *sets* (duplicates collapsed).
-    pub fn set_eq(&self, other: &Relation) -> bool {
-        if self.columns != other.columns {
-            return false;
-        }
-        if self.arity() == 0 {
-            return self.is_empty() == other.is_empty();
-        }
-        let (fa, fb) = (self.flat_syms(), other.flat_syms());
-        let a: SymSet<&[Sym]> = fa.chunks(self.arity()).collect();
-        let b: SymSet<&[Sym]> = fb.chunks(self.arity()).collect();
-        a == b
     }
 
     /// Bag equality up to row order: same columns, same multiset of rows.
@@ -717,11 +702,6 @@ impl Relation {
         self.columns = columns;
         self
     }
-
-    /// Consumes the relation, returning its rows (materialized).
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        self.rows_vec()
-    }
 }
 
 /// Iterator over consecutive row batches of a relation
@@ -831,10 +811,9 @@ mod tests {
         let mut reordered = rel();
         reordered.sort();
         assert!(r.bag_eq(&reordered));
-        assert!(r.set_eq(&r.distinct()));
         assert!(!r.bag_eq(&r.distinct()));
         let renamed = rel().with_columns(vec!["x".into(), "y".into()]);
-        assert!(!r.set_eq(&renamed));
+        assert!(!r.bag_eq(&renamed));
     }
 
     #[test]

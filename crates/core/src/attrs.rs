@@ -31,6 +31,10 @@ impl FieldType {
         !self.is_scalar()
     }
 
+    pub fn is_bag(&self) -> bool {
+        matches!(self, FieldType::Bag(_))
+    }
+
     /// Component names for set/bag types.
     pub fn components(&self) -> Option<&[String]> {
         match self {

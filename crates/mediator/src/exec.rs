@@ -13,20 +13,20 @@ use crate::faults::{
     TaskFaultCtx,
 };
 use crate::graph::{
-    resolve_syn_key, Binding, Occ, ParamInput, RelKey, ScalarBind, Task, TaskGraph, TaskKind,
-    VectorQuery,
+    resolve_syn_key, syn_decl, Binding, Expanded, Occ, ParamInput, RelKey, ScalarBind, SynVisit,
+    SynWalk, Task, TaskGraph, TaskKind, VectorQuery,
 };
 use crate::integrity;
 use crate::shipcut::ShipCut;
 use aig_core::attrs::FieldType;
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
-use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, SetExpr, ValueExpr};
+use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, ValueExpr};
 use aig_core::AigError;
 use aig_relstore::intern::{self, Reader, SymMap};
 use aig_relstore::par::{apply_perm, RowTable, PAR_THRESHOLD};
 use aig_relstore::{Catalog, Relation, SourceId, StoreError, Sym, Value};
 use aig_sql::{execute_tuned as sql_execute_tuned, ParamValue, Params};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -893,180 +893,44 @@ impl<S: RelSource> Executor<'_, S> {
         rel.dedup_parallel_with(self.threads(), PAR_THRESHOLD);
     }
 
-    /// Computes a synthesized set/bag table `(__owner, comps…)`.
+    /// Computes a synthesized set/bag table `(__owner, comps…)` in one pass:
+    /// the rule is expanded through the children's synthesized fields down
+    /// to the instance tables they read, each reached row labeled with the
+    /// owner that collects it. Leaves emit in rule order, each in row order,
+    /// so the one dedup at the end keeps what the per-level evaluation kept:
+    /// first-occurrence dedup satisfies dedup(rekey(dedup X)) =
+    /// dedup(rekey X).
     fn compute_syn(&self, occ: &Occ, field: &str) -> Result<Relation, MediatorError> {
         let binding = self.binding(occ)?;
-        let info = self.aig.elem_info(binding.elem);
-        let decl = info
-            .syn
-            .iter()
-            .find(|f| f.name == field)
-            .ok_or_else(|| MediatorError::Internal(format!("no syn decl `{field}`")))?;
-        let comps: Vec<String> = decl
-            .ty
-            .components()
-            .map(|c| c.to_vec())
+        let decl = syn_decl(self.aig, binding.elem, field)?;
+        let comps = (decl.ty.components())
             .ok_or_else(|| MediatorError::Internal("scalar SynAgg".into()))?;
-        let is_set = matches!(decl.ty, FieldType::Set(_));
+        let reader = Reader::snapshot();
+        let base = self.store.rel(&RelKey::Instances(occ.base))?;
+        let rowids = base.col_syms(base.col("__rowid")?);
+        let mut top = Reached {
+            ids: InstanceIds::new(self.aig.elem_name(occ.base), rowids, &reader)?,
+            table: base,
+            labels: (0..base.len() as u32).collect(),
+            expanded: HashSet::new(),
+        };
+        let mut pass = SynPass {
+            exec: self,
+            reader,
+            owners: Vec::new(),
+            comps: vec![Vec::new(); comps.len()],
+        };
+        let walk = SynWalk::new(self.aig, &self.graph.bindings, decl.ty.is_bag());
+        walk.field(&mut pass, &mut top, occ, field, false)?;
         let mut columns = vec!["__owner".to_string()];
         columns.extend(comps.iter().cloned());
-
-        let mut out = Relation::empty(columns.clone());
-        match &info.prod {
-            Prod::Choice { branches, .. } => {
-                for (bno, branch) in branches.iter().enumerate() {
-                    let rule = branch.syn.iter().find(|r| r.field == field);
-                    match rule.map(|r| &r.rule) {
-                        None | Some(FieldRule::Set(SetExpr::Empty)) => {}
-                        Some(FieldRule::Set(SetExpr::ChildSyn { item: 0, field: f })) => {
-                            let tag = branch_tag(self.aig, occ, bno);
-                            let rel = self.child_syn_by_owner(branch.elem, f, &tag, &columns)?;
-                            out.extend(&rel)?;
-                        }
-                        _ => {
-                            return Err(MediatorError::Unsupported(
-                                "choice branch synthesized rule is not a direct child copy"
-                                    .to_string(),
-                            ))
-                        }
-                    }
-                }
-            }
-            _ => {
-                let rule = info
-                    .syn_rules
-                    .iter()
-                    .find(|r| r.field == field)
-                    .ok_or_else(|| MediatorError::Internal(format!("no syn rule `{field}`")))?;
-                let FieldRule::Set(expr) = &rule.rule else {
-                    return Err(MediatorError::Internal("non-set SynAgg rule".into()));
-                };
-                let rel = self.eval_set_table(binding, expr, &comps)?;
-                out.extend(&rel.with_columns(columns.clone()))?;
-            }
-        }
-        if is_set {
+        let mut cols = vec![apply_perm(rowids, &pass.owners)];
+        cols.extend(pass.comps);
+        let mut out = Relation::try_from_columns(columns, cols)?;
+        if !decl.ty.is_bag() {
             self.dedup_output(&mut out);
         }
         Ok(out)
-    }
-
-    /// Evaluates a set expression into an `(__owner, comps…)` table.
-    fn eval_set_table(
-        &self,
-        binding: &Binding,
-        expr: &SetExpr,
-        comps: &[String],
-    ) -> Result<Relation, MediatorError> {
-        let mut columns = vec!["__owner".to_string()];
-        columns.extend(comps.iter().cloned());
-        match expr {
-            SetExpr::Empty => Ok(Relation::empty(columns)),
-            SetExpr::InhField(f) => {
-                let key = binding
-                    .sets
-                    .get(f)
-                    .ok_or_else(|| MediatorError::Internal(format!("no set binding `{f}`")))?;
-                Ok(self.store.rel(key)?.clone().with_columns(columns))
-            }
-            SetExpr::ChildSyn { item, field } => {
-                let child_occ = binding.occ.child(*item);
-                let child_elem = self.child_of(&binding.occ, *item)?;
-                let key = resolve_syn_key(
-                    self.aig,
-                    &self.graph.bindings,
-                    &child_occ,
-                    child_elem,
-                    field,
-                )?;
-                Ok(self.store.rel(&key)?.clone().with_columns(columns))
-            }
-            SetExpr::Collect { item, field } => {
-                let child_elem = self.child_of(&binding.occ, *item)?;
-                let child_info = self.aig.elem_info(child_elem);
-                let tag = occ_tag(self.aig, &binding.occ, *item);
-                let field_decl = child_info
-                    .syn
-                    .iter()
-                    .find(|f| f.name == *field)
-                    .ok_or_else(|| MediatorError::Internal(format!("no child syn `{field}`")))?;
-                if !field_decl.ty.is_scalar() {
-                    return self.child_syn_by_owner(child_elem, field, &tag, &columns);
-                }
-                // The collected scalar resolves through copy chains to a
-                // column of the child's instance table.
-                let rule = child_info
-                    .syn_rules
-                    .iter()
-                    .find(|r| r.field == *field)
-                    .ok_or_else(|| {
-                        MediatorError::Internal(format!("no child syn rule `{field}`"))
-                    })?;
-                let FieldRule::Scalar(child_expr) = &rule.rule else {
-                    return Err(MediatorError::Internal("scalar decl, set rule".into()));
-                };
-                let t_child = self.store.rel(&RelKey::Instances(child_elem))?;
-                let (pc, oc) = (t_child.col("__parent")?, t_child.col("__occ")?);
-                let scalar = match resolve_scalar(self.aig, child_elem, child_expr) {
-                    Some(ResolvedScalar::Const(v)) => ScalarCol::Const(intern::intern_owned(v)),
-                    Some(ResolvedScalar::InhField(f)) => ScalarCol::Col(t_child.col(&f)?),
-                    None => {
-                        return Err(MediatorError::Unsupported(format!(
-                            "collected scalar `{field}` of `{}` does not resolve \
-                             through copy chains",
-                            child_info.name
-                        )))
-                    }
-                };
-                let tag_sym = intern::lookup(&Value::str(tag));
-                let rows: Vec<u32> = (0u32..)
-                    .zip(t_child.col_syms(oc))
-                    .filter(|(_, occ)| Some(**occ) == tag_sym)
-                    .map(|(r, _)| r)
-                    .collect();
-                let parents = apply_perm(t_child.col_syms(pc), &rows);
-                let cols = vec![parents, scalar.gather(t_child, &rows)];
-                Ok(Relation::try_from_columns(columns, cols)?)
-            }
-            SetExpr::Union(terms) => {
-                let mut out = Relation::empty(columns.clone());
-                for term in terms {
-                    let rel = self.eval_set_table(binding, term, comps)?;
-                    out.extend(&rel.with_columns(columns.clone()))?;
-                }
-                Ok(out)
-            }
-            SetExpr::Singleton(exprs) => {
-                let base = self.store.rel(&RelKey::Instances(binding.occ.base))?;
-                let rowid_col = base.col("__rowid")?;
-                if base.is_empty() {
-                    return Ok(Relation::empty(columns));
-                }
-                let rows: Vec<u32> = (0..base.len() as u32).collect();
-                let mut cols = vec![base.col_syms(rowid_col).to_vec()];
-                for e in exprs {
-                    let scalar = scalar_col(self.aig, binding, e, base, "scalar expression at")?;
-                    cols.push(scalar.gather(base, &rows));
-                }
-                Ok(Relation::try_from_columns(columns, cols)?)
-            }
-        }
-    }
-
-    /// The synthesized `field` table of the `child_elem` instances tagged
-    /// `tag` — keyed by the children's rowids — re-keyed to their parents.
-    fn child_syn_by_owner(
-        &self,
-        child_elem: ElemIdx,
-        field: &str,
-        tag: &str,
-        columns: &[String],
-    ) -> Result<Relation, MediatorError> {
-        let (aig, bindings) = (self.aig, &self.graph.bindings);
-        let key = resolve_syn_key(aig, bindings, &Occ::mat(child_elem), child_elem, field)?;
-        let child_syn = self.store.rel(&key)?;
-        let t_child = self.store.rel(&RelKey::Instances(child_elem))?;
-        rekey_to_owners(aig.elem_name(child_elem), child_syn, t_child, tag, columns)
     }
 
     fn check_guard(&self, occ: &Occ, guard: usize) -> Result<(), MediatorError> {
@@ -1196,38 +1060,105 @@ pub(crate) fn scalar_col(
     }
 }
 
-/// The rows of `child_syn` — keyed by the `__rowid`s of `t_child`, the
-/// instance table of `elem` — whose child carries the `__occ` tag `tag`,
-/// re-keyed from child to its `__parent` under `columns`. A key naming no
-/// child, or a tag never interned, matches no row.
-fn rekey_to_owners(
-    elem: &str,
-    child_syn: &Relation,
-    t_child: &Relation,
-    tag: &str,
-    columns: &[String],
-) -> Result<Relation, MediatorError> {
-    let rowids = t_child.col_syms(t_child.col("__rowid")?);
-    let parents = t_child.col_syms(t_child.col("__parent")?);
-    let occs = t_child.col_syms(t_child.col("__occ")?);
-    let rows = child_syn.len();
-    let (mut owners, mut keep) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-    if let Some(tag) = intern::lookup(&Value::str(tag)) {
-        let reader = Reader::snapshot();
-        let ids = InstanceIds::new(elem, rowids, &reader)?;
-        for (r, id) in (0u32..).zip(ids.ids_of(&reader, child_syn.col_syms(0))) {
-            let Some(at) = id.map(|id| ids.position(id) as usize) else {
-                continue;
-            };
-            if occs[at] == tag {
-                owners.push(parents[at]);
+/// The rows of one instance table a synthesized pass reached: each row's
+/// label is the position, in the top table, of the owner whose value
+/// collects it, or [`NO_ROW`] for a row the pass did not reach.
+struct Reached<'r> {
+    table: &'r Relation,
+    ids: InstanceIds<'r>,
+    labels: Vec<u32>,
+    /// The expansions done over these rows ([`SynWalk`]).
+    expanded: Expanded,
+}
+
+/// One pass of [`Executor::compute_syn`]: the rows emitted so far, each as
+/// its owner's position in the top table and its components.
+struct SynPass<'e, 'a, S: RelSource> {
+    exec: &'e Executor<'a, S>,
+    /// Taken before the pass: every symbol it reads is in a finished input.
+    reader: Reader,
+    owners: Vec<u32>,
+    comps: Vec<Vec<Sym>>,
+}
+
+impl<'a, S: RelSource> SynVisit for SynPass<'_, 'a, S> {
+    type At = Reached<'a>;
+
+    fn expanded<'x>(&self, at: &'x mut Reached<'a>) -> &'x mut Expanded {
+        &mut at.expanded
+    }
+
+    fn singleton(
+        &mut self,
+        binding: &Binding,
+        at: &Reached,
+        exprs: &[ValueExpr],
+    ) -> Result<(), MediatorError> {
+        let what = "scalar expression at";
+        let scalars = (exprs.iter())
+            .map(|e| scalar_col(self.exec.aig, binding, e, at.table, what))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (row, &label) in at.labels.iter().enumerate() {
+            if label != NO_ROW {
+                self.owners.push(label);
+                for (col, scalar) in self.comps.iter_mut().zip(&scalars) {
+                    col.push(scalar.at(at.table, row));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn keyed(&mut self, at: &Reached, key: &RelKey) -> Result<(), MediatorError> {
+        let rel = self.exec.store.rel(key)?;
+        if rel.arity() != self.comps.len() + 1 {
+            return Err(MediatorError::Internal("a set of another arity".into()));
+        }
+        let mut keep = Vec::new();
+        for (r, id) in (0u32..).zip(at.ids.ids_of(&self.reader, rel.col_syms(0))) {
+            let label = id.map_or(NO_ROW, |id| at.labels[at.ids.position(id) as usize]);
+            if label != NO_ROW {
+                self.owners.push(label);
                 keep.push(r);
             }
         }
+        for (c, col) in self.comps.iter_mut().enumerate() {
+            col.extend(apply_perm(rel.col_syms(c + 1), &keep));
+        }
+        Ok(())
     }
-    let mut cols = vec![owners];
-    cols.extend((1..child_syn.arity()).map(|c| apply_perm(child_syn.col_syms(c), &keep)));
-    Ok(Relation::try_from_columns(columns.to_vec(), cols)?)
+
+    fn child(
+        &mut self,
+        at: &Reached,
+        elem: ElemIdx,
+        tag: &str,
+    ) -> Result<Reached<'a>, MediatorError> {
+        let (exec, reader) = (self.exec, &self.reader);
+        let table = exec.store.rel(&RelKey::Instances(elem))?;
+        let rowids = table.col_syms(table.col("__rowid")?);
+        let parents = table.col_syms(table.col("__parent")?);
+        let occs = table.col_syms(table.col("__occ")?);
+        // Each row takes the label of its parent row.
+        let mut labels = vec![NO_ROW; table.len()];
+        if let Some(tag) = intern::lookup(&Value::str(tag)) {
+            let rows = labels
+                .iter_mut()
+                .zip(occs)
+                .zip(at.ids.ids_of(reader, parents));
+            for ((label, &occ), id) in rows {
+                if let (true, Some(id)) = (occ == tag, id) {
+                    *label = at.labels[at.ids.position(id) as usize];
+                }
+            }
+        }
+        Ok(Reached {
+            ids: InstanceIds::new(exec.aig.elem_name(elem), rowids, reader)?,
+            table,
+            labels,
+            expanded: HashSet::new(),
+        })
+    }
 }
 
 /// No instance: a key naming no row, in [`group_rows`]'s input.

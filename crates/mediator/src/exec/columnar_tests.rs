@@ -23,6 +23,7 @@ use crate::graph::{build_graph, GraphOptions};
 use crate::tagging::tag_document;
 use crate::unfold::{unfold, CutOff};
 use aig_core::paper::sigma0;
+use aig_core::spec::SetExpr;
 use aig_core::{compile_constraints, decompose_queries, parse_aig};
 use aig_datagen::HospitalConfig;
 use aig_prng::{Rng, SeedableRng, StdRng};
@@ -335,7 +336,21 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
         }
     }
 
-    /// Computes a synthesized set/bag table `(__owner, comps…)`.
+    /// A child's synthesized relation: its task's output where the graph
+    /// has that task — a set-typed field under a bag, or one read by a guard
+    /// or a binding — and otherwise evaluated here, level by level, as the
+    /// executor did before a synthesized set became one pass.
+    fn syn_rel(&self, key: &RelKey) -> Result<std::borrow::Cow<'_, Relation>, MediatorError> {
+        match key {
+            RelKey::Syn(occ, field) if !self.0.graph.producer.contains_key(key) => {
+                Ok(std::borrow::Cow::Owned(self.compute_syn(occ, field)?))
+            }
+            _ => Ok(std::borrow::Cow::Borrowed(self.0.store.rel(key)?)),
+        }
+    }
+
+    /// Computes a synthesized set/bag table `(__owner, comps…)` from the
+    /// children's tables, one level at a time.
     fn compute_syn(&self, occ: &Occ, field: &str) -> Result<Relation, MediatorError> {
         let binding = self.0.binding(occ)?.clone();
         let info = self.0.aig.elem_info(binding.elem);
@@ -371,7 +386,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                                 branch.elem,
                                 f,
                             )?;
-                            let child_syn = self.0.store.rel(&key)?;
+                            let child_syn = self.syn_rel(&key)?;
                             let t_child = self.0.store.rel(&RelKey::Instances(branch.elem))?;
                             let tag = branch_tag(self.0.aig, occ, bno);
                             let (rc, pc, oc) = (
@@ -380,7 +395,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                                 t_child.col("__occ")?,
                             );
                             let parent_of = row_parents_by_tag(t_child, &tag, rc, pc, oc);
-                            row_rekey_to_owners(child_syn, &parent_of, &mut out);
+                            row_rekey_by_parent(&child_syn, &parent_of, &mut out);
                         }
                         _ => {
                             return Err(MediatorError::Unsupported(
@@ -439,7 +454,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                     child_elem,
                     field,
                 )?;
-                Ok(self.0.store.rel(&key)?.clone().with_columns(columns))
+                Ok(self.syn_rel(&key)?.into_owned().with_columns(columns))
             }
             SetExpr::Collect { item, field } => {
                 let child_elem = self.0.child_of(&binding.occ, *item)?;
@@ -507,9 +522,9 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                         child_elem,
                         field,
                     )?;
-                    let child_syn = self.0.store.rel(&key)?;
+                    let child_syn = self.syn_rel(&key)?;
                     let parent_of = row_parents_by_tag(t_child, &tag, rc, pc, oc);
-                    row_rekey_to_owners(child_syn, &parent_of, &mut out);
+                    row_rekey_by_parent(&child_syn, &parent_of, &mut out);
                 }
                 Ok(out)
             }
@@ -571,7 +586,7 @@ fn row_parents_by_tag(
 
 /// Appends `child_syn` rows re-keyed from child rowid to owner, dropping
 /// rows whose child is not in `parent_of`.
-fn row_rekey_to_owners(
+fn row_rekey_by_parent(
     child_syn: &Relation,
     parent_of: &HashMap<aig_relstore::Sym, aig_relstore::Sym>,
     out: &mut Relation,
@@ -786,12 +801,27 @@ struct Fixture {
 }
 
 fn fixture(aig: &Aig, catalog: Catalog, depth: usize, args: Vec<(&'static str, Value)>) -> Fixture {
+    fixture_of(specialize(aig), catalog, depth, CutOff::Truncate, args)
+}
+
+/// `aig` with its constraints compiled and its queries decomposed.
+fn specialize(aig: &Aig) -> Aig {
     let compiled = match aig.constraints.is_empty() {
         true => aig.clone(),
         false => compile_constraints(aig).unwrap(),
     };
-    let (specialized, _) = decompose_queries(&compiled).unwrap();
-    let aig = unfold(&specialized, depth, CutOff::Truncate).unwrap().aig;
+    decompose_queries(&compiled).unwrap().0
+}
+
+/// A specialized AIG unfolded to `depth` and its task graph.
+fn fixture_of(
+    specialized: Aig,
+    catalog: Catalog,
+    depth: usize,
+    cutoff: CutOff,
+    args: Vec<(&'static str, Value)>,
+) -> Fixture {
+    let aig = unfold(&specialized, depth, cutoff).unwrap().aig;
     let graph = build_graph(&aig, &catalog, &GraphOptions::default()).unwrap();
     Fixture {
         aig,
@@ -1077,9 +1107,8 @@ fn perturb(rng: &mut StdRng, task: &Task, rel: &mut Relation) {
 
 /// Runs every task through the columnar body and the row-major reference
 /// on the same store, asserting they agree, and returns the store; each
-/// output is perturbed under `seed` (if any) before it is stored. Also
-/// holds the synthesized tables against each other *before* dedup — the
-/// bag view of every set expression — and counts the task kinds seen.
+/// output is perturbed under `seed` (if any) before it is stored. Counts
+/// the task kinds seen.
 fn walk(fx: &Fixture, opts: &ExecOptions, seed: Option<u64>, kinds: &mut [usize; 8]) -> RelStore {
     let mut rng = seed.map(StdRng::seed_from_u64);
     let ship = crate::batch::ShipLedger::default();
@@ -1100,21 +1129,6 @@ fn walk(fx: &Fixture, opts: &ExecOptions, seed: Option<u64>, kinds: &mut [usize;
             TaskKind::BranchMat { .. } => 6,
             TaskKind::SynAgg { .. } | TaskKind::Guard { .. } => 7,
         }] += 1;
-        if let TaskKind::SynAgg { occ, field } = &task.kind {
-            let binding = exec.binding(occ).unwrap();
-            let info = fx.aig.elem_info(binding.elem);
-            let rule = info.syn_rules.iter().find(|r| r.field == *field);
-            if let Some(FieldRule::Set(expr)) = rule.map(|r| &r.rule) {
-                let decl = info.syn.iter().find(|f| f.name == *field).unwrap();
-                let comps = decl.ty.components().unwrap().to_vec();
-                assert_eq!(
-                    exec.eval_set_table(binding, expr, &comps),
-                    reference.eval_set_table(binding, expr, &comps),
-                    "{} before dedup",
-                    task.label
-                );
-            }
-        }
         if let (Some(key), Ok(Some(mut rel))) = (task.output.clone(), columnar) {
             if let Some(rng) = &mut rng {
                 perturb(rng, task, &mut rel);
@@ -1286,25 +1300,38 @@ fn assemble_input_of_the_wrong_arity_is_a_schema_mismatch() {
 fn a_never_interned_occ_tag_matches_no_rows() {
     let fx = flow(5);
     let store = walk(&fx, &options(1, false), None, &mut [0; 8]);
-    let id = fx.aig.elem("id").unwrap();
-    let t_child = store.get(&RelKey::Instances(id)).unwrap();
+    let (opts, ship) = (options(1, false), crate::batch::ShipLedger::default());
+    let exec = executor(&fx, &store, &opts, &ship);
+    let mut pass = SynPass {
+        exec: &exec,
+        reader: Reader::snapshot(),
+        owners: Vec::new(),
+        comps: Vec::new(),
+    };
+    let doc = instances(&fx, &store, "doc");
+    let top = Reached {
+        table: doc,
+        ids: InstanceIds::new("doc", doc.col_syms(0), &pass.reader).unwrap(),
+        labels: vec![0],
+        expanded: HashSet::new(),
+    };
+    let t_child = instances(&fx, &store, "id");
     assert!(!t_child.is_empty());
-    let children = t_child.project_positions(&[t_child.col("__rowid").unwrap()]);
-    let rekey = |tag| rekey_to_owners("id", &children, t_child, tag, &["__owner".into()]);
+    let id = fx.aig.elem("id").unwrap();
+    let mut rekey = |tag| {
+        let labels = pass.child(&top, id, tag).unwrap().labels;
+        labels.into_iter().filter(|&l| l != NO_ROW).count()
+    };
     let tag = "doc.9#9 — a tag no assemble ever wrote";
     assert_eq!(intern::lookup(&Value::str(tag)), None);
-    assert!(rekey(tag).unwrap().is_empty());
+    assert_eq!(rekey(tag), 0);
     assert_eq!(
         intern::lookup(&Value::str(tag)),
         None,
         "lookups never intern"
     );
-    let known = rekey("doc.1#0").unwrap();
-    assert_eq!(
-        known.len() * 2,
-        t_child.len(),
-        "two occurrences share the rows"
-    );
+    let known = rekey("doc.1#0");
+    assert_eq!(known * 2, t_child.len(), "two occurrences share the rows");
 }
 
 /// The tagger plans every occurrence the productions reach before it
@@ -1567,5 +1594,259 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
         };
         let out = executor(&fx, &swapped, &opts, &ship).run_task(gen);
         expect_bad(out.map(|_| ()), "`__parent`", &bad);
+    }
+}
+
+// -- Synthesized sets in one pass ------------------------------------------------------
+
+/// σ0 over a seeded tiny hospital with `dsl_tail` (constraints) added to
+/// its declarations, unfolded to `depth` under `cutoff` after its
+/// specialized grammar went through `edit`.
+fn hospital_with(
+    seed: u64,
+    depth: usize,
+    cutoff: CutOff,
+    dsl_tail: &str,
+    edit: impl Fn(&mut Aig),
+) -> Fixture {
+    let data = HospitalConfig::tiny(seed).generate().unwrap();
+    let date = Value::str(&data.dates[0]);
+    let dsl = aig_core::paper::SIGMA0_DSL.trim_end();
+    let dsl = format!("{}\n  {dsl_tail}\n}}", dsl.strip_suffix('}').unwrap());
+    let mut aig = specialize(&parse_aig(&dsl).unwrap());
+    edit(&mut aig);
+    fixture_of(aig, data.catalog, depth, cutoff, vec![("date", date)])
+}
+
+/// A set rule with an inherited-set term, and one starred element collected
+/// under two occurrences: `left` collects the `item`s of `a` and of `b` (one
+/// instance table, two `__occ` tags), and `right` echoes the ids it was
+/// given — through `tag`, where a synthesized rule may read the inherited
+/// attribute — between two copies of the ids of its own children.
+fn echo(seed: u64) -> Fixture {
+    let aig = parse_aig(
+        r#"
+        aig echo {
+          dtd {
+            <!ELEMENT doc (left, right, again)>
+            <!ELEMENT left (a, b)>
+            <!ELEMENT a (item*)>
+            <!ELEMENT b (item*)>
+            <!ELEMENT right (tag, list)>
+            <!ELEMENT list (id*)>
+            <!ELEMENT again (out*)>
+            <!ELEMENT tag EMPTY>
+            <!ELEMENT item (#PCDATA)>
+            <!ELEMENT id (#PCDATA)>
+            <!ELEMENT out (#PCDATA)>
+          }
+          elem doc {
+            inh(day);
+            child left { day = $day; }
+            child right { ids = syn(left).all; }
+            child again { ids = syn(right).echo; }
+          }
+          elem left {
+            inh(day);
+            syn(all: set(val));
+            child a { day = $day; }
+            child b { day = $day; }
+            syn all = union(syn(b).all, syn(a).all);
+          }
+          elem a {
+            inh(day);
+            syn(all: set(val));
+            child item* from sql {
+              select t.id as val from DB1:items t where t.day = $day
+            };
+            syn all = collect(item.ref);
+          }
+          elem b {
+            inh(day);
+            syn(all: set(val));
+            child item* from sql {
+              select t.id as val from DB1:others t where t.day = $day
+            };
+            syn all = collect(item.ref);
+          }
+          elem right {
+            inh(ids: set(val));
+            syn(echo: set(val));
+            child tag { ids = $ids; }
+            child list { ids = $ids; }
+            syn echo = union(syn(list).all, syn(tag).echo, syn(list).all);
+          }
+          elem tag {
+            inh(ids: set(val));
+            syn(echo: set(val));
+            empty;
+            syn echo = $ids;
+          }
+          elem list {
+            inh(ids: set(val));
+            syn(all: set(val));
+            child id* from $ids;
+            syn all = collect(id.ref);
+          }
+          elem again {
+            inh(ids: set(val));
+            child out* from $ids;
+          }
+          elem item { inh(val); syn(ref: set(val)); text = $val; syn ref = { $val }; }
+          elem id { inh(val); syn(ref: set(val)); text = $val; syn ref = { $val }; }
+          elem out { inh(val); text = $val; }
+        }
+        "#,
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut table = |salt: usize| {
+        let n = rng.gen_range(0..20usize);
+        let day = |i: usize| if i % 3 == 2 { "tue" } else { "mon" };
+        let rows = (0..n)
+            .rev()
+            .map(|i| vec![format!("echo{seed}-{}", (i + salt) % 7), day(i).into()]);
+        rows.collect::<Vec<Vec<String>>>()
+    };
+    let (items, others) = (table(0), table(3));
+    let catalog = string_catalog(
+        "DB1",
+        &[
+            ("items", &["id", "day"], items),
+            ("others", &["id", "day"], others),
+        ],
+    );
+    fixture(&aig, catalog, 2, vec![("day", Value::str("mon"))])
+}
+
+/// Runs every `SynAgg` task of `fx` on `store` through the one pass and the
+/// per-level reference, asserting they agree.
+fn syn_aggs_agree(fx: &Fixture, store: &RelStore, opts: &ExecOptions) {
+    let ship = crate::batch::ShipLedger::default();
+    let exec = executor(fx, store, opts, &ship);
+    for task in &fx.graph.tasks {
+        if let TaskKind::SynAgg { .. } = task.kind {
+            let reference = RowMajor(&exec).run_task(task);
+            assert_eq!(exec.run_task(task), reference, "{}", task.label);
+        }
+    }
+}
+
+/// Whether a `SynAgg` task of `fx` reads another's output.
+fn syn_reads_syn(fx: &Fixture) -> bool {
+    let syn = |t: usize| matches!(fx.graph.tasks[t].kind, TaskKind::SynAgg { .. });
+    (0..fx.graph.len()).any(|t| syn(t) && fx.graph.tasks[t].deps.iter().any(|(d, _)| syn(*d)))
+}
+
+/// A `SynAgg` task computes its whole rule in one pass, labeling every row
+/// it reaches with the owner that collects it; the per-level evaluation it
+/// replaced — a relation per unfolded level, re-keyed to the level above —
+/// is the reference, and every output must equal it row for row, order
+/// included: σ0 at Frontier depths 3 and 24 (the deepest of 24 levels
+/// empty) and Truncate depth 2, a bag collector over the recursion (a key whose
+/// context is above `treatment`), a set-typed field under a bag-typed one
+/// (read from its own task), a choice branch, an inherited-set term, and
+/// each store again with every instance table's `__rowid`s permuted.
+#[test]
+fn one_pass_synthesized_sets_match_the_per_level_reference() {
+    let keyed = "constraint report(treatment.trId -> treatment);";
+    let bag_over_sets = |aig: &mut Aig| {
+        let treatments = aig.elem("treatments").unwrap();
+        let decl = &mut aig.elem_info_mut(treatments).syn[0];
+        assert_eq!(decl.name, "trIdS");
+        decl.ty = FieldType::Bag(decl.ty.components().unwrap().to_vec());
+    };
+    for seed in 0..3u64 {
+        let deep = hospital_with(seed, 24, CutOff::Frontier, "", |_| {});
+        let deepest = deep.aig.elem("treatment@24").unwrap();
+        let fixtures = [
+            hospital_with(seed, 3, CutOff::Frontier, "", |_| {}),
+            hospital_with(seed, 2, CutOff::Truncate, "", |_| {}),
+            hospital_with(seed + 10, 4, CutOff::Frontier, keyed, |_| {}),
+            hospital_with(seed + 20, 4, CutOff::Frontier, "", bag_over_sets),
+            orders(seed),
+            echo(seed),
+            deep,
+        ];
+        // The key's bag is collected at the root, through every level.
+        let keyed = &fixtures[2];
+        let deepest_keyed = RelKey::Instances(keyed.aig.elem("treatment@4").unwrap());
+        assert!(keyed.graph.tasks.iter().any(|t| match &t.kind {
+            TaskKind::SynAgg { occ, .. } => {
+                occ.base == keyed.aig.root && t.deps.iter().any(|(_, k)| *k == deepest_keyed)
+            }
+            _ => false,
+        }));
+        for (i, fx) in fixtures.iter().enumerate() {
+            // One synthesized pass reads another's output only for a set
+            // under a bag and through an inherited set (`echo`'s `tag`).
+            assert_eq!(syn_reads_syn(fx), i == 3 || i == 5, "fixture {i}");
+            for opts in [options(1, false), modes_on()] {
+                let store = walk(fx, &opts, None, &mut [0; 8]);
+                syn_aggs_agree(fx, &reversed_instances(fx, &store), &opts);
+                if i == fixtures.len() - 1 {
+                    assert!(store.get(&RelKey::Instances(deepest)).unwrap().is_empty());
+                }
+            }
+        }
+    }
+}
+
+/// A rule that names one child twice reads it once: under a set a repeated
+/// expansion over the same rows emits only rows already emitted, so the
+/// pass walks it once per table it reaches — its rows before the dedup are
+/// those of the rule naming the child once, not 2^depth times as many — and
+/// every output still equals the per-level reference. Both ways of naming
+/// it count: `syn(procedure).trIdS` twice at `treatment` (one set of rows)
+/// and `collect(treatment.trIdS)` twice at `procedure` (each term builds
+/// its own child rows).
+#[test]
+fn a_child_named_twice_is_expanded_once() {
+    let twice = |elem: &'static str| {
+        move |aig: &mut Aig| {
+            let elem = aig.elem(elem).unwrap();
+            let rules = &mut aig.elem_info_mut(elem).syn_rules;
+            let rule = rules.iter_mut().find(|r| r.field == "trIdS").unwrap();
+            let FieldRule::Set(expr) = &mut rule.rule else {
+                panic!("σ0's trIdS is a set rule")
+            };
+            let first = match &*expr {
+                SetExpr::Union(terms) => terms[0].clone(),
+                term => term.clone(),
+            };
+            *expr = SetExpr::Union(vec![first, expr.clone()]);
+        }
+    };
+    // The rows one pass emits for `patient.2.trIdS` before its dedup.
+    let emitted = |fx: &Fixture| {
+        let opts = options(1, false);
+        let store = walk(fx, &opts, None, &mut [0; 8]);
+        let ship = crate::batch::ShipLedger::default();
+        let exec = executor(fx, &store, &opts, &ship);
+        let occ = Occ::mat(fx.aig.elem("patient").unwrap()).child(2);
+        let base = store.get(&RelKey::Instances(occ.base)).unwrap();
+        let mut pass = SynPass {
+            exec: &exec,
+            reader: Reader::snapshot(),
+            owners: Vec::new(),
+            comps: vec![Vec::new()],
+        };
+        let mut top = Reached {
+            table: base,
+            ids: InstanceIds::new("patient", base.col_syms(0), &pass.reader).unwrap(),
+            labels: (0..base.len() as u32).collect(),
+            expanded: HashSet::new(),
+        };
+        let walk = SynWalk::new(&fx.aig, &exec.graph.bindings, false);
+        walk.field(&mut pass, &mut top, &occ, "trIdS", false)
+            .unwrap();
+        pass.owners.len()
+    };
+    let depth = 10;
+    let once = emitted(&hospital_with(1, depth, CutOff::Frontier, "", |_| {}));
+    assert!(once > 0);
+    for elem in ["treatment", "procedure"] {
+        let fx = hospital_with(1, depth, CutOff::Frontier, "", twice(elem));
+        assert_eq!(emitted(&fx), once, "`{elem}` names its child twice");
     }
 }

@@ -17,10 +17,12 @@
 //! materialized ancestor's table, so no query or table is spent on them.
 
 use crate::error::MediatorError;
+use crate::exec::{branch_tag, occ_tag};
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{
-    Aig, ElemIdx, FieldRule, Generator, ParamSource, Prod, QueryRule, SetExpr, ValueExpr,
+    Aig, ElemIdx, FieldRule, Generator, ParamSource, Prod, QueryRule, SetExpr, SynRule, ValueExpr,
 };
+use aig_core::FieldDecl;
 use aig_relstore::{Catalog, SourceId, Value};
 use aig_sql::cost::{estimate, CatalogStats, CostEstimate, CostModel, ParamStats};
 use aig_sql::{FromItem, Pred, QualCol, Query, Scalar, SelectItem, SetRef};
@@ -864,60 +866,26 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Creates the SynAgg task for `(occ, field)`, resolving the rule's
-    /// references (which may enqueue further SynAgg needs).
+    /// Creates the SynAgg task for `(occ, field)`. The task computes its
+    /// whole rule in one pass, so it reads the relations the rule's
+    /// expansion reaches (which may enqueue a SynAgg need).
     fn create_syn_task(&mut self, occ: &Occ, field: &str) -> Result<(), MediatorError> {
         let aig = self.aig;
         let out_key = RelKey::Syn(occ.clone(), field.to_string());
         if self.producer.contains_key(&out_key) {
             return Ok(());
         }
-        let binding = self.bindings.get(occ).cloned().ok_or_else(|| {
+        let binding = self.bindings.get(occ).ok_or_else(|| {
             MediatorError::Internal(format!("unvisited occurrence {}", occ.key(aig)))
         })?;
-        let info = aig.elem_info(binding.elem);
-        let mut deps: Vec<(usize, RelKey)> = Vec::new();
+        let bag = syn_decl(aig, binding.elem, field)?.ty.is_bag();
+        let walk = SynWalk::new(aig, &self.bindings, bag);
         // The owner space: every SynAgg needs the base instances.
-        deps.push((usize::MAX, RelKey::Instances(occ.base)));
-        match &info.prod {
-            Prod::Choice { branches, .. } => {
-                let pick = RelKey::Pick(occ.clone());
-                deps.push((usize::MAX, pick));
-                for (bno, branch) in branches.iter().enumerate() {
-                    let branch_key = RelKey::BranchOut(occ.clone(), bno);
-                    deps.push((usize::MAX, branch_key));
-                    if let Some(rule) = branch.syn.iter().find(|r| r.field == field) {
-                        match &rule.rule {
-                            FieldRule::Set(SetExpr::ChildSyn { item: 0, field: f }) => {
-                                let child_occ = Occ::mat(branch.elem);
-                                let key = self.syn_relkey_at(&child_occ, branch.elem, f)?;
-                                deps.push((usize::MAX, key));
-                            }
-                            FieldRule::Set(SetExpr::Empty) => {}
-                            _ => {
-                                return Err(MediatorError::Unsupported(format!(
-                                    "choice branch synthesized rule for `{field}` at `{}` \
-                                     is not a direct child copy",
-                                    info.name
-                                )))
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {
-                let rule = info
-                    .syn_rules
-                    .iter()
-                    .find(|r| r.field == field)
-                    .ok_or_else(|| {
-                        MediatorError::Internal(format!(
-                            "`{}` has no synthesized rule for `{field}`",
-                            info.name
-                        ))
-                    })?
-                    .clone();
-                self.collect_rule_deps(&binding, &rule.rule, &mut deps)?;
+        let mut deps = SynDeps(vec![(usize::MAX, RelKey::Instances(occ.base))]);
+        walk.field(&mut deps, &mut HashSet::new(), occ, field, false)?;
+        for (_, key) in &deps.0 {
+            if let RelKey::Syn(o, f) = key {
+                self.need_syn(o, f);
             }
         }
         self.push_task(Task {
@@ -927,78 +895,11 @@ impl<'a> Builder<'a> {
             },
             source: SourceId::MEDIATOR,
             label: format!("syn[{}.{field}]", occ.key(aig)),
-            deps,
+            deps: deps.0,
             output: Some(out_key),
             est: CostEstimate::ZERO,
         });
         Ok(())
-    }
-
-    /// Registers the relations a set rule reads (creating referenced SynAgg
-    /// tasks eagerly so producers exist).
-    fn collect_rule_deps(
-        &mut self,
-        binding: &Binding,
-        rule: &FieldRule,
-        deps: &mut Vec<(usize, RelKey)>,
-    ) -> Result<(), MediatorError> {
-        match rule {
-            FieldRule::Scalar(_) => Ok(()),
-            FieldRule::Query(_) => Err(MediatorError::Internal(
-                "queries cannot appear in synthesized rules".to_string(),
-            )),
-            FieldRule::Set(expr) => self.collect_set_deps(binding, expr, deps),
-        }
-    }
-
-    fn collect_set_deps(
-        &mut self,
-        binding: &Binding,
-        expr: &SetExpr,
-        deps: &mut Vec<(usize, RelKey)>,
-    ) -> Result<(), MediatorError> {
-        let aig = self.aig;
-        match expr {
-            SetExpr::Empty | SetExpr::Singleton(_) => Ok(()),
-            SetExpr::InhField(f) => {
-                let key =
-                    binding.sets.get(f).cloned().ok_or_else(|| {
-                        MediatorError::Internal(format!("no set binding for `{f}`"))
-                    })?;
-                deps.push((usize::MAX, key));
-                Ok(())
-            }
-            SetExpr::ChildSyn { item, field } => {
-                let child_occ = binding.occ.child(*item);
-                let child_elem = self.sibling_elem(binding, *item)?;
-                let key = self.syn_relkey_at(&child_occ, child_elem, field)?;
-                deps.push((usize::MAX, key));
-                Ok(())
-            }
-            SetExpr::Collect { item, field } => {
-                let child_elem = self.sibling_elem(binding, *item)?;
-                let child_info = aig.elem_info(child_elem);
-                deps.push((usize::MAX, RelKey::Instances(child_elem)));
-                let is_rel = child_info
-                    .syn
-                    .iter()
-                    .find(|f| f.name == *field)
-                    .map(|f| !f.ty.is_scalar())
-                    .unwrap_or(false);
-                if is_rel {
-                    let child_occ = Occ::mat(child_elem);
-                    let key = self.syn_relkey_at(&child_occ, child_elem, field)?;
-                    deps.push((usize::MAX, key));
-                }
-                Ok(())
-            }
-            SetExpr::Union(terms) => {
-                for t in terms {
-                    self.collect_set_deps(binding, t, deps)?;
-                }
-                Ok(())
-            }
-        }
     }
 
     /// Dependencies a vectorized query introduces (its relation inputs).
@@ -1236,17 +1137,7 @@ pub fn resolve_syn_key(
         // Per-branch rules: always a SynAgg task.
         return Ok(RelKey::Syn(occ.clone(), field.to_string()));
     }
-    let rule = info
-        .syn_rules
-        .iter()
-        .find(|r| r.field == field)
-        .ok_or_else(|| {
-            MediatorError::Internal(format!(
-                "`{}` has no synthesized rule for `{field}`",
-                info.name
-            ))
-        })?;
-    match &rule.rule {
+    match &syn_rule(aig, elem, field)?.rule {
         FieldRule::Set(SetExpr::InhField(f)) => {
             let binding = bindings.get(occ).ok_or_else(|| {
                 MediatorError::Internal(format!("unvisited occurrence {}", occ.key(aig)))
@@ -1271,6 +1162,233 @@ pub fn resolve_syn_key(
         }
         _ => Ok(RelKey::Syn(occ.clone(), field.to_string())),
     }
+}
+
+/// The expansions done over one set of reached rows: `(occ, field,
+/// under_bag)`.
+pub(crate) type Expanded = HashSet<(Occ, String, bool)>;
+
+/// The one-pass expansion of a synthesized set rule through the children's
+/// synthesized fields down to the instance tables they read: the graph
+/// builder walks it for a `SynAgg` task's deps, the executor for its rows.
+/// A set-typed field under a bag-typed one is read from its own relation
+/// (its per-instance dedup decides the bag's multiplicities). Under a set, a
+/// repeat over the same reached rows (a child named twice) emits only rows
+/// already emitted, so it is skipped; else the walk doubles per level.
+pub(crate) struct SynWalk<'g> {
+    aig: &'g Aig,
+    bindings: &'g HashMap<Occ, Binding>,
+    /// The top field is a bag: a repeat is rows of its value.
+    bag: bool,
+}
+
+/// What a [`SynWalk`] does at each step.
+pub(crate) trait SynVisit {
+    /// The instance rows reached so far.
+    type At;
+    fn expanded<'x>(&self, at: &'x mut Self::At) -> &'x mut Expanded;
+    /// A relation that orders the walk without being read (a choice's pick
+    /// and branch outputs).
+    fn depends(&mut self, _key: RelKey) {}
+    /// The rows of `elem`'s instance table whose `__parent` is a reached
+    /// row of `at` and whose `__occ` tag is `tag` (a tag never interned
+    /// matches no row).
+    fn child(&mut self, at: &Self::At, elem: ElemIdx, tag: &str)
+        -> Result<Self::At, MediatorError>;
+    /// The rows of the relation `key` whose key, an instance id of `at`,
+    /// names a reached row (an id naming no row matches nothing).
+    fn keyed(&mut self, at: &Self::At, key: &RelKey) -> Result<(), MediatorError>;
+    /// One row of `exprs` over `binding` per reached row of `at`. Rows emit
+    /// in row order.
+    fn singleton(
+        &mut self,
+        binding: &Binding,
+        at: &Self::At,
+        exprs: &[ValueExpr],
+    ) -> Result<(), MediatorError>;
+}
+
+impl<'g> SynWalk<'g> {
+    /// The walk of a field that is a bag when `bag`.
+    pub(crate) fn new(aig: &'g Aig, bindings: &'g HashMap<Occ, Binding>, bag: bool) -> Self {
+        SynWalk { aig, bindings, bag }
+    }
+
+    /// Whether expanding `occ`'s `field` under a bag when `bag` is new over `at`.
+    fn first<V: SynVisit>(&self, v: &V, at: &mut V::At, occ: &Occ, field: &str, bag: bool) -> bool {
+        self.bag || v.expanded(at).insert((occ.clone(), field.to_string(), bag))
+    }
+
+    fn binding(&self, occ: &Occ) -> Result<&Binding, MediatorError> {
+        self.bindings.get(occ).ok_or_else(|| {
+            MediatorError::Internal(format!("unvisited occurrence {}", occ.key(self.aig)))
+        })
+    }
+
+    /// Expands `occ`'s synthesized `field` over the rows of `at`, under a
+    /// field that is a bag when `under_bag`.
+    pub(crate) fn field<V: SynVisit>(
+        &self,
+        v: &mut V,
+        at: &mut V::At,
+        occ: &Occ,
+        field: &str,
+        under_bag: bool,
+    ) -> Result<(), MediatorError> {
+        let aig = self.aig;
+        if !self.first(v, at, occ, field, under_bag) {
+            return Ok(());
+        }
+        let binding = self.binding(occ)?;
+        let bag = syn_decl(aig, binding.elem, field)?.ty.is_bag();
+        if under_bag && !bag {
+            let key = resolve_syn_key(aig, self.bindings, occ, binding.elem, field)?;
+            return v.keyed(at, &key);
+        }
+        let info = aig.elem_info(binding.elem);
+        let Prod::Choice { branches, .. } = &info.prod else {
+            let FieldRule::Set(expr) = &syn_rule(aig, binding.elem, field)?.rule else {
+                return Err(MediatorError::Internal("non-set SynAgg rule".into()));
+            };
+            return self.set(v, at, binding, expr, bag);
+        };
+        v.depends(RelKey::Pick(occ.clone()));
+        for (bno, branch) in branches.iter().enumerate() {
+            v.depends(RelKey::BranchOut(occ.clone(), bno));
+            match branch
+                .syn
+                .iter()
+                .find(|r| r.field == field)
+                .map(|r| &r.rule)
+            {
+                None | Some(FieldRule::Set(SetExpr::Empty)) => {}
+                Some(FieldRule::Set(SetExpr::ChildSyn { item: 0, field: f })) => {
+                    let mut child = v.child(at, branch.elem, &branch_tag(aig, occ, bno))?;
+                    self.field(v, &mut child, &Occ::mat(branch.elem), f, bag)?;
+                }
+                _ => {
+                    return Err(MediatorError::Unsupported(format!(
+                        "choice branch synthesized rule for `{field}` at `{}` \
+                         is not a direct child copy",
+                        info.name
+                    )))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn set<V: SynVisit>(
+        &self,
+        v: &mut V,
+        at: &mut V::At,
+        binding: &Binding,
+        expr: &SetExpr,
+        bag: bool,
+    ) -> Result<(), MediatorError> {
+        let aig = self.aig;
+        match expr {
+            SetExpr::Empty => Ok(()),
+            SetExpr::InhField(f) => {
+                let key = (binding.sets.get(f))
+                    .ok_or_else(|| MediatorError::Internal(format!("no set binding for `{f}`")))?;
+                v.keyed(at, key)
+            }
+            SetExpr::ChildSyn { item, field } => {
+                self.field(v, at, &binding.occ.child(*item), field, bag)
+            }
+            SetExpr::Collect { item, field } => {
+                // Checked here: each term builds its own child rows.
+                if !self.first(v, at, &binding.occ.child(*item), field, bag) {
+                    return Ok(());
+                }
+                let Prod::Items(items) = &aig.elem_info(binding.elem).prod else {
+                    return Err(MediatorError::Internal("collect outside items".into()));
+                };
+                let elem = items[*item].elem;
+                let mut child = v.child(at, elem, &occ_tag(aig, &binding.occ, *item))?;
+                if !syn_decl(aig, elem, field)?.ty.is_scalar() {
+                    return self.field(v, &mut child, &Occ::mat(elem), field, bag);
+                }
+                // A collected scalar: the child's singleton of it.
+                let FieldRule::Scalar(expr) = &syn_rule(aig, elem, field)?.rule else {
+                    return Err(MediatorError::Internal("scalar decl, set rule".into()));
+                };
+                let child_binding = self.binding(&Occ::mat(elem))?;
+                v.singleton(child_binding, &child, std::slice::from_ref(expr))
+            }
+            SetExpr::Union(terms) => {
+                for term in terms {
+                    self.set(v, at, binding, term, bag)?;
+                }
+                Ok(())
+            }
+            SetExpr::Singleton(exprs) => v.singleton(binding, at, exprs),
+        }
+    }
+}
+
+/// The relations a `SynAgg` task reads: its [`SynWalk`] without rows.
+struct SynDeps(Vec<(usize, RelKey)>);
+
+impl SynVisit for SynDeps {
+    type At = Expanded;
+
+    fn expanded<'x>(&self, at: &'x mut Expanded) -> &'x mut Expanded {
+        at
+    }
+
+    fn depends(&mut self, key: RelKey) {
+        self.0.push((usize::MAX, key));
+    }
+
+    fn child(&mut self, _: &Expanded, elem: ElemIdx, _: &str) -> Result<Expanded, MediatorError> {
+        self.depends(RelKey::Instances(elem));
+        Ok(Expanded::new())
+    }
+
+    fn keyed(&mut self, _: &Expanded, key: &RelKey) -> Result<(), MediatorError> {
+        self.depends(key.clone());
+        Ok(())
+    }
+
+    fn singleton(
+        &mut self,
+        _: &Binding,
+        _: &Expanded,
+        _: &[ValueExpr],
+    ) -> Result<(), MediatorError> {
+        Ok(())
+    }
+}
+
+/// The declaration of `elem`'s synthesized `field`.
+pub(crate) fn syn_decl<'a>(
+    aig: &'a Aig,
+    elem: ElemIdx,
+    field: &str,
+) -> Result<&'a FieldDecl, MediatorError> {
+    let info = aig.elem_info(elem);
+    let decl = info.syn.iter().find(|f| f.name == field);
+    decl.ok_or_else(|| {
+        MediatorError::Internal(format!("`{}` declares no synthesized `{field}`", info.name))
+    })
+}
+
+/// The rule of `elem`'s synthesized `field` (a choice has one per branch).
+pub(crate) fn syn_rule<'a>(
+    aig: &'a Aig,
+    elem: ElemIdx,
+    field: &str,
+) -> Result<&'a SynRule, MediatorError> {
+    let info = aig.elem_info(elem);
+    let rule = info.syn_rules.iter().find(|r| r.field == field);
+    rule.ok_or_else(|| {
+        MediatorError::Internal(format!(
+            "`{}` has no synthesized rule for `{field}`",
+            info.name
+        ))
+    })
 }
 
 fn dedup_deps(deps: &mut Vec<(usize, RelKey)>) {

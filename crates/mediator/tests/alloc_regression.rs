@@ -12,7 +12,9 @@
 //! bounded beside calls: a row-major copy of every relation that is
 //! deduplicated and a sorted copy of every column that is sized cost no
 //! more calls than a `Vec` each, but 128 requested bytes per output row
-//! against 45 now.
+//! against 45 without them. The bytes bound divides by instance rows: a
+//! synthesized set computed in one pass produces far fewer rows than one
+//! materialized at every unfolded level, for fewer bytes in all.
 //!
 //! The data is Table 1's Small hospital — large enough (well over 20k
 //! document nodes for the chosen date) that per-task constants vanish in
@@ -20,6 +22,7 @@
 
 use aig_core::paper::sigma0;
 use aig_datagen::{visit_delta, DatasetSize, HospitalConfig};
+use aig_mediator::graph::RelKey;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::{execute_graph, ExecOptions, Mediator, MediatorOptions};
 use aig_relstore::par::{dedup_indices, PAR_THRESHOLD};
@@ -134,19 +137,24 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         "execute_graph: {exec_allocs} allocations for {rows} rows read or produced \
          = {per_row:.2} per row"
     );
-    // Requested bytes per row *produced*: 128.2 before the columnar plane —
-    // a row-major copy and a fat-pointer vector per deduplicated relation, a
-    // list per distinct join key, a sorted copy per sized column — and 58.9
-    // with a fresh dedup table and a symbol-keyed rowid map per task, against
-    // NEW_BYTES with rows hashed and columns counted where they lie, dedup
-    // slots reused per thread and instance ids indexing vectors.
-    const NEW_BYTES: f64 = 45.4;
-    let out_rows: f64 = exec.measured.iter().map(|m| m.out_rows).sum();
-    let bytes_per_row = exec_bytes as f64 / out_rows;
-    println!("execute_graph {bytes_per_row:.1} requested bytes/output row");
+    // Requested bytes per *instance row* — a row of an `Instances(_)`
+    // table, the work a request cannot avoid: 344.7 while each synthesized
+    // set was materialized at every unfolded level (a relation per level,
+    // each re-keyed to the one above), against NEW_BYTES with one labeling
+    // pass per set. Per row *produced* the two would read the other way
+    // round (45.4 against 96.7): the pass deletes most of the rows the
+    // levels produced.
+    const NEW_BYTES: f64 = 235.7;
+    let instance_rows: usize = (plan.graph.tasks.iter())
+        .filter_map(|t| t.output.as_ref())
+        .filter(|key| matches!(key, RelKey::Instances(_)))
+        .map(|key| exec.store.get(key).unwrap().len())
+        .sum();
+    let bytes_per_row = exec_bytes as f64 / instance_rows as f64;
+    println!("execute_graph {bytes_per_row:.1} requested bytes/instance row ({exec_bytes} bytes)");
     assert!(
         bytes_per_row <= 1.25 * NEW_BYTES,
-        "execute_graph: {exec_bytes} bytes requested for {out_rows} rows produced \
+        "execute_graph: {exec_bytes} bytes requested for {instance_rows} instance rows \
          = {bytes_per_row:.1} per row"
     );
     assert!(
@@ -215,12 +223,12 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
          {} batches, peak {} resident rows",
         ledger.total_batches, ledger.peak_resident_rows
     );
-    // 983 batches before PR 25: constraint collectors on types no
-    // contributor reaches shipped empty batches, and `__c1_sub` re-shipped
-    // `trIdS`.
+    // 983 batches when constraint collectors on types no contributor
+    // reaches shipped empty batches and `__c1_sub` re-shipped `trIdS`; 579
+    // while every unfolded level shipped its own `trIdS`.
     assert_eq!(
         (ledger.total_batches, ledger.peak_resident_rows),
-        (579, 512)
+        (195, 512)
     );
     assert!(
         batched_allocs as f64 <= 1.05 * exec_allocs as f64 + ledger.total_batches as f64,

@@ -5,18 +5,18 @@
 
 use aig_core::paper::sigma0;
 use aig_core::spec::Aig;
-use aig_core::{compile_constraints, decompose_queries};
-use aig_datagen::HospitalConfig;
+use aig_core::{compile_constraints, decompose_queries, AigError};
+use aig_datagen::{DatasetSize, HospitalConfig};
 use aig_mediator::cost::estimated_costs;
 use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult};
-use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
+use aig_mediator::graph::{build_graph, GraphOptions, RelKey, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::plan::topo_per_source;
 use aig_mediator::schedule::schedule;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
-use aig_mediator::{run, CostGraph, MediatorOptions, NetworkModel, ShipCut};
-use aig_relstore::{Catalog, Value};
+use aig_mediator::{run, CostGraph, MediatorError, MediatorOptions, NetworkModel, ShipCut};
+use aig_relstore::{Catalog, Relation, Value};
 use std::sync::Arc;
 
 struct Fixture {
@@ -164,4 +164,85 @@ fn pipeline_parallel_flag_matches_sequential() {
         sequential.response_merged_secs,
         parallel.response_merged_secs
     );
+}
+
+/// The inclusion guard names the first row of the set it reads that the
+/// other set lacks, so the row order of `trIdS` decides which patient a
+/// violation names. Two billing rows dropped — one for a treatment at depth
+/// 1 under one patient, one at depth 3 under another — fail that guard and
+/// no other; the one-worker and the per-source walk report the same
+/// violation, pinned: the treatment dropped deeper is named, under the
+/// patient whose set lists it first (a deeper level's contribution precedes
+/// its parent's).
+#[test]
+fn a_guard_violation_names_the_same_offender_under_both_walks() {
+    let data = HospitalConfig::sized(DatasetSize::Small)
+        .generate()
+        .unwrap();
+    let args = [("date", Value::str(&data.dates[0]))];
+    let graph_of = |catalog: &Catalog| {
+        let compiled = compile_constraints(&sigma0().unwrap()).unwrap();
+        let (specialized, _) = decompose_queries(&compiled).unwrap();
+        let aig = unfold(&specialized, 24, CutOff::Frontier).unwrap().aig;
+        let graph = build_graph(&aig, catalog, &GraphOptions::default()).unwrap();
+        (aig, graph)
+    };
+    let (aig, graph) = graph_of(&data.catalog);
+    let opts = ExecOptions::default();
+    let clean = execute_graph(&aig, &data.catalog, &graph, &args, &opts).unwrap();
+
+    // A treatment at `depth` and the patient above it: instance tables are
+    // numbered in row order, so a `__parent` is a row position.
+    let table = |elem: &str| {
+        let key = RelKey::Instances(aig.elem(elem).unwrap());
+        clean.store.get(&key).unwrap()
+    };
+    let at = |rel: &Relation, row: usize, col: &str| rel.cell(row, rel.col(col).unwrap()).clone();
+    let treatment = |depth: usize, row: usize| {
+        let (mut elem, mut row) = (format!("treatment@{depth}"), row);
+        let trid = at(table(&elem), row, "trId");
+        for up in (1..depth).rev() {
+            row = at(table(&elem), row, "__parent").as_int().unwrap() as usize;
+            elem = format!("treatment@{up}");
+        }
+        (trid, at(table(&elem), row, "__parent"))
+    };
+    let (deep, deep_patient) = treatment(3, 0);
+    let shallow = (0..table("treatment@1").len())
+        .map(|row| treatment(1, row))
+        .find(|(trid, patient)| *patient != deep_patient && *trid != deep)
+        .expect("a depth-1 treatment of another patient")
+        .0;
+
+    let mut broken = data.catalog.clone();
+    let db3 = broken.source_id("DB3").unwrap();
+    let billing = broken.source_mut(db3).table_mut("billing").unwrap();
+    for trid in [&deep, &shallow] {
+        let rows = billing.rows();
+        let row = rows.iter().find(|row| row[0] == *trid).expect("billed");
+        billing.delete(row).unwrap();
+    }
+    let (aig, graph) = graph_of(&broken);
+    let sequential = execute_graph(&aig, &broken, &graph, &args, &opts).unwrap_err();
+    let plan = topo_per_source(&graph);
+    let parallel = execute_graph_parallel(&aig, &broken, &graph, &args, &opts, &plan).unwrap_err();
+    for err in [sequential, parallel] {
+        let MediatorError::Aig(AigError::ConstraintViolation {
+            constraint,
+            context,
+            value,
+        }) = err
+        else {
+            panic!("expected a constraint violation, got {err}");
+        };
+        assert_eq!(
+            (constraint.as_str(), context.as_str(), value.as_str()),
+            (
+                "patient(treatment.trId <= item.trId)",
+                "patient instance 52",
+                "[Str(\"t0093\")]"
+            ),
+            "{deep:?} dropped at depth 3, {shallow:?} at depth 1"
+        );
+    }
 }

@@ -3,7 +3,8 @@
 //! merging — for the three dataset sizes and recursion unfoldings of 2–7
 //! levels, with 1 Mbps links between the mediator and the sources.
 //!
-//! Flags: `--mbps <f64>` sets the bandwidth; `--explain` additionally
+//! Flags: `--mbps <f64>` sets the bandwidth (finite and > 0; anything else
+//! prints usage and exits with code 2); `--explain` additionally
 //! prints the task-graph summary per cell and the sample run report (both
 //! on stderr).
 //!
@@ -17,12 +18,16 @@ use aig_mediator::render_report;
 use std::time::Instant;
 
 pub fn run(args: &[String]) -> Json {
-    let mbps = args
-        .iter()
-        .position(|a| a == "--mbps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
+    let mbps = match args.iter().position(|a| a == "--mbps") {
+        None => 1.0,
+        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
+            Some(mbps) if mbps.is_finite() && mbps > 0.0 => mbps,
+            _ => {
+                eprintln!("usage: bench fig10 [--mbps <finite bandwidth > 0>] [--explain]");
+                std::process::exit(2);
+            }
+        },
+    };
     let explain = args.iter().any(|a| a == "--explain");
 
     let parse_start = Instant::now();

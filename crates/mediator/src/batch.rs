@@ -3,7 +3,7 @@
 //!
 //! Materializing execution ships each task's whole ship image in one
 //! piece, so a shipment is resident in full while it crosses the wire. With
-//! `batching` on, [`ship_output`] cuts the image into `batch_rows`-row
+//! `batching` on, `ship_output` cuts the image into `batch_rows`-row
 //! batches, prices each batch's wire bytes on its own and in place
 //! (`Relation::wire_bytes_in` over the batch's row range: a batch ships the
 //! dictionary slice its rows touch), moves the [`ShipLedger`]'s
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Shared shipment accounting for one execution. Thread-safe so the
 /// parallel executor's workers update it lock-free; the double-buffer
-/// window is acquired/released per batch by [`ship_output`].
+/// window is acquired/released per batch by `ship_output`.
 #[derive(Debug, Default)]
 pub struct ShipLedger {
     resident_rows: AtomicUsize,

@@ -14,7 +14,7 @@ use std::fmt;
 /// without anyone noticing. The builder now refuses these values instead.
 ///
 /// [`MediatorOptions`]: crate::pipeline::MediatorOptions
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `threads` was 0 — the executor needs at least one worker.
     ZeroThreads,
@@ -22,6 +22,13 @@ pub enum ConfigError {
     /// even when batching is off, so flipping `batching` on later cannot
     /// surface a latent bad knob.
     ZeroBatchRows,
+    /// A fault rate was outside `[0, 1]` or NaN.
+    RateOutOfRange { field: &'static str, value: f64 },
+    /// A duration was negative, NaN, or infinite where a sleep must end
+    /// (only `timeout_secs` may be infinite: no timeout).
+    BadSeconds { field: &'static str, value: f64 },
+    /// `stale_replica_rows` was `usize::MAX`: its lag draw would overflow.
+    StaleRowsOverflow,
 }
 
 impl fmt::Display for ConfigError {
@@ -32,6 +39,18 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroBatchRows => {
                 write!(f, "invalid config: batch_rows must be at least 1, got 0")
+            }
+            ConfigError::RateOutOfRange { field, value } => {
+                write!(f, "invalid config: {field} must be in [0, 1], got {value}")
+            }
+            ConfigError::BadSeconds { field, value } => {
+                write!(
+                    f,
+                    "invalid config: {field} = {value} is not a usable duration"
+                )
+            }
+            ConfigError::StaleRowsOverflow => {
+                write!(f, "invalid config: stale_replica_rows must be < usize::MAX")
             }
         }
     }
@@ -233,6 +252,24 @@ mod tests {
             (
                 MediatorError::Config(ConfigError::ZeroThreads),
                 &["invalid config", "threads"],
+            ),
+            (
+                MediatorError::Config(ConfigError::RateOutOfRange {
+                    field: "corrupt_rate",
+                    value: 1.5,
+                }),
+                &["invalid config", "corrupt_rate", "[0, 1]", "1.5"],
+            ),
+            (
+                MediatorError::Config(ConfigError::BadSeconds {
+                    field: "timeout_secs",
+                    value: f64::NAN,
+                }),
+                &["invalid config", "timeout_secs", "NaN"],
+            ),
+            (
+                MediatorError::Config(ConfigError::StaleRowsOverflow),
+                &["invalid config", "stale_replica_rows"],
             ),
             (
                 MediatorError::RecursionBudget { max_depth: 7 },

@@ -8,10 +8,7 @@
 //! queries and simulating the transfers.
 
 use crate::error::MediatorError;
-use crate::faults::{
-    FaultEnv, FaultEvent, FaultPlan, IntegrityEvent, IntegrityLog, ResilienceLog, RetryPolicy,
-    TaskFaultCtx,
-};
+use crate::faults::{FaultEnv, FaultEvent, FaultLog, FaultPlan, RetryPolicy, TaskFaultCtx};
 use crate::graph::{
     resolve_syn_key, syn_decl, Binding, Expanded, Occ, ParamInput, RelKey, ScalarBind, SynVisit,
     SynWalk, Task, TaskGraph, TaskKind, VectorQuery,
@@ -311,11 +308,9 @@ pub struct ExecResult {
     pub store: RelStore,
     /// Per task (parallel to `graph.tasks`).
     pub measured: Vec<Measured>,
-    /// What the fault layer did: injected-fault events and re-plans.
-    pub resilience: ResilienceLog,
-    /// What the wrong-answer layer did: injected corruptions and how each
-    /// was resolved (masked, detected, or undetected).
-    pub integrity: IntegrityLog,
+    /// What the fault layer did: one event per injected fault (fail-stop
+    /// or wrong answer) with its resolution, and the re-plans.
+    pub faults: FaultLog,
     /// What the scheduler did (dynamic picks; empty under static).
     pub sched: SchedLog,
     /// What the chunked-shipment seam did (batch counts, peak resident
@@ -337,7 +332,7 @@ pub fn branch_tag(aig: &Aig, occ: &Occ, branch: usize) -> String {
 /// effective source per task, the failover catalog view, the per-source
 /// completion counts behind the mid-run outage model ("source dies after k
 /// tasks"), and the count of failovers performed — reported as
-/// [`ResilienceLog::replans`] by every driver.
+/// [`FaultLog::replans`] by every driver.
 pub(crate) struct Failover<'a> {
     base: &'a Catalog,
     graph: &'a TaskGraph,
@@ -482,35 +477,26 @@ pub(crate) struct Executor<'a, S: RelSource> {
 
 impl<S: RelSource> Executor<'_, S> {
     /// Runs task `id` at its effective `source` and measures it: input
-    /// rows, the integrity profile (only when corruptions can be injected
-    /// or the guard checks are on — clean runs skip the catalog lookups),
-    /// pacing inside the measured window, the fault layer's retry loop with
-    /// the cross-request EDF slot acquired per attempt (so it is never held
-    /// across a backoff sleep, and never for mediator tasks), and the ship
-    /// seam. Fault events and integrity-ledger entries are appended to the
-    /// given sinks.
+    /// rows, the integrity profile (only under a fault plan that can
+    /// corrupt or guard an attempt), pacing inside the measured window, the
+    /// fault layer's retry loop with the cross-request EDF slot acquired
+    /// per attempt (so it is never held across a backoff sleep, and never
+    /// for mediator tasks), and the ship seam. Fault events are appended to
+    /// `events`.
     pub(crate) fn run_measured(
         &self,
         id: usize,
         source: SourceId,
         wait_secs: f64,
         events: &mut Vec<FaultEvent>,
-        ledger: &mut Vec<IntegrityEvent>,
     ) -> (Result<Option<Relation>, MediatorError>, Measured) {
         let (task, opts) = (&self.graph.tasks[id], self.opts);
         let in_rows = input_rows(task, self.store);
         let start = Instant::now();
         let start_secs = (start - self.epoch).as_secs_f64();
-        let profiling = opts.policy.check_integrity
-            || opts
-                .faults
-                .as_ref()
-                .is_some_and(|p| p.has_wrong_answer_faults());
-        let profile = if profiling {
-            integrity::profile_task(task, self.catalog)
-        } else {
-            None
-        };
+        let profile = (opts.faults.as_ref())
+            .filter(|p| opts.policy.check_integrity || p.has_wrong_answer_faults())
+            .and_then(|_| integrity::profile_task(task, self.catalog));
         if let Some(secs) = opts.pace.as_ref().and_then(|p| p.get(id)) {
             crate::faults::sleep_secs(*secs);
         }
@@ -530,7 +516,7 @@ impl<S: RelSource> Executor<'_, S> {
             retry: &opts.policy.retry,
             deadline: opts.deadline.as_ref(),
         };
-        let result = env.run_task(&ctx, events, ledger, || {
+        let result = env.run_task(&ctx, events, || {
             let _slot = opts
                 .gate
                 .as_ref()

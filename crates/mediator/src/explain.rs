@@ -236,11 +236,7 @@ pub fn render_report(report: &RunReport) -> String {
             },
         );
         for e in &i.events {
-            let detail = if e.kind.detail().is_empty() {
-                String::new()
-            } else {
-                format!("/{}", e.kind.detail())
-            };
+            let slash = if e.detail.is_empty() { "" } else { "/" };
             let constraint = if e.constraint.is_empty() {
                 String::new()
             } else {
@@ -248,16 +244,15 @@ pub fn render_report(report: &RunReport) -> String {
             };
             let _ = writeln!(
                 out,
-                "  task {} ({}) @{}.{} attempt {}: {}{} -> {}{}",
+                "  task {} ({}) @{}.{} attempt {}: {}{slash}{} -> {}{constraint}",
                 e.task,
                 e.label,
                 e.source,
                 e.table,
                 e.attempt,
                 e.kind.name(),
-                detail,
-                e.outcome.name(),
-                constraint
+                e.detail,
+                e.outcome.integrity_name(),
             );
         }
     }

@@ -1,22 +1,27 @@
 //! Deterministic fault injection and recovery for source execution.
 //!
 //! The mediator of §5 ships parameterized queries to autonomous relational
-//! sources; in a real deployment those sources stall, drop connections, or
-//! go down entirely. This module supplies a *seeded* fault model so that
-//! every failure scenario is reproducible: a [`FaultPlan`] decides, as a
-//! pure function of `(seed, source, task, attempt)`, whether an attempt
-//! suffers a transient error, a latency spike, or hits a hard source
-//! outage. Both executors drive recovery through the same
-//! [`FaultEnv::run_task`] loop — retry with exponential backoff and jitter,
-//! a per-attempt timeout bounding injected stalls, and (for outages)
-//! failover to a replica declared in the catalog.
+//! sources; in a real deployment those sources stall, drop connections, go
+//! down entirely, or answer wrongly. This module supplies one *seeded*
+//! fault model so that every failure scenario is reproducible: a
+//! [`FaultPlan`] decides, as a pure function of `(seed, source, [table],
+//! task, attempt)`, whether an attempt suffers a transient error, a latency
+//! spike, a hard source outage, a vanished table, a corrupted answer, or a
+//! stale replica. Both executors drive recovery through the same
+//! `FaultEnv::run_task` loop — retry with exponential backoff and jitter,
+//! a per-attempt timeout bounding injected stalls, the integrity guard at
+//! the task boundary, and (for outages) failover to a replica declared in
+//! the catalog.
+//!
+//! Every injection is one [`FaultEvent`] in the run's one [`FaultLog`]; the
+//! report's `resilience` and `integrity` sections are two views of it.
 //!
 //! Because the decision function is pure, the injected fault stream does
 //! not depend on thread interleaving: with the same seed, a faulted run
 //! that recovers produces byte-identical relations and tagged documents to
 //! a fault-free run (see the chaos-matrix tests).
 
-use crate::error::MediatorError;
+use crate::error::{ConfigError, MediatorError};
 use crate::integrity::{self, CorruptionKind, RelProfile};
 use aig_prng::{Rng, SeedableRng, StdRng};
 use aig_relstore::{Catalog, Relation, SourceId};
@@ -41,9 +46,6 @@ pub struct FaultConfig {
     pub latency_secs: f64,
     /// Sources (by catalog name) hard-down for the entire run.
     pub outages: Vec<String>,
-    /// Probability that any given source is additionally drawn hard-down
-    /// from the seed.
-    pub outage_rate: f64,
     /// Mid-run outages: `(source name, k)` — the source completes `k` tasks
     /// and then goes hard-down for the rest of the run. `k = 0` is a
     /// whole-run outage, equivalent to listing the source in `outages`.
@@ -71,13 +73,46 @@ impl Default for FaultConfig {
             latency_rate: 0.0,
             latency_secs: 0.001,
             outages: Vec::new(),
-            outage_rate: 0.0,
             dies_after: Vec::new(),
             corrupt_rate: 0.0,
             table_outage_rate: 0.0,
             stale_replica_rate: 0.0,
             stale_replica_rows: 2,
         }
+    }
+}
+
+impl FaultConfig {
+    /// Rejects knobs the decision streams cannot draw from: a rate outside
+    /// `[0, 1]` (or NaN), a spike duration that is negative or not finite,
+    /// and a replica lag whose draw `1..max + 1` would overflow.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (field, value) in [
+            ("transient_rate", self.transient_rate),
+            ("latency_rate", self.latency_rate),
+            ("corrupt_rate", self.corrupt_rate),
+            ("table_outage_rate", self.table_outage_rate),
+            ("stale_replica_rate", self.stale_replica_rate),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(ConfigError::RateOutOfRange { field, value });
+            }
+        }
+        seconds("latency_secs", self.latency_secs, false)?;
+        if self.stale_replica_rows == usize::MAX {
+            return Err(ConfigError::StaleRowsOverflow);
+        }
+        Ok(())
+    }
+}
+
+/// A duration knob must be a non-negative number of seconds, finite unless
+/// `infinite_ok` (an infinite timeout means "no timeout").
+fn seconds(field: &'static str, value: f64, infinite_ok: bool) -> Result<(), ConfigError> {
+    if value >= 0.0 && (infinite_ok || value.is_finite()) {
+        Ok(())
+    } else {
+        Err(ConfigError::BadSeconds { field, value })
     }
 }
 
@@ -184,6 +219,15 @@ impl RetryPolicy {
         }
     }
 
+    /// Rejects sleeps that cannot be slept: a backoff that is negative or
+    /// not finite, and a timeout that is negative or NaN (the infinite
+    /// default stays: no timeout).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        seconds("backoff_base_secs", self.backoff_base_secs, false)?;
+        seconds("backoff_cap_secs", self.backoff_cap_secs, false)?;
+        seconds("timeout_secs", self.timeout_secs, true)
+    }
+
     /// The deterministic backoff sleep before retry number `attempt + 1`.
     pub fn backoff_secs(&self, seed: u64, task: usize, attempt: usize) -> f64 {
         let raw = self.backoff_base_secs * (1u64 << attempt.min(32)) as f64;
@@ -212,7 +256,11 @@ pub enum InjectedFault {
     Latency(Duration),
 }
 
-/// Kind tag of a recorded fault event.
+/// What one injection was. The first three fail an attempt (fail-stop);
+/// the last three can put *wrong data* in front of the mediator — the
+/// report's integrity section exists to prove none of it reaches the
+/// published document silently. The declaration order is the tie-break of
+/// the canonical event order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
     Transient,
@@ -220,9 +268,10 @@ pub enum FaultKind {
     Outage,
     /// The attempt's primary table vanished while its source stayed up.
     TableOutage,
-    /// The attempt shipped a corrupted relation that the integrity guard
-    /// rejected at the task boundary.
-    CorruptRow,
+    /// A seeded cell/row mutation of a shipped relation.
+    CorruptRow(CorruptionKind),
+    /// A failover replica answered with a truncated (lagging) relation.
+    StaleReplica,
 }
 
 impl FaultKind {
@@ -232,27 +281,57 @@ impl FaultKind {
             FaultKind::Latency => "latency",
             FaultKind::Outage => "outage",
             FaultKind::TableOutage => "table-outage",
-            FaultKind::CorruptRow => "corrupt-row",
+            FaultKind::CorruptRow(_) => "corrupt-row",
+            FaultKind::StaleReplica => "stale-replica",
         }
+    }
+
+    /// The mutation detail for corruptions, empty otherwise.
+    pub fn detail(self) -> &'static str {
+        match self {
+            FaultKind::CorruptRow(k) => k.name(),
+            _ => "",
+        }
+    }
+
+    /// Whether the fault can hand the mediator wrong data: the events the
+    /// report's integrity section lists.
+    pub fn is_wrong_answer(self) -> bool {
+        matches!(
+            self,
+            FaultKind::TableOutage | FaultKind::CorruptRow(_) | FaultKind::StaleReplica
+        )
     }
 }
 
 /// How one injected fault was resolved. Every fault gets exactly one
-/// outcome, which is what makes the accounting identity hold:
+/// outcome, so both views balance: over the fail-stop resolutions
 /// `injected = retried + timed_out + failed_over + surfaced` (absorbed
-/// latency spikes never failed an attempt and are counted separately).
+/// spikes never failed an attempt), and over the wrong answers `injected =
+/// retried + surfaced + detected_by_constraint + undetected`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultOutcome {
-    /// A transient error was retried after backoff.
+    /// The fault failed its attempt (or the guard caught it) and a retry
+    /// after backoff replaced the data.
     Retried,
     /// A latency spike hit the per-attempt timeout and was retried.
     TimedOut,
     /// A hard outage was routed to a replica source.
     FailedOver,
-    /// The fault exhausted the retry budget and surfaced as the run error.
+    /// The fault exhausted the retry budget and surfaced as the run error —
+    /// a [`MediatorError::IntegrityViolation`] when the guard caught it.
     Surfaced,
     /// A sub-timeout latency spike delayed the attempt without failing it.
     Absorbed,
+    /// The wrong answer slipped past the task-boundary guard but the
+    /// document constraint check ([`aig_xml::ConstraintSet::check`])
+    /// caught it.
+    DetectedByConstraint,
+    /// No layer detected the wrong answer (yet). Document-level
+    /// reconciliation upgrades these to
+    /// [`FaultOutcome::DetectedByConstraint`]; any that remain are the
+    /// silent corruptions the harness asserts against.
+    Undetected,
 }
 
 impl FaultOutcome {
@@ -263,202 +342,107 @@ impl FaultOutcome {
             FaultOutcome::FailedOver => "failed_over",
             FaultOutcome::Surfaced => "surfaced",
             FaultOutcome::Absorbed => "absorbed",
+            FaultOutcome::DetectedByConstraint => "detected_by_constraint",
+            FaultOutcome::Undetected => "undetected",
         }
+    }
+
+    /// The name in the integrity section, which says what a resolution
+    /// means for a wrong answer.
+    pub fn integrity_name(self) -> &'static str {
+        match self {
+            FaultOutcome::Retried => "masked_by_retry",
+            FaultOutcome::Surfaced => "detected_by_guard",
+            other => other.name(),
+        }
+    }
+
+    /// Whether the outcome resolves a fault at the task boundary: the
+    /// events the report's resilience section lists.
+    pub fn is_fail_stop(self) -> bool {
+        !matches!(
+            self,
+            FaultOutcome::DetectedByConstraint | FaultOutcome::Undetected
+        )
     }
 }
 
 crate::obs::report_struct! {
-    /// One recorded injection: which task/attempt it hit, what was injected,
-    /// how it resolved, and the real seconds slept for backoff and stall.
-    /// The report's `resilience.events` carries these records as they are.
+    /// One recorded injection: which task/attempt it hit, what was
+    /// injected, how it resolved, which check caught it, and the real
+    /// seconds slept for backoff and stall. The report's
+    /// `resilience.events` carries the fail-stop resolutions as they are,
+    /// without the two wrong-answer coordinates.
     #[derive(Debug, Clone, PartialEq)]
     pub struct FaultEvent {
         pub task: usize,
         pub label: String,
         pub source: String,
+        /// The primary stored table the task reads (empty for mediator
+        /// tasks).
+        pub table: String = skip,
         pub attempt: usize,
         pub kind: FaultKind,
         pub outcome: FaultOutcome,
+        /// The check a wrong answer violated, e.g.
+        /// `key(treatment[SSN, trId])` or `table-available(procedure)`;
+        /// empty for the other faults and while undetected.
+        pub constraint: String = skip,
         pub backoff_secs: f64 = wall,
         pub stall_secs: f64 = wall,
     }
 }
 
-/// Everything the fault layer did during one execution: the event log plus
-/// how many dead sources were failed over.
+/// Everything the fault layer did during one execution: one event per
+/// injection, plus how many dead sources were failed over.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResilienceLog {
+pub struct FaultLog {
     pub events: Vec<FaultEvent>,
     /// Failovers performed — the same count in every driver (the parallel
     /// one also re-runs `Schedule` on the surviving subgraph after each).
     pub replans: usize,
 }
 
-impl ResilienceLog {
-    /// Events in the canonical `(task, attempt, kind)` order — the parallel
-    /// executor appends in completion order, which varies with thread
-    /// interleaving.
+impl FaultLog {
+    /// Events in the canonical `(task, attempt, kind, outcome)` order — the
+    /// per-source walk appends in completion order, which varies with
+    /// thread interleaving.
     pub fn sorted_events(&self) -> Vec<FaultEvent> {
         let mut events = self.events.clone();
-        events.sort_by(|a, b| {
-            (a.task, a.attempt, a.kind, a.outcome).cmp(&(b.task, b.attempt, b.kind, b.outcome))
-        });
+        events.sort_by_key(|e| (e.task, e.attempt, e.kind, e.outcome));
         events
     }
 
+    /// The integrity view: the wrong answers (the resilience view is the
+    /// events whose outcome [`FaultOutcome::is_fail_stop`]).
+    pub fn wrong_answers(&self) -> impl Iterator<Item = &FaultEvent> {
+        self.events.iter().filter(|e| e.kind.is_wrong_answer())
+    }
+
+    /// Events resolved as `outcome` across the log — for a fail-stop
+    /// outcome, its count in the resilience view.
     pub fn count(&self, outcome: FaultOutcome) -> usize {
         self.events.iter().filter(|e| e.outcome == outcome).count()
     }
 
-    /// Injected faults excluding absorbed spikes (the identity's left side).
+    /// Injected faults of the resilience view excluding absorbed spikes
+    /// (its identity's left side).
     pub fn injected(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.outcome != FaultOutcome::Absorbed)
-            .count()
-    }
-}
-
-/// The wrong-answer fault taxonomy tracked by the integrity ledger. Unlike
-/// the fail-stop [`FaultKind`]s, every one of these can put *wrong data*
-/// in front of the mediator — the ledger exists to prove none of it
-/// reaches the published document silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum WrongAnswerKind {
-    /// A seeded cell/row mutation of a shipped relation.
-    CorruptRow(CorruptionKind),
-    /// The attempt's primary table vanished while its source stayed up.
-    TableOutage,
-    /// A failover replica answered with a truncated (lagging) relation.
-    StaleReplica,
-}
-
-impl WrongAnswerKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            WrongAnswerKind::CorruptRow(_) => "corrupt-row",
-            WrongAnswerKind::TableOutage => "table-outage",
-            WrongAnswerKind::StaleReplica => "stale-replica",
-        }
-    }
-
-    /// The mutation detail for corruptions, empty otherwise.
-    pub fn detail(self) -> &'static str {
-        match self {
-            WrongAnswerKind::CorruptRow(k) => k.name(),
-            _ => "",
-        }
-    }
-}
-
-/// How one wrong-answer injection resolved. The accounting identity is
-/// `injected = masked_by_retry + detected_by_guard +
-/// detected_by_constraint + undetected`; the chaos harness and the CI
-/// perf gate then pin `undetected` to zero (or to runs whose output is
-/// byte-identical to the clean run, i.e. the corruption was absorbed by
-/// later processing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum IntegrityOutcome {
-    /// The guard detected the fault and a subsequent attempt replaced the
-    /// data — the run's output is byte-identical to a clean run.
-    MaskedByRetry,
-    /// The guard detected the fault on the final attempt; the run surfaced
-    /// a structured [`MediatorError::IntegrityViolation`].
-    DetectedByGuard,
-    /// The fault slipped past the task-boundary guard but the document
-    /// constraint check ([`aig_xml::ConstraintSet::check`]) caught it.
-    DetectedByConstraint,
-    /// No layer detected the fault (yet). Document-level reconciliation
-    /// upgrades these to [`IntegrityOutcome::DetectedByConstraint`]; any
-    /// that remain are the silent corruptions the harness asserts against.
-    Undetected,
-}
-
-impl IntegrityOutcome {
-    pub fn name(self) -> &'static str {
-        match self {
-            IntegrityOutcome::MaskedByRetry => "masked_by_retry",
-            IntegrityOutcome::DetectedByGuard => "detected_by_guard",
-            IntegrityOutcome::DetectedByConstraint => "detected_by_constraint",
-            IntegrityOutcome::Undetected => "undetected",
-        }
-    }
-}
-
-/// One recorded wrong-answer injection: where it hit, what was injected,
-/// how it resolved, and which check caught it (empty while undetected).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntegrityEvent {
-    pub task: usize,
-    pub label: String,
-    pub source: String,
-    pub table: String,
-    pub attempt: usize,
-    pub kind: WrongAnswerKind,
-    pub outcome: IntegrityOutcome,
-    /// The violated check, e.g. `key(treatment[SSN, trId])` or
-    /// `table-available(procedure)`.
-    pub constraint: String,
-}
-
-/// The integrity ledger of one execution: every wrong-answer injection and
-/// its resolution. Reported in the `integrity` section of the RunReport
-/// (schema v6).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IntegrityLog {
-    pub events: Vec<IntegrityEvent>,
-}
-
-impl IntegrityLog {
-    /// Events in canonical `(task, attempt, kind)` order — the parallel
-    /// executor appends in completion order.
-    pub fn sorted_events(&self) -> Vec<IntegrityEvent> {
-        let mut events = self.events.clone();
-        events.sort_by(|a, b| {
-            (a.task, a.attempt, a.kind, a.outcome).cmp(&(b.task, b.attempt, b.kind, b.outcome))
-        });
-        events
-    }
-
-    pub fn count(&self, outcome: IntegrityOutcome) -> usize {
-        self.events.iter().filter(|e| e.outcome == outcome).count()
-    }
-
-    /// Total wrong-answer injections (the ledger identity's left side).
-    pub fn injected(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Injections no layer has detected. Zero on every run whose output is
-    /// trusted; the chaos harness asserts this (or byte-identity with the
-    /// clean run) across the whole fault matrix.
-    pub fn undetected(&self) -> usize {
-        self.count(IntegrityOutcome::Undetected)
+        let injected =
+            |e: &&FaultEvent| e.outcome.is_fail_stop() && e.outcome != FaultOutcome::Absorbed;
+        self.events.iter().filter(injected).count()
     }
 
     /// Document-level reconciliation: the constraint check on the tagged
     /// document found violations, so every injection still marked
-    /// [`IntegrityOutcome::Undetected`] is claimed by the constraint layer.
+    /// [`FaultOutcome::Undetected`] is claimed by the constraint layer.
     pub fn resolve_undetected(&mut self, constraint: &str) {
         for e in &mut self.events {
-            if e.outcome == IntegrityOutcome::Undetected {
-                e.outcome = IntegrityOutcome::DetectedByConstraint;
+            if e.outcome == FaultOutcome::Undetected {
+                e.outcome = FaultOutcome::DetectedByConstraint;
                 e.constraint = constraint.to_string();
             }
         }
-    }
-
-    /// The ledger identity `injected = masked_by_retry +
-    /// detected_by_guard + detected_by_constraint` — every injection was
-    /// masked or detected (equivalently, [`IntegrityLog::undetected`] is
-    /// zero). False on defense-off runs where corruption flowed through;
-    /// the chaos harness asserts it (or byte-identity with the clean run)
-    /// everywhere else.
-    pub fn balanced(&self) -> bool {
-        self.injected()
-            == self.count(IntegrityOutcome::MaskedByRetry)
-                + self.count(IntegrityOutcome::DetectedByGuard)
-                + self.count(IntegrityOutcome::DetectedByConstraint)
     }
 }
 
@@ -479,43 +463,25 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Binds `cfg` to a catalog: named outages are resolved (unknown names
-    /// are an error) and seeded per-source outages drawn. The mediator
-    /// pseudo-source is never taken down.
+    /// Validates `cfg` and binds it to a catalog: named outages are
+    /// resolved (unknown names are an error). The mediator pseudo-source is
+    /// never taken down.
     pub fn new(cfg: &FaultConfig, catalog: &Catalog) -> Result<FaultPlan, MediatorError> {
+        cfg.validate()?;
         let mut down = BTreeSet::new();
-        for name in &cfg.outages {
-            let sid = catalog.source_id(name).map_err(MediatorError::Store)?;
-            if sid.is_mediator() {
-                return Err(MediatorError::Internal(
-                    "cannot declare an outage of the mediator pseudo-source".to_string(),
-                ));
-            }
-            down.insert(sid);
-        }
-        if cfg.outage_rate > 0.0 {
-            for sid in catalog.source_ids() {
-                if sid.is_mediator() {
-                    continue;
-                }
-                let mut rng = StdRng::seed_from_u64(mix(&[cfg.seed, 0x0007_A6E5, sid.0 as u64]));
-                if rng.gen_bool(cfg.outage_rate) {
-                    down.insert(sid);
-                }
-            }
-        }
         let mut down_after = BTreeMap::new();
-        for (name, k) in &cfg.dies_after {
+        let named = cfg.outages.iter().map(|name| (name, 0));
+        for (name, k) in named.chain(cfg.dies_after.iter().map(|(name, k)| (name, *k))) {
             let sid = catalog.source_id(name).map_err(MediatorError::Store)?;
             if sid.is_mediator() {
                 return Err(MediatorError::Internal(
                     "cannot declare an outage of the mediator pseudo-source".to_string(),
                 ));
             }
-            if *k == 0 {
+            if k == 0 {
                 down.insert(sid);
             } else {
-                down_after.insert(sid, *k);
+                down_after.insert(sid, k);
             }
         }
         Ok(FaultPlan {
@@ -540,10 +506,6 @@ impl FaultPlan {
         self.cfg.seed
     }
 
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Whether `source` is hard-down for the entire run.
     pub fn source_down(&self, source: SourceId) -> bool {
         !self.skip.contains(&source) && self.down.contains(&source)
@@ -566,31 +528,44 @@ impl FaultPlan {
         !self.down_after.is_empty()
     }
 
+    /// The seeded stream of one decision site, or None where the site
+    /// cannot fire: at the mediator pseudo-source, at a skipped source, or
+    /// at a zero `rate`. Each site has its own `salt`; a site keyed by the
+    /// task's table folds it in, so every `(seed, site, source, [table],
+    /// task, attempt)` tuple gets an independent draw.
+    fn stream(
+        &self,
+        salt: u64,
+        rate: f64,
+        source: SourceId,
+        table: Option<&str>,
+        task: usize,
+        attempt: usize,
+    ) -> Option<StdRng> {
+        if source.is_mediator() || self.skip.contains(&source) || rate <= 0.0 {
+            return None;
+        }
+        let (seed, src, task, attempt) =
+            (self.cfg.seed, source.0 as u64, task as u64, attempt as u64);
+        Some(StdRng::seed_from_u64(match table {
+            Some(table) => mix(&[seed, salt, src, fnv64(table), task, attempt]),
+            None => mix(&[seed, salt, src, task, attempt]),
+        }))
+    }
+
     /// The fault injected into attempt `attempt` of `task` at `source`
     /// (None = the attempt runs cleanly). Pure in its arguments: the same
     /// plan returns the same answer regardless of execution order.
     pub fn decide(&self, source: SourceId, task: usize, attempt: usize) -> Option<InjectedFault> {
-        if source.is_mediator() || self.skip.contains(&source) {
-            return None;
-        }
-        if self.cfg.transient_rate <= 0.0 && self.cfg.latency_rate <= 0.0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(&[
-            self.cfg.seed,
-            0xFA17_57A6,
-            source.0 as u64,
-            task as u64,
-            attempt as u64,
-        ]));
+        let (transient, latency) = (self.cfg.transient_rate, self.cfg.latency_rate);
+        let rate = transient + latency;
+        let mut rng = self.stream(0xFA17_57A6, rate, source, None, task, attempt)?;
         let draw = rng.gen_range(0.0f64..1.0);
-        if draw < self.cfg.transient_rate {
+        if draw < transient {
             Some(InjectedFault::Transient)
-        } else if draw < self.cfg.transient_rate + self.cfg.latency_rate {
-            let spike = self.cfg.latency_secs * rng.gen_range(0.5f64..1.5);
-            Some(InjectedFault::Latency(Duration::from_secs_f64(
-                spike.max(0.0),
-            )))
+        } else if draw < rate {
+            let spike = (self.cfg.latency_secs * rng.gen_range(0.5f64..1.5)).max(0.0);
+            Some(InjectedFault::Latency(Duration::from_secs_f64(spike)))
         } else {
             None
         }
@@ -616,22 +591,9 @@ impl FaultPlan {
         task: usize,
         attempt: usize,
     ) -> bool {
-        if source.is_mediator()
-            || self.skip.contains(&source)
-            || self.cfg.table_outage_rate <= 0.0
-            || table.is_empty()
-        {
-            return false;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(&[
-            self.cfg.seed,
-            0x7AB7_E007,
-            source.0 as u64,
-            fnv64(table),
-            task as u64,
-            attempt as u64,
-        ]));
-        rng.gen_bool(self.cfg.table_outage_rate)
+        let rate = self.cfg.table_outage_rate;
+        let stream = self.stream(0x7AB7_E007, rate, source, Some(table), task, attempt);
+        !table.is_empty() && stream.is_some_and(|mut rng| rng.gen_bool(rate))
     }
 
     /// The wrong-answer corruption injected into attempt `attempt` of
@@ -644,44 +606,10 @@ impl FaultPlan {
         task: usize,
         attempt: usize,
     ) -> Option<CorruptionKind> {
-        if source.is_mediator()
-            || self.skip.contains(&source)
-            || self.cfg.corrupt_rate <= 0.0
-            || table.is_empty()
-        {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(&[
-            self.cfg.seed,
-            0xC0BB_ED05,
-            source.0 as u64,
-            fnv64(table),
-            task as u64,
-            attempt as u64,
-        ]));
-        if !rng.gen_bool(self.cfg.corrupt_rate) {
-            return None;
-        }
-        Some(CorruptionKind::ALL[rng.gen_range(0..CorruptionKind::ALL.len())])
-    }
-
-    /// The RNG stream driving a corruption's mutation site, independent of
-    /// the decision stream (and equally pure).
-    pub fn corruption_rng(
-        &self,
-        source: SourceId,
-        table: &str,
-        task: usize,
-        attempt: usize,
-    ) -> StdRng {
-        StdRng::seed_from_u64(mix(&[
-            self.cfg.seed,
-            0xC0BB_ED06,
-            source.0 as u64,
-            fnv64(table),
-            task as u64,
-            attempt as u64,
-        ]))
+        let rate = self.cfg.corrupt_rate;
+        let mut rng = self.stream(0xC0BB_ED05, rate, source, Some(table), task, attempt)?;
+        (!table.is_empty() && rng.gen_bool(rate))
+            .then(|| CorruptionKind::ALL[rng.gen_range(0..CorruptionKind::ALL.len())])
     }
 
     /// The replica lag (in trailing rows dropped) of attempt `attempt` of
@@ -694,25 +622,9 @@ impl FaultPlan {
         task: usize,
         attempt: usize,
     ) -> Option<usize> {
-        if source.is_mediator()
-            || self.skip.contains(&source)
-            || self.cfg.stale_replica_rate <= 0.0
-            || self.cfg.stale_replica_rows == 0
-        {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(&[
-            self.cfg.seed,
-            0x57A7_E00D,
-            source.0 as u64,
-            fnv64(table),
-            task as u64,
-            attempt as u64,
-        ]));
-        if !rng.gen_bool(self.cfg.stale_replica_rate) {
-            return None;
-        }
-        Some(rng.gen_range(1..self.cfg.stale_replica_rows + 1))
+        let (rate, rows) = (self.cfg.stale_replica_rate, self.cfg.stale_replica_rows);
+        let mut rng = self.stream(0x57A7_E00D, rate, source, Some(table), task, attempt)?;
+        (rows > 0 && rng.gen_bool(rate)).then(|| rng.gen_range(1..rows + 1))
     }
 }
 
@@ -748,6 +660,32 @@ pub(crate) struct TaskFaultCtx<'a> {
     pub check_integrity: bool,
 }
 
+impl TaskFaultCtx<'_> {
+    /// An event of this task at `attempt`: no violated check yet, nothing
+    /// slept.
+    fn event(&self, attempt: usize, kind: FaultKind, outcome: FaultOutcome) -> FaultEvent {
+        FaultEvent {
+            task: self.task_id,
+            label: self.label.to_string(),
+            source: self.source_name.to_string(),
+            table: self.table.unwrap_or("").to_string(),
+            attempt,
+            kind,
+            outcome,
+            constraint: String::new(),
+            backoff_secs: 0.0,
+            stall_secs: 0.0,
+        }
+    }
+}
+
+/// How one attempt under a fault plan ended: it shipped, or an injected
+/// fault failed it — the event to record and the error if none is left.
+enum Attempt {
+    Shipped(Option<Relation>),
+    Failed(FaultEvent, MediatorError),
+}
+
 impl FaultEnv<'_> {
     /// Sleeps `secs`, clamped to the remaining deadline budget. Event logs
     /// record the *nominal* (seeded, deterministic) durations so a run that
@@ -767,238 +705,173 @@ impl FaultEnv<'_> {
     /// and the last failure surfaces as a structured
     /// [`MediatorError::SourceFault`]. Shipped relations then pass the
     /// wrong-answer layer: seeded corruptions and replica staleness are
-    /// injected, the integrity guard checks the result, and every injection
-    /// is recorded in `ledger` with its resolution. A guard detection on a
-    /// non-final attempt retries (masking the corruption); on the final
-    /// attempt it surfaces as [`MediatorError::IntegrityViolation`].
-    /// Genuine task errors (constraint violations, internal errors) are
-    /// never retried.
+    /// injected and the integrity guard checks the result. A guard
+    /// detection on a non-final attempt retries (masking the corruption);
+    /// on the final attempt it surfaces as
+    /// [`MediatorError::IntegrityViolation`]. Every injection is pushed to
+    /// `events` once, with its resolution. Genuine task errors (constraint
+    /// violations, internal errors) are never retried.
     pub(crate) fn run_task(
         &self,
         ctx: &TaskFaultCtx<'_>,
         events: &mut Vec<FaultEvent>,
-        ledger: &mut Vec<IntegrityEvent>,
         mut run: impl FnMut() -> Result<Option<Relation>, MediatorError>,
     ) -> Result<Option<Relation>, MediatorError> {
         if let Some(origin) = ctx.failed_over_from {
             events.push(FaultEvent {
-                task: ctx.task_id,
-                label: ctx.label.to_string(),
                 source: origin.to_string(),
-                attempt: 0,
-                kind: FaultKind::Outage,
-                outcome: FaultOutcome::FailedOver,
-                backoff_secs: 0.0,
-                stall_secs: 0.0,
+                ..ctx.event(0, FaultKind::Outage, FaultOutcome::FailedOver)
             });
         }
-        let Some(plan) = self.plan else {
-            if let Some(d) = self.deadline {
-                if d.expired() {
-                    return Err(d.exceeded_at(ctx.label));
-                }
-            }
-            return run();
-        };
-        let table = ctx.table.unwrap_or("");
         let max = self.retry.max_attempts.max(1);
         for attempt in 0..max {
             // No attempt starts once the deadline budget is spent: the
             // request surfaces a structured error instead of burning more
             // retries it can never finish.
-            if let Some(d) = self.deadline {
-                if d.expired() {
-                    return Err(d.exceeded_at(ctx.label));
-                }
+            if let Some(d) = self.deadline.filter(|d| d.expired()) {
+                return Err(d.exceeded_at(ctx.label));
             }
-            let event = |kind, outcome, backoff_secs, stall_secs| FaultEvent {
-                task: ctx.task_id,
-                label: ctx.label.to_string(),
-                source: ctx.source_name.to_string(),
-                attempt,
-                kind,
-                outcome,
-                backoff_secs,
-                stall_secs,
+            let Some(plan) = self.plan else {
+                return run();
             };
-            let ledger_event = |kind, outcome, constraint: String| IntegrityEvent {
-                task: ctx.task_id,
-                label: ctx.label.to_string(),
-                source: ctx.source_name.to_string(),
-                table: table.to_string(),
-                attempt,
-                kind,
-                outcome,
-                constraint,
+            let (mut event, error) = match self.attempt(plan, ctx, attempt, events, &mut run)? {
+                Attempt::Shipped(out) => return Ok(out),
+                Attempt::Failed(event, error) => (event, error),
             };
-            // Fail-stop faults first (the pre-existing decision stream,
-            // unchanged so fail-stop chaos runs replay byte-identically).
-            let mut failure: Option<(FaultKind, f64)> = None;
-            match plan.decide(ctx.source, ctx.task_id, attempt) {
-                None => {}
-                Some(InjectedFault::Latency(spike)) => {
-                    let spike_secs = spike.as_secs_f64();
-                    if spike_secs < self.retry.timeout_secs {
-                        // The spike delays the attempt but does not fail it.
-                        self.nap(spike_secs);
-                        events.push(event(
-                            FaultKind::Latency,
-                            FaultOutcome::Absorbed,
-                            0.0,
-                            spike_secs,
-                        ));
-                    } else {
-                        // The stall would exceed the timeout: sleep only
-                        // the timeout, then fail the attempt.
-                        let stall = if self.retry.timeout_secs.is_finite() {
-                            self.retry.timeout_secs
-                        } else {
-                            spike_secs
-                        };
-                        self.nap(stall);
-                        failure = Some((FaultKind::Latency, stall));
-                    }
-                }
-                Some(InjectedFault::Transient) => failure = Some((FaultKind::Transient, 0.0)),
+            if attempt + 1 == max {
+                events.push(event);
+                return Err(error);
             }
-            // Then the vanished-table model: the source answers, but this
-            // attempt's primary table is gone.
-            let mut table_gone = false;
-            if failure.is_none()
-                && plan.decide_table_outage(ctx.source, table, ctx.task_id, attempt)
-            {
-                failure = Some((FaultKind::TableOutage, 0.0));
-                table_gone = true;
-            }
-            if let Some((kind, stall)) = failure {
-                let availability = || format!("table-available({table})");
-                if attempt + 1 == max {
-                    events.push(event(kind, FaultOutcome::Surfaced, 0.0, stall));
-                    if table_gone {
-                        ledger.push(ledger_event(
-                            WrongAnswerKind::TableOutage,
-                            IntegrityOutcome::DetectedByGuard,
-                            availability(),
-                        ));
-                    }
-                    return Err(MediatorError::SourceFault {
-                        source: ctx.source_name.to_string(),
-                        task: ctx.label.to_string(),
-                        kind: if table_gone {
-                            format!("{}({table})", kind.name())
-                        } else {
-                            kind.name().to_string()
-                        },
-                        attempts: max,
-                    });
-                }
-                let backoff = self.retry.backoff_secs(plan.seed(), ctx.task_id, attempt);
-                self.nap(backoff);
-                let outcome = match kind {
-                    FaultKind::Latency => FaultOutcome::TimedOut,
-                    _ => FaultOutcome::Retried,
-                };
-                events.push(event(kind, outcome, backoff, stall));
-                if table_gone {
-                    ledger.push(ledger_event(
-                        WrongAnswerKind::TableOutage,
-                        IntegrityOutcome::MaskedByRetry,
-                        availability(),
-                    ));
-                }
-                continue;
-            }
-            // The attempt runs; genuine errors are never retried.
-            let mut out = run()?;
-            if let Some(rel) = out.as_mut() {
-                // Stale replica: a failover target answers with a relation
-                // lagging the primary by a seeded number of trailing rows.
-                // Invisible at this boundary by design — the document-level
-                // constraint check is the layer that can expose it.
-                if ctx.failed_over_from.is_some() && !rel.is_empty() {
-                    if let Some(lag) = plan.decide_stale(ctx.source, table, ctx.task_id, attempt) {
-                        let keep = rel.len().saturating_sub(lag);
-                        if keep < rel.len() {
-                            rel.truncate(keep);
-                            ledger.push(ledger_event(
-                                WrongAnswerKind::StaleReplica,
-                                IntegrityOutcome::Undetected,
-                                String::new(),
-                            ));
-                        }
-                    }
-                }
-                // Seeded wrong-answer corruption of the shipped relation.
-                let mut corrupted: Option<CorruptionKind> = None;
-                if let (Some(profile), Some(kind)) = (
-                    ctx.profile,
-                    plan.decide_corruption(ctx.source, table, ctx.task_id, attempt),
-                ) {
-                    let mut rng = plan.corruption_rng(ctx.source, table, ctx.task_id, attempt);
-                    corrupted = integrity::corrupt_relation(rel, kind, &mut rng, profile);
-                }
-                // The task-boundary guard: key uniqueness, type/NULL and
-                // arity conformance against the catalog schema.
-                if ctx.check_integrity {
-                    if let Some(profile) = ctx.profile {
-                        if let Some(finding) = integrity::check_relation(rel, profile) {
-                            let violation = || MediatorError::IntegrityViolation {
-                                task: ctx.label.to_string(),
-                                source: ctx.source_name.to_string(),
-                                table: table.to_string(),
-                                constraint: finding.constraint.clone(),
-                                value: finding.value.clone(),
-                            };
-                            let Some(kind) = corrupted else {
-                                // Genuine bad data (nothing injected this
-                                // attempt): surface immediately, a retry
-                                // would re-fetch the same rows.
-                                return Err(violation());
-                            };
-                            if attempt + 1 == max {
-                                events.push(event(
-                                    FaultKind::CorruptRow,
-                                    FaultOutcome::Surfaced,
-                                    0.0,
-                                    0.0,
-                                ));
-                                ledger.push(ledger_event(
-                                    WrongAnswerKind::CorruptRow(kind),
-                                    IntegrityOutcome::DetectedByGuard,
-                                    finding.constraint.clone(),
-                                ));
-                                return Err(violation());
-                            }
-                            let backoff =
-                                self.retry.backoff_secs(plan.seed(), ctx.task_id, attempt);
-                            self.nap(backoff);
-                            events.push(event(
-                                FaultKind::CorruptRow,
-                                FaultOutcome::Retried,
-                                backoff,
-                                0.0,
-                            ));
-                            ledger.push(ledger_event(
-                                WrongAnswerKind::CorruptRow(kind),
-                                IntegrityOutcome::MaskedByRetry,
-                                finding.constraint.clone(),
-                            ));
-                            continue;
-                        }
-                    }
-                }
-                if let Some(kind) = corrupted {
-                    // Defense off (or no profile): the corruption flows on.
-                    ledger.push(ledger_event(
-                        WrongAnswerKind::CorruptRow(kind),
-                        IntegrityOutcome::Undetected,
-                        String::new(),
-                    ));
-                }
-            }
-            return Ok(out);
+            event.backoff_secs = self.retry.backoff_secs(plan.seed(), ctx.task_id, attempt);
+            self.nap(event.backoff_secs);
+            event.outcome = match event.kind {
+                FaultKind::Latency => FaultOutcome::TimedOut,
+                _ => FaultOutcome::Retried,
+            };
+            events.push(event);
         }
         unreachable!("max_attempts >= 1 always returns or surfaces")
+    }
+
+    /// One attempt under `plan`: the fail-stop faults first (the original
+    /// decision stream, so fail-stop chaos runs replay byte-identically),
+    /// then the vanished-table model — the source answers, but this
+    /// attempt's primary table is gone — and, once the query ran, the
+    /// wrong-answer layer and the task-boundary guard.
+    fn attempt(
+        &self,
+        plan: &FaultPlan,
+        ctx: &TaskFaultCtx<'_>,
+        attempt: usize,
+        events: &mut Vec<FaultEvent>,
+        run: &mut impl FnMut() -> Result<Option<Relation>, MediatorError>,
+    ) -> Result<Attempt, MediatorError> {
+        let (source, task, table) = (ctx.source, ctx.task_id, ctx.table.unwrap_or(""));
+        let failure = match plan.decide(source, task, attempt) {
+            None => None,
+            Some(InjectedFault::Transient) => Some((FaultKind::Transient, 0.0)),
+            Some(InjectedFault::Latency(spike)) => {
+                let spike_secs = spike.as_secs_f64();
+                if spike_secs < self.retry.timeout_secs {
+                    // The spike delays the attempt but does not fail it.
+                    self.nap(spike_secs);
+                    events.push(FaultEvent {
+                        stall_secs: spike_secs,
+                        ..ctx.event(attempt, FaultKind::Latency, FaultOutcome::Absorbed)
+                    });
+                    None
+                } else {
+                    // The stall would exceed the timeout: sleep only the
+                    // timeout, then fail the attempt.
+                    let stall = if self.retry.timeout_secs.is_finite() {
+                        self.retry.timeout_secs
+                    } else {
+                        spike_secs
+                    };
+                    self.nap(stall);
+                    Some((FaultKind::Latency, stall))
+                }
+            }
+        };
+        let failure = failure.or_else(|| {
+            (plan.decide_table_outage(source, table, task, attempt))
+                .then_some((FaultKind::TableOutage, 0.0))
+        });
+        if let Some((kind, stall_secs)) = failure {
+            let mut event = FaultEvent {
+                stall_secs,
+                ..ctx.event(attempt, kind, FaultOutcome::Surfaced)
+            };
+            let mut fault = kind.name().to_string();
+            if kind == FaultKind::TableOutage {
+                event.constraint = format!("table-available({table})");
+                fault = format!("{fault}({table})");
+            }
+            let error = MediatorError::SourceFault {
+                source: ctx.source_name.to_string(),
+                task: ctx.label.to_string(),
+                kind: fault,
+                attempts: self.retry.max_attempts.max(1),
+            };
+            return Ok(Attempt::Failed(event, error));
+        }
+        // The attempt runs; genuine errors are never retried.
+        let mut out = run()?;
+        if let Some(rel) = out.as_mut() {
+            // Stale replica: a failover target answers with a relation
+            // lagging the primary by a seeded number of trailing rows.
+            // Invisible at this boundary by design — the document-level
+            // constraint check is the layer that can expose it.
+            if ctx.failed_over_from.is_some() && !rel.is_empty() {
+                let lag = plan.decide_stale(source, table, task, attempt);
+                let keep = rel.len().saturating_sub(lag.unwrap_or(0));
+                if keep < rel.len() {
+                    rel.truncate(keep);
+                    let stale =
+                        ctx.event(attempt, FaultKind::StaleReplica, FaultOutcome::Undetected);
+                    events.push(stale);
+                }
+            }
+            // Seeded wrong-answer corruption of the shipped relation, at a
+            // site drawn from a stream of its own.
+            let kind = plan.decide_corruption(source, table, task, attempt);
+            let site = plan.stream(0xC0BB_ED06, 1.0, source, Some(table), task, attempt);
+            let mut corrupted = None;
+            if let (Some(profile), Some(kind), Some(mut site)) = (ctx.profile, kind, site) {
+                corrupted = integrity::corrupt_relation(rel, kind, &mut site, profile)
+                    .map(FaultKind::CorruptRow);
+            }
+            // The task-boundary guard: key uniqueness, type/NULL and arity
+            // conformance against the catalog schema.
+            let finding = match ctx.profile {
+                Some(profile) if ctx.check_integrity => integrity::check_relation(rel, profile),
+                _ => None,
+            };
+            if let Some(finding) = finding {
+                let error = MediatorError::IntegrityViolation {
+                    task: ctx.label.to_string(),
+                    source: ctx.source_name.to_string(),
+                    table: table.to_string(),
+                    constraint: finding.constraint.clone(),
+                    value: finding.value,
+                };
+                // Genuine bad data (nothing injected this attempt): surface
+                // immediately, a retry would re-fetch the same rows.
+                let Some(kind) = corrupted else {
+                    return Err(error);
+                };
+                let event = FaultEvent {
+                    constraint: finding.constraint,
+                    ..ctx.event(attempt, kind, FaultOutcome::Surfaced)
+                };
+                return Ok(Attempt::Failed(event, error));
+            }
+            if let Some(kind) = corrupted {
+                // Defense off (or no profile): the corruption flows on.
+                events.push(ctx.event(attempt, kind, FaultOutcome::Undetected));
+            }
+        }
+        Ok(Attempt::Shipped(out))
     }
 }
 
@@ -1103,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn named_and_drawn_outages_resolve() {
+    fn named_outages_resolve() {
         let cfg = FaultConfig {
             seed: 5,
             outages: vec!["DB2".to_string()],
@@ -1120,16 +993,6 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(FaultPlan::new(&unknown, &cat).is_err());
-
-        // At rate 1.0 every data source is drawn down, never the mediator.
-        let all = FaultConfig {
-            outage_rate: 1.0,
-            ..FaultConfig::default()
-        };
-        let plan = FaultPlan::new(&all, &cat).unwrap();
-        for sid in cat.source_ids() {
-            assert_eq!(plan.source_down(sid), !sid.is_mediator());
-        }
     }
 
     #[test]
@@ -1192,16 +1055,15 @@ mod tests {
             check_integrity: false,
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
         let mut calls = 0;
         let err = env
-            .run_task(&ctx, &mut events, &mut ledger, || {
+            .run_task(&ctx, &mut events, || {
                 calls += 1;
                 Ok(Some(Relation::empty(vec!["a".into()])))
             })
             .unwrap_err();
         assert_eq!(calls, 0, "every attempt faulted before the query ran");
-        assert!(ledger.is_empty());
+        assert!(events.iter().all(|e| !e.kind.is_wrong_answer()));
         assert!(
             matches!(err, MediatorError::SourceFault { attempts: 3, .. }),
             "{err}"
@@ -1347,8 +1209,7 @@ mod tests {
             ))
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
-        let result = env.run_task(&ctx, &mut events, &mut ledger, fresh);
+        let result = env.run_task(&ctx, &mut events, fresh);
         // corrupt_rate = 1.0 with max_attempts = 3: every attempt corrupts,
         // every attempt is detected, the final one surfaces.
         let err = result.unwrap_err();
@@ -1356,23 +1217,23 @@ mod tests {
             matches!(err, MediatorError::IntegrityViolation { .. }),
             "{err}"
         );
-        assert_eq!(ledger.len(), 3);
+        assert_eq!(events.len(), 3);
         assert_eq!(
-            ledger
+            events
                 .iter()
-                .filter(|e| e.outcome == IntegrityOutcome::MaskedByRetry)
+                .filter(|e| e.outcome == FaultOutcome::Retried)
                 .count(),
             2
         );
         assert_eq!(
-            ledger
+            events
                 .iter()
-                .filter(|e| e.outcome == IntegrityOutcome::DetectedByGuard)
+                .filter(|e| e.outcome == FaultOutcome::Surfaced)
                 .count(),
             1
         );
-        for e in &ledger {
-            assert!(matches!(e.kind, WrongAnswerKind::CorruptRow(_)));
+        for e in &events {
+            assert!(matches!(e.kind, FaultKind::CorruptRow(_)));
             assert!(!e.constraint.is_empty());
         }
 
@@ -1382,13 +1243,9 @@ mod tests {
             ..ctx
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
-        let out = env
-            .run_task(&ctx_off, &mut events, &mut ledger, fresh)
-            .unwrap()
-            .unwrap();
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger[0].outcome, IntegrityOutcome::Undetected);
+        let out = env.run_task(&ctx_off, &mut events, fresh).unwrap().unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].outcome, FaultOutcome::Undetected);
         let clean = fresh().unwrap().unwrap();
         assert_ne!(out, clean, "corruption must actually change the relation");
     }
@@ -1429,29 +1286,25 @@ mod tests {
             check_integrity: false,
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
-        let out = env
-            .run_task(&ctx, &mut events, &mut ledger, fresh)
-            .unwrap()
-            .unwrap();
+        let out = env.run_task(&ctx, &mut events, fresh).unwrap().unwrap();
         assert_eq!(out.len(), 5);
-        assert!(ledger.is_empty());
+        assert!(events.is_empty());
         // After failover the replica lags by a seeded suffix.
         let ctx_failed_over = TaskFaultCtx {
             failed_over_from: Some("DB2"),
             ..ctx
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
         let out = env
-            .run_task(&ctx_failed_over, &mut events, &mut ledger, fresh)
+            .run_task(&ctx_failed_over, &mut events, fresh)
             .unwrap()
             .unwrap();
         assert!(out.len() < 5, "stale replica must drop trailing rows");
         assert_eq!(out.cell(0, 0), &Value::int(0), "prefix preserved");
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger[0].kind.name(), "stale-replica");
-        assert_eq!(ledger[0].outcome, IntegrityOutcome::Undetected);
+        let stale: Vec<_> = events.iter().filter(|e| e.kind.is_wrong_answer()).collect();
+        assert_eq!(stale.len(), 1);
+        assert_eq!(stale[0].kind.name(), "stale-replica");
+        assert_eq!(stale[0].outcome, FaultOutcome::Undetected);
     }
 
     #[test]
@@ -1490,10 +1343,9 @@ mod tests {
             check_integrity: false,
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
         let start = Instant::now();
         let err = env
-            .run_task(&ctx, &mut events, &mut ledger, || {
+            .run_task(&ctx, &mut events, || {
                 Ok(Some(Relation::empty(vec!["a".into()])))
             })
             .unwrap_err();
@@ -1524,8 +1376,7 @@ mod tests {
             deadline: None,
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
-        env.run_task(&ctx, &mut events, &mut ledger, || {
+        env.run_task(&ctx, &mut events, || {
             Ok(Some(Relation::empty(vec!["a".into()])))
         })
         .unwrap_err();
@@ -1586,10 +1437,7 @@ mod tests {
             deadline: None,
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
-        let err = env
-            .run_task(&ctx, &mut events, &mut ledger, run)
-            .unwrap_err();
+        let err = env.run_task(&ctx, &mut events, run).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -1613,8 +1461,7 @@ mod tests {
             deadline: None,
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
-        env.run_task(&ctx, &mut events, &mut ledger, run).unwrap();
+        env.run_task(&ctx, &mut events, run).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].outcome, FaultOutcome::Absorbed);
         assert_eq!(
@@ -1719,10 +1566,9 @@ mod tests {
             check_integrity: false,
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
         let mut calls = 0;
         let err = env
-            .run_task(&ctx, &mut events, &mut ledger, || {
+            .run_task(&ctx, &mut events, || {
                 calls += 1;
                 Ok(Some(Relation::empty(vec!["a".into()])))
             })
@@ -1744,10 +1590,9 @@ mod tests {
             deadline: Some(&deadline),
         };
         let mut events = Vec::new();
-        let mut ledger = Vec::new();
         let start = Instant::now();
         let err = env
-            .run_task(&ctx, &mut events, &mut ledger, || {
+            .run_task(&ctx, &mut events, || {
                 Ok(Some(Relation::empty(vec!["a".into()])))
             })
             .unwrap_err();

@@ -36,17 +36,16 @@ pub use exec::{
 };
 pub use explain::{render_graph, render_plan, render_report};
 pub use faults::{
-    Deadline, FaultConfig, FaultEvent, FaultKind, FaultOutcome, FaultPlan, IntegrityEvent,
-    IntegrityLog, IntegrityOutcome, ResilienceLog, RetryPolicy, WrongAnswerKind,
+    Deadline, FaultConfig, FaultEvent, FaultKind, FaultLog, FaultOutcome, FaultPlan, RetryPolicy,
 };
 pub use graph::{build_graph, GraphOptions, TaskGraph};
 pub use integrity::{CorruptionKind, IntegrityFinding, RelProfile};
 pub use json::Json;
 pub use merge::{merge, merge_pair, no_merge, MergeDecision, MergeOutcome};
 pub use obs::{
-    BatchingObs, CacheObs, IncrementalObs, IntegrityObs, PhaseSample, Phases, PlanDeviationObs,
-    ResilienceObs, RunReport, SchedulerObs, ServerObs, ShipcutObs, SourceObs, TaskObs,
-    SCHEMA_VERSION,
+    BatchingObs, CacheObs, IncrementalObs, IntegrityEventObs, IntegrityObs, PhaseSample, Phases,
+    PlanDeviationObs, ResilienceObs, RunReport, SchedulerObs, ServerObs, ShipcutObs, SourceObs,
+    TaskObs, SCHEMA_VERSION,
 };
 pub use parallel::execute_graph_parallel;
 pub use pipeline::{

@@ -15,10 +15,7 @@
 
 use crate::cost::{completion_times, Plan, TaskCost};
 use crate::exec::Measured;
-use crate::faults::{
-    FaultEvent, FaultKind, FaultOutcome, IntegrityEvent, IntegrityLog, IntegrityOutcome,
-    ResilienceLog, WrongAnswerKind,
-};
+use crate::faults::{FaultEvent, FaultKind, FaultLog, FaultOutcome};
 use crate::graph::{TaskGraph, TaskKind};
 use crate::json::Json;
 use crate::merge::MergeOutcome;
@@ -76,10 +73,9 @@ scalar_report_values! {
     u32 => |n| Json::num(*n as f64),
     u64 => |n| Json::num(*n as f64),
     usize => |n| Json::num(*n as f64),
+    &'static str => |s| Json::str(*s),
     FaultKind => |k| Json::str(k.name()),
     FaultOutcome => |o| Json::str(o.name()),
-    WrongAnswerKind => |k| Json::str(k.name()),
-    IntegrityOutcome => |o| Json::str(o.name()),
 }
 
 /// Declares a report struct **once**: the `pub struct` itself (every field
@@ -92,6 +88,10 @@ scalar_report_values! {
 ///   a size, a simulated cost; survives) — leaving it out does not compile;
 /// * `= decimal` emits a `u64` as a decimal string — a seed above 2^53
 ///   would silently lose precision as a JSON number;
+/// * `= integrity` emits a [`FaultOutcome`] in the integrity section's
+///   words ([`FaultOutcome::integrity_name`]);
+/// * `= skip` keeps the field out of the JSON: the object is one view of a
+///   record that carries more than its section prints;
 /// * a trailing string literal renames the JSON key (default: the field
 ///   name); a dotted key `"sim.merges"` nests `merges` in an object under
 ///   `sim`, shared with the adjacent fields of the same prefix.
@@ -112,10 +112,13 @@ macro_rules! report_struct {
 
         impl $crate::obs::ReportValue for $name {
             fn to_json(&self) -> $crate::json::Json {
-                $crate::obs::object(vec![$((
+                let mut entries = Vec::with_capacity([$(stringify!($field)),*].len());
+                $($crate::obs::report_struct!(
+                    @entry [$($($how)?)?] entries,
                     $crate::obs::report_struct!(@key $field $($($key)?)?),
-                    $crate::obs::report_struct!(@json [$($($how)?)?] self.$field),
-                )),*])
+                    self.$field
+                );)*
+                $crate::obs::object(entries)
             }
 
             fn each_f64(&mut self, f: &mut $crate::obs::F64Visitor<'_>) {
@@ -129,7 +132,12 @@ macro_rules! report_struct {
     };
     (@key $field:ident) => { stringify!($field) };
     (@key $field:ident $key:literal) => { $key };
+    (@entry [skip] $entries:ident, $key:expr, $value:expr) => {};
+    (@entry [$($how:ident)?] $entries:ident, $key:expr, $value:expr) => {
+        $entries.push(($key, $crate::obs::report_struct!(@json [$($how)?] $value)))
+    };
     (@json [decimal] $value:expr) => { $crate::json::Json::str($value.to_string()) };
+    (@json [integrity] $value:expr) => { $crate::json::Json::str($value.integrity_name()) };
     (@json [] $value:expr) => { $crate::obs::ReportValue::to_json(&$value) };
     (@json [wall] $value:expr) => { $crate::json::Json::num($value) };
     (@json [det] $value:expr) => { $crate::json::Json::num($value) };
@@ -403,7 +411,8 @@ report_struct! {
         pub backoff_secs: f64 = wall,
         /// Total seconds stalled by injected latency (spikes and timeouts).
         pub stall_secs: f64 = wall,
-        /// The engine's own records, in canonical `(task, attempt)` order.
+        /// The events of the run's fault log whose outcome is a fail-stop
+        /// resolution, in canonical `(task, attempt)` order.
         pub events: Vec<FaultEvent>,
     }
 }
@@ -432,11 +441,30 @@ report_struct! {
         pub undetected: usize,
         /// Whether the ledger balances: every injection is accounted for.
         pub balanced: bool,
-        /// The engine's own records, in canonical `(task, attempt)` order;
-        /// each is reported with the mutation `detail` of its `kind`
-        /// (`flip-key`, `null-column`, `duplicate-row`, `type-confuse`; empty
-        /// for the other kinds).
-        pub events: Vec<IntegrityEvent>,
+        /// The wrong answers of the run's fault log, in canonical
+        /// `(task, attempt)` order.
+        pub events: Vec<IntegrityEventObs>,
+    }
+}
+
+report_struct! {
+    /// An `integrity.events` record: an event of the fault log whose kind
+    /// is a wrong answer, with the mutation `detail` of its `kind`
+    /// (`flip-key`, `null-column`, `duplicate-row`, `type-confuse`; empty
+    /// for the other kinds) and the check that caught it (empty while
+    /// undetected). A retry prints as `masked_by_retry` and a surfaced
+    /// wrong answer as `detected_by_guard`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IntegrityEventObs {
+        pub task: usize,
+        pub label: String,
+        pub source: String,
+        pub table: String,
+        pub attempt: usize,
+        pub kind: FaultKind,
+        pub detail: &'static str,
+        pub outcome: FaultOutcome = integrity,
+        pub constraint: String,
     }
 }
 
@@ -710,9 +738,8 @@ pub(crate) struct ReportInputs<'a> {
     pub depth: usize,
     pub unfold_rounds: usize,
     pub parallel_exec: bool,
-    pub resilience: &'a ResilienceLog,
-    /// The wrong-answer ledger of the final execution round.
-    pub integrity: &'a IntegrityLog,
+    /// The fault log of the final execution round.
+    pub faults: &'a FaultLog,
     /// Whether the integrity guard checks were on.
     pub check_integrity: bool,
     /// Seed of the fault stream; None when fault injection was disabled.
@@ -793,8 +820,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         depth,
         unfold_rounds,
         parallel_exec,
-        resilience,
-        integrity,
+        faults,
         check_integrity,
         fault_seed,
         sched,
@@ -924,35 +950,62 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
     }
     catalog_obs.sort_by(|a, b| (&a.source, &a.table).cmp(&(&b.source, &b.table)));
 
+    // Both sections are views of the one fault log: the fail-stop
+    // resolutions (so a fail-stop outcome counts over the whole log), and
+    // the wrong answers.
+    let events = faults.sorted_events();
+    let resilience_events: Vec<FaultEvent> = (events.iter())
+        .filter(|e| e.outcome.is_fail_stop())
+        .cloned()
+        .collect();
+    let integrity_events: Vec<IntegrityEventObs> = (events.into_iter())
+        .filter(|e| e.kind.is_wrong_answer())
+        .map(|e| IntegrityEventObs {
+            task: e.task,
+            label: e.label,
+            source: e.source,
+            table: e.table,
+            attempt: e.attempt,
+            kind: e.kind,
+            detail: e.kind.detail(),
+            outcome: e.outcome,
+            constraint: e.constraint,
+        })
+        .collect();
+    let detected = |outcome| {
+        integrity_events
+            .iter()
+            .filter(|e| e.outcome == outcome)
+            .count()
+    };
     let resilience_obs = ResilienceObs {
         enabled: fault_seed.is_some(),
         seed: fault_seed.unwrap_or(0),
-        injected: resilience.injected(),
-        retried: resilience.count(FaultOutcome::Retried),
-        timed_out: resilience.count(FaultOutcome::TimedOut),
-        failed_over: resilience.count(FaultOutcome::FailedOver),
-        surfaced: resilience.count(FaultOutcome::Surfaced),
-        absorbed_spikes: resilience.count(FaultOutcome::Absorbed),
-        replans: resilience.replans,
+        injected: faults.injected(),
+        retried: faults.count(FaultOutcome::Retried),
+        timed_out: faults.count(FaultOutcome::TimedOut),
+        failed_over: faults.count(FaultOutcome::FailedOver),
+        surfaced: faults.count(FaultOutcome::Surfaced),
+        absorbed_spikes: faults.count(FaultOutcome::Absorbed),
+        replans: faults.replans,
         // fold, not sum: the empty f64 sum is -0.0, which leaks a minus
-        // sign into formatted output.
-        backoff_secs: resilience
-            .events
-            .iter()
-            .fold(0.0, |a, e| a + e.backoff_secs),
-        stall_secs: resilience.events.iter().fold(0.0, |a, e| a + e.stall_secs),
-        events: resilience.sorted_events(),
+        // sign into formatted output. In log order, over every event: those
+        // outside the view never sleep.
+        backoff_secs: faults.events.iter().fold(0.0, |a, e| a + e.backoff_secs),
+        stall_secs: faults.events.iter().fold(0.0, |a, e| a + e.stall_secs),
+        events: resilience_events,
     };
 
+    let undetected = detected(FaultOutcome::Undetected);
     let integrity_obs = IntegrityObs {
         enabled: check_integrity,
-        injected: integrity.injected(),
-        masked_by_retry: integrity.count(IntegrityOutcome::MaskedByRetry),
-        detected_by_guard: integrity.count(IntegrityOutcome::DetectedByGuard),
-        detected_by_constraint: integrity.count(IntegrityOutcome::DetectedByConstraint),
-        undetected: integrity.undetected(),
-        balanced: integrity.balanced(),
-        events: integrity.sorted_events(),
+        injected: integrity_events.len(),
+        masked_by_retry: detected(FaultOutcome::Retried),
+        detected_by_guard: detected(FaultOutcome::Surfaced),
+        detected_by_constraint: detected(FaultOutcome::DetectedByConstraint),
+        undetected,
+        balanced: undetected == 0,
+        events: integrity_events,
     };
 
     let mut deviations: Vec<PlanDeviationObs> = sched
@@ -1104,24 +1157,6 @@ impl RunReport {
     /// from the struct declarations of this module.
     pub fn to_json(&self) -> Json {
         ReportValue::to_json(self)
-    }
-}
-
-/// The integrity ledger's record is the one report value whose object is
-/// not its field list: `detail` is derived from `kind`.
-impl ReportValue for IntegrityEvent {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("task", self.task.to_json()),
-            ("label", self.label.to_json()),
-            ("source", self.source.to_json()),
-            ("table", self.table.to_json()),
-            ("attempt", self.attempt.to_json()),
-            ("kind", self.kind.to_json()),
-            ("detail", Json::str(self.kind.detail())),
-            ("outcome", self.outcome.to_json()),
-            ("constraint", self.constraint.to_json()),
-        ])
     }
 }
 

@@ -19,8 +19,8 @@
 //! This module owns how a graph is walked — the write-once shared store,
 //! the ready-queue scheduler state, the round loop and the failover
 //! between rounds. Running and measuring a task
-//! ([`Executor::run_measured`]) and where a dead source's tasks go
-//! ([`Failover`]) live in [`crate::exec`].
+//! (`Executor::run_measured`) and where a dead source's tasks go
+//! (`Failover`) live in [`crate::exec`].
 
 use crate::batch::{BatchLog, ShipLedger};
 use crate::cost::{estimated_costs, CostGraph};
@@ -29,7 +29,7 @@ use crate::exec::{
     ExecOptions, ExecResult, Executor, Failover, Measured, RelSource, RelStore, SchedLog,
     Scheduling, TaskPick,
 };
-use crate::faults::{FaultEvent, IntegrityEvent, IntegrityLog, ResilienceLog};
+use crate::faults::{FaultEvent, FaultLog};
 use crate::graph::{RelKey, TaskGraph};
 use crate::schedule::replan_surviving;
 use aig_core::spec::Aig;
@@ -64,9 +64,6 @@ struct Progress {
     /// Fault events appended as tasks complete (any order; the report
     /// canonicalizes).
     events: Vec<FaultEvent>,
-    /// Wrong-answer ledger entries appended as tasks complete (any order;
-    /// the report canonicalizes).
-    integrity: Vec<IntegrityEvent>,
     /// Live ready-queue state of the current round (None unless the round
     /// is per-source and dynamic); rebuilt — re-primed — at every failover
     /// round from the completed tasks.
@@ -242,11 +239,9 @@ impl SharedStore<'_> {
         result: Result<Option<Relation>, MediatorError>,
         measured: Measured,
         events: Vec<FaultEvent>,
-        ledger: Vec<IntegrityEvent>,
     ) {
         let mut state = self.state.lock().expect("store mutex");
         state.events.extend(events);
-        state.integrity.extend(ledger);
         match result {
             Ok(rel) => {
                 if let Some(rel) = rel {
@@ -397,12 +392,9 @@ pub(crate) fn walk(
             return Ok(ExecResult {
                 store,
                 measured: state.measured,
-                resilience: ResilienceLog {
+                faults: FaultLog {
                     events: state.events,
                     replans: failover.replans,
-                },
-                integrity: IntegrityLog {
-                    events: state.integrity,
                 },
                 sched: SchedLog {
                     dynamic,
@@ -517,13 +509,12 @@ fn work(
     // takes per attempt can never deadlock) and records its measurements.
     let run_one = |task_id: usize, wait_secs: f64| {
         let at = failover.effective[task_id];
-        let (mut events, mut ledger) = (Vec::new(), Vec::new());
-        let (result, measured) =
-            exec.run_measured(task_id, at, wait_secs, &mut events, &mut ledger);
+        let mut events = Vec::new();
+        let (result, measured) = exec.run_measured(task_id, at, wait_secs, &mut events);
         if result.is_ok() {
             failover.task_done(at);
         }
-        shared.complete(task_id, at, result, measured, events, ledger);
+        shared.complete(task_id, at, result, measured, events);
     };
     match dynamic {
         Some(source) => {

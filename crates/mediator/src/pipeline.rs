@@ -117,8 +117,9 @@ impl MediatorOptions {
 
     /// Structural validation, applied by [`MediatorOptionsBuilder::build`]
     /// and by the run entry points (so hand-assembled options are caught
-    /// too): zero knobs that would otherwise be silently clamped surface as
-    /// a [`ConfigError`].
+    /// too): zero knobs that would otherwise be silently clamped, and fault
+    /// or retry knobs the fault layer cannot draw or sleep, surface as a
+    /// [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
@@ -126,7 +127,8 @@ impl MediatorOptions {
         if self.batch_rows == 0 {
             return Err(ConfigError::ZeroBatchRows);
         }
-        Ok(())
+        self.faults.as_ref().map_or(Ok(()), FaultConfig::validate)?;
+        self.retry.validate()
     }
 
     /// The argument-independent half: what the **Prepare** stage consumes
@@ -424,7 +426,7 @@ impl MediatorRun {
     /// merging over evaluation time with it.
     ///
     /// Degenerate cases are explicit: when both times are effectively zero
-    /// (below [`SPEEDUP_EPSILON_SECS`]) there is nothing to speed up and
+    /// (below `SPEEDUP_EPSILON_SECS`) there is nothing to speed up and
     /// the ratio is 1.0; when only the merged time is zero the denominator
     /// is clamped to the epsilon instead of silently reporting 1.0, so a
     /// positive unmerged time yields the large-but-finite speedup it

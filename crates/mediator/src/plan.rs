@@ -13,7 +13,7 @@
 use crate::cost::{estimated_costs, measured_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{ExecOptions, ExecResult, Measured, RelStore};
-use crate::faults::IntegrityOutcome;
+use crate::faults::FaultOutcome;
 use crate::graph::{build_graph, source_histogram, GraphOptions, Occ, RelKey, TaskGraph};
 use crate::merge::{merge, no_merge, MergeOutcome};
 use crate::obs::{build_report, CacheObs, IncrementalObs, Phases, ReportInputs, RunReport};
@@ -389,8 +389,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     let ExecResult {
         store,
         measured,
-        resilience,
-        mut integrity,
+        mut faults,
         sched,
         batch,
     } = exec;
@@ -455,13 +454,13 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             None => plan.aig.constraints.check_first(&tree),
         });
         if let Some(v) = violation {
-            // Reconcile the ledger before surfacing: any injection still
+            // Reconcile the log before surfacing: any injection still
             // marked undetected is claimed by the constraint layer.
-            integrity.resolve_undetected(&v.constraint);
-            let culprit = integrity
+            faults.resolve_undetected(&v.constraint);
+            let culprit = faults
                 .events
                 .iter()
-                .find(|e| e.outcome == IntegrityOutcome::DetectedByConstraint);
+                .find(|e| e.outcome == FaultOutcome::DetectedByConstraint);
             return Err(MediatorError::IntegrityViolation {
                 task: culprit
                     .map(|e| e.label.clone())
@@ -508,8 +507,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             depth: plan.depth,
             unfold_rounds: rounds,
             parallel_exec: policy.parallel_exec,
-            resilience: &resilience,
-            integrity: &integrity,
+            faults: &faults,
             check_integrity: policy.check_integrity,
             fault_seed: exec_opts.faults.as_ref().map(|p| p.seed()),
             sched: &sched,

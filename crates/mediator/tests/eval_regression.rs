@@ -59,7 +59,7 @@ fn scheduling_evaluates_once_per_round_and_at_most_once_per_candidate() {
     let result = result.unwrap();
     assert_eq!(result.sched.picks.len(), graph.tasks.len());
     assert!(result.batch.total_batches > graph.tasks.len() as u64);
-    assert_eq!(result.resilience.replans, 0);
+    assert_eq!(result.faults.replans, 0);
     assert_eq!(passes, (1, 0), "level passes, full evaluations");
 
     // `Merge` on σ0's estimates: per level pass at most one full evaluation,

@@ -66,7 +66,7 @@ fn assert_stores_identical(graph: &TaskGraph, clean: &ExecResult, faulted: &Exec
 /// The accounting identity: every injected (non-absorbed) fault has exactly
 /// one outcome.
 fn assert_accounted(result: &ExecResult) -> usize {
-    let log = &result.resilience;
+    let log = &result.faults;
     let injected = log.injected();
     let sum = log.count(FaultOutcome::Retried)
         + log.count(FaultOutcome::TimedOut)
@@ -82,7 +82,7 @@ fn chaos_matrix_recovered_runs_are_byte_identical() {
     let (aig, graph) = setup(&catalog);
     let args = [("date", Value::str("d1"))];
     let clean = execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
-    assert!(clean.resilience.events.is_empty());
+    assert!(clean.faults.events.is_empty());
 
     let mut total_injected = 0usize;
     for seed in [1u64, 2, 3] {
@@ -114,7 +114,7 @@ fn chaos_matrix_recovered_runs_are_byte_identical() {
             let par_injected = assert_accounted(&par);
             // The decision function is pure, so both executors see the very
             // same fault stream.
-            assert_eq!(par_injected, seq.resilience.injected(), "seed {seed}");
+            assert_eq!(par_injected, seq.faults.injected(), "seed {seed}");
             total_injected += par_injected;
         }
     }
@@ -192,14 +192,14 @@ fn timeouts_bound_wall_clock() {
     let elapsed = start.elapsed().as_secs_f64();
     assert_stores_identical(&graph, &clean, &seq);
     assert_accounted(&seq);
-    let timed_out = seq.resilience.count(FaultOutcome::TimedOut);
+    let timed_out = seq.faults.count(FaultOutcome::TimedOut);
     assert!(timed_out > 0, "no spike hit the timeout");
     assert!(
         elapsed < 5.0,
         "timeouts failed to bound wall-clock: {elapsed:.1}s for {timed_out} timeouts"
     );
     // Injected stalls never exceed the timeout.
-    for event in &seq.resilience.events {
+    for event in &seq.faults.events {
         assert!(event.stall_secs <= 0.02 + 1e-9, "{event:?}");
     }
 }
@@ -282,7 +282,7 @@ fn outage_with_replica_fails_over_and_replans() {
     assert_stores_identical(&graph, &clean, &seq);
     assert_accounted(&seq);
     assert_eq!(
-        seq.resilience.count(FaultOutcome::FailedOver),
+        seq.faults.count(FaultOutcome::FailedOver),
         db3_tasks,
         "every DB3 task re-ran at the replica"
     );
@@ -299,14 +299,14 @@ fn outage_with_replica_fails_over_and_replans() {
     assert_stores_identical(&graph, &clean, &par);
     assert_accounted(&par);
     assert!(
-        par.resilience.count(FaultOutcome::FailedOver) > 0,
+        par.faults.count(FaultOutcome::FailedOver) > 0,
         "no task failed over"
     );
     // One dead source, one failover — counted by the same `Failover` in
     // every walk (a per-source walk re-runs Schedule on the surviving
     // subgraph after it; the one-worker walk keeps the topological order).
-    assert_eq!(seq.resilience.replans, 1);
-    assert_eq!(par.resilience.replans, 1);
+    assert_eq!(seq.faults.replans, 1);
+    assert_eq!(par.faults.replans, 1);
 }
 
 #[test]
@@ -339,11 +339,11 @@ fn mid_run_outage_fails_over_in_every_executor() {
     assert_stores_identical(&graph, &clean, &seq);
     assert_accounted(&seq);
     assert_eq!(
-        seq.resilience.count(FaultOutcome::FailedOver),
+        seq.faults.count(FaultOutcome::FailedOver),
         db4_tasks - 1,
         "all but the completed task re-ran at the replica"
     );
-    assert_eq!(seq.resilience.replans, 1);
+    assert_eq!(seq.faults.replans, 1);
 
     for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
         let mut opts = faulted_opts(fault_plan.clone(), fast_retry(3));
@@ -360,11 +360,11 @@ fn mid_run_outage_fails_over_in_every_executor() {
         assert_stores_identical(&graph, &clean, &par);
         assert_accounted(&par);
         assert!(
-            par.resilience.count(FaultOutcome::FailedOver) > 0,
+            par.faults.count(FaultOutcome::FailedOver) > 0,
             "{scheduling:?}: no task failed over"
         );
         assert_eq!(
-            par.resilience.replans, 1,
+            par.faults.replans, 1,
             "{scheduling:?}: the mid-run death must re-run Schedule once"
         );
         assert_eq!(
@@ -478,4 +478,134 @@ fn pipeline_reports_resilience_and_preserves_the_document() {
         // The seed is emitted losslessly as a decimal string.
         assert!(json.contains("\"seed\": \"11\""));
     }
+}
+
+/// Hostile fault and retry knobs are a `ConfigError` at every entry point —
+/// the builder's `build()`, the one-shot `run`, `Mediator::new` — and
+/// `FaultPlan::new`, never a panic in the decision streams or the sleeps.
+/// Each row once panicked: a rate outside `[0, 1]` or NaN in `gen_bool`,
+/// an infinite spike or backoff in `Duration::from_secs_f64`, and
+/// `stale_replica_rows = usize::MAX` overflowing the lag draw.
+#[test]
+fn hostile_fault_options_are_config_errors() {
+    use aig_mediator::{run, ConfigError, Mediator};
+    let faults = |f: fn(&mut FaultConfig)| {
+        let mut cfg = FaultConfig {
+            seed: 7,
+            ..FaultConfig::default()
+        };
+        f(&mut cfg);
+        cfg
+    };
+    let retry = |f: fn(&mut RetryPolicy)| {
+        let mut policy = RetryPolicy::default();
+        f(&mut policy);
+        policy
+    };
+    let rate = |field, value| ConfigError::RateOutOfRange { field, value };
+    let secs = |field, value| ConfigError::BadSeconds { field, value };
+    let cases: Vec<(FaultConfig, RetryPolicy, ConfigError)> = vec![
+        (
+            faults(|c| c.corrupt_rate = 1.5),
+            RetryPolicy::default(),
+            rate("corrupt_rate", 1.5),
+        ),
+        (
+            faults(|c| c.corrupt_rate = f64::NAN),
+            RetryPolicy::default(),
+            rate("corrupt_rate", f64::NAN),
+        ),
+        (
+            faults(|c| c.transient_rate = 2.0),
+            RetryPolicy::default(),
+            rate("transient_rate", 2.0),
+        ),
+        (
+            faults(|c| c.latency_rate = -0.1),
+            RetryPolicy::default(),
+            rate("latency_rate", -0.1),
+        ),
+        (
+            faults(|c| c.table_outage_rate = 1.0 + f64::EPSILON),
+            RetryPolicy::default(),
+            rate("table_outage_rate", 1.0 + f64::EPSILON),
+        ),
+        (
+            faults(|c| c.stale_replica_rate = f64::INFINITY),
+            RetryPolicy::default(),
+            rate("stale_replica_rate", f64::INFINITY),
+        ),
+        (
+            faults(|c| (c.latency_rate, c.latency_secs) = (1.0, f64::INFINITY)),
+            retry(|r| r.timeout_secs = 0.0),
+            secs("latency_secs", f64::INFINITY),
+        ),
+        (
+            faults(|c| c.latency_secs = -0.001),
+            RetryPolicy::default(),
+            secs("latency_secs", -0.001),
+        ),
+        (
+            faults(|c| c.transient_rate = 1.0),
+            retry(|r| (r.backoff_base_secs, r.backoff_cap_secs) = (f64::INFINITY, f64::INFINITY)),
+            secs("backoff_base_secs", f64::INFINITY),
+        ),
+        (
+            faults(|c| c.transient_rate = 1.0),
+            retry(|r| r.backoff_cap_secs = f64::NAN),
+            secs("backoff_cap_secs", f64::NAN),
+        ),
+        (
+            faults(|c| c.latency_rate = 1.0),
+            retry(|r| r.timeout_secs = f64::NAN),
+            secs("timeout_secs", f64::NAN),
+        ),
+        (
+            faults(|c| c.latency_rate = 1.0),
+            retry(|r| r.timeout_secs = -1.0),
+            secs("timeout_secs", -1.0),
+        ),
+        (
+            faults(|c| (c.stale_replica_rate, c.stale_replica_rows) = (1.0, usize::MAX)),
+            RetryPolicy::default(),
+            ConfigError::StaleRowsOverflow,
+        ),
+    ];
+    let aig = sigma0().unwrap();
+    let catalog = mini_hospital_catalog().unwrap();
+    let args = [("date", Value::str("d1"))];
+    // NaN is not equal to itself: compare errors by their rendering, which
+    // names the field and the value.
+    let same = |err: &MediatorError, expected: &ConfigError| matches!(err, MediatorError::Config(e) if e.to_string() == expected.to_string());
+    for (cfg, policy, expected) in cases {
+        let built = MediatorOptions::builder()
+            .unfold_depth(2)
+            .faults(Some(cfg.clone()))
+            .retry(policy.clone())
+            .build();
+        assert_eq!(
+            built.map(|_| ()).unwrap_err().to_string(),
+            expected.to_string()
+        );
+        let options = MediatorOptions {
+            unfold_depth: 2,
+            faults: Some(cfg.clone()),
+            retry: policy,
+            ..MediatorOptions::default()
+        };
+        let err = run(&aig, &catalog, &args, &options).unwrap_err();
+        assert!(same(&err, &expected), "run: {err} vs {expected}");
+        let err = Mediator::new(catalog.clone(), &options).err().unwrap();
+        assert!(same(&err, &expected), "Mediator::new: {err} vs {expected}");
+        if !matches!(expected, ConfigError::BadSeconds { field, .. } if field != "latency_secs") {
+            let err = FaultPlan::new(&cfg, &catalog).unwrap_err();
+            assert!(same(&err, &expected), "FaultPlan::new: {err} vs {expected}");
+        }
+    }
+    // The infinite default timeout stays valid: it means "no timeout".
+    assert!(MediatorOptions::builder()
+        .faults(Some(faults(|c| c.latency_rate = 1.0)))
+        .retry(RetryPolicy::default())
+        .build()
+        .is_ok());
 }

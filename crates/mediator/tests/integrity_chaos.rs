@@ -17,7 +17,7 @@ use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
 use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
 use aig_mediator::faults::{
-    FaultConfig, FaultKind, FaultOutcome, FaultPlan, IntegrityOutcome, RetryPolicy, WrongAnswerKind,
+    FaultConfig, FaultKind, FaultLog, FaultOutcome, FaultPlan, RetryPolicy,
 };
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
@@ -99,6 +99,17 @@ fn store_drifted(graph: &TaskGraph, clean: &ExecResult, faulted: &ExecResult) ->
     })
 }
 
+/// The integrity identity over the run's fault log: `injected =
+/// masked_by_retry + detected_by_guard + detected_by_constraint` over its
+/// wrong answers — every one was masked or detected.
+fn balanced(log: &FaultLog) -> bool {
+    let resolved = |outcome| log.wrong_answers().filter(|e| e.outcome == outcome).count();
+    log.wrong_answers().count()
+        == resolved(FaultOutcome::Retried)
+            + resolved(FaultOutcome::Surfaced)
+            + resolved(FaultOutcome::DetectedByConstraint)
+}
+
 /// The structured violation names a real task, its table, and a constraint.
 fn assert_violation_is_structured(graph: &TaskGraph, catalog: &Catalog, err: &MediatorError) {
     let MediatorError::IntegrityViolation {
@@ -141,7 +152,7 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
     let (aig, graph) = setup(&catalog);
     let args = [("date", Value::str("d1"))];
     let clean = execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
-    assert!(clean.integrity.events.is_empty());
+    assert!(clean.faults.events.is_empty());
 
     let mut masked_total = 0usize;
     let mut detected_total = 0usize;
@@ -180,17 +191,14 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                         Ok(result) => {
                             // Masked: the corruption never reached the store.
                             assert_stores_identical(&graph, &clean, &result);
-                            let log = &result.integrity;
-                            assert!(log.balanced(), "ledger unbalanced: {:?}", log.events);
-                            assert_eq!(log.undetected(), 0);
-                            assert_eq!(log.count(IntegrityOutcome::DetectedByGuard), 0);
-                            assert!(log
-                                .events
-                                .iter()
-                                .all(|e| e.outcome == IntegrityOutcome::MaskedByRetry
-                                    && matches!(e.kind, WrongAnswerKind::CorruptRow(_))
-                                    && !e.constraint.is_empty()));
-                            masked_total += log.injected();
+                            let log = &result.faults;
+                            assert!(balanced(log), "ledger unbalanced: {:?}", log.events);
+                            assert_eq!(log.count(FaultOutcome::Undetected), 0);
+                            assert_eq!(log.count(FaultOutcome::Surfaced), 0);
+                            assert!(log.events.iter().all(|e| e.outcome == FaultOutcome::Retried
+                                && matches!(e.kind, FaultKind::CorruptRow(_))
+                                && !e.constraint.is_empty()));
+                            masked_total += log.wrong_answers().count();
                             ok_ledgers.push(log.sorted_events());
                         }
                         Err(err) => {
@@ -268,10 +276,11 @@ fn defense_off_lets_corruption_through_and_the_ledger_says_so() {
     opts.faults = Some(plan);
     opts.policy.retry = fast_retry(6);
     let result = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
-    let log = &result.integrity;
-    assert!(log.undetected() > 0, "no corruption flowed through");
-    assert_eq!(log.injected(), log.undetected());
-    assert!(!log.balanced(), "an unchecked run must not balance");
+    let log = &result.faults;
+    let undetected = log.count(FaultOutcome::Undetected);
+    assert!(undetected > 0, "no corruption flowed through");
+    assert_eq!(log.wrong_answers().count(), undetected);
+    assert!(!balanced(log), "an unchecked run must not balance");
     assert!(
         store_drifted(&graph, &clean, &result),
         "undetected corruption left no trace in the store"
@@ -279,8 +288,9 @@ fn defense_off_lets_corruption_through_and_the_ledger_says_so() {
 }
 
 /// Vanished tables: transient per-attempt table outages are masked by the
-/// retry loop (double-recorded in the resilience and integrity ledgers);
-/// with no retry budget they surface as a `SourceFault` naming the table.
+/// retry loop (one event each, listed in both the resilience and the
+/// integrity section of the report); with no retry budget they surface as a
+/// `SourceFault` naming the table.
 #[test]
 fn table_outage_is_masked_by_retry_or_surfaces_naming_the_table() {
     let catalog = mini_hospital_catalog().unwrap();
@@ -298,24 +308,36 @@ fn table_outage_is_masked_by_retry_or_surfaces_naming_the_table() {
     let opts = defended_opts(plan.clone(), fast_retry(8));
     let seq = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
     assert_stores_identical(&graph, &clean, &seq);
-    let log = &seq.integrity;
-    assert!(log.injected() > 0, "no table outage injected");
-    assert!(log.balanced());
-    assert!(log
-        .events
-        .iter()
-        .all(|e| e.kind == WrongAnswerKind::TableOutage
-            && e.outcome == IntegrityOutcome::MaskedByRetry
-            && e.constraint.starts_with("table-available(")));
-    // Each masked outage is also a retried fail-stop event: the two ledgers
-    // agree on what happened.
-    let retried_outages = seq
-        .resilience
-        .events
-        .iter()
-        .filter(|e| e.kind == FaultKind::TableOutage && e.outcome == FaultOutcome::Retried)
-        .count();
-    assert_eq!(retried_outages, log.injected());
+    let log = &seq.faults;
+    let injected = log.wrong_answers().count();
+    assert!(injected > 0, "no table outage injected");
+    assert!(balanced(log));
+    assert!(log.events.iter().all(|e| e.kind == FaultKind::TableOutage
+        && e.outcome == FaultOutcome::Retried
+        && e.constraint.starts_with("table-available(")));
+    // Each masked outage is one event, and the report lists it in both
+    // sections: as a retried fail-stop fault and as a masked wrong answer.
+    let options = MediatorOptions {
+        unfold_depth: 3,
+        max_depth: 3,
+        cutoff: CutOff::Truncate,
+        check_integrity: true,
+        faults: Some(cfg.clone()),
+        retry: fast_retry(8),
+        ..MediatorOptions::default()
+    };
+    let (_, report) = run_with_report(&sigma0().unwrap(), &catalog, &args, &options).unwrap();
+    let (resilience, integrity) = (&report.resilience, &report.integrity);
+    assert_eq!(integrity.injected, injected);
+    assert_eq!(integrity.masked_by_retry, injected);
+    assert_eq!(resilience.retried, injected);
+    assert_eq!(resilience.events.len(), integrity.events.len());
+    for (r, i) in resilience.events.iter().zip(&integrity.events) {
+        assert_eq!(
+            (r.task, r.attempt, r.kind, r.outcome),
+            (i.task, i.attempt, i.kind, i.outcome)
+        );
+    }
 
     let par = execute_graph_parallel(
         &aig,
@@ -327,7 +349,7 @@ fn table_outage_is_masked_by_retry_or_surfaces_naming_the_table() {
     )
     .unwrap();
     assert_stores_identical(&graph, &clean, &par);
-    assert_eq!(par.integrity.sorted_events(), log.sorted_events());
+    assert_eq!(par.faults.sorted_events(), log.sorted_events());
 
     let hard = FaultConfig {
         seed: 3,
@@ -379,22 +401,20 @@ fn stale_replica_passes_the_relation_guard_but_is_ledgered() {
     opts.policy.check_guards = false;
     let result = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
     let stale: Vec<_> = result
-        .integrity
+        .faults
         .events
         .iter()
-        .filter(|e| e.kind == WrongAnswerKind::StaleReplica)
+        .filter(|e| e.kind == FaultKind::StaleReplica)
         .collect();
     assert!(!stale.is_empty(), "no failed-over task answered stale");
-    assert!(stale
-        .iter()
-        .all(|e| e.outcome == IntegrityOutcome::Undetected));
-    assert!(!result.integrity.balanced());
+    assert!(stale.iter().all(|e| e.outcome == FaultOutcome::Undetected));
+    assert!(!balanced(&result.faults));
     assert!(
         store_drifted(&graph, &clean, &result),
         "a stale replica must leave truncated relations behind"
     );
     assert!(
-        result.resilience.count(FaultOutcome::FailedOver) > 0,
+        result.faults.count(FaultOutcome::FailedOver) > 0,
         "staleness only applies to failed-over tasks"
     );
 }
@@ -491,8 +511,8 @@ fn pipeline_reports_the_integrity_ledger() {
         assert_eq!(i.undetected, 0);
         assert!(i.balanced);
         for event in &i.events {
-            assert!(matches!(event.kind, WrongAnswerKind::CorruptRow(_)));
-            assert_eq!(event.outcome, IntegrityOutcome::MaskedByRetry);
+            assert!(matches!(event.kind, FaultKind::CorruptRow(_)));
+            assert_eq!(event.outcome, FaultOutcome::Retried);
             assert!(!event.kind.detail().is_empty());
             assert!(!event.constraint.is_empty());
         }
@@ -581,7 +601,7 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
     let mut ledgers = Vec::new();
     for _ in 0..2 {
         let seq = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
-        ledgers.push(seq.integrity.sorted_events());
+        ledgers.push(seq.faults.sorted_events());
     }
     for (threads, scheduling) in [
         (1, Scheduling::Static),
@@ -598,7 +618,7 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
             &topo_per_source(&graph),
         )
         .unwrap();
-        ledgers.push(par.integrity.sorted_events());
+        ledgers.push(par.faults.sorted_events());
     }
     assert!(!ledgers[0].is_empty(), "seed 42 injected nothing");
     for pair in ledgers.windows(2) {

@@ -274,7 +274,7 @@ fn json_v6_reaches_a_fixpoint_with_integrity_ledger_and_big_seed() {
         );
         assert_eq!(
             json_event.get("outcome").and_then(|v| v.as_str()),
-            Some(event.outcome.name())
+            Some(event.outcome.integrity_name())
         );
         assert_eq!(
             json_event.get("constraint").and_then(|v| v.as_str()),

@@ -6,10 +6,10 @@
 //! of an upstream query and the query joins against it (§5.1).
 //!
 //! Evaluation is a fixed operator pipeline with one implementation per
-//! operator: bind the FROM items ([`bind_from`]), classify the predicates
-//! ([`classify`]), filter each input locally ([`apply_locals`]), join the
-//! inputs left-deep in greedy order ([`join_all`], one [`join_step`] per
-//! input), project ([`project`]), DISTINCT.
+//! operator: bind the FROM items (`bind_from`), classify the predicates
+//! (`classify`), filter each input locally (`apply_locals`), join the
+//! inputs left-deep in greedy order (`join_all`, one `join_step` per
+//! input), project (`project`), DISTINCT.
 //!
 //! All inputs are scanned **column-major over interned symbols** (see
 //! `aig_relstore::intern`): join keys, IN-sets and DISTINCT dedup compare

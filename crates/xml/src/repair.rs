@@ -1,7 +1,7 @@
 //! Constraint repairing.
 //!
 //! The paper focuses on constraint *checking* but notes that "constraint
-//! repairing [19] can be incorporated into the framework" (§3.3). This
+//! repairing \[19\] can be incorporated into the framework" (§3.3). This
 //! module implements the natural minimal-deletion repair for the paper's
 //! constraint classes:
 //!

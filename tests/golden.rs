@@ -255,3 +255,103 @@ fn redaction_zeroes_exactly_the_declared_wall_clock_fields() {
         );
     });
 }
+
+/// The mini hospital catalog with a byte-identical replica of DB4 declared
+/// as its failover target.
+fn catalog_with_db4_replica() -> aig_relstore::Catalog {
+    let mut catalog = mini_hospital_catalog().unwrap();
+    let primary = catalog.source_id("DB4").unwrap();
+    let mut replica_db = aig_relstore::Database::new("DB4R");
+    for table in catalog.source(primary).tables() {
+        replica_db.add_table(table.clone()).unwrap();
+    }
+    let replica = catalog.add_source(replica_db).unwrap();
+    catalog.declare_replica(primary, replica).unwrap();
+    catalog
+}
+
+/// The fault layer's two report sections over a matrix: seeds 1–4 × {one
+/// worker, per-source under `Scheduling::Static`} × three fault mixes —
+/// fail-stop (transients, latency spikes with timeouts, DB4 dying after one
+/// task with a replica to fail over to), wrong-answer with the integrity
+/// defense on (corruptions, vanished tables, a stale replica after the same
+/// failover), and the same wrong-answer mix with the defense off. Each cell
+/// is the redacted `resilience` and `integrity` JSON of `run_with_report`,
+/// or the error a cell surfaces. Backoff is zero and spikes sub-millisecond.
+#[test]
+fn fault_ledger_sections_are_stable_across_the_fault_matrix() {
+    let aig = sigma0().unwrap();
+    let catalog = catalog_with_db4_replica();
+    let dies = vec![("DB4".to_string(), 1)];
+    let fail_stop = FaultConfig {
+        transient_rate: 0.2,
+        latency_rate: 0.2,
+        latency_secs: 0.0004,
+        dies_after: dies.clone(),
+        ..FaultConfig::default()
+    };
+    let wrong_answer = FaultConfig {
+        corrupt_rate: 0.3,
+        table_outage_rate: 0.2,
+        stale_replica_rate: 0.5,
+        dies_after: dies,
+        ..FaultConfig::default()
+    };
+    let mixes = [
+        ("fail-stop", &fail_stop, false),
+        ("wrong-answer", &wrong_answer, true),
+        ("wrong-answer-undefended", &wrong_answer, false),
+    ];
+    let mut cells = Vec::new();
+    for (mix, faults, check_integrity) in mixes {
+        for parallel_exec in [false, true] {
+            for seed in 1..=4u64 {
+                let mut graph = GraphOptions {
+                    eval_scale: 0.0,
+                    ..GraphOptions::default()
+                };
+                graph.cost_model.per_query_overhead_secs = 1.0;
+                let options = MediatorOptions::builder()
+                    .unfold_depth(3)
+                    .max_depth(3)
+                    .cutoff(CutOff::Truncate)
+                    .network(NetworkModel::mbps(1.0))
+                    .graph(graph)
+                    .parallel_exec(parallel_exec)
+                    .scheduling(aig_mediator::exec::Scheduling::Static)
+                    .check_integrity(check_integrity)
+                    .faults(Some(FaultConfig {
+                        seed,
+                        ..faults.clone()
+                    }))
+                    .retry(RetryPolicy {
+                        max_attempts: 8,
+                        backoff_base_secs: 0.0,
+                        backoff_cap_secs: 0.0,
+                        jitter: 0.0,
+                        timeout_secs: 0.0003,
+                    })
+                    .build()
+                    .unwrap();
+                let args = [("date", Value::str("d1"))];
+                let mut cell = vec![
+                    ("mix", Json::str(mix)),
+                    ("parallel_exec", Json::Bool(parallel_exec)),
+                    ("seed", Json::num(seed as f64)),
+                ];
+                match run_with_report(&aig, &catalog, &args, &options) {
+                    Ok((_, report)) => {
+                        let report = report.redacted();
+                        cell.push(("resilience", report.resilience.to_json()));
+                        cell.push(("integrity", report.integrity.to_json()));
+                    }
+                    Err(e) => cell.push(("error", Json::str(e.to_string()))),
+                }
+                cells.push(Json::obj(cell));
+            }
+        }
+    }
+    let mut json = Json::Arr(cells).to_pretty();
+    json.push('\n');
+    check("fault_ledgers.json", &json);
+}

@@ -16,10 +16,11 @@ use crate::exec::{
 };
 use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
-use aig_relstore::intern::{self, Reader};
+use aig_relstore::intern::{self, Reader, SymMap};
 use aig_relstore::{Relation, Sym, Value};
-use aig_xml::tree::TagId;
+use aig_xml::tree::{TagId, TextId};
 use aig_xml::{NodeId, XmlTree};
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -32,8 +33,18 @@ pub fn tag_document(
     let mut tree = XmlTree::new(aig.elem_info(aig.root).tag());
     let tagger = Tagger::new(aig, graph, store, &mut tree)?;
     let root_node = tree.root();
-    tagger.tag_children(&mut tree, root_node, ROOT_PLAN, 0)?;
+    TEXT_IDS.with_borrow_mut(|texts| {
+        texts.clear();
+        tagger.tag_children(&mut tree, texts, root_node, ROOT_PLAN, 0)
+    })?;
     Ok(tree)
+}
+
+thread_local! {
+    /// This thread's PCDATA memo: the text id of every symbol the document
+    /// being tagged has written so far. Emptied per document, and reused by
+    /// every later one, grown.
+    static TEXT_IDS: RefCell<SymMap<Sym, TextId>> = RefCell::new(SymMap::default());
 }
 
 /// How one occurrence is tagged: everything the walk needs per node,
@@ -315,22 +326,13 @@ impl<'a> Tagger<'a> {
         Ok(())
     }
 
-    /// The PCDATA of the base row `base_idx`.
-    fn text(
-        &self,
-        plan: &OccPlan,
-        text: &Result<ScalarCol, MediatorError>,
-        base_idx: u32,
-    ) -> Result<&Value, MediatorError> {
-        let scalar = text.as_ref().map_err(Clone::clone)?;
-        Ok(self.reader.get(scalar.at(plan.base, base_idx as usize)))
-    }
-
     /// Emits the children of the occurrence planned at `plan` for the base
     /// instance `base_idx` (a row position in `T_base`) under `node`.
+    /// `texts` holds the text id of every PCDATA symbol written so far.
     fn tag_children(
         &self,
         tree: &mut XmlTree,
+        texts: &mut SymMap<Sym, TextId>,
         node: NodeId,
         plan: usize,
         base_idx: u32,
@@ -338,15 +340,24 @@ impl<'a> Tagger<'a> {
         let plan = &self.plans[plan];
         match &plan.body {
             Body::Text(text) => {
-                // Written straight into the document's text buffer.
-                let text = self.text(plan, text, base_idx)?;
-                tree.add_text_with(node, |buf| text.write_text(buf));
+                let scalar = text.as_ref().map_err(Clone::clone)?;
+                let sym = scalar.at(plan.base, base_idx as usize);
+                // Each distinct value is formatted once, straight into the
+                // text table; the nodes after it carry its id.
+                match texts.entry(sym) {
+                    Entry::Occupied(id) => drop(tree.add_text_id(node, *id.get())),
+                    Entry::Vacant(slot) => {
+                        let value = self.reader.get(sym);
+                        let text = tree.add_text_with(node, |buf| value.write_text(buf));
+                        slot.insert(tree.text_id(text).expect("a text node"));
+                    }
+                }
             }
             Body::Children(children) => {
                 for child in children {
                     for &child_idx in child.instances(&base_idx) {
                         let child_node = tree.add_tagged(node, child.tag);
-                        self.tag_children(tree, child_node, child.plan, child_idx)?;
+                        self.tag_children(tree, texts, child_node, child.plan, child_idx)?;
                     }
                 }
             }

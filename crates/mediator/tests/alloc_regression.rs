@@ -161,6 +161,14 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         per_node <= 0.1,
         "tag_document: {tag_allocs} allocations for {nodes} nodes = {per_node:.2} per node"
     );
+    // Each distinct text is stored once: ~1.4 k texts behind ~37 k text
+    // nodes. A table that kept a text per node would hold them all.
+    let (texts, text_bytes) = (tree.distinct_texts(), tree.text_table_bytes());
+    println!("text table: {texts} texts in {text_bytes} bytes");
+    assert!(
+        texts <= 2_000 && text_bytes <= 32 * 1024,
+        "text table: {texts} texts in {text_bytes} bytes"
+    );
 
     // The document plane reads the fresh document in id order: validating,
     // serializing and constraint-checking it request a few dozen KiB besides

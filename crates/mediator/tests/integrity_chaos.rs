@@ -23,8 +23,8 @@ use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::plan::topo_per_source;
 use aig_mediator::unfold::{unfold, CutOff};
-use aig_mediator::{run_with_report, MediatorError, MediatorOptions, NetworkModel};
-use aig_relstore::{Catalog, Database, SourceId, Value};
+use aig_mediator::{run_with_report, Mediator, MediatorError, MediatorOptions, NetworkModel};
+use aig_relstore::{Catalog, Column, Database, SourceId, Table, TableSchema, Value};
 
 fn setup(catalog: &Catalog) -> (Aig, TaskGraph) {
     let aig = sigma0().unwrap();
@@ -624,4 +624,84 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
     for pair in ledgers.windows(2) {
         assert_eq!(pair[0], pair[1], "fault schedule drifted across runs");
     }
+}
+
+/// The document check compares text, not symbols: `Int(7)` and `Str("7")`
+/// are two symbols — distinct to every relational operator and guard —
+/// but one text id in the document, so two items keyed by them violate the
+/// key.
+#[test]
+fn a_key_over_an_int_and_a_string_of_one_text_is_violated() {
+    let aig = aig_core::parse_aig(
+        r#"
+        aig typed {
+          dtd {
+            <!ELEMENT r (left, right)>
+            <!ELEMENT left (item*)>
+            <!ELEMENT right (item*)>
+            <!ELEMENT item (k)>
+            <!ELEMENT k (#PCDATA)>
+          }
+          elem r {
+            child left { }
+            child right { }
+          }
+          elem left {
+            child item* from sql { select t.k as k from DB:ints t };
+          }
+          elem right {
+            child item* from sql { select t.k as k from DB:strs t };
+          }
+          elem item {
+            inh(k);
+            child k { val = $k; }
+          }
+          constraint r(item.k -> item);
+        }
+        "#,
+    )
+    .unwrap();
+    let mut db = Database::new("DB");
+    for (name, column, value) in [
+        ("ints", Column::int("k"), Value::int(7)),
+        ("strs", Column::str("k"), Value::str("7")),
+    ] {
+        let mut table = Table::new(TableSchema::new(name, vec![column], &["k"]).unwrap());
+        table.insert(vec![value]).unwrap();
+        db.add_table(table).unwrap();
+    }
+    let mut catalog = Catalog::new();
+    catalog.add_source(db).unwrap();
+
+    let unchecked = MediatorOptions::default();
+    let (run, _) = Mediator::new(catalog.clone(), &unchecked)
+        .unwrap()
+        .request(&aig, &[])
+        .unwrap();
+    let tree = &run.tree;
+    let texts: Vec<_> = tree.iter().filter_map(|n| tree.text_id(n)).collect();
+    assert!(texts.len() == 2 && texts[0] == texts[1], "{texts:?}");
+    assert_eq!(
+        aig_xml::serialize::to_string(tree),
+        "<r><left><item><k>7</k></item></left><right><item><k>7</k></item></right></r>"
+    );
+
+    let checked = MediatorOptions {
+        check_integrity: true,
+        ..MediatorOptions::default()
+    };
+    let err = Mediator::new(catalog, &checked)
+        .unwrap()
+        .request(&aig, &[])
+        .unwrap_err();
+    let MediatorError::IntegrityViolation {
+        constraint, value, ..
+    } = &err
+    else {
+        panic!("expected IntegrityViolation, got {err}");
+    };
+    assert_eq!(
+        (constraint.as_str(), value.as_str()),
+        ("r(item.k -> item)", "7")
+    );
 }

@@ -8,16 +8,15 @@
 //!
 //! A *foreign key* is a key plus an inclusion constraint.
 //!
-//! The checker here walks the whole tree and is the **oracle** against which
-//! the compiled, evaluation-time constraint checking of `aig-core` (§3.3) is
-//! tested. It runs in a single pass: a stack of open `C` contexts is
-//! maintained, and each `A`/`B` occurrence is charged to every open context.
+//! The checker here is the **oracle** against which the compiled,
+//! evaluation-time constraint checking of `aig-core` (§3.3) is tested. It
+//! checks the whole set in one walk over the tree, with a stack of open `C`
+//! contexts per constraint and values compared as the tree's text ids.
 
 use crate::error::XmlError;
-use crate::tree::{NodeId, TagId, XmlTree};
+use crate::tree::{NodeId, TagId, TextId, XmlTree};
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -157,44 +156,20 @@ impl ConstraintSet {
         Ok(ConstraintSet { constraints })
     }
 
-    /// Checks every constraint, returning all violations found.
+    /// Checks every constraint, returning all violations found: constraint
+    /// by constraint in declaration order, each one's in the order the walk
+    /// finds them — a key's duplicate when it arrives, an inclusion's
+    /// missing values when their context closes, in order of first
+    /// occurrence.
     pub fn check(&self, tree: &XmlTree) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        self.violations(tree, &mut |v| {
-            violations.push(v);
-            false
-        });
-        violations
+        self.violations(tree, false)
     }
 
-    /// The first violation found, stopping the walk as soon as one
-    /// surfaces — unlike [`ConstraintSet::check`], which collects all of
-    /// them. Constraints are tried in declaration order, so on a violating
-    /// document this returns a violation of the earliest violated
-    /// constraint (though not necessarily the one `check` lists first,
-    /// since key violations can surface mid-walk while inclusion
-    /// violations only surface at context exit).
+    /// The first violation [`ConstraintSet::check`] lists: the first of the
+    /// earliest-declared violated constraint. The walk stops once the
+    /// earliest constraint it still checks is violated.
     pub fn check_first(&self, tree: &XmlTree) -> Option<Violation> {
-        let mut first = None;
-        self.violations(tree, &mut |v| {
-            first = Some(v);
-            true
-        });
-        first
-    }
-
-    /// Feeds every violation to `report`, constraint by constraint, until it
-    /// returns `true`.
-    fn violations(&self, tree: &XmlTree, report: &mut impl FnMut(Violation) -> bool) {
-        for c in &self.constraints {
-            let stopped = match c {
-                Constraint::Key(k) => key_violations(tree, k, report),
-                Constraint::Inclusion(i) => inclusion_violations(tree, i, report),
-            };
-            if stopped {
-                return;
-            }
-        }
+        self.violations(tree, true).pop()
     }
 
     /// True if the document satisfies every constraint. Short-circuits on
@@ -230,12 +205,6 @@ impl ConstraintSet {
                 .collect(),
         }
     }
-
-    /// [`ConstraintSet::check`] restricted to the constraints that read a
-    /// changed element tag (see [`ConstraintSet::scoped`]).
-    pub fn check_scoped(&self, tree: &XmlTree, changed_tags: &HashSet<String>) -> Vec<Violation> {
-        self.scoped(changed_tags).check(tree)
-    }
 }
 
 /// A constraint violation, with enough context to report usefully.
@@ -260,47 +229,58 @@ impl fmt::Display for Violation {
 }
 
 // --------------------------------------------------------------------------
-// Single-pass checkers
+// The one-walk checker
 // --------------------------------------------------------------------------
 //
-// One loop over [`XmlTree::walk`] per constraint, with a stack of open `C`
-// contexts. Tags are compared as the tree's tag ids, resolved once per
-// check, and a field's value is borrowed from the document's text buffer.
-// Each checker hands its violations to `report` in the order it finds them
-// and returns `true` as soon as `report` does. A closed context's sets are
-// emptied and reused by the next one, so sibling contexts share one.
+// One loop over [`XmlTree::walk`] checks the whole set, with tags as tag ids
+// and values as text ids — equal ids are equal text. A field's value is the
+// id of its text, numbered past the table if no text of the tree spells it.
+//
+// Membership is marks indexed by value id, not string sets. A value reaches
+// every open context of a constraint at once, so the open contexts holding
+// it are those numbered (in opening order) no higher than the innermost one
+// open at its latest arrival, which its mark keeps. A closed context is
+// never cleared: the next one starts empty because its number is new.
 
-/// What a checker reacts to, in walk order.
-enum Step<'t> {
+/// What the checks react to, in walk order.
+#[derive(Clone, Copy)]
+enum Step {
     /// A context element opens (`true`) or closes.
-    Context(NodeId, bool),
-    /// An element of the `i`-th (element, field) pair opens, with the
-    /// PCDATA of its first field child (`None` if it has none).
-    Value(usize, Option<Cow<'t, str>>),
+    Context(NodeId, TagId, bool),
+    /// An element of the `p`-th (element, field) pair opens, with its first
+    /// field child (`None` if it has none).
+    Value(usize, Option<NodeId>),
 }
 
-/// Feeds `visit` the [`Step`]s of `tree`'s walk for contexts tagged
-/// `context` and the (element, field) pairs `values` (a `None` pair has no
-/// element), until `visit` returns `true` — which this then returns.
-///
-/// An element's value is read when its field child is entered — at once if
-/// that is its first child, as in a document that follows its DTD. Until
-/// then the steps after it wait in a queue, so `visit` still sees each
-/// element entered with its value in hand, in walk order.
-fn walk_steps<'t, const N: usize>(
-    tree: &'t XmlTree,
-    context: TagId,
-    values: [Option<(TagId, TagId)>; N],
-    mut visit: impl FnMut(Step<'t>) -> bool,
+/// Feeds `visit` the [`Step`]s of `tree`'s walk for the tags `contexts` and
+/// the (element, field) pairs `pairs`, until `visit` returns `true` — which
+/// this then returns. An element's field is known when its field child is
+/// entered — at once if that is its first child, as in a document that
+/// follows its DTD. Until then the steps after it wait in a queue, so `visit`
+/// still sees each element entered with its field in hand, in walk order.
+fn walk_steps(
+    tree: &XmlTree,
+    contexts: &[TagId],
+    pairs: &[Option<(TagId, TagId)>],
+    mut visit: impl FnMut(Step) -> bool,
 ) -> bool {
-    // What each tag can take part in; other nodes pass by.
-    const STEP: u8 = 1;
+    // What each tag can take part in — other nodes pass by — and the first
+    // pair it is the element of; `links` holds the next one and the field.
+    const ELEM: u8 = 1;
     const FIELD: u8 = 2;
-    let mut role = vec![0u8; tree.tags().len()];
-    role[context.0 as usize] = STEP;
-    for &(elem, field) in values.iter().flatten() {
-        role[elem.0 as usize] |= STEP;
-        role[field.0 as usize] |= FIELD;
+    const CONTEXT: u8 = 4;
+    let mut role = vec![(0u8, usize::MAX); tree.tags().len()];
+    for tag in contexts {
+        role[tag.0 as usize].0 |= CONTEXT;
+    }
+    let mut links = vec![(usize::MAX, TagId(0)); pairs.len()];
+    for (p, pair) in pairs.iter().enumerate() {
+        let Some((elem, field)) = *pair else {
+            continue;
+        };
+        role[field.0 as usize].0 |= FIELD;
+        let elem = &mut role[elem.0 as usize];
+        (elem.0, links[p], elem.1) = (elem.0 | ELEM, (elem.1, field), p);
     }
     // Elements still looking for their field child, innermost last: the
     // element, its pair and the queue slot of its value.
@@ -309,7 +289,7 @@ fn walk_steps<'t, const N: usize>(
     let awaits = Cell::new(false);
     // Steps not yet visited, `None` for an awaited value; `queue[k]` is
     // slot `taken + k`.
-    let mut queue: VecDeque<Option<Step<'t>>> = VecDeque::new();
+    let mut queue: VecDeque<Option<Step>> = VecDeque::new();
     let mut taken = 0;
     macro_rules! emit {
         ($step:expr) => {
@@ -323,52 +303,47 @@ fn walk_steps<'t, const N: usize>(
     // One walk event that plays a part (see below); `true` once `visit` has
     // stopped the walk.
     let event = &mut |node: NodeId, enter: bool, tag: TagId| {
+        let (role, mut p) = role[tag.0 as usize];
         if !enter {
             // An element closing with no field child has no value.
-            while let Some(&(_, i, slot)) = awaiting.last().filter(|a| a.0 == node) {
-                queue[slot - taken] = Some(Step::Value(i, None));
+            while let Some(&(_, p, slot)) = awaiting.last().filter(|a| a.0 == node) {
+                queue[slot - taken] = Some(Step::Value(p, None));
                 awaiting.pop();
             }
-            if tag == context {
-                emit!(Step::Context(node, false));
+            if role & CONTEXT != 0 {
+                emit!(Step::Context(node, tag, false));
             }
         } else {
-            // The field child of an element awaiting one (of up to two
-            // pairs, both on top).
+            // The field child of an element awaiting one (for each of its
+            // pairs, all on top).
             let parent = tree.parent(node);
             let mut at = awaiting.len();
             while at > 0 && Some(awaiting[at - 1].0) == parent {
                 at -= 1;
-                let (_, i, slot) = awaiting[at];
-                if values[i].is_some_and(|(_, field)| field == tag) {
-                    let value = Some(tree.pcdata_value(node));
-                    queue[slot - taken] = Some(Step::Value(i, value));
+                let (_, p, slot) = awaiting[at];
+                if pairs[p].is_some_and(|(_, field)| field == tag) {
+                    queue[slot - taken] = Some(Step::Value(p, Some(node)));
                     awaiting.remove(at);
                 }
             }
-            if tag == context {
-                emit!(Step::Context(node, true));
+            if role & CONTEXT != 0 {
+                emit!(Step::Context(node, tag, true));
             }
-            for (i, pair) in values.iter().enumerate() {
-                let Some((elem, field)) = *pair else {
-                    continue;
-                };
-                if elem != tag {
-                    continue;
-                }
+            while let Some(&(after, field)) = links.get(p) {
                 let first = tree.first_child(node);
                 match first.filter(|&child| tree.elem_tag(child) == Some(field)) {
-                    Some(child) => emit!(Step::Value(i, Some(tree.pcdata_value(child)))),
+                    Some(child) => emit!(Step::Value(p, Some(child))),
                     None => {
-                        awaiting.push((node, i, taken + queue.len()));
+                        awaiting.push((node, p, taken + queue.len()));
                         queue.push_back(None);
                     }
                 }
+                p = after;
             }
         }
         awaits.set(!awaiting.is_empty());
-        while let Some(Some(_)) = queue.front() {
-            let step = queue.pop_front().flatten().expect("just seen");
+        while let Some(Some(step)) = queue.front().copied() {
+            queue.pop_front();
             taken += 1;
             if visit(step) {
                 return true;
@@ -376,15 +351,14 @@ fn walk_steps<'t, const N: usize>(
         }
         false
     };
-    // A fold, not a loop, and a lean one: every node costs a tag lookup, and
-    // only those with a part to play call `event` — an element on entry, a
-    // closing one as a context or while awaiting its value, a field child
-    // while a value is awaited.
+    // A lean fold: every node costs a tag lookup, and only those with a part
+    // to play call `event` — an element on entry, a context on exit, any
+    // element while a value is awaited.
     let event: &mut dyn FnMut(NodeId, bool, TagId) -> bool = event;
-    let plays = |tag: TagId, enter: bool| match role[tag.0 as usize] {
+    let plays = |tag: TagId, enter: bool| match role[tag.0 as usize].0 {
         0 => false,
         FIELD => awaits.get(),
-        _ => enter || tag == context || awaits.get(),
+        role => enter || role & CONTEXT != 0 || awaits.get(),
     };
     tree.walk(tree.root())
         .fold(false, |stopped, (node, enter)| {
@@ -393,120 +367,146 @@ fn walk_steps<'t, const N: usize>(
         })
 }
 
-/// Checks a key constraint: within every `C`-rooted subtree, no two distinct
-/// `A` elements share an `l` value (each duplicated value is reported once
-/// per context). `A` elements lacking an `l` subelement contribute nothing
-/// (the DTD guarantees presence in well-typed documents).
-fn key_violations(tree: &XmlTree, key: &Key, report: &mut impl FnMut(Violation) -> bool) -> bool {
-    let tags = [&key.context, &key.target, &key.field].map(|tag| tree.tag_id(tag));
-    let [Some(context), Some(target), Some(field)] = tags else {
-        return false;
-    };
-    // Open contexts, each with the key values seen so far and whether the
-    // value was already reported.
-    let mut contexts: Vec<(NodeId, HashMap<Cow<'_, str>, bool>)> = Vec::new();
-    let mut spare = Vec::new();
-    walk_steps(tree, context, [Some((target, field))], |step| {
-        let value = match step {
-            Step::Context(node, true) => {
-                contexts.push((node, spare.pop().unwrap_or_default()));
-                return false;
-            }
-            Step::Context(_, false) => {
-                let (_, mut seen) = contexts.pop().expect("balanced walk");
-                seen.clear();
-                spare.push(seen);
-                return false;
-            }
-            Step::Value(_, None) => return false,
-            Step::Value(_, Some(value)) => value,
+/// One constraint's part of the walk, the `i`-th: its pairs are `2 i`, a
+/// key's target or an inclusion's left side, and `2 i + 1`, the right side.
+struct Check<'c> {
+    constraint: &'c Constraint,
+    /// Open contexts, outermost first: node, number, start of its `log`.
+    open: Vec<(NodeId, u32, usize)>,
+    /// Per value id, context numbers: a key's `[seen, reported, _]`, an
+    /// inclusion's `[lhs, rhs, closed]` (the last close that reported it).
+    marks: Vec<[u32; 3]>,
+    /// An inclusion's left-hand values, each on its first arrival in the
+    /// innermost open context: a context's part in order of first occurrence.
+    log: Vec<u32>,
+    /// The violations found, as (context, value).
+    found: Vec<(NodeId, u32)>,
+}
+
+impl Check<'_> {
+    /// The value `v` arrives on side `side`: in every open context.
+    fn arrive(&mut self, side: usize, v: u32) {
+        let Some(&(_, inner, _)) = self.open.last() else {
+            return;
         };
-        for (ctx, seen) in contexts.iter_mut() {
-            match seen.entry(value.clone()) {
-                Entry::Vacant(first) => {
-                    first.insert(false);
-                }
-                Entry::Occupied(mut duplicate) => {
-                    if !duplicate.insert(true) && report(violation(tree, key, *ctx, &value)) {
-                        return true;
-                    }
-                }
-            }
+        if self.marks.len() <= v as usize {
+            self.marks.resize(v as usize + 1, [0; 3]);
         }
-        false
-    })
-}
-
-/// Checks an inclusion constraint: within every `C`-rooted subtree, the set
-/// of `B.lB` values is contained in the set of `A.lA` values. Violations only
-/// become decidable when a context closes; each missing value is reported
-/// once per context, in document order.
-fn inclusion_violations(
-    tree: &XmlTree,
-    ic: &Inclusion,
-    report: &mut impl FnMut(Violation) -> bool,
-) -> bool {
-    let tags = [&ic.context, &ic.lhs_elem, &ic.lhs_field].map(|tag| tree.tag_id(tag));
-    let [Some(context), Some(lhs_elem), Some(lhs_field)] = tags else {
-        return false;
-    };
-    // Note: B and A may be the same element type with different fields.
-    let rhs = tree.tag_id(&ic.rhs_elem).zip(tree.tag_id(&ic.rhs_field));
-    /// An open context: each `B.lB` value with the order of its first
-    /// occurrence, and the `A.lA` values.
-    #[derive(Default)]
-    struct Ctx<'t> {
-        lhs: HashMap<Cow<'t, str>, usize>,
-        rhs: HashSet<Cow<'t, str>>,
+        let marks = &mut self.marks[v as usize];
+        match (self.constraint, side) {
+            (Constraint::Key(_), _) => {
+                // Newly a duplicate in the open contexts past `reported`.
+                let [seen, reported, _] = marks;
+                let from = self.open.partition_point(|c| c.1 <= *reported);
+                let to = self.open.partition_point(|c| c.1 <= *seen);
+                let dup = self.open[from..to].iter();
+                self.found.extend(dup.map(|&(ctx, ..)| (ctx, v)));
+                (*reported, *seen) = (*seen, inner.max(*seen));
+            }
+            (_, 0) if marks[0] < inner => {
+                marks[0] = inner;
+                self.log.push(v);
+            }
+            (_, 0) => {}
+            (_, _) => marks[1] = marks[1].max(inner),
+        }
     }
-    let mut contexts: Vec<Ctx> = Vec::new();
-    let mut spare = Vec::new();
-    walk_steps(tree, context, [Some((lhs_elem, lhs_field)), rhs], |step| {
-        match step {
-            Step::Context(_, true) => contexts.push(spare.pop().unwrap_or_default()),
-            Step::Context(node, false) => {
-                let mut ctx = contexts.pop().expect("balanced walk");
-                let mut missing: Vec<_> = (ctx.lhs.iter())
-                    .filter(|(value, _)| !ctx.rhs.contains(*value))
-                    .map(|(value, &first)| (first, value))
-                    .collect();
-                missing.sort_unstable();
-                for (_, value) in missing {
-                    if report(violation(tree, ic, node, value)) {
-                        return true;
-                    }
-                }
-                ctx.lhs.clear();
-                ctx.rhs.clear();
-                spare.push(ctx);
-            }
-            Step::Value(_, None) => {}
-            Step::Value(0, Some(value)) => {
-                for ctx in contexts.iter_mut() {
-                    let first = ctx.lhs.len();
-                    ctx.lhs.entry(value.clone()).or_insert(first);
-                }
-            }
-            Step::Value(_, Some(value)) => {
-                for ctx in contexts.iter_mut() {
-                    ctx.rhs.insert(value.clone());
+
+    /// The innermost open context closes: an inclusion reports each
+    /// left-hand value it holds and its right-hand side does not.
+    fn close(&mut self) {
+        let (node, number, start) = self.open.pop().expect("balanced walk");
+        if let Constraint::Inclusion(_) = self.constraint {
+            for &v in &self.log[start..] {
+                let [_, rhs, closed] = &mut self.marks[v as usize];
+                if *rhs < number && *closed != number {
+                    *closed = number;
+                    self.found.push((node, v));
                 }
             }
         }
-        false
-    })
+        if self.open.is_empty() {
+            self.log.clear();
+        }
+    }
 }
 
-fn violation(
-    tree: &XmlTree,
-    constraint: &impl fmt::Display,
-    ctx: NodeId,
-    value: &str,
-) -> Violation {
-    Violation {
-        constraint: constraint.to_string(),
-        context_path: tree.path(ctx),
-        value: value.to_string(),
+impl ConstraintSet {
+    /// The violations [`ConstraintSet::check`] lists, or with `first` the
+    /// first of them, found in one walk.
+    fn violations(&self, tree: &XmlTree, first: bool) -> Vec<Violation> {
+        let (mut pairs, mut contexts, mut checks) = (Vec::new(), Vec::new(), Vec::new());
+        let pair = |elem: &str, field: &str| tree.tag_id(elem).zip(tree.tag_id(field));
+        for constraint in &self.constraints {
+            let sides = match constraint {
+                Constraint::Key(k) => [pair(&k.target, &k.field), None],
+                Constraint::Inclusion(i) => [
+                    pair(&i.lhs_elem, &i.lhs_field),
+                    pair(&i.rhs_elem, &i.rhs_field),
+                ],
+            };
+            // A constraint whose context or values no element has holds.
+            let (Some(context), [Some(_), _]) = (tree.tag_id(constraint.context()), sides) else {
+                continue;
+            };
+            pairs.extend(sides);
+            contexts.push(context);
+            checks.push(Check {
+                constraint,
+                open: Vec::new(),
+                marks: vec![[0; 3]; tree.distinct_texts()],
+                log: Vec::new(),
+                found: Vec::new(),
+            });
+        }
+        // Values no text of the tree spells, numbered past the text table.
+        let texts = tree.distinct_texts();
+        let mut extra: HashMap<Cow<'_, str>, u32> = HashMap::new();
+        let mut id = |field: NodeId| match tree.value_id(field) {
+            Ok(id) => id.0,
+            Err(spelled) => {
+                let next = (texts + extra.len()) as u32;
+                *extra.entry(spelled).or_insert(next)
+            }
+        };
+        // With `first`, the checks after the earliest that found one are done.
+        let (mut live, mut number) = (checks.len(), 0);
+        walk_steps(tree, &contexts, &pairs, |step| {
+            match step {
+                Step::Context(node, tag, enter) => {
+                    number += 1;
+                    for i in (0..live).filter(|&i| contexts[i] == tag) {
+                        let check = &mut checks[i];
+                        match enter {
+                            true => check.open.push((node, number, check.log.len())),
+                            false => check.close(),
+                        }
+                    }
+                }
+                Step::Value(p, Some(field)) if p / 2 < live => {
+                    checks[p / 2].arrive(p % 2, id(field))
+                }
+                Step::Value(..) => {}
+            }
+            let done = (0..live).find(|&i| first && !checks[i].found.is_empty());
+            live = done.unwrap_or(live);
+            first && live == 0
+        });
+        let mut spelled: Vec<_> = extra.iter().collect();
+        spelled.sort_unstable_by_key(|&(_, &id)| id);
+        let text = |v: u32| match (v as usize).checked_sub(texts) {
+            None => tree.text_of(TextId(v)),
+            Some(extra) => spelled[extra].0,
+        };
+        let violation = |check: &Check, &(ctx, v): &(NodeId, u32)| Violation {
+            constraint: check.constraint.to_string(),
+            context_path: tree.path(ctx),
+            value: text(v).to_string(),
+        };
+        let all = checks
+            .iter()
+            .flat_map(|c| c.found.iter().map(move |f| violation(c, f)));
+        all.take(if first { 1 } else { usize::MAX }).collect()
     }
 }
 
@@ -792,20 +792,54 @@ mod tests {
         // A change scope touching `item` selects both constraints (both
         // read item.trId); the scoped result equals the full oracle.
         let item_scope: HashSet<String> = ["item".to_string()].into();
-        assert_eq!(set.check_scoped(&bad, &item_scope), full);
+        assert_eq!(set.scoped(&item_scope).check(&bad), full);
 
         // A scope touching only `treatment` selects just the inclusion
         // constraint.
         let tr_scope: HashSet<String> = ["treatment".to_string()].into();
         assert_eq!(set.scoped(&tr_scope).len(), 1);
-        let scoped = set.check_scoped(&bad, &tr_scope);
+        let scoped = set.scoped(&tr_scope).check(&bad);
         assert_eq!(scoped.len(), 1);
         assert!(scoped[0].constraint.contains("<="));
 
         // A scope touching none of the constraint tags checks nothing.
         let off_scope: HashSet<String> = ["price".to_string()].into();
         assert!(set.scoped(&off_scope).is_empty());
-        assert!(set.check_scoped(&bad, &off_scope).is_empty());
+        assert!(set.scoped(&off_scope).check(&bad).is_empty());
+    }
+
+    #[test]
+    fn values_are_compared_as_text_however_spelled() {
+        // One text against several (an element between two of them), an
+        // empty field against an empty text: equal values, so duplicates.
+        let mut t = XmlTree::new("report");
+        let p = t.add_element(t.root(), "patient");
+        let bill = t.add_element(p, "bill");
+        for texts in [&["t1"][..], &["t", "", "1"], &[], &[""], &["t", "2"]] {
+            let item = t.add_element(bill, "item");
+            let id = t.add_element(item, "trId");
+            for (i, text) in texts.iter().enumerate() {
+                if i == 2 {
+                    t.add_element(id, "note");
+                }
+                t.add_text(id, *text);
+            }
+        }
+        let trs = t.add_element(p, "treatments");
+        let treatment = t.add_element(trs, "treatment");
+        let id = t.add_element(treatment, "trId");
+        t.add_text(id, "t2");
+        let keys = ConstraintSet::new(vec![Constraint::Key(key())]);
+        let values: Vec<String> = keys.check(&t).into_iter().map(|v| v.value).collect();
+        assert_eq!(values, ["t1", ""]);
+        // `t2` is billed, as two texts; `t3`, spelled the same way, is not.
+        let ic = ConstraintSet::new(vec![Constraint::Inclusion(inclusion())]);
+        assert!(ic.satisfied(&t));
+        let treatment = t.add_element(trs, "treatment");
+        let id = t.add_element(treatment, "trId");
+        t.add_text(id, "t");
+        t.add_text(id, "3");
+        assert_eq!(ic.check_first(&t).map(|v| v.value).as_deref(), Some("t3"));
     }
 
     #[test]

@@ -27,9 +27,12 @@ pub fn escape_text(text: &str, out: &mut String) {
 ///
 /// One pass over the walk events: an element's start tag stays open until
 /// the next event says whether a child follows (`>`) or it closes (`/>`).
+/// Whether a text needs escaping is decided once per distinct text.
 pub fn to_string(tree: &XmlTree) -> String {
-    let names: Vec<&str> = tree.tags().iter().map(|tag| &**tag).collect();
+    let names = tree.tags();
     let mut out = String::with_capacity(tree.markup_len());
+    // Per text id: 0 undecided, 1 copied as is, 2 escaped.
+    let mut escapes = vec![0u8; tree.distinct_texts()];
     let mut start_open = false;
     tree.walk(tree.root()).for_each(|(node, enter)| {
         if std::mem::take(&mut start_open) {
@@ -41,15 +44,26 @@ pub fn to_string(tree: &XmlTree) -> String {
         match (tree.elem_tag(node), enter) {
             (Some(tag), true) => {
                 out.push('<');
-                out.push_str(names[tag.0 as usize]);
+                out.push_str(&names[tag.0 as usize]);
                 start_open = true;
             }
             (Some(tag), false) => {
                 out.push_str("</");
-                out.push_str(names[tag.0 as usize]);
+                out.push_str(&names[tag.0 as usize]);
                 out.push('>');
             }
-            (None, true) => escape_text(tree.pcdata(node), &mut out),
+            (None, true) => {
+                let id = tree.text_id(node).expect("a node is an element or a text");
+                let text = tree.text_of(id);
+                let escape = &mut escapes[id.0 as usize];
+                if *escape == 0 {
+                    *escape = 1 + u8::from(text.bytes().any(|b| matches!(b, b'&' | b'<' | b'>')));
+                }
+                match escape {
+                    1 => out.push_str(text),
+                    _ => escape_text(text, &mut out),
+                }
+            }
             (None, false) => {}
         }
     });

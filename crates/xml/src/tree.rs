@@ -2,12 +2,13 @@
 //!
 //! Documents are ordered trees whose internal nodes are *elements* (tagged
 //! with an element-type name) and whose leaves may be *text* nodes carrying
-//! PCDATA, exactly as in the paper's data model (§2). A tree is a handful of
-//! columns indexed by [`NodeId`]: a tag id into a per-tree tag table (text
-//! nodes carry a sentinel), the parent, and the end of the node's PCDATA in
-//! one document-wide text buffer. Child lists are an offsets + ids index
-//! derived from the parent column on the first read after a mutation —
-//! build, then read. Adding a node is three `push`es, `Clone` is a few
+//! PCDATA, exactly as in the paper's data model (§2). A tree is two columns
+//! indexed by [`NodeId`] — the parent, and an element's id into a per-tree
+//! tag table or a text node's id into a per-tree text table — and the two
+//! tables. The text table stores each distinct PCDATA once, so within one
+//! tree equal text is equal [`TextId`]. Child lists are an offsets + ids
+//! index derived from the parent column on the first read after a mutation
+//! — build, then read. Adding a node is two `push`es, `Clone` is a few
 //! `memcpy`s, and nothing is allocated per node.
 //!
 //! A tree built in document order — every node added under the previous
@@ -17,8 +18,10 @@
 //! and trees built out of order pay for the child index.
 
 use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 
 /// Handle to a node inside an [`XmlTree`].
@@ -54,8 +57,89 @@ pub enum NodeKind<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TagId(pub(crate) u32);
 
-/// The tag column's entry for text nodes, and the root's parent.
+/// A text registered in one tree's text table ([`XmlTree::intern_text`]);
+/// meaningless in any other tree. Two texts of one tree are equal exactly
+/// when their ids are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TextId(pub(crate) u32);
+
+/// The root's parent, an empty slot of the text index, and an id a
+/// copier has not mapped yet.
 const NONE: u32 = u32::MAX;
+
+/// The bit that marks a text node's entry in the item column.
+const TEXT: u32 = 1 << 31;
+
+/// Each distinct text of a tree once: text `i` is `buf[ends[i - 1]..ends[i]]`.
+/// The index is open addressing over the ids, keyed by the std library's
+/// randomly seeded SipHash — the parser feeds it untrusted text — with no
+/// allocation per entry.
+#[derive(Debug, Clone, Default)]
+struct TextTable {
+    buf: String,
+    ends: Vec<u32>,
+    /// A text id per slot, `NONE` if empty: a power of two, under 3/4 full.
+    slots: Vec<u32>,
+    keys: RandomState,
+}
+
+impl TextTable {
+    fn get(&self, id: u32) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev as usize]);
+        &self.buf[start as usize..self.ends[id as usize] as usize]
+    }
+
+    /// The slot holding `text`, or the empty one it would take.
+    fn slot(&self, text: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = self.keys.hash_one(text) as usize & mask;
+        // Triangular probing visits every slot of a power-of-two table.
+        for step in 1.. {
+            match self.slots[at] {
+                id if id == NONE || self.get(id) == text => break,
+                _ => at = (at + step) & mask,
+            }
+        }
+        at
+    }
+
+    fn find(&self, text: &str) -> Option<TextId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        Some(self.slots[self.slot(text)])
+            .filter(|&id| id != NONE)
+            .map(TextId)
+    }
+
+    /// The id of the text appended to `buf` since `start`, taken off again
+    /// if the table already holds it.
+    fn intern_tail(&mut self, start: usize) -> TextId {
+        if 4 * (self.ends.len() + 1) > 3 * self.slots.len() {
+            // The ends grow with the index: one allocation each per doubling.
+            let size = (2 * self.slots.len()).max(256);
+            self.ends.reserve_exact(3 * size / 4 - self.ends.len());
+            self.slots = vec![NONE; size];
+            for id in 0..self.ends.len() as u32 {
+                let slot = self.slot(self.get(id));
+                self.slots[slot] = id;
+            }
+        }
+        let slot = self.slot(&self.buf[start..]);
+        if self.slots[slot] != NONE {
+            self.buf.truncate(start);
+            return TextId(self.slots[slot]);
+        }
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id < TEXT)
+            .expect("tree exceeds 2^31 texts");
+        let end = u32::try_from(self.buf.len()).expect("document text exceeds u32 bytes");
+        self.ends.push(end);
+        self.slots[slot] = id;
+        TextId(id)
+    }
+}
 
 /// Child lists in CSR form: node `n`'s children are
 /// `ids[start[n]..start[n + 1]]`.
@@ -73,13 +157,11 @@ pub struct XmlTree {
     /// The tag table, and its inverse.
     tags: Vec<Arc<str>>,
     tag_ids: HashMap<Arc<str>, u32>,
-    /// Per node: tag id (`NONE` for text), parent (`NONE` for the root), and
-    /// the length of `text` once the node was added — a node's PCDATA is the
-    /// bytes between its predecessor's end and its own.
-    tag: Vec<u32>,
+    texts: TextTable,
+    /// Per node: the tag id of an element or `TEXT |` the text id of a text
+    /// node, and the parent (`NONE` for the root).
+    item: Vec<u32>,
     parent: Vec<u32>,
-    text_end: Vec<u32>,
-    text: String,
     /// Child orders imposed by [`XmlTree::set_children`], replayed whenever
     /// the index is rebuilt.
     reorders: Vec<(NodeId, Vec<NodeId>)>,
@@ -96,16 +178,15 @@ impl XmlTree {
         let mut tree = XmlTree {
             tags: Vec::new(),
             tag_ids: HashMap::new(),
-            tag: Vec::new(),
+            texts: TextTable::default(),
+            item: Vec::new(),
             parent: vec![NONE],
-            text_end: vec![0],
-            text: String::new(),
             reorders: Vec::new(),
             index: OnceLock::new(),
             preorder: true,
         };
         let root = tree.intern_tag(&root_tag.into());
-        tree.tag.push(root.0);
+        tree.item.push(root.0);
         tree
     }
 
@@ -118,13 +199,13 @@ impl XmlTree {
     /// Total number of nodes (elements and text) in the tree.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tag.len()
+        self.item.len()
     }
 
     /// True if the tree contains only the root node.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tag.len() <= 1
+        self.item.len() <= 1
     }
 
     /// True while node ids are the document's pre-order (see the module
@@ -143,8 +224,8 @@ impl XmlTree {
         }
         let id = u32::try_from(self.tags.len())
             .ok()
-            .filter(|&id| id != NONE)
-            .expect("tree exceeds u32 tags");
+            .filter(|&id| id < TEXT)
+            .expect("tree exceeds 2^31 tags");
         let tag: Arc<str> = Arc::from(tag);
         self.tags.push(Arc::clone(&tag));
         self.tag_ids.insert(tag, id);
@@ -161,24 +242,63 @@ impl XmlTree {
         &self.tags
     }
 
+    /// Registers `text` in this tree's text table (once) and returns its id
+    /// ([`XmlTree::add_text_id`]).
+    pub fn intern_text(&mut self, text: &str) -> TextId {
+        let start = self.texts.buf.len();
+        self.texts.buf.push_str(text);
+        self.texts.intern_tail(start)
+    }
+
+    /// The text of `id`.
+    #[inline]
+    pub(crate) fn text_of(&self, id: TextId) -> &str {
+        self.texts.get(id.0)
+    }
+
+    /// The number of distinct texts in the text table.
+    pub fn distinct_texts(&self) -> usize {
+        self.texts.ends.len()
+    }
+
+    /// The bytes the text table holds: its text, its ends and its index
+    /// (lengths, not the capacities the buffers have grown to).
+    pub fn text_table_bytes(&self) -> usize {
+        let TextTable {
+            buf, ends, slots, ..
+        } = &self.texts;
+        buf.len() + 4 * (ends.len() + slots.len())
+    }
+
     /// The bytes [`crate::serialize::to_string`] writes, escapes aside: all
     /// the text plus two tags per element.
     pub(crate) fn markup_len(&self) -> usize {
-        let tag_bytes = |&tag: &u32| self.tags.get(tag as usize).map_or(0, |t| 2 * t.len() + 5);
-        self.text.len() + self.tag.iter().map(tag_bytes).sum::<usize>()
+        let bytes = |&item: &u32| match item & TEXT {
+            0 => 2 * self.tags[item as usize].len() + 5,
+            _ => self.texts.get(item & !TEXT).len(),
+        };
+        self.item.iter().map(bytes).sum()
     }
 
     /// The tag id of `node`, or `None` for a text node.
     #[inline]
     pub(crate) fn elem_tag(&self, node: NodeId) -> Option<TagId> {
-        Some(self.tag[node.index()])
-            .filter(|&id| id != NONE)
+        Some(self.item[node.index()])
+            .filter(|&item| item & TEXT == 0)
             .map(TagId)
     }
 
-    fn push_node(&mut self, parent: NodeId, tag: u32) -> NodeId {
-        assert!(self.tag[parent.index()] != NONE, "text nodes are leaves");
-        let id = u32::try_from(self.tag.len())
+    /// The text id of `node`, or `None` for an element node.
+    #[inline]
+    pub fn text_id(&self, node: NodeId) -> Option<TextId> {
+        Some(self.item[node.index()])
+            .filter(|&item| item & TEXT != 0)
+            .map(|item| TextId(item & !TEXT))
+    }
+
+    fn push_node(&mut self, parent: NodeId, item: u32) -> NodeId {
+        assert!(self.is_element(parent), "text nodes are leaves");
+        let id = u32::try_from(self.item.len())
             .ok()
             .filter(|&id| id != NONE)
             .expect("tree exceeds u32 nodes");
@@ -192,10 +312,8 @@ impl XmlTree {
             }
             self.preorder = open == parent.0;
         }
-        self.tag.push(tag);
+        self.item.push(item);
         self.parent.push(parent.0);
-        self.text_end
-            .push(u32::try_from(self.text.len()).expect("document text exceeds u32 bytes"));
         self.index.take();
         NodeId(id)
     }
@@ -214,36 +332,46 @@ impl XmlTree {
 
     /// Appends a new text child to `parent`.
     pub fn add_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
-        let text = text.into();
-        self.add_text_with(parent, |buf| buf.push_str(&text))
+        let text = self.intern_text(&text.into());
+        self.add_text_id(parent, text)
     }
 
     /// Appends a new text child to `parent` whose PCDATA is whatever `write`
-    /// appends to the document's text buffer.
+    /// appends to the text table's buffer — taken off again if the table
+    /// already holds that text.
     pub fn add_text_with(&mut self, parent: NodeId, write: impl FnOnce(&mut String)) -> NodeId {
-        let start = self.text.len();
-        write(&mut self.text);
-        assert!(self.text.len() >= start, "the text buffer only grows");
-        self.push_node(parent, NONE)
+        let start = self.texts.buf.len();
+        write(&mut self.texts.buf);
+        assert!(
+            self.texts.buf.len() >= start && self.texts.buf.is_char_boundary(start),
+            "the text buffer only grows"
+        );
+        let text = self.texts.intern_tail(start);
+        self.add_text_id(parent, text)
+    }
+
+    /// Appends a new text child to `parent`, its text given by id.
+    pub fn add_text_id(&mut self, parent: NodeId, text: TextId) -> NodeId {
+        assert!(
+            (text.0 as usize) < self.texts.ends.len(),
+            "text id of another tree"
+        );
+        self.push_node(parent, TEXT | text.0)
     }
 
     /// The node's kind (element tag or text payload).
     #[inline]
     pub fn kind(&self, node: NodeId) -> NodeKind<'_> {
-        match self.tag[node.index()] {
-            NONE => NodeKind::Text(self.pcdata(node)),
-            id => NodeKind::Element(&self.tags[id as usize]),
+        match self.elem_tag(node) {
+            None => NodeKind::Text(self.pcdata(node)),
+            Some(tag) => NodeKind::Element(&self.tags[tag.0 as usize]),
         }
     }
 
-    /// The bytes `node` added to the text buffer (none for an element).
+    /// The PCDATA of a text node (nothing for an element).
     #[inline]
     pub(crate) fn pcdata(&self, node: NodeId) -> &str {
-        let start = match node.index() {
-            0 => 0,
-            i => self.text_end[i - 1],
-        };
-        &self.text[start as usize..self.text_end[node.index()] as usize]
+        self.text_id(node).map_or("", |id| self.text_of(id))
     }
 
     /// The element tag of `node`, or `None` for a text node.
@@ -261,7 +389,7 @@ impl XmlTree {
     /// True if `node` is an element node.
     #[inline]
     pub fn is_element(&self, node: NodeId) -> bool {
-        self.tag[node.index()] != NONE
+        self.item[node.index()] & TEXT == 0
     }
 
     /// The parent of `node`, or `None` for the root.
@@ -332,7 +460,7 @@ impl XmlTree {
     pub fn child_by_tag(&self, node: NodeId, tag: &str) -> Option<NodeId> {
         let tag = self.tag_id(tag)?;
         let mut children = self.children(node).iter().copied();
-        children.find(|&c| self.tag[c.index()] == tag.0)
+        children.find(|&c| self.item[c.index()] == tag.0)
     }
 
     /// The concatenated PCDATA of `node`'s *direct* text children.
@@ -340,31 +468,42 @@ impl XmlTree {
     /// For a string-typed element `l` with `P(l) = S` this is the value of
     /// the `l` subelement in the sense of the paper's constraints (§2).
     pub fn text_value(&self, node: NodeId) -> String {
-        self.pcdata_value(node).into_owned()
+        match self.value_id(node) {
+            Ok(id) => self.text_of(id).to_string(),
+            Err(value) => value.into_owned(),
+        }
     }
 
-    /// [`XmlTree::text_value`], borrowed from the text buffer when `node`
-    /// has a single child or, in document order, only text children.
-    pub(crate) fn pcdata_value(&self, node: NodeId) -> Cow<'_, str> {
+    /// The id of `node`'s [`XmlTree::text_value`] if a text of this tree
+    /// spells it, else the value itself: empty, or several texts
+    /// concatenated.
+    pub(crate) fn value_id(&self, node: NodeId) -> Result<TextId, Cow<'_, str>> {
         if self.preorder {
             // The children follow `node`, and a text child is a leaf: if
-            // `node` closes after a run of text, that run is all of them, and
-            // their PCDATA is one slice of the buffer.
+            // `node` closes after a run of text, that run is all of them.
             let is_child = |i: usize| self.parent.get(i) == Some(&node.0);
-            let run = node.index() + 1..;
-            let end = run
-                .take_while(|&i| is_child(i) && self.tag[i] == NONE)
-                .last();
-            let end = end.unwrap_or(node.index());
-            if !is_child(end + 1) {
-                let span = self.text_end[node.index()]..self.text_end[end];
-                return Cow::Borrowed(&self.text[span.start as usize..span.end as usize]);
+            let mut end = node.index() + 1;
+            while is_child(end) && self.item[end] & TEXT != 0 {
+                end += 1;
+            }
+            if !is_child(end) {
+                return self.spell(self.item[node.index() + 1..end].iter().copied());
             }
         }
-        match self.children(node) {
-            [only] => Cow::Borrowed(self.text(*only).unwrap_or_default()),
-            children => Cow::Owned(children.iter().filter_map(|&c| self.text(c)).collect()),
-        }
+        let children = self.children(node).iter().map(|&c| self.item[c.index()]);
+        self.spell(children.filter(|&item| item & TEXT != 0))
+    }
+
+    /// The id of the texts of `items` (text nodes) concatenated, if the
+    /// table holds it.
+    fn spell(&self, mut items: impl Iterator<Item = u32>) -> Result<TextId, Cow<'_, str>> {
+        let text = |item: u32| self.texts.get(item & !TEXT);
+        let spelled = match (items.next(), items.next()) {
+            (Some(one), None) => return Ok(TextId(one & !TEXT)),
+            (None, _) => Cow::Borrowed(""),
+            (Some(a), Some(b)) => Cow::Owned([a, b].into_iter().chain(items).map(text).collect()),
+        };
+        self.texts.find(&spelled).ok_or(spelled)
     }
 
     /// The value of the `field` subelement of `node`: the PCDATA of the first
@@ -441,13 +580,14 @@ impl XmlTree {
         SubtreeCopier {
             src: self,
             tag_map: vec![NONE; self.tags.len()],
+            text_map: vec![NONE; self.texts.ends.len()],
             stack: Vec::new(),
         }
     }
 
     /// A tree with this one's root tag and `keep`'s selection of the rest.
     pub(crate) fn filtered(&self, keep: impl FnMut(NodeId) -> CopyStep) -> XmlTree {
-        let mut out = XmlTree::new(&*self.tags[self.tag[0] as usize]);
+        let mut out = XmlTree::new(&*self.tags[self.item[0] as usize]);
         let root = out.root();
         self.copier()
             .copy_children(&mut out, root, self.root(), keep);
@@ -649,13 +789,15 @@ pub enum CopyStep {
 }
 
 /// Copies subtrees of one tree into one other tree with no allocation per
-/// node or per call: the source → destination tag translation and the walk
-/// stack are kept between calls. See [`XmlTree::copier`].
+/// node or per call: the source → destination tag and text translations and
+/// the walk stack are kept between calls. See [`XmlTree::copier`].
 pub struct SubtreeCopier<'a> {
     src: &'a XmlTree,
-    /// Destination tag id per source tag id, `NONE` until first needed. It
-    /// is what ties a copier to a single destination tree.
+    /// Destination tag id per source tag id, and text id per source text
+    /// id, `NONE` until first needed. They are what ties a copier to a
+    /// single destination tree.
     tag_map: Vec<u32>,
+    text_map: Vec<u32>,
     /// Source nodes still to visit, each with its destination parent.
     stack: Vec<(NodeId, NodeId)>,
 }
@@ -674,6 +816,7 @@ impl SubtreeCopier<'_> {
         let SubtreeCopier {
             src,
             tag_map,
+            text_map,
             stack,
         } = self;
         let before = dst.len();
@@ -686,14 +829,21 @@ impl SubtreeCopier<'_> {
             let copied = match step(node) {
                 CopyStep::Skip => continue,
                 CopyStep::Splice => parent,
-                CopyStep::Keep => match src.elem_tag(node) {
-                    None => dst.add_text_with(parent, |buf| buf.push_str(src.pcdata(node))),
-                    Some(TagId(tag)) => {
+                CopyStep::Keep => match src.text_id(node) {
+                    None => {
+                        let tag = src.item[node.index()];
                         let mapped = &mut tag_map[tag as usize];
                         if *mapped == NONE {
                             *mapped = dst.intern_tag(&src.tags[tag as usize]).0;
                         }
                         dst.add_tagged(parent, TagId(*mapped))
+                    }
+                    Some(TextId(text)) => {
+                        let mapped = &mut text_map[text as usize];
+                        if *mapped == NONE {
+                            *mapped = dst.intern_text(src.texts.get(text)).0;
+                        }
+                        dst.add_text_id(parent, TextId(*mapped))
                     }
                 },
             };
@@ -837,6 +987,54 @@ mod tests {
         // Non-star parents keep their order.
         let untouched = t.sort_star_children(|_| false);
         assert_eq!(untouched, t);
+    }
+
+    #[test]
+    fn equal_texts_share_one_id() {
+        let mut t = XmlTree::new("r");
+        let a = t.add_element(t.root(), "a");
+        let v1 = t.intern_text("v1");
+        let texts = [
+            t.add_text(a, "v1"),
+            t.add_text_with(a, |buf| buf.push_str("v1")),
+            t.add_text_id(a, v1),
+            t.add_text_with(a, |buf| buf.push('v')),
+            t.add_text(a, "1"),
+        ];
+        let ids = texts.map(|n| t.text_id(n).unwrap());
+        assert!(ids[0] == ids[1] && ids[1] == ids[2]);
+        assert!(ids[3] != ids[0] && ids[4] != ids[3]);
+        assert_eq!(t.distinct_texts(), 3);
+        let pcdata = texts.map(|n| t.text(n).unwrap());
+        assert_eq!(pcdata, ["v1", "v1", "v1", "v", "1"]);
+        assert_eq!(t.text_value(a), "v1v1v1v1");
+        assert_eq!(t.text_id(a), None);
+
+        // The parser: one id per distinct text, escaped or not.
+        let parsed =
+            crate::parse::parse("<r><a>v1</a><b>&lt;</b><c>v1</c><d>&lt;</d></r>").unwrap();
+        let leaves: Vec<NodeId> = parsed.iter().filter(|&n| !parsed.is_element(n)).collect();
+        let ids: Vec<TextId> = leaves.iter().map(|&n| parsed.text_id(n).unwrap()).collect();
+        assert!(ids[0] == ids[2] && ids[1] == ids[3] && ids[0] != ids[1]);
+        assert_eq!(parsed.text(leaves[1]), Some("<"));
+        assert_eq!(parsed.distinct_texts(), 2);
+
+        // A copy into another tree maps ids the way it maps tags: the
+        // destination's own `v1` is the copies' too.
+        let mut dst = XmlTree::new("r");
+        let root = dst.root();
+        dst.add_text(root, "v1");
+        let n = parsed
+            .copier()
+            .copy_children(&mut dst, root, parsed.root(), |_| CopyStep::Keep);
+        assert_eq!(n, 8);
+        let leaves: Vec<NodeId> = dst.iter().filter(|&n| !dst.is_element(n)).collect();
+        let ids: Vec<TextId> = leaves.iter().map(|&n| dst.text_id(n).unwrap()).collect();
+        assert_eq!(ids.len(), 5);
+        assert!(ids[0] == ids[1] && ids[1] == ids[3] && ids[2] == ids[4] && ids[0] != ids[2]);
+        assert_eq!(dst.distinct_texts(), 2);
+        let pcdata: Vec<&str> = leaves.iter().map(|&n| dst.text(n).unwrap()).collect();
+        assert_eq!(pcdata, ["v1", "v1", "<", "v1", "<"]);
     }
 
     #[test]

@@ -279,8 +279,10 @@ fn assert_agree(tree: &XmlTree, model: &Model, what: &str) {
 }
 
 const TAGS: [&str; 6] = ["a", "b", "list", "_e1", "item", "long-tag.name_1"];
-const TEXTS: [&str; 9] = [
-    "", "x", "a&b", "<tag>", "1 > 0", " padded ", "&amp;", "é…√", " ",
+// "xx" and "x " are concatenations of other entries: a field of several
+// texts then has the value of a field of one.
+const TEXTS: [&str; 11] = [
+    "", "x", "a&b", "<tag>", "1 > 0", " padded ", "&amp;", "é…√", " ", "xx", "x ",
 ];
 
 #[test]

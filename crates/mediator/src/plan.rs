@@ -24,7 +24,7 @@ use crate::unfold::{unfold, CutOff, FrontierSite};
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
 use aig_relstore::{Catalog, SourceId, Value};
-use aig_xml::{validate, Dtd};
+use aig_xml::Dtd;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -425,16 +425,18 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     }
 
     // -- Tagging -------------------------------------------------------------
-    let tree = phases.time("tag", || {
-        crate::tagging::tag_document(&plan.aig, &plan.graph, &store)
+    // The tag plan is proven against the DTD before a node is written;
+    // only a document whose plan leaves a type open is validated in full.
+    let dtd = &plan.front.dtd;
+    let (tree, proven) = phases.time("tag", || {
+        crate::tagging::tag_proven(&plan.aig, &plan.graph, &store, dtd)
     })?;
     if incremental.snapshot_hit {
         incremental.nodes_rebuilt = tree.len();
     }
     if !degraded {
         phases.time("validate", || {
-            validate(&tree, &plan.front.dtd)
-                .map_err(|e| MediatorError::Internal(format!("output validation: {e}")))
+            crate::tagging::check_output(&tree, dtd, proven)
         })?;
     }
     // -- Integrity defense: the document-level constraint check --------------

@@ -21,8 +21,9 @@
 //!   views, see [`crate::RequestCtx::skip_sources`]). Seeded half-open
 //!   probes re-try the source live and close the breaker on success.
 //! - **Graceful degradation** — a degraded completion names the skipped
-//!   subtrees; output validation and the document constraint check are
-//!   scoped out for the partial document.
+//!   subtrees; the output check (the proof on the tag plan, or `validate`
+//!   where the plan leaves a type open) and the document constraint check
+//!   are scoped out for the partial document.
 //!
 //! The server runs on a **logical clock**: arrivals carry simulated
 //! timestamps, a request's logical service time is its simulated response

@@ -9,6 +9,12 @@
 //! order; internal computation states never appear (they are simply not
 //! descended into), and PCDATA resolves through copy chains into instance
 //! columns.
+//!
+//! The output "is guaranteed to conform to the DTD" (§1): a run's finisher
+//! proves it on the tagging plan, before a node is written, and validates
+//! the document in full only where the plan leaves an element type open —
+//! a choice, whose branch is the store's to pick, or any plan that does not
+//! match its production.
 
 use crate::error::MediatorError;
 use crate::exec::{
@@ -19,7 +25,7 @@ use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader, SymMap};
 use aig_relstore::{Relation, Sym, Value};
 use aig_xml::tree::{TagId, TextId};
-use aig_xml::{NodeId, XmlTree};
+use aig_xml::{validate, Dtd, NodeId, Rule, Rules, XmlTree};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -31,13 +37,34 @@ pub fn tag_document(
     store: &RelStore,
 ) -> Result<XmlTree, MediatorError> {
     let mut tree = XmlTree::new(aig.elem_info(aig.root).tag());
-    let tagger = Tagger::new(aig, graph, store, &mut tree)?;
-    let root_node = tree.root();
-    TEXT_IDS.with_borrow_mut(|texts| {
-        texts.clear();
-        tagger.tag_children(&mut tree, texts, root_node, ROOT_PLAN, 0)
-    })?;
+    Tagger::new(aig, graph, store, &mut tree)?.write(&mut tree)?;
     Ok(tree)
+}
+
+/// [`tag_document`], and whether its tag plan proves that the document
+/// conforms to `dtd` ([`Tagger::proves`]) — the entry point of a run's
+/// finisher, which then calls [`check_output`].
+pub(crate) fn tag_proven(
+    aig: &Aig,
+    graph: &TaskGraph,
+    store: &RelStore,
+    dtd: &Dtd,
+) -> Result<(XmlTree, bool), MediatorError> {
+    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag());
+    let tagger = Tagger::new(aig, graph, store, &mut tree)?;
+    let proven = tagger.proves(&tree, dtd);
+    tagger.write(&mut tree)?;
+    Ok((tree, proven))
+}
+
+/// The output check of a run that is not degraded: nothing if the tag plan
+/// proved the document conforms to `dtd`, else `validate` in full.
+pub(crate) fn check_output(tree: &XmlTree, dtd: &Dtd, proven: bool) -> Result<(), MediatorError> {
+    if proven {
+        debug_assert!(validate(tree, dtd).is_ok(), "a proven document conforms");
+        return Ok(());
+    }
+    validate(tree, dtd).map_err(|e| MediatorError::Internal(format!("output validation: {e}")))
 }
 
 thread_local! {
@@ -51,6 +78,9 @@ thread_local! {
 /// resolved once per occurrence — keyed by [`Occ`], never by the address of
 /// a binding — when the [`Tagger`] is built.
 struct OccPlan<'a> {
+    /// The tag of the occurrence's element, registered in the tree being
+    /// written.
+    tag: TagId,
     /// The occurrence's base element, its instance table and its `__rowid`
     /// column.
     elem: ElemIdx,
@@ -205,8 +235,10 @@ impl<'a> Tagger<'a> {
         let rowids = base.col_syms(base.col("__rowid")?);
         let id = self.plans.len();
         self.ids.insert(occ.clone(), id);
+        let tag = tree.intern_tag(aig.elem_info(binding.elem).tag());
         let (elem, body) = (occ.base, Body::Children(Vec::new()));
         self.plans.push(OccPlan {
+            tag,
             elem,
             base,
             rowids,
@@ -291,6 +323,64 @@ impl<'a> Tagger<'a> {
         Ok(tagger)
     }
 
+    /// Writes the document under `tree`'s root.
+    fn write(&self, tree: &mut XmlTree) -> Result<(), MediatorError> {
+        let root = tree.root();
+        TEXT_IDS.with_borrow_mut(|texts| {
+            texts.clear();
+            self.tag_children(tree, texts, root, ROOT_PLAN, 0)
+        })
+    }
+
+    /// Whether every document this plan writes conforms to `dtd`, proven on
+    /// the plan before a node is written, whatever rows the store holds:
+    /// the root is tagged with the DTD's root type, and every plan
+    /// [closes](Tagger::closes) its type. The proof rests on three facts of
+    /// [`Tagger::tag_children`]: an `OfParent` child is written exactly once
+    /// per parent (the parent's own row), a text body writes exactly one
+    /// text node, and children are written in plan order.
+    fn proves(&self, tree: &XmlTree, dtd: &Dtd) -> bool {
+        let root = tree.root();
+        let root_plan = self.plans[ROOT_PLAN].tag;
+        if tree.tag(root) != Some(dtd.name(dtd.root())) || tree.elem_tag(root) != Some(root_plan) {
+            return false;
+        }
+        let rules = Rules::new(tree, dtd);
+        self.plans.iter().all(|plan| self.closes(&rules, plan))
+    }
+
+    /// Whether every element `plan` writes has the children its tag's
+    /// production asks for, each written by a plan proven for the child's
+    /// tag: `PCDATA` by a text body; `EMPTY` by no children; `b*` by none,
+    /// or by one `Tagged` child tagged `b`; `(b1, …, bn)` by exactly `n`
+    /// `OfParent` children tagged `b1 … bn` in order. A choice, an
+    /// undeclared tag and anything else stay open.
+    fn closes(&self, rules: &Rules, plan: &OccPlan) -> bool {
+        let rule = rules.of(plan.tag);
+        let children = match (&plan.body, rule) {
+            (Body::Text(_), Rule::Pcdata) => return true,
+            (Body::Children(children), _) => children,
+            (Body::Text(_), _) => return false,
+        };
+        if children.iter().any(|c| self.plans[c.plan].tag != c.tag) {
+            return false;
+        }
+        let of_parent = |c: &ChildPlan| matches!(c.rows, ChildRows::OfParent);
+        match rule {
+            Rule::Empty => children.is_empty(),
+            Rule::Star(want) => match children.as_slice() {
+                [] => true,
+                [only] => !of_parent(only) && Some(only.tag) == want,
+                _ => false,
+            },
+            Rule::Seq(want) => {
+                let mut pairs = children.iter().zip(want.iter());
+                children.len() == want.len() && pairs.all(|(c, w)| of_parent(c) && Some(c.tag) == w)
+            }
+            _ => false,
+        }
+    }
+
     /// Sort-merges the rows of every starred item and choice branch under
     /// its parent's base rows; a parent table's `__rowid` inverse is built
     /// once, however many tagged children it has.
@@ -363,5 +453,237 @@ impl<'a> Tagger<'a> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The proof on the tag plan: σ0 closes at every depth the benchmark
+    //! reaches, and a plan that a mutation leaves open — or a choice spec,
+    //! which always is — falls back to `validate` and its error.
+
+    use super::*;
+    use crate::exec::{execute_graph, ExecOptions};
+    use crate::graph::{build_graph, GraphOptions};
+    use crate::unfold::{unfold, CutOff};
+    use aig_core::paper::sigma0;
+    use aig_core::{compile_constraints, decompose_queries, parse_aig};
+    use aig_datagen::HospitalConfig;
+    use aig_relstore::{Catalog, Database, Table, TableSchema};
+
+    /// A spec unfolded to `depth`, its task graph and an executed store.
+    struct Run {
+        aig: Aig,
+        graph: TaskGraph,
+        store: RelStore,
+        dtd: Dtd,
+    }
+
+    fn run(source: &Aig, catalog: &Catalog, depth: usize, args: &[(&str, Value)]) -> Run {
+        let compiled = match source.constraints.is_empty() {
+            true => source.clone(),
+            false => compile_constraints(source).unwrap(),
+        };
+        let specialized = decompose_queries(&compiled).unwrap().0;
+        let aig = unfold(&specialized, depth, CutOff::Truncate).unwrap().aig;
+        let graph = build_graph(&aig, catalog, &GraphOptions::default()).unwrap();
+        let exec = execute_graph(&aig, catalog, &graph, args, &ExecOptions::default()).unwrap();
+        let dtd = source.dtd.clone();
+        Run {
+            aig,
+            graph,
+            store: exec.store,
+            dtd,
+        }
+    }
+
+    fn hospital(depth: usize) -> Run {
+        let data = HospitalConfig::tiny(3).generate().unwrap();
+        let date = Value::str(&data.dates[0]);
+        run(&sigma0().unwrap(), &data.catalog, depth, &[("date", date)])
+    }
+
+    /// What a run's finisher does, with `mutate` applied to the built plan
+    /// first: the verdict of the proof, and of the output check.
+    fn finish(
+        run: &Run,
+        mutate: impl FnOnce(&mut Tagger, &mut XmlTree),
+    ) -> (bool, XmlTree, Result<(), MediatorError>) {
+        let mut tree = XmlTree::new(run.aig.elem_info(run.aig.root).tag());
+        let mut tagger = Tagger::new(&run.aig, &run.graph, &run.store, &mut tree).unwrap();
+        mutate(&mut tagger, &mut tree);
+        let proven = tagger.proves(&tree, &run.dtd);
+        tagger.write(&mut tree).unwrap();
+        let checked = check_output(&tree, &run.dtd, proven);
+        (proven, tree, checked)
+    }
+
+    /// The error the output check must return for `tree`: today's.
+    fn rejected(run: &Run, tree: &XmlTree, checked: Result<(), MediatorError>) {
+        let want = validate(tree, &run.dtd).expect_err("an invalid document");
+        match checked {
+            Err(MediatorError::Internal(msg)) => {
+                assert_eq!(msg, format!("output validation: {want}"))
+            }
+            other => panic!("expected the validation error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sigma0_closes_at_every_depth() {
+        for depth in [3, 6, 12, 24] {
+            let run = hospital(depth);
+            let (proven, tree, checked) = finish(&run, |_, _| {});
+            assert!(proven, "depth {depth}: σ0's plan leaves a type open");
+            assert!(tree.len() > 100, "depth {depth}: {} nodes", tree.len());
+            assert_eq!(checked, Ok(()));
+            assert_eq!(validate(&tree, &run.dtd), Ok(()));
+            assert_eq!(
+                tag_proven(&run.aig, &run.graph, &run.store, &run.dtd).unwrap(),
+                (tree, true)
+            );
+        }
+    }
+
+    /// The plan of `patient`, a sequence `(SSN, pname, treatments, bill)`
+    /// the tiny hospital's first date has instances of.
+    fn patient(tagger: &mut Tagger, tree: &mut XmlTree) -> usize {
+        let tag = tree.intern_tag("patient");
+        let at = tagger
+            .plans
+            .iter()
+            .position(|plan| plan.tag == tag)
+            .unwrap();
+        assert!(!tagger.plans[at].base.is_empty(), "no patient to mutate");
+        at
+    }
+
+    fn children<'p>(tagger: &'p mut Tagger, plan: usize) -> &'p mut Vec<ChildPlan> {
+        match &mut tagger.plans[plan].body {
+            Body::Children(children) => children,
+            Body::Text(_) => panic!("a sequence has children"),
+        }
+    }
+
+    #[test]
+    fn a_mutated_plan_stays_open_and_fails_validation() {
+        let run = hospital(3);
+        type Mutation = fn(&mut Tagger, &mut XmlTree);
+        let mutations: [(&str, Mutation); 4] = [
+            ("drop a sequence child", |tagger, tree| {
+                let at = patient(tagger, tree);
+                children(tagger, at).remove(1);
+            }),
+            ("duplicate one", |tagger, tree| {
+                let at = patient(tagger, tree);
+                let first = &children(tagger, at)[0];
+                let copy = ChildPlan {
+                    elem: first.elem,
+                    tag: first.tag,
+                    plan: first.plan,
+                    rows: ChildRows::OfParent,
+                };
+                children(tagger, at).insert(0, copy);
+            }),
+            ("retag one", |tagger, tree| {
+                let at = patient(tagger, tree);
+                let kids = children(tagger, at);
+                kids[1].tag = kids[0].tag;
+            }),
+            ("turn an OfParent into Tagged", |tagger, tree| {
+                let at = patient(tagger, tree);
+                let parents = tagger.plans[at].base.len();
+                let mut none = Tagged::new(None);
+                none.start = vec![0; parents + 1];
+                children(tagger, at)[0].rows = ChildRows::Tagged(none);
+            }),
+        ];
+        for (what, mutation) in mutations {
+            let (proven, tree, checked) = finish(&run, mutation);
+            assert!(!proven, "{what}: the plan still closes");
+            rejected(&run, &tree, checked);
+        }
+    }
+
+    /// A choice production over one source: orders of `day` pay by card
+    /// (kind 1) or invoice (kind 2).
+    fn orders() -> Run {
+        let aig = parse_aig(
+            r#"
+            aig orders {
+              dtd {
+                <!ELEMENT orders (order*)>
+                <!ELEMENT order (id, payment)>
+                <!ELEMENT payment (card | invoice)>
+                <!ELEMENT id (#PCDATA)>
+                <!ELEMENT card (#PCDATA)>
+                <!ELEMENT invoice (#PCDATA)>
+              }
+              elem orders {
+                inh(day);
+                child order* from sql {
+                  select o.id as id, o.id as oid from OMS:orders o where o.day = $day
+                };
+              }
+              elem order {
+                inh(id, oid);
+                child id { val = $id; }
+                child payment { oid = $oid; }
+              }
+              elem payment {
+                inh(oid);
+                case sql {
+                  select distinct p.kind as pick from OMS:payments p where p.oid = $oid
+                } {
+                  1 => card { val = $oid; }
+                  2 => invoice { val = 'pending'; }
+                }
+              }
+            }
+            "#,
+        )
+        .unwrap();
+        let mut db = Database::new("OMS");
+        let mut orders = Table::new(TableSchema::strings("orders", &["id", "day"], &[]));
+        let mut payments = Table::new(TableSchema::strings("payments", &["oid", "kind"], &[]));
+        for i in 0..6 {
+            let id = format!("o{i}");
+            orders
+                .insert(vec![Value::str(&id), Value::str("mon")])
+                .unwrap();
+            let kind = format!("{}", i % 2 + 1);
+            payments
+                .insert(vec![Value::str(&id), Value::str(kind)])
+                .unwrap();
+        }
+        db.add_table(orders).unwrap();
+        db.add_table(payments).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.add_source(db).unwrap();
+        run(&aig, &catalog, 2, &[("day", Value::str("mon"))])
+    }
+
+    #[test]
+    fn a_choice_stays_open_and_two_branch_rows_under_one_owner_fail() {
+        let mut run = orders();
+        let (proven, tree, checked) = finish(&run, |_, _| {});
+        assert!(!proven, "a choice is never proven");
+        assert_eq!(checked, Ok(()), "validated in full, and valid");
+        assert_eq!(
+            tree.iter().filter(|&n| tree.tag(n) == Some("card")).count(),
+            3
+        );
+
+        // A second `card` row under the first card's payment, with the next
+        // free rowid.
+        let card = RelKey::Instances(run.aig.elem("card").unwrap());
+        let mut rel = run.store.get(&card).unwrap().clone();
+        let mut row = rel.row(0);
+        row[rel.col("__rowid").unwrap()] = Value::int(rel.len() as i64);
+        rel.push(row);
+        run.store.insert(card, rel);
+        let (proven, tree, checked) = finish(&run, |_, _| {});
+        assert!(!proven);
+        rejected(&run, &tree, checked);
     }
 }

@@ -192,6 +192,14 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         plane_bytes < 64 * 1024,
         "validate + to_string + check_first: {plane_bytes} bytes besides the output"
     );
+    // The output is sized to exactly the bytes written, escapes included,
+    // plus at most the serializer's slack.
+    assert!(
+        xml.capacity() - xml.len() <= 64,
+        "to_string: capacity {} for {} bytes",
+        xml.capacity(),
+        xml.len()
+    );
 
     // Sizing columns nobody has sized allocates nothing on a thread that has
     // sized before: the counting scratch is the thread's, the memo sits in

@@ -29,4 +29,6 @@ pub use dtd::{ContentModel, Dtd, DtdBuilder, ElemId, GeneralDtd, Normalized, Reg
 pub use error::XmlError;
 pub use repair::{repair, Repair, RepairAction};
 pub use tree::{NodeId, NodeKind, XmlTree};
-pub use validate::{validate, validate_by_node, validate_general, ValidationError};
+pub use validate::{
+    validate, validate_by_node, validate_general, Rule, RuleTags, Rules, ValidationError,
+};

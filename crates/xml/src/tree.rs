@@ -65,7 +65,7 @@ pub struct TextId(pub(crate) u32);
 
 /// The root's parent, an empty slot of the text index, and an id a
 /// copier has not mapped yet.
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// The bit that marks a text node's entry in the item column.
 const TEXT: u32 = 1 << 31;
@@ -85,8 +85,12 @@ struct TextTable {
 
 impl TextTable {
     fn get(&self, id: u32) -> &str {
+        &self.buf[self.span(id)]
+    }
+
+    fn span(&self, id: u32) -> std::ops::Range<usize> {
         let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev as usize]);
-        &self.buf[start as usize..self.ends[id as usize] as usize]
+        start as usize..self.ends[id as usize] as usize
     }
 
     /// The slot holding `text`, or the empty one it would take.
@@ -270,19 +274,21 @@ impl XmlTree {
         buf.len() + 4 * (ends.len() + slots.len())
     }
 
-    /// The bytes [`crate::serialize::to_string`] writes, escapes aside: all
-    /// the text plus two tags per element.
-    pub(crate) fn markup_len(&self) -> usize {
-        let bytes = |&item: &u32| match item & TEXT {
-            0 => 2 * self.tags[item as usize].len() + 5,
-            _ => self.texts.get(item & !TEXT).len(),
-        };
-        self.item.iter().map(bytes).sum()
+    /// The text table's buffer: text `id` is the `text_span(id)` of it.
+    #[inline]
+    pub(crate) fn text_buf(&self) -> &[u8] {
+        self.texts.buf.as_bytes()
+    }
+
+    /// Where the text of `id` lies in [`XmlTree::text_buf`].
+    #[inline]
+    pub(crate) fn text_span(&self, id: TextId) -> std::ops::Range<usize> {
+        self.texts.span(id.0)
     }
 
     /// The tag id of `node`, or `None` for a text node.
     #[inline]
-    pub(crate) fn elem_tag(&self, node: NodeId) -> Option<TagId> {
+    pub fn elem_tag(&self, node: NodeId) -> Option<TagId> {
         Some(self.item[node.index()])
             .filter(|&item| item & TEXT == 0)
             .map(TagId)
@@ -400,6 +406,13 @@ impl XmlTree {
             .map(NodeId)
     }
 
+    /// The parent column's entry of `node`: the parent's id, [`NONE`] for
+    /// the root.
+    #[inline]
+    pub(crate) fn parent_id(&self, node: NodeId) -> u32 {
+        self.parent[node.index()]
+    }
+
     /// The child index: a counting sort of the nodes by parent — siblings
     /// stay in insertion order — with every recorded reorder replayed over
     /// the children its parent had at the time (always its first ones).
@@ -513,7 +526,7 @@ impl XmlTree {
     }
 
     /// Pre-order traversal of the subtree rooted at `node` (inclusive).
-    pub fn descendants(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn descendants(&self, node: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_ {
         self.walk(node).filter_map(|(n, enter)| enter.then_some(n))
     }
 
@@ -540,6 +553,19 @@ impl XmlTree {
             open: NONE,
             depth: 0,
             index: (!self.preorder).then(|| vec![(node, true)]),
+        }
+    }
+
+    /// Runs `scan` over the ids of the whole document in pre-order — a
+    /// sequence that keeps no open path: a scan that needs one keeps it
+    /// through the parent column. On a tree [in document
+    /// order](XmlTree::in_document_order) the sequence is a plain range,
+    /// otherwise the enters of the walk through the child index; `scan` is
+    /// generic over it, so each kind of tree runs its own loop.
+    pub(crate) fn scan_preorder<S: PreorderScan>(&self, scan: S) -> S::Output {
+        match self.preorder {
+            true => scan.scan((0..self.len() as u32).map(NodeId)),
+            false => scan.scan(self.descendants(self.root())),
         }
     }
 
@@ -693,6 +719,7 @@ impl PartialEq for XmlTree {
 impl Eq for XmlTree {}
 
 /// The events of [`XmlTree::walk`].
+#[derive(Clone)]
 pub struct Walk<'a> {
     tree: &'a XmlTree,
     root: u32,
@@ -775,6 +802,16 @@ impl Iterator for Walk<'_> {
         }
         acc
     }
+}
+
+/// A pass over the ids of a whole document in pre-order
+/// ([`XmlTree::scan_preorder`]).
+pub(crate) trait PreorderScan {
+    type Output;
+
+    /// Runs over `ids`: every node of the tree once, each after its parent
+    /// and before its next sibling. A clone replays the sequence.
+    fn scan(self, ids: impl Iterator<Item = NodeId> + Clone) -> Self::Output;
 }
 
 /// What [`SubtreeCopier::copy_children`] does with one source node.

@@ -4,7 +4,9 @@
 //!
 //! * [`validate()`] checks a document against a restricted-form [`Dtd`]
 //!   directly (the forms of paper §2 admit a one-pass check over the walk
-//!   events, with [`validate_by_node`] naming the error), and
+//!   events, with [`validate_by_node`] naming the error), reading each
+//!   tag's production from [`Rules`] — the table a producer can also prove
+//!   its own plan against, before it writes a node — and
 //! * [`validate_general`] checks a document against a [`GeneralDtd`] by
 //!   compiling each content model to a Glushkov NFA and running the child tag
 //!   sequence through it.
@@ -12,7 +14,7 @@
 //! Both report the first offending node with its path.
 
 use crate::dtd::{ContentModel, Dtd, ElemId, GeneralDtd, Regex};
-use crate::tree::{NodeId, NodeKind, XmlTree};
+use crate::tree::{NodeId, NodeKind, TagId, XmlTree};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -51,11 +53,55 @@ pub fn validate(tree: &XmlTree, dtd: &Dtd) -> Result<(), ValidationError> {
     named
 }
 
-/// The productions of one tree's tags, over that tree's tag ids so the walk
-/// compares integers: tag `t`'s is `table[3t..3t + 3]` = `[kind, a, n]`, a
-/// [`STAR`] of tag `a`, or a [`SEQ`] / [`CHOICE`] of the `n` tags listed at
+/// The productions of one tree's tags, over that tree's tag ids so that a
+/// check compares integers: the one description of the productions
+/// [`validate`]'s pass and a producer's proof over its own plan read
+/// ([`Rules::of`]). Tag `t`'s entry is `table[3t..3t + 3]` = `[kind, a, n]`:
+/// a `STAR` of tag `a`, or a `SEQ` / `CHOICE` of the `n` tags listed at
 /// `table[a..]` after the per-tag entries.
-struct Rules(Vec<u32>);
+pub struct Rules(Vec<u32>);
+
+/// One tag's production, as [`Rules::of`] reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule<'r> {
+    /// The DTD does not declare the tag.
+    Undeclared,
+    /// Exactly one text child.
+    Pcdata,
+    /// No child.
+    Empty,
+    /// Any number of children of one tag; `None` if no element of the tree
+    /// has that tag.
+    Star(Option<TagId>),
+    /// Exactly these children, in this order.
+    Seq(RuleTags<'r>),
+    /// Exactly one child, of one of these tags.
+    Choice(RuleTags<'r>),
+}
+
+/// The child tags of a [`Rule::Seq`] or [`Rule::Choice`], in production
+/// order; `None` for a type no element of the tree has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RuleTags<'r>(&'r [u32]);
+
+impl<'r> RuleTags<'r> {
+    /// The number of tags listed.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if the production lists no tag.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The tags in production order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<TagId>> + 'r {
+        self.0
+            .iter()
+            .map(|&tag| (tag != ABSENT).then_some(TagId(tag)))
+    }
+}
 
 const UNDECLARED: u32 = 0;
 const PCDATA: u32 = 1;
@@ -69,7 +115,10 @@ const TEXT: u32 = u32::MAX;
 const ABSENT: u32 = u32::MAX - 1;
 
 impl Rules {
-    fn new(tree: &XmlTree, dtd: &Dtd) -> Rules {
+    /// The productions `dtd` gives the tags of `tree`'s tag table: the
+    /// table is `tree`'s, so the rules hold for its tag ids as they are
+    /// now.
+    pub fn new(tree: &XmlTree, dtd: &Dtd) -> Rules {
         let models = || (tree.tags().iter()).map(|tag| dtd.elem(tag).map(|e| dtd.production(e)));
         let lists = models().map(|model| match model {
             Some(ContentModel::Seq(list) | ContentModel::Choice(list)) => list.len(),
@@ -96,8 +145,22 @@ impl Rules {
         Rules(table)
     }
 
+    /// The production of `tag`, a tag id of the tree the rules were built
+    /// over (any tag it had then).
+    pub fn of(&self, tag: TagId) -> Rule<'_> {
+        let list = |at, n| RuleTags(self.list(at, n));
+        match self.entry(tag.0) {
+            [PCDATA, ..] => Rule::Pcdata,
+            [EMPTY, ..] => Rule::Empty,
+            [STAR, a, _] => Rule::Star((a != ABSENT).then_some(TagId(a))),
+            [SEQ, a, n] => Rule::Seq(list(a, n)),
+            [CHOICE, a, n] => Rule::Choice(list(a, n)),
+            _ => Rule::Undeclared,
+        }
+    }
+
     #[inline]
-    fn of(&self, tag: u32) -> [u32; 3] {
+    fn entry(&self, tag: u32) -> [u32; 3] {
         let at = 3 * tag as usize;
         let rule: &[u32; 3] = self.0[at..at + 3].try_into().expect("three entries");
         *rule
@@ -149,7 +212,7 @@ fn conforms(tree: &XmlTree, dtd: &Dtd) -> bool {
         if tag == TEXT {
             return true;
         }
-        let [kind, a, n] = rules.of(tag);
+        let [kind, a, n] = rules.entry(tag);
         open.push([kind, a, n, 0]);
         kind != UNDECLARED
     };

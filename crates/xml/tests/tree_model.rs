@@ -278,11 +278,38 @@ fn assert_agree(tree: &XmlTree, model: &Model, what: &str) {
     );
 }
 
-const TAGS: [&str; 6] = ["a", "b", "list", "_e1", "item", "long-tag.name_1"];
+// `fourteen_bytes` spells `</fourteen_bytes>` in 17 bytes: one past the
+// serializer's 16-byte chunk.
+const TAGS: [&str; 7] = [
+    "a",
+    "b",
+    "list",
+    "_e1",
+    "item",
+    "long-tag.name_1",
+    "fourteen_bytes",
+];
 // "xx" and "x " are concatenations of other entries: a field of several
-// texts then has the value of a field of one.
-const TEXTS: [&str; 11] = [
-    "", "x", "a&b", "<tag>", "1 > 0", " padded ", "&amp;", "é…√", " ", "xx", "x ",
+// texts then has the value of a field of one. The last four are 15, 16, 17
+// and 33 bytes long, around the serializer's 16-byte chunk: the 17-byte one
+// has a two-byte character across the chunk boundary, the 33-byte one needs
+// escapes.
+const TEXTS: [&str; 15] = [
+    "",
+    "x",
+    "a&b",
+    "<tag>",
+    "1 > 0",
+    " padded ",
+    "&amp;",
+    "é…√",
+    " ",
+    "xx",
+    "x ",
+    "fifteen bytes..",
+    "sixteen bytes...",
+    "fifteen bytes..é",
+    "x < y & y > z: thirty-four bytes!",
 ];
 
 #[test]

@@ -991,6 +991,7 @@ fn child_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
 /// How a scalar reads out of an instance table — a column of it or one
 /// constant symbol — resolved through the copy chain once per task (or per
 /// tagged occurrence), never per row.
+#[derive(Clone, Copy)]
 pub(crate) enum ScalarCol {
     Const(Sym),
     Col(usize),

@@ -24,8 +24,8 @@ use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader, SymMap};
 use aig_relstore::{Relation, Sym, Value};
-use aig_xml::tree::{TagId, TextId};
-use aig_xml::{validate, Dtd, NodeId, Rule, Rules, XmlTree};
+use aig_xml::tree::{TagId, TextId, TreeWriter};
+use aig_xml::{validate, Dtd, Rule, Rules, XmlTree};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -323,13 +323,38 @@ impl<'a> Tagger<'a> {
         Ok(tagger)
     }
 
-    /// Writes the document under `tree`'s root.
+    /// Writes the document under `tree`'s root, into node columns sized
+    /// once to [`Tagger::count`].
     fn write(&self, tree: &mut XmlTree) -> Result<(), MediatorError> {
-        let root = tree.root();
+        let counted = self.count();
+        let mut out = tree.writer(counted);
         TEXT_IDS.with_borrow_mut(|texts| {
             texts.clear();
-            self.tag_children(tree, texts, root, ROOT_PLAN, 0)
-        })
+            self.tag_children(&mut out, texts, ROOT_PLAN, 0)
+        })?;
+        debug_assert!(
+            tree.len() <= counted,
+            "{} nodes written, {counted} counted",
+            tree.len()
+        );
+        Ok(())
+    }
+
+    /// The number of nodes [`Tagger::write`] writes, the root included:
+    /// each plan writes an element per row of its base table, and a text
+    /// body one text node more. [`Tagger::tag_children`] writes a plan's
+    /// row at most once — an `OfParent` child once per write of its
+    /// parent's row (a planned occurrence is the `OfParent` child of one
+    /// plan at most), a `Tagged` row under the one parent row its
+    /// `__parent` names — so the count is exact when every instance row
+    /// hangs under a written parent, as σ0's do at every depth, and an
+    /// upper bound otherwise.
+    fn count(&self) -> usize {
+        let nodes = |plan: &OccPlan| match plan.body {
+            Body::Text(_) => 2 * plan.base.len(),
+            Body::Children(_) => plan.base.len(),
+        };
+        self.plans.iter().map(nodes).sum()
     }
 
     /// Whether every document this plan writes conforms to `dtd`, proven on
@@ -416,14 +441,14 @@ impl<'a> Tagger<'a> {
         Ok(())
     }
 
-    /// Emits the children of the occurrence planned at `plan` for the base
-    /// instance `base_idx` (a row position in `T_base`) under `node`.
-    /// `texts` holds the text id of every PCDATA symbol written so far.
+    /// Writes the children of the occurrence planned at `plan` for the base
+    /// instance `base_idx` (a row position in `T_base`) into its element,
+    /// the innermost one `out` has open. `texts` holds the text id of every
+    /// PCDATA symbol written so far.
     fn tag_children(
         &self,
-        tree: &mut XmlTree,
+        out: &mut TreeWriter,
         texts: &mut SymMap<Sym, TextId>,
-        node: NodeId,
         plan: usize,
         base_idx: u32,
     ) -> Result<(), MediatorError> {
@@ -435,19 +460,19 @@ impl<'a> Tagger<'a> {
                 // Each distinct value is formatted once, straight into the
                 // text table; the nodes after it carry its id.
                 match texts.entry(sym) {
-                    Entry::Occupied(id) => drop(tree.add_text_id(node, *id.get())),
+                    Entry::Occupied(id) => drop(out.text_id(*id.get())),
                     Entry::Vacant(slot) => {
                         let value = self.reader.get(sym);
-                        let text = tree.add_text_with(node, |buf| value.write_text(buf));
-                        slot.insert(tree.text_id(text).expect("a text node"));
+                        slot.insert(out.text_with(|buf| value.write_text(buf)));
                     }
                 }
             }
             Body::Children(children) => {
                 for child in children {
                     for &child_idx in child.instances(&base_idx) {
-                        let child_node = tree.add_tagged(node, child.tag);
-                        self.tag_children(tree, texts, child_node, child.plan, child_idx)?;
+                        out.open(child.tag);
+                        self.tag_children(out, texts, child.plan, child_idx)?;
+                        out.close();
                     }
                 }
             }
@@ -545,6 +570,24 @@ mod tests {
         }
     }
 
+    /// The node count the writer's columns are sized to: exact on σ0 at
+    /// every depth, and at least the document on a choice spec.
+    #[test]
+    fn the_count_is_exact_on_sigma0_and_bounds_a_choice() {
+        let count = |run: &Run| {
+            let mut tree = XmlTree::new(run.aig.elem_info(run.aig.root).tag());
+            let tagger = Tagger::new(&run.aig, &run.graph, &run.store, &mut tree).unwrap();
+            tagger.write(&mut tree).unwrap();
+            (tagger.count(), tree.len())
+        };
+        for depth in [3, 6, 12, 24] {
+            let (counted, written) = count(&hospital(depth));
+            assert_eq!(counted, written, "depth {depth}");
+        }
+        let (counted, written) = count(&orders());
+        assert!(counted >= written, "{counted} counted, {written} written");
+    }
+
     /// The plan of `patient`, a sequence `(SSN, pname, treatments, bill)`
     /// the tiny hospital's first date has instances of.
     fn patient(tagger: &mut Tagger, tree: &mut XmlTree) -> usize {
@@ -576,11 +619,21 @@ mod tests {
             }),
             ("duplicate one", |tagger, tree| {
                 let at = patient(tagger, tree);
+                // The copy writes through a plan of its own, as every
+                // `OfParent` child of a built plan does: the node count
+                // stays exact.
                 let first = &children(tagger, at)[0];
+                let (elem, tag, plan) = (first.elem, first.tag, first.plan);
+                let original = &tagger.plans[plan];
+                let Body::Text(text) = &original.body else {
+                    panic!("SSN is PCDATA");
+                };
+                let body = Body::Text(text.clone());
+                tagger.plans.push(OccPlan { body, ..*original });
                 let copy = ChildPlan {
-                    elem: first.elem,
-                    tag: first.tag,
-                    plan: first.plan,
+                    elem,
+                    tag,
+                    plan: tagger.plans.len() - 1,
                     rows: ChildRows::OfParent,
                 };
                 children(tagger, at).insert(0, copy);

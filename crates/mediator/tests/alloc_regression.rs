@@ -161,6 +161,16 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         per_node <= 0.1,
         "tag_document: {tag_allocs} allocations for {nodes} nodes = {per_node:.2} per node"
     );
+    // The node columns are sized once from the tag plan's node count: 8
+    // bytes a node, and the text table besides. Grown by doubling, they
+    // requested 22.2 bytes a node.
+    let tag_bytes_per_node = tag_bytes as f64 / nodes;
+    println!("tag_document {tag_bytes_per_node:.1} requested bytes/node ({tag_bytes} bytes)");
+    assert!(
+        tag_bytes_per_node <= 12.0,
+        "tag_document: {tag_bytes} bytes requested for {nodes} nodes \
+         = {tag_bytes_per_node:.1} per node"
+    );
     // Each distinct text is stored once: ~1.4 k texts behind ~37 k text
     // nodes. A table that kept a text per node would hold them all.
     let (texts, text_bytes) = (tree.distinct_texts(), tree.text_table_bytes());
@@ -292,9 +302,9 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     // A refresh that re-runs nothing: its executor reuses every relation,
     // so all it allocates is the finisher's per-*task* work (costs, merge,
     // report rows: about 28 per task here) plus what it does per node. In
-    // bytes it is one tagging of the store and little else (1.09x the
-    // bytes of `tag_document` here): a snapshot holds no document to copy
-    // or index.
+    // bytes it is one tagging of the store and little else (1.17x the
+    // bytes of `tag_document` here, 1.09x while the tagger's columns grew
+    // by doubling): a snapshot holds no document to copy or index.
     let options = MediatorOptions::builder()
         .incremental(true)
         .build()

@@ -4,10 +4,10 @@
 //! rejected — the paper's data model has none (§2).
 
 use crate::error::XmlError;
-use crate::tree::{NodeId, XmlTree};
+use crate::tree::{TreeWriter, XmlTree};
 
 /// Parses an XML document into a tree. Nesting is bounded by memory only:
-/// open elements are kept on an explicit stack, not the call stack.
+/// the tree's writer keeps the open elements, not the call stack.
 pub fn parse(src: &str) -> Result<XmlTree, XmlError> {
     Parser {
         text: src,
@@ -86,24 +86,23 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         let tag = self.name()?;
         let mut tree = XmlTree::new(tag);
-        // The elements whose content is being read, innermost last.
-        let mut open: Vec<NodeId> = Vec::new();
-        if self.finish_start_tag(tag)? {
-            open.push(tree.root());
+        let mut out = tree.writer(0);
+        if !self.finish_start_tag(tag)? {
+            out.close();
         }
         let mut text = String::new();
-        while let Some(&parent) = open.last() {
+        while out.open_tag().is_some() {
             match self.src.get(self.pos) {
                 None => return Err(self.err("unexpected end of input inside element")),
                 Some(b'<') => {
-                    Self::flush_text(&mut tree, parent, &mut text);
+                    Self::flush_text(&mut out, &mut text);
                     if let Some(terminated) = self.skip_past(b"<!--", b"-->") {
                         if !terminated {
                             return Err(self.err("unterminated comment"));
                         }
                     } else if self.src[self.pos..].starts_with(b"</") {
                         self.pos += 2;
-                        let (close, tag) = (self.name()?, tree.tag(parent).unwrap_or_default());
+                        let (close, tag) = (self.name()?, out.open_tag().unwrap_or_default());
                         if close != tag {
                             return Err(
                                 self.err(format!("mismatched close tag `{close}` for `{tag}`"))
@@ -114,14 +113,14 @@ impl<'a> Parser<'a> {
                             return Err(self.err("expected `>`"));
                         }
                         self.pos += 1;
-                        open.pop();
+                        out.close();
                     } else {
                         self.pos += 1;
                         let tag = self.name()?;
-                        let tag_id = tree.intern_tag(tag);
-                        let child = tree.add_tagged(parent, tag_id);
-                        if self.finish_start_tag(tag)? {
-                            open.push(child);
+                        let tag_id = out.intern_tag(tag);
+                        out.open(tag_id);
+                        if !self.finish_start_tag(tag)? {
+                            out.close();
                         }
                     }
                 }
@@ -162,9 +161,9 @@ impl<'a> Parser<'a> {
     /// Emits accumulated text as a text node if it contains any
     /// non-whitespace character; whitespace-only runs between elements are
     /// treated as formatting and dropped.
-    fn flush_text(tree: &mut XmlTree, parent: NodeId, text: &mut String) {
+    fn flush_text(out: &mut TreeWriter, text: &mut String) {
         if text.chars().any(|c| !c.is_whitespace()) {
-            tree.add_text_with(parent, |buf| buf.push_str(text));
+            out.text_with(|buf| buf.push_str(text));
         }
         text.clear();
     }

@@ -8,7 +8,8 @@
 //! tables. The text table stores each distinct PCDATA once, so within one
 //! tree equal text is equal [`TextId`]. Child lists are an offsets + ids
 //! index derived from the parent column on the first read after a mutation
-//! — build, then read. Adding a node is two `push`es, `Clone` is a few
+//! — build, then read. Adding a node pushes one entry on each column — the
+//! columns grow by doubling unless sized up front — `Clone` is a few
 //! `memcpy`s, and nothing is allocated per node.
 //!
 //! A tree built in document order — every node added under the previous
@@ -16,6 +17,14 @@
 //! subtree copier do — has ids that *are* its pre-order. Its walks then scan
 //! ids with no index and no stack; only random access ([`XmlTree::children`])
 //! and trees built out of order pay for the child index.
+//!
+//! A tree is built in one of two ways. The `add_*` calls append a node
+//! under any element and check, node by node, whether document order still
+//! holds. A [`TreeWriter`] ([`XmlTree::writer`]) writes in pre-order — open
+//! an element, write its content, close it — into columns sized once from
+//! a node-count hint: the open elements are the parent chain of its
+//! innermost one, so document order holds by construction and a node costs
+//! its two column entries and nothing else.
 
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
@@ -302,26 +311,33 @@ impl XmlTree {
             .map(|item| TextId(item & !TEXT))
     }
 
-    fn push_node(&mut self, parent: NodeId, item: u32) -> NodeId {
-        assert!(self.is_element(parent), "text nodes are leaves");
+    /// Appends a node (`item`, under `parent`) to the columns.
+    #[inline]
+    fn append(&mut self, parent: u32, item: u32) -> NodeId {
         let id = u32::try_from(self.item.len())
             .ok()
             .filter(|&id| id != NONE)
             .expect("tree exceeds u32 nodes");
+        self.item.push(item);
+        self.parent.push(parent);
+        NodeId(id)
+    }
+
+    fn push_node(&mut self, parent: NodeId, item: u32) -> NodeId {
+        assert!(self.is_element(parent), "text nodes are leaves");
+        let id = self.append(parent.0, item);
         // Document order holds if `parent` is the previous node or one of
         // its ancestors. Every node climbed past is closed for good, so the
         // climbs of a whole build cost one step per node.
         if self.preorder {
-            let mut open = id - 1;
+            let mut open = id.0 - 1;
             while open != parent.0 && open != NONE {
                 open = self.parent[open as usize];
             }
             self.preorder = open == parent.0;
         }
-        self.item.push(item);
-        self.parent.push(parent.0);
         self.index.take();
-        NodeId(id)
+        id
     }
 
     /// Appends a new element child with tag `tag` to `parent`.
@@ -346,23 +362,49 @@ impl XmlTree {
     /// appends to the text table's buffer — taken off again if the table
     /// already holds that text.
     pub fn add_text_with(&mut self, parent: NodeId, write: impl FnOnce(&mut String)) -> NodeId {
+        let text = self.intern_written(write);
+        self.add_text_id(parent, text)
+    }
+
+    /// Registers whatever `write` appends to the text table's buffer, taken
+    /// off again if the table already holds that text.
+    fn intern_written(&mut self, write: impl FnOnce(&mut String)) -> TextId {
         let start = self.texts.buf.len();
         write(&mut self.texts.buf);
         assert!(
             self.texts.buf.len() >= start && self.texts.buf.is_char_boundary(start),
             "the text buffer only grows"
         );
-        let text = self.texts.intern_tail(start);
-        self.add_text_id(parent, text)
+        self.texts.intern_tail(start)
     }
 
     /// Appends a new text child to `parent`, its text given by id.
     pub fn add_text_id(&mut self, parent: NodeId, text: TextId) -> NodeId {
+        self.push_node(parent, self.text_item(text))
+    }
+
+    /// The item column's entry of a text node carrying `text`.
+    #[inline]
+    fn text_item(&self, text: TextId) -> u32 {
         assert!(
             (text.0 as usize) < self.texts.ends.len(),
             "text id of another tree"
         );
-        self.push_node(parent, TEXT | text.0)
+        TEXT | text.0
+    }
+
+    /// A writer of this tree's next nodes in pre-order, starting under the
+    /// root, with the node columns sized for `nodes` nodes in all (a hint:
+    /// a tree that outgrows it grows as the `add_*` calls grow it).
+    pub fn writer(&mut self, nodes: usize) -> TreeWriter<'_> {
+        let more = nodes.saturating_sub(self.len());
+        self.item.reserve_exact(more);
+        self.parent.reserve_exact(more);
+        self.index.take();
+        TreeWriter {
+            tree: self,
+            open: 0,
+        }
     }
 
     /// The node's kind (element tag or text payload).
@@ -814,6 +856,77 @@ pub(crate) trait PreorderScan {
     fn scan(self, ids: impl Iterator<Item = NodeId> + Clone) -> Self::Output;
 }
 
+/// Writes nodes into a tree in pre-order ([`XmlTree::writer`]): each one the
+/// next child of the innermost open element. The root starts open; once it
+/// is closed the document is complete.
+///
+/// The open elements are the innermost one and its ancestors, so the parent
+/// column is the writer's stack: a node goes under the previous node or one
+/// of its ancestors, which is document order by construction — no climb, and
+/// no check that its parent is an element. A tree in document order stays
+/// in it (its root is an ancestor of every node).
+pub struct TreeWriter<'a> {
+    tree: &'a mut XmlTree,
+    /// The innermost open element, `NONE` once the root is closed.
+    open: u32,
+}
+
+impl TreeWriter<'_> {
+    /// [`XmlTree::intern_tag`] of the tree being written.
+    pub fn intern_tag(&mut self, tag: &str) -> TagId {
+        self.tree.intern_tag(tag)
+    }
+
+    /// The tag of the innermost open element, `None` once the root is
+    /// closed.
+    pub fn open_tag(&self) -> Option<&str> {
+        let item = *self.tree.item.get(self.open as usize)?;
+        Some(&self.tree.tags[item as usize])
+    }
+
+    /// Writes an element tagged `tag` and opens it: what follows is its
+    /// content until the matching [`TreeWriter::close`].
+    #[inline]
+    pub fn open(&mut self, tag: TagId) -> NodeId {
+        assert!(
+            (tag.0 as usize) < self.tree.tags.len(),
+            "tag id of another tree"
+        );
+        let node = self.append(tag.0);
+        self.open = node.0;
+        node
+    }
+
+    /// Closes the innermost open element.
+    #[inline]
+    pub fn close(&mut self) {
+        assert!(self.open != NONE, "closing past the root");
+        self.open = self.tree.parent[self.open as usize];
+    }
+
+    /// Writes a text node carrying `text`, a text of the tree's table.
+    #[inline]
+    pub fn text_id(&mut self, text: TextId) -> NodeId {
+        let item = self.tree.text_item(text);
+        self.append(item)
+    }
+
+    /// Writes a text node whose PCDATA is whatever `write` appends to the
+    /// text table's buffer, as [`XmlTree::add_text_with`] does, and returns
+    /// the id of that text.
+    pub fn text_with(&mut self, write: impl FnOnce(&mut String)) -> TextId {
+        let text = self.tree.intern_written(write);
+        self.text_id(text);
+        text
+    }
+
+    #[inline]
+    fn append(&mut self, item: u32) -> NodeId {
+        assert!(self.open != NONE, "the document is closed");
+        self.tree.append(self.open, item)
+    }
+}
+
 /// What [`SubtreeCopier::copy_children`] does with one source node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyStep {
@@ -1072,6 +1185,74 @@ mod tests {
         assert_eq!(dst.distinct_texts(), 2);
         let pcdata: Vec<&str> = leaves.iter().map(|&n| dst.text(n).unwrap()).collect();
         assert_eq!(pcdata, ["v1", "v1", "<", "v1", "<"]);
+    }
+
+    #[test]
+    fn a_writer_writes_what_the_add_calls_add() {
+        let (built, _, _) = sample();
+        let mut t = XmlTree::new("report");
+        let (patient, ssn) = (t.intern_tag("patient"), t.intern_tag("SSN"));
+        let mut out = t.writer(100);
+        assert_eq!(out.open_tag(), Some("report"));
+        out.open(patient);
+        out.open(ssn);
+        out.text_with(|buf| buf.push_str("123-45-6789"));
+        out.close();
+        assert_eq!(out.open_tag(), Some("patient"));
+        out.close();
+        out.close();
+        assert_eq!(out.open_tag(), None);
+        assert!(t == built && t.in_document_order());
+        assert!(t.item.capacity() >= 100 && t.parent.capacity() >= 100);
+
+        // On a built tree, the writer appends under the root.
+        let mut more = built.clone();
+        let tag = more.intern_tag("patient");
+        let mut out = more.writer(0);
+        let p = out.open(tag);
+        out.text_id(TextId(0));
+        out.close();
+        assert!(more.in_document_order());
+        assert_eq!(more.children(more.root()).len(), 2);
+        assert_eq!(more.text_value(p), "123-45-6789");
+    }
+
+    #[test]
+    #[should_panic(expected = "closing past the root")]
+    fn a_writer_does_not_close_past_the_root() {
+        let mut t = XmlTree::new("r");
+        let mut out = t.writer(1);
+        out.close();
+        out.close();
+    }
+
+    #[test]
+    #[should_panic(expected = "the document is closed")]
+    fn a_writer_writes_nothing_after_the_root_closes() {
+        let mut t = XmlTree::new("r");
+        let a = t.intern_tag("a");
+        let mut out = t.writer(2);
+        out.close();
+        out.open(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "text id of another tree")]
+    fn a_writer_rejects_a_text_id_of_another_tree() {
+        let mut other = XmlTree::new("r");
+        other.intern_text("x");
+        let text = other.intern_text("y");
+        let mut t = XmlTree::new("r");
+        t.writer(2).text_id(text);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag id of another tree")]
+    fn a_writer_rejects_a_tag_id_of_another_tree() {
+        let mut other = XmlTree::new("r");
+        let tag = other.intern_tag("a");
+        let mut t = XmlTree::new("r");
+        t.writer(2).open(tag);
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //! `set_children` — which walks the child index: walk events, both
 //! serializers, `validate` against a random restricted DTD and
 //! `ConstraintSet::check` must not tell them apart, and the checker must
-//! also match a naive one over the model.
+//! also match a naive one over the model. Each is also written again
+//! through a `TreeWriter` — the same opens, texts and closes in pre-order,
+//! with a node-count hint too small, exact and too large — and must come
+//! out `==` to it, with the same tag and text ids, the same `to_string`,
+//! in document order and agreeing with the model.
 
 use aig_prng::{Rng, SeedableRng, StdRng};
 use aig_xml::parse::parse;
 use aig_xml::serialize::{to_pretty_string, to_string};
-use aig_xml::tree::CopyStep;
+use aig_xml::tree::{CopyStep, TextId};
 use aig_xml::{
     validate, validate_by_node, Constraint, ConstraintSet, Dtd, DtdBuilder, Inclusion, Key, NodeId,
     Violation, XmlTree,
@@ -359,11 +363,15 @@ fn a_tree_in_document_order_walks_like_its_out_of_order_twin() {
         // The open path: the root and the elements the next node may go
         // under, innermost last.
         let mut open = vec![0usize];
+        // The same build as a writer's opens, texts and closes.
+        let mut log = Vec::new();
         // Every fourth tree small, so that some conform to the DTD read off
         // them below.
         let size = [8, 120, 120, 120][seed as usize % 4];
         for _ in 0..rng.gen_range(1..size) {
-            open.truncate(rng.gen_range(1..open.len() + 1));
+            let keep = rng.gen_range(1..open.len() + 1);
+            log.extend((keep..open.len()).map(|_| Write::Close));
+            open.truncate(keep);
             let parent = *open.last().unwrap();
             if rng.gen_range(0..10u32) < 6 {
                 let tag = *rng.pick(&TAGS);
@@ -371,15 +379,32 @@ fn a_tree_in_document_order_walks_like_its_out_of_order_twin() {
                 let node = model.add(parent, Some(tag), "");
                 elements.push(node);
                 open.push(node);
+                log.push(Write::Open(tag));
             } else {
                 let text = *rng.pick(&TEXTS);
                 ids.push(tree.add_text(ids[parent], text));
                 model.add(parent, None, text);
+                log.push(Write::Text(text));
             }
         }
+        log.extend(open.iter().map(|_| Write::Close));
         let what = format!("seed {seed}, document order");
         assert!(tree.in_document_order(), "{what}");
         check_everything(&tree, &model, &ids, &elements, &mut rng, seed);
+
+        let n = tree.len();
+        for hint in [0, n / 2, n, 2 * n] {
+            let what = format!("{what}, written with a hint of {hint} for {n} nodes");
+            let written = write_tree(&log, hint, seed);
+            assert!(written == tree, "{what}: ==");
+            assert!(written.in_document_order(), "{what}");
+            for node in tree.iter() {
+                let ids = |t: &XmlTree| (t.elem_tag(node), t.text_id(node));
+                assert_eq!(ids(&written), ids(&tree), "{what}: ids of {node}");
+            }
+            assert_eq!(to_string(&written), to_string(&tree), "{what}: to_string");
+            assert_agree(&written, &model, &what);
+        }
 
         let (twin, twin_ids) = out_of_order_twin(&model, &mut rng);
         if model.0.iter().any(|(_, _, kids)| kids.len() > 1) {
@@ -448,6 +473,37 @@ fn a_tree_in_document_order_walks_like_its_out_of_order_twin() {
         branching > 30 && valid > 3,
         "{branching} branching, {valid} valid"
     );
+}
+
+/// One step of a pre-order write.
+enum Write {
+    Open(&'static str),
+    Text(&'static str),
+    Close,
+}
+
+/// `log` written through a `TreeWriter` sized for `hint` nodes: a text
+/// written before goes by its id or is written again, at random.
+fn write_tree(log: &[Write], hint: usize, seed: u64) -> XmlTree {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tree = XmlTree::new("root");
+    let mut out = tree.writer(hint);
+    let mut texts: HashMap<&str, TextId> = HashMap::new();
+    for step in log {
+        match *step {
+            Write::Open(tag) => {
+                let tag = out.intern_tag(tag);
+                out.open(tag);
+            }
+            Write::Text(text) => match texts.get(text) {
+                Some(&id) if rng.gen_bool(0.5) => drop(out.text_id(id)),
+                _ => drop(texts.insert(text, out.text_with(|buf| buf.push_str(text)))),
+            },
+            Write::Close => out.close(),
+        }
+    }
+    assert_eq!(out.open_tag(), None, "the log closes the root");
+    tree
 }
 
 /// Everything the model can check of a tree whose ids are the model's.

@@ -49,6 +49,7 @@ fn task(
             .map(|&d| (d, RelKey::Instances(ElemIdx(0))))
             .collect(),
         output: None,
+        schema: Default::default(),
         est: CostEstimate {
             eval_secs: est_secs,
             out_rows: 0.0,

@@ -21,8 +21,8 @@ use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, ValueExpr};
 use aig_core::AigError;
 use aig_relstore::intern::{self, Reader, SymMap};
 use aig_relstore::par::{apply_perm, RowTable, PAR_THRESHOLD};
-use aig_relstore::{Catalog, Relation, SourceId, StoreError, Sym, Value};
-use aig_sql::{execute_tuned as sql_execute_tuned, ParamValue, Params};
+use aig_relstore::{Catalog, Relation, SharedCol, SourceId, StoreError, Sym, Value};
+use aig_sql::{execute_named as sql_execute_named, ParamValue, Params};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -444,18 +444,14 @@ pub(crate) fn ship_image_bytes(opts: &ExecOptions, task_id: usize, rel: &Relatio
 /// Total rows across the task's distinct input relations (observability
 /// accounting; reads that fail — e.g. a producer with no output — count 0).
 fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
-    // A task has a handful of dependencies: dedup by scanning, not hashing.
-    let mut seen: Vec<&RelKey> = Vec::with_capacity(task.deps.len());
-    let mut rows = 0.0;
-    for (_, key) in &task.deps {
-        if !seen.contains(&key) {
-            seen.push(key);
-            if let Ok(rel) = store.rel(key) {
-                rows += rel.len() as f64;
-            }
-        }
-    }
-    rows
+    // A task has a handful of dependencies: dedup by scanning the earlier
+    // ones, with no set to allocate.
+    let deps = &task.deps;
+    (0..deps.len())
+        .filter(|&i| !deps[..i].iter().any(|(_, key)| *key == deps[i].1))
+        .filter_map(|i| store.rel(&deps[i].1).ok())
+        .map(|rel| rel.len() as f64)
+        .sum()
 }
 
 /// The one task body: every worker of [`crate::parallel::walk`] — the one
@@ -548,7 +544,6 @@ impl<S: RelSource> Executor<'_, S> {
         match &task.kind {
             TaskKind::Root => {
                 let root_info = self.aig.elem_info(self.aig.root);
-                let columns = instance_columns(&root_info.inh);
                 let mut row = vec![
                     Value::int(0),
                     Value::int(-1),
@@ -569,40 +564,37 @@ impl<S: RelSource> Executor<'_, S> {
                         })?;
                     row.push(v);
                 }
-                let mut rel = Relation::empty(columns);
+                let mut rel = Relation::empty(task.schema.clone());
                 rel.push(row);
                 Ok(Some(rel))
             }
             TaskKind::Gen {
                 parent,
-                item,
                 query,
                 set_input,
                 broadcast,
                 generated_fields,
+                ..
             } => {
-                let child_elem = self.child_of(parent, *item)?;
-                let child_info = self.aig.elem_info(child_elem);
-                let raw: Relation = if let Some(vq) = query {
-                    self.run_vector_query(vq)?
+                let queried;
+                // A query's output (`__parent`, fields…) or the iterated set
+                // (`__owner`, comps…): the parent in column 0 either way.
+                let raw: &Relation = if let Some(vq) = query {
+                    queried = self.run_vector_query(vq)?;
+                    &queried
                 } else {
-                    // Mediator iteration over a set: (__owner, comps…).
                     let key = set_input.as_ref().ok_or_else(|| {
                         MediatorError::Internal("set generator without input".to_string())
                     })?;
-                    let rel = self.store.rel(key)?.clone();
-                    // Align with query output shape: __parent + comps.
-                    let mut columns = vec!["__parent".to_string()];
-                    columns.extend(rel.columns().iter().skip(1).cloned());
-                    rel.with_columns(columns)
+                    self.store.rel(key)?
                 };
                 // Child columns: parent, ord, scalar fields in decl order.
                 let base = self.store.rel(&RelKey::Instances(parent.base))?;
                 let rowids = base.col_syms(base.col("__rowid")?);
-                let out_columns = child_columns(&child_info.inh);
-                let parents = raw.col_syms(raw.col("__parent")?);
+                let out_columns = &task.schema;
+                let parents = raw.col_syms(0);
                 if raw.is_empty() {
-                    return Ok(Some(Relation::empty(out_columns)));
+                    return Ok(Some(Relation::empty(out_columns.clone())));
                 }
                 // Where each field column reads from, resolved once: the
                 // query output at the row's own position (generated) or the
@@ -655,20 +647,19 @@ impl<S: RelSource> Executor<'_, S> {
                 }
                 let mut cols = vec![apply_perm(parents, &perm), ords];
                 cols.extend(fields.iter().map(|(generated, col)| match generated {
-                    true => col.gather(&raw, &perm),
+                    true => col.gather(raw, &perm),
                     false => col.gather(base, &parent_rows),
                 }));
-                Ok(Some(Relation::try_from_columns(out_columns, cols)?))
+                Ok(Some(Relation::try_from_columns(out_columns.clone(), cols)?))
             }
             TaskKind::InhSetQuery {
                 target,
                 field,
                 query,
             } => {
-                let raw = self.run_vector_query(query)?;
-                let mut columns = vec!["__owner".to_string()];
-                columns.extend(raw.columns().iter().skip(1).cloned());
-                let mut rel = raw.with_columns(columns);
+                let mut rel = self
+                    .run_vector_query(query)?
+                    .with_columns(task.schema.clone());
                 // Coerce: dedup for set-typed targets, keep bags.
                 let binding = self.binding(target)?;
                 let info = self.aig.elem_info(binding.elem);
@@ -679,9 +670,9 @@ impl<S: RelSource> Executor<'_, S> {
                 }
                 Ok(Some(rel))
             }
-            TaskKind::Assemble { elem, inputs } => {
-                let columns = instance_columns(&self.aig.elem_info(*elem).inh);
-                let mut cols: Vec<Vec<Sym>> = vec![Vec::new(); columns.len()];
+            TaskKind::Assemble { inputs, .. } => {
+                let columns = &task.schema;
+                let mut parts = Vec::with_capacity(inputs.len());
                 for input in inputs {
                     let occ_value = match input {
                         RelKey::GenOut(occ, item) => occ_tag(self.aig, occ, *item),
@@ -692,8 +683,6 @@ impl<S: RelSource> Executor<'_, S> {
                             )))
                         }
                     };
-                    // part: __parent, __ord, fields… — concatenated under
-                    // __rowid, __parent, __ord, __occ, fields…
                     let part = self.store.rel(input)?;
                     if part.arity() + 2 != columns.len() {
                         return Err(MediatorError::Store(StoreError::SchemaMismatch {
@@ -705,17 +694,39 @@ impl<S: RelSource> Executor<'_, S> {
                             ),
                         }));
                     }
-                    let occ = intern::intern_owned(Value::str(occ_value));
-                    cols[1].extend_from_slice(part.col_syms(0));
-                    cols[2].extend_from_slice(part.col_syms(1));
-                    cols[3].extend(std::iter::repeat_n(occ, part.len()));
-                    for c in 2..part.arity() {
-                        cols[c + 2].extend_from_slice(part.col_syms(c));
-                    }
+                    parts.push((part, intern::intern_owned(Value::str(occ_value))));
                 }
-                let rows = cols[1].len();
-                cols[0] = intern::int_syms(rows)[..rows].to_vec();
-                Ok(Some(Relation::try_from_columns(columns, cols)?))
+                // part: __parent, __ord, fields… — concatenated under
+                // __rowid, __parent, __ord, __occ, fields…
+                let rows = parts.iter().map(|(part, _)| part.len()).sum();
+                let cols = (0..columns.len()).map(|c| match c {
+                    0 => SharedCol::from(intern::int_syms(rows)[..rows].to_vec()),
+                    3 => {
+                        let mut occs = Vec::with_capacity(rows);
+                        for &(part, occ) in &parts {
+                            occs.extend(std::iter::repeat_n(occ, part.len()));
+                        }
+                        occs.into()
+                    }
+                    _ => {
+                        let c = if c < 3 { c - 1 } else { c - 2 };
+                        match parts.as_slice() {
+                            // One part's column is shared, not copied.
+                            [(part, _)] => part.shared_col(c),
+                            _ => {
+                                let mut col = Vec::with_capacity(rows);
+                                for (part, _) in &parts {
+                                    col.extend_from_slice(part.col_syms(c));
+                                }
+                                col.into()
+                            }
+                        }
+                    }
+                });
+                Ok(Some(Relation::from_shared(
+                    columns.clone(),
+                    cols.collect(),
+                )?))
             }
             TaskKind::Cond { occ, query } => {
                 let elem_name = self.aig.elem_name(self.binding(occ)?.elem);
@@ -769,9 +780,8 @@ impl<S: RelSource> Executor<'_, S> {
                     .map(|owner| picks.get(owner).copied())
                     .collect::<Option<_>>()
                     .ok_or_else(|| bad("condition row for unknown instance".into()))?;
-                let columns = vec!["__owner".into(), "__pick".into()];
                 let cols = vec![owners.to_vec(), pick_col];
-                Ok(Some(Relation::try_from_columns(columns, cols)?))
+                Ok(Some(Relation::try_from_columns(task.schema.clone(), cols)?))
             }
             TaskKind::BranchMat { occ, branch } => {
                 let binding = self.binding(occ)?;
@@ -783,7 +793,7 @@ impl<S: RelSource> Executor<'_, S> {
                 let picks = self.store.rel(&RelKey::Pick(occ.clone()))?;
                 let base = self.store.rel(&RelKey::Instances(occ.base))?;
                 let rowids = base.col_syms(base.col("__rowid")?);
-                let columns = child_columns(&self.aig.elem_info(spec.elem).inh);
+                let columns = &task.schema;
                 // The owners that picked this branch, and their base rows; a
                 // never-interned pick value is one no owner can carry.
                 let wanted = intern::lookup(&Value::int(*branch as i64 + 1));
@@ -799,7 +809,7 @@ impl<S: RelSource> Executor<'_, S> {
                     }
                 }
                 if owners.is_empty() {
-                    return Ok(Some(Relation::empty(columns)));
+                    return Ok(Some(Relation::empty(columns.clone())));
                 }
                 let ords = vec![intern::int_syms(1)[0]; owners.len()];
                 let mut cols = vec![owners, ords];
@@ -813,9 +823,9 @@ impl<S: RelSource> Executor<'_, S> {
                         _ => vec![Sym::NULL; rows.len()],
                     });
                 }
-                Ok(Some(Relation::try_from_columns(columns, cols)?))
+                Ok(Some(Relation::try_from_columns(columns.clone(), cols)?))
             }
-            TaskKind::SynAgg { occ, field } => Ok(Some(self.compute_syn(occ, field)?)),
+            TaskKind::SynAgg { occ, field } => Ok(Some(self.compute_syn(task, occ, field)?)),
             TaskKind::Guard { occ, guard } => {
                 if self.opts.policy.check_guards {
                     self.check_guard(occ, *guard)?;
@@ -831,6 +841,10 @@ impl<S: RelSource> Executor<'_, S> {
         })
     }
 
+    /// The element of `occ`'s starred `item` (the row-major references of
+    /// `columnar_tests` resolve children through it; the task bodies read
+    /// the plan's schemas).
+    #[cfg(test)]
     fn child_of(&self, occ: &Occ, item: usize) -> Result<ElemIdx, MediatorError> {
         let binding = self.binding(occ)?;
         match &self.aig.elem_info(binding.elem).prod {
@@ -858,12 +872,13 @@ impl<S: RelSource> Executor<'_, S> {
             };
             params.insert(name.clone(), ParamValue::Rel(rel));
         }
-        Ok(sql_execute_tuned(
+        Ok(sql_execute_named(
             &vq.query,
             self.catalog,
             &params,
             self.threads(),
             PAR_THRESHOLD,
+            vq.columns.clone(),
         )?)
     }
 
@@ -886,7 +901,7 @@ impl<S: RelSource> Executor<'_, S> {
     /// so the one dedup at the end keeps what the per-level evaluation kept:
     /// first-occurrence dedup satisfies dedup(rekey(dedup X)) =
     /// dedup(rekey X).
-    fn compute_syn(&self, occ: &Occ, field: &str) -> Result<Relation, MediatorError> {
+    fn compute_syn(&self, task: &Task, occ: &Occ, field: &str) -> Result<Relation, MediatorError> {
         let binding = self.binding(occ)?;
         let decl = syn_decl(self.aig, binding.elem, field)?;
         let comps = (decl.ty.components())
@@ -908,11 +923,9 @@ impl<S: RelSource> Executor<'_, S> {
         };
         let walk = SynWalk::new(self.aig, &self.graph.bindings, decl.ty.is_bag());
         walk.field(&mut pass, &mut top, occ, field, false)?;
-        let mut columns = vec!["__owner".to_string()];
-        columns.extend(comps.iter().cloned());
         let mut cols = vec![apply_perm(rowids, &pass.owners)];
         cols.extend(pass.comps);
-        let mut out = Relation::try_from_columns(columns, cols)?;
+        let mut out = Relation::try_from_columns(task.schema.clone(), cols)?;
         if !decl.ty.is_bag() {
             self.dedup_output(&mut out);
         }
@@ -978,7 +991,7 @@ pub fn instance_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
 
 /// Column layout of a generator or branch output — an instance-table part
 /// before assembly: `__parent`, `__ord`, then the child's scalar fields.
-fn child_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
+pub(crate) fn child_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
     let mut columns = vec!["__parent".to_string(), "__ord".to_string()];
     columns.extend(
         inh.iter()

@@ -680,10 +680,11 @@ impl TaskFaultCtx<'_> {
 }
 
 /// How one attempt under a fault plan ended: it shipped, or an injected
-/// fault failed it — the event to record and the error if none is left.
+/// fault failed it — the event to record and the error if none is left
+/// (boxed: the failure is the rare, large arm).
 enum Attempt {
     Shipped(Option<Relation>),
-    Failed(FaultEvent, MediatorError),
+    Failed(Box<(FaultEvent, MediatorError)>),
 }
 
 impl FaultEnv<'_> {
@@ -736,7 +737,7 @@ impl FaultEnv<'_> {
             };
             let (mut event, error) = match self.attempt(plan, ctx, attempt, events, &mut run)? {
                 Attempt::Shipped(out) => return Ok(out),
-                Attempt::Failed(event, error) => (event, error),
+                Attempt::Failed(failed) => *failed,
             };
             if attempt + 1 == max {
                 events.push(event);
@@ -813,7 +814,7 @@ impl FaultEnv<'_> {
                 kind: fault,
                 attempts: self.retry.max_attempts.max(1),
             };
-            return Ok(Attempt::Failed(event, error));
+            return Ok(Attempt::Failed(Box::new((event, error))));
         }
         // The attempt runs; genuine errors are never retried.
         let mut out = run()?;
@@ -864,7 +865,7 @@ impl FaultEnv<'_> {
                     constraint: finding.constraint,
                     ..ctx.event(attempt, kind, FaultOutcome::Surfaced)
                 };
-                return Ok(Attempt::Failed(event, error));
+                return Ok(Attempt::Failed(Box::new((event, error))));
             }
             if let Some(kind) = corrupted {
                 // Defense off (or no profile): the corruption flows on.

@@ -17,13 +17,13 @@
 //! materialized ancestor's table, so no query or table is spent on them.
 
 use crate::error::MediatorError;
-use crate::exec::{branch_tag, occ_tag};
+use crate::exec::{branch_tag, child_columns, instance_columns, occ_tag};
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{
     Aig, ElemIdx, FieldRule, Generator, ParamSource, Prod, QueryRule, SetExpr, SynRule, ValueExpr,
 };
 use aig_core::FieldDecl;
-use aig_relstore::{Catalog, SourceId, Value};
+use aig_relstore::{Catalog, ColNames, SourceId, Value};
 use aig_sql::cost::{estimate, CatalogStats, CostEstimate, CostModel, ParamStats};
 use aig_sql::{FromItem, Pred, QualCol, Query, Scalar, SelectItem, SetRef};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -133,6 +133,8 @@ pub enum ParamInput {
 #[derive(Debug, Clone)]
 pub struct VectorQuery {
     pub query: Query,
+    /// `query.output_columns()`, shared by every relation the query returns.
+    pub columns: ColNames,
     /// Parameter name → what to bind it to at execution time.
     pub inputs: Vec<(String, ParamInput)>,
     pub source: SourceId,
@@ -186,6 +188,9 @@ pub struct Task {
     pub deps: Vec<(usize, RelKey)>,
     /// The relation this task writes (None for guards).
     pub output: Option<RelKey>,
+    /// The column names of that relation (none for guards): computed once
+    /// with the graph and shared by every relation the task produces.
+    pub schema: ColNames,
     /// `eval_cost` / `size` estimate (§5.2), filled by `estimate_costs`.
     pub est: CostEstimate,
 }
@@ -373,6 +378,7 @@ impl<'a> Builder<'a> {
             label: format!("root[{}]", aig.elem_name(aig.root)),
             deps: Vec::new(),
             output: Some(root_key),
+            schema: instance_columns(&aig.elem_info(aig.root).inh).into(),
             est: CostEstimate::ZERO,
         });
         self.materialized.push(aig.root);
@@ -404,6 +410,7 @@ impl<'a> Builder<'a> {
                     label: format!("assemble[{}]", aig.elem_name(e)),
                     deps,
                     output: Some(RelKey::Instances(e)),
+                    schema: instance_columns(&aig.elem_info(e).inh).into(),
                     est: CostEstimate::ZERO,
                 });
                 self.materialized.push(e);
@@ -459,6 +466,7 @@ impl<'a> Builder<'a> {
                     label: format!("guard[{} #{gi}]", occ.key(aig)),
                     deps,
                     output: None,
+                    schema: ColNames::default(),
                     est: CostEstimate::ZERO,
                 });
             }
@@ -561,6 +569,7 @@ impl<'a> Builder<'a> {
                     label: format!("cond[{}]", binding.occ.key(aig)),
                     deps,
                     output: Some(pick_key.clone()),
+                    schema: ["__owner", "__pick"].map(String::from).into(),
                     est: CostEstimate::ZERO,
                 });
                 for (bno, branch) in branches.iter().enumerate() {
@@ -591,6 +600,7 @@ impl<'a> Builder<'a> {
                         label: format!("branch[{}#{bno}]", binding.occ.key(aig)),
                         deps,
                         output: Some(out_key.clone()),
+                        schema: child_columns(&child_info.inh).into(),
                         est: CostEstimate::ZERO,
                     });
                     self.pending_instances
@@ -689,6 +699,7 @@ impl<'a> Builder<'a> {
             label: format!("gen[{}#{pos}->{}]", binding.occ.key(aig), child_info.name),
             deps,
             output: Some(out_key.clone()),
+            schema: child_columns(&child_info.inh).into(),
             est: CostEstimate::ZERO,
         });
         self.pending_instances
@@ -758,6 +769,7 @@ impl<'a> Builder<'a> {
                             label: format!("inhset[{}.{field}]", child_occ.key(aig)),
                             deps,
                             output: Some(key.clone()),
+                            schema: owned_by(&vq.columns[1..]),
                             est: CostEstimate::ZERO,
                         });
                         key
@@ -878,7 +890,8 @@ impl<'a> Builder<'a> {
         let binding = self.bindings.get(occ).ok_or_else(|| {
             MediatorError::Internal(format!("unvisited occurrence {}", occ.key(aig)))
         })?;
-        let bag = syn_decl(aig, binding.elem, field)?.ty.is_bag();
+        let ty = &syn_decl(aig, binding.elem, field)?.ty;
+        let (bag, comps) = (ty.is_bag(), ty.components().unwrap_or_default());
         let walk = SynWalk::new(aig, &self.bindings, bag);
         // The owner space: every SynAgg needs the base instances.
         let mut deps = SynDeps(vec![(usize::MAX, RelKey::Instances(occ.base))]);
@@ -897,6 +910,7 @@ impl<'a> Builder<'a> {
             label: format!("syn[{}.{field}]", occ.key(aig)),
             deps: deps.0,
             output: Some(out_key),
+            schema: owned_by(comps),
             est: CostEstimate::ZERO,
         });
         Ok(())
@@ -1114,11 +1128,18 @@ impl<'a> Builder<'a> {
             preds,
         };
         Ok(VectorQuery {
+            columns: query.output_columns().into(),
             query,
             inputs,
             source,
         })
     }
+}
+
+/// The columns of a set relation: `__owner`, then the components.
+fn owned_by(comps: &[String]) -> ColNames {
+    let owner = std::iter::once("__owner".to_string());
+    owner.chain(comps.iter().cloned()).collect()
 }
 
 /// Resolves `Syn(occ).field` to the relation that holds it, following pure

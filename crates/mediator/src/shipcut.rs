@@ -230,9 +230,13 @@ impl ShipCut {
     /// wire for `rel`: the live columns only, duplicates collapsed when
     /// every costed consumer is duplicate-insensitive. Projection is pure
     /// column selection (shared `Arc` column buffers), so no cells are
-    /// copied to measure the image. Never larger than `rel.wire_bytes()`.
+    /// copied to measure the image, and an output shipped whole is priced
+    /// from its own memoized size. Never larger than `rel.wire_bytes()`.
     pub fn ship_bytes(&self, task: usize, rel: &Relation) -> usize {
-        self.ship_image(task, rel).wire_bytes()
+        match self.ships_whole(task, rel) {
+            true => rel.wire_bytes(),
+            false => self.ship_image(task, rel).wire_bytes(),
+        }
     }
 
     /// The ship image itself: the relation a pruning shipper would put on
@@ -241,51 +245,45 @@ impl ShipCut {
     /// image costs nothing beyond the pruning it performs. The chunked
     /// shipment seam ([`crate::batch`]) slices this image into batches.
     pub fn ship_image(&self, task: usize, rel: &Relation) -> Relation {
-        let profile = &self.profiles[task];
-        let cols = self.live_columns(task, rel);
-        if cols.len() == rel.arity() && !profile.dedup {
+        if self.ships_whole(task, rel) {
             return rel.clone();
         }
-        let image = rel.project_positions(&cols);
-        if profile.dedup {
+        let image = rel.project_positions(&self.live_columns(task, rel));
+        if self.profiles[task].dedup {
             image.distinct()
         } else {
             image
         }
     }
 
+    /// Whether `rel`'s ship image is `rel` itself: every column live and
+    /// no duplicates collapsed.
+    fn ships_whole(&self, task: usize, rel: &Relation) -> bool {
+        let profile = &self.profiles[task];
+        let live = |(pos, name): (usize, &String)| profile.live.contains(name, pos);
+        !profile.dedup && rel.columns().iter().enumerate().all(live)
+    }
+
     /// Estimate-phase counterpart of [`ShipCut::ship_bytes`]: the fraction
-    /// of `task`'s output columns that survive pruning, computed from the
-    /// statically-known output schema (source queries carry theirs in the
-    /// rewritten SELECT list; instance tables follow the fixed
-    /// bookkeeping-plus-scalar-fields layout). `None` when nothing is
-    /// pruned or the schema is not statically known — callers leave the
-    /// size estimate untouched then. Feeding this into the estimate-based
-    /// cost model lets Merge/Schedule plan against the shipment sizes the
-    /// executors will actually account, instead of full-width relations
-    /// that never cross the wire.
+    /// of `task`'s output columns that survive pruning, counted over the
+    /// output schema the graph holds ([`crate::graph::Task::schema`], the
+    /// executor's; `_aig` stays in the signature for existing callers).
+    /// `None` when nothing is
+    /// pruned — callers leave the size estimate untouched then. Feeding
+    /// this into the estimate-based cost model lets Merge/Schedule plan
+    /// against the shipment sizes the executors will actually account,
+    /// instead of full-width relations that never cross the wire.
     pub fn estimated_live_fraction(
         &self,
         task: usize,
-        aig: &Aig,
+        _aig: &Aig,
         graph: &TaskGraph,
     ) -> Option<f64> {
         let profile = &self.profiles[task];
         if profile.ship_consumers == 0 || profile.live.all {
             return None;
         }
-        let columns = match &graph.tasks[task].kind {
-            TaskKind::Gen {
-                query: Some(vq), ..
-            }
-            | TaskKind::InhSetQuery { query: vq, .. }
-            | TaskKind::Cond { query: vq, .. } => vq.query.output_columns(),
-            TaskKind::Root => crate::exec::instance_columns(&aig.elem_info(aig.root).inh),
-            TaskKind::Assemble { elem, .. } => {
-                crate::exec::instance_columns(&aig.elem_info(*elem).inh)
-            }
-            _ => return None,
-        };
+        let columns = &graph.tasks[task].schema;
         if columns.is_empty() {
             return None;
         }
@@ -521,7 +519,12 @@ mod tests {
         let cut = ShipCut::analyze(&aig, &graph);
         // Whatever the profile, a relation made of bookkeeping columns
         // survives projection untouched — even against an empty live set.
-        let rel = Relation::empty(BOOKKEEPING.iter().map(|s| s.to_string()).collect());
+        let rel = Relation::empty(
+            BOOKKEEPING
+                .iter()
+                .map(|s| s.to_string())
+                .collect::<Vec<_>>(),
+        );
         for t in 0..graph.tasks.len() {
             assert_eq!(
                 cut.live_columns(t, &rel),

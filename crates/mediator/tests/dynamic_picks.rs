@@ -36,6 +36,7 @@ fn task(label: &str, source: SourceId, deps: &[usize], est_secs: f64) -> Task {
         label: label.to_string(),
         deps: deps.iter().map(read).collect(),
         output: None,
+        schema: Default::default(),
         est: CostEstimate {
             eval_secs: est_secs,
             out_rows: 0.0,

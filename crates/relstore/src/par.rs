@@ -16,7 +16,8 @@
 //!   in place, so no row key is ever built. The mediator's uniqueness /
 //!   inclusion guards, the dedup of rows wider than two symbols and the hash
 //!   join's build side ([`JoinTable`]: key → first row plus a `next` chain
-//!   in scan order) all sit on it.
+//!   in scan order; its [`JoinIndex`] is what a stored table keeps between
+//!   queries) all sit on it.
 //! * [`dedup_indices`] — a partitioned first-occurrence dedup over symbol
 //!   columns: each thread finds its chunk-local first occurrences, then one
 //!   sequential pass over the (much smaller) survivor set keeps global first
@@ -32,8 +33,10 @@
 //! suite).
 
 use crate::intern::{Sym, SymHasher};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
@@ -92,6 +95,31 @@ pub fn apply_perm<T: Copy>(data: &[T], perm: &[u32]) -> Vec<T> {
 /// A free [`RowTable`] slot, and the end of a [`JoinTable`] chain.
 const NONE: u32 = u32::MAX;
 
+/// The slot of `slots` (a power-of-two count) that the key `key(0), …,
+/// key(width - 1)` hashes to.
+#[inline]
+fn home(width: usize, slots: usize, key: impl Fn(usize) -> Sym) -> usize {
+    let mut hasher = SymHasher::default();
+    (0..width).for_each(|c| key(c).hash(&mut hasher));
+    hasher.finish() as usize & (slots - 1)
+}
+
+/// The slot of `slots` holding a row of `cols` whose key is `key(0), key(1),
+/// …`, or the free slot such a row belongs in: linear probing from
+/// [`home`], comparing keys in the columns.
+#[inline]
+fn probe(cols: &[&[Sym]], slots: &[u32], key: impl Fn(usize) -> Sym) -> usize {
+    let mut slot = home(cols.len(), slots.len(), &key);
+    loop {
+        let row = slots[slot] as usize;
+        let hit = |(c, col): (usize, &&[Sym])| col[row] == key(c);
+        if row == NONE as usize || cols.iter().enumerate().all(hit) {
+            return slot;
+        }
+        slot = (slot + 1) & (slots.len() - 1);
+    }
+}
+
 /// A hash table of row indices over symbol columns. A row's key is its
 /// symbols in `cols`; the table stores the row index alone and hashes and
 /// compares keys by reading the columns in place. Open addressing with
@@ -115,27 +143,11 @@ impl<'a> RowTable<'a> {
         }
     }
 
-    /// The slot the key `key(0), key(1), …` hashes to.
-    #[inline]
-    fn home(&self, key: impl Fn(usize) -> Sym) -> usize {
-        let mut hasher = SymHasher::default();
-        (0..self.cols.len()).for_each(|c| key(c).hash(&mut hasher));
-        hasher.finish() as usize & (self.slots.len() - 1)
-    }
-
     /// The slot holding a row whose key is `key(0), key(1), …`, or the free
     /// slot such a row belongs in.
     #[inline]
     fn slot(&self, key: impl Fn(usize) -> Sym) -> usize {
-        let mut slot = self.home(&key);
-        loop {
-            let row = self.slots[slot] as usize;
-            let hit = |(c, col): (usize, &&[Sym])| col[row] == key(c);
-            if row == NONE as usize || self.cols.iter().enumerate().all(hit) {
-                return slot;
-            }
-            slot = (slot + 1) & (self.slots.len() - 1);
-        }
+        probe(&self.cols, &self.slots, key)
     }
 
     /// The slot of `row`'s own key, after making room for one more row.
@@ -187,7 +199,9 @@ impl<'a> RowTable<'a> {
     /// (diagnostics: the distribution tests bound it).
     pub fn longest_probe(&self) -> usize {
         let displaced = |(slot, &row): (usize, &u32)| {
-            let home = self.home(|c| self.cols[c][row as usize]);
+            let home = home(self.cols.len(), self.slots.len(), |c| {
+                self.cols[c][row as usize]
+            });
             slot.wrapping_sub(home) & (self.slots.len() - 1)
         };
         let held = (self.slots.iter().enumerate()).filter(|(_, &row)| row != NONE);
@@ -200,9 +214,39 @@ impl<'a> RowTable<'a> {
 /// a key's rows in scan order, with no list per distinct key. Rows with a
 /// NULL in a key column are left out, and a key with a NULL matches nothing:
 /// NULL joins nothing, found by integer compares.
+///
+/// The table is its key columns plus a [`JoinIndex`], either built here or
+/// borrowed from a stored table that keeps the index over all of its rows
+/// ([`crate::Table::join_index`]).
 pub struct JoinTable<'a> {
-    heads: RowTable<'a>,
+    cols: Vec<&'a [Sym]>,
+    index: Cow<'a, JoinIndex>,
+}
+
+/// The index of a [`JoinTable`] without its columns: key slots (a row
+/// index each) and the `next` chains. Owned, so a stored table can keep it
+/// between queries; probing it needs the columns it was built over.
+#[derive(Clone)]
+pub struct JoinIndex {
+    heads: Vec<u32>,
     next: Vec<u32>,
+}
+
+impl JoinIndex {
+    /// Heap bytes held: 4 per slot and 4 per `next` link — at most 20 per
+    /// indexed row (slots are the power of two at or above twice the rows).
+    pub fn heap_bytes(&self) -> usize {
+        (self.heads.capacity() + self.next.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+impl fmt::Debug for JoinIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JoinIndex")
+            .field("slots", &self.heads.len())
+            .field("rows", &self.next.len())
+            .finish()
+    }
 }
 
 impl<'a> JoinTable<'a> {
@@ -221,18 +265,38 @@ impl<'a> JoinTable<'a> {
                 next[row as usize] = follower;
             }
         }
-        JoinTable { heads, next }
+        let RowTable { cols, slots, .. } = heads;
+        JoinTable {
+            cols,
+            index: Cow::Owned(JoinIndex { heads: slots, next }),
+        }
+    }
+
+    /// The table over `cols` that `index` indexes: `index` must have been
+    /// built over these very columns ([`JoinTable::into_index`]).
+    pub fn over(cols: Vec<&'a [Sym]>, index: &'a JoinIndex) -> JoinTable<'a> {
+        JoinTable {
+            cols,
+            index: Cow::Borrowed(index),
+        }
+    }
+
+    /// The index alone, to be kept and probed later through
+    /// [`JoinTable::over`] on the same columns.
+    pub fn into_index(self) -> JoinIndex {
+        self.index.into_owned()
     }
 
     /// The indexed rows whose key is `key(0), key(1), …`, in scan order.
     #[inline]
     pub fn matches(&self, key: impl Fn(usize) -> Sym) -> impl Iterator<Item = u32> + '_ {
-        let head = match (0..self.heads.cols.len()).any(|c| key(c).is_null()) {
-            true => None,
-            false => self.heads.find(key),
+        let JoinIndex { heads, next } = &*self.index;
+        let head = match (0..self.cols.len()).any(|c| key(c).is_null()) {
+            true => NONE,
+            false => heads[probe(&self.cols, heads, key)],
         };
-        std::iter::successors(head, |&row| {
-            let next = self.next[row as usize];
+        std::iter::successors((head != NONE).then_some(head), |&row| {
+            let next = next[row as usize];
             (next != NONE).then_some(next)
         })
     }

@@ -21,6 +21,12 @@
 //!   symbols, so every relation sharing the column (a projection, a rename,
 //!   a clone) prices it without a scan.
 //!
+//! The column names are one shared [`ColNames`] allocation: a clone, a
+//! rename to names the caller already holds ([`Relation::with_columns`]),
+//! an adopting `extend` and a whole-relation slice copy no string. The
+//! mediator computes each task's output names once, when it builds the task
+//! graph, and every relation the task produces shares them.
+//!
 //! Row-major views ([`Relation::row`], [`Relation::rows_vec`]) materialize
 //! on demand for cold paths and tests.
 
@@ -170,18 +176,35 @@ impl PartialEq for Column {
 
 impl Eq for Column {}
 
+/// The column names of a relation, shared: cloning them is a pointer copy.
+/// Every constructor taking names accepts a `Vec<String>` as well.
+pub type ColNames = Arc<[String]>;
+
+/// One symbol column of a relation, shared: cloning it is a pointer copy,
+/// and it keeps its memoized size ([`Relation::col_size`]). What
+/// [`Relation::shared_col`] hands out and [`Relation::from_shared`] takes.
+#[derive(Debug, Clone)]
+pub struct SharedCol(Arc<Column>);
+
+impl From<Vec<Sym>> for SharedCol {
+    fn from(syms: Vec<Sym>) -> SharedCol {
+        SharedCol(Column::new(syms))
+    }
+}
+
 /// A bag of rows with named columns, stored column-major over interned
 /// symbols.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
-    columns: Vec<String>,
+    columns: ColNames,
     cols: Vec<Arc<Column>>,
     len: usize,
 }
 
 impl Relation {
     /// An empty relation with the given column names.
-    pub fn empty(columns: Vec<String>) -> Relation {
+    pub fn empty(columns: impl Into<ColNames>) -> Relation {
+        let columns = columns.into();
         let cols = columns.iter().map(|_| Arc::default()).collect();
         Relation {
             columns,
@@ -191,7 +214,11 @@ impl Relation {
     }
 
     /// Builds a relation, checking that every row has the right arity.
-    pub fn new(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Result<Relation, StoreError> {
+    pub fn new(
+        columns: impl Into<ColNames>,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<Relation, StoreError> {
+        let columns = columns.into();
         for row in &rows {
             if row.len() != columns.len() {
                 return Err(StoreError::SchemaMismatch {
@@ -221,16 +248,28 @@ impl Relation {
     /// Builds a relation directly from symbol columns (all the same length).
     /// Panics on a column-count or length mismatch; operators whose inputs
     /// are not their own use [`Relation::try_from_columns`].
-    pub fn from_columns(columns: Vec<String>, cols: Vec<Vec<Sym>>) -> Relation {
+    pub fn from_columns(columns: impl Into<ColNames>, cols: Vec<Vec<Sym>>) -> Relation {
         Relation::try_from_columns(columns, cols).expect("well-formed symbol columns")
     }
 
     /// Builds a relation directly from symbol columns, rejecting a column
     /// count that does not match the names and columns of unequal length.
     pub fn try_from_columns(
-        columns: Vec<String>,
+        columns: impl Into<ColNames>,
         cols: Vec<Vec<Sym>>,
     ) -> Result<Relation, StoreError> {
+        Relation::from_shared(columns, cols.into_iter().map(SharedCol::from).collect())
+    }
+
+    /// Builds a relation from shared symbol columns (all the same length) —
+    /// columns of other relations ([`Relation::shared_col`]) are taken as
+    /// they are, memoized sizes included. Rejects a column count that does
+    /// not match the names and columns of unequal length.
+    pub fn from_shared(
+        columns: impl Into<ColNames>,
+        cols: Vec<SharedCol>,
+    ) -> Result<Relation, StoreError> {
+        let columns = columns.into();
         let mismatch = |msg: String| StoreError::SchemaMismatch {
             table: "<relation>".to_string(),
             msg,
@@ -242,18 +281,18 @@ impl Relation {
                 columns.len()
             )));
         }
-        let len = cols.first().map_or(0, Vec::len);
-        if let Some(c) = cols.iter().position(|c| c.len() != len) {
+        let len = cols.first().map_or(0, |c| c.0.syms.len());
+        if let Some(c) = cols.iter().position(|c| c.0.syms.len() != len) {
             return Err(mismatch(format!(
                 "ragged symbol columns: `{}` has {len} rows, `{}` has {}",
                 columns[0],
                 columns[c],
-                cols[c].len()
+                cols[c].0.syms.len()
             )));
         }
         Ok(Relation {
             columns,
-            cols: cols.into_iter().map(Column::new).collect(),
+            cols: cols.into_iter().map(|c| c.0).collect(),
             len,
         })
     }
@@ -271,7 +310,7 @@ impl Relation {
     ) -> Relation {
         let col: Vec<Sym> = values.into_iter().map(intern::intern_owned).collect();
         Relation {
-            columns: vec![name.into()],
+            columns: Arc::new([name.into()]),
             len: col.len(),
             cols: vec![Column::new(col)],
         }
@@ -314,6 +353,12 @@ impl Relation {
     #[inline]
     pub fn col_syms(&self, c: usize) -> &[Sym] {
         &self.cols[c].syms
+    }
+
+    /// The column at position `c`, shared (a pointer clone).
+    #[inline]
+    pub fn shared_col(&self, c: usize) -> SharedCol {
+        SharedCol(Arc::clone(&self.cols[c]))
     }
 
     /// Materializes row `r` as owned values.
@@ -425,10 +470,17 @@ impl Relation {
     }
 
     /// Projects to the columns at `positions` (pointer selection; each
-    /// column keeps its memoized size).
+    /// column keeps its memoized size). A projection to every column in
+    /// order keeps the names' allocation too.
     pub fn project_positions(&self, positions: &[usize]) -> Relation {
+        let identity =
+            positions.len() == self.arity() && (0..).zip(positions).all(|(i, &p)| i == p);
+        let columns = match identity {
+            true => Arc::clone(&self.columns),
+            false => positions.iter().map(|&i| self.columns[i].clone()).collect(),
+        };
         Relation {
-            columns: positions.iter().map(|&i| self.columns[i].clone()).collect(),
+            columns,
             cols: positions.iter().map(|&i| self.cols[i].clone()).collect(),
             len: self.len,
         }
@@ -696,8 +748,10 @@ impl Relation {
         self.len.div_ceil(batch_rows.max(1))
     }
 
-    /// Renames the columns (arity must be unchanged).
-    pub fn with_columns(mut self, columns: Vec<String>) -> Relation {
+    /// Renames the columns (arity must be unchanged). Names passed as
+    /// [`ColNames`] are shared, not copied.
+    pub fn with_columns(mut self, columns: impl Into<ColNames>) -> Relation {
+        let columns = columns.into();
         assert_eq!(columns.len(), self.columns.len());
         self.columns = columns;
         self

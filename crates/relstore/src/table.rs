@@ -18,13 +18,20 @@
 //! cloned catalog) are copied on their first write, so a reader keeps what
 //! it was given. Row-major views ([`Table::rows`], [`Table::get_by_key`])
 //! materialize owned rows for tests, fixtures and reports.
+//!
+//! A table also keeps the hash-join indexes queries build over it
+//! ([`Table::join_index`]): one [`JoinIndex`] over all of its rows per list
+//! of key columns some join probed, built on first use and dropped by every
+//! write. An unchanged table is hashed once, not once per join step.
 
 use crate::error::StoreError;
 use crate::intern::{self, Sym, SymMap};
+use crate::par::{JoinIndex, JoinTable};
 use crate::relation::Relation;
 use crate::schema::TableSchema;
 use crate::value::Value;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A row of values. Arity always matches its table's schema.
 pub type Row = Vec<Value>;
@@ -33,23 +40,44 @@ pub type Row = Vec<Value>;
 /// interned columns. Primary keys (when the schema declares one) are
 /// enforced on insert, mirroring the underlined keys of the paper's
 /// hospital schemas.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Table {
     schema: TableSchema,
     rel: Relation,
     /// Key symbols → row position (only when `schema.key` is non-empty).
     pk: Option<SymMap<Box<[Sym]>, usize>>,
+    /// The join index over every row, per list of key-column positions a
+    /// join probed: built on first use, cleared by every write. Behind a
+    /// lock because concurrent queries share the table.
+    indexes: Mutex<KeptIndexes>,
+}
+
+/// Join indexes by the key-column positions they index.
+type KeptIndexes = Vec<(Box<[usize]>, Arc<JoinIndex>)>;
+
+/// A clone holds the same rows, so it shares the indexes built so far; its
+/// writes drop its own copies of them only.
+impl Clone for Table {
+    fn clone(&self) -> Table {
+        Table {
+            schema: self.schema.clone(),
+            rel: self.rel.clone(),
+            pk: self.pk.clone(),
+            indexes: Mutex::new(self.locked_indexes().clone()),
+        }
+    }
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Table {
-        let columns = schema.columns.iter().map(|c| c.name.clone()).collect();
+        let columns: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
         let pk = (!schema.key.is_empty()).then(SymMap::default);
         Table {
             schema,
             rel: Relation::empty(columns),
             pk,
+            indexes: Mutex::default(),
         }
     }
 
@@ -93,6 +121,43 @@ impl Table {
     #[inline]
     pub fn columnar(&self) -> &Relation {
         &self.rel
+    }
+
+    /// The hash-join index over every row of the key columns at `key` (in
+    /// that order), with the chains [`JoinTable::build`] over all rows
+    /// gives: probed through [`JoinTable::over`] on the same columns of
+    /// [`Table::columnar`]. Built on the first call for `key` and kept until
+    /// the next write — at most 20 bytes per row per key list
+    /// ([`JoinIndex::heap_bytes`]), freed with the table.
+    pub fn join_index(&self, key: &[usize]) -> Arc<JoinIndex> {
+        let mut indexes = self.locked_indexes();
+        if let Some((_, index)) = indexes.iter().find(|(k, _)| **k == *key) {
+            return Arc::clone(index);
+        }
+        let cols = key.iter().map(|&c| self.rel.col_syms(c)).collect();
+        let all: Vec<u32> = (0..self.rel.len() as u32).collect();
+        let index = Arc::new(JoinTable::build(cols, &all).into_index());
+        indexes.push((key.into(), Arc::clone(&index)));
+        index
+    }
+
+    /// Heap bytes of the join indexes the table keeps.
+    pub fn index_bytes(&self) -> usize {
+        let indexes = self.locked_indexes();
+        indexes.iter().map(|(_, index)| index.heap_bytes()).sum()
+    }
+
+    fn locked_indexes(&self) -> MutexGuard<'_, KeptIndexes> {
+        // A panic mid-build pushes nothing: what the lock holds is whole.
+        self.indexes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Forgets every join index: the rows are about to change.
+    fn drop_indexes(&mut self) {
+        self.indexes
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Inserts a row, enforcing arity, column types (NULL always accepted)
@@ -139,6 +204,7 @@ impl Table {
             }
             pk.insert(key, self.rel.len());
         }
+        self.drop_indexes();
         self.rel.push_syms(&syms);
         Ok(())
     }
@@ -168,6 +234,7 @@ impl Table {
                 }
             }
         }
+        self.drop_indexes();
         self.rel.remove_row(pos);
         Ok(())
     }

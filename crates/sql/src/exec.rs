@@ -18,12 +18,19 @@
 //! of any width in the columns, and rejects NULL keys with integer compares.
 //! Values are resolved from the arena only for order comparisons (`<`,
 //! `<=`, …).
+//!
+//! A join step whose build side is a stored table with every row live
+//! probes the index the table keeps over its rows
+//! ([`aig_relstore::Table::join_index`]) instead of hashing the table again;
+//! that index has the chains a fresh build over all rows has, so the output
+//! is the same relation either way. A locally filtered input and every
+//! relation parameter build their own.
 
 use crate::ast::{CmpOp, FromItem, Pred, QualCol, Query, Scalar, SetRef};
 use crate::error::SqlError;
 use aig_relstore::intern::{self, Sym, SymSet};
 use aig_relstore::par::{map_chunks, JoinTable, PAR_THRESHOLD};
-use aig_relstore::{Catalog, Relation, Value};
+use aig_relstore::{Catalog, ColNames, Relation, Table, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -65,6 +72,9 @@ struct Input<'a> {
     /// Rows surviving the local predicates (indices into the relation).
     live: Vec<u32>,
     rel: &'a Relation,
+    /// The stored table `rel` is, for its kept join indexes; `None` for a
+    /// parameter.
+    table: Option<&'a Table>,
 }
 
 impl Input<'_> {
@@ -93,11 +103,11 @@ struct JoinPred {
 }
 
 /// A predicate over a single input (or none), applied before any join.
-enum Local {
+enum Local<'a> {
     CmpConst {
         op: CmpOp,
         col: ColRef,
-        value: Value,
+        value: &'a Value,
         flipped: bool,
     },
     CmpCols {
@@ -148,17 +158,32 @@ pub fn execute_tuned(
     threads: usize,
     par_threshold: usize,
 ) -> Result<Relation, SqlError> {
+    let columns = query.output_columns().into();
+    execute_named(query, catalog, params, threads, par_threshold, columns)
+}
+
+/// [`execute_tuned`] with the output's column names given: `columns` must
+/// be `query.output_columns()`, held by the caller — the mediator keeps one
+/// allocation per query in its plan, and every result shares it.
+pub fn execute_named(
+    query: &Query,
+    catalog: &Catalog,
+    params: &Params,
+    threads: usize,
+    par_threshold: usize,
+    columns: ColNames,
+) -> Result<Relation, SqlError> {
     let mut inputs = bind_from(query, catalog, params)?;
     let (joins, locals) = classify(query, &inputs, params)?;
     if !apply_locals(&mut inputs, &locals) {
-        return project_empty(query, &inputs, params);
+        return project_empty(query, &inputs, params, columns);
     }
     let par = Par {
         threads,
         threshold: par_threshold,
     };
     let joined = join_all(&inputs, &joins, par);
-    let mut rel = project(query, &inputs, params, &joined)?;
+    let mut rel = project(query, &inputs, params, &joined, columns)?;
     if query.distinct {
         rel.dedup_parallel_with(threads, par_threshold);
     }
@@ -173,14 +198,14 @@ fn bind_from<'a>(
 ) -> Result<Vec<Input<'a>>, SqlError> {
     let mut inputs = Vec::with_capacity(query.from.len());
     for item in &query.from {
-        let (alias, columns, rel): (&str, Vec<&str>, &Relation) = match item {
+        let (alias, columns, rel, table): (&str, Vec<&str>, &Relation, _) = match item {
             FromItem::Table {
                 source,
                 table,
                 alias,
             } => {
                 let t = catalog.table(source, table)?;
-                (alias, t.schema().column_names(), t.columnar())
+                (alias, t.schema().column_names(), t.columnar(), Some(t))
             }
             FromItem::Param { name, alias } => {
                 let rel = params
@@ -192,7 +217,7 @@ fn bind_from<'a>(
                         ))
                     })?;
                 let columns = rel.columns().iter().map(String::as_str).collect();
-                (alias, columns, rel)
+                (alias, columns, rel, None)
             }
         };
         inputs.push(Input {
@@ -200,6 +225,7 @@ fn bind_from<'a>(
             columns,
             live: (0..rel.len() as u32).collect(),
             rel,
+            table,
         });
     }
     Ok(inputs)
@@ -217,8 +243,15 @@ fn resolve(inputs: &[Input<'_>], c: &QualCol) -> Result<ColRef, SqlError> {
     Ok(ColRef { input, col })
 }
 
+/// A scalar with its parameter substituted: a column or a constant, both
+/// borrowed from the query or the bindings.
+enum Operand<'a> {
+    Col(&'a QualCol),
+    Const(&'a Value),
+}
+
 /// Substitutes a scalar parameter, leaving columns and constants.
-fn subst(scalar: &Scalar, params: &Params) -> Result<Scalar, SqlError> {
+fn subst<'a>(scalar: &'a Scalar, params: &'a Params) -> Result<Operand<'a>, SqlError> {
     match scalar {
         Scalar::Param(name) => {
             let v = params
@@ -227,19 +260,20 @@ fn subst(scalar: &Scalar, params: &Params) -> Result<Scalar, SqlError> {
                 .ok_or_else(|| {
                     SqlError::Param(format!("parameter `${name}` must be bound to a scalar"))
                 })?;
-            Ok(Scalar::Const(v.clone()))
+            Ok(Operand::Const(v))
         }
-        other => Ok(other.clone()),
+        Scalar::Col(c) => Ok(Operand::Col(c)),
+        Scalar::Const(v) => Ok(Operand::Const(v)),
     }
 }
 
 /// Splits the WHERE conjunction into join predicates (two inputs) and
 /// local ones (at most one input).
-fn classify(
-    query: &Query,
+fn classify<'a>(
+    query: &'a Query,
     inputs: &[Input<'_>],
-    params: &Params,
-) -> Result<(Vec<JoinPred>, Vec<Local>), SqlError> {
+    params: &'a Params,
+) -> Result<(Vec<JoinPred>, Vec<Local<'a>>), SqlError> {
     let mut joins = Vec::new();
     let mut locals = Vec::new();
     for pred in &query.preds {
@@ -247,30 +281,29 @@ fn classify(
             Pred::Cmp { op, lhs, rhs } => {
                 let op = *op;
                 match (subst(lhs, params)?, subst(rhs, params)?) {
-                    (Scalar::Col(a), Scalar::Col(b)) => {
-                        let (lhs, rhs) = (resolve(inputs, &a)?, resolve(inputs, &b)?);
+                    (Operand::Col(a), Operand::Col(b)) => {
+                        let (lhs, rhs) = (resolve(inputs, a)?, resolve(inputs, b)?);
                         if lhs.input == rhs.input {
                             locals.push(Local::CmpCols { op, lhs, rhs });
                         } else {
                             joins.push(JoinPred { op, lhs, rhs });
                         }
                     }
-                    (Scalar::Col(a), Scalar::Const(value)) => locals.push(Local::CmpConst {
+                    (Operand::Col(a), Operand::Const(value)) => locals.push(Local::CmpConst {
                         op,
-                        col: resolve(inputs, &a)?,
+                        col: resolve(inputs, a)?,
                         value,
                         flipped: false,
                     }),
-                    (Scalar::Const(value), Scalar::Col(b)) => locals.push(Local::CmpConst {
+                    (Operand::Const(value), Operand::Col(b)) => locals.push(Local::CmpConst {
                         op,
-                        col: resolve(inputs, &b)?,
+                        col: resolve(inputs, b)?,
                         value,
                         flipped: true,
                     }),
-                    (Scalar::Const(l), Scalar::Const(r)) => {
-                        locals.push(Local::Trivial(op.eval(&l, &r)));
+                    (Operand::Const(l), Operand::Const(r)) => {
+                        locals.push(Local::Trivial(op.eval(l, r)));
                     }
-                    _ => unreachable!("parameters were substituted"),
                 }
             }
             Pred::In { col, set } => {
@@ -448,8 +481,9 @@ impl Residual<'_> {
 
 /// One left-deep step: the composites of `joined` extended by every live
 /// row of `next` that satisfies the join predicates between `next` and the
-/// joined inputs. Equalities key a [`JoinTable`] built on `next` and probed
-/// per composite; without one every live row is a candidate (nested loop).
+/// joined inputs. Equalities key a [`JoinTable`] on `next` — the one its
+/// stored table keeps when every row is live, else built here — probed per
+/// composite; without one every live row is a candidate (nested loop).
 /// Output order is composite order, then scan order of `next` — also when
 /// partitioned: contiguous composite ranges, concatenated in range order.
 fn join_step(
@@ -460,7 +494,8 @@ fn join_step(
     par: Par,
 ) -> Vec<u32> {
     let next_input = &inputs[next];
-    let mut build_cols: Vec<&[Sym]> = Vec::new();
+    // Key column positions in `next`, in predicate order.
+    let mut build: Vec<usize> = Vec::new();
     let mut probe_cols: Vec<(usize, &[Sym])> = Vec::new();
     let mut residuals: Vec<Residual<'_>> = Vec::new();
     for j in joins {
@@ -477,7 +512,7 @@ fn join_step(
         let next_col = syms(inputs, next_side);
         let other = (slot, syms(inputs, other_side));
         if j.op == CmpOp::Eq {
-            build_cols.push(next_col);
+            build.push(next_side.col);
             probe_cols.push(other);
         } else {
             residuals.push(Residual {
@@ -488,7 +523,19 @@ fn join_step(
             });
         }
     }
-    let table = (!build_cols.is_empty()).then(|| JoinTable::build(build_cols, &next_input.live));
+    // A stored table with every row live has its index kept; the `Arc`
+    // holds it while this step probes it.
+    let kept = match next_input.table {
+        Some(table) if !build.is_empty() && next_input.live.len() == next_input.rel.len() => {
+            Some(table.join_index(&build))
+        }
+        _ => None,
+    };
+    let build_cols = build.iter().map(|&c| next_input.rel.col_syms(c)).collect();
+    let table = match &kept {
+        Some(index) => Some(JoinTable::over(build_cols, index)),
+        None => (!build.is_empty()).then(|| JoinTable::build(build_cols, &next_input.live)),
+    };
 
     let stride = joined.order.len();
     let extend = |range: Range<usize>| {
@@ -529,23 +576,23 @@ fn project(
     inputs: &[Input<'_>],
     params: &Params,
     joined: &Joined,
+    columns: ColNames,
 ) -> Result<Relation, SqlError> {
     let stride = joined.order.len();
     let mut out_cols: Vec<Vec<Sym>> = Vec::with_capacity(query.select.len());
     for item in &query.select {
         out_cols.push(match subst(&item.expr, params)? {
-            Scalar::Col(c) => {
-                let c = resolve(inputs, &c)?;
+            Operand::Col(c) => {
+                let c = resolve(inputs, c)?;
                 let slot = joined.slot(c.input).expect("all inputs joined");
                 let syms = syms(inputs, c);
                 let rows = joined.rows.iter().skip(slot).step_by(stride);
                 rows.map(|&r| syms[r as usize]).collect()
             }
-            Scalar::Const(v) => vec![intern::intern_owned(v); joined.len()],
-            Scalar::Param(_) => unreachable!("parameters were substituted"),
+            Operand::Const(v) => vec![intern::intern(v); joined.len()],
         });
     }
-    Ok(Relation::from_columns(query.output_columns(), out_cols))
+    Ok(Relation::try_from_columns(columns, out_cols)?)
 }
 
 /// Builds the (empty) result when the predicates are unsatisfiable, still
@@ -554,6 +601,7 @@ fn project_empty(
     query: &Query,
     inputs: &[Input<'_>],
     params: &Params,
+    columns: ColNames,
 ) -> Result<Relation, SqlError> {
     for item in &query.select {
         match &item.expr {
@@ -573,7 +621,7 @@ fn project_empty(
             Scalar::Const(_) => {}
         }
     }
-    Ok(Relation::empty(query.output_columns()))
+    Ok(Relation::empty(columns))
 }
 
 #[cfg(test)]

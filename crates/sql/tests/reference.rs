@@ -2,7 +2,9 @@
 //! naive cartesian-product reference evaluator on random conjunctive
 //! queries over random data, and its partitioned form (`execute_tuned`,
 //! every kernel forced on or off) reproduces the sequential result row for
-//! row. Seeds are fixed, so failures reproduce.
+//! row, as does a second run on the same catalog, whose joins probe the
+//! indexes the stored tables kept from the first. Seeds are fixed, so
+//! failures reproduce.
 
 use aig_prng::{Rng, SeedableRng, StdRng};
 use aig_relstore::{Catalog, Database, Relation, Table, TableSchema, Value};
@@ -328,6 +330,15 @@ fn executor_agrees_with_reference() {
             "case {case}: executor {:?} != reference {:?} for preds {:?}",
             fast,
             slow,
+            setup.preds
+        );
+        // Again on the same catalog: a join over a whole stored table now
+        // probes the index the table kept from the first run, and the
+        // relation is the same — rows, order and names.
+        let again = execute(&query, &catalog, &params).unwrap();
+        assert_eq!(
+            again, fast,
+            "case {case}: second run, preds {:?}",
             setup.preds
         );
         // The partitioned kernels, forced on (threshold 1) and off, at one

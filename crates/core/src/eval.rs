@@ -20,8 +20,9 @@ use crate::spec::{
 };
 use aig_relstore::{Catalog, Relation, Sym, Value};
 use aig_sql::{execute, ParamValue, Params};
+use aig_xml::tree::CopyStep;
 use aig_xml::{NodeId, XmlTree};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Options controlling evaluation.
 #[derive(Debug, Clone)]
@@ -109,18 +110,32 @@ pub fn evaluate_with(
         opts,
         stats: EvalStats::default(),
         tree: XmlTree::new(aig.elem_info(aig.root).tag().to_string()),
+        orders: HashMap::new(),
         choice_branch: None,
     };
     evaluator.stats.nodes += 1;
     let root_node = evaluator.tree.root();
     evaluator.eval_elem(aig.root, &inh, root_node, 0)?;
-    let tree = evaluator
-        .tree
-        .strip_elements(|tag| aig.is_internal_name(tag));
-    Ok(Evaluation {
+    // One copy emits every child list in document order and splices the
+    // internal computation states out.
+    let Evaluator {
         tree,
-        stats: evaluator.stats,
-    })
+        orders,
+        stats,
+        ..
+    } = evaluator;
+    let tree = tree.copy(
+        |node, children| {
+            if let Some(order) = orders.get(&node) {
+                children.copy_from_slice(order);
+            }
+        },
+        |node| match tree.tag(node) {
+            Some(tag) if aig.is_internal_name(tag) => CopyStep::Splice,
+            _ => CopyStep::Keep,
+        },
+    );
+    Ok(Evaluation { tree, stats })
 }
 
 /// The synthesized attributes of one production child: one value for plain
@@ -135,7 +150,10 @@ struct Evaluator<'a> {
     catalog: &'a Catalog,
     opts: &'a EvalOptions,
     stats: EvalStats,
+    /// The document as built: each element's children in evaluation order.
     tree: XmlTree,
+    /// The document order of each child list that differs from it.
+    orders: HashMap<NodeId, Vec<NodeId>>,
     /// The selected branch element while evaluating a choice production's
     /// per-branch synthesized rules (see `child_info`).
     choice_branch: Option<ElemIdx>,
@@ -259,10 +277,12 @@ impl Evaluator<'_> {
                         child_syns[item_pos] = Some(ChildSyn::Single(child_syn));
                     }
                 }
-                // Children were created in dependency order; emit them in
-                // document order.
+                // Children were created in dependency order; the final copy
+                // emits them in document order.
                 let order: Vec<NodeId> = item_nodes.into_iter().flatten().collect();
-                self.tree.set_children(node, order);
+                if !order.is_sorted() {
+                    self.orders.insert(node, order);
+                }
                 self.eval_syn_rules(idx, &info.syn_rules, inh, &child_syns)?
             }
             Prod::Choice { cond, branches } => {
@@ -899,6 +919,39 @@ mod tests {
         c2.add_source(db2).unwrap();
         let result = evaluate(&aig, &c2, &[("cur", Value::str("a"))]).unwrap();
         assert_eq!(to_string(&result.tree), "<node><node><node/></node></node>");
+    }
+
+    /// The evaluator's exact bytes — its own sibling and star order, not the
+    /// canonical form — on the paper's instance and on a generated Tiny
+    /// catalog (procedures nested up to the data's depth), each document
+    /// once: σ0, its compiled form (guards) and its specialization (guards
+    /// and internal states) must all spell it.
+    #[test]
+    fn conceptual_documents_match_their_golden_bytes() {
+        let plain = crate::paper::sigma0().unwrap();
+        let compiled = crate::compile::compile_constraints(&plain).unwrap();
+        let (specialized, _) = crate::decompose::decompose_queries(&compiled).unwrap();
+        let tiny = aig_datagen::HospitalConfig::tiny(1).generate().unwrap();
+        let mini = crate::paper::mini_hospital_catalog().unwrap();
+        let mini_dates = ["d1", "d2", "d9"].map(String::from).to_vec();
+        let mut got = String::new();
+        for (name, catalog, dates) in [
+            ("mini", &mini, &mini_dates),
+            ("tiny1", &tiny.catalog, &tiny.dates),
+        ] {
+            for date in dates {
+                let args = [("date", Value::str(date))];
+                let docs = [&plain, &compiled, &specialized]
+                    .map(|aig| to_string(&evaluate(aig, catalog, &args).unwrap().tree));
+                assert!(docs.iter().all(|doc| *doc == docs[0]), "{name} {date}");
+                got.extend([format!("# {name} {date}\n"), docs[0].clone(), "\n".into()]);
+            }
+        }
+        let golden = include_str!("../tests/golden/conceptual_sigma0.txt");
+        for (line, (got, want)) in got.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "golden line {}", line + 1);
+        }
+        assert_eq!(got.lines().count(), golden.lines().count());
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub type Params = HashMap<String, ParamValue>;
 /// their cached interned image, parameters bind theirs directly).
 struct Input<'a> {
     alias: &'a str,
-    columns: Vec<&'a str>,
     /// Rows surviving the local predicates (indices into the relation).
     live: Vec<u32>,
     rel: &'a Relation,
@@ -79,7 +78,7 @@ struct Input<'a> {
 
 impl Input<'_> {
     fn col(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|&c| c == name)
+        self.rel.columns().iter().position(|c| c == name)
     }
 }
 
@@ -198,14 +197,14 @@ fn bind_from<'a>(
 ) -> Result<Vec<Input<'a>>, SqlError> {
     let mut inputs = Vec::with_capacity(query.from.len());
     for item in &query.from {
-        let (alias, columns, rel, table): (&str, Vec<&str>, &Relation, _) = match item {
+        let (alias, rel, table): (&str, &Relation, _) = match item {
             FromItem::Table {
                 source,
                 table,
                 alias,
             } => {
                 let t = catalog.table(source, table)?;
-                (alias, t.schema().column_names(), t.columnar(), Some(t))
+                (alias, t.columnar(), Some(t))
             }
             FromItem::Param { name, alias } => {
                 let rel = params
@@ -216,13 +215,11 @@ fn bind_from<'a>(
                             "parameter `${name}` used in FROM must be bound to a relation"
                         ))
                     })?;
-                let columns = rel.columns().iter().map(String::as_str).collect();
-                (alias, columns, rel, None)
+                (alias, rel, None)
             }
         };
         inputs.push(Input {
             alias,
-            columns,
             live: (0..rel.len() as u32).collect(),
             rel,
             table,
@@ -539,7 +536,8 @@ fn join_step(
 
     let stride = joined.order.len();
     let extend = |range: Range<usize>| {
-        let mut out = Vec::new();
+        // One match per composite up front, rather than doubling from empty.
+        let mut out = Vec::with_capacity(range.len() * (stride + 1));
         for composite in joined.rows[range.start * stride..range.end * stride].chunks_exact(stride)
         {
             let mut candidate = |r: u32| {

@@ -202,10 +202,13 @@ fn is_deletable(tree: &XmlTree, node: NodeId, dtd: &Dtd) -> bool {
 
 /// Rebuilds the tree without the given nodes (and their subtrees).
 fn delete_nodes(tree: &XmlTree, victims: &HashSet<NodeId>) -> XmlTree {
-    tree.filtered(|node| match victims.contains(&node) {
-        true => CopyStep::Skip,
-        false => CopyStep::Keep,
-    })
+    tree.copy(
+        |_, _| {},
+        |node| match victims.contains(&node) {
+            true => CopyStep::Skip,
+            false => CopyStep::Keep,
+        },
+    )
 }
 
 #[cfg(test)]

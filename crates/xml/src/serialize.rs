@@ -1,13 +1,13 @@
 //! XML serialization with entity escaping.
 //!
 //! [`to_string`], the compact serializer on the request path, is one scan
-//! of the node ids in pre-order ([`XmlTree`] hands it the range `0..n` when
-//! its ids are the document order): tags are spelled once per tree, texts
-//! are copied straight from the tree's text table, and both go into the
-//! output in fixed-width chunks, the output allocated once at the size a
-//! first scan counts. [`to_pretty_string`] is a loop over the walk events.
+//! of the node ids `0..n`, the document order: tags are spelled once per
+//! tree, texts are copied straight from the tree's text table, and both go
+//! into the output in fixed-width chunks, the output allocated once at the
+//! size a first scan counts. [`to_pretty_string`] is a loop over the walk
+//! events.
 
-use crate::tree::{NodeId, NodeKind, PreorderScan, TagId, TextId, XmlTree, NONE};
+use crate::tree::{NodeId, NodeKind, TagId, TextId, XmlTree, NONE};
 use std::ops::Range;
 
 /// Escapes text content (`&`, `<`, `>`), copying the runs between them.
@@ -42,7 +42,7 @@ pub fn escape_text(text: &str, out: &mut String) {
 /// output allocated once: a first scan counts the bytes, escapes included,
 /// and one chunk of slack takes the last copy's overrun.
 pub fn to_string(tree: &XmlTree) -> String {
-    tree.scan_preorder(Markup::spell(tree))
+    Markup::spell(tree).write()
 }
 
 /// The width of one copy: a spelling or an unescaped text of `n` bytes is
@@ -124,14 +124,11 @@ impl<'t> Markup<'t> {
         let (at, name) = self.spelled(tag);
         at + 2 * name + 5..at + 3 * name + 8
     }
-}
-
-impl PreorderScan for Markup<'_> {
-    type Output = String;
 
     /// Counts the bytes, then writes them.
-    fn scan(self, mut ids: impl Iterator<Item = NodeId> + Clone) -> String {
+    fn write(self) -> String {
         let tree = self.tree;
+        let mut ids = (0..tree.len() as u32).map(NodeId);
         let text = tree.text_buf();
         // The bytes: every element's `<t/>`, lengthened to `<t></t>` if the
         // next node is its child, and every text, escaped or not.
@@ -325,27 +322,19 @@ mod tests {
 
     /// The document ends with the text table's last text and close tags:
     /// every copy near the end of its source or of the output stays in
-    /// bounds, in document order and out of it.
+    /// bounds, appended or parsed.
     #[test]
     fn the_last_text_and_close_tags_end_the_document() {
         let last = "fifteen bytes..é and ten";
         let want = format!("<r><a>x</a><fourteen_bytes>{last}</fourteen_bytes></r>");
-        let mut ordered = XmlTree::new("r");
-        let a = ordered.add_element(ordered.root(), "a");
-        ordered.add_text(a, "x");
-        let f = ordered.add_element(ordered.root(), "fourteen_bytes");
-        ordered.add_text(f, last);
-        assert!(ordered.in_document_order());
+        let mut appended = XmlTree::new("r");
+        let a = appended.add_element(appended.root(), "a");
+        appended.add_text(a, "x");
+        let f = appended.add_element(appended.root(), "fourteen_bytes");
+        appended.add_text(f, last);
+        let parsed = crate::parse::parse(&want).unwrap();
 
-        let mut twin = XmlTree::new("r");
-        let f = twin.add_element(twin.root(), "fourteen_bytes");
-        let a = twin.add_element(twin.root(), "a");
-        twin.add_text(a, "x");
-        twin.add_text(f, last);
-        twin.set_children(twin.root(), vec![a, f]);
-        assert!(!twin.in_document_order());
-
-        for tree in [&ordered, &twin] {
+        for tree in [&appended, &parsed] {
             assert_eq!(tree.text_of(TextId(tree.distinct_texts() as u32 - 1)), last);
             let xml = to_string(tree);
             assert_eq!(xml, want);

@@ -7,24 +7,18 @@
 //! tag table or a text node's id into a per-tree text table — and the two
 //! tables. The text table stores each distinct PCDATA once, so within one
 //! tree equal text is equal [`TextId`]. Child lists are an offsets + ids
-//! index derived from the parent column on the first read after a mutation
-//! — build, then read. Adding a node pushes one entry on each column — the
-//! columns grow by doubling unless sized up front — `Clone` is a few
-//! `memcpy`s, and nothing is allocated per node.
+//! index derived from the parent column on the first read after an append,
+//! a cache the next append drops. Adding a node pushes one entry on each
+//! column — the columns grow by doubling unless sized up front — `Clone` is
+//! a few `memcpy`s, and nothing is allocated per node.
 //!
-//! A tree built in document order — every node added under the previous
-//! node or one of its open ancestors, as the tagger, the parser and the
-//! subtree copier do — has ids that *are* its pre-order. Its walks then scan
-//! ids with no index and no stack; only random access ([`XmlTree::children`])
-//! and trees built out of order pay for the child index.
-//!
-//! A tree is built in one of two ways. The `add_*` calls append a node
-//! under any element and check, node by node, whether document order still
-//! holds. A [`TreeWriter`] ([`XmlTree::writer`]) writes in pre-order — open
-//! an element, write its content, close it — into columns sized once from
-//! a node-count hint: the open elements are the parent chain of its
-//! innermost one, so document order holds by construction and a node costs
-//! its two column entries and nothing else.
+//! Every tree is in document order: a node is appended under the last node
+//! or one of its ancestors, so node ids *are* the pre-order and walks scan
+//! ids with no index and no stack. `add_element` / `add_text` name the
+//! parent and panic if it is closed; a [`TreeWriter`] ([`XmlTree::writer`])
+//! writes in pre-order — open an element, write its content, close it —
+//! into columns sized once from a node-count hint. A tree in another order
+//! is a copy ([`XmlTree::copy`]).
 
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
@@ -72,8 +66,8 @@ pub struct TagId(pub(crate) u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TextId(pub(crate) u32);
 
-/// The root's parent, an empty slot of the text index, and an id a
-/// copier has not mapped yet.
+/// The root's parent, an empty slot of the text index, and an id a copy
+/// has not mapped yet.
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// The bit that marks a text node's entry in the item column.
@@ -125,9 +119,15 @@ impl TextTable {
             .map(TextId)
     }
 
-    /// The id of the text appended to `buf` since `start`, taken off again
-    /// if the table already holds it.
-    fn intern_tail(&mut self, start: usize) -> TextId {
+    /// The id of the text `write` appends to `buf`, taken off again if the
+    /// table already holds it.
+    fn intern(&mut self, write: impl FnOnce(&mut String)) -> TextId {
+        let start = self.buf.len();
+        write(&mut self.buf);
+        assert!(
+            self.buf.len() >= start && self.buf.is_char_boundary(start),
+            "the text buffer only grows"
+        );
         if 4 * (self.ends.len() + 1) > 3 * self.slots.len() {
             // The ends grow with the index: one allocation each per doubling.
             let size = (2 * self.slots.len()).max(256);
@@ -171,18 +171,11 @@ pub struct XmlTree {
     tags: Vec<Arc<str>>,
     tag_ids: HashMap<Arc<str>, u32>,
     texts: TextTable,
-    /// Per node: the tag id of an element or `TEXT |` the text id of a text
-    /// node, and the parent (`NONE` for the root).
+    /// Per node, in pre-order: the tag id of an element or `TEXT |` the text
+    /// id of a text node, and the parent (`NONE` for the root).
     item: Vec<u32>,
     parent: Vec<u32>,
-    /// Child orders imposed by [`XmlTree::set_children`], replayed whenever
-    /// the index is rebuilt.
-    reorders: Vec<(NodeId, Vec<NodeId>)>,
     index: OnceLock<ChildIndex>,
-    /// True while node ids are a pre-order of the document: every node was
-    /// added under the previous node or one of its ancestors, and no
-    /// reorder was recorded.
-    preorder: bool,
 }
 
 impl XmlTree {
@@ -194,9 +187,7 @@ impl XmlTree {
             texts: TextTable::default(),
             item: Vec::new(),
             parent: vec![NONE],
-            reorders: Vec::new(),
             index: OnceLock::new(),
-            preorder: true,
         };
         let root = tree.intern_tag(&root_tag.into());
         tree.item.push(root.0);
@@ -221,16 +212,9 @@ impl XmlTree {
         self.item.len() <= 1
     }
 
-    /// True while node ids are the document's pre-order (see the module
-    /// docs): walks then scan ids instead of building the child index.
-    #[inline]
-    pub fn in_document_order(&self) -> bool {
-        self.preorder
-    }
-
     /// Registers `tag` in this tree's tag table (once) and returns its id,
     /// so a producer that emits the same few tags many times resolves each
-    /// string once ([`XmlTree::add_tagged`]).
+    /// string once ([`TreeWriter::open`]).
     pub fn intern_tag(&mut self, tag: &str) -> TagId {
         if let Some(&id) = self.tag_ids.get(tag) {
             return TagId(id);
@@ -256,11 +240,9 @@ impl XmlTree {
     }
 
     /// Registers `text` in this tree's text table (once) and returns its id
-    /// ([`XmlTree::add_text_id`]).
+    /// ([`TreeWriter::text_id`]).
     pub fn intern_text(&mut self, text: &str) -> TextId {
-        let start = self.texts.buf.len();
-        self.texts.buf.push_str(text);
-        self.texts.intern_tail(start)
+        self.texts.intern(|buf| buf.push_str(text))
     }
 
     /// The text of `id`.
@@ -323,63 +305,34 @@ impl XmlTree {
         NodeId(id)
     }
 
+    /// Appends `item` under `parent`, which must be the last node or one of
+    /// its ancestors. Every node climbed past is closed for good, so the
+    /// climbs of a whole build cost one step per node.
     fn push_node(&mut self, parent: NodeId, item: u32) -> NodeId {
         assert!(self.is_element(parent), "text nodes are leaves");
-        let id = self.append(parent.0, item);
-        // Document order holds if `parent` is the previous node or one of
-        // its ancestors. Every node climbed past is closed for good, so the
-        // climbs of a whole build cost one step per node.
-        if self.preorder {
-            let mut open = id.0 - 1;
-            while open != parent.0 && open != NONE {
-                open = self.parent[open as usize];
-            }
-            self.preorder = open == parent.0;
+        let mut open = self.len() as u32 - 1;
+        while open != parent.0 && open != NONE {
+            open = self.parent[open as usize];
         }
+        assert!(
+            open == parent.0,
+            "appending under the closed element {parent} is out of document order"
+        );
         self.index.take();
-        id
+        self.append(parent.0, item)
     }
 
-    /// Appends a new element child with tag `tag` to `parent`.
+    /// Appends a new element child with tag `tag` to `parent`: the last node
+    /// or one of its ancestors, else this panics (out of document order).
     pub fn add_element(&mut self, parent: NodeId, tag: impl Into<String>) -> NodeId {
         let tag = self.intern_tag(&tag.into());
         self.push_node(parent, tag.0)
     }
 
-    /// Appends a new element child to `parent`, its tag given by id.
-    pub fn add_tagged(&mut self, parent: NodeId, tag: TagId) -> NodeId {
-        assert!((tag.0 as usize) < self.tags.len(), "tag id of another tree");
-        self.push_node(parent, tag.0)
-    }
-
-    /// Appends a new text child to `parent`.
+    /// Appends a new text child to `parent`, as [`XmlTree::add_element`]
+    /// appends an element.
     pub fn add_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
         let text = self.intern_text(&text.into());
-        self.add_text_id(parent, text)
-    }
-
-    /// Appends a new text child to `parent` whose PCDATA is whatever `write`
-    /// appends to the text table's buffer — taken off again if the table
-    /// already holds that text.
-    pub fn add_text_with(&mut self, parent: NodeId, write: impl FnOnce(&mut String)) -> NodeId {
-        let text = self.intern_written(write);
-        self.add_text_id(parent, text)
-    }
-
-    /// Registers whatever `write` appends to the text table's buffer, taken
-    /// off again if the table already holds that text.
-    fn intern_written(&mut self, write: impl FnOnce(&mut String)) -> TextId {
-        let start = self.texts.buf.len();
-        write(&mut self.texts.buf);
-        assert!(
-            self.texts.buf.len() >= start && self.texts.buf.is_char_boundary(start),
-            "the text buffer only grows"
-        );
-        self.texts.intern_tail(start)
-    }
-
-    /// Appends a new text child to `parent`, its text given by id.
-    pub fn add_text_id(&mut self, parent: NodeId, text: TextId) -> NodeId {
         self.push_node(parent, self.text_item(text))
     }
 
@@ -455,9 +408,8 @@ impl XmlTree {
         self.parent[node.index()]
     }
 
-    /// The child index: a counting sort of the nodes by parent — siblings
-    /// stay in insertion order — with every recorded reorder replayed over
-    /// the children its parent had at the time (always its first ones).
+    /// The child index: a counting sort of the nodes by parent, siblings in
+    /// id order, which is document order.
     fn index(&self) -> &ChildIndex {
         self.index.get_or_init(|| {
             let n = self.len();
@@ -477,10 +429,6 @@ impl XmlTree {
                 *slot += 1;
             }
             start.truncate(n + 1);
-            for (parent, order) in &self.reorders {
-                let at = start[parent.index()] as usize;
-                ids[at..at + order.len()].copy_from_slice(order);
-            }
             ChildIndex { start, ids }
         })
     }
@@ -493,14 +441,10 @@ impl XmlTree {
         &index.ids[from as usize..to as usize]
     }
 
-    /// The first child of `node`: on a tree in document order the next id,
-    /// if `node` is its parent.
+    /// The first child of `node`: the next id, if `node` is its parent.
     pub(crate) fn first_child(&self, node: NodeId) -> Option<NodeId> {
-        if self.preorder {
-            let next = node.0 + 1;
-            return (self.parent.get(next as usize) == Some(&node.0)).then_some(NodeId(next));
-        }
-        self.children(node).first().copied()
+        let next = node.0 + 1;
+        (self.parent.get(next as usize) == Some(&node.0)).then_some(NodeId(next))
     }
 
     /// The ordered element children of `node` (text nodes skipped).
@@ -533,18 +477,17 @@ impl XmlTree {
     /// spells it, else the value itself: empty, or several texts
     /// concatenated.
     pub(crate) fn value_id(&self, node: NodeId) -> Result<TextId, Cow<'_, str>> {
-        if self.preorder {
-            // The children follow `node`, and a text child is a leaf: if
-            // `node` closes after a run of text, that run is all of them.
-            let is_child = |i: usize| self.parent.get(i) == Some(&node.0);
-            let mut end = node.index() + 1;
-            while is_child(end) && self.item[end] & TEXT != 0 {
-                end += 1;
-            }
-            if !is_child(end) {
-                return self.spell(self.item[node.index() + 1..end].iter().copied());
-            }
+        // The children follow `node`, and a text child is a leaf: if `node`
+        // closes after a run of text, that run is all of them.
+        let is_child = |i: usize| self.parent.get(i) == Some(&node.0);
+        let mut end = node.index() + 1;
+        while is_child(end) && self.item[end] & TEXT != 0 {
+            end += 1;
         }
+        if !is_child(end) {
+            return self.spell(self.item[node.index() + 1..end].iter().copied());
+        }
+        // Mixed content: texts after an element child too.
         let children = self.children(node).iter().map(|&c| self.item[c.index()]);
         self.spell(children.filter(|&item| item & TEXT != 0))
     }
@@ -580,13 +523,9 @@ impl XmlTree {
     /// Depth-first traversal of the subtree rooted at `node` yielding every
     /// node twice: `(n, true)` on the way down, `(n, false)` on the way up.
     /// Every whole-tree walk of this crate is a loop over it, so document
-    /// depth never becomes call-stack depth.
-    ///
-    /// On a tree [in document order](XmlTree::in_document_order) this is a
-    /// scan of ids: the subtree is the run of ids from `node` on that ends
-    /// where it closes, and the open path is the parent chain of the last
-    /// node entered — no index, no stack, no allocation. Any other tree is
-    /// walked through the child index, the only order that is right there.
+    /// depth never becomes call-stack depth. It is a scan of ids: the
+    /// subtree is the run of ids from `node` on that ends where it closes,
+    /// and the open path is the parent chain of the last node entered.
     pub fn walk(&self, node: NodeId) -> Walk<'_> {
         Walk {
             tree: self,
@@ -594,20 +533,6 @@ impl XmlTree {
             next: node.0,
             open: NONE,
             depth: 0,
-            index: (!self.preorder).then(|| vec![(node, true)]),
-        }
-    }
-
-    /// Runs `scan` over the ids of the whole document in pre-order — a
-    /// sequence that keeps no open path: a scan that needs one keeps it
-    /// through the parent column. On a tree [in document
-    /// order](XmlTree::in_document_order) the sequence is a plain range,
-    /// otherwise the enters of the walk through the child index; `scan` is
-    /// generic over it, so each kind of tree runs its own loop.
-    pub(crate) fn scan_preorder<S: PreorderScan>(&self, scan: S) -> S::Output {
-        match self.preorder {
-            true => scan.scan((0..self.len() as u32).map(NodeId)),
-            false => scan.scan(self.descendants(self.root())),
         }
     }
 
@@ -618,15 +543,11 @@ impl XmlTree {
 
     /// The maximum depth of any node in the subtree rooted at `node`.
     pub fn height(&self, node: NodeId) -> usize {
-        let (mut depth, mut height) = (0usize, 0);
-        for (_, enter) in self.walk(node) {
-            match enter {
-                true => depth += 1,
-                false => depth -= 1,
-            }
-            height = height.max(depth);
-        }
-        height - 1
+        let step = |(depth, height): (usize, usize), (_, enter)| match enter {
+            true => (depth + 1, height.max(depth)),
+            false => (depth - 1, height),
+        };
+        self.walk(node).fold((0, 0), step).1
     }
 
     /// A `/`-separated tag path from the root to `node` (for diagnostics).
@@ -643,22 +564,61 @@ impl XmlTree {
         self.descendants(node).count()
     }
 
-    /// A copier of this tree's subtrees into one other tree.
-    pub fn copier(&self) -> SubtreeCopier<'_> {
-        SubtreeCopier {
-            src: self,
-            tag_map: vec![NONE; self.tags.len()],
-            text_map: vec![NONE; self.texts.ends.len()],
-            stack: Vec::new(),
-        }
-    }
-
-    /// A tree with this one's root tag and `keep`'s selection of the rest.
-    pub(crate) fn filtered(&self, keep: impl FnMut(NodeId) -> CopyStep) -> XmlTree {
+    /// A new tree with this one's root tag and the rest copied in document
+    /// order, as the two hooks direct: `step` keeps, splices or skips each
+    /// node but the root, and `order(node, children)` may permute the
+    /// children of each node kept or spliced, the root's included, before
+    /// they are copied. The one way to reorder or filter a tree: it writes
+    /// through a [`TreeWriter`] from an explicit stack, translating each tag
+    /// and text once.
+    pub fn copy(
+        &self,
+        mut order: impl FnMut(NodeId, &mut [NodeId]),
+        mut step: impl FnMut(NodeId) -> CopyStep,
+    ) -> XmlTree {
         let mut out = XmlTree::new(&*self.tags[self.item[0] as usize]);
-        let root = out.root();
-        self.copier()
-            .copy_children(&mut out, root, self.root(), keep);
+        // Destination tag id per source tag id, and text id per source text
+        // id, `NONE` until first needed.
+        let mut tags = vec![NONE; self.tags.len()];
+        let mut texts = vec![NONE; self.texts.ends.len()];
+        let mut writer = out.writer(self.len());
+        // Source nodes to enter, and `None` for each copied element to close,
+        // the next one last; and the children of one element. The root, the
+        // new tree's already, is spliced.
+        let (mut stack, mut children) = (vec![Some(self.root())], Vec::new());
+        while let Some(next) = stack.pop() {
+            let Some(node) = next else {
+                writer.close();
+                continue;
+            };
+            let step = match node == self.root() {
+                true => CopyStep::Splice,
+                false => step(node),
+            };
+            match (step, self.text_id(node)) {
+                (CopyStep::Skip, _) => continue,
+                (CopyStep::Splice, _) => {}
+                (CopyStep::Keep, Some(TextId(text))) => match texts[text as usize] {
+                    NONE => {
+                        texts[text as usize] =
+                            writer.text_with(|buf| buf.push_str(self.texts.get(text))).0
+                    }
+                    mapped => drop(writer.text_id(TextId(mapped))),
+                },
+                (CopyStep::Keep, None) => {
+                    let tag = self.item[node.index()] as usize;
+                    if tags[tag] == NONE {
+                        tags[tag] = writer.intern_tag(&self.tags[tag]).0;
+                    }
+                    writer.open(TagId(tags[tag]));
+                    stack.push(None);
+                }
+            }
+            children.clear();
+            children.extend_from_slice(self.children(node));
+            order(node, &mut children);
+            stack.extend(children.iter().rev().map(|&child| Some(child)));
+        }
         out
     }
 
@@ -672,36 +632,13 @@ impl XmlTree {
     /// The root is never removed.
     pub fn strip_elements(&self, is_internal: impl Fn(&str) -> bool) -> XmlTree {
         let internal: Vec<bool> = self.tags.iter().map(|tag| is_internal(tag)).collect();
-        self.filtered(|node| match self.elem_tag(node) {
-            Some(tag) if internal[tag.0 as usize] => CopyStep::Splice,
-            _ => CopyStep::Keep,
-        })
-    }
-
-    /// Replaces the child order of `parent`. The new order must be a
-    /// permutation of the current children. Used by the AIG evaluator, which
-    /// evaluates children in dependency order (§3.2) but must emit them in
-    /// document order.
-    pub fn set_children(&mut self, parent: NodeId, order: Vec<NodeId>) {
-        debug_assert!({
-            let mut a = self.children(parent).to_vec();
-            let mut b = order.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            a == b
-        });
-        // In document order, a node's children are in id order: ascending
-        // ids change nothing, anything else ends document order.
-        if self.preorder && order.is_sorted() {
-            return;
-        }
-        self.preorder = false;
-        // Patch a built index in place: a reorder must not cost a rebuild.
-        if let Some(index) = self.index.get_mut() {
-            let at = index.start[parent.index()] as usize;
-            index.ids[at..at + order.len()].copy_from_slice(&order);
-        }
-        self.reorders.push((parent, order));
+        self.copy(
+            |_, _| {},
+            |node| match self.elem_tag(node) {
+                Some(tag) if internal[tag.0 as usize] => CopyStep::Splice,
+                _ => CopyStep::Keep,
+            },
+        )
     }
 
     /// Returns a copy in which the children of every element whose tag
@@ -711,68 +648,97 @@ impl XmlTree {
     /// key paths, §5.1), so comparisons between the conceptual and the
     /// set-oriented evaluator are made on this canonical form.
     pub fn sort_star_children(&self, is_star_parent: impl Fn(&str) -> bool) -> XmlTree {
-        let mut out = self.clone();
         let star: Vec<bool> = self.tags.iter().map(|tag| is_star_parent(tag)).collect();
-        // Descendants first: a child's key is that of its canonical form.
+        let orders = self.star_orders(&star);
+        self.copy(
+            |node, children| {
+                if let Some(order) = orders.get(&node) {
+                    children.copy_from_slice(order);
+                }
+            },
+            |_| CopyStep::Keep,
+        )
+    }
+
+    /// The children of each element tagged `star` (of two or more) in
+    /// canonical order: stably sorted by the spelling of their own canonical
+    /// forms — `<t>`, text and `</>` per node. One walk spells the document
+    /// and sorts a star element's children's spellings in place as it
+    /// closes, so the only spellings kept are those of the children of the
+    /// open star elements, and nothing recurses on depth.
+    fn star_orders(&self, star: &[bool]) -> HashMap<NodeId, Vec<NodeId>> {
+        let (mut key, mut orders) = (String::new(), HashMap::new());
+        // Per open element, for a star element, where its children's entries
+        // begin in `starts`: each child with the offset its spelling starts
+        // at. Nothing before the first entry is read again.
+        let (mut open, mut starts) = (Vec::new(), Vec::new());
         for (node, enter) in self.walk(self.root()) {
-            let sort = !enter && self.elem_tag(node).is_some_and(|tag| star[tag.0 as usize]);
-            if sort && out.children(node).len() > 1 {
-                let mut children = out.children(node).to_vec();
-                children.sort_by_cached_key(|&c| out.content_key(c));
-                out.set_children(node, children);
+            match (self.elem_tag(node), enter) {
+                (tag, true) => {
+                    if let Some(Some(_)) = open.last() {
+                        starts.push((key.len(), node));
+                    }
+                    let Some(tag) = tag else {
+                        key.push_str(self.pcdata(node));
+                        continue;
+                    };
+                    key.extend(["<", &self.tags[tag.0 as usize], ">"]);
+                    open.push(star[tag.0 as usize].then_some(starts.len()));
+                }
+                (Some(_), false) => {
+                    if let Some(from) = open.pop().flatten() {
+                        if starts.len() - from > 1 {
+                            orders.insert(node, sort_spans(&mut key, &starts[from..]));
+                        }
+                        starts.truncate(from);
+                    }
+                    match starts.is_empty() {
+                        true => key.clear(),
+                        false => key.push_str("</>"),
+                    }
+                }
+                (None, false) => {}
             }
         }
-        out
-    }
-
-    /// The walk of `node`'s subtree with each node's kind in place of its id.
-    fn events(&self, node: NodeId) -> impl Iterator<Item = (NodeKind<'_>, bool)> {
-        self.walk(node).map(|(n, enter)| (self.kind(n), enter))
-    }
-
-    /// The subtree of `node` spelled out unambiguously, as a sort key.
-    fn content_key(&self, node: NodeId) -> String {
-        let mut key = String::new();
-        for event in self.events(node) {
-            match event {
-                (NodeKind::Text(text), true) => key.push_str(text),
-                (NodeKind::Element(tag), true) => key.extend(["<", tag, ">"]),
-                (NodeKind::Element(_), false) => key.push_str("</>"),
-                (NodeKind::Text(_), false) => {}
-            }
-        }
-        key
-    }
-
-    /// Structural equality of the subtrees rooted at `a` (in `self`) and `b`
-    /// (in `other`): same tags, same text, same child order — i.e. the same
-    /// sequence of walk events.
-    pub fn subtree_eq(&self, a: NodeId, other: &XmlTree, b: NodeId) -> bool {
-        self.events(a).eq(other.events(b))
+        orders
     }
 }
 
 impl PartialEq for XmlTree {
+    /// The same document: ids are the pre-order on both sides, so the
+    /// parent columns are equal and so is each node's kind.
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.subtree_eq(self.root(), other, other.root())
+        self.parent == other.parent
+            && (0..self.len() as u32).all(|n| self.kind(NodeId(n)) == other.kind(NodeId(n)))
     }
 }
 
 impl Eq for XmlTree {}
+
+/// Sorts the spellings in `key` that start at `starts` — each ending where
+/// the next starts, the last at the end of `key` — stably, and returns
+/// their nodes in the new order.
+fn sort_spans(key: &mut String, starts: &[(usize, NodeId)]) -> Vec<NodeId> {
+    let ends = starts[1..].iter().map(|&(at, _)| at).chain([key.len()]);
+    let mut spans: Vec<_> = (starts.iter().zip(ends))
+        .map(|(&(at, node), end)| (at..end, node))
+        .collect();
+    spans.sort_by(|(a, _), (b, _)| key[a.clone()].cmp(&key[b.clone()]));
+    let sorted: String = spans.iter().map(|(span, _)| &key[span.clone()]).collect();
+    key.replace_range(starts[0].0.., &sorted);
+    spans.into_iter().map(|(_, node)| node).collect()
+}
 
 /// The events of [`XmlTree::walk`].
 #[derive(Clone)]
 pub struct Walk<'a> {
     tree: &'a XmlTree,
     root: u32,
-    /// In document order: the next id to enter, the innermost open node and
-    /// the number of open nodes — `0` before `root` is entered and after it
-    /// closes.
+    /// The next id to enter, the innermost open node and the number of open
+    /// nodes — `0` before `root` is entered and after it closes.
     next: u32,
     open: u32,
     depth: u32,
-    /// Otherwise, the nodes still to enter or leave, through the child index.
-    index: Option<Vec<(NodeId, bool)>>,
 }
 
 impl Iterator for Walk<'_> {
@@ -780,15 +746,6 @@ impl Iterator for Walk<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(NodeId, bool)> {
-        if let Some(stack) = &mut self.index {
-            let (node, enter) = stack.pop()?;
-            if enter {
-                stack.push((node, false));
-                let children = self.tree.children(node).iter().rev();
-                stack.extend(children.map(|&c| (c, true)));
-            }
-            return Some((node, enter));
-        }
         let parents = &self.tree.parent;
         let enters = match self.depth {
             0 if self.next != self.root => return None,
@@ -808,23 +765,16 @@ impl Iterator for Walk<'_> {
     /// The id scan as nested loops — enter a node, then close the open
     /// nodes the next one is not a child of — so that a consumer's test of
     /// `enter` folds away.
-    fn fold<B, F>(mut self, mut acc: B, mut f: F) -> B
+    fn fold<B, F>(self, mut acc: B, mut f: F) -> B
     where
         F: FnMut(B, (NodeId, bool)) -> B,
     {
-        if self.index.is_some() {
-            for event in self.by_ref() {
-                acc = f(acc, event);
-            }
-            return acc;
-        }
         let Walk {
             tree,
             root,
             mut next,
             mut open,
             mut depth,
-            ..
         } = self;
         let parents = &tree.parent;
         if depth == 0 && next == root {
@@ -846,25 +796,11 @@ impl Iterator for Walk<'_> {
     }
 }
 
-/// A pass over the ids of a whole document in pre-order
-/// ([`XmlTree::scan_preorder`]).
-pub(crate) trait PreorderScan {
-    type Output;
-
-    /// Runs over `ids`: every node of the tree once, each after its parent
-    /// and before its next sibling. A clone replays the sequence.
-    fn scan(self, ids: impl Iterator<Item = NodeId> + Clone) -> Self::Output;
-}
-
 /// Writes nodes into a tree in pre-order ([`XmlTree::writer`]): each one the
 /// next child of the innermost open element. The root starts open; once it
-/// is closed the document is complete.
-///
-/// The open elements are the innermost one and its ancestors, so the parent
-/// column is the writer's stack: a node goes under the previous node or one
-/// of its ancestors, which is document order by construction — no climb, and
-/// no check that its parent is an element. A tree in document order stays
-/// in it (its root is an ancestor of every node).
+/// is closed the document is complete. The open elements are the innermost
+/// one and its ancestors, so the parent column is the writer's stack — no
+/// climb, and no check that a parent is an element.
 pub struct TreeWriter<'a> {
     tree: &'a mut XmlTree,
     /// The innermost open element, `NONE` once the root is closed.
@@ -912,10 +848,10 @@ impl TreeWriter<'_> {
     }
 
     /// Writes a text node whose PCDATA is whatever `write` appends to the
-    /// text table's buffer, as [`XmlTree::add_text_with`] does, and returns
-    /// the id of that text.
+    /// text table's buffer — taken off again if the table already holds that
+    /// text — and returns the id of that text.
     pub fn text_with(&mut self, write: impl FnOnce(&mut String)) -> TextId {
-        let text = self.tree.intern_written(write);
+        let text = self.tree.texts.intern(write);
         self.text_id(text);
         text
     }
@@ -927,7 +863,7 @@ impl TreeWriter<'_> {
     }
 }
 
-/// What [`SubtreeCopier::copy_children`] does with one source node.
+/// What [`XmlTree::copy`] does with one source node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyStep {
     /// Copy the node and walk on into its children.
@@ -936,71 +872,6 @@ pub enum CopyStep {
     Splice,
     /// Drop the node and its whole subtree.
     Skip,
-}
-
-/// Copies subtrees of one tree into one other tree with no allocation per
-/// node or per call: the source → destination tag and text translations and
-/// the walk stack are kept between calls. See [`XmlTree::copier`].
-pub struct SubtreeCopier<'a> {
-    src: &'a XmlTree,
-    /// Destination tag id per source tag id, and text id per source text
-    /// id, `NONE` until first needed. They are what ties a copier to a
-    /// single destination tree.
-    tag_map: Vec<u32>,
-    text_map: Vec<u32>,
-    /// Source nodes still to visit, each with its destination parent.
-    stack: Vec<(NodeId, NodeId)>,
-}
-
-impl SubtreeCopier<'_> {
-    /// Appends copies of the children of `node` (a node of the source tree),
-    /// subtrees included and filtered through `step`, under `parent` in
-    /// `dst`. Returns the number of nodes copied.
-    pub fn copy_children(
-        &mut self,
-        dst: &mut XmlTree,
-        parent: NodeId,
-        node: NodeId,
-        mut step: impl FnMut(NodeId) -> CopyStep,
-    ) -> usize {
-        let SubtreeCopier {
-            src,
-            tag_map,
-            text_map,
-            stack,
-        } = self;
-        let before = dst.len();
-        // Reversed, so that the stack pops them in document order.
-        let children_under =
-            |node, parent| src.children(node).iter().rev().map(move |&c| (c, parent));
-        stack.clear();
-        stack.extend(children_under(node, parent));
-        while let Some((node, parent)) = stack.pop() {
-            let copied = match step(node) {
-                CopyStep::Skip => continue,
-                CopyStep::Splice => parent,
-                CopyStep::Keep => match src.text_id(node) {
-                    None => {
-                        let tag = src.item[node.index()];
-                        let mapped = &mut tag_map[tag as usize];
-                        if *mapped == NONE {
-                            *mapped = dst.intern_tag(&src.tags[tag as usize]).0;
-                        }
-                        dst.add_tagged(parent, TagId(*mapped))
-                    }
-                    Some(TextId(text)) => {
-                        let mapped = &mut text_map[text as usize];
-                        if *mapped == NONE {
-                            *mapped = dst.intern_text(src.texts.get(text)).0;
-                        }
-                        dst.add_text_id(parent, TextId(*mapped))
-                    }
-                },
-            };
-            stack.extend(children_under(node, copied));
-        }
-        dst.len() - before
-    }
 }
 
 #[cfg(test)]
@@ -1041,7 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn preorder_iteration_in_document_order() {
+    fn preorder_iteration_follows_the_document() {
         let (t, _, _) = sample();
         let tags: Vec<String> = t
             .iter()
@@ -1099,17 +970,34 @@ mod tests {
     }
 
     #[test]
-    fn set_children_reorders() {
+    #[should_panic(expected = "out of document order")]
+    fn adding_under_a_closed_element_panics() {
         let mut t = XmlTree::new("r");
         let a = t.add_element(t.root(), "a");
+        t.add_element(t.root(), "b");
+        t.add_element(a, "c");
+    }
+
+    /// The order hook sees the children of kept and spliced elements alike.
+    #[test]
+    fn a_copy_reorders_splices_and_skips() {
+        let mut t = XmlTree::new("r");
+        let a = t.add_element(t.root(), "a");
+        let w = t.add_element(a, "w");
+        t.add_text(w, "x");
+        t.add_text(w, "y");
         let b = t.add_element(t.root(), "b");
-        t.set_children(t.root(), vec![b, a]);
-        let tags: Vec<&str> = t
-            .children(t.root())
-            .iter()
-            .filter_map(|&c| t.tag(c))
-            .collect();
-        assert_eq!(tags, vec!["b", "a"]);
+        t.add_element(t.root(), "c");
+        let copy = t.copy(
+            |_, children| children.reverse(),
+            |node| match node {
+                _ if node == w => CopyStep::Splice,
+                _ if node == b => CopyStep::Skip,
+                _ => CopyStep::Keep,
+            },
+        );
+        assert_eq!(crate::serialize::to_string(&copy), "<r><c/><a>yx</a></r>");
+        assert_eq!(t.copy(|_, _| {}, |_| CopyStep::Keep), t);
     }
 
     #[test]
@@ -1142,22 +1030,24 @@ mod tests {
     #[test]
     fn equal_texts_share_one_id() {
         let mut t = XmlTree::new("r");
-        let a = t.add_element(t.root(), "a");
-        let v1 = t.intern_text("v1");
-        let texts = [
-            t.add_text(a, "v1"),
-            t.add_text_with(a, |buf| buf.push_str("v1")),
-            t.add_text_id(a, v1),
-            t.add_text_with(a, |buf| buf.push('v')),
-            t.add_text(a, "1"),
+        let (tag, v1) = (t.intern_tag("a"), t.intern_text("v1"));
+        let mut out = t.writer(0);
+        let a = out.open(tag);
+        let written = [
+            out.text_with(|buf| buf.push_str("v1")),
+            out.text_with(|buf| buf.push('v')),
         ];
-        let ids = texts.map(|n| t.text_id(n).unwrap());
-        assert!(ids[0] == ids[1] && ids[1] == ids[2]);
-        assert!(ids[3] != ids[0] && ids[4] != ids[3]);
+        out.text_id(v1);
+        t.add_text(a, "v1");
+        t.add_text(a, "1");
+        assert_eq!(written, [v1, TextId(1)]);
+        let texts = t.children(a).to_vec();
+        let ids: Vec<TextId> = texts.iter().map(|&n| t.text_id(n).unwrap()).collect();
+        assert_eq!(ids, [v1, TextId(1), v1, v1, TextId(2)]);
         assert_eq!(t.distinct_texts(), 3);
-        let pcdata = texts.map(|n| t.text(n).unwrap());
-        assert_eq!(pcdata, ["v1", "v1", "v1", "v", "1"]);
-        assert_eq!(t.text_value(a), "v1v1v1v1");
+        let pcdata: Vec<&str> = texts.iter().map(|&n| t.text(n).unwrap()).collect();
+        assert_eq!(pcdata, ["v1", "v", "v1", "v1", "1"]);
+        assert_eq!(t.text_value(a), "v1vv1v11");
         assert_eq!(t.text_id(a), None);
 
         // The parser: one id per distinct text, escaped or not.
@@ -1169,22 +1059,22 @@ mod tests {
         assert_eq!(parsed.text(leaves[1]), Some("<"));
         assert_eq!(parsed.distinct_texts(), 2);
 
-        // A copy into another tree maps ids the way it maps tags: the
-        // destination's own `v1` is the copies' too.
-        let mut dst = XmlTree::new("r");
-        let root = dst.root();
-        dst.add_text(root, "v1");
-        let n = parsed
-            .copier()
-            .copy_children(&mut dst, root, parsed.root(), |_| CopyStep::Keep);
-        assert_eq!(n, 8);
+        // A copy maps ids the way it maps tags, numbering them as it meets
+        // them: without `<a>`, `<` comes first.
+        let a = parsed.children(parsed.root())[0];
+        let dst = parsed.copy(
+            |_, _| {},
+            |n| match n == a {
+                true => CopyStep::Skip,
+                false => CopyStep::Keep,
+            },
+        );
         let leaves: Vec<NodeId> = dst.iter().filter(|&n| !dst.is_element(n)).collect();
         let ids: Vec<TextId> = leaves.iter().map(|&n| dst.text_id(n).unwrap()).collect();
-        assert_eq!(ids.len(), 5);
-        assert!(ids[0] == ids[1] && ids[1] == ids[3] && ids[2] == ids[4] && ids[0] != ids[2]);
+        assert_eq!(ids, [TextId(0), TextId(1), TextId(0)]);
         assert_eq!(dst.distinct_texts(), 2);
         let pcdata: Vec<&str> = leaves.iter().map(|&n| dst.text(n).unwrap()).collect();
-        assert_eq!(pcdata, ["v1", "v1", "<", "v1", "<"]);
+        assert_eq!(pcdata, ["<", "v1", "<"]);
     }
 
     #[test]
@@ -1202,7 +1092,7 @@ mod tests {
         out.close();
         out.close();
         assert_eq!(out.open_tag(), None);
-        assert!(t == built && t.in_document_order());
+        assert!(t == built);
         assert!(t.item.capacity() >= 100 && t.parent.capacity() >= 100);
 
         // On a built tree, the writer appends under the root.
@@ -1212,7 +1102,6 @@ mod tests {
         let p = out.open(tag);
         out.text_id(TextId(0));
         out.close();
-        assert!(more.in_document_order());
         assert_eq!(more.children(more.root()).len(), 2);
         assert_eq!(more.text_value(p), "123-45-6789");
     }

@@ -681,8 +681,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(validate_general(&conforming_tree(), &general), Ok(()));
+        // The last patient is still open: an extra `SSN` appends in order.
         let mut bad = conforming_tree();
-        let p = bad.element_children(bad.root()).next().unwrap();
+        let p = bad.element_children(bad.root()).last().unwrap();
         bad.add_element(p, "SSN");
         assert!(validate_general(&bad, &general).is_err());
         assert!(validate(&bad, &simple_dtd()).is_err());

@@ -3,13 +3,16 @@
 //! with it, and a DTD content model nested 30,000 deep must be refused the
 //! same way. Every case runs on a thread with a 256 KiB stack, which a
 //! recursion over the document would exhaust within a few thousand levels.
-//! The document goes through both walks: parsed, its ids are its document
-//! order; built out of order, it is walked through the child index.
+//! The document is built both ways: parsed, and appended node by node, the
+//! last append climbing the whole chain to find its parent open.
 
-use aig_xml::dtd::{DtdBuilder, GeneralDtd, MAX_MODEL_DEPTH};
+use aig_xml::dtd::{Dtd, DtdBuilder, GeneralDtd, MAX_MODEL_DEPTH};
 use aig_xml::parse::parse;
 use aig_xml::serialize::{to_pretty_string, to_string};
-use aig_xml::{repair, validate, validate_general, ConstraintSet, Violation, XmlError, XmlTree};
+use aig_xml::{
+    repair, validate, validate_by_node, validate_general, ConstraintSet, Violation, XmlError,
+    XmlTree,
+};
 
 const DEPTH: usize = 200_000;
 
@@ -28,15 +31,24 @@ fn chain_xml(depth: usize) -> String {
     )
 }
 
-/// The chain with a `<b/>` after it, built with `b` first and then put
-/// last: ids out of document order.
-fn forked_chain_out_of_order(depth: usize) -> XmlTree {
+/// The chain with a `<b/>` after it, appended node by node.
+fn forked_chain(depth: usize) -> XmlTree {
     let mut tree = XmlTree::new("r");
-    let b = tree.add_element(tree.root(), "b");
     let first = tree.add_element(tree.root(), "a");
     (1..depth).fold(first, |a, _| tree.add_element(a, "a"));
-    tree.set_children(tree.root(), vec![first, b]);
+    tree.add_element(tree.root(), "b");
     tree
+}
+
+/// `r` holds a chain of `a`s, then a `b`: restricted and general.
+fn forked_chain_dtds() -> (Dtd, GeneralDtd) {
+    let mut dtd = DtdBuilder::new();
+    dtd.seq("r", &["a", "b"]);
+    dtd.star("a", "a");
+    dtd.empty("b");
+    let general =
+        GeneralDtd::parse("<!ELEMENT r (a, b)> <!ELEMENT a (a?)> <!ELEMENT b EMPTY>").unwrap();
+    (dtd.build("r").unwrap(), general)
 }
 
 #[test]
@@ -45,17 +57,12 @@ fn a_200k_deep_document_goes_through_every_tree_walk() {
         let chain = chain_xml(DEPTH);
         let xml = format!("{}<b/></r>", &chain[..chain.len() - "</r>".len()]);
         let parsed = parse(&xml).expect("deep nesting is well-formed");
-        let twin = forked_chain_out_of_order(DEPTH);
-        assert!(parsed.in_document_order() && !twin.in_document_order());
-        assert!(parsed == twin);
+        let appended = forked_chain(DEPTH);
+        assert!(parsed == appended);
+        // One `a` deeper.
+        let longer = forked_chain(DEPTH + 1);
 
-        let mut dtd = DtdBuilder::new();
-        dtd.seq("r", &["a", "b"]);
-        dtd.star("a", "a");
-        dtd.empty("b");
-        let dtd = dtd.build("r").unwrap();
-        let general =
-            GeneralDtd::parse("<!ELEMENT r (a, b)> <!ELEMENT a (a?)> <!ELEMENT b EMPTY>").unwrap();
+        let (dtd, general) = forked_chain_dtds();
         // No `a` has a `b` child, so each awaits its value until it closes;
         // every `a` but the last has an `a` first child, whose value is "".
         let constraints = ConstraintSet::parse("r(a.b -> a); r(a.b <= a.b); r(a.a -> a)").unwrap();
@@ -66,7 +73,7 @@ fn a_200k_deep_document_goes_through_every_tree_walk() {
         };
         let untouched = ConstraintSet::parse("r(a.k -> a); r(a.k <= a.k)").unwrap();
 
-        for tree in [parsed, twin] {
+        for tree in [parsed, appended] {
             assert_eq!(tree.len(), DEPTH + 2);
             assert_eq!(tree.height(tree.root()), DEPTH);
             let leaf = tree.iter().nth(DEPTH).unwrap();
@@ -77,8 +84,6 @@ fn a_200k_deep_document_goes_through_every_tree_walk() {
             assert_eq!(to_string(&tree), xml);
             let copy = tree.clone();
             assert!(copy == tree);
-            let mut longer = tree.clone();
-            longer.add_element(leaf, "a");
             assert!(longer != tree);
 
             assert_eq!(validate(&tree, &dtd), Ok(()));
@@ -98,6 +103,25 @@ fn a_200k_deep_document_goes_through_every_tree_walk() {
             assert!(untouched.satisfied(&tree));
             assert!(repair(&tree, &untouched, &dtd).actions.is_empty());
         }
+    });
+}
+
+/// The same document with a `<b/>` in its deepest `a`, which holds only
+/// `a`s: rejected, and the offending node named, 200,000 levels down.
+#[test]
+fn a_200k_deep_document_that_breaks_its_dtd_is_rejected() {
+    on_a_small_stack(|| {
+        let xml = format!(
+            "<r>{}<a><b/></a>{}<b/></r>",
+            "<a>".repeat(DEPTH - 1),
+            "</a>".repeat(DEPTH - 1)
+        );
+        let tree = parse(&xml).expect("deep nesting is well-formed");
+        let (dtd, general) = forked_chain_dtds();
+        let error = validate(&tree, &dtd).expect_err("a `b` under an `a`");
+        assert_eq!(validate_by_node(&tree, &dtd), Err(error.clone()));
+        assert_eq!(error.path, format!("/r{}", "/a".repeat(DEPTH)));
+        assert!(validate_general(&tree, &general).is_err());
     });
 }
 

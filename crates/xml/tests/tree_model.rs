@@ -1,23 +1,17 @@
 //! Model-based property test of [`XmlTree`]: a naive tree of owned strings
 //! and child vectors (the [`Model`] below, written for obviousness only) is
-//! driven through the same seeded sequence of `add_element` / `add_text` /
-//! `set_children` calls as the columnar tree — parents picked at random, so
-//! nodes are *not* added in document order, and children are read between
-//! mutations — and every accessor, both serializers, the parser round trip,
-//! `Clone`, subtree copies, `strip_elements` and `sort_star_children` must
-//! agree with it.
-//!
-//! In document-order mode parents are drawn from the open path only, so the
-//! tree's walks scan ids. Each such tree is checked against its own twin
-//! rebuilt out of id order — children appended shuffled, then put back with
-//! `set_children` — which walks the child index: walk events, both
-//! serializers, `validate` against a random restricted DTD and
-//! `ConstraintSet::check` must not tell them apart, and the checker must
-//! also match a naive one over the model. Each is also written again
-//! through a `TreeWriter` — the same opens, texts and closes in pre-order,
-//! with a node-count hint too small, exact and too large — and must come
-//! out `==` to it, with the same tag and text ids, the same `to_string`,
-//! in document order and agreeing with the model.
+//! driven through the same seeded sequence of `add_element` / `add_text`
+//! calls as the columnar tree — each parent drawn from the open path, the
+//! last node and its ancestors, and children read between appends — and
+//! every accessor, both serializers, the parser round trip, `Clone`, `copy`
+//! (with a random skip, a random splice and every child list shuffled),
+//! `strip_elements` and `sort_star_children` must agree with it. Each tree
+//! is also written again through a `TreeWriter` — the same opens, texts and
+//! closes in pre-order, with a node-count hint too small, exact and too
+//! large — and must come out `==` to it, with the same tag and text ids and
+//! the same `to_string`. `validate` against random restricted DTDs must
+//! agree with `validate_by_node`, and `ConstraintSet::check` and
+//! `check_first` with a naive checker over the model.
 
 use aig_prng::{Rng, SeedableRng, StdRng};
 use aig_xml::parse::parse;
@@ -96,16 +90,17 @@ impl Model {
     }
 
     /// Copies `node`'s children under `to` in `out`: `step` as in
-    /// [`CopyStep`] (0 keep, 1 splice, 2 skip).
-    fn copy_children(&self, node: usize, out: &mut Model, to: usize, step: &dyn Fn(usize) -> u8) {
+    /// [`CopyStep`] (0 keep, 1 splice, 2 skip). Copied with `step` 0
+    /// throughout from the root, a model is renumbered in pre-order.
+    fn copy_into(&self, node: usize, out: &mut Model, to: usize, step: &dyn Fn(usize) -> u8) {
         for &kid in &self.0[node].2 {
             match step(kid) {
                 0 => {
                     let (tag, text, _) = &self.0[kid];
                     let copy = out.add(to, tag.as_deref(), text);
-                    self.copy_children(kid, out, copy, step);
+                    self.copy_into(kid, out, copy, step);
                 }
-                1 => self.copy_children(kid, out, to, step),
+                1 => self.copy_into(kid, out, to, step),
                 _ => {}
             }
         }
@@ -316,156 +311,95 @@ const TEXTS: [&str; 15] = [
     "x < y & y > z: thirty-four bytes!",
 ];
 
-#[test]
-fn the_columnar_tree_agrees_with_a_naive_model() {
-    for seed in 0..60u64 {
-        let mut rng = StdRng::seed_from_u64(0x7ee5 + seed);
-        let (mut tree, mut model) = (XmlTree::new("root"), new_model("root"));
-        // Model index → tree id (the same number), and the element indices.
-        let (mut ids, mut elements) = (vec![tree.root()], vec![0usize]);
-        for op in 0..rng.gen_range(1..120usize) {
-            let parent = *rng.pick(&elements);
-            match rng.gen_range(0..10u32) {
-                0..=4 => {
-                    let tag = *rng.pick(&TAGS);
-                    ids.push(tree.add_element(ids[parent], tag));
-                    elements.push(model.add(parent, Some(tag), ""));
-                }
-                5..=7 => {
-                    let text = *rng.pick(&TEXTS);
-                    ids.push(tree.add_text(ids[parent], text));
-                    model.add(parent, None, text);
-                }
-                _ => {
-                    let mut order = model.0[parent].2.clone();
-                    rng.shuffle(&mut order);
-                    tree.set_children(ids[parent], order.iter().map(|&k| ids[k]).collect());
-                    model.0[parent].2 = order;
-                }
-            }
-            assert_eq!(ids.last().map(|id| id.index()), Some(model.0.len() - 1));
-            // Reading between mutations must see every mutation so far.
-            if op % 17 == 0 {
-                assert_agree(&tree, &model, &format!("seed {seed} after op {op}"));
-            }
+/// A random tree appended in document order, the model beside it.
+struct Build {
+    tree: XmlTree,
+    model: Model,
+    /// Model index → tree id (the same number).
+    ids: Vec<NodeId>,
+    /// The element indices.
+    elements: Vec<usize>,
+    /// The same build as a writer's opens, texts and closes.
+    log: Vec<Write>,
+}
+
+/// Up to `size` nodes, each under a node of the open path — the root and
+/// the elements the next node may go under, innermost last — with every
+/// accessor checked against the model every 17 appends.
+fn build(rng: &mut StdRng, size: usize, seed: u64) -> Build {
+    let (mut tree, mut model) = (XmlTree::new("root"), new_model("root"));
+    let (mut ids, mut elements) = (vec![tree.root()], vec![0usize]);
+    let (mut open, mut log) = (vec![0usize], Vec::new());
+    for op in 0..rng.gen_range(1..size) {
+        let keep = rng.gen_range(1..open.len() + 1);
+        log.extend((keep..open.len()).map(|_| Write::Close));
+        open.truncate(keep);
+        let parent = *open.last().unwrap();
+        if rng.gen_range(0..10u32) < 6 {
+            let tag = *rng.pick(&TAGS);
+            ids.push(tree.add_element(ids[parent], tag));
+            let node = model.add(parent, Some(tag), "");
+            elements.push(node);
+            open.push(node);
+            log.push(Write::Open(tag));
+        } else {
+            let text = *rng.pick(&TEXTS);
+            ids.push(tree.add_text(ids[parent], text));
+            model.add(parent, None, text);
+            log.push(Write::Text(text));
         }
-        check_everything(&tree, &model, &ids, &elements, &mut rng, seed);
+        assert_eq!(ids.last().map(|id| id.index()), Some(model.0.len() - 1));
+        // Reading between appends must see every append so far.
+        if op % 17 == 0 {
+            assert_agree(&tree, &model, &format!("seed {seed} after op {op}"));
+        }
+    }
+    log.extend(open.iter().map(|_| Write::Close));
+    Build {
+        tree,
+        model,
+        ids,
+        elements,
+        log,
     }
 }
 
 #[test]
-fn a_tree_in_document_order_walks_like_its_out_of_order_twin() {
+fn the_columnar_tree_agrees_with_a_naive_model() {
+    for seed in 0..60u64 {
+        let mut rng = StdRng::seed_from_u64(0x7ee5 + seed);
+        let build = build(&mut rng, 120, seed);
+        check_everything(&build, &mut rng, seed);
+    }
+}
+
+#[test]
+fn validation_and_constraints_agree_with_the_model() {
     let (mut branching, mut valid) = (0, 0);
     for seed in 0..60u64 {
         let mut rng = StdRng::seed_from_u64(0xd0c + seed);
-        let (mut tree, mut model) = (XmlTree::new("root"), new_model("root"));
-        let (mut ids, mut elements) = (vec![tree.root()], vec![0usize]);
-        // The open path: the root and the elements the next node may go
-        // under, innermost last.
-        let mut open = vec![0usize];
-        // The same build as a writer's opens, texts and closes.
-        let mut log = Vec::new();
         // Every fourth tree small, so that some conform to the DTD read off
         // them below.
-        let size = [8, 120, 120, 120][seed as usize % 4];
-        for _ in 0..rng.gen_range(1..size) {
-            let keep = rng.gen_range(1..open.len() + 1);
-            log.extend((keep..open.len()).map(|_| Write::Close));
-            open.truncate(keep);
-            let parent = *open.last().unwrap();
-            if rng.gen_range(0..10u32) < 6 {
-                let tag = *rng.pick(&TAGS);
-                ids.push(tree.add_element(ids[parent], tag));
-                let node = model.add(parent, Some(tag), "");
-                elements.push(node);
-                open.push(node);
-                log.push(Write::Open(tag));
-            } else {
-                let text = *rng.pick(&TEXTS);
-                ids.push(tree.add_text(ids[parent], text));
-                model.add(parent, None, text);
-                log.push(Write::Text(text));
-            }
-        }
-        log.extend(open.iter().map(|_| Write::Close));
-        let what = format!("seed {seed}, document order");
-        assert!(tree.in_document_order(), "{what}");
-        check_everything(&tree, &model, &ids, &elements, &mut rng, seed);
-
-        let n = tree.len();
-        for hint in [0, n / 2, n, 2 * n] {
-            let what = format!("{what}, written with a hint of {hint} for {n} nodes");
-            let written = write_tree(&log, hint, seed);
-            assert!(written == tree, "{what}: ==");
-            assert!(written.in_document_order(), "{what}");
-            for node in tree.iter() {
-                let ids = |t: &XmlTree| (t.elem_tag(node), t.text_id(node));
-                assert_eq!(ids(&written), ids(&tree), "{what}: ids of {node}");
-            }
-            assert_eq!(to_string(&written), to_string(&tree), "{what}: to_string");
-            assert_agree(&written, &model, &what);
-        }
-
-        let (twin, twin_ids) = out_of_order_twin(&model, &mut rng);
-        if model.0.iter().any(|(_, _, kids)| kids.len() > 1) {
-            branching += 1;
-            assert!(
-                !twin.in_document_order(),
-                "{what}: the twin takes the index"
-            );
-        }
-        assert_agree(
-            &twin,
-            &model_renumbered(&model, &twin_ids),
-            &format!("{what}, twin"),
-        );
-        // Walk events of every subtree, as model nodes.
-        let mut model_of = vec![0; model.0.len()];
-        twin_ids
-            .iter()
-            .enumerate()
-            .for_each(|(m, id)| model_of[id.index()] = m);
-        for &node in &elements {
-            let ordered: Vec<(usize, bool)> =
-                tree.walk(ids[node]).map(|(n, e)| (n.index(), e)).collect();
-            let twin_walk = twin
-                .walk(twin_ids[node])
-                .map(|(n, e)| (model_of[n.index()], e));
-            assert_eq!(
-                ordered,
-                twin_walk.collect::<Vec<_>>(),
-                "{what}: walk of {node}"
-            );
-        }
-        assert_eq!(to_string(&tree), to_string(&twin), "{what}: to_string");
-        assert_eq!(
-            to_pretty_string(&tree),
-            to_pretty_string(&twin),
-            "{what}: pretty"
-        );
-        assert!(tree == twin, "{what}: ==");
-
-        for dtd in [random_dtd(&mut rng), observed_dtd(&tree, &model)] {
-            let verdict = validate(&tree, &dtd);
+        let build = build(&mut rng, [8, 120, 120, 120][seed as usize % 4], seed);
+        check_everything(&build, &mut rng, seed);
+        let (tree, model) = (&build.tree, &build.model);
+        let what = format!("seed {seed}");
+        branching += usize::from(model.0.iter().any(|(_, _, kids)| kids.len() > 1));
+        for dtd in [random_dtd(&mut rng), observed_dtd(tree, model)] {
+            let verdict = validate(tree, &dtd);
             valid += usize::from(verdict.is_ok());
-            assert_eq!(verdict, validate(&twin, &dtd), "{what}: validate");
-            assert_eq!(verdict, validate_by_node(&tree, &dtd), "{what}: per node");
+            assert_eq!(verdict, validate_by_node(tree, &dtd), "{what}: per node");
         }
         let constraints = random_constraints(&mut rng);
-        let violations = constraints.check(&tree);
-        assert_eq!(
-            violations,
-            constraints.check(&twin),
-            "{what}: {constraints:?}"
-        );
+        let violations = constraints.check(tree);
         assert_eq!(
             violations,
             model.check(&constraints),
             "{what}: {constraints:?}"
         );
         assert_eq!(
-            constraints.check_first(&tree),
-            constraints.check_first(&twin),
+            constraints.check_first(tree).as_ref(),
+            violations.first(),
             "{what}: check_first"
         );
     }
@@ -507,14 +441,14 @@ fn write_tree(log: &[Write], hint: usize, seed: u64) -> XmlTree {
 }
 
 /// Everything the model can check of a tree whose ids are the model's.
-fn check_everything(
-    tree: &XmlTree,
-    model: &Model,
-    ids: &[NodeId],
-    elements: &[usize],
-    rng: &mut StdRng,
-    seed: u64,
-) {
+fn check_everything(build: &Build, rng: &mut StdRng, seed: u64) {
+    let Build {
+        tree,
+        model,
+        ids,
+        elements,
+        log,
+    } = build;
     let what = format!("seed {seed}");
     assert_agree(tree, model, &what);
     assert_eq!(tree.clone(), *tree, "{what}: clone");
@@ -533,87 +467,72 @@ fn check_everything(
         "{what}: only text nodes go"
     );
 
-    // A subtree copy into a tree whose tag table is numbered differently,
-    // skipping one node's subtree.
-    let (from, skipped) = (*rng.pick(elements), rng.gen_range(0..model.0.len()));
-    let mut copy = XmlTree::new("copy");
-    let under = copy.add_element(copy.root(), "item");
-    let copied = tree
-        .copier()
-        .copy_children(&mut copy, under, ids[from], |n| {
-            match n.index() == skipped {
-                true => CopyStep::Skip,
-                false => CopyStep::Keep,
+    // The same build through a writer, whatever its node-count hint.
+    let n = tree.len();
+    for hint in [0, n / 2, n, 2 * n] {
+        let what = format!("{what}, written with a hint of {hint} for {n} nodes");
+        let written = write_tree(log, hint, seed);
+        assert!(written == *tree, "{what}: ==");
+        for node in tree.iter() {
+            let ids = |t: &XmlTree| (t.elem_tag(node), t.text_id(node));
+            assert_eq!(ids(&written), ids(tree), "{what}: ids of {node}");
+        }
+        assert_eq!(to_string(&written), to_string(tree), "{what}: to_string");
+        assert_agree(&written, model, &what);
+    }
+
+    // A copy with every child list shuffled, one element spliced out and
+    // one node's subtree skipped (either may be the root: never touched).
+    let mut shuffled = model.clone();
+    for (_, _, kids) in &mut shuffled.0 {
+        rng.shuffle(kids);
+    }
+    let (spliced, skipped) = (*rng.pick(elements), rng.gen_range(0..model.0.len()));
+    let step = |n: usize| match n {
+        _ if n == skipped => 2,
+        _ if n == spliced => 1,
+        _ => 0,
+    };
+    let copy = tree.copy(
+        |node, children| {
+            for (child, &kid) in children.iter_mut().zip(&shuffled.0[node.index()].2) {
+                *child = ids[kid];
             }
-        });
-    let mut expected = new_model("copy");
-    let to = expected.add(0, Some("item"), "");
-    model.copy_children(from, &mut expected, to, &|n| 2 * u8::from(n == skipped));
-    assert_eq!(copied, expected.0.len() - 2, "{what}: nodes copied");
+        },
+        |node| [CopyStep::Keep, CopyStep::Splice, CopyStep::Skip][step(node.index()) as usize],
+    );
+    let mut expected = new_model("root");
+    shuffled.copy_into(0, &mut expected, 0, &step);
     assert_agree(
         &copy,
         &expected,
-        &format!("{what}, copy of {from} without {skipped}"),
+        &format!("{what}, shuffled copy without {spliced} and {skipped}'s subtree"),
     );
 
     // strip_elements: `_`-tags spliced out, the root kept.
     let mut stripped = new_model("root");
     let internal = |n: usize| u8::from(model.0[n].0.as_deref().is_some_and(|t| t.starts_with('_')));
-    model.copy_children(0, &mut stripped, 0, &internal);
+    model.copy_into(0, &mut stripped, 0, &internal);
     assert_agree(
         &tree.strip_elements(|tag| tag.starts_with('_')),
         &stripped,
         &format!("{what}, stripped"),
     );
 
-    // sort_star_children: node ids kept, each `list`'s children sorted
-    // (stably) by content, descendants before ancestors — so the result
-    // is canonical: sorting it again changes nothing.
+    // sort_star_children: each `list`'s children sorted (stably) by
+    // content, descendants before ancestors — so the result is canonical:
+    // sorting it again changes nothing.
     let mut sorted = model.clone();
     sort_lists(&mut sorted, 0);
+    let mut renumbered = new_model("root");
+    sorted.copy_into(0, &mut renumbered, 0, &|_| 0);
     let canonical = tree.sort_star_children(|tag| tag == "list");
     assert_agree(
         &canonical,
-        &sorted,
+        &renumbered,
         &format!("{what}, star children sorted"),
     );
     assert_eq!(canonical.sort_star_children(|tag| tag == "list"), canonical);
-}
-
-/// `model` built again with each node's children appended in shuffled order
-/// (never the model's, where there are two) and then put back in order with
-/// `set_children`, breadth first; and the new id of each model node.
-fn out_of_order_twin(model: &Model, rng: &mut StdRng) -> (XmlTree, Vec<NodeId>) {
-    let mut twin = XmlTree::new(model.0[0].0.clone().unwrap());
-    let mut ids = vec![twin.root(); model.0.len()];
-    let mut queue = std::collections::VecDeque::from([0usize]);
-    while let Some(node) = queue.pop_front() {
-        let kids = &model.0[node].2;
-        let mut shuffled = kids.clone();
-        rng.shuffle(&mut shuffled);
-        if kids.len() > 1 && shuffled == *kids {
-            shuffled.rotate_left(1);
-        }
-        for &kid in &shuffled {
-            ids[kid] = match &model.0[kid] {
-                (Some(tag), _, _) => twin.add_element(ids[node], tag.as_str()),
-                (None, text, _) => twin.add_text(ids[node], text.as_str()),
-            };
-        }
-        twin.set_children(ids[node], kids.iter().map(|&k| ids[k]).collect());
-        queue.extend(kids.iter().filter(|&&k| model.0[k].0.is_some()));
-    }
-    (twin, ids)
-}
-
-/// `model` with its nodes numbered as `ids` numbers them.
-fn model_renumbered(model: &Model, ids: &[NodeId]) -> Model {
-    let mut out = model.clone();
-    for (m, node) in model.0.iter().enumerate() {
-        let kids = node.2.iter().map(|&k| ids[k].index()).collect();
-        out.0[ids[m].index()] = (node.0.clone(), node.1.clone(), kids);
-    }
-    out
 }
 
 /// A restricted DTD declaring every tag with a random production.

@@ -24,7 +24,7 @@ use crate::unfold::{unfold, CutOff, FrontierSite};
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
 use aig_relstore::{Catalog, SourceId, Value};
-use aig_xml::Dtd;
+use aig_xml::{ConstraintSet, Dtd};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -315,11 +315,11 @@ pub(crate) struct FinishInputs<'a> {
     /// A degraded request (some sources served as empty views): its partial
     /// document may legitimately break the DTD, so it is not validated.
     pub(crate) degraded: bool,
-    /// When `Some`, the document-level integrity check runs only the
-    /// constraints whose element tags intersect this scope (the tags the
-    /// incremental path's re-run instances can reach); `None` checks the
+    /// When `Some`, the document-level integrity check runs only these
+    /// constraints: those whose element tags the incremental path's re-run
+    /// instances can reach ([`ConstraintSet::scoped`]); `None` checks the
     /// full set.
-    pub scope: Option<std::collections::HashSet<String>>,
+    pub scope: Option<ConstraintSet>,
     /// The delta re-evaluation ledger for the report (default on
     /// non-incremental requests).
     pub incremental: IncrementalObs,
@@ -446,15 +446,13 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     // the relation boundary, e.g. a stale replica whose truncated answer
     // breaks an inclusion between elements assembled from different tables.
     if policy.check_integrity {
-        let violation = phases.time("constraint_check", || match &scope {
-            // The incremental path narrows the check to the constraints
-            // whose element tags intersect the scope. Tagging is a function
-            // of the store, and every relation outside the re-run mask is
-            // the snapshot's own, so every node outside the scope is one
-            // the previous, fully checked document had.
-            Some(tags) => plan.aig.constraints.scoped(tags).check_first(&tree),
-            None => plan.aig.constraints.check_first(&tree),
-        });
+        // The incremental path narrows the check to the constraints whose
+        // element tags its re-run instances can reach. Tagging is a function
+        // of the store, and every relation outside the re-run mask is the
+        // snapshot's own, so every node outside the scope is one the
+        // previous, fully checked document had.
+        let constraints = scope.as_ref().unwrap_or(&plan.aig.constraints);
+        let violation = phases.time("constraint_check", || constraints.check_first(&tree));
         if let Some(v) = violation {
             // Reconcile the log before surfacing: any injection still
             // marked undetected is claimed by the constraint layer.

@@ -152,7 +152,8 @@ pub struct RequestOutcome {
     /// `finished_secs - arrived_secs`.
     pub latency_secs: f64,
     pub disposition: Disposition,
-    /// The canonical document of a completed or degraded request.
+    /// The document a completed or degraded request served, as the run
+    /// built it; compare it through [`crate::pipeline::canonical`].
     pub document: Option<XmlTree>,
 }
 
@@ -547,7 +548,7 @@ impl<'a> Sim<'a> {
                     };
                     self.record(idx, now, Disposition::DeadlineExceeded(error), None);
                 } else {
-                    let document = crate::pipeline::canonical(self.aig, &served.run.tree);
+                    let document = served.run.tree;
                     if served.skipped.is_empty() {
                         self.record(idx, now, Disposition::Completed, Some(document));
                     } else {

@@ -30,7 +30,8 @@ use crate::plan::{ExecPolicy, ExecutedRun, FinishInputs, FullOutcome, PlanOption
 use crate::schedule::EdfGate;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Database, DeltaApplied, SourceDelta, SourceId, Table, Value};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use aig_xml::ConstraintSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Default number of prepared plans the cache retains.
@@ -276,15 +277,15 @@ fn options_fingerprint(options: &PlanOptions) -> u64 {
     hash
 }
 
-/// The report's incremental ledger and the document check's scope. A cold
-/// run re-runs every task and checks every constraint; a refresh re-runs
-/// its `rerun` mask and checks only the constraints whose tags the re-run
-/// instances can reach.
+/// The report's incremental ledger and the constraints the document check
+/// runs. A cold run re-runs every task and checks every constraint
+/// (`None`); a refresh re-runs its `rerun` mask and checks only the
+/// constraints whose tags the re-run instances can reach.
 fn incremental_obs(
     plan: &PreparedPlan,
     refresh: Option<&(RunSnapshot, Vec<bool>)>,
     measured: &[Measured],
-) -> (IncrementalObs, Option<HashSet<String>>) {
+) -> (IncrementalObs, Option<ConstraintSet>) {
     let (tasks_total, constraints) = (plan.graph.tasks.len(), &plan.aig.constraints);
     let mut obs = IncrementalObs {
         enabled: true,
@@ -310,8 +311,9 @@ fn incremental_obs(
         .filter(|(_, &rerun)| rerun)
         .map(|(m, _)| m.out_rows as u64)
         .sum();
-    obs.constraints_scoped = constraints.scoped(&tags).len();
-    (obs, Some(tags))
+    let scoped = constraints.scoped(&tags);
+    obs.constraints_scoped = scoped.len();
+    (obs, Some(scoped))
 }
 
 impl Mediator {

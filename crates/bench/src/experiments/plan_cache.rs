@@ -2,8 +2,8 @@
 //!
 //! The same batch of requests is evaluated two ways: **cold**, where every
 //! request runs the one-shot pipeline (`run_with_report`) and pays constraint
-//! compilation, decomposition, unfolding, graph building and estimate-based
-//! planning from scratch — with `unfold_depth 1` the frontier cut-off makes
+//! compilation, decomposition, unfolding, graph building and ship-cut
+//! analysis from scratch — with `unfold_depth 1` the frontier cut-off makes
 //! that *three* full prepare/execute rounds for a full-recursion date (depth
 //! 1 → 2 → 4) — and **warm**, where a [`Mediator`] serves the batch from one
 //! cached [`aig_mediator::PreparedPlan`] that the first request promoted to

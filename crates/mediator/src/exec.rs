@@ -92,9 +92,11 @@ impl SchedLog {
 pub struct ExecPolicy {
     /// Whether compiled-constraint guards abort the run.
     pub check_guards: bool,
-    /// Whether the integrity defense runs: per-task guard checks on shipped
-    /// relations plus the key/inclusion constraint check on the tagged
-    /// document, with detections recorded in the report's integrity ledger.
+    /// Whether the integrity defense runs: the key/inclusion constraint
+    /// check on the tagged document, and — only when `faults` is `Some` —
+    /// the per-task check of each shipped relation, with detections
+    /// recorded in the report's integrity ledger. Without a fault plan no
+    /// shipped relation is checked.
     pub check_integrity: bool,
     /// Execute with the per-source worker threads of [`crate::parallel`]
     /// instead of the sequential executor.

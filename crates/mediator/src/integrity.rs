@@ -3,14 +3,16 @@
 //! The paper's thesis is that carrying keys and inclusion constraints
 //! through integration lets the mediator *guarantee* properties of the
 //! published document. This module turns that from a planning-time artifact
-//! into a runtime defense: every relation a source task ships is checked at
-//! the task boundary against a [`RelProfile`] derived from the catalog
-//! schema — key-image uniqueness, type/NULL conformance of columns with
-//! stored-table provenance, arity, and structural `(parent, ord)` row
-//! identity. The same profiles drive the seeded wrong-answer corruptions of
-//! [`crate::faults`]: each [`CorruptionKind`] is co-designed with the check
-//! that catches it, so the chaos harness can assert "zero silent
-//! corruptions" structurally instead of hoping.
+//! into a runtime defense: under a fault plan, every relation a source task
+//! ships is checked at the task boundary against a [`RelProfile`] derived
+//! from the catalog schema — key-image uniqueness, type/NULL conformance of
+//! columns with stored-table provenance, arity, and structural
+//! `(parent, ord)` row identity. The same profiles drive the seeded
+//! wrong-answer corruptions of [`crate::faults`]: each [`CorruptionKind`] is
+//! co-designed with the check that catches it, so the chaos harness can
+//! assert "zero silent corruptions" structurally instead of hoping. A run
+//! without a fault plan builds no profile and checks no shipped relation:
+//! there `check_integrity` means the document-level check alone.
 //!
 //! Document-level defense — the [`aig_xml::ConstraintSet`] check on the
 //! tagged tree — is the backstop for faults invisible at a single task

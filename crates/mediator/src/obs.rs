@@ -344,7 +344,7 @@ report_struct! {
 pub const SCHEMA_VERSION: u32 = 10;
 
 /// Which stage of the prepared-plan split a phase belongs to: everything
-/// argument-independent (compilation through estimate-based planning, plus
+/// argument-independent (compilation through ship-cut analysis, plus
 /// cache lookups and pre-pipeline parsing) is **prepare**; everything that
 /// touches bound arguments (execution through the measured-cost simulation)
 /// is **execute**.
@@ -355,7 +355,6 @@ pub fn phase_stage(name: &str) -> &'static str {
         | "decompose"
         | "unfold"
         | "graph_build"
-        | "plan"
         | "shipcut"
         | "plan_cache" => "prepare",
         _ => "execute",

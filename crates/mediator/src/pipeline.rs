@@ -2,12 +2,14 @@
 //!
 //! *Pre-processing*: constraints are compiled into guards (§3.3) and
 //! multi-source queries decomposed into single-source chains (§3.4);
-//! recursive AIGs are unfolded to a depth estimate (§5.5).
-//! *Optimization*: the task graph is built, costed, scheduled (§5.3) and
-//! merged (§5.4). *Execution*: the set-oriented queries run against the
+//! recursive AIGs are unfolded to a depth estimate (§5.5) and the task
+//! graph is built. *Execution*: the set-oriented queries run against the
 //! sources and intermediate tables are cached; if the recursion frontier is
 //! still producing data the AIG is unfolded deeper and re-run. *Tagging*:
 //! the cached relations become the final DTD-conforming document.
+//! *Optimization*: the graph is costed on the run's measured costs,
+//! scheduled (§5.3) and merged (§5.4); the run's response times are that
+//! simulation's.
 //!
 //! Since the prepare/execute split ([`crate::plan`]) this module is the
 //! one-shot facade: [`run`] / [`run_with_report`] prepare a fresh plan and
@@ -28,7 +30,6 @@ use crate::unfold::CutOff;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Value};
 use aig_xml::XmlTree;
-use std::collections::BTreeMap;
 
 /// Options of a mediator run: the compatibility facade over the split
 /// [`PlanOptions`] (argument-independent planning) and [`ExecPolicy`]
@@ -45,9 +46,11 @@ pub struct MediatorOptions {
     pub cutoff: CutOff,
     /// Whether compiled-constraint guards abort the run.
     pub check_guards: bool,
-    /// Whether the integrity defense runs: per-task guard checks on shipped
-    /// relations plus the key/inclusion constraint check on the tagged
-    /// document (see [`crate::integrity`]).
+    /// Whether the integrity defense runs: the key/inclusion constraint
+    /// check on the tagged document, and — only when `faults` is `Some` —
+    /// the per-task check of each shipped relation (see
+    /// [`crate::integrity`]). Without a fault plan no shipped relation is
+    /// checked.
     pub check_integrity: bool,
     /// Execute with the per-source worker threads of [`crate::parallel`]
     /// instead of the sequential executor (identical relations; the run
@@ -236,7 +239,9 @@ impl MediatorOptionsBuilder {
         self
     }
 
-    /// Whether the runtime integrity defense checks shipped relations.
+    /// Whether the integrity defense runs: the document constraint check,
+    /// plus the shipped-relation check under a fault plan (see
+    /// [`MediatorOptions::check_integrity`]).
     ///
     /// ```
     /// use aig_mediator::MediatorOptions;
@@ -410,10 +415,6 @@ pub struct MediatorRun {
     pub response_merged_secs: f64,
     /// Number of pair merges the optimizer applied.
     pub merges: usize,
-    /// Tasks per source name.
-    pub per_source: BTreeMap<String, usize>,
-    /// Total wall-clock seconds spent executing tasks in-process.
-    pub exec_secs: f64,
 }
 
 /// Denominator floor of [`MediatorRun::merging_speedup`]: response times
@@ -566,13 +567,18 @@ mod tests {
     fn mediator_reports_plan_metrics() {
         let aig = sigma0().unwrap();
         let catalog = mini_hospital_catalog().unwrap();
-        let run = run(&aig, &catalog, &[("date", Value::str("d1"))], &opts()).unwrap();
+        let args = [("date", Value::str("d1"))];
+        let (run, report) = run_with_report(&aig, &catalog, &args, &opts()).unwrap();
         assert!(run.tasks > 10);
         assert!(run.source_queries >= 5, "queries: {}", run.source_queries);
         assert!(run.response_unmerged_secs > 0.0);
         assert!(run.response_merged_secs <= run.response_unmerged_secs);
         assert!(run.depth >= 3);
-        assert!(run.per_source.len() >= 5); // four DBs + mediator
+        // Four DBs + the mediator run tasks; the report counts every one.
+        let busy = report.sources.iter().filter(|s| s.tasks > 0).count();
+        assert!(busy >= 5, "sources with tasks: {busy}");
+        let tasks: usize = report.sources.iter().map(|s| s.tasks).sum();
+        assert_eq!(tasks, run.tasks);
     }
 
     #[test]
@@ -682,8 +688,6 @@ mod tests {
             response_unmerged_secs: unmerged,
             response_merged_secs: merged,
             merges: 0,
-            per_source: BTreeMap::new(),
-            exec_secs: 0.0,
         }
     }
 

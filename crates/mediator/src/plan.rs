@@ -2,19 +2,21 @@
 //!
 //! **Prepare** performs every argument-independent stage — constraint
 //! compilation (§3.3), query decomposition (§3.4), recursion unfolding to a
-//! depth estimate (§5.5), task-graph construction, and estimate-based
-//! costing/scheduling/merging (§5.2–5.4) — and freezes the result into an
-//! immutable [`PreparedPlan`]. **Execute** binds the request arguments and
-//! runs the plan: source queries, frontier detection, tagging, validation,
-//! and the measured-cost response-time simulation. Splitting the two lets a
-//! service ([`crate::service::Mediator`]) amortize preparation across
+//! depth estimate (§5.5), task-graph construction and ship-cut liveness —
+//! and freezes the result into an immutable [`PreparedPlan`]. **Execute**
+//! binds the request arguments and runs the plan: source queries, frontier
+//! detection, tagging, validation, and the paper's optimizer — `Schedule`
+//! (§5.3) and `Merge` (§5.4) — on the measured costs, which is what the
+//! report's response times are. Nothing is scheduled or merged on estimates
+//! at prepare time: no decision would read the result. Splitting the two
+//! lets a service ([`crate::service::Mediator`]) amortize preparation across
 //! requests the way relational engines amortize prepared statements.
 
-use crate::cost::{estimated_costs, measured_costs, CostGraph};
+use crate::cost::{measured_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{ExecOptions, ExecResult, Measured, RelStore};
 use crate::faults::FaultOutcome;
-use crate::graph::{build_graph, source_histogram, GraphOptions, Occ, RelKey, TaskGraph};
+use crate::graph::{build_graph, GraphOptions, Occ, RelKey, TaskGraph};
 use crate::merge::{merge, no_merge, MergeOutcome};
 use crate::obs::{build_report, CacheObs, IncrementalObs, Phases, ReportInputs, RunReport};
 use crate::parallel::walk;
@@ -27,7 +29,6 @@ use aig_relstore::{Catalog, SourceId, Value};
 use aig_xml::{ConstraintSet, Dtd};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The argument-independent half of [`crate::pipeline::MediatorOptions`]:
 /// everything the **Prepare** stage consumes. Two requests with equal
@@ -58,8 +59,8 @@ impl Default for PlanOptions {
 pub use crate::exec::ExecPolicy;
 
 /// An immutable, argument-independent evaluation plan: the unfolded AIG,
-/// its task graph, the per-source execution sequences, and the
-/// estimate-based schedule/merge outcome. Built once by [`prepare`], shared
+/// its task graph, the per-source execution sequences and the ship-cut
+/// liveness profiles. Built once by [`prepare`], shared
 /// across requests behind an `Arc`, and executed any number of times with
 /// different argument bindings by [`crate::service::Mediator`] (or once by
 /// [`crate::pipeline::run_with_report`]).
@@ -72,7 +73,10 @@ pub struct PreparedPlan {
     pub depth: usize,
     /// The plan-side options the plan was prepared under.
     pub options: PlanOptions,
-    /// Network model the estimate-based schedule was computed under.
+    /// The network model the plan was prepared under. Nothing is planned
+    /// on it (a run simulates under its request's [`ExecPolicy::network`]);
+    /// [`deepen`] carries it to the deeper plan, and the repository
+    /// benchmark's staged profile reads it.
     pub network: NetworkModel,
     /// The unfolded, specialized AIG the task graph was built from.
     pub aig: Aig,
@@ -82,10 +86,6 @@ pub struct PreparedPlan {
     /// Per-source task sequences in topological order — the static input of
     /// a per-source walk.
     pub per_source: HashMap<SourceId, Vec<usize>>,
-    /// Estimate-based response time without merging (§5.2–5.3).
-    pub est_baseline: MergeOutcome,
-    /// Estimate-based response time of the final, merged plan (§5.4).
-    pub est_merged: MergeOutcome,
     /// Ship-cut column-liveness profiles of the task graph, shared with
     /// every execution's options. Always `Some`: preparation always runs
     /// the analysis, and the field keeps its `Option` type for callers that
@@ -95,8 +95,6 @@ pub struct PreparedPlan {
     /// task's queries consume — the dependency index of incremental
     /// re-evaluation on source deltas (see [`crate::delta`]).
     pub read_sets: crate::delta::ReadSets,
-    /// Wall-clock seconds preparation took (the cost a cache hit saves).
-    pub prepare_secs: f64,
 }
 
 impl PreparedPlan {
@@ -105,21 +103,6 @@ impl PreparedPlan {
     /// the plan evaluates.
     pub fn fingerprint(&self) -> u64 {
         self.front.fingerprint
-    }
-
-    /// Estimate-based response time of the final, merged plan.
-    pub fn predicted_response_secs(&self) -> f64 {
-        self.est_merged.response_secs
-    }
-
-    /// Estimate-based response time without merging.
-    pub fn predicted_unmerged_secs(&self) -> f64 {
-        self.est_baseline.response_secs
-    }
-
-    /// Pair merges the estimate-based optimizer applied.
-    pub fn predicted_merges(&self) -> usize {
-        self.est_merged.merges
     }
 
     /// `exec_opts` with the plan's liveness profiles bound, so every
@@ -147,11 +130,11 @@ pub fn topo_per_source(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
 
 /// The **Prepare** stage: compiles constraints into guards, decomposes
 /// multi-source queries, unfolds recursion to `depth`, builds the task
-/// graph, and computes the estimate-based schedule and merge. The phases
-/// are charged to `phases` under their pipeline names
-/// (`compile_constraints`, `decompose`, `unfold`, `graph_build`,
-/// `shipcut`, `plan` — liveness analysis precedes planning so the
-/// estimate-based cost model prices pruned shipments).
+/// graph and analyzes its ship-cut liveness. The phases are charged to
+/// `phases` under their pipeline names (`compile_constraints`,
+/// `decompose`, `unfold`, `graph_build`, `shipcut`). `net` is kept as
+/// [`PreparedPlan::network`]; execution simulates under the request's
+/// [`ExecPolicy::network`].
 pub fn prepare(
     aig: &Aig,
     catalog: &Catalog,
@@ -160,7 +143,6 @@ pub fn prepare(
     net: &NetworkModel,
     phases: &mut Phases,
 ) -> Result<PreparedPlan, MediatorError> {
-    let start = Instant::now();
     let compiled = phases.time("compile_constraints", || {
         if aig.constraints.is_empty() {
             Ok(aig.clone())
@@ -174,7 +156,7 @@ pub fn prepare(
         specialized: Arc::new(specialized),
         dtd: aig.dtd.clone(),
     };
-    front.plan(catalog, depth, options, net, phases, start)
+    front.plan(catalog, depth, options, net, phases)
 }
 
 /// The depth to re-unfold to when a depth-`depth` plan's frontier still
@@ -189,21 +171,16 @@ pub(crate) fn next_depth(depth: usize, max_depth: usize) -> Result<usize, Mediat
 
 /// Re-unfolds an existing plan to a greater depth, reusing its compiled and
 /// decomposed AIG — the frontier-promotion path of the plan cache (§5.5):
-/// only `unfold`, `graph_build`, `shipcut`, and `plan` run again.
+/// only `unfold`, `graph_build` and `shipcut` run again.
 pub fn deepen(
     plan: &PreparedPlan,
     catalog: &Catalog,
     depth: usize,
     phases: &mut Phases,
 ) -> Result<PreparedPlan, MediatorError> {
-    plan.front.clone().plan(
-        catalog,
-        depth,
-        &plan.options,
-        &plan.network,
-        phases,
-        Instant::now(),
-    )
+    plan.front
+        .clone()
+        .plan(catalog, depth, &plan.options, &plan.network, phases)
 }
 
 /// The depth-independent front half of a plan, shared by [`prepare`] and
@@ -218,9 +195,8 @@ struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// The back half: unfold to `depth`, build the task graph, analyze
-    /// ship-cut liveness, and plan on the estimates. `start` is when
-    /// preparation began, for [`PreparedPlan::prepare_secs`].
+    /// The back half: unfold to `depth`, build the task graph and analyze
+    /// its ship-cut liveness.
     fn plan(
         self,
         catalog: &Catalog,
@@ -228,7 +204,6 @@ impl FrontEnd {
         options: &PlanOptions,
         net: &NetworkModel,
         phases: &mut Phases,
-        start: Instant,
     ) -> Result<PreparedPlan, MediatorError> {
         let depth = depth.max(1);
         let unfolded = phases.time("unfold", || {
@@ -237,30 +212,14 @@ impl FrontEnd {
         let graph = phases.time("graph_build", || {
             build_graph(&unfolded.aig, catalog, &options.graph)
         })?;
-        // Liveness analysis runs *before* estimate-based planning: the cost
-        // model must see the shipment sizes a pruning shipper will actually
-        // put on the wire, or Merge/Schedule optimize against full-width
-        // relations that never cross the network.
         let cut = phases.time("shipcut", || {
             Arc::new(crate::shipcut::ShipCut::analyze(&unfolded.aig, &graph))
-        });
-        let (est_baseline, est_merged) = phases.time("plan", || {
-            let mut costs = estimated_costs(&graph);
-            for (id, cost) in costs.iter_mut().enumerate() {
-                if let Some(fraction) = cut.estimated_live_fraction(id, &unfolded.aig, &graph) {
-                    cost.out_bytes *= fraction;
-                }
-            }
-            let cg = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
-            let baseline = no_merge(&cg, net);
-            let merged = merge(&cg, net, options.graph.cost_model.per_query_overhead_secs);
-            (baseline, merged)
         });
         let per_source = topo_per_source(&graph);
         // Read-set analysis is a linear scan of the task kinds' query ASTs —
         // cheap enough to run untimed (the pinned prepare phase list stays
         // exactly `compile_constraints, decompose, unfold, graph_build,
-        // shipcut, plan`).
+        // shipcut`).
         let read_sets = crate::delta::ReadSets::analyze(&graph);
         Ok(PreparedPlan {
             front: self,
@@ -271,11 +230,8 @@ impl FrontEnd {
             frontier: unfolded.frontier,
             graph,
             per_source,
-            est_baseline,
-            est_merged,
             shipcut: Some(cut),
             read_sets,
-            prepare_secs: start.elapsed().as_secs_f64(),
         })
     }
 }
@@ -492,8 +448,6 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             plan.options.graph.cost_model.per_query_overhead_secs,
         )
     });
-    let exec_secs: f64 = measured.iter().map(|m| m.secs).sum();
-    let per_source = source_histogram(&plan.graph, catalog);
     let total_secs = phases.elapsed_secs();
     let report = build_report(
         ReportInputs {
@@ -526,8 +480,6 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         response_unmerged_secs: baseline.response_secs,
         response_merged_secs: merged.response_secs,
         merges: merged.merges,
-        per_source,
-        exec_secs,
     };
     Ok(FullOutcome::Complete(Box::new(ExecutedRun {
         run,
@@ -553,8 +505,6 @@ mod tests {
         assert_eq!(plan.depth, 3);
         assert_eq!(plan.fingerprint(), aig.fingerprint());
         assert!(plan.graph.len() > 10);
-        assert!(plan.predicted_response_secs() > 0.0);
-        assert!(plan.predicted_response_secs() <= plan.predicted_unmerged_secs());
         // Prepare-stage phases were charged; no execute-stage phase ran.
         let names: Vec<&str> = phases.samples().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
@@ -564,8 +514,7 @@ mod tests {
                 "decompose",
                 "unfold",
                 "graph_build",
-                "shipcut",
-                "plan"
+                "shipcut"
             ]
         );
         assert!(plan.shipcut.is_some());
@@ -593,37 +542,7 @@ mod tests {
             .iter()
             .map(|s| s.name.as_str())
             .collect();
-        assert_eq!(names, ["unfold", "graph_build", "shipcut", "plan"]);
-    }
-
-    /// The estimate-based cost graph prices pruned shipments: at least one
-    /// edge is strictly cheaper than under the full-width estimates, so
-    /// Merge/Schedule optimize against what the executors will actually
-    /// account on the wire.
-    #[test]
-    fn estimates_price_pruned_shipments() {
-        let aig = sigma0().unwrap();
-        let catalog = mini_hospital_catalog().unwrap();
-        let net = NetworkModel::default();
-        let options = PlanOptions::default();
-        let plan = prepare(&aig, &catalog, 3, &options, &net, &mut Phases::new()).unwrap();
-        let full_width = CostGraph::from_task_graph(&plan.graph, &estimated_costs(&plan.graph))
-            .contract_passthrough();
-        let overhead = options.graph.cost_model.per_query_overhead_secs;
-        let (full_baseline, full_merged) = (
-            no_merge(&full_width, &net),
-            merge(&full_width, &net, overhead),
-        );
-        let edge_bytes =
-            |o: &MergeOutcome| -> f64 { o.graph.deps.iter().flatten().map(|(_, b)| *b).sum() };
-        assert!(
-            edge_bytes(&plan.est_baseline) < edge_bytes(&full_baseline),
-            "no estimate-phase edge shrank under pruning: {} >= {}",
-            edge_bytes(&plan.est_baseline),
-            edge_bytes(&full_baseline)
-        );
-        // Cheaper transfers can only help the estimate-based response time.
-        assert!(plan.predicted_response_secs() <= full_merged.response_secs + 1e-12);
+        assert_eq!(names, ["unfold", "graph_build", "shipcut"]);
     }
 
     #[test]

@@ -264,15 +264,15 @@ impl ShipCut {
         !profile.dedup && rel.columns().iter().enumerate().all(live)
     }
 
-    /// Estimate-phase counterpart of [`ShipCut::ship_bytes`]: the fraction
+    /// Estimate-side counterpart of [`ShipCut::ship_bytes`]: the fraction
     /// of `task`'s output columns that survive pruning, counted over the
     /// output schema the graph holds ([`crate::graph::Task::schema`], the
     /// executor's; `_aig` stays in the signature for existing callers).
-    /// `None` when nothing is
-    /// pruned — callers leave the size estimate untouched then. Feeding
-    /// this into the estimate-based cost model lets Merge/Schedule plan
-    /// against the shipment sizes the executors will actually account,
-    /// instead of full-width relations that never cross the wire.
+    /// `None` when nothing is pruned — callers leave the size estimate
+    /// untouched then. The mediator plans on measured costs only, so its
+    /// one caller is the staged profile of the repository benchmark
+    /// (`benchmark/src/traced.rs`), which scales its estimated shipments
+    /// by it.
     pub fn estimated_live_fraction(
         &self,
         task: usize,
@@ -595,6 +595,22 @@ mod tests {
             }
         }
         assert!(prunes > 0, "liveness found nothing to cut on the fixture");
+    }
+
+    /// Some σ0 shipment loses part of its columns, and the estimate-side
+    /// fraction says how much: strictly between nothing and everything.
+    #[test]
+    fn estimated_live_fraction_prices_a_pruned_shipment() {
+        let (aig, graph) = fixture();
+        let cut = ShipCut::analyze(&aig, &graph);
+        let fractions: Vec<f64> = (0..graph.tasks.len())
+            .filter_map(|t| cut.estimated_live_fraction(t, &aig, &graph))
+            .collect();
+        assert!(
+            fractions.iter().any(|&f| 0.0 < f && f < 1.0),
+            "no σ0 task ships part of its schema: {fractions:?}"
+        );
+        assert!(fractions.iter().all(|&f| (0.0..1.0).contains(&f)));
     }
 
     #[test]

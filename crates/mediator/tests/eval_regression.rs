@@ -11,6 +11,8 @@
 //! * `Merge` tries a candidate with **at most one** full evaluation, and with
 //!   none when the candidate's critical path alone exceeds the best cost so
 //!   far.
+//! * `prepare` and `deepen` evaluate **nothing**: the optimizer runs on the
+//!   measured costs of an execution, never on the estimates of a plan.
 //!
 //! One test only: the counters are process-wide, so that passes on the
 //! executor's worker threads are seen.
@@ -21,7 +23,9 @@ use aig_datagen::HospitalConfig;
 use aig_mediator::cost::{estimated_costs, evaluations, CostGraph, CostNode};
 use aig_mediator::graph::{build_graph, GraphOptions};
 use aig_mediator::merge::merge;
+use aig_mediator::obs::Phases;
 use aig_mediator::parallel::execute_graph_parallel;
+use aig_mediator::plan::{deepen, prepare, PlanOptions};
 use aig_mediator::schedule::schedule;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{ExecOptions, NetworkModel, Scheduling};
@@ -96,4 +100,14 @@ fn scheduling_evaluates_once_per_round_and_at_most_once_per_candidate() {
     // Three passes — the plan as it is, the one candidate, the final
     // schedule — and only the first went on to a full evaluation.
     assert_eq!(passes, (3, 1), "level passes, full evaluations");
+
+    // Preparing σ0, and deepening the plan, schedules and merges nothing.
+    let (catalog, phases) = (&data.catalog, &mut Phases::new());
+    let prepared = || prepare(&aig, catalog, 3, &PlanOptions::default(), &net, phases);
+    let (shallow, passes) = counted(prepared);
+    let shallow = shallow.unwrap();
+    assert_eq!(passes, (0, 0), "prepare: level passes, full evaluations");
+    let (deep, passes) = counted(|| deepen(&shallow, catalog, 6, phases).unwrap());
+    assert_eq!(passes, (0, 0), "deepen: level passes, full evaluations");
+    assert!(deep.graph.len() > shallow.graph.len());
 }

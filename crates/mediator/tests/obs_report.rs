@@ -49,7 +49,6 @@ fn phase_timers_are_monotone_and_cover_the_run() {
             "unfold",
             "graph_build",
             "shipcut",
-            "plan",
             "execute",
             "tag",
             "validate",

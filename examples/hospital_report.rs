@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // recursion unfolding, set-oriented execution, scheduling + merging,
     // tagging.
     let options = MediatorOptions::default();
-    let run = run_mediator(
+    let (run, report) = run_mediator_with_report(
         &aig,
         &data.catalog,
         &[("date", Value::str(&date))],
@@ -49,7 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  {} tasks, {} source queries",
         run.tasks, run.source_queries
     );
-    println!("  tasks per source: {:?}", run.per_source);
+    let per_source: Vec<(&str, usize)> = report
+        .sources
+        .iter()
+        .map(|s| (s.name.as_str(), s.tasks))
+        .collect();
+    println!("  tasks per source: {per_source:?}");
     println!(
         "  simulated response: {:.2}s unmerged, {:.2}s merged ({} merges, {:.2}x)",
         run.response_unmerged_secs,

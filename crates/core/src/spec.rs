@@ -281,24 +281,21 @@ impl Aig {
     /// plans). The name-lookup map is deliberately excluded: `HashMap`
     /// iteration order is instance-specific.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut write = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        write(self.name.as_bytes());
-        write(&self.root.0.to_le_bytes());
+        use fmt::Write;
+        let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+        fnv.bytes(self.name.as_bytes());
+        fnv.bytes(&self.root.0.to_le_bytes());
+        // Renderings stream into the hash as they are produced; writing to
+        // it never fails.
         for elem in &self.elems {
-            write(format!("{elem:?}").as_bytes());
+            let _ = write!(fnv, "{elem:?}");
         }
         for query in &self.queries {
-            write(format!("{query:?}").as_bytes());
+            let _ = write!(fnv, "{query:?}");
         }
-        write(format!("{:?}", self.constraints).as_bytes());
-        write(self.dtd.canonical_string().as_bytes());
-        hash
+        let _ = write!(fnv, "{:?}", self.constraints);
+        let _ = self.dtd.write_canonical(&mut fnv);
+        fnv.0
     }
 
     /// Registers a new element type. Used by the specialization transforms
@@ -1191,5 +1188,25 @@ fn collect_inh_use(rule: &FieldRule, uses: &mut bool) {
                 }
             }
         }
+    }
+}
+
+/// FNV-1a (64-bit) state of [`Aig::fingerprint`]: a `fmt::Write` sink, so a
+/// rendering is hashed without being collected into a `String`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
     }
 }

@@ -15,7 +15,7 @@ use crate::exec::Measured;
 use crate::graph::TaskGraph;
 use crate::sim::NetworkModel;
 use aig_relstore::SourceId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// One node of the cost graph.
@@ -64,10 +64,8 @@ impl CostGraph {
             .tasks
             .iter()
             .map(|t| {
-                let mut seen = HashSet::new();
                 t.deps
                     .iter()
-                    .filter(|(d, _)| seen.insert(*d))
                     .map(|(d, _)| (*d, costs[*d].out_bytes))
                     .collect()
             })

@@ -443,15 +443,12 @@ pub(crate) fn ship_image_bytes(opts: &ExecOptions, task_id: usize, rel: &Relatio
     }
 }
 
-/// Total rows across the task's distinct input relations (observability
-/// accounting; reads that fail — e.g. a producer with no output — count 0).
+/// Total rows across the task's input relations, each read once
+/// (observability accounting; reads that fail — e.g. a producer with no
+/// output — count 0).
 fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
-    // A task has a handful of dependencies: dedup by scanning the earlier
-    // ones, with no set to allocate.
-    let deps = &task.deps;
-    (0..deps.len())
-        .filter(|&i| !deps[..i].iter().any(|(_, key)| *key == deps[i].1))
-        .filter_map(|i| store.rel(&deps[i].1).ok())
+    (task.deps.iter())
+        .filter_map(|(_, key)| store.rel(key).ok())
         .map(|rel| rel.len() as f64)
         .sum()
 }
@@ -645,7 +642,7 @@ impl<S: RelSource> Executor<'_, S> {
                 for (id, bounds) in (0u32..).zip(start.windows(2)) {
                     let siblings = (bounds[1] - bounds[0]) as usize;
                     ords.extend_from_slice(&ord_syms[..siblings]);
-                    parent_rows.extend(std::iter::repeat_n(ids.position(id), siblings));
+                    parent_rows.extend(std::iter::repeat_n(id, siblings));
                 }
                 let mut cols = vec![apply_perm(parents, &perm), ords];
                 cols.extend(fields.iter().map(|(generated, col)| match generated {
@@ -805,8 +802,7 @@ impl<S: RelSource> Executor<'_, S> {
                 for (&owner, &pick) in picks.col_syms(0).iter().zip(picks.col_syms(1)) {
                     if Some(pick) == wanted {
                         let id = ids.id(&reader, owner);
-                        let id = id.ok_or_else(|| ids.bad("`__owner`", reader.get(owner)))?;
-                        rows.push(ids.position(id));
+                        rows.push(id.ok_or_else(|| ids.bad("`__owner`", reader.get(owner)))?);
                         owners.push(owner);
                     }
                 }
@@ -1118,7 +1114,7 @@ impl<'a, S: RelSource> SynVisit for SynPass<'_, 'a, S> {
         }
         let mut keep = Vec::new();
         for (r, id) in (0u32..).zip(at.ids.ids_of(&self.reader, rel.col_syms(0))) {
-            let label = id.map_or(NO_ROW, |id| at.labels[at.ids.position(id) as usize]);
+            let label = id.map_or(NO_ROW, |id| at.labels[id as usize]);
             if label != NO_ROW {
                 self.owners.push(label);
                 keep.push(r);
@@ -1150,7 +1146,7 @@ impl<'a, S: RelSource> SynVisit for SynPass<'_, 'a, S> {
                 .zip(at.ids.ids_of(reader, parents));
             for ((label, &occ), id) in rows {
                 if let (true, Some(id)) = (occ == tag, id) {
-                    *label = at.labels[at.ids.position(id) as usize];
+                    *label = at.labels[id as usize];
                 }
             }
         }
@@ -1168,45 +1164,36 @@ pub(crate) const NO_ROW: u32 = u32::MAX;
 
 /// The instance ids of one instance table, in the one place that decides
 /// what an id is. Root and Assemble number a table's rows with `__rowid`s
-/// that are the integers `0..n`, each once, and every `__parent` /
-/// `__owner` names one of them. So an id is a dense integer: it indexes
-/// vectors ([`group_rows`] buckets, [`InstanceIds::position`]) and is never
-/// hashed, and ids in value order are buckets in index order.
+/// that are their row positions `0..n`, and every `__parent` / `__owner`
+/// names one of them. So an id is a row position: it indexes rows and
+/// vectors ([`group_rows`] buckets) directly and is never hashed, and ids
+/// in value order are rows in table order.
 pub(crate) struct InstanceIds<'a> {
     /// The element, for the error.
     elem: &'a str,
     len: usize,
-    /// The row position of each id; `None` when the two are equal, as
-    /// Assemble numbers its rows.
-    positions: Option<Vec<u32>>,
 }
 
 impl<'a> InstanceIds<'a> {
     /// The ids of `elem`'s instance table with the `__rowid` column
-    /// `rowids`, which must be a permutation of `0..n`. Every symbol of
-    /// `rowids` must have been interned before `reader` was taken.
+    /// `rowids`, which must be the row positions `0..n`; the first row that
+    /// carries another is the error. Every symbol of `rowids` must have
+    /// been interned before `reader` was taken.
     pub(crate) fn new(
         elem: &'a str,
         rowids: &[Sym],
         reader: &Reader,
     ) -> Result<InstanceIds<'a>, MediatorError> {
-        let mut ids = InstanceIds {
+        let ids = InstanceIds {
             elem,
             len: rowids.len(),
-            positions: None,
         };
-        if intern::int_syms(rowids.len()).starts_with(rowids) {
+        let positions = &intern::int_syms(rowids.len())[..rowids.len()];
+        if rowids == positions {
             return Ok(ids);
         }
-        let mut positions = vec![NO_ROW; rowids.len()];
-        for (pos, &rowid) in (0u32..).zip(rowids) {
-            match ids.id(reader, rowid).map(|id| &mut positions[id as usize]) {
-                Some(slot) if *slot == NO_ROW => *slot = pos,
-                _ => return Err(ids.bad("`__rowid`", reader.get(rowid))),
-            }
-        }
-        ids.positions = Some(positions);
-        Ok(ids)
+        let row = (rowids.iter().zip(positions).position(|(id, pos)| id != pos)).unwrap_or(0);
+        Err(ids.bad(&format!("row {row}'s `__rowid`"), reader.get(rowids[row])))
     }
 
     /// The number of instances.
@@ -1214,7 +1201,8 @@ impl<'a> InstanceIds<'a> {
         self.len
     }
 
-    /// The id `sym` denotes, if it names an instance: an integer in `0..n`.
+    /// The id `sym` denotes, if it names an instance: an integer in `0..n`,
+    /// the row of that instance.
     #[inline]
     pub(crate) fn id(&self, reader: &Reader, sym: Sym) -> Option<u32> {
         let id = reader.get(sym).as_int()?;
@@ -1235,21 +1223,13 @@ impl<'a> InstanceIds<'a> {
         })
     }
 
-    /// The row position of the instance `id` (below [`InstanceIds::len`]).
-    #[inline]
-    pub(crate) fn position(&self, id: u32) -> u32 {
-        self.positions
-            .as_ref()
-            .map_or(id, |positions| positions[id as usize])
-    }
-
     /// The one error for a bad instance id: `value`, read from `column`, is
-    /// not one of this table's ids, or the table's `__rowid`s are not a
-    /// permutation of `0..n` (`value` repeats or lies outside).
+    /// not one of this table's ids, or is a `__rowid` that is not its row's
+    /// position.
     pub(crate) fn bad(&self, column: &str, value: &Value) -> MediatorError {
         MediatorError::Internal(format!(
-            "bad instance id in T[{}]: {column} {value:?}; its `__rowid`s must be \
-             0..{} in some order, each once",
+            "bad instance id in T[{}]: {column} {value:?}; its ids are its row \
+             positions 0..{}",
             self.elem, self.len
         ))
     }

@@ -8,15 +8,17 @@
 //! both on the same store and must agree exactly — relation, row order,
 //! error — while a seeded perturbation rewrites what each task hands
 //! downstream: emptied relations, NULL cells, duplicated and shuffled rows
-//! (so `__ord` arrives unordered and with duplicates), and field values
-//! whose symbols were interned in the *opposite* order of their values (a
-//! sort by `Sym` instead of by value shows up immediately).
+//! (so `__ord` arrives unordered and with duplicates), shuffled instance
+//! tables renumbered to their new row order, and field values whose
+//! symbols were interned in the *opposite* order of their values (a sort by
+//! `Sym` instead of by value shows up immediately).
 //!
 //! Where the two intentionally differ — the reference panics, or keys by
-//! value where the tagger requires a rowid permutation — the new behaviour
-//! is pinned by its own test: a condition or branch row for an unknown
-//! instance, an assemble input of the wrong arity, and a parent table whose
-//! `__rowid`s are not a permutation of `0..n`.
+//! value where the columnar bodies and the tagger require every `__rowid`
+//! to be its row's position — the new behaviour is pinned by its own test:
+//! a condition or branch row for an unknown instance, an assemble input of
+//! the wrong arity, and a parent table whose `__rowid`s are not its row
+//! positions.
 
 use super::*;
 use crate::graph::{build_graph, GraphOptions};
@@ -1048,7 +1050,8 @@ fn executor<'a, S: RelSource>(
 }
 
 /// Rewrites what a task hands downstream, keeping the bookkeeping columns
-/// (`__…`) referentially intact.
+/// (`__…`) referentially intact: a shuffled instance table is renumbered,
+/// so its `__rowid`s stay its row positions.
 fn perturb(rng: &mut StdRng, task: &Task, rel: &mut Relation) {
     let reorder = |rng: &mut StdRng, rel: &mut Relation| {
         let mut order: Vec<u32> = (0..rel.len() as u32).collect();
@@ -1056,7 +1059,10 @@ fn perturb(rng: &mut StdRng, task: &Task, rel: &mut Relation) {
         rel.gather(&order);
     };
     match task.kind {
-        TaskKind::Assemble { .. } if rng.gen_bool(0.3) => return reorder(rng, rel),
+        TaskKind::Assemble { .. } if rng.gen_bool(0.3) => {
+            reorder(rng, rel);
+            return renumber(rel);
+        }
         TaskKind::Gen { .. }
         | TaskKind::BranchMat { .. }
         | TaskKind::SynAgg { .. }
@@ -1105,12 +1111,35 @@ fn perturb(rng: &mut StdRng, task: &Task, rel: &mut Relation) {
     }
 }
 
+/// An instance table's `__rowid`s set to its row positions, as Assemble
+/// numbers them.
+fn renumber(rel: &mut Relation) {
+    let rowid = rel.col("__rowid").unwrap();
+    for r in 0..rel.len() {
+        rel.set_cell(r, rowid, Value::int(r as i64));
+    }
+}
+
 /// Runs every task through the columnar body and the row-major reference
 /// on the same store, asserting they agree, and returns the store; each
 /// output is perturbed under `seed` (if any) before it is stored. Counts
 /// the task kinds seen.
 fn walk(fx: &Fixture, opts: &ExecOptions, seed: Option<u64>, kinds: &mut [usize; 8]) -> RelStore {
     let mut rng = seed.map(StdRng::seed_from_u64);
+    walk_with(fx, opts, kinds, |task, rel| {
+        if let Some(rng) = &mut rng {
+            perturb(rng, task, rel);
+        }
+    })
+}
+
+/// [`walk`], with each output rewritten by `edit` before it is stored.
+fn walk_with(
+    fx: &Fixture,
+    opts: &ExecOptions,
+    kinds: &mut [usize; 8],
+    mut edit: impl FnMut(&Task, &mut Relation),
+) -> RelStore {
     let ship = crate::batch::ShipLedger::default();
     let mut store = RelStore::default();
     for &id in &fx.graph.topo {
@@ -1130,9 +1159,7 @@ fn walk(fx: &Fixture, opts: &ExecOptions, seed: Option<u64>, kinds: &mut [usize;
             TaskKind::SynAgg { .. } | TaskKind::Guard { .. } => 7,
         }] += 1;
         if let (Some(key), Ok(Some(mut rel))) = (task.output.clone(), columnar) {
-            if let Some(rng) = &mut rng {
-                perturb(rng, task, &mut rel);
-            }
+            edit(task, &mut rel);
             store.insert(key, rel);
         }
     }
@@ -1355,13 +1382,15 @@ fn a_branch_without_binding_is_an_error_before_any_row_of_it() {
 }
 
 /// The tagger keys a child row by the parent row its `__parent` names,
-/// through the inverse of the parent table's `__rowid` permutation: a
-/// `__parent` that names no row — a string, a negative integer, one past
-/// the parent table — attaches nowhere, as in the row-major tagger, and a
-/// parent table whose `__rowid`s are not a permutation of `0..n` is a
-/// structured error (the reference keys by value and has no such case).
+/// which is the id itself: a `__parent` that names no row — a string, a
+/// negative integer, one past the parent table — attaches nowhere, as in
+/// the row-major tagger, and a parent table whose `__rowid`s are not its
+/// row positions — a duplicate, an id out of range or not an integer, or
+/// a permutation of `0..n` other than the identity — is a structured error
+/// naming the first such row (the reference keys by value and has no such
+/// case).
 #[test]
-fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_a_permutation() {
+fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_row_positions() {
     // An `orders` store with at least two `ref` rows, under `order` rows.
     let (fx, store) = (0..32)
         .map(|seed| {
@@ -1378,17 +1407,19 @@ fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_a_permutation() {
     let (refs, order) = (RelKey::Instances(refs), RelKey::Instances(order));
     let tree = tag_document(&fx.aig, &fx.graph, &store).unwrap();
     let orders_n = store.get(&order).unwrap().len() as i64;
-    let with = |key: &RelKey, column: &str, row: usize, value: Value| {
+    let with = |key: &RelKey, column: &str, cells: &[(usize, Value)]| {
         let mut store = store.clone();
         let mut rel = store.get(key).unwrap().clone();
         let col = rel.col(column).unwrap();
-        rel.set_cell(row, col, value);
+        for (row, value) in cells {
+            rel.set_cell(*row, col, value.clone());
+        }
         store.insert(key.clone(), rel);
         store
     };
 
     for parent in [Value::str("0"), Value::int(-1), Value::int(orders_n)] {
-        let store = with(&refs, "__parent", 0, parent.clone());
+        let store = with(&refs, "__parent", &[(0, parent.clone())]);
         let tagged = tag_document(&fx.aig, &fx.graph, &store);
         assert_eq!(tagged, row_tagger::tag_document(&fx.aig, &fx.graph, &store));
         let lost = tree.len() - tagged.unwrap().len();
@@ -1401,18 +1432,21 @@ fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_a_permutation() {
             .cell(row, orders_rel.col("__rowid").unwrap())
             .clone()
     };
-    for (row, value) in [
-        (1, rowid(0)),
-        (0, Value::int(orders_n)),
-        (0, Value::str("0")),
+    assert!(orders_n >= 2, "two orders to swap");
+    for cells in [
+        vec![(1, rowid(0))],
+        vec![(0, Value::int(orders_n))],
+        vec![(0, Value::str("0"))],
+        vec![(0, rowid(1)), (1, rowid(0))],
     ] {
-        let store = with(&order, "__rowid", row, value.clone());
+        let store = with(&order, "__rowid", &cells);
+        let (row, value) = &cells[0];
         match tag_document(&fx.aig, &fx.graph, &store) {
-            Err(MediatorError::Internal(msg)) => assert!(
-                msg.starts_with("bad instance id in T[order]: `__rowid`"),
-                "{msg}"
-            ),
-            other => panic!("`__rowid` {value:?} at row {row}: {other:?}"),
+            Err(MediatorError::Internal(msg)) => {
+                let head = format!("bad instance id in T[order]: row {row}'s `__rowid` {value:?};");
+                assert!(msg.starts_with(&head), "{msg}")
+            }
+            other => panic!("`__rowid`s {cells:?}: {other:?}"),
         }
     }
 }
@@ -1433,30 +1467,13 @@ fn modes_on() -> ExecOptions {
     })
 }
 
-/// `store` with every instance table of more than one row (the root has one)
-/// in reverse row order: its `__rowid`s are a permutation of `0..n` that is
-/// not the identity.
-fn reversed_instances(fx: &Fixture, store: &RelStore) -> RelStore {
-    let mut store = store.clone();
-    for &elem in &fx.graph.materialized {
-        let key = RelKey::Instances(elem);
-        let mut rel = store.get(&key).unwrap().clone();
+/// A [`walk_with`] edit: every assembled instance table in reverse row
+/// order, renumbered, so the tasks after it read parents, owners and
+/// children in the opposite of the order their generators produced them.
+fn reverse_instances(task: &Task, rel: &mut Relation) {
+    if let TaskKind::Assemble { .. } = task.kind {
         rel.gather(&(0..rel.len() as u32).rev().collect::<Vec<_>>());
-        store.insert(key, rel);
-    }
-    store
-}
-
-/// Runs every `Gen` task of `fx` on `store` through the columnar body and the
-/// row-major reference, asserting they agree.
-fn gens_agree(fx: &Fixture, store: &RelStore, opts: &ExecOptions) {
-    let ship = crate::batch::ShipLedger::default();
-    let exec = executor(fx, store, opts, &ship);
-    for task in &fx.graph.tasks {
-        if let TaskKind::Gen { .. } = task.kind {
-            let reference = RowMajor(&exec).run_task(task);
-            assert_eq!(exec.run_task(task), reference, "{}", task.label);
-        }
+        renumber(rel);
     }
 }
 
@@ -1467,15 +1484,14 @@ fn instances<'s>(fx: &Fixture, store: &'s RelStore, elem: &str) -> &'s Relation 
         .unwrap()
 }
 
+/// `walk_with` holds every task against the reference as it goes.
 #[test]
-fn generator_order_matches_the_reference_under_permuted_rowids() {
+fn generator_order_matches_the_reference_under_reversed_instances() {
     for seed in 0..4u64 {
         for fx in [hospital(seed, 3), orders(seed), flow(seed)] {
             for opts in [options(1, false), modes_on()] {
-                let store = walk(&fx, &opts, None, &mut [0; 8]);
-                let permuted = reversed_instances(&fx, &store);
-                gens_agree(&fx, &permuted, &opts);
-                check_tagging(&fx, &permuted);
+                let reversed = walk_with(&fx, &opts, &mut [0; 8], reverse_instances);
+                check_tagging(&fx, &reversed);
             }
         }
     }
@@ -1518,10 +1534,11 @@ fn generator_order_matches_the_reference_under_one_large_parent() {
 }
 
 /// Every bad instance id is one `MediatorError::Internal` naming the table:
-/// a `__rowid` column that is not a permutation of `0..n` — a duplicate, a
-/// negative, an out-of-range or a string id — under a generator's parent
-/// table and under the tagger, and a generator row whose `__parent` names no
-/// instance.
+/// a `__rowid` column that is not the row positions `0..n` — a duplicate, a
+/// negative, an out-of-range or a string id, or the positions reversed — is
+/// the same error, naming its first such row, under a generator's parent
+/// table, a synthesized pass's top table and the tagger, and so is a
+/// generator row whose `__parent` names no instance.
 #[test]
 fn a_bad_instance_id_is_one_error_naming_the_table() {
     let (fx, store) = (0..32)
@@ -1542,38 +1559,43 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
         matches!(k, TaskKind::Gen { set_input: Some(_), parent, .. }
             if RelKey::Instances(parent.base) == order)
     });
+    let syn = task_where(
+        &fx,
+        |k| matches!(k, TaskKind::SynAgg { occ, .. } if RelKey::Instances(occ.base) == order),
+    );
     let expect_bad = |out: Result<_, MediatorError>, column: &str, value: &Value| match out {
         Err(MediatorError::Internal(msg)) => {
             let head = format!("bad instance id in T[order]: {column} {value:?};");
-            assert!(msg.starts_with(&head), "{msg}")
+            assert!(msg.starts_with(&head), "{msg}");
+            msg
         }
         other => panic!("{column} {value:?}: expected a bad instance id, got {other:?}"),
     };
     let orders = store.get(&order).unwrap();
     let n = orders.len() as i64;
+    assert!(n >= 2, "two orders to reverse");
     let rowid = orders.col("__rowid").unwrap();
-    for bad in [
-        Value::int(1),
-        Value::int(-1),
-        Value::int(n),
-        Value::str("0"),
+    let reversed = (0..n).rev().map(Value::int).collect();
+    for cells in [
+        vec![Value::int(1)],
+        vec![Value::int(-1)],
+        vec![Value::int(n)],
+        vec![Value::str("0")],
+        reversed,
     ] {
         let mut store = store.clone();
         let mut rel = orders.clone();
-        rel.set_cell(0, rowid, bad.clone());
+        for (row, value) in cells.iter().enumerate() {
+            rel.set_cell(row, rowid, value.clone());
+        }
         store.insert(order.clone(), rel);
-        expect_bad(
-            executor(&fx, &store, &opts, &ship)
-                .run_task(gen)
-                .map(|_| ()),
-            "`__rowid`",
-            &bad,
-        );
-        expect_bad(
-            tag_document(&fx.aig, &fx.graph, &store).map(|_| ()),
-            "`__rowid`",
-            &bad,
-        );
+        let exec = executor(&fx, &store, &opts, &ship);
+        let column = "row 0's `__rowid`";
+        let from_gen = expect_bad(exec.run_task(gen).map(|_| ()), column, &cells[0]);
+        let from_syn = expect_bad(exec.run_task(syn).map(|_| ()), column, &cells[0]);
+        let tagged = tag_document(&fx.aig, &fx.graph, &store).map(|_| ());
+        let from_tagger = expect_bad(tagged, column, &cells[0]);
+        assert_eq!((&from_syn, &from_tagger), (&from_gen, &from_gen));
     }
     let TaskKind::Gen {
         set_input: Some(input),
@@ -1719,19 +1741,6 @@ fn echo(seed: u64) -> Fixture {
     fixture(&aig, catalog, 2, vec![("day", Value::str("mon"))])
 }
 
-/// Runs every `SynAgg` task of `fx` on `store` through the one pass and the
-/// per-level reference, asserting they agree.
-fn syn_aggs_agree(fx: &Fixture, store: &RelStore, opts: &ExecOptions) {
-    let ship = crate::batch::ShipLedger::default();
-    let exec = executor(fx, store, opts, &ship);
-    for task in &fx.graph.tasks {
-        if let TaskKind::SynAgg { .. } = task.kind {
-            let reference = RowMajor(&exec).run_task(task);
-            assert_eq!(exec.run_task(task), reference, "{}", task.label);
-        }
-    }
-}
-
 /// Whether a `SynAgg` task of `fx` reads another's output.
 fn syn_reads_syn(fx: &Fixture) -> bool {
     let syn = |t: usize| matches!(fx.graph.tasks[t].kind, TaskKind::SynAgg { .. });
@@ -1746,7 +1755,7 @@ fn syn_reads_syn(fx: &Fixture) -> bool {
 /// empty) and Truncate depth 2, a bag collector over the recursion (a key whose
 /// context is above `treatment`), a set-typed field under a bag-typed one
 /// (read from its own task), a choice branch, an inherited-set term, and
-/// each store again with every instance table's `__rowid`s permuted.
+/// each walk again with every assembled instance table reversed.
 #[test]
 fn one_pass_synthesized_sets_match_the_per_level_reference() {
     let keyed = "constraint report(treatment.trId -> treatment);";
@@ -1783,7 +1792,7 @@ fn one_pass_synthesized_sets_match_the_per_level_reference() {
             assert_eq!(syn_reads_syn(fx), i == 3 || i == 5, "fixture {i}");
             for opts in [options(1, false), modes_on()] {
                 let store = walk(fx, &opts, None, &mut [0; 8]);
-                syn_aggs_agree(fx, &reversed_instances(fx, &store), &opts);
+                walk_with(fx, &opts, &mut [0; 8], reverse_instances);
                 if i == fixtures.len() - 1 {
                     assert!(store.get(&RelKey::Instances(deepest)).unwrap().is_empty());
                 }

@@ -184,7 +184,8 @@ pub struct Task {
     pub kind: TaskKind,
     pub source: SourceId,
     pub label: String,
-    /// Producer tasks this task reads from, with the relation read.
+    /// Producer tasks this task reads from, with the relation read: each
+    /// producer once, and so each key once (a producer writes one key).
     pub deps: Vec<(usize, RelKey)>,
     /// The relation this task writes (None for guards).
     pub output: Option<RelKey>,
@@ -933,18 +934,20 @@ impl<'a> Builder<'a> {
         Ok(deps)
     }
 
-    /// Resolves every deferred dependency to its producing task.
+    /// Resolves every deferred dependency to its producing task and keeps
+    /// the first read of each producer: a producer writes one key, so the
+    /// deps left name distinct producers and distinct keys.
     fn patch_deps(&mut self) -> Result<(), MediatorError> {
+        // The last task that read each producer.
+        let mut read_by = vec![usize::MAX; self.tasks.len()];
         for id in 0..self.tasks.len() {
-            for pos in 0..self.tasks[id].deps.len() {
-                if self.tasks[id].deps[pos].0 == usize::MAX {
-                    let key = self.tasks[id].deps[pos].1.clone();
-                    let producer = self.producer_of(&key)?;
-                    self.tasks[id].deps[pos].0 = producer;
+            let mut deps = std::mem::take(&mut self.tasks[id].deps);
+            for (producer, key) in &mut deps {
+                if *producer == usize::MAX {
+                    *producer = self.producer_of(key)?;
                 }
             }
-            let mut deps = std::mem::take(&mut self.tasks[id].deps);
-            dedup_deps(&mut deps);
+            deps.retain(|&(producer, _)| std::mem::replace(&mut read_by[producer], id) != id);
             self.tasks[id].deps = deps;
         }
         Ok(())
@@ -1410,11 +1413,6 @@ pub(crate) fn syn_rule<'a>(
             info.name
         ))
     })
-}
-
-fn dedup_deps(deps: &mut Vec<(usize, RelKey)>) {
-    let mut seen = HashSet::new();
-    deps.retain(|(id, key)| seen.insert((*id, key.clone())));
 }
 
 impl TaskGraph {

@@ -21,7 +21,6 @@ use crate::json::Json;
 use crate::merge::MergeOutcome;
 use crate::sim::NetworkModel;
 use aig_relstore::{Catalog, SourceId};
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// The callback of [`ReportValue::each_f64`]: the JSON key of the field
@@ -784,9 +783,8 @@ fn shipped_bytes_by(
 ) -> Vec<f64> {
     let mut shipped = vec![0.0f64; graph.tasks.len()];
     for task in &graph.tasks {
-        let mut seen = HashSet::new();
         for (dep, _) in &task.deps {
-            if seen.insert(*dep) && graph.tasks[*dep].source != task.source {
+            if graph.tasks[*dep].source != task.source {
                 shipped[*dep] += size(&measured[*dep]);
             }
         }

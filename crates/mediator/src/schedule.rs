@@ -60,15 +60,8 @@ pub fn replan_surviving(
     let deps = remaining
         .iter()
         .map(|&id| {
-            let mut seen = std::collections::HashSet::new();
-            graph.tasks[id]
-                .deps
-                .iter()
-                .filter_map(|(d, _)| {
-                    let sub = *sub_id.get(d)?;
-                    seen.insert(sub)
-                        .then(|| (sub, graph.tasks[*d].est.out_bytes))
-                })
+            (graph.tasks[id].deps.iter())
+                .filter_map(|(d, _)| Some((*sub_id.get(d)?, graph.tasks[*d].est.out_bytes)))
                 .collect()
         })
         .collect();

@@ -39,7 +39,7 @@ use aig_relstore::Relation;
 #[cfg(test)]
 use aig_relstore::Value;
 use aig_sql::{FromItem, Pred, QualCol, Scalar};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Bookkeeping columns the relational encoding itself depends on: row
 /// identity, parent links, ordinals, occurrence tags, set ownership and
@@ -373,14 +373,9 @@ fn task_reads(aig: &Aig, graph: &TaskGraph, t: usize, out_live: &LiveSet) -> Vec
         // Aggregation, set algebra and constraint guards read whole
         // relations; guards are also duplicate-sensitive by definition
         // (uniqueness is a statement about the full bag).
-        TaskKind::SynAgg { .. } | TaskKind::Guard { .. } => {
-            let mut seen: HashSet<&RelKey> = HashSet::new();
-            task.deps
-                .iter()
-                .filter(|(_, key)| seen.insert(key))
-                .map(|(_, key)| Read::all(key.clone()))
-                .collect()
-        }
+        TaskKind::SynAgg { .. } | TaskKind::Guard { .. } => (task.deps.iter())
+            .map(|(_, key)| Read::all(key.clone()))
+            .collect(),
     }
 }
 

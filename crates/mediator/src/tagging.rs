@@ -5,10 +5,11 @@
 //! produce the final output document", entirely within the middleware. The
 //! rows of every starred item and choice branch are sort-merged under the
 //! row positions of their parent's instance table — the relational encoding
-//! of the root-to-node path — and the tree is written top-down, in document
-//! order; internal computation states never appear (they are simply not
-//! descended into), and PCDATA resolves through copy chains into instance
-//! columns.
+//! of the root-to-node path; an instance id is its row's position, so a
+//! `__parent` names its parent row directly — and the tree is written
+//! top-down, in document order; internal computation states never appear
+//! (they are simply not descended into), and PCDATA resolves through copy
+//! chains into instance columns.
 //!
 //! The output "is guaranteed to conform to the DTD" (§1): a run's finisher
 //! proves it on the tagging plan, before a node is written, and validates
@@ -150,12 +151,12 @@ impl Tagged {
     }
 
     /// Sorts `child`'s rows under the parent rows with one pass over
-    /// `child`: a row carrying `occ` is keyed by the position (through
-    /// `parent`, the parent table's instance ids) of the row its `__parent`
-    /// names, or attaches to no parent. A counting sort by position follows,
-    /// then `__ord` order within each parent (linear on an assembled table:
-    /// generator outputs arrive grouped by parent with ascending ordinals).
-    /// `keys` is scratch.
+    /// `child`: a row carrying `occ` is keyed by the parent row its
+    /// `__parent` names (an id of `parent`, the parent table's instance ids,
+    /// is that row's position), or attaches to no parent. A counting sort by
+    /// parent row follows, then `__ord` order within each parent (linear on
+    /// an assembled table: generator outputs arrive grouped by parent with
+    /// ascending ordinals). `keys` is scratch.
     fn sort_merge(
         &mut self,
         reader: &Reader,
@@ -168,16 +169,10 @@ impl Tagged {
             let occs = child.col_syms(child.col("__occ")?);
             let parents = child.col_syms(child.col("__parent")?);
             // Siblings sit together: only a change of parent resolves one.
-            let mut last = None;
-            let position = |sym| {
-                parent
-                    .id(reader, sym)
-                    .map_or(NO_ROW, |id| parent.position(id))
-            };
-            keys.extend(occs.iter().zip(parents).map(|(&row_occ, &sym)| match last {
-                _ if row_occ != occ => NO_ROW,
-                Some((held, key)) if held == sym => key,
-                _ => last.insert((sym, position(sym))).1,
+            let ids = parent.ids_of(reader, parents);
+            keys.extend(occs.iter().zip(ids).map(|(&row_occ, id)| match id {
+                Some(id) if row_occ == occ => id,
+                _ => NO_ROW,
             }));
         }
         let (start, mut rows) = group_rows(keys, parent.len());
@@ -407,8 +402,7 @@ impl<'a> Tagger<'a> {
     }
 
     /// Sort-merges the rows of every starred item and choice branch under
-    /// its parent's base rows; a parent table's `__rowid` inverse is built
-    /// once, however many tagged children it has.
+    /// its parent's base rows, whose `__rowid`s must be their positions.
     fn sort_merge(&mut self) -> Result<(), MediatorError> {
         let Tagger {
             aig,
@@ -417,7 +411,6 @@ impl<'a> Tagger<'a> {
             reader,
             ..
         } = self;
-        let mut ids: HashMap<ElemIdx, InstanceIds> = HashMap::new();
         let mut keys = Vec::new();
         for plan in plans.iter_mut() {
             let Body::Children(children) = &mut plan.body else {
@@ -427,15 +420,9 @@ impl<'a> Tagger<'a> {
                 let ChildRows::Tagged(tagged) = &mut child.rows else {
                     continue;
                 };
-                let parent = match ids.entry(plan.elem) {
-                    Entry::Occupied(built) => built.into_mut(),
-                    Entry::Vacant(slot) => {
-                        let elem = aig.elem_name(plan.elem);
-                        slot.insert(InstanceIds::new(elem, plan.rowids, reader)?)
-                    }
-                };
+                let parent = InstanceIds::new(aig.elem_name(plan.elem), plan.rowids, reader)?;
                 let rel = store.get(&RelKey::Instances(child.elem))?;
-                tagged.sort_merge(reader, rel, parent, &mut keys)?;
+                tagged.sort_merge(reader, rel, &parent, &mut keys)?;
             }
         }
         Ok(())

@@ -10,14 +10,22 @@
 //! `SynAgg` task now computes its whole rule in one pass. Same set-up as
 //! `alloc_regression`: Table 1's Small hospital, the plan the first request
 //! escalates to.
+//!
+//! Beside it, the two facts every consumer of a graph and its store rests
+//! on, held at every depth the benchmark reaches and on a choice spec: an
+//! instance table's `__rowid`s are its row positions, and a task's deps
+//! name each producer — and so each relation — once.
 
 use aig_core::paper::sigma0;
 use aig_core::spec::{Aig, ElemIdx, FieldRule, Prod, SetExpr, SynRule};
-use aig_core::{compile_constraints, decompose_queries};
+use aig_core::{compile_constraints, decompose_queries, parse_aig};
 use aig_datagen::{DatasetSize, HospitalConfig};
-use aig_mediator::graph::TaskKind;
-use aig_mediator::{execute_graph, ExecOptions, Mediator, MediatorOptions};
-use aig_relstore::Value;
+use aig_mediator::graph::{RelKey, TaskKind};
+use aig_mediator::{
+    build_graph, execute_graph, unfold, CutOff, ExecOptions, ExecPolicy, GraphOptions, Mediator,
+    MediatorOptions, Scheduling,
+};
+use aig_relstore::{Catalog, Database, Table, TableSchema, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Whether a synthesized rule can produce a row: it injects values itself
@@ -190,4 +198,129 @@ fn every_syn_agg_task_computes_a_distinct_value_that_can_exist() {
     // below a context, 110 with synthesized sets evaluated level by level.
     println!("{} tasks", graph.tasks.len());
     assert!(graph.tasks.len() <= 64, "{} tasks", graph.tasks.len());
+}
+
+/// A choice production over one source: orders of `day` pay by card (kind
+/// 1) or invoice (kind 2).
+fn orders() -> (Aig, Catalog) {
+    let aig = parse_aig(
+        r#"
+        aig orders {
+          dtd {
+            <!ELEMENT orders (order*)>
+            <!ELEMENT order (id, payment)>
+            <!ELEMENT payment (card | invoice)>
+            <!ELEMENT id (#PCDATA)>
+            <!ELEMENT card (#PCDATA)>
+            <!ELEMENT invoice (#PCDATA)>
+          }
+          elem orders {
+            inh(day);
+            child order* from sql {
+              select o.id as id, o.id as oid from OMS:orders o where o.day = $day
+            };
+          }
+          elem order {
+            inh(id, oid);
+            child id { val = $id; }
+            child payment { oid = $oid; }
+          }
+          elem payment {
+            inh(oid);
+            case sql {
+              select distinct p.kind as pick from OMS:payments p where p.oid = $oid
+            } {
+              1 => card { val = $oid; }
+              2 => invoice { val = 'pending'; }
+            }
+          }
+        }
+        "#,
+    )
+    .unwrap();
+    let mut db = Database::new("OMS");
+    let mut orders = Table::new(TableSchema::strings("orders", &["id", "day"], &[]));
+    let mut payments = Table::new(TableSchema::strings("payments", &["oid", "kind"], &[]));
+    for i in 0..7 {
+        let id = Value::str(format!("o{i}"));
+        orders.insert(vec![id.clone(), Value::str("mon")]).unwrap();
+        let kind = Value::str(format!("{}", i % 2 + 1));
+        payments.insert(vec![id, kind]).unwrap();
+    }
+    db.add_table(orders).unwrap();
+    db.add_table(payments).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.add_source(db).unwrap();
+    (aig, catalog)
+}
+
+/// Builds `source`'s graph at `depth` and runs it under the one-worker and
+/// the per-source walk, checking both facts on the graph and on each
+/// store: every task's deps name distinct producers, each the producer of
+/// the key it is read for (so the keys are distinct too), and every
+/// instance table's `__rowid`s are `0..n` in row order. Returns the
+/// instance rows checked.
+fn ids_are_positions_and_deps_are_distinct(
+    source: &Aig,
+    catalog: &Catalog,
+    depth: usize,
+    args: &[(&str, Value)],
+) -> usize {
+    let compiled = match source.constraints.is_empty() {
+        true => source.clone(),
+        false => compile_constraints(source).unwrap(),
+    };
+    let specialized = decompose_queries(&compiled).unwrap().0;
+    let aig = unfold(&specialized, depth, CutOff::Truncate).unwrap().aig;
+    let graph = build_graph(&aig, catalog, &GraphOptions::default()).unwrap();
+    for task in &graph.tasks {
+        let producers: HashSet<usize> = task.deps.iter().map(|(d, _)| *d).collect();
+        let keys: HashSet<&RelKey> = task.deps.iter().map(|(_, k)| k).collect();
+        let counts = (producers.len(), keys.len());
+        assert_eq!(counts, (task.deps.len(), task.deps.len()), "{}", task.label);
+        for (producer, key) in &task.deps {
+            assert_eq!(graph.producer[key], *producer, "{}: {key:?}", task.label);
+            assert_eq!(graph.tasks[*producer].output.as_ref(), Some(key));
+        }
+    }
+    let parallel = ExecOptions::new(ExecPolicy {
+        parallel_exec: true,
+        scheduling: Scheduling::Dynamic,
+        threads: 2,
+        ..ExecPolicy::default()
+    });
+    let mut rows = 0;
+    for opts in [ExecOptions::default(), parallel] {
+        let run = execute_graph(&aig, catalog, &graph, args, &opts).unwrap();
+        let instances = (graph.tasks.iter()).filter_map(|t| match &t.output {
+            Some(key @ RelKey::Instances(elem)) => Some((key, *elem)),
+            _ => None,
+        });
+        for (key, elem) in instances {
+            let rel = run.store.get(key).unwrap();
+            let rowid = rel.col("__rowid").unwrap();
+            for row in 0..rel.len() {
+                let want = Value::int(row as i64);
+                let name = aig.elem_name(elem);
+                assert_eq!(rel.cell(row, rowid), &want, "T[{name}] row {row}");
+            }
+            rows += rel.len();
+        }
+    }
+    rows
+}
+
+#[test]
+fn instance_ids_are_row_positions_and_task_deps_are_distinct() {
+    let data = HospitalConfig::tiny(3).generate().unwrap();
+    let args = [("date", Value::str(&data.dates[0]))];
+    let aig = sigma0().unwrap();
+    for depth in [3, 6, 12, 24] {
+        let rows = ids_are_positions_and_deps_are_distinct(&aig, &data.catalog, depth, &args);
+        assert!(rows > 100, "depth {depth}: {rows} instance rows");
+    }
+    let (aig, catalog) = orders();
+    let args = [("day", Value::str("mon"))];
+    let rows = ids_are_positions_and_deps_are_distinct(&aig, &catalog, 2, &args);
+    assert!(rows > 20, "orders: {rows} instance rows");
 }

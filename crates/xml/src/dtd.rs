@@ -226,19 +226,17 @@ impl Dtd {
         false
     }
 
-    /// A deterministic textual form of the DTD: element names in id order,
-    /// each with its production, then the root id. Two structurally equal
-    /// DTDs render identically even when built separately, so the string is
-    /// safe to hash for structural fingerprints (unlike the derived `Debug`
-    /// form, whose `HashMap` iteration order is instance-specific).
-    pub fn canonical_string(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
+    /// Writes a deterministic textual form of the DTD to `out`: element
+    /// names in id order, each with its production, then the root id. Two
+    /// structurally equal DTDs render identically even when built
+    /// separately, so the text is safe to hash for structural fingerprints
+    /// (unlike the derived `Debug` form, whose `HashMap` iteration order is
+    /// instance-specific).
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
         for (id, name) in self.names.iter().enumerate() {
-            let _ = write!(out, "{name}={:?};", self.prods[id]);
+            write!(out, "{name}={:?};", self.prods[id])?;
         }
-        let _ = write!(out, "root={}", self.root.index());
-        out
+        write!(out, "root={}", self.root.index())
     }
 
     /// Renders the DTD as `<!ELEMENT ...>` declarations.

@@ -93,9 +93,9 @@ fn constraints() -> ConstraintSet {
     ConstraintSet::parse(&format!("{KEY}; {INCLUSION}")).unwrap()
 }
 
-/// `satisfied` and `check_first` must agree with the exhaustive `check`:
-/// same emptiness, and the short-circuit violation is the first one the
-/// exhaustive pass lists.
+/// `satisfied` and `check_first` must agree with `check`: same emptiness,
+/// and `check_first` is the first violation `check` lists (it is that
+/// entry; no walk stops early).
 fn assert_short_circuit_agrees(set: &ConstraintSet, tree: &XmlTree) {
     let all = set.check(tree);
     assert_eq!(set.satisfied(tree), all.is_empty());

@@ -37,7 +37,7 @@
 //! (`dies_after`) depend on global per-source completion counts and take
 //! the full-run path instead (see [`crate::service::Mediator`]).
 
-use crate::graph::{RelKey, TaskGraph, TaskKind, VectorQuery};
+use crate::graph::{RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_sql::FromItem;
 use std::collections::{BTreeSet, HashSet};
@@ -62,13 +62,7 @@ impl ReadSets {
     pub fn analyze(graph: &TaskGraph) -> ReadSets {
         let mut tables = vec![BTreeSet::new(); graph.tasks.len()];
         for (id, task) in graph.tasks.iter().enumerate() {
-            let vq: Option<&VectorQuery> = match &task.kind {
-                TaskKind::Gen { query, .. } => query.as_ref(),
-                TaskKind::InhSetQuery { query, .. } => Some(query),
-                TaskKind::Cond { query, .. } => Some(query),
-                _ => None,
-            };
-            if let Some(vq) = vq {
+            if let Some(vq) = task.query() {
                 for item in &vq.query.from {
                     if let FromItem::Table { source, table, .. } = item {
                         tables[id].insert((source.clone(), table.clone()));
@@ -179,7 +173,7 @@ pub(crate) fn scope_tags(aig: &Aig, tainted: &HashSet<ElemIdx>) -> HashSet<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{build_graph, GraphOptions};
+    use crate::graph::{build_graph, GraphOptions, TaskKind};
     use crate::unfold::{unfold, CutOff};
     use aig_core::paper::{mini_hospital_catalog, sigma0};
     use aig_core::spec::Aig;

@@ -5,25 +5,28 @@
 //! whole temporary tables; per-task wall-clock times are recorded so that
 //! the response-time simulation (§5.2) can use measured rather than
 //! estimated query costs, mirroring the paper's methodology of running real
-//! queries and simulating the transfers.
+//! queries and simulating the transfers. What the rules fix, the graph
+//! fixed: Assemble writes the `__occ` symbols it interned, and a `SynAgg`
+//! task runs the [`SynStep`]s it compiled.
 
 use crate::error::MediatorError;
 use crate::faults::{FaultEnv, FaultEvent, FaultLog, FaultPlan, RetryPolicy, TaskFaultCtx};
 use crate::graph::{
-    resolve_syn_key, syn_decl, Binding, Expanded, Occ, ParamInput, RelKey, ScalarBind, SynVisit,
-    SynWalk, Task, TaskGraph, TaskKind, VectorQuery,
+    resolve_syn_key, Binding, Occ, ParamInput, RelKey, ScalarBind, SynStep, Task, TaskGraph,
+    TaskKind, VectorQuery,
 };
 use crate::integrity;
 use crate::shipcut::ShipCut;
 use aig_core::attrs::FieldType;
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
-use aig_core::spec::{Aig, ElemIdx, FieldRule, GuardKind, Prod, ValueExpr};
+use aig_core::spec::{Aig, FieldRule, GuardKind, Prod, ValueExpr};
 use aig_core::AigError;
-use aig_relstore::intern::{self, Reader, SymMap};
+use aig_relstore::intern::{self, Reader};
 use aig_relstore::par::{apply_perm, RowTable, PAR_THRESHOLD};
 use aig_relstore::{Catalog, Relation, SharedCol, SourceId, StoreError, Sym, Value};
 use aig_sql::{execute_named as sql_execute_named, ParamValue, Params};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -320,16 +323,6 @@ pub struct ExecResult {
     pub batch: crate::batch::BatchLog,
 }
 
-/// The `__occ` tag of rows produced by the generator of `(occ, item)`.
-pub fn occ_tag(aig: &Aig, occ: &Occ, item: usize) -> String {
-    format!("{}#{item}", occ.key(aig))
-}
-
-/// The `__occ` tag of branch-child rows of a choice occurrence.
-pub fn branch_tag(aig: &Aig, occ: &Occ, branch: usize) -> String {
-    format!("{}#b{branch}", occ.key(aig))
-}
-
 /// The only failover: where every task runs once sources die. Owns the
 /// effective source per task, the failover catalog view, the per-source
 /// completion counts behind the mid-run outage model ("source dies after k
@@ -541,30 +534,26 @@ impl<S: RelSource> Executor<'_, S> {
     /// returning the relation it produces (None for guards).
     fn run_task(&self, task: &Task) -> Result<Option<Relation>, MediatorError> {
         match &task.kind {
-            TaskKind::Root => {
+            TaskKind::Root { tag } => {
                 let root_info = self.aig.elem_info(self.aig.root);
-                let mut row = vec![
-                    Value::int(0),
-                    Value::int(-1),
-                    Value::int(0),
-                    Value::str(Occ::mat(self.aig.root).key(self.aig)),
-                ];
+                let zero = intern::int_syms(1)[0];
+                let mut row = vec![zero, intern::intern(&Value::int(-1)), zero, *tag];
                 for decl in root_info.inh.iter().filter(|d| d.ty.is_scalar()) {
                     let v = self
                         .args
                         .iter()
                         .find(|(n, _)| *n == decl.name)
-                        .map(|(_, v)| v.clone())
+                        .map(|(_, v)| v)
                         .ok_or_else(|| {
                             MediatorError::Aig(AigError::Spec(format!(
                                 "missing value for AIG parameter `{}`",
                                 decl.name
                             )))
                         })?;
-                    row.push(v);
+                    row.push(intern::intern(v));
                 }
                 let mut rel = Relation::empty(task.schema.clone());
-                rel.push(row);
+                rel.push_syms(&row);
                 Ok(Some(rel))
             }
             TaskKind::Gen {
@@ -673,27 +662,25 @@ impl<S: RelSource> Executor<'_, S> {
                 let columns = &task.schema;
                 let mut parts = Vec::with_capacity(inputs.len());
                 for input in inputs {
-                    let occ_value = match input {
-                        RelKey::GenOut(occ, item) => occ_tag(self.aig, occ, *item),
-                        RelKey::BranchOut(occ, b) => branch_tag(self.aig, occ, *b),
-                        other => {
-                            return Err(MediatorError::Internal(format!(
-                                "unexpected assemble input {other:?}"
-                            )))
-                        }
+                    let (RelKey::GenOut(occ, at) | RelKey::BranchOut(occ, at)) = input else {
+                        return Err(MediatorError::Internal(format!(
+                            "unexpected assemble input {input:?}"
+                        )));
                     };
+                    let occ = self.binding(occ)?.tags[*at];
                     let part = self.store.rel(input)?;
                     if part.arity() + 2 != columns.len() {
                         return Err(MediatorError::Store(StoreError::SchemaMismatch {
                             table: "<relation>".to_string(),
                             msg: format!(
-                                "assemble input `{occ_value}` has {} columns, {} expected",
+                                "assemble input `{}` has {} columns, {} expected",
+                                intern::resolve(occ).to_text(),
                                 part.arity(),
                                 columns.len() - 2
                             ),
                         }));
                     }
-                    parts.push((part, intern::intern_owned(Value::str(occ_value))));
+                    parts.push((part, occ));
                 }
                 // part: __parent, __ord, fields… — concatenated under
                 // __rowid, __parent, __ord, __occ, fields…
@@ -744,12 +731,13 @@ impl<S: RelSource> Executor<'_, S> {
                         raw.arity() - 1
                     )));
                 }
-                // Exactly one row per owner; the pick is an integer.
-                // `__parent` is always prepended first; the pick value is
-                // the remaining column.
+                // Exactly one row per owner, placed at its id; the pick is an
+                // integer (`Sym::NULL`: none yet). `__parent` is always
+                // prepended first; the pick value is the remaining column.
                 let reader = Reader::snapshot();
-                let mut picks: SymMap<Sym, Sym> = SymMap::default();
-                picks.reserve(raw.len());
+                let rowids = base.col_syms(base.col("__rowid")?);
+                let ids = InstanceIds::new(self.aig.elem_name(occ.base), rowids, &reader)?;
+                let mut picks = vec![Sym::NULL; ids.len()];
                 for (&owner, &value) in raw.col_syms(parent_col).iter().zip(raw.col_syms(1)) {
                     let pick = match reader.get(value) {
                         Value::Int(_) => value,
@@ -759,27 +747,20 @@ impl<S: RelSource> Executor<'_, S> {
                         },
                         Value::Null => return Err(bad("condition query returned NULL".into())),
                     };
-                    if picks.insert(owner, pick).is_some() {
+                    let id = ids.id(&reader, owner);
+                    let id = id.ok_or_else(|| ids.bad("`__parent`", reader.get(owner)))?;
+                    if std::mem::replace(&mut picks[id as usize], pick) != Sym::NULL {
                         return Err(bad("more than one row for an instance".into()));
                     }
                 }
-                if picks.len() != base.len() {
+                if raw.len() != ids.len() {
                     return Err(bad(format!(
                         "condition produced {} picks for {} instances",
-                        picks.len(),
-                        base.len()
+                        raw.len(),
+                        ids.len()
                     )));
                 }
-                // As many distinct owners as instances: an instance without
-                // a pick means some row answers for an instance that is not
-                // there (a corrupted `__parent`, say).
-                let owners = base.col_syms(base.col("__rowid")?);
-                let pick_col: Vec<Sym> = owners
-                    .iter()
-                    .map(|owner| picks.get(owner).copied())
-                    .collect::<Option<_>>()
-                    .ok_or_else(|| bad("condition row for unknown instance".into()))?;
-                let cols = vec![owners.to_vec(), pick_col];
+                let cols = vec![rowids.to_vec(), picks];
                 Ok(Some(Relation::try_from_columns(task.schema.clone(), cols)?))
             }
             TaskKind::BranchMat { occ, branch } => {
@@ -823,7 +804,9 @@ impl<S: RelSource> Executor<'_, S> {
                 }
                 Ok(Some(Relation::try_from_columns(columns.clone(), cols)?))
             }
-            TaskKind::SynAgg { occ, field } => Ok(Some(self.compute_syn(task, occ, field)?)),
+            TaskKind::SynAgg {
+                occ, bag, steps, ..
+            } => Ok(Some(self.compute_syn(task, occ, *bag, steps)?)),
             TaskKind::Guard { occ, guard } => {
                 if self.opts.policy.check_guards {
                     self.check_guard(occ, *guard)?;
@@ -843,7 +826,7 @@ impl<S: RelSource> Executor<'_, S> {
     /// `columnar_tests` resolve children through it; the task bodies read
     /// the plan's schemas).
     #[cfg(test)]
-    fn child_of(&self, occ: &Occ, item: usize) -> Result<ElemIdx, MediatorError> {
+    fn child_of(&self, occ: &Occ, item: usize) -> Result<aig_core::spec::ElemIdx, MediatorError> {
         let binding = self.binding(occ)?;
         match &self.aig.elem_info(binding.elem).prod {
             Prod::Items(items) => Ok(items[item].elem),
@@ -892,42 +875,93 @@ impl<S: RelSource> Executor<'_, S> {
         rel.dedup_parallel_with(self.threads(), PAR_THRESHOLD);
     }
 
-    /// Computes a synthesized set/bag table `(__owner, comps…)` in one pass:
-    /// the rule is expanded through the children's synthesized fields down
-    /// to the instance tables they read, each reached row labeled with the
-    /// owner that collects it. Leaves emit in rule order, each in row order,
-    /// so the one dedup at the end keeps what the per-level evaluation kept:
-    /// first-occurrence dedup satisfies dedup(rekey(dedup X)) =
-    /// dedup(rekey X).
-    fn compute_syn(&self, task: &Task, occ: &Occ, field: &str) -> Result<Relation, MediatorError> {
-        let binding = self.binding(occ)?;
-        let decl = syn_decl(self.aig, binding.elem, field)?;
-        let comps = (decl.ty.components())
-            .ok_or_else(|| MediatorError::Internal("scalar SynAgg".into()))?;
+    /// Computes a synthesized set/bag table `(__owner, comps…)` in one pass
+    /// of the `steps` the graph compiled from its rule, each reached row
+    /// labeled with the owner that collects it. Leaves emit in rule order,
+    /// each in row order, so the one dedup at the end (unless a `bag`) keeps
+    /// what the per-level evaluation kept: first-occurrence dedup satisfies
+    /// dedup(rekey(dedup X)) = dedup(rekey X).
+    fn compute_syn(
+        &self,
+        task: &Task,
+        occ: &Occ,
+        bag: bool,
+        steps: &[SynStep],
+    ) -> Result<Relation, MediatorError> {
         let reader = Reader::snapshot();
         let base = self.store.rel(&RelKey::Instances(occ.base))?;
         let rowids = base.col_syms(base.col("__rowid")?);
-        let mut top = Reached {
+        let top = Reached {
             ids: InstanceIds::new(self.aig.elem_name(occ.base), rowids, &reader)?,
             table: base,
             labels: (0..base.len() as u32).collect(),
-            expanded: HashSet::new(),
         };
-        let mut pass = SynPass {
-            exec: self,
-            reader,
+        let mut rows = SynRows {
             owners: Vec::new(),
-            comps: vec![Vec::new(); comps.len()],
+            comps: vec![Vec::new(); task.schema.len() - 1],
         };
-        let walk = SynWalk::new(self.aig, &self.graph.bindings, decl.ty.is_bag());
-        walk.field(&mut pass, &mut top, occ, field, false)?;
-        let mut cols = vec![apply_perm(rowids, &pass.owners)];
-        cols.extend(pass.comps);
+        self.run_syn(&reader, &mut rows, &top, steps)?;
+        let mut cols = vec![apply_perm(rowids, &rows.owners)];
+        cols.extend(rows.comps);
         let mut out = Relation::try_from_columns(task.schema.clone(), cols)?;
-        if !decl.ty.is_bag() {
+        if !bag {
             self.dedup_output(&mut out);
         }
         Ok(out)
+    }
+
+    /// Runs `steps` over the rows `at` reached, appending what they emit to
+    /// `rows`. `reader` was taken before the pass: every symbol it reads is
+    /// in a finished input.
+    fn run_syn(
+        &self,
+        reader: &Reader,
+        rows: &mut SynRows,
+        at: &Reached,
+        steps: &[SynStep],
+    ) -> Result<(), MediatorError> {
+        for step in steps {
+            match step {
+                SynStep::Child { elem, tag, body } => {
+                    let table = self.store.rel(&RelKey::Instances(*elem))?;
+                    let rowids = table.col_syms(table.col("__rowid")?);
+                    let parents = table.col_syms(table.col("__parent")?);
+                    let occs = table.col_syms(table.col("__occ")?);
+                    // Each row takes the label of its parent row.
+                    let mut labels = vec![NO_ROW; table.len()];
+                    let ids = at.ids.ids_of(reader, parents);
+                    for ((label, &occ), id) in labels.iter_mut().zip(occs).zip(ids) {
+                        if let (true, Some(id)) = (occ == *tag, id) {
+                            *label = at.labels[id as usize];
+                        }
+                    }
+                    let child = Reached {
+                        ids: InstanceIds::new(self.aig.elem_name(*elem), rowids, reader)?,
+                        table,
+                        labels,
+                    };
+                    self.run_syn(reader, rows, &child, body)?;
+                }
+                SynStep::Keyed(key) => {
+                    let rel = self.store.rel(key)?;
+                    if rel.arity() != rows.comps.len() + 1 {
+                        return Err(MediatorError::Internal("a set of another arity".into()));
+                    }
+                    let owners = at.ids.ids_of(reader, rel.col_syms(0));
+                    let labels: Vec<u32> = owners
+                        .map(|id| id.map_or(NO_ROW, |id| at.labels[id as usize]))
+                        .collect();
+                    let comps = (1..rel.arity()).map(|c| Ok(ScalarCol::Col(c)));
+                    rows.extend(rel, &labels, comps)?;
+                }
+                SynStep::Singleton(binds) => {
+                    let binds = binds.as_ref().map_err(|e| MediatorError::clone(e))?;
+                    let scalars = binds.iter().map(|b| ScalarCol::of_bind(b, at.table));
+                    rows.extend(at.table, &at.labels, scalars)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     fn check_guard(&self, occ: &Occ, guard: usize) -> Result<(), MediatorError> {
@@ -1043,10 +1077,21 @@ pub(crate) fn scalar_col(
     base: &Relation,
     what: &str,
 ) -> Result<ScalarCol, MediatorError> {
+    ScalarCol::of_bind(&*scalar_bind(aig, binding, expr, what)?, base)
+}
+
+/// [`scalar_col`]'s resolution through the copy chain, before any table is
+/// read: a constant, or `binding`'s bind of an inherited field.
+pub(crate) fn scalar_bind<'b>(
+    aig: &Aig,
+    binding: &'b Binding,
+    expr: &ValueExpr,
+    what: &str,
+) -> Result<Cow<'b, ScalarBind>, MediatorError> {
     match resolve_scalar(aig, binding.elem, expr) {
-        Some(ResolvedScalar::Const(v)) => Ok(ScalarCol::Const(intern::intern_owned(v))),
+        Some(ResolvedScalar::Const(v)) => Ok(Cow::Owned(ScalarBind::Const(v))),
         Some(ResolvedScalar::InhField(f)) => match binding.scalars.get(&f) {
-            Some(bind) => ScalarCol::of_bind(bind, base),
+            Some(bind) => Ok(Cow::Borrowed(bind)),
             None => Err(MediatorError::Internal(format!(
                 "missing scalar binding `{f}`"
             ))),
@@ -1065,97 +1110,34 @@ struct Reached<'r> {
     table: &'r Relation,
     ids: InstanceIds<'r>,
     labels: Vec<u32>,
-    /// The expansions done over these rows ([`SynWalk`]).
-    expanded: Expanded,
 }
 
-/// One pass of [`Executor::compute_syn`]: the rows emitted so far, each as
-/// its owner's position in the top table and its components.
-struct SynPass<'e, 'a, S: RelSource> {
-    exec: &'e Executor<'a, S>,
-    /// Taken before the pass: every symbol it reads is in a finished input.
-    reader: Reader,
+/// The rows a synthesized pass emitted so far, each as its owner's position
+/// in the top table and its components.
+struct SynRows {
     owners: Vec<u32>,
     comps: Vec<Vec<Sym>>,
 }
 
-impl<'a, S: RelSource> SynVisit for SynPass<'_, 'a, S> {
-    type At = Reached<'a>;
-
-    fn expanded<'x>(&self, at: &'x mut Reached<'a>) -> &'x mut Expanded {
-        &mut at.expanded
-    }
-
-    fn singleton(
+impl SynRows {
+    /// Appends a row per row of `table` whose label is not [`NO_ROW`]: the
+    /// label as its owner, and `scalars` over `table` as its components.
+    fn extend(
         &mut self,
-        binding: &Binding,
-        at: &Reached,
-        exprs: &[ValueExpr],
+        table: &Relation,
+        labels: &[u32],
+        scalars: impl IntoIterator<Item = Result<ScalarCol, MediatorError>>,
     ) -> Result<(), MediatorError> {
-        let what = "scalar expression at";
-        let scalars = (exprs.iter())
-            .map(|e| scalar_col(self.exec.aig, binding, e, at.table, what))
-            .collect::<Result<Vec<_>, _>>()?;
-        for (row, &label) in at.labels.iter().enumerate() {
-            if label != NO_ROW {
-                self.owners.push(label);
-                for (col, scalar) in self.comps.iter_mut().zip(&scalars) {
-                    col.push(scalar.at(at.table, row));
-                }
-            }
+        let reached = || (0..).zip(labels).filter(|(_, &label)| label != NO_ROW);
+        let n = reached().count();
+        self.owners.reserve(n);
+        self.owners.extend(reached().map(|(_, &label)| label));
+        for (col, scalar) in self.comps.iter_mut().zip(scalars) {
+            let scalar = scalar?;
+            col.reserve(n);
+            col.extend(reached().map(|(row, _)| scalar.at(table, row)));
         }
         Ok(())
-    }
-
-    fn keyed(&mut self, at: &Reached, key: &RelKey) -> Result<(), MediatorError> {
-        let rel = self.exec.store.rel(key)?;
-        if rel.arity() != self.comps.len() + 1 {
-            return Err(MediatorError::Internal("a set of another arity".into()));
-        }
-        let mut keep = Vec::new();
-        for (r, id) in (0u32..).zip(at.ids.ids_of(&self.reader, rel.col_syms(0))) {
-            let label = id.map_or(NO_ROW, |id| at.labels[id as usize]);
-            if label != NO_ROW {
-                self.owners.push(label);
-                keep.push(r);
-            }
-        }
-        for (c, col) in self.comps.iter_mut().enumerate() {
-            col.extend(apply_perm(rel.col_syms(c + 1), &keep));
-        }
-        Ok(())
-    }
-
-    fn child(
-        &mut self,
-        at: &Reached,
-        elem: ElemIdx,
-        tag: &str,
-    ) -> Result<Reached<'a>, MediatorError> {
-        let (exec, reader) = (self.exec, &self.reader);
-        let table = exec.store.rel(&RelKey::Instances(elem))?;
-        let rowids = table.col_syms(table.col("__rowid")?);
-        let parents = table.col_syms(table.col("__parent")?);
-        let occs = table.col_syms(table.col("__occ")?);
-        // Each row takes the label of its parent row.
-        let mut labels = vec![NO_ROW; table.len()];
-        if let Some(tag) = intern::lookup(&Value::str(tag)) {
-            let rows = labels
-                .iter_mut()
-                .zip(occs)
-                .zip(at.ids.ids_of(reader, parents));
-            for ((label, &occ), id) in rows {
-                if let (true, Some(id)) = (occ == tag, id) {
-                    *label = at.labels[id as usize];
-                }
-            }
-        }
-        Ok(Reached {
-            ids: InstanceIds::new(exec.aig.elem_name(elem), rowids, reader)?,
-            table,
-            labels,
-            expanded: HashSet::new(),
-        })
     }
 }
 

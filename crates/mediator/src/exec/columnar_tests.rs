@@ -21,7 +21,7 @@
 //! positions.
 
 use super::*;
-use crate::graph::{build_graph, GraphOptions};
+use crate::graph::{branch_tag, build_graph, occ_tag, GraphOptions, SynWalk};
 use crate::tagging::tag_document;
 use crate::unfold::{unfold, CutOff};
 use aig_core::paper::sigma0;
@@ -44,7 +44,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
     /// returning the relation it produces (None for guards).
     fn run_task(&self, task: &Task) -> Result<Option<Relation>, MediatorError> {
         match &task.kind {
-            TaskKind::Root => {
+            TaskKind::Root { .. } => {
                 let root_info = self.0.aig.elem_info(self.0.aig.root);
                 let columns = instance_columns(&root_info.inh);
                 let mut row = vec![
@@ -303,7 +303,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                 }
                 Ok(Some(rel))
             }
-            TaskKind::SynAgg { occ, field } => Ok(Some(self.compute_syn(occ, field)?)),
+            TaskKind::SynAgg { occ, field, .. } => Ok(Some(self.compute_syn(occ, field)?)),
             TaskKind::Guard { occ, guard } => {
                 // Guards were not rewritten: they produce no relation.
                 if self.0.opts.policy.check_guards {
@@ -606,8 +606,8 @@ fn row_rekey_by_parent(
 
 mod row_tagger {
     use crate::error::MediatorError;
-    use crate::exec::{branch_tag, occ_tag, RelStore};
-    use crate::graph::{Binding, Occ, RelKey, ScalarBind, TaskGraph};
+    use crate::exec::RelStore;
+    use crate::graph::{branch_tag, occ_tag, Binding, Occ, RelKey, ScalarBind, TaskGraph};
     use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
     use aig_core::spec::{Aig, ElemIdx, Prod};
     use aig_relstore::{Relation, Value};
@@ -1149,7 +1149,7 @@ fn walk_with(
         let columnar = exec.run_task(task);
         assert_eq!(columnar, reference.run_task(task), "{}", task.label);
         kinds[match &task.kind {
-            TaskKind::Root => 0,
+            TaskKind::Root { .. } => 0,
             TaskKind::Gen { query: Some(_), .. } => 1,
             TaskKind::Gen { query: None, .. } => 2,
             TaskKind::InhSetQuery { .. } => 3,
@@ -1235,31 +1235,33 @@ fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
     let ship = crate::batch::ShipLedger::default();
     let store = walk(&fx, &opts, None, &mut [0; 8]);
 
-    // The condition query answers for the instances it was given; the base
-    // table read after it has one of them under a foreign rowid.
+    // One `order` under a foreign rowid: in the base table read after the
+    // condition query, whose ids are then not its row positions, or in the
+    // query's input, which answers for an instance the base table does not
+    // have. A pick is placed at its owner's id, so either is a bad id.
     let cond = task_where(&fx, |k| matches!(k, TaskKind::Cond { .. }));
     let TaskKind::Cond { occ, .. } = &cond.kind else {
         unreachable!()
     };
     let key = RelKey::Instances(occ.base);
-    let mut instead = store.get(&key).unwrap().clone();
-    assert!(instead.len() > 1, "the fixture has orders on the day");
-    instead.set_cell(0, instead.col("__rowid").unwrap(), Value::int(1 << 40));
-    let swapped = SwapNth {
-        store: &store,
-        key,
-        nth: 1,
-        instead,
-        reads: Cell::new(0),
-    };
-    match executor(&fx, &swapped, &opts, &ship).run_task(cond) {
-        Err(MediatorError::Aig(AigError::BadConditionResult { detail, .. })) => {
-            assert!(
-                detail.contains("condition row for unknown instance"),
-                "{detail}"
-            )
+    for (nth, column) in [(1, "row 0's `__rowid`"), (0, "`__parent`")] {
+        let mut instead = store.get(&key).unwrap().clone();
+        assert!(instead.len() > 1, "the fixture has orders on the day");
+        instead.set_cell(0, instead.col("__rowid").unwrap(), Value::int(1 << 40));
+        let swapped = SwapNth {
+            store: &store,
+            key: key.clone(),
+            nth,
+            instead,
+            reads: Cell::new(0),
+        };
+        match executor(&fx, &swapped, &opts, &ship).run_task(cond) {
+            Err(MediatorError::Internal(msg)) => {
+                let head = format!("bad instance id in T[order]: {column} Int({});", 1u64 << 40);
+                assert!(msg.starts_with(&head), "{msg}")
+            }
+            other => panic!("expected a bad instance id, got {other:?}"),
         }
-        other => panic!("expected BadConditionResult, got {other:?}"),
     }
 
     // A pick table naming an owner the base table does not have (a
@@ -1321,44 +1323,6 @@ fn assemble_input_of_the_wrong_arity_is_a_schema_mismatch() {
         };
         assert!(msg.contains("assemble input"), "{msg}");
     }
-}
-
-#[test]
-fn a_never_interned_occ_tag_matches_no_rows() {
-    let fx = flow(5);
-    let store = walk(&fx, &options(1, false), None, &mut [0; 8]);
-    let (opts, ship) = (options(1, false), crate::batch::ShipLedger::default());
-    let exec = executor(&fx, &store, &opts, &ship);
-    let mut pass = SynPass {
-        exec: &exec,
-        reader: Reader::snapshot(),
-        owners: Vec::new(),
-        comps: Vec::new(),
-    };
-    let doc = instances(&fx, &store, "doc");
-    let top = Reached {
-        table: doc,
-        ids: InstanceIds::new("doc", doc.col_syms(0), &pass.reader).unwrap(),
-        labels: vec![0],
-        expanded: HashSet::new(),
-    };
-    let t_child = instances(&fx, &store, "id");
-    assert!(!t_child.is_empty());
-    let id = fx.aig.elem("id").unwrap();
-    let mut rekey = |tag| {
-        let labels = pass.child(&top, id, tag).unwrap().labels;
-        labels.into_iter().filter(|&l| l != NO_ROW).count()
-    };
-    let tag = "doc.9#9 — a tag no assemble ever wrote";
-    assert_eq!(intern::lookup(&Value::str(tag)), None);
-    assert_eq!(rekey(tag), 0);
-    assert_eq!(
-        intern::lookup(&Value::str(tag)),
-        None,
-        "lookups never intern"
-    );
-    let known = rekey("doc.1#0");
-    assert_eq!(known * 2, t_child.len(), "two occurrences share the rows");
 }
 
 /// The tagger plans every occurrence the productions reach before it
@@ -1803,12 +1767,12 @@ fn one_pass_synthesized_sets_match_the_per_level_reference() {
 
 /// A rule that names one child twice reads it once: under a set a repeated
 /// expansion over the same rows emits only rows already emitted, so the
-/// pass walks it once per table it reaches — its rows before the dedup are
-/// those of the rule naming the child once, not 2^depth times as many — and
-/// every output still equals the per-level reference. Both ways of naming
-/// it count: `syn(procedure).trIdS` twice at `treatment` (one set of rows)
-/// and `collect(treatment.trIdS)` twice at `procedure` (each term builds
-/// its own child rows).
+/// compiled pass holds it once per table it reaches — the pass of the rule
+/// naming the child once, not one 2^depth times as large — and every output
+/// still equals the per-level reference. Both ways of naming it count:
+/// `syn(procedure).trIdS` twice at `treatment` (one set of rows) and
+/// `collect(treatment.trIdS)` twice at `procedure` (each term builds its own
+/// child rows).
 #[test]
 fn a_child_named_twice_is_expanded_once() {
     let twice = |elem: &'static str| {
@@ -1826,36 +1790,18 @@ fn a_child_named_twice_is_expanded_once() {
             *expr = SetExpr::Union(vec![first, expr.clone()]);
         }
     };
-    // The rows one pass emits for `patient.2.trIdS` before its dedup.
-    let emitted = |fx: &Fixture| {
-        let opts = options(1, false);
-        let store = walk(fx, &opts, None, &mut [0; 8]);
-        let ship = crate::batch::ShipLedger::default();
-        let exec = executor(fx, &store, &opts, &ship);
+    // The pass compiled for `patient.2.trIdS` — its steps and the relations
+    // they read — once every task of the fixture matched the reference.
+    let compiled = |fx: &Fixture| {
+        walk(fx, &options(1, false), None, &mut [0; 8]);
         let occ = Occ::mat(fx.aig.elem("patient").unwrap()).child(2);
-        let base = store.get(&RelKey::Instances(occ.base)).unwrap();
-        let mut pass = SynPass {
-            exec: &exec,
-            reader: Reader::snapshot(),
-            owners: Vec::new(),
-            comps: vec![Vec::new()],
-        };
-        let mut top = Reached {
-            table: base,
-            ids: InstanceIds::new("patient", base.col_syms(0), &pass.reader).unwrap(),
-            labels: (0..base.len() as u32).collect(),
-            expanded: HashSet::new(),
-        };
-        let walk = SynWalk::new(&fx.aig, &exec.graph.bindings, false);
-        walk.field(&mut pass, &mut top, &occ, "trIdS", false)
-            .unwrap();
-        pass.owners.len()
+        SynWalk::compile(&fx.aig, &fx.graph.bindings, &occ, "trIdS", false).unwrap()
     };
     let depth = 10;
-    let once = emitted(&hospital_with(1, depth, CutOff::Frontier, "", |_| {}));
-    assert!(once > 0);
+    let once = compiled(&hospital_with(1, depth, CutOff::Frontier, "", |_| {}));
+    assert!(!once.0.is_empty());
     for elem in ["treatment", "procedure"] {
         let fx = hospital_with(1, depth, CutOff::Frontier, "", twice(elem));
-        assert_eq!(emitted(&fx), once, "`{elem}` names its child twice");
+        assert_eq!(compiled(&fx), once, "`{elem}` names its child twice");
     }
 }

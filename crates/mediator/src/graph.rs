@@ -15,17 +15,23 @@
 //! children, and choice branches. All other elements are *virtual* — their
 //! inherited attributes resolve through copy chains into the nearest
 //! materialized ancestor's table, so no query or table is spent on them.
+//!
+//! What the rules fix is fixed here, once: the `__occ` tag of every starred
+//! item's and choice branch's rows is interned into its occurrence's
+//! [`Binding::tags`], and each synthesized set rule (§3.3) is compiled into
+//! the [`SynStep`]s its `SynAgg` task runs. No request spells a tag.
 
 use crate::error::MediatorError;
-use crate::exec::{branch_tag, child_columns, instance_columns, occ_tag};
-use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
+use crate::exec::{child_columns, instance_columns, scalar_bind};
+use aig_core::copyelim::resolve_scalar;
 use aig_core::spec::{
     Aig, ElemIdx, FieldRule, Generator, ParamSource, Prod, QueryRule, SetExpr, SynRule, ValueExpr,
 };
 use aig_core::FieldDecl;
-use aig_relstore::{Catalog, ColNames, SourceId, Value};
+use aig_relstore::{intern, Catalog, ColNames, SourceId, Sym, Value};
 use aig_sql::cost::{estimate, CatalogStats, CostEstimate, CostModel, ParamStats};
 use aig_sql::{FromItem, Pred, QualCol, Query, Scalar, SelectItem, SetRef};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -55,7 +61,8 @@ impl Occ {
         }
     }
 
-    /// A stable display key, also used as the `__occ` tag of instance rows.
+    /// A stable display key, also the stem of the `__occ` tags of the
+    /// instance rows the occurrence's children produce.
     pub fn key(&self, aig: &Aig) -> String {
         let mut s = aig.elem_name(self.base).to_string();
         for p in &self.path {
@@ -64,6 +71,16 @@ impl Occ {
         }
         s
     }
+}
+
+/// The `__occ` tag of rows produced by the generator of `(occ, item)`.
+pub(crate) fn occ_tag(aig: &Aig, occ: &Occ, item: usize) -> String {
+    format!("{}#{item}", occ.key(aig))
+}
+
+/// The `__occ` tag of branch-child rows of a choice occurrence.
+pub(crate) fn branch_tag(aig: &Aig, occ: &Occ, branch: usize) -> String {
+    format!("{}#b{branch}", occ.key(aig))
 }
 
 /// How one scalar inherited field of an occurrence reads out of its base
@@ -115,6 +132,38 @@ pub struct Binding {
     pub occ: Occ,
     pub scalars: HashMap<String, ScalarBind>,
     pub sets: HashMap<String, RelKey>,
+    /// The `__occ` symbol of each starred item's rows by item position
+    /// (`{occ.key}#{item}`), or of each branch's by branch (`{occ.key}#b{n}`);
+    /// [`Sym::NULL`], which no row carries, at a plain item. Assemble writes
+    /// these symbols; the synthesized passes and the tagger match them.
+    pub tags: Vec<Sym>,
+}
+
+impl Binding {
+    /// The binding of `occ`, an occurrence of `elem`, with no field bound
+    /// yet and its tags interned: the one place a tag is spelled.
+    fn new(aig: &Aig, elem: ElemIdx, occ: Occ) -> Binding {
+        let tag = |text: String| intern::intern_owned(Value::str(text));
+        let tags = match &aig.elem_info(elem).prod {
+            Prod::Items(items) => (items.iter().enumerate())
+                .map(|(pos, item)| match item.star {
+                    true => tag(occ_tag(aig, &occ, pos)),
+                    false => Sym::NULL,
+                })
+                .collect(),
+            Prod::Choice { branches, .. } => (0..branches.len())
+                .map(|bno| tag(branch_tag(aig, &occ, bno)))
+                .collect(),
+            Prod::Pcdata { .. } | Prod::Empty => Vec::new(),
+        };
+        Binding {
+            elem,
+            occ,
+            scalars: HashMap::new(),
+            sets: HashMap::new(),
+            tags,
+        }
+    }
 }
 
 /// How a relation parameter enters a vectorized query.
@@ -143,8 +192,9 @@ pub struct VectorQuery {
 /// What a task does.
 #[derive(Debug, Clone)]
 pub enum TaskKind {
-    /// Builds the one-row root instance table (mediator).
-    Root,
+    /// Builds the one-row root instance table (mediator), whose row's
+    /// `__occ` is `tag`, the root occurrence's key.
+    Root { tag: Sym },
     /// A set-oriented generator query for a starred item (at a source), or a
     /// mediator iteration over an already-computed set.
     Gen {
@@ -168,14 +218,42 @@ pub enum TaskKind {
     /// Concatenates the occurrence outputs into the instance table
     /// (mediator).
     Assemble { elem: ElemIdx, inputs: Vec<RelKey> },
-    /// Synthesized-attribute aggregation (mediator).
-    SynAgg { occ: Occ, field: String },
+    /// Synthesized-attribute aggregation (mediator): `occ`'s `field` in one
+    /// pass of `steps` over `occ`'s base rows, deduplicated unless a `bag`.
+    SynAgg {
+        occ: Occ,
+        field: String,
+        bag: bool,
+        steps: Vec<SynStep>,
+    },
     /// Choice condition query (at a source).
     Cond { occ: Occ, query: VectorQuery },
     /// Materializes the instances of one choice branch (mediator).
     BranchMat { occ: Occ, branch: usize },
     /// A compiled-constraint guard check (mediator).
     Guard { occ: Occ, guard: usize },
+}
+
+/// One step of a synthesized pass over the *reached* rows of one instance
+/// table (at the top, every row of the owner occurrence's base table, each
+/// reached for itself). A row a step emits is owned by the owner its reached
+/// row was reached for; steps emit in order, each in row order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SynStep {
+    /// The rows of `elem`'s instance table whose `__occ` is `tag` and whose
+    /// `__parent` is a reached row, each reached for that row's owner:
+    /// `body` runs over them.
+    Child {
+        elem: ElemIdx,
+        tag: Sym,
+        body: Vec<SynStep>,
+    },
+    /// The rows of the relation whose `__owner` is a reached row (an id
+    /// naming no row matches nothing).
+    Keyed(RelKey),
+    /// One row of these scalars per reached row; a scalar that does not
+    /// resolve is its error, returned when the step runs.
+    Singleton(Result<Vec<ScalarBind>, Box<MediatorError>>),
 }
 
 /// One node of the task graph.
@@ -210,6 +288,18 @@ pub struct TaskGraph {
     pub topo: Vec<usize>,
     /// Per-query-rule statistics: how many source queries the graph holds.
     pub source_query_count: usize,
+}
+
+impl Task {
+    /// The vectorized source query the task runs: source tasks only, as
+    /// mediator-side assembly, aggregation and guard tasks ship nothing.
+    pub fn query(&self) -> Option<&VectorQuery> {
+        match &self.kind {
+            TaskKind::Gen { query, .. } => query.as_ref(),
+            TaskKind::InhSetQuery { query, .. } | TaskKind::Cond { query, .. } => Some(query),
+            _ => None,
+        }
+    }
 }
 
 impl TaskGraph {
@@ -374,7 +464,9 @@ impl<'a> Builder<'a> {
         // Root task.
         let root_key = RelKey::Instances(aig.root);
         self.push_task(Task {
-            kind: TaskKind::Root,
+            kind: TaskKind::Root {
+                tag: intern::intern_owned(Value::str(Occ::mat(aig.root).key(aig))),
+            },
             source: SourceId::MEDIATOR,
             label: format!("root[{}]", aig.elem_name(aig.root)),
             deps: Vec::new(),
@@ -418,25 +510,16 @@ impl<'a> Builder<'a> {
             }
             // Identity binding for the materialized element.
             let occ = Occ::mat(e);
-            let info = aig.elem_info(e);
-            let mut scalars = HashMap::new();
-            let mut sets = HashMap::new();
-            for field in &info.inh {
+            let mut binding = Binding::new(aig, e, occ.clone());
+            for field in &aig.elem_info(e).inh {
+                let name = field.name.clone();
                 if field.ty.is_scalar() {
-                    scalars.insert(field.name.clone(), ScalarBind::Col(field.name.clone()));
+                    binding.scalars.insert(name.clone(), ScalarBind::Col(name));
                 } else {
-                    sets.insert(
-                        field.name.clone(),
-                        RelKey::InhSet(occ.clone(), field.name.clone()),
-                    );
+                    let key = RelKey::InhSet(occ.clone(), name.clone());
+                    binding.sets.insert(name, key);
                 }
             }
-            let binding = Binding {
-                elem: e,
-                occ: occ.clone(),
-                scalars,
-                sets,
-            };
             self.bindings.insert(occ.clone(), binding.clone());
             self.visit_production(&binding)?;
         }
@@ -628,7 +711,8 @@ impl<'a> Builder<'a> {
         for (field, rule) in &item.assigns {
             match rule {
                 FieldRule::Scalar(expr) => {
-                    broadcast.push((field.clone(), self.resolve_bind(binding, expr)?));
+                    let bind = scalar_bind(aig, binding, expr, RULE)?.into_owned();
+                    broadcast.push((field.clone(), bind));
                 }
                 _ => {
                     return Err(MediatorError::Unsupported(format!(
@@ -725,8 +809,7 @@ impl<'a> Builder<'a> {
         let item = &items[pos];
         let child_info = aig.elem_info(item.elem);
         let child_occ = binding.occ.child(pos);
-        let mut scalars = HashMap::new();
-        let mut sets = HashMap::new();
+        let mut child_binding = Binding::new(aig, item.elem, child_occ.clone());
         for (field, rule) in &item.assigns {
             let decl = child_info
                 .inh
@@ -737,7 +820,8 @@ impl<'a> Builder<'a> {
                 let FieldRule::Scalar(expr) = rule else {
                     unreachable!("validated types")
                 };
-                scalars.insert(field.clone(), self.resolve_bind(binding, expr)?);
+                let bind = scalar_bind(aig, binding, expr, RULE)?.into_owned();
+                child_binding.scalars.insert(field.clone(), bind);
             } else {
                 let key = match rule {
                     FieldRule::Set(expr) => match self.set_expr_relkey(binding, expr)? {
@@ -777,41 +861,11 @@ impl<'a> Builder<'a> {
                     }
                     FieldRule::Scalar(_) => unreachable!("validated types"),
                 };
-                sets.insert(field.clone(), key);
+                child_binding.sets.insert(field.clone(), key);
             }
         }
-        let child_binding = Binding {
-            elem: item.elem,
-            occ: child_occ.clone(),
-            scalars,
-            sets,
-        };
         self.bindings.insert(child_occ, child_binding.clone());
         Ok(child_binding)
-    }
-
-    /// Resolves a scalar rule expression to a base-table column or constant
-    /// (following copy chains, §4).
-    fn resolve_bind(
-        &self,
-        binding: &Binding,
-        expr: &ValueExpr,
-    ) -> Result<ScalarBind, MediatorError> {
-        match resolve_scalar(self.aig, binding.elem, expr) {
-            Some(ResolvedScalar::Const(v)) => Ok(ScalarBind::Const(v)),
-            Some(ResolvedScalar::InhField(f)) => {
-                binding.scalars.get(&f).cloned().ok_or_else(|| {
-                    MediatorError::Internal(format!(
-                        "binding of `{}` lacks scalar field `{f}`",
-                        self.aig.elem_name(binding.elem)
-                    ))
-                })
-            }
-            None => Err(MediatorError::Unsupported(format!(
-                "a scalar rule at `{}` does not resolve through copy chains",
-                self.aig.elem_name(binding.elem)
-            ))),
-        }
     }
 
     /// Resolves a set expression that is a *pure copy* to the relation it
@@ -880,7 +934,7 @@ impl<'a> Builder<'a> {
     }
 
     /// Creates the SynAgg task for `(occ, field)`. The task computes its
-    /// whole rule in one pass, so it reads the relations the rule's
+    /// whole rule in one compiled pass, so it reads the relations the rule's
     /// expansion reaches (which may enqueue a SynAgg need).
     fn create_syn_task(&mut self, occ: &Occ, field: &str) -> Result<(), MediatorError> {
         let aig = self.aig;
@@ -893,11 +947,8 @@ impl<'a> Builder<'a> {
         })?;
         let ty = &syn_decl(aig, binding.elem, field)?.ty;
         let (bag, comps) = (ty.is_bag(), ty.components().unwrap_or_default());
-        let walk = SynWalk::new(aig, &self.bindings, bag);
-        // The owner space: every SynAgg needs the base instances.
-        let mut deps = SynDeps(vec![(usize::MAX, RelKey::Instances(occ.base))]);
-        walk.field(&mut deps, &mut HashSet::new(), occ, field, false)?;
-        for (_, key) in &deps.0 {
+        let (steps, reads) = SynWalk::compile(aig, &self.bindings, occ, field, bag)?;
+        for key in &reads {
             if let RelKey::Syn(o, f) = key {
                 self.need_syn(o, f);
             }
@@ -906,10 +957,12 @@ impl<'a> Builder<'a> {
             kind: TaskKind::SynAgg {
                 occ: occ.clone(),
                 field: field.to_string(),
+                bag,
+                steps,
             },
             source: SourceId::MEDIATOR,
             label: format!("syn[{}.{field}]", occ.key(aig)),
-            deps: deps.0,
+            deps: reads.into_iter().map(|key| (usize::MAX, key)).collect(),
             output: Some(out_key),
             schema: owned_by(comps),
             est: CostEstimate::ZERO,
@@ -985,15 +1038,7 @@ impl<'a> Builder<'a> {
                 }
                 ParamSource::InhField(f) => {
                     if let Some(bind) = binding.scalars.get(f) {
-                        scalar_subst.insert(
-                            name.clone(),
-                            match bind {
-                                ScalarBind::Col(c) => {
-                                    Scalar::Col(QualCol::new("__base", c.clone()))
-                                }
-                                ScalarBind::Const(v) => Scalar::Const(v.clone()),
-                            },
-                        );
+                        scalar_subst.insert(name.clone(), base_scalar(bind.clone()));
                     } else if let Some(key) = binding.sets.get(f) {
                         rel_params.insert(name.clone(), key.clone());
                     } else {
@@ -1009,25 +1054,9 @@ impl<'a> Builder<'a> {
                         item: *item,
                         field: field.clone(),
                     };
-                    if let Some(resolved) = resolve_scalar(aig, binding.elem, &expr) {
-                        scalar_subst.insert(
-                            name.clone(),
-                            match resolved {
-                                ResolvedScalar::Const(v) => Scalar::Const(v),
-                                ResolvedScalar::InhField(f) => {
-                                    match binding.scalars.get(&f).cloned().ok_or_else(|| {
-                                        MediatorError::Internal(format!(
-                                            "missing scalar binding `{f}`"
-                                        ))
-                                    })? {
-                                        ScalarBind::Col(c) => {
-                                            Scalar::Col(QualCol::new("__base", c))
-                                        }
-                                        ScalarBind::Const(v) => Scalar::Const(v),
-                                    }
-                                }
-                            },
-                        );
+                    if resolve_scalar(aig, binding.elem, &expr).is_some() {
+                        let bind = scalar_bind(aig, binding, &expr, RULE)?.into_owned();
+                        scalar_subst.insert(name.clone(), base_scalar(bind));
                     } else {
                         // Relational sibling syn.
                         let child_occ = binding.occ.child(*item);
@@ -1139,6 +1168,18 @@ impl<'a> Builder<'a> {
     }
 }
 
+/// What [`scalar_bind`] calls a scalar rule expression of the builder's.
+const RULE: &str = "a scalar rule at";
+
+/// A scalar as a vectorized query reads it: a column of `$__base`, or the
+/// constant.
+fn base_scalar(bind: ScalarBind) -> Scalar {
+    match bind {
+        ScalarBind::Col(c) => Scalar::Col(QualCol::new("__base", c)),
+        ScalarBind::Const(v) => Scalar::Const(v),
+    }
+}
+
 /// The columns of a set relation: `__owner`, then the components.
 fn owned_by(comps: &[String]) -> ColNames {
     let owner = std::iter::once("__owner".to_string());
@@ -1188,97 +1229,121 @@ pub fn resolve_syn_key(
     }
 }
 
-/// The expansions done over one set of reached rows: `(occ, field,
+/// The expansions compiled over one set of reached rows: `(occ, field,
 /// under_bag)`.
-pub(crate) type Expanded = HashSet<(Occ, String, bool)>;
+type Expanded = HashSet<(Occ, String, bool)>;
 
-/// The one-pass expansion of a synthesized set rule through the children's
-/// synthesized fields down to the instance tables they read: the graph
-/// builder walks it for a `SynAgg` task's deps, the executor for its rows.
-/// A set-typed field under a bag-typed one is read from its own relation
-/// (its per-instance dedup decides the bag's multiplicities). Under a set, a
-/// repeat over the same reached rows (a child named twice) emits only rows
-/// already emitted, so it is skipped; else the walk doubles per level.
+/// The compiler of a synthesized set rule into the [`SynStep`]s of one
+/// pass: the rule expanded through the children's synthesized fields down
+/// to the instance tables they read. A set-typed field under a bag-typed
+/// one is read from its own relation (its per-instance dedup decides the
+/// bag's multiplicities). Under a set, a repeat over the same reached rows
+/// (a child named twice) emits only rows already emitted, so it is not
+/// compiled; else the pass would double per level.
 pub(crate) struct SynWalk<'g> {
     aig: &'g Aig,
     bindings: &'g HashMap<Occ, Binding>,
     /// The top field is a bag: a repeat is rows of its value.
     bag: bool,
-}
-
-/// What a [`SynWalk`] does at each step.
-pub(crate) trait SynVisit {
-    /// The instance rows reached so far.
-    type At;
-    fn expanded<'x>(&self, at: &'x mut Self::At) -> &'x mut Expanded;
-    /// A relation that orders the walk without being read (a choice's pick
-    /// and branch outputs).
-    fn depends(&mut self, _key: RelKey) {}
-    /// The rows of `elem`'s instance table whose `__parent` is a reached
-    /// row of `at` and whose `__occ` tag is `tag` (a tag never interned
-    /// matches no row).
-    fn child(&mut self, at: &Self::At, elem: ElemIdx, tag: &str)
-        -> Result<Self::At, MediatorError>;
-    /// The rows of the relation `key` whose key, an instance id of `at`,
-    /// names a reached row (an id naming no row matches nothing).
-    fn keyed(&mut self, at: &Self::At, key: &RelKey) -> Result<(), MediatorError>;
-    /// One row of `exprs` over `binding` per reached row of `at`. Rows emit
-    /// in row order.
-    fn singleton(
-        &mut self,
-        binding: &Binding,
-        at: &Self::At,
-        exprs: &[ValueExpr],
-    ) -> Result<(), MediatorError>;
+    /// The relations the pass reads, in walk order, with a choice's pick and
+    /// branch outputs, which order the pass without being read.
+    reads: Vec<RelKey>,
 }
 
 impl<'g> SynWalk<'g> {
-    /// The walk of a field that is a bag when `bag`.
-    pub(crate) fn new(aig: &'g Aig, bindings: &'g HashMap<Occ, Binding>, bag: bool) -> Self {
-        SynWalk { aig, bindings, bag }
+    /// Compiles `occ`'s synthesized `field`, a bag when `bag`: the steps of
+    /// its pass over the rows of `occ`'s base table, and the relations they
+    /// read, that table first.
+    pub(crate) fn compile(
+        aig: &'g Aig,
+        bindings: &'g HashMap<Occ, Binding>,
+        occ: &Occ,
+        field: &str,
+        bag: bool,
+    ) -> Result<(Vec<SynStep>, Vec<RelKey>), MediatorError> {
+        let mut walk = SynWalk {
+            aig,
+            bindings,
+            bag,
+            reads: vec![RelKey::Instances(occ.base)],
+        };
+        let mut steps = Vec::new();
+        walk.field(&mut steps, &mut Expanded::new(), occ, field, false)?;
+        Ok((steps, walk.reads))
     }
 
-    /// Whether expanding `occ`'s `field` under a bag when `bag` is new over `at`.
-    fn first<V: SynVisit>(&self, v: &V, at: &mut V::At, occ: &Occ, field: &str, bag: bool) -> bool {
-        self.bag || v.expanded(at).insert((occ.clone(), field.to_string(), bag))
+    /// Whether expanding `occ`'s `field` under a bag when `bag` is new over
+    /// the rows `memo` belongs to.
+    fn first(&self, memo: &mut Expanded, occ: &Occ, field: &str, bag: bool) -> bool {
+        self.bag || memo.insert((occ.clone(), field.to_string(), bag))
     }
 
-    fn binding(&self, occ: &Occ) -> Result<&Binding, MediatorError> {
+    fn binding(&self, occ: &Occ) -> Result<&'g Binding, MediatorError> {
         self.bindings.get(occ).ok_or_else(|| {
             MediatorError::Internal(format!("unvisited occurrence {}", occ.key(self.aig)))
         })
     }
 
-    /// Expands `occ`'s synthesized `field` over the rows of `at`, under a
-    /// field that is a bag when `under_bag`.
-    pub(crate) fn field<V: SynVisit>(
-        &self,
-        v: &mut V,
-        at: &mut V::At,
+    fn depends(&mut self, key: RelKey) {
+        self.reads.push(key);
+    }
+
+    fn keyed(&mut self, out: &mut Vec<SynStep>, key: RelKey) {
+        self.depends(key.clone());
+        out.push(SynStep::Keyed(key));
+    }
+
+    /// The step over `elem`'s rows tagged `tag` under the reached rows, with
+    /// the steps `body` compiles over them.
+    fn child(
+        &mut self,
+        out: &mut Vec<SynStep>,
+        elem: ElemIdx,
+        tag: Sym,
+        body: impl FnOnce(&mut Self, &mut Vec<SynStep>, &mut Expanded) -> Result<(), MediatorError>,
+    ) -> Result<(), MediatorError> {
+        self.depends(RelKey::Instances(elem));
+        let mut steps = Vec::new();
+        body(self, &mut steps, &mut Expanded::new())?;
+        out.push(SynStep::Child {
+            elem,
+            tag,
+            body: steps,
+        });
+        Ok(())
+    }
+
+    /// Compiles `occ`'s synthesized `field` over the rows `memo` belongs
+    /// to, under a field that is a bag when `under_bag`.
+    fn field(
+        &mut self,
+        out: &mut Vec<SynStep>,
+        memo: &mut Expanded,
         occ: &Occ,
         field: &str,
         under_bag: bool,
     ) -> Result<(), MediatorError> {
         let aig = self.aig;
-        if !self.first(v, at, occ, field, under_bag) {
+        if !self.first(memo, occ, field, under_bag) {
             return Ok(());
         }
         let binding = self.binding(occ)?;
         let bag = syn_decl(aig, binding.elem, field)?.ty.is_bag();
         if under_bag && !bag {
             let key = resolve_syn_key(aig, self.bindings, occ, binding.elem, field)?;
-            return v.keyed(at, &key);
+            self.keyed(out, key);
+            return Ok(());
         }
         let info = aig.elem_info(binding.elem);
         let Prod::Choice { branches, .. } = &info.prod else {
             let FieldRule::Set(expr) = &syn_rule(aig, binding.elem, field)?.rule else {
                 return Err(MediatorError::Internal("non-set SynAgg rule".into()));
             };
-            return self.set(v, at, binding, expr, bag);
+            return self.set(out, memo, binding, expr, bag);
         };
-        v.depends(RelKey::Pick(occ.clone()));
+        self.depends(RelKey::Pick(occ.clone()));
         for (bno, branch) in branches.iter().enumerate() {
-            v.depends(RelKey::BranchOut(occ.clone(), bno));
+            self.depends(RelKey::BranchOut(occ.clone(), bno));
             match branch
                 .syn
                 .iter()
@@ -1287,8 +1352,10 @@ impl<'g> SynWalk<'g> {
             {
                 None | Some(FieldRule::Set(SetExpr::Empty)) => {}
                 Some(FieldRule::Set(SetExpr::ChildSyn { item: 0, field: f })) => {
-                    let mut child = v.child(at, branch.elem, &branch_tag(aig, occ, bno))?;
-                    self.field(v, &mut child, &Occ::mat(branch.elem), f, bag)?;
+                    let child = Occ::mat(branch.elem);
+                    self.child(out, branch.elem, binding.tags[bno], |walk, body, memo| {
+                        walk.field(body, memo, &child, f, bag)
+                    })?;
                 }
                 _ => {
                     return Err(MediatorError::Unsupported(format!(
@@ -1302,11 +1369,11 @@ impl<'g> SynWalk<'g> {
         Ok(())
     }
 
-    fn set<V: SynVisit>(
-        &self,
-        v: &mut V,
-        at: &mut V::At,
-        binding: &Binding,
+    fn set(
+        &mut self,
+        out: &mut Vec<SynStep>,
+        memo: &mut Expanded,
+        binding: &'g Binding,
         expr: &SetExpr,
         bag: bool,
     ) -> Result<(), MediatorError> {
@@ -1316,82 +1383,57 @@ impl<'g> SynWalk<'g> {
             SetExpr::InhField(f) => {
                 let key = (binding.sets.get(f))
                     .ok_or_else(|| MediatorError::Internal(format!("no set binding for `{f}`")))?;
-                v.keyed(at, key)
+                self.keyed(out, key.clone());
+                Ok(())
             }
             SetExpr::ChildSyn { item, field } => {
-                self.field(v, at, &binding.occ.child(*item), field, bag)
+                self.field(out, memo, &binding.occ.child(*item), field, bag)
             }
             SetExpr::Collect { item, field } => {
                 // Checked here: each term builds its own child rows.
-                if !self.first(v, at, &binding.occ.child(*item), field, bag) {
+                if !self.first(memo, &binding.occ.child(*item), field, bag) {
                     return Ok(());
                 }
                 let Prod::Items(items) = &aig.elem_info(binding.elem).prod else {
                     return Err(MediatorError::Internal("collect outside items".into()));
                 };
                 let elem = items[*item].elem;
-                let mut child = v.child(at, elem, &occ_tag(aig, &binding.occ, *item))?;
-                if !syn_decl(aig, elem, field)?.ty.is_scalar() {
-                    return self.field(v, &mut child, &Occ::mat(elem), field, bag);
-                }
-                // A collected scalar: the child's singleton of it.
-                let FieldRule::Scalar(expr) = &syn_rule(aig, elem, field)?.rule else {
-                    return Err(MediatorError::Internal("scalar decl, set rule".into()));
-                };
-                let child_binding = self.binding(&Occ::mat(elem))?;
-                v.singleton(child_binding, &child, std::slice::from_ref(expr))
+                self.child(out, elem, binding.tags[*item], |walk, body, memo| {
+                    if !syn_decl(aig, elem, field)?.ty.is_scalar() {
+                        return walk.field(body, memo, &Occ::mat(elem), field, bag);
+                    }
+                    // A collected scalar: the child's singleton of it.
+                    let FieldRule::Scalar(expr) = &syn_rule(aig, elem, field)?.rule else {
+                        return Err(MediatorError::Internal("scalar decl, set rule".into()));
+                    };
+                    let child_binding = walk.binding(&Occ::mat(elem))?;
+                    body.push(singleton(aig, child_binding, std::slice::from_ref(expr)));
+                    Ok(())
+                })
             }
             SetExpr::Union(terms) => {
                 for term in terms {
-                    self.set(v, at, binding, term, bag)?;
+                    self.set(out, memo, binding, term, bag)?;
                 }
                 Ok(())
             }
-            SetExpr::Singleton(exprs) => v.singleton(binding, at, exprs),
+            SetExpr::Singleton(exprs) => {
+                out.push(singleton(aig, binding, exprs));
+                Ok(())
+            }
         }
     }
 }
 
-/// The relations a `SynAgg` task reads: its [`SynWalk`] without rows.
-struct SynDeps(Vec<(usize, RelKey)>);
-
-impl SynVisit for SynDeps {
-    type At = Expanded;
-
-    fn expanded<'x>(&self, at: &'x mut Expanded) -> &'x mut Expanded {
-        at
-    }
-
-    fn depends(&mut self, key: RelKey) {
-        self.0.push((usize::MAX, key));
-    }
-
-    fn child(&mut self, _: &Expanded, elem: ElemIdx, _: &str) -> Result<Expanded, MediatorError> {
-        self.depends(RelKey::Instances(elem));
-        Ok(Expanded::new())
-    }
-
-    fn keyed(&mut self, _: &Expanded, key: &RelKey) -> Result<(), MediatorError> {
-        self.depends(key.clone());
-        Ok(())
-    }
-
-    fn singleton(
-        &mut self,
-        _: &Binding,
-        _: &Expanded,
-        _: &[ValueExpr],
-    ) -> Result<(), MediatorError> {
-        Ok(())
-    }
+/// The step emitting one row of `exprs` over `binding` per reached row.
+fn singleton(aig: &Aig, binding: &Binding, exprs: &[ValueExpr]) -> SynStep {
+    let bind = |e| scalar_bind(aig, binding, e, "scalar expression at").map(Cow::into_owned);
+    let binds: Result<_, _> = exprs.iter().map(bind).collect();
+    SynStep::Singleton(binds.map_err(Box::new))
 }
 
 /// The declaration of `elem`'s synthesized `field`.
-pub(crate) fn syn_decl<'a>(
-    aig: &'a Aig,
-    elem: ElemIdx,
-    field: &str,
-) -> Result<&'a FieldDecl, MediatorError> {
+fn syn_decl<'a>(aig: &'a Aig, elem: ElemIdx, field: &str) -> Result<&'a FieldDecl, MediatorError> {
     let info = aig.elem_info(elem);
     let decl = info.syn.iter().find(|f| f.name == field);
     decl.ok_or_else(|| {
@@ -1400,11 +1442,7 @@ pub(crate) fn syn_decl<'a>(
 }
 
 /// The rule of `elem`'s synthesized `field` (a choice has one per branch).
-pub(crate) fn syn_rule<'a>(
-    aig: &'a Aig,
-    elem: ElemIdx,
-    field: &str,
-) -> Result<&'a SynRule, MediatorError> {
+fn syn_rule<'a>(aig: &'a Aig, elem: ElemIdx, field: &str) -> Result<&'a SynRule, MediatorError> {
     let info = aig.elem_info(elem);
     let rule = info.syn_rules.iter().find(|r| r.field == field);
     rule.ok_or_else(|| {
@@ -1471,7 +1509,7 @@ pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOpti
             out_bytes: rows * width,
         };
         let est = match &graph.tasks[id].kind {
-            TaskKind::Root => CostEstimate {
+            TaskKind::Root { .. } => CostEstimate {
                 eval_secs: 0.0,
                 out_rows: 1.0,
                 out_bytes: 64.0,
@@ -1500,11 +1538,7 @@ pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOpti
                 let bytes: f64 = inputs.iter().map(|k| dep_est(k).out_bytes).sum();
                 CostEstimate {
                     eval_secs: rows * MEDIATOR_PER_TUPLE_SECS,
-                    out_rows: rows.max(if matches!(graph.tasks[id].kind, TaskKind::Root) {
-                        1.0
-                    } else {
-                        0.0
-                    }),
+                    out_rows: rows.max(0.0),
                     out_bytes: bytes + rows * 12.0,
                 }
             }

@@ -20,7 +20,7 @@
 //! ships a type-correct, key-unique relation; only the cross-source
 //! inclusion constraints of the document can expose the gap).
 
-use crate::graph::{ScalarBind, Task, TaskKind, VectorQuery};
+use crate::graph::{ScalarBind, Task, TaskKind};
 use aig_prng::{Rng, StdRng};
 use aig_relstore::par::RowTable;
 use aig_relstore::{Catalog, Relation, Value, ValueType};
@@ -110,22 +110,11 @@ pub struct IntegrityFinding {
     pub value: String,
 }
 
-/// The task's vectorized source query, when it has one (source tasks only;
-/// mediator-side assembly, aggregation, and guard tasks ship nothing).
-pub(crate) fn task_query(task: &Task) -> Option<&VectorQuery> {
-    match &task.kind {
-        TaskKind::Gen { query, .. } => query.as_ref(),
-        TaskKind::InhSetQuery { query, .. } => Some(query),
-        TaskKind::Cond { query, .. } => Some(query),
-        _ => None,
-    }
-}
-
 /// The primary stored table a task reads (None for mediator tasks and
 /// queries over relation parameters only). This is the `table` coordinate
 /// of the wrong-answer fault model's purity contract.
 pub fn task_table(task: &Task) -> Option<&str> {
-    task_query(task)?.query.from.iter().find_map(|f| match f {
+    task.query()?.query.from.iter().find_map(|f| match f {
         FromItem::Table { table, .. } => Some(table.as_str()),
         FromItem::Param { .. } => None,
     })
@@ -135,7 +124,7 @@ pub fn task_table(task: &Task) -> Option<&str> {
 /// Returns None for tasks that read no stored table — there is nothing to
 /// conform to, and the fault model never corrupts them.
 pub fn profile_task(task: &Task, catalog: &Catalog) -> Option<RelProfile> {
-    let vq = task_query(task)?;
+    let vq = task.query()?;
     // Alias → (source, table) for every stored table in the FROM clause.
     let mut by_alias: HashMap<&str, (&str, &str)> = HashMap::new();
     let mut primary: Option<(&str, &str)> = None;

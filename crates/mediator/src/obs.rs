@@ -754,7 +754,7 @@ pub(crate) struct ReportInputs<'a> {
 
 fn kind_tag(kind: &TaskKind) -> &'static str {
     match kind {
-        TaskKind::Root => "root",
+        TaskKind::Root { .. } => "root",
         TaskKind::Gen { .. } => "gen",
         TaskKind::InhSetQuery { .. } => "inh_set_query",
         TaskKind::Assemble { .. } => "assemble",

@@ -306,7 +306,7 @@ impl ShipCut {
 fn task_reads(aig: &Aig, graph: &TaskGraph, t: usize, out_live: &LiveSet) -> Vec<Read> {
     let task = &graph.tasks[t];
     match &task.kind {
-        TaskKind::Root => Vec::new(),
+        TaskKind::Root { .. } => Vec::new(),
         TaskKind::Gen {
             parent,
             query,

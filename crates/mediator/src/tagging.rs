@@ -18,13 +18,11 @@
 //! match its production.
 
 use crate::error::MediatorError;
-use crate::exec::{
-    branch_tag, group_rows, occ_tag, scalar_col, InstanceIds, RelStore, ScalarCol, NO_ROW,
-};
+use crate::exec::{group_rows, scalar_col, InstanceIds, RelStore, ScalarCol, NO_ROW};
 use crate::graph::{Occ, RelKey, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader, SymMap};
-use aig_relstore::{Relation, Sym, Value};
+use aig_relstore::{Relation, Sym};
 use aig_xml::tree::{TagId, TextId, TreeWriter};
 use aig_xml::{validate, Dtd, Rule, Rules, XmlTree};
 use std::cell::RefCell;
@@ -129,7 +127,9 @@ enum ChildRows {
     /// A plain item: the parent's own base row.
     OfParent,
     /// A starred item or choice branch: the rows of the child's instance
-    /// table that carry one `__occ` symbol under the parent's rowid.
+    /// table that carry its `__occ` symbol (the parent binding's
+    /// [`tags`](crate::graph::Binding::tags) entry) under the parent's
+    /// rowid.
     Tagged(Tagged),
 }
 
@@ -137,15 +137,14 @@ enum ChildRows {
 /// parent's base table: the children of the parent row at position `p` are
 /// `rows[start[p]..start[p + 1]]`, in `__ord` order (row order on ties).
 struct Tagged {
-    /// The `__occ` symbol the rows carry. `None` is a tag nothing ever
-    /// interned, which therefore no row carries.
-    occ: Option<Sym>,
+    /// The `__occ` symbol the rows carry.
+    occ: Sym,
     start: Vec<u32>,
     rows: Vec<u32>,
 }
 
 impl Tagged {
-    fn new(occ: Option<Sym>) -> Self {
+    fn new(occ: Sym) -> Self {
         let (start, rows) = (Vec::new(), Vec::new());
         Tagged { occ, start, rows }
     }
@@ -165,16 +164,14 @@ impl Tagged {
         keys: &mut Vec<u32>,
     ) -> Result<(), MediatorError> {
         keys.clear();
-        if let Some(occ) = self.occ {
-            let occs = child.col_syms(child.col("__occ")?);
-            let parents = child.col_syms(child.col("__parent")?);
-            // Siblings sit together: only a change of parent resolves one.
-            let ids = parent.ids_of(reader, parents);
-            keys.extend(occs.iter().zip(ids).map(|(&row_occ, id)| match id {
-                Some(id) if row_occ == occ => id,
-                _ => NO_ROW,
-            }));
-        }
+        let occs = child.col_syms(child.col("__occ")?);
+        let parents = child.col_syms(child.col("__parent")?);
+        // Siblings sit together: only a change of parent resolves one.
+        let ids = parent.ids_of(reader, parents);
+        keys.extend(occs.iter().zip(ids).map(|(&row_occ, id)| match id {
+            Some(id) if row_occ == self.occ => id,
+            _ => NO_ROW,
+        }));
         let (start, mut rows) = group_rows(keys, parent.len());
         // A parent's ordinals are almost always its rows' `0, 1, …`: compared
         // as those integers' own symbols, they need no value looked up.
@@ -213,7 +210,7 @@ struct Tagger<'a> {
     /// Plan index of every occurrence planned so far.
     ids: HashMap<Occ, usize>,
     plans: Vec<OccPlan<'a>>,
-    /// Snapshot taken once planning has interned its tags and constants.
+    /// Snapshot taken once planning has interned its constants.
     reader: Reader,
 }
 
@@ -239,7 +236,7 @@ impl<'a> Tagger<'a> {
             rowids,
             body,
         });
-        let tagged = |tag: String| ChildRows::Tagged(Tagged::new(intern::lookup(&Value::str(tag))));
+        let tagged = |at: usize| ChildRows::Tagged(Tagged::new(binding.tags[at]));
         // The tagged children in production order: element, occurrence, rows.
         let children: Vec<(ElemIdx, Occ, ChildRows)> = match &aig.elem_info(binding.elem).prod {
             Prod::Empty => Vec::new(),
@@ -253,18 +250,14 @@ impl<'a> Tagger<'a> {
                 .enumerate()
                 .filter(|(_, item)| !aig.elem_info(item.elem).internal)
                 .map(|(pos, item)| match item.star {
-                    true => (
-                        item.elem,
-                        Occ::mat(item.elem),
-                        tagged(occ_tag(aig, &occ, pos)),
-                    ),
+                    true => (item.elem, Occ::mat(item.elem), tagged(pos)),
                     false => (item.elem, occ.child(pos), ChildRows::OfParent),
                 })
                 .collect(),
             Prod::Choice { branches, .. } => branches
                 .iter()
                 .enumerate()
-                .map(|(bno, b)| (b.elem, Occ::mat(b.elem), tagged(branch_tag(aig, &occ, bno))))
+                .map(|(bno, b)| (b.elem, Occ::mat(b.elem), tagged(bno)))
                 .collect(),
         };
         let mut plans = Vec::with_capacity(children.len());
@@ -481,7 +474,7 @@ mod tests {
     use aig_core::paper::sigma0;
     use aig_core::{compile_constraints, decompose_queries, parse_aig};
     use aig_datagen::HospitalConfig;
-    use aig_relstore::{Catalog, Database, Table, TableSchema};
+    use aig_relstore::{Catalog, Database, Table, TableSchema, Value};
 
     /// A spec unfolded to `depth`, its task graph and an executed store.
     struct Run {
@@ -633,7 +626,7 @@ mod tests {
             ("turn an OfParent into Tagged", |tagger, tree| {
                 let at = patient(tagger, tree);
                 let parents = tagger.plans[at].base.len();
-                let mut none = Tagged::new(None);
+                let mut none = Tagged::new(Sym::NULL);
                 none.start = vec![0; parents + 1];
                 children(tagger, at)[0].rows = ChildRows::Tagged(none);
             }),

@@ -140,6 +140,18 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         "execute_graph: {exec_allocs} allocations for {} tasks = {per_task:.1} per task",
         plan.graph.len()
     );
+    // And the synthesized passes and `__occ` tags are the plan's too: a
+    // `SynAgg` task runs the steps its rule was compiled into, and Assemble
+    // writes the symbols its inputs' bindings hold. Re-reading each rule per
+    // request (192.7 allocations per `SynAgg` task) and spelling and looking
+    // up each tag (6 allocations a tag) made 39.4 per task (2,362 for 60
+    // tasks), against COMPILED_PER_TASK.
+    const COMPILED_PER_TASK: f64 = 28.2;
+    assert!(
+        per_task <= 1.1 * COMPILED_PER_TASK,
+        "execute_graph: {per_task:.1} allocations per task against {COMPILED_PER_TASK} \
+         with the passes and tags compiled"
+    );
     // And the names are the plan's: two warm runs give each task's output
     // the very same name slice.
     for task in &plan.graph.tasks {

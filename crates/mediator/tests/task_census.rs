@@ -11,21 +11,24 @@
 //! `alloc_regression`: Table 1's Small hospital, the plan the first request
 //! escalates to.
 //!
-//! Beside it, the two facts every consumer of a graph and its store rests
-//! on, held at every depth the benchmark reaches and on a choice spec: an
-//! instance table's `__rowid`s are its row positions, and a task's deps
-//! name each producer — and so each relation — once.
+//! Beside it, the facts every consumer of a graph and its store rests on,
+//! held at every depth the benchmark reaches and on a choice spec: an
+//! instance table's `__rowid`s are its row positions, a task's deps name
+//! each producer — and so each relation — once, and the `__occ` tags are
+//! the plan's: interned once per starred item and choice branch of an
+//! occurrence into its binding, and written by Assemble as they are.
 
 use aig_core::paper::sigma0;
 use aig_core::spec::{Aig, ElemIdx, FieldRule, Prod, SetExpr, SynRule};
 use aig_core::{compile_constraints, decompose_queries, parse_aig};
 use aig_datagen::{DatasetSize, HospitalConfig};
-use aig_mediator::graph::{RelKey, TaskKind};
+use aig_mediator::graph::{Occ, RelKey, TaskGraph, TaskKind};
 use aig_mediator::{
     build_graph, execute_graph, unfold, CutOff, ExecOptions, ExecPolicy, GraphOptions, Mediator,
     MediatorOptions, Scheduling,
 };
-use aig_relstore::{Catalog, Database, Table, TableSchema, Value};
+use aig_relstore::intern::resolve;
+use aig_relstore::{Catalog, Database, Sym, Table, TableSchema, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Whether a synthesized rule can produce a row: it injects values itself
@@ -120,7 +123,7 @@ fn every_syn_agg_task_computes_a_distinct_value_that_can_exist() {
     let mut per_field: BTreeMap<&str, usize> = BTreeMap::new();
     let mut dead = Vec::new();
     for (id, task) in graph.tasks.iter().enumerate() {
-        let TaskKind::SynAgg { occ, field } = &task.kind else {
+        let TaskKind::SynAgg { occ, field, .. } = &task.kind else {
             continue;
         };
         by_occ.entry(occ.clone()).or_default().push(id);
@@ -161,7 +164,7 @@ fn every_syn_agg_task_computes_a_distinct_value_that_can_exist() {
     // with equal rows are not one value: the bag's duplicates are what a
     // key guard checks.
     let kind = |t: usize| {
-        let TaskKind::SynAgg { occ, field } = &graph.tasks[t].kind else {
+        let TaskKind::SynAgg { occ, field, .. } = &graph.tasks[t].kind else {
             unreachable!()
         };
         let info = plan.aig.elem_info(graph.bindings[occ].elem);
@@ -254,6 +257,18 @@ fn orders() -> (Aig, Catalog) {
     (aig, catalog)
 }
 
+/// `source` compiled, unfolded to `depth` and its task graph.
+fn graph_at(source: &Aig, catalog: &Catalog, depth: usize) -> (Aig, TaskGraph) {
+    let compiled = match source.constraints.is_empty() {
+        true => source.clone(),
+        false => compile_constraints(source).unwrap(),
+    };
+    let specialized = decompose_queries(&compiled).unwrap().0;
+    let aig = unfold(&specialized, depth, CutOff::Truncate).unwrap().aig;
+    let graph = build_graph(&aig, catalog, &GraphOptions::default()).unwrap();
+    (aig, graph)
+}
+
 /// Builds `source`'s graph at `depth` and runs it under the one-worker and
 /// the per-source walk, checking both facts on the graph and on each
 /// store: every task's deps name distinct producers, each the producer of
@@ -266,13 +281,7 @@ fn ids_are_positions_and_deps_are_distinct(
     depth: usize,
     args: &[(&str, Value)],
 ) -> usize {
-    let compiled = match source.constraints.is_empty() {
-        true => source.clone(),
-        false => compile_constraints(source).unwrap(),
-    };
-    let specialized = decompose_queries(&compiled).unwrap().0;
-    let aig = unfold(&specialized, depth, CutOff::Truncate).unwrap().aig;
-    let graph = build_graph(&aig, catalog, &GraphOptions::default()).unwrap();
+    let (aig, graph) = graph_at(source, catalog, depth);
     for task in &graph.tasks {
         let producers: HashSet<usize> = task.deps.iter().map(|(d, _)| *d).collect();
         let keys: HashSet<&RelKey> = task.deps.iter().map(|(_, k)| k).collect();
@@ -323,4 +332,86 @@ fn instance_ids_are_row_positions_and_task_deps_are_distinct() {
     let args = [("day", Value::str("mon"))];
     let rows = ids_are_positions_and_deps_are_distinct(&aig, &catalog, 2, &args);
     assert!(rows > 20, "orders: {rows} instance rows");
+}
+
+/// Builds `source`'s graph at `depth` and runs it, checking the tags on the
+/// graph and on the store: each binding holds the symbol of `{occ.key}#{item}`
+/// at each starred item and of `{occ.key}#b{n}` at each choice branch (and
+/// `Sym::NULL` at a plain item), the root task the root occurrence's key,
+/// and every instance table's `__occ` cells are, input by input, the
+/// symbol its producer's binding holds. Returns the `__occ` cells checked.
+fn occ_tags_are_the_bindings(
+    source: &Aig,
+    catalog: &Catalog,
+    depth: usize,
+    args: &[(&str, Value)],
+) -> usize {
+    let (aig, graph) = graph_at(source, catalog, depth);
+    let spelled = |sym: Sym, text: String| assert_eq!(resolve(sym), &Value::str(text));
+    for (occ, binding) in &graph.bindings {
+        let key = occ.key(&aig);
+        match &aig.elem_info(binding.elem).prod {
+            Prod::Items(items) => {
+                assert_eq!(binding.tags.len(), items.len(), "{key}");
+                for (item, (spec, &tag)) in items.iter().zip(&binding.tags).enumerate() {
+                    match spec.star {
+                        true => spelled(tag, format!("{key}#{item}")),
+                        false => assert_eq!(tag, Sym::NULL, "{key}#{item}"),
+                    }
+                }
+            }
+            Prod::Choice { branches, .. } => {
+                assert_eq!(binding.tags.len(), branches.len(), "{key}");
+                for (b, &tag) in binding.tags.iter().enumerate() {
+                    spelled(tag, format!("{key}#b{b}"));
+                }
+            }
+            Prod::Pcdata { .. } | Prod::Empty => assert!(binding.tags.is_empty(), "{key}"),
+        }
+    }
+    let run = execute_graph(&aig, catalog, &graph, args, &ExecOptions::default()).unwrap();
+    let mut cells = 0;
+    for task in &graph.tasks {
+        let (elem, written) = match &task.kind {
+            TaskKind::Root { tag } => {
+                spelled(*tag, Occ::mat(aig.root).key(&aig));
+                (aig.root, vec![(*tag, 1)])
+            }
+            TaskKind::Assemble { elem, inputs } => {
+                let part = |input: &RelKey| {
+                    let (RelKey::GenOut(occ, at) | RelKey::BranchOut(occ, at)) = input else {
+                        panic!("{}: an input {input:?}", task.label)
+                    };
+                    let rows = run.store.get(input).unwrap().len();
+                    (graph.bindings[occ].tags[*at], rows)
+                };
+                (*elem, inputs.iter().map(part).collect())
+            }
+            _ => continue,
+        };
+        let table = run.store.get(&RelKey::Instances(elem)).unwrap();
+        let mut occs = table.col_syms(table.col("__occ").unwrap()).iter();
+        for (tag, rows) in written {
+            let got: Vec<Sym> = occs.by_ref().take(rows).copied().collect();
+            assert_eq!(got, vec![tag; rows], "{}", task.label);
+            cells += rows;
+        }
+        assert_eq!(occs.next(), None, "{}", task.label);
+    }
+    cells
+}
+
+#[test]
+fn occ_tags_are_interned_with_the_graph_and_written_as_they_are() {
+    let data = HospitalConfig::tiny(3).generate().unwrap();
+    let args = [("date", Value::str(&data.dates[0]))];
+    let aig = sigma0().unwrap();
+    for depth in [3, 6, 12, 24] {
+        let cells = occ_tags_are_the_bindings(&aig, &data.catalog, depth, &args);
+        assert!(cells > 50, "depth {depth}: {cells} `__occ` cells");
+    }
+    let (aig, catalog) = orders();
+    let args = [("day", Value::str("mon"))];
+    let cells = occ_tags_are_the_bindings(&aig, &catalog, 2, &args);
+    assert!(cells > 10, "orders: {cells} `__occ` cells");
 }

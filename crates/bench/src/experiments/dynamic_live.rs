@@ -81,6 +81,7 @@ fn workload(s1: SourceId, s2: SourceId, s3: SourceId) -> (TaskGraph, Vec<f64>) {
         materialized: vec![],
         topo,
         source_query_count: 0,
+        tag_plan: Default::default(),
     };
     (graph, pace)
 }

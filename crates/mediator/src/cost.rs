@@ -91,6 +91,12 @@ impl CostGraph {
     /// whose producer was itself a contracted pass-through is contracted
     /// too, so a chain of them collapses into the query at its head.
     pub fn contract_passthrough(&self) -> CostGraph {
+        self.contract_passthrough_with(|_, _| {})
+    }
+
+    /// [`CostGraph::contract_passthrough`], telling `contracted` each
+    /// `(producer, pass-through)` pair in the order they are contracted.
+    fn contract_passthrough_with(&self, mut contracted: impl FnMut(usize, usize)) -> CostGraph {
         let mut ws = Workspace::structural();
         ws.load(self);
         let mut nodes = self.nodes.clone();
@@ -100,6 +106,7 @@ impl CostGraph {
             }
             _ => None,
         }) {
+            contracted(producer, id);
             ws.contract(&mut nodes, producer, id, 0.0);
         }
         ws.cur.to_graph(nodes)
@@ -135,6 +142,32 @@ impl CostGraph {
             }
         }
         Ok(())
+    }
+}
+
+/// The pass-through contraction of one task graph's cost graph
+/// ([`CostGraph::contract_passthrough`]), recorded once: the pairs it
+/// contracts, in order, and the nodes it leaves. Which nodes it contracts
+/// depends on the graph's shape alone, so every re-simulation replays it
+/// over its own costs ([`Workspace::replay`]) instead of building the cost
+/// graph and searching it again.
+#[derive(Debug, Clone)]
+pub(crate) struct Contraction {
+    pairs: Vec<(usize, usize)>,
+    /// Sources, flags and members of the contracted nodes; their costs are
+    /// a replay's.
+    nodes: Vec<CostNode>,
+}
+
+impl Contraction {
+    pub(crate) fn record(graph: &TaskGraph) -> Contraction {
+        let shape = CostGraph::from_task_graph(graph, &vec![TaskCost::default(); graph.len()]);
+        let mut pairs = Vec::new();
+        let contracted = shape.contract_passthrough_with(|keep, gone| pairs.push((keep, gone)));
+        Contraction {
+            pairs,
+            nodes: contracted.nodes,
+        }
     }
 }
 
@@ -717,6 +750,47 @@ impl Workspace {
         self.cur.load(graph, &self.net);
     }
 
+    /// Prices what this evaluator loads over `net` from now on.
+    pub(crate) fn set_network(&mut self, net: &NetworkModel) {
+        self.net = net.clone();
+    }
+
+    /// Loads the cost graph of `graph` under `costs` — what loading
+    /// `CostGraph::from_task_graph(graph, costs)` loads — then replays
+    /// `contraction` on it, and returns the contracted graph's nodes (their
+    /// costs are the loaded graph's, see [`Flat::to_graph`]): the loaded
+    /// graph is `CostGraph::from_task_graph(graph, costs)
+    /// .contract_passthrough()`, priced as loading that would price it.
+    pub(crate) fn replay(
+        &mut self,
+        graph: &TaskGraph,
+        costs: &[TaskCost],
+        contraction: &Contraction,
+    ) -> Vec<CostNode> {
+        let flat = &mut self.cur;
+        flat.clear();
+        for task in &graph.tasks {
+            flat.source.push(task.source);
+        }
+        for (task, cost) in graph.tasks.iter().zip(costs) {
+            flat.eval.push(cost.eval_secs);
+            flat.dep_start.push(flat.dep.len());
+            for &(d, _) in &task.deps {
+                let from = flat.source[d];
+                let priced =
+                    Edge::priced(&self.net, d as u32, from, task.source, costs[d].out_bytes);
+                flat.dep.push(priced);
+            }
+        }
+        flat.dep_start.push(flat.dep.len());
+        for &(keep, gone) in &contraction.pairs {
+            self.cand
+                .contract_from(&self.cur, keep, gone, 0.0, &self.net);
+            std::mem::swap(&mut self.cur, &mut self.cand);
+        }
+        contraction.nodes.clone()
+    }
+
     /// `ℓevel` of every node of `graph`.
     pub fn levels(&mut self, graph: &CostGraph) -> &[f64] {
         self.load(graph);
@@ -1023,6 +1097,96 @@ mod tests {
             ws.contract(&mut nodes, pairs[0].0, pairs[0].1, 0.05);
         }
         assert_eq!(nodes.len(), 3);
+    }
+
+    /// The task graphs of σ0 at depths 3, 6, 12 and 24 and of a choice spec.
+    fn task_graphs() -> Vec<(String, TaskGraph)> {
+        use crate::graph::{build_graph, GraphOptions};
+        use crate::unfold::{unfold, CutOff};
+        let specialize = |aig: &aig_core::spec::Aig| {
+            let compiled = match aig.constraints.is_empty() {
+                true => aig.clone(),
+                false => aig_core::compile_constraints(aig).unwrap(),
+            };
+            aig_core::decompose_queries(&compiled).unwrap().0
+        };
+        let build = |aig: &aig_core::spec::Aig, catalog, depth| {
+            let unfolded = unfold(&specialize(aig), depth, CutOff::Truncate).unwrap();
+            build_graph(&unfolded.aig, catalog, &GraphOptions::default()).unwrap()
+        };
+        let sigma0 = aig_core::paper::sigma0().unwrap();
+        let catalog = aig_core::paper::mini_hospital_catalog().unwrap();
+        let mut graphs: Vec<(String, TaskGraph)> = [3, 6, 12, 24]
+            .into_iter()
+            .map(|depth| {
+                (
+                    format!("σ0 at depth {depth}"),
+                    build(&sigma0, &catalog, depth),
+                )
+            })
+            .collect();
+        let (orders, catalog) = crate::exec::bound_queries::orders();
+        graphs.push(("orders".to_string(), build(&orders, &catalog, 2)));
+        graphs
+    }
+
+    /// A contraction recorded once and replayed over any costs is the cost
+    /// graph built from them and contracted: the same nodes and members, the
+    /// same dependencies and bytes to the bit, and every edge priced as
+    /// loading that graph prices it.
+    #[test]
+    fn a_replayed_contraction_is_the_contracted_cost_graph() {
+        use aig_prng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED_0006);
+        let nets = [NetworkModel::mbps(1.0), NetworkModel::infinite()];
+        for (what, graph) in task_graphs() {
+            let contraction = Contraction::record(&graph);
+            assert!(!contraction.pairs.is_empty(), "{what}: nothing contracted");
+            for round in 0..4 {
+                // Zero costs, and seeded ones with ties and zero sizes.
+                let costs: Vec<TaskCost> = (0..graph.len())
+                    .map(|_| match round {
+                        0 => TaskCost::default(),
+                        _ => TaskCost {
+                            eval_secs: [0.0, 0.5, rng.gen_range(0.0f64..2.0)][rng.gen_range(0..3)],
+                            out_bytes: [0.0, 1e3, rng.gen_range(0.0f64..1e6)][rng.gen_range(0..3)],
+                        },
+                    })
+                    .collect();
+                let want = CostGraph::from_task_graph(&graph, &costs).contract_passthrough();
+                for net in &nets {
+                    let mut ws = Workspace::new(net);
+                    let nodes = ws.replay(&graph, &costs, &contraction);
+                    let got = ws.cur.to_graph(nodes);
+                    assert_eq!(got.len(), want.len(), "{what}");
+                    for (a, b) in got.nodes.iter().zip(&want.nodes) {
+                        assert_eq!(
+                            (a.source, a.mergeable, a.passthrough, &a.members),
+                            (b.source, b.mergeable, b.passthrough, &b.members),
+                            "{what}"
+                        );
+                        assert_eq!(a.eval_secs.to_bits(), b.eval_secs.to_bits(), "{what}");
+                    }
+                    let bits = |g: &CostGraph| -> Vec<Vec<(usize, u64)>> {
+                        let deps = g.deps.iter();
+                        deps.map(|d| d.iter().map(|&(p, b)| (p, b.to_bits())).collect())
+                            .collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    let mut fresh = Workspace::new(net);
+                    fresh.load(&want);
+                    let price = |f: &Flat| -> Vec<(u32, u64, u64)> {
+                        let edges = f.dep.iter();
+                        edges
+                            .map(|e| (e.node, e.trans_secs.to_bits(), e.load_secs.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(price(&ws.cur), price(&fresh.cur), "{what}");
+                    assert_eq!(ws.cur.dep_start, fresh.cur.dep_start, "{what}");
+                    assert_eq!(ws.cost().map(f64::to_bits), fresh.cost().map(f64::to_bits));
+                }
+            }
+        }
     }
 
     #[test]

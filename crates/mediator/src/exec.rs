@@ -12,7 +12,7 @@
 use crate::error::MediatorError;
 use crate::faults::{FaultEnv, FaultEvent, FaultLog, FaultPlan, RetryPolicy, TaskFaultCtx};
 use crate::graph::{
-    resolve_syn_key, Binding, Occ, ParamInput, RelKey, ScalarBind, SynStep, Task, TaskGraph,
+    member_columns, Binding, Occ, ParamInput, RelKey, ScalarBind, SynStep, Task, TaskGraph,
     TaskKind, VectorQuery,
 };
 use crate::integrity;
@@ -24,7 +24,6 @@ use aig_core::AigError;
 use aig_relstore::intern::{self, Reader};
 use aig_relstore::par::{apply_perm, RowTable, PAR_THRESHOLD};
 use aig_relstore::{Catalog, Relation, SharedCol, SourceId, StoreError, Sym, Value};
-use aig_sql::{execute_named as sql_execute_named, ParamValue, Params};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,7 +31,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 #[cfg(test)]
+pub(crate) mod bound_queries;
+#[cfg(test)]
 mod columnar_tests;
+// The row-major references of `columnar_tests` resolve synthesized keys
+// where they read them.
+#[cfg(test)]
+use crate::graph::resolve_syn_key;
 
 /// How the parallel executor orders tasks at each source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -834,33 +839,44 @@ impl<S: RelSource> Executor<'_, S> {
         }
     }
 
-    /// Executes a vectorized query against the catalog, binding relation
-    /// parameters from the store.
+    /// Runs a vectorized query's bound form against the catalog, passing
+    /// its relation parameters from the store by their position in its
+    /// inputs.
     fn run_vector_query(&self, vq: &VectorQuery) -> Result<Relation, MediatorError> {
-        let mut params = Params::new();
-        for (name, input) in &vq.inputs {
-            let rel = match input {
-                ParamInput::Base(e) => self.store.rel(&RelKey::Instances(*e))?.clone(),
-                ParamInput::Rel(key) => self.store.rel(key)?.clone(),
+        // Each input is read from the store once, in order, before the
+        // query runs; the distinct pairs of an `IN` set are the only
+        // relations built for it. A query has a few inputs: their slots sit
+        // on the stack.
+        let (mut inline, mut spilled) = ([None; 8], Vec::new());
+        let slots: &mut [Option<&Relation>] = match vq.inputs.len() {
+            n if n <= inline.len() => &mut inline[..n],
+            n => {
+                spilled.resize(n, None);
+                &mut spilled
+            }
+        };
+        let mut distinct = Vec::new();
+        for ((_, input), slot) in vq.inputs.iter().zip(slots.iter_mut()) {
+            match input {
+                ParamInput::Base(e) => *slot = Some(self.store.rel(&RelKey::Instances(*e))?),
+                ParamInput::Rel(key) => *slot = Some(self.store.rel(key)?),
                 ParamInput::RelFirstDistinct(key) => {
-                    let rel = self.store.rel(key)?;
-                    let first = rel.columns()[1].clone();
-                    rel.project(&["__owner", first.as_str()])
-                        .map_err(MediatorError::Store)?
-                        .with_columns(vec!["__owner".into(), "__member".into()])
-                        .distinct()
+                    distinct.push(first_distinct(self.store.rel(key)?)?);
                 }
-            };
-            params.insert(name.clone(), ParamValue::Rel(rel));
+            }
         }
-        Ok(sql_execute_named(
-            &vq.query,
-            self.catalog,
-            &params,
-            self.threads(),
-            PAR_THRESHOLD,
-            vq.columns.clone(),
-        )?)
+        let bound = vq.bound.as_ref().map_err(Clone::clone)?;
+        let rel = |at: usize| match slots.get(at)? {
+            Some(rel) => Some(*rel),
+            None => {
+                let before = vq.inputs[..at].iter();
+                let n = before.filter(|(_, i)| matches!(i, ParamInput::RelFirstDistinct(_)));
+                distinct.get(n.count())
+            }
+        };
+        let columns = vq.columns.clone();
+        let (threads, catalog) = (self.threads(), self.catalog);
+        Ok(bound.run(&vq.query, catalog, rel, threads, PAR_THRESHOLD, columns)?)
     }
 
     /// The kernels' thread bound, floored at one: the options builder
@@ -968,9 +984,13 @@ impl<S: RelSource> Executor<'_, S> {
         let binding = self.binding(occ)?;
         let info = self.aig.elem_info(binding.elem);
         let g = &info.guards[guard];
-        let field_rel = |field: &str| {
-            let key = resolve_syn_key(self.aig, &self.graph.bindings, occ, binding.elem, field)?;
-            self.store.rel(&key)
+        // The relation of the guard's `at`-th field, fixed at build.
+        let field_rel = |at: usize| {
+            let keys = binding.guard_fields.get(guard);
+            let key = keys.and_then(|keys| keys.get(at)).ok_or_else(|| {
+                MediatorError::Internal(format!("guard {} has no field {at}", g.label))
+            })?;
+            self.store.rel(key)
         };
         // The guard's verdict: row `r` of `rel`, if any, violates it.
         let verdict = |rel: &Relation, offender: Option<usize>| match offender {
@@ -982,16 +1002,16 @@ impl<S: RelSource> Executor<'_, S> {
             })),
         };
         match &g.kind {
-            GuardKind::Unique { field } => {
-                let rel = field_rel(field)?;
+            GuardKind::Unique { .. } => {
+                let rel = field_rel(0)?;
                 let mut seen = RowTable::new(all_cols(rel), rel.len());
                 verdict(
                     rel,
                     (0..rel.len()).find(|&r| seen.insert(r as u32).is_some()),
                 )
             }
-            GuardKind::Subset { sub, sup } => {
-                let (sub_rel, sup_rel) = (field_rel(sub)?, field_rel(sup)?);
+            GuardKind::Subset { .. } => {
+                let (sub_rel, sup_rel) = (field_rel(0)?, field_rel(1)?);
                 let mut sup_rows = RowTable::new(all_cols(sup_rel), sup_rel.len());
                 for r in 0..sup_rel.len() as u32 {
                     sup_rows.insert(r);
@@ -1005,6 +1025,17 @@ impl<S: RelSource> Executor<'_, S> {
             }
         }
     }
+}
+
+/// The distinct (`__owner`, first component) rows of a set relation, as
+/// `__owner`, `__member`: the set-oriented form of an `IN` predicate.
+fn first_distinct(rel: &Relation) -> Result<Relation, MediatorError> {
+    let owner = rel.col("__owner")?;
+    let member = rel.col(&rel.columns()[1])?;
+    let cols = vec![rel.shared_col(owner), rel.shared_col(member)];
+    let mut out = Relation::from_shared(member_columns().clone(), cols)?;
+    out.dedup();
+    Ok(out)
 }
 
 /// Every symbol column of `rel`: the key columns of a whole-row table.

@@ -30,10 +30,13 @@ use aig_core::spec::{
 use aig_core::FieldDecl;
 use aig_relstore::{intern, Catalog, ColNames, SourceId, Sym, Value};
 use aig_sql::cost::{estimate, CatalogStats, CostEstimate, CostModel, ParamStats};
-use aig_sql::{FromItem, Pred, QualCol, Query, Scalar, SelectItem, SetRef};
+use aig_sql::{
+    BoundQuery, FromItem, ParamBinding, Pred, QualCol, Query, Scalar, SelectItem, SetRef, SqlError,
+};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An occurrence of an element in the unfolded AIG: the nearest materialized
 /// ancestor (`base`) plus the chain of production-item positions leading
@@ -137,6 +140,10 @@ pub struct Binding {
     /// [`Sym::NULL`], which no row carries, at a plain item. Assemble writes
     /// these symbols; the synthesized passes and the tagger match them.
     pub tags: Vec<Sym>,
+    /// The relations of each compiled guard's fields at this occurrence
+    /// (by guard, in field order: `unique`'s one, `subset`'s sub and sup),
+    /// resolved when the guard task is built.
+    pub guard_fields: Vec<Vec<RelKey>>,
 }
 
 impl Binding {
@@ -162,6 +169,7 @@ impl Binding {
             scalars: HashMap::new(),
             sets: HashMap::new(),
             tags,
+            guard_fields: Vec::new(),
         }
     }
 }
@@ -178,15 +186,28 @@ pub enum ParamInput {
     RelFirstDistinct(RelKey),
 }
 
+/// The columns of every [`ParamInput::RelFirstDistinct`] relation, one
+/// allocation shared by all of them.
+pub(crate) fn member_columns() -> &'static ColNames {
+    static NAMES: OnceLock<ColNames> = OnceLock::new();
+    NAMES.get_or_init(|| vec!["__owner".to_string(), "__member".to_string()].into())
+}
+
 /// A source query after set-oriented rewriting.
 #[derive(Debug, Clone)]
 pub struct VectorQuery {
     pub query: Query,
     /// `query.output_columns()`, shared by every relation the query returns.
     pub columns: ColNames,
-    /// Parameter name → what to bind it to at execution time.
+    /// Parameter name → what to bind it to at execution time; a run passes
+    /// the relations in this order.
     pub inputs: Vec<(String, ParamInput)>,
     pub source: SourceId,
+    /// `query` bound once the graph is built: its tables against the
+    /// catalog, its parameters by their position in `inputs` against their
+    /// producers' output columns. A binding error is the one every run of
+    /// the query returns.
+    pub bound: Result<BoundQuery, SqlError>,
 }
 
 /// What a task does.
@@ -288,6 +309,8 @@ pub struct TaskGraph {
     pub topo: Vec<usize>,
     /// Per-query-rule statistics: how many source queries the graph holds.
     pub source_query_count: usize,
+    /// The tagging plan, compiled on the graph's first tagging.
+    pub tag_plan: crate::tagging::TagPlanCell,
 }
 
 impl Task {
@@ -296,6 +319,14 @@ impl Task {
     pub fn query(&self) -> Option<&VectorQuery> {
         match &self.kind {
             TaskKind::Gen { query, .. } => query.as_ref(),
+            TaskKind::InhSetQuery { query, .. } | TaskKind::Cond { query, .. } => Some(query),
+            _ => None,
+        }
+    }
+
+    fn query_mut(&mut self) -> Option<&mut VectorQuery> {
+        match &mut self.kind {
+            TaskKind::Gen { query, .. } => query.as_mut(),
             TaskKind::InhSetQuery { query, .. } | TaskKind::Cond { query, .. } => Some(query),
             _ => None,
         }
@@ -407,6 +438,7 @@ pub fn build_graph(
     b.check_materialization_conflicts()?;
     b.build()?;
     b.patch_deps()?;
+    b.bind_queries();
     let topo = b.topo_order()?;
     let mut graph = TaskGraph {
         tasks: b.tasks,
@@ -415,6 +447,7 @@ pub fn build_graph(
         materialized: b.materialized,
         topo,
         source_query_count: b.source_query_count,
+        tag_plan: Default::default(),
     };
     estimate_costs(&mut graph, catalog, opts);
     Ok(graph)
@@ -536,11 +569,13 @@ impl<'a> Builder<'a> {
                     aig_core::spec::GuardKind::Unique { field } => vec![field],
                     aig_core::spec::GuardKind::Subset { sub, sup } => vec![sub, sup],
                 };
-                let mut deps = Vec::new();
+                let mut keys = Vec::with_capacity(fields.len());
                 for f in fields {
-                    let key = self.syn_relkey(&occ, f)?;
-                    deps.push((usize::MAX, key));
+                    keys.push(self.syn_relkey(&occ, f)?);
                 }
+                let deps = keys.iter().map(|key| (usize::MAX, key.clone())).collect();
+                let binding = self.bindings.get_mut(&occ).expect("a visited occurrence");
+                binding.guard_fields.push(keys);
                 self.push_task(Task {
                     kind: TaskKind::Guard {
                         occ: occ.clone(),
@@ -1006,6 +1041,29 @@ impl<'a> Builder<'a> {
         Ok(())
     }
 
+    /// Binds every source query ([`VectorQuery::bound`]), once each
+    /// producer's output columns are known.
+    fn bind_queries(&mut self) {
+        for id in 0..self.tasks.len() {
+            let Some(vq) = self.tasks[id].query() else {
+                continue;
+            };
+            let schema = |key: &RelKey| self.producer.get(key).map(|&p| &self.tasks[p].schema);
+            let bound = vq.query.bind(self.catalog, |name| {
+                let at = vq.inputs.iter().position(|(n, _)| n == name)?;
+                let columns = match &vq.inputs[at].1 {
+                    ParamInput::Base(e) => schema(&RelKey::Instances(*e))?,
+                    ParamInput::Rel(key) => schema(key)?,
+                    ParamInput::RelFirstDistinct(_) => member_columns(),
+                };
+                Some(ParamBinding::Rel { at, columns })
+            });
+            if let Some(vq) = self.tasks[id].query_mut() {
+                vq.bound = bound;
+            }
+        }
+    }
+
     /// Set-oriented rewriting (§5.1): turns a per-tuple parameterized rule
     /// query into one that joins the whole base instance table, prefixing
     /// the output with the parent row id.
@@ -1164,6 +1222,8 @@ impl<'a> Builder<'a> {
             query,
             inputs,
             source,
+            // Bound with the graph (`Builder::bind_queries`).
+            bound: Err(SqlError::Bind(String::new())),
         })
     }
 }

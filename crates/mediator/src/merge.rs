@@ -11,7 +11,7 @@
 //! stay acyclic. The loop greedily applies the best pair until no pair
 //! improves `cost(Schedule(G))`, exactly as in Fig. 9.
 
-use crate::cost::{response_time, CostGraph, Plan, Workspace};
+use crate::cost::{response_time, CostGraph, CostNode, Plan, Workspace};
 use crate::schedule::schedule;
 use crate::sim::NetworkModel;
 use aig_relstore::SourceId;
@@ -81,8 +81,19 @@ pub fn merge_pair_into(
 pub fn merge(graph: &CostGraph, net: &NetworkModel, overhead_saving_secs: f64) -> MergeOutcome {
     let mut ws = Workspace::new(net);
     ws.load(graph);
-    let mut nodes = graph.nodes.clone();
-    let mut cost = ws.cost().expect("cost graphs are acyclic");
+    let cost = ws.cost().expect("cost graphs are acyclic");
+    merge_from(&mut ws, graph.nodes.clone(), cost, overhead_saving_secs)
+}
+
+/// [`merge`] of the graph `ws` has loaded, whose nodes are `nodes` and
+/// whose unmerged plan costs `cost` — `cost(Schedule(G))`, which is what
+/// [`no_merge`] reports as its response time.
+pub(crate) fn merge_from(
+    ws: &mut Workspace,
+    mut nodes: Vec<CostNode>,
+    mut cost: f64,
+    overhead_saving_secs: f64,
+) -> MergeOutcome {
     let mut decisions = Vec::new();
     let mut pairs = Vec::new();
     loop {
@@ -111,8 +122,9 @@ pub fn merge(graph: &CostGraph, net: &NetworkModel, overhead_saving_secs: f64) -
         cost = candidate_cost;
     }
     let graph = ws.cur.to_graph(nodes);
+    debug_assert!(graph.validate().is_ok(), "non-finite cost input");
     MergeOutcome {
-        plan: schedule(&graph, net),
+        plan: ws.schedule(&graph),
         graph,
         response_secs: cost,
         merges: decisions.len(),

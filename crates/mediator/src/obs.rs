@@ -730,7 +730,8 @@ pub(crate) struct ReportInputs<'a> {
     pub catalog: &'a Catalog,
     pub measured: &'a [Measured],
     pub costs: &'a [TaskCost],
-    pub baseline: &'a MergeOutcome,
+    /// `cost(Schedule(G))` of the unmerged graph.
+    pub unmerged_secs: f64,
     pub merged: &'a MergeOutcome,
     pub net: &'a NetworkModel,
     pub depth: usize,
@@ -811,7 +812,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         catalog,
         measured,
         costs,
-        baseline,
+        unmerged_secs,
         merged,
         net,
         depth,
@@ -1051,7 +1052,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         plan,
         catalog: catalog_obs,
         exec_wall_secs: measured.iter().map(|m| m.secs).sum(),
-        sim_response_unmerged_secs: baseline.response_secs,
+        sim_response_unmerged_secs: unmerged_secs,
         sim_response_merged_secs: merged.response_secs,
         merges: merged.merges,
         resilience: resilience_obs,

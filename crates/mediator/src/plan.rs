@@ -12,12 +12,12 @@
 //! lets a service ([`crate::service::Mediator`]) amortize preparation across
 //! requests the way relational engines amortize prepared statements.
 
-use crate::cost::{measured_costs, CostGraph};
+use crate::cost::{measured_costs, Contraction, Workspace};
 use crate::error::MediatorError;
 use crate::exec::{ExecOptions, ExecResult, Measured, RelStore};
 use crate::faults::FaultOutcome;
 use crate::graph::{build_graph, GraphOptions, Occ, RelKey, TaskGraph};
-use crate::merge::{merge, no_merge, MergeOutcome};
+use crate::merge::merge_from;
 use crate::obs::{build_report, CacheObs, IncrementalObs, Phases, ReportInputs, RunReport};
 use crate::parallel::walk;
 use crate::pipeline::MediatorRun;
@@ -27,8 +27,9 @@ use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
 use aig_relstore::{Catalog, SourceId, Value};
 use aig_xml::{ConstraintSet, Dtd};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The argument-independent half of [`crate::pipeline::MediatorOptions`]:
 /// everything the **Prepare** stage consumes. Two requests with equal
@@ -95,6 +96,9 @@ pub struct PreparedPlan {
     /// task's queries consume — the dependency index of incremental
     /// re-evaluation on source deltas (see [`crate::delta`]).
     pub read_sets: crate::delta::ReadSets,
+    /// The graph's pass-through contraction, recorded by the first run that
+    /// finishes ([`finish_run`]).
+    contraction: OnceLock<Contraction>,
 }
 
 impl PreparedPlan {
@@ -232,8 +236,19 @@ impl FrontEnd {
             per_source,
             shipcut: Some(cut),
             read_sets,
+            contraction: OnceLock::new(),
         })
     }
+}
+
+thread_local! {
+    /// This thread's evaluator for the re-simulation of the runs it
+    /// finishes: its buffers grow to the largest contracted cost graph the
+    /// thread merged and are reused by every later run — ≈ 140 B per node
+    /// and 80 B per dependency edge, plus `n·⌈n/64⌉` 8-byte words of
+    /// descendant bits for `n` nodes (a few KiB for σ0's 60 tasks at depth
+    /// 24). Freed with the thread.
+    static RESIM: RefCell<Workspace> = RefCell::new(Workspace::new(&NetworkModel::infinite()));
 }
 
 /// A completed execution with its relation store and per-task measurements
@@ -430,23 +445,28 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     }
 
     // -- Response-time simulation (§5.2-5.4) ---------------------------------
-    let (costs, cg) = phases.time("simulate", || {
-        let costs = measured_costs(
-            &plan.graph,
-            &measured,
-            plan.options.graph.cost_model.per_query_overhead_secs,
-            plan.options.graph.eval_scale,
-        );
-        let cg = CostGraph::from_task_graph(&plan.graph, &costs).contract_passthrough();
-        (costs, cg)
-    });
-    let baseline = phases.time("schedule", || no_merge(&cg, &policy.network));
-    let merged: MergeOutcome = phases.time("merge", || {
-        merge(
-            &cg,
-            &policy.network,
-            plan.options.graph.cost_model.per_query_overhead_secs,
-        )
+    // On the measured costs, over the plan's recorded pass-through
+    // contraction, in this thread's evaluator. The unmerged response is
+    // `Merge`'s starting cost, `cost(Schedule(G))`.
+    let contraction = plan
+        .contraction
+        .get_or_init(|| Contraction::record(&plan.graph));
+    let overhead = plan.options.graph.cost_model.per_query_overhead_secs;
+    let (costs, unmerged_secs, merged) = RESIM.with_borrow_mut(|ws| {
+        ws.set_network(&policy.network);
+        let (costs, nodes) = phases.time("simulate", || {
+            let costs = measured_costs(
+                &plan.graph,
+                &measured,
+                overhead,
+                plan.options.graph.eval_scale,
+            );
+            let nodes = ws.replay(&plan.graph, &costs, contraction);
+            (costs, nodes)
+        });
+        let unmerged = phases.time("schedule", || ws.cost().expect("cost graphs are acyclic"));
+        let merged = phases.time("merge", || merge_from(ws, nodes, unmerged, overhead));
+        (costs, unmerged, merged)
     });
     let total_secs = phases.elapsed_secs();
     let report = build_report(
@@ -455,7 +475,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             catalog,
             measured: &measured,
             costs: &costs,
-            baseline: &baseline,
+            unmerged_secs,
             merged: &merged,
             net: &policy.network,
             depth: plan.depth,
@@ -477,7 +497,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         depth: plan.depth,
         tasks: plan.graph.len(),
         source_queries: plan.graph.source_query_count,
-        response_unmerged_secs: baseline.response_secs,
+        response_unmerged_secs: unmerged_secs,
         response_merged_secs: merged.response_secs,
         merges: merged.merges,
     };

@@ -228,15 +228,21 @@ impl ShipCut {
 
     /// Dictionary-encoded wire bytes a pruning shipper would put on the
     /// wire for `rel`: the live columns only, duplicates collapsed when
-    /// every costed consumer is duplicate-insensitive. Projection is pure
-    /// column selection (shared `Arc` column buffers), so no cells are
-    /// copied to measure the image, and an output shipped whole is priced
-    /// from its own memoized size. Never larger than `rel.wire_bytes()`.
+    /// every costed consumer is duplicate-insensitive. Equal to
+    /// `ship_image(task, rel).wire_bytes()`, but only a deduplicated image
+    /// is built: otherwise the live columns' memoized sizes are added up
+    /// where they lie. Never larger than `rel.wire_bytes()`.
     pub fn ship_bytes(&self, task: usize, rel: &Relation) -> usize {
-        match self.ships_whole(task, rel) {
-            true => rel.wire_bytes(),
-            false => self.ship_image(task, rel).wire_bytes(),
+        let profile = &self.profiles[task];
+        if profile.dedup {
+            return self.ship_image(task, rel).wire_bytes();
         }
+        // Without a dedup the image is the live columns as they are, and a
+        // relation's wire size is a sum over its columns: add up theirs.
+        let live = (rel.columns().iter().enumerate())
+            .filter(|(pos, name)| profile.live.contains(name, *pos))
+            .map(|(pos, _)| pos);
+        rel.wire_bytes_of(live)
     }
 
     /// The ship image itself: the relation a pruning shipper would put on
@@ -606,6 +612,55 @@ mod tests {
             "no σ0 task ships part of its schema: {fractions:?}"
         );
         assert!(fractions.iter().all(|&f| (0.0..1.0).contains(&f)));
+    }
+
+    /// `ship_bytes` adds up the live columns' sizes where it can: on every
+    /// task output of σ0 at depths 3, 6, 12 and 24 it is the wire size of
+    /// the ship image, asked first of columns never sized and again of
+    /// memoized ones.
+    #[test]
+    fn ship_bytes_is_the_ship_images_wire_size() {
+        let data = aig_datagen::HospitalConfig::tiny(3).generate().unwrap();
+        let args = [("date", aig_relstore::Value::str(&data.dates[0]))];
+        let compiled = compile_constraints(&sigma0().unwrap()).unwrap();
+        let (specialized, _) = decompose_queries(&compiled).unwrap();
+        let (mut summed, mut deduped) = (0, 0);
+        for depth in [3, 6, 12, 24] {
+            let aig = unfold(&specialized, depth, CutOff::Truncate).unwrap().aig;
+            let graph = build_graph(&aig, &data.catalog, &GraphOptions::default()).unwrap();
+            let cut = ShipCut::analyze(&aig, &graph);
+            let opts = crate::exec::ExecOptions::default();
+            let exec = crate::exec::execute_graph(&aig, &data.catalog, &graph, &args, &opts);
+            let store = exec.unwrap().store;
+            for (id, task) in graph.tasks.iter().enumerate() {
+                let Some(rel) = task.output.as_ref().map(|key| store.get(key).unwrap()) else {
+                    continue;
+                };
+                // A copy whose columns carry no memoized size yet.
+                let fresh = || {
+                    let cols = (0..rel.arity()).map(|c| rel.col_syms(c).to_vec()).collect();
+                    Relation::from_columns(rel.names().clone(), cols)
+                };
+                let image = |rel: &Relation| cut.ship_image(id, rel).wire_bytes();
+                let cold = cut.ship_bytes(id, &fresh());
+                assert_eq!(cold, image(&fresh()), "depth {depth}: {}", task.label);
+                assert_eq!(
+                    cut.ship_bytes(id, rel),
+                    image(rel),
+                    "depth {depth}: {}",
+                    task.label
+                );
+                assert_eq!(cold, image(rel), "depth {depth}: {}", task.label);
+                match cut.profile(id).dedup {
+                    true => deduped += 1,
+                    false => summed += 1,
+                }
+            }
+        }
+        assert!(
+            summed > 0 && deduped > 0,
+            "{summed} summed, {deduped} deduplicated"
+        );
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! "In the tagging phase, the tagging plan is applied to these relations to
 //! produce the final output document", entirely within the middleware. The
-//! rows of every starred item and choice branch are sort-merged under the
-//! row positions of their parent's instance table — the relational encoding
-//! of the root-to-node path; an instance id is its row's position, so a
+//! tagging plan is a property of the task graph, not of the data: it is
+//! compiled once per graph, on its first tagging ([`TagPlanCell`]) — every
+//! occurrence's tag, child list and PCDATA copy chain. Per document, the rows
+//! of every starred item and choice branch are sort-merged under the row
+//! positions of their parent's instance table — the relational encoding of
+//! the root-to-node path; an instance id is its row's position, so a
 //! `__parent` names its parent row directly — and the tree is written
 //! top-down, in document order; internal computation states never appear
 //! (they are simply not descended into), and PCDATA resolves through copy
@@ -18,16 +21,19 @@
 //! match its production.
 
 use crate::error::MediatorError;
-use crate::exec::{group_rows, scalar_col, InstanceIds, RelStore, ScalarCol, NO_ROW};
-use crate::graph::{Occ, RelKey, TaskGraph};
+use crate::exec::{group_rows, scalar_bind, InstanceIds, RelStore, ScalarCol, NO_ROW};
+use crate::graph::{Occ, RelKey, ScalarBind, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader, SymMap};
 use aig_relstore::{Relation, Sym};
 use aig_xml::tree::{TagId, TextId, TreeWriter};
 use aig_xml::{validate, Dtd, Rule, Rules, XmlTree};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Builds the document from the executed relations.
 pub fn tag_document(
@@ -35,8 +41,8 @@ pub fn tag_document(
     graph: &TaskGraph,
     store: &RelStore,
 ) -> Result<XmlTree, MediatorError> {
-    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag());
-    Tagger::new(aig, graph, store, &mut tree)?.write(&mut tree)?;
+    let (tagger, mut tree) = Tagger::new(TagPlan::of(aig, graph), aig, graph, store)?;
+    tagger.write(&mut tree)?;
     Ok(tree)
 }
 
@@ -49,8 +55,7 @@ pub(crate) fn tag_proven(
     store: &RelStore,
     dtd: &Dtd,
 ) -> Result<(XmlTree, bool), MediatorError> {
-    let mut tree = XmlTree::new(aig.elem_info(aig.root).tag());
-    let tagger = Tagger::new(aig, graph, store, &mut tree)?;
+    let (tagger, mut tree) = Tagger::new(TagPlan::of(aig, graph), aig, graph, store)?;
     let proven = tagger.proves(&tree, dtd);
     tagger.write(&mut tree)?;
     Ok((tree, proven))
@@ -68,180 +73,165 @@ pub(crate) fn check_output(tree: &XmlTree, dtd: &Dtd, proven: bool) -> Result<()
 
 thread_local! {
     /// This thread's PCDATA memo: the text id of every symbol the document
-    /// being tagged has written so far. Emptied per document, and reused by
-    /// every later one, grown.
+    /// being tagged has written so far. Emptied per document and reused by
+    /// every later one, so it keeps the capacity of the largest: a table of
+    /// 8-byte entries and a control byte each, at most 16/7 slots per
+    /// distinct PCDATA symbol of the largest document the thread tagged —
+    /// under 21 B per symbol (18 KiB for the 1,396 texts of a Small σ0
+    /// report). Freed with the thread.
     static TEXT_IDS: RefCell<SymMap<Sym, TextId>> = RefCell::new(SymMap::default());
 }
 
-/// How one occurrence is tagged: everything the walk needs per node,
-/// resolved once per occurrence — keyed by [`Occ`], never by the address of
-/// a binding — when the [`Tagger`] is built.
-struct OccPlan<'a> {
-    /// The tag of the occurrence's element, registered in the tree being
-    /// written.
+/// A task graph's tagging plan, compiled on the graph's first tagging and
+/// read by every later one: a frontier round that never tags never builds
+/// it.
+#[derive(Default)]
+pub struct TagPlanCell(OnceLock<TagPlan>);
+
+impl TagPlanCell {
+    /// Whether a tagging has compiled the plan.
+    pub fn is_built(&self) -> bool {
+        self.0.get().is_some()
+    }
+}
+
+impl fmt::Debug for TagPlanCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TagPlanCell")
+            .field("built", &self.is_built())
+            .finish()
+    }
+}
+
+/// The tagging plan of one task graph. Every occurrence reachable from the
+/// root through the productions is planned, depth-first, whether or not a
+/// store will hold a row of it; planning stops at the first occurrence
+/// without a binding, and every tagging then fails with that error — after
+/// looking up the base tables of the occurrences planned before it, as a
+/// walk that met them first would. Plans are numbered in that order, the
+/// root's first ([`ROOT_PLAN`]).
+#[derive(Debug, Clone)]
+struct TagPlan {
+    /// The root alone, with every tag the plans write registered in its tag
+    /// table in planning order: each document is written into a copy.
+    tree: XmlTree,
+    plans: Vec<OccPlan>,
+    /// The number of tagged children ([`ChildRows::Tagged`]).
+    tagged: usize,
+    error: Option<MediatorError>,
+}
+
+/// How one occurrence is tagged: everything the walk needs per node that
+/// the graph fixes, keyed by [`Occ`] while planning, never by the address
+/// of a binding.
+#[derive(Debug, Clone)]
+struct OccPlan {
+    /// The tag of the occurrence's element, registered in the plan's tree.
     tag: TagId,
-    /// The occurrence's base element, its instance table and its `__rowid`
-    /// column.
+    /// The occurrence's base element, whose instance table it reads.
     elem: ElemIdx,
-    base: &'a Relation,
-    rowids: &'a [Sym],
     body: Body,
 }
 
+#[derive(Debug, Clone)]
 enum Body {
-    /// PCDATA, resolved through the copy chain into a column of `base` or a
-    /// constant; a text that does not resolve is an error only once a node
-    /// carrying it is emitted.
-    Text(Result<ScalarCol, MediatorError>),
+    /// PCDATA, resolved through the copy chain into a column of the base
+    /// table or a constant; a text that does not resolve is an error only
+    /// once a node carrying it is emitted.
+    Text(Result<ScalarBind, MediatorError>),
     /// The tagged children in production order (none for an empty
     /// production). Computation states are not tagged and have no entry; the
     /// branches of a choice are children keyed by their branch tag.
     Children(Vec<ChildPlan>),
 }
 
+#[derive(Debug, Clone)]
 struct ChildPlan {
     elem: ElemIdx,
-    /// The element's tag, registered in the tree being written.
+    /// The element's tag, registered in the plan's tree.
     tag: TagId,
     /// Index of the child occurrence's plan.
     plan: usize,
     rows: ChildRows,
 }
 
-impl ChildPlan {
-    /// The base rows (of the child's own base table) that are its instances
-    /// under the parent's base row `*base_idx`.
-    fn instances<'s>(&'s self, base_idx: &'s u32) -> &'s [u32] {
-        match &self.rows {
-            ChildRows::OfParent => std::slice::from_ref(base_idx),
-            ChildRows::Tagged(Tagged { start, rows, .. }) => {
-                let at = *base_idx as usize;
-                &rows[start[at] as usize..start[at + 1] as usize]
-            }
-        }
-    }
-}
-
 /// Which rows of the child's base table one parent row has as children.
+#[derive(Debug, Clone, Copy)]
 enum ChildRows {
     /// A plain item: the parent's own base row.
     OfParent,
     /// A starred item or choice branch: the rows of the child's instance
-    /// table that carry its `__occ` symbol (the parent binding's
+    /// table that carry the `__occ` symbol `occ` (the parent binding's
     /// [`tags`](crate::graph::Binding::tags) entry) under the parent's
-    /// rowid.
-    Tagged(Tagged),
-}
-
-/// The rows of one starred item or choice branch, sort-merged under the
-/// parent's base table: the children of the parent row at position `p` are
-/// `rows[start[p]..start[p + 1]]`, in `__ord` order (row order on ties).
-struct Tagged {
-    /// The `__occ` symbol the rows carry.
-    occ: Sym,
-    start: Vec<u32>,
-    rows: Vec<u32>,
-}
-
-impl Tagged {
-    fn new(occ: Sym) -> Self {
-        let (start, rows) = (Vec::new(), Vec::new());
-        Tagged { occ, start, rows }
-    }
-
-    /// Sorts `child`'s rows under the parent rows with one pass over
-    /// `child`: a row carrying `occ` is keyed by the parent row its
-    /// `__parent` names (an id of `parent`, the parent table's instance ids,
-    /// is that row's position), or attaches to no parent. A counting sort by
-    /// parent row follows, then `__ord` order within each parent (linear on
-    /// an assembled table: generator outputs arrive grouped by parent with
-    /// ascending ordinals). `keys` is scratch.
-    fn sort_merge(
-        &mut self,
-        reader: &Reader,
-        child: &Relation,
-        parent: &InstanceIds,
-        keys: &mut Vec<u32>,
-    ) -> Result<(), MediatorError> {
-        keys.clear();
-        let occs = child.col_syms(child.col("__occ")?);
-        let parents = child.col_syms(child.col("__parent")?);
-        // Siblings sit together: only a change of parent resolves one.
-        let ids = parent.ids_of(reader, parents);
-        keys.extend(occs.iter().zip(ids).map(|(&row_occ, id)| match id {
-            Some(id) if row_occ == self.occ => id,
-            _ => NO_ROW,
-        }));
-        let (start, mut rows) = group_rows(keys, parent.len());
-        // A parent's ordinals are almost always its rows' `0, 1, …`: compared
-        // as those integers' own symbols, they need no value looked up.
-        let widest = start.windows(2).map(|b| b[1] - b[0]).max().unwrap_or(0);
-        let counting = intern::int_syms(widest as usize);
-        let ords = child.col_syms(child.col("__ord")?);
-        let ord = |row: &u32| reader.get(ords[*row as usize]).as_int().unwrap_or(0);
-        for bounds in start.windows(2) {
-            let siblings = &mut rows[bounds[0] as usize..bounds[1] as usize];
-            let mut counted = siblings.iter().zip(counting.iter());
-            if !counted.all(|(&row, &i)| ords[row as usize] == i) && !siblings.is_sorted_by_key(ord)
-            {
-                siblings.sort_by_key(ord);
-            }
-        }
-        (self.start, self.rows) = (start, rows);
-        Ok(())
-    }
+    /// rowid, sort-merged per document into the tagger's `tagged[at]`.
+    Tagged { occ: Sym, at: usize },
 }
 
 /// Plans are numbered depth-first from the root occurrence.
 const ROOT_PLAN: usize = 0;
 
-/// The tagging plan of one store, with every tagged child's rows sorted
-/// under its parent's (`Tagged`). Every occurrence reachable from
-/// the root through the productions is planned, depth-first, before the
-/// first node is written — whether or not the store holds a row of it. So an
-/// occurrence without a binding, or one whose base instance table is
-/// missing, is an error up front even where a row-at-a-time walk would never
-/// have reached it (a choice branch no instance takes); only PCDATA
-/// resolution stays deferred to the first node carrying the text.
-struct Tagger<'a> {
-    aig: &'a Aig,
-    graph: &'a TaskGraph,
-    store: &'a RelStore,
-    /// Plan index of every occurrence planned so far.
-    ids: HashMap<Occ, usize>,
-    plans: Vec<OccPlan<'a>>,
-    /// Snapshot taken once planning has interned its constants.
-    reader: Reader,
-}
+impl TagPlan {
+    /// `graph`'s plan, compiled on first use; `aig` is the AIG the graph was
+    /// built from.
+    fn of<'g>(aig: &Aig, graph: &'g TaskGraph) -> &'g TagPlan {
+        graph
+            .tag_plan
+            .0
+            .get_or_init(|| TagPlan::compile(aig, graph))
+    }
 
-impl<'a> Tagger<'a> {
-    fn plan(&mut self, occ: Occ, tree: &mut XmlTree) -> Result<usize, MediatorError> {
-        if let Some(&id) = self.ids.get(&occ) {
+    fn compile(aig: &Aig, graph: &TaskGraph) -> TagPlan {
+        let mut plan = TagPlan {
+            tree: XmlTree::new(aig.elem_info(aig.root).tag()),
+            plans: Vec::new(),
+            tagged: 0,
+            error: None,
+        };
+        let mut ids = HashMap::new();
+        plan.error = plan.plan(aig, graph, &mut ids, Occ::mat(aig.root)).err();
+        // Tagged children are numbered in the order a document sort-merges
+        // them: plan by plan, each plan's in production order.
+        for occ in &mut plan.plans {
+            let Body::Children(children) = &mut occ.body else {
+                continue;
+            };
+            for child in children {
+                if let ChildRows::Tagged { at, .. } = &mut child.rows {
+                    *at = plan.tagged;
+                    plan.tagged += 1;
+                }
+            }
+        }
+        plan
+    }
+
+    fn plan(
+        &mut self,
+        aig: &Aig,
+        graph: &TaskGraph,
+        ids: &mut HashMap<Occ, usize>,
+        occ: Occ,
+    ) -> Result<usize, MediatorError> {
+        if let Some(&id) = ids.get(&occ) {
             return Ok(id);
         }
-        let (aig, graph) = (self.aig, self.graph);
         let binding = graph.bindings.get(&occ).ok_or_else(|| {
             MediatorError::Internal(format!("unknown occurrence {}", occ.key(aig)))
         })?;
-        let base = self.store.get(&RelKey::Instances(occ.base))?;
-        let rowids = base.col_syms(base.col("__rowid")?);
         let id = self.plans.len();
-        self.ids.insert(occ.clone(), id);
-        let tag = tree.intern_tag(aig.elem_info(binding.elem).tag());
+        ids.insert(occ.clone(), id);
+        let tag = self.tree.intern_tag(aig.elem_info(binding.elem).tag());
         let (elem, body) = (occ.base, Body::Children(Vec::new()));
-        self.plans.push(OccPlan {
-            tag,
-            elem,
-            base,
-            rowids,
-            body,
-        });
-        let tagged = |at: usize| ChildRows::Tagged(Tagged::new(binding.tags[at]));
+        self.plans.push(OccPlan { tag, elem, body });
+        let tagged = |at: usize| ChildRows::Tagged {
+            occ: binding.tags[at],
+            at: 0,
+        };
         // The tagged children in production order: element, occurrence, rows.
         let children: Vec<(ElemIdx, Occ, ChildRows)> = match &aig.elem_info(binding.elem).prod {
             Prod::Empty => Vec::new(),
             Prod::Pcdata { text } => {
-                let text = scalar_col(aig, binding, text, base, "PCDATA of");
+                let text = scalar_bind(aig, binding, text, "PCDATA of").map(Cow::into_owned);
                 self.plans[id].body = Body::Text(text);
                 return Ok(id);
             }
@@ -262,8 +252,8 @@ impl<'a> Tagger<'a> {
         };
         let mut plans = Vec::with_capacity(children.len());
         for (elem, occ, rows) in children {
-            let tag = tree.intern_tag(aig.elem_info(elem).tag());
-            let plan = self.plan(occ, tree)?;
+            let tag = self.tree.intern_tag(aig.elem_info(elem).tag());
+            let plan = self.plan(aig, graph, ids, occ)?;
             plans.push(ChildPlan {
                 elem,
                 tag,
@@ -274,41 +264,130 @@ impl<'a> Tagger<'a> {
         self.plans[id].body = Body::Children(plans);
         Ok(id)
     }
+}
 
-    /// Plans the tagging of `store` into `tree` (so far just its root),
-    /// registering every tag the walk will emit in `tree`'s tag table.
+/// One document's tagging: the graph's plan over one store, with each
+/// plan's base table looked up and every tagged child's rows sorted under
+/// its parent's.
+struct Tagger<'a> {
+    plan: &'a TagPlan,
+    /// Per plan, its base table as this store holds it.
+    bases: Vec<Base<'a>>,
+    /// Per tagged child, its rows under the parent's.
+    tagged: Vec<Tagged>,
+    /// Snapshot taken once the plan's base tables are looked up.
+    reader: Reader,
+}
+
+/// A plan's base instance table, its `__rowid` column, and for a text body
+/// the column (or constant) its PCDATA reads.
+struct Base<'a> {
+    rel: &'a Relation,
+    rowids: &'a [Sym],
+    text: Option<Result<ScalarCol, MediatorError>>,
+}
+
+/// The rows of one starred item or choice branch, sort-merged under the
+/// parent's base table: the children of the parent row at position `p` are
+/// `rows[start[p]..start[p + 1]]`, in `__ord` order (row order on ties).
+#[derive(Default)]
+struct Tagged {
+    start: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Tagged {
+    /// Sorts `child`'s rows under the parent rows with one pass over
+    /// `child`: a row carrying `occ` is keyed by the parent row its
+    /// `__parent` names (an id of `parent`, the parent table's instance ids,
+    /// is that row's position), or attaches to no parent. A counting sort by
+    /// parent row follows, then `__ord` order within each parent (linear on
+    /// an assembled table: generator outputs arrive grouped by parent with
+    /// ascending ordinals). `keys` is scratch.
+    fn sort_merge(
+        reader: &Reader,
+        occ: Sym,
+        child: &Relation,
+        parent: &InstanceIds,
+        keys: &mut Vec<u32>,
+    ) -> Result<Tagged, MediatorError> {
+        keys.clear();
+        let occs = child.col_syms(child.col("__occ")?);
+        let parents = child.col_syms(child.col("__parent")?);
+        // Siblings sit together: only a change of parent resolves one.
+        let ids = parent.ids_of(reader, parents);
+        keys.extend(occs.iter().zip(ids).map(|(&row_occ, id)| match id {
+            Some(id) if row_occ == occ => id,
+            _ => NO_ROW,
+        }));
+        let (start, mut rows) = group_rows(keys, parent.len());
+        // A parent's ordinals are almost always its rows' `0, 1, …`: compared
+        // as those integers' own symbols, they need no value looked up.
+        let widest = start.windows(2).map(|b| b[1] - b[0]).max().unwrap_or(0);
+        let counting = intern::int_syms(widest as usize);
+        let ords = child.col_syms(child.col("__ord")?);
+        let ord = |row: &u32| reader.get(ords[*row as usize]).as_int().unwrap_or(0);
+        for bounds in start.windows(2) {
+            let siblings = &mut rows[bounds[0] as usize..bounds[1] as usize];
+            let mut counted = siblings.iter().zip(counting.iter());
+            if !counted.all(|(&row, &i)| ords[row as usize] == i) && !siblings.is_sorted_by_key(ord)
+            {
+                siblings.sort_by_key(ord);
+            }
+        }
+        Ok(Tagged { start, rows })
+    }
+}
+
+impl<'a> Tagger<'a> {
+    /// Readies `plan` over `store`: every instance table a child row can
+    /// come from, with the columns that place a row, is checked before
+    /// anything else is read; then each plan's base table is looked up, the
+    /// root's must have one row, and the tagged children are sort-merged.
+    /// Returns the tagger and the tree to write, so far just its root, with
+    /// every tag the walk will emit registered.
     fn new(
-        aig: &'a Aig,
-        graph: &'a TaskGraph,
+        plan: &'a TagPlan,
+        aig: &Aig,
+        graph: &TaskGraph,
         store: &'a RelStore,
-        tree: &mut XmlTree,
-    ) -> Result<Self, MediatorError> {
-        // Every instance table a child row can come from, with the columns
-        // that place a row, before anything else is read.
+    ) -> Result<(Self, XmlTree), MediatorError> {
         for &elem in graph.materialized.iter().filter(|&&e| e != aig.root) {
             let rel = store.get(&RelKey::Instances(elem))?;
             for column in ["__parent", "__occ", "__ord"] {
                 rel.col(column)?;
             }
         }
-        let mut tagger = Tagger {
-            aig,
-            graph,
-            store,
-            ids: HashMap::new(),
-            plans: Vec::new(),
-            reader: Reader::snapshot(),
-        };
-        tagger.plan(Occ::mat(aig.root), tree)?;
-        tagger.reader = Reader::snapshot();
-        let n = tagger.plans[ROOT_PLAN].base.len();
+        let mut bases = Vec::with_capacity(plan.plans.len());
+        for occ in &plan.plans {
+            let rel = store.get(&RelKey::Instances(occ.elem))?;
+            let rowids = rel.col_syms(rel.col("__rowid")?);
+            let text = match &occ.body {
+                Body::Text(bind) => Some(match bind {
+                    Ok(bind) => ScalarCol::of_bind(bind, rel),
+                    Err(e) => Err(e.clone()),
+                }),
+                Body::Children(_) => None,
+            };
+            bases.push(Base { rel, rowids, text });
+        }
+        if let Some(e) = &plan.error {
+            return Err(e.clone());
+        }
+        let n = bases[ROOT_PLAN].rel.len();
         if n != 1 {
             return Err(MediatorError::Internal(format!(
                 "root instance table has {n} rows"
             )));
         }
-        tagger.sort_merge()?;
-        Ok(tagger)
+        let mut tagger = Tagger {
+            plan,
+            bases,
+            tagged: Vec::new(),
+            reader: Reader::snapshot(),
+        };
+        tagger.sort_merge(aig, store)?;
+        Ok((tagger, plan.tree.clone()))
     }
 
     /// Writes the document under `tree`'s root, into node columns sized
@@ -338,11 +417,11 @@ impl<'a> Tagger<'a> {
     /// hangs under a written parent, as σ0's do at every depth, and an
     /// upper bound otherwise.
     fn count(&self) -> usize {
-        let nodes = |plan: &OccPlan| match plan.body {
-            Body::Text(_) => 2 * plan.base.len(),
-            Body::Children(_) => plan.base.len(),
+        let nodes = |(plan, base): (&OccPlan, &Base)| match plan.body {
+            Body::Text(_) => 2 * base.rel.len(),
+            Body::Children(_) => base.rel.len(),
         };
-        self.plans.iter().map(nodes).sum()
+        self.plan.plans.iter().zip(&self.bases).map(nodes).sum()
     }
 
     /// Whether every document this plan writes conforms to `dtd`, proven on
@@ -354,12 +433,12 @@ impl<'a> Tagger<'a> {
     /// text node, and children are written in plan order.
     fn proves(&self, tree: &XmlTree, dtd: &Dtd) -> bool {
         let root = tree.root();
-        let root_plan = self.plans[ROOT_PLAN].tag;
+        let root_plan = self.plan.plans[ROOT_PLAN].tag;
         if tree.tag(root) != Some(dtd.name(dtd.root())) || tree.elem_tag(root) != Some(root_plan) {
             return false;
         }
         let rules = Rules::new(tree, dtd);
-        self.plans.iter().all(|plan| self.closes(&rules, plan))
+        self.plan.plans.iter().all(|plan| self.closes(&rules, plan))
     }
 
     /// Whether every element `plan` writes has the children its tag's
@@ -375,7 +454,10 @@ impl<'a> Tagger<'a> {
             (Body::Children(children), _) => children,
             (Body::Text(_), _) => return false,
         };
-        if children.iter().any(|c| self.plans[c.plan].tag != c.tag) {
+        if children
+            .iter()
+            .any(|c| self.plan.plans[c.plan].tag != c.tag)
+        {
             return false;
         }
         let of_parent = |c: &ChildPlan| matches!(c.rows, ChildRows::OfParent);
@@ -396,29 +478,36 @@ impl<'a> Tagger<'a> {
 
     /// Sort-merges the rows of every starred item and choice branch under
     /// its parent's base rows, whose `__rowid`s must be their positions.
-    fn sort_merge(&mut self) -> Result<(), MediatorError> {
-        let Tagger {
-            aig,
-            store,
-            plans,
-            reader,
-            ..
-        } = self;
+    fn sort_merge(&mut self, aig: &Aig, store: &RelStore) -> Result<(), MediatorError> {
         let mut keys = Vec::new();
-        for plan in plans.iter_mut() {
-            let Body::Children(children) = &mut plan.body else {
+        self.tagged.resize_with(self.plan.tagged, Tagged::default);
+        for (plan, base) in self.plan.plans.iter().zip(&self.bases) {
+            let Body::Children(children) = &plan.body else {
                 continue;
             };
             for child in children {
-                let ChildRows::Tagged(tagged) = &mut child.rows else {
+                let ChildRows::Tagged { occ, at } = child.rows else {
                     continue;
                 };
-                let parent = InstanceIds::new(aig.elem_name(plan.elem), plan.rowids, reader)?;
+                let parent = InstanceIds::new(aig.elem_name(plan.elem), base.rowids, &self.reader)?;
                 let rel = store.get(&RelKey::Instances(child.elem))?;
-                tagged.sort_merge(reader, rel, &parent, &mut keys)?;
+                self.tagged[at] = Tagged::sort_merge(&self.reader, occ, rel, &parent, &mut keys)?;
             }
         }
         Ok(())
+    }
+
+    /// The base rows (of the child's own base table) that are `child`'s
+    /// instances under the parent's base row `*base_idx`.
+    fn instances<'s>(&'s self, child: &ChildPlan, base_idx: &'s u32) -> &'s [u32] {
+        match child.rows {
+            ChildRows::OfParent => std::slice::from_ref(base_idx),
+            ChildRows::Tagged { at, .. } => {
+                let Tagged { start, rows } = &self.tagged[at];
+                let at = *base_idx as usize;
+                &rows[start[at] as usize..start[at + 1] as usize]
+            }
+        }
     }
 
     /// Writes the children of the occurrence planned at `plan` for the base
@@ -432,11 +521,12 @@ impl<'a> Tagger<'a> {
         plan: usize,
         base_idx: u32,
     ) -> Result<(), MediatorError> {
-        let plan = &self.plans[plan];
+        let (base, plan) = (&self.bases[plan], &self.plan.plans[plan]);
         match &plan.body {
-            Body::Text(text) => {
+            Body::Text(_) => {
+                let text = base.text.as_ref().expect("a text body has a text column");
                 let scalar = text.as_ref().map_err(Clone::clone)?;
-                let sym = scalar.at(plan.base, base_idx as usize);
+                let sym = scalar.at(base.rel, base_idx as usize);
                 // Each distinct value is formatted once, straight into the
                 // text table; the nodes after it carry its id.
                 match texts.entry(sym) {
@@ -449,7 +539,7 @@ impl<'a> Tagger<'a> {
             }
             Body::Children(children) => {
                 for child in children {
-                    for &child_idx in child.instances(&base_idx) {
+                    for &child_idx in self.instances(child, &base_idx) {
                         out.open(child.tag);
                         self.tag_children(out, texts, child.plan, child_idx)?;
                         out.close();
@@ -508,15 +598,16 @@ mod tests {
         run(&sigma0().unwrap(), &data.catalog, depth, &[("date", date)])
     }
 
-    /// What a run's finisher does, with `mutate` applied to the built plan
-    /// first: the verdict of the proof, and of the output check.
+    /// What a run's finisher does, with `mutate` applied to a copy of the
+    /// compiled plan first: the verdict of the proof, and of the output
+    /// check.
     fn finish(
         run: &Run,
-        mutate: impl FnOnce(&mut Tagger, &mut XmlTree),
+        mutate: impl FnOnce(&mut TagPlan),
     ) -> (bool, XmlTree, Result<(), MediatorError>) {
-        let mut tree = XmlTree::new(run.aig.elem_info(run.aig.root).tag());
-        let mut tagger = Tagger::new(&run.aig, &run.graph, &run.store, &mut tree).unwrap();
-        mutate(&mut tagger, &mut tree);
+        let mut plan = TagPlan::of(&run.aig, &run.graph).clone();
+        mutate(&mut plan);
+        let (tagger, mut tree) = Tagger::new(&plan, &run.aig, &run.graph, &run.store).unwrap();
         let proven = tagger.proves(&tree, &run.dtd);
         tagger.write(&mut tree).unwrap();
         let checked = check_output(&tree, &run.dtd, proven);
@@ -538,7 +629,7 @@ mod tests {
     fn sigma0_closes_at_every_depth() {
         for depth in [3, 6, 12, 24] {
             let run = hospital(depth);
-            let (proven, tree, checked) = finish(&run, |_, _| {});
+            let (proven, tree, checked) = finish(&run, |_| {});
             assert!(proven, "depth {depth}: σ0's plan leaves a type open");
             assert!(tree.len() > 100, "depth {depth}: {} nodes", tree.len());
             assert_eq!(checked, Ok(()));
@@ -555,8 +646,8 @@ mod tests {
     #[test]
     fn the_count_is_exact_on_sigma0_and_bounds_a_choice() {
         let count = |run: &Run| {
-            let mut tree = XmlTree::new(run.aig.elem_info(run.aig.root).tag());
-            let tagger = Tagger::new(&run.aig, &run.graph, &run.store, &mut tree).unwrap();
+            let plan = TagPlan::of(&run.aig, &run.graph);
+            let (tagger, mut tree) = Tagger::new(plan, &run.aig, &run.graph, &run.store).unwrap();
             tagger.write(&mut tree).unwrap();
             (tagger.count(), tree.len())
         };
@@ -570,19 +661,13 @@ mod tests {
 
     /// The plan of `patient`, a sequence `(SSN, pname, treatments, bill)`
     /// the tiny hospital's first date has instances of.
-    fn patient(tagger: &mut Tagger, tree: &mut XmlTree) -> usize {
-        let tag = tree.intern_tag("patient");
-        let at = tagger
-            .plans
-            .iter()
-            .position(|plan| plan.tag == tag)
-            .unwrap();
-        assert!(!tagger.plans[at].base.is_empty(), "no patient to mutate");
-        at
+    fn patient(plan: &mut TagPlan) -> usize {
+        let tag = plan.tree.intern_tag("patient");
+        plan.plans.iter().position(|occ| occ.tag == tag).unwrap()
     }
 
-    fn children<'p>(tagger: &'p mut Tagger, plan: usize) -> &'p mut Vec<ChildPlan> {
-        match &mut tagger.plans[plan].body {
+    fn children(plan: &mut TagPlan, at: usize) -> &mut Vec<ChildPlan> {
+        match &mut plan.plans[at].body {
             Body::Children(children) => children,
             Body::Text(_) => panic!("a sequence has children"),
         }
@@ -591,44 +676,48 @@ mod tests {
     #[test]
     fn a_mutated_plan_stays_open_and_fails_validation() {
         let run = hospital(3);
-        type Mutation = fn(&mut Tagger, &mut XmlTree);
+        let mut plan = TagPlan::of(&run.aig, &run.graph).clone();
+        let at = patient(&mut plan);
+        let patients = run.store.get(&RelKey::Instances(plan.plans[at].elem));
+        assert!(!patients.unwrap().is_empty(), "no patient to mutate");
+        type Mutation = fn(&mut TagPlan);
         let mutations: [(&str, Mutation); 4] = [
-            ("drop a sequence child", |tagger, tree| {
-                let at = patient(tagger, tree);
-                children(tagger, at).remove(1);
+            ("drop a sequence child", |plan| {
+                let at = patient(plan);
+                children(plan, at).remove(1);
             }),
-            ("duplicate one", |tagger, tree| {
-                let at = patient(tagger, tree);
+            ("duplicate one", |plan| {
+                let at = patient(plan);
                 // The copy writes through a plan of its own, as every
                 // `OfParent` child of a built plan does: the node count
                 // stays exact.
-                let first = &children(tagger, at)[0];
-                let (elem, tag, plan) = (first.elem, first.tag, first.plan);
-                let original = &tagger.plans[plan];
-                let Body::Text(text) = &original.body else {
-                    panic!("SSN is PCDATA");
-                };
-                let body = Body::Text(text.clone());
-                tagger.plans.push(OccPlan { body, ..*original });
+                let first = children(plan, at)[0].clone();
+                let original = plan.plans[first.plan].clone();
+                assert!(matches!(original.body, Body::Text(_)), "SSN is PCDATA");
+                plan.plans.push(original);
                 let copy = ChildPlan {
-                    elem,
-                    tag,
-                    plan: tagger.plans.len() - 1,
-                    rows: ChildRows::OfParent,
+                    plan: plan.plans.len() - 1,
+                    ..first
                 };
-                children(tagger, at).insert(0, copy);
+                children(plan, at).insert(0, copy);
             }),
-            ("retag one", |tagger, tree| {
-                let at = patient(tagger, tree);
-                let kids = children(tagger, at);
+            ("retag one", |plan| {
+                let at = patient(plan);
+                let kids = children(plan, at);
                 kids[1].tag = kids[0].tag;
             }),
-            ("turn an OfParent into Tagged", |tagger, tree| {
-                let at = patient(tagger, tree);
-                let parents = tagger.plans[at].base.len();
-                let mut none = Tagged::new(Sym::NULL);
-                none.start = vec![0; parents + 1];
-                children(tagger, at)[0].rows = ChildRows::Tagged(none);
+            ("turn an OfParent into Tagged", |plan| {
+                // Rows of the patient table carrying no `__occ` any row
+                // carries: none.
+                let at = patient(plan);
+                let (elem, tagged) = (plan.plans[at].elem, plan.tagged);
+                plan.tagged += 1;
+                let kid = &mut children(plan, at)[0];
+                kid.elem = elem;
+                kid.rows = ChildRows::Tagged {
+                    occ: Sym::NULL,
+                    at: tagged,
+                };
             }),
         ];
         for (what, mutation) in mutations {
@@ -699,7 +788,7 @@ mod tests {
     #[test]
     fn a_choice_stays_open_and_two_branch_rows_under_one_owner_fail() {
         let mut run = orders();
-        let (proven, tree, checked) = finish(&run, |_, _| {});
+        let (proven, tree, checked) = finish(&run, |_| {});
         assert!(!proven, "a choice is never proven");
         assert_eq!(checked, Ok(()), "validated in full, and valid");
         assert_eq!(
@@ -715,7 +804,7 @@ mod tests {
         row[rel.col("__rowid").unwrap()] = Value::int(rel.len() as i64);
         rel.push(row);
         run.store.insert(card, rel);
-        let (proven, tree, checked) = finish(&run, |_, _| {});
+        let (proven, tree, checked) = finish(&run, |_| {});
         assert!(!proven);
         rejected(&run, &tree, checked);
     }

@@ -201,6 +201,20 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         per_node <= 0.1,
         "tag_document: {tag_allocs} allocations for {nodes} nodes = {per_node:.2} per node"
     );
+    // The tag plan is the graph's, compiled by its first tagging: this
+    // one sort-merges and writes. Rebuilding the plan per document (a map
+    // entry and an `Occ` clone per occurrence, a child list each and every
+    // PCDATA's copy chain) made 412 allocations per call here.
+    const TAGGED: u64 = 73;
+    println!("tag_document {tag_allocs} allocations");
+    assert!(
+        plan.graph.tag_plan.is_built(),
+        "the graph's tag plan was built"
+    );
+    assert!(
+        tag_allocs <= TAGGED + TAGGED / 10,
+        "tag_document: {tag_allocs} allocations against {TAGGED} with the tag plan compiled"
+    );
     // The node columns are sized once from the tag plan's node count: 8
     // bytes a node, and the text table besides. Grown by doubling, they
     // requested 22.2 bytes a node.
@@ -323,6 +337,21 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     assert!(
         clone_allocs <= 64,
         "XmlTree::clone: {clone_allocs} allocations for {nodes} nodes"
+    );
+
+    // A whole warm request: what its plan fixes — the tag plan, every
+    // source query's binding, the re-simulation's pass-through contraction,
+    // the guards' relations — is the plan's, and a pruned ship image is
+    // priced without being built. Rebuilding them made 2,998 allocations a
+    // request here.
+    const WARM_REQUEST: u64 = 1_743;
+    mediator.request(&aig, &args).unwrap();
+    let (served, request_allocs) = counted(|| mediator.request(&aig, &args));
+    assert!(served.unwrap().0.tree == tree);
+    println!("warm request {request_allocs} allocations");
+    assert!(
+        request_allocs <= WARM_REQUEST + WARM_REQUEST / 20,
+        "a warm request: {request_allocs} allocations against {WARM_REQUEST}"
     );
 
     // A source write costs its own rows: a table is its interned columns,

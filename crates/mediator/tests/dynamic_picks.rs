@@ -70,6 +70,7 @@ fn paced_dynamic_picks_are_pinned_to_the_bit() {
         bindings: HashMap::new(),
         materialized: vec![],
         source_query_count: 0,
+        tag_plan: Default::default(),
     };
     let net = NetworkModel::infinite();
     let est = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));

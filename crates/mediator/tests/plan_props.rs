@@ -469,3 +469,47 @@ fn a_two_deep_passthrough_chain_contracts_into_its_query() {
     assert_eq!(contracted.nodes[1].members, vec![3]);
     assert_eq!(contracted.deps, vec![vec![], vec![(0, 30.0)]]);
 }
+
+/// `Merge` starts from `cost(Schedule(G))` — the unmerged plan's cost,
+/// which `no_merge` reports: its first decision's cost before, or its own
+/// response when it merges nothing. Bit for bit, so a finisher may read
+/// the unmerged response off `Merge`'s start instead of scheduling twice.
+fn merge_start(outcome: &MergeOutcome) -> f64 {
+    (outcome.decisions.first()).map_or(outcome.response_secs, |d| d.cost_before_secs)
+}
+
+#[test]
+fn merge_starts_from_the_unmerged_response() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0004);
+    let nets = [
+        NetworkModel::mbps(1.0),
+        NetworkModel::mbps(100.0),
+        NetworkModel::infinite(),
+    ];
+    for case in 0..360 {
+        let g = oracle_dag(&mut rng, case % 2 == 1);
+        let net = &nets[case % 3];
+        let overhead = [0.0, 0.2, 1.0, 5.0][case / 3 % 4];
+        let start = merge_start(&merge(&g, net, overhead));
+        let unmerged = no_merge(&g, net).response_secs;
+        assert_eq!(start.to_bits(), unmerged.to_bits(), "case {case}: {g:?}");
+    }
+
+    let aig = sigma0().unwrap();
+    let compiled = compile_constraints(&aig).unwrap();
+    let (specialized, _) = decompose_queries(&compiled).unwrap();
+    let catalog = mini_hospital_catalog().unwrap();
+    let options = GraphOptions::default();
+    let overhead = options.cost_model.per_query_overhead_secs;
+    for depth in [3, 6, 12, 24] {
+        let unfolded = unfold(&specialized, depth, CutOff::Truncate).unwrap();
+        let tasks = build_graph(&unfolded.aig, &catalog, &options).unwrap();
+        let cg =
+            CostGraph::from_task_graph(&tasks, &estimated_costs(&tasks)).contract_passthrough();
+        for net in &nets {
+            let start = merge_start(&merge(&cg, net, overhead));
+            let unmerged = no_merge(&cg, net).response_secs;
+            assert_eq!(start.to_bits(), unmerged.to_bits(), "σ0 at depth {depth}");
+        }
+    }
+}

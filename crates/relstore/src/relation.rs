@@ -321,6 +321,13 @@ impl Relation {
         &self.columns
     }
 
+    /// The column names as the shared allocation every relation over them
+    /// holds.
+    #[inline]
+    pub fn names(&self) -> &ColNames {
+        &self.columns
+    }
+
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -639,6 +646,18 @@ impl Relation {
     /// repeated ship decisions over unchanged columns do not rescan them.
     pub fn wire_bytes(&self) -> usize {
         self.col_sizes().map(|size| size.wire_bytes(self.len)).sum()
+    }
+
+    /// [`Relation::wire_bytes`] of the projection to the columns at
+    /// `positions`, without projecting: those columns' memoized sizes, the
+    /// ones without a size counted in one pass, as the projection's would
+    /// be.
+    pub fn wire_bytes_of(&self, positions: impl IntoIterator<Item = usize>) -> usize {
+        let mut reader = None;
+        let sizes = positions
+            .into_iter()
+            .map(|c| Self::size_of(&self.cols[c], &mut reader));
+        sizes.map(|size| size.wire_bytes(self.len)).sum()
     }
 
     /// [`Relation::wire_bytes`] of the rows `rows` (clamped to the relation)

@@ -5,11 +5,16 @@
 //! role of the paper's temporary tables: the mediator binds the cached output
 //! of an upstream query and the query joins against it (§5.1).
 //!
-//! Evaluation is a fixed operator pipeline with one implementation per
-//! operator: bind the FROM items (`bind_from`), classify the predicates
-//! (`classify`), filter each input locally (`apply_locals`), join the
-//! inputs left-deep in greedy order (`join_all`, one `join_step` per
-//! input), project (`project`), DISTINCT.
+//! Evaluation is binding, then a fixed operator pipeline with one
+//! implementation per operator. [`Query::bind`] resolves the FROM items (a
+//! stored table, or a relation parameter passed by position), every column
+//! reference to an (input, column) pair and every scalar parameter, and
+//! classifies the predicates into joins and local filters, once.
+//! [`BoundQuery::run`] then filters each input locally (`apply_locals`),
+//! joins the inputs left-deep in greedy order (`join_all`, one `join_step`
+//! per input), projects (`project`) and applies DISTINCT. [`execute`] is
+//! bind-then-run; the mediator binds each of its source queries when it
+//! builds its plan and runs the bound form on every request.
 //!
 //! All inputs are scanned **column-major over interned symbols** (see
 //! `aig_relstore::intern`): join keys, IN-sets and DISTINCT dedup compare
@@ -33,6 +38,7 @@ use aig_relstore::par::{map_chunks, JoinTable, PAR_THRESHOLD};
 use aig_relstore::{Catalog, ColNames, Relation, Table, Value};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A parameter binding: a scalar or a relation (temporary table).
 #[derive(Debug, Clone, PartialEq)]
@@ -64,22 +70,47 @@ impl ParamValue {
 /// Parameter bindings by name.
 pub type Params = HashMap<String, ParamValue>;
 
-/// One resolved FROM entry: a columnar relation view (stored tables expose
-/// their cached interned image, parameters bind theirs directly).
-struct Input<'a> {
-    alias: &'a str,
-    /// Rows surviving the local predicates (indices into the relation).
-    live: Vec<u32>,
-    rel: &'a Relation,
-    /// The stored table `rel` is, for its kept join indexes; `None` for a
-    /// parameter.
-    table: Option<&'a Table>,
+/// What a parameter stands for when a query is bound ([`Query::bind`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ParamBinding<'a> {
+    /// A scalar, substituted into the bound query.
+    Scalar(&'a Value),
+    /// The relation every run passes at position `at` of its relations
+    /// ([`BoundQuery::run`]), whose columns are `columns`.
+    Rel { at: usize, columns: &'a ColNames },
 }
 
-impl Input<'_> {
-    fn col(&self, name: &str) -> Option<usize> {
-        self.rel.columns().iter().position(|c| c == name)
-    }
+/// A query bound to its inputs: the FROM items resolved, every column
+/// reference an (input, column) pair, every scalar parameter substituted,
+/// and the predicates classified into joins and local filters — what
+/// [`BoundQuery::run`] needs besides the data. Each run looks its stored
+/// tables up by name in the catalog it is given and takes its relation
+/// parameters by position.
+#[derive(Debug, Clone)]
+pub struct BoundQuery {
+    inputs: Vec<BoundInput>,
+    joins: Vec<JoinPred>,
+    locals: Vec<Local>,
+    /// False when a constant-only predicate is false: every run is empty.
+    satisfiable: bool,
+    /// The SELECT list (empty when not satisfiable).
+    select: Vec<Operand>,
+}
+
+/// One FROM item of a bound query: where its relation comes from, and the
+/// column names its references were resolved against.
+#[derive(Debug, Clone)]
+struct BoundInput {
+    rel: InputRel,
+    names: ColNames,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InputRel {
+    /// The stored table the FROM item names.
+    Table,
+    /// The relation a run passes at this position.
+    Param(usize),
 }
 
 /// A fully resolved column: which input, which column within it.
@@ -89,24 +120,21 @@ struct ColRef {
     col: usize,
 }
 
-/// The symbol column a resolved reference names.
-fn syms<'a>(inputs: &[Input<'a>], c: ColRef) -> &'a [Sym] {
-    inputs[c.input].rel.col_syms(c.col)
-}
-
 /// A comparison between columns of two different inputs.
+#[derive(Debug, Clone, Copy)]
 struct JoinPred {
     op: CmpOp,
     lhs: ColRef,
     rhs: ColRef,
 }
 
-/// A predicate over a single input (or none), applied before any join.
-enum Local<'a> {
+/// A predicate over a single input, applied before any join.
+#[derive(Debug, Clone)]
+enum Local {
     CmpConst {
         op: CmpOp,
         col: ColRef,
-        value: &'a Value,
+        value: Value,
         flipped: bool,
     },
     CmpCols {
@@ -116,11 +144,30 @@ enum Local<'a> {
     },
     In {
         col: ColRef,
-        set: SymSet<Sym>,
+        set: InSet,
     },
-    /// Constant-only predicate: either always true (drop) or always
-    /// false (empty result).
-    Trivial(bool),
+}
+
+/// The set of an IN predicate: its constants (those of predicate `pred` of
+/// the query), or the first column of a relation parameter — symbol sets
+/// built per run, as interning goes on between runs.
+#[derive(Debug, Clone, Copy)]
+enum InSet {
+    Consts { pred: usize },
+    Param(usize),
+}
+
+/// A scalar with its parameter substituted, before its column resolves.
+enum Substituted<'q> {
+    Col(&'q QualCol),
+    Const(Value),
+}
+
+/// A SELECT item bound: a resolved column or a constant.
+#[derive(Debug, Clone)]
+enum Operand {
+    Col(ColRef),
+    Const(Value),
 }
 
 /// When the join kernels partition: `threads > 1` and at least `threshold`
@@ -162,8 +209,9 @@ pub fn execute_tuned(
 }
 
 /// [`execute_tuned`] with the output's column names given: `columns` must
-/// be `query.output_columns()`, held by the caller — the mediator keeps one
-/// allocation per query in its plan, and every result shares it.
+/// be `query.output_columns()`, held by the caller. Binds `query` to
+/// `params` ([`Query::bind`], each relation parameter at the position of its
+/// first reference) and runs it ([`BoundQuery::run`]).
 pub fn execute_named(
     query: &Query,
     catalog: &Catalog,
@@ -172,67 +220,188 @@ pub fn execute_named(
     par_threshold: usize,
     columns: ColNames,
 ) -> Result<Relation, SqlError> {
-    let mut inputs = bind_from(query, catalog, params)?;
-    let (joins, locals) = classify(query, &inputs, params)?;
-    if !apply_locals(&mut inputs, &locals) {
-        return project_empty(query, &inputs, params, columns);
-    }
-    let par = Par {
-        threads,
-        threshold: par_threshold,
-    };
-    let joined = join_all(&inputs, &joins, par);
-    let mut rel = project(query, &inputs, params, &joined, columns)?;
-    if query.distinct {
-        rel.dedup_parallel_with(threads, par_threshold);
-    }
-    Ok(rel)
+    let mut rels: Vec<(&str, &Relation)> = Vec::new();
+    let bound = query.bind(catalog, |name| match params.get_key_value(name)? {
+        (_, ParamValue::Scalar(v)) => Some(ParamBinding::Scalar(v)),
+        (key, ParamValue::Rel(rel)) => {
+            let at = match rels.iter().position(|(n, _)| *n == key) {
+                Some(at) => at,
+                None => {
+                    rels.push((key, rel));
+                    rels.len() - 1
+                }
+            };
+            Some(ParamBinding::Rel {
+                at,
+                columns: rel.names(),
+            })
+        }
+    })?;
+    let rel = |at: usize| rels.get(at).map(|&(_, rel)| rel);
+    bound.run(query, catalog, rel, threads, par_threshold, columns)
 }
 
-/// Resolves the FROM items, every row live.
-fn bind_from<'a>(
-    query: &'a Query,
-    catalog: &'a Catalog,
-    params: &'a Params,
-) -> Result<Vec<Input<'a>>, SqlError> {
-    let mut inputs = Vec::with_capacity(query.from.len());
-    for item in &query.from {
-        let (alias, rel, table): (&str, &Relation, _) = match item {
-            FromItem::Table {
-                source,
-                table,
-                alias,
-            } => {
-                let t = catalog.table(source, table)?;
-                (alias, t.columnar(), Some(t))
-            }
-            FromItem::Param { name, alias } => {
-                let rel = params
-                    .get(name)
-                    .and_then(ParamValue::as_rel)
-                    .ok_or_else(|| {
-                        SqlError::Param(format!(
+impl Query {
+    /// Binds the query: resolves the FROM items against `catalog` (a stored
+    /// table) or `param` (a relation parameter, by its position), every
+    /// column reference against those inputs' columns, and every scalar
+    /// parameter to its value through `param`, and classifies the WHERE
+    /// conjunction into join predicates (two inputs) and local ones (one
+    /// input). `param` returns `None` for an unbound name. An error here is
+    /// the one [`execute`] returns for the same bindings.
+    pub fn bind<'q, 'p>(
+        &'q self,
+        catalog: &Catalog,
+        mut param: impl FnMut(&str) -> Option<ParamBinding<'p>>,
+    ) -> Result<BoundQuery, SqlError> {
+        let mut inputs = Vec::with_capacity(self.from.len());
+        for item in &self.from {
+            let (rel, names) = match item {
+                FromItem::Table { source, table, .. } => {
+                    let names = catalog.table(source, table)?.columnar().names();
+                    (InputRel::Table, names.clone())
+                }
+                FromItem::Param { name, .. } => match param(name) {
+                    Some(ParamBinding::Rel { at, columns }) => {
+                        (InputRel::Param(at), columns.clone())
+                    }
+                    _ => {
+                        return Err(SqlError::Param(format!(
                             "parameter `${name}` used in FROM must be bound to a relation"
-                        ))
-                    })?;
-                (alias, rel, None)
+                        )))
+                    }
+                },
+            };
+            inputs.push(BoundInput { rel, names });
+        }
+        let resolve = |c: &QualCol| resolve(&self.from, &inputs, c);
+        let (mut joins, mut locals) = (Vec::new(), Vec::new());
+        let mut satisfiable = true;
+        for (at, pred) in self.preds.iter().enumerate() {
+            match pred {
+                Pred::Cmp { op, lhs, rhs } => {
+                    let op = *op;
+                    match (subst(lhs, &mut param)?, subst(rhs, &mut param)?) {
+                        (Substituted::Col(a), Substituted::Col(b)) => {
+                            let (lhs, rhs) = (resolve(a)?, resolve(b)?);
+                            if lhs.input == rhs.input {
+                                locals.push(Local::CmpCols { op, lhs, rhs });
+                            } else {
+                                joins.push(JoinPred { op, lhs, rhs });
+                            }
+                        }
+                        (Substituted::Col(a), Substituted::Const(value)) => {
+                            let (col, flipped) = (resolve(a)?, false);
+                            locals.push(Local::CmpConst {
+                                op,
+                                col,
+                                value,
+                                flipped,
+                            })
+                        }
+                        (Substituted::Const(value), Substituted::Col(b)) => {
+                            let (col, flipped) = (resolve(b)?, true);
+                            locals.push(Local::CmpConst {
+                                op,
+                                col,
+                                value,
+                                flipped,
+                            })
+                        }
+                        (Substituted::Const(l), Substituted::Const(r)) => {
+                            satisfiable &= op.eval(&l, &r)
+                        }
+                    }
+                }
+                Pred::In { col, set } => {
+                    let col = resolve(col)?;
+                    let set = match set {
+                        SetRef::Consts(_) => InSet::Consts { pred: at },
+                        SetRef::Param(name) => match param(name) {
+                            Some(ParamBinding::Rel { columns, .. }) if columns.is_empty() => {
+                                return Err(SqlError::Param(format!(
+                                    "relation parameter `${name}` has no columns"
+                                )));
+                            }
+                            Some(ParamBinding::Rel { at, .. }) => InSet::Param(at),
+                            _ => {
+                                return Err(SqlError::Param(format!(
+                                    "parameter `${name}` used in IN must be bound to a relation"
+                                )))
+                            }
+                        },
+                    };
+                    locals.push(Local::In { col, set });
+                }
             }
-        };
-        inputs.push(Input {
-            alias,
-            live: (0..rel.len() as u32).collect(),
-            rel,
-            table,
-        });
+        }
+        let mut select = Vec::new();
+        if satisfiable {
+            select.reserve_exact(self.select.len());
+            for item in &self.select {
+                select.push(match subst(&item.expr, &mut param)? {
+                    Substituted::Col(c) => Operand::Col(resolve(c)?),
+                    Substituted::Const(v) => Operand::Const(v),
+                });
+            }
+        } else {
+            // Every run is empty, but the SELECT list still resolves, so
+            // binding errors are not masked.
+            for item in &self.select {
+                match &item.expr {
+                    Scalar::Col(c) => {
+                        let known = (self.from.iter().zip(&inputs))
+                            .any(|(f, i)| f.alias() == c.qualifier && i.col(&c.column).is_some());
+                        if !known {
+                            return Err(SqlError::Bind(format!("unresolved column `{c}`")));
+                        }
+                    }
+                    Scalar::Param(name) => {
+                        if param(name).is_none() {
+                            return Err(SqlError::Param(format!("unbound parameter `${name}`")));
+                        }
+                    }
+                    Scalar::Const(_) => {}
+                }
+            }
+        }
+        Ok(BoundQuery {
+            inputs,
+            joins,
+            locals,
+            satisfiable,
+            select,
+        })
     }
-    Ok(inputs)
 }
 
-fn resolve(inputs: &[Input<'_>], c: &QualCol) -> Result<ColRef, SqlError> {
+/// Substitutes a scalar parameter, leaving columns and constants.
+fn subst<'q, 'p>(
+    scalar: &'q Scalar,
+    param: &mut impl FnMut(&str) -> Option<ParamBinding<'p>>,
+) -> Result<Substituted<'q>, SqlError> {
+    match scalar {
+        Scalar::Param(name) => match param(name) {
+            Some(ParamBinding::Scalar(v)) => Ok(Substituted::Const(v.clone())),
+            _ => Err(SqlError::Param(format!(
+                "parameter `${name}` must be bound to a scalar"
+            ))),
+        },
+        Scalar::Col(c) => Ok(Substituted::Col(c)),
+        Scalar::Const(v) => Ok(Substituted::Const(v.clone())),
+    }
+}
+
+impl BoundInput {
+    fn col(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|c| c == name)
+    }
+}
+
+fn resolve(from: &[FromItem], inputs: &[BoundInput], c: &QualCol) -> Result<ColRef, SqlError> {
     let (qualifier, column) = (&c.qualifier, &c.column);
-    let input = inputs
-        .iter()
-        .position(|i| i.alias == qualifier)
+    let input = (from.iter())
+        .position(|i| i.alias() == qualifier)
         .ok_or_else(|| SqlError::Bind(format!("unknown alias `{qualifier}`")))?;
     let col = inputs[input]
         .col(column)
@@ -240,165 +409,270 @@ fn resolve(inputs: &[Input<'_>], c: &QualCol) -> Result<ColRef, SqlError> {
     Ok(ColRef { input, col })
 }
 
-/// A scalar with its parameter substituted: a column or a constant, both
-/// borrowed from the query or the bindings.
-enum Operand<'a> {
-    Col(&'a QualCol),
-    Const(&'a Value),
+/// One FROM entry of a run: its relation, the stored table it is (for the
+/// kept join indexes; `None` for a parameter), and the rows surviving its
+/// local predicates — `None` while every row is live.
+struct Input<'a> {
+    rel: &'a Relation,
+    table: Option<&'a Table>,
+    live: Option<Vec<u32>>,
 }
 
-/// Substitutes a scalar parameter, leaving columns and constants.
-fn subst<'a>(scalar: &'a Scalar, params: &'a Params) -> Result<Operand<'a>, SqlError> {
-    match scalar {
-        Scalar::Param(name) => {
-            let v = params
-                .get(name)
-                .and_then(ParamValue::as_scalar)
-                .ok_or_else(|| {
-                    SqlError::Param(format!("parameter `${name}` must be bound to a scalar"))
-                })?;
-            Ok(Operand::Const(v))
+/// A slot no FROM item has filled yet: an empty relation, every row live.
+impl Default for Input<'_> {
+    fn default() -> Self {
+        static EMPTY: OnceLock<Relation> = OnceLock::new();
+        let rel = EMPTY.get_or_init(|| Relation::empty(Vec::<String>::new()));
+        Input {
+            rel,
+            table: None,
+            live: None,
         }
-        Scalar::Col(c) => Ok(Operand::Col(c)),
-        Scalar::Const(v) => Ok(Operand::Const(v)),
     }
 }
 
-/// Splits the WHERE conjunction into join predicates (two inputs) and
-/// local ones (at most one input).
-fn classify<'a>(
-    query: &'a Query,
-    inputs: &[Input<'_>],
-    params: &'a Params,
-) -> Result<(Vec<JoinPred>, Vec<Local<'a>>), SqlError> {
-    let mut joins = Vec::new();
-    let mut locals = Vec::new();
-    for pred in &query.preds {
-        match pred {
-            Pred::Cmp { op, lhs, rhs } => {
-                let op = *op;
-                match (subst(lhs, params)?, subst(rhs, params)?) {
-                    (Operand::Col(a), Operand::Col(b)) => {
-                        let (lhs, rhs) = (resolve(inputs, a)?, resolve(inputs, b)?);
-                        if lhs.input == rhs.input {
-                            locals.push(Local::CmpCols { op, lhs, rhs });
-                        } else {
-                            joins.push(JoinPred { op, lhs, rhs });
-                        }
-                    }
-                    (Operand::Col(a), Operand::Const(value)) => locals.push(Local::CmpConst {
-                        op,
-                        col: resolve(inputs, a)?,
-                        value,
-                        flipped: false,
-                    }),
-                    (Operand::Const(value), Operand::Col(b)) => locals.push(Local::CmpConst {
-                        op,
-                        col: resolve(inputs, b)?,
-                        value,
-                        flipped: true,
-                    }),
-                    (Operand::Const(l), Operand::Const(r)) => {
-                        locals.push(Local::Trivial(op.eval(l, r)));
-                    }
-                }
-            }
-            Pred::In { col, set } => {
-                let col = resolve(inputs, col)?;
-                // A constant that was never interned equals no stored cell,
-                // so it simply never enters the symbol set.
-                let mut set: SymSet<Sym> = match set {
-                    SetRef::Consts(vs) => vs.iter().filter_map(intern::lookup).collect(),
-                    SetRef::Param(name) => {
-                        let rel =
-                            params
-                                .get(name)
-                                .and_then(ParamValue::as_rel)
-                                .ok_or_else(|| {
-                                    SqlError::Param(format!(
-                                    "parameter `${name}` used in IN must be bound to a relation"
-                                ))
-                                })?;
-                        if rel.arity() == 0 {
-                            return Err(SqlError::Param(format!(
-                                "relation parameter `${name}` has no columns"
-                            )));
-                        }
-                        rel.col_syms(0).iter().copied().collect()
-                    }
-                };
-                // `x IN (...)` is false for a NULL x even when the set
-                // contains NULL.
-                set.remove(&Sym::NULL);
-                locals.push(Local::In { col, set });
-            }
+/// How many inputs a run keeps on the stack; a query with more spills
+/// them to the heap.
+const INLINE_INPUTS: usize = 8;
+
+impl Input<'_> {
+    fn live_len(&self) -> usize {
+        self.live.as_ref().map_or(self.rel.len(), Vec::len)
+    }
+
+    /// The live rows, listed.
+    fn live_mut(&mut self) -> &mut Vec<u32> {
+        let n = self.rel.len() as u32;
+        self.live.get_or_insert_with(|| (0..n).collect())
+    }
+
+    fn for_each_live(&self, f: impl FnMut(u32)) {
+        match &self.live {
+            Some(live) => live.iter().copied().for_each(f),
+            None => (0..self.rel.len() as u32).for_each(f),
         }
     }
-    Ok((joins, locals))
 }
 
-/// Narrows each input's live rows by its local predicates. Returns `false`
-/// when a constant-only predicate makes the whole conjunction unsatisfiable.
-fn apply_locals(inputs: &mut [Input<'_>], locals: &[Local]) -> bool {
-    let mut satisfiable = true;
-    for local in locals {
-        match local {
-            Local::Trivial(ok) => satisfiable &= ok,
-            Local::CmpConst {
-                op,
-                col,
-                value,
-                flipped,
-            } => {
-                let syms = syms(inputs, *col);
-                let live = &mut inputs[col.input].live;
-                if *op == CmpOp::Eq {
-                    // Equality against a constant is a symbol compare; a
-                    // never-interned constant matches nothing, and NULL
-                    // operands are always false (SQL three-valued logic).
-                    match intern::lookup(value).filter(|s| !s.is_null()) {
-                        Some(sym) => live.retain(|&r| syms[r as usize] == sym),
-                        None => live.clear(),
-                    }
-                } else {
-                    live.retain(|&r| {
-                        let cell = intern::resolve(syms[r as usize]);
-                        if *flipped {
-                            op.eval(value, cell)
-                        } else {
-                            op.eval(cell, value)
+/// The symbol column a resolved reference names.
+fn syms<'a>(inputs: &[Input<'a>], c: ColRef) -> &'a [Sym] {
+    inputs[c.input].rel.col_syms(c.col)
+}
+
+impl BoundQuery {
+    /// Runs the bound query: `query` must be the query it was bound from,
+    /// and `rel(i)` the relation bound at position `i`. Its stored tables
+    /// are looked up in `catalog`. An input whose columns are not the ones
+    /// it was bound against (a failover replica laid out otherwise) has its
+    /// references resolved again by name for this run. `threads`,
+    /// `par_threshold` and `columns` are [`execute_named`]'s.
+    pub fn run<'r>(
+        &self,
+        query: &Query,
+        catalog: &'r Catalog,
+        rel: impl Fn(usize) -> Option<&'r Relation>,
+        threads: usize,
+        par_threshold: usize,
+        columns: ColNames,
+    ) -> Result<Relation, SqlError> {
+        let param = |at: usize| {
+            rel(at).ok_or_else(|| SqlError::Param(format!("no relation passed at position {at}")))
+        };
+        let (mut inline, mut spilled) = (<[Input; INLINE_INPUTS]>::default(), Vec::new());
+        let inputs: &mut [Input] = match self.inputs.len() {
+            n if n <= INLINE_INPUTS => &mut inline[..n],
+            n => {
+                spilled.resize_with(n, Input::default);
+                &mut spilled
+            }
+        };
+        let mut moved = false;
+        for ((slot, bound), item) in inputs.iter_mut().zip(&self.inputs).zip(&query.from) {
+            let (rel, table) = match (bound.rel, item) {
+                (InputRel::Table, FromItem::Table { source, table, .. }) => {
+                    let t = catalog.table(source, table)?;
+                    (t.columnar(), Some(t))
+                }
+                (InputRel::Param(at), _) => (param(at)?, None),
+                (InputRel::Table, FromItem::Param { .. }) => {
+                    return Err(SqlError::Bind(format!("`{item}` was bound as a table")))
+                }
+            };
+            moved |= rel.columns() != &bound.names[..];
+            *slot = Input {
+                rel,
+                table,
+                live: None,
+            };
+        }
+        // The relations of the IN sets, by predicate.
+        let mut sets = Vec::new();
+        for local in &self.locals {
+            if let Local::In {
+                set: InSet::Param(at),
+                ..
+            } = local
+            {
+                sets.push(param(*at)?);
+            }
+        }
+        let rebased;
+        let bound = match moved {
+            true => {
+                rebased = self.rebased(query, inputs)?;
+                &rebased
+            }
+            false => self,
+        };
+        bound.run_on(query, inputs, &sets, threads, par_threshold, columns)
+    }
+
+    /// This query with its column references resolved by name against the
+    /// columns `inputs` have.
+    fn rebased(&self, query: &Query, inputs: &[Input<'_>]) -> Result<BoundQuery, SqlError> {
+        let mut out = self.clone();
+        let mut at = Vec::with_capacity(inputs.len());
+        for ((bound, input), item) in out.inputs.iter_mut().zip(inputs).zip(&query.from) {
+            let now = input.rel.names();
+            let mut moved = Vec::with_capacity(bound.names.len());
+            for name in bound.names.iter() {
+                moved.push(now.iter().position(|c| c == name).ok_or_else(|| {
+                    SqlError::Bind(format!("no column `{name}` in `{}`", item.alias()))
+                }));
+            }
+            at.push(moved);
+            bound.names = now.clone();
+        }
+        let rebase = |c: &mut ColRef| -> Result<(), SqlError> {
+            c.col = at[c.input][c.col].clone()?;
+            Ok(())
+        };
+        for j in &mut out.joins {
+            rebase(&mut j.lhs)?;
+            rebase(&mut j.rhs)?;
+        }
+        for local in &mut out.locals {
+            match local {
+                Local::CmpConst { col, .. } | Local::In { col, .. } => rebase(col)?,
+                Local::CmpCols { lhs, rhs, .. } => {
+                    rebase(lhs)?;
+                    rebase(rhs)?;
+                }
+            }
+        }
+        for operand in &mut out.select {
+            if let Operand::Col(c) = operand {
+                rebase(c)?;
+            }
+        }
+        Ok(out)
+    }
+
+    fn run_on(
+        &self,
+        query: &Query,
+        inputs: &mut [Input<'_>],
+        sets: &[&Relation],
+        threads: usize,
+        par_threshold: usize,
+        columns: ColNames,
+    ) -> Result<Relation, SqlError> {
+        if !self.satisfiable {
+            return Ok(Relation::empty(columns));
+        }
+        self.apply_locals(query, inputs, sets);
+        let par = Par {
+            threads,
+            threshold: par_threshold,
+        };
+        let joined = join_all(inputs, &self.joins, par);
+        let mut rel = project(&self.select, inputs, &joined, columns)?;
+        if query.distinct {
+            rel.dedup_parallel_with(threads, par_threshold);
+        }
+        Ok(rel)
+    }
+
+    /// Narrows each filtered input's live rows by its local predicates.
+    /// `sets` are the relations of the IN predicates over a parameter, in
+    /// predicate order.
+    fn apply_locals(&self, query: &Query, inputs: &mut [Input<'_>], sets: &[&Relation]) {
+        let mut sets = sets.iter();
+        for local in &self.locals {
+            match local {
+                Local::CmpConst {
+                    op,
+                    col,
+                    value,
+                    flipped,
+                } => {
+                    let syms = syms(inputs, *col);
+                    let live = inputs[col.input].live_mut();
+                    if *op == CmpOp::Eq {
+                        // Equality against a constant is a symbol compare; a
+                        // never-interned constant matches nothing, and NULL
+                        // operands are always false (SQL three-valued logic).
+                        match intern::lookup(value).filter(|s| !s.is_null()) {
+                            Some(sym) => live.retain(|&r| syms[r as usize] == sym),
+                            None => live.clear(),
                         }
-                    });
+                    } else {
+                        live.retain(|&r| {
+                            let cell = intern::resolve(syms[r as usize]);
+                            if *flipped {
+                                op.eval(value, cell)
+                            } else {
+                                op.eval(cell, value)
+                            }
+                        });
+                    }
                 }
-            }
-            Local::CmpCols { op, lhs, rhs } => {
-                let (a, b) = (syms(inputs, *lhs), syms(inputs, *rhs));
-                let live = &mut inputs[lhs.input].live;
-                if *op == CmpOp::Eq {
-                    // NULL = NULL is false in SQL, so equal symbols only
-                    // match when non-NULL.
-                    live.retain(|&r| {
-                        let s = a[r as usize];
-                        s == b[r as usize] && !s.is_null()
-                    });
-                } else {
-                    live.retain(|&r| {
-                        op.eval(
-                            intern::resolve(a[r as usize]),
-                            intern::resolve(b[r as usize]),
-                        )
-                    });
+                Local::CmpCols { op, lhs, rhs } => {
+                    let (a, b) = (syms(inputs, *lhs), syms(inputs, *rhs));
+                    let live = inputs[lhs.input].live_mut();
+                    if *op == CmpOp::Eq {
+                        // NULL = NULL is false in SQL, so equal symbols only
+                        // match when non-NULL.
+                        live.retain(|&r| {
+                            let s = a[r as usize];
+                            s == b[r as usize] && !s.is_null()
+                        });
+                    } else {
+                        live.retain(|&r| {
+                            op.eval(
+                                intern::resolve(a[r as usize]),
+                                intern::resolve(b[r as usize]),
+                            )
+                        });
+                    }
                 }
-            }
-            Local::In { col, set } => {
-                let syms = syms(inputs, *col);
-                inputs[col.input]
-                    .live
-                    .retain(|&r| set.contains(&syms[r as usize]));
+                Local::In { col, set } => {
+                    // A constant that was never interned equals no stored
+                    // cell, so it simply never enters the symbol set.
+                    let mut set: SymSet<Sym> = match *set {
+                        InSet::Consts { pred } => match &query.preds[pred] {
+                            Pred::In {
+                                set: SetRef::Consts(vs),
+                                ..
+                            } => vs.iter().filter_map(intern::lookup).collect(),
+                            _ => SymSet::default(),
+                        },
+                        InSet::Param(_) => {
+                            let rel = sets.next().expect("a relation per IN parameter");
+                            rel.col_syms(0).iter().copied().collect()
+                        }
+                    };
+                    // `x IN (...)` is false for a NULL x even when the set
+                    // contains NULL.
+                    set.remove(&Sym::NULL);
+                    let syms = syms(inputs, *col);
+                    inputs[col.input]
+                        .live_mut()
+                        .retain(|&r| set.contains(&syms[r as usize]));
+                }
             }
         }
     }
-    satisfiable
 }
 
 /// The running join result as a flat matrix of live-row indices: composite
@@ -423,15 +697,15 @@ impl Joined {
 /// Greedy left-deep join of every input, starting from the smallest
 /// filtered one. Joining continues (cheaply) even once the result is empty,
 /// so every alias resolves in projection.
-fn join_all(inputs: &[Input<'_>], joins: &[JoinPred], par: Par) -> Joined {
-    let rows_of = |i: usize| inputs[i].live.len();
+fn join_all(inputs: &mut [Input<'_>], joins: &[JoinPred], par: Par) -> Joined {
     let mut remaining: Vec<usize> = (0..inputs.len()).collect();
-    remaining.sort_by_key(|&i| std::cmp::Reverse(rows_of(i)));
+    remaining.sort_by_key(|&i| std::cmp::Reverse(inputs[i].live_len()));
     let first = remaining.pop().expect("FROM clause is non-empty");
     let mut joined = Joined {
         order: vec![first],
-        rows: inputs[first].live.clone(),
+        rows: std::mem::take(inputs[first].live_mut()),
     };
+    let inputs = &*inputs;
     while !remaining.is_empty() {
         // Prefer an input connected to the joined set by a join predicate,
         // among those the smallest; failing that (cross product), the
@@ -445,7 +719,7 @@ fn join_all(inputs: &[Input<'_>], joins: &[JoinPred], par: Par) -> Joined {
         let (pick, _) = remaining
             .iter()
             .enumerate()
-            .min_by_key(|&(_, &c)| (!connected(c), rows_of(c)))
+            .min_by_key(|&(_, &c)| (!connected(c), inputs[c].live_len()))
             .expect("remaining non-empty");
         let next = remaining.remove(pick);
         joined.rows = join_step(inputs, joins, &joined, next, par);
@@ -522,16 +796,20 @@ fn join_step(
     }
     // A stored table with every row live has its index kept; the `Arc`
     // holds it while this step probes it.
+    let all_live = next_input.live_len() == next_input.rel.len();
     let kept = match next_input.table {
-        Some(table) if !build.is_empty() && next_input.live.len() == next_input.rel.len() => {
-            Some(table.join_index(&build))
-        }
+        Some(table) if !build.is_empty() && all_live => Some(table.join_index(&build)),
         _ => None,
     };
     let build_cols = build.iter().map(|&c| next_input.rel.col_syms(c)).collect();
-    let table = match &kept {
-        Some(index) => Some(JoinTable::over(build_cols, index)),
-        None => (!build.is_empty()).then(|| JoinTable::build(build_cols, &next_input.live)),
+    let table = match (&kept, &next_input.live) {
+        _ if build.is_empty() => None,
+        (Some(index), _) => Some(JoinTable::over(build_cols, index)),
+        (None, Some(live)) => Some(JoinTable::build(build_cols, live)),
+        (None, None) => {
+            let all: Vec<u32> = (0..next_input.rel.len() as u32).collect();
+            Some(JoinTable::build(build_cols, &all))
+        }
     };
 
     let stride = joined.order.len();
@@ -547,7 +825,7 @@ fn join_step(
                 }
             };
             match &table {
-                None => next_input.live.iter().copied().for_each(candidate),
+                None => next_input.for_each_live(candidate),
                 Some(table) => {
                     let key = |k: usize| {
                         let (slot, col) = probe_cols[k];
@@ -570,20 +848,18 @@ fn join_step(
 /// reference gathers symbols through its composite slot, a literal interns
 /// once and repeats its symbol.
 fn project(
-    query: &Query,
+    select: &[Operand],
     inputs: &[Input<'_>],
-    params: &Params,
     joined: &Joined,
     columns: ColNames,
 ) -> Result<Relation, SqlError> {
     let stride = joined.order.len();
-    let mut out_cols: Vec<Vec<Sym>> = Vec::with_capacity(query.select.len());
-    for item in &query.select {
-        out_cols.push(match subst(&item.expr, params)? {
+    let mut out_cols: Vec<Vec<Sym>> = Vec::with_capacity(select.len());
+    for item in select {
+        out_cols.push(match item {
             Operand::Col(c) => {
-                let c = resolve(inputs, c)?;
                 let slot = joined.slot(c.input).expect("all inputs joined");
-                let syms = syms(inputs, c);
+                let syms = syms(inputs, *c);
                 let rows = joined.rows.iter().skip(slot).step_by(stride);
                 rows.map(|&r| syms[r as usize]).collect()
             }
@@ -591,35 +867,6 @@ fn project(
         });
     }
     Ok(Relation::try_from_columns(columns, out_cols)?)
-}
-
-/// Builds the (empty) result when the predicates are unsatisfiable, still
-/// resolving the SELECT list so binding errors are not masked.
-fn project_empty(
-    query: &Query,
-    inputs: &[Input<'_>],
-    params: &Params,
-    columns: ColNames,
-) -> Result<Relation, SqlError> {
-    for item in &query.select {
-        match &item.expr {
-            Scalar::Col(c) => {
-                let known = inputs
-                    .iter()
-                    .any(|i| i.alias == c.qualifier && i.col(&c.column).is_some());
-                if !known {
-                    return Err(SqlError::Bind(format!("unresolved column `{c}`")));
-                }
-            }
-            Scalar::Param(name) => {
-                if !params.contains_key(name.as_str()) {
-                    return Err(SqlError::Param(format!("unbound parameter `${name}`")));
-                }
-            }
-            Scalar::Const(_) => {}
-        }
-    }
-    Ok(Relation::empty(columns))
 }
 
 #[cfg(test)]
@@ -906,6 +1153,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A query bound once runs over whatever relations and tables it is
+    /// handed, as binding and running it afresh would: new rows, a relation
+    /// parameter and a stored table whose columns moved (resolved again by
+    /// name), and one that lost a column (the binding error).
+    #[test]
+    fn a_bound_query_runs_as_a_fresh_binding_would() {
+        let sql = "select c.trId, T1.x from DB2:cover c, $v1 T1 \
+                   where c.policy = T1.policy and c.trId in ('t1', 't3')";
+        let q = Query::parse(sql).unwrap();
+        let rel = |columns: &[&str], rows: &[[&str; 2]]| {
+            let mut rel =
+                Relation::empty(columns.iter().map(|c| c.to_string()).collect::<Vec<_>>());
+            for row in rows {
+                rel.push(row.iter().map(|v| Value::str(*v)).collect());
+            }
+            rel
+        };
+        let first = rel(&["policy", "x"], &[["p1", "a"], ["p2", "b"]]);
+        let bound = q
+            .bind(&catalog(), |name| {
+                (name == "v1").then(|| ParamBinding::Rel {
+                    at: 0,
+                    columns: first.names(),
+                })
+            })
+            .unwrap();
+        let fresh = |catalog: &Catalog, v1: &Relation| {
+            let mut params = Params::new();
+            params.insert("v1".into(), ParamValue::Rel(v1.clone()));
+            execute(&q, catalog, &params)
+        };
+        let columns: ColNames = q.output_columns().into();
+        let run = |catalog: &Catalog, v1: &Relation| {
+            bound.run(&q, catalog, |_| Some(v1), 1, PAR_THRESHOLD, columns.clone())
+        };
+        let moved = rel(&["x", "policy"], &[["c", "p1"], ["d", "p2"], ["e", "p1"]]);
+        for v1 in [&first, &rel(&["policy", "x"], &[["p2", "z"]]), &moved] {
+            let got = run(&catalog(), v1).unwrap();
+            assert_eq!(got, fresh(&catalog(), v1).unwrap());
+        }
+        assert!(!run(&catalog(), &moved).unwrap().is_empty());
+        let lost = Relation::single_column("x", [Value::str("a")]);
+        let err = SqlError::Bind("no column `policy` in `T1`".into());
+        assert_eq!(run(&catalog(), &lost), Err(err.clone()));
+        assert_eq!(fresh(&catalog(), &lost), Err(err));
+
+        // `cover` with its columns the other way round.
+        let mut swapped = Catalog::new();
+        let mut db = Database::new("DB2");
+        let mut cover = Table::new(TableSchema::strings("cover", &["trId", "policy"], &[]));
+        for (p, t) in [("p1", "t1"), ("p1", "t3"), ("p2", "t1"), ("p2", "t2")] {
+            cover.insert(vec![Value::str(t), Value::str(p)]).unwrap();
+        }
+        db.add_table(cover).unwrap();
+        swapped.add_source(db).unwrap();
+        let got = run(&swapped, &first).unwrap();
+        assert_eq!(got, fresh(&swapped, &first).unwrap());
+        assert_eq!(got, run(&catalog(), &first).unwrap());
+    }
+
+    /// More FROM items than a run keeps on the stack.
+    #[test]
+    fn a_query_of_many_inputs_runs_them_all() {
+        let n = INLINE_INPUTS + 2;
+        let from: Vec<String> = (0..n).map(|i| format!("DB1:patient p{i}")).collect();
+        let chain: Vec<String> = (1..n)
+            .map(|i| format!("p{}.SSN = p{i}.SSN", i - 1))
+            .collect();
+        let sql = format!(
+            "select p0.SSN, p{}.pname from {} where {} and p0.policy = 'p1'",
+            n - 1,
+            from.join(", "),
+            chain.join(" and ")
+        );
+        let r = run(&sql, &Params::new());
+        let got: Vec<(String, String)> = (0..r.len())
+            .map(|i| (r.cell(i, 0).to_text(), r.cell(i, 1).to_text()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![("1".into(), "alice".into()), ("3".into(), "carol".into())]
+        );
     }
 
     #[test]

@@ -34,4 +34,6 @@ pub mod parser;
 pub use ast::{CmpOp, FromItem, Pred, QualCol, Query, Scalar, SelectItem, SetRef};
 pub use cost::{CatalogStats, CostEstimate, CostModel, ParamStats};
 pub use error::SqlError;
-pub use exec::{execute, execute_named, execute_tuned, ParamValue, Params};
+pub use exec::{
+    execute, execute_named, execute_tuned, BoundQuery, ParamBinding, ParamValue, Params,
+};

@@ -76,7 +76,8 @@ fn workload(s1: SourceId, s2: SourceId, s3: SourceId) -> (TaskGraph, Vec<f64>) {
     let topo = (0..tasks.len()).collect();
     let graph = TaskGraph {
         tasks,
-        producer: HashMap::new(),
+        producer: Default::default(),
+        instance_tables: vec![],
         bindings: HashMap::new(),
         materialized: vec![],
         topo,

@@ -27,10 +27,6 @@ impl FieldType {
         matches!(self, FieldType::Scalar)
     }
 
-    pub fn is_relational(&self) -> bool {
-        !self.is_scalar()
-    }
-
     pub fn is_bag(&self) -> bool {
         matches!(self, FieldType::Bag(_))
     }

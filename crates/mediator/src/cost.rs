@@ -680,6 +680,11 @@ impl Scratch {
             return None;
         }
         FULL_EVALUATIONS.fetch_add(1, Relaxed);
+        self.simulate(g)
+    }
+
+    /// `Schedule`, its plan's completion times into `done` and cost; needs `levels`.
+    fn simulate(&mut self, g: &Flat) -> Option<f64> {
         self.schedule(g);
         self.chain(g);
         // Costs `validate` would reject can put the order at odds with the
@@ -803,6 +808,11 @@ impl Workspace {
     pub fn schedule(&mut self, graph: &CostGraph) -> Plan {
         self.levels(graph);
         self.scratch.schedule(&self.cur);
+        self.plan()
+    }
+
+    /// The plan the last `Schedule` of the loaded graph ordered.
+    fn plan(&self) -> Plan {
         let mut plan = Plan::default();
         for &id in &self.scratch.order {
             plan.per_source
@@ -816,6 +826,15 @@ impl Workspace {
     /// `cost(Schedule(G))` of the loaded graph.
     pub(crate) fn cost(&mut self) -> Option<f64> {
         self.scratch.cost(&self.cur, f64::INFINITY)
+    }
+
+    /// `Schedule` of the loaded graph and each node's completion time under
+    /// it: an `ℓevel` pass that simulates its plan, not a candidate's.
+    pub(crate) fn plan_times(&mut self) -> (Plan, Vec<f64>) {
+        assert!(self.scratch.topo(&self.cur), "cost graphs are acyclic");
+        self.scratch.levels(&self.cur);
+        self.scratch.simulate(&self.cur).expect("an acyclic plan");
+        (self.plan(), std::mem::take(&mut self.scratch.done))
     }
 
     /// One greedy round's candidates into `pairs`: the mergeable same-source

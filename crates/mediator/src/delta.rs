@@ -37,7 +37,7 @@
 //! (`dies_after`) depend on global per-source completion counts and take
 //! the full-run path instead (see [`crate::service::Mediator`]).
 
-use crate::graph::{RelKey, TaskGraph};
+use crate::graph::TaskGraph;
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_sql::FromItem;
 use std::collections::{BTreeSet, HashSet};
@@ -121,16 +121,9 @@ pub fn rerun_mask(graph: &TaskGraph, seeds: &[usize]) -> Vec<bool> {
 /// the snapshot's own, so only nodes at or below these elements can differ
 /// from the previous document.
 pub(crate) fn tainted_elems(graph: &TaskGraph, rerun: &[bool]) -> HashSet<ElemIdx> {
-    graph
-        .materialized
-        .iter()
-        .copied()
-        .filter(|&elem| {
-            graph
-                .producer
-                .get(&RelKey::Instances(elem))
-                .is_some_and(|&id| rerun[id])
-        })
+    let materialized = graph.materialized.iter().copied();
+    materialized
+        .filter(|&elem| rerun[graph.instances_of(elem)])
         .collect()
 }
 

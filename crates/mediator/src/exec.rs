@@ -12,8 +12,8 @@
 use crate::error::MediatorError;
 use crate::faults::{FaultEnv, FaultEvent, FaultLog, FaultPlan, RetryPolicy, TaskFaultCtx};
 use crate::graph::{
-    member_columns, Binding, Occ, ParamInput, RelKey, ScalarBind, SynStep, Task, TaskGraph,
-    TaskKind, VectorQuery,
+    member_columns, Binding, Occ, ParamInput, Producers, RelKey, ScalarBind, SynStep, Task,
+    TaskGraph, TaskKind, VectorQuery,
 };
 use crate::integrity;
 use crate::shipcut::ShipCut;
@@ -25,9 +25,8 @@ use aig_relstore::intern::{self, Reader};
 use aig_relstore::par::{apply_perm, RowTable, PAR_THRESHOLD};
 use aig_relstore::{Catalog, Relation, SharedCol, SourceId, StoreError, Sym, Value};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 #[cfg(test)]
@@ -35,9 +34,11 @@ pub(crate) mod bound_queries;
 #[cfg(test)]
 mod columnar_tests;
 // The row-major references of `columnar_tests` resolve synthesized keys
-// where they read them.
+// where they read them, and key their rows by value.
 #[cfg(test)]
 use crate::graph::resolve_syn_key;
+#[cfg(test)]
+use std::collections::HashMap;
 
 /// How the parallel executor orders tasks at each source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -258,57 +259,48 @@ pub struct Measured {
     pub start_secs: f64,
 }
 
-/// Read access to the relations produced so far: the walk
-/// ([`crate::parallel`]) reads completed tasks' write-once slots, a
-/// finished run's [`RelStore`] reads its map.
+/// Read access to the relations produced so far, each by the id of the task
+/// that writes it: the walk ([`crate::parallel`]) fills a [`RelStore`].
 pub trait RelSource {
-    fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError>;
+    fn rel(&self, task: usize) -> Result<&Relation, MediatorError>;
 }
 
-/// All relations produced by an execution. `Clone` so the service can
+/// All relations an execution produced: one write-once slot per task, by
+/// task id — the walk's slots as it left them. `Clone` so the service can
 /// retain a completed run's store as the splice base of incremental
-/// re-evaluation (relations are columnar-interned; cloning is cheap
-/// relative to re-running the graph).
-#[derive(Debug, Clone, Default)]
+/// re-evaluation (relations share their columns; a clone copies handles).
+#[derive(Debug, Clone)]
 pub struct RelStore {
-    rels: HashMap<RelKey, Relation>,
+    producer: Producers,
+    pub(crate) slots: Vec<OnceLock<Relation>>,
 }
 
 impl RelSource for RelStore {
-    fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError> {
-        self.get(key)
+    fn rel(&self, task: usize) -> Result<&Relation, MediatorError> {
+        self.slots.get(task).and_then(OnceLock::get).ok_or_else(|| {
+            MediatorError::Internal(format!(
+                "the relation of task {task} read before its producer completed"
+            ))
+        })
     }
 }
 
 impl RelStore {
+    /// An empty slot for every task of `graph`.
+    pub(crate) fn new(graph: &TaskGraph) -> RelStore {
+        RelStore {
+            producer: graph.producer.clone(),
+            slots: (0..graph.len()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The relation `key` names, found through the graph's producer map:
+    /// the lookup by key, for readers outside a run.
     pub fn get(&self, key: &RelKey) -> Result<&Relation, MediatorError> {
-        self.rels.get(key).ok_or_else(|| {
-            let mut present: Vec<String> = self.rels.keys().map(|k| format!("{k:?}")).collect();
-            present.sort();
-            let shown = present.len().min(12);
-            let more = if present.len() > shown {
-                format!(" … +{}", present.len() - shown)
-            } else {
-                String::new()
-            };
-            MediatorError::Internal(format!(
-                "missing relation {key:?}; {} present: [{}{more}]",
-                present.len(),
-                present[..shown].join(", "),
-            ))
-        })
-    }
-
-    pub fn insert(&mut self, key: RelKey, rel: Relation) {
-        self.rels.insert(key, rel);
-    }
-
-    pub fn len(&self) -> usize {
-        self.rels.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rels.is_empty()
+        match self.producer.get(key) {
+            Some(&task) => self.rel(task),
+            None => Err(MediatorError::Internal(format!("no task writes {key:?}"))),
+        }
     }
 }
 
@@ -446,7 +438,7 @@ pub(crate) fn ship_image_bytes(opts: &ExecOptions, task_id: usize, rel: &Relatio
 /// output — count 0).
 fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
     (task.deps.iter())
-        .filter_map(|(_, key)| store.rel(key).ok())
+        .filter_map(|&(producer, _)| store.rel(producer).ok())
         .map(|rel| rel.len() as f64)
         .sum()
 }
@@ -576,13 +568,13 @@ impl<S: RelSource> Executor<'_, S> {
                     queried = self.run_vector_query(vq)?;
                     &queried
                 } else {
-                    let key = set_input.as_ref().ok_or_else(|| {
+                    let input = set_input.as_ref().ok_or_else(|| {
                         MediatorError::Internal("set generator without input".to_string())
                     })?;
-                    self.store.rel(key)?
+                    self.store.rel(input.task)?
                 };
                 // Child columns: parent, ord, scalar fields in decl order.
-                let base = self.store.rel(&RelKey::Instances(parent.base))?;
+                let base = self.instances(parent.base)?;
                 let rowids = base.col_syms(base.col("__rowid")?);
                 let out_columns = &task.schema;
                 let parents = raw.col_syms(0);
@@ -666,14 +658,8 @@ impl<S: RelSource> Executor<'_, S> {
             TaskKind::Assemble { inputs, .. } => {
                 let columns = &task.schema;
                 let mut parts = Vec::with_capacity(inputs.len());
-                for input in inputs {
-                    let (RelKey::GenOut(occ, at) | RelKey::BranchOut(occ, at)) = input else {
-                        return Err(MediatorError::Internal(format!(
-                            "unexpected assemble input {input:?}"
-                        )));
-                    };
-                    let occ = self.binding(occ)?.tags[*at];
-                    let part = self.store.rel(input)?;
+                for &(producer, occ) in inputs {
+                    let part = self.store.rel(producer)?;
                     if part.arity() + 2 != columns.len() {
                         return Err(MediatorError::Store(StoreError::SchemaMismatch {
                             table: "<relation>".to_string(),
@@ -728,7 +714,7 @@ impl<S: RelSource> Executor<'_, S> {
                     })
                 };
                 let raw = self.run_vector_query(query)?;
-                let base = self.store.rel(&RelKey::Instances(occ.base))?;
+                let base = self.instances(occ.base)?;
                 let parent_col = raw.col("__parent")?;
                 if raw.arity() != 2 {
                     return Err(bad(format!(
@@ -768,15 +754,15 @@ impl<S: RelSource> Executor<'_, S> {
                 let cols = vec![rowids.to_vec(), picks];
                 Ok(Some(Relation::try_from_columns(task.schema.clone(), cols)?))
             }
-            TaskKind::BranchMat { occ, branch } => {
+            TaskKind::BranchMat { occ, branch, picks } => {
                 let binding = self.binding(occ)?;
                 let info = self.aig.elem_info(binding.elem);
                 let Prod::Choice { branches, .. } = &info.prod else {
                     return Err(MediatorError::Internal("branch of non-choice".into()));
                 };
                 let spec = &branches[*branch];
-                let picks = self.store.rel(&RelKey::Pick(occ.clone()))?;
-                let base = self.store.rel(&RelKey::Instances(occ.base))?;
+                let picks = self.store.rel(*picks)?;
+                let base = self.instances(occ.base)?;
                 let rowids = base.col_syms(base.col("__rowid")?);
                 let columns = &task.schema;
                 // The owners that picked this branch, and their base rows; a
@@ -821,6 +807,11 @@ impl<S: RelSource> Executor<'_, S> {
         }
     }
 
+    /// `elem`'s instance table.
+    fn instances(&self, elem: aig_core::spec::ElemIdx) -> Result<&Relation, MediatorError> {
+        self.store.rel(self.graph.instances_of(elem))
+    }
+
     fn binding(&self, occ: &Occ) -> Result<&Binding, MediatorError> {
         self.graph.bindings.get(occ).ok_or_else(|| {
             MediatorError::Internal(format!("unknown occurrence {}", occ.key(self.aig)))
@@ -858,10 +849,9 @@ impl<S: RelSource> Executor<'_, S> {
         let mut distinct = Vec::new();
         for ((_, input), slot) in vq.inputs.iter().zip(slots.iter_mut()) {
             match input {
-                ParamInput::Base(e) => *slot = Some(self.store.rel(&RelKey::Instances(*e))?),
-                ParamInput::Rel(key) => *slot = Some(self.store.rel(key)?),
-                ParamInput::RelFirstDistinct(key) => {
-                    distinct.push(first_distinct(self.store.rel(key)?)?);
+                ParamInput::Rel(input) => *slot = Some(self.store.rel(input.task)?),
+                ParamInput::RelFirstDistinct(input) => {
+                    distinct.push(first_distinct(self.store.rel(input.task)?)?);
                 }
             }
         }
@@ -905,7 +895,7 @@ impl<S: RelSource> Executor<'_, S> {
         steps: &[SynStep],
     ) -> Result<Relation, MediatorError> {
         let reader = Reader::snapshot();
-        let base = self.store.rel(&RelKey::Instances(occ.base))?;
+        let base = self.instances(occ.base)?;
         let rowids = base.col_syms(base.col("__rowid")?);
         let top = Reached {
             ids: InstanceIds::new(self.aig.elem_name(occ.base), rowids, &reader)?,
@@ -939,7 +929,7 @@ impl<S: RelSource> Executor<'_, S> {
         for step in steps {
             match step {
                 SynStep::Child { elem, tag, body } => {
-                    let table = self.store.rel(&RelKey::Instances(*elem))?;
+                    let table = self.instances(*elem)?;
                     let rowids = table.col_syms(table.col("__rowid")?);
                     let parents = table.col_syms(table.col("__parent")?);
                     let occs = table.col_syms(table.col("__occ")?);
@@ -958,8 +948,8 @@ impl<S: RelSource> Executor<'_, S> {
                     };
                     self.run_syn(reader, rows, &child, body)?;
                 }
-                SynStep::Keyed(key) => {
-                    let rel = self.store.rel(key)?;
+                SynStep::Keyed(input) => {
+                    let rel = self.store.rel(input.task)?;
                     if rel.arity() != rows.comps.len() + 1 {
                         return Err(MediatorError::Internal("a set of another arity".into()));
                     }
@@ -986,11 +976,11 @@ impl<S: RelSource> Executor<'_, S> {
         let g = &info.guards[guard];
         // The relation of the guard's `at`-th field, fixed at build.
         let field_rel = |at: usize| {
-            let keys = binding.guard_fields.get(guard);
-            let key = keys.and_then(|keys| keys.get(at)).ok_or_else(|| {
+            let inputs = binding.guard_fields.get(guard);
+            let input = inputs.and_then(|inputs| inputs.get(at)).ok_or_else(|| {
                 MediatorError::Internal(format!("guard {} has no field {at}", g.label))
             })?;
-            self.store.rel(key)
+            self.store.rel(input.task)
         };
         // The guard's verdict: row `r` of `rel`, if any, violates it.
         let verdict = |rel: &Relation, offender: Option<usize>| match offender {

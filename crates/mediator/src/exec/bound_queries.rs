@@ -22,10 +22,9 @@ fn params(store: &RelStore, vq: &VectorQuery) -> Params {
     let mut params = Params::new();
     for (name, input) in &vq.inputs {
         let rel = match input {
-            ParamInput::Base(e) => store.get(&RelKey::Instances(*e)).unwrap().clone(),
-            ParamInput::Rel(key) => store.get(key).unwrap().clone(),
-            ParamInput::RelFirstDistinct(key) => {
-                let rel = store.get(key).unwrap();
+            ParamInput::Rel(input) => store.get(&input.key).unwrap().clone(),
+            ParamInput::RelFirstDistinct(input) => {
+                let rel = store.get(&input.key).unwrap();
                 let first = rel.columns()[1].clone();
                 let pair = rel.project(&["__owner", first.as_str()]).unwrap();
                 pair.with_columns(vec!["__owner".to_string(), "__member".to_string()])

@@ -40,6 +40,11 @@ use std::cell::Cell;
 struct RowMajor<'e, 'a, S: RelSource>(&'e Executor<'a, S>);
 
 impl<S: RelSource> RowMajor<'_, '_, S> {
+    /// The relation `key` names, read by the task that writes it.
+    fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError> {
+        self.0.store.rel(self.0.graph.producer[key])
+    }
+
     /// Runs one task against the relations visible through `store`,
     /// returning the relation it produces (None for guards).
     fn run_task(&self, task: &Task) -> Result<Option<Relation>, MediatorError> {
@@ -89,14 +94,14 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                     let key = set_input.as_ref().ok_or_else(|| {
                         MediatorError::Internal("set generator without input".to_string())
                     })?;
-                    let rel = self.0.store.rel(key)?.clone();
+                    let rel = self.0.store.rel(key.task)?.clone();
                     // Align with query output shape: __parent + comps.
                     let mut columns = vec!["__parent".to_string()];
                     columns.extend(rel.columns().iter().skip(1).cloned());
                     rel.with_columns(columns)
                 };
                 // Build child rows: parent, ord, scalar fields in decl order.
-                let base = self.0.store.rel(&RelKey::Instances(parent.base))?;
+                let base = self.rel(&RelKey::Instances(parent.base))?;
                 let base_rows = row_index_by_rowid(base)?;
                 let mut out_columns = vec!["__parent".to_string(), "__ord".to_string()];
                 let scalar_fields: Vec<&str> = child_info
@@ -173,8 +178,9 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                 let columns = instance_columns(&info.inh);
                 let mut rel = Relation::empty(columns);
                 let mut rowid = 0i64;
-                for input in inputs {
-                    let occ_value = match input {
+                for &(producer, _) in inputs {
+                    let input = self.0.graph.tasks[producer].output.as_ref();
+                    let occ_value = match input.expect("an assemble input has an output") {
                         RelKey::GenOut(occ, item) => occ_tag(self.0.aig, occ, *item),
                         RelKey::BranchOut(occ, b) => branch_tag(self.0.aig, occ, *b),
                         other => {
@@ -183,7 +189,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                             )))
                         }
                     };
-                    let part = self.0.store.rel(input)?;
+                    let part = self.0.store.rel(producer)?;
                     for r in 0..part.len() {
                         // part: __parent, __ord, fields…
                         let mut out = Vec::with_capacity(part.arity() + 2);
@@ -201,7 +207,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
             TaskKind::Cond { occ, query } => {
                 let elem_name = self.0.aig.elem_name(self.0.binding(occ)?.elem).to_string();
                 let raw = self.0.run_vector_query(query)?;
-                let base = self.0.store.rel(&RelKey::Instances(occ.base))?;
+                let base = self.rel(&RelKey::Instances(occ.base))?;
                 // Exactly one row per owner; the pick is an integer.
                 let mut picks: HashMap<Value, i64> = HashMap::new();
                 let parent_col = raw.col("__parent")?;
@@ -258,7 +264,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                 }
                 Ok(Some(rel))
             }
-            TaskKind::BranchMat { occ, branch } => {
+            TaskKind::BranchMat { occ, branch, picks } => {
                 let binding = self.0.binding(occ)?.clone();
                 let info = self.0.aig.elem_info(binding.elem);
                 let Prod::Choice { branches, .. } = &info.prod else {
@@ -266,8 +272,8 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                 };
                 let spec = &branches[*branch];
                 let child_info = self.0.aig.elem_info(spec.elem);
-                let picks = self.0.store.rel(&RelKey::Pick(occ.clone()))?.clone();
-                let base = self.0.store.rel(&RelKey::Instances(occ.base))?.clone();
+                let picks = self.0.store.rel(*picks)?.clone();
+                let base = self.rel(&RelKey::Instances(occ.base))?.clone();
                 let base_rows = row_index_by_rowid(&base)?;
                 let mut columns = vec!["__parent".to_string(), "__ord".to_string()];
                 let scalar_fields: Vec<&str> = child_info
@@ -347,7 +353,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
             RelKey::Syn(occ, field) if !self.0.graph.producer.contains_key(key) => {
                 Ok(std::borrow::Cow::Owned(self.compute_syn(occ, field)?))
             }
-            _ => Ok(std::borrow::Cow::Borrowed(self.0.store.rel(key)?)),
+            _ => Ok(std::borrow::Cow::Borrowed(self.rel(key)?)),
         }
     }
 
@@ -389,7 +395,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                                 f,
                             )?;
                             let child_syn = self.syn_rel(&key)?;
-                            let t_child = self.0.store.rel(&RelKey::Instances(branch.elem))?;
+                            let t_child = self.rel(&RelKey::Instances(branch.elem))?;
                             let tag = branch_tag(self.0.aig, occ, bno);
                             let (rc, pc, oc) = (
                                 t_child.col("__rowid")?,
@@ -444,7 +450,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                     .sets
                     .get(f)
                     .ok_or_else(|| MediatorError::Internal(format!("no set binding `{f}`")))?;
-                Ok(self.0.store.rel(key)?.clone().with_columns(columns))
+                Ok(self.rel(key)?.clone().with_columns(columns))
             }
             SetExpr::ChildSyn { item, field } => {
                 let child_occ = binding.occ.child(*item);
@@ -461,7 +467,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
             SetExpr::Collect { item, field } => {
                 let child_elem = self.0.child_of(&binding.occ, *item)?;
                 let child_info = self.0.aig.elem_info(child_elem);
-                let t_child = self.0.store.rel(&RelKey::Instances(child_elem))?;
+                let t_child = self.rel(&RelKey::Instances(child_elem))?;
                 let tag = occ_tag(self.0.aig, &binding.occ, *item);
                 let (rc, pc, oc) = (
                     t_child.col("__rowid")?,
@@ -540,7 +546,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                 Ok(out)
             }
             SetExpr::Singleton(exprs) => {
-                let base = self.0.store.rel(&RelKey::Instances(binding.occ.base))?;
+                let base = self.rel(&RelKey::Instances(binding.occ.base))?;
                 let rowid_col = base.col("__rowid")?;
                 let mut out = Relation::empty(columns);
                 for idx in 0..base.len() {
@@ -1141,7 +1147,7 @@ fn walk_with(
     mut edit: impl FnMut(&Task, &mut Relation),
 ) -> RelStore {
     let ship = crate::batch::ShipLedger::default();
-    let mut store = RelStore::default();
+    let mut store = RelStore::new(&fx.graph);
     for &id in &fx.graph.topo {
         let task = &fx.graph.tasks[id];
         let exec = executor(fx, &store, opts, &ship);
@@ -1158,9 +1164,9 @@ fn walk_with(
             TaskKind::BranchMat { .. } => 6,
             TaskKind::SynAgg { .. } | TaskKind::Guard { .. } => 7,
         }] += 1;
-        if let (Some(key), Ok(Some(mut rel))) = (task.output.clone(), columnar) {
+        if let (Some(_), Ok(Some(mut rel))) = (&task.output, columnar) {
             edit(task, &mut rel);
-            store.insert(key, rel);
+            store.slots[id] = rel.into();
         }
     }
     store
@@ -1217,14 +1223,14 @@ struct SwapNth<'a> {
 }
 
 impl RelSource for SwapNth<'_> {
-    fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError> {
-        if *key == self.key {
+    fn rel(&self, task: usize) -> Result<&Relation, MediatorError> {
+        if task == self.store.producer[&self.key] {
             self.reads.set(self.reads.get() + 1);
             if self.reads.get() == self.nth + 1 {
                 return Ok(&self.instead);
             }
         }
-        self.store.get(key)
+        self.store.rel(task)
     }
 }
 
@@ -1304,7 +1310,8 @@ fn assemble_input_of_the_wrong_arity_is_a_schema_mismatch() {
     let TaskKind::Assemble { inputs, .. } = &assemble.kind else {
         unreachable!()
     };
-    let part = store.get(&inputs[1]).unwrap();
+    let input = fx.graph.tasks[inputs[1].0].output.clone().unwrap();
+    let part = store.get(&input).unwrap();
     for instead in [
         part.project_positions(&[0]),
         part.project_positions(&[0, 1, 2, 2]),
@@ -1312,7 +1319,7 @@ fn assemble_input_of_the_wrong_arity_is_a_schema_mismatch() {
     ] {
         let swapped = SwapNth {
             store: &store,
-            key: inputs[1].clone(),
+            key: input.clone(),
             nth: 0,
             instead,
             reads: Cell::new(0),
@@ -1336,7 +1343,7 @@ fn a_branch_without_binding_is_an_error_before_any_row_of_it() {
     let invoice = fx.aig.elem("invoice").unwrap();
     let key = RelKey::Instances(invoice);
     let columns = store.get(&key).unwrap().columns().to_vec();
-    store.insert(key, Relation::empty(columns));
+    store.slots[fx.graph.producer[&key]] = Relation::empty(columns).into();
     assert!(fx.graph.bindings.remove(&Occ::mat(invoice)).is_some());
     let tree = row_tagger::tag_document(&fx.aig, &fx.graph, &store).unwrap();
     assert!(tree.len() > 1, "orders, none of them invoiced");
@@ -1378,7 +1385,7 @@ fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_row_positions() {
         for (row, value) in cells {
             rel.set_cell(*row, col, value.clone());
         }
-        store.insert(key.clone(), rel);
+        store.slots[fx.graph.producer[key]] = rel.into();
         store
     };
 
@@ -1552,7 +1559,7 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
         for (row, value) in cells.iter().enumerate() {
             rel.set_cell(row, rowid, value.clone());
         }
-        store.insert(order.clone(), rel);
+        store.slots[fx.graph.producer[&order]] = rel.into();
         let exec = executor(&fx, &store, &opts, &ship);
         let column = "row 0's `__rowid`";
         let from_gen = expect_bad(exec.run_task(gen).map(|_| ()), column, &cells[0]);
@@ -1569,11 +1576,11 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
         unreachable!()
     };
     for bad in [Value::int(-1), Value::int(n), Value::str("0")] {
-        let mut instead = store.get(input).unwrap().clone();
+        let mut instead = store.get(&input.key).unwrap().clone();
         instead.set_cell(0, 0, bad.clone());
         let swapped = SwapNth {
             store: &store,
-            key: input.clone(),
+            key: input.key.clone(),
             nth: 0,
             instead,
             reads: Cell::new(0),

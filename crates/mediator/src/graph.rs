@@ -20,6 +20,10 @@
 //! item's and choice branch's rows is interned into its occurrence's
 //! [`Binding::tags`], and each synthesized set rule (§3.3) is compiled into
 //! the [`SynStep`]s its `SynAgg` task runs. No request spells a tag.
+//!
+//! A relation is named by the task that writes it: the builder keys
+//! relations by [`RelKey`] until every task exists, then resolves each read
+//! to its producer's id ([`Input`]), the only name a run reads it by.
 
 use crate::error::MediatorError;
 use crate::exec::{child_columns, instance_columns, scalar_bind};
@@ -34,9 +38,10 @@ use aig_sql::{
     BoundQuery, FromItem, ParamBinding, Pred, QualCol, Query, Scalar, SelectItem, SetRef, SqlError,
 };
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{hash_map, HashMap, HashSet};
 use std::fmt;
-use std::sync::OnceLock;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// An occurrence of an element in the unfolded AIG: the nearest materialized
 /// ancestor (`base`) plus the chain of production-item positions leading
@@ -115,16 +120,43 @@ pub enum RelKey {
     BranchOut(Occ, usize),
 }
 
-impl RelKey {
-    pub fn describe(&self, aig: &Aig) -> String {
-        match self {
-            RelKey::Instances(e) => format!("T[{}]", aig.elem_name(*e)),
-            RelKey::GenOut(occ, item) => format!("gen[{}#{item}]", occ.key(aig)),
-            RelKey::InhSet(occ, f) => format!("inh[{}.{f}]", occ.key(aig)),
-            RelKey::Syn(occ, f) => format!("syn[{}.{f}]", occ.key(aig)),
-            RelKey::Pick(occ) => format!("pick[{}]", occ.key(aig)),
-            RelKey::BranchOut(occ, b) => format!("branch[{}#{b}]", occ.key(aig)),
+/// A relation a task reads: its key, and the task that writes it. The
+/// builder fills `task` once every task exists; a run reads by it alone.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Input {
+    pub key: RelKey,
+    pub task: usize,
+}
+
+impl Input {
+    /// A read of `key`, its producer not yet resolved.
+    fn of(key: RelKey) -> Input {
+        Input {
+            key,
+            task: usize::MAX,
         }
+    }
+}
+
+/// The producer of every relation, by key: shared by the graph and every
+/// store of its runs, for the lookup by key ([`crate::exec::RelStore::get`]).
+#[derive(Debug, Clone, Default)]
+pub struct Producers(Arc<HashMap<RelKey, usize>>);
+
+impl Deref for Producers {
+    type Target = HashMap<RelKey, usize>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Producers {
+    type Item = (&'a RelKey, &'a usize);
+    type IntoIter = hash_map::Iter<'a, RelKey, usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
     }
 }
 
@@ -143,7 +175,7 @@ pub struct Binding {
     /// The relations of each compiled guard's fields at this occurrence
     /// (by guard, in field order: `unique`'s one, `subset`'s sub and sup),
     /// resolved when the guard task is built.
-    pub guard_fields: Vec<Vec<RelKey>>,
+    pub guard_fields: Vec<Vec<Input>>,
 }
 
 impl Binding {
@@ -177,13 +209,20 @@ impl Binding {
 /// How a relation parameter enters a vectorized query.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ParamInput {
-    /// The base instance table itself (bound as `$__base`).
-    Base(ElemIdx),
-    /// A relation, joined with its `__owner` column.
-    Rel(RelKey),
+    /// The base instance table (`$__base`), or a set joined on `__owner`.
+    Rel(Input),
     /// The distinct projection (`__owner`, first component) of a relation —
     /// the set-oriented form of an `IN` predicate.
-    RelFirstDistinct(RelKey),
+    RelFirstDistinct(Input),
+}
+
+impl ParamInput {
+    /// The relation the parameter reads.
+    pub fn input(&self) -> &Input {
+        match self {
+            ParamInput::Rel(input) | ParamInput::RelFirstDistinct(input) => input,
+        }
+    }
 }
 
 /// The columns of every [`ParamInput::RelFirstDistinct`] relation, one
@@ -223,7 +262,7 @@ pub enum TaskKind {
         item: usize,
         query: Option<VectorQuery>,
         /// For `Generator::Set`: the relation iterated.
-        set_input: Option<RelKey>,
+        set_input: Option<Input>,
         /// Broadcast scalar assigns resolved against the parent binding
         /// (field name → bind), applied when assembling.
         broadcast: Vec<(String, ScalarBind)>,
@@ -237,8 +276,12 @@ pub enum TaskKind {
         query: VectorQuery,
     },
     /// Concatenates the occurrence outputs into the instance table
-    /// (mediator).
-    Assemble { elem: ElemIdx, inputs: Vec<RelKey> },
+    /// (mediator): each input's producer, and the `__occ` symbol its rows
+    /// carry (the tag its occurrence's binding holds).
+    Assemble {
+        elem: ElemIdx,
+        inputs: Vec<(usize, Sym)>,
+    },
     /// Synthesized-attribute aggregation (mediator): `occ`'s `field` in one
     /// pass of `steps` over `occ`'s base rows, deduplicated unless a `bag`.
     SynAgg {
@@ -249,8 +292,12 @@ pub enum TaskKind {
     },
     /// Choice condition query (at a source).
     Cond { occ: Occ, query: VectorQuery },
-    /// Materializes the instances of one choice branch (mediator).
-    BranchMat { occ: Occ, branch: usize },
+    /// Materializes one choice branch from task `picks`' table (mediator).
+    BranchMat {
+        occ: Occ,
+        branch: usize,
+        picks: usize,
+    },
     /// A compiled-constraint guard check (mediator).
     Guard { occ: Occ, guard: usize },
 }
@@ -271,7 +318,7 @@ pub enum SynStep {
     },
     /// The rows of the relation whose `__owner` is a reached row (an id
     /// naming no row matches nothing).
-    Keyed(RelKey),
+    Keyed(Input),
     /// One row of these scalars per reached row; a scalar that does not
     /// resolve is its error, returned when the step runs.
     Singleton(Result<Vec<ScalarBind>, Box<MediatorError>>),
@@ -300,7 +347,9 @@ pub struct Task {
 pub struct TaskGraph {
     pub tasks: Vec<Task>,
     /// Producer of every relation.
-    pub producer: HashMap<RelKey, usize>,
+    pub producer: Producers,
+    /// Each element's instance-table producer (`usize::MAX` if virtual).
+    pub instance_tables: Vec<usize>,
     /// Bindings of every visited occurrence (used by tagging and SynAgg).
     pub bindings: HashMap<Occ, Binding>,
     /// Materialized elements in creation order.
@@ -331,19 +380,53 @@ impl Task {
             _ => None,
         }
     }
+
+    /// Every [`Input`] of the task's kind, for the builder to resolve.
+    fn inputs_mut(&mut self) -> Vec<&mut Input> {
+        fn steps<'s>(out: &mut Vec<&'s mut Input>, body: &'s mut [SynStep]) {
+            for step in body {
+                match step {
+                    SynStep::Child { body, .. } => steps(out, body),
+                    SynStep::Keyed(input) => out.push(input),
+                    SynStep::Singleton(_) => {}
+                }
+            }
+        }
+        let mut out = Vec::new();
+        let query = match &mut self.kind {
+            TaskKind::Gen {
+                query, set_input, ..
+            } => {
+                out.extend(set_input.as_mut());
+                query.as_mut()
+            }
+            TaskKind::InhSetQuery { query, .. } | TaskKind::Cond { query, .. } => Some(query),
+            TaskKind::SynAgg { steps: body, .. } => {
+                steps(&mut out, body);
+                None
+            }
+            _ => None,
+        };
+        if let Some(vq) = query {
+            let inputs = vq.inputs.iter_mut();
+            out.extend(inputs.map(|(_, ParamInput::Rel(i) | ParamInput::RelFirstDistinct(i))| i));
+        }
+        out
+    }
 }
 
 impl TaskGraph {
-    pub fn task(&self, id: usize) -> &Task {
-        &self.tasks[id]
-    }
-
     pub fn len(&self) -> usize {
         self.tasks.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
+    }
+
+    /// The producer of `elem`'s instance table.
+    pub fn instances_of(&self, elem: ElemIdx) -> usize {
+        self.instance_tables[elem.index()]
     }
 
     /// Successor lists (consumer edges), derived from deps.
@@ -405,11 +488,12 @@ pub(crate) struct Builder<'a> {
     catalog: &'a Catalog,
     tasks: Vec<Task>,
     producer: HashMap<RelKey, usize>,
+    instance_tables: Vec<usize>,
     bindings: HashMap<Occ, Binding>,
     materialized: Vec<ElemIdx>,
     mat_set: HashSet<ElemIdx>,
-    /// Pending occurrence outputs per materialized element.
-    pending_instances: HashMap<ElemIdx, Vec<RelKey>>,
+    /// Pending occurrence outputs per materialized element, with their tags.
+    pending_instances: HashMap<ElemIdx, Vec<(usize, Sym)>>,
     /// Syn keys that require SynAgg tasks: (occ, field).
     needed_syn: Vec<(Occ, String)>,
     needed_syn_set: HashSet<(Occ, String)>,
@@ -427,6 +511,7 @@ pub fn build_graph(
         catalog,
         tasks: Vec::new(),
         producer: HashMap::new(),
+        instance_tables: vec![usize::MAX; aig.len()],
         bindings: HashMap::new(),
         materialized: Vec::new(),
         mat_set: HashSet::new(),
@@ -437,12 +522,13 @@ pub fn build_graph(
     };
     b.check_materialization_conflicts()?;
     b.build()?;
-    b.patch_deps()?;
+    b.resolve()?;
     b.bind_queries();
     let topo = b.topo_order()?;
     let mut graph = TaskGraph {
         tasks: b.tasks,
-        producer: b.producer,
+        producer: Producers(Arc::new(b.producer)),
+        instance_tables: b.instance_tables,
         bindings: b.bindings,
         materialized: b.materialized,
         topo,
@@ -520,18 +606,13 @@ impl<'a> Builder<'a> {
                 // Assemble from pending occurrence outputs (may be created
                 // below for choice branches before their Assemble runs —
                 // pending list was filled while processing parents).
+                // An unreachable element (a truncated level) has no inputs:
+                // its assemble is empty, so downstream reads still succeed.
                 let inputs = self.pending_instances.remove(&e).unwrap_or_default();
-                if inputs.is_empty() {
-                    // Unreachable materialized element (e.g. a truncated
-                    // level): no instances, still emit an empty assemble so
-                    // downstream lookups succeed.
-                }
-                let deps = inputs.iter().map(|k| (usize::MAX, k.clone())).collect();
+                let output = |&(p, _): &(usize, Sym)| Some((p, self.tasks[p].output.clone()?));
+                let deps = inputs.iter().filter_map(output).collect();
                 self.push_task(Task {
-                    kind: TaskKind::Assemble {
-                        elem: e,
-                        inputs: inputs.clone(),
-                    },
+                    kind: TaskKind::Assemble { elem: e, inputs },
                     source: SourceId::MEDIATOR,
                     label: format!("assemble[{}]", aig.elem_name(e)),
                     deps,
@@ -558,10 +639,9 @@ impl<'a> Builder<'a> {
         }
 
         // Guard tasks (may enqueue SynAgg needs).
-        let occs: Vec<Occ> = self.bindings.keys().cloned().collect();
-        let mut sorted = occs;
-        sorted.sort();
-        for occ in sorted {
+        let mut occs: Vec<Occ> = self.bindings.keys().cloned().collect();
+        occs.sort();
+        for occ in occs {
             let elem = self.bindings[&occ].elem;
             let guards = aig.elem_info(elem).guards.clone();
             for (gi, guard) in guards.iter().enumerate() {
@@ -569,13 +649,13 @@ impl<'a> Builder<'a> {
                     aig_core::spec::GuardKind::Unique { field } => vec![field],
                     aig_core::spec::GuardKind::Subset { sub, sup } => vec![sub, sup],
                 };
-                let mut keys = Vec::with_capacity(fields.len());
-                for f in fields {
-                    keys.push(self.syn_relkey(&occ, f)?);
-                }
+                let keys = fields.into_iter().map(|f| self.syn_relkey(&occ, f));
+                let keys = keys.collect::<Result<Vec<_>, _>>()?;
                 let deps = keys.iter().map(|key| (usize::MAX, key.clone())).collect();
                 let binding = self.bindings.get_mut(&occ).expect("a visited occurrence");
-                binding.guard_fields.push(keys);
+                binding
+                    .guard_fields
+                    .push(keys.into_iter().map(Input::of).collect());
                 self.push_task(Task {
                     kind: TaskKind::Guard {
                         occ: occ.clone(),
@@ -605,16 +685,13 @@ impl<'a> Builder<'a> {
     fn push_task(&mut self, task: Task) -> usize {
         let id = self.tasks.len();
         if let Some(key) = &task.output {
+            if let RelKey::Instances(elem) = key {
+                self.instance_tables[elem.index()] = id;
+            }
             self.producer.insert(key.clone(), id);
         }
         self.tasks.push(task);
         id
-    }
-
-    fn producer_of(&self, key: &RelKey) -> Result<usize, MediatorError> {
-        self.producer.get(key).copied().ok_or_else(|| {
-            MediatorError::Internal(format!("no producer for {}", key.describe(self.aig)))
-        })
     }
 
     fn element_topo(&self) -> Result<Vec<ElemIdx>, MediatorError> {
@@ -674,12 +751,12 @@ impl<'a> Builder<'a> {
             }
             Prod::Choice { cond, branches } => {
                 // Condition query per instance.
-                let vq = self.vectorize(cond, binding, None)?;
-                let mut deps = self.query_deps(&vq)?;
+                let vq = self.vectorize(cond, binding)?;
+                let mut deps = self.query_deps(&vq);
                 deps.push((usize::MAX, RelKey::Instances(binding.occ.base)));
                 let pick_key = RelKey::Pick(binding.occ.clone());
                 self.source_query_count += 1;
-                self.push_task(Task {
+                let picks = self.push_task(Task {
                     kind: TaskKind::Cond {
                         occ: binding.occ.clone(),
                         query: vq.clone(),
@@ -705,27 +782,28 @@ impl<'a> Builder<'a> {
                             }
                         }
                     }
-                    let out_key = RelKey::BranchOut(binding.occ.clone(), bno);
                     let deps = vec![
-                        (usize::MAX, pick_key.clone()),
+                        (picks, pick_key.clone()),
                         (usize::MAX, RelKey::Instances(binding.occ.base)),
                     ];
-                    self.push_task(Task {
+                    let id = self.push_task(Task {
                         kind: TaskKind::BranchMat {
                             occ: binding.occ.clone(),
                             branch: bno,
+                            picks,
                         },
                         source: SourceId::MEDIATOR,
                         label: format!("branch[{}#{bno}]", binding.occ.key(aig)),
                         deps,
-                        output: Some(out_key.clone()),
+                        output: Some(RelKey::BranchOut(binding.occ.clone(), bno)),
                         schema: child_columns(&child_info.inh).into(),
                         est: CostEstimate::ZERO,
                     });
+                    let part = (id, binding.tags[bno]);
                     self.pending_instances
                         .entry(branch.elem)
                         .or_default()
-                        .push(out_key);
+                        .push(part);
                 }
                 Ok(())
             }
@@ -773,59 +851,42 @@ impl<'a> Builder<'a> {
                 child_info.name
             )));
         }
-        let out_key = RelKey::GenOut(binding.occ.clone(), pos);
-        let (kind, source, deps) = match item.generator.as_ref().expect("validated") {
+        let base = RelKey::Instances(binding.occ.base);
+        let (source, query, set_input, deps) = match item.generator.as_ref().expect("validated") {
             Generator::Query(qr) => {
-                let vq = self.vectorize(qr, binding, None)?;
-                let mut deps = self.query_deps(&vq)?;
-                deps.push((usize::MAX, RelKey::Instances(binding.occ.base)));
+                let vq = self.vectorize(qr, binding)?;
+                let mut deps = self.query_deps(&vq);
+                deps.push((usize::MAX, base));
                 self.source_query_count += 1;
-                (
-                    TaskKind::Gen {
-                        parent: binding.occ.clone(),
-                        item: pos,
-                        query: Some(vq.clone()),
-                        set_input: None,
-                        broadcast: broadcast.clone(),
-                        generated_fields: generated_fields.clone(),
-                    },
-                    vq.source,
-                    deps,
-                )
+                (vq.source, Some(vq), None, deps)
             }
             Generator::Set(expr) => {
                 let input = self.set_expr_relkey(binding, expr)?;
-                let deps = match &input {
-                    Some(key) => vec![(usize::MAX, key.clone())],
-                    None => vec![(usize::MAX, RelKey::Instances(binding.occ.base))],
-                };
-                (
-                    TaskKind::Gen {
-                        parent: binding.occ.clone(),
-                        item: pos,
-                        query: None,
-                        set_input: input,
-                        broadcast: broadcast.clone(),
-                        generated_fields: generated_fields.clone(),
-                    },
-                    SourceId::MEDIATOR,
-                    deps,
-                )
+                let deps = vec![(usize::MAX, input.clone().unwrap_or(base))];
+                (SourceId::MEDIATOR, None, input.map(Input::of), deps)
             }
         };
-        self.push_task(Task {
-            kind,
+        let id = self.push_task(Task {
+            kind: TaskKind::Gen {
+                parent: binding.occ.clone(),
+                item: pos,
+                query,
+                set_input,
+                broadcast,
+                generated_fields,
+            },
             source,
             label: format!("gen[{}#{pos}->{}]", binding.occ.key(aig), child_info.name),
             deps,
-            output: Some(out_key.clone()),
+            output: Some(RelKey::GenOut(binding.occ.clone(), pos)),
             schema: child_columns(&child_info.inh).into(),
             est: CostEstimate::ZERO,
         });
+        let part = (id, binding.tags[pos]);
         self.pending_instances
             .entry(item.elem)
             .or_default()
-            .push(out_key);
+            .push(part);
         Ok(())
     }
 
@@ -862,9 +923,6 @@ impl<'a> Builder<'a> {
                     FieldRule::Set(expr) => match self.set_expr_relkey(binding, expr)? {
                         Some(key) => key,
                         None => {
-                            // A constructed set: a mediator InhSet task would
-                            // be needed; reuse SynAgg machinery by treating
-                            // it as an InhSet compute.
                             return Err(MediatorError::Unsupported(format!(
                                 "constructed set expression for inherited field \
                                  `{field}` of `{}` (only direct copies and queries \
@@ -874,8 +932,8 @@ impl<'a> Builder<'a> {
                         }
                     },
                     FieldRule::Query(qr) => {
-                        let vq = self.vectorize(qr, binding, None)?;
-                        let mut deps = self.query_deps(&vq)?;
+                        let vq = self.vectorize(qr, binding)?;
+                        let mut deps = self.query_deps(&vq);
                         deps.push((usize::MAX, RelKey::Instances(binding.occ.base)));
                         let key = RelKey::InhSet(child_occ.clone(), field.clone());
                         self.source_query_count += 1;
@@ -973,10 +1031,6 @@ impl<'a> Builder<'a> {
     /// expansion reaches (which may enqueue a SynAgg need).
     fn create_syn_task(&mut self, occ: &Occ, field: &str) -> Result<(), MediatorError> {
         let aig = self.aig;
-        let out_key = RelKey::Syn(occ.clone(), field.to_string());
-        if self.producer.contains_key(&out_key) {
-            return Ok(());
-        }
         let binding = self.bindings.get(occ).ok_or_else(|| {
             MediatorError::Internal(format!("unvisited occurrence {}", occ.key(aig)))
         })?;
@@ -998,7 +1052,7 @@ impl<'a> Builder<'a> {
             source: SourceId::MEDIATOR,
             label: format!("syn[{}.{field}]", occ.key(aig)),
             deps: reads.into_iter().map(|key| (usize::MAX, key)).collect(),
-            output: Some(out_key),
+            output: Some(RelKey::Syn(occ.clone(), field.to_string())),
             schema: owned_by(comps),
             est: CostEstimate::ZERO,
         });
@@ -1006,37 +1060,36 @@ impl<'a> Builder<'a> {
     }
 
     /// Dependencies a vectorized query introduces (its relation inputs).
-    /// Producer task ids are patched in `patch_deps` once every task exists.
-    fn query_deps(&self, vq: &VectorQuery) -> Result<Vec<(usize, RelKey)>, MediatorError> {
-        let mut deps = Vec::new();
-        for (_, input) in &vq.inputs {
-            match input {
-                ParamInput::Base(e) => {
-                    deps.push((usize::MAX, RelKey::Instances(*e)));
-                }
-                ParamInput::Rel(key) | ParamInput::RelFirstDistinct(key) => {
-                    deps.push((usize::MAX, key.clone()));
-                }
-            }
-        }
-        Ok(deps)
+    /// Producer task ids are resolved once every task exists.
+    fn query_deps(&self, vq: &VectorQuery) -> Vec<(usize, RelKey)> {
+        let key = |(_, input): &(String, ParamInput)| (usize::MAX, input.input().key.clone());
+        vq.inputs.iter().map(key).collect()
     }
 
-    /// Resolves every deferred dependency to its producing task and keeps
-    /// the first read of each producer: a producer writes one key, so the
-    /// deps left name distinct producers and distinct keys.
-    fn patch_deps(&mut self) -> Result<(), MediatorError> {
+    /// Names every read by the task that writes it: each deferred dep —
+    /// keeping the first read of each producer, so deps name distinct
+    /// producers and keys — and every [`Input`] of a task's kind or a guard.
+    fn resolve(&mut self) -> Result<(), MediatorError> {
+        let producer = &self.producer;
+        let resolve = |key: &RelKey| {
+            let task = producer.get(key).copied();
+            task.ok_or_else(|| MediatorError::Internal(format!("no producer for {key:?}")))
+        };
         // The last task that read each producer.
         let mut read_by = vec![usize::MAX; self.tasks.len()];
-        for id in 0..self.tasks.len() {
-            let mut deps = std::mem::take(&mut self.tasks[id].deps);
-            for (producer, key) in &mut deps {
-                if *producer == usize::MAX {
-                    *producer = self.producer_of(key)?;
-                }
+        for (id, task) in self.tasks.iter_mut().enumerate() {
+            for (p, key) in task.deps.iter_mut().filter(|(p, _)| *p == usize::MAX) {
+                *p = resolve(key)?;
             }
-            deps.retain(|&(producer, _)| std::mem::replace(&mut read_by[producer], id) != id);
-            self.tasks[id].deps = deps;
+            task.deps
+                .retain(|&(p, _)| std::mem::replace(&mut read_by[p], id) != id);
+            for input in task.inputs_mut() {
+                input.task = resolve(&input.key)?;
+            }
+        }
+        let guards = self.bindings.values_mut();
+        for input in guards.flat_map(|b| b.guard_fields.iter_mut().flatten()) {
+            input.task = resolve(&input.key)?;
         }
         Ok(())
     }
@@ -1048,12 +1101,10 @@ impl<'a> Builder<'a> {
             let Some(vq) = self.tasks[id].query() else {
                 continue;
             };
-            let schema = |key: &RelKey| self.producer.get(key).map(|&p| &self.tasks[p].schema);
             let bound = vq.query.bind(self.catalog, |name| {
                 let at = vq.inputs.iter().position(|(n, _)| n == name)?;
                 let columns = match &vq.inputs[at].1 {
-                    ParamInput::Base(e) => schema(&RelKey::Instances(*e))?,
-                    ParamInput::Rel(key) => schema(key)?,
+                    ParamInput::Rel(input) => &self.tasks[input.task].schema,
                     ParamInput::RelFirstDistinct(_) => member_columns(),
                 };
                 Some(ParamBinding::Rel { at, columns })
@@ -1071,7 +1122,6 @@ impl<'a> Builder<'a> {
         &mut self,
         qr: &QueryRule,
         binding: &Binding,
-        _hint: Option<&str>,
     ) -> Result<VectorQuery, MediatorError> {
         let aig = self.aig;
         let q = aig.query(qr.query).clone();
@@ -1144,7 +1194,8 @@ impl<'a> Builder<'a> {
             name: "__base".to_string(),
             alias: "__base".to_string(),
         });
-        inputs.push(("__base".to_string(), ParamInput::Base(binding.occ.base)));
+        let base = Input::of(RelKey::Instances(binding.occ.base));
+        inputs.push(("__base".to_string(), ParamInput::Rel(base)));
 
         // FROM-clause relation parameters get owner predicates.
         for item in &mut from {
@@ -1162,7 +1213,7 @@ impl<'a> Builder<'a> {
                     lhs: Scalar::Col(QualCol::new(alias.clone(), "__owner")),
                     rhs: Scalar::Col(QualCol::new("__base", "__rowid")),
                 });
-                inputs.push((name.clone(), ParamInput::Rel(key)));
+                inputs.push((name.clone(), ParamInput::Rel(Input::of(key))));
             }
         }
         for pred in &q.preds {
@@ -1196,7 +1247,7 @@ impl<'a> Builder<'a> {
                             lhs: Scalar::Col(QualCol::new(alias.clone(), "__owner")),
                             rhs: Scalar::Col(QualCol::new("__base", "__rowid")),
                         });
-                        inputs.push((alias, ParamInput::RelFirstDistinct(key)));
+                        inputs.push((alias, ParamInput::RelFirstDistinct(Input::of(key))));
                     }
                 },
             }
@@ -1344,13 +1395,9 @@ impl<'g> SynWalk<'g> {
         })
     }
 
-    fn depends(&mut self, key: RelKey) {
-        self.reads.push(key);
-    }
-
     fn keyed(&mut self, out: &mut Vec<SynStep>, key: RelKey) {
-        self.depends(key.clone());
-        out.push(SynStep::Keyed(key));
+        self.reads.push(key.clone());
+        out.push(SynStep::Keyed(Input::of(key)));
     }
 
     /// The step over `elem`'s rows tagged `tag` under the reached rows, with
@@ -1362,7 +1409,7 @@ impl<'g> SynWalk<'g> {
         tag: Sym,
         body: impl FnOnce(&mut Self, &mut Vec<SynStep>, &mut Expanded) -> Result<(), MediatorError>,
     ) -> Result<(), MediatorError> {
-        self.depends(RelKey::Instances(elem));
+        self.reads.push(RelKey::Instances(elem));
         let mut steps = Vec::new();
         body(self, &mut steps, &mut Expanded::new())?;
         out.push(SynStep::Child {
@@ -1401,9 +1448,9 @@ impl<'g> SynWalk<'g> {
             };
             return self.set(out, memo, binding, expr, bag);
         };
-        self.depends(RelKey::Pick(occ.clone()));
+        self.reads.push(RelKey::Pick(occ.clone()));
         for (bno, branch) in branches.iter().enumerate() {
-            self.depends(RelKey::BranchOut(occ.clone(), bno));
+            self.reads.push(RelKey::BranchOut(occ.clone(), bno));
             match branch
                 .syn
                 .iter()
@@ -1513,9 +1560,10 @@ fn syn_rule<'a>(aig: &'a Aig, elem: ElemIdx, field: &str) -> Result<&'a SynRule,
     })
 }
 
-impl TaskGraph {
-    fn topo_of(tasks: &[Task]) -> Result<Vec<usize>, MediatorError> {
-        let n = tasks.len();
+impl Builder<'_> {
+    /// A topological order of the tasks.
+    fn topo_order(&self) -> Result<Vec<usize>, MediatorError> {
+        let (tasks, n) = (&self.tasks, self.tasks.len());
         let mut indegree = vec![0usize; n];
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (id, t) in tasks.iter().enumerate() {
@@ -1543,31 +1591,20 @@ impl TaskGraph {
     }
 }
 
-impl Builder<'_> {
-    fn topo_order(&self) -> Result<Vec<usize>, MediatorError> {
-        TaskGraph::topo_of(&self.tasks)
-    }
-}
-
 /// Fills `est` for every task, propagating sizes through the graph in
 /// topological order (the costing API of §5.2: estimates of upstream queries
 /// are fed into downstream estimates).
 pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOptions) {
     let stats = CatalogStats::compute(catalog);
-    let order = graph.topo.clone();
-    for id in order {
-        let deps: Vec<(usize, RelKey)> = graph.tasks[id].deps.clone();
-        let dep_est = |key: &RelKey| -> CostEstimate {
-            deps.iter()
-                .find(|(_, k)| k == key)
-                .map(|(d, _)| graph.tasks[*d].est)
-                .unwrap_or(CostEstimate::ZERO)
-        };
+    for at in 0..graph.topo.len() {
+        let id = graph.topo[at];
+        let est = |task: usize| graph.tasks[task].est;
         let med = |rows: f64, width: f64| CostEstimate {
             eval_secs: rows * MEDIATOR_PER_TUPLE_SECS,
             out_rows: rows,
             out_bytes: rows * width,
         };
+        let deps = &graph.tasks[id].deps;
         let est = match &graph.tasks[id].kind {
             TaskKind::Root { .. } => CostEstimate {
                 eval_secs: 0.0,
@@ -1576,47 +1613,37 @@ pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOpti
             },
             TaskKind::Gen {
                 query, set_input, ..
-            } => {
-                if let Some(vq) = query {
-                    estimate_vector_query(vq, &stats, &deps, graph, &opts.cost_model)
-                } else {
+            } => match query {
+                Some(vq) => estimate_vector_query(vq, &stats, graph, &opts.cost_model),
+                None => {
                     let input = set_input
                         .as_ref()
-                        .map(dep_est)
-                        .unwrap_or(CostEstimate::ZERO);
+                        .map_or(CostEstimate::ZERO, |i| est(i.task));
                     med(input.out_rows, 32.0)
                 }
-            }
-            TaskKind::InhSetQuery { query, .. } => {
-                estimate_vector_query(query, &stats, &deps, graph, &opts.cost_model)
-            }
-            TaskKind::Cond { query, .. } => {
-                estimate_vector_query(query, &stats, &deps, graph, &opts.cost_model)
+            },
+            TaskKind::InhSetQuery { query, .. } | TaskKind::Cond { query, .. } => {
+                estimate_vector_query(query, &stats, graph, &opts.cost_model)
             }
             TaskKind::Assemble { inputs, .. } => {
-                let rows: f64 = inputs.iter().map(|k| dep_est(k).out_rows).sum();
-                let bytes: f64 = inputs.iter().map(|k| dep_est(k).out_bytes).sum();
+                let rows: f64 = inputs.iter().map(|&(p, _)| est(p).out_rows).sum();
+                let bytes: f64 = inputs.iter().map(|&(p, _)| est(p).out_bytes).sum();
                 CostEstimate {
                     eval_secs: rows * MEDIATOR_PER_TUPLE_SECS,
                     out_rows: rows.max(0.0),
                     out_bytes: bytes + rows * 12.0,
                 }
             }
-            TaskKind::BranchMat { .. } => {
-                // Roughly: base rows split across branches.
-                let base = deps
-                    .iter()
-                    .find(|(_, k)| matches!(k, RelKey::Instances(_)))
-                    .map(|(d, _)| graph.tasks[*d].est)
-                    .unwrap_or(CostEstimate::ZERO);
-                med(base.out_rows / 2.0, 32.0)
+            // Roughly: base rows split across branches.
+            TaskKind::BranchMat { occ, .. } => {
+                med(est(graph.instances_of(occ.base)).out_rows / 2.0, 32.0)
             }
             TaskKind::SynAgg { .. } => {
-                let rows: f64 = deps.iter().map(|(d, _)| graph.tasks[*d].est.out_rows).sum();
+                let rows: f64 = deps.iter().map(|&(d, _)| est(d).out_rows).sum();
                 med(rows, 24.0)
             }
             TaskKind::Guard { .. } => {
-                let rows: f64 = deps.iter().map(|(d, _)| graph.tasks[*d].est.out_rows).sum();
+                let rows: f64 = deps.iter().map(|&(d, _)| est(d).out_rows).sum();
                 CostEstimate {
                     eval_secs: rows * MEDIATOR_PER_TUPLE_SECS,
                     out_rows: 0.0,
@@ -1631,23 +1658,15 @@ pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOpti
 fn estimate_vector_query(
     vq: &VectorQuery,
     stats: &CatalogStats,
-    deps: &[(usize, RelKey)],
     graph: &TaskGraph,
     model: &CostModel,
 ) -> CostEstimate {
-    let mut params: HashMap<String, ParamStats> = HashMap::new();
-    for (name, input) in &vq.inputs {
-        let key = match input {
-            ParamInput::Base(e) => RelKey::Instances(*e),
-            ParamInput::Rel(k) | ParamInput::RelFirstDistinct(k) => k.clone(),
-        };
-        if let Some((d, _)) = deps.iter().find(|(_, k)| *k == key) {
-            params.insert(
-                name.clone(),
-                ParamStats::from_estimate(&graph.tasks[*d].est),
-            );
-        }
-    }
+    let params: HashMap<String, ParamStats> = (vq.inputs.iter())
+        .map(|(name, input)| {
+            let producer = &graph.tasks[input.input().task];
+            (name.clone(), ParamStats::from_estimate(&producer.est))
+        })
+        .collect();
     estimate(&vq.query, stats, &params, model)
 }
 
@@ -1713,10 +1732,8 @@ mod tests {
             // The rewritten query starts its SELECT with the parent rowid
             // and binds the base instance table (§5.1).
             assert_eq!(vq.query.output_columns()[0], "__parent");
-            assert!(vq
-                .inputs
-                .iter()
-                .any(|(name, input)| name == "__base" && matches!(input, ParamInput::Base(_))));
+            assert!(vq.inputs.iter().any(|(name, input)| name == "__base"
+                && matches!(input, ParamInput::Rel(i) if matches!(i.key, RelKey::Instances(_)))));
             assert!(vq.query.is_single_source());
         }
         assert!(saw_query);

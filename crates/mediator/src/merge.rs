@@ -55,21 +55,10 @@ pub struct MergeOutcome {
 /// unchanged). The merged query costs the sum of its parts minus one
 /// per-statement overhead.
 pub fn merge_pair(graph: &CostGraph, u: usize, v: usize, overhead_saving_secs: f64) -> CostGraph {
-    merge_pair_into(graph, u.min(v), u.max(v), overhead_saving_secs)
-}
-
-/// Contracts `absorbed` into `keep`, keeping `keep`'s source and
-/// mergeability. `keep < absorbed` is not required.
-pub fn merge_pair_into(
-    graph: &CostGraph,
-    keep: usize,
-    absorbed: usize,
-    overhead_saving_secs: f64,
-) -> CostGraph {
     let mut ws = Workspace::structural();
     ws.load(graph);
     let mut nodes = graph.nodes.clone();
-    ws.contract(&mut nodes, keep, absorbed, overhead_saving_secs);
+    ws.contract(&mut nodes, u.min(v), u.max(v), overhead_saving_secs);
     ws.cur.to_graph(nodes)
 }
 
@@ -82,18 +71,19 @@ pub fn merge(graph: &CostGraph, net: &NetworkModel, overhead_saving_secs: f64) -
     let mut ws = Workspace::new(net);
     ws.load(graph);
     let cost = ws.cost().expect("cost graphs are acyclic");
-    merge_from(&mut ws, graph.nodes.clone(), cost, overhead_saving_secs)
+    merge_from(&mut ws, graph.nodes.clone(), cost, overhead_saving_secs).0
 }
 
 /// [`merge`] of the graph `ws` has loaded, whose nodes are `nodes` and
 /// whose unmerged plan costs `cost` — `cost(Schedule(G))`, which is what
-/// [`no_merge`] reports as its response time.
+/// [`no_merge`] reports as its response time — and the completion time of
+/// every node of the merged graph under its plan.
 pub(crate) fn merge_from(
     ws: &mut Workspace,
     mut nodes: Vec<CostNode>,
     mut cost: f64,
     overhead_saving_secs: f64,
-) -> MergeOutcome {
+) -> (MergeOutcome, Vec<f64>) {
     let mut decisions = Vec::new();
     let mut pairs = Vec::new();
     loop {
@@ -123,13 +113,15 @@ pub(crate) fn merge_from(
     }
     let graph = ws.cur.to_graph(nodes);
     debug_assert!(graph.validate().is_ok(), "non-finite cost input");
-    MergeOutcome {
-        plan: ws.schedule(&graph),
+    let (plan, done) = ws.plan_times();
+    let outcome = MergeOutcome {
+        plan,
         graph,
         response_secs: cost,
         merges: decisions.len(),
         decisions,
-    }
+    };
+    (outcome, done)
 }
 
 /// Convenience: the unmerged baseline (schedule only).

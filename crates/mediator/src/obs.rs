@@ -13,7 +13,7 @@
 //! fields for [`RunReport::redacted`]. Adding a metric is one declaration
 //! here plus filling it in `build_report`.
 
-use crate::cost::{completion_times, Plan, TaskCost};
+use crate::cost::TaskCost;
 use crate::exec::Measured;
 use crate::faults::{FaultEvent, FaultKind, FaultLog, FaultOutcome};
 use crate::graph::{TaskGraph, TaskKind};
@@ -733,6 +733,8 @@ pub(crate) struct ReportInputs<'a> {
     /// `cost(Schedule(G))` of the unmerged graph.
     pub unmerged_secs: f64,
     pub merged: &'a MergeOutcome,
+    /// The completion time of every node of the merged graph under its plan.
+    pub completion_secs: &'a [f64],
     pub net: &'a NetworkModel,
     pub depth: usize,
     pub unfold_rounds: usize,
@@ -814,6 +816,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         costs,
         unmerged_secs,
         merged,
+        completion_secs,
         net,
         depth,
         unfold_rounds,
@@ -932,7 +935,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         })
         .collect();
 
-    let plan = plan_obs(&merged.plan, merged, net, catalog);
+    let plan = plan_obs(merged, completion_secs, catalog);
 
     let mut catalog_obs = Vec::new();
     for sid in catalog.source_ids() {
@@ -1066,13 +1069,8 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
     }
 }
 
-fn plan_obs(
-    plan: &Plan,
-    outcome: &MergeOutcome,
-    net: &NetworkModel,
-    catalog: &Catalog,
-) -> Vec<PlanSeqObs> {
-    let done = completion_times(&outcome.graph, plan, net);
+fn plan_obs(outcome: &MergeOutcome, done: &[f64], catalog: &Catalog) -> Vec<PlanSeqObs> {
+    let plan = &outcome.plan;
     let mut sources: Vec<SourceId> = plan.per_source.keys().copied().collect();
     sources.sort();
     sources

@@ -3,20 +3,21 @@
 //! "At each source, the unprocessed query that is lowest in the plan's
 //! ordering is selected for execution as soon as its inputs are available" —
 //! the sources run concurrently, coordinated by the mediator. Every
-//! execution is that rule: `walk` runs rounds of workers over write-once
-//! per-task slots, and a worker blocks until the inputs of its next task are
-//! complete. Given per-source sequences it starts one worker thread per
-//! source; without them one worker on the calling thread walks the
+//! execution is that rule: `walk` runs rounds of workers over one
+//! write-once slot per task — the [`RelStore`] the run returns — and a
+//! worker blocks until the inputs of its next task, read by their producers'
+//! ids, are complete. Given per-source sequences it starts one worker thread
+//! per source; without them one worker on the calling thread walks the
 //! topological order — the sequential executor — and no thread is spawned.
 //! A refresh ([`crate::delta`]) is the same walk with every task outside its
-//! re-run mask complete from the start, its cached relation in its slot, so
-//! it runs and reports under whichever dispatcher the policy selects.
+//! re-run mask complete from the start, the snapshot's slot `i` its slot
+//! `i`, so it runs and reports under whichever dispatcher the policy selects.
 //!
 //! The per-source run produces exactly the relations of the one-worker run
 //! (see the equivalence tests); response-time *accounting* stays with the
 //! simulation in [`crate::cost`], which models the paper's network.
 //!
-//! This module owns how a graph is walked — the write-once shared store,
+//! This module owns how a graph is walked — the slots' completion state,
 //! the ready-queue scheduler state, the round loop and the failover
 //! between rounds. Running and measuring a task
 //! (`Executor::run_measured`) and where a dead source's tasks go
@@ -26,22 +27,22 @@ use crate::batch::{BatchLog, ShipLedger};
 use crate::cost::{estimated_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{
-    ExecOptions, ExecResult, Executor, Failover, Measured, RelSource, RelStore, SchedLog,
-    Scheduling, TaskPick,
+    ExecOptions, ExecResult, Executor, Failover, Measured, RelStore, SchedLog, Scheduling, TaskPick,
 };
 use crate::faults::{FaultEvent, FaultLog};
-use crate::graph::{RelKey, TaskGraph};
+use crate::graph::TaskGraph;
 use crate::schedule::replan_surviving;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Relation, SourceId, Value};
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// Write-once relation slots shared between the workers of a round.
+/// The run's write-once relation slots, shared between the workers of a
+/// round, and what they have completed.
 struct SharedStore<'g> {
     graph: &'g TaskGraph,
-    slots: Vec<OnceLock<Relation>>,
+    store: RelStore,
     /// Completion flags (also covers tasks with no output, e.g. guards) and
     /// the first error, guarded by one mutex + condvar.
     state: Mutex<Progress>,
@@ -111,22 +112,6 @@ struct DynSched {
     topo_pos: Vec<usize>,
     /// `ℓevel` of every task over the estimate graph.
     priority: Vec<f64>,
-}
-
-impl RelSource for SharedStore<'_> {
-    fn rel(&self, key: &RelKey) -> Result<&Relation, MediatorError> {
-        let producer = self
-            .graph
-            .producer
-            .get(key)
-            .copied()
-            .ok_or_else(|| MediatorError::Internal(format!("no producer for {key:?}")))?;
-        self.slots[producer].get().ok_or_else(|| {
-            MediatorError::Internal(format!(
-                "relation {key:?} read before its producer completed"
-            ))
-        })
-    }
 }
 
 impl SharedStore<'_> {
@@ -245,7 +230,7 @@ impl SharedStore<'_> {
         match result {
             Ok(rel) => {
                 if let Some(rel) = rel {
-                    let _ = self.slots[task].set(rel);
+                    let _ = self.store.slots[task].set(rel);
                 }
                 state.done[task] = true;
                 state.measured[task] = measured;
@@ -297,7 +282,7 @@ pub fn execute_graph_parallel(
 ///
 /// With `reuse = Some((store, measured, rerun))` only the tasks with
 /// `rerun[id]` run — the incremental path ([`crate::delta`]); every other
-/// task starts complete with its cached relation and measurements, and the
+/// task starts complete with its cached slot and measurements, and the
 /// ship ledger sees only the re-shipped outputs. Mid-run outage plans
 /// (`dies_after`, which count completions over the whole graph) must take
 /// the unmasked walk.
@@ -326,24 +311,22 @@ pub(crate) fn walk(
         "mid-run outage plans must take the full-run path"
     );
     let n = graph.tasks.len();
-    let slots: Vec<OnceLock<Relation>> = (0..n).map(|_| OnceLock::new()).collect();
+    let mut store = RelStore::new(graph);
     let mut progress = Progress {
         done: vec![false; n],
         measured: vec![Measured::default(); n],
         ..Progress::default()
     };
-    if let Some((store, measured, rerun)) = reuse {
+    if let Some((snapshot, measured, rerun)) = reuse {
         for id in (0..n).filter(|&id| !rerun[id]) {
-            if let Some(key) = &graph.tasks[id].output {
-                let _ = slots[id].set(store.get(key)?.clone());
-            }
+            store.slots[id] = snapshot.slots[id].clone();
             progress.done[id] = true;
             progress.measured[id] = measured[id];
         }
     }
     let shared = SharedStore {
         graph,
-        slots,
+        store,
         state: Mutex::new(progress),
         wake: Condvar::new(),
         threaded: per_source.is_some(),
@@ -364,13 +347,13 @@ pub(crate) fn walk(
             aig,
             catalog: failover.catalog(),
             graph,
-            store: &shared,
+            store: &shared.store,
             opts,
             args,
             epoch,
             ship: &ship,
         };
-        run_round(&exec, &failover, plan.as_ref(), dynamic);
+        run_round(&exec, &shared, &failover, plan.as_ref(), dynamic);
 
         let halted = {
             let mut state = shared.state.lock().expect("store mutex");
@@ -380,17 +363,10 @@ pub(crate) fn walk(
             state.halted.take()
         };
         let Some(down) = halted else {
-            // Clean finish: collect the slots into a plain store.
+            // Clean finish: the slots are the run's store.
             let state = shared.state.into_inner().expect("store mutex");
-            let mut store = RelStore::default();
-            for (id, slot) in shared.slots.into_iter().enumerate() {
-                if let (Some(key), Some(rel)) = (graph.tasks[id].output.clone(), slot.into_inner())
-                {
-                    store.insert(key, rel);
-                }
-            }
             return Ok(ExecResult {
-                store,
+                store: shared.store,
                 measured: state.measured,
                 faults: FaultLog {
                     events: state.events,
@@ -449,8 +425,8 @@ fn prime_dynamic(
         if state.done[task] {
             continue;
         }
-        let open = |(d, _): &&(usize, RelKey)| !state.done[*d];
-        waiting[task] = graph.tasks[task].deps.iter().filter(open).count();
+        let deps = graph.tasks[task].deps.iter();
+        waiting[task] = deps.filter(|(d, _)| !state.done[*d]).count();
         if waiting[task] == 0 {
             ready.entry(effective[task]).or_default().push(task);
         }
@@ -474,20 +450,21 @@ fn prime_dynamic(
 /// thread; with one, each source gets a worker thread. In a `dynamic` round
 /// the planned sequences only seed the deviation log's planned positions.
 fn run_round(
-    exec: &Executor<'_, SharedStore<'_>>,
+    exec: &Executor<'_, RelStore>,
+    shared: &SharedStore<'_>,
     failover: &Failover<'_>,
     plan: Option<&HashMap<SourceId, Vec<usize>>>,
     dynamic: bool,
 ) {
     let Some(plan) = plan else {
-        return work(exec, failover, &exec.graph.topo, None);
+        return work(exec, shared, failover, &exec.graph.topo, None);
     };
     std::thread::scope(|scope| {
         for (&source, sequence) in plan {
             std::thread::Builder::new()
                 .name(format!("aig-source-{}", source.0))
                 .spawn_scoped(scope, move || {
-                    work(exec, failover, sequence, dynamic.then_some(source))
+                    work(exec, shared, failover, sequence, dynamic.then_some(source))
                 })
                 .expect("spawn source worker");
         }
@@ -499,12 +476,12 @@ fn run_round(
 /// once its inputs are complete. A failed task ends the round: the next
 /// wait sees it and returns.
 fn work(
-    exec: &Executor<'_, SharedStore<'_>>,
+    exec: &Executor<'_, RelStore>,
+    shared: &SharedStore<'_>,
     failover: &Failover<'_>,
     sequence: &[usize],
     dynamic: Option<SourceId>,
 ) {
-    let shared = exec.store;
     // Runs one task (its dependencies are complete, so the EDF slot it
     // takes per attempt can never deadlock) and records its measurements.
     let run_one = |task_id: usize, wait_secs: f64| {

@@ -14,9 +14,9 @@
 
 use crate::cost::{measured_costs, Contraction, Workspace};
 use crate::error::MediatorError;
-use crate::exec::{ExecOptions, ExecResult, Measured, RelStore};
+use crate::exec::{ExecOptions, ExecResult, Measured, RelSource, RelStore};
 use crate::faults::FaultOutcome;
-use crate::graph::{build_graph, GraphOptions, Occ, RelKey, TaskGraph};
+use crate::graph::{build_graph, GraphOptions, TaskGraph};
 use crate::merge::merge_from;
 use crate::obs::{build_report, CacheObs, IncrementalObs, Phases, ReportInputs, RunReport};
 use crate::parallel::walk;
@@ -83,6 +83,9 @@ pub struct PreparedPlan {
     pub aig: Aig,
     /// Cut-off sites of the unfolding (empty when nothing recursed deeper).
     pub frontier: Vec<FrontierSite>,
+    /// Per frontier site, the producer of its parent's base instance table:
+    /// rows there mean the cut could have produced children.
+    frontier_tables: Vec<usize>,
     pub graph: TaskGraph,
     /// Per-source task sequences in topological order — the static input of
     /// a per-source walk.
@@ -220,6 +223,14 @@ impl FrontEnd {
             Arc::new(crate::shipcut::ShipCut::analyze(&unfolded.aig, &graph))
         });
         let per_source = topo_per_source(&graph);
+        let frontier_tables = (unfolded.frontier.iter())
+            .filter_map(|site| {
+                let parent = unfolded.aig.elem(&site.parent)?;
+                let mut bindings = graph.bindings.iter();
+                let occ = bindings.find(|(_, b)| b.elem == parent).map(|(occ, _)| occ);
+                Some(graph.instances_of(occ.map_or(parent, |occ| occ.base)))
+            })
+            .collect();
         // Read-set analysis is a linear scan of the task kinds' query ASTs —
         // cheap enough to run untimed (the pinned prepare phase list stays
         // exactly `compile_constraints, decompose, unfold, graph_build,
@@ -232,6 +243,7 @@ impl FrontEnd {
             network: net.clone(),
             aig: unfolded.aig,
             frontier: unfolded.frontier,
+            frontier_tables,
             graph,
             per_source,
             shipcut: Some(cut),
@@ -370,21 +382,8 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
     // caller must prepare a deeper plan (§5.5).
     if plan.options.cutoff == CutOff::Frontier && !plan.frontier.is_empty() {
         let extend = phases.time("frontier_check", || -> Result<bool, MediatorError> {
-            for site in &plan.frontier {
-                let Some(parent) = plan.aig.elem(&site.parent) else {
-                    continue;
-                };
-                // The frontier parent's base instances: non-empty means
-                // the cut could have produced children.
-                let occ = plan
-                    .graph
-                    .bindings
-                    .iter()
-                    .find(|(_, b)| b.elem == parent)
-                    .map(|(occ, _)| occ.clone())
-                    .unwrap_or(Occ::mat(parent));
-                let base = store.get(&RelKey::Instances(occ.base))?;
-                if !base.is_empty() {
+            for &table in &plan.frontier_tables {
+                if !store.rel(table)?.is_empty() {
                     return Ok(true);
                 }
             }
@@ -452,7 +451,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         .contraction
         .get_or_init(|| Contraction::record(&plan.graph));
     let overhead = plan.options.graph.cost_model.per_query_overhead_secs;
-    let (costs, unmerged_secs, merged) = RESIM.with_borrow_mut(|ws| {
+    let (costs, unmerged_secs, merged, completion_secs) = RESIM.with_borrow_mut(|ws| {
         ws.set_network(&policy.network);
         let (costs, nodes) = phases.time("simulate", || {
             let costs = measured_costs(
@@ -465,8 +464,8 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             (costs, nodes)
         });
         let unmerged = phases.time("schedule", || ws.cost().expect("cost graphs are acyclic"));
-        let merged = phases.time("merge", || merge_from(ws, nodes, unmerged, overhead));
-        (costs, unmerged, merged)
+        let (merged, done) = phases.time("merge", || merge_from(ws, nodes, unmerged, overhead));
+        (costs, unmerged, merged, done)
     });
     let total_secs = phases.elapsed_secs();
     let report = build_report(
@@ -477,6 +476,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             costs: &costs,
             unmerged_secs,
             merged: &merged,
+            completion_secs: &completion_secs,
             net: &policy.network,
             depth: plan.depth,
             unfold_rounds: rounds,

@@ -32,7 +32,7 @@
 //! flow into the measured cost graph, the response-time simulation, the
 //! scheduler, and the run report.
 
-use crate::graph::{Occ, ParamInput, RelKey, ScalarBind, TaskGraph, TaskKind, VectorQuery};
+use crate::graph::{Occ, ParamInput, ScalarBind, TaskGraph, TaskKind, VectorQuery};
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{Aig, FieldRule, Prod};
 use aig_relstore::Relation;
@@ -119,26 +119,27 @@ pub struct ShipCut {
     profiles: Vec<ShipProfile>,
 }
 
-/// One consumer's read of one relation, accumulated during the walk.
+/// One consumer's read of the relation task `task` writes, accumulated
+/// during the walk.
 struct Read {
-    key: RelKey,
+    task: usize,
     live: LiveSet,
     /// Duplicates in the relation can change this consumer's output.
     dup_sensitive: bool,
 }
 
 impl Read {
-    fn all(key: RelKey) -> Read {
+    fn all(task: usize) -> Read {
         Read {
-            key,
+            task,
             live: LiveSet::everything(),
             dup_sensitive: true,
         }
     }
 
-    fn names<I: IntoIterator<Item = String>>(key: RelKey, names: I) -> Read {
+    fn names<I: IntoIterator<Item = String>>(task: usize, names: I) -> Read {
         Read {
-            key,
+            task,
             live: LiveSet {
                 all: false,
                 names: names.into_iter().collect(),
@@ -171,9 +172,9 @@ impl ShipCut {
                 continue;
             };
             if let Some(ScalarBind::Col(c)) = binding.scalars.get(&f) {
-                if let Some(&p) = graph.producer.get(&RelKey::Instances(occ.base)) {
-                    live_any[p].names.insert(c.clone());
-                }
+                live_any[graph.instances_of(occ.base)]
+                    .names
+                    .insert(c.clone());
             }
         }
 
@@ -183,9 +184,7 @@ impl ShipCut {
         // derived.
         for &t in graph.topo.iter().rev() {
             for read in task_reads(aig, graph, t, &live_any[t]) {
-                let Some(&p) = graph.producer.get(&read.key) else {
-                    continue;
-                };
+                let p = read.task;
                 live_any[p].merge(&read.live);
                 let free =
                     graph.tasks[t].source.is_mediator() && graph.tasks[p].source.is_mediator();
@@ -331,11 +330,11 @@ fn task_reads(aig: &Aig, graph: &TaskGraph, t: usize, out_live: &LiveSet) -> Vec
                     // becomes a child field. The base instance table supplies
                     // broadcast scalars (plus `__rowid`, which is bookkeeping).
                     let mut reads = vec![Read::names(
-                        RelKey::Instances(parent.base),
+                        graph.instances_of(parent.base),
                         broadcast_cols.collect::<Vec<_>>(),
                     )];
-                    if let Some(key) = set_input {
-                        reads.push(Read::all(key.clone()));
+                    if let Some(input) = set_input {
+                        reads.push(Read::all(input.task));
                     }
                     reads
                 }
@@ -346,7 +345,7 @@ fn task_reads(aig: &Aig, graph: &TaskGraph, t: usize, out_live: &LiveSet) -> Vec
             let mut reads = query_reads(query, Vec::new());
             // The executor re-keys picks through the base `__rowid` column
             // (bookkeeping, live regardless).
-            reads.push(Read::names(RelKey::Instances(occ.base), Vec::new()));
+            reads.push(Read::names(graph.instances_of(occ.base), Vec::new()));
             reads
         }
         TaskKind::Assemble { elem, inputs } => {
@@ -366,31 +365,34 @@ fn task_reads(aig: &Aig, graph: &TaskGraph, t: usize, out_live: &LiveSet) -> Vec
                 .collect();
             inputs
                 .iter()
-                .map(|input| {
+                .map(|&(input, _)| {
                     if out_live.all {
-                        Read::all(input.clone())
+                        Read::all(input)
                     } else {
-                        Read::names(input.clone(), live_fields.clone())
+                        Read::names(input, live_fields.clone())
                     }
                 })
                 .collect()
         }
-        TaskKind::BranchMat { occ, branch } => branch_reads(aig, graph, occ, *branch),
+        TaskKind::BranchMat { occ, branch, picks } => {
+            let mut reads = branch_reads(aig, graph, occ, *branch);
+            reads.push(Read::all(*picks));
+            reads
+        }
         // Aggregation, set algebra and constraint guards read whole
         // relations; guards are also duplicate-sensitive by definition
         // (uniqueness is a statement about the full bag).
         TaskKind::SynAgg { .. } | TaskKind::Guard { .. } => (task.deps.iter())
-            .map(|(_, key)| Read::all(key.clone()))
+            .map(|&(producer, _)| Read::all(producer))
             .collect(),
     }
 }
 
-/// Reads of a branch-materialization task: the pick table in full (two
-/// bookkeeping columns anyway) and, from the base instance table, the
+/// A branch-materialization task's read of its base instance table: the
 /// columns the branch's scalar assignments resolve to.
 fn branch_reads(aig: &Aig, graph: &TaskGraph, occ: &Occ, branch: usize) -> Vec<Read> {
-    let mut reads = vec![Read::all(RelKey::Pick(occ.clone()))];
-    let base = RelKey::Instances(occ.base);
+    let mut reads = Vec::new();
+    let base = graph.instances_of(occ.base);
     let Some(binding) = graph.bindings.get(occ) else {
         reads.push(Read::all(base));
         return reads;
@@ -443,12 +445,7 @@ fn query_reads(vq: &VectorQuery, extra_base: Vec<String>) -> Vec<Read> {
     vq.inputs
         .iter()
         .map(|(name, input)| match input {
-            ParamInput::Base(e) => {
-                let mut names = cols_of("__base");
-                names.extend(extra_base.iter().cloned());
-                Read::names(RelKey::Instances(*e), names)
-            }
-            ParamInput::Rel(key) => {
+            ParamInput::Rel(input) => {
                 let alias = vq
                     .query
                     .from
@@ -458,10 +455,14 @@ fn query_reads(vq: &VectorQuery, extra_base: Vec<String>) -> Vec<Read> {
                         _ => None,
                     })
                     .unwrap_or(name.as_str());
-                Read::names(key.clone(), cols_of(alias))
+                let mut names = cols_of(alias);
+                if name == "__base" {
+                    names.extend(extra_base.iter().cloned());
+                }
+                Read::names(input.task, names)
             }
-            ParamInput::RelFirstDistinct(key) => Read {
-                key: key.clone(),
+            ParamInput::RelFirstDistinct(input) => Read {
+                task: input.task,
                 live: LiveSet {
                     all: false,
                     names: BTreeSet::new(),

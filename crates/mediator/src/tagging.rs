@@ -5,7 +5,8 @@
 //! produce the final output document", entirely within the middleware. The
 //! tagging plan is a property of the task graph, not of the data: it is
 //! compiled once per graph, on its first tagging ([`TagPlanCell`]) — every
-//! occurrence's tag, child list and PCDATA copy chain. Per document, the rows
+//! occurrence's tag, child list, PCDATA copy chain and the producers of the
+//! instance tables it reads. Per document, the rows
 //! of every starred item and choice branch are sort-merged under the row
 //! positions of their parent's instance table — the relational encoding of
 //! the root-to-node path; an instance id is its row's position, so a
@@ -21,8 +22,8 @@
 //! match its production.
 
 use crate::error::MediatorError;
-use crate::exec::{group_rows, scalar_bind, InstanceIds, RelStore, ScalarCol, NO_ROW};
-use crate::graph::{Occ, RelKey, ScalarBind, TaskGraph};
+use crate::exec::{group_rows, scalar_bind, InstanceIds, RelSource, RelStore, ScalarCol, NO_ROW};
+use crate::graph::{Occ, ScalarBind, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader, SymMap};
 use aig_relstore::{Relation, Sym};
@@ -128,8 +129,9 @@ struct TagPlan {
 struct OccPlan {
     /// The tag of the occurrence's element, registered in the plan's tree.
     tag: TagId,
-    /// The occurrence's base element, whose instance table it reads.
+    /// The occurrence's base element, and its instance table's producer.
     elem: ElemIdx,
+    table: usize,
     body: Body,
 }
 
@@ -147,7 +149,8 @@ enum Body {
 
 #[derive(Debug, Clone)]
 struct ChildPlan {
-    elem: ElemIdx,
+    /// The producer of the element's instance table.
+    table: usize,
     /// The element's tag, registered in the plan's tree.
     tag: TagId,
     /// Index of the child occurrence's plan.
@@ -222,7 +225,13 @@ impl TagPlan {
         ids.insert(occ.clone(), id);
         let tag = self.tree.intern_tag(aig.elem_info(binding.elem).tag());
         let (elem, body) = (occ.base, Body::Children(Vec::new()));
-        self.plans.push(OccPlan { tag, elem, body });
+        let table = graph.instances_of(elem);
+        self.plans.push(OccPlan {
+            tag,
+            elem,
+            table,
+            body,
+        });
         let tagged = |at: usize| ChildRows::Tagged {
             occ: binding.tags[at],
             at: 0,
@@ -255,7 +264,7 @@ impl TagPlan {
             let tag = self.tree.intern_tag(aig.elem_info(elem).tag());
             let plan = self.plan(aig, graph, ids, occ)?;
             plans.push(ChildPlan {
-                elem,
+                table: graph.instances_of(elem),
                 tag,
                 plan,
                 rows,
@@ -353,14 +362,14 @@ impl<'a> Tagger<'a> {
         store: &'a RelStore,
     ) -> Result<(Self, XmlTree), MediatorError> {
         for &elem in graph.materialized.iter().filter(|&&e| e != aig.root) {
-            let rel = store.get(&RelKey::Instances(elem))?;
+            let rel = store.rel(graph.instances_of(elem))?;
             for column in ["__parent", "__occ", "__ord"] {
                 rel.col(column)?;
             }
         }
         let mut bases = Vec::with_capacity(plan.plans.len());
         for occ in &plan.plans {
-            let rel = store.get(&RelKey::Instances(occ.elem))?;
+            let rel = store.rel(occ.table)?;
             let rowids = rel.col_syms(rel.col("__rowid")?);
             let text = match &occ.body {
                 Body::Text(bind) => Some(match bind {
@@ -490,7 +499,7 @@ impl<'a> Tagger<'a> {
                     continue;
                 };
                 let parent = InstanceIds::new(aig.elem_name(plan.elem), base.rowids, &self.reader)?;
-                let rel = store.get(&RelKey::Instances(child.elem))?;
+                let rel = store.rel(child.table)?;
                 self.tagged[at] = Tagged::sort_merge(&self.reader, occ, rel, &parent, &mut keys)?;
             }
         }
@@ -559,7 +568,7 @@ mod tests {
 
     use super::*;
     use crate::exec::{execute_graph, ExecOptions};
-    use crate::graph::{build_graph, GraphOptions};
+    use crate::graph::{build_graph, GraphOptions, RelKey};
     use crate::unfold::{unfold, CutOff};
     use aig_core::paper::sigma0;
     use aig_core::{compile_constraints, decompose_queries, parse_aig};
@@ -710,10 +719,10 @@ mod tests {
                 // Rows of the patient table carrying no `__occ` any row
                 // carries: none.
                 let at = patient(plan);
-                let (elem, tagged) = (plan.plans[at].elem, plan.tagged);
+                let (table, tagged) = (plan.plans[at].table, plan.tagged);
                 plan.tagged += 1;
                 let kid = &mut children(plan, at)[0];
-                kid.elem = elem;
+                kid.table = table;
                 kid.rows = ChildRows::Tagged {
                     occ: Sym::NULL,
                     at: tagged,
@@ -803,7 +812,7 @@ mod tests {
         let mut row = rel.row(0);
         row[rel.col("__rowid").unwrap()] = Value::int(rel.len() as i64);
         rel.push(row);
-        run.store.insert(card, rel);
+        run.store.slots[run.graph.producer[&card]] = rel.into();
         let (proven, tree, checked) = finish(&run, |_| {});
         assert!(!proven);
         rejected(&run, &tree, checked);

@@ -152,6 +152,15 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         "execute_graph: {per_task:.1} allocations per task against {COMPILED_PER_TASK} \
          with the passes and tags compiled"
     );
+    // And the walk's slots are the run's store: a task reads each input by
+    // its producer's id, and the finished walk hands its slots over as they
+    // are. Re-keying every output into a `HashMap<RelKey, Relation>` (and
+    // hashing a key per read) made 1,257 allocations a run here.
+    const WARM_WALK: u64 = 1_216;
+    assert!(
+        exec_allocs <= WARM_WALK + WARM_WALK / 100,
+        "execute_graph: {exec_allocs} allocations against {WARM_WALK} with reads by task id"
+    );
     // And the names are the plan's: two warm runs give each task's output
     // the very same name slice.
     for task in &plan.graph.tasks {

@@ -528,3 +528,55 @@ fn incremental_off_retains_nothing() {
     assert!(!report.incremental.snapshot_hit);
     assert_eq!(mediator.snapshot_count(), 0);
 }
+
+/// A snapshot outlives its plan, and it is spliced by task id: with room for
+/// one plan, preparing another AIG evicts σ0's while its snapshot stays, and
+/// the next σ0 request after a delta prepares the plan again — every task at
+/// the id it had — splices the snapshot into it and serves a document equal
+/// to a cold run's.
+#[test]
+fn a_snapshot_is_spliced_into_a_re_prepared_plan() {
+    let fx = fixture(11);
+    let opts = options(false, Scheduling::Static, false, false);
+    let mut mediator = Mediator::with_cache_capacity(fx.catalog.clone(), &opts, 1).unwrap();
+    let args = [("date", Value::str(&fx.date))];
+    mediator.request(&fx.aig, &args).unwrap();
+    assert_eq!(mediator.snapshot_count(), 1);
+
+    let mut other = fx.aig.clone();
+    other.constraints = Default::default();
+    assert_ne!(other.fingerprint(), fx.aig.fingerprint());
+    mediator.prepare(&other).unwrap();
+    let stats = mediator.cache_stats();
+    assert!(stats.entries == 1 && stats.evictions >= 1, "{stats:?}");
+    assert_eq!(
+        mediator.snapshot_count(),
+        1,
+        "the snapshot outlives its plan"
+    );
+
+    let delta = next_delta(mediator.catalog(), &fx.date, 0);
+    mediator.apply_delta(&delta).unwrap();
+    let misses = mediator.cache_stats().misses;
+    let (served, report) = mediator.request(&fx.aig, &args).unwrap();
+    assert!(
+        mediator.cache_stats().misses > misses,
+        "σ0's plan is prepared again"
+    );
+    let incremental = &report.incremental;
+    assert!(incremental.snapshot_hit, "the snapshot is spliced");
+    assert!(
+        0 < incremental.tasks_rerun && incremental.tasks_rerun < incremental.tasks_total,
+        "{} of {} tasks re-run",
+        incremental.tasks_rerun,
+        incremental.tasks_total
+    );
+
+    let oracle = Mediator::new(mediator.catalog().clone(), &opts).unwrap();
+    let (cold, _) = oracle.request(&fx.aig, &args).unwrap();
+    assert_eq!(
+        aig_xml::serialize::to_string(&served.tree),
+        aig_xml::serialize::to_string(&cold.tree),
+        "a refresh of a re-prepared plan drifted from a cold run"
+    );
+}

@@ -66,7 +66,8 @@ fn paced_dynamic_picks_are_pinned_to_the_bit() {
     let graph = TaskGraph {
         topo: (0..tasks.len()).collect(),
         tasks,
-        producer: HashMap::new(),
+        producer: Default::default(),
+        instance_tables: vec![],
         bindings: HashMap::new(),
         materialized: vec![],
         source_query_count: 0,

@@ -22,14 +22,16 @@ use aig_core::paper::sigma0;
 use aig_core::spec::{Aig, ElemIdx, FieldRule, Prod, SetExpr, SynRule};
 use aig_core::{compile_constraints, decompose_queries, parse_aig};
 use aig_datagen::{DatasetSize, HospitalConfig};
-use aig_mediator::graph::{Occ, RelKey, TaskGraph, TaskKind};
+use aig_mediator::graph::{Occ, RelKey, Task, TaskGraph, TaskKind};
+use aig_mediator::obs::Phases;
 use aig_mediator::{
-    build_graph, execute_graph, unfold, CutOff, ExecOptions, ExecPolicy, GraphOptions, Mediator,
-    MediatorOptions, Scheduling,
+    build_graph, execute_graph, prepare, unfold, CutOff, ExecOptions, ExecPolicy, GraphOptions,
+    Mediator, MediatorOptions, NetworkModel, PlanOptions, Scheduling,
 };
 use aig_relstore::intern::resolve;
-use aig_relstore::{Catalog, Database, Sym, Table, TableSchema, Value};
+use aig_relstore::{Catalog, Database, SourceId, Sym, Table, TableSchema, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::mem::Discriminant;
 
 /// Whether a synthesized rule can produce a row: it injects values itself
 /// (singleton, inherited set, collected scalar) or copies a field of a
@@ -378,12 +380,14 @@ fn occ_tags_are_the_bindings(
                 (aig.root, vec![(*tag, 1)])
             }
             TaskKind::Assemble { elem, inputs } => {
-                let part = |input: &RelKey| {
+                let part = |&(producer, tag): &(usize, Sym)| {
+                    let input = graph.tasks[producer].output.as_ref().unwrap();
                     let (RelKey::GenOut(occ, at) | RelKey::BranchOut(occ, at)) = input else {
                         panic!("{}: an input {input:?}", task.label)
                     };
+                    assert_eq!(tag, graph.bindings[occ].tags[*at], "{}", task.label);
                     let rows = run.store.get(input).unwrap().len();
-                    (graph.bindings[occ].tags[*at], rows)
+                    (tag, rows)
                 };
                 (*elem, inputs.iter().map(part).collect())
             }
@@ -414,4 +418,53 @@ fn occ_tags_are_interned_with_the_graph_and_written_as_they_are() {
     let args = [("day", Value::str("mon"))];
     let cells = occ_tags_are_the_bindings(&aig, &catalog, 2, &args);
     assert!(cells > 10, "orders: {cells} `__occ` cells");
+}
+
+/// What a task is, as far as its id is concerned: its label, kind, source,
+/// output and deps.
+type TaskShape = (
+    String,
+    Discriminant<TaskKind>,
+    SourceId,
+    Option<RelKey>,
+    Vec<(usize, RelKey)>,
+);
+
+/// The task sequence of `source`'s plan at `depth`, prepared afresh.
+fn task_sequence(source: &Aig, catalog: &Catalog, depth: usize) -> Vec<TaskShape> {
+    let (options, net) = (PlanOptions::default(), NetworkModel::default());
+    let plan = prepare(source, catalog, depth, &options, &net, &mut Phases::new()).unwrap();
+    let tasks = plan.graph.tasks.iter();
+    let task = |t: &Task| {
+        let kind = std::mem::discriminant(&t.kind);
+        (
+            t.label.clone(),
+            kind,
+            t.source,
+            t.output.clone(),
+            t.deps.clone(),
+        )
+    };
+    tasks.map(task).collect()
+}
+
+/// Task ids are a function of the AIG, the catalog and the depth: two
+/// independent preparations number every task alike, so what a run keeps
+/// by task id — a refresh's snapshot — fits any preparation of its plan.
+#[test]
+fn two_preparations_number_every_task_alike() {
+    let data = HospitalConfig::tiny(3).generate().unwrap();
+    let aig = sigma0().unwrap();
+    for depth in [3, 6, 12, 24] {
+        let first = task_sequence(&aig, &data.catalog, depth);
+        assert!(first.len() > 10, "depth {depth}: {} tasks", first.len());
+        assert_eq!(
+            first,
+            task_sequence(&aig, &data.catalog, depth),
+            "depth {depth}"
+        );
+    }
+    let (aig, catalog) = orders();
+    let first = task_sequence(&aig, &catalog, 2);
+    assert_eq!(first, task_sequence(&aig, &catalog, 2), "orders");
 }

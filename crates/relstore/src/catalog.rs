@@ -164,11 +164,6 @@ impl Catalog {
         (0..self.sources.len() as u32).map(SourceId)
     }
 
-    /// Names of all sources in id order.
-    pub fn source_names(&self) -> Vec<&str> {
-        self.sources.iter().map(|s| s.name()).collect()
-    }
-
     /// Declares `replica` as the failover target for `primary`: when
     /// `primary` is unavailable, the mediator may re-issue its queries
     /// against `replica`'s tables. The mediator pseudo-source has no

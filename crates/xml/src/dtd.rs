@@ -654,15 +654,6 @@ impl GeneralDtd {
         Ok(dtd)
     }
 
-    /// Overrides the root element type.
-    pub fn with_root(mut self, root: &str) -> Result<GeneralDtd, XmlError> {
-        if !self.decls.iter().any(|(n, _)| n == root) {
-            return Err(XmlError::UndeclaredElement(root.to_string()));
-        }
-        self.root = root.to_string();
-        Ok(self)
-    }
-
     /// Normalizes general content models into the restricted forms of the
     /// paper by introducing synthetic entity element types (`_e0`, `_e1`, …).
     ///

@@ -83,6 +83,7 @@ fn workload(s1: SourceId, s2: SourceId, s3: SourceId) -> (TaskGraph, Vec<f64>) {
         topo,
         source_query_count: 0,
         tag_plan: Default::default(),
+        dispatch: Default::default(),
     };
     (graph, pace)
 }

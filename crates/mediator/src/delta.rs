@@ -99,7 +99,6 @@ impl ReadSets {
 /// true for every seed and every task that transitively consumes a
 /// masked task's output — the subgraph an incremental evaluation re-runs.
 pub fn rerun_mask(graph: &TaskGraph, seeds: &[usize]) -> Vec<bool> {
-    let succ = graph.successors();
     let mut mask = vec![false; graph.tasks.len()];
     let mut stack: Vec<usize> = seeds.to_vec();
     while let Some(id) = stack.pop() {
@@ -107,7 +106,7 @@ pub fn rerun_mask(graph: &TaskGraph, seeds: &[usize]) -> Vec<bool> {
             continue;
         }
         mask[id] = true;
-        for &next in &succ[id] {
+        for &next in graph.consumers(id) {
             if !mask[next] {
                 stack.push(next);
             }

@@ -40,18 +40,21 @@ use crate::graph::resolve_syn_key;
 #[cfg(test)]
 use std::collections::HashMap;
 
-/// How the parallel executor orders tasks at each source.
+/// How a per-source walk orders the ready tasks at each source. Both are a
+/// priority over the one dispatcher of [`crate::parallel`]: a worker takes
+/// the best ready task of its source's queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduling {
-    /// Walk the planned per-source sequences as given; each worker blocks
-    /// on its next planned task even when later tasks are already ready.
+    /// Follow the planned per-source sequences: a task's predecessor in its
+    /// source's sequence counts as one more of its inputs, so each worker
+    /// blocks on its next planned task even when later ones are ready.
     #[default]
     Static,
-    /// Per-source ready queues: an idle worker picks the highest-priority
-    /// *ready* task at its source instead of blocking on its next planned
-    /// one. Priorities are `ℓevel` over the compile-time estimates, fixed
-    /// per round (see [`crate::parallel`] for why measured actuals cannot
-    /// move them). The live counterpart of
+    /// Follow no sequence: an idle worker takes the highest-priority
+    /// *ready* task at its source. Priorities are `ℓevel` over the
+    /// compile-time estimates, fixed per round (see [`crate::parallel`] for
+    /// why measured actuals cannot move them), and every pick is logged
+    /// ([`SchedLog`]). The live counterpart of
     /// [`crate::schedule::dynamic_response_time`] (paper §5.5/§7).
     Dynamic,
 }
@@ -70,11 +73,12 @@ pub struct TaskPick {
     pub priority: f64,
 }
 
-/// What the scheduler did during one execution: empty and `dynamic: false`
-/// under static scheduling and the sequential executor.
+/// The pick log of one execution. Every walk takes its tasks from the same
+/// ready queues, but only a [`Scheduling::Dynamic`] walk logs its picks:
+/// empty and `dynamic: false` under `Static` and on the one-worker walk.
 #[derive(Debug, Clone, Default)]
 pub struct SchedLog {
-    /// True when the dynamic (ready-queue) scheduler ran.
+    /// True when a per-source `Dynamic` walk ran.
     pub dynamic: bool,
     /// Every dynamic pick, in pick order.
     pub picks: Vec<TaskPick>,
@@ -117,8 +121,9 @@ pub struct ExecPolicy {
     pub faults: Option<crate::faults::FaultConfig>,
     /// Retry/backoff/timeout policy when faults are injected.
     pub retry: RetryPolicy,
-    /// Static (planned sequences) or dynamic (live ready-queue) scheduling
-    /// in the parallel executor; ignored by the sequential executor.
+    /// Static (follow the planned sequences) or dynamic (rank the ready
+    /// tasks by `ℓevel`) in a per-source walk; ignored by the one-worker
+    /// walk, which follows the topological order.
     pub scheduling: Scheduling,
     /// Worker-thread bound for the partitioned kernels (hash join,
     /// dedup) inside each task, on inputs of at least
@@ -153,9 +158,9 @@ impl Default for ExecPolicy {
 }
 
 /// Execution options: an [`ExecPolicy`] plus the per-run state the caller
-/// must bind (the catalog-bound fault plan, pacing, ship-cut profiles, the
-/// started deadline clock, and the cross-request gate). Policy switches are
-/// read from the `policy` field, the one source of truth for them.
+/// must bind (the catalog-bound fault plan, pacing, ship-cut profiles and
+/// the started deadline clock). Policy switches are read from the `policy`
+/// field, the one source of truth for them.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// The shared policy (retry, scheduling, threads, guard/integrity
@@ -184,10 +189,6 @@ pub struct ExecOptions {
     /// [`crate::service::RequestCtx::deadline_secs`]; the clock starts when
     /// the request does.
     pub deadline: Option<crate::faults::Deadline>,
-    /// Cross-request source arbiter: concurrent requests sharing a gate
-    /// serialize same-source task execution, earliest absolute deadline
-    /// first (see [`crate::schedule::EdfGate`]). None = no arbitration.
-    pub gate: Option<Arc<crate::schedule::EdfGate>>,
 }
 
 impl Default for ExecOptions {
@@ -206,7 +207,6 @@ impl ExecOptions {
             pace: None,
             shipcut: None,
             deadline: None,
-            gate: None,
         }
     }
 }
@@ -464,10 +464,9 @@ impl<S: RelSource> Executor<'_, S> {
     /// Runs task `id` at its effective `source` and measures it: input
     /// rows, the integrity profile (only under a fault plan that can
     /// corrupt or guard an attempt), pacing inside the measured window, the
-    /// fault layer's retry loop with the cross-request EDF slot acquired
-    /// per attempt (so it is never held across a backoff sleep, and never
-    /// for mediator tasks), and the ship seam. Fault events are appended to
-    /// `events`.
+    /// fault layer's retry loop and the ship seam. Nothing else contends
+    /// for the source: a walk runs at most one worker per effective source.
+    /// Fault events are appended to `events`.
     pub(crate) fn run_measured(
         &self,
         id: usize,
@@ -501,14 +500,7 @@ impl<S: RelSource> Executor<'_, S> {
             retry: &opts.policy.retry,
             deadline: opts.deadline.as_ref(),
         };
-        let result = env.run_task(&ctx, events, || {
-            let _slot = opts
-                .gate
-                .as_ref()
-                .filter(|_| !source.is_mediator())
-                .map(|gate| gate.acquire(source, opts.deadline.as_ref()));
-            self.run_task(task)
-        });
+        let result = env.run_task(&ctx, events, || self.run_task(task));
         let mut measured = Measured {
             secs: start.elapsed().as_secs_f64(),
             in_rows,

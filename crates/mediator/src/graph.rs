@@ -360,6 +360,9 @@ pub struct TaskGraph {
     pub source_query_count: usize,
     /// The tagging plan, compiled on the graph's first tagging.
     pub tag_plan: crate::tagging::TagPlanCell,
+    /// What a walk reads that the graph fixes — the consumer index, the
+    /// topological positions, the estimate graph — built on first use.
+    pub dispatch: crate::parallel::DispatchCell,
 }
 
 impl Task {
@@ -427,17 +430,6 @@ impl TaskGraph {
     /// The producer of `elem`'s instance table.
     pub fn instances_of(&self, elem: ElemIdx) -> usize {
         self.instance_tables[elem.index()]
-    }
-
-    /// Successor lists (consumer edges), derived from deps.
-    pub fn successors(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.tasks.len()];
-        for (id, task) in self.tasks.iter().enumerate() {
-            for (dep, _) in &task.deps {
-                out[*dep].push(id);
-            }
-        }
-        out
     }
 }
 
@@ -534,6 +526,7 @@ pub fn build_graph(
         topo,
         source_query_count: b.source_query_count,
         tag_plan: Default::default(),
+        dispatch: Default::default(),
     };
     estimate_costs(&mut graph, catalog, opts);
     Ok(graph)

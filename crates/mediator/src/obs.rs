@@ -248,7 +248,7 @@ report_struct! {
         pub id: usize,
         pub label: String,
         /// Short task-kind tag (`gen`, `assemble`, `guard`, …).
-        pub kind: String,
+        pub kind: &'static str,
         pub source: String,
         pub source_id: u32,
         /// Rows read from distinct input relations.
@@ -879,7 +879,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         .map(|(id, task)| TaskObs {
             id,
             label: task.label.clone(),
-            kind: kind_tag(&task.kind).to_string(),
+            kind: kind_tag(&task.kind),
             source: catalog.source(task.source).name().to_string(),
             source_id: task.source.0,
             in_rows: measured[id].in_rows,

@@ -3,12 +3,17 @@
 //! "At each source, the unprocessed query that is lowest in the plan's
 //! ordering is selected for execution as soon as its inputs are available" —
 //! the sources run concurrently, coordinated by the mediator. Every
-//! execution is that rule: `walk` runs rounds of workers over one
-//! write-once slot per task — the [`RelStore`] the run returns — and a
-//! worker blocks until the inputs of its next task, read by their producers'
-//! ids, are complete. Given per-source sequences it starts one worker thread
-//! per source; without them one worker on the calling thread walks the
-//! topological order — the sequential executor — and no thread is spawned.
+//! execution is that rule, and one dispatcher implements it: `walk` runs
+//! rounds of workers over one write-once slot per task — the [`RelStore`]
+//! the run returns — and each worker takes the next ready task of its queue,
+//! runs it and completes it. A task is ready once its inputs are complete
+//! and, when the round follows a sequence, its predecessor in that sequence
+//! is: a planned sequence is a chain of inputs, so a sequence and an input
+//! are waited on in one place. Without per-source sequences one worker on
+//! the calling thread follows the pending topological order — the
+//! sequential executor — and never blocks; with them one worker thread per
+//! source follows its planned sequence ([`Scheduling::Static`]) or follows
+//! none and takes its highest-`ℓevel` ready task ([`Scheduling::Dynamic`]).
 //! A refresh ([`crate::delta`]) is the same walk with every task outside its
 //! re-run mask complete from the start, the snapshot's slot `i` its slot
 //! `i`, so it runs and reports under whichever dispatcher the policy selects.
@@ -18,10 +23,10 @@
 //! simulation in [`crate::cost`], which models the paper's network.
 //!
 //! This module owns how a graph is walked — the slots' completion state,
-//! the ready-queue scheduler state, the round loop and the failover
-//! between rounds. Running and measuring a task
-//! (`Executor::run_measured`) and where a dead source's tasks go
-//! (`Failover`) live in [`crate::exec`].
+//! the ready queues, the round loop and the failover between rounds — and
+//! what a walk reads that the graph fixes ([`DispatchCell`]). Running and
+//! measuring a task (`Executor::run_measured`) and where a dead source's
+//! tasks go (`Failover`) live in [`crate::exec`].
 
 use crate::batch::{BatchLog, ShipLedger};
 use crate::cost::{estimated_costs, CostGraph};
@@ -35,22 +40,80 @@ use crate::schedule::replan_surviving;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Relation, SourceId, Value};
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
+
+/// What every walk of one task graph reads that the graph fixes, built on
+/// its first walk (or re-run mask) and shared by every later one.
+#[derive(Debug, Default)]
+pub struct DispatchCell(OnceLock<Dispatch>);
+
+#[derive(Debug)]
+struct Dispatch {
+    /// The consumers of task `i` are `consumers[starts[i]..starts[i + 1]]`,
+    /// one per dependency edge, in task order.
+    starts: Vec<usize>,
+    consumers: Vec<usize>,
+    /// Position of each task in `graph.topo`: ranks a worker's ready tasks.
+    topo_pos: Vec<usize>,
+    /// The compile-time estimate graph `Dynamic` priorities are `ℓevel`s
+    /// over, built on the first `Dynamic` round.
+    estimates: OnceLock<CostGraph>,
+}
+
+impl TaskGraph {
+    fn dispatch(&self) -> &Dispatch {
+        self.dispatch.0.get_or_init(|| {
+            let n = self.tasks.len();
+            let mut starts = vec![0; n + 1];
+            for &(dep, _) in self.tasks.iter().flat_map(|task| &task.deps) {
+                starts[dep + 1] += 1;
+            }
+            for i in 0..n {
+                starts[i + 1] += starts[i];
+            }
+            let mut fill = starts.clone();
+            let mut consumers = vec![0; starts[n]];
+            for (id, task) in self.tasks.iter().enumerate() {
+                for &(dep, _) in &task.deps {
+                    consumers[fill[dep]] = id;
+                    fill[dep] += 1;
+                }
+            }
+            let mut topo_pos = vec![0; n];
+            for (pos, &id) in self.topo.iter().enumerate() {
+                topo_pos[id] = pos;
+            }
+            Dispatch {
+                starts,
+                consumers,
+                topo_pos,
+                estimates: OnceLock::new(),
+            }
+        })
+    }
+
+    /// The tasks that read `task`'s output, one per dependency edge.
+    pub(crate) fn consumers(&self, task: usize) -> &[usize] {
+        let dispatch = self.dispatch();
+        &dispatch.consumers[dispatch.starts[task]..dispatch.starts[task + 1]]
+    }
+}
 
 /// The run's write-once relation slots, shared between the workers of a
 /// round, and what they have completed.
 struct SharedStore<'g> {
     graph: &'g TaskGraph,
     store: RelStore,
-    /// Completion flags (also covers tasks with no output, e.g. guards) and
-    /// the first error, guarded by one mutex + condvar.
+    /// Completion flags (also covers tasks with no output, e.g. guards),
+    /// the ready queues and the first error, guarded by one mutex + condvar.
     state: Mutex<Progress>,
     wake: Condvar,
-    /// Whether a worker can be blocked on `wake`. The one-worker round never
-    /// blocks — it walks a topological order — so it skips the wake-up, a
-    /// futex call per completed task.
-    threaded: bool,
+    /// Whether the walk runs a worker per source, queue `q` serving source
+    /// `q`, or one worker. Only the former can block on `wake`: the one
+    /// worker's next task is always ready, so it skips the wake-up, a futex
+    /// call per completed task.
+    per_source: bool,
 }
 
 #[derive(Default)]
@@ -65,151 +128,181 @@ struct Progress {
     /// Fault events appended as tasks complete (any order; the report
     /// canonicalizes).
     events: Vec<FaultEvent>,
-    /// Live ready-queue state of the current round (None unless the round
-    /// is per-source and dynamic); rebuilt — re-primed — at every failover
-    /// round from the completed tasks.
-    dyn_sched: Option<DynSched>,
-    /// Dynamic pick log; persists across failover rounds.
+    /// The current round's queues; rebuilt at every failover round from the
+    /// completed tasks.
+    round: Round,
+    /// `Dynamic` pick log; persists across failover rounds.
     picks: Vec<TaskPick>,
     /// Picks logged per source so far — the next pick's `actual_pos`.
     picked_at: HashMap<SourceId, usize>,
 }
 
-/// Runtime state of the dynamic (ready-queue) scheduler: the live
-/// counterpart of the event simulation in
-/// [`crate::schedule::dynamic_response_time`]. A worker going idle picks the
-/// highest-priority *ready* task at its source. What makes it dynamic is the
-/// work-conserving queue — a source never idles behind a planned task whose
-/// inputs are late — not the priorities: those are `ℓevel` over the
-/// compile-time estimates, computed **once per round**.
+/// No task: the end of a sequence.
+const NONE: usize = usize::MAX;
+
+/// The one dispatcher's state for one round. A worker going idle takes the
+/// best ready task of its queue: the lowest in topological order, or under
+/// `Dynamic` the highest `ℓevel` over the compile-time estimates, computed
+/// **once per round** (ties on topological position). Under a sequence at
+/// most one task of a queue is ready at a time — its next planned one — so
+/// the worker blocks on it even when later ones have their inputs; without
+/// one the queue is work-conserving, and a source never idles behind a
+/// planned task whose inputs are late.
 ///
-/// Patching the measured actuals of finished tasks into the graph (as this
-/// scheduler once did, re-running `levels` at every pick) cannot move a
-/// pick. `ℓevel(t) = eval(t) + max_s(ℓevel(s) + trans(t → s))` reads only
-/// `t`, its out-edges and its descendants; a completion changes the
+/// Patching the measured actuals of finished tasks into the graph (as the
+/// dynamic scheduler once did, re-running `levels` at every pick) cannot
+/// move a pick. `ℓevel(t) = eval(t) + max_s(ℓevel(s) + trans(t → s))` reads
+/// only `t`, its out-edges and its descendants; a completion changes the
 /// evaluation time and out-edge sizes of a *finished* task; and every task
 /// still in a ready queue has only unfinished descendants. Its level is
 /// therefore bit-identical to the round's first evaluation, whatever has
 /// finished since. Priorities that adapt would have to rescale the estimates
 /// of *unfinished* tasks from the errors observed so far, which is a
 /// different algorithm.
-struct DynSched {
-    /// Consumer tasks per producer, one entry per dependency edge.
-    consumers: Vec<Vec<usize>>,
-    /// Open (not-done) dependency edges per task; a task is ready at 0.
+#[derive(Default)]
+struct Round {
+    /// Per task: its unfinished inputs, plus one while its predecessor in
+    /// the sequence the round follows is unfinished. Ready at 0.
     waiting: Vec<usize>,
-    /// Ready, not-yet-picked tasks per effective source.
-    ready: HashMap<SourceId, Vec<usize>>,
-    /// Not-yet-completed task counts per effective source; a worker drains
-    /// when its source reaches 0.
-    remaining: HashMap<SourceId, usize>,
-    /// Effective source per task in this round (fixed between failovers).
-    effective: Vec<SourceId>,
-    /// Position each task holds in the baseline static plan at its source
-    /// (the "planned position" of the deviation log).
-    planned_pos: Vec<usize>,
-    /// Position of each task in `graph.topo`: breaks priority ties.
-    topo_pos: Vec<usize>,
-    /// `ℓevel` of every task over the estimate graph.
-    priority: Vec<f64>,
+    /// Per task: the next task of its sequence (`NONE` at a sequence's end
+    /// and in a round that follows none).
+    next: Vec<usize>,
+    /// One queue per worker: the one worker's, or — in a per-source walk —
+    /// one per source, indexed by source id, holding the tasks whose
+    /// effective source it is.
+    queues: Vec<Queue>,
+    /// `Dynamic` only: each task's `ℓevel` and its position in the planned
+    /// sequence of its source (the pick log's planned position).
+    ranks: Option<(Vec<f64>, Vec<usize>)>,
+}
+
+#[derive(Default)]
+struct Queue {
+    /// Ready, not-yet-picked tasks.
+    ready: Vec<usize>,
+    /// Not-yet-completed tasks; the worker drains at 0.
+    remaining: usize,
 }
 
 impl SharedStore<'_> {
-    /// Blocks until every dependency of `task` has completed, returning the
-    /// seconds spent blocked (exactly 0.0 when the inputs were already
-    /// there), or None when a worker failed or hit a dead source.
-    fn wait_for_deps(&self, task: usize) -> Option<f64> {
-        let deps = &self.graph.tasks[task].deps;
-        let mut state = self.state.lock().expect("store mutex");
-        let mut blocked: Option<Instant> = None;
-        loop {
-            if state.failed.is_some() || state.halted.is_some() {
-                return None;
-            }
-            if deps.iter().all(|(d, _)| state.done[*d]) {
-                return Some(blocked.map_or(0.0, |t| t.elapsed().as_secs_f64()));
-            }
-            blocked.get_or_insert_with(Instant::now);
-            state = self.wake.wait(state).expect("store mutex");
-        }
-    }
-
-    fn is_done(&self, task: usize) -> bool {
-        self.state.lock().expect("store mutex").done[task]
-    }
-
     fn wake_all(&self) {
-        if self.threaded {
+        if self.per_source {
             self.wake.notify_all();
         }
     }
 
-    /// Marks the round aborted because `source` is dead.
-    fn halt(&self, source: SourceId) {
-        let mut state = self.state.lock().expect("store mutex");
-        if state.halted.is_none() {
-            state.halted = Some(source);
+    fn queue_of(&self, task: usize, effective: &[SourceId]) -> usize {
+        if self.per_source {
+            effective[task].index()
+        } else {
+            0
         }
-        drop(state);
-        self.wake_all();
     }
 
-    /// Dynamic scheduling: blocks until a task at `source` is ready (picking
-    /// the highest-priority one, logging the pick, and returning it with
-    /// the seconds spent blocked), the source has no tasks left (drained),
-    /// the source is dead (halts the round), or the round aborts. Returns
-    /// None in all but the first case.
-    fn pick_next(&self, source: SourceId, failover: &Failover<'_>) -> Option<(usize, f64)> {
+    /// Builds the round's queues over the tasks not yet complete: the one
+    /// worker's (`plan: None`) follows the pending topological order; a
+    /// per-source round's follow the planned sequences, or none when
+    /// `ranks` (the `Dynamic` priorities and planned positions) are given.
+    fn prime(
+        &self,
+        effective: &[SourceId],
+        sources: usize,
+        plan: Option<&HashMap<SourceId, Vec<usize>>>,
+        ranks: Option<(Vec<f64>, Vec<usize>)>,
+    ) {
+        let graph = self.graph;
+        let n = graph.tasks.len();
+        let mut state = self.state.lock().expect("store mutex");
+        let Progress { done, round, .. } = &mut *state;
+        *round = Round {
+            waiting: vec![0; n],
+            next: vec![NONE; n],
+            queues: (0..if self.per_source { sources } else { 1 })
+                .map(|_| Queue::default())
+                .collect(),
+            ranks: None,
+        };
+        let mut follow = |sequence: &[usize]| {
+            let mut pending = sequence.iter().copied().filter(|&t| !done[t]);
+            if let Some(mut prev) = pending.next() {
+                for task in pending {
+                    (round.next[prev], prev) = (task, task);
+                    round.waiting[task] = 1;
+                }
+            }
+        };
+        match plan {
+            None => follow(&graph.topo),
+            Some(plan) if ranks.is_none() => plan.values().for_each(|seq| follow(seq)),
+            Some(_) => {}
+        }
+        for &task in &graph.topo {
+            if done[task] {
+                continue;
+            }
+            let deps = graph.tasks[task].deps.iter();
+            round.waiting[task] += deps.filter(|(d, _)| !done[*d]).count();
+            let queue = self.queue_of(task, effective);
+            round.queues[queue].remaining += 1;
+            if round.waiting[task] == 0 {
+                round.queues[queue].ready.push(task);
+            }
+        }
+        round.ranks = ranks;
+    }
+
+    /// The one pick: blocks until a task of queue `q` is ready and returns
+    /// it with the seconds spent blocked (exactly 0.0 when one was ready at
+    /// once), or None when the queue has drained, a worker failed or the
+    /// round halted. A worker whose next task is at a dead source halts the
+    /// round — before it waits, so no worker waits on output that will
+    /// never come.
+    fn pick(&self, q: usize, failover: &Failover<'_>) -> Option<(usize, f64)> {
+        let topo_pos = &self.graph.dispatch().topo_pos;
         let mut state = self.state.lock().expect("store mutex");
         let mut blocked: Option<Instant> = None;
         loop {
             if state.failed.is_some() || state.halted.is_some() {
                 return None;
             }
-            if state
-                .dyn_sched
-                .as_ref()
-                .expect("dynamic round state")
-                .remaining
-                .get(&source)
-                .copied()
-                .unwrap_or(0)
-                == 0
-            {
-                return None; // this source's work is complete
+            let Progress {
+                round,
+                picks,
+                picked_at,
+                halted,
+                ..
+            } = &mut *state;
+            let queue = &mut round.queues[q];
+            if queue.remaining == 0 {
+                return None; // this worker's work is complete
             }
-            // The source still owns tasks: a hard-down or mid-run-dead
-            // source halts the round so the coordinator can fail over.
-            if failover.is_dead(source) {
-                state.halted = Some(source);
+            let priority = |t: usize| round.ranks.as_ref().map_or(0.0, |(level, _)| level[t]);
+            let best = (0..queue.ready.len()).max_by(|&a, &b| {
+                let (ta, tb) = (queue.ready[a], queue.ready[b]);
+                (priority(ta).total_cmp(&priority(tb))).then(topo_pos[tb].cmp(&topo_pos[ta]))
+            });
+            // Queue `q` of a per-source round holds source `q`'s tasks; the
+            // one worker's next task is always ready.
+            let at = best.map_or(SourceId(q as u32), |i| failover.effective[queue.ready[i]]);
+            if failover.is_dead(at) {
+                *halted = Some(at);
                 drop(state);
                 self.wake_all();
                 return None;
             }
-            let sched = state.dyn_sched.as_mut().expect("dynamic round state");
-            let queue_has_work = sched.ready.get(&source).is_some_and(|q| !q.is_empty());
-            if queue_has_work {
-                let queue = sched.ready.get_mut(&source).expect("checked non-empty");
-                let best_at = (0..queue.len())
-                    .max_by(|&a, &b| {
-                        let (ta, tb) = (queue[a], queue[b]);
-                        sched.priority[ta]
-                            .total_cmp(&sched.priority[tb])
-                            .then(sched.topo_pos[tb].cmp(&sched.topo_pos[ta]))
-                    })
-                    .expect("non-empty queue");
-                let task = queue.remove(best_at);
-                let (priority, planned_pos) = (sched.priority[task], sched.planned_pos[task]);
-                let picked = state.picked_at.entry(source).or_insert(0);
-                let actual_pos = *picked;
-                *picked += 1;
-                state.picks.push(TaskPick {
-                    task,
-                    source,
-                    planned_pos,
-                    actual_pos,
-                    priority,
-                });
+            if let Some(i) = best {
+                let task = queue.ready.swap_remove(i);
+                if let Some((level, planned_pos)) = &round.ranks {
+                    let picked = picked_at.entry(at).or_insert(0);
+                    picks.push(TaskPick {
+                        task,
+                        source: at,
+                        planned_pos: planned_pos[task],
+                        actual_pos: *picked,
+                        priority: level[task],
+                    });
+                    *picked += 1;
+                }
                 return Some((task, blocked.map_or(0.0, |t| t.elapsed().as_secs_f64())));
             }
             blocked.get_or_insert_with(Instant::now);
@@ -217,10 +310,12 @@ impl SharedStore<'_> {
         }
     }
 
+    /// Records a finished task and, when it succeeded, readies the
+    /// consumers and the sequence successor it was the last input of.
     fn complete(
         &self,
         task: usize,
-        source: SourceId,
+        failover: &Failover<'_>,
         result: Result<Option<Relation>, MediatorError>,
         measured: Measured,
         events: Vec<FaultEvent>,
@@ -232,19 +327,18 @@ impl SharedStore<'_> {
                 if let Some(rel) = rel {
                     let _ = self.store.slots[task].set(rel);
                 }
-                state.done[task] = true;
                 state.measured[task] = measured;
-                if let Some(sched) = state.dyn_sched.as_mut() {
-                    // Release the consumers this completion unblocks.
-                    for &consumer in &sched.consumers[task] {
-                        sched.waiting[consumer] -= 1;
-                        if sched.waiting[consumer] == 0 {
-                            let home = sched.effective[consumer];
-                            sched.ready.entry(home).or_default().push(consumer);
-                        }
-                    }
-                    if let Some(left) = sched.remaining.get_mut(&source) {
-                        *left = left.saturating_sub(1);
+                let Progress { done, round, .. } = &mut *state;
+                done[task] = true;
+                let queue = self.queue_of(task, &failover.effective);
+                round.queues[queue].remaining -= 1;
+                let next = round.next[task];
+                let released = self.graph.consumers(task).iter().copied();
+                for t in released.chain((next != NONE).then_some(next)) {
+                    round.waiting[t] -= 1;
+                    if round.waiting[t] == 0 {
+                        let queue = self.queue_of(t, &failover.effective);
+                        round.queues[queue].ready.push(t);
                     }
                 }
             }
@@ -276,9 +370,9 @@ pub fn execute_graph_parallel(
 }
 
 /// The one walk every execution takes. With `per_source: None` one worker
-/// on the calling thread walks `graph.topo` — the sequential run; with
-/// `Some` one worker per source follows its sequence, or draws from its
-/// source's ready queue under [`Scheduling::Dynamic`].
+/// on the calling thread follows `graph.topo` — the sequential run; with
+/// `Some` one worker per source follows its sequence, or under
+/// [`Scheduling::Dynamic`] follows none and ranks its ready tasks.
 ///
 /// With `reuse = Some((store, measured, rerun))` only the tasks with
 /// `rerun[id]` run — the incremental path ([`crate::delta`]); every other
@@ -329,7 +423,7 @@ pub(crate) fn walk(
         store,
         state: Mutex::new(progress),
         wake: Condvar::new(),
-        threaded: per_source.is_some(),
+        per_source: per_source.is_some(),
     };
     let dynamic = per_source.is_some() && opts.policy.scheduling == Scheduling::Dynamic;
     let epoch = Instant::now();
@@ -340,9 +434,19 @@ pub(crate) fn walk(
     // Each round redirects at least one dead source, and a redirected
     // source cannot halt again, so the loop is bounded by the source count.
     for _ in 0..catalog.len() + 1 {
-        if let Some(plan) = plan.as_ref().filter(|_| dynamic) {
-            prime_dynamic(&shared, plan, &failover.effective, opts);
-        }
+        let ranks = plan.as_ref().filter(|_| dynamic).map(|plan| {
+            let estimates = (graph.dispatch().estimates)
+                .get_or_init(|| CostGraph::from_task_graph(graph, &estimated_costs(graph)));
+            let mut planned_pos = vec![0; n];
+            for seq in plan.values() {
+                for (pos, &id) in seq.iter().enumerate() {
+                    planned_pos[id] = pos;
+                }
+            }
+            let level = crate::schedule::levels(estimates, &opts.policy.network);
+            (level, planned_pos)
+        });
+        shared.prime(&failover.effective, catalog.len(), plan.as_ref(), ranks);
         let exec = Executor {
             aig,
             catalog: failover.catalog(),
@@ -353,7 +457,7 @@ pub(crate) fn walk(
             epoch,
             ship: &ship,
         };
-        run_round(&exec, &shared, &failover, plan.as_ref(), dynamic);
+        run_round(&exec, &shared, &failover);
 
         let halted = {
             let mut state = shared.state.lock().expect("store mutex");
@@ -394,129 +498,49 @@ pub(crate) fn walk(
     ))
 }
 
-/// Builds (or rebuilds, after a failover) the dynamic scheduler's round
-/// state: the round's priorities, dependency counts over the surviving
-/// tasks, and the initial ready queues per effective source.
-fn prime_dynamic(
-    shared: &SharedStore<'_>,
-    plan: &HashMap<SourceId, Vec<usize>>,
-    effective: &[SourceId],
-    opts: &ExecOptions,
-) {
-    let graph = shared.graph;
-    let n = graph.tasks.len();
-    let estimates = CostGraph::from_task_graph(graph, &estimated_costs(graph));
-    let priority = crate::schedule::levels(&estimates, &opts.policy.network);
-    let mut planned_pos = vec![0usize; n];
-    for seq in plan.values() {
-        for (pos, &id) in seq.iter().enumerate() {
-            planned_pos[id] = pos;
-        }
+/// One round of workers over the primed queues. Returns when every worker
+/// has drained (finished its work, or stopped on a failure or a halt). The
+/// one worker runs on the calling thread; a per-source round gives each
+/// source with work a thread.
+fn run_round(exec: &Executor<'_, RelStore>, shared: &SharedStore<'_>, failover: &Failover<'_>) {
+    if !shared.per_source {
+        return work(exec, shared, failover, 0);
     }
-    let mut topo_pos = vec![0usize; n];
-    for (pos, &id) in graph.topo.iter().enumerate() {
-        topo_pos[id] = pos;
-    }
-    let mut state = shared.state.lock().expect("store mutex");
-    let mut waiting = vec![0usize; n];
-    let mut ready: HashMap<SourceId, Vec<usize>> = HashMap::new();
-    let mut remaining: HashMap<SourceId, usize> = HashMap::new();
-    for &task in &graph.topo {
-        if state.done[task] {
-            continue;
-        }
-        let deps = graph.tasks[task].deps.iter();
-        waiting[task] = deps.filter(|(d, _)| !state.done[*d]).count();
-        if waiting[task] == 0 {
-            ready.entry(effective[task]).or_default().push(task);
-        }
-        *remaining.entry(effective[task]).or_insert(0) += 1;
-    }
-    state.dyn_sched = Some(DynSched {
-        consumers: graph.successors(),
-        waiting,
-        ready,
-        remaining,
-        effective: effective.to_vec(),
-        planned_pos,
-        topo_pos,
-        priority,
-    });
-}
-
-/// One round of workers, skipping already-completed tasks. Returns when
-/// every worker has drained (finished its work, or stopped on a failure or
-/// a halt). Without a plan the one worker walks `graph.topo` on the calling
-/// thread; with one, each source gets a worker thread. In a `dynamic` round
-/// the planned sequences only seed the deviation log's planned positions.
-fn run_round(
-    exec: &Executor<'_, RelStore>,
-    shared: &SharedStore<'_>,
-    failover: &Failover<'_>,
-    plan: Option<&HashMap<SourceId, Vec<usize>>>,
-    dynamic: bool,
-) {
-    let Some(plan) = plan else {
-        return work(exec, shared, failover, &exec.graph.topo, None);
+    let busy: Vec<usize> = {
+        let state = shared.state.lock().expect("store mutex");
+        let queues = state.round.queues.iter().enumerate();
+        queues
+            .filter(|(_, q)| q.remaining > 0)
+            .map(|(q, _)| q)
+            .collect()
     };
     std::thread::scope(|scope| {
-        for (&source, sequence) in plan {
+        for q in busy {
             std::thread::Builder::new()
-                .name(format!("aig-source-{}", source.0))
-                .spawn_scoped(scope, move || {
-                    work(exec, shared, failover, sequence, dynamic.then_some(source))
-                })
+                .name(format!("aig-source-{q}"))
+                .spawn_scoped(scope, move || work(exec, shared, failover, q))
                 .expect("spawn source worker");
         }
     });
 }
 
-/// One worker: walks `sequence`, or — given the source it serves in a
-/// dynamic round — draws from that source's ready queue, running each task
-/// once its inputs are complete. A failed task ends the round: the next
-/// wait sees it and returns.
+/// One worker: takes the next ready task of queue `q`, runs it and
+/// completes it, until the queue drains or the round stops. A failed task
+/// ends the round: the next pick sees it and returns.
 fn work(
     exec: &Executor<'_, RelStore>,
     shared: &SharedStore<'_>,
     failover: &Failover<'_>,
-    sequence: &[usize],
-    dynamic: Option<SourceId>,
+    q: usize,
 ) {
-    // Runs one task (its dependencies are complete, so the EDF slot it
-    // takes per attempt can never deadlock) and records its measurements.
-    let run_one = |task_id: usize, wait_secs: f64| {
-        let at = failover.effective[task_id];
+    while let Some((task, wait_secs)) = shared.pick(q, failover) {
+        let at = failover.effective[task];
         let mut events = Vec::new();
-        let (result, measured) = exec.run_measured(task_id, at, wait_secs, &mut events);
+        let (result, measured) = exec.run_measured(task, at, wait_secs, &mut events);
         if result.is_ok() {
             failover.task_done(at);
         }
-        shared.complete(task_id, at, result, measured, events);
-    };
-    match dynamic {
-        Some(source) => {
-            while let Some((task_id, wait_secs)) = shared.pick_next(source, failover) {
-                run_one(task_id, wait_secs);
-            }
-        }
-        None => {
-            for &task_id in sequence {
-                if shared.is_done(task_id) {
-                    continue;
-                }
-                // A dead source aborts the round *before* blocking on
-                // dependencies, so no worker waits on output that will
-                // never come.
-                let at = failover.effective[task_id];
-                if failover.is_dead(at) {
-                    return shared.halt(at);
-                }
-                let Some(wait_secs) = shared.wait_for_deps(task_id) else {
-                    return; // a worker failed or halted
-                };
-                run_one(task_id, wait_secs);
-            }
-        }
+        shared.complete(task, failover, result, measured, events);
     }
 }
 

@@ -23,7 +23,7 @@ use crate::faults::{FaultConfig, RetryPolicy};
 use crate::graph::GraphOptions;
 use crate::obs::{Phases, RunReport};
 use crate::plan::{
-    deepen, finish_run, prepare, ExecPolicy, FinishInputs, FullOutcome, PlanOptions,
+    finish_run, prepare, ExecPolicy, FinishInputs, FrontEnd, FullOutcome, PlanOptions,
 };
 use crate::sim::NetworkModel;
 use crate::unfold::CutOff;
@@ -62,8 +62,9 @@ pub struct MediatorOptions {
     pub faults: Option<FaultConfig>,
     /// Retry/backoff/timeout policy when faults are injected.
     pub retry: RetryPolicy,
-    /// Static (planned sequences) or dynamic (live ready-queue) scheduling
-    /// in the parallel executor; ignored by the sequential executor.
+    /// Static (follow the planned sequences) or dynamic (rank the ready
+    /// tasks by `ℓevel`) in a per-source walk; ignored by the one-worker
+    /// walk, which follows the topological order.
     pub scheduling: Scheduling,
     /// Worker threads for the partitioned in-process kernels (hash join,
     /// dedup) on inputs of at least
@@ -317,7 +318,8 @@ impl MediatorOptionsBuilder {
         self
     }
 
-    /// Static (planned sequences) or dynamic (live ready-queue) scheduling.
+    /// Static (follow the planned sequences) or dynamic (rank the ready
+    /// tasks by `ℓevel`) scheduling in a per-source walk.
     ///
     /// ```
     /// use aig_mediator::{MediatorOptions, Scheduling};
@@ -458,8 +460,9 @@ pub fn run(
 /// the final plan ordering, and simulated vs. actual timings.
 ///
 /// One-shot wrapper over the prepare/execute split: a fresh
-/// [`crate::plan::PreparedPlan`] is built, executed once, and deepened in
-/// place while the recursion frontier keeps producing data (§5.5).
+/// [`crate::plan::PreparedPlan`] is built and executed, and while the
+/// recursion frontier keeps producing data (§5.5) a deeper one is prepared
+/// from its front end — all a frontier round keeps of the shallower plan.
 pub fn run_with_report(
     aig: &Aig,
     catalog: &Catalog,
@@ -477,20 +480,14 @@ pub fn run_with_report(
 
     let mut depth = plan_options.unfold_depth.max(1);
     let mut rounds = 0usize;
-    let mut current = None;
+    let mut front: Option<FrontEnd> = None;
+    let net = &exec_opts.policy.network;
     loop {
         rounds += 1;
-        let plan = match current.take() {
-            None => prepare(
-                aig,
-                catalog,
-                depth,
-                &plan_options,
-                &exec_opts.policy.network,
-                &mut phases,
-            )?,
+        let plan = match front.take() {
+            None => prepare(aig, catalog, depth, &plan_options, net, &mut phases)?,
             // Frontier rounds reuse the compiled/decomposed AIG.
-            Some(prev) => deepen(&prev, catalog, depth, &mut phases)?,
+            Some(front) => front.plan(catalog, depth, &plan_options, net, &mut phases)?,
         };
         let inputs = FinishInputs {
             rounds,
@@ -500,7 +497,7 @@ pub fn run_with_report(
             FullOutcome::Complete(done) => return Ok((done.run, done.report)),
             FullOutcome::FrontierExtend => {
                 depth = crate::plan::next_depth(depth, plan_options.max_depth)?;
-                current = Some(plan);
+                front = Some(plan.into_front());
             }
         }
     }

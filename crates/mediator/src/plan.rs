@@ -112,6 +112,12 @@ impl PreparedPlan {
         self.front.fingerprint
     }
 
+    /// The plan's front end alone: what a deeper plan is prepared from, so
+    /// a caller can drop the rest of this plan first.
+    pub(crate) fn into_front(self) -> FrontEnd {
+        self.front
+    }
+
     /// `exec_opts` with the plan's liveness profiles bound, so every
     /// dispatcher accounts ship images with them.
     pub(crate) fn bind(&self, exec_opts: &ExecOptions) -> ExecOptions {
@@ -195,7 +201,7 @@ pub fn deepen(
 /// form every unfolding starts from, and the DTD execution output is
 /// validated against.
 #[derive(Debug, Clone)]
-struct FrontEnd {
+pub(crate) struct FrontEnd {
     fingerprint: u64,
     specialized: Arc<Aig>,
     dtd: Dtd,
@@ -204,7 +210,7 @@ struct FrontEnd {
 impl FrontEnd {
     /// The back half: unfold to `depth`, build the task graph and analyze
     /// its ship-cut liveness.
-    fn plan(
+    pub(crate) fn plan(
         self,
         catalog: &Catalog,
         depth: usize,

@@ -86,109 +86,6 @@ pub fn naive_plan(graph: &CostGraph) -> Plan {
     Plan { per_source }
 }
 
-/// Cross-request earliest-deadline-first arbitration of the data sources.
-///
-/// The intra-request schedulers above order one request's tasks; when the
-/// server runs *several* requests concurrently they contend for the same
-/// autonomous sources. An `EdfGate` shared through
-/// [`crate::exec::ExecOptions::gate`] serializes same-source task
-/// execution across requests and, whenever more than one request is
-/// waiting for a source, admits the one with the earliest absolute
-/// deadline (requests without a deadline queue behind every deadlined one;
-/// ties break on arrival ticket, so the order is deterministic).
-///
-/// Deadlock-free by construction: a slot is acquired per *attempt*, after
-/// the task's dependencies are already complete, and released before any
-/// backoff sleep — a holder always finishes its attempt without waiting on
-/// anything the gate guards.
-#[derive(Debug)]
-pub struct EdfGate {
-    state: std::sync::Mutex<GateState>,
-    wake: std::sync::Condvar,
-    /// Reference instant; absolute deadlines become offsets from it so the
-    /// EDF key is a plain `(bool, Duration, ticket)` tuple.
-    epoch: std::time::Instant,
-}
-
-#[derive(Debug, Default)]
-struct GateState {
-    next_ticket: u64,
-    /// Sources currently executing an attempt.
-    busy: std::collections::HashSet<u32>,
-    /// Waiters per source: `(deadline offset from epoch, arrival ticket)`;
-    /// None = no deadline (sorts after every deadlined waiter).
-    waiting: HashMap<u32, Vec<(Option<std::time::Duration>, u64)>>,
-}
-
-/// EDF order: earliest absolute deadline first, deadline-less last,
-/// arrival ticket as the deterministic tie-break.
-fn edf_key(a: &(Option<std::time::Duration>, u64)) -> (bool, std::time::Duration, u64) {
-    (a.0.is_none(), a.0.unwrap_or_default(), a.1)
-}
-
-impl Default for EdfGate {
-    fn default() -> Self {
-        EdfGate::new()
-    }
-}
-
-impl EdfGate {
-    pub fn new() -> EdfGate {
-        EdfGate {
-            state: std::sync::Mutex::new(GateState::default()),
-            wake: std::sync::Condvar::new(),
-            epoch: std::time::Instant::now(),
-        }
-    }
-
-    /// Blocks until `source` is free and this request is the best waiter,
-    /// then occupies the source until the returned slot drops.
-    pub fn acquire(
-        &self,
-        source: SourceId,
-        deadline: Option<&crate::faults::Deadline>,
-    ) -> EdfSlot<'_> {
-        let expires = deadline
-            .and_then(|d| d.expires_at())
-            .map(|at| at.saturating_duration_since(self.epoch));
-        let mut state = self.state.lock().expect("edf gate lock");
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        let me = (expires, ticket);
-        state.waiting.entry(source.0).or_default().push(me);
-        loop {
-            let queue = state.waiting.get(&source.0).expect("registered above");
-            let best = queue
-                .iter()
-                .min_by_key(|w| edf_key(w))
-                .copied()
-                .expect("queue holds at least this waiter");
-            if !state.busy.contains(&source.0) && best == me {
-                let queue = state.waiting.get_mut(&source.0).expect("registered above");
-                queue.retain(|w| *w != me);
-                state.busy.insert(source.0);
-                return EdfSlot { gate: self, source };
-            }
-            state = self.wake.wait(state).expect("edf gate lock");
-        }
-    }
-}
-
-/// Occupation of one source; releasing wakes the remaining waiters.
-pub struct EdfSlot<'a> {
-    gate: &'a EdfGate,
-    source: SourceId,
-}
-
-impl Drop for EdfSlot<'_> {
-    fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("edf gate lock");
-        state.busy.remove(&self.source.0);
-        drop(state);
-        self.gate.wake.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,49 +170,6 @@ mod tests {
             g.validate().unwrap_err(),
             MediatorError::InvalidCost { node: 3, .. }
         ));
-    }
-
-    /// With a source held busy and three requests waiting on it, releasing
-    /// the slot admits them earliest-deadline-first, deadline-less last.
-    #[test]
-    fn edf_gate_admits_earliest_deadline_first() {
-        use crate::faults::Deadline;
-        use std::sync::{Arc, Mutex};
-
-        let gate = Arc::new(EdfGate::new());
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let held = gate.acquire(SourceId(1), None);
-
-        let mut workers = Vec::new();
-        // Spawn in worst-case order (none, far, near) so arrival tickets
-        // cannot accidentally produce the expected sequence.
-        for (label, budget) in [("none", None), ("far", Some(60.0)), ("near", Some(5.0))] {
-            let gate = gate.clone();
-            let order = order.clone();
-            workers.push(std::thread::spawn(move || {
-                let deadline = budget.map(Deadline::starting_now);
-                let slot = gate.acquire(SourceId(1), deadline.as_ref());
-                order.lock().unwrap().push(label);
-                drop(slot);
-            }));
-            // Let each waiter register before the next spawns, making the
-            // ticket order deterministic.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        drop(held);
-        for worker in workers {
-            worker.join().unwrap();
-        }
-        assert_eq!(*order.lock().unwrap(), vec!["near", "far", "none"]);
-    }
-
-    /// An unrelated source is never blocked by a busy one.
-    #[test]
-    fn edf_gate_sources_are_independent() {
-        let gate = EdfGate::new();
-        let _held = gate.acquire(SourceId(1), None);
-        let other = gate.acquire(SourceId(2), None);
-        drop(other);
     }
 
     /// Regression: a NaN estimate used to flow through

@@ -8,7 +8,9 @@
 //!   immediately with [`MediatorError::Overloaded`] instead of queueing
 //!   without bound.
 //! - **Deadline budgets** — each admitted request carries a budget from its
-//!   arrival; requests are dispatched earliest-deadline-first, a request
+//!   arrival; requests are dispatched earliest-deadline-first on the logical
+//!   clock (`Sim::pick_edf`, the server's one EDF: it executes one request
+//!   at a time, so no two requests contend for a source), a request
 //!   whose budget expires while queued fails fast without executing, and
 //!   one that completes past its budget terminates as
 //!   [`Disposition::DeadlineExceeded`]. The remaining budget is also bound
@@ -38,14 +40,12 @@ use crate::error::MediatorError;
 use crate::faults::mix;
 use crate::obs::{RunReport, ServerObs};
 use crate::pipeline::MediatorOptions;
-use crate::schedule::EdfGate;
 use crate::service::{Mediator, RequestCtx, ServedRequest};
 use aig_core::spec::Aig;
 use aig_prng::{Rng, SeedableRng, StdRng};
 use aig_relstore::{Catalog, SourceId, Value};
 use aig_xml::XmlTree;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Minimum wall-clock allowance bound into an executing request as its
 /// hang defense (see [`Sim::dispatch`]): never less than this, however
@@ -185,9 +185,6 @@ struct Breaker {
 pub struct MediatorServer {
     mediator: Mediator,
     config: ServerConfig,
-    /// Cross-request EDF arbitration of source access, shared by every
-    /// request this server dispatches.
-    gate: Arc<EdfGate>,
 }
 
 impl MediatorServer {
@@ -199,7 +196,6 @@ impl MediatorServer {
         Ok(MediatorServer {
             mediator: Mediator::new(catalog, options)?,
             config,
-            gate: Arc::new(EdfGate::new()),
         })
     }
 
@@ -478,7 +474,6 @@ impl<'a> Sim<'a> {
             deadline_secs: deadline_at.map(|d| (d - now).max(WALL_DEFENSE_FLOOR_SECS)),
             extra_outages: outages.iter().cloned().collect(),
             skip_sources: skips,
-            gate: Some(self.server.gate.clone()),
         };
         let args: Vec<(&str, Value)> = arrival
             .args

@@ -27,7 +27,6 @@ use crate::faults::{Deadline, FaultPlan};
 use crate::obs::{CacheObs, IncrementalObs, Phases, RunReport};
 use crate::pipeline::{MediatorOptions, MediatorRun};
 use crate::plan::{ExecPolicy, ExecutedRun, FinishInputs, FullOutcome, PlanOptions, PreparedPlan};
-use crate::schedule::EdfGate;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Database, DeltaApplied, SourceDelta, SourceId, Table, Value};
 use aig_xml::ConstraintSet;
@@ -181,9 +180,9 @@ pub struct CacheStats {
 }
 
 /// Per-request overrides the server layer stacks on top of the service's
-/// configured policy: a deadline budget, a cross-request EDF gate, and the
-/// circuit-breaker routing decisions (fail fast to a replica, or degrade by
-/// skipping a source entirely).
+/// configured policy: a deadline budget and the circuit-breaker routing
+/// decisions (fail fast to a replica, or degrade by skipping a source
+/// entirely).
 #[derive(Debug, Clone, Default)]
 pub struct RequestCtx {
     /// Deadline budget in seconds for this request (None = unbounded). The
@@ -200,9 +199,6 @@ pub struct RequestCtx {
     /// run — both are specified against full source data, so a partial
     /// document must not be held to them.
     pub skip_sources: Vec<String>,
-    /// Cross-request earliest-deadline-first arbitration of source access,
-    /// shared by every concurrent request of one server.
-    pub gate: Option<Arc<EdfGate>>,
 }
 
 impl RequestCtx {
@@ -210,7 +206,6 @@ impl RequestCtx {
         self.deadline_secs.is_none()
             && self.extra_outages.is_empty()
             && self.skip_sources.is_empty()
-            && self.gate.is_none()
     }
 }
 
@@ -477,7 +472,6 @@ impl Mediator {
         let mut catalog_owned: Option<Catalog> = None;
         if !ctx.is_default() {
             let mut opts = self.exec_opts.clone();
-            opts.gate = ctx.gate.clone();
             opts.deadline = ctx.deadline_secs.map(Deadline::starting_now);
             if !ctx.extra_outages.is_empty() {
                 // Re-bind the fault plan with the breaker-declared outages

@@ -72,6 +72,7 @@ fn paced_dynamic_picks_are_pinned_to_the_bit() {
         materialized: vec![],
         source_query_count: 0,
         tag_plan: Default::default(),
+        dispatch: Default::default(),
     };
     let net = NetworkModel::infinite();
     let est = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));
@@ -122,4 +123,85 @@ fn paced_dynamic_picks_are_pinned_to_the_bit() {
     for pick in &run.sched.picks {
         assert_eq!(pick.priority.to_bits(), level[pick.task].to_bits());
     }
+}
+
+/// The paced fixture above, its catalog and its per-task durations.
+fn paced_fixture() -> (Catalog, TaskGraph, Vec<f64>) {
+    let mut catalog = Catalog::new();
+    let s1 = catalog.add_source(Database::new("S1")).unwrap();
+    let s2 = catalog.add_source(Database::new("S2")).unwrap();
+    let s3 = catalog.add_source(Database::new("S3")).unwrap();
+    let mut paced = vec![(task("gate", s2, &[], 0.008), 0.30)];
+    for i in 0..3 {
+        paced.push((task(&format!("crit{i}"), s1, &[0], 0.05), 0.02));
+    }
+    for i in 0..3 {
+        paced.push((task(&format!("fill{i}"), s1, &[], 0.06), 0.06));
+    }
+    for i in 0..3 {
+        paced.push((task(&format!("sink{i}"), s3, &[1 + i], 0.10), 0.02));
+    }
+    let (tasks, pace): (Vec<Task>, Vec<f64>) = paced.into_iter().unzip();
+    let graph = TaskGraph {
+        topo: (0..tasks.len()).collect(),
+        tasks,
+        producer: Default::default(),
+        instance_tables: vec![],
+        bindings: HashMap::new(),
+        materialized: vec![],
+        source_query_count: 0,
+        tag_plan: Default::default(),
+        dispatch: Default::default(),
+    };
+    (catalog, graph, pace)
+}
+
+/// A `Static` worker starts its planned tasks in order and blocks on its
+/// next one even when later ones are ready: the plan puts S1's `crit*`
+/// tasks, gated behind S2's 300 ms task, before its ready `fill*` tasks,
+/// and every source starts its tasks in planned order. `Dynamic`, on the
+/// same plan, starts S1's fillers first.
+#[test]
+fn a_static_worker_starts_its_tasks_in_planned_order() {
+    let (catalog, graph, pace) = paced_fixture();
+    let net = NetworkModel::infinite();
+    let est = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));
+    let plan = schedule(&est, &net).per_source;
+    let s1 = catalog.source_id("S1").unwrap();
+    let label = |t: usize| graph.tasks[t].label.as_str();
+    let s1_plan: Vec<&str> = plan[&s1].iter().map(|&t| label(t)).collect();
+    assert_eq!(
+        s1_plan,
+        ["crit2", "crit1", "crit0", "fill0", "fill1", "fill2"]
+    );
+
+    let run = |scheduling| {
+        let mut opts = ExecOptions::default();
+        opts.policy.scheduling = scheduling;
+        opts.pace = Some(pace.clone());
+        opts.policy.network = net.clone();
+        execute_graph_parallel(&sigma0().unwrap(), &catalog, &graph, &[], &opts, &plan)
+            .expect("synthetic workload executes")
+    };
+    let started = |measured: &[aig_mediator::Measured], seq: &[usize]| {
+        let mut order = seq.to_vec();
+        order.sort_by(|&a, &b| measured[a].start_secs.total_cmp(&measured[b].start_secs));
+        order
+    };
+    let fixed = run(Scheduling::Static);
+    for (source, seq) in &plan {
+        assert_eq!(
+            &started(&fixed.measured, seq),
+            seq,
+            "start order at {source}"
+        );
+    }
+    let dynamic = run(Scheduling::Dynamic);
+    let s1_started: Vec<&str> = (started(&dynamic.measured, &plan[&s1]).into_iter())
+        .map(label)
+        .collect();
+    assert!(
+        s1_started[..3].iter().all(|l| l.starts_with("fill")),
+        "{s1_started:?}"
+    );
 }

@@ -8,15 +8,17 @@
 //! sinks at S3, which makes their estimated priority high), and independent
 //! filler work at S1. The static plan, trusting the estimates, orders the
 //! critical tasks first at S1 — so its worker idles on the slow gate while
-//! the fillers could run. The dynamic scheduler only sees ready tasks, so
-//! it front-loads the fillers and absorbs the gate's true cost. Task
-//! durations are enforced with `ExecOptions::pace`, so the measured gap is
-//! reproducible and directly comparable to the simulator's.
+//! the fillers could run. The executor's walk only takes ready tasks, so it
+//! front-loads the fillers and absorbs the gate's true cost. The static arm
+//! runs the same walk on a copy of the graph with each source's planned
+//! sequence chained in as inputs, so that it executes the plan as planned.
+//! Task durations are enforced with `ExecOptions::pace`, so the measured gap
+//! is reproducible and directly comparable to the simulator's.
 
 use aig_bench::{markdown_table, spec, table_json, Json};
 use aig_core::spec::ElemIdx;
 use aig_mediator::cost::{estimated_costs, CostGraph, TaskCost};
-use aig_mediator::exec::{ExecOptions, Scheduling};
+use aig_mediator::exec::ExecOptions;
 use aig_mediator::graph::{RelKey, Task, TaskGraph, TaskKind};
 use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::schedule::{dynamic_response_time, schedule, static_response_on_actuals};
@@ -88,6 +90,21 @@ fn workload(s1: SourceId, s2: SourceId, s3: SourceId) -> (TaskGraph, Vec<f64>) {
     (graph, pace)
 }
 
+/// `graph` with each source's sequence of `plan` chained in as inputs, and
+/// its topological order recomputed: a planned sequence is a chain of
+/// inputs. The workload's tasks read no inputs, so an edge only orders them.
+fn chained(mut graph: TaskGraph, plan: &HashMap<SourceId, Vec<usize>>) -> TaskGraph {
+    for seq in plan.values() {
+        for pair in seq.windows(2) {
+            let edge = (pair[0], RelKey::Instances(ElemIdx(0)));
+            graph.tasks[pair[1]].deps.push(edge);
+        }
+    }
+    let costs = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));
+    graph.topo = costs.topo().expect("a plan consistent with the graph");
+    graph
+}
+
 pub fn run(_: &[String]) -> Json {
     let aig = spec();
     let mut catalog = Catalog::new();
@@ -118,24 +135,25 @@ pub fn run(_: &[String]) -> Json {
     // Smallest wall of `runs` executions (the minimum filters scheduler
     // noise — pace sleeps put a hard floor under each run), and the plan
     // deviations of the last.
-    let best_wall_secs = |scheduling| {
-        let mut opts = ExecOptions::default();
-        opts.policy.scheduling = scheduling;
-        opts.pace = Some(pace.clone());
-        opts.policy.network = net.clone();
+    let mut opts = ExecOptions {
+        pace: Some(pace),
+        ..ExecOptions::default()
+    };
+    opts.policy.network = net.clone();
+    let best_wall_secs = |graph: &TaskGraph| {
         let mut best = f64::INFINITY;
         let mut deviations = 0;
         for _ in 0..runs {
             let start = Instant::now();
-            let result = execute_graph_parallel(&aig, &catalog, &graph, &[], &opts, &plan)
+            let result = execute_graph_parallel(&aig, &catalog, graph, &[], &opts, &plan)
                 .expect("synthetic workload executes");
             best = best.min(start.elapsed().as_secs_f64());
             deviations = result.sched.deviations().len();
         }
         (best, deviations)
     };
-    let (live_static, _) = best_wall_secs(Scheduling::Static);
-    let (live_dynamic, deviations) = best_wall_secs(Scheduling::Dynamic);
+    let (live_static, _) = best_wall_secs(&chained(workload(s1, s2, s3).0, &plan));
+    let (live_dynamic, deviations) = best_wall_secs(&graph);
 
     let predicted_speedup = predicted_static / predicted_dynamic;
     let live_speedup = live_static / live_dynamic;

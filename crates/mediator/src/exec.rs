@@ -40,32 +40,24 @@ use crate::graph::resolve_syn_key;
 #[cfg(test)]
 use std::collections::HashMap;
 
-/// How a per-source walk orders the ready tasks at each source. Both are a
-/// priority over the one dispatcher of [`crate::parallel`]: a worker takes
-/// the best ready task of its source's queue.
+/// Selects nothing: every per-source walk runs the paper's list schedule
+/// (see [`crate::parallel`]). The type stays while
+/// [`crate::pipeline::MediatorOptions`] literals spell
+/// `scheduling: Scheduling::Dynamic`, and leaves when the option types are
+/// merged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduling {
-    /// Follow the planned per-source sequences: a task's predecessor in its
-    /// source's sequence counts as one more of its inputs, so each worker
-    /// blocks on its next planned task even when later ones are ready.
     #[default]
-    Static,
-    /// Follow no sequence: an idle worker takes the highest-priority
-    /// *ready* task at its source. Priorities are `ℓevel` over the
-    /// compile-time estimates, fixed per round (see [`crate::parallel`] for
-    /// why measured actuals cannot move them), and every pick is logged
-    /// ([`SchedLog`]). The live counterpart of
-    /// [`crate::schedule::dynamic_response_time`] (paper §5.5/§7).
     Dynamic,
 }
 
-/// One runtime pick of the dynamic scheduler.
+/// One pick of a per-source walk's worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskPick {
     pub task: usize,
     /// Effective source the task ran at.
     pub source: SourceId,
-    /// Position the static plan assigned the task at its source.
+    /// The task's position in the sequence the caller gave for its source.
     pub planned_pos: usize,
     /// Position the task actually ran at (per-source pick counter).
     pub actual_pos: usize,
@@ -73,20 +65,17 @@ pub struct TaskPick {
     pub priority: f64,
 }
 
-/// The pick log of one execution. Every walk takes its tasks from the same
-/// ready queues, but only a [`Scheduling::Dynamic`] walk logs its picks:
-/// empty and `dynamic: false` under `Static` and on the one-worker walk.
+/// The pick log of one execution: every pick of a per-source walk, failover
+/// rounds included, in pick order. The one-worker walk takes its tasks from
+/// the same ready queues but logs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SchedLog {
-    /// True when a per-source `Dynamic` walk ran.
-    pub dynamic: bool,
-    /// Every dynamic pick, in pick order.
     pub picks: Vec<TaskPick>,
 }
 
 impl SchedLog {
-    /// Picks that ran at a different per-source position than the static
-    /// plan assigned them.
+    /// Picks that ran at a different per-source position than the caller's
+    /// sequence gave them.
     pub fn deviations(&self) -> Vec<TaskPick> {
         self.picks
             .iter()
@@ -98,7 +87,7 @@ impl SchedLog {
 
 /// The per-request half of [`crate::pipeline::MediatorOptions`]: everything
 /// the **Execute** stage consumes, and the single source of truth for the
-/// executor switches (retry, scheduling, threads, integrity, batching). A
+/// executor switches (retry, threads, integrity, batching). A
 /// change of policy never invalidates a cached plan — the same
 /// [`crate::plan::PreparedPlan`] serves strict and lenient requests alike.
 #[derive(Debug, Clone)]
@@ -121,10 +110,6 @@ pub struct ExecPolicy {
     pub faults: Option<crate::faults::FaultConfig>,
     /// Retry/backoff/timeout policy when faults are injected.
     pub retry: RetryPolicy,
-    /// Static (follow the planned sequences) or dynamic (rank the ready
-    /// tasks by `ℓevel`) in a per-source walk; ignored by the one-worker
-    /// walk, which follows the topological order.
-    pub scheduling: Scheduling,
     /// Worker-thread bound for the partitioned kernels (hash join,
     /// dedup) inside each task, on inputs of at least
     /// [`aig_relstore::par::PAR_THRESHOLD`] rows. Results are
@@ -163,8 +148,8 @@ impl Default for ExecPolicy {
 /// field, the one source of truth for them.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// The shared policy (retry, scheduling, threads, guard/integrity
-    /// switches, network model, batching knobs).
+    /// The shared policy (retry, threads, guard/integrity switches,
+    /// network model, batching knobs).
     pub policy: ExecPolicy,
     /// Deterministic fault injection bound to a catalog (None = no
     /// faults). Bound by the caller from [`ExecPolicy::faults`].

@@ -1429,7 +1429,6 @@ fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_row_positions() {
 fn modes_on() -> ExecOptions {
     ExecOptions::new(ExecPolicy {
         parallel_exec: true,
-        scheduling: Scheduling::Dynamic,
         threads: 2,
         batching: true,
         batch_rows: 256,

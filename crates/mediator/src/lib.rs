@@ -53,8 +53,7 @@ pub use pipeline::{
 };
 pub use plan::{deepen, prepare, ExecPolicy, PlanOptions, PreparedPlan};
 pub use schedule::{
-    dynamic_response_time, levels, naive_plan, replan_surviving, schedule,
-    static_response_on_actuals,
+    dynamic_response_time, levels, naive_plan, schedule, static_response_on_actuals,
 };
 pub use server::{Arrival, Disposition, MediatorServer, RequestOutcome, ServerConfig, ServerRun};
 pub use service::{CacheStats, Mediator, RequestCtx, ServedRequest};

@@ -467,14 +467,14 @@ report_struct! {
 }
 
 report_struct! {
-    /// One dynamic-scheduler pick that ran at a different per-source position
-    /// than the static plan assigned it.
+    /// One pick of a per-source walk that ran at a different per-source
+    /// position than the planned sequence gave it.
     #[derive(Debug, Clone)]
     pub struct PlanDeviationObs {
         pub task: usize,
         pub label: String,
         pub source: String,
-        /// Position the static plan assigned the task at its source.
+        /// Position the planned sequence gave the task at its source.
         pub planned_pos: usize,
         /// Position the task actually ran at.
         pub actual_pos: usize,
@@ -485,13 +485,14 @@ report_struct! {
 }
 
 report_struct! {
-    /// The scheduler section: which scheduling mode the executor ran and how
-    /// the live schedule deviated from the static plan.
+    /// The scheduler section: which walk the executor ran and how a
+    /// per-source walk's picks deviated from the planned sequences.
     #[derive(Debug, Clone)]
     pub struct SchedulerObs {
-        /// `static` or `dynamic`.
-        pub mode: String,
-        /// Runtime picks the dynamic scheduler made (0 under static).
+        /// `static` for the one-worker walk, `dynamic` for a per-source
+        /// walk (`parallel_exec`).
+        pub mode: &'static str,
+        /// Picks a per-source walk made (0 on the one worker).
         pub picks: usize,
         /// Picks that deviated from the planned per-source order, sorted by
         /// `(source, actual_pos, task)` for a deterministic report.
@@ -502,7 +503,7 @@ report_struct! {
 impl Default for SchedulerObs {
     fn default() -> Self {
         SchedulerObs {
-            mode: "static".to_string(),
+            mode: "static",
             picks: 0,
             deviations: Vec::new(),
         }
@@ -704,8 +705,8 @@ report_struct! {
         /// The wrong-answer ledger: injected corruptions and how each was
         /// masked or detected.
         pub integrity: IntegrityObs,
-        /// Which scheduling mode ran and how the live schedule deviated from
-        /// the static plan.
+        /// Which walk ran and how a per-source walk's picks deviated from the
+        /// planned sequences.
         pub scheduler: SchedulerObs,
         /// What the plan cache saw for this request (default when the one-shot
         /// pipeline ran without a cache).
@@ -1024,7 +1025,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
     deviations
         .sort_by(|a, b| (&a.source, a.actual_pos, a.task).cmp(&(&b.source, b.actual_pos, b.task)));
     let scheduler = SchedulerObs {
-        mode: if sched.dynamic { "dynamic" } else { "static" }.to_string(),
+        mode: if parallel_exec { "dynamic" } else { "static" },
         picks: sched.picks.len(),
         deviations,
     };

@@ -5,18 +5,18 @@
 //! the sources run concurrently, coordinated by the mediator. Every
 //! execution is that rule, and one dispatcher implements it: `walk` runs
 //! rounds of workers over one write-once slot per task — the [`RelStore`]
-//! the run returns — and each worker takes the next ready task of its queue,
-//! runs it and completes it. A task is ready once its inputs are complete
-//! and, when the round follows a sequence, its predecessor in that sequence
-//! is: a planned sequence is a chain of inputs, so a sequence and an input
-//! are waited on in one place. Without per-source sequences one worker on
-//! the calling thread follows the pending topological order — the
-//! sequential executor — and never blocks; with them one worker thread per
-//! source follows its planned sequence ([`Scheduling::Static`]) or follows
-//! none and takes its highest-`ℓevel` ready task ([`Scheduling::Dynamic`]).
-//! A refresh ([`crate::delta`]) is the same walk with every task outside its
-//! re-run mask complete from the start, the snapshot's slot `i` its slot
-//! `i`, so it runs and reports under whichever dispatcher the policy selects.
+//! the run returns — and each worker takes the best ready task of its
+//! queue, runs it and completes it. A task is ready once its inputs are
+//! complete. The plan's ordering is `Schedule`'s (§5.3, Fig. 8): a
+//! per-source walk runs one worker thread per source, and each takes its
+//! highest-`ℓevel` ready task — list scheduling, in every round of the walk,
+//! failover rounds included. The one-worker walk on the calling thread is
+//! the same dispatcher with every priority equal: it takes the lowest ready
+//! task in topological order, which is always the next pending one — the
+//! sequential executor — and never blocks. A refresh ([`crate::delta`]) is
+//! the same walk with every task outside its re-run mask complete from the
+//! start, the snapshot's slot `i` its slot `i`, so it runs and reports under
+//! whichever dispatcher the policy selects.
 //!
 //! The per-source run produces exactly the relations of the one-worker run
 //! (see the equivalence tests); response-time *accounting* stays with the
@@ -32,11 +32,10 @@ use crate::batch::{BatchLog, ShipLedger};
 use crate::cost::{estimated_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{
-    ExecOptions, ExecResult, Executor, Failover, Measured, RelStore, SchedLog, Scheduling, TaskPick,
+    ExecOptions, ExecResult, Executor, Failover, Measured, RelStore, SchedLog, TaskPick,
 };
 use crate::faults::{FaultEvent, FaultLog};
 use crate::graph::TaskGraph;
-use crate::schedule::replan_surviving;
 use aig_core::spec::Aig;
 use aig_relstore::{Catalog, Relation, SourceId, Value};
 use std::collections::HashMap;
@@ -56,8 +55,8 @@ struct Dispatch {
     consumers: Vec<usize>,
     /// Position of each task in `graph.topo`: ranks a worker's ready tasks.
     topo_pos: Vec<usize>,
-    /// The compile-time estimate graph `Dynamic` priorities are `ℓevel`s
-    /// over, built on the first `Dynamic` round.
+    /// The compile-time estimate graph a per-source walk's priorities are
+    /// `ℓevel`s over, built on the first per-source walk.
     estimates: OnceLock<CostGraph>,
 }
 
@@ -109,11 +108,31 @@ struct SharedStore<'g> {
     /// the ready queues and the first error, guarded by one mutex + condvar.
     state: Mutex<Progress>,
     wake: Condvar,
-    /// Whether the walk runs a worker per source, queue `q` serving source
-    /// `q`, or one worker. Only the former can block on `wake`: the one
-    /// worker's next task is always ready, so it skips the wake-up, a futex
-    /// call per completed task.
-    per_source: bool,
+    /// A per-source walk's ranks, queue `q` serving source `q`; `None` for
+    /// the one worker, whose priorities are all equal. Only the former can
+    /// block on `wake`: the one worker's next task is always ready, so it
+    /// skips the wake-up, a futex call per completed task.
+    ranks: Option<Ranks>,
+}
+
+/// What a per-source walk ranks and logs its picks by, fixed for the walk.
+///
+/// Patching the measured actuals of finished tasks into the graph (as the
+/// dynamic scheduler once did, re-running `levels` at every pick) cannot
+/// move a pick. `ℓevel(t) = eval(t) + max_s(ℓevel(s) + trans(t → s))` reads
+/// only `t`, its out-edges and its descendants; a completion changes the
+/// evaluation time and out-edge sizes of a *finished* task; and every task
+/// still in a ready queue has only unfinished descendants. Its level is
+/// therefore bit-identical to the walk's first evaluation, whatever has
+/// finished since — in a failover round too. Priorities that adapt would
+/// have to rescale the estimates of *unfinished* tasks from the errors
+/// observed so far, which is a different algorithm.
+struct Ranks {
+    /// Each task's `ℓevel` over the dispatch cell's estimate graph.
+    level: Vec<f64>,
+    /// Each task's position in the caller's sequence of its source: the
+    /// pick log's planned position.
+    planned_pos: Vec<usize>,
 }
 
 #[derive(Default)]
@@ -121,7 +140,7 @@ struct Progress {
     done: Vec<bool>,
     failed: Option<MediatorError>,
     /// A worker reached a task whose source is dead: the round aborts so
-    /// the coordinator can fail over and re-plan the surviving subgraph.
+    /// the coordinator can fail over and prime the next round.
     halted: Option<SourceId>,
     /// Per-task timing/size accounting, filled on completion.
     measured: Vec<Measured>,
@@ -131,49 +150,26 @@ struct Progress {
     /// The current round's queues; rebuilt at every failover round from the
     /// completed tasks.
     round: Round,
-    /// `Dynamic` pick log; persists across failover rounds.
+    /// A per-source walk's pick log; persists across failover rounds.
     picks: Vec<TaskPick>,
-    /// Picks logged per source so far — the next pick's `actual_pos`.
-    picked_at: HashMap<SourceId, usize>,
+    /// Picks logged per source so far, indexed by source id — the next
+    /// pick's `actual_pos`.
+    picked_at: Vec<usize>,
 }
 
-/// No task: the end of a sequence.
-const NONE: usize = usize::MAX;
-
 /// The one dispatcher's state for one round. A worker going idle takes the
-/// best ready task of its queue: the lowest in topological order, or under
-/// `Dynamic` the highest `ℓevel` over the compile-time estimates, computed
-/// **once per round** (ties on topological position). Under a sequence at
-/// most one task of a queue is ready at a time — its next planned one — so
-/// the worker blocks on it even when later ones have their inputs; without
-/// one the queue is work-conserving, and a source never idles behind a
-/// planned task whose inputs are late.
-///
-/// Patching the measured actuals of finished tasks into the graph (as the
-/// dynamic scheduler once did, re-running `levels` at every pick) cannot
-/// move a pick. `ℓevel(t) = eval(t) + max_s(ℓevel(s) + trans(t → s))` reads
-/// only `t`, its out-edges and its descendants; a completion changes the
-/// evaluation time and out-edge sizes of a *finished* task; and every task
-/// still in a ready queue has only unfinished descendants. Its level is
-/// therefore bit-identical to the round's first evaluation, whatever has
-/// finished since. Priorities that adapt would have to rescale the estimates
-/// of *unfinished* tasks from the errors observed so far, which is a
-/// different algorithm.
+/// best ready task of its queue: the highest `ℓevel` in a per-source walk,
+/// ties on topological position, and the lowest in topological order for
+/// the one worker. The queues are work-conserving: a source never idles
+/// while one of its tasks has its inputs.
 #[derive(Default)]
 struct Round {
-    /// Per task: its unfinished inputs, plus one while its predecessor in
-    /// the sequence the round follows is unfinished. Ready at 0.
+    /// Per task: its unfinished inputs. Ready at 0.
     waiting: Vec<usize>,
-    /// Per task: the next task of its sequence (`NONE` at a sequence's end
-    /// and in a round that follows none).
-    next: Vec<usize>,
     /// One queue per worker: the one worker's, or — in a per-source walk —
     /// one per source, indexed by source id, holding the tasks whose
     /// effective source it is.
     queues: Vec<Queue>,
-    /// `Dynamic` only: each task's `ℓevel` and its position in the planned
-    /// sequence of its source (the pick log's planned position).
-    ranks: Option<(Vec<f64>, Vec<usize>)>,
 }
 
 #[derive(Default)]
@@ -186,69 +182,41 @@ struct Queue {
 
 impl SharedStore<'_> {
     fn wake_all(&self) {
-        if self.per_source {
+        if self.ranks.is_some() {
             self.wake.notify_all();
         }
     }
 
     fn queue_of(&self, task: usize, effective: &[SourceId]) -> usize {
-        if self.per_source {
+        if self.ranks.is_some() {
             effective[task].index()
         } else {
             0
         }
     }
 
-    /// Builds the round's queues over the tasks not yet complete: the one
-    /// worker's (`plan: None`) follows the pending topological order; a
-    /// per-source round's follow the planned sequences, or none when
-    /// `ranks` (the `Dynamic` priorities and planned positions) are given.
-    fn prime(
-        &self,
-        effective: &[SourceId],
-        sources: usize,
-        plan: Option<&HashMap<SourceId, Vec<usize>>>,
-        ranks: Option<(Vec<f64>, Vec<usize>)>,
-    ) {
+    /// Builds the round's queues over the tasks not yet complete.
+    fn prime(&self, effective: &[SourceId], sources: usize) {
         let graph = self.graph;
-        let n = graph.tasks.len();
         let mut state = self.state.lock().expect("store mutex");
         let Progress { done, round, .. } = &mut *state;
+        let workers = if self.ranks.is_some() { sources } else { 1 };
         *round = Round {
-            waiting: vec![0; n],
-            next: vec![NONE; n],
-            queues: (0..if self.per_source { sources } else { 1 })
-                .map(|_| Queue::default())
-                .collect(),
-            ranks: None,
+            waiting: vec![0; graph.tasks.len()],
+            queues: (0..workers).map(|_| Queue::default()).collect(),
         };
-        let mut follow = |sequence: &[usize]| {
-            let mut pending = sequence.iter().copied().filter(|&t| !done[t]);
-            if let Some(mut prev) = pending.next() {
-                for task in pending {
-                    (round.next[prev], prev) = (task, task);
-                    round.waiting[task] = 1;
-                }
-            }
-        };
-        match plan {
-            None => follow(&graph.topo),
-            Some(plan) if ranks.is_none() => plan.values().for_each(|seq| follow(seq)),
-            Some(_) => {}
-        }
         for &task in &graph.topo {
             if done[task] {
                 continue;
             }
             let deps = graph.tasks[task].deps.iter();
-            round.waiting[task] += deps.filter(|(d, _)| !done[*d]).count();
+            round.waiting[task] = deps.filter(|(d, _)| !done[*d]).count();
             let queue = self.queue_of(task, effective);
             round.queues[queue].remaining += 1;
             if round.waiting[task] == 0 {
                 round.queues[queue].ready.push(task);
             }
         }
-        round.ranks = ranks;
     }
 
     /// The one pick: blocks until a task of queue `q` is ready and returns
@@ -259,6 +227,7 @@ impl SharedStore<'_> {
     /// never come.
     fn pick(&self, q: usize, failover: &Failover<'_>) -> Option<(usize, f64)> {
         let topo_pos = &self.graph.dispatch().topo_pos;
+        let priority = |t: usize| self.ranks.as_ref().map_or(0.0, |r| r.level[t]);
         let mut state = self.state.lock().expect("store mutex");
         let mut blocked: Option<Instant> = None;
         loop {
@@ -276,7 +245,6 @@ impl SharedStore<'_> {
             if queue.remaining == 0 {
                 return None; // this worker's work is complete
             }
-            let priority = |t: usize| round.ranks.as_ref().map_or(0.0, |(level, _)| level[t]);
             let best = (0..queue.ready.len()).max_by(|&a, &b| {
                 let (ta, tb) = (queue.ready[a], queue.ready[b]);
                 (priority(ta).total_cmp(&priority(tb))).then(topo_pos[tb].cmp(&topo_pos[ta]))
@@ -292,16 +260,15 @@ impl SharedStore<'_> {
             }
             if let Some(i) = best {
                 let task = queue.ready.swap_remove(i);
-                if let Some((level, planned_pos)) = &round.ranks {
-                    let picked = picked_at.entry(at).or_insert(0);
+                if let Some(ranks) = &self.ranks {
                     picks.push(TaskPick {
                         task,
                         source: at,
-                        planned_pos: planned_pos[task],
-                        actual_pos: *picked,
-                        priority: level[task],
+                        planned_pos: ranks.planned_pos[task],
+                        actual_pos: picked_at[at.index()],
+                        priority: ranks.level[task],
                     });
-                    *picked += 1;
+                    picked_at[at.index()] += 1;
                 }
                 return Some((task, blocked.map_or(0.0, |t| t.elapsed().as_secs_f64())));
             }
@@ -311,7 +278,7 @@ impl SharedStore<'_> {
     }
 
     /// Records a finished task and, when it succeeded, readies the
-    /// consumers and the sequence successor it was the last input of.
+    /// consumers it was the last input of.
     fn complete(
         &self,
         task: usize,
@@ -332,9 +299,7 @@ impl SharedStore<'_> {
                 done[task] = true;
                 let queue = self.queue_of(task, &failover.effective);
                 round.queues[queue].remaining -= 1;
-                let next = round.next[task];
-                let released = self.graph.consumers(task).iter().copied();
-                for t in released.chain((next != NONE).then_some(next)) {
+                for &t in self.graph.consumers(task) {
                     round.waiting[t] -= 1;
                     if round.waiting[t] == 0 {
                         let queue = self.queue_of(t, &failover.effective);
@@ -353,11 +318,13 @@ impl SharedStore<'_> {
     }
 }
 
-/// Executes the task graph with one worker per source, following the given
-/// per-source orders (see [`crate::schedule::schedule`]; pass a plan over
-/// the *uncontracted* graph so node ids are task ids). The relations are
-/// the sequential executor's; the measurements add the time each task was
-/// blocked on its inputs. Dead sources fail over as in a sequential run.
+/// Executes the task graph with one worker per source, each taking its
+/// highest-`ℓevel` ready task. `per_source` (see
+/// [`crate::schedule::schedule`]; pass a plan over the *uncontracted* graph
+/// so node ids are task ids) orders nothing: it supplies the pick log's
+/// planned positions. The relations are the sequential executor's; the
+/// measurements add the time each task was blocked on its inputs. Dead
+/// sources fail over as in a sequential run.
 pub fn execute_graph_parallel(
     aig: &Aig,
     catalog: &Catalog,
@@ -371,8 +338,8 @@ pub fn execute_graph_parallel(
 
 /// The one walk every execution takes. With `per_source: None` one worker
 /// on the calling thread follows `graph.topo` — the sequential run; with
-/// `Some` one worker per source follows its sequence, or under
-/// [`Scheduling::Dynamic`] follows none and ranks its ready tasks.
+/// `Some` one worker per source ranks its ready tasks by `ℓevel` and logs
+/// its picks against the given sequences' positions.
 ///
 /// With `reuse = Some((store, measured, rerun))` only the tasks with
 /// `rerun[id]` run — the incremental path ([`crate::delta`]); every other
@@ -383,9 +350,8 @@ pub fn execute_graph_parallel(
 ///
 /// A worker that reaches a task at a dead source halts the round: the
 /// workers drain, the source's pending tasks are re-homed to its declared
-/// replica ([`Failover`]), per-source sequences are re-planned over the
-/// surviving subgraph ([`replan_surviving`]), and the next round continues
-/// from the completed slots. With no usable replica the run fails with
+/// replica ([`Failover`]), and the next round continues from the completed
+/// slots under the same ranks. With no usable replica the run fails with
 /// [`MediatorError::SourceUnavailable`].
 pub(crate) fn walk(
     aig: &Aig,
@@ -409,6 +375,7 @@ pub(crate) fn walk(
     let mut progress = Progress {
         done: vec![false; n],
         measured: vec![Measured::default(); n],
+        picked_at: per_source.map_or(Vec::new(), |_| vec![0; catalog.len()]),
         ..Progress::default()
     };
     if let Some((snapshot, measured, rerun)) = reuse {
@@ -418,35 +385,33 @@ pub(crate) fn walk(
             progress.measured[id] = measured[id];
         }
     }
+    let ranks = per_source.map(|plan| {
+        let estimates = (graph.dispatch().estimates)
+            .get_or_init(|| CostGraph::from_task_graph(graph, &estimated_costs(graph)));
+        let mut planned_pos = vec![0; n];
+        for seq in plan.values() {
+            for (pos, &id) in seq.iter().enumerate() {
+                planned_pos[id] = pos;
+            }
+        }
+        let level = crate::schedule::levels(estimates, &opts.policy.network);
+        Ranks { level, planned_pos }
+    });
     let shared = SharedStore {
         graph,
         store,
         state: Mutex::new(progress),
         wake: Condvar::new(),
-        per_source: per_source.is_some(),
+        ranks,
     };
-    let dynamic = per_source.is_some() && opts.policy.scheduling == Scheduling::Dynamic;
     let epoch = Instant::now();
     let ship = ShipLedger::default();
     let mut failover = Failover::new(catalog, graph, opts.faults.as_ref());
-    let mut plan = per_source.cloned();
 
     // Each round redirects at least one dead source, and a redirected
     // source cannot halt again, so the loop is bounded by the source count.
     for _ in 0..catalog.len() + 1 {
-        let ranks = plan.as_ref().filter(|_| dynamic).map(|plan| {
-            let estimates = (graph.dispatch().estimates)
-                .get_or_init(|| CostGraph::from_task_graph(graph, &estimated_costs(graph)));
-            let mut planned_pos = vec![0; n];
-            for seq in plan.values() {
-                for (pos, &id) in seq.iter().enumerate() {
-                    planned_pos[id] = pos;
-                }
-            }
-            let level = crate::schedule::levels(estimates, &opts.policy.network);
-            (level, planned_pos)
-        });
-        shared.prime(&failover.effective, catalog.len(), plan.as_ref(), ranks);
+        shared.prime(&failover.effective, catalog.len());
         let exec = Executor {
             aig,
             catalog: failover.catalog(),
@@ -476,22 +441,15 @@ pub(crate) fn walk(
                     events: state.events,
                     replans: failover.replans,
                 },
-                sched: SchedLog {
-                    dynamic,
-                    picks: state.picks,
-                },
+                sched: SchedLog { picks: state.picks },
                 batch: BatchLog::from_ledger(opts, &ship),
             });
         };
-
-        // Fail over the dead source; per-source rounds also re-plan the
-        // surviving subgraph (the one worker keeps the topological order).
-        let done = shared.state.lock().expect("store mutex").done.clone();
-        let pending: Vec<usize> = graph.topo.iter().copied().filter(|&t| !done[t]).collect();
+        let pending: Vec<usize> = {
+            let done = &shared.state.lock().expect("store mutex").done;
+            graph.topo.iter().copied().filter(|&t| !done[t]).collect()
+        };
         failover.fail_over(down, &pending)?;
-        if let Some(plan) = plan.as_mut() {
-            *plan = replan_surviving(graph, &done, &failover.effective, &opts.policy.network);
-        }
     }
     Err(MediatorError::Internal(
         "failover rounds exceeded the source count".to_string(),
@@ -503,7 +461,7 @@ pub(crate) fn walk(
 /// one worker runs on the calling thread; a per-source round gives each
 /// source with work a thread.
 fn run_round(exec: &Executor<'_, RelStore>, shared: &SharedStore<'_>, failover: &Failover<'_>) {
-    if !shared.per_source {
+    if shared.ranks.is_none() {
         return work(exec, shared, failover, 0);
     }
     let busy: Vec<usize> = {
@@ -594,68 +552,43 @@ mod tests {
             assert_eq!(s.in_rows, p.in_rows, "task {id} input rows");
             assert!(p.wait_secs >= 0.0 && p.secs >= 0.0);
         }
-    }
-
-    #[test]
-    fn dynamic_scheduling_matches_sequential_results() {
-        let (aig, catalog, graph) = setup();
-        let args = [("date", Value::str("d1"))];
-        let sequential =
-            execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
-        let mut opts = ExecOptions::default();
-        opts.policy.scheduling = Scheduling::Dynamic;
-        let plan = topo_per_source(&graph);
-        let dynamic = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
-        for task in &graph.tasks {
-            if let Some(key) = &task.output {
-                assert_eq!(
-                    sequential.store.get(key).unwrap(),
-                    dynamic.store.get(key).unwrap(),
-                    "{}",
-                    task.label
-                );
-            }
-        }
-        assert!(dynamic.sched.dynamic);
-        // Every task goes through the ready queue exactly once.
-        assert_eq!(dynamic.sched.picks.len(), graph.tasks.len());
+        // Every task goes through a ready queue exactly once.
+        assert_eq!(parallel.sched.picks.len(), graph.tasks.len());
         let mut picked = vec![false; graph.tasks.len()];
-        for pick in &dynamic.sched.picks {
+        for pick in &parallel.sched.picks {
             assert!(!picked[pick.task], "task {} picked twice", pick.task);
             picked[pick.task] = true;
         }
     }
 
     #[test]
-    fn dynamic_scheduling_is_immune_to_adversarial_plan_order() {
-        // Reverse every per-source sequence — an order the static walk could
-        // never execute (same-source consumers before their producers). The
-        // dynamic scheduler only reads the sequences to seed the deviation
-        // log's planned positions, so the run still completes, still matches
-        // the sequential executor, and the log shows the disagreement.
+    fn a_walk_is_immune_to_adversarial_plan_order() {
+        // Reverse every per-source sequence — an order no walk could
+        // follow (same-source consumers before their producers). The walk
+        // only reads the sequences to seed the deviation log's planned
+        // positions, so the run still completes, still matches the
+        // sequential executor, and the log shows the disagreement.
         let (aig, catalog, graph) = setup();
         let args = [("date", Value::str("d1"))];
-        let sequential =
-            execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
+        let opts = ExecOptions::default();
+        let sequential = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
         let mut plan = topo_per_source(&graph);
         for seq in plan.values_mut() {
             seq.reverse();
         }
-        let mut opts = ExecOptions::default();
-        opts.policy.scheduling = Scheduling::Dynamic;
-        let dynamic = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
+        let walk = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap();
         for task in &graph.tasks {
             if let Some(key) = &task.output {
                 assert_eq!(
                     sequential.store.get(key).unwrap(),
-                    dynamic.store.get(key).unwrap(),
+                    walk.store.get(key).unwrap(),
                     "{}",
                     task.label
                 );
             }
         }
         assert!(
-            !dynamic.sched.deviations().is_empty(),
+            !walk.sched.deviations().is_empty(),
             "a reversed plan must surface deviations"
         );
     }

@@ -62,9 +62,8 @@ pub struct MediatorOptions {
     pub faults: Option<FaultConfig>,
     /// Retry/backoff/timeout policy when faults are injected.
     pub retry: RetryPolicy,
-    /// Static (follow the planned sequences) or dynamic (rank the ready
-    /// tasks by `ℓevel`) in a per-source walk; ignored by the one-worker
-    /// walk, which follows the topological order.
+    /// Selects nothing and is read by nothing: every per-source walk runs
+    /// the paper's list schedule (see [`Scheduling`]).
     pub scheduling: Scheduling,
     /// Worker threads for the partitioned in-process kernels (hash join,
     /// dedup) on inputs of at least
@@ -155,7 +154,6 @@ impl MediatorOptions {
             network: self.network.clone(),
             faults: self.faults.clone(),
             retry: self.retry.clone(),
-            scheduling: self.scheduling,
             threads: self.threads,
             batching: self.batching,
             batch_rows: self.batch_rows,
@@ -169,13 +167,12 @@ impl MediatorOptions {
 /// nothing is silently clamped:
 ///
 /// ```
-/// use aig_mediator::{ConfigError, CutOff, MediatorOptions, Scheduling};
+/// use aig_mediator::{ConfigError, CutOff, MediatorOptions};
 ///
 /// let options = MediatorOptions::builder()
 ///     .unfold_depth(1)
 ///     .cutoff(CutOff::Frontier)
 ///     .parallel_exec(true)
-///     .scheduling(Scheduling::Dynamic)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(options.unfold_depth, 1);
@@ -315,19 +312,6 @@ impl MediatorOptionsBuilder {
     /// ```
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.options.retry = retry;
-        self
-    }
-
-    /// Static (follow the planned sequences) or dynamic (rank the ready
-    /// tasks by `ℓevel`) scheduling in a per-source walk.
-    ///
-    /// ```
-    /// use aig_mediator::{MediatorOptions, Scheduling};
-    /// let o = MediatorOptions::builder().scheduling(Scheduling::Dynamic).build().unwrap();
-    /// assert_eq!(o.scheduling, Scheduling::Dynamic);
-    /// ```
-    pub fn scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.options.scheduling = scheduling;
         self
     }
 
@@ -706,14 +690,12 @@ mod tests {
         let options = MediatorOptions::builder()
             .unfold_depth(2)
             .max_depth(16)
-            .scheduling(Scheduling::Dynamic)
             .threads(4)
             .build()
             .unwrap();
         let (plan, policy) = (options.plan_options(), options.exec_policy());
         assert_eq!((plan.unfold_depth, plan.max_depth), (2, 16));
         assert_eq!(plan.cutoff, options.cutoff);
-        assert_eq!(policy.scheduling, Scheduling::Dynamic);
         assert_eq!(policy.threads, 4);
     }
 }

@@ -87,8 +87,8 @@ pub struct PreparedPlan {
     /// rows there mean the cut could have produced children.
     frontier_tables: Vec<usize>,
     pub graph: TaskGraph,
-    /// Per-source task sequences in topological order — the static input of
-    /// a per-source walk.
+    /// Per-source task sequences in topological order — the planned
+    /// positions a per-source walk logs its picks against.
     pub per_source: HashMap<SourceId, Vec<usize>>,
     /// Ship-cut column-liveness profiles of the task graph, shared with
     /// every execution's options. Always `Some`: preparation always runs
@@ -128,8 +128,9 @@ impl PreparedPlan {
     }
 }
 
-/// Per-source sequences in topological order (dependency-safe input for a
-/// per-source walk when no schedule over raw task ids is available).
+/// Per-source sequences in topological order: the planned positions of a
+/// per-source walk's pick log when no schedule over raw task ids is
+/// available.
 pub fn topo_per_source(graph: &TaskGraph) -> HashMap<SourceId, Vec<usize>> {
     let mut per_source: HashMap<SourceId, Vec<usize>> = HashMap::new();
     for &id in &graph.topo {

@@ -30,48 +30,6 @@ pub fn schedule(graph: &CostGraph, net: &NetworkModel) -> Plan {
     Workspace::new(net).schedule(graph)
 }
 
-/// Re-runs `Schedule` on the surviving subgraph after a source outage: the
-/// tasks not yet `done`, placed at their *effective* sources (tasks of a
-/// dead source re-homed to its replica), with dependency edges restricted
-/// to surviving producers — inputs already computed are local, so those
-/// edges carry no transfer cost. Returns per-source sequences over original
-/// task ids, ready for the parallel executor's next round.
-pub fn replan_surviving(
-    graph: &crate::graph::TaskGraph,
-    done: &[bool],
-    effective_source: &[SourceId],
-    net: &NetworkModel,
-) -> HashMap<SourceId, Vec<usize>> {
-    let remaining: Vec<usize> = graph.topo.iter().copied().filter(|&id| !done[id]).collect();
-    let mut sub_id = HashMap::with_capacity(remaining.len());
-    for (sub, &id) in remaining.iter().enumerate() {
-        sub_id.insert(id, sub);
-    }
-    let nodes = remaining
-        .iter()
-        .map(|&id| crate::cost::CostNode {
-            source: effective_source[id],
-            eval_secs: graph.tasks[id].est.eval_secs,
-            mergeable: !effective_source[id].is_mediator(),
-            passthrough: false,
-            members: vec![id],
-        })
-        .collect();
-    let deps = remaining
-        .iter()
-        .map(|&id| {
-            (graph.tasks[id].deps.iter())
-                .filter_map(|(d, _)| Some((*sub_id.get(d)?, graph.tasks[*d].est.out_bytes)))
-                .collect()
-        })
-        .collect();
-    let plan = schedule(&CostGraph { nodes, deps }, net);
-    plan.per_source
-        .into_iter()
-        .map(|(source, seq)| (source, seq.into_iter().map(|sub| remaining[sub]).collect()))
-        .collect()
-}
-
 /// The naive baseline for the scheduling ablation: plain topological
 /// discovery order per source, ignoring criticality.
 pub fn naive_plan(graph: &CostGraph) -> Plan {

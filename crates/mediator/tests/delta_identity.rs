@@ -1,6 +1,6 @@
 //! Byte-identity conformance for incremental re-evaluation: across the
-//! matrix {sequential, parallel} × {Static, Dynamic} × {batching on/off}
-//! × {faults off / transient+latency}, a request served incrementally
+//! matrix {sequential, parallel} × {batching on/off} × {faults off /
+//! transient+latency}, a request served incrementally
 //! after a source delta must produce a document **byte-identical** to a
 //! cold full run of a fresh mediator over the post-delta catalog — the
 //! re-run subgraph and the splice change *how much work* a request does,
@@ -19,7 +19,6 @@ use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::spec::Aig;
 use aig_datagen::{cover_delta, price_delta, visit_delta, HospitalConfig};
 use aig_mediator::delta::rerun_mask;
-use aig_mediator::exec::Scheduling;
 use aig_mediator::faults::{FaultConfig, FaultOutcome, RetryPolicy};
 use aig_mediator::{Mediator, MediatorOptions};
 use aig_relstore::{Catalog, Database, SourceDelta, Value};
@@ -39,17 +38,11 @@ fn fixture(seed: u64) -> Fixture {
     }
 }
 
-fn options(
-    parallel: bool,
-    scheduling: Scheduling,
-    batching: bool,
-    faults: bool,
-) -> MediatorOptions {
+fn options(parallel: bool, batching: bool, faults: bool) -> MediatorOptions {
     let mut builder = MediatorOptions::builder()
         .unfold_depth(3)
         .incremental(true)
         .parallel_exec(parallel)
-        .scheduling(scheduling)
         .batching(batching)
         .batch_rows(2);
     if faults {
@@ -82,14 +75,12 @@ fn next_delta(catalog: &Catalog, date: &str, step: usize) -> SourceDelta {
     }
 }
 
-fn assert_cell(parallel: bool, scheduling: Scheduling, batching: bool, faults: bool) {
+fn assert_cell(parallel: bool, batching: bool, faults: bool) {
     let fx = fixture(11);
-    let opts = options(parallel, scheduling, batching, faults);
+    let opts = options(parallel, batching, faults);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
-    let cell = format!(
-        "parallel={parallel} scheduling={scheduling:?} batching={batching} faults={faults}"
-    );
+    let cell = format!("parallel={parallel} batching={batching} faults={faults}");
 
     // Cold run: the ledger is on, but there is no snapshot to splice.
     let (_, cold) = mediator.request(&fx.aig, &args).unwrap();
@@ -144,78 +135,51 @@ fn assert_cell(parallel: bool, scheduling: Scheduling, batching: bool, faults: b
 }
 
 #[test]
-fn sequential_static_cells_are_byte_identical() {
+fn sequential_cells_are_byte_identical() {
     for batching in [false, true] {
         for faults in [false, true] {
-            assert_cell(false, Scheduling::Static, batching, faults);
+            assert_cell(false, batching, faults);
         }
     }
 }
 
 #[test]
-fn sequential_dynamic_cells_are_byte_identical() {
+fn parallel_cells_are_byte_identical() {
     for batching in [false, true] {
         for faults in [false, true] {
-            assert_cell(false, Scheduling::Dynamic, batching, faults);
-        }
-    }
-}
-
-#[test]
-fn parallel_static_cells_are_byte_identical() {
-    for batching in [false, true] {
-        for faults in [false, true] {
-            assert_cell(true, Scheduling::Static, batching, faults);
-        }
-    }
-}
-
-#[test]
-fn parallel_dynamic_cells_are_byte_identical() {
-    for batching in [false, true] {
-        for faults in [false, true] {
-            assert_cell(true, Scheduling::Dynamic, batching, faults);
+            assert_cell(true, batching, faults);
         }
     }
 }
 
 /// A refresh runs under the dispatcher the policy selects, and its report
-/// says so: per-source workers under `parallel_exec`, and under `Dynamic`
-/// one ready-queue pick per re-run task.
+/// says so: per-source workers under `parallel_exec`, one ready-queue pick
+/// per re-run task.
 #[test]
 fn a_parallel_refresh_runs_and_reports_under_its_dispatcher() {
-    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-        let fx = fixture(11);
-        let opts = options(true, scheduling, false, false);
-        let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
-        let args = [("date", Value::str(&fx.date))];
-        mediator.request(&fx.aig, &args).unwrap();
-        let (deletes, inserts) = price_delta(mediator.catalog(), 1, 3).unwrap();
-        mediator.apply_delta(&deletes).unwrap();
-        mediator.apply_delta(&inserts).unwrap();
+    let fx = fixture(11);
+    let opts = options(true, false, false);
+    let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
+    let args = [("date", Value::str(&fx.date))];
+    mediator.request(&fx.aig, &args).unwrap();
+    let (deletes, inserts) = price_delta(mediator.catalog(), 1, 3).unwrap();
+    mediator.apply_delta(&deletes).unwrap();
+    mediator.apply_delta(&inserts).unwrap();
 
-        let (refresh, report) = mediator.request(&fx.aig, &args).unwrap();
-        assert!(report.incremental.snapshot_hit, "{scheduling:?}");
-        assert!(report.incremental.tasks_rerun > 0, "{scheduling:?}");
-        assert!(report.parallel_exec, "{scheduling:?}");
-        let dynamic = scheduling == Scheduling::Dynamic;
-        let mode = if dynamic { "dynamic" } else { "static" };
-        assert_eq!(report.scheduler.mode, mode);
-        let picks = if dynamic {
-            report.incremental.tasks_rerun
-        } else {
-            0
-        };
-        assert_eq!(report.scheduler.picks, picks, "{scheduling:?}");
+    let (refresh, report) = mediator.request(&fx.aig, &args).unwrap();
+    assert!(report.incremental.snapshot_hit);
+    assert!(report.incremental.tasks_rerun > 0);
+    assert!(report.parallel_exec);
+    assert_eq!(report.scheduler.mode, "dynamic");
+    assert_eq!(report.scheduler.picks, report.incremental.tasks_rerun);
 
-        let oracle = Mediator::new(mediator.catalog().clone(), &opts).unwrap();
-        let (cold, _) = oracle.request(&fx.aig, &args).unwrap();
-        assert_eq!(
-            aig_xml::serialize::to_string(&refresh.tree),
-            aig_xml::serialize::to_string(&cold.tree),
-            "{scheduling:?}: refresh drifted from the cold run"
-        );
-    }
+    let oracle = Mediator::new(mediator.catalog().clone(), &opts).unwrap();
+    let (cold, _) = oracle.request(&fx.aig, &args).unwrap();
+    assert_eq!(
+        aig_xml::serialize::to_string(&refresh.tree),
+        aig_xml::serialize::to_string(&cold.tree),
+        "refresh drifted from the cold run"
+    );
 }
 
 /// Snapshots are keyed by the typed argument values: a request for
@@ -223,7 +187,7 @@ fn a_parallel_refresh_runs_and_reports_under_its_dispatcher() {
 #[test]
 fn snapshots_are_keyed_by_typed_arguments() {
     let aig = sigma0().unwrap();
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(false, false, false);
     let mut mediator = Mediator::new(mini_hospital_catalog().unwrap(), &opts).unwrap();
     mediator
         .with_catalog_mut(|catalog| {
@@ -250,7 +214,7 @@ fn snapshots_are_keyed_by_typed_arguments() {
 #[test]
 fn unchanged_catalog_reruns_nothing() {
     let fx = fixture(13);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(false, false, false);
     let mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
 
@@ -282,7 +246,7 @@ fn unchanged_catalog_reruns_nothing() {
 #[test]
 fn a_failed_delta_still_dirties_the_tables_it_names() {
     let aig = sigma0().unwrap();
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(false, false, false);
     let mut mediator = Mediator::new(mini_hospital_catalog().unwrap(), &opts).unwrap();
     let args = [("date", Value::str("d1"))];
     let xml = |run: &aig_mediator::MediatorRun| aig_xml::serialize::to_string(&run.tree);
@@ -307,7 +271,7 @@ fn a_failed_delta_still_dirties_the_tables_it_names() {
 #[test]
 fn empty_delta_marks_nothing_dirty() {
     let fx = fixture(17);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(false, false, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();
@@ -323,7 +287,7 @@ fn empty_delta_marks_nothing_dirty() {
 #[test]
 fn delta_report_names_the_dirty_tables() {
     let fx = fixture(19);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(false, false, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();
@@ -359,7 +323,7 @@ fn delta_report_names_the_dirty_tables() {
 #[test]
 fn row_deltas_keep_plans_warm_while_schema_deltas_invalidate() {
     let fx = fixture(23);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(false, false, false);
     let mut mediator = Mediator::new(fx.catalog.clone(), &opts).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();
@@ -537,7 +501,7 @@ fn incremental_off_retains_nothing() {
 #[test]
 fn a_snapshot_is_spliced_into_a_re_prepared_plan() {
     let fx = fixture(11);
-    let opts = options(false, Scheduling::Static, false, false);
+    let opts = options(false, false, false);
     let mut mediator = Mediator::with_cache_capacity(fx.catalog.clone(), &opts, 1).unwrap();
     let args = [("date", Value::str(&fx.date))];
     mediator.request(&fx.aig, &args).unwrap();

@@ -13,7 +13,7 @@
 use aig_core::paper::sigma0;
 use aig_core::spec::ElemIdx;
 use aig_mediator::cost::{estimated_costs, CostGraph};
-use aig_mediator::exec::{ExecOptions, Scheduling, TaskPick};
+use aig_mediator::exec::{ExecOptions, TaskPick};
 use aig_mediator::graph::{RelKey, Task, TaskGraph, TaskKind};
 use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::schedule::{levels, schedule};
@@ -76,9 +76,10 @@ fn paced_dynamic_picks_are_pinned_to_the_bit() {
     };
     let net = NetworkModel::infinite();
     let est = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));
-    let mut opts = ExecOptions::default();
-    opts.policy.scheduling = Scheduling::Dynamic;
-    opts.pace = Some(pace);
+    let mut opts = ExecOptions {
+        pace: Some(pace),
+        ..ExecOptions::default()
+    };
     opts.policy.network = net.clone();
     let plan = schedule(&est, &net).per_source;
     let run = execute_graph_parallel(&sigma0().unwrap(), &catalog, &graph, &[], &opts, &plan)
@@ -156,31 +157,50 @@ fn paced_fixture() -> (Catalog, TaskGraph, Vec<f64>) {
     (catalog, graph, pace)
 }
 
-/// A `Static` worker starts its planned tasks in order and blocks on its
-/// next one even when later ones are ready: the plan puts S1's `crit*`
-/// tasks, gated behind S2's 300 ms task, before its ready `fill*` tasks,
-/// and every source starts its tasks in planned order. `Dynamic`, on the
-/// same plan, starts S1's fillers first.
+/// `graph` with each source's sequence of `plan` chained in as inputs, and
+/// its topological order recomputed: a planned sequence is a chain of
+/// inputs. The fixture's tasks read no inputs, so an edge only orders them.
+fn chained(mut graph: TaskGraph, plan: &HashMap<SourceId, Vec<usize>>) -> TaskGraph {
+    for seq in plan.values() {
+        for pair in seq.windows(2) {
+            let edge = (pair[0], RelKey::Instances(ElemIdx(0)));
+            graph.tasks[pair[1]].deps.push(edge);
+        }
+    }
+    let costs = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));
+    graph.topo = costs.topo().expect("a plan consistent with the graph");
+    // Drop what an earlier walk derived from the old edges.
+    graph.dispatch = Default::default();
+    graph
+}
+
+/// A worker never idles behind a planned task whose inputs are late:
+/// `Schedule`'s plan puts S1's `crit*` tasks, gated behind S2's 300 ms task,
+/// before its ready `fill*` tasks, and the walk starts S1's fillers first.
+/// With the plan's sequences chained in as inputs, every source starts its
+/// tasks in planned order.
 #[test]
-fn a_static_worker_starts_its_tasks_in_planned_order() {
+fn ready_fillers_start_first_and_a_chained_plan_starts_in_order() {
     let (catalog, graph, pace) = paced_fixture();
     let net = NetworkModel::infinite();
     let est = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));
     let plan = schedule(&est, &net).per_source;
     let s1 = catalog.source_id("S1").unwrap();
-    let label = |t: usize| graph.tasks[t].label.as_str();
+    let labels: Vec<String> = graph.tasks.iter().map(|t| t.label.clone()).collect();
+    let label = |t: usize| labels[t].as_str();
     let s1_plan: Vec<&str> = plan[&s1].iter().map(|&t| label(t)).collect();
     assert_eq!(
         s1_plan,
         ["crit2", "crit1", "crit0", "fill0", "fill1", "fill2"]
     );
 
-    let run = |scheduling| {
-        let mut opts = ExecOptions::default();
-        opts.policy.scheduling = scheduling;
-        opts.pace = Some(pace.clone());
-        opts.policy.network = net.clone();
-        execute_graph_parallel(&sigma0().unwrap(), &catalog, &graph, &[], &opts, &plan)
+    let mut opts = ExecOptions {
+        pace: Some(pace),
+        ..ExecOptions::default()
+    };
+    opts.policy.network = net.clone();
+    let run = |graph: &TaskGraph| {
+        execute_graph_parallel(&sigma0().unwrap(), &catalog, graph, &[], &opts, &plan)
             .expect("synthetic workload executes")
     };
     let started = |measured: &[aig_mediator::Measured], seq: &[usize]| {
@@ -188,7 +208,15 @@ fn a_static_worker_starts_its_tasks_in_planned_order() {
         order.sort_by(|&a, &b| measured[a].start_secs.total_cmp(&measured[b].start_secs));
         order
     };
-    let fixed = run(Scheduling::Static);
+    let walk = run(&graph);
+    let s1_started: Vec<&str> = (started(&walk.measured, &plan[&s1]).into_iter())
+        .map(label)
+        .collect();
+    assert!(
+        s1_started[..3].iter().all(|l| l.starts_with("fill")),
+        "{s1_started:?}"
+    );
+    let fixed = run(&chained(graph, &plan));
     for (source, seq) in &plan {
         assert_eq!(
             &started(&fixed.measured, seq),
@@ -196,12 +224,4 @@ fn a_static_worker_starts_its_tasks_in_planned_order() {
             "start order at {source}"
         );
     }
-    let dynamic = run(Scheduling::Dynamic);
-    let s1_started: Vec<&str> = (started(&dynamic.measured, &plan[&s1]).into_iter())
-        .map(label)
-        .collect();
-    assert!(
-        s1_started[..3].iter().all(|l| l.starts_with("fill")),
-        "{s1_started:?}"
-    );
 }

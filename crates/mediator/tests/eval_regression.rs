@@ -28,7 +28,7 @@ use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::plan::{deepen, prepare, PlanOptions};
 use aig_mediator::schedule::schedule;
 use aig_mediator::unfold::{unfold, CutOff};
-use aig_mediator::{ExecOptions, NetworkModel, Scheduling};
+use aig_mediator::{ExecOptions, NetworkModel};
 use aig_relstore::{SourceId, Value};
 
 /// `(ℓevel passes, full evaluations)` that `f` performs.
@@ -53,10 +53,9 @@ fn scheduling_evaluates_once_per_round_and_at_most_once_per_candidate() {
     let plan = schedule(&estimates, &net).per_source;
     let args = [("date", Value::str(&data.dates[0]))];
 
-    // A dynamic σ0 request, shipped a row per batch so that every task
+    // A per-source σ0 request, shipped a row per batch so that every task
     // reports many: one round, one level pass, nothing scheduled or priced.
     let mut opts = ExecOptions::default();
-    opts.policy.scheduling = Scheduling::Dynamic;
     (opts.policy.batching, opts.policy.batch_rows) = (true, 1);
     let run = || execute_graph_parallel(&unfolded.aig, &data.catalog, &graph, &args, &opts, &plan);
     let (result, passes) = counted(run);

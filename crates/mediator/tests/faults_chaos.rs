@@ -10,7 +10,7 @@
 use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
-use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
+use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult};
 use aig_mediator::faults::{FaultConfig, FaultOutcome, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
@@ -148,21 +148,17 @@ fn chaos_matrix_is_byte_identical_with_threads_and_shipcut() {
         assert_stores_identical(&graph, &clean, &seq);
         assert_accounted(&seq);
 
-        for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-            let mut opts = opts.clone();
-            opts.policy.scheduling = scheduling;
-            let par = execute_graph_parallel(
-                &aig,
-                &catalog,
-                &graph,
-                &args,
-                &opts,
-                &topo_per_source(&graph),
-            )
-            .unwrap();
-            assert_stores_identical(&graph, &clean, &par);
-            assert_accounted(&par);
-        }
+        let par = execute_graph_parallel(
+            &aig,
+            &catalog,
+            &graph,
+            &args,
+            &opts,
+            &topo_per_source(&graph),
+        )
+        .unwrap();
+        assert_stores_identical(&graph, &clean, &par);
+        assert_accounted(&par);
     }
 }
 
@@ -303,8 +299,7 @@ fn outage_with_replica_fails_over_and_replans() {
         "no task failed over"
     );
     // One dead source, one failover — counted by the same `Failover` in
-    // every walk (a per-source walk re-runs Schedule on the surviving
-    // subgraph after it; the one-worker walk keeps the topological order).
+    // every walk, whose next round keeps the walk's ranks.
     assert_eq!(seq.faults.replans, 1);
     assert_eq!(par.faults.replans, 1);
 }
@@ -345,34 +340,25 @@ fn mid_run_outage_fails_over_in_every_executor() {
     );
     assert_eq!(seq.faults.replans, 1);
 
-    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-        let mut opts = faulted_opts(fault_plan.clone(), fast_retry(3));
-        opts.policy.scheduling = scheduling;
-        let par = execute_graph_parallel(
-            &aig,
-            &catalog,
-            &graph,
-            &args,
-            &opts,
-            &topo_per_source(&graph),
-        )
-        .unwrap();
-        assert_stores_identical(&graph, &clean, &par);
-        assert_accounted(&par);
-        assert!(
-            par.faults.count(FaultOutcome::FailedOver) > 0,
-            "{scheduling:?}: no task failed over"
-        );
-        assert_eq!(
-            par.faults.replans, 1,
-            "{scheduling:?}: the mid-run death must re-run Schedule once"
-        );
-        assert_eq!(
-            par.sched.dynamic,
-            scheduling == Scheduling::Dynamic,
-            "{scheduling:?}"
-        );
-    }
+    let opts = faulted_opts(fault_plan, fast_retry(3));
+    let par = execute_graph_parallel(
+        &aig,
+        &catalog,
+        &graph,
+        &args,
+        &opts,
+        &topo_per_source(&graph),
+    )
+    .unwrap();
+    assert_stores_identical(&graph, &clean, &par);
+    assert_accounted(&par);
+    assert!(
+        par.faults.count(FaultOutcome::FailedOver) > 0,
+        "no task failed over"
+    );
+    assert_eq!(par.faults.replans, 1, "the mid-run death fails over once");
+    // Both rounds log their picks: every task was picked once.
+    assert_eq!(par.sched.picks.len(), graph.tasks.len());
 }
 
 #[test]

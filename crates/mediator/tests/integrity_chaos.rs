@@ -15,7 +15,7 @@
 use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
-use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
+use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult};
 use aig_mediator::faults::{
     FaultConfig, FaultKind, FaultLog, FaultOutcome, FaultPlan, RetryPolicy,
 };
@@ -55,10 +55,10 @@ fn defended_opts(plan: FaultPlan, retry: RetryPolicy) -> ExecOptions {
     opts
 }
 
-/// `opts` with `threads` kernel threads under `scheduling`.
-fn tuned(opts: &ExecOptions, threads: usize, scheduling: Scheduling) -> ExecOptions {
+/// `opts` with `threads` kernel threads.
+fn tuned(opts: &ExecOptions, threads: usize) -> ExecOptions {
     let mut opts = opts.clone();
-    (opts.policy.threads, opts.policy.scheduling) = (threads, scheduling);
+    opts.policy.threads = threads;
     opts
 }
 
@@ -181,7 +181,7 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                         &catalog,
                         &graph,
                         &args,
-                        &tuned(&opts, 4, Scheduling::Dynamic),
+                        &tuned(&opts, 4),
                         &topo_per_source(&graph),
                     ),
                 ];
@@ -603,12 +603,8 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
         let seq = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
         ledgers.push(seq.faults.sorted_events());
     }
-    for (threads, scheduling) in [
-        (1, Scheduling::Static),
-        (4, Scheduling::Static),
-        (4, Scheduling::Dynamic),
-    ] {
-        let opts = tuned(&opts, threads, scheduling);
+    for threads in [1, 4] {
+        let opts = tuned(&opts, threads);
         let par = execute_graph_parallel(
             &aig,
             &catalog,

@@ -8,11 +8,11 @@ use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries, AigError};
 use aig_datagen::{DatasetSize, HospitalConfig};
 use aig_mediator::cost::estimated_costs;
-use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
+use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult};
 use aig_mediator::graph::{build_graph, GraphOptions, RelKey, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::plan::topo_per_source;
-use aig_mediator::schedule::schedule;
+use aig_mediator::schedule::{levels, schedule};
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{
@@ -251,15 +251,9 @@ fn a_guard_violation_names_the_same_offender_under_both_walks() {
     }
 }
 
-/// A walk runs at most one worker per effective source, before a failover
-/// and after it, so no source ever runs two tasks of one walk at once. σ0 on
-/// Tiny data, DB4 dying after one task with `DB4R` declared as its replica,
-/// every task paced a few ms so that overlapping tasks would show: at every
-/// effective source — DB4R included, which serves DB4's tasks once it died —
-/// the intervals `[start_secs, start_secs + secs]` are disjoint, under both
-/// schedulings.
-#[test]
-fn a_failed_over_walk_runs_one_task_at_a_time_per_source() {
+/// σ0 on Tiny data with DB4 dying after one task and `DB4R` declared as its
+/// replica.
+fn failover_fixture() -> (Fixture, Catalog, FaultConfig) {
     let fx = fixture(7, 3);
     let mut catalog = fx.catalog.clone();
     let db4 = catalog.source_id("DB4").unwrap();
@@ -274,44 +268,86 @@ fn a_failed_over_walk_runs_one_task_at_a_time_per_source() {
         dies_after: vec![("DB4".to_string(), 1)],
         ..FaultConfig::default()
     };
-    let plan = topo_per_source(&fx.graph);
-    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-        let mut opts = ExecOptions {
-            faults: Some(FaultPlan::new(&cfg, &catalog).unwrap()),
-            pace: Some(vec![0.002; fx.graph.len()]),
-            ..ExecOptions::default()
-        };
-        opts.policy.scheduling = scheduling;
-        let args = [("date", Value::str(&fx.date))];
-        let walk =
-            execute_graph_parallel(&fx.aig, &catalog, &fx.graph, &args, &opts, &plan).unwrap();
-        assert_eq!(walk.faults.replans, 1, "{scheduling:?}: DB4 failed over");
+    (fx, catalog, cfg)
+}
 
-        // A task runs at its own source unless it was failed over to the
-        // replica (the event names the source it left).
-        let mut at: Vec<&str> = (fx.graph.tasks.iter())
-            .map(|task| catalog.source(task.source).name())
-            .collect();
-        for event in &walk.faults.events {
-            if event.outcome == FaultOutcome::FailedOver {
-                let replica = catalog.replica_of(fx.graph.tasks[event.task].source);
-                at[event.task] = catalog.source(replica.unwrap()).name();
-            }
-        }
-        assert!(at.contains(&"DB4R"), "{scheduling:?}: a task ran at DB4R");
-        let mut by_source: HashMap<&str, Vec<(f64, f64)>> = HashMap::new();
-        for (task, m) in walk.measured.iter().enumerate() {
-            let interval = (m.start_secs, m.start_secs + m.secs);
-            by_source.entry(at[task]).or_default().push(interval);
-        }
-        for (source, mut intervals) in by_source {
-            intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for pair in intervals.windows(2) {
-                assert!(
-                    pair[0].1 <= pair[1].0,
-                    "{scheduling:?}: two tasks overlap at {source}: {pair:?}"
-                );
-            }
+/// A walk runs at most one worker per effective source, before a failover
+/// and after it, so no source ever runs two tasks of one walk at once. σ0 on
+/// Tiny data, DB4 dying after one task with `DB4R` declared as its replica,
+/// every task paced a few ms so that overlapping tasks would show: at every
+/// effective source — DB4R included, which serves DB4's tasks once it died —
+/// the intervals `[start_secs, start_secs + secs]` are disjoint.
+#[test]
+fn a_failed_over_walk_runs_one_task_at_a_time_per_source() {
+    let (fx, catalog, cfg) = failover_fixture();
+    let plan = topo_per_source(&fx.graph);
+    let opts = ExecOptions {
+        faults: Some(FaultPlan::new(&cfg, &catalog).unwrap()),
+        pace: Some(vec![0.002; fx.graph.len()]),
+        ..ExecOptions::default()
+    };
+    let args = [("date", Value::str(&fx.date))];
+    let walk = execute_graph_parallel(&fx.aig, &catalog, &fx.graph, &args, &opts, &plan).unwrap();
+    assert_eq!(walk.faults.replans, 1, "DB4 failed over");
+
+    // A task runs at its own source unless it was failed over to the
+    // replica (the event names the source it left).
+    let mut at: Vec<&str> = (fx.graph.tasks.iter())
+        .map(|task| catalog.source(task.source).name())
+        .collect();
+    for event in &walk.faults.events {
+        if event.outcome == FaultOutcome::FailedOver {
+            let replica = catalog.replica_of(fx.graph.tasks[event.task].source);
+            at[event.task] = catalog.source(replica.unwrap()).name();
         }
     }
+    assert!(at.contains(&"DB4R"), "a task ran at DB4R");
+    let mut by_source: HashMap<&str, Vec<(f64, f64)>> = HashMap::new();
+    for (task, m) in walk.measured.iter().enumerate() {
+        let interval = (m.start_secs, m.start_secs + m.secs);
+        by_source.entry(at[task]).or_default().push(interval);
+    }
+    for (source, mut intervals) in by_source {
+        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for pair in intervals.windows(2) {
+            assert!(
+                pair[0].1 <= pair[1].0,
+                "two tasks overlap at {source}: {pair:?}"
+            );
+        }
+    }
+}
+
+/// One ordering rule per walk: a failover round ranks its ready tasks as
+/// the first round did. Every pick's priority is its task's `ℓevel` over
+/// the estimate graph, to the bit, and the picks at `DB4R` after DB4 died
+/// are among them.
+#[test]
+fn a_failed_over_walk_ranks_like_its_first_round() {
+    let (fx, catalog, cfg) = failover_fixture();
+    let opts = ExecOptions {
+        faults: Some(FaultPlan::new(&cfg, &catalog).unwrap()),
+        ..ExecOptions::default()
+    };
+    let args = [("date", Value::str(&fx.date))];
+    let plan = topo_per_source(&fx.graph);
+    let walk = execute_graph_parallel(&fx.aig, &catalog, &fx.graph, &args, &opts, &plan).unwrap();
+    assert_eq!(walk.faults.replans, 1, "DB4 failed over");
+
+    let estimates = CostGraph::from_task_graph(&fx.graph, &estimated_costs(&fx.graph));
+    let level = levels(&estimates, &opts.policy.network);
+    assert_eq!(walk.sched.picks.len(), fx.graph.len());
+    for pick in &walk.sched.picks {
+        assert_eq!(
+            pick.priority.to_bits(),
+            level[pick.task].to_bits(),
+            "task {}",
+            pick.task
+        );
+    }
+    let db4r = catalog.source_id("DB4R").unwrap();
+    assert!(
+        walk.sched.picks.iter().any(|pick| pick.source == db4r),
+        "no pick at DB4R after the failover"
+    );
 }

@@ -16,9 +16,7 @@ use aig_mediator::exec::{execute_graph, ExecOptions};
 use aig_mediator::faults::FaultConfig;
 use aig_mediator::obs::Phases;
 use aig_mediator::plan::prepare;
-use aig_mediator::{
-    canonical, run, Mediator, MediatorOptions, NetworkModel, RetryPolicy, Scheduling,
-};
+use aig_mediator::{canonical, run, Mediator, MediatorOptions, NetworkModel, RetryPolicy};
 use aig_relstore::Value;
 
 const DATES: [&str; 3] = ["d1", "d2", "d9"];
@@ -111,10 +109,11 @@ fn cached_plan_documents_match_cold_runs_for_every_date() {
     }
 }
 
-/// (b) Concurrent batches equal sequential loops: both schedulers, with and
-/// without fault injection, ≥ 8 concurrent requests over one cached plan.
+/// (b) Concurrent batches equal sequential loops: per-source walks, with
+/// and without fault injection, ≥ 8 concurrent requests over one cached
+/// plan.
 #[test]
-fn run_many_matches_sequential_loops_under_schedulers_and_faults() {
+fn run_many_matches_sequential_loops_under_faults() {
     let aig = sigma0().unwrap();
     let catalog = mini_hospital_catalog().unwrap();
     let batch: Vec<Vec<(String, Value)>> = (0..9)
@@ -127,37 +126,34 @@ fn run_many_matches_sequential_loops_under_schedulers_and_faults() {
         latency_secs: 0.0003,
         ..FaultConfig::default()
     };
-    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-        for inject in [false, true] {
-            let options = MediatorOptions::builder()
-                .parallel_exec(true)
-                .scheduling(scheduling)
-                .faults(inject.then(|| faults.clone()))
-                .retry(fast_retry(6))
-                .build()
-                .unwrap();
-            let mediator = Mediator::new(catalog.clone(), &options).unwrap();
-            let results = mediator.run_many(&aig, &batch);
-            assert_eq!(results.len(), batch.len());
-            for (request, result) in batch.iter().zip(results) {
-                let (warm, report) = result.unwrap();
-                let date = request[0].1.clone();
-                let args = [("date", date)];
-                let cold = run(&aig, &catalog, &args, &options).unwrap();
-                let context = format!("{scheduling:?}, faults={inject}");
-                assert_same_tree(&aig, &warm.tree, &cold.tree, &context);
-                assert!(report.cache.enabled);
-            }
-            // The batch shares plans: every request after the misses is a
-            // hit, and nothing was evicted.
-            let stats = mediator.cache_stats();
-            assert!(stats.hits + stats.misses >= batch.len() as u64, "{stats:?}");
-            assert!(
-                stats.hits >= (batch.len() as u64 - stats.misses),
-                "{stats:?}"
-            );
-            assert_eq!(stats.evictions, 0, "{stats:?}");
+    for inject in [false, true] {
+        let options = MediatorOptions::builder()
+            .parallel_exec(true)
+            .faults(inject.then(|| faults.clone()))
+            .retry(fast_retry(6))
+            .build()
+            .unwrap();
+        let mediator = Mediator::new(catalog.clone(), &options).unwrap();
+        let results = mediator.run_many(&aig, &batch);
+        assert_eq!(results.len(), batch.len());
+        for (request, result) in batch.iter().zip(results) {
+            let (warm, report) = result.unwrap();
+            let date = request[0].1.clone();
+            let args = [("date", date)];
+            let cold = run(&aig, &catalog, &args, &options).unwrap();
+            let context = format!("faults={inject}");
+            assert_same_tree(&aig, &warm.tree, &cold.tree, &context);
+            assert!(report.cache.enabled);
         }
+        // The batch shares plans: every request after the misses is a
+        // hit, and nothing was evicted.
+        let stats = mediator.cache_stats();
+        assert!(stats.hits + stats.misses >= batch.len() as u64, "{stats:?}");
+        assert!(
+            stats.hits >= (batch.len() as u64 - stats.misses),
+            "{stats:?}"
+        );
+        assert_eq!(stats.evictions, 0, "{stats:?}");
     }
 }
 

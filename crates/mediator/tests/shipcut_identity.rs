@@ -13,7 +13,7 @@
 use aig_core::paper::sigma0;
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
-use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult, Scheduling};
+use aig_mediator::exec::{execute_graph, ExecOptions, ExecResult};
 use aig_mediator::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
@@ -144,17 +144,8 @@ fn matrix_is_byte_identical_to_the_sequential_unpruned_baseline() {
                         format!("seed {seed} prune={prune} threads={threads} faults={faults}");
                     let seq = run_cell(&fx, &opts, false);
                     assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
-                    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-                        let mut opts = opts.clone();
-                        opts.policy.scheduling = scheduling;
-                        let par = run_cell(&fx, &opts, true);
-                        assert_identical(
-                            &fx,
-                            &baseline,
-                            &par,
-                            &format!("{what} parallel {scheduling:?}"),
-                        );
-                    }
+                    let par = run_cell(&fx, &opts, true);
+                    assert_identical(&fx, &baseline, &par, &format!("{what} parallel"));
                 }
             }
         }

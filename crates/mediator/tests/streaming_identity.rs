@@ -11,7 +11,7 @@
 use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::spec::Aig;
 use aig_core::{compile_constraints, decompose_queries};
-use aig_mediator::exec::{execute_graph, ExecOptions, ExecPolicy, ExecResult, Scheduling};
+use aig_mediator::exec::{execute_graph, ExecOptions, ExecPolicy, ExecResult};
 use aig_mediator::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use aig_mediator::graph::{build_graph, GraphOptions, TaskGraph};
 use aig_mediator::parallel::execute_graph_parallel;
@@ -166,25 +166,16 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
                         );
                     }
 
-                    for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-                        let mut opts = opts.clone();
-                        opts.policy.scheduling = scheduling;
-                        let par = run_cell(&fx, &opts, true);
-                        assert_identical(
-                            &fx,
-                            &baseline,
-                            &par,
-                            &format!("{what} parallel {scheduling:?}"),
-                        );
-                        // One worker per source: at most `workers` outputs
-                        // ship concurrently, each inside its window.
-                        assert!(
-                            par.0.batch.peak_resident_rows <= (2 * BATCH_ROWS * workers) as u64,
-                            "parallel peak {} exceeds {} windows: {what} {scheduling:?}",
-                            par.0.batch.peak_resident_rows,
-                            workers
-                        );
-                    }
+                    let par = run_cell(&fx, &opts, true);
+                    assert_identical(&fx, &baseline, &par, &format!("{what} parallel"));
+                    // One worker per source: at most `workers` outputs ship
+                    // concurrently, each inside its window.
+                    assert!(
+                        par.0.batch.peak_resident_rows <= (2 * BATCH_ROWS * workers) as u64,
+                        "parallel peak {} exceeds {} windows: {what}",
+                        par.0.batch.peak_resident_rows,
+                        workers
+                    );
                 }
             }
         }
@@ -239,34 +230,31 @@ fn pipeline_batching_produces_identical_documents_and_a_ledger() {
     assert_eq!(base_report.batching.overlap_savings_secs, 0.0);
 
     for parallel in [false, true] {
-        for scheduling in [Scheduling::Static, Scheduling::Dynamic] {
-            let options = MediatorOptions::builder()
-                .batching(true)
-                .batch_rows(2)
-                .parallel_exec(parallel)
-                .scheduling(scheduling)
-                .build()
-                .unwrap();
-            let (run, report) = run_with_report(&aig, &catalog, &args, &options).unwrap();
-            assert_eq!(
-                canonical(&aig, &run.tree),
-                canonical(&aig, &base_run.tree),
-                "document drifted under batching: parallel={parallel} {scheduling:?}"
-            );
-            assert!(report.batching.enabled);
-            assert_eq!(report.batching.batch_rows, 2);
-            assert!(report.batching.total_batches > 0);
-            assert!(report.batching.peak_resident_rows > 0);
-            // Redaction zeroes the wall-derived estimate but keeps the
-            // deterministic counts.
-            let redacted = report.redacted();
-            assert_eq!(redacted.batching.overlap_savings_secs, 0.0);
-            assert_eq!(
-                redacted.batching.total_batches,
-                report.batching.total_batches
-            );
-            // Per-task batch counts surface in the report.
-            assert!(report.tasks.iter().any(|t| t.batches > 1));
-        }
+        let options = MediatorOptions::builder()
+            .batching(true)
+            .batch_rows(2)
+            .parallel_exec(parallel)
+            .build()
+            .unwrap();
+        let (run, report) = run_with_report(&aig, &catalog, &args, &options).unwrap();
+        assert_eq!(
+            canonical(&aig, &run.tree),
+            canonical(&aig, &base_run.tree),
+            "document drifted under batching: parallel={parallel}"
+        );
+        assert!(report.batching.enabled);
+        assert_eq!(report.batching.batch_rows, 2);
+        assert!(report.batching.total_batches > 0);
+        assert!(report.batching.peak_resident_rows > 0);
+        // Redaction zeroes the wall-derived estimate but keeps the
+        // deterministic counts.
+        let redacted = report.redacted();
+        assert_eq!(redacted.batching.overlap_savings_secs, 0.0);
+        assert_eq!(
+            redacted.batching.total_batches,
+            report.batching.total_batches
+        );
+        // Per-task batch counts surface in the report.
+        assert!(report.tasks.iter().any(|t| t.batches > 1));
     }
 }

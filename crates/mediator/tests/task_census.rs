@@ -26,7 +26,7 @@ use aig_mediator::graph::{Occ, RelKey, Task, TaskGraph, TaskKind};
 use aig_mediator::obs::Phases;
 use aig_mediator::{
     build_graph, execute_graph, prepare, unfold, CutOff, ExecOptions, ExecPolicy, GraphOptions,
-    Mediator, MediatorOptions, NetworkModel, PlanOptions, Scheduling,
+    Mediator, MediatorOptions, NetworkModel, PlanOptions,
 };
 use aig_relstore::intern::resolve;
 use aig_relstore::{Catalog, Database, SourceId, Sym, Table, TableSchema, Value};
@@ -296,7 +296,6 @@ fn ids_are_positions_and_deps_are_distinct(
     }
     let parallel = ExecOptions::new(ExecPolicy {
         parallel_exec: true,
-        scheduling: Scheduling::Dynamic,
         threads: 2,
         ..ExecPolicy::default()
     });

@@ -131,7 +131,7 @@ fn populated_report() -> RunReport {
     assert!(report.incremental.snapshot_hit && !report.incremental.dirty_tables.is_empty());
     assert!(report.resilience.retried > 0 && report.integrity.masked_by_retry > 0);
     assert!(report.batching.enabled && !report.merge_decisions.is_empty());
-    report.scheduler.mode = "dynamic".to_string();
+    report.scheduler.mode = "dynamic";
     report.scheduler.picks = 2;
     report.scheduler.deviations = vec![PlanDeviationObs {
         task: 3,
@@ -271,9 +271,9 @@ fn catalog_with_db4_replica() -> aig_relstore::Catalog {
 }
 
 /// The fault layer's two report sections over a matrix: seeds 1–4 × {one
-/// worker, per-source under `Scheduling::Static`} × three fault mixes —
-/// fail-stop (transients, latency spikes with timeouts, DB4 dying after one
-/// task with a replica to fail over to), wrong-answer with the integrity
+/// worker, per-source} × three fault mixes — fail-stop (transients, latency
+/// spikes with timeouts, DB4 dying after one task with a replica to fail
+/// over to), wrong-answer with the integrity
 /// defense on (corruptions, vanished tables, a stale replica after the same
 /// failover), and the same wrong-answer mix with the defense off. Each cell
 /// is the redacted `resilience` and `integrity` JSON of `run_with_report`,
@@ -318,7 +318,6 @@ fn fault_ledger_sections_are_stable_across_the_fault_matrix() {
                     .network(NetworkModel::mbps(1.0))
                     .graph(graph)
                     .parallel_exec(parallel_exec)
-                    .scheduling(aig_mediator::exec::Scheduling::Static)
                     .check_integrity(check_integrity)
                     .faults(Some(FaultConfig {
                         seed,

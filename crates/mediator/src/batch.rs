@@ -1,16 +1,24 @@
 //! The ship seam: where a task's output crosses from its source to the
-//! mediator, and everything [`crate::plan::ExecPolicy::batching`] does.
+//! mediator, priced by one function, `ship`.
 //!
-//! Materializing execution ships each task's whole ship image in one
-//! piece, so a shipment is resident in full while it crosses the wire. With
-//! `batching` on, `ship_output` cuts the image into `batch_rows`-row
-//! batches, prices each batch's wire bytes on its own and in place
-//! (`Relation::wire_bytes_in` over the batch's row range: a batch ships the
-//! dictionary slice its rows touch), moves the [`ShipLedger`]'s
-//! double-buffer window — batch `k` is on the wire while the consumer
-//! digests batch `k − 1`, so at most two batches of a task are resident and
-//! peak resident rows are `O(batch_rows × active tasks)` instead of the
-//! largest shipped relation.
+//! What crosses is the output's *ship image*: its live columns
+//! ([`crate::shipcut`]; every column when ship-cut is off), duplicates
+//! collapsed when every costed consumer is duplicate-insensitive. Its price
+//! is the image's dictionary-encoded wire size — the `size(Q)` that §5.2's
+//! transfer cost reads. Materializing (the default, the paper's model)
+//! ships the image as one batch over all its rows. With
+//! [`crate::plan::ExecPolicy::batching`] on it ships the image's
+//! `batch_rows`-row ranges, each priced on its own: a batch ships the
+//! dictionary slice its rows touch. Either way the live columns are priced
+//! where they lie ([`Relation::wire_bytes_of`]); an image is built only
+//! when it collapses duplicates.
+//!
+//! A shipment holds its largest window of rows at the seam: the whole
+//! relation when materializing; two batches when batching — batch `k` is
+//! on the wire while the consumer digests batch `k − 1`. The walk keeps the
+//! largest window of any one shipment as the run's `peak_resident_rows`,
+//! so the peak is a function of what shipped, not of how workers
+//! interleaved.
 //!
 //! That is all the flag does: it changes *when rows cross the seam*, never
 //! what arrives. The producer is a materialized relation, so nothing on the
@@ -20,39 +28,6 @@
 
 use crate::exec::ExecOptions;
 use aig_relstore::Relation;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Shared shipment accounting for one execution. Thread-safe so the
-/// parallel executor's workers update it lock-free; the double-buffer
-/// window is acquired/released per batch by `ship_output`.
-#[derive(Debug, Default)]
-pub struct ShipLedger {
-    resident_rows: AtomicUsize,
-    peak_resident_rows: AtomicUsize,
-    total_batches: AtomicU64,
-}
-
-impl ShipLedger {
-    fn acquire(&self, rows: usize) {
-        let now = self.resident_rows.fetch_add(rows, Ordering::SeqCst) + rows;
-        self.peak_resident_rows.fetch_max(now, Ordering::SeqCst);
-        self.total_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn release(&self, rows: usize) {
-        self.resident_rows.fetch_sub(rows, Ordering::SeqCst);
-    }
-
-    /// Highest number of shipment rows resident at any instant.
-    pub fn peak_resident_rows(&self) -> usize {
-        self.peak_resident_rows.load(Ordering::SeqCst)
-    }
-
-    /// Batches shipped across all tasks.
-    pub fn total_batches(&self) -> u64 {
-        self.total_batches.load(Ordering::Relaxed)
-    }
-}
 
 /// What the shipment seam did during one execution; carried in
 /// [`crate::exec::ExecResult`] and summarized into the run report's
@@ -63,81 +38,59 @@ pub struct BatchLog {
     pub enabled: bool,
     /// The configured batch size (rows); meaningful only when enabled.
     pub batch_rows: usize,
-    /// Batches shipped across all tasks (one per task output when off).
+    /// Batches shipped across the tasks the walk ran (one per task output
+    /// when off).
     pub total_batches: u64,
-    /// Peak shipment rows resident at any instant: bounded by
-    /// `2 × batch_rows × active tasks` when batching, by the largest
-    /// shipped relation (times active tasks) when materializing.
+    /// The largest window of rows any one shipment held at the seam:
+    /// `min(image rows, 2 × batch_rows)` when batching, the largest shipped
+    /// relation when materializing.
     pub peak_resident_rows: u64,
 }
 
-impl BatchLog {
-    pub(crate) fn from_ledger(opts: &ExecOptions, ledger: &ShipLedger) -> BatchLog {
-        BatchLog {
-            enabled: opts.policy.batching,
-            batch_rows: opts.policy.batch_rows,
-            total_batches: ledger.total_batches(),
-            peak_resident_rows: ledger.peak_resident_rows() as u64,
-        }
-    }
-}
-
-/// Per-task outcome of the ship seam.
-pub(crate) struct ShipOutcome {
-    /// Wire bytes shipped: the ship image's dictionary-encoded size when
-    /// materializing, the sum of per-batch wire sizes when batching (each
-    /// batch ships the dictionary slice its rows touch).
-    pub ship_bytes: f64,
-    /// Batches the output crossed the seam in.
+/// One task output's passage through the seam.
+pub(crate) struct Shipment {
+    /// Wire bytes of the ship image: over all its rows when materializing,
+    /// summed over its batches when batching.
+    pub bytes: f64,
+    /// Batches the output crossed the seam in: 1 when materializing,
+    /// `ceil(image rows / batch_rows)` when batching.
     pub batches: u64,
+    /// Rows the shipment held at the seam at once.
+    pub resident_rows: usize,
 }
 
-/// Ships one task's output through the seam, doing the resident-row
-/// accounting against `ledger`.
-pub(crate) fn ship_output(
-    opts: &ExecOptions,
-    ledger: &ShipLedger,
-    task_id: usize,
-    rel: &Relation,
-) -> ShipOutcome {
+/// Ships `rel`, the output of `task`, through the seam.
+pub(crate) fn ship(opts: &ExecOptions, task: usize, rel: &Relation) -> Shipment {
+    let profile = opts.shipcut.as_ref().map(|cut| (cut, cut.profile(task)));
+    let deduped;
+    let (image, prune) = match profile {
+        Some((cut, profile)) if profile.dedup => {
+            deduped = cut.ship_image(task, rel);
+            (&deduped, None)
+        }
+        _ => (rel, profile.map(|(_, profile)| &profile.live)),
+    };
+    let names = image.columns();
+    let keep = |c: usize| prune.is_none_or(|live| live.contains(&names[c], c));
+    let live = (0..image.arity()).filter(|&c| keep(c));
+    let rows = image.len();
     if !opts.policy.batching {
-        // Materializing: the whole ship image crosses the wire as one
-        // batch and is resident in full while it does.
-        ledger.acquire(rel.len());
-        ledger.release(rel.len());
-        return ShipOutcome {
-            ship_bytes: crate::exec::ship_image_bytes(opts, task_id, rel),
+        return Shipment {
+            bytes: image.wire_bytes_of(live, 0..rows) as f64,
             batches: 1,
+            resident_rows: rel.len(),
         };
     }
-    let image = match &opts.shipcut {
-        Some(cut) => cut.ship_image(task_id, rel),
-        None => rel.clone(),
-    };
-    let mut shipped = 0.0;
-    let mut batches = 0u64;
-    let mut in_flight: Option<usize> = None;
     // Floored at one: the options builder rejects zero, but hand-built
     // options reach here unvalidated.
     let batch_rows = opts.policy.batch_rows.max(1);
-    for start in (0..image.len()).step_by(batch_rows) {
-        let batch = start..image.len().min(start.saturating_add(batch_rows));
-        ledger.acquire(batch.len());
-        shipped += image.wire_bytes_in(batch.clone()) as f64;
-        batches += 1;
-        // Double-buffer window: the consumer finishes batch k−1 while
-        // batch k is on the wire, so k−1's rows release now.
-        if let Some(rows) = in_flight.take() {
-            ledger.release(rows);
-        }
-        in_flight = Some(batch.len());
-    }
-    if let Some(rows) = in_flight {
-        ledger.release(rows);
-    }
-    ShipOutcome {
-        ship_bytes: shipped,
-        batches,
+    let batch = |start: usize| start..start.saturating_add(batch_rows);
+    let priced = (0..rows).step_by(batch_rows);
+    let priced = priced.map(|start| image.wire_bytes_of(live.clone(), batch(start)));
+    Shipment {
+        bytes: priced.sum::<usize>() as f64,
+        batches: rows.div_ceil(batch_rows) as u64,
+        resident_rows: rows.min(batch_rows.saturating_mul(2)),
     }
 }
 
@@ -154,31 +107,44 @@ mod tests {
         r
     }
 
-    #[test]
-    fn batched_ledger_peak_is_the_double_buffer_window() {
-        let opts = ExecOptions {
-            policy: crate::plan::ExecPolicy {
-                batching: true,
-                batch_rows: 4,
-                ..crate::plan::ExecPolicy::default()
-            },
-            ..ExecOptions::default()
-        };
-        let ledger = ShipLedger::default();
-        let out = ship_output(&opts, &ledger, 0, &rel(10));
-        assert_eq!(out.batches, 3);
-        // Two batches resident at once, never the whole relation.
-        assert_eq!(ledger.peak_resident_rows(), 8);
-        assert_eq!(ledger.total_batches(), 3);
+    fn batched(batch_rows: usize) -> ExecOptions {
+        ExecOptions::new(crate::plan::ExecPolicy {
+            batching: true,
+            batch_rows,
+            ..crate::plan::ExecPolicy::default()
+        })
     }
 
     #[test]
-    fn materializing_ledger_holds_the_whole_relation() {
-        let opts = ExecOptions::default();
-        let ledger = ShipLedger::default();
-        let out = ship_output(&opts, &ledger, 0, &rel(10));
+    fn a_batched_shipment_holds_the_double_buffer_window() {
+        let out = ship(&batched(4), 0, &rel(10));
+        assert_eq!(out.batches, 3);
+        // Two batches resident at once, never the whole relation.
+        assert_eq!(out.resident_rows, 8);
+        // Each batch ships the dictionary slice its rows touch.
+        let slices = [
+            rel(10).slice(0, 4),
+            rel(10).slice(4, 4),
+            rel(10).slice(8, 2),
+        ];
+        let priced: usize = slices.iter().map(Relation::wire_bytes).sum();
+        assert_eq!(out.bytes, priced as f64);
+        // An image shorter than two batches is resident in full.
+        assert_eq!(ship(&batched(4), 0, &rel(6)).resident_rows, 6);
+        let empty = ship(&batched(4), 0, &rel(0));
+        assert_eq!(
+            (empty.batches, empty.resident_rows, empty.bytes),
+            (0, 0, 0.0)
+        );
+    }
+
+    #[test]
+    fn a_materializing_shipment_holds_the_whole_relation() {
+        let out = ship(&ExecOptions::default(), 0, &rel(10));
         assert_eq!(out.batches, 1);
-        assert_eq!(ledger.peak_resident_rows(), 10);
-        assert_eq!(out.ship_bytes, rel(10).wire_bytes() as f64);
+        assert_eq!(out.resident_rows, 10);
+        assert_eq!(out.bytes, rel(10).wire_bytes() as f64);
+        // A batch that is the whole image is the materializing price.
+        assert_eq!(ship(&batched(usize::MAX), 0, &rel(10)).bytes, out.bytes);
     }
 }

@@ -115,14 +115,16 @@ pub struct ExecPolicy {
     /// [`aig_relstore::par::PAR_THRESHOLD`] rows. Results are
     /// byte-identical for any value; `1` keeps every kernel sequential.
     pub threads: usize,
-    /// Chunked shipment (see [`crate::batch`], the only reader): task
-    /// outputs cross the ship seam in `batch_rows`-row batches, each priced
-    /// and windowed on its own; no operator runs differently. Stores and
-    /// documents are byte-identical either way; off by default.
+    /// Chunked shipment, a pricing model read only by the ship seam
+    /// ([`crate::batch`]): each task output's ship image is priced as its
+    /// `batch_rows`-row ranges, each shipping the dictionary slice its rows
+    /// touch, and holds two batches at the seam instead of the whole
+    /// relation. No operator runs differently; stores and documents are
+    /// byte-identical either way. Off by default.
     pub batching: bool,
-    /// Batch size (rows) of the chunked shipment seam; only consulted when
-    /// `batching` is on. `usize::MAX` degenerates to the materializing
-    /// one-batch shipment.
+    /// Rows per batch of the chunked shipment; only read when `batching`
+    /// is on. `usize::MAX` prices each image as one batch, as materializing
+    /// does.
     pub batch_rows: usize,
     /// Incremental re-evaluation on source deltas (see [`crate::delta`]):
     /// when on, the [`crate::service::Mediator`] keeps a post-run snapshot
@@ -225,11 +227,13 @@ pub struct Measured {
     /// exceed the raw `out_bytes` for small all-distinct relations (the
     /// dictionary is the data plus per-row codes).
     pub wire_bytes: f64,
-    /// Bytes of the output's *ship image*: the column-pruned (and, for
+    /// Bytes of the output's *ship image* — the column-pruned (and, for
     /// duplicate-insensitive consumers, deduplicated) relation a ship-cut
-    /// shipper puts on the wire. Equal to `wire_bytes` when ship-cut is off;
-    /// never exceeds it (pruning drops columns and rows, and the dictionary
-    /// encoding is monotone under both).
+    /// shipper puts on the wire — as the ship seam ([`crate::batch`])
+    /// prices it. On a materializing run it equals `wire_bytes` when
+    /// ship-cut is off and never exceeds it (pruning drops columns and rows,
+    /// and the dictionary encoding is monotone under both); batching prices
+    /// each batch's dictionary slice on its own.
     pub ship_bytes: f64,
     /// Batches the output crossed the ship seam in: 1 per shipped output
     /// when materializing, `ceil(image_rows / batch_rows)` under chunked
@@ -407,17 +411,6 @@ pub fn execute_graph(
     crate::parallel::walk(aig, catalog, graph, args, opts, None, None)
 }
 
-/// The ship-image size of a task's output under the active ship-cut
-/// profiles; the dictionary-encoded wire size of the full relation when
-/// ship-cut is off (both arms report wire bytes, so on/off comparisons
-/// measure pruning, not encoding).
-pub(crate) fn ship_image_bytes(opts: &ExecOptions, task_id: usize, rel: &Relation) -> f64 {
-    match &opts.shipcut {
-        Some(cut) => cut.ship_bytes(task_id, rel) as f64,
-        None => rel.wire_bytes() as f64,
-    }
-}
-
 /// Total rows across the task's input relations, each read once
 /// (observability accounting; reads that fail — e.g. a producer with no
 /// output — count 0).
@@ -427,6 +420,10 @@ fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
         .map(|rel| rel.len() as f64)
         .sum()
 }
+
+/// What running a task gave: its relation (None for guards) or error, its
+/// measurements, and the rows its output's shipment held at the seam.
+pub(crate) type Ran = (Result<Option<Relation>, MediatorError>, Measured, usize);
 
 /// The one task body: every worker of [`crate::parallel::walk`] — the one
 /// worker of a sequential run or a worker per source — runs its tasks
@@ -441,8 +438,6 @@ pub(crate) struct Executor<'a, S: RelSource> {
     pub(crate) args: &'a [(&'a str, Value)],
     /// Start of the run: task start offsets are stamped against it.
     pub(crate) epoch: Instant,
-    /// The run's one shipment ledger.
-    pub(crate) ship: &'a crate::batch::ShipLedger,
 }
 
 impl<S: RelSource> Executor<'_, S> {
@@ -458,7 +453,7 @@ impl<S: RelSource> Executor<'_, S> {
         source: SourceId,
         wait_secs: f64,
         events: &mut Vec<FaultEvent>,
-    ) -> (Result<Option<Relation>, MediatorError>, Measured) {
+    ) -> Ran {
         let (task, opts) = (&self.graph.tasks[id], self.opts);
         let in_rows = input_rows(task, self.store);
         let start = Instant::now();
@@ -493,15 +488,17 @@ impl<S: RelSource> Executor<'_, S> {
             start_secs,
             ..Measured::default()
         };
+        let mut resident_rows = 0;
         if let Ok(Some(rel)) = &result {
-            let shipped = crate::batch::ship_output(opts, self.ship, id, rel);
+            let shipped = crate::batch::ship(opts, id, rel);
             measured.out_rows = rel.len() as f64;
             measured.out_bytes = rel.byte_size() as f64;
             measured.wire_bytes = rel.wire_bytes() as f64;
-            measured.ship_bytes = shipped.ship_bytes;
+            measured.ship_bytes = shipped.bytes;
             measured.batches = shipped.batches;
+            resident_rows = shipped.resident_rows;
         }
-        (result, measured)
+        (result, measured, resident_rows)
     }
 
     /// Runs one task against the relations visible through `store`,

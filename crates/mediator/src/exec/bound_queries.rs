@@ -6,7 +6,6 @@
 //! queries. The relations must be equal, row for row.
 
 use super::*;
-use crate::batch::ShipLedger;
 use crate::graph::{build_graph, GraphOptions};
 use crate::unfold::{unfold, CutOff};
 use aig_core::paper::sigma0;
@@ -53,7 +52,6 @@ fn compare(
     let graph = build_graph(&aig, catalog, &GraphOptions::default()).unwrap();
     let opts = ExecOptions::default();
     let exec = execute_graph(&aig, catalog, &graph, args, &opts).unwrap();
-    let ship = ShipLedger::default();
     let executor = Executor {
         aig: &aig,
         catalog,
@@ -62,7 +60,6 @@ fn compare(
         opts: &opts,
         args,
         epoch: Instant::now(),
-        ship: &ship,
     };
     let (mut queries, mut rows) = (0, 0);
     for task in &graph.tasks {

@@ -1041,7 +1041,6 @@ fn executor<'a, S: RelSource>(
     fx: &'a Fixture,
     store: &'a S,
     opts: &'a ExecOptions,
-    ship: &'a crate::batch::ShipLedger,
 ) -> Executor<'a, S> {
     Executor {
         aig: &fx.aig,
@@ -1051,7 +1050,6 @@ fn executor<'a, S: RelSource>(
         opts,
         args: &fx.args,
         epoch: Instant::now(),
-        ship,
     }
 }
 
@@ -1146,11 +1144,10 @@ fn walk_with(
     kinds: &mut [usize; 8],
     mut edit: impl FnMut(&Task, &mut Relation),
 ) -> RelStore {
-    let ship = crate::batch::ShipLedger::default();
     let mut store = RelStore::new(&fx.graph);
     for &id in &fx.graph.topo {
         let task = &fx.graph.tasks[id];
-        let exec = executor(fx, &store, opts, &ship);
+        let exec = executor(fx, &store, opts);
         let reference = RowMajor(&exec);
         let columnar = exec.run_task(task);
         assert_eq!(columnar, reference.run_task(task), "{}", task.label);
@@ -1238,7 +1235,6 @@ impl RelSource for SwapNth<'_> {
 fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
     let fx = orders(4);
     let opts = options(1, false);
-    let ship = crate::batch::ShipLedger::default();
     let store = walk(&fx, &opts, None, &mut [0; 8]);
 
     // One `order` under a foreign rowid: in the base table read after the
@@ -1261,7 +1257,7 @@ fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
             instead,
             reads: Cell::new(0),
         };
-        match executor(&fx, &swapped, &opts, &ship).run_task(cond) {
+        match executor(&fx, &swapped, &opts).run_task(cond) {
             Err(MediatorError::Internal(msg)) => {
                 let head = format!("bad instance id in T[order]: {column} Int({});", 1u64 << 40);
                 assert!(msg.starts_with(&head), "{msg}")
@@ -1284,7 +1280,7 @@ fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
         instead,
         reads: Cell::new(0),
     };
-    match executor(&fx, &swapped, &opts, &ship).run_task(branch) {
+    match executor(&fx, &swapped, &opts).run_task(branch) {
         Err(MediatorError::Internal(msg)) => assert!(
             msg.starts_with("bad instance id in T[order]: `__owner` Str(\"foreign\")"),
             "{msg}"
@@ -1301,7 +1297,6 @@ fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
 fn assemble_input_of_the_wrong_arity_is_a_schema_mismatch() {
     let fx = flow(3);
     let opts = options(1, false);
-    let ship = crate::batch::ShipLedger::default();
     let store = walk(&fx, &opts, None, &mut [0; 8]);
     let assemble = task_where(
         &fx,
@@ -1324,7 +1319,7 @@ fn assemble_input_of_the_wrong_arity_is_a_schema_mismatch() {
             instead,
             reads: Cell::new(0),
         };
-        let out = executor(&fx, &swapped, &opts, &ship).run_task(assemble);
+        let out = executor(&fx, &swapped, &opts).run_task(assemble);
         let Err(MediatorError::Store(StoreError::SchemaMismatch { msg, .. })) = out else {
             panic!("expected SchemaMismatch, got {out:?}");
         };
@@ -1523,7 +1518,6 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
         })
         .expect("a seed with refs");
     let opts = options(1, false);
-    let ship = crate::batch::ShipLedger::default();
     let order = RelKey::Instances(fx.aig.elem("order").unwrap());
     let gen = task_where(&fx, |k| {
         matches!(k, TaskKind::Gen { set_input: Some(_), parent, .. }
@@ -1559,7 +1553,7 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
             rel.set_cell(row, rowid, value.clone());
         }
         store.slots[fx.graph.producer[&order]] = rel.into();
-        let exec = executor(&fx, &store, &opts, &ship);
+        let exec = executor(&fx, &store, &opts);
         let column = "row 0's `__rowid`";
         let from_gen = expect_bad(exec.run_task(gen).map(|_| ()), column, &cells[0]);
         let from_syn = expect_bad(exec.run_task(syn).map(|_| ()), column, &cells[0]);
@@ -1584,7 +1578,7 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
             instead,
             reads: Cell::new(0),
         };
-        let out = executor(&fx, &swapped, &opts, &ship).run_task(gen);
+        let out = executor(&fx, &swapped, &opts).run_task(gen);
         expect_bad(out.map(|_| ()), "`__parent`", &bad);
     }
 }

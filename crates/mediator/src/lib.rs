@@ -27,7 +27,7 @@ pub mod sim;
 pub mod tagging;
 pub mod unfold;
 
-pub use batch::{BatchLog, ShipLedger};
+pub use batch::BatchLog;
 pub use cost::{response_time, CostGraph, Plan, TaskCost};
 pub use delta::{rerun_mask, ReadSets, TableRef};
 pub use error::{ConfigError, MediatorError};

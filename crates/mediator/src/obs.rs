@@ -478,9 +478,10 @@ report_struct! {
         pub planned_pos: usize,
         /// Position the task actually ran at.
         pub actual_pos: usize,
-        /// The task's hybrid-level priority at pick time (zeroed in redacted
-        /// reports — it is derived from wall-clock measurements).
-        pub priority: f64 = wall,
+        /// The task's priority at pick time: its `ℓevel` over the graph's
+        /// compile-time estimates, a deterministic number that redacted
+        /// reports keep.
+        pub priority: f64 = det,
     }
 }
 
@@ -532,11 +533,11 @@ report_struct! {
 }
 
 report_struct! {
-    /// The batching section: the chunked-shipment ledger (see [`crate::batch`]).
+    /// The batching section: what the ship seam did (see [`crate::batch`]).
     /// `Default` (disabled, all zero) describes a materializing run; when
-    /// enabled, task outputs crossed the ship seam in `batch_rows`-row batches
-    /// and `peak_resident_rows` bounds how many shipment rows were ever in
-    /// flight at once.
+    /// enabled, task outputs crossed the ship seam in `batch_rows`-row
+    /// batches and `peak_resident_rows` bounds the rows any one shipment
+    /// held at once.
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct BatchingObs {
         /// Whether chunked shipment was active for the run.
@@ -547,9 +548,9 @@ report_struct! {
         /// Batches shipped across all tasks (equals the shipped-task count on
         /// a materializing run).
         pub total_batches: u64,
-        /// High-water mark of shipment rows resident at once. Batching bounds
-        /// this at the double-buffer window (≈ 2 × `batch_rows` per concurrent
-        /// task) instead of the largest relation.
+        /// The largest window of rows any one shipment held at the seam.
+        /// Batching bounds it at two batches (`2 × batch_rows`) instead of
+        /// the largest relation.
         pub peak_resident_rows: u64,
         /// Estimated seconds pipelining overlapped away on the simulated wire
         /// ([`crate::sim::NetworkModel::overlap_savings`]); zeroed in redacted
@@ -696,7 +697,7 @@ report_struct! {
         pub merges: usize = "sim.merges",
         /// What ship-cut column pruning saved on the simulated wire.
         pub shipcut: ShipcutObs,
-        /// The chunked-shipment ledger (default on materializing runs).
+        /// What the ship seam did (default on materializing runs).
         pub batching: BatchingObs,
         /// The delta re-evaluation ledger (default on non-incremental runs).
         pub incremental: IncrementalObs,
@@ -750,7 +751,7 @@ pub(crate) struct ReportInputs<'a> {
     pub sched: &'a crate::exec::SchedLog,
     /// Plan-cache observability for the request (default when no cache).
     pub cache: CacheObs,
-    /// The chunked-shipment ledger of the final execution round.
+    /// What the ship seam did for the tasks the walk ran.
     pub batch: crate::batch::BatchLog,
     /// The delta re-evaluation ledger (default on non-incremental runs).
     pub incremental: IncrementalObs,

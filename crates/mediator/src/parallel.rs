@@ -28,18 +28,18 @@
 //! measuring a task (`Executor::run_measured`) and where a dead source's
 //! tasks go (`Failover`) live in [`crate::exec`].
 
-use crate::batch::{BatchLog, ShipLedger};
+use crate::batch::BatchLog;
 use crate::cost::{estimated_costs, CostGraph};
 use crate::error::MediatorError;
 use crate::exec::{
-    ExecOptions, ExecResult, Executor, Failover, Measured, RelStore, SchedLog, TaskPick,
+    ExecOptions, ExecResult, Executor, Failover, Measured, Ran, RelStore, SchedLog, TaskPick,
 };
 use crate::faults::{FaultEvent, FaultLog};
-use crate::graph::TaskGraph;
+use crate::graph::{Task, TaskGraph};
 use aig_core::spec::Aig;
-use aig_relstore::{Catalog, Relation, SourceId, Value};
+use aig_relstore::{Catalog, SourceId, Value};
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// What every walk of one task graph reads that the graph fixes, built on
@@ -96,6 +96,28 @@ impl TaskGraph {
     pub(crate) fn consumers(&self, task: usize) -> &[usize] {
         let dispatch = self.dispatch();
         &dispatch.consumers[dispatch.starts[task]..dispatch.starts[task + 1]]
+    }
+
+    /// Refuses a graph whose deps or topological order no longer match
+    /// what its dispatch cell indexed on the first walk (the fields are
+    /// public), or whose order puts a consumer before its producer: a walk
+    /// of it would wait forever for a release that never comes.
+    fn check_dispatch(&self) -> Result<(), MediatorError> {
+        let dispatch = self.dispatch();
+        let (starts, pos) = (&dispatch.starts, &dispatch.topo_pos);
+        let n = self.tasks.len();
+        let edges: usize = self.tasks.iter().map(|task| task.deps.len()).sum();
+        let ordered = |(id, task): (usize, &Task)| {
+            let indexed = |dep: usize| self.consumers(dep).binary_search(&id).is_ok();
+            (task.deps.iter()).all(|&(dep, _)| dep < n && pos[dep] < pos[id] && indexed(dep))
+        };
+        let same = (self.topo.len(), starts.len(), starts[starts.len() - 1]) == (n, n + 1, edges)
+            && (self.topo.iter().enumerate()).all(|(at, &id)| pos.get(id) == Some(&at))
+            && self.tasks.iter().enumerate().all(ordered);
+        same.then_some(()).ok_or_else(|| {
+            let why = "the task graph changed after its first walk, or orders a consumer first";
+            MediatorError::Internal(why.to_string())
+        })
     }
 }
 
@@ -155,6 +177,9 @@ struct Progress {
     /// Picks logged per source so far, indexed by source id — the next
     /// pick's `actual_pos`.
     picked_at: Vec<usize>,
+    /// What the ship seam did for the tasks this walk ran: their batches
+    /// summed and the largest window any one shipment held.
+    batch: BatchLog,
 }
 
 /// The one dispatcher's state for one round. A worker going idle takes the
@@ -277,14 +302,14 @@ impl SharedStore<'_> {
         }
     }
 
-    /// Records a finished task and, when it succeeded, readies the
-    /// consumers it was the last input of.
+    /// Records a finished task and, when it succeeded, folds its shipment
+    /// into the batch log and readies the consumers it was the last input
+    /// of.
     fn complete(
         &self,
         task: usize,
         failover: &Failover<'_>,
-        result: Result<Option<Relation>, MediatorError>,
-        measured: Measured,
+        (result, measured, resident_rows): Ran,
         events: Vec<FaultEvent>,
     ) {
         let mut state = self.state.lock().expect("store mutex");
@@ -295,6 +320,10 @@ impl SharedStore<'_> {
                     let _ = self.store.slots[task].set(rel);
                 }
                 state.measured[task] = measured;
+                let batch = &mut state.batch;
+                batch.total_batches += measured.batches;
+                let peak = batch.peak_resident_rows.max(resident_rows as u64);
+                batch.peak_resident_rows = peak;
                 let Progress { done, round, .. } = &mut *state;
                 done[task] = true;
                 let queue = self.queue_of(task, &failover.effective);
@@ -308,9 +337,7 @@ impl SharedStore<'_> {
                 }
             }
             Err(e) => {
-                if state.failed.is_none() {
-                    state.failed = Some(e);
-                }
+                state.failed.get_or_insert(e);
             }
         }
         drop(state);
@@ -344,7 +371,7 @@ pub fn execute_graph_parallel(
 /// With `reuse = Some((store, measured, rerun))` only the tasks with
 /// `rerun[id]` run — the incremental path ([`crate::delta`]); every other
 /// task starts complete with its cached slot and measurements, and the
-/// ship ledger sees only the re-shipped outputs. Mid-run outage plans
+/// batch log counts only the re-shipped outputs. Mid-run outage plans
 /// (`dies_after`, which count completions over the whole graph) must take
 /// the unmasked walk.
 ///
@@ -352,7 +379,9 @@ pub fn execute_graph_parallel(
 /// workers drain, the source's pending tasks are re-homed to its declared
 /// replica ([`Failover`]), and the next round continues from the completed
 /// slots under the same ranks. With no usable replica the run fails with
-/// [`MediatorError::SourceUnavailable`].
+/// [`MediatorError::SourceUnavailable`]. A graph edited after its first walk
+/// is refused before any task runs, and a worker that panics ends the walk
+/// with [`MediatorError::Internal`] naming its task.
 pub(crate) fn walk(
     aig: &Aig,
     catalog: &Catalog,
@@ -370,12 +399,18 @@ pub(crate) fn walk(
                 .is_some_and(|p| p.has_mid_run_outages()),
         "mid-run outage plans must take the full-run path"
     );
+    graph.check_dispatch()?;
     let n = graph.tasks.len();
     let mut store = RelStore::new(graph);
     let mut progress = Progress {
         done: vec![false; n],
         measured: vec![Measured::default(); n],
         picked_at: per_source.map_or(Vec::new(), |_| vec![0; catalog.len()]),
+        batch: BatchLog {
+            enabled: opts.policy.batching,
+            batch_rows: opts.policy.batch_rows,
+            ..BatchLog::default()
+        },
         ..Progress::default()
     };
     if let Some((snapshot, measured, rerun)) = reuse {
@@ -405,7 +440,6 @@ pub(crate) fn walk(
         ranks,
     };
     let epoch = Instant::now();
-    let ship = ShipLedger::default();
     let mut failover = Failover::new(catalog, graph, opts.faults.as_ref());
 
     // Each round redirects at least one dead source, and a redirected
@@ -420,7 +454,6 @@ pub(crate) fn walk(
             opts,
             args,
             epoch,
-            ship: &ship,
         };
         run_round(&exec, &shared, &failover);
 
@@ -442,7 +475,7 @@ pub(crate) fn walk(
                     replans: failover.replans,
                 },
                 sched: SchedLog { picks: state.picks },
-                batch: BatchLog::from_ledger(opts, &ship),
+                batch: state.batch,
             });
         };
         let pending: Vec<usize> = {
@@ -459,7 +492,8 @@ pub(crate) fn walk(
 /// One round of workers over the primed queues. Returns when every worker
 /// has drained (finished its work, or stopped on a failure or a halt). The
 /// one worker runs on the calling thread; a per-source round gives each
-/// source with work a thread.
+/// source with work a thread and joins them all: a worker that panicked has
+/// failed the walk already (`Unwind`), and its panic ends here.
 fn run_round(exec: &Executor<'_, RelStore>, shared: &SharedStore<'_>, failover: &Failover<'_>) {
     if shared.ranks.is_none() {
         return work(exec, shared, failover, 0);
@@ -473,13 +507,45 @@ fn run_round(exec: &Executor<'_, RelStore>, shared: &SharedStore<'_>, failover: 
             .collect()
     };
     std::thread::scope(|scope| {
-        for q in busy {
+        let spawn = |q: usize| {
             std::thread::Builder::new()
                 .name(format!("aig-source-{q}"))
                 .spawn_scoped(scope, move || work(exec, shared, failover, q))
-                .expect("spawn source worker");
+                .expect("spawn source worker")
+        };
+        let workers: Vec<_> = busy.into_iter().map(spawn).collect();
+        for worker in workers {
+            let _ = worker.join();
         }
     });
+}
+
+/// A worker's guard: if the worker unwinds, it fails the walk with an error
+/// naming the task it was running and wakes the other workers, so each
+/// stops at its next pick instead of waiting for that task's output forever.
+struct Unwind<'a, 'g> {
+    shared: &'a SharedStore<'g>,
+    task: Option<usize>,
+}
+
+impl Drop for Unwind<'_, '_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let what = match self.task {
+            Some(t) => format!("task {t} `{}`", self.shared.graph.tasks[t].label),
+            None => "no task".to_string(),
+        };
+        let error = MediatorError::Internal(format!("a walk worker panicked running {what}"));
+        // A worker that panicked holding the state poisoned it, and every
+        // other lock of it then panics in turn; this one must not, since a
+        // panic while unwinding aborts the process.
+        let state = self.shared.state.lock();
+        let mut state = state.unwrap_or_else(PoisonError::into_inner);
+        state.failed.get_or_insert(error);
+        self.shared.wake_all();
+    }
 }
 
 /// One worker: takes the next ready task of queue `q`, runs it and
@@ -491,14 +557,17 @@ fn work(
     failover: &Failover<'_>,
     q: usize,
 ) {
+    let mut unwind = Unwind { shared, task: None };
     while let Some((task, wait_secs)) = shared.pick(q, failover) {
+        unwind.task = Some(task);
         let at = failover.effective[task];
         let mut events = Vec::new();
-        let (result, measured) = exec.run_measured(task, at, wait_secs, &mut events);
-        if result.is_ok() {
+        let ran = exec.run_measured(task, at, wait_secs, &mut events);
+        if ran.0.is_ok() {
             failover.task_done(at);
         }
-        shared.complete(task, failover, result, measured, events);
+        shared.complete(task, failover, ran, events);
+        unwind.task = None;
     }
 }
 
@@ -591,6 +660,72 @@ mod tests {
             !walk.sched.deviations().is_empty(),
             "a reversed plan must surface deviations"
         );
+    }
+
+    /// Runs `walk` on its own thread and waits at most a minute for it: a
+    /// walk that hangs fails the test instead of stalling the suite.
+    fn within_a_minute<T: Send + 'static>(walk: impl FnOnce() -> T + Send + 'static) -> T {
+        let (sender, receiver) = std::sync::mpsc::channel();
+        std::thread::spawn(move || sender.send(walk()));
+        let limit = std::time::Duration::from_secs(60);
+        receiver.recv_timeout(limit).expect("the walk hung")
+    }
+
+    /// A per-source worker that panics mid-task ends the walk with an error
+    /// naming the task; the workers waiting on its output are woken. The
+    /// panic is a pace the standard library cannot sleep for, on the root,
+    /// which every other task waits on.
+    #[test]
+    fn a_worker_that_panics_ends_the_walk_with_an_error() {
+        let (aig, catalog, graph) = setup();
+        let root = graph.topo[0];
+        let mut pace = vec![0.0; graph.tasks.len()];
+        pace[root] = f64::INFINITY;
+        let opts = ExecOptions {
+            pace: Some(pace),
+            ..ExecOptions::default()
+        };
+        let plan = topo_per_source(&graph);
+        let label = graph.tasks[root].label.clone();
+        let err = within_a_minute(move || {
+            let args = [("date", Value::str("d1"))];
+            execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap_err()
+        });
+        let MediatorError::Internal(message) = &err else {
+            panic!("{err}");
+        };
+        assert!(
+            message.contains(&format!("task {root} `{label}`")),
+            "{message}"
+        );
+    }
+
+    /// A graph whose deps change after its first walk is refused at the
+    /// start of the next, under either dispatcher, instead of waiting for a
+    /// release its dispatch cell does not know of.
+    #[test]
+    fn a_graph_edited_after_its_first_walk_is_refused() {
+        let (aig, catalog, mut graph) = setup();
+        let args = [("date", Value::str("d1"))];
+        execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
+        // The last task in topological order reads one more producer.
+        let (last, first) = (graph.topo[graph.topo.len() - 1], graph.topo[0]);
+        assert!(graph.tasks[last].deps.iter().all(|&(dep, _)| dep != first));
+        let key = graph.tasks[first].output.clone().unwrap();
+        graph.tasks[last].deps.push((first, key));
+        let plan = topo_per_source(&graph);
+        let errors = within_a_minute(move || {
+            let opts = ExecOptions::default();
+            let one = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap_err();
+            let per_source = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan);
+            [one, per_source.unwrap_err()]
+        });
+        for err in errors {
+            assert!(
+                matches!(&err, MediatorError::Internal(m) if m.contains("changed after its first walk")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

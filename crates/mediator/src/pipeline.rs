@@ -70,15 +70,16 @@ pub struct MediatorOptions {
     /// [`aig_relstore::par::PAR_THRESHOLD`] rows. `1` = sequential; results
     /// are byte-identical at any thread count.
     pub threads: usize,
-    /// Chunked shipment (see [`crate::batch`]): task outputs cross the
-    /// ship seam in `batch_rows`-row batches, each priced on its own and
-    /// held in a two-batch window, so peak resident shipment rows are
-    /// bounded by the batch size instead of the largest relation. Only
-    /// the seam reads the flag — no operator runs differently — so stores
-    /// and the final document are byte-identical either way. Off by default.
+    /// Chunked shipment, a pricing model read only by the ship seam
+    /// ([`crate::batch`]): each task output's ship image is priced as its
+    /// `batch_rows`-row ranges, each shipping the dictionary slice its rows
+    /// touch, and holds two batches at the seam, so peak resident shipment
+    /// rows are bounded by the batch size instead of the largest relation.
+    /// No operator runs differently, so stores and the final document are
+    /// byte-identical either way. Off by default.
     pub batching: bool,
-    /// Batch size (rows) of the chunked shipment seam; only consulted when
-    /// `batching` is on. Must be nonzero (validated at build time).
+    /// Rows per batch of the chunked shipment; only read when `batching`
+    /// is on. Must be nonzero (validated at build time).
     pub batch_rows: usize,
     /// Incremental re-evaluation on source deltas ([`crate::delta`]): the
     /// `Mediator` service keeps a post-run snapshot per plan and, after a

@@ -25,7 +25,7 @@
 //! The executors keep the *full* relations in their stores — results,
 //! documents, and constraint checks are byte-for-byte unaffected — and use
 //! the profile only to account what a pruning shipper would put on the
-//! wire: [`ShipCut::ship_bytes`] projects the output relation to its live
+//! wire: the ship seam ([`crate::batch`]) prices the output relation's live
 //! columns (bookkeeping columns are always retained) and, when every
 //! costed consumer is duplicate-insensitive (`IN`-style membership reads,
 //! which re-deduplicate on arrival), collapses duplicates too. Those bytes
@@ -225,51 +225,20 @@ impl ShipCut {
             .collect()
     }
 
-    /// Dictionary-encoded wire bytes a pruning shipper would put on the
-    /// wire for `rel`: the live columns only, duplicates collapsed when
-    /// every costed consumer is duplicate-insensitive. Equal to
-    /// `ship_image(task, rel).wire_bytes()`, but only a deduplicated image
-    /// is built: otherwise the live columns' memoized sizes are added up
-    /// where they lie. Never larger than `rel.wire_bytes()`.
-    pub fn ship_bytes(&self, task: usize, rel: &Relation) -> usize {
-        let profile = &self.profiles[task];
-        if profile.dedup {
-            return self.ship_image(task, rel).wire_bytes();
-        }
-        // Without a dedup the image is the live columns as they are, and a
-        // relation's wire size is a sum over its columns: add up theirs.
-        let live = (rel.columns().iter().enumerate())
-            .filter(|(pos, name)| profile.live.contains(name, *pos))
-            .map(|(pos, _)| pos);
-        rel.wire_bytes_of(live)
-    }
-
     /// The ship image itself: the relation a pruning shipper would put on
-    /// the wire. When nothing is pruned or deduplicated this is `rel`
-    /// (shared column buffers, not a copy), so measuring or batching the
-    /// image costs nothing beyond the pruning it performs. The chunked
-    /// shipment seam ([`crate::batch`]) slices this image into batches.
+    /// the wire — the live columns of `rel` (shared column buffers, not a
+    /// copy), duplicates collapsed under a dedup profile. The ship seam
+    /// ([`crate::batch`]) builds it only to collapse duplicates; otherwise
+    /// it prices the live columns of `rel` where they lie.
     pub fn ship_image(&self, task: usize, rel: &Relation) -> Relation {
-        if self.ships_whole(task, rel) {
-            return rel.clone();
-        }
         let image = rel.project_positions(&self.live_columns(task, rel));
-        if self.profiles[task].dedup {
-            image.distinct()
-        } else {
-            image
+        match self.profiles[task].dedup {
+            true => image.distinct(),
+            false => image,
         }
     }
 
-    /// Whether `rel`'s ship image is `rel` itself: every column live and
-    /// no duplicates collapsed.
-    fn ships_whole(&self, task: usize, rel: &Relation) -> bool {
-        let profile = &self.profiles[task];
-        let live = |(pos, name): (usize, &String)| profile.live.contains(name, pos);
-        !profile.dedup && rel.columns().iter().enumerate().all(live)
-    }
-
-    /// Estimate-side counterpart of [`ShipCut::ship_bytes`]: the fraction
+    /// Estimate-side counterpart of the ship seam's price: the fraction
     /// of `task`'s output columns that survive pruning, counted over the
     /// output schema the graph holds ([`crate::graph::Task::schema`], the
     /// executor's; `_aig` stays in the signature for existing callers).
@@ -615,12 +584,13 @@ mod tests {
         assert!(fractions.iter().all(|&f| (0.0..1.0).contains(&f)));
     }
 
-    /// `ship_bytes` adds up the live columns' sizes where it can: on every
-    /// task output of σ0 at depths 3, 6, 12 and 24 it is the wire size of
-    /// the ship image, asked first of columns never sized and again of
-    /// memoized ones.
+    /// The ship seam prices the ship image without building it unless it
+    /// collapses duplicates: on every task output of σ0 at depths 3, 6, 12
+    /// and 24 its materializing price is the image's wire size and its
+    /// batched price the image's batches' wire sizes, asked first of
+    /// columns never sized and again of memoized ones.
     #[test]
-    fn ship_bytes_is_the_ship_images_wire_size() {
+    fn the_seam_prices_the_ship_image() {
         let data = aig_datagen::HospitalConfig::tiny(3).generate().unwrap();
         let args = [("date", aig_relstore::Value::str(&data.dates[0]))];
         let compiled = compile_constraints(&sigma0().unwrap()).unwrap();
@@ -629,10 +599,17 @@ mod tests {
         for depth in [3, 6, 12, 24] {
             let aig = unfold(&specialized, depth, CutOff::Truncate).unwrap().aig;
             let graph = build_graph(&aig, &data.catalog, &GraphOptions::default()).unwrap();
-            let cut = ShipCut::analyze(&aig, &graph);
+            let cut = std::sync::Arc::new(ShipCut::analyze(&aig, &graph));
             let opts = crate::exec::ExecOptions::default();
             let exec = crate::exec::execute_graph(&aig, &data.catalog, &graph, &args, &opts);
             let store = exec.unwrap().store;
+            let pruned = crate::exec::ExecOptions {
+                shipcut: Some(cut.clone()),
+                ..crate::exec::ExecOptions::default()
+            };
+            let mut batched = pruned.clone();
+            batched.policy.batching = true;
+            batched.policy.batch_rows = 3;
             for (id, task) in graph.tasks.iter().enumerate() {
                 let Some(rel) = task.output.as_ref().map(|key| store.get(key).unwrap()) else {
                     continue;
@@ -642,16 +619,21 @@ mod tests {
                     let cols = (0..rel.arity()).map(|c| rel.col_syms(c).to_vec()).collect();
                     Relation::from_columns(rel.names().clone(), cols)
                 };
-                let image = |rel: &Relation| cut.ship_image(id, rel).wire_bytes();
-                let cold = cut.ship_bytes(id, &fresh());
-                assert_eq!(cold, image(&fresh()), "depth {depth}: {}", task.label);
-                assert_eq!(
-                    cut.ship_bytes(id, rel),
-                    image(rel),
-                    "depth {depth}: {}",
-                    task.label
-                );
-                assert_eq!(cold, image(rel), "depth {depth}: {}", task.label);
+                let image = cut.ship_image(id, rel);
+                let whole = image.wire_bytes() as f64;
+                let slices = (0..image.len()).step_by(3);
+                let sliced = slices
+                    .map(|start| image.slice(start, 3).wire_bytes())
+                    .sum::<usize>();
+                let what = format!("depth {depth}: {}", task.label);
+                let cold = crate::batch::ship(&pruned, id, &fresh()).bytes;
+                assert_eq!(cold, whole, "{what}");
+                assert_eq!(crate::batch::ship(&pruned, id, rel).bytes, whole, "{what}");
+                let cold = crate::batch::ship(&batched, id, &fresh()).bytes;
+                assert_eq!(cold, sliced as f64, "{what}");
+                let warm = crate::batch::ship(&batched, id, rel);
+                assert_eq!(warm.bytes, sliced as f64, "{what}");
+                assert_eq!(warm.batches, image.len().div_ceil(3) as u64, "{what}");
                 match cut.profile(id).dedup {
                     true => deduped += 1,
                     false => summed += 1,
@@ -665,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn ship_bytes_projects_and_dedups() {
+    fn the_seam_projects_and_dedups() {
         let profiles = vec![ShipProfile {
             live: LiveSet {
                 all: false,
@@ -697,7 +679,14 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(cut.ship_bytes(0, &rel), image.wire_bytes());
-        assert!(cut.ship_bytes(0, &rel) < rel.wire_bytes());
+        let opts = crate::exec::ExecOptions {
+            shipcut: Some(std::sync::Arc::new(cut)),
+            ..crate::exec::ExecOptions::default()
+        };
+        let shipped = crate::batch::ship(&opts, 0, &rel);
+        assert_eq!(shipped.bytes, image.wire_bytes() as f64);
+        assert!(shipped.bytes < rel.wire_bytes() as f64);
+        // The shipment holds the relation's rows, as it crosses in one piece.
+        assert_eq!(shipped.resident_rows, 3);
     }
 }

@@ -285,11 +285,14 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         assert!(allocs <= 2, "sizing {key:?}: {allocs} allocations");
     }
 
-    // Batching cuts the ship image at the seam and does nothing else: no
-    // operator re-chunks a materialized relation (that fork read 3.1x the
-    // materializing run), and a batch is priced where it lies, not sliced
-    // out first (3 + 4a allocations for an `a`-column image: 12.4 per batch
-    // here). Same store, and the seam's ledger reads what it always read.
+    // Batching prices the ship image's row ranges at the seam and does
+    // nothing else: no operator re-chunks a materialized relation (that fork
+    // read 3.1x the materializing run), a batch is priced where it lies, not
+    // sliced out first (3 + 4a allocations for an `a`-column image: 12.4 per
+    // batch here), and no image is built unless it collapses duplicates
+    // (1,470 allocations here against 1,219 materializing while every
+    // batched image was built). Same store, and the batch log reads what it
+    // always read.
     let mut batched_options = options.clone();
     batched_options.policy.batching = true;
     batched_options.policy.batch_rows = 256;
@@ -320,10 +323,8 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
         (195, 512)
     );
     assert!(
-        batched_allocs as f64 <= 1.05 * exec_allocs as f64 + ledger.total_batches as f64,
-        "batching(256): {batched_allocs} allocations against {exec_allocs} materializing \
-         and {} batches",
-        ledger.total_batches
+        batched_allocs <= exec_allocs,
+        "batching(256): {batched_allocs} allocations against {exec_allocs} materializing"
     );
 
     // A dedup of rows one or two symbols wide probes the thread's slot

@@ -1,12 +1,13 @@
 //! Byte-identity oracle for streaming batch execution: across the matrix
-//! {batching on/off} × {sequential, parallel} × {Static, Dynamic} ×
+//! {batching on/off} × {sequential, per-source} × {ship-cut on/off} ×
 //! {1, 4 threads} × {faults on/off}, relation stores and canonical
 //! documents must be **byte-identical** to the materializing baseline —
 //! chunked shipment changes *when rows cross the ship seam*, never what
-//! arrives. On top of identity, the shipment ledger must do what the
-//! design claims: under batching, peak resident shipment rows are bounded
-//! by the double-buffer window (2 × batch_rows per concurrently shipping
-//! task), not by the largest relation.
+//! arrives. On top of identity, the batch log must do what the design
+//! claims: under batching, peak resident shipment rows are the largest
+//! double-buffer window of any one shipment (2 × batch_rows), not the
+//! largest relation, and the same under either walk, since the peak is
+//! computed from what shipped rather than tracked across workers.
 
 use aig_core::paper::{mini_hospital_catalog, sigma0};
 use aig_core::spec::Aig;
@@ -19,9 +20,8 @@ use aig_mediator::plan::topo_per_source;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::unfold::{unfold, CutOff};
 use aig_mediator::{canonical, run_with_report, MediatorOptions, ShipCut};
-use aig_relstore::{Catalog, SourceId, Value};
+use aig_relstore::{Catalog, Value};
 use aig_xml::XmlTree;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 struct Fixture {
@@ -115,26 +115,12 @@ fn batched(threads: usize) -> ExecOptions {
     })
 }
 
-/// Sources that ship at least one task output — the ceiling on tasks
-/// shipping concurrently (the parallel executor runs one worker per
-/// source), hence on the double-buffer windows open at once.
-fn shipping_sources(graph: &TaskGraph) -> usize {
-    let sources: HashSet<SourceId> = graph
-        .tasks
-        .iter()
-        .filter(|t| t.output.is_some())
-        .map(|t| t.source)
-        .collect();
-    sources.len()
-}
-
 #[test]
 fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
     for seed in [11u64, 0xFEED] {
         let fx = fixture(seed);
         let shipcut = Arc::new(ShipCut::analyze(&fx.aig, &fx.graph));
         let baseline = run_cell(&fx, &ExecOptions::default(), false);
-        let workers = shipping_sources(&fx.graph);
 
         for prune in [false, true] {
             for threads in [1usize, 4] {
@@ -149,8 +135,7 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
 
                     let seq = run_cell(&fx, &opts, false);
                     assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
-                    // Sequential execution ships one output at a time: the
-                    // double-buffer window bounds residency at 2 batches.
+                    // The double-buffer window bounds residency at 2 batches.
                     assert!(seq.0.batch.enabled);
                     assert_eq!(seq.0.batch.batch_rows, BATCH_ROWS);
                     assert!(
@@ -158,24 +143,22 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
                         "sequential peak {} exceeds the double-buffer window: {what}",
                         seq.0.batch.peak_resident_rows
                     );
-                    if !faults {
-                        let per_task: u64 = seq.0.measured.iter().map(|m| m.batches).sum();
-                        assert_eq!(
-                            seq.0.batch.total_batches, per_task,
-                            "ledger and per-task batch counts disagree: {what}"
-                        );
-                    }
 
                     let par = run_cell(&fx, &opts, true);
                     assert_identical(&fx, &baseline, &par, &format!("{what} parallel"));
-                    // One worker per source: at most `workers` outputs ship
-                    // concurrently, each inside its window.
-                    assert!(
-                        par.0.batch.peak_resident_rows <= (2 * BATCH_ROWS * workers) as u64,
-                        "parallel peak {} exceeds {} windows: {what}",
-                        par.0.batch.peak_resident_rows,
-                        workers
-                    );
+                    // The log sums each task's batches once — a retried
+                    // attempt ships nothing, only the output it returns
+                    // does — and its peak is one shipment's window, so both
+                    // walks report the same numbers however their workers
+                    // interleaved.
+                    for (walk, cell) in [("sequential", &seq), ("parallel", &par)] {
+                        let per_task: u64 = cell.0.measured.iter().map(|m| m.batches).sum();
+                        assert_eq!(
+                            cell.0.batch.total_batches, per_task,
+                            "log and per-task batch counts disagree: {what} {walk}"
+                        );
+                    }
+                    assert_eq!(par.0.batch, seq.0.batch, "{what}");
                 }
             }
         }
@@ -201,10 +184,12 @@ fn batching_bounds_peak_residency_below_materializing() {
         largest > 2 * BATCH_ROWS,
         "fixture too small ({largest} rows) to exercise the bound"
     );
-    assert!(
-        materializing.0.batch.peak_resident_rows >= largest as u64,
+    assert_eq!(
+        materializing.0.batch.peak_resident_rows, largest as u64,
         "materializing seam must hold the largest relation in full"
     );
+    let per_source = run_cell(&fx, &ExecOptions::default(), true);
+    assert_eq!(per_source.0.batch, materializing.0.batch);
     let batched = run_cell(&fx, &batched(1), false);
     assert!(
         batched.0.batch.peak_resident_rows < materializing.0.batch.peak_resident_rows,
@@ -216,7 +201,7 @@ fn batching_bounds_peak_residency_below_materializing() {
 
 /// The full pipeline honors the knob end to end: `MediatorOptions.batching`
 /// flows through plan/execute, the canonical document is byte-identical to
-/// the materializing run, and the run report carries the ledger.
+/// the materializing run, and the run report carries the batch log.
 #[test]
 fn pipeline_batching_produces_identical_documents_and_a_ledger() {
     let aig = sigma0().unwrap();

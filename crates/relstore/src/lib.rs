@@ -30,7 +30,7 @@ pub use catalog::{Catalog, Database, SourceId};
 pub use delta::{DeltaApplied, RowBatch, SourceDelta};
 pub use error::StoreError;
 pub use intern::{Sym, SymMap, SymSet};
-pub use relation::{payload_scans, Batches, ColNames, Relation, SharedCol};
+pub use relation::{payload_scans, ColNames, Relation, SharedCol};
 pub use schema::{Column, TableSchema};
 pub use stats::TableStats;
 pub use table::{Row, Table};

@@ -42,8 +42,8 @@ use std::sync::{Arc, OnceLock};
 thread_local! {
     /// Relation sizings on this thread that had to scan payload: a
     /// [`Relation::byte_size`] / [`Relation::wire_bytes`] that found a column
-    /// without a memoized size, or a [`Relation::wire_bytes_in`] over a proper
-    /// sub-range. Diagnostics only: the memoization regression tests assert
+    /// without a memoized size, or a [`Relation::wire_bytes_of`] over a
+    /// proper sub-range. Diagnostics only: the memoization regression tests assert
     /// repeated size queries on an unchanged relation do not rescan its
     /// payload. Counted per thread so that a test reading it sees its own
     /// scans and nobody else's.
@@ -645,35 +645,32 @@ impl Relation {
     /// first counts the columns, the other adds up what was kept, and
     /// repeated ship decisions over unchanged columns do not rescan them.
     pub fn wire_bytes(&self) -> usize {
-        self.col_sizes().map(|size| size.wire_bytes(self.len)).sum()
+        self.wire_bytes_of(0..self.arity(), 0..self.len)
     }
 
-    /// [`Relation::wire_bytes`] of the projection to the columns at
-    /// `positions`, without projecting: those columns' memoized sizes, the
-    /// ones without a size counted in one pass, as the projection's would
-    /// be.
-    pub fn wire_bytes_of(&self, positions: impl IntoIterator<Item = usize>) -> usize {
-        let mut reader = None;
-        let sizes = positions
-            .into_iter()
-            .map(|c| Self::size_of(&self.cols[c], &mut reader));
-        sizes.map(|size| size.wire_bytes(self.len)).sum()
-    }
-
-    /// [`Relation::wire_bytes`] of the rows `rows` (clamped to the relation)
-    /// alone, as if they were sliced out — what one batch of a chunked
-    /// shipment puts on the wire — counted in place. The whole relation
-    /// answers from the memo; a proper sub-range is counted afresh each time.
-    pub fn wire_bytes_in(&self, rows: Range<usize>) -> usize {
+    /// [`Relation::wire_bytes`] of the columns at `positions` over the rows
+    /// `rows` (clamped to the relation), as if that projection were sliced
+    /// out, counted where it lies: what one shipment — a whole ship image or
+    /// one batch of it — puts on the wire. Over every row the columns'
+    /// memoized sizes answer, the ones without a size counted in one pass as
+    /// the projection's would be; a proper sub-range is counted afresh each
+    /// time.
+    pub fn wire_bytes_of(
+        &self,
+        positions: impl IntoIterator<Item = usize>,
+        rows: Range<usize>,
+    ) -> usize {
         let rows = rows.start.min(self.len)..rows.end.min(self.len);
+        let cols = positions.into_iter().map(|c| &self.cols[c]);
         if rows.len() == self.len {
-            return self.wire_bytes();
+            let mut reader = None;
+            let sizes = cols.map(|col| Self::size_of(col, &mut reader));
+            return sizes.map(|size| size.wire_bytes(self.len)).sum();
         }
         PAYLOAD_SCANS.set(PAYLOAD_SCANS.get() + 1);
         let reader = Reader::snapshot();
         SIZE_SCRATCH.with_borrow_mut(|scratch| {
-            let batch = |col: &Arc<Column>| scratch.measure(&col.syms[rows.clone()], &reader);
-            let sizes = self.cols.iter().map(batch);
+            let sizes = cols.map(|col| scratch.measure(&col.syms[rows.clone()], &reader));
             sizes.map(|size| size.wire_bytes(rows.len())).sum()
         })
     }
@@ -685,11 +682,10 @@ impl Relation {
         self.cols.iter().any(|col| col.size.get().is_some())
     }
 
-    /// The rows `[start, start + rows)` as an independent relation — the
-    /// batch unit of the mediator's chunked shipment. Slicing the whole
-    /// relation (`start == 0`, `rows >= len`) is a pointer clone that keeps
-    /// the memoized sizes; a proper sub-range copies the column slices, which
-    /// start without a size.
+    /// The rows `[start, start + rows)` as an independent relation. Slicing
+    /// the whole relation (`start == 0`, `rows >= len`) is a pointer clone
+    /// that keeps the memoized sizes; a proper sub-range copies the column
+    /// slices, which start without a size.
     pub fn slice(&self, start: usize, rows: usize) -> Relation {
         let end = start.saturating_add(rows).min(self.len);
         let start = start.min(self.len);
@@ -750,23 +746,6 @@ impl Relation {
         })
     }
 
-    /// Iterates the relation as consecutive batches of at most `batch_rows`
-    /// rows (`usize::MAX` ≙ one whole-relation batch). An empty relation
-    /// yields no batches; `batch_rows == 0` is treated as 1. Concatenating
-    /// the batches in order reproduces the relation exactly.
-    pub fn batches(&self, batch_rows: usize) -> Batches<'_> {
-        Batches {
-            rel: self,
-            batch_rows: batch_rows.max(1),
-            next: 0,
-        }
-    }
-
-    /// Number of batches [`Relation::batches`] yields for `batch_rows`.
-    pub fn batch_count(&self, batch_rows: usize) -> usize {
-        self.len.div_ceil(batch_rows.max(1))
-    }
-
     /// Renames the columns (arity must be unchanged). Names passed as
     /// [`ColNames`] are shared, not copied.
     pub fn with_columns(mut self, columns: impl Into<ColNames>) -> Relation {
@@ -776,35 +755,6 @@ impl Relation {
         self
     }
 }
-
-/// Iterator over consecutive row batches of a relation
-/// (see [`Relation::batches`]).
-#[derive(Debug)]
-pub struct Batches<'a> {
-    rel: &'a Relation,
-    batch_rows: usize,
-    next: usize,
-}
-
-impl Iterator for Batches<'_> {
-    type Item = Relation;
-
-    fn next(&mut self) -> Option<Relation> {
-        if self.next >= self.rel.len() {
-            return None;
-        }
-        let batch = self.rel.slice(self.next, self.batch_rows);
-        self.next += batch.len();
-        Some(batch)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.rel.len() - self.next).div_ceil(self.batch_rows);
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for Batches<'_> {}
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -947,7 +897,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_batches_round_trip() {
+    fn slices_share_or_copy() {
         let r = rel();
         // Whole-relation slice is a pointer clone sharing the size cache.
         let whole = r.slice(0, usize::MAX);
@@ -958,18 +908,6 @@ mod tests {
         assert_eq!(tail.len(), 2);
         assert_eq!(tail.row(0), r.row(1));
         assert_eq!(r.slice(5, 1).len(), 0);
-        // Batches concatenate back to the original, for every batch size.
-        for batch_rows in [1, 2, 3, usize::MAX] {
-            let mut rebuilt = Relation::empty(r.columns().to_vec());
-            let batches: Vec<Relation> = r.batches(batch_rows).collect();
-            assert_eq!(batches.len(), r.batch_count(batch_rows));
-            for b in &batches {
-                assert!(b.len() <= batch_rows);
-                rebuilt.extend(b).unwrap();
-            }
-            assert_eq!(rebuilt, r, "batch_rows={batch_rows}");
-        }
-        assert_eq!(Relation::empty(vec!["a".into()]).batches(2).count(), 0);
     }
 
     #[test]
@@ -1031,18 +969,21 @@ mod tests {
         let mut adopted = Relation::empty(r.columns().to_vec());
         adopted.extend(&r).unwrap();
         assert_eq!(adopted.wire_bytes(), wire);
-        assert_eq!(r.wire_bytes_in(0..usize::MAX), wire);
+        assert_eq!(r.wire_bytes_of(0..2, 0..usize::MAX), wire);
+        assert_eq!(r.wire_bytes_of([1], 0..3), b_only.wire_bytes());
         assert_eq!(payload_scans(), before);
         // A proper sub-range is counted in place, as its slice would be.
-        assert_eq!(r.wire_bytes_in(1..3), r.slice(1, 2).wire_bytes());
-        assert_eq!(r.wire_bytes_in(2..2), 0);
-        assert_eq!(payload_scans(), before + 3);
+        assert_eq!(r.wire_bytes_of(0..2, 1..3), r.slice(1, 2).wire_bytes());
+        let b_tail = r.slice(1, 2).project(&["b"]).unwrap().wire_bytes();
+        assert_eq!(r.wire_bytes_of([1], 1..3), b_tail);
+        assert_eq!(r.wire_bytes_of(0..2, 2..2), 0);
+        assert_eq!(payload_scans(), before + 5);
         // Mutating one column forgets that column's size only.
         let mut patched = r.clone();
         patched.set_cell(0, 0, Value::str("w"));
         assert!(patched.sizes_memoized());
         assert_eq!(patched.wire_bytes(), wire + 1);
-        assert_eq!(payload_scans(), before + 4);
+        assert_eq!(payload_scans(), before + 6);
     }
 
     /// Release builds check row arity too: a short row used to grow only

@@ -244,7 +244,7 @@ fn one_pass_sizes_agree_with_sort_and_dedup() {
         let rows = rel.len();
         let start = rng.gen_range(0..rows + 1);
         let end = rng.gen_range(start..rows + 2);
-        let in_place = rel.wire_bytes_in(start..end);
+        let in_place = rel.wire_bytes_of(0..rel.arity(), start..end);
         let clamped = start..end.min(rows);
         let sliced: usize = cols
             .iter()

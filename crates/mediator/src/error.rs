@@ -6,37 +6,40 @@ use aig_sql::SqlError;
 use std::fmt;
 
 /// A contradiction or degenerate value in [`MediatorOptions`] caught at
-/// build time, before any planning or execution happens.
+/// build time, before any planning or execution happens — or in an
+/// [`ExecOptions::pace`] entry, caught before any task of a walk runs.
 ///
-/// Historically the pipeline silently clamped degenerate knobs (`threads: 0`
-/// became 1 via `.max(1)`), which hid caller bugs: a config file that
-/// computed `threads` from a broken formula ran single-threaded forever
-/// without anyone noticing. The builder now refuses these values instead.
+/// Nothing is silently clamped: a degenerate knob (`batch_rows: 0`, a fault
+/// rate past 1, a sleep that never ends) would hide a caller's bug behind a
+/// run that quietly does something else, so the builder and every run
+/// entry point refuse it instead.
 ///
 /// [`MediatorOptions`]: crate::pipeline::MediatorOptions
+/// [`ExecOptions::pace`]: crate::exec::ExecOptions::pace
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// `threads` was 0 — the executor needs at least one worker.
-    ZeroThreads,
     /// `batch_rows` was 0 — batches could never make progress. Rejected
     /// even when batching is off, so flipping `batching` on later cannot
     /// surface a latent bad knob.
     ZeroBatchRows,
     /// A fault rate was outside `[0, 1]` or NaN.
     RateOutOfRange { field: &'static str, value: f64 },
-    /// A duration was negative, NaN, or infinite where a sleep must end
-    /// (only `timeout_secs` may be infinite: no timeout).
+    /// A duration was negative, NaN, infinite or past
+    /// [`std::time::Duration`]'s range where a sleep must end (only
+    /// `timeout_secs` may be infinite: no timeout).
     BadSeconds { field: &'static str, value: f64 },
     /// `stale_replica_rows` was `usize::MAX`: its lag draw would overflow.
     StaleRowsOverflow,
+    /// [`ExecOptions::pace`] of `task` is no duration a sleep can take:
+    /// negative, NaN, infinite or past [`std::time::Duration`]'s range.
+    ///
+    /// [`ExecOptions::pace`]: crate::exec::ExecOptions::pace
+    BadPace { task: usize, value: f64 },
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroThreads => {
-                write!(f, "invalid config: threads must be at least 1, got 0")
-            }
             ConfigError::ZeroBatchRows => {
                 write!(f, "invalid config: batch_rows must be at least 1, got 0")
             }
@@ -51,6 +54,12 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::StaleRowsOverflow => {
                 write!(f, "invalid config: stale_replica_rows must be < usize::MAX")
+            }
+            ConfigError::BadPace { task, value } => {
+                write!(
+                    f,
+                    "invalid config: the pace of task {task}, {value} s, is not a usable duration"
+                )
             }
         }
     }
@@ -250,10 +259,6 @@ mod tests {
                 &["invalid config", "batch_rows"],
             ),
             (
-                MediatorError::Config(ConfigError::ZeroThreads),
-                &["invalid config", "threads"],
-            ),
-            (
                 MediatorError::Config(ConfigError::RateOutOfRange {
                     field: "corrupt_rate",
                     value: 1.5,
@@ -270,6 +275,13 @@ mod tests {
             (
                 MediatorError::Config(ConfigError::StaleRowsOverflow),
                 &["invalid config", "stale_replica_rows"],
+            ),
+            (
+                MediatorError::Config(ConfigError::BadPace {
+                    task: 3,
+                    value: f64::INFINITY,
+                }),
+                &["invalid config", "pace of task 3", "inf"],
             ),
             (
                 MediatorError::RecursionBudget { max_depth: 7 },

@@ -9,7 +9,7 @@
 //! fixed: Assemble writes the `__occ` symbols it interned, and a `SynAgg`
 //! task runs the [`SynStep`]s it compiled.
 
-use crate::error::MediatorError;
+use crate::error::{ConfigError, MediatorError};
 use crate::faults::{FaultEnv, FaultEvent, FaultLog, FaultPlan, RetryPolicy, TaskFaultCtx};
 use crate::graph::{
     member_columns, Binding, Occ, ParamInput, Producers, RelKey, ScalarBind, SynStep, Task,
@@ -22,12 +22,12 @@ use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::spec::{Aig, FieldRule, GuardKind, Prod, ValueExpr};
 use aig_core::AigError;
 use aig_relstore::intern::{self, Reader};
-use aig_relstore::par::{apply_perm, RowTable, PAR_THRESHOLD};
+use aig_relstore::par::{apply_perm, RowTable};
 use aig_relstore::{Catalog, Relation, SharedCol, SourceId, StoreError, Sym, Value};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[cfg(test)]
 pub(crate) mod bound_queries;
@@ -87,7 +87,7 @@ impl SchedLog {
 
 /// The per-request half of [`crate::pipeline::MediatorOptions`]: everything
 /// the **Execute** stage consumes, and the single source of truth for the
-/// executor switches (retry, threads, integrity, batching). A
+/// executor switches (retry, integrity, batching). A
 /// change of policy never invalidates a cached plan — the same
 /// [`crate::plan::PreparedPlan`] serves strict and lenient requests alike.
 #[derive(Debug, Clone)]
@@ -110,10 +110,10 @@ pub struct ExecPolicy {
     pub faults: Option<crate::faults::FaultConfig>,
     /// Retry/backoff/timeout policy when faults are injected.
     pub retry: RetryPolicy,
-    /// Worker-thread bound for the partitioned kernels (hash join,
-    /// dedup) inside each task, on inputs of at least
-    /// [`aig_relstore::par::PAR_THRESHOLD`] rows. Results are
-    /// byte-identical for any value; `1` keeps every kernel sequential.
+    /// Selects nothing and is read by nothing: every kernel inside a task
+    /// runs on the task's thread (see [`aig_relstore::par`]). Copied from
+    /// [`crate::pipeline::MediatorOptions::threads`]; the field stays
+    /// because callers outside the workspace still set it.
     pub threads: usize,
     /// Chunked shipment, a pricing model read only by the ship seam
     /// ([`crate::batch`]): each task output's ship image is priced as its
@@ -150,7 +150,7 @@ impl Default for ExecPolicy {
 /// field, the one source of truth for them.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// The shared policy (retry, threads, guard/integrity switches,
+    /// The shared policy (retry, guard/integrity switches,
     /// network model, batching knobs).
     pub policy: ExecPolicy,
     /// Deterministic fault injection bound to a catalog (None = no
@@ -163,7 +163,10 @@ pub struct ExecOptions {
     pub eval_scale: f64,
     /// Optional per-task pacing: task `i` sleeps `pace[i]` seconds inside
     /// its measured execution window. Lets benches and tests emulate slow
-    /// autonomous sources with controlled, reproducible durations.
+    /// autonomous sources with controlled, reproducible durations. Every
+    /// entry must be a [`Duration`]: a walk refuses a negative, NaN,
+    /// infinite or out-of-range one before any task runs
+    /// ([`ConfigError::BadPace`]).
     pub pace: Option<Vec<f64>>,
     /// Ship-cut liveness profiles (see [`crate::shipcut`]): when set, each
     /// task's [`Measured::ship_bytes`] is the size of the column-pruned
@@ -185,6 +188,15 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
+    /// The first pace entry no sleep can take, as the error naming its task.
+    pub(crate) fn check_pace(&self) -> Result<(), ConfigError> {
+        let mut pace = self.pace.iter().flatten().enumerate();
+        match pace.find(|(_, &secs)| Duration::try_from_secs_f64(secs).is_err()) {
+            Some((task, &value)) => Err(ConfigError::BadPace { task, value }),
+            None => Ok(()),
+        }
+    }
+
     /// Wraps a policy with nothing bound yet — the canonical constructor.
     pub fn new(policy: ExecPolicy) -> ExecOptions {
         ExecOptions {
@@ -624,7 +636,7 @@ impl<S: RelSource> Executor<'_, S> {
                 let info = self.aig.elem_info(binding.elem);
                 if let Some(decl) = info.inh.iter().find(|f| &f.name == field) {
                     if matches!(decl.ty, FieldType::Set(_)) {
-                        self.dedup_output(&mut rel);
+                        rel.dedup();
                     }
                 }
                 Ok(Some(rel))
@@ -839,20 +851,7 @@ impl<S: RelSource> Executor<'_, S> {
             }
         };
         let columns = vq.columns.clone();
-        let (threads, catalog) = (self.threads(), self.catalog);
-        Ok(bound.run(&vq.query, catalog, rel, threads, PAR_THRESHOLD, columns)?)
-    }
-
-    /// The kernels' thread bound, floored at one: the options builder
-    /// rejects zero, but hand-built options reach here unvalidated.
-    fn threads(&self) -> usize {
-        self.opts.policy.threads.max(1)
-    }
-
-    /// Set-semantics coercion of a task output: first-occurrence dedup,
-    /// partitioned for large relations.
-    fn dedup_output(&self, rel: &mut Relation) {
-        rel.dedup_parallel_with(self.threads(), PAR_THRESHOLD);
+        Ok(bound.run(&vq.query, self.catalog, rel, columns)?)
     }
 
     /// Computes a synthesized set/bag table `(__owner, comps…)` in one pass
@@ -885,7 +884,7 @@ impl<S: RelSource> Executor<'_, S> {
         cols.extend(rows.comps);
         let mut out = Relation::try_from_columns(task.schema.clone(), cols)?;
         if !bag {
-            self.dedup_output(&mut out);
+            out.dedup();
         }
         Ok(out)
     }

@@ -71,8 +71,6 @@ fn compare(
             &vq.query,
             catalog,
             &params(&exec.store, vq),
-            1,
-            PAR_THRESHOLD,
             vq.columns.clone(),
         )
         .unwrap();

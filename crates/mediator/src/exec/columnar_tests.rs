@@ -168,7 +168,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                 let info = self.0.aig.elem_info(binding.elem);
                 if let Some(decl) = info.inh.iter().find(|f| &f.name == field) {
                     if matches!(decl.ty, FieldType::Set(_)) {
-                        self.0.dedup_output(&mut rel);
+                        rel.dedup();
                     }
                 }
                 Ok(Some(rel))
@@ -429,7 +429,7 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
             }
         }
         if is_set {
-            self.0.dedup_output(&mut out);
+            out.dedup();
         }
         Ok(out)
     }
@@ -1483,16 +1483,16 @@ fn generator_order_matches_the_reference_on_ties_and_empty_outputs() {
     }
 }
 
-/// One parent with more children than [`PAR_THRESHOLD`], the row count at
-/// which the kernels may partition.
+/// One parent with more than 2^17 children.
 #[test]
 fn generator_order_matches_the_reference_under_one_large_parent() {
+    const CHILDREN: usize = 1 << 17;
     // Three items in four are Monday's.
-    let fx = flow_items(13, 4 * (PAR_THRESHOLD / 3 + 1), 1);
+    let fx = flow_items(13, 4 * (CHILDREN / 3 + 1), 1);
     let opts = modes_on();
     let store = walk(&fx, &opts, None, &mut [0; 8]);
     let entries = instances(&fx, &store, "entry");
-    assert!(entries.len() > PAR_THRESHOLD);
+    assert!(entries.len() > CHILDREN);
     let parents = entries.col_syms(entries.col("__parent").unwrap());
     assert!(parents.iter().all(|&p| p == parents[0]), "one parent");
     check_tagging(&fx, &store);

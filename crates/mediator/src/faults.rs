@@ -106,10 +106,11 @@ impl FaultConfig {
     }
 }
 
-/// A duration knob must be a non-negative number of seconds, finite unless
-/// `infinite_ok` (an infinite timeout means "no timeout").
+/// A duration knob must be a [`Duration`] a sleep can take, or infinite
+/// when `infinite_ok` (an infinite timeout means "no timeout").
 fn seconds(field: &'static str, value: f64, infinite_ok: bool) -> Result<(), ConfigError> {
-    if value >= 0.0 && (infinite_ok || value.is_finite()) {
+    let unbounded = infinite_ok && value == f64::INFINITY;
+    if unbounded || Duration::try_from_secs_f64(value).is_ok() {
         Ok(())
     } else {
         Err(ConfigError::BadSeconds { field, value })

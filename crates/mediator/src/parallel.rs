@@ -380,8 +380,9 @@ pub fn execute_graph_parallel(
 /// replica ([`Failover`]), and the next round continues from the completed
 /// slots under the same ranks. With no usable replica the run fails with
 /// [`MediatorError::SourceUnavailable`]. A graph edited after its first walk
-/// is refused before any task runs, and a worker that panics ends the walk
-/// with [`MediatorError::Internal`] naming its task.
+/// and a pace no sleep can take are refused before any task runs, and a
+/// worker that panics ends the walk with [`MediatorError::Internal`] naming
+/// its task.
 pub(crate) fn walk(
     aig: &Aig,
     catalog: &Catalog,
@@ -400,6 +401,7 @@ pub(crate) fn walk(
         "mid-run outage plans must take the full-run path"
     );
     graph.check_dispatch()?;
+    opts.check_pace()?;
     let n = graph.tasks.len();
     let mut store = RelStore::new(graph);
     let mut progress = Progress {
@@ -574,6 +576,7 @@ fn work(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ConfigError;
     use crate::exec::execute_graph;
     use crate::graph::{build_graph, GraphOptions};
     use crate::plan::topo_per_source;
@@ -671,33 +674,61 @@ mod tests {
         receiver.recv_timeout(limit).expect("the walk hung")
     }
 
+    /// A pace no sleep can take is refused before any task runs, naming
+    /// its task, under either dispatcher — the one worker runs tasks on the
+    /// calling thread, where such a sleep would panic out of the walk.
+    #[test]
+    fn a_pace_no_sleep_can_take_is_refused_naming_its_task() {
+        let (aig, catalog, graph) = setup();
+        let args = [("date", Value::str("d1"))];
+        let plan = topo_per_source(&graph);
+        let root = graph.topo[0];
+        for bad in [f64::INFINITY, 1e300, -1.0, f64::NAN] {
+            let mut pace = vec![0.0; graph.tasks.len()];
+            pace[root] = bad;
+            let opts = ExecOptions {
+                pace: Some(pace),
+                ..ExecOptions::default()
+            };
+            let one = execute_graph(&aig, &catalog, &graph, &args, &opts);
+            let per_source = execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan);
+            for err in [one.unwrap_err(), per_source.unwrap_err()] {
+                assert!(
+                    matches!(err, MediatorError::Config(ConfigError::BadPace { task, .. })
+                        if task == root),
+                    "pace {bad}: {err}"
+                );
+            }
+        }
+    }
+
     /// A per-source worker that panics mid-task ends the walk with an error
     /// naming the task; the workers waiting on its output are woken. The
-    /// panic is a pace the standard library cannot sleep for, on the root,
-    /// which every other task waits on.
+    /// panic is a generator whose output schema was cut to one column (its
+    /// body reads the field names after `__parent` and `__ord`), on the
+    /// first generator, which every source's work waits on.
     #[test]
     fn a_worker_that_panics_ends_the_walk_with_an_error() {
-        let (aig, catalog, graph) = setup();
-        let root = graph.topo[0];
-        let mut pace = vec![0.0; graph.tasks.len()];
-        pace[root] = f64::INFINITY;
-        let opts = ExecOptions {
-            pace: Some(pace),
-            ..ExecOptions::default()
-        };
+        let (aig, catalog, mut graph) = setup();
+        let first_gen = graph
+            .topo
+            .iter()
+            .copied()
+            .find(|&t| matches!(graph.tasks[t].kind, crate::graph::TaskKind::Gen { .. }));
+        let gen = first_gen.unwrap();
+        graph.tasks[gen].schema = vec!["__parent".to_string()].into();
         let plan = topo_per_source(&graph);
-        let label = graph.tasks[root].label.clone();
+        let label = graph.tasks[gen].label.clone();
         let err = within_a_minute(move || {
             let args = [("date", Value::str("d1"))];
+            let opts = ExecOptions::default();
             execute_graph_parallel(&aig, &catalog, &graph, &args, &opts, &plan).unwrap_err()
         });
         let MediatorError::Internal(message) = &err else {
             panic!("{err}");
         };
-        assert!(
-            message.contains(&format!("task {root} `{label}`")),
-            "{message}"
-        );
+        let named = format!("a walk worker panicked running task {gen} `{label}`");
+        assert!(message.contains(&named), "{message}");
     }
 
     /// A graph whose deps change after its first walk is refused at the

@@ -65,10 +65,12 @@ pub struct MediatorOptions {
     /// Selects nothing and is read by nothing: every per-source walk runs
     /// the paper's list schedule (see [`Scheduling`]).
     pub scheduling: Scheduling,
-    /// Worker threads for the partitioned in-process kernels (hash join,
-    /// dedup) on inputs of at least
-    /// [`aig_relstore::par::PAR_THRESHOLD`] rows. `1` = sequential; results
-    /// are byte-identical at any thread count.
+    /// Selects nothing and is read by nothing but [`exec_policy`], which
+    /// copies it: every kernel inside a task runs on the task's thread (see
+    /// [`aig_relstore::par`]). The field stays because callers outside the
+    /// workspace still set it.
+    ///
+    /// [`exec_policy`]: MediatorOptions::exec_policy
     pub threads: usize,
     /// Chunked shipment, a pricing model read only by the ship seam
     /// ([`crate::batch`]): each task output's ship image is priced as its
@@ -125,9 +127,6 @@ impl MediatorOptions {
     /// or retry knobs the fault layer cannot draw or sleep, surface as a
     /// [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
         if self.batch_rows == 0 {
             return Err(ConfigError::ZeroBatchRows);
         }
@@ -179,8 +178,8 @@ impl MediatorOptions {
 /// assert_eq!(options.unfold_depth, 1);
 /// assert!(options.parallel_exec);
 ///
-/// let err = MediatorOptions::builder().threads(0).build().unwrap_err();
-/// assert_eq!(err, ConfigError::ZeroThreads);
+/// let err = MediatorOptions::builder().batch_rows(0).build().unwrap_err();
+/// assert_eq!(err, ConfigError::ZeroBatchRows);
 /// ```
 ///
 /// [`build`]: MediatorOptionsBuilder::build
@@ -313,22 +312,6 @@ impl MediatorOptionsBuilder {
     /// ```
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.options.retry = retry;
-        self
-    }
-
-    /// Worker threads for the partitioned in-process kernels. Zero is
-    /// rejected by [`build`](MediatorOptionsBuilder::build) — it is no
-    /// longer silently clamped to 1.
-    ///
-    /// ```
-    /// use aig_mediator::{ConfigError, MediatorOptions};
-    /// let o = MediatorOptions::builder().threads(4).build().unwrap();
-    /// assert_eq!(o.threads, 4);
-    /// let err = MediatorOptions::builder().threads(0).build().unwrap_err();
-    /// assert_eq!(err, ConfigError::ZeroThreads);
-    /// ```
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
         self
     }
 
@@ -691,12 +674,12 @@ mod tests {
         let options = MediatorOptions::builder()
             .unfold_depth(2)
             .max_depth(16)
-            .threads(4)
+            .batch_rows(4)
             .build()
             .unwrap();
         let (plan, policy) = (options.plan_options(), options.exec_policy());
         assert_eq!((plan.unfold_depth, plan.max_depth), (2, 16));
         assert_eq!(plan.cutoff, options.cutoff);
-        assert_eq!(policy.threads, 4);
+        assert_eq!(policy.batch_rows, 4);
     }
 }

@@ -25,7 +25,7 @@ use aig_datagen::{visit_delta, DatasetSize, HospitalConfig};
 use aig_mediator::graph::RelKey;
 use aig_mediator::tagging::tag_document;
 use aig_mediator::{execute_graph, ExecOptions, Mediator, MediatorOptions};
-use aig_relstore::par::{dedup_indices, PAR_THRESHOLD};
+use aig_relstore::par::dedup_indices;
 use aig_relstore::{Catalog, Relation, SourceDelta, Sym, Value};
 use aig_xml::{serialize, validate};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -332,8 +332,8 @@ fn a_warm_request_allocates_per_task_and_per_node_not_per_row() {
     // (a table per call: two allocations).
     let ints = aig_relstore::intern::int_syms(512);
     let (a, b): (Vec<Sym>, Vec<Sym>) = (0..4096).map(|i| (ints[i % 512], ints[i % 3])).unzip();
-    dedup_indices(&[&a, &b], 1, PAR_THRESHOLD);
-    let (kept, dedup_allocs) = counted(|| dedup_indices(&[&a, &b], 1, PAR_THRESHOLD));
+    dedup_indices(&[&a, &b]);
+    let (kept, dedup_allocs) = counted(|| dedup_indices(&[&a, &b]));
     println!("second dedup of 4096 pairs: {dedup_allocs} allocations");
     assert!(
         kept.len() == 1536 && dedup_allocs == 1,

@@ -1,8 +1,7 @@
 //! Wrong-answer chaos: a seeded conformance harness over the corruption
 //! faults of [`aig_mediator::faults`] and the integrity defense of
 //! [`aig_mediator::integrity`]. The matrix sweeps {fault kind} × {rate} ×
-//! {sequential, parallel Static, parallel Dynamic} × {1, 4 threads} ×
-//! {retry policy} and asserts the system is **never silently wrong**:
+//! {one-worker walk, per-source walk} × {retry policy} and asserts the system is **never silently wrong**:
 //! every injected corruption is either *masked* (the published relations
 //! are byte-identical to a clean run) or *detected* with a structured
 //! [`MediatorError::IntegrityViolation`] naming the task, table, and the
@@ -52,13 +51,6 @@ fn defended_opts(plan: FaultPlan, retry: RetryPolicy) -> ExecOptions {
     opts.policy.check_integrity = true;
     opts.faults = Some(plan);
     opts.policy.retry = retry;
-    opts
-}
-
-/// `opts` with `threads` kernel threads.
-fn tuned(opts: &ExecOptions, threads: usize) -> ExecOptions {
-    let mut opts = opts.clone();
-    opts.policy.threads = threads;
     opts
 }
 
@@ -141,9 +133,8 @@ fn assert_violation_is_structured(graph: &TaskGraph, catalog: &Catalog, err: &Me
     );
 }
 
-/// The headline conformance sweep: {corruption rate} × {seed} × {executor:
-/// sequential, parallel Static, parallel Dynamic} × {1, 4 threads} ×
-/// {retrying, zero-retry} with checks on. Every run is either byte-identical
+/// The headline conformance sweep: {corruption rate} × {seed} × {walk:
+/// one worker, per source} × {retrying, zero-retry} with checks on. Every run is either byte-identical
 /// to the clean run with a balanced all-masked ledger, or fails with a
 /// structured `IntegrityViolation` — never silently wrong.
 #[test]
@@ -174,14 +165,6 @@ fn corruption_matrix_is_masked_or_detected_never_silent() {
                         &graph,
                         &args,
                         &opts,
-                        &topo_per_source(&graph),
-                    ),
-                    execute_graph_parallel(
-                        &aig,
-                        &catalog,
-                        &graph,
-                        &args,
-                        &tuned(&opts, 4),
                         &topo_per_source(&graph),
                     ),
                 ];
@@ -589,8 +572,8 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
         "the schedule never injects anything"
     );
 
-    // Executors observe the same schedule: the sorted integrity ledgers of
-    // every executor/thread-count/scheduling combination are identical.
+    // Both walks observe the same schedule: the sorted integrity ledgers of
+    // two one-worker runs and a per-source run are identical.
     let cfg = FaultConfig {
         seed: 42,
         corrupt_rate: 0.3,
@@ -603,19 +586,16 @@ fn fault_schedules_are_deterministic_across_executors_and_repeats() {
         let seq = execute_graph(&aig, &catalog, &graph, &args, &opts).unwrap();
         ledgers.push(seq.faults.sorted_events());
     }
-    for threads in [1, 4] {
-        let opts = tuned(&opts, threads);
-        let par = execute_graph_parallel(
-            &aig,
-            &catalog,
-            &graph,
-            &args,
-            &opts,
-            &topo_per_source(&graph),
-        )
-        .unwrap();
-        ledgers.push(par.faults.sorted_events());
-    }
+    let par = execute_graph_parallel(
+        &aig,
+        &catalog,
+        &graph,
+        &args,
+        &opts,
+        &topo_per_source(&graph),
+    )
+    .unwrap();
+    ledgers.push(par.faults.sorted_events());
     assert!(!ledgers[0].is_empty(), "seed 42 injected nothing");
     for pair in ledgers.windows(2) {
         assert_eq!(pair[0], pair[1], "fault schedule drifted across runs");

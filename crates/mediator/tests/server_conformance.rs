@@ -3,7 +3,7 @@
 //!
 //! (a) Every offered request terminates with exactly one structured
 //!     outcome, and both ledger identities balance, across the full
-//!     {executor} x {threads} x {retry policy} matrix under chaos.
+//!     {executor} x {retry policy} matrix under chaos.
 //! (b) Admission control rejects with the correct scope (`queue`,
 //!     `in_flight`, `tenant`) and rejections cost zero latency.
 //! (c) Deadlines fail fast in the queue (no execution spent), dispatch is
@@ -25,14 +25,13 @@ use aig_xml::XmlTree;
 
 /// Options whose simulated (logical-clock) costs do not depend on
 /// wall-clock measurements: every source query costs exactly the overhead.
-fn det_options(parallel: bool, threads: usize, retry: RetryPolicy) -> MediatorOptions {
+fn det_options(parallel: bool, retry: RetryPolicy) -> MediatorOptions {
     let mut options = MediatorOptions {
         unfold_depth: 3,
         max_depth: 3,
         cutoff: aig_mediator::CutOff::Truncate,
         network: NetworkModel::mbps(100.0),
         parallel_exec: parallel,
-        threads,
         retry,
         ..MediatorOptions::default()
     };
@@ -146,7 +145,7 @@ fn assert_conformant(run: &ServerRun, offered: usize, context: &str) {
     );
 }
 
-/// (a) The chaos matrix: every executor/thread/retry combination, under
+/// (a) The chaos matrix: every executor/retry combination, under
 /// transient faults, latency spikes, outage storms, mixed tenants and
 /// mixed deadlines, terminates every offered request exactly once with a
 /// balanced ledger.
@@ -154,82 +153,77 @@ fn assert_conformant(run: &ServerRun, offered: usize, context: &str) {
 fn conformance_matrix_under_chaos() {
     let aig = sigma0().unwrap();
     for parallel in [false, true] {
-        for threads in [1, 3] {
-            if !parallel && threads != 1 {
-                continue;
+        for (retry_name, retry) in [("none", RetryPolicy::none()), ("fast", fast_retry(3))] {
+            let context = format!(
+                "{} x retry {retry_name}",
+                if parallel { "parallel" } else { "sequential" },
+            );
+            let mut options = det_options(parallel, retry);
+            options.faults = Some(FaultConfig {
+                seed: 29,
+                transient_rate: 0.15,
+                latency_rate: 0.1,
+                latency_secs: 0.0005,
+                ..FaultConfig::default()
+            });
+            let server = MediatorServer::new(
+                mini_hospital_catalog().unwrap(),
+                &options,
+                ServerConfig {
+                    seed: 7,
+                    max_queue: 6,
+                    max_in_flight: 2,
+                    tenant_quota: 5,
+                    breaker_threshold: 2,
+                    breaker_cooldown_secs: 3.0,
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap();
+            let clean = direct_document(&options);
+            let mut arrivals = Vec::new();
+            for i in 0..24usize {
+                let mut a = arrival(["acme", "globex", "initech"][i % 3], 0.3 * i as f64);
+                if i % 4 == 0 {
+                    a.deadline_secs = Some(120.0);
+                }
+                if i % 5 == 0 {
+                    // Storm: DB3 (no replica in this catalog) is down.
+                    a.outage_sources = vec!["DB3".to_string()];
+                }
+                arrivals.push(a);
             }
-            for (retry_name, retry) in [("none", RetryPolicy::none()), ("fast", fast_retry(3))] {
-                let context = format!(
-                    "{} x {threads} threads x retry {retry_name}",
-                    if parallel { "parallel" } else { "sequential" },
-                );
-                let mut options = det_options(parallel, threads, retry);
-                options.faults = Some(FaultConfig {
-                    seed: 29,
-                    transient_rate: 0.15,
-                    latency_rate: 0.1,
-                    latency_secs: 0.0005,
-                    ..FaultConfig::default()
-                });
-                let server = MediatorServer::new(
-                    mini_hospital_catalog().unwrap(),
-                    &options,
-                    ServerConfig {
-                        seed: 7,
-                        max_queue: 6,
-                        max_in_flight: 2,
-                        tenant_quota: 5,
-                        breaker_threshold: 2,
-                        breaker_cooldown_secs: 3.0,
-                        ..ServerConfig::default()
-                    },
-                )
-                .unwrap();
-                let clean = direct_document(&options);
-                let mut arrivals = Vec::new();
-                for i in 0..24usize {
-                    let mut a = arrival(["acme", "globex", "initech"][i % 3], 0.3 * i as f64);
-                    if i % 4 == 0 {
-                        a.deadline_secs = Some(120.0);
-                    }
-                    if i % 5 == 0 {
-                        // Storm: DB3 (no replica in this catalog) is down.
-                        a.outage_sources = vec!["DB3".to_string()];
-                    }
-                    arrivals.push(a);
+            let run = server.run(&aig, &arrivals);
+            assert_conformant(&run, arrivals.len(), &context);
+            // Chaos actually engaged: the storms produce failures or
+            // degraded service, never silence.
+            assert!(
+                run.obs.failed + run.obs.degraded > 0,
+                "{context}: storms left no trace: {:?}",
+                run.obs
+            );
+            // Clean completions are byte-identical to direct requests
+            // even under concurrent chaos (fault recovery never changes
+            // bytes; only full-data completions claim `Completed`).
+            let mut completed = 0;
+            for outcome in &run.outcomes {
+                if matches!(outcome.disposition, Disposition::Completed) {
+                    assert_eq!(
+                        canonical(&aig, outcome.document.as_ref().unwrap()),
+                        clean,
+                        "{context}: completed document of {} differs",
+                        outcome.index
+                    );
+                    completed += 1;
                 }
-                let run = server.run(&aig, &arrivals);
-                assert_conformant(&run, arrivals.len(), &context);
-                // Chaos actually engaged: the storms produce failures or
-                // degraded service, never silence.
-                assert!(
-                    run.obs.failed + run.obs.degraded > 0,
-                    "{context}: storms left no trace: {:?}",
-                    run.obs
-                );
-                // Clean completions are byte-identical to direct requests
-                // even under concurrent chaos (fault recovery never changes
-                // bytes; only full-data completions claim `Completed`).
-                let mut completed = 0;
-                for outcome in &run.outcomes {
-                    if matches!(outcome.disposition, Disposition::Completed) {
-                        assert_eq!(
-                            canonical(&aig, outcome.document.as_ref().unwrap()),
-                            clean,
-                            "{context}: completed document of {} differs",
-                            outcome.index
-                        );
-                        completed += 1;
-                    }
-                }
-                // Without retries a 15% per-attempt transient rate fails
-                // essentially every request; only the retrying config is
-                // expected to mask its way to clean completions.
-                if retry_name == "fast" {
-                    assert!(completed > 0, "{context}: nothing completed cleanly");
-                } else {
-                    assert!(run.obs.failed > 0, "{context}: {:?}", run.obs);
-                }
+            }
+            // Without retries a 15% per-attempt transient rate fails
+            // essentially every request; only the retrying config is
+            // expected to mask its way to clean completions.
+            if retry_name == "fast" {
+                assert!(completed > 0, "{context}: nothing completed cleanly");
+            } else {
+                assert!(run.obs.failed > 0, "{context}: {:?}", run.obs);
             }
         }
     }
@@ -245,7 +239,7 @@ fn admission_rejects_with_the_right_scope() {
     // Queue overflow: 1 slot + 2 queue places, 6 distinct tenants at once.
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
-        &det_options(false, 1, RetryPolicy::none()),
+        &det_options(false, RetryPolicy::none()),
         ServerConfig {
             max_queue: 2,
             max_in_flight: 1,
@@ -269,7 +263,7 @@ fn admission_rejects_with_the_right_scope() {
     // Zero-length queue: overflow names the in-flight limit instead.
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
-        &det_options(false, 1, RetryPolicy::none()),
+        &det_options(false, RetryPolicy::none()),
         ServerConfig {
             max_queue: 0,
             max_in_flight: 2,
@@ -289,7 +283,7 @@ fn admission_rejects_with_the_right_scope() {
     // Tenant quota: one noisy tenant is capped while capacity remains.
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
-        &det_options(false, 1, RetryPolicy::none()),
+        &det_options(false, RetryPolicy::none()),
         ServerConfig {
             max_queue: 100,
             max_in_flight: 1,
@@ -323,7 +317,7 @@ fn deadlines_fail_fast_in_queue_and_dispatch_is_edf() {
     let aig = sigma0().unwrap();
     // A hefty per-query overhead makes the *logical* service time seconds
     // long, so requests arriving close together genuinely queue.
-    let mut options = det_options(false, 1, RetryPolicy::none());
+    let mut options = det_options(false, RetryPolicy::none());
     options.graph.cost_model.per_query_overhead_secs = 1.0;
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
@@ -388,7 +382,7 @@ fn deadlines_fail_fast_in_queue_and_dispatch_is_edf() {
 #[test]
 fn breaker_trips_degrades_probes_and_recovers() {
     let aig = sigma0().unwrap();
-    let options = det_options(false, 1, fast_retry(2));
+    let options = det_options(false, fast_retry(2));
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
         &options,
@@ -470,7 +464,7 @@ fn open_breaker_without_degradation_fails_fast() {
     let aig = sigma0().unwrap();
     let server = MediatorServer::new(
         mini_hospital_catalog().unwrap(),
-        &det_options(false, 1, RetryPolicy::none()),
+        &det_options(false, RetryPolicy::none()),
         ServerConfig {
             seed: 11,
             max_queue: 100,
@@ -504,9 +498,9 @@ fn open_breaker_without_degradation_fails_fast() {
 #[test]
 fn clean_admitted_documents_match_direct_requests() {
     let aig = sigma0().unwrap();
-    for (parallel, threads) in [(false, 1), (true, 1), (true, 3)] {
-        let context = format!("parallel={parallel} threads={threads}");
-        let options = det_options(parallel, threads, RetryPolicy::none());
+    for parallel in [false, true] {
+        let context = format!("parallel={parallel}");
+        let options = det_options(parallel, RetryPolicy::none());
         let server = MediatorServer::new(
             mini_hospital_catalog().unwrap(),
             &options,

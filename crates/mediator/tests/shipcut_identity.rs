@@ -1,14 +1,12 @@
-//! Byte-identity property suite for the ship-cut optimization, the
-//! partitioned parallel kernels, and the columnar interned storage: across
-//! seeded datagen catalogs, the matrix {pruning on/off} × {1, N threads} ×
-//! {Static, Dynamic scheduling} × {faults on/off} must produce canonical
-//! documents and relation stores **byte-identical** to the sequential,
-//! unpruned baseline — and in every cell the column-major store must equal
-//! its row-major reconstruction (materialize rows, re-intern, compare).
-//! Ship-cut is a measurement-time optimization (what crosses the wire),
-//! never a semantic one; the parallel kernels partition work but merge
-//! deterministically; interning is canonical, so the columnar image carries
-//! exactly the row-major content.
+//! Byte-identity property suite for the ship-cut optimization and the
+//! columnar interned storage: across seeded datagen catalogs, the matrix
+//! {pruning on/off} × {faults on/off} × {one-worker walk, per-source walk}
+//! must produce canonical documents and relation stores **byte-identical**
+//! to the sequential, unpruned baseline — and in every cell the
+//! column-major store must equal its row-major reconstruction (materialize
+//! rows, re-intern, compare). Ship-cut is a measurement-time optimization
+//! (what crosses the wire), never a semantic one; interning is canonical,
+//! so the columnar image carries exactly the row-major content.
 
 use aig_core::paper::sigma0;
 use aig_core::spec::Aig;
@@ -118,35 +116,33 @@ fn matrix_is_byte_identical_to_the_sequential_unpruned_baseline() {
         let baseline = run_cell(&fx, &ExecOptions::default(), false);
 
         for prune in [false, true] {
-            for threads in [1usize, 4] {
-                for faults in [false, true] {
-                    let mut opts = ExecOptions::default();
-                    opts.policy.threads = threads;
-                    opts.shipcut = prune.then(|| shipcut.clone());
-                    if faults {
-                        let cfg = FaultConfig {
-                            seed: rng.gen_range(1u64..1 << 32),
-                            transient_rate: 0.15,
-                            latency_rate: 0.1,
-                            latency_secs: 0.0002,
-                            ..FaultConfig::default()
-                        };
-                        opts.faults = Some(FaultPlan::new(&cfg, &fx.catalog).unwrap());
-                        opts.policy.retry = RetryPolicy {
-                            max_attempts: 6,
-                            backoff_base_secs: 0.0001,
-                            backoff_cap_secs: 0.001,
-                            jitter: 0.5,
-                            timeout_secs: f64::INFINITY,
-                        };
-                    }
-                    let what =
-                        format!("seed {seed} prune={prune} threads={threads} faults={faults}");
-                    let seq = run_cell(&fx, &opts, false);
-                    assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
-                    let par = run_cell(&fx, &opts, true);
-                    assert_identical(&fx, &baseline, &par, &format!("{what} parallel"));
+            for faults in [false, true] {
+                let mut opts = ExecOptions {
+                    shipcut: prune.then(|| shipcut.clone()),
+                    ..ExecOptions::default()
+                };
+                if faults {
+                    let cfg = FaultConfig {
+                        seed: rng.gen_range(1u64..1 << 32),
+                        transient_rate: 0.15,
+                        latency_rate: 0.1,
+                        latency_secs: 0.0002,
+                        ..FaultConfig::default()
+                    };
+                    opts.faults = Some(FaultPlan::new(&cfg, &fx.catalog).unwrap());
+                    opts.policy.retry = RetryPolicy {
+                        max_attempts: 6,
+                        backoff_base_secs: 0.0001,
+                        backoff_cap_secs: 0.001,
+                        jitter: 0.5,
+                        timeout_secs: f64::INFINITY,
+                    };
                 }
+                let what = format!("seed {seed} prune={prune} faults={faults}");
+                let seq = run_cell(&fx, &opts, false);
+                assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
+                let par = run_cell(&fx, &opts, true);
+                assert_identical(&fx, &baseline, &par, &format!("{what} parallel"));
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Byte-identity oracle for streaming batch execution: across the matrix
 //! {batching on/off} × {sequential, per-source} × {ship-cut on/off} ×
-//! {1, 4 threads} × {faults on/off}, relation stores and canonical
+//! {faults on/off}, relation stores and canonical
 //! documents must be **byte-identical** to the materializing baseline —
 //! chunked shipment changes *when rows cross the ship seam*, never what
 //! arrives. On top of identity, the batch log must do what the design
@@ -104,11 +104,9 @@ fn fault_opts(opts: &mut ExecOptions, fx: &Fixture, seed: u64) {
 
 const BATCH_ROWS: usize = 2;
 
-/// Default options on `threads` kernel threads, shipping in
-/// `BATCH_ROWS`-row batches.
-fn batched(threads: usize) -> ExecOptions {
+/// Default options, shipping in `BATCH_ROWS`-row batches.
+fn batched() -> ExecOptions {
     ExecOptions::new(ExecPolicy {
-        threads,
         batching: true,
         batch_rows: BATCH_ROWS,
         ..ExecPolicy::default()
@@ -123,43 +121,40 @@ fn streaming_matrix_is_byte_identical_to_the_materializing_baseline() {
         let baseline = run_cell(&fx, &ExecOptions::default(), false);
 
         for prune in [false, true] {
-            for threads in [1usize, 4] {
-                for faults in [false, true] {
-                    let mut opts = batched(threads);
-                    opts.shipcut = prune.then(|| shipcut.clone());
-                    if faults {
-                        fault_opts(&mut opts, &fx, seed ^ 0xA5);
-                    }
-                    let what =
-                        format!("seed {seed} prune={prune} threads={threads} faults={faults}");
-
-                    let seq = run_cell(&fx, &opts, false);
-                    assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
-                    // The double-buffer window bounds residency at 2 batches.
-                    assert!(seq.0.batch.enabled);
-                    assert_eq!(seq.0.batch.batch_rows, BATCH_ROWS);
-                    assert!(
-                        seq.0.batch.peak_resident_rows <= 2 * BATCH_ROWS as u64,
-                        "sequential peak {} exceeds the double-buffer window: {what}",
-                        seq.0.batch.peak_resident_rows
-                    );
-
-                    let par = run_cell(&fx, &opts, true);
-                    assert_identical(&fx, &baseline, &par, &format!("{what} parallel"));
-                    // The log sums each task's batches once — a retried
-                    // attempt ships nothing, only the output it returns
-                    // does — and its peak is one shipment's window, so both
-                    // walks report the same numbers however their workers
-                    // interleaved.
-                    for (walk, cell) in [("sequential", &seq), ("parallel", &par)] {
-                        let per_task: u64 = cell.0.measured.iter().map(|m| m.batches).sum();
-                        assert_eq!(
-                            cell.0.batch.total_batches, per_task,
-                            "log and per-task batch counts disagree: {what} {walk}"
-                        );
-                    }
-                    assert_eq!(par.0.batch, seq.0.batch, "{what}");
+            for faults in [false, true] {
+                let mut opts = batched();
+                opts.shipcut = prune.then(|| shipcut.clone());
+                if faults {
+                    fault_opts(&mut opts, &fx, seed ^ 0xA5);
                 }
+                let what = format!("seed {seed} prune={prune} faults={faults}");
+
+                let seq = run_cell(&fx, &opts, false);
+                assert_identical(&fx, &baseline, &seq, &format!("{what} sequential"));
+                // The double-buffer window bounds residency at 2 batches.
+                assert!(seq.0.batch.enabled);
+                assert_eq!(seq.0.batch.batch_rows, BATCH_ROWS);
+                assert!(
+                    seq.0.batch.peak_resident_rows <= 2 * BATCH_ROWS as u64,
+                    "sequential peak {} exceeds the double-buffer window: {what}",
+                    seq.0.batch.peak_resident_rows
+                );
+
+                let par = run_cell(&fx, &opts, true);
+                assert_identical(&fx, &baseline, &par, &format!("{what} parallel"));
+                // The log sums each task's batches once — a retried
+                // attempt ships nothing, only the output it returns
+                // does — and its peak is one shipment's window, so both
+                // walks report the same numbers however their workers
+                // interleaved.
+                for (walk, cell) in [("sequential", &seq), ("parallel", &par)] {
+                    let per_task: u64 = cell.0.measured.iter().map(|m| m.batches).sum();
+                    assert_eq!(
+                        cell.0.batch.total_batches, per_task,
+                        "log and per-task batch counts disagree: {what} {walk}"
+                    );
+                }
+                assert_eq!(par.0.batch, seq.0.batch, "{what}");
             }
         }
     }
@@ -190,7 +185,7 @@ fn batching_bounds_peak_residency_below_materializing() {
     );
     let per_source = run_cell(&fx, &ExecOptions::default(), true);
     assert_eq!(per_source.0.batch, materializing.0.batch);
-    let batched = run_cell(&fx, &batched(1), false);
+    let batched = run_cell(&fx, &batched(), false);
     assert!(
         batched.0.batch.peak_resident_rows < materializing.0.batch.peak_resident_rows,
         "batched peak {} not below materializing peak {}",

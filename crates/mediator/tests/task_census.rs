@@ -296,7 +296,6 @@ fn ids_are_positions_and_deps_are_distinct(
     }
     let parallel = ExecOptions::new(ExecPolicy {
         parallel_exec: true,
-        threads: 2,
         ..ExecPolicy::default()
     });
     let mut rows = 0;

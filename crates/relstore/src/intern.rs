@@ -15,7 +15,7 @@
 //! with no locks held by the caller. The arena lives for the process — an
 //! acceptable trade for a mediator whose value domain is the (bounded)
 //! active catalog plus query outputs over it. The lookup table is sharded
-//! 16 ways to keep interning cheap under the partitioned kernels.
+//! 16 ways to keep interning cheap under the per-source workers.
 //!
 //! Beside each payload the arena records its width, so size accounting reads
 //! a dense `u32` table instead of chasing `&'static Value`; and the symbols

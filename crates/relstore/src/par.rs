@@ -1,14 +1,8 @@
-//! Deterministic partitioned kernels for large row sets.
+//! The row kernels of the executors: sorting, hashing and dedup over symbol
+//! columns, each run on the calling thread — the task's own. The mediator's
+//! parallelism is across tasks (one worker per source, §5.3's list
+//! schedule), never inside one operator: no kernel here starts a thread.
 //!
-//! The workspace builds without external crates, so instead of rayon this
-//! module provides the data-parallel primitives the executors need, built on
-//! `std::thread::scope`:
-//!
-//! * [`map_chunks`] — the one fan-out: contiguous index ranges, the first
-//!   on the calling thread and one scoped thread for each other, results
-//!   returned in range order. Every kernel here and the
-//!   partitioned hash join of `aig-sql` go through it, and every "merged in
-//!   partition order" determinism argument rests on that order.
 //! * [`sort_perm`] — a stable **argsort**. Column stores apply the
 //!   permutation per column with [`apply_perm`] instead of moving rows.
 //! * [`RowTable`] — the one hash table over rows: open addressing over `u32`
@@ -18,19 +12,9 @@
 //!   join's build side ([`JoinTable`]: key → first row plus a `next` chain
 //!   in scan order; its [`JoinIndex`] is what a stored table keeps between
 //!   queries) all sit on it.
-//! * [`dedup_indices`] — a partitioned first-occurrence dedup over symbol
-//!   columns: each thread finds its chunk-local first occurrences, then one
-//!   sequential pass over the (much smaller) survivor set keeps global first
-//!   occurrences. Byte-identical to the sequential dedup. A row of one or two
-//!   symbols is packed into one `u64` held in the slot itself, so a probe
-//!   never reads a column; the slots are a per-thread scratch.
-//!
-//! The partitioned kernels fall back to the sequential path below a
-//! caller-supplied threshold or with `threads <= 1`, where partitioning
-//! overhead would dominate. The mediator always passes [`PAR_THRESHOLD`]; the
-//! kernels keep the parameter so their tests can force the partitioned path
-//! on small inputs (`par::tests`, `relation::tests`, `aig-sql`'s reference
-//! suite).
+//! * [`dedup_indices`] — first-occurrence dedup over symbol columns. A row
+//!   of one or two symbols is packed into one `u64` held in the slot itself,
+//!   so a probe never reads a column; the slots are a per-thread scratch.
 
 use crate::intern::{Sym, SymHasher};
 use std::borrow::Cow;
@@ -38,44 +22,6 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
-
-/// Row count below which the mediator's kernels stay sequential regardless
-/// of `threads`: the one crossover of the pipeline, not a setting.
-///
-/// Measured, not guessed (`cargo bench -p aig-bench --bench par_threshold`,
-/// table in DESIGN.md §4): a fan-out costs a thread spawn and join per extra
-/// range — tens of microseconds — while the kernels run at 7 to 70 ns a row,
-/// so on a 2-CPU host splitting in two loses at every size below 32 Ki rows
-/// for every kernel, and the three kernels together first come out ahead at
-/// 128 Ki.
-pub const PAR_THRESHOLD: usize = 1 << 17;
-
-/// Runs `work` over up to `threads` contiguous, equally sized index ranges
-/// covering `0..len` and returns the results **in range order**. The first
-/// range runs on the calling thread, which would otherwise sit idle until
-/// the others are done, and each other range on a scoped thread of its own.
-/// Whether partitioning pays is the caller's decision.
-pub fn map_chunks<R, F>(len: usize, threads: usize, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    let chunk_len = len.div_ceil(threads.max(1)).max(1);
-    let chunk = |start: usize| start..len.min(start + chunk_len);
-    let work = &work;
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = (chunk_len..len)
-            .step_by(chunk_len)
-            .map(|start| scope.spawn(move || work(chunk(start))))
-            .collect();
-        let first = (len > 0).then(|| work(chunk(0)));
-        let rest = spawned
-            .into_iter()
-            .map(|h| h.join().expect("partition worker"));
-        first.into_iter().chain(rest).collect()
-    })
-}
 
 /// Stable argsort: the permutation `perm` such that visiting rows in `perm`
 /// order is a stable sort of `0..len` by `cmp`.
@@ -304,33 +250,17 @@ impl<'a> JoinTable<'a> {
 
 /// First-occurrence dedup of the rows of `cols` (symbol columns of one
 /// length): returns the surviving row indices in first-occurrence order.
-/// Partitioned over up to `threads` threads for at least `threshold` rows,
-/// with the same result.
-pub fn dedup_indices(cols: &[&[Sym]], threads: usize, threshold: usize) -> Vec<u32> {
+pub fn dedup_indices(cols: &[&[Sym]]) -> Vec<u32> {
     let len = cols.first().map_or(0, |col| col.len());
-    if threads <= 1 || len < threshold {
-        return first_occurrences(cols, 0..len as u32);
-    }
-    // Per-chunk first occurrences, then one sequential pass over the
-    // survivors only: chunks cover the input in original order, so the
-    // first global occurrence wins, as in the sequential dedup.
-    let local = map_chunks(len, threads, |range| {
-        first_occurrences(cols, range.start as u32..range.end as u32)
-    });
-    first_occurrences(cols, local.concat().into_iter())
-}
-
-/// The `candidates` whose row no earlier candidate equals, in order.
-fn first_occurrences(cols: &[&[Sym]], candidates: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
-    let mut kept = Vec::with_capacity(candidates.len());
+    let mut kept = Vec::with_capacity(len);
     match *cols {
-        [a] => packed_first_occurrences(candidates, &mut kept, false, |r| a[r].index() as u64),
-        [a, b] => packed_first_occurrences(candidates, &mut kept, true, |r| {
+        [a] => packed_dedup(len, &mut kept, false, |r| a[r].index() as u64),
+        [a, b] => packed_dedup(len, &mut kept, true, |r| {
             (a[r].index() as u64) << 32 | b[r].index() as u64
         }),
         _ => {
-            let mut seen = RowTable::new(cols.to_vec(), candidates.len());
-            kept.extend(candidates.filter(|&row| seen.insert(row).is_none()));
+            let mut seen = RowTable::new(cols.to_vec(), len);
+            kept.extend((0..len as u32).filter(|&row| seen.insert(row).is_none()));
         }
     }
     kept
@@ -348,23 +278,18 @@ thread_local! {
 /// `u32::MAX`-indexed symbols, is never stored: a flag stands in for it.
 const FREE: u64 = u64::MAX;
 
-/// [`first_occurrences`] of rows of one (`wide` false) or two symbols, each
-/// packed by `key` into one `u64`: open addressing with linear probing over
-/// the thread's slot scratch, sized up front to at most half full, hashed as
-/// [`RowTable`] hashes the same symbols.
-fn packed_first_occurrences(
-    candidates: impl ExactSizeIterator<Item = u32>,
-    kept: &mut Vec<u32>,
-    wide: bool,
-    key: impl Fn(usize) -> u64,
-) {
+/// [`dedup_indices`] of `len` rows of one (`wide` false) or two symbols,
+/// each packed by `key` into one `u64`: open addressing with linear probing
+/// over the thread's slot scratch, sized up front to at most half full,
+/// hashed as [`RowTable`] hashes the same symbols.
+fn packed_dedup(len: usize, kept: &mut Vec<u32>, wide: bool, key: impl Fn(usize) -> u64) {
     DEDUP_SLOTS.with_borrow_mut(|slots| {
-        let size = (candidates.len() * 2).next_power_of_two().max(8);
+        let size = (len * 2).next_power_of_two().max(8);
         slots.clear();
         slots.resize(size, FREE);
         let mask = size - 1;
         let mut free_key_seen = false;
-        for row in candidates {
+        for row in 0..len as u32 {
             let key = key(row as usize);
             if key == FREE {
                 if !std::mem::replace(&mut free_key_seen, true) {
@@ -397,46 +322,6 @@ fn packed_first_occurrences(
 mod tests {
     use super::*;
 
-    /// The crossover these tests pass explicitly: they hold both sides of a
-    /// threshold against each other, whatever the default is.
-    const THRESHOLD: usize = 2048;
-
-    #[test]
-    fn map_chunks_covers_the_range_in_order() {
-        for len in [0usize, 1, 7, 64] {
-            for threads in [0, 1, 3, 8, 100] {
-                let ranges = map_chunks(len, threads, |range| range);
-                assert!(
-                    ranges.len() <= threads.max(1),
-                    "len={len} threads={threads}"
-                );
-                let covered: Vec<usize> = ranges.into_iter().flatten().collect();
-                assert_eq!(covered, (0..len).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    /// Around `len == threads`, where ranges are one index long or missing:
-    /// every index once and in order, the first range on the calling thread
-    /// and every other range on a thread of its own.
-    #[test]
-    fn map_chunks_runs_the_first_range_on_the_caller() {
-        let caller = std::thread::current().id();
-        for threads in [1usize, 2, 3, 5] {
-            for len in [0, 1, threads - 1, threads, threads + 1] {
-                let ran = map_chunks(len, threads, |range| (range, std::thread::current().id()));
-                let what = format!("len={len} threads={threads}");
-                assert!(ran.len() <= threads, "{what}");
-                let covered: Vec<usize> = ran.iter().flat_map(|(r, _)| r.clone()).collect();
-                assert_eq!(covered, (0..len).collect::<Vec<_>>(), "{what}");
-                assert!(ran.iter().all(|(range, _)| !range.is_empty()), "{what}");
-                let mut ids = ran.iter().map(|&(_, id)| id);
-                assert!(ids.next().is_none_or(|first| first == caller), "{what}");
-                assert!(ids.all(|other| other != caller), "{what}");
-            }
-        }
-    }
-
     #[test]
     fn sort_perm_matches_stable_argsort() {
         let keys: Vec<i64> = (0..5000).map(|i| ((i * 7919) % 101) as i64).collect();
@@ -457,15 +342,7 @@ mod tests {
         let expected: Vec<u32> = (0..a.len() as u32)
             .filter(|&i| seen.insert((a[i as usize], b[i as usize])))
             .collect();
-        for threads in [1, 2, 4] {
-            for threshold in [1, THRESHOLD, usize::MAX] {
-                assert_eq!(
-                    dedup_indices(&[&a, &b], threads, threshold),
-                    expected,
-                    "threads={threads} threshold={threshold}"
-                );
-            }
-        }
+        assert_eq!(dedup_indices(&[&a, &b]), expected);
     }
 
     /// The packed key of a row of two `u32::MAX`-indexed symbols is the free
@@ -475,7 +352,7 @@ mod tests {
         let (max, zero) = (Sym::from_index(u32::MAX), Sym::from_index(0));
         let a = [max, zero, max, max, zero];
         let b = [max, max, max, zero, max];
-        assert_eq!(dedup_indices(&[&a, &b], 1, usize::MAX), [0, 1, 3]);
-        assert_eq!(dedup_indices(&[&a], 1, usize::MAX), [0, 1]);
+        assert_eq!(dedup_indices(&[&a, &b]), [0, 1, 3]);
+        assert_eq!(dedup_indices(&[&a]), [0, 1]);
     }
 }

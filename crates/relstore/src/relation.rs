@@ -516,18 +516,9 @@ impl Relation {
     }
 
     /// Removes duplicate rows, preserving first-occurrence order
-    /// (set semantics).
+    /// (set semantics). Rows are hashed and compared in the columns, where
+    /// they lie ([`crate::par::dedup_indices`]).
     pub fn dedup(&mut self) {
-        self.dedup_parallel_with(1, crate::par::PAR_THRESHOLD);
-    }
-
-    /// Removes duplicate rows like [`Relation::dedup`], partitioning the
-    /// scan over up to `threads` threads for relations of at least
-    /// `threshold` rows (the mediator passes [`crate::par::PAR_THRESHOLD`]).
-    /// The result is byte-identical to the sequential dedup (see
-    /// [`crate::par`]).
-    /// Rows are hashed and compared in the columns, where they lie.
-    pub fn dedup_parallel_with(&mut self, threads: usize, threshold: usize) {
         if self.len < 2 {
             return;
         }
@@ -537,7 +528,7 @@ impl Relation {
             return;
         }
         let cols: Vec<&[Sym]> = self.cols.iter().map(|c| c.syms.as_slice()).collect();
-        let keep = crate::par::dedup_indices(&cols, threads, threshold);
+        let keep = crate::par::dedup_indices(&cols);
         if keep.len() != self.len {
             self.gather(&keep);
         }
@@ -812,20 +803,6 @@ mod tests {
         r.dedup();
         assert_eq!(r.len(), 2);
         assert_eq!(r.cell(0, 0), &Value::str("x"));
-    }
-
-    /// The partitioned dedup forced on at every size keeps exactly the
-    /// sequential dedup's rows, in its order.
-    #[test]
-    fn partitioned_dedup_matches_sequential() {
-        let rows = (0..997).map(|i: i64| vec![Value::int(i % 13), Value::int(i * 7 % 5)]);
-        let heavy = Relation::new(vec!["a".into(), "b".into()], rows.collect()).unwrap();
-        let mut sequential = heavy.clone();
-        sequential.dedup();
-        let mut partitioned = heavy;
-        partitioned.dedup_parallel_with(4, 1);
-        assert_eq!(sequential.len(), 65);
-        assert_eq!(partitioned, sequential);
     }
 
     #[test]

@@ -132,23 +132,18 @@ fn row_table_dedup_keeps_the_default_hasher_first_occurrences() {
         let expected: Vec<u32> = (0..rows as u32)
             .filter(|&r| seen.insert(row(&cols, r as usize)))
             .collect();
-        for threads in [1, 3] {
-            for threshold in [1, usize::MAX] {
-                let case = format!("seed {seed} threads {threads} threshold {threshold}");
-                let kept = dedup_indices(&slices(&cols), threads, threshold);
-                assert_eq!(kept, expected, "{case}");
-                let mut rel = Relation::from_columns(names(cols.len()), cols.clone());
-                rel.dedup_parallel_with(threads, threshold);
-                let survivors: Vec<Vec<Sym>> = (0..cols.len())
-                    .map(|c| expected.iter().map(|&r| cols[c][r as usize]).collect())
-                    .collect();
-                assert_eq!(
-                    rel,
-                    Relation::from_columns(names(cols.len()), survivors),
-                    "{case}"
-                );
-            }
-        }
+        let kept = dedup_indices(&slices(&cols));
+        assert_eq!(kept, expected, "seed {seed}");
+        let mut rel = Relation::from_columns(names(cols.len()), cols.clone());
+        rel.dedup();
+        let survivors: Vec<Vec<Sym>> = (0..cols.len())
+            .map(|c| expected.iter().map(|&r| cols[c][r as usize]).collect())
+            .collect();
+        assert_eq!(
+            rel,
+            Relation::from_columns(names(cols.len()), survivors),
+            "seed {seed}"
+        );
         // The table itself, row by row: `insert` names the earlier equal
         // row, `find` takes keys from elsewhere, growth loses nothing.
         let mut table = RowTable::new(slices(&cols), 0);
@@ -166,8 +161,7 @@ fn row_table_dedup_keeps_the_default_hasher_first_occurrences() {
 }
 
 /// The packed dedup (rows of one or two symbols) and the row-table dedup
-/// (three) against the default-hasher oracle, sequential and partitioned,
-/// each right after a larger dedup of the same width on the calling thread:
+/// (three) against the default-hasher oracle, each right after a larger dedup of the same width on the calling thread:
 /// the slot scratch it left behind carries nothing into the next call.
 #[test]
 fn dedup_after_a_larger_one_keeps_the_default_hasher_first_occurrences() {
@@ -180,17 +174,12 @@ fn dedup_after_a_larger_one_keeps_the_default_hasher_first_occurrences() {
             let expected: Vec<u32> = (0..rows as u32)
                 .filter(|&r| seen.insert(row(&cols, r as usize)))
                 .collect();
-            for threads in [1, 2] {
-                let larger: Vec<Vec<Sym>> = (0..width)
-                    .map(|_| column(&mut rng, 4 * rows + 64))
-                    .collect();
-                dedup_indices(&slices(&larger), 1, usize::MAX);
-                let kept = dedup_indices(&slices(&cols), threads, 1);
-                assert_eq!(
-                    kept, expected,
-                    "seed {seed} width {width} threads {threads}"
-                );
-            }
+            let larger: Vec<Vec<Sym>> = (0..width)
+                .map(|_| column(&mut rng, 4 * rows + 64))
+                .collect();
+            dedup_indices(&slices(&larger));
+            let kept = dedup_indices(&slices(&cols));
+            assert_eq!(kept, expected, "seed {seed} width {width}");
         }
     }
 }

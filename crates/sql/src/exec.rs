@@ -34,10 +34,9 @@
 use crate::ast::{CmpOp, FromItem, Pred, QualCol, Query, Scalar, SetRef};
 use crate::error::SqlError;
 use aig_relstore::intern::{self, Sym, SymSet};
-use aig_relstore::par::{map_chunks, JoinTable, PAR_THRESHOLD};
+use aig_relstore::par::JoinTable;
 use aig_relstore::{Catalog, ColNames, Relation, Table, Value};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A parameter binding: a scalar or a relation (temporary table).
@@ -170,45 +169,13 @@ enum Operand {
     Const(Value),
 }
 
-/// When the join kernels partition: `threads > 1` and at least `threshold`
-/// rows on the side being scanned.
-#[derive(Clone, Copy)]
-struct Par {
-    threads: usize,
-    threshold: usize,
-}
-
-impl Par {
-    fn splits(self, rows: usize) -> bool {
-        self.threads > 1 && rows >= self.threshold
-    }
-}
-
 /// Executes `query` against `catalog` with the given parameter bindings,
 /// producing a relation whose columns follow the SELECT list.
 pub fn execute(query: &Query, catalog: &Catalog, params: &Params) -> Result<Relation, SqlError> {
-    execute_tuned(query, catalog, params, 1, PAR_THRESHOLD)
+    execute_named(query, catalog, params, query.output_columns().into())
 }
 
-/// Like [`execute`], but with `threads > 1` the join probe loops and the
-/// DISTINCT dedup run partitioned over up to that many scoped threads once
-/// the side they scan has at least `par_threshold` rows (the mediator
-/// passes `PAR_THRESHOLD`). Partitions are contiguous and merged in
-/// partition order, so the result is **byte-identical** to the sequential
-/// path. A join table is built in one pass (merging per-partition tables
-/// would insert every row again).
-pub fn execute_tuned(
-    query: &Query,
-    catalog: &Catalog,
-    params: &Params,
-    threads: usize,
-    par_threshold: usize,
-) -> Result<Relation, SqlError> {
-    let columns = query.output_columns().into();
-    execute_named(query, catalog, params, threads, par_threshold, columns)
-}
-
-/// [`execute_tuned`] with the output's column names given: `columns` must
+/// [`execute`] with the output's column names given: `columns` must
 /// be `query.output_columns()`, held by the caller. Binds `query` to
 /// `params` ([`Query::bind`], each relation parameter at the position of its
 /// first reference) and runs it ([`BoundQuery::run`]).
@@ -216,8 +183,6 @@ pub fn execute_named(
     query: &Query,
     catalog: &Catalog,
     params: &Params,
-    threads: usize,
-    par_threshold: usize,
     columns: ColNames,
 ) -> Result<Relation, SqlError> {
     let mut rels: Vec<(&str, &Relation)> = Vec::new();
@@ -238,7 +203,7 @@ pub fn execute_named(
         }
     })?;
     let rel = |at: usize| rels.get(at).map(|&(_, rel)| rel);
-    bound.run(query, catalog, rel, threads, par_threshold, columns)
+    bound.run(query, catalog, rel, columns)
 }
 
 impl Query {
@@ -464,15 +429,13 @@ impl BoundQuery {
     /// and `rel(i)` the relation bound at position `i`. Its stored tables
     /// are looked up in `catalog`. An input whose columns are not the ones
     /// it was bound against (a failover replica laid out otherwise) has its
-    /// references resolved again by name for this run. `threads`,
-    /// `par_threshold` and `columns` are [`execute_named`]'s.
+    /// references resolved again by name for this run. `columns` is
+    /// [`execute_named`]'s.
     pub fn run<'r>(
         &self,
         query: &Query,
         catalog: &'r Catalog,
         rel: impl Fn(usize) -> Option<&'r Relation>,
-        threads: usize,
-        par_threshold: usize,
         columns: ColNames,
     ) -> Result<Relation, SqlError> {
         let param = |at: usize| {
@@ -524,7 +487,7 @@ impl BoundQuery {
             }
             false => self,
         };
-        bound.run_on(query, inputs, &sets, threads, par_threshold, columns)
+        bound.run_on(query, inputs, &sets, columns)
     }
 
     /// This query with its column references resolved by name against the
@@ -573,22 +536,16 @@ impl BoundQuery {
         query: &Query,
         inputs: &mut [Input<'_>],
         sets: &[&Relation],
-        threads: usize,
-        par_threshold: usize,
         columns: ColNames,
     ) -> Result<Relation, SqlError> {
         if !self.satisfiable {
             return Ok(Relation::empty(columns));
         }
         self.apply_locals(query, inputs, sets);
-        let par = Par {
-            threads,
-            threshold: par_threshold,
-        };
-        let joined = join_all(inputs, &self.joins, par);
+        let joined = join_all(inputs, &self.joins);
         let mut rel = project(&self.select, inputs, &joined, columns)?;
         if query.distinct {
-            rel.dedup_parallel_with(threads, par_threshold);
+            rel.dedup();
         }
         Ok(rel)
     }
@@ -697,7 +654,7 @@ impl Joined {
 /// Greedy left-deep join of every input, starting from the smallest
 /// filtered one. Joining continues (cheaply) even once the result is empty,
 /// so every alias resolves in projection.
-fn join_all(inputs: &mut [Input<'_>], joins: &[JoinPred], par: Par) -> Joined {
+fn join_all(inputs: &mut [Input<'_>], joins: &[JoinPred]) -> Joined {
     let mut remaining: Vec<usize> = (0..inputs.len()).collect();
     remaining.sort_by_key(|&i| std::cmp::Reverse(inputs[i].live_len()));
     let first = remaining.pop().expect("FROM clause is non-empty");
@@ -722,7 +679,7 @@ fn join_all(inputs: &mut [Input<'_>], joins: &[JoinPred], par: Par) -> Joined {
             .min_by_key(|&(_, &c)| (!connected(c), inputs[c].live_len()))
             .expect("remaining non-empty");
         let next = remaining.remove(pick);
-        joined.rows = join_step(inputs, joins, &joined, next, par);
+        joined.rows = join_step(inputs, joins, &joined, next);
         joined.order.push(next);
     }
     joined
@@ -755,15 +712,8 @@ impl Residual<'_> {
 /// joined inputs. Equalities key a [`JoinTable`] on `next` — the one its
 /// stored table keeps when every row is live, else built here — probed per
 /// composite; without one every live row is a candidate (nested loop).
-/// Output order is composite order, then scan order of `next` — also when
-/// partitioned: contiguous composite ranges, concatenated in range order.
-fn join_step(
-    inputs: &[Input<'_>],
-    joins: &[JoinPred],
-    joined: &Joined,
-    next: usize,
-    par: Par,
-) -> Vec<u32> {
+/// Output order is composite order, then scan order of `next`.
+fn join_step(inputs: &[Input<'_>], joins: &[JoinPred], joined: &Joined, next: usize) -> Vec<u32> {
     let next_input = &inputs[next];
     // Key column positions in `next`, in predicate order.
     let mut build: Vec<usize> = Vec::new();
@@ -813,35 +763,27 @@ fn join_step(
     };
 
     let stride = joined.order.len();
-    let extend = |range: Range<usize>| {
-        // One match per composite up front, rather than doubling from empty.
-        let mut out = Vec::with_capacity(range.len() * (stride + 1));
-        for composite in joined.rows[range.start * stride..range.end * stride].chunks_exact(stride)
-        {
-            let mut candidate = |r: u32| {
-                if residuals.iter().all(|p| p.holds(composite, r)) {
-                    out.extend_from_slice(composite);
-                    out.push(r);
-                }
-            };
-            match &table {
-                None => next_input.for_each_live(candidate),
-                Some(table) => {
-                    let key = |k: usize| {
-                        let (slot, col) = probe_cols[k];
-                        col[composite[slot] as usize]
-                    };
-                    table.matches(key).for_each(&mut candidate);
-                }
+    // One match per composite up front, rather than doubling from empty.
+    let mut out = Vec::with_capacity(joined.len() * (stride + 1));
+    for composite in joined.rows.chunks_exact(stride) {
+        let mut candidate = |r: u32| {
+            if residuals.iter().all(|p| p.holds(composite, r)) {
+                out.extend_from_slice(composite);
+                out.push(r);
+            }
+        };
+        match &table {
+            None => next_input.for_each_live(candidate),
+            Some(table) => {
+                let key = |k: usize| {
+                    let (slot, col) = probe_cols[k];
+                    col[composite[slot] as usize]
+                };
+                table.matches(key).for_each(&mut candidate);
             }
         }
-        out
-    };
-    if par.splits(joined.len()) {
-        map_chunks(joined.len(), par.threads, extend).concat()
-    } else {
-        extend(0..joined.len())
     }
+    out
 }
 
 /// Builds the output columns directly as symbol vectors: a column
@@ -873,10 +815,6 @@ fn project(
 mod tests {
     use super::*;
     use aig_relstore::{Database, Table, TableSchema};
-
-    /// The crossover the partition tests pass to `execute_tuned`: they test
-    /// the boundary, wherever the default sits.
-    const THRESHOLD: usize = 2048;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -1071,90 +1009,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn parallel_execution_is_byte_identical() {
-        // Large enough to cross `THRESHOLD` in the build, the probe and
-        // the DISTINCT dedup; the parallel plan must reproduce the
-        // sequential output byte for byte (including duplicate order).
-        let n = THRESHOLD * 3;
-        let mut c = Catalog::new();
-        let mut db = Database::new("D");
-        let mut left = Table::new(TableSchema::strings("l", &["k", "payload"], &[]));
-        let mut right = Table::new(TableSchema::strings("r", &["k", "tag"], &[]));
-        for i in 0..n {
-            left.insert(vec![
-                Value::str(format!("k{}", i % 97)),
-                Value::str(format!("p{}", i % 11)),
-            ])
-            .unwrap();
-            right
-                .insert(vec![
-                    Value::str(format!("k{}", (i * 7) % 97)),
-                    Value::str(format!("t{}", i % 5)),
-                ])
-                .unwrap();
-        }
-        db.add_table(left).unwrap();
-        db.add_table(right).unwrap();
-        c.add_source(db).unwrap();
-
-        for sql in [
-            "select l.payload, r.tag from D:l l, D:r r where l.k = r.k and l.payload < r.tag",
-            "select distinct l.payload, r.tag from D:l l, D:r r where l.k = r.k",
-        ] {
-            let q = Query::parse(sql).unwrap();
-            let seq = execute_tuned(&q, &c, &Params::new(), 1, THRESHOLD).unwrap();
-            assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
-            for threads in [2, 4] {
-                let par = execute_tuned(&q, &c, &Params::new(), threads, THRESHOLD).unwrap();
-                assert_eq!(seq, par, "threads={threads} sql={sql}");
-            }
-        }
-    }
-
-    /// The partitioned kernels engage exactly at `par_threshold` input
-    /// rows. Straddle the boundary (threshold-1 falls back to the
-    /// sequential path, threshold and threshold+1 partition) and assert
-    /// byte-identity at 1 and 4 threads for a join and a DISTINCT.
-    #[test]
-    fn par_threshold_boundary_is_byte_identical() {
-        for n in [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1] {
-            let mut c = Catalog::new();
-            let mut db = Database::new("D");
-            let mut left = Table::new(TableSchema::strings("l", &["k", "payload"], &[]));
-            let mut right = Table::new(TableSchema::strings("r", &["k", "tag"], &[]));
-            for i in 0..n {
-                left.insert(vec![
-                    Value::str(format!("k{}", i % 61)),
-                    Value::str(format!("p{}", i % 7)),
-                ])
-                .unwrap();
-                right
-                    .insert(vec![
-                        Value::str(format!("k{}", (i * 5) % 61)),
-                        Value::str(format!("t{}", i % 3)),
-                    ])
-                    .unwrap();
-            }
-            db.add_table(left).unwrap();
-            db.add_table(right).unwrap();
-            c.add_source(db).unwrap();
-
-            for sql in [
-                "select l.payload, r.tag from D:l l, D:r r where l.k = r.k",
-                "select distinct l.payload, r.tag from D:l l, D:r r where l.k = r.k",
-            ] {
-                let q = Query::parse(sql).unwrap();
-                let seq = execute_tuned(&q, &c, &Params::new(), 1, THRESHOLD).unwrap();
-                assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
-                for threads in [1, 4] {
-                    let tuned = execute_tuned(&q, &c, &Params::new(), threads, THRESHOLD).unwrap();
-                    assert_eq!(seq, tuned, "n={n} threads={threads} sql={sql}");
-                }
-            }
-        }
-    }
-
     /// A query bound once runs over whatever relations and tables it is
     /// handed, as binding and running it afresh would: new rows, a relation
     /// parameter and a stored table whose columns moved (resolved again by
@@ -1188,7 +1042,7 @@ mod tests {
         };
         let columns: ColNames = q.output_columns().into();
         let run = |catalog: &Catalog, v1: &Relation| {
-            bound.run(&q, catalog, |_| Some(v1), 1, PAR_THRESHOLD, columns.clone())
+            bound.run(&q, catalog, |_| Some(v1), columns.clone())
         };
         let moved = rel(&["x", "policy"], &[["c", "p1"], ["d", "p2"], ["e", "p1"]]);
         for v1 in [&first, &rel(&["policy", "x"], &[["p2", "z"]]), &moved] {
@@ -1254,17 +1108,16 @@ mod tests {
     }
 
     /// NULL-heavy regression for the no-allocation key fast path: NULL join
-    /// keys never match (single- and multi-column), and the partitioned
-    /// build/probe agrees byte-for-byte with the sequential path on inputs
-    /// where most keys are NULL.
+    /// keys never match (single- and multi-column), on inputs where most
+    /// keys are NULL.
     #[test]
-    fn null_heavy_joins_match_sequentially_and_in_parallel() {
+    fn null_heavy_joins_match_no_null_key() {
         let mut c = Catalog::new();
         let mut db = Database::new("D");
         let mut left = Table::new(TableSchema::strings("l", &["k1", "k2", "payload"], &[]));
         let mut right = Table::new(TableSchema::strings("r", &["k1", "k2", "tag"], &[]));
-        let n = THRESHOLD * 2;
-        for i in 0..n {
+        let mut keys = Vec::new();
+        for i in 0..600 {
             // ~2/3 of the rows carry a NULL in one of the key columns.
             let k1 = if i % 3 == 0 {
                 Value::Null
@@ -1283,27 +1136,42 @@ mod tests {
             ])
             .unwrap();
             right
-                .insert(vec![k1, k2, Value::str(format!("t{}", i % 5))])
+                .insert(vec![
+                    k1.clone(),
+                    k2.clone(),
+                    Value::str(format!("t{}", i % 5)),
+                ])
                 .unwrap();
+            keys.push([k1, k2]);
         }
         db.add_table(left).unwrap();
         db.add_table(right).unwrap();
         c.add_source(db).unwrap();
 
-        for sql in [
-            "select l.payload, r.tag from D:l l, D:r r where l.k1 = r.k1",
-            "select l.payload, r.tag from D:l l, D:r r where l.k1 = r.k1 and l.k2 = r.k2",
+        // Every pair whose first `width` keys are equal and non-NULL.
+        let pairs = |width: usize| {
+            let same = |l: &[Value; 2], r: &[Value; 2]| {
+                (0..width).all(|k| l[k] == r[k] && l[k] != Value::Null)
+            };
+            let per_left = keys
+                .iter()
+                .map(|l| keys.iter().filter(|r| same(l, r)).count());
+            per_left.sum::<usize>()
+        };
+        for (width, sql) in [
+            (
+                1,
+                "select l.payload, r.tag from D:l l, D:r r where l.k1 = r.k1",
+            ),
+            (
+                2,
+                "select l.payload, r.tag from D:l l, D:r r where l.k1 = r.k1 and l.k2 = r.k2",
+            ),
         ] {
             let q = Query::parse(sql).unwrap();
-            let seq = execute_tuned(&q, &c, &Params::new(), 1, THRESHOLD).unwrap();
-            assert!(!seq.is_empty(), "fixture produced no rows for {sql}");
-            // No NULL key ever matched: every key cell of the output's
-            // provenance is non-NULL by construction of the fixture — spot
-            // check by running the join with an explicit NULL-free filter.
-            for threads in [2, 4] {
-                let par = execute_tuned(&q, &c, &Params::new(), threads, THRESHOLD).unwrap();
-                assert_eq!(seq, par, "threads={threads} sql={sql}");
-            }
+            let got = execute(&q, &c, &Params::new()).unwrap();
+            assert!(!got.is_empty(), "fixture produced no rows for {sql}");
+            assert_eq!(got.len(), pairs(width), "{sql}");
         }
 
         // Direct claim: a table whose keys are all NULL joins to nothing,

@@ -34,6 +34,4 @@ pub mod parser;
 pub use ast::{CmpOp, FromItem, Pred, QualCol, Query, Scalar, SelectItem, SetRef};
 pub use cost::{CatalogStats, CostEstimate, CostModel, ParamStats};
 pub use error::SqlError;
-pub use exec::{
-    execute, execute_named, execute_tuned, BoundQuery, ParamBinding, ParamValue, Params,
-};
+pub use exec::{execute, execute_named, BoundQuery, ParamBinding, ParamValue, Params};

@@ -19,7 +19,7 @@ use aig_bench::{markdown_table, spec, table_json, Json};
 use aig_core::spec::ElemIdx;
 use aig_mediator::cost::{estimated_costs, CostGraph, TaskCost};
 use aig_mediator::exec::ExecOptions;
-use aig_mediator::graph::{RelKey, Task, TaskGraph, TaskKind};
+use aig_mediator::graph::{Task, TaskGraph, TaskKind};
 use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::schedule::{dynamic_response_time, schedule, static_response_on_actuals};
 use aig_mediator::NetworkModel;
@@ -46,10 +46,7 @@ fn task(
         },
         source,
         label,
-        deps: deps
-            .iter()
-            .map(|&d| (d, RelKey::Instances(ElemIdx(0))))
-            .collect(),
+        deps: deps.to_vec(),
         output: None,
         schema: Default::default(),
         est: CostEstimate {
@@ -96,8 +93,7 @@ fn workload(s1: SourceId, s2: SourceId, s3: SourceId) -> (TaskGraph, Vec<f64>) {
 fn chained(mut graph: TaskGraph, plan: &HashMap<SourceId, Vec<usize>>) -> TaskGraph {
     for seq in plan.values() {
         for pair in seq.windows(2) {
-            let edge = (pair[0], RelKey::Instances(ElemIdx(0)));
-            graph.tasks[pair[1]].deps.push(edge);
+            graph.tasks[pair[1]].deps.push(pair[0]);
         }
     }
     let costs = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));

@@ -17,7 +17,7 @@
 
 use crate::attrs::{field_index, FieldDecl};
 use crate::error::AigError;
-use aig_relstore::Value;
+use aig_relstore::{Fnv64, Value};
 use aig_sql::Query;
 use aig_xml::{ConstraintSet, ContentModel, Dtd};
 use std::collections::HashMap;
@@ -282,7 +282,7 @@ impl Aig {
     /// iteration order is instance-specific.
     pub fn fingerprint(&self) -> u64 {
         use fmt::Write;
-        let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut fnv = Fnv64::new();
         fnv.bytes(self.name.as_bytes());
         fnv.bytes(&self.root.0.to_le_bytes());
         // Renderings stream into the hash as they are produced; writing to
@@ -295,7 +295,7 @@ impl Aig {
         }
         let _ = write!(fnv, "{:?}", self.constraints);
         let _ = self.dtd.write_canonical(&mut fnv);
-        fnv.0
+        fnv.finish()
     }
 
     /// Registers a new element type. Used by the specialization transforms
@@ -1188,25 +1188,5 @@ fn collect_inh_use(rule: &FieldRule, uses: &mut bool) {
                 }
             }
         }
-    }
-}
-
-/// FNV-1a (64-bit) state of [`Aig::fingerprint`]: a `fmt::Write` sink, so a
-/// rendering is hashed without being collected into a `String`.
-struct Fnv(u64);
-
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
     }
 }

@@ -63,12 +63,7 @@ impl CostGraph {
         let deps = graph
             .tasks
             .iter()
-            .map(|t| {
-                t.deps
-                    .iter()
-                    .map(|(d, _)| (*d, costs[*d].out_bytes))
-                    .collect()
-            })
+            .map(|t| t.deps.iter().map(|&d| (d, costs[d].out_bytes)).collect())
             .collect();
         CostGraph { nodes, deps }
     }
@@ -780,7 +775,7 @@ impl Workspace {
         for (task, cost) in graph.tasks.iter().zip(costs) {
             flat.eval.push(cost.eval_secs);
             flat.dep_start.push(flat.dep.len());
-            for &(d, _) in &task.deps {
+            for &d in &task.deps {
                 let from = flat.source[d];
                 let priced =
                     Edge::priced(&self.net, d as u32, from, task.source, costs[d].out_bytes);

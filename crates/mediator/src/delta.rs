@@ -226,7 +226,7 @@ mod tests {
         // Closure property: a task is masked iff it is a seed or depends
         // on a masked task.
         for (id, task) in graph.tasks.iter().enumerate() {
-            let dep_masked = task.deps.iter().any(|(dep, _)| mask[*dep]);
+            let dep_masked = task.deps.iter().any(|&dep| mask[dep]);
             if dep_masked {
                 assert!(mask[id], "task {id} consumes a masked task but is unmasked");
             }

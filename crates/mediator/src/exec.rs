@@ -19,7 +19,7 @@ use crate::integrity;
 use crate::shipcut::ShipCut;
 use aig_core::attrs::FieldType;
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
-use aig_core::spec::{Aig, FieldRule, GuardKind, Prod, ValueExpr};
+use aig_core::spec::{Aig, GuardKind, ValueExpr};
 use aig_core::AigError;
 use aig_relstore::intern::{self, Reader};
 use aig_relstore::par::{apply_perm, RowTable};
@@ -428,7 +428,7 @@ pub fn execute_graph(
 /// output — count 0).
 fn input_rows<S: RelSource>(task: &Task, store: &S) -> f64 {
     (task.deps.iter())
-        .filter_map(|&(producer, _)| store.rel(producer).ok())
+        .filter_map(|&producer| store.rel(producer).ok())
         .map(|rel| rel.len() as f64)
         .sum()
 }
@@ -561,9 +561,8 @@ impl<S: RelSource> Executor<'_, S> {
                 };
                 // Child columns: parent, ord, scalar fields in decl order.
                 let base = self.instances(parent.base)?;
-                let rowids = base.col_syms(base.col("__rowid")?);
                 let out_columns = &task.schema;
-                let parents = raw.col_syms(0);
+                let parents = raw.col_syms(QUERY_PARENT);
                 if raw.is_empty() {
                     return Ok(Some(Relation::empty(out_columns.clone())));
                 }
@@ -572,7 +571,7 @@ impl<S: RelSource> Executor<'_, S> {
                 // parent's base row (broadcast).
                 let mut key_cols: Vec<&[Sym]> = Vec::new();
                 let mut fields: Vec<(bool, ScalarCol)> = Vec::new();
-                for field in &out_columns[2..] {
+                for field in &out_columns[CHILD_FIELDS..] {
                     if generated_fields.iter().any(|g| g == field) {
                         let c = raw.col(field)?;
                         key_cols.push(raw.col_syms(c));
@@ -592,7 +591,7 @@ impl<S: RelSource> Executor<'_, S> {
                 // by the generated fields (rows of one parent agree on every
                 // broadcast field).
                 let reader = Reader::snapshot();
-                let ids = InstanceIds::new(self.aig.elem_name(parent.base), rowids, &reader)?;
+                let ids = InstanceIds::new(self.aig.elem_name(parent.base), base.len());
                 let parent_ids: Vec<u32> = (ids.ids_of(&reader, parents).zip(parents))
                     .map(|(id, &p)| id.ok_or_else(|| ids.bad("`__parent`", reader.get(p))))
                     .collect::<Result<_, _>>()?;
@@ -663,8 +662,8 @@ impl<S: RelSource> Executor<'_, S> {
                 // __rowid, __parent, __ord, __occ, fields…
                 let rows = parts.iter().map(|(part, _)| part.len()).sum();
                 let cols = (0..columns.len()).map(|c| match c {
-                    0 => SharedCol::from(intern::int_syms(rows)[..rows].to_vec()),
-                    3 => {
+                    ROWID => SharedCol::from(intern::int_syms(rows)[..rows].to_vec()),
+                    OCC => {
                         let mut occs = Vec::with_capacity(rows);
                         for &(part, occ) in &parts {
                             occs.extend(std::iter::repeat_n(occ, part.len()));
@@ -672,7 +671,11 @@ impl<S: RelSource> Executor<'_, S> {
                         occs.into()
                     }
                     _ => {
-                        let c = if c < 3 { c - 1 } else { c - 2 };
+                        let c = match c {
+                            PARENT => CHILD_PARENT,
+                            ORD => CHILD_ORD,
+                            field => field - (OCC + 1) + CHILD_FIELDS,
+                        };
                         match parts.as_slice() {
                             // One part's column is shared, not copied.
                             [(part, _)] => part.shared_col(c),
@@ -701,7 +704,6 @@ impl<S: RelSource> Executor<'_, S> {
                 };
                 let raw = self.run_vector_query(query)?;
                 let base = self.instances(occ.base)?;
-                let parent_col = raw.col("__parent")?;
                 if raw.arity() != 2 {
                     return Err(bad(format!(
                         "condition query returns {} columns",
@@ -712,10 +714,10 @@ impl<S: RelSource> Executor<'_, S> {
                 // integer (`Sym::NULL`: none yet). `__parent` is always
                 // prepended first; the pick value is the remaining column.
                 let reader = Reader::snapshot();
-                let rowids = base.col_syms(base.col("__rowid")?);
-                let ids = InstanceIds::new(self.aig.elem_name(occ.base), rowids, &reader)?;
+                let ids = InstanceIds::new(self.aig.elem_name(occ.base), base.len());
                 let mut picks = vec![Sym::NULL; ids.len()];
-                for (&owner, &value) in raw.col_syms(parent_col).iter().zip(raw.col_syms(1)) {
+                let owners = raw.col_syms(QUERY_PARENT);
+                for (&owner, &value) in owners.iter().zip(raw.col_syms(QUERY_PARENT + 1)) {
                     let pick = match reader.get(value) {
                         Value::Int(_) => value,
                         Value::Str(s) => match s.parse::<i64>() {
@@ -737,27 +739,27 @@ impl<S: RelSource> Executor<'_, S> {
                         ids.len()
                     )));
                 }
-                let cols = vec![rowids.to_vec(), picks];
-                Ok(Some(Relation::try_from_columns(task.schema.clone(), cols)?))
+                // Owner `i` is the base row `i`: `__owner` is its `__rowid`.
+                let cols = vec![base.shared_col(ROWID), picks.into()];
+                Ok(Some(Relation::from_shared(task.schema.clone(), cols)?))
             }
-            TaskKind::BranchMat { occ, branch, picks } => {
-                let binding = self.binding(occ)?;
-                let info = self.aig.elem_info(binding.elem);
-                let Prod::Choice { branches, .. } = &info.prod else {
-                    return Err(MediatorError::Internal("branch of non-choice".into()));
-                };
-                let spec = &branches[*branch];
+            TaskKind::BranchMat {
+                occ,
+                branch,
+                picks,
+                fields,
+            } => {
                 let picks = self.store.rel(*picks)?;
                 let base = self.instances(occ.base)?;
-                let rowids = base.col_syms(base.col("__rowid")?);
                 let columns = &task.schema;
                 // The owners that picked this branch, and their base rows; a
                 // never-interned pick value is one no owner can carry.
                 let wanted = intern::lookup(&Value::int(*branch as i64 + 1));
                 let reader = Reader::snapshot();
-                let ids = InstanceIds::new(self.aig.elem_name(occ.base), rowids, &reader)?;
+                let ids = InstanceIds::new(self.aig.elem_name(occ.base), base.len());
                 let (mut owners, mut rows) = (Vec::new(), Vec::new());
-                for (&owner, &pick) in picks.col_syms(0).iter().zip(picks.col_syms(1)) {
+                let picked = picks.col_syms(OWNER).iter().zip(picks.col_syms(OWNER + 1));
+                for (&owner, &pick) in picked {
                     if Some(pick) == wanted {
                         let id = ids.id(&reader, owner);
                         rows.push(id.ok_or_else(|| ids.bad("`__owner`", reader.get(owner)))?);
@@ -769,15 +771,8 @@ impl<S: RelSource> Executor<'_, S> {
                 }
                 let ords = vec![intern::int_syms(1)[0]; owners.len()];
                 let mut cols = vec![owners, ords];
-                for field in &columns[2..] {
-                    let rule = spec.assigns.iter().find(|(f, _)| f == field);
-                    cols.push(match rule {
-                        Some((_, FieldRule::Scalar(expr))) => {
-                            scalar_col(self.aig, binding, expr, base, "scalar expression at")?
-                                .gather(base, &rows)
-                        }
-                        _ => vec![Sym::NULL; rows.len()],
-                    });
+                for bind in fields.as_ref().map_err(|e| MediatorError::clone(e))? {
+                    cols.push(ScalarCol::of_bind(bind, base)?.gather(base, &rows));
                 }
                 Ok(Some(Relation::try_from_columns(columns.clone(), cols)?))
             }
@@ -811,7 +806,7 @@ impl<S: RelSource> Executor<'_, S> {
     fn child_of(&self, occ: &Occ, item: usize) -> Result<aig_core::spec::ElemIdx, MediatorError> {
         let binding = self.binding(occ)?;
         match &self.aig.elem_info(binding.elem).prod {
-            Prod::Items(items) => Ok(items[item].elem),
+            aig_core::spec::Prod::Items(items) => Ok(items[item].elem),
             _ => Err(MediatorError::Internal("child of leaf production".into())),
         }
     }
@@ -869,9 +864,8 @@ impl<S: RelSource> Executor<'_, S> {
     ) -> Result<Relation, MediatorError> {
         let reader = Reader::snapshot();
         let base = self.instances(occ.base)?;
-        let rowids = base.col_syms(base.col("__rowid")?);
         let top = Reached {
-            ids: InstanceIds::new(self.aig.elem_name(occ.base), rowids, &reader)?,
+            ids: InstanceIds::new(self.aig.elem_name(occ.base), base.len()),
             table: base,
             labels: (0..base.len() as u32).collect(),
         };
@@ -880,7 +874,10 @@ impl<S: RelSource> Executor<'_, S> {
             comps: vec![Vec::new(); task.schema.len() - 1],
         };
         self.run_syn(&reader, &mut rows, &top, steps)?;
-        let mut cols = vec![apply_perm(rowids, &rows.owners)];
+        // An owner's position is its id: its `__owner` is the integer's
+        // symbol.
+        let ids = intern::int_syms(base.len());
+        let mut cols = vec![apply_perm(&ids, &rows.owners)];
         cols.extend(rows.comps);
         let mut out = Relation::try_from_columns(task.schema.clone(), cols)?;
         if !bag {
@@ -903,9 +900,8 @@ impl<S: RelSource> Executor<'_, S> {
             match step {
                 SynStep::Child { elem, tag, body } => {
                     let table = self.instances(*elem)?;
-                    let rowids = table.col_syms(table.col("__rowid")?);
-                    let parents = table.col_syms(table.col("__parent")?);
-                    let occs = table.col_syms(table.col("__occ")?);
+                    let parents = table.col_syms(PARENT);
+                    let occs = table.col_syms(OCC);
                     // Each row takes the label of its parent row.
                     let mut labels = vec![NO_ROW; table.len()];
                     let ids = at.ids.ids_of(reader, parents);
@@ -915,7 +911,7 @@ impl<S: RelSource> Executor<'_, S> {
                         }
                     }
                     let child = Reached {
-                        ids: InstanceIds::new(self.aig.elem_name(*elem), rowids, reader)?,
+                        ids: InstanceIds::new(self.aig.elem_name(*elem), table.len()),
                         table,
                         labels,
                     };
@@ -926,11 +922,11 @@ impl<S: RelSource> Executor<'_, S> {
                     if rel.arity() != rows.comps.len() + 1 {
                         return Err(MediatorError::Internal("a set of another arity".into()));
                     }
-                    let owners = at.ids.ids_of(reader, rel.col_syms(0));
+                    let owners = at.ids.ids_of(reader, rel.col_syms(OWNER));
                     let labels: Vec<u32> = owners
                         .map(|id| id.map_or(NO_ROW, |id| at.labels[id as usize]))
                         .collect();
-                    let comps = (1..rel.arity()).map(|c| Ok(ScalarCol::Col(c)));
+                    let comps = (OWNER + 1..rel.arity()).map(|c| Ok(ScalarCol::Col(c)));
                     rows.extend(rel, &labels, comps)?;
                 }
                 SynStep::Singleton(binds) => {
@@ -993,9 +989,7 @@ impl<S: RelSource> Executor<'_, S> {
 /// The distinct (`__owner`, first component) rows of a set relation, as
 /// `__owner`, `__member`: the set-oriented form of an `IN` predicate.
 fn first_distinct(rel: &Relation) -> Result<Relation, MediatorError> {
-    let owner = rel.col("__owner")?;
-    let member = rel.col(&rel.columns()[1])?;
-    let cols = vec![rel.shared_col(owner), rel.shared_col(member)];
+    let cols = vec![rel.shared_col(OWNER), rel.shared_col(OWNER + 1)];
     let mut out = Relation::from_shared(member_columns().clone(), cols)?;
     out.dedup();
     Ok(out)
@@ -1007,29 +1001,48 @@ fn all_cols(rel: &Relation) -> Vec<&[Sym]> {
 }
 
 /// Instance-table column layout for an element with the given inherited
-/// declarations.
+/// declarations: `__rowid`, `__parent`, `__ord`, `__occ` (at positions 0 to
+/// 3, where a run reads them), then the scalar fields.
 pub fn instance_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
-    let mut columns = vec!["__rowid".to_string()];
-    columns.extend(child_columns(inh));
-    columns.insert(3, "__occ".to_string());
-    columns
+    let bookkeeping = ["__rowid", "__parent", "__ord", "__occ"].map(String::from);
+    bookkeeping.into_iter().chain(scalar_fields(inh)).collect()
 }
 
 /// Column layout of a generator or branch output — an instance-table part
-/// before assembly: `__parent`, `__ord`, then the child's scalar fields.
+/// before assembly: `__parent`, `__ord` at [`CHILD_PARENT`] and
+/// [`CHILD_ORD`], then the child's scalar fields from [`CHILD_FIELDS`].
 pub(crate) fn child_columns(inh: &[aig_core::FieldDecl]) -> Vec<String> {
-    let mut columns = vec!["__parent".to_string(), "__ord".to_string()];
-    columns.extend(
-        inh.iter()
-            .filter(|f| f.ty.is_scalar())
-            .map(|f| f.name.clone()),
-    );
-    columns
+    let bookkeeping = ["__parent", "__ord"].map(String::from);
+    bookkeeping.into_iter().chain(scalar_fields(inh)).collect()
 }
 
+fn scalar_fields(inh: &[aig_core::FieldDecl]) -> impl Iterator<Item = String> + '_ {
+    inh.iter()
+        .filter(|f| f.ty.is_scalar())
+        .map(|f| f.name.clone())
+}
+
+/// The positions of an instance table's bookkeeping columns
+/// ([`instance_columns`]): a run reads them there, never by name.
+pub(crate) const ROWID: usize = 0;
+pub(crate) const PARENT: usize = 1;
+pub(crate) const ORD: usize = 2;
+pub(crate) const OCC: usize = 3;
+/// The positions of a generator or branch output's bookkeeping columns
+/// ([`child_columns`]), and of its first field.
+pub(crate) const CHILD_PARENT: usize = 0;
+pub(crate) const CHILD_ORD: usize = 1;
+pub(crate) const CHILD_FIELDS: usize = 2;
+/// The position of a set relation's `__owner` (its components follow) and
+/// of a pick table's (its pick follows).
+pub(crate) const OWNER: usize = 0;
+/// The position of the `__parent` a vectorized query selects first
+/// (`graph::Builder::vectorize`); the query's own columns follow.
+pub(crate) const QUERY_PARENT: usize = 0;
+
 /// How a scalar reads out of an instance table — a column of it or one
-/// constant symbol — resolved through the copy chain once per task (or per
-/// tagged occurrence), never per row.
+/// constant symbol — taken from its compiled [`ScalarBind`] once per task
+/// (or per tagged occurrence), never per row.
 #[derive(Clone, Copy)]
 pub(crate) enum ScalarCol {
     Const(Sym),
@@ -1061,21 +1074,10 @@ impl ScalarCol {
     }
 }
 
-/// Resolves a scalar rule expression of `binding`'s element against its
-/// base instance table; `what` names the expression in the error (`PCDATA
+/// Resolves a scalar rule expression of `binding`'s element through the
+/// copy chain, before any table is read: a constant, or `binding`'s bind of
+/// an inherited field. `what` names the expression in the error (`PCDATA
 /// of`, `scalar expression at`).
-pub(crate) fn scalar_col(
-    aig: &Aig,
-    binding: &Binding,
-    expr: &ValueExpr,
-    base: &Relation,
-    what: &str,
-) -> Result<ScalarCol, MediatorError> {
-    ScalarCol::of_bind(&*scalar_bind(aig, binding, expr, what)?, base)
-}
-
-/// [`scalar_col`]'s resolution through the copy chain, before any table is
-/// read: a constant, or `binding`'s bind of an inherited field.
 pub(crate) fn scalar_bind<'b>(
     aig: &Aig,
     binding: &'b Binding,
@@ -1142,8 +1144,9 @@ pub(crate) const NO_ROW: u32 = u32::MAX;
 /// what an id is. Root and Assemble number a table's rows with `__rowid`s
 /// that are their row positions `0..n`, and every `__parent` / `__owner`
 /// names one of them. So an id is a row position: it indexes rows and
-/// vectors ([`group_rows`] buckets) directly and is never hashed, and ids
-/// in value order are rows in table order.
+/// vectors ([`group_rows`] buckets) directly and is never hashed, ids in
+/// value order are rows in table order, and no reader looks a `__rowid`
+/// up — the table's length is all there is to know.
 pub(crate) struct InstanceIds<'a> {
     /// The element, for the error.
     elem: &'a str,
@@ -1151,25 +1154,9 @@ pub(crate) struct InstanceIds<'a> {
 }
 
 impl<'a> InstanceIds<'a> {
-    /// The ids of `elem`'s instance table with the `__rowid` column
-    /// `rowids`, which must be the row positions `0..n`; the first row that
-    /// carries another is the error. Every symbol of `rowids` must have
-    /// been interned before `reader` was taken.
-    pub(crate) fn new(
-        elem: &'a str,
-        rowids: &[Sym],
-        reader: &Reader,
-    ) -> Result<InstanceIds<'a>, MediatorError> {
-        let ids = InstanceIds {
-            elem,
-            len: rowids.len(),
-        };
-        let positions = &intern::int_syms(rowids.len())[..rowids.len()];
-        if rowids == positions {
-            return Ok(ids);
-        }
-        let row = (rowids.iter().zip(positions).position(|(id, pos)| id != pos)).unwrap_or(0);
-        Err(ids.bad(&format!("row {row}'s `__rowid`"), reader.get(rowids[row])))
+    /// The ids of `elem`'s instance table of `len` rows.
+    pub(crate) fn new(elem: &'a str, len: usize) -> InstanceIds<'a> {
+        InstanceIds { elem, len }
     }
 
     /// The number of instances.
@@ -1200,8 +1187,7 @@ impl<'a> InstanceIds<'a> {
     }
 
     /// The one error for a bad instance id: `value`, read from `column`, is
-    /// not one of this table's ids, or is a `__rowid` that is not its row's
-    /// position.
+    /// not one of this table's ids.
     pub(crate) fn bad(&self, column: &str, value: &Value) -> MediatorError {
         MediatorError::Internal(format!(
             "bad instance id in T[{}]: {column} {value:?}; its ids are its row \

@@ -14,18 +14,18 @@
 //! `Sym` instead of by value shows up immediately).
 //!
 //! Where the two intentionally differ — the reference panics, or keys by
-//! value where the columnar bodies and the tagger require every `__rowid`
-//! to be its row's position — the new behaviour is pinned by its own test:
-//! a condition or branch row for an unknown instance, an assemble input of
-//! the wrong arity, and a parent table whose `__rowid`s are not its row
-//! positions.
+//! value where the columnar bodies and the tagger take an id for its row's
+//! position and read no `__rowid` — the new behaviour is pinned by its own
+//! test: a condition or branch row for an unknown instance, an assemble
+//! input of the wrong arity, and a parent table whose `__rowid`s are not
+//! its row positions.
 
 use super::*;
 use crate::graph::{branch_tag, build_graph, occ_tag, GraphOptions, SynWalk};
 use crate::tagging::tag_document;
 use crate::unfold::{unfold, CutOff};
 use aig_core::paper::sigma0;
-use aig_core::spec::SetExpr;
+use aig_core::spec::{FieldRule, Prod, SetExpr};
 use aig_core::{compile_constraints, decompose_queries, parse_aig};
 use aig_datagen::HospitalConfig;
 use aig_prng::{Rng, SeedableRng, StdRng};
@@ -264,7 +264,9 @@ impl<S: RelSource> RowMajor<'_, '_, S> {
                 }
                 Ok(Some(rel))
             }
-            TaskKind::BranchMat { occ, branch, picks } => {
+            TaskKind::BranchMat {
+                occ, branch, picks, ..
+            } => {
                 let binding = self.0.binding(occ)?.clone();
                 let info = self.0.aig.elem_info(binding.elem);
                 let Prod::Choice { branches, .. } = &info.prod else {
@@ -1026,9 +1028,8 @@ fn flow_items(seed: u64, n: usize, copies: usize) -> Fixture {
     fixture(&aig, catalog, 2, vec![("day", Value::str("mon"))])
 }
 
-fn options(threads: usize, batching: bool) -> ExecOptions {
+fn options(batching: bool) -> ExecOptions {
     ExecOptions::new(ExecPolicy {
-        threads,
         batching,
         batch_rows: 3,
         ..ExecPolicy::default()
@@ -1186,8 +1187,8 @@ fn every_task_body_matches_the_row_major_reference() {
             flow(seed),
         ];
         for fx in &fixtures {
-            for (threads, batching) in [(1, false), (2, false), (2, true)] {
-                let opts = options(threads, batching);
+            for batching in [false, true] {
+                let opts = options(batching);
                 let clean = walk(fx, &opts, None, &mut kinds);
                 check_tagging(fx, &clean);
                 for round in 0..4 {
@@ -1234,22 +1235,24 @@ impl RelSource for SwapNth<'_> {
 #[test]
 fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
     let fx = orders(4);
-    let opts = options(1, false);
+    let opts = options(false);
     let store = walk(&fx, &opts, None, &mut [0; 8]);
 
-    // One `order` under a foreign rowid: in the base table read after the
-    // condition query, whose ids are then not its row positions, or in the
-    // query's input, which answers for an instance the base table does not
-    // have. A pick is placed at its owner's id, so either is a bad id.
+    // One `order` under a foreign rowid in the query's input, which then
+    // answers for an instance the base table does not have: a pick is
+    // placed at its owner's id, so that is a bad id. In the base table read
+    // after the query only the length counts: the picks' `__owner` is its
+    // `__rowid` column as it stands.
     let cond = task_where(&fx, |k| matches!(k, TaskKind::Cond { .. }));
     let TaskKind::Cond { occ, .. } = &cond.kind else {
         unreachable!()
     };
     let key = RelKey::Instances(occ.base);
-    for (nth, column) in [(1, "row 0's `__rowid`"), (0, "`__parent`")] {
+    let foreign = Value::int(1 << 40);
+    for nth in [0, 1] {
         let mut instead = store.get(&key).unwrap().clone();
         assert!(instead.len() > 1, "the fixture has orders on the day");
-        instead.set_cell(0, instead.col("__rowid").unwrap(), Value::int(1 << 40));
+        instead.set_cell(0, instead.col("__rowid").unwrap(), foreign.clone());
         let swapped = SwapNth {
             store: &store,
             key: key.clone(),
@@ -1257,12 +1260,17 @@ fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
             instead,
             reads: Cell::new(0),
         };
-        match executor(&fx, &swapped, &opts).run_task(cond) {
-            Err(MediatorError::Internal(msg)) => {
-                let head = format!("bad instance id in T[order]: {column} Int({});", 1u64 << 40);
+        match (nth, executor(&fx, &swapped, &opts).run_task(cond)) {
+            (0, Err(MediatorError::Internal(msg))) => {
+                let head = format!("bad instance id in T[order]: `__parent` {foreign:?};");
                 assert!(msg.starts_with(&head), "{msg}")
             }
-            other => panic!("expected a bad instance id, got {other:?}"),
+            (1, Ok(Some(picks))) => {
+                let rowids = store.get(&key).unwrap().col_syms(ROWID);
+                assert_eq!(picks.col_syms(OWNER)[1..], rowids[1..]);
+                assert_eq!(picks.cell(0, OWNER), &foreign);
+            }
+            (nth, other) => panic!("read {nth} swapped: {other:?}"),
         }
     }
 
@@ -1296,7 +1304,7 @@ fn condition_and_branch_rows_for_unknown_instances_are_errors_not_panics() {
 #[test]
 fn assemble_input_of_the_wrong_arity_is_a_schema_mismatch() {
     let fx = flow(3);
-    let opts = options(1, false);
+    let opts = options(false);
     let store = walk(&fx, &opts, None, &mut [0; 8]);
     let assemble = task_where(
         &fx,
@@ -1334,7 +1342,7 @@ fn assemble_input_of_the_wrong_arity_is_a_schema_mismatch() {
 #[test]
 fn a_branch_without_binding_is_an_error_before_any_row_of_it() {
     let mut fx = orders(3);
-    let mut store = walk(&fx, &options(1, false), None, &mut [0; 8]);
+    let mut store = walk(&fx, &options(false), None, &mut [0; 8]);
     let invoice = fx.aig.elem("invoice").unwrap();
     let key = RelKey::Instances(invoice);
     let columns = store.get(&key).unwrap().columns().to_vec();
@@ -1350,18 +1358,18 @@ fn a_branch_without_binding_is_an_error_before_any_row_of_it() {
 /// The tagger keys a child row by the parent row its `__parent` names,
 /// which is the id itself: a `__parent` that names no row — a string, a
 /// negative integer, one past the parent table — attaches nowhere, as in
-/// the row-major tagger, and a parent table whose `__rowid`s are not its
-/// row positions — a duplicate, an id out of range or not an integer, or
-/// a permutation of `0..n` other than the identity — is a structured error
-/// naming the first such row (the reference keys by value and has no such
-/// case).
+/// the row-major tagger; and it reads no `__rowid`, so a parent table whose
+/// `__rowid`s are not its row positions — a duplicate, an id out of range
+/// or not an integer, or a permutation of `0..n` other than the identity —
+/// tags as its row positions do (the reference keys by value and has no
+/// such case).
 #[test]
-fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_row_positions() {
+fn a_parent_naming_no_row_attaches_nowhere_and_rowids_are_not_read() {
     // An `orders` store with at least two `ref` rows, under `order` rows.
     let (fx, store) = (0..32)
         .map(|seed| {
             let fx = orders(seed);
-            let store = walk(&fx, &options(1, false), None, &mut [0; 8]);
+            let store = walk(&fx, &options(false), None, &mut [0; 8]);
             (fx, store)
         })
         .find(|(fx, store)| {
@@ -1406,25 +1414,18 @@ fn a_parent_naming_no_row_attaches_nowhere_and_rowids_must_be_row_positions() {
         vec![(0, rowid(1)), (1, rowid(0))],
     ] {
         let store = with(&order, "__rowid", &cells);
-        let (row, value) = &cells[0];
-        match tag_document(&fx.aig, &fx.graph, &store) {
-            Err(MediatorError::Internal(msg)) => {
-                let head = format!("bad instance id in T[order]: row {row}'s `__rowid` {value:?};");
-                assert!(msg.starts_with(&head), "{msg}")
-            }
-            other => panic!("`__rowid`s {cells:?}: {other:?}"),
-        }
+        let tagged = tag_document(&fx.aig, &fx.graph, &store);
+        assert_eq!(tagged.as_ref(), Ok(&tree), "`__rowid`s {cells:?}");
     }
 }
 
 // -- The generator's order by instance ids ------------------------------------------
 
 /// The options of the benchmark's `report_modes_on`: the parallel driver,
-/// dynamic scheduling, 2 kernel threads, 256-row batching, integrity on.
+/// dynamic scheduling, 256-row batching, integrity on.
 fn modes_on() -> ExecOptions {
     ExecOptions::new(ExecPolicy {
         parallel_exec: true,
-        threads: 2,
         batching: true,
         batch_rows: 256,
         check_integrity: true,
@@ -1454,7 +1455,7 @@ fn instances<'s>(fx: &Fixture, store: &'s RelStore, elem: &str) -> &'s Relation 
 fn generator_order_matches_the_reference_under_reversed_instances() {
     for seed in 0..4u64 {
         for fx in [hospital(seed, 3), orders(seed), flow(seed)] {
-            for opts in [options(1, false), modes_on()] {
+            for opts in [options(false), modes_on()] {
                 let reversed = walk_with(&fx, &opts, &mut [0; 8], reverse_instances);
                 check_tagging(&fx, &reversed);
             }
@@ -1465,7 +1466,7 @@ fn generator_order_matches_the_reference_under_reversed_instances() {
 /// `walk` holds every task against the reference as it goes.
 #[test]
 fn generator_order_matches_the_reference_on_ties_and_empty_outputs() {
-    for opts in [options(1, false), options(2, true), modes_on()] {
+    for opts in [options(false), options(true), modes_on()] {
         // Every item three times: siblings tie on every generated field.
         let fx = flow_items(11, 30, 3);
         let store = walk(&fx, &opts, None, &mut [0; 8]);
@@ -1498,18 +1499,19 @@ fn generator_order_matches_the_reference_under_one_large_parent() {
     check_tagging(&fx, &store);
 }
 
-/// Every bad instance id is one `MediatorError::Internal` naming the table:
-/// a `__rowid` column that is not the row positions `0..n` — a duplicate, a
-/// negative, an out-of-range or a string id, or the positions reversed — is
-/// the same error, naming its first such row, under a generator's parent
-/// table, a synthesized pass's top table and the tagger, and so is a
-/// generator row whose `__parent` names no instance.
+/// An id is its row's position, and a `__rowid` column is read by no task
+/// body and no tagger: one that is not the row positions `0..n` — a
+/// duplicate, a negative, an out-of-range or a string id, or the positions
+/// reversed — under a generator's parent table or a synthesized pass's top
+/// table changes neither output, nor the document. A generator row whose
+/// `__parent` names no instance is the one bad-id error, a
+/// `MediatorError::Internal` naming the table.
 #[test]
 fn a_bad_instance_id_is_one_error_naming_the_table() {
     let (fx, store) = (0..32)
         .map(|seed| {
             let fx = orders(seed);
-            let store = walk(&fx, &options(1, false), None, &mut [0; 8]);
+            let store = walk(&fx, &options(false), None, &mut [0; 8]);
             (fx, store)
         })
         .find(|(fx, store)| {
@@ -1517,7 +1519,7 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
             store.get(&refs).unwrap().len() >= 2
         })
         .expect("a seed with refs");
-    let opts = options(1, false);
+    let opts = options(false);
     let order = RelKey::Instances(fx.aig.elem("order").unwrap());
     let gen = task_where(&fx, |k| {
         matches!(k, TaskKind::Gen { set_input: Some(_), parent, .. }
@@ -1535,7 +1537,7 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
         }
         other => panic!("{column} {value:?}: expected a bad instance id, got {other:?}"),
     };
-    let orders = store.get(&order).unwrap();
+    let (base, orders) = (&store, store.get(&order).unwrap());
     let n = orders.len() as i64;
     assert!(n >= 2, "two orders to reverse");
     let rowid = orders.col("__rowid").unwrap();
@@ -1553,13 +1555,13 @@ fn a_bad_instance_id_is_one_error_naming_the_table() {
             rel.set_cell(row, rowid, value.clone());
         }
         store.slots[fx.graph.producer[&order]] = rel.into();
-        let exec = executor(&fx, &store, &opts);
-        let column = "row 0's `__rowid`";
-        let from_gen = expect_bad(exec.run_task(gen).map(|_| ()), column, &cells[0]);
-        let from_syn = expect_bad(exec.run_task(syn).map(|_| ()), column, &cells[0]);
-        let tagged = tag_document(&fx.aig, &fx.graph, &store).map(|_| ());
-        let from_tagger = expect_bad(tagged, column, &cells[0]);
-        assert_eq!((&from_syn, &from_tagger), (&from_gen, &from_gen));
+        let (clean, exec) = (executor(&fx, base, &opts), executor(&fx, &store, &opts));
+        for task in [gen, syn] {
+            let out = exec.run_task(task);
+            assert_eq!(out, clean.run_task(task), "{}: {cells:?}", task.label);
+        }
+        let tagged = tag_document(&fx.aig, &fx.graph, &store);
+        assert_eq!(tagged, tag_document(&fx.aig, &fx.graph, base), "{cells:?}");
     }
     let TaskKind::Gen {
         set_input: Some(input),
@@ -1708,7 +1710,7 @@ fn echo(seed: u64) -> Fixture {
 /// Whether a `SynAgg` task of `fx` reads another's output.
 fn syn_reads_syn(fx: &Fixture) -> bool {
     let syn = |t: usize| matches!(fx.graph.tasks[t].kind, TaskKind::SynAgg { .. });
-    (0..fx.graph.len()).any(|t| syn(t) && fx.graph.tasks[t].deps.iter().any(|(d, _)| syn(*d)))
+    (0..fx.graph.len()).any(|t| syn(t) && fx.graph.tasks[t].deps.iter().any(|&d| syn(d)))
 }
 
 /// A `SynAgg` task computes its whole rule in one pass, labeling every row
@@ -1743,10 +1745,12 @@ fn one_pass_synthesized_sets_match_the_per_level_reference() {
         ];
         // The key's bag is collected at the root, through every level.
         let keyed = &fixtures[2];
-        let deepest_keyed = RelKey::Instances(keyed.aig.elem("treatment@4").unwrap());
+        let deepest_keyed = keyed
+            .graph
+            .instances_of(keyed.aig.elem("treatment@4").unwrap());
         assert!(keyed.graph.tasks.iter().any(|t| match &t.kind {
             TaskKind::SynAgg { occ, .. } => {
-                occ.base == keyed.aig.root && t.deps.iter().any(|(_, k)| *k == deepest_keyed)
+                occ.base == keyed.aig.root && t.deps.contains(&deepest_keyed)
             }
             _ => false,
         }));
@@ -1754,7 +1758,7 @@ fn one_pass_synthesized_sets_match_the_per_level_reference() {
             // One synthesized pass reads another's output only for a set
             // under a bag and through an inherited set (`echo`'s `tag`).
             assert_eq!(syn_reads_syn(fx), i == 3 || i == 5, "fixture {i}");
-            for opts in [options(1, false), modes_on()] {
+            for opts in [options(false), modes_on()] {
                 let store = walk(fx, &opts, None, &mut [0; 8]);
                 walk_with(fx, &opts, &mut [0; 8], reverse_instances);
                 if i == fixtures.len() - 1 {
@@ -1793,7 +1797,7 @@ fn a_child_named_twice_is_expanded_once() {
     // The pass compiled for `patient.2.trIdS` — its steps and the relations
     // they read — once every task of the fixture matched the reference.
     let compiled = |fx: &Fixture| {
-        walk(fx, &options(1, false), None, &mut [0; 8]);
+        walk(fx, &options(false), None, &mut [0; 8]);
         let occ = Occ::mat(fx.aig.elem("patient").unwrap()).child(2);
         SynWalk::compile(&fx.aig, &fx.graph.bindings, &occ, "trIdS", false).unwrap()
     };

@@ -24,7 +24,7 @@
 use crate::error::{ConfigError, MediatorError};
 use crate::integrity::{self, CorruptionKind, RelProfile};
 use aig_prng::{Rng, SeedableRng, StdRng};
-use aig_relstore::{Catalog, Relation, SourceId};
+use aig_relstore::{Catalog, Fnv64, Relation, SourceId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -549,7 +549,7 @@ impl FaultPlan {
         let (seed, src, task, attempt) =
             (self.cfg.seed, source.0 as u64, task as u64, attempt as u64);
         Some(StdRng::seed_from_u64(match table {
-            Some(table) => mix(&[seed, salt, src, fnv64(table), task, attempt]),
+            Some(table) => mix(&[seed, salt, src, Fnv64::of(table.as_bytes()), task, attempt]),
             None => mix(&[seed, salt, src, task, attempt]),
         }))
     }
@@ -895,17 +895,6 @@ pub(crate) fn mix(parts: &[u64]) -> u64 {
         acc = z ^ (z >> 31);
     }
     acc
-}
-
-/// FNV-1a hash of a table name, folding the string coordinate of the
-/// wrong-answer fault streams into the `mix` word list.
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! to its producer's id ([`Input`]), the only name a run reads it by.
 
 use crate::error::MediatorError;
-use crate::exec::{child_columns, instance_columns, scalar_bind};
+use crate::exec::{child_columns, instance_columns, scalar_bind, CHILD_FIELDS};
 use aig_core::copyelim::resolve_scalar;
 use aig_core::spec::{
     Aig, ElemIdx, FieldRule, Generator, ParamSource, Prod, QueryRule, SetExpr, SynRule, ValueExpr,
@@ -292,11 +292,16 @@ pub enum TaskKind {
     },
     /// Choice condition query (at a source).
     Cond { occ: Occ, query: VectorQuery },
-    /// Materializes one choice branch from task `picks`' table (mediator).
+    /// Materializes one choice branch from task `picks`' table (mediator):
+    /// each output field of the owners that picked it reads its compiled
+    /// bind over `occ`'s base rows (a field the branch does not assign is
+    /// NULL); a field that does not resolve is the error the task returns
+    /// once an owner picked the branch.
     BranchMat {
         occ: Occ,
         branch: usize,
         picks: usize,
+        fields: Binds,
     },
     /// A compiled-constraint guard check (mediator).
     Guard { occ: Occ, guard: usize },
@@ -321,8 +326,12 @@ pub enum SynStep {
     Keyed(Input),
     /// One row of these scalars per reached row; a scalar that does not
     /// resolve is its error, returned when the step runs.
-    Singleton(Result<Vec<ScalarBind>, Box<MediatorError>>),
+    Singleton(Binds),
 }
+
+/// Scalars compiled against an occurrence's binding, or the first one's
+/// error, held until the task that reads them runs.
+pub type Binds = Result<Vec<ScalarBind>, Box<MediatorError>>;
 
 /// One node of the task graph.
 #[derive(Debug, Clone)]
@@ -330,9 +339,8 @@ pub struct Task {
     pub kind: TaskKind,
     pub source: SourceId,
     pub label: String,
-    /// Producer tasks this task reads from, with the relation read: each
-    /// producer once, and so each key once (a producer writes one key).
-    pub deps: Vec<(usize, RelKey)>,
+    /// Producer tasks this task reads from, each once.
+    pub deps: Vec<usize>,
     /// The relation this task writes (None for guards).
     pub output: Option<RelKey>,
     /// The column names of that relation (none for guards): computed once
@@ -437,7 +445,7 @@ impl fmt::Display for TaskGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "task graph ({} tasks)", self.tasks.len())?;
         for (id, t) in self.tasks.iter().enumerate() {
-            let deps: Vec<String> = t.deps.iter().map(|(d, _)| d.to_string()).collect();
+            let deps: Vec<String> = t.deps.iter().map(|d| d.to_string()).collect();
             writeln!(
                 f,
                 "  #{id} [{}] {} <- [{}] (est {:.4}s, {:.0} rows)",
@@ -479,6 +487,9 @@ pub(crate) struct Builder<'a> {
     aig: &'a Aig,
     catalog: &'a Catalog,
     tasks: Vec<Task>,
+    /// Per task, the relations it reads, by key: [`Builder::resolve`] turns
+    /// them into its deps once every task exists.
+    reads: Vec<Vec<RelKey>>,
     producer: HashMap<RelKey, usize>,
     instance_tables: Vec<usize>,
     bindings: HashMap<Occ, Binding>,
@@ -502,6 +513,7 @@ pub fn build_graph(
         aig,
         catalog,
         tasks: Vec::new(),
+        reads: Vec::new(),
         producer: HashMap::new(),
         instance_tables: vec![usize::MAX; aig.len()],
         bindings: HashMap::new(),
@@ -575,7 +587,7 @@ impl<'a> Builder<'a> {
         let aig = self.aig;
         // Root task.
         let root_key = RelKey::Instances(aig.root);
-        self.push_task(Task {
+        let root = Task {
             kind: TaskKind::Root {
                 tag: intern::intern_owned(Value::str(Occ::mat(aig.root).key(aig))),
             },
@@ -585,7 +597,8 @@ impl<'a> Builder<'a> {
             output: Some(root_key),
             schema: instance_columns(&aig.elem_info(aig.root).inh).into(),
             est: CostEstimate::ZERO,
-        });
+        };
+        self.push_task(Vec::new(), root);
         self.materialized.push(aig.root);
 
         // Process materialized elements in topological (parents-first) order
@@ -602,17 +615,18 @@ impl<'a> Builder<'a> {
                 // An unreachable element (a truncated level) has no inputs:
                 // its assemble is empty, so downstream reads still succeed.
                 let inputs = self.pending_instances.remove(&e).unwrap_or_default();
-                let output = |&(p, _): &(usize, Sym)| Some((p, self.tasks[p].output.clone()?));
-                let deps = inputs.iter().filter_map(output).collect();
-                self.push_task(Task {
+                let output = |&(p, _): &(usize, Sym)| self.tasks[p].output.clone();
+                let reads = inputs.iter().filter_map(output).collect();
+                let assemble = Task {
                     kind: TaskKind::Assemble { elem: e, inputs },
                     source: SourceId::MEDIATOR,
                     label: format!("assemble[{}]", aig.elem_name(e)),
-                    deps,
+                    deps: Vec::new(),
                     output: Some(RelKey::Instances(e)),
                     schema: instance_columns(&aig.elem_info(e).inh).into(),
                     est: CostEstimate::ZERO,
-                });
+                };
+                self.push_task(reads, assemble);
                 self.materialized.push(e);
             }
             // Identity binding for the materialized element.
@@ -644,23 +658,22 @@ impl<'a> Builder<'a> {
                 };
                 let keys = fields.into_iter().map(|f| self.syn_relkey(&occ, f));
                 let keys = keys.collect::<Result<Vec<_>, _>>()?;
-                let deps = keys.iter().map(|key| (usize::MAX, key.clone())).collect();
                 let binding = self.bindings.get_mut(&occ).expect("a visited occurrence");
-                binding
-                    .guard_fields
-                    .push(keys.into_iter().map(Input::of).collect());
-                self.push_task(Task {
+                let fields = keys.iter().cloned().map(Input::of).collect();
+                binding.guard_fields.push(fields);
+                let guard = Task {
                     kind: TaskKind::Guard {
                         occ: occ.clone(),
                         guard: gi,
                     },
                     source: SourceId::MEDIATOR,
                     label: format!("guard[{} #{gi}]", occ.key(aig)),
-                    deps,
+                    deps: Vec::new(),
                     output: None,
                     schema: ColNames::default(),
                     est: CostEstimate::ZERO,
-                });
+                };
+                self.push_task(keys, guard);
             }
         }
 
@@ -675,7 +688,8 @@ impl<'a> Builder<'a> {
         Ok(())
     }
 
-    fn push_task(&mut self, task: Task) -> usize {
+    /// Adds `task`, which reads the relations `reads`.
+    fn push_task(&mut self, reads: Vec<RelKey>, task: Task) -> usize {
         let id = self.tasks.len();
         if let Some(key) = &task.output {
             if let RelKey::Instances(elem) = key {
@@ -684,6 +698,7 @@ impl<'a> Builder<'a> {
             self.producer.insert(key.clone(), id);
         }
         self.tasks.push(task);
+        self.reads.push(reads);
         id
     }
 
@@ -745,22 +760,23 @@ impl<'a> Builder<'a> {
             Prod::Choice { cond, branches } => {
                 // Condition query per instance.
                 let vq = self.vectorize(cond, binding)?;
-                let mut deps = self.query_deps(&vq);
-                deps.push((usize::MAX, RelKey::Instances(binding.occ.base)));
+                let mut reads = query_reads(&vq);
+                reads.push(RelKey::Instances(binding.occ.base));
                 let pick_key = RelKey::Pick(binding.occ.clone());
                 self.source_query_count += 1;
-                let picks = self.push_task(Task {
+                let cond = Task {
                     kind: TaskKind::Cond {
                         occ: binding.occ.clone(),
                         query: vq.clone(),
                     },
                     source: vq.source,
                     label: format!("cond[{}]", binding.occ.key(aig)),
-                    deps,
+                    deps: Vec::new(),
                     output: Some(pick_key.clone()),
                     schema: ["__owner", "__pick"].map(String::from).into(),
                     est: CostEstimate::ZERO,
-                });
+                };
+                let picks = self.push_task(reads, cond);
                 for (bno, branch) in branches.iter().enumerate() {
                     // Branch materialization: scalar assigns only.
                     let child_info = aig.elem_info(branch.elem);
@@ -775,23 +791,29 @@ impl<'a> Builder<'a> {
                             }
                         }
                     }
-                    let deps = vec![
-                        (picks, pick_key.clone()),
-                        (usize::MAX, RelKey::Instances(binding.occ.base)),
-                    ];
-                    let id = self.push_task(Task {
+                    let reads = vec![pick_key.clone(), RelKey::Instances(binding.occ.base)];
+                    let schema: ColNames = child_columns(&child_info.inh).into();
+                    let fields = schema[CHILD_FIELDS..].iter().map(|field| {
+                        match branch.assigns.iter().find(|(f, _)| f == field) {
+                            Some((_, FieldRule::Scalar(expr))) => Some(expr),
+                            _ => None,
+                        }
+                    });
+                    let branch_mat = Task {
                         kind: TaskKind::BranchMat {
                             occ: binding.occ.clone(),
                             branch: bno,
                             picks,
+                            fields: binds(aig, binding, fields),
                         },
                         source: SourceId::MEDIATOR,
                         label: format!("branch[{}#{bno}]", binding.occ.key(aig)),
-                        deps,
+                        deps: Vec::new(),
                         output: Some(RelKey::BranchOut(binding.occ.clone(), bno)),
-                        schema: child_columns(&child_info.inh).into(),
+                        schema,
                         est: CostEstimate::ZERO,
-                    });
+                    };
+                    let id = self.push_task(reads, branch_mat);
                     let part = (id, binding.tags[bno]);
                     self.pending_instances
                         .entry(branch.elem)
@@ -845,21 +867,21 @@ impl<'a> Builder<'a> {
             )));
         }
         let base = RelKey::Instances(binding.occ.base);
-        let (source, query, set_input, deps) = match item.generator.as_ref().expect("validated") {
+        let (source, query, set_input, reads) = match item.generator.as_ref().expect("validated") {
             Generator::Query(qr) => {
                 let vq = self.vectorize(qr, binding)?;
-                let mut deps = self.query_deps(&vq);
-                deps.push((usize::MAX, base));
+                let mut reads = query_reads(&vq);
+                reads.push(base);
                 self.source_query_count += 1;
-                (vq.source, Some(vq), None, deps)
+                (vq.source, Some(vq), None, reads)
             }
             Generator::Set(expr) => {
                 let input = self.set_expr_relkey(binding, expr)?;
-                let deps = vec![(usize::MAX, input.clone().unwrap_or(base))];
-                (SourceId::MEDIATOR, None, input.map(Input::of), deps)
+                let reads = vec![input.clone().unwrap_or(base)];
+                (SourceId::MEDIATOR, None, input.map(Input::of), reads)
             }
         };
-        let id = self.push_task(Task {
+        let gen = Task {
             kind: TaskKind::Gen {
                 parent: binding.occ.clone(),
                 item: pos,
@@ -870,11 +892,12 @@ impl<'a> Builder<'a> {
             },
             source,
             label: format!("gen[{}#{pos}->{}]", binding.occ.key(aig), child_info.name),
-            deps,
+            deps: Vec::new(),
             output: Some(RelKey::GenOut(binding.occ.clone(), pos)),
             schema: child_columns(&child_info.inh).into(),
             est: CostEstimate::ZERO,
-        });
+        };
+        let id = self.push_task(reads, gen);
         let part = (id, binding.tags[pos]);
         self.pending_instances
             .entry(item.elem)
@@ -926,11 +949,11 @@ impl<'a> Builder<'a> {
                     },
                     FieldRule::Query(qr) => {
                         let vq = self.vectorize(qr, binding)?;
-                        let mut deps = self.query_deps(&vq);
-                        deps.push((usize::MAX, RelKey::Instances(binding.occ.base)));
+                        let mut reads = query_reads(&vq);
+                        reads.push(RelKey::Instances(binding.occ.base));
                         let key = RelKey::InhSet(child_occ.clone(), field.clone());
                         self.source_query_count += 1;
-                        self.push_task(Task {
+                        let inh_set = Task {
                             kind: TaskKind::InhSetQuery {
                                 target: child_occ.clone(),
                                 field: field.clone(),
@@ -938,11 +961,12 @@ impl<'a> Builder<'a> {
                             },
                             source: vq.source,
                             label: format!("inhset[{}.{field}]", child_occ.key(aig)),
-                            deps,
+                            deps: Vec::new(),
                             output: Some(key.clone()),
                             schema: owned_by(&vq.columns[1..]),
                             est: CostEstimate::ZERO,
-                        });
+                        };
+                        self.push_task(reads, inh_set);
                         key
                     }
                     FieldRule::Scalar(_) => unreachable!("validated types"),
@@ -1035,7 +1059,7 @@ impl<'a> Builder<'a> {
                 self.need_syn(o, f);
             }
         }
-        self.push_task(Task {
+        let syn = Task {
             kind: TaskKind::SynAgg {
                 occ: occ.clone(),
                 field: field.to_string(),
@@ -1044,24 +1068,18 @@ impl<'a> Builder<'a> {
             },
             source: SourceId::MEDIATOR,
             label: format!("syn[{}.{field}]", occ.key(aig)),
-            deps: reads.into_iter().map(|key| (usize::MAX, key)).collect(),
+            deps: Vec::new(),
             output: Some(RelKey::Syn(occ.clone(), field.to_string())),
             schema: owned_by(comps),
             est: CostEstimate::ZERO,
-        });
+        };
+        self.push_task(reads, syn);
         Ok(())
     }
 
-    /// Dependencies a vectorized query introduces (its relation inputs).
-    /// Producer task ids are resolved once every task exists.
-    fn query_deps(&self, vq: &VectorQuery) -> Vec<(usize, RelKey)> {
-        let key = |(_, input): &(String, ParamInput)| (usize::MAX, input.input().key.clone());
-        vq.inputs.iter().map(key).collect()
-    }
-
-    /// Names every read by the task that writes it: each deferred dep —
-    /// keeping the first read of each producer, so deps name distinct
-    /// producers and keys — and every [`Input`] of a task's kind or a guard.
+    /// Names every read by the task that writes it: each task's reads, in
+    /// order, as its deps — the first read of each producer, so deps name
+    /// distinct producers — and every [`Input`] of a task's kind or a guard.
     fn resolve(&mut self) -> Result<(), MediatorError> {
         let producer = &self.producer;
         let resolve = |key: &RelKey| {
@@ -1070,12 +1088,13 @@ impl<'a> Builder<'a> {
         };
         // The last task that read each producer.
         let mut read_by = vec![usize::MAX; self.tasks.len()];
-        for (id, task) in self.tasks.iter_mut().enumerate() {
-            for (p, key) in task.deps.iter_mut().filter(|(p, _)| *p == usize::MAX) {
-                *p = resolve(key)?;
+        for (id, (task, reads)) in self.tasks.iter_mut().zip(&self.reads).enumerate() {
+            for key in reads {
+                let p = resolve(key)?;
+                if std::mem::replace(&mut read_by[p], id) != id {
+                    task.deps.push(p);
+                }
             }
-            task.deps
-                .retain(|&(p, _)| std::mem::replace(&mut read_by[p], id) != id);
             for input in task.inputs_mut() {
                 input.task = resolve(&input.key)?;
             }
@@ -1270,6 +1289,14 @@ impl<'a> Builder<'a> {
             bound: Err(SqlError::Bind(String::new())),
         })
     }
+}
+
+/// The relations a vectorized query reads (its relation inputs), by key.
+fn query_reads(vq: &VectorQuery) -> Vec<RelKey> {
+    vq.inputs
+        .iter()
+        .map(|(_, input)| input.input().key.clone())
+        .collect()
 }
 
 /// What [`scalar_bind`] calls a scalar rule expression of the builder's.
@@ -1527,9 +1554,20 @@ impl<'g> SynWalk<'g> {
 
 /// The step emitting one row of `exprs` over `binding` per reached row.
 fn singleton(aig: &Aig, binding: &Binding, exprs: &[ValueExpr]) -> SynStep {
-    let bind = |e| scalar_bind(aig, binding, e, "scalar expression at").map(Cow::into_owned);
-    let binds: Result<_, _> = exprs.iter().map(bind).collect();
-    SynStep::Singleton(binds.map_err(Box::new))
+    SynStep::Singleton(binds(aig, binding, exprs.iter().map(Some)))
+}
+
+/// `exprs` compiled over `binding`, a missing one as NULL.
+fn binds<'e>(
+    aig: &Aig,
+    binding: &Binding,
+    exprs: impl Iterator<Item = Option<&'e ValueExpr>>,
+) -> Binds {
+    let bind = |expr: Option<&ValueExpr>| match expr {
+        Some(e) => scalar_bind(aig, binding, e, "scalar expression at").map(Cow::into_owned),
+        None => Ok(ScalarBind::Const(Value::Null)),
+    };
+    exprs.map(bind).collect::<Result<_, _>>().map_err(Box::new)
 }
 
 /// The declaration of `elem`'s synthesized `field`.
@@ -1560,8 +1598,8 @@ impl Builder<'_> {
         let mut indegree = vec![0usize; n];
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (id, t) in tasks.iter().enumerate() {
-            for (dep, _) in &t.deps {
-                succ[*dep].push(id);
+            for &dep in &t.deps {
+                succ[dep].push(id);
                 indegree[id] += 1;
             }
         }
@@ -1632,11 +1670,11 @@ pub fn estimate_costs(graph: &mut TaskGraph, catalog: &Catalog, opts: &GraphOpti
                 med(est(graph.instances_of(occ.base)).out_rows / 2.0, 32.0)
             }
             TaskKind::SynAgg { .. } => {
-                let rows: f64 = deps.iter().map(|&(d, _)| est(d).out_rows).sum();
+                let rows: f64 = deps.iter().map(|&d| est(d).out_rows).sum();
                 med(rows, 24.0)
             }
             TaskKind::Guard { .. } => {
-                let rows: f64 = deps.iter().map(|&(d, _)| est(d).out_rows).sum();
+                let rows: f64 = deps.iter().map(|&d| est(d).out_rows).sum();
                 CostEstimate {
                     eval_secs: rows * MEDIATOR_PER_TUPLE_SECS,
                     out_rows: 0.0,
@@ -1702,8 +1740,8 @@ mod tests {
             pos[t] = i;
         }
         for (id, task) in graph.tasks.iter().enumerate() {
-            for (dep, _) in &task.deps {
-                assert!(pos[*dep] < pos[id], "{} after its consumer", *dep);
+            for &dep in &task.deps {
+                assert!(pos[dep] < pos[id], "{dep} after its consumer");
             }
         }
         let _ = aig;

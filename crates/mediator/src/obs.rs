@@ -734,7 +734,9 @@ pub(crate) struct ReportInputs<'a> {
     pub costs: &'a [TaskCost],
     /// `cost(Schedule(G))` of the unmerged graph.
     pub unmerged_secs: f64,
-    pub merged: &'a MergeOutcome,
+    /// The merged plan, given up to the report: its plan steps' members and
+    /// its merge decisions' task lists move into the report's sections.
+    pub merged: MergeOutcome,
     /// The completion time of every node of the merged graph under its plan.
     pub completion_secs: &'a [f64],
     pub net: &'a NetworkModel,
@@ -788,26 +790,19 @@ fn shipped_bytes_by(
 ) -> Vec<f64> {
     let mut shipped = vec![0.0f64; graph.tasks.len()];
     for task in &graph.tasks {
-        for (dep, _) in &task.deps {
-            if graph.tasks[*dep].source != task.source {
-                shipped[*dep] += size(&measured[*dep]);
+        for &dep in &task.deps {
+            if graph.tasks[dep].source != task.source {
+                shipped[dep] += size(&measured[dep]);
             }
         }
     }
     shipped
 }
 
-/// Per-source simulated busy seconds under `plan`.
-fn sim_busy(outcome: &MergeOutcome) -> impl Fn(SourceId) -> f64 + '_ {
-    move |source| {
-        outcome
-            .graph
-            .nodes
-            .iter()
-            .filter(|n| n.source == source)
-            .map(|n| n.eval_secs)
-            .sum()
-    }
+/// `source`'s simulated busy seconds under `outcome`'s plan.
+fn sim_busy(outcome: &MergeOutcome, source: SourceId) -> f64 {
+    let nodes = outcome.graph.nodes.iter().filter(|n| n.source == source);
+    nodes.map(|n| n.eval_secs).sum()
 }
 
 pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs: f64) -> RunReport {
@@ -817,7 +812,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         measured,
         costs,
         unmerged_secs,
-        merged,
+        mut merged,
         completion_secs,
         net,
         depth,
@@ -898,7 +893,6 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         })
         .collect();
 
-    let busy_of = sim_busy(merged);
     let mut sources: Vec<SourceObs> = Vec::new();
     let mut source_ids: Vec<SourceId> = catalog.source_ids().collect();
     source_ids.sort();
@@ -914,7 +908,7 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
             .filter(|(_, t)| t.source == sid)
             .map(|(id, _)| measured[id].secs)
             .sum();
-        let sim_busy_secs = busy_of(sid);
+        let sim_busy_secs = sim_busy(&merged, sid);
         sources.push(SourceObs {
             name: catalog.source(sid).name().to_string(),
             id: sid.0,
@@ -925,13 +919,13 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         });
     }
 
-    let merge_decisions = merged
-        .decisions
-        .iter()
+    let (response_secs, merges) = (merged.response_secs, merged.merges);
+    let merge_decisions = std::mem::take(&mut merged.decisions)
+        .into_iter()
         .map(|d| MergeDecisionObs {
             source: catalog.source(d.source).name().to_string(),
-            kept: d.kept.clone(),
-            absorbed: d.absorbed.clone(),
+            kept: d.kept,
+            absorbed: d.absorbed,
             cost_before_secs: d.cost_before_secs,
             cost_after_secs: d.cost_after_secs,
         })
@@ -1058,8 +1052,8 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
         catalog: catalog_obs,
         exec_wall_secs: measured.iter().map(|m| m.secs).sum(),
         sim_response_unmerged_secs: unmerged_secs,
-        sim_response_merged_secs: merged.response_secs,
-        merges: merged.merges,
+        sim_response_merged_secs: response_secs,
+        merges,
         resilience: resilience_obs,
         integrity: integrity_obs,
         scheduler,
@@ -1071,8 +1065,10 @@ pub(crate) fn build_report(inputs: ReportInputs<'_>, phases: Phases, total_secs:
     }
 }
 
-fn plan_obs(outcome: &MergeOutcome, done: &[f64], catalog: &Catalog) -> Vec<PlanSeqObs> {
-    let plan = &outcome.plan;
+/// The plan section: each source's steps, each taking its node's members
+/// (a node is one step of one source's sequence).
+fn plan_obs(outcome: MergeOutcome, done: &[f64], catalog: &Catalog) -> Vec<PlanSeqObs> {
+    let (plan, mut nodes) = (outcome.plan, outcome.graph.nodes);
     let mut sources: Vec<SourceId> = plan.per_source.keys().copied().collect();
     sources.sort();
     sources
@@ -1084,9 +1080,9 @@ fn plan_obs(outcome: &MergeOutcome, done: &[f64], catalog: &Catalog) -> Vec<Plan
                 .iter()
                 .map(|&node| PlanStepObs {
                     node,
-                    eval_secs: outcome.graph.nodes[node].eval_secs,
+                    eval_secs: nodes[node].eval_secs,
                     completion_secs: done[node],
-                    tasks: outcome.graph.nodes[node].members.clone(),
+                    tasks: std::mem::take(&mut nodes[node].members),
                 })
                 .collect(),
         })

@@ -65,7 +65,7 @@ impl TaskGraph {
         self.dispatch.0.get_or_init(|| {
             let n = self.tasks.len();
             let mut starts = vec![0; n + 1];
-            for &(dep, _) in self.tasks.iter().flat_map(|task| &task.deps) {
+            for &dep in self.tasks.iter().flat_map(|task| &task.deps) {
                 starts[dep + 1] += 1;
             }
             for i in 0..n {
@@ -74,7 +74,7 @@ impl TaskGraph {
             let mut fill = starts.clone();
             let mut consumers = vec![0; starts[n]];
             for (id, task) in self.tasks.iter().enumerate() {
-                for &(dep, _) in &task.deps {
+                for &dep in &task.deps {
                     consumers[fill[dep]] = id;
                     fill[dep] += 1;
                 }
@@ -109,7 +109,7 @@ impl TaskGraph {
         let edges: usize = self.tasks.iter().map(|task| task.deps.len()).sum();
         let ordered = |(id, task): (usize, &Task)| {
             let indexed = |dep: usize| self.consumers(dep).binary_search(&id).is_ok();
-            (task.deps.iter()).all(|&(dep, _)| dep < n && pos[dep] < pos[id] && indexed(dep))
+            (task.deps.iter()).all(|&dep| dep < n && pos[dep] < pos[id] && indexed(dep))
         };
         let same = (self.topo.len(), starts.len(), starts[starts.len() - 1]) == (n, n + 1, edges)
             && (self.topo.iter().enumerate()).all(|(at, &id)| pos.get(id) == Some(&at))
@@ -235,7 +235,7 @@ impl SharedStore<'_> {
                 continue;
             }
             let deps = graph.tasks[task].deps.iter();
-            round.waiting[task] = deps.filter(|(d, _)| !done[*d]).count();
+            round.waiting[task] = deps.filter(|&&d| !done[d]).count();
             let queue = self.queue_of(task, effective);
             round.queues[queue].remaining += 1;
             if round.waiting[task] == 0 {
@@ -741,9 +741,8 @@ mod tests {
         execute_graph(&aig, &catalog, &graph, &args, &ExecOptions::default()).unwrap();
         // The last task in topological order reads one more producer.
         let (last, first) = (graph.topo[graph.topo.len() - 1], graph.topo[0]);
-        assert!(graph.tasks[last].deps.iter().all(|&(dep, _)| dep != first));
-        let key = graph.tasks[first].output.clone().unwrap();
-        graph.tasks[last].deps.push((first, key));
+        assert!(!graph.tasks[last].deps.contains(&first));
+        graph.tasks[last].deps.push(first);
         let plan = topo_per_source(&graph);
         let errors = within_a_minute(move || {
             let opts = ExecOptions::default();

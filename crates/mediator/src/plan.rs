@@ -475,6 +475,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         (costs, unmerged, merged, done)
     });
     let total_secs = phases.elapsed_secs();
+    let (response_merged_secs, merges) = (merged.response_secs, merged.merges);
     let report = build_report(
         ReportInputs {
             graph: &plan.graph,
@@ -482,7 +483,7 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
             measured: &measured,
             costs: &costs,
             unmerged_secs,
-            merged: &merged,
+            merged,
             completion_secs: &completion_secs,
             net: &policy.network,
             depth: plan.depth,
@@ -505,8 +506,8 @@ pub(crate) fn finish_run(inputs: FinishInputs<'_>) -> Result<FullOutcome, Mediat
         tasks: plan.graph.len(),
         source_queries: plan.graph.source_query_count,
         response_unmerged_secs: unmerged_secs,
-        response_merged_secs: merged.response_secs,
-        merges: merged.merges,
+        response_merged_secs,
+        merges,
     };
     Ok(FullOutcome::Complete(Box::new(ExecutedRun {
         run,

@@ -32,9 +32,9 @@
 //! flow into the measured cost graph, the response-time simulation, the
 //! scheduler, and the run report.
 
-use crate::graph::{Occ, ParamInput, ScalarBind, TaskGraph, TaskKind, VectorQuery};
+use crate::graph::{Binds, ParamInput, ScalarBind, TaskGraph, TaskKind, VectorQuery};
 use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
-use aig_core::spec::{Aig, FieldRule, Prod};
+use aig_core::spec::{Aig, Prod};
 use aig_relstore::Relation;
 #[cfg(test)]
 use aig_relstore::Value;
@@ -343,57 +343,35 @@ fn task_reads(aig: &Aig, graph: &TaskGraph, t: usize, out_live: &LiveSet) -> Vec
                 })
                 .collect()
         }
-        TaskKind::BranchMat { occ, branch, picks } => {
-            let mut reads = branch_reads(aig, graph, occ, *branch);
-            reads.push(Read::all(*picks));
-            reads
+        TaskKind::BranchMat {
+            occ, picks, fields, ..
+        } => {
+            let base = graph.instances_of(occ.base);
+            vec![branch_reads(base, fields), Read::all(*picks)]
         }
         // Aggregation, set algebra and constraint guards read whole
         // relations; guards are also duplicate-sensitive by definition
         // (uniqueness is a statement about the full bag).
-        TaskKind::SynAgg { .. } | TaskKind::Guard { .. } => (task.deps.iter())
-            .map(|&(producer, _)| Read::all(producer))
+        TaskKind::SynAgg { .. } | TaskKind::Guard { .. } => task
+            .deps
+            .iter()
+            .map(|&producer| Read::all(producer))
             .collect(),
     }
 }
 
-/// A branch-materialization task's read of its base instance table: the
-/// columns the branch's scalar assignments resolve to.
-fn branch_reads(aig: &Aig, graph: &TaskGraph, occ: &Occ, branch: usize) -> Vec<Read> {
-    let mut reads = Vec::new();
-    let base = graph.instances_of(occ.base);
-    let Some(binding) = graph.bindings.get(occ) else {
-        reads.push(Read::all(base));
-        return reads;
+/// A branch-materialization task's read of its base instance table, task
+/// `base`: the columns its compiled field binds read, or everything when
+/// one does not resolve.
+fn branch_reads(base: usize, fields: &Binds) -> Read {
+    let Ok(fields) = fields else {
+        return Read::all(base);
     };
-    let info = aig.elem_info(binding.elem);
-    let Prod::Choice { branches, .. } = &info.prod else {
-        reads.push(Read::all(base));
-        return reads;
-    };
-    let mut cols: Vec<String> = Vec::new();
-    for (_, rule) in &branches[branch].assigns {
-        let FieldRule::Scalar(expr) = rule else {
-            continue;
-        };
-        match resolve_scalar(aig, binding.elem, expr) {
-            Some(ResolvedScalar::Const(_)) => {}
-            Some(ResolvedScalar::InhField(f)) => match binding.scalars.get(&f) {
-                Some(ScalarBind::Col(c)) => cols.push(c.clone()),
-                Some(ScalarBind::Const(_)) => {}
-                None => {
-                    reads.push(Read::all(base));
-                    return reads;
-                }
-            },
-            None => {
-                reads.push(Read::all(base));
-                return reads;
-            }
-        }
-    }
-    reads.push(Read::names(base, cols));
-    reads
+    let cols = fields.iter().filter_map(|bind| match bind {
+        ScalarBind::Col(c) => Some(c.clone()),
+        ScalarBind::Const(_) => None,
+    });
+    Read::names(base, cols)
 }
 
 /// Reads of a vectorized query: per relation parameter, the columns the
@@ -533,16 +511,16 @@ mod tests {
                     task.label
                 );
             }
-            for (dep, _) in &task.deps {
-                if cut.profile(*dep).live.all {
+            for &dep in &task.deps {
+                if cut.profile(dep).live.all {
                     whole += 1;
                     continue;
                 }
-                let free = task.source.is_mediator() && graph.tasks[*dep].source.is_mediator();
+                let free = task.source.is_mediator() && graph.tasks[dep].source.is_mediator();
                 assert!(
-                    free && cut.profile(*dep).dedup,
+                    free && cut.profile(dep).dedup,
                     "guard input `{}` lost columns",
-                    graph.tasks[*dep].label
+                    graph.tasks[dep].label
                 );
             }
         }

@@ -23,6 +23,7 @@
 
 use crate::error::MediatorError;
 use crate::exec::{group_rows, scalar_bind, InstanceIds, RelSource, RelStore, ScalarCol, NO_ROW};
+use crate::exec::{OCC, ORD, PARENT};
 use crate::graph::{Occ, ScalarBind, TaskGraph};
 use aig_core::spec::{Aig, ElemIdx, Prod};
 use aig_relstore::intern::{self, Reader, SymMap};
@@ -288,11 +289,10 @@ struct Tagger<'a> {
     reader: Reader,
 }
 
-/// A plan's base instance table, its `__rowid` column, and for a text body
-/// the column (or constant) its PCDATA reads.
+/// A plan's base instance table, and for a text body the column (or
+/// constant) its PCDATA reads.
 struct Base<'a> {
     rel: &'a Relation,
-    rowids: &'a [Sym],
     text: Option<Result<ScalarCol, MediatorError>>,
 }
 
@@ -319,10 +319,9 @@ impl Tagged {
         child: &Relation,
         parent: &InstanceIds,
         keys: &mut Vec<u32>,
-    ) -> Result<Tagged, MediatorError> {
+    ) -> Tagged {
         keys.clear();
-        let occs = child.col_syms(child.col("__occ")?);
-        let parents = child.col_syms(child.col("__parent")?);
+        let (occs, parents) = (child.col_syms(OCC), child.col_syms(PARENT));
         // Siblings sit together: only a change of parent resolves one.
         let ids = parent.ids_of(reader, parents);
         keys.extend(occs.iter().zip(ids).map(|(&row_occ, id)| match id {
@@ -334,7 +333,7 @@ impl Tagged {
         // as those integers' own symbols, they need no value looked up.
         let widest = start.windows(2).map(|b| b[1] - b[0]).max().unwrap_or(0);
         let counting = intern::int_syms(widest as usize);
-        let ords = child.col_syms(child.col("__ord")?);
+        let ords = child.col_syms(ORD);
         let ord = |row: &u32| reader.get(ords[*row as usize]).as_int().unwrap_or(0);
         for bounds in start.windows(2) {
             let siblings = &mut rows[bounds[0] as usize..bounds[1] as usize];
@@ -344,15 +343,15 @@ impl Tagged {
                 siblings.sort_by_key(ord);
             }
         }
-        Ok(Tagged { start, rows })
+        Tagged { start, rows }
     }
 }
 
 impl<'a> Tagger<'a> {
     /// Readies `plan` over `store`: every instance table a child row can
-    /// come from, with the columns that place a row, is checked before
-    /// anything else is read; then each plan's base table is looked up, the
-    /// root's must have one row, and the tagged children are sort-merged.
+    /// come from is looked up before anything else is read; then each
+    /// plan's base table is, the root's must have one row, and the tagged
+    /// children are sort-merged.
     /// Returns the tagger and the tree to write, so far just its root, with
     /// every tag the walk will emit registered.
     fn new(
@@ -362,15 +361,11 @@ impl<'a> Tagger<'a> {
         store: &'a RelStore,
     ) -> Result<(Self, XmlTree), MediatorError> {
         for &elem in graph.materialized.iter().filter(|&&e| e != aig.root) {
-            let rel = store.rel(graph.instances_of(elem))?;
-            for column in ["__parent", "__occ", "__ord"] {
-                rel.col(column)?;
-            }
+            store.rel(graph.instances_of(elem))?;
         }
         let mut bases = Vec::with_capacity(plan.plans.len());
         for occ in &plan.plans {
             let rel = store.rel(occ.table)?;
-            let rowids = rel.col_syms(rel.col("__rowid")?);
             let text = match &occ.body {
                 Body::Text(bind) => Some(match bind {
                     Ok(bind) => ScalarCol::of_bind(bind, rel),
@@ -378,7 +373,7 @@ impl<'a> Tagger<'a> {
                 }),
                 Body::Children(_) => None,
             };
-            bases.push(Base { rel, rowids, text });
+            bases.push(Base { rel, text });
         }
         if let Some(e) = &plan.error {
             return Err(e.clone());
@@ -486,7 +481,7 @@ impl<'a> Tagger<'a> {
     }
 
     /// Sort-merges the rows of every starred item and choice branch under
-    /// its parent's base rows, whose `__rowid`s must be their positions.
+    /// its parent's base rows, whose ids are their positions.
     fn sort_merge(&mut self, aig: &Aig, store: &RelStore) -> Result<(), MediatorError> {
         let mut keys = Vec::new();
         self.tagged.resize_with(self.plan.tagged, Tagged::default);
@@ -498,9 +493,9 @@ impl<'a> Tagger<'a> {
                 let ChildRows::Tagged { occ, at } = child.rows else {
                     continue;
                 };
-                let parent = InstanceIds::new(aig.elem_name(plan.elem), base.rowids, &self.reader)?;
+                let parent = InstanceIds::new(aig.elem_name(plan.elem), base.rel.len());
                 let rel = store.rel(child.table)?;
-                self.tagged[at] = Tagged::sort_merge(&self.reader, occ, rel, &parent, &mut keys)?;
+                self.tagged[at] = Tagged::sort_merge(&self.reader, occ, rel, &parent, &mut keys);
             }
         }
         Ok(())

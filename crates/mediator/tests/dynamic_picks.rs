@@ -14,7 +14,7 @@ use aig_core::paper::sigma0;
 use aig_core::spec::ElemIdx;
 use aig_mediator::cost::{estimated_costs, CostGraph};
 use aig_mediator::exec::{ExecOptions, TaskPick};
-use aig_mediator::graph::{RelKey, Task, TaskGraph, TaskKind};
+use aig_mediator::graph::{Task, TaskGraph, TaskKind};
 use aig_mediator::parallel::execute_graph_parallel;
 use aig_mediator::schedule::{levels, schedule};
 use aig_mediator::NetworkModel;
@@ -26,7 +26,6 @@ use std::collections::HashMap;
 /// dependencies' outputs, so the edges drive scheduling only while `pace`
 /// supplies the duration.
 fn task(label: &str, source: SourceId, deps: &[usize], est_secs: f64) -> Task {
-    let read = |&d: &usize| (d, RelKey::Instances(ElemIdx(0)));
     Task {
         kind: TaskKind::Assemble {
             elem: ElemIdx(0),
@@ -34,7 +33,7 @@ fn task(label: &str, source: SourceId, deps: &[usize], est_secs: f64) -> Task {
         },
         source,
         label: label.to_string(),
-        deps: deps.iter().map(read).collect(),
+        deps: deps.to_vec(),
         output: None,
         schema: Default::default(),
         est: CostEstimate {
@@ -163,8 +162,7 @@ fn paced_fixture() -> (Catalog, TaskGraph, Vec<f64>) {
 fn chained(mut graph: TaskGraph, plan: &HashMap<SourceId, Vec<usize>>) -> TaskGraph {
     for seq in plan.values() {
         for pair in seq.windows(2) {
-            let edge = (pair[0], RelKey::Instances(ElemIdx(0)));
-            graph.tasks[pair[1]].deps.push(edge);
+            graph.tasks[pair[1]].deps.push(pair[0]);
         }
     }
     let costs = CostGraph::from_task_graph(&graph, &estimated_costs(&graph));

@@ -13,20 +13,25 @@
 //!
 //! Beside it, the facts every consumer of a graph and its store rests on,
 //! held at every depth the benchmark reaches and on a choice spec: an
-//! instance table's `__rowid`s are its row positions, a task's deps name
-//! each producer — and so each relation — once, and the `__occ` tags are
-//! the plan's: interned once per starred item and choice branch of an
-//! occurrence into its binding, and written by Assemble as they are.
+//! instance table's `__rowid`s are its row positions, its bookkeeping
+//! columns — and a generator or branch output's, a set relation's `__owner`
+//! and a source query's leading `__parent` — sit where a run reads them by
+//! position, a branch's compiled field binds are its assigns resolved
+//! through the copy chains, a task's deps name each producer it reads
+//! once, and the `__occ` tags are the plan's: interned once per starred
+//! item and choice branch of an occurrence into its binding, and written by
+//! Assemble as they are.
 
+use aig_core::copyelim::{resolve_scalar, ResolvedScalar};
 use aig_core::paper::sigma0;
 use aig_core::spec::{Aig, ElemIdx, FieldRule, Prod, SetExpr, SynRule};
 use aig_core::{compile_constraints, decompose_queries, parse_aig};
 use aig_datagen::{DatasetSize, HospitalConfig};
-use aig_mediator::graph::{Occ, RelKey, Task, TaskGraph, TaskKind};
+use aig_mediator::graph::{Occ, RelKey, ScalarBind, Task, TaskGraph, TaskKind};
 use aig_mediator::obs::Phases;
 use aig_mediator::{
-    build_graph, execute_graph, prepare, unfold, CutOff, ExecOptions, ExecPolicy, GraphOptions,
-    Mediator, MediatorOptions, NetworkModel, PlanOptions,
+    build_graph, execute_graph, prepare, unfold, CutOff, ExecOptions, ExecPolicy, ExecResult,
+    GraphOptions, Mediator, MediatorOptions, NetworkModel, PlanOptions,
 };
 use aig_relstore::intern::resolve;
 use aig_relstore::{Catalog, Database, SourceId, Sym, Table, TableSchema, Value};
@@ -144,7 +149,7 @@ fn every_syn_agg_task_computes_a_distinct_value_that_can_exist() {
     assert_eq!(per_field, expected);
     let syn_edges: Vec<(&str, &str)> = (graph.tasks.iter())
         .filter(|t| matches!(t.kind, TaskKind::SynAgg { .. }))
-        .flat_map(|t| t.deps.iter().map(move |(d, _)| (t, &graph.tasks[*d])))
+        .flat_map(|t| t.deps.iter().map(move |&d| (t, &graph.tasks[d])))
         .filter(|(_, d)| matches!(d.kind, TaskKind::SynAgg { .. }))
         .map(|(t, d)| (t.label.as_str(), d.label.as_str()))
         .collect();
@@ -271,12 +276,75 @@ fn graph_at(source: &Aig, catalog: &Catalog, depth: usize) -> (Aig, TaskGraph) {
     (aig, graph)
 }
 
+/// The bookkeeping columns a run reads by position, at those positions, in
+/// the relation a task writes: an instance table's, a generator or branch
+/// output's, a set or pick relation's `__owner`; none for a guard.
+fn bookkeeping(key: Option<&RelKey>) -> &'static [&'static str] {
+    match key {
+        Some(RelKey::Instances(_)) => &["__rowid", "__parent", "__ord", "__occ"],
+        Some(RelKey::GenOut(..) | RelKey::BranchOut(..)) => &["__parent", "__ord"],
+        Some(RelKey::InhSet(..) | RelKey::Syn(..) | RelKey::Pick(_)) => &["__owner"],
+        None => &[],
+    }
+}
+
+/// The producers of the relations `task`'s kind names: its query's inputs,
+/// the set a generator iterates, an assembly's parts, a branch's picks, and
+/// the base instance table a generator, condition or branch reads.
+fn named_reads(graph: &TaskGraph, task: &Task) -> Vec<usize> {
+    let mut named: Vec<usize> = (task.query().into_iter())
+        .flat_map(|vq| vq.inputs.iter().map(|(_, input)| input.input().task))
+        .collect();
+    match &task.kind {
+        TaskKind::Gen {
+            parent, set_input, ..
+        } => {
+            named.extend(set_input.as_ref().map(|input| input.task));
+            if set_input.is_none() {
+                named.push(graph.instances_of(parent.base));
+            }
+        }
+        TaskKind::Assemble { inputs, .. } => named.extend(inputs.iter().map(|&(p, _)| p)),
+        TaskKind::Cond { occ, .. } => named.push(graph.instances_of(occ.base)),
+        TaskKind::BranchMat { occ, picks, .. } => {
+            named.extend([*picks, graph.instances_of(occ.base)])
+        }
+        _ => {}
+    }
+    named
+}
+
+/// What `occ`'s branch `branch` assigns each scalar field of its element,
+/// in field order, resolved through the copy chains over `occ`'s binding
+/// (an unassigned field is NULL).
+fn branch_binds(aig: &Aig, graph: &TaskGraph, occ: &Occ, branch: usize) -> Vec<ScalarBind> {
+    let binding = &graph.bindings[occ];
+    let Prod::Choice { branches, .. } = &aig.elem_info(binding.elem).prod else {
+        panic!("a branch of a choice")
+    };
+    let spec = &branches[branch];
+    let fields = aig
+        .elem_info(spec.elem)
+        .inh
+        .iter()
+        .filter(|f| f.ty.is_scalar());
+    let bind = |name: &String| match spec.assigns.iter().find(|(f, _)| f == name) {
+        Some((_, FieldRule::Scalar(expr))) => match resolve_scalar(aig, binding.elem, expr) {
+            Some(ResolvedScalar::Const(v)) => ScalarBind::Const(v),
+            Some(ResolvedScalar::InhField(f)) => binding.scalars[&f].clone(),
+            None => panic!("{name} does not resolve"),
+        },
+        _ => ScalarBind::Const(Value::Null),
+    };
+    fields.map(|f| bind(&f.name)).collect()
+}
+
 /// Builds `source`'s graph at `depth` and runs it under the one-worker and
 /// the per-source walk, checking both facts on the graph and on each
-/// store: every task's deps name distinct producers, each the producer of
-/// the key it is read for (so the keys are distinct too), and every
-/// instance table's `__rowid`s are `0..n` in row order. Returns the
-/// instance rows checked.
+/// store: every task's deps are distinct producers of a relation, among
+/// them every one its kind names ([`named_reads`]), and every instance
+/// table's `__rowid`s are `0..n` in row order. Returns the instance rows
+/// checked.
 fn ids_are_positions_and_deps_are_distinct(
     source: &Aig,
     catalog: &Catalog,
@@ -285,22 +353,19 @@ fn ids_are_positions_and_deps_are_distinct(
 ) -> usize {
     let (aig, graph) = graph_at(source, catalog, depth);
     for task in &graph.tasks {
-        let producers: HashSet<usize> = task.deps.iter().map(|(d, _)| *d).collect();
-        let keys: HashSet<&RelKey> = task.deps.iter().map(|(_, k)| k).collect();
-        let counts = (producers.len(), keys.len());
-        assert_eq!(counts, (task.deps.len(), task.deps.len()), "{}", task.label);
-        for (producer, key) in &task.deps {
-            assert_eq!(graph.producer[key], *producer, "{}: {key:?}", task.label);
-            assert_eq!(graph.tasks[*producer].output.as_ref(), Some(key));
+        let producers: HashSet<usize> = task.deps.iter().copied().collect();
+        assert_eq!(producers.len(), task.deps.len(), "{}", task.label);
+        for &producer in &task.deps {
+            let key = graph.tasks[producer].output.as_ref();
+            let key = key.unwrap_or_else(|| panic!("{} reads a guard", task.label));
+            assert_eq!(graph.producer[key], producer, "{}: {key:?}", task.label);
+        }
+        for named in named_reads(&graph, task) {
+            assert!(producers.contains(&named), "{}: {named}", task.label);
         }
     }
-    let parallel = ExecOptions::new(ExecPolicy {
-        parallel_exec: true,
-        ..ExecPolicy::default()
-    });
     let mut rows = 0;
-    for opts in [ExecOptions::default(), parallel] {
-        let run = execute_graph(&aig, catalog, &graph, args, &opts).unwrap();
+    for run in walks(&aig, catalog, &graph, args) {
         let instances = (graph.tasks.iter()).filter_map(|t| match &t.output {
             Some(key @ RelKey::Instances(elem)) => Some((key, *elem)),
             _ => None,
@@ -319,6 +384,22 @@ fn ids_are_positions_and_deps_are_distinct(
     rows
 }
 
+/// `graph` run under the one-worker and the per-source walk.
+fn walks(
+    aig: &Aig,
+    catalog: &Catalog,
+    graph: &TaskGraph,
+    args: &[(&str, Value)],
+) -> Vec<ExecResult> {
+    let parallel = ExecOptions::new(ExecPolicy {
+        parallel_exec: true,
+        ..ExecPolicy::default()
+    });
+    let runs = [ExecOptions::default(), parallel].into_iter();
+    runs.map(|opts| execute_graph(aig, catalog, graph, args, &opts).unwrap())
+        .collect()
+}
+
 #[test]
 fn instance_ids_are_row_positions_and_task_deps_are_distinct() {
     let data = HospitalConfig::tiny(3).generate().unwrap();
@@ -332,6 +413,66 @@ fn instance_ids_are_row_positions_and_task_deps_are_distinct() {
     let args = [("day", Value::str("mon"))];
     let rows = ids_are_positions_and_deps_are_distinct(&aig, &catalog, 2, &args);
     assert!(rows > 20, "orders: {rows} instance rows");
+}
+
+/// Builds `source`'s graph at `depth` and runs it under the one-worker and
+/// the per-source walk, checking what a run reads by position and what a
+/// branch reads compiled: every relation's bookkeeping columns sit at
+/// their positions ([`bookkeeping`]) in the graph's schemas and in each
+/// store, every source query selects `__parent` first, and every branch's
+/// compiled field binds are its assigns ([`branch_binds`]). Returns the
+/// branches checked.
+fn positions_and_branch_binds(
+    source: &Aig,
+    catalog: &Catalog,
+    depth: usize,
+    args: &[(&str, Value)],
+) -> usize {
+    let (aig, graph) = graph_at(source, catalog, depth);
+    let mut branches = 0;
+    for task in &graph.tasks {
+        let want = bookkeeping(task.output.as_ref());
+        assert_eq!(&task.schema[..want.len()], want, "{}", task.label);
+        if let Some(vq) = task.query() {
+            assert_eq!(vq.columns[0], "__parent", "{}", task.label);
+        }
+        if let TaskKind::BranchMat {
+            occ,
+            branch,
+            fields,
+            ..
+        } = &task.kind
+        {
+            let compiled = fields.as_ref().expect("σ0's and orders' branches resolve");
+            assert_eq!(compiled, &branch_binds(&aig, &graph, occ, *branch));
+            branches += 1;
+        }
+    }
+    for run in walks(&aig, catalog, &graph, args) {
+        for task in &graph.tasks {
+            let Some(key) = task.output.as_ref() else {
+                continue;
+            };
+            let want = bookkeeping(Some(key));
+            let columns = run.store.get(key).unwrap().columns();
+            assert_eq!(&columns[..want.len()], want, "{}", task.label);
+        }
+    }
+    branches
+}
+
+#[test]
+fn bookkeeping_columns_sit_at_their_positions_and_branch_binds_are_compiled() {
+    let data = HospitalConfig::tiny(3).generate().unwrap();
+    let args = [("date", Value::str(&data.dates[0]))];
+    let aig = sigma0().unwrap();
+    for depth in [3, 6, 12, 24] {
+        positions_and_branch_binds(&aig, &data.catalog, depth, &args);
+    }
+    let (aig, catalog) = orders();
+    let args = [("day", Value::str("mon"))];
+    let branches = positions_and_branch_binds(&aig, &catalog, 2, &args);
+    assert_eq!(branches, 2, "orders: a card and an invoice branch");
 }
 
 /// Builds `source`'s graph at `depth` and runs it, checking the tags on the
@@ -425,7 +566,7 @@ type TaskShape = (
     Discriminant<TaskKind>,
     SourceId,
     Option<RelKey>,
-    Vec<(usize, RelKey)>,
+    Vec<usize>,
 );
 
 /// The task sequence of `source`'s plan at `depth`, prepared afresh.
@@ -465,4 +606,22 @@ fn two_preparations_number_every_task_alike() {
     let (aig, catalog) = orders();
     let first = task_sequence(&aig, &catalog, 2);
     assert_eq!(first, task_sequence(&aig, &catalog, 2), "orders");
+}
+
+/// No bookkeeping column is looked up by name in the non-test code of the
+/// task bodies and the tagger: each is read at the position its layout
+/// fixes (the census above holds the layouts).
+#[test]
+fn no_task_body_or_tagger_looks_a_bookkeeping_column_up_by_name() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut offenders = Vec::new();
+    for file in ["exec.rs", "tagging.rs"] {
+        let text = std::fs::read_to_string(src.join(file)).expect("source file");
+        let code = text.split("#[cfg(test)]\nmod tests").next().unwrap_or("");
+        for (at, _) in code.match_indices(".col(\"__") {
+            let line = code[..at].lines().count();
+            offenders.push(format!("{file}:{line}"));
+        }
+    }
+    assert!(offenders.is_empty(), "{offenders:#?}");
 }

@@ -8,6 +8,7 @@
 //! can treat mediator-side computation uniformly.
 
 use crate::error::StoreError;
+use crate::fnv::Fnv64;
 use crate::table::Table;
 use std::collections::HashMap;
 use std::fmt;
@@ -204,28 +205,24 @@ impl Catalog {
     /// go stale across a `declare_replica` / table redefinition (data
     /// contents deliberately do not participate).
     pub fn schema_fingerprint(&self) -> u64 {
-        // FNV-1a, matching the fingerprint style used for plans/options.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash ^= 0xff; // field separator
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        use fmt::Write;
+        // Each field is followed by a separator byte.
+        const SEP: &[u8] = &[0xff];
+        let mut hash = Fnv64::new();
         for db in &self.sources {
-            eat(db.name().as_bytes());
+            hash.bytes(db.name().as_bytes()).bytes(SEP);
             for table_name in db.table_names() {
                 let table = db.table(table_name).expect("listed table exists");
                 let schema = table.schema();
-                eat(schema.name.as_bytes());
+                hash.bytes(schema.name.as_bytes()).bytes(SEP);
                 for col in &schema.columns {
-                    eat(col.name.as_bytes());
-                    eat(col.ty.to_string().as_bytes());
+                    hash.bytes(col.name.as_bytes()).bytes(SEP);
+                    // Writing to the hash never fails.
+                    let _ = write!(hash, "{}", col.ty);
+                    hash.bytes(SEP);
                 }
                 for &k in &schema.key {
-                    eat(&(k as u64).to_le_bytes());
+                    hash.bytes(&(k as u64).to_le_bytes()).bytes(SEP);
                 }
             }
         }
@@ -233,10 +230,10 @@ impl Catalog {
             self.replicas.iter().map(|(&p, &r)| (p, r)).collect();
         pairs.sort_unstable();
         for (p, r) in pairs {
-            eat(&(p.0 as u64).to_le_bytes());
-            eat(&(r.0 as u64).to_le_bytes());
+            hash.bytes(&(p.0 as u64).to_le_bytes()).bytes(SEP);
+            hash.bytes(&(r.0 as u64).to_le_bytes()).bytes(SEP);
         }
-        hash
+        hash.finish()
     }
 
     /// A catalog in which `primary`'s tables are served by its declared

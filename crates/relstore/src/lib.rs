@@ -18,6 +18,7 @@
 pub mod catalog;
 pub mod delta;
 pub mod error;
+pub mod fnv;
 pub mod intern;
 pub mod par;
 pub mod relation;
@@ -29,6 +30,7 @@ pub mod value;
 pub use catalog::{Catalog, Database, SourceId};
 pub use delta::{DeltaApplied, RowBatch, SourceDelta};
 pub use error::StoreError;
+pub use fnv::Fnv64;
 pub use intern::{Sym, SymMap, SymSet};
 pub use relation::{payload_scans, ColNames, Relation, SharedCol};
 pub use schema::{Column, TableSchema};
